@@ -76,16 +76,11 @@ def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     """Values of the geodesic coefficients G^i(x, u) (fast path for ODEs)."""
     jet = m.real_jet(x, u, 2)
     d = m.dim
-    g = np.empty((d, d))
-    rhs = np.empty(d)
-    for i in range(d):
-        for j in range(i, d):
-            g[i, j] = g[j, i] = 0.5 * jet.partial([d + i, d + j])
-    for l in range(d):
-        s = 0.0
-        for k in range(d):
-            s += jet.partial([d + l, k]) * u[k]
-        rhs[l] = s - jet.partial([l])
+    H = jet.hessian()
+    g = 0.5 * H[d:, d:]
+    # (d^2 G / du^l dx^k) u^k; cumsum adds over k in order, as a scalar loop
+    # does, where a pairwise sum would round differently
+    rhs = np.cumsum(H[d:, :d] * u, axis=1)[:, -1] - jet.gradient()[:d]
     try:
         y = np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError as exc:

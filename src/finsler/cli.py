@@ -160,7 +160,6 @@ def cmd_geodesic(config: RunConfig, outdir: Path) -> int:
 
 def cmd_distance(config: RunConfig, outdir: Path) -> int:
     from .geodesic import PoleDistance
-    from .levi import LeviField
     status = 0
     for mid, m in _instantiate_all(config):
         mr = realify_metric(m) if m.is_complex else m
@@ -180,23 +179,30 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
                 worst = max(worst, abs(r.value - math.atanh(float(np.linalg.norm(z)))))
         payload = {"metric": mid, "n_samples": len(rows),
                    "max_closed_form_error": worst}
+        levi_rows = None
+        summary = ""
+        if m.kind == "complex_strongly_convex":
+            levi_rows, min_margin, counts = _levi_table(m, pts[:4], plan)
+            payload["levi_samples"] = counts
+            payload["levi_min_margin"] = min_margin if counts["ok"] else None
+            if not counts["ok"] or min_margin < -1e-3:
+                status = 1
+            summary = f"; levi samples ok {counts['ok']}/{counts['attempted']}"
         d = _write_report(outdir, "distance", mid, payload, config)
         _write_csv(d / "distance.csv", ["point_index", "rho", "residual"], rows)
-        if m.kind == "complex_strongly_convex":
-            levi_rows, min_margin = _levi_table(m, pts[:4], plan)
+        if levi_rows is not None:
             _write_csv(d / "levi.csv",
                        ["point_index", "levi_value", "rho", "bound", "margin"],
                        levi_rows)
-            payload["levi_min_margin"] = min_margin
-            if min_margin < -1e-3:
-                status = 1
         if worst > 1e-6:
             status = 1
-        print(f"distance {mid}: max closed-form error {worst:.2e}")
+        print(f"distance {mid}: max closed-form error {worst:.2e}{summary}")
     return status
 
 
 def _levi_table(m, pts, plan):
+    """Levi samples of rho^2 at ``pts``: CSV rows, the least margin, and the
+    attempted/ok/failed counts with the failures tallied by error type."""
     from .levi import LeviField
     K = 0.0
     kg = m.metadata.get("holomorphic_curvature")
@@ -206,16 +212,22 @@ def _levi_table(m, pts, plan):
     dirs = plan_directions(m, 2, plan.seed + 5)
     rows = []
     min_margin = math.inf
+    reasons = {}
     for i, z in enumerate(pts):
         for v in dirs:
             try:
                 s = field.sample(z, v)
-            except FinslerError:
+            except FinslerError as exc:
+                name = type(exc).__name__
+                reasons[name] = reasons.get(name, 0) + 1
                 continue
             rows.append([i, repr(float(s.levi_value)), repr(float(s.rho)),
                          repr(float(s.bound)), repr(float(s.margin))])
             min_margin = min(min_margin, s.margin)
-    return rows, min_margin
+    failed = sum(reasons.values())
+    counts = {"attempted": len(rows) + failed, "ok": len(rows), "failed": failed,
+              "failure_reasons": reasons}
+    return rows, min_margin, counts
 
 
 def cmd_bounds(config: RunConfig, outdir: Path) -> int:

@@ -8,6 +8,7 @@ defaults are merged into the effective config and echoed into every report.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,6 +76,24 @@ def _merge_defaults(doc: dict) -> dict:
     return out
 
 
+def _validate_plan(name, plan):
+    if not isinstance(plan, dict):
+        raise ConfigurationError(f"plan {name!r} must be a mapping")
+    merged = {**DEFAULT_PLAN, **plan}
+    for key in ("n_points", "n_dirs"):
+        value = merged[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ConfigurationError(
+                f"plan {name!r}: {key} must be an integer >= 1, got {value!r}")
+    rr = merged["radial_range"]
+    if (not isinstance(rr, (list, tuple)) or len(rr) != 2
+            or not all(isinstance(r, numbers.Real) and not isinstance(r, bool)
+                       for r in rr)
+            or not 0 <= rr[0] < rr[1]):
+        raise ConfigurationError(
+            f"plan {name!r}: radial_range must be two numbers 0 <= lo < hi, got {rr!r}")
+
+
 def parse_config(doc: dict) -> RunConfig:
     doc = _merge_defaults(doc)
     if "seed" not in doc:
@@ -89,12 +108,17 @@ def parse_config(doc: dict) -> RunConfig:
     for spec in metrics:
         if "family" not in spec:
             raise ConfigurationError(f"metric spec without family: {spec}")
+    plans = doc.get("plans", {})
+    if not isinstance(plans, dict):
+        raise ConfigurationError("plans must be a mapping of named plans")
+    for name, plan in plans.items():
+        _validate_plan(name, plan)
     return RunConfig(
         seed=seed,
         metrics=metrics,
         maps=doc.get("maps", []),
         pairs=doc.get("pairs", []),
-        plans=doc.get("plans", {}),
+        plans=plans,
         outputs=doc["outputs"],
         tolerance=float(doc.get("tolerance", 1e-6)),
         raw=doc)

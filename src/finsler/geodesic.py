@@ -215,14 +215,12 @@ class PoleDistance:
         self._cache_size = cache_size
         self.total_integrations = 0
 
-    def _endpoint_full(self, w):
+    def _endpoint(self, w):
+        """End state (x, u) at t = 1 of the geodesic leaving the pole with velocity w."""
         self.total_integrations += 1
         sol = _integrate_affine(self.m, self.pole, w, 1.0,
                                 rtol=self.rtol, atol=self.atol, dense=False)
         return sol.y[:, -1]
-
-    def _endpoint(self, w):
-        return self._endpoint_full(w)[:self.m.dim]
 
     def _fd_jacobian(self, w, F0):
         d = self.m.dim
@@ -231,7 +229,7 @@ class PoleDistance:
         for j in range(d):
             wp = w.copy()
             wp[j] += h
-            J[:, j] = (self._endpoint(wp) - F0) / h
+            J[:, j] = (self._endpoint(wp)[:d] - F0) / h
         return J
 
     def _nearest(self, q):
@@ -268,12 +266,11 @@ class PoleDistance:
 
         best_res = math.inf
         for winit in self._starts(q, w0):
-            w, J_fin, resid = self._gauss_newton(winit, q, J, tol)
+            w, y, J_fin, resid = self._gauss_newton(winit, q, J, tol)
             J = None
             if resid is not None:
                 best_res = min(best_res, resid)
             if resid is not None and resid < tol_accept:
-                y = self._endpoint_full(w)
                 u_end = y[self.m.dim:]
                 rho = math.sqrt(self.m.value(self.pole, w))
                 self._remember(q, w, J_fin)
@@ -283,26 +280,34 @@ class PoleDistance:
                             best_residual=best_res)
 
     def _gauss_newton(self, w, q, J, tol, max_iter=40):
+        """Solve endpoint(w) = q from ``w``; returns ``(w, y, J, residual)``.
+
+        ``y`` is the end state (x, u) of the integration of the returned ``w``,
+        so its arriving tangent needs no second integration. The residual is
+        ``None`` when the first integration fails.
+        """
+        d = self.m.dim
         w = np.asarray(w, dtype=float).copy()
         try:
-            F = self._endpoint(w) - q
+            y = self._endpoint(w)
         except Exception:
-            return w, None, None
+            return w, None, None, None
+        F = y[:d] - q
         refreshed = J is None
         if J is None:
             if float(np.linalg.norm(F)) < tol:
-                J = np.eye(self.m.dim)
-                return w, J, float(np.linalg.norm(F))
+                J = np.eye(d)
+                return w, y, J, float(np.linalg.norm(F))
             J = self._fd_jacobian(w, F + q)
         for _ in range(max_iter):
             res = float(np.linalg.norm(F))
             if res < tol:
-                return w, J, res
+                return w, y, J, res
             try:
                 step = np.linalg.solve(J, F)
             except np.linalg.LinAlgError:
                 if refreshed:
-                    return w, J, res
+                    return w, y, J, res
                 J = self._fd_jacobian(w, F + q)
                 refreshed = True
                 continue
@@ -311,17 +316,18 @@ class PoleDistance:
             while lam >= 0.25:
                 w_new = w - lam * step
                 try:
-                    F_new = self._endpoint(w_new) - q
+                    y_new = self._endpoint(w_new)
                 except Exception:
                     lam *= 0.5
                     continue
+                F_new = y_new[:d] - q
                 if float(np.linalg.norm(F_new)) < res:
                     improved = True
                     break
                 lam *= 0.5
             if not improved:
                 if refreshed:
-                    return w, J, res
+                    return w, y, J, res
                 J = self._fd_jacobian(w, F + q)
                 refreshed = True
                 continue
@@ -330,8 +336,8 @@ class PoleDistance:
             denom = float(dw @ dw)
             if denom > 0:
                 J = J + np.outer(dF - J @ dw, dw) / denom
-            w, F = w_new, F_new
-        return w, J, float(np.linalg.norm(F))
+            w, y, F = w_new, y_new, F_new
+        return w, y, J, float(np.linalg.norm(F))
 
     def _starts(self, q, w0):
         yield w0
@@ -559,8 +565,7 @@ def legendre_gradient(m: MetricDef, df, x, *, tol=1e-10, max_iter=60):
     if callable(df):
         from .jets import JetSpace
         sp = JetSpace.get(d, 1, False)
-        fj = df([sp.variable(i, x[i]) for i in range(d)])
-        df = np.array([fj.partial([i]) for i in range(d)])
+        df = df(sp.variables(x)).gradient()
     df = np.asarray(df, dtype=float)
     if float(np.linalg.norm(df)) == 0.0:
         raise ConfigurationError("gradient undefined where df = 0")
@@ -575,15 +580,12 @@ def legendre_gradient(m: MetricDef, df, x, *, tol=1e-10, max_iter=60):
             continue
         for _ in range(max_iter):
             jet = m.real_jet(x, Y, 2)
-            F = np.array([0.5 * jet.partial([d + i]) for i in range(d)]) - df
+            F = 0.5 * jet.gradient()[d:] - df
             res = float(np.linalg.norm(F))
             best_res = min(best_res, res)
             if res < tol * scale:
                 return Y
-            g = np.empty((d, d))
-            for i in range(d):
-                for j in range(i, d):
-                    g[i, j] = g[j, i] = 0.5 * jet.partial([d + i, d + j])
+            g = 0.5 * jet.hessian()[d:, d:]
             try:
                 step = np.linalg.solve(g, F)
             except np.linalg.LinAlgError:

@@ -204,9 +204,8 @@ class MetricDef:
         self.domain.require(self._point_for_domain(x))
         self._check_slit(x, u)
         m = self.dim
-        sp = JetSpace.get(2 * m, order, False)
-        xj = [sp.variable(i, x[i]) for i in range(m)]
-        uj = [sp.variable(m + i, u[i]) for i in range(m)]
+        seeds = JetSpace.get(2 * m, order, False).variables(np.concatenate([x, u]))
+        xj, uj = seeds[:m], seeds[m:]
         if self.is_complex:
             n = self.n
             zc = [CJet(xj[a], xj[n + a]) for a in range(n)]
@@ -240,23 +239,13 @@ class MetricDef:
 
     def levi_matrix(self, z, v) -> np.ndarray:
         """(G_{a bbar}) at (z, v)."""
-        cj = self.complex_jet(z, v, 2)
         n = self.n
-        L = np.empty((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                L[a, b] = cj.partial([n + a, 3 * n + b])
-        return L
+        return self.complex_jet(z, v, 2).hessian()[n:2 * n, 3 * n:]
 
     def fundamental_real(self, x, u) -> np.ndarray:
         """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j."""
-        jet = self.real_jet(x, u, 2)
         m = self.dim
-        g = np.empty((m, m), dtype=float)
-        for i in range(m):
-            for j in range(i, m):
-                g[i, j] = g[j, i] = 0.5 * jet.partial([m + i, m + j])
-        return g
+        return 0.5 * self.real_jet(x, u, 2).hessian()[m:, m:]
 
 
 def creal_value(s):

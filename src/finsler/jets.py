@@ -56,9 +56,9 @@ class JetSpace:
     """Monomial basis and cached index tables for jets over ``nvars`` variables."""
 
     __slots__ = (
-        "nvars", "order", "is_complex", "pair_split", "monomials", "index",
+        "nvars", "order", "is_complex", "pair_split", "monomials", "index", "n",
         "degrees", "size_at_order", "_mult_table", "_extract_tables",
-        "_conj_perm", "dtype",
+        "_conj_perm", "_derivative_tables", "dtype",
     )
 
     def __init__(self, nvars, order, is_complex=False, pair_split=None):
@@ -73,6 +73,7 @@ class JetSpace:
         # their conjugates; enables conj().
         self.pair_split = pair_split
         self.monomials = _monomials(nvars, order)
+        self.n = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degrees = np.array([sum(m) for m in self.monomials], dtype=np.int64)
         self.size_at_order = [0] * (order + 1)
@@ -84,10 +85,7 @@ class JetSpace:
         self._mult_table = None
         self._extract_tables = {}
         self._conj_perm = None
-
-    @property
-    def n(self):
-        return len(self.monomials)
+        self._derivative_tables = None
 
     @staticmethod
     def get(nvars, order, is_complex=False, pair_split=None) -> "JetSpace":
@@ -134,6 +132,27 @@ class JetSpace:
             self._extract_tables[var] = tab
         return tab
 
+    def derivative_tables(self):
+        """Gather tables ``(grad_idx, hess_idx, hess_scale)`` for first and second partials.
+
+        ``coeffs[grad_idx]`` is the gradient of a jet over this space and
+        ``coeffs[hess_idx] * hess_scale`` its Hessian: the scale is the
+        factorial of the exponent, 2 on the diagonal and 1 off it. The Hessian
+        tables are ``None`` below order 2.
+        """
+        if self._derivative_tables is None:
+            n = self.nvars
+            unit = [(0,) * v + (1,) + (0,) * (n - v - 1) for v in range(n)]
+            grad_idx = np.array([self.index[e] for e in unit], dtype=np.int64)
+            hess_idx = hess_scale = None
+            if self.order >= 2:
+                hess_idx = np.array(
+                    [[self.index[tuple(a + b for a, b in zip(unit[i], unit[j]))]
+                      for j in range(n)] for i in range(n)], dtype=np.int64)
+                hess_scale = np.ones((n, n)) + np.eye(n)
+            self._derivative_tables = (grad_idx, hess_idx, hess_scale)
+        return self._derivative_tables
+
     def conj_perm(self):
         if self.pair_split is None:
             raise StructuralError("conjugation needs a paired holomorphic layout")
@@ -160,12 +179,18 @@ class JetSpace:
             c[self.index[e]] = 1.0
         return Jet(self, c)
 
+    def variables(self, values) -> list:
+        """Seed jets for all ``nvars`` coordinates at once, jet i with base value ``values[i]``."""
+        c = np.zeros((self.nvars, self.n), dtype=self.dtype)
+        c[:, 0] = values
+        if self.order >= 1:
+            c[np.arange(self.nvars), self.derivative_tables()[0]] = 1.0
+        return [Jet(self, row) for row in c]
 
-def _bincount(idx, w, n):
-    if np.iscomplexobj(w):
-        return np.bincount(idx, weights=w.real, minlength=n) + 1j * np.bincount(
-            idx, weights=w.imag, minlength=n)
-    return np.bincount(idx, weights=w, minlength=n)
+
+def _complex_bincount(idx, w, n):
+    return np.bincount(idx, weights=w.real, minlength=n) + 1j * np.bincount(
+        idx, weights=w.imag, minlength=n)
 
 
 class Jet:
@@ -195,10 +220,8 @@ class Jet:
         return Jet(sp, self.coeffs[:sp.n].copy())
 
     def _align(self, other):
-        """Bring two jets over the same variables to a common (lower) order."""
+        """Coefficients of two jets over the same variables at their common (lower) order."""
         a, b = self, other
-        if a.space is b.space:
-            return a, b, a.space
         if a.space.nvars != b.space.nvars:
             raise StructuralError("jets live over different variable sets")
         o = min(a.order, b.order)
@@ -207,14 +230,16 @@ class Jet:
         sp = JetSpace.get(a.space.nvars, o, cx, ps)
         ca = a.coeffs[:sp.n].astype(sp.dtype, copy=False)
         cb = b.coeffs[:sp.n].astype(sp.dtype, copy=False)
-        return Jet(sp, ca), Jet(sp, cb), sp
+        return ca, cb, sp
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
+            if other.space is self.space:
+                return Jet(self.space, self.coeffs + other.coeffs)
             a, b, sp = self._align(other)
-            return Jet(sp, a.coeffs + b.coeffs)
+            return Jet(sp, a + b)
         if isinstance(other, numbers.Number):
             c = self.coeffs.copy()
             if isinstance(other, complex) and not self.space.is_complex:
@@ -238,10 +263,16 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            a, b, sp = self._align(other)
+            sp = self.space
+            if other.space is sp:
+                a, b = self.coeffs, other.coeffs
+            else:
+                a, b, sp = self._align(other)
             ia, ib, iout = sp.mult_table()
-            w = a.coeffs[ia] * b.coeffs[ib]
-            return Jet(sp, _bincount(iout, w, sp.n))
+            w = a[ia] * b[ib]
+            if sp.is_complex:
+                return Jet(sp, _complex_bincount(iout, w, sp.n))
+            return Jet(sp, np.bincount(iout, weights=w, minlength=sp.n))
         if isinstance(other, numbers.Number):
             if isinstance(other, complex) and not self.space.is_complex:
                 return self._to_complex() * other
@@ -308,14 +339,17 @@ class Jet:
             p = int(p)
             if p < 0:
                 return self.reciprocal() ** (-p)
-            out = self.space.constant(1.0)
+            if p == 0:
+                return self.space.constant(1.0)
+            out = None
             base = self
-            while p:
+            while True:
                 if p & 1:
-                    out = out * base
-                base = base * base
+                    out = base if out is None else out * base
                 p >>= 1
-            return out
+                if not p:
+                    return out
+                base = base * base
         f0 = self.value
         if self.space.is_complex or f0 <= 0.0:
             raise ValueError(f"fractional power of a jet needs a positive base, got {f0}")
@@ -335,6 +369,19 @@ class Jet:
         src, fac = self.space.extract_table(var)
         lower = self.space.sibling(self.order - 1)
         return Jet(lower, self.coeffs[src] * fac)
+
+    def gradient(self) -> np.ndarray:
+        """All first partial derivatives, read through the space's gather table."""
+        if self.order == 0:
+            raise StructuralError("cannot differentiate an order-0 jet")
+        return self.coeffs[self.space.derivative_tables()[0]]
+
+    def hessian(self) -> np.ndarray:
+        """Symmetric matrix of all second partials, read through the space's gather table."""
+        if self.order < 2:
+            raise StructuralError("requested derivative exceeds jet order")
+        _, idx, scale = self.space.derivative_tables()
+        return self.coeffs[idx] * scale
 
     def partial(self, variables):
         """Exact mixed partial derivative for a sequence of variable indices."""
@@ -506,7 +553,12 @@ class CJet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             return CJet(self.re * other, self.im * other)
-        if isinstance(other, numbers.Number) and not isinstance(other, complex):
+        if isinstance(other, numbers.Number):
+            if isinstance(other, complex):
+                # a constant scales the coefficients; no convolution needed
+                c = complex(other)
+                return CJet(self.re * c.real - self.im * c.imag,
+                            self.re * c.imag + self.im * c.real)
             return CJet(self.re * other, self.im * other)
         o = CJet._coerce(other, self)
         if o is None:

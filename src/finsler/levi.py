@@ -141,9 +141,9 @@ def levi_identity_residual(m: MetricDef, f, z, X, *, mr=None) -> dict:
     n = m.n
 
     sp = JetSpace.get(d, 2, False)
-    fj = f([sp.variable(i, x[i]) for i in range(d)])
-    grad = np.array([fj.partial([i]) for i in range(d)])
-    hess = np.array([[fj.partial([i, j]) for j in range(d)] for i in range(d)])
+    fj = f(sp.variables(x))
+    grad = fj.gradient()
+    hess = fj.hessian()
 
     w = wirtinger(fj, [(a, n + a) for a in range(n)])
     Xo = X[:n] + 1j * X[n:]       # (1,0)-part of X in the d/dz frame

@@ -48,7 +48,11 @@ def _hermitian_form(H, v, vbar_of=None):
             h = H[a][b] if not isinstance(H, np.ndarray) else H[a, b]
             if isinstance(h, numbers.Number) and h == 0:
                 continue
-            term = (v[a] * w[b]) * h
+            if a == b:
+                # real part of v_a conj(v_a) H_aa, computed in real arithmetic
+                term = cabs2(v[a]) * creal(h)
+            else:
+                term = (v[a] * w[b]) * h
             s = term if s is None else s + term
     return creal(s)
 

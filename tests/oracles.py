@@ -263,6 +263,28 @@ def hermitian_holomorphic_curvature(h_fn, z, v):
     return float((2.0 * num / G ** 2).real)
 
 
+# -- geodesic spray read out one partial at a time ----------------------------------
+
+
+def spray_by_partials(m, x, u):
+    """Geodesic coefficients G^i(x, u) with every jet derivative read by
+    :meth:`Jet.partial`, one entry at a time: the reference for the
+    gather-table readout of ``cartan.spray_coefficients``."""
+    jet = m.real_jet(x, u, 2)
+    d = m.dim
+    g = np.empty((d, d))
+    rhs = np.empty(d)
+    for i in range(d):
+        for j in range(i, d):
+            g[i, j] = g[j, i] = 0.5 * jet.partial([d + i, d + j])
+    for l in range(d):
+        s = 0.0
+        for k in range(d):
+            s += jet.partial([d + l, k]) * u[k]
+        rhs[l] = s - jet.partial([l])
+    return 0.25 * np.linalg.solve(g, rhs)
+
+
 # -- misc closed forms ---------------------------------------------------------------
 
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from finsler.cartan import cartan, flag_curvature, radial_flag_bounds
+from finsler.cartan import (cartan, flag_curvature, radial_flag_bounds,
+                            spray_coefficients)
 from finsler.errors import DegenerateFlagError
 from finsler.geometry import SamplePlan, realify_metric
 from finsler.metrics import instantiate
 
-from oracles import riemannian_sectional_curvature
+from oracles import riemannian_sectional_curvature, spray_by_partials
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}}))
@@ -133,6 +134,27 @@ def test_flag_curvature_matches_riemannian_oracle(mc_spec):
         # pole independence for quadratic metrics
         k_swapped = flag_curvature(m, x, X, u)
         assert k_swapped == pytest.approx(k_engine, abs=1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("mc_spec", [
+    {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}},
+    {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}},
+    {"family": "szabo", "params": {
+        "k": 2, "eps": 0.5,
+        "factor1": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}},
+        "factor2": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}}},
+])
+def test_spray_gathers_match_partial_readout(mc_spec):
+    m = realify_metric(instantiate(mc_spec))
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        x = 0.6 * rng.uniform(-1, 1, m.dim) / np.sqrt(m.dim)
+        u = rng.standard_normal(m.dim)
+        want = spray_by_partials(m, x, u)
+        got = spray_coefficients(m, x, u)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 def test_flag_invariance_under_pole_shift():

@@ -102,6 +102,65 @@ def test_cmd_geodesic_and_distance(tmp_path):
     assert rep["payload"]["max_closed_form_error"] < 1e-6
 
 
+def _disk_distance_config(tmp_path):
+    cfg = dict(BASE_CONFIG)
+    cfg["metrics"] = [BASE_CONFIG["metrics"][0]]  # Poincare disk
+    cfg["plans"] = {"default": {"n_points": 2, "n_dirs": 2, "radial_range": [0.2, 0.5]}}
+    return write_config(tmp_path, cfg)
+
+
+def test_cmd_distance_reports_levi_margin(tmp_path, capsys):
+    p = _disk_distance_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
+    payload = json.loads((out / "distance" / "poincare" / "report.json").read_text())["payload"]
+    levi_rows = (out / "distance" / "poincare" / "levi.csv").read_text().splitlines()[1:]
+    margins = [float(row.split(",")[-1]) for row in levi_rows]
+    assert payload["levi_samples"] == {"attempted": 4, "ok": 4, "failed": 0,
+                                       "failure_reasons": {}}
+    assert len(margins) == 4
+    assert payload["levi_min_margin"] == min(margins)
+    assert "levi samples ok 4/4" in capsys.readouterr().out
+
+
+def test_cmd_distance_fails_when_every_levi_sample_fails(tmp_path, monkeypatch):
+    from finsler.errors import ShootingError
+    from finsler.levi import LeviField
+
+    def refuse(self, z, v, **kw):
+        raise ShootingError("refused")
+
+    monkeypatch.setattr(LeviField, "sample", refuse)
+    p = _disk_distance_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "distance" / "poincare" / "report.json").read_text())["payload"]
+    assert payload["levi_samples"] == {"attempted": 4, "ok": 0, "failed": 4,
+                                       "failure_reasons": {"ShootingError": 4}}
+    assert payload["levi_min_margin"] is None
+
+
+@pytest.mark.parametrize("plan", [
+    {"n_points": 0},
+    {"n_dirs": -1},
+    {"n_points": 2.5},
+    {"n_dirs": True},
+    {"radial_range": [0.5, 0.2]},
+    {"radial_range": [-0.1, 0.5]},
+    {"radial_range": [0.1]},
+    {"radial_range": "wide"},
+])
+def test_bad_plan_is_a_configuration_error(tmp_path, capsys, plan):
+    cfg = dict(BASE_CONFIG)
+    cfg["plans"] = {"default": plan}
+    p = write_config(tmp_path, cfg)
+    assert main(["curvature", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    with pytest.raises(ConfigurationError, match="plan 'default'"):
+        parse_config(cfg)
+
+
 def test_cmd_bounds(tmp_path):
     cfg = dict(BASE_CONFIG)
     cfg["metrics"] = [BASE_CONFIG["metrics"][0]]

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from finsler.cartan import cartan
-from finsler.geodesic import (PoleDistance, distance, exp_map, hessian_rho,
-                              index_form, integrate_geodesic, jacobi_field,
-                              jacobi_boundary_field, legendre_gradient)
+from finsler.geodesic import (PoleDistance, _integrate_affine, distance, exp_map,
+                              hessian_rho, index_form, integrate_geodesic,
+                              jacobi_field, jacobi_boundary_field,
+                              legendre_gradient)
 from finsler.geometry import realify_metric
 from finsler.metrics import instantiate
 
@@ -100,6 +101,28 @@ def test_pole_distance_tangent_and_warm_start():
     assert pd.total_integrations - n1 <= n1  # warm start reuses work
     assert r2.value == pytest.approx(
         hyperbolic_distance(complex(q[0] + 1e-3, q[1] - 2e-3)), abs=1e-9)
+
+
+def test_cold_flat_query_integrates_once():
+    # the straight-line start already hits the target, and the arriving
+    # tangent comes from that same integration
+    pd = PoleDistance(EUCLID2, np.zeros(4))
+    q = np.array([0.3, -0.2, 0.1, 0.4])
+    r = pd.rho(q)
+    assert r.n_integrations == 1
+    assert pd.total_integrations == 1
+    assert r.value == pytest.approx(np.linalg.norm(q), abs=1e-12)
+    assert np.allclose(r.T, q / np.linalg.norm(q), atol=1e-12)
+
+
+def test_arriving_tangent_is_the_converged_shot():
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    r = pd.rho(np.array([0.45, -0.3]))
+    assert r.n_integrations > 1   # Gauss-Newton iterated before converging
+    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), r.w, 1.0,
+                            rtol=pd.rtol, atol=pd.atol, dense=False)
+    u_end = sol.y[2:, -1]
+    assert np.array_equal(r.T, u_end / r.value)
 
 
 def test_jacobi_flat_linear():

@@ -192,3 +192,26 @@ def test_cjet_field_operations():
     assert np.allclose(q.re.coeffs, z.re.coeffs, atol=1e-13)
     assert np.allclose(q.im.coeffs, z.im.coeffs, atol=1e-13)
     assert np.allclose((z * z.conj()).re.coeffs, (x * x + y * y).coeffs, atol=1e-14)
+
+
+@pytest.mark.parametrize("c", [0.7 - 1.3j, np.complex128(-0.25 + 2.0j), 1j, 2.5 + 0j])
+def test_cjet_times_complex_constant_is_a_coefficient_scale(c):
+    x, y = lift([0.6, -0.3], {0, 1}, 4)
+    z = CJet(x * y + 0.5, x - y * y)
+    const = CJet(x.space.constant(complex(c).real), x.space.constant(complex(c).imag))
+    for got in (z * c, c * z):
+        want = z * const
+        assert np.array_equal(got.re.coeffs, want.re.coeffs)
+        assert np.array_equal(got.im.coeffs, want.im.coeffs)
+
+
+def test_gradient_and_hessian_gathers_match_partials():
+    rng = np.random.default_rng(4)
+    for nvars, order in ((2, 2), (4, 3), (8, 2)):
+        jets = lift(rng.standard_normal(nvars), range(nvars), order)
+        f = (jets[0] * jets[-1] + jets[1].exp()) * jets[nvars // 2] + jets[0] ** 3
+        assert np.array_equal(f.gradient(), [f.partial([i]) for i in range(nvars)])
+        assert np.array_equal(f.hessian(), [[f.partial([i, j]) for j in range(nvars)]
+                                            for i in range(nvars)])
+    with pytest.raises(StructuralError):
+        lift([0.1, 0.2], {0, 1}, 1)[0].hessian()
