@@ -39,10 +39,6 @@ class CartanData:
     gamma_v: np.ndarray | None  # vertical coefficients Gamma^j_{ik}
     riemann: np.ndarray | None  # R^i_k of the spray
 
-    def covariant_coeffs(self):
-        """Gamma^i_{j;k} used for covariant derivatives along curves."""
-        return self.gamma_h
-
 
 def _spray_jets(m: MetricDef, x, u, order):
     """Spray coefficients G^i as jets of the given order (<= 2)."""
@@ -101,46 +97,22 @@ def cartan(m: MetricDef, x, u, *, need_curvature=True) -> CartanData:
         raise DegenerateMetricError(f"fundamental tensor condition number {cond:.2e}")
     g_inv = np.linalg.inv(g)
     spray = np.array([s.value for s in spray_j])
-    N = np.array([[spray_j[i].partial([d + j]) for j in range(d)]
-                  for i in range(d)])
+    dg = np.array([[gij.gradient() for gij in row] for row in g_rows])
+    dS = np.array([s.gradient() for s in spray_j])
+    N = dS[:, d:]
 
-    # delta_k f = d_k f - N^m_k dot d_m f on the order-1 jets of g_ij
-    def delta(gjet, k):
-        s = gjet.partial([k])
-        for mm in range(d):
-            s -= N[mm][k] * gjet.partial([d + mm])
-        return s
-
-    gamma_h = np.empty((d, d, d))
-    for j in range(d):
-        for i in range(d):
-            for k in range(d):
-                s = 0.0
-                for l in range(d):
-                    s += g_inv[j, l] * (delta(g_rows[i][l], k)
-                                        + delta(g_rows[l][k], i)
-                                        - delta(g_rows[i][k], l))
-                gamma_h[j, i, k] = 0.5 * s
-    gamma_v = np.empty((d, d, d))
-    for j in range(d):
-        for i in range(d):
-            for k in range(d):
-                s = 0.0
-                for l in range(d):
-                    s += g_inv[j, l] * g_rows[i][k].partial([d + l])
-                gamma_v[j, i, k] = 0.5 * s
+    # delta_k g_il = d_k g_il - N^m_k d_{u^m} g_il
+    delta = dg[..., :d] - np.einsum("mk,ilm->ilk", N, dg[..., d:])
+    gamma_h = 0.5 * np.einsum(
+        "jl,ilk->jik", g_inv,
+        delta + delta.transpose(2, 0, 1) - delta.transpose(0, 2, 1))
+    gamma_v = 0.5 * np.einsum("jl,ikl->jik", g_inv, dg[..., d:])
 
     riemann = None
     if need_curvature:
-        riemann = np.empty((d, d))
-        for i in range(d):
-            for k in range(d):
-                s = 2.0 * spray_j[i].partial([k])
-                for j in range(d):
-                    s -= u[j] * spray_j[i].partial([j, d + k])
-                    s += 2.0 * spray[j] * spray_j[i].partial([d + j, d + k])
-                    s -= spray_j[i].partial([d + j]) * spray_j[j].partial([d + k])
-                riemann[i, k] = s
+        H = np.array([s.hessian() for s in spray_j])
+        riemann = (2.0 * dS[:, :d] - np.einsum("j,ijk->ik", u, H[:, :d, d:])
+                   + 2.0 * np.einsum("j,ijk->ik", spray, H[:, d:, d:]) - N @ N)
     return CartanData(x=x, u=u, G=jet.value, g=g, g_inv=g_inv, spray=spray,
                       nonlinear=N, gamma_h=gamma_h, gamma_v=gamma_v,
                       riemann=riemann)

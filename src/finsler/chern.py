@@ -44,9 +44,6 @@ class ChernFinslerData:
     gamma_v: np.ndarray          # Gamma^a_{b g}
     torsion_h: np.ndarray        # Gamma^a_{n;m} - Gamma^a_{m;n}
     R_zz: np.ndarray             # R^a_{b; m nbar}, indexed [a, b, m, n]
-    R_vz: np.ndarray             # R^a_{b d; nbar}, indexed [a, b, d, n]
-    R_zv: np.ndarray             # R^a_{b gbar; m}, indexed [a, b, g, m]
-    R_vv: np.ndarray             # R^a_{b d gbar}, indexed [a, b, d, g]
 
 
 def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
@@ -58,11 +55,10 @@ def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
 
     iz = lambda a: a
     iv = lambda a: n + a
-    izb = lambda a: 2 * n + a
     ivb = lambda a: 3 * n + a
 
     G = jet.value.real
-    G_alpha = np.array([jet.partial([iv(a)]) for a in range(n)])
+    G_alpha = jet.gradient()[n:2 * n]
 
     # order-2 jets of the Levi matrix and its inverse
     levi_jets = [[jet.extract(iv(a)).extract(ivb(b)) for b in range(n)]
@@ -104,70 +100,33 @@ def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
                 gamma_h_jets[a][b][mu] = acc
     gamma_h = np.array([[[gamma_h_jets[a][b][mu].value for mu in range(n)]
                          for b in range(n)] for a in range(n)])
+    torsion_h = gamma_h - gamma_h.transpose(0, 2, 1)
 
-    gamma_v_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for g in range(n):
-                acc = None
-                for t_ in range(n):
-                    t = inv_jets[t_][a].truncate(1) * levi_jets[b][t_].extract(iv(g))
-                    acc = t if acc is None else acc + t
-                gamma_v_jets[a][b][g] = acc
-    gamma_v = np.array([[[gamma_v_jets[a][b][g].value for g in range(n)]
-                         for b in range(n)] for a in range(n)])
+    # Gamma^a_{b g} = G^{tbar a} d_{v^g} G_{b tbar}, from values alone
+    dv_levi = np.array([[lj.gradient()[n:2 * n] for lj in row] for row in levi_jets])
+    gamma_v = np.einsum("ta,btg->abg", levi_inv, dv_levi)
 
-    torsion_h = np.array([[[gamma_h[a, nu, mu] - gamma_h[a, mu, nu]
-                            for mu in range(n)] for nu in range(n)]
-                          for a in range(n)])
-
+    # conjugate horizontal frame delta_nubar = d_zbar - conj(N^s_nu) d_vbar^s on
+    # gathered gradients; the s sum subtracts term by term, as a scalar loop does
     nl_conj = nonlinear.conj()
 
-    def delta_bar(fjet, nu):
-        """Conjugate horizontal frame applied to a coefficient jet (value)."""
-        s_val = fjet.partial([izb(nu)])
+    def delta_bar(grad):
+        out = grad[..., 2 * n:3 * n]  # d_zbar
         for s in range(n):
-            s_val -= nl_conj[s, nu] * fjet.partial([ivb(s)])
-        return s_val
+            out = out - nl_conj[s] * grad[..., ivb(s), None]
+        return out
 
-    R_zz = np.empty((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    val = -delta_bar(gamma_h_jets[a][b][mu], nu)
-                    for s in range(n):
-                        val -= gamma_v[a, b, s] * delta_bar(nl_jets[s][mu], nu)
-                    R_zz[a, b, mu, nu] = val
-
-    R_vz = np.empty((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for dd in range(n):
-                for nu in range(n):
-                    R_vz[a, b, dd, nu] = -delta_bar(gamma_v_jets[a][b][dd], nu)
-
-    R_zv = np.empty((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for g in range(n):
-                for mu in range(n):
-                    val = -gamma_h_jets[a][b][mu].partial([ivb(g)])
-                    for s in range(n):
-                        val -= gamma_v[a, b, s] * nl_jets[s][mu].partial([ivb(g)])
-                    R_zv[a, b, g, mu] = val
-
-    R_vv = np.empty((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for dd in range(n):
-                for g in range(n):
-                    R_vv[a, b, dd, g] = -gamma_v_jets[a][b][dd].partial([ivb(g)])
+    dbar_gamma_h = delta_bar(np.array(
+        [[[gj.gradient() for gj in row] for row in plane] for plane in gamma_h_jets]))
+    dbar_nl = delta_bar(np.array([[nj.gradient() for nj in row] for row in nl_jets]))
+    R_zz = -dbar_gamma_h
+    for s in range(n):
+        R_zz = R_zz - gamma_v[:, :, s, None, None] * dbar_nl[s]
 
     return ChernFinslerData(
         z=z, v=v, G=G, G_alpha=G_alpha, levi=levi, levi_inv=levi_inv,
         levi_cond=cond, nonlinear=nonlinear, gamma_h=gamma_h, gamma_v=gamma_v,
-        torsion_h=torsion_h, R_zz=R_zz, R_vz=R_vz, R_zv=R_zv, R_vv=R_vv)
+        torsion_h=torsion_h, R_zz=R_zz)
 
 
 def curvature_pairing(data: ChernFinslerData) -> complex:

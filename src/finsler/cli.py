@@ -244,16 +244,23 @@ def cmd_bounds(config: RunConfig, outdir: Path) -> int:
             mr = realify_metric(m) if m.is_complex else m
             rb = radial_flag_bounds(mr, np.zeros(mr.dim),
                                     config.plan(n_points=plan.n_points // 2 or 4))
-            payload["radial_flag_inf"] = rb.k_inf
-            payload["radial_flag_sup"] = rb.k_sup
-            payload["K_constant"] = rb.lower_bound_constant
+            payload["radial_flag_samples"] = rb.n_samples
+            if rb.n_samples == 0:
+                payload["radial_flag_error"] = "every radial flag plane was degenerate"
+                status = 1
+            else:
+                payload["radial_flag_inf"] = rb.k_inf
+                payload["radial_flag_sup"] = rb.k_sup
+                payload["K_constant"] = rb.lower_bound_constant
         except FinslerError as exc:
+            payload["radial_flag_samples"] = 0
             payload["radial_flag_error"] = str(exc)
             status = 1
         _write_report(outdir, "bounds", mid, payload, config)
         print(f"bounds {mid}: K1={payload['K1']:.6g} "
               f"radial=[{payload.get('radial_flag_inf', float('nan')):.6g}, "
-              f"{payload.get('radial_flag_sup', float('nan')):.6g}]")
+              f"{payload.get('radial_flag_sup', float('nan')):.6g}] "
+              f"radial_samples={payload['radial_flag_samples']}")
     return status
 
 

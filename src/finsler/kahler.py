@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chern import chern_finsler
+from .errors import FinslerError
 from .geometry import MetricDef, SamplePlan, sample_points, sample_vectors
 from .jets import JetSpace
 from .metrics import UnitaryProfile, instantiate
@@ -76,7 +77,7 @@ def classify(m: MetricDef, plan: SamplePlan | None = None, *,
         for v in dirs:
             try:
                 data = chern_finsler(m, z, v)
-            except Exception as exc:
+            except (FinslerError, np.linalg.LinAlgError, FloatingPointError) as exc:
                 errors.append(f"{type(exc).__name__}: {exc}")
                 continue
             count += 1
@@ -89,7 +90,9 @@ def classify(m: MetricDef, plan: SamplePlan | None = None, *,
             res_weak = max(res_weak, float(np.abs(weak).max()))
             scale = max(scale, 1.0, float(np.abs(data.gamma_h).max()))
     tol = tolerance * max(scale, 1.0)
-    if res_strong < tol:
+    if count == 0:
+        cls = "none"  # residuals of zero samples prove nothing
+    elif res_strong < tol:
         cls = "strongly_kahler"
     elif res_kahler < tol:
         cls = "kahler"

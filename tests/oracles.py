@@ -285,6 +285,142 @@ def spray_by_partials(m, x, u):
     return 0.25 * np.linalg.solve(g, rhs)
 
 
+# -- connections read out one partial at a time ------------------------------------
+
+
+def cartan_by_partials(m, x, u, need_curvature=True):
+    """``(gamma_h, gamma_v, riemann)`` of the Cartan connection with every jet
+    derivative read by :meth:`Jet.partial` in nested loops: the reference for
+    the gathered, einsum-contracted assembly of ``cartan.cartan``."""
+    from finsler.cartan import _spray_jets
+
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    d = m.dim
+    _, g_rows, _, spray_j = _spray_jets(m, x, u, 2 if need_curvature else 1)
+    g = np.array([[g_rows[i][j].value for j in range(d)] for i in range(d)])
+    g_inv = np.linalg.inv(g)
+    spray = np.array([s.value for s in spray_j])
+    N = np.array([[spray_j[i].partial([d + j]) for j in range(d)]
+                  for i in range(d)])
+
+    def delta(gjet, k):
+        s = gjet.partial([k])
+        for mm in range(d):
+            s -= N[mm][k] * gjet.partial([d + mm])
+        return s
+
+    gamma_h = np.empty((d, d, d))
+    for j in range(d):
+        for i in range(d):
+            for k in range(d):
+                s = 0.0
+                for l in range(d):
+                    s += g_inv[j, l] * (delta(g_rows[i][l], k)
+                                        + delta(g_rows[l][k], i)
+                                        - delta(g_rows[i][k], l))
+                gamma_h[j, i, k] = 0.5 * s
+    gamma_v = np.empty((d, d, d))
+    for j in range(d):
+        for i in range(d):
+            for k in range(d):
+                s = 0.0
+                for l in range(d):
+                    s += g_inv[j, l] * g_rows[i][k].partial([d + l])
+                gamma_v[j, i, k] = 0.5 * s
+    riemann = None
+    if need_curvature:
+        riemann = np.empty((d, d))
+        for i in range(d):
+            for k in range(d):
+                s = 2.0 * spray_j[i].partial([k])
+                for j in range(d):
+                    s -= u[j] * spray_j[i].partial([j, d + k])
+                    s += 2.0 * spray[j] * spray_j[i].partial([d + j, d + k])
+                    s -= spray_j[i].partial([d + j]) * spray_j[j].partial([d + k])
+                riemann[i, k] = s
+    return gamma_h, gamma_v, riemann
+
+
+def chern_by_partials(m, z, v):
+    """``(gamma_h, gamma_v, torsion_h, R_zz)`` of the Chern-Finsler connection
+    with every jet derivative read by :meth:`Jet.partial` in nested loops and
+    gamma_v carried as order-1 jets: the reference for the gathered assembly
+    of ``chern.chern_finsler``."""
+    from finsler.jets import invert_jet_matrix
+
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    n = m.n
+    jet = m.complex_jet(z, v, 4)
+    iz = lambda a: a
+    iv = lambda a: n + a
+    izb = lambda a: 2 * n + a
+    ivb = lambda a: 3 * n + a
+
+    levi_jets = [[jet.extract(iv(a)).extract(ivb(b)) for b in range(n)]
+                 for a in range(n)]
+    inv_jets = invert_jet_matrix(levi_jets)
+    nl_jets = [[None] * n for _ in range(n)]
+    for s in range(n):
+        for mu in range(n):
+            acc = None
+            for g in range(n):
+                t = inv_jets[g][s] * jet.extract(ivb(g)).extract(iz(mu))
+                acc = t if acc is None else acc + t
+            nl_jets[s][mu] = acc
+    nonlinear = np.array([[nl_jets[s][mu].value for mu in range(n)]
+                          for s in range(n)])
+
+    def delta_of_levi(b, t_, mu):
+        out = levi_jets[b][t_].extract(iz(mu))
+        for s in range(n):
+            out = out - nl_jets[s][mu].truncate(1) * levi_jets[b][t_].extract(iv(s))
+        return out
+
+    gamma_h_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
+    gamma_v_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for mu in range(n):
+                acc = None
+                for t_ in range(n):
+                    t = inv_jets[t_][a].truncate(1) * delta_of_levi(b, t_, mu)
+                    acc = t if acc is None else acc + t
+                gamma_h_jets[a][b][mu] = acc
+            for g in range(n):
+                acc = None
+                for t_ in range(n):
+                    t = inv_jets[t_][a].truncate(1) * levi_jets[b][t_].extract(iv(g))
+                    acc = t if acc is None else acc + t
+                gamma_v_jets[a][b][g] = acc
+    gamma_h = np.array([[[gamma_h_jets[a][b][mu].value for mu in range(n)]
+                         for b in range(n)] for a in range(n)])
+    gamma_v = np.array([[[gamma_v_jets[a][b][g].value for g in range(n)]
+                         for b in range(n)] for a in range(n)])
+    torsion_h = np.array([[[gamma_h[a, nu, mu] - gamma_h[a, mu, nu]
+                            for mu in range(n)] for nu in range(n)]
+                          for a in range(n)])
+    nl_conj = nonlinear.conj()
+
+    def delta_bar(fjet, nu):
+        s_val = fjet.partial([izb(nu)])
+        for s in range(n):
+            s_val -= nl_conj[s, nu] * fjet.partial([ivb(s)])
+        return s_val
+
+    R_zz = np.empty((n, n, n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            for mu in range(n):
+                for nu in range(n):
+                    val = -delta_bar(gamma_h_jets[a][b][mu], nu)
+                    for s in range(n):
+                        val -= gamma_v[a, b, s] * delta_bar(nl_jets[s][mu], nu)
+                    R_zz[a, b, mu, nu] = val
+    return gamma_h, gamma_v, torsion_h, R_zz
+
+
 # -- misc closed forms ---------------------------------------------------------------
 
 

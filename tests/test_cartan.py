@@ -9,7 +9,10 @@ from finsler.errors import DegenerateFlagError
 from finsler.geometry import SamplePlan, realify_metric
 from finsler.metrics import instantiate
 
-from oracles import riemannian_sectional_curvature, spray_by_partials
+from finsler.jets import Jet
+
+from oracles import (cartan_by_partials, riemannian_sectional_curvature,
+                     spray_by_partials)
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}}))
@@ -155,6 +158,46 @@ def test_spray_gathers_match_partial_readout(mc_spec):
         want = spray_by_partials(m, x, u)
         got = spray_coefficients(m, x, u)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("mc_spec", [
+    {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}},
+    {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}},
+    {"family": "szabo", "params": {
+        "k": 2, "eps": 0.5,
+        "factor1": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}},
+        "factor2": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}}},
+])
+def test_cartan_assembly_matches_partial_readout(mc_spec):
+    m = realify_metric(instantiate(mc_spec))
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        x = 0.6 * rng.uniform(-1, 1, m.dim) / np.sqrt(m.dim)
+        u = rng.standard_normal(m.dim)
+        data = cartan(m, x, u)
+        got = (data.gamma_h, data.gamma_v, data.riemann)
+        for name, g, w in zip(("gamma_h", "gamma_v", "riemann"), got,
+                              cartan_by_partials(m, x, u)):
+            assert np.allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max()), name
+        lean = cartan(m, x, u, need_curvature=False)
+        want_h, want_v, _ = cartan_by_partials(m, x, u, need_curvature=False)
+        assert lean.riemann is None
+        assert np.allclose(lean.gamma_h, want_h, rtol=1e-13,
+                           atol=1e-13 * np.abs(want_h).max())
+        assert np.allclose(lean.gamma_v, want_v, rtol=1e-13,
+                           atol=1e-13 * np.abs(want_v).max())
+
+
+def test_cartan_reads_no_scalar_partials(monkeypatch):
+    def refuse(self, variables):
+        raise AssertionError("scalar partial() readout")
+
+    monkeypatch.setattr(Jet, "partial", refuse)
+    for m in (POINCARE, MINKOWSKI):
+        data = cartan(m, np.full(m.dim, 0.1), np.linspace(1.0, 2.0, m.dim))
+        assert np.all(np.isfinite(data.riemann))
 
 
 def test_flag_invariance_under_pole_shift():

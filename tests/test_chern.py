@@ -7,7 +7,9 @@ from finsler.chern import (chern_finsler, holomorphic_sectional_curvature,
                            scale_invariance_check)
 from finsler.metrics import instantiate
 
-from oracles import hermitian_holomorphic_curvature
+from finsler.jets import Jet
+
+from oracles import chern_by_partials, hermitian_holomorphic_curvature
 
 POINCARE = instantiate({"family": "hermitian", "complex_dim": 1,
                         "params": {"catalog": "poincare_disk"}})
@@ -69,6 +71,42 @@ def test_poincare_disk_connection_and_curvature():
         d = chern_finsler(POINCARE, z, v)
         expect = 2 * np.conj(z[0]) / (1 - abs(z[0]) ** 2)
         assert d.gamma_h[0, 0, 0] == pytest.approx(expect, abs=1e-10)
+
+
+@pytest.mark.parametrize("metric", [POINCARE, BALL2, MINKOWSKI, NONKAHLER])
+def test_chern_assembly_matches_partial_readout(metric):
+    rng = np.random.default_rng(9)
+    for _ in range(4):
+        z, v = rand_zv(rng, metric.n, r=0.5)
+        d = chern_finsler(metric, z, v)
+        got = (d.gamma_h, d.gamma_v, d.torsion_h, d.R_zz)
+        for name, g, w in zip(("gamma_h", "gamma_v", "torsion_h", "R_zz"), got,
+                              chern_by_partials(metric, z, v)):
+            assert np.allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max()), name
+    if metric is NONKAHLER:
+        assert np.abs(d.torsion_h).max() > 1e-3
+
+
+def test_chern_one_dimensional_outputs_bitwise():
+    # the golden certificates hang on the n=1 evaluation order
+    rng = np.random.default_rng(10)
+    for _ in range(12):
+        z, v = rand_zv(rng, 1, r=0.8)
+        d = chern_finsler(POINCARE, z, v)
+        got = (d.gamma_h, d.gamma_v, d.torsion_h, d.R_zz)
+        for g, w in zip(got, chern_by_partials(POINCARE, z, v)):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_chern_reads_no_scalar_partials(monkeypatch):
+    def refuse(self, variables):
+        raise AssertionError("scalar partial() readout")
+
+    monkeypatch.setattr(Jet, "partial", refuse)
+    rng = np.random.default_rng(11)
+    for metric in (POINCARE, MINKOWSKI):
+        z, v = rand_zv(rng, metric.n)
+        assert np.isfinite(holomorphic_sectional_curvature(metric, z, v))
 
 
 def test_poincare_ball_constant_holomorphic_curvature():

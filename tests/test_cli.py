@@ -1,6 +1,7 @@
 """CLI wiring: config parsing, report layout, determinism, replay."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,28 @@ def test_cmd_bounds(tmp_path):
     rep = json.loads((out / "bounds" / "poincare" / "report.json").read_text())
     assert rep["payload"]["K1"] == pytest.approx(-4.0, abs=1e-5)
     assert rep["payload"]["radial_flag_inf"] == pytest.approx(-4.0, abs=1e-3)
+    assert rep["payload"]["radial_flag_samples"] > 0
+
+
+def test_cmd_bounds_fails_without_radial_flag_samples(tmp_path, monkeypatch, capsys):
+    from finsler.cartan import RadialFlagBounds
+
+    # the package re-exports the function cartan under the module's name
+    monkeypatch.setattr(sys.modules["finsler.cartan"], "radial_flag_bounds", lambda *a, **k: RadialFlagBounds(
+        k_inf=float("inf"), k_sup=float("-inf"), n_samples=0))
+    cfg = dict(BASE_CONFIG)
+    cfg["metrics"] = [BASE_CONFIG["metrics"][0]]
+    cfg["plans"] = {"default": {"n_points": 4, "n_dirs": 3, "radial_range": [0.1, 0.5]}}
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["bounds", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "bounds" / "poincare" / "report.json").read_text())["payload"]
+    assert payload["radial_flag_samples"] == 0
+    assert "radial_flag_error" in payload
+    assert "K_constant" not in payload
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("radial_samples=0")
 
 
 def test_schwarz_determinism_and_replay(tmp_path):

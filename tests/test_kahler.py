@@ -1,5 +1,9 @@
 """Kaehler classification chain and the unitary-invariant characterizations."""
 
+import pytest
+
+from finsler import kahler
+from finsler.errors import DegenerateMetricError
 from finsler.geometry import SamplePlan
 from finsler.kahler import (classify, is_at_least, un_invariant_kahler_check,
                             weakly_kahler_pde_residual)
@@ -112,3 +116,26 @@ def test_cross_validation_pde_vs_classify():
         observed_weak = pde.passed
         assert observed_weak == expect
         assert cls.passed
+
+
+DISK = {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}}
+
+
+def test_classify_with_no_evaluated_sample_is_none(monkeypatch):
+    def degenerate(m, z, v):
+        raise DegenerateMetricError("Levi matrix singular")
+
+    monkeypatch.setattr(kahler, "chern_finsler", degenerate)
+    rep = classify(instantiate(DISK), PLAN)
+    assert rep.n_samples == 0
+    assert rep.classification == "none"
+    assert rep.errors and rep.errors[0].startswith("DegenerateMetricError")
+
+
+def test_classify_surfaces_programming_errors(monkeypatch):
+    def broken(m, z, v):
+        raise KeyError("missing coefficient")
+
+    monkeypatch.setattr(kahler, "chern_finsler", broken)
+    with pytest.raises(KeyError):
+        classify(instantiate(DISK), PLAN)
