@@ -15,7 +15,7 @@ from .geodesic import (GeodesicPath, PoleDistance, distance, exp_map,
                        hessian_rho, index_form, integrate_geodesic,
                        jacobi_field, legendre_gradient)
 from .levi import LeviField, LeviSample, gradient_identity, \
-    levi_identity_residual, levi_rho2
+    levi_identity_residual
 from .schwarz import (SchwarzCertificate, certify_schwarz, curvature_bounds,
                       gaussian_curvature, pullback, pullback_density)
 from .report import VerificationReport
@@ -33,7 +33,6 @@ __all__ = [
     "GeodesicPath", "PoleDistance", "distance", "exp_map", "hessian_rho",
     "index_form", "integrate_geodesic", "jacobi_field", "legendre_gradient",
     "LeviField", "LeviSample", "gradient_identity", "levi_identity_residual",
-    "levi_rho2",
     "SchwarzCertificate", "certify_schwarz", "curvature_bounds",
     "gaussian_curvature", "pullback", "pullback_density",
     "VerificationReport",

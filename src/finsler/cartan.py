@@ -148,8 +148,8 @@ class RadialFlagBounds:
         return math.sqrt(max(0.0, -self.k_inf))
 
 
-def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan | None = None,
-                       *, geodesic_module=None) -> RadialFlagBounds:
+def radial_flag_bounds(m: MetricDef, pole,
+                       plan: SamplePlan | None = None) -> RadialFlagBounds:
     """Sample flag curvatures of radial planes along geodesic fans from the pole.
 
     Radial tangents are transported along geodesics (integrated by the

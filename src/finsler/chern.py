@@ -89,13 +89,15 @@ def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
             out = out - nl_jets[s][mu].truncate(1) * levi_jets[b][t_].extract(iv(s))
         return out
 
+    delta_levi = [[[delta_of_levi(b, t_, mu) for mu in range(n)] for t_ in range(n)]
+                  for b in range(n)]
     gamma_h_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
             for mu in range(n):
                 acc = None
                 for t_ in range(n):
-                    t = inv_jets[t_][a].truncate(1) * delta_of_levi(b, t_, mu)
+                    t = inv_jets[t_][a].truncate(1) * delta_levi[b][t_][mu]
                     acc = t if acc is None else acc + t
                 gamma_h_jets[a][b][mu] = acc
     gamma_h = np.array([[[gamma_h_jets[a][b][mu].value for mu in range(n)]
@@ -148,8 +150,9 @@ def holomorphic_sectional_curvature(m: MetricDef, z, v, *,
     return float(k.real)
 
 
-def scale_invariance_check(m: MetricDef, z, v, zeta, *, tol=1e-8) -> VerificationReport:
-    """K_G(v) equals K_G(zeta v) for nonzero complex zeta (homogeneity)."""
+def scale_invariance_check(m: MetricDef, z, v, zeta) -> VerificationReport:
+    """K_G(v) equals K_G(zeta v) to 1e-8 for nonzero complex zeta (homogeneity)."""
+    tol = 1e-8
     zeta = complex(zeta)
     if zeta == 0:
         raise ValueError("zeta must be nonzero")

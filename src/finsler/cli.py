@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config, parse_config, thread_count
+from .config import RunConfig, load_config, parse_config
 from .errors import ConfigurationError, FinslerError
 from .geometry import complex_to_real_components, realify_metric, sample_points
 from .metrics import build_map, check_metric, instantiate, plan_directions
@@ -36,23 +36,17 @@ def _metric_id(spec, idx):
     return spec.get("id", f"{spec.get('family', 'metric')}_{idx}")
 
 
-def _report_doc(payload, config: RunConfig | None = None):
-    return {
+def _write_report(outdir: Path, command, item_id, payload, config: RunConfig):
+    d = outdir / command / item_id
+    d.mkdir(parents=True, exist_ok=True)
+    doc = {
         "schema": SCHEMA,
         "metadata": {
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "engine_version": __version__,
-            "threads": thread_count(),
         },
-        "payload": _clean(payload if config is None else
-                          {**payload, "effective_config": config.effective()}),
+        "payload": _clean({**payload, "effective_config": config.effective()}),
     }
-
-
-def _write_report(outdir: Path, command, item_id, payload, config):
-    d = outdir / command / item_id
-    d.mkdir(parents=True, exist_ok=True)
-    doc = _report_doc(payload, config)
     with open(d / "report.json", "w") as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
         fp.write("\n")
@@ -93,8 +87,9 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
             "kahler": kah.to_dict(),
             "class_matches_expectation": class_ok,
         }
-        if hasattr(m, "profile"):
-            pde = weakly_kahler_pde_residual(m.profile)
+        profile = m.metadata.get("profile")
+        if profile is not None:
+            pde = weakly_kahler_pde_residual(profile)
             payload["weakly_kahler_pde"] = pde.to_dict()
             expect_pde = expectation.get("weakly_kahler_pde")
             if expect_pde is not None and bool(expect_pde) != pde.passed:

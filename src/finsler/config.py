@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import numbers
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -45,11 +44,11 @@ class RunConfig:
     plans: dict
     outputs: dict
     tolerance: float
-    raw: dict = field(default_factory=dict)
 
-    def plan(self, name="default", **overrides) -> SamplePlan:
+    def plan(self, **overrides) -> SamplePlan:
+        """The default plan with ``overrides`` applied."""
         base = dict(DEFAULT_PLAN)
-        base.update(self.plans.get(name, {}))
+        base.update(self.plans.get("default", {}))
         base.update(overrides)
         return SamplePlan(seed=self.seed, n_points=int(base["n_points"]),
                           n_dirs=int(base["n_dirs"]),
@@ -120,8 +119,7 @@ def parse_config(doc: dict) -> RunConfig:
         pairs=doc.get("pairs", []),
         plans=plans,
         outputs=doc["outputs"],
-        tolerance=float(doc.get("tolerance", 1e-6)),
-        raw=doc)
+        tolerance=float(doc.get("tolerance", 1e-6)))
 
 
 def load_config(path) -> RunConfig:
@@ -140,15 +138,3 @@ def load_config(path) -> RunConfig:
         raise ConfigurationError("config root must be a mapping")
     return parse_config(doc)
 
-
-def thread_count() -> int:
-    """Worker count from FINSLER_THREADS, default the available parallelism."""
-    raw = os.environ.get("FINSLER_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1

@@ -1,5 +1,7 @@
 """Exception types shared across the engine."""
 
+import numpy as np
+
 
 class FinslerError(Exception):
     """Base class for all engine errors."""
@@ -39,3 +41,8 @@ class ShootingError(FinslerError):
 
 class HypothesisViolationError(FinslerError):
     """Curvature-bound hypothesis of a comparison theorem is not met."""
+
+
+#: Failures a sample loop records per sample; any other exception is a bug
+#: and propagates.
+SAMPLE_ERRORS = (FinslerError, np.linalg.LinAlgError, FloatingPointError)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 from .cartan import CartanData, cartan, spray_coefficients
 from .errors import ConfigurationError, ShootingError
 from .geometry import MetricDef, unit_directions
+from .jets import JetSpace
 
 
 def _rhs(m):
@@ -75,15 +76,6 @@ class GeodesicPath:
     normal: bool
     truncated: bool
 
-    @property
-    def samples(self):
-        """(arc_t, x, u) triples at the integrator's accepted steps."""
-        out = []
-        d = self.metric.dim
-        for t, y in zip(self.sol.t if hasattr(self.sol, "t") else [], self._ys.T):
-            out.append((t * self.speed, y[:d], y[d:]))
-        return out
-
     def state_at(self, s):
         """(x, u) at arc-length parameter ``s`` (signed, within the path)."""
         d = self.metric.dim
@@ -109,8 +101,7 @@ class GeodesicPath:
                        + [repr(self.metric.value(x, u))])
 
 
-def integrate_geodesic(m: MetricDef, x0, u0, length, *, rtol=1e-11,
-                       atol=1e-13) -> GeodesicPath:
+def integrate_geodesic(m: MetricDef, x0, u0, length, *, rtol=1e-11) -> GeodesicPath:
     """Geodesic of arc length ``length`` (may be negative to extend backwards)."""
     if length == 0:
         raise ConfigurationError("geodesic length must be nonzero")
@@ -121,20 +112,18 @@ def integrate_geodesic(m: MetricDef, x0, u0, length, *, rtol=1e-11,
         raise ConfigurationError("initial velocity must be nonzero")
     speed = math.sqrt(G0)
     t_end = length / speed
-    sol = _integrate_affine(m, x0, u0, t_end, rtol=rtol, atol=atol)
+    sol = _integrate_affine(m, x0, u0, t_end, rtol=rtol)
     truncated = sol.status == 1
     t_reached = sol.t[-1]
     d = m.dim
     drift = 0.0
     for t, y in zip(sol.t, sol.y.T):
         drift = max(drift, abs(m.value(y[:d], y[d:]) - G0))
-    path = GeodesicPath(
+    return GeodesicPath(
         metric=m, x0=x0, u0=u0, speed=speed, t_end=t_reached, sol=sol,
         arc_length=abs(t_reached) * speed, energy0=G0, energy_drift=drift,
         n_steps=len(sol.t) - 1, nfev=sol.nfev,
         normal=abs(G0 - 1.0) < 1e-9, truncated=truncated)
-    path._ys = sol.y
-    return path
 
 
 def exp_map(m: MetricDef, p, v):
@@ -159,67 +148,36 @@ class RhoResult:
     w: np.ndarray                 # initial velocity reaching the target at t=1
     residual: float
     n_integrations: int
-    upper_bound: bool = False     # set when the polyline fallback produced it
 
 
-def polyline_upper_bound(m: MetricDef, p, q, *, n_segments=16, max_iter=300):
-    """Length of an energy-minimized discrete path, an upper bound on d(p, q).
-
-    Gradient descent (L-BFGS) over the interior nodes of a uniform polyline;
-    total by construction, used as a certificate when shooting stalls.
-    """
-    from scipy.optimize import minimize
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = m.dim
-    ts = np.linspace(0.0, 1.0, n_segments + 1)[1:-1]
-    x0 = p + np.outer(ts, q - p)
-
-    def energy(flat):
-        pts = [p, *flat.reshape(-1, d), q]
-        total = 0.0
-        for a, b in zip(pts, pts[1:]):
-            mid = 0.5 * (a + b)
-            try:
-                total += m.value(mid, (b - a) * n_segments) / n_segments
-            except Exception:
-                return 1e12
-        return total
-
-    res = minimize(energy, x0.ravel(), method="L-BFGS-B",
-                   options={"maxiter": max_iter})
-    pts = [p, *res.x.reshape(-1, d), q]
-    length = 0.0
-    for a, b in zip(pts, pts[1:]):
-        mid = 0.5 * (a + b)
-        length += math.sqrt(m.value(mid, b - a))
-    return length, np.asarray(pts)
+# tolerances of the shooting and stencil integrations, tighter than a plain path
+SHOOT_RTOL = 1e-12
+SHOOT_ATOL = 1e-14
 
 
 class PoleDistance:
     """Shooting-based distance field from a fixed pole, with warm starts.
 
     Gauss-Newton on the endpoint mismatch with Broyden rank-one updates and a
-    cache of converged (target, velocity, jacobian) triples, so stencil
-    queries around a point cost only a couple of extra integrations. Falls
-    back to a deterministic direction grid when the local solve stalls.
+    cache of the last ``CACHE_SIZE`` converged (target, velocity, jacobian)
+    triples, so stencil queries around a point cost only a couple of extra
+    integrations. Falls back to a deterministic direction grid when the local
+    solve stalls.
     """
 
-    def __init__(self, m: MetricDef, pole, *, rtol=1e-12, atol=1e-14,
-                 cache_size=48):
+    CACHE_SIZE = 48
+
+    def __init__(self, m: MetricDef, pole):
         self.m = m
         self.pole = np.asarray(pole, dtype=float)
-        self.rtol = rtol
-        self.atol = atol
         self._cache = []
-        self._cache_size = cache_size
         self.total_integrations = 0
 
     def _endpoint(self, w):
         """End state (x, u) at t = 1 of the geodesic leaving the pole with velocity w."""
         self.total_integrations += 1
         sol = _integrate_affine(self.m, self.pole, w, 1.0,
-                                rtol=self.rtol, atol=self.atol, dense=False)
+                                rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense=False)
         return sol.y[:, -1]
 
     def _fd_jacobian(self, w, F0):
@@ -242,7 +200,7 @@ class PoleDistance:
 
     def _remember(self, q, w, J):
         self._cache.append((q.copy(), w.copy(), J.copy()))
-        if len(self._cache) > self._cache_size:
+        if len(self._cache) > self.CACHE_SIZE:
             self._cache.pop(0)
 
     def rho(self, q, *, guess=None) -> RhoResult:
@@ -349,19 +307,9 @@ class PoleDistance:
             yield r * dvec
 
 
-def distance(m: MetricDef, p, q, *, fallback=False, **kw) -> float:
-    """Arc length of the connecting geodesic found by shooting from p.
-
-    With ``fallback=True`` a stalled shoot degrades to the polyline
-    upper-bound certificate instead of raising.
-    """
-    try:
-        return PoleDistance(m, p, **kw).rho(q).value
-    except ShootingError:
-        if not fallback:
-            raise
-        value, _ = polyline_upper_bound(m, p, q)
-        return value
+def distance(m: MetricDef, p, q) -> float:
+    """Arc length of the connecting geodesic found by shooting from p."""
+    return PoleDistance(m, p).rho(q).value
 
 
 # -- fields along geodesics --------------------------------------------------------
@@ -406,7 +354,22 @@ class JacobiField:
         return self.at(s)[1]
 
 
-def jacobi_field(path: GeodesicPath, J0, dJ0, *, rtol=1e-10) -> JacobiField:
+@dataclass
+class BoundaryJacobiField(JacobiField):
+    """Jacobi field J(0) = 0, J(r) = u_perp, as the combination ``c`` of the
+    fundamental system integrated in ``sol``; ``zero_crossings`` counts sign
+    changes of the boundary determinant (conjugate-point monitor)."""
+
+    c: np.ndarray
+    zero_crossings: int
+
+    def at(self, s):
+        d = self.c.size
+        Y = self.sol.sol(min(max(s, 0.0), self.r)).reshape(2 * d, d)
+        return Y[:d] @ self.c, Y[d:] @ self.c
+
+
+def jacobi_field(path: GeodesicPath, J0, dJ0) -> JacobiField:
     """Integrate the Jacobi equation along a normal geodesic path."""
     if not path.normal:
         raise ConfigurationError("Jacobi fields are integrated along normal paths")
@@ -424,13 +387,13 @@ def jacobi_field(path: GeodesicPath, J0, dJ0, *, rtol=1e-10) -> JacobiField:
 
     r = path.arc_length
     sol = solve_ivp(rhs, (0.0, r), np.concatenate([J0, dJ0]), method="DOP853",
-                    rtol=rtol, atol=1e-12, dense_output=True)
+                    rtol=1e-10, atol=1e-12, dense_output=True)
     if not sol.success:
         raise ShootingError(f"Jacobi integration failed: {sol.message}")
     return JacobiField(path=path, sol=sol, r=r)
 
 
-def jacobi_boundary_field(path: GeodesicPath, u_target, *, rtol=1e-10):
+def jacobi_boundary_field(path: GeodesicPath, u_target) -> BoundaryJacobiField:
     """Jacobi field with J(0) = 0 and J(r) = perpendicular part of u_target.
 
     Built from a fundamental system of Jacobi fields; also reports sign
@@ -451,7 +414,7 @@ def jacobi_boundary_field(path: GeodesicPath, u_target, *, rtol=1e-10):
 
     r = path.arc_length
     y0 = np.concatenate([np.zeros((d, d)), np.eye(d)]).ravel()
-    sol = solve_ivp(rhs, (0.0, r), y0, method="DOP853", rtol=rtol, atol=1e-12,
+    sol = solve_ivp(rhs, (0.0, r), y0, method="DOP853", rtol=1e-10, atol=1e-12,
                     dense_output=True)
     if not sol.success:
         raise ShootingError(f"Jacobi fundamental system failed: {sol.message}")
@@ -465,23 +428,8 @@ def jacobi_boundary_field(path: GeodesicPath, u_target, *, rtol=1e-10):
     u_target = np.asarray(u_target, dtype=float)
     u_perp = u_target - (float(u_target @ gT @ T_r) / float(T_r @ gT @ T_r)) * T_r
     M = sol.sol(r).reshape(2 * d, d)[:d]
-    c = np.linalg.solve(M, u_perp)
-
-    class _BVP:
-        def at(self, s):
-            Y = sol.sol(min(max(s, 0.0), r)).reshape(2 * d, d)
-            return Y[:d] @ c, Y[d:] @ c
-
-        def value(self, s):
-            return self.at(s)[0]
-
-        def cov_deriv(self, s):
-            return self.at(s)[1]
-
-    out = _BVP()
-    out.zero_crossings = zero_crossings
-    out.u_perp = u_perp
-    return out
+    return BoundaryJacobiField(path=path, sol=sol, r=r, c=np.linalg.solve(M, u_perp),
+                               zero_crossings=zero_crossings)
 
 
 @dataclass
@@ -490,15 +438,15 @@ class IndexFormResult:
     quadrature_error: float
 
 
-def index_form(path: GeodesicPath, xi, eta, *, panels=12,
+def index_form(path: GeodesicPath, xi, eta, *,
                xi_cov=None, eta_cov=None) -> IndexFormResult:
     """Morse index form I(xi, eta) along a normal geodesic.
 
     Fields are callables of the arc parameter; their component along T is
     projected out pointwise. Covariant derivatives are taken from the
     optional ``*_cov`` callables, else by high-order differencing of the
-    projected field. Quadrature is composite Gauss-Legendre with the error
-    estimated from one coarsening step.
+    projected field. Quadrature is composite Gauss-Legendre over 12 panels
+    with the error estimated from one coarsening step.
     """
     if not path.normal:
         raise ConfigurationError("the index form is defined along normal paths")
@@ -546,26 +494,25 @@ def index_form(path: GeodesicPath, xi, eta, *, panels=12,
                 total += w * half * integrand(mid + half * t)
         return total
 
-    fine = quad(panels)
-    coarse = quad(max(2, panels // 2))
+    fine = quad(12)
+    coarse = quad(6)
     return IndexFormResult(value=fine, quadrature_error=abs(fine - coarse))
 
 
 # -- Legendre transform and gradients -----------------------------------------------
 
 
-def legendre_gradient(m: MetricDef, df, x, *, tol=1e-10, max_iter=60):
+def legendre_gradient(m: MetricDef, df, x):
     """Solve g_ij(x, Y) Y^j = df_i for Y (the metric gradient of f at x).
 
     ``df`` is the differential as a covector array, or a callable point
-    function differentiated exactly through jets.
+    function differentiated exactly through jets. Damped Newton from a few
+    seeds, at most 60 steps each, to a residual below 1e-10 |df|.
     """
     x = np.asarray(x, dtype=float)
     d = m.dim
     if callable(df):
-        from .jets import JetSpace
-        sp = JetSpace.get(d, 1, False)
-        df = df(sp.variables(x)).gradient()
+        df = df(JetSpace.get(d, 1, False).variables(x)).gradient()
     df = np.asarray(df, dtype=float)
     if float(np.linalg.norm(df)) == 0.0:
         raise ConfigurationError("gradient undefined where df = 0")
@@ -578,12 +525,12 @@ def legendre_gradient(m: MetricDef, df, x, *, tol=1e-10, max_iter=60):
         Y = np.asarray(Y, dtype=float).copy()
         if float(np.linalg.norm(Y)) < 1e-12:
             continue
-        for _ in range(max_iter):
+        for _ in range(60):
             jet = m.real_jet(x, Y, 2)
             F = 0.5 * jet.gradient()[d:] - df
             res = float(np.linalg.norm(F))
             best_res = min(best_res, res)
-            if res < tol * scale:
+            if res < 1e-10 * scale:
                 return Y
             g = 0.5 * jet.hessian()[d:, d:]
             try:
@@ -601,6 +548,9 @@ def legendre_gradient(m: MetricDef, df, x, *, tol=1e-10, max_iter=60):
 
 # -- distance Hessian ---------------------------------------------------------------
 
+# relative discrepancy at which the two routes of ``hessian_rho`` count as agreeing
+AGREEMENT_TOL = 1e-4
+
 
 @dataclass
 class HessianRhoResult:
@@ -614,24 +564,53 @@ class HessianRhoResult:
     zero_crossings: int = 0
 
 
-def _second_difference(fvals, h):
-    """Richardson-extrapolated central second difference from samples at
-    [-h, -h/2, 0, h/2, h]."""
-    fm, fm2, f0, fp2, fp = fvals
+def _stencil_step(m: MetricDef, x, rho) -> float:
+    """Stencil width at x, a distance rho from the pole: wide enough that the
+    shooting tolerance does not dominate the second difference, narrow enough
+    to stay in the domain and away from the pole."""
+    margin = m.domain.margin(x)
+    return min(0.04, 0.3 * (margin if math.isfinite(margin) else 1.0), 0.45 * rho)
+
+
+def covariant_d2_rho(m: MetricDef, pd: PoleDistance, x, w, base: RhoResult,
+                     conn_T: CartanData, power=1) -> float:
+    """D^2 (rho^power)(w, w) at x by geodesic differencing plus connection correction.
+
+    ``base`` is ``pd.rho(x)`` and ``conn_T`` the Cartan data at (x, base.T).
+    The geodesic through (x, w) is integrated forward and backward over the
+    stencil width h; rho^power at arc parameters -h, -h/2, h/2 and h comes
+    from shots warm-started at ``base``, the central second differences at
+    h and h/2 are Richardson-extrapolated, and the gamma_h term relates the
+    curve's own reference vector to the radial one.
+    """
+    h = _stencil_step(m, x, base.value)
+    fwd = _integrate_affine(m, x, w, h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
+    bwd = _integrate_affine(m, x, w, -h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
+
+    def f_at(sol, t):
+        q = sol.sol(t)[:m.dim]
+        return pd.rho(q, guess=base.w + (q - x)).value ** power
+
+    fm, fm2, fp2, fp = f_at(bwd, -h), f_at(bwd, -h / 2), f_at(fwd, h / 2), f_at(fwd, h)
+    f0 = base.value ** power
     d_h = (fp - 2 * f0 + fm) / h ** 2
     d_h2 = (fp2 - 2 * f0 + fm2) / (0.5 * h) ** 2
-    return (4.0 * d_h2 - d_h) / 3.0
+    d2 = (4.0 * d_h2 - d_h) / 3.0
+    # d(rho^p) = p rho^(p-1) g_T(T, .)
+    df = power * base.value ** (power - 1) * (conn_T.g @ base.T)
+    return d2 + float(df @ (2.0 * spray_coefficients(m, x, w)
+                            - np.einsum("ijk,j,k->i", conn_T.gamma_h, w, w)))
 
 
 def hessian_rho(m: MetricDef, pole, x, u, *, pd: PoleDistance | None = None,
-                h=None, agreement_tol=1e-4, both_routes=True) -> HessianRhoResult:
+                both_routes=True) -> HessianRhoResult:
     """H(rho)(u,u) at x for the distance function rho from the pole.
 
     Route one differentiates rho twice along the geodesic through (x, u) and
     subtracts the connection correction relating the curve's own reference
     vector to the radial one. Route two evaluates the index form on the
     Jacobi field matching u at the endpoint. Disagreement beyond
-    ``agreement_tol`` is reported, not hidden. ``both_routes=False`` skips
+    ``AGREEMENT_TOL`` is reported, not hidden. ``both_routes=False`` skips
     the index-form route for bulk scans.
     """
     x = np.asarray(x, dtype=float)
@@ -640,34 +619,10 @@ def hessian_rho(m: MetricDef, pole, x, u, *, pd: PoleDistance | None = None,
         raise ConfigurationError("distance Hessian undefined at the pole")
     pd = pd or PoleDistance(m, pole)
     base = pd.rho(x)
-    rho0, T = base.value, base.T
-
-    conn_T = cartan(m, x, T, need_curvature=False)
-    gT = conn_T.g
-    u = u / math.sqrt(float(u @ gT @ u))
-
-    if h is None:
-        margin = m.domain.margin(x)
-        # stencil wide enough that the shooting tolerance does not dominate
-        # the second difference, narrow enough to stay in the domain
-        h = min(0.04, 0.3 * (margin if math.isfinite(margin) else 1.0),
-                0.45 * rho0)
-
-    fwd = _integrate_affine(m, x, u, h, rtol=1e-12, atol=1e-14)
-    bwd = _integrate_affine(m, x, u, -h, rtol=1e-12, atol=1e-14)
-
-    def rho_at(sol, t):
-        q = sol.sol(t)[:m.dim]
-        return pd.rho(q, guess=base.w + (q - x)).value
-
-    samples = [rho_at(bwd, -h), rho_at(bwd, -h / 2), rho0,
-               rho_at(fwd, h / 2), rho_at(fwd, h)]
-    d2 = _second_difference(samples, h)
-
-    drho = gT @ T
-    correction = float(drho @ (2.0 * spray_coefficients(m, x, u)
-                               - np.einsum("ijk,j,k->i", conn_T.gamma_h, u, u)))
-    value_a = d2 + correction
+    rho0 = base.value
+    conn_T = cartan(m, x, base.T, need_curvature=False)
+    u = u / math.sqrt(float(u @ conn_T.g @ u))
+    value_a = covariant_d2_rho(m, pd, x, u, base, conn_T)
 
     if not both_routes:
         return HessianRhoResult(value=value_a, value_index_form=math.nan,
@@ -683,5 +638,5 @@ def hessian_rho(m: MetricDef, pole, x, u, *, pd: PoleDistance | None = None,
     disc = abs(value_a - value_b)
     return HessianRhoResult(value=value_a, value_index_form=value_b,
                             discrepancy=disc, rho=rho0,
-                            agreed=disc <= agreement_tol * max(1.0, abs(value_a)),
+                            agreed=disc <= AGREEMENT_TOL * max(1.0, abs(value_a)),
                             zero_crossings=bvp.zero_crossings)

@@ -10,7 +10,7 @@ convention, which is fixed here and nowhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,24 +274,22 @@ def realify_metric(m: MetricDef) -> MetricDef:
             return out.re
         return out.real if isinstance(out, complex) else out
 
-    md = MetricDef(
-        "real", real_formula, dim_real=m.dim, domain=_realified_domain(m),
+    return MetricDef(
+        "real", real_formula, dim_real=m.dim, domain=_RealDomainView(m.domain),
         metadata={**m.metadata, "realified_from": m.family_id},
         family_id=m.family_id + "_real", spec=m.spec)
-    md.base_complex = m
-    return md
 
 
 class _RealDomainView:
-    """Domain adapter evaluating the complex-chart domain on real coordinates."""
+    """Domain adapter evaluating a complex-chart domain on real coordinates."""
 
-    def __init__(self, m):
-        self._m = m
-        self.kind = m.domain.kind
-        self.radius = getattr(m.domain, "radius", math.inf)
+    def __init__(self, domain: Domain):
+        self._domain = domain
+        self.kind = domain.kind
+        self.radius = domain.radius
 
     def margin(self, x):
-        return self._m.domain.margin(real_to_complex_components(np.asarray(x, float)))
+        return self._domain.margin(real_to_complex_components(np.asarray(x, float)))
 
     def contains(self, x):
         return self.margin(x) > 0.0
@@ -299,10 +297,6 @@ class _RealDomainView:
     def require(self, x):
         if not self.contains(x):
             raise DomainError(f"point {np.asarray(x)} outside {self.kind} domain")
-
-
-def _realified_domain(m):
-    return _RealDomainView(m)
 
 
 # -- deterministic sampling helpers ---------------------------------------------
@@ -336,12 +330,11 @@ class SamplePlan:
     n_points: int = 20
     n_dirs: int = 5
     radial_range: tuple = (0.05, 0.85)
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
             "seed": self.seed, "n_points": self.n_points, "n_dirs": self.n_dirs,
-            "radial_range": list(self.radial_range), **self.extra,
+            "radial_range": list(self.radial_range),
         }
 
 
@@ -373,9 +366,9 @@ def sample_points(m: MetricDef, plan: SamplePlan):
     return pts
 
 
-def sample_vectors(m: MetricDef, plan: SamplePlan, rng=None):
+def sample_vectors(m: MetricDef, plan: SamplePlan):
     """Deterministic nonzero vectors (complex for complex kinds)."""
-    rng = rng or np.random.default_rng(plan.seed + 1)
+    rng = np.random.default_rng(plan.seed + 1)
     dim = m.dim
     vecs = []
     for _ in range(plan.n_dirs):

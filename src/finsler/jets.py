@@ -482,8 +482,8 @@ def wirtinger(jet: Jet, pairs) -> Jet:
 
     ``pairs`` lists (real_index, imag_index) couples defining w = x + iy for
     each complex variable. The result is a complex-coefficient jet over
-    [w_0..w_{P-1}, conj(w_0)..conj(w_{P-1})]; mixed holomorphic partials are
-    read off with :meth:`Jet.partial`.
+    [w_0..w_{P-1}, conj(w_0)..conj(w_{P-1})]; its mixed holomorphic partials
+    are read off with :meth:`Jet.gradient` and :meth:`Jet.hessian`.
     """
     pairs = tuple((int(a), int(b)) for a, b in pairs)
     seen = [i for p in pairs for i in p]
@@ -622,16 +622,8 @@ def spow(x, p):
     return float(x) ** p
 
 
-def ssqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else math.sqrt(x)
-
-
 def sexp(x):
     return x.exp() if isinstance(x, Jet) else math.exp(x)
-
-
-def slog(x):
-    return x.log() if isinstance(x, Jet) else math.log(x)
 
 
 # -- small dense linear algebra over jets --------------------------------------

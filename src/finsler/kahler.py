@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chern import chern_finsler
-from .errors import FinslerError
+from .errors import SAMPLE_ERRORS
 from .geometry import MetricDef, SamplePlan, sample_points, sample_vectors
 from .jets import JetSpace
-from .metrics import UnitaryProfile, instantiate
+from .metrics import UnitaryProfile, un_invariant_metric
 from .report import VerificationReport
 
 CLASS_ORDER = ["strongly_kahler", "kahler", "weakly_kahler", "none"]
@@ -61,9 +61,12 @@ class KahlerReport:
         }
 
 
-def classify(m: MetricDef, plan: SamplePlan | None = None, *,
-             tolerance=1e-7) -> KahlerReport:
-    """Classify the metric by its torsion residuals over a sample plan."""
+def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
+    """Classify the metric by its torsion residuals over a sample plan.
+
+    A residual passes below 1e-7 times the sampled coefficient magnitude.
+    """
+    tolerance = 1e-7
     plan = plan or SamplePlan(n_points=8, n_dirs=4)
     pts = sample_points(m, plan)
     dirs = sample_vectors(m, plan)
@@ -77,7 +80,7 @@ def classify(m: MetricDef, plan: SamplePlan | None = None, *,
         for v in dirs:
             try:
                 data = chern_finsler(m, z, v)
-            except (FinslerError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            except SAMPLE_ERRORS as exc:
                 errors.append(f"{type(exc).__name__}: {exc}")
                 continue
             count += 1
@@ -111,25 +114,15 @@ def is_at_least(classification: str, level: str) -> bool:
     return CLASS_ORDER.index(classification) <= CLASS_ORDER.index(level)
 
 
-def un_invariant_kahler_check(profile: UnitaryProfile, *, complex_dim=2,
-                              plan: SamplePlan | None = None) -> VerificationReport:
+def un_invariant_kahler_check(profile: UnitaryProfile) -> VerificationReport:
     """Compare the torsion classification with the closed-form profile shape.
 
     A unitary-invariant metric is Kaehler exactly when its profile has the
-    gradient form f(t) + f'(t) s; the check instantiates the metric and runs
-    the residual classification against that predicate.
+    gradient form f(t) + f'(t) s; the check builds the profile's metric on C^2
+    and runs the residual classification against that predicate.
     """
-    spec = {"family": "un_invariant", "complex_dim": complex_dim,
-            "params": {"profile": {}}}
-    m = instantiate(spec)
-    m.profile = profile
-    m.formula = _profile_formula(profile, complex_dim)
-    m.family_id = f"un_{profile.id}_{complex_dim}"
-    if math.isfinite(profile.t_max):
-        from .geometry import Domain
-        m.domain = Domain("ball", math.sqrt(profile.t_max))
-    plan = plan or SamplePlan(n_points=6, n_dirs=4, radial_range=(0.1, 0.6))
-    rep = classify(m, plan)
+    m = un_invariant_metric(profile, 2, {})
+    rep = classify(m, SamplePlan(n_points=6, n_dirs=4, radial_range=(0.1, 0.6)))
     predicted = profile.is_gradient_form
     observed = is_at_least(rep.classification, "kahler")
     return VerificationReport(
@@ -143,55 +136,33 @@ def un_invariant_kahler_check(profile: UnitaryProfile, *, complex_dim=2,
         errors=rep.errors)
 
 
-def _profile_formula(profile, n):
-    from .jets import cabs2, cconj
-
-    def formula(z, v):
-        r = cabs2(v[0])
-        t = cabs2(z[0])
-        ip = v[0] * cconj(z[0])
-        for a in range(1, n):
-            r = r + cabs2(v[a])
-            t = t + cabs2(z[a])
-            ip = ip + v[a] * cconj(z[a])
-        s = cabs2(ip) / r
-        return r * profile(t, s)
-
-    return formula
-
-
-def weakly_kahler_pde_residual(profile: UnitaryProfile, *, grid_t=None,
-                               grid_s=None, tolerance=1e-8) -> VerificationReport:
+def weakly_kahler_pde_residual(profile: UnitaryProfile) -> VerificationReport:
     """Residual of the weakly-Kaehler characterization for profile metrics.
 
-    Evaluates, over a (t, s) grid with 0 <= s <= t,
+    Evaluates, over a 20 x 20 (t, s) grid with 0 <= s <= t,
 
         (phi - s phi_s)(phi + (t - s) phi_s)(phi_s - phi_t + s(phi_st + phi_ss))
         + s (t - s) phi_ss (phi (phi_s - phi_t) + s phi_s (phi_t + phi_s))
 
-    and reports the maximum absolute value with its grid location.
+    and reports the maximum absolute value with its grid location; it passes
+    below 1e-8 times the cube of the largest sampled derivative sum.
     """
     t_hi = min(0.9, 0.9 * profile.t_max) if math.isfinite(profile.t_max) else 0.9
-    grid_t = grid_t if grid_t is not None else np.linspace(1e-3, t_hi, 20)
-    grid_s = grid_s if grid_s is not None else np.linspace(0.0, 1.0, 20)
     sp = JetSpace.get(2, 2, False)
     worst = 0.0
     argmax = (None, None)
     scale_terms = 1.0
     n_eval = 0
-    for t in grid_t:
-        for sfrac in grid_s:
+    fracs = np.linspace(0.0, 1.0, 20)
+    for t in np.linspace(1e-3, t_hi, 20):
+        for sfrac in fracs:
             s = float(sfrac * t)
             phi_jet = profile(sp.variable(0, float(t)), sp.variable(1, s))
-            if not hasattr(phi_jet, "partial"):
-                phi, ps = float(phi_jet), 0.0
-                pt = pss = pst = 0.0
-            else:
-                phi = phi_jet.value
-                pt = phi_jet.partial([0])
-                ps = phi_jet.partial([1])
-                pss = phi_jet.partial([1, 1])
-                pst = phi_jet.partial([0, 1])
+            phi = phi_jet.value
+            pt, ps = (float(d) for d in phi_jet.gradient())
+            hess = phi_jet.hessian()
+            pss = float(hess[1, 1])
+            pst = float(hess[0, 1])
             term1 = (phi - s * ps) * (phi + (t - s) * ps) * (ps - pt + s * (pst + pss))
             term2 = s * (t - s) * pss * (phi * (ps - pt) + s * ps * (pt + ps))
             lhs = term1 + term2
@@ -201,7 +172,7 @@ def weakly_kahler_pde_residual(profile: UnitaryProfile, *, grid_t=None,
             if abs(lhs) > worst:
                 worst = abs(lhs)
                 argmax = (float(t), s)
-    tol = tolerance * scale_terms
+    tol = 1e-8 * scale_terms
     return VerificationReport(
         name=f"weakly_kahler_pde:{profile.id}",
         passed=worst < tol,

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import cartan, spray_coefficients
+from .cartan import cartan
 from .errors import ConfigurationError
-from .geodesic import (PoleDistance, _integrate_affine, _second_difference,
-                       legendre_gradient)
+from .geodesic import PoleDistance, covariant_d2_rho, legendre_gradient
 from .geometry import (MetricDef, apply_J, complex_to_real_components,
                        realify_metric)
 from .jets import JetSpace, wirtinger
@@ -38,8 +37,6 @@ class LeviSample:
     rho: float
     bound: float                 # 2 + rho K
     margin: float
-    fd_cross_check: float | None
-    routes_gap: float | None
 
 
 class LeviField:
@@ -55,36 +52,7 @@ class LeviField:
         self.pd = PoleDistance(self.mr, self.pole)
         self.K = float(curvature_K)
 
-    def _covariant_d2_rho2(self, x, w, base, h):
-        """D^2 rho^2 (w, w) by geodesic differencing plus connection correction."""
-        fwd = _integrate_affine(self.mr, x, w, h, rtol=1e-12, atol=1e-14)
-        bwd = _integrate_affine(self.mr, x, w, -h, rtol=1e-12, atol=1e-14)
-
-        def rho2_at(sol, t):
-            q = sol.sol(t)[:self.mr.dim]
-            return self.pd.rho(q, guess=base.w + (q - x)).value ** 2
-
-        samples = [rho2_at(bwd, -h), rho2_at(bwd, -h / 2), base.value ** 2,
-                   rho2_at(fwd, h / 2), rho2_at(fwd, h)]
-        d2 = _second_difference(samples, h)
-        conn_T = cartan(self.mr, x, base.T, need_curvature=False)
-        # d(rho^2) = 2 rho g_T(T, .) and the reference vector is scale free
-        drho2 = 2.0 * base.value * (conn_T.g @ base.T)
-        corr = float(drho2 @ (2.0 * spray_coefficients(self.mr, x, w)
-                              - np.einsum("ijk,j,k->i", conn_T.gamma_h, w, w)))
-        return d2 + corr
-
-    def _straight_d2_rho2(self, x, w, base, h):
-        """Coordinate second difference of rho^2 along a straight segment."""
-
-        def rho2(q):
-            return self.pd.rho(q, guess=base.w + (q - x)).value ** 2
-
-        samples = [rho2(x - h * w), rho2(x - 0.5 * h * w), base.value ** 2,
-                   rho2(x + 0.5 * h * w), rho2(x + h * w)]
-        return _second_difference(samples, h)
-
-    def sample(self, z, v, *, h=None, fd_check=False) -> LeviSample:
+    def sample(self, z, v) -> LeviSample:
         """Levi value of rho^2 at (z, v) with the bound 2 + rho K."""
         z = np.asarray(z, dtype=complex)
         v = np.asarray(v, dtype=complex)
@@ -94,38 +62,20 @@ class LeviField:
         # normalize to a metric-unit vector
         v = v / math.sqrt(self.m.value(z, v))
         u = complex_to_real_components(v)
-        Ju = apply_J(u)
         base = self.pd.rho(x)
-        if h is None:
-            margin = self.mr.domain.margin(x)
-            h = min(0.04, 0.3 * (margin if math.isfinite(margin) else 1.0),
-                    0.45 * base.value)
-        d2_u = self._covariant_d2_rho2(x, u, base, h)
-        d2_Ju = self._covariant_d2_rho2(x, Ju, base, h)
+        conn_T = cartan(self.mr, x, base.T, need_curvature=False)
+        d2_u = covariant_d2_rho(self.mr, self.pd, x, u, base, conn_T, power=2)
+        d2_Ju = covariant_d2_rho(self.mr, self.pd, x, apply_J(u), base, conn_T, power=2)
         levi_value = 0.25 * (d2_u + d2_Ju)
-        fd_value = None
-        gap = None
-        if fd_check:
-            s_u = self._straight_d2_rho2(x, u, base, h)
-            s_Ju = self._straight_d2_rho2(x, Ju, base, h)
-            fd_value = 0.25 * (s_u + s_Ju)
-            gap = abs(fd_value - levi_value)
         bound = 2.0 + base.value * self.K
         return LeviSample(z=z, v=v, levi_value=levi_value, rho=base.value,
-                          bound=bound, margin=bound - levi_value,
-                          fd_cross_check=fd_value, routes_gap=gap)
-
-
-def levi_rho2(m: MetricDef, pole, z, v, *, curvature_K=0.0, fd_check=False,
-              field: LeviField | None = None) -> LeviSample:
-    field = field or LeviField(m, pole, curvature_K=curvature_K)
-    return field.sample(z, v, fd_check=fd_check)
+                          bound=bound, margin=bound - levi_value)
 
 
 # -- Hessian/Levi identity for smooth test functions ---------------------------------
 
 
-def levi_identity_residual(m: MetricDef, f, z, X, *, mr=None) -> dict:
+def levi_identity_residual(m: MetricDef, f, z, X) -> dict:
     """Residual of 4 f_{;a bbar} Xo Xobar = D^2 f(X, X) + D^2 f(JX, JX).
 
     ``f`` is a smooth closed-form function of the real point coordinates,
@@ -133,7 +83,7 @@ def levi_identity_residual(m: MetricDef, f, z, X, *, mr=None) -> dict:
     right side the covariant Hessian at reference vector grad f; both sides
     are assembled through unrelated code paths.
     """
-    mr = mr or realify_metric(m)
+    mr = realify_metric(m)
     z = np.asarray(z, dtype=complex)
     x = complex_to_real_components(z)
     X = np.asarray(X, dtype=float)
@@ -145,13 +95,10 @@ def levi_identity_residual(m: MetricDef, f, z, X, *, mr=None) -> dict:
     grad = fj.gradient()
     hess = fj.hessian()
 
-    w = wirtinger(fj, [(a, n + a) for a in range(n)])
+    # f_{;a bbar}: the (z, zbar) block of the Wirtinger Hessian
+    f_abar = wirtinger(fj, [(a, n + a) for a in range(n)]).hessian()[:n, n:]
     Xo = X[:n] + 1j * X[n:]       # (1,0)-part of X in the d/dz frame
-    lhs = 0.0 + 0.0j
-    for a in range(n):
-        for b in range(n):
-            lhs += w.partial([a, n + b]) * Xo[a] * np.conj(Xo[b])
-    lhs = 4.0 * lhs
+    lhs = 4.0 * np.einsum("ab,a,b->", f_abar, Xo, Xo.conj())
 
     Y = legendre_gradient(mr, grad, x)
     conn = cartan(mr, x, Y, need_curvature=False)
@@ -171,19 +118,19 @@ def levi_identity_residual(m: MetricDef, f, z, X, *, mr=None) -> dict:
 # -- gradient identities ---------------------------------------------------------------
 
 
-def gradient_identity(m: MetricDef, pole, z, *, pd: PoleDistance | None = None,
-                      tol=1e-6) -> VerificationReport:
+def gradient_identity(m: MetricDef, pole, z) -> VerificationReport:
     """Radial pairing identities of the distance gradient.
 
     Checks that the real pairing of grad(rho^2) with the arriving unit tangent
     is 2 rho, and that half of the complex pairing against the (1,0) part of
     the tangent is rho. The gradient is recovered from numerically
     differentiated rho^2 through the Legendre transform, independently of the
-    shooting tangent.
+    shooting tangent. Both pairings must hold to 1e-6 relative.
     """
+    tol = 1e-6
     mr = realify_metric(m)
     pole_x = complex_to_real_components(np.asarray(pole, dtype=complex))
-    pd = pd or PoleDistance(mr, pole_x)
+    pd = PoleDistance(mr, pole_x)
     z = np.asarray(z, dtype=complex)
     x = complex_to_real_components(z)
     base = pd.rho(x)
@@ -208,10 +155,7 @@ def gradient_identity(m: MetricDef, pole, z, *, pd: PoleDistance | None = None,
 
     T_c = base.T[:m.n] + 1j * base.T[m.n:]
     Y_c = Y[:m.n] + 1j * Y[m.n:]
-    cj = m.complex_jet(z, T_c, 2)
-    n = m.n
-    levi_T = np.array([[cj.partial([n + a, 3 * n + b]) for b in range(n)]
-                       for a in range(n)])
+    levi_T = m.levi_matrix(z, T_c)
     complex_pairing = 0.5 * np.einsum("ab,a,b->", levi_T, Y_c, T_c.conj())
 
     rho = base.value

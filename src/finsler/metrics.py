@@ -16,10 +16,11 @@ import numbers
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .geometry import (Domain, MetricDef, SamplePlan, product_domain,
-                       sample_points, sample_vectors, unit_directions)
-from .jets import CJet, Jet, cabs2, cconj, creal, sexp, spow
+from .errors import SAMPLE_ERRORS, ConfigurationError
+from .geometry import (Domain, MetricDef, SamplePlan, complex_to_real_components,
+                       product_domain, sample_points, sample_vectors,
+                       unit_directions)
+from .jets import CJet, JetSpace, cabs2, cconj, creal, sexp, spow
 from .report import VerificationReport
 
 
@@ -38,9 +39,8 @@ def _as_matrix(m, n, what):
     return arr
 
 
-def _hermitian_form(H, v, vbar_of=None):
+def _hermitian_form(H, v):
     """sum_ab H[a,b] v_a conj(v_b) as a real scalar (H entries scalars)."""
-    w = vbar_of if vbar_of is not None else [cconj(x) for x in v]
     s = None
     n = len(v)
     for a in range(n):
@@ -52,7 +52,7 @@ def _hermitian_form(H, v, vbar_of=None):
                 # real part of v_a conj(v_a) H_aa, computed in real arithmetic
                 term = cabs2(v[a]) * creal(h)
             else:
-                term = (v[a] * w[b]) * h
+                term = (v[a] * cconj(v[b])) * h
             s = term if s is None else s + term
     return creal(s)
 
@@ -192,12 +192,11 @@ def _make_minkowski(spec):
             Hs.append(arr)
 
     def formula(z, v):
-        vbar = [cconj(x) for x in v]
-        g = _hermitian_form(B, v, vbar)
+        g = _hermitian_form(B, v)
         if eps > 0:
             q = None
             for H in Hs:
-                term = spow(_hermitian_form(H, v, vbar), k)
+                term = spow(_hermitian_form(H, v), k)
                 q = term if q is None else q + term
             g = g + eps * spow(q, 1.0 / k)
         return g
@@ -251,11 +250,9 @@ def _make_szabo(spec):
             "kahler_class": "kahler" if factors_kahler else "none",
             "point_independent": f1.metadata.get("flat", False) and f2.metadata.get("flat", False)}
     fam_id = spec.get("id", f"szabo_k{k}_{f1.family_id}_{f2.family_id}")
-    md = MetricDef("complex_strongly_convex", formula, n_complex=n,
-                   domain=product_domain(f1.domain, n1, f2.domain, n2),
-                   metadata=meta, family_id=fam_id, spec=spec)
-    md.factors = (f1, f2)
-    return md
+    return MetricDef("complex_strongly_convex", formula, n_complex=n,
+                     domain=product_domain(f1.domain, n1, f2.domain, n2),
+                     metadata=meta, family_id=fam_id, spec=spec)
 
 
 # -- unitary-invariant metrics G = r * phi(t, s) -----------------------------------
@@ -269,21 +266,14 @@ class UnitaryProfile:
     for this family.
     """
 
-    def __init__(self, profile_id, fn, *, is_gradient_form, t_max=math.inf, meta=None):
+    def __init__(self, profile_id, fn, *, is_gradient_form, t_max=math.inf):
         self.id = profile_id
         self._fn = fn
         self.is_gradient_form = is_gradient_form
         self.t_max = t_max
-        self.meta = meta or {}
 
     def __call__(self, t, s):
         return self._fn(t, s)
-
-    def jets(self, t, s, order=2):
-        """Jets of phi over the two profile variables."""
-        from .jets import JetSpace
-        sp = JetSpace.get(2, order, False)
-        return self._fn(sp.variable(0, float(t)), sp.variable(1, float(s)))
 
 
 def build_profile(params) -> UnitaryProfile:
@@ -297,8 +287,7 @@ def build_profile(params) -> UnitaryProfile:
         if fname == "exp":
             def fn(t, s):
                 return sexp(t * c) * (1.0 + c * s)
-            return UnitaryProfile(f"phi_f_exp_c{c:g}", fn, is_gradient_form=True,
-                                  meta={"c": c})
+            return UnitaryProfile(f"phi_f_exp_c{c:g}", fn, is_gradient_form=True)
         if fname == "inv_one_minus_t":
             def fn(t, s):
                 w = 1.0 - t
@@ -318,9 +307,13 @@ def build_profile(params) -> UnitaryProfile:
 
 
 def _make_un_invariant(spec):
-    n = int(spec.get("complex_dim", 2))
-    params = spec.get("params", {})
-    profile = build_profile(params.get("profile", {}))
+    profile = build_profile(spec.get("params", {}).get("profile", {}))
+    return un_invariant_metric(profile, int(spec.get("complex_dim", 2)), spec)
+
+
+def un_invariant_metric(profile: UnitaryProfile, n: int, spec) -> MetricDef:
+    """The metric G = |v|^2 phi(|z|^2, |<z,v>|^2 / |v|^2) on C^n, defined where
+    |z|^2 < profile.t_max; ``metadata["profile"]`` holds the profile."""
     radius = math.sqrt(profile.t_max) if math.isfinite(profile.t_max) else math.inf
     domain = Domain("ball", radius) if math.isfinite(radius) else Domain()
 
@@ -335,13 +328,11 @@ def _make_un_invariant(spec):
         s = cabs2(ip) / r
         return r * profile(t, s)
 
-    meta = {"unitary_invariant": True, "profile": profile.id,
+    meta = {"unitary_invariant": True, "profile": profile,
             "kahler_class": "kahler" if profile.is_gradient_form else "unknown"}
     fam_id = spec.get("id", f"un_{profile.id}_{n}")
-    md = MetricDef("complex", formula, n_complex=n, domain=domain,
-                   metadata=meta, family_id=fam_id, spec=spec)
-    md.profile = profile
-    return md
+    return MetricDef("complex", formula, n_complex=n, domain=domain,
+                     metadata=meta, family_id=fam_id, spec=spec)
 
 
 _FAMILIES = {
@@ -389,7 +380,6 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
                     L = m.levi_matrix(z, v)
                     ev = float(np.linalg.eigvalsh(L).min())
                     min_levi = min(min_levi, ev)
-                    from .geometry import complex_to_real_components
                     x = complex_to_real_components(z)
                     u = complex_to_real_components(v)
                     g = m.fundamental_real(x, u)
@@ -412,7 +402,7 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
                 hom_res = max(hom_res, hom)
                 if len(samples) < 4:
                     samples.append({"point_index": i, "dir_index": j, "G": G})
-            except Exception as exc:  # per-sample failures belong in the report
+            except SAMPLE_ERRORS as exc:
                 errors.append(f"sample ({i},{j}): {type(exc).__name__}: {exc}")
     tol = 1e-10
     passed = (min_value > 0 and min_real > 0 and hom_res < tol
@@ -453,21 +443,20 @@ class HoloMap:
 
     def jacobian(self, z):
         """Exact complex Jacobian dF/dz at a point, via first-order jets."""
-        z = np.asarray(z, dtype=complex)
-        from .jets import JetSpace
-        sp = JetSpace.get(2 * self.n_in, 1, False)
-        zj = [CJet(sp.variable(a, z[a].real), sp.variable(self.n_in + a, z[a].imag))
-              for a in range(self.n_in)]
-        out = self._fn(zj)
-        Jm = np.empty((self.n_out, self.n_in), dtype=complex)
-        for i, w in enumerate(out):
-            for a in range(self.n_in):
-                dre = w.re.partial([a]) + 1j * w.im.partial([a])
-                Jm[i, a] = dre
-        return Jm
+        return _holomorphic_jacobian(self._fn, z)
 
-    def push_vector(self, z, v):
-        return self.jacobian(z) @ np.asarray(v, dtype=complex)
+
+def _holomorphic_jacobian(fn, z):
+    """Complex Jacobian dF/dz of a holomorphic map on generic scalars at z.
+
+    F is evaluated on first-order jets over (Re z, Im z); by the
+    Cauchy-Riemann equations dF/dz = dF/dRe z, read from the gradients.
+    """
+    z = np.asarray(z, dtype=complex)
+    n = z.size
+    seeds = JetSpace.get(2 * n, 1, False).variables(complex_to_real_components(z))
+    out = fn([CJet(seeds[a], seeds[n + a]) for a in range(n)])
+    return np.array([w.re.gradient()[:n] + 1j * w.im.gradient()[:n] for w in out])
 
 
 def build_map(spec) -> HoloMap:
@@ -602,16 +591,7 @@ def probe_catalog(m: MetricDef, z, v, *, quadratic_coeff=None):
     if m.domain.kind == "ball" and m.domain.radius == 1.0:
         psi = ball_automorphism(z)
         # direction e with d(psi)(0) e parallel to v
-        from .jets import JetSpace
-        n = z.size
-        sp = JetSpace.get(2 * n, 1, False)
-        zj = [CJet(sp.variable(a, 0.0), sp.variable(n + a, 0.0)) for a in range(n)]
-        out = psi(zj)
-        Jm = np.empty((n, n), dtype=complex)
-        for i, w in enumerate(out):
-            for a_ in range(n):
-                Jm[i, a_] = w.re.partial([a_]) + 1j * w.im.partial([a_])
-        e = np.linalg.solve(Jm, v)
+        e = np.linalg.solve(_holomorphic_jacobian(psi, np.zeros(z.size)), v)
         en = float(np.linalg.norm(e))
 
         def geo(zeta):

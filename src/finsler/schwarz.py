@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolationError
+from .errors import SAMPLE_ERRORS, HypothesisViolationError
 from .geometry import MetricDef, SamplePlan, sample_points
 from .jets import CJet, Jet, JetSpace
 from .kahler import classify, is_at_least
@@ -53,24 +53,23 @@ def _holo_derivative(w: CJet) -> CJet:
     return CJet((re_a + im_b) * 0.5, (im_a - re_b) * 0.5)
 
 
-def density_jet(density, zeta, order=2) -> Jet:
-    """Jet of a disk density over (Re zeta, Im zeta).
+def density_jet(density, zeta) -> Jet:
+    """Order-2 jet of a disk density over (Re zeta, Im zeta).
 
-    Seeds one order higher than requested so densities defined through a
-    probe derivative still carry the requested order.
+    Seeds at order 3 so densities defined through a probe derivative still
+    carry order 2.
     """
-    out = density(_disk_cjet(zeta, min(order + 1, 4)))
+    out = density(_disk_cjet(zeta, 3))
     out = out.re if isinstance(out, CJet) else out
-    return out.truncate(order) if out.order > order else out
+    return out.truncate(2) if out.order > 2 else out
 
 
 def gaussian_curvature(density, zeta) -> float:
     """K = -(2/g) d^2 log g / dzeta dzetabar for a positive disk density."""
-    g = density_jet(density, zeta, 2)
+    g = density_jet(density, zeta)
     if g.value <= 0:
         raise ValueError(f"density must be positive, got {g.value}")
-    lg = g.log()
-    lap_quarter = 0.25 * (lg.partial([0, 0]) + lg.partial([1, 1]))
+    lap_quarter = 0.25 * float(np.trace(g.log().hessian()))
     return -2.0 / g.value * lap_quarter
 
 
@@ -134,7 +133,7 @@ def pullback(f: HoloMap, m_domain: MetricDef, m_target: MetricDef, probe,
         zeta = complex(zeta)
         try:
             lam2, sigma2 = _densities_at(f, m_domain, m_target, probe, zeta)
-        except Exception as exc:
+        except SAMPLE_ERRORS as exc:
             rows.append(PullbackRow(zeta, math.nan, math.nan, math.nan,
                                     flag=f"error:{type(exc).__name__}"))
             continue
@@ -149,7 +148,7 @@ def pullback(f: HoloMap, m_domain: MetricDef, m_target: MetricDef, probe,
                     l2, s2 = _densities_at(f, m_domain, m_target, probe, zz)
                     if l2 > eps:
                         vals.append(s2 / l2)
-                except Exception:
+                except SAMPLE_ERRORS:
                     pass
             ratio = float(np.mean(vals)) if vals else 0.0
             rows.append(PullbackRow(zeta, lam2, sigma2, ratio, flag="limit"))
@@ -234,8 +233,8 @@ class SchwarzCertificate:
 
 
 def certify_schwarz(f: HoloMap, m_domain: MetricDef, m_target: MetricDef,
-                    plan: SamplePlan | None = None, *, tolerance=1e-6,
-                    check_hypotheses=True) -> SchwarzCertificate:
+                    plan: SamplePlan | None = None, *,
+                    tolerance=1e-6) -> SchwarzCertificate:
     """Certify sup H(f(z); df v) / G(z; v) <= K1/K2 over a sample grid.
 
     Hypothesis failures (domain not weakly Kaehler, validity failures,
@@ -243,18 +242,17 @@ def certify_schwarz(f: HoloMap, m_domain: MetricDef, m_target: MetricDef,
     executed and labeled.
     """
     plan = plan or SamplePlan(n_points=14, n_dirs=17)
-    hyp = {"checked": bool(check_hypotheses)}
-    if check_hypotheses:
-        cm = check_metric(m_domain, SamplePlan(seed=plan.seed, n_points=6, n_dirs=4,
-                                               radial_range=plan.radial_range))
-        kah = classify(m_domain, SamplePlan(seed=plan.seed, n_points=5, n_dirs=4,
-                                            radial_range=plan.radial_range))
-        hyp["domain_valid_metric"] = bool(cm.passed)
-        hyp["domain_kahler_class"] = kah.classification
-        hyp["domain_weakly_kahler"] = is_at_least(kah.classification, "weakly_kahler")
-        hyp["domain_complete"] = bool(m_domain.metadata.get("complete", False))
-        hyp["met"] = all((hyp["domain_valid_metric"], hyp["domain_weakly_kahler"],
-                          hyp["domain_complete"]))
+    cm = check_metric(m_domain, SamplePlan(seed=plan.seed, n_points=6, n_dirs=4,
+                                           radial_range=plan.radial_range))
+    kah = classify(m_domain, SamplePlan(seed=plan.seed, n_points=5, n_dirs=4,
+                                        radial_range=plan.radial_range))
+    hyp = {"checked": True,
+           "domain_valid_metric": bool(cm.passed),
+           "domain_kahler_class": kah.classification,
+           "domain_weakly_kahler": is_at_least(kah.classification, "weakly_kahler"),
+           "domain_complete": bool(m_domain.metadata.get("complete", False))}
+    hyp["met"] = all((hyp["domain_valid_metric"], hyp["domain_weakly_kahler"],
+                      hyp["domain_complete"]))
     k1 = curvature_bounds(m_domain, "domain", plan)
     k2 = curvature_bounds(m_target, "target", plan)
     bound = k1.value / k2.value
@@ -263,7 +261,6 @@ def certify_schwarz(f: HoloMap, m_domain: MetricDef, m_target: MetricDef,
     dirs = plan_directions(m_domain, plan.n_dirs, plan.seed + 17)
     max_ratio = -math.inf
     argmax = {}
-    table = []
     for iz, z in enumerate(pts):
         jac = f.jacobian(z)
         fz = f.apply_values(z)
@@ -272,19 +269,16 @@ def certify_schwarz(f: HoloMap, m_domain: MetricDef, m_target: MetricDef,
             w = jac @ v
             H = m_target.value(fz, w) if float(np.linalg.norm(w)) > 0 else 0.0
             ratio = H / G
-            table.append((iz, iv, G, H, ratio))
             if ratio > max_ratio:
                 max_ratio = ratio
                 argmax = {"point_index": iz, "dir_index": iv,
                           "z": list(z), "ratio": ratio}
     passed = max_ratio <= bound + tolerance
-    cert = SchwarzCertificate(
+    return SchwarzCertificate(
         map_id=f.id, domain_id=m_domain.family_id, target_id=m_target.family_id,
         K1=k1.value, K2=k2.value, bound=bound, max_ratio=max_ratio,
         argmax=argmax, passed=bool(passed), hypotheses=hyp,
         plan=plan.to_dict(), tolerance=tolerance)
-    cert.ratio_table = table
-    return cert
 
 
 def log_density_comparison(m_target: MetricDef, f: HoloMap, probe, K2,
@@ -298,11 +292,10 @@ def log_density_comparison(m_target: MetricDef, f: HoloMap, probe, K2,
     worst = math.inf
     rows = []
     for zeta in grid:
-        sig_jet = density_jet(density, zeta, 2)
+        sig_jet = density_jet(density, zeta)
         if sig_jet.value <= 1e-14:
             continue
-        lg = sig_jet.log()
-        lhs = 0.25 * (lg.partial([0, 0]) + lg.partial([1, 1]))
+        lhs = 0.25 * float(np.trace(sig_jet.log().hessian()))
         rhs = -0.5 * K2 * sig_jet.value
         margin = lhs - rhs
         worst = min(worst, margin)

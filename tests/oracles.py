@@ -421,6 +421,40 @@ def chern_by_partials(m, z, v):
     return gamma_h, gamma_v, torsion_h, R_zz
 
 
+# -- Levi form of rho^2 along straight segments -------------------------------------
+
+
+def straight_levi_rho2(field, z, v):
+    """Levi value of rho^2 at (z, v) from coordinate second differences.
+
+    Samples rho^2 by shooting at five points on the straight segments through
+    x along u and Ju (no geodesic stencil, no connection term), with the
+    stencil width of the production route, and Richardson-extrapolates.
+    ``field`` is a ``LeviField``, whose metric and distance field it reuses.
+    """
+    from finsler.geodesic import _stencil_step
+    from finsler.geometry import apply_J, complex_to_real_components
+
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    x = complex_to_real_components(z)
+    u = complex_to_real_components(v / math.sqrt(field.m.value(z, v)))
+    base = field.pd.rho(x)
+    h = _stencil_step(field.mr, x, base.value)
+
+    def d2(w):
+        def rho2(q):
+            return field.pd.rho(q, guess=base.w + (q - x)).value ** 2
+
+        fm, fm2, fp2, fp = (rho2(x + t * h * w) for t in (-1.0, -0.5, 0.5, 1.0))
+        f0 = base.value ** 2
+        d_h = (fp - 2 * f0 + fm) / h ** 2
+        d_h2 = (fp2 - 2 * f0 + fm2) / (0.5 * h) ** 2
+        return (4.0 * d_h2 - d_h) / 3.0
+
+    return 0.25 * (d2(u) + d2(apply_J(u)))
+
+
 # -- misc closed forms ---------------------------------------------------------------
 
 

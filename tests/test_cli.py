@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from finsler.cli import main
-from finsler.config import load_config, parse_config, thread_count
+from finsler.config import load_config, parse_config
 from finsler.errors import ConfigurationError
 from finsler.report import canonical_json
 
@@ -258,10 +258,3 @@ def test_golden_certificates_replay(tmp_path):
     for name in ("identity", "mobius", "square"):
         golden = Path(__file__).parent / "golden" / f"cert_{name}.json"
         assert main(["replay", "--certificate", str(golden)]) == 0
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("FINSLER_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("FINSLER_THREADS", "")
-    assert thread_count() >= 1

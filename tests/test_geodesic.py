@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from finsler.cartan import cartan
-from finsler.geodesic import (PoleDistance, _integrate_affine, distance, exp_map,
+from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, PoleDistance,
+                              _integrate_affine, distance, exp_map,
                               hessian_rho, index_form, integrate_geodesic,
                               jacobi_field, jacobi_boundary_field,
                               legendre_gradient)
@@ -120,7 +121,7 @@ def test_arriving_tangent_is_the_converged_shot():
     r = pd.rho(np.array([0.45, -0.3]))
     assert r.n_integrations > 1   # Gauss-Newton iterated before converging
     sol = _integrate_affine(HYPERBOLIC, np.zeros(2), r.w, 1.0,
-                            rtol=pd.rtol, atol=pd.atol, dense=False)
+                            rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense=False)
     u_end = sol.y[2:, -1]
     assert np.array_equal(r.T, u_end / r.value)
 

@@ -215,3 +215,40 @@ def test_gradient_and_hessian_gathers_match_partials():
                                             for i in range(nvars)])
     with pytest.raises(StructuralError):
         lift([0.1, 0.2], {0, 1}, 1)[0].hessian()
+
+
+def test_engine_reads_no_scalar_partials(monkeypatch):
+    # every derivative readout in the engine goes through gradient()/hessian()
+    from finsler.kahler import weakly_kahler_pde_residual
+    from finsler.levi import gradient_identity, levi_identity_residual
+    from finsler.metrics import build_map, build_profile, instantiate, probe_catalog
+    from finsler.schwarz import (gaussian_curvature, log_density_comparison,
+                                 pullback_density)
+
+    def refuse(self, variables):
+        raise AssertionError("scalar partial() readout")
+
+    monkeypatch.setattr(Jet, "partial", refuse)
+    disk = instantiate({"family": "hermitian", "complex_dim": 1,
+                        "params": {"catalog": "poincare_disk"}})
+    ball = instantiate({"family": "hermitian", "complex_dim": 2,
+                        "params": {"catalog": "poincare_ball"}})
+    euclid = instantiate({"family": "hermitian", "complex_dim": 1,
+                          "params": {"catalog": "euclidean"}})
+    assert weakly_kahler_pde_residual(build_profile({"form": "gradient", "f": "exp"})).passed
+    out = levi_identity_residual(ball, lambda xs: xs[0] * xs[3], np.array([0.2 + 0.1j, -0.3j]),
+                                 np.array([0.3, -0.5, 0.7, 0.1]))
+    assert out["relative_residual"] < 1e-8
+    assert gradient_identity(euclid, np.zeros(1, complex), np.array([0.5 + 0.2j])).passed
+    mob = build_map({"map": "mobius", "params": {"a": [0.3, -0.2]}})
+    a = complex(0.3, -0.2)
+    z = 0.1 + 0.4j
+    assert mob.jacobian(np.array([z]))[0, 0] == pytest.approx(
+        (abs(a) ** 2 - 1) / (1 - z * a.conjugate()) ** 2, abs=1e-14)
+    probes = probe_catalog(ball, np.array([0.2 + 0.1j, -0.1j]), np.array([1.0, 0.5j]))
+    assert [p.id for p in probes] == ["affine", "geodesic"]
+    assert gaussian_curvature(pullback_density(ball, probes[1]), 0.1j) == pytest.approx(
+        -4.0, abs=1e-8)
+    rep = log_density_comparison(disk, build_map({"map": "identity", "params": {"n": 1}}),
+                                 lambda zc: [zc], -4.0, [0.1, 0.3 - 0.2j])
+    assert rep.passed and rep.stats["n_grid"] == 2

@@ -1,5 +1,6 @@
 """Kaehler classification chain and the unitary-invariant characterizations."""
 
+import numpy as np
 import pytest
 
 from finsler import kahler
@@ -139,3 +140,34 @@ def test_classify_surfaces_programming_errors(monkeypatch):
     monkeypatch.setattr(kahler, "chern_finsler", broken)
     with pytest.raises(KeyError):
         classify(instantiate(DISK), PLAN)
+
+
+@pytest.mark.parametrize("params", [
+    {"form": "gradient", "f": "one"},
+    {"form": "gradient", "f": "exp", "c": 0.7},
+    {"form": "gradient", "f": "inv_one_minus_t"},
+    {"form": "free", "expr": "one_plus_ts2"},
+])
+def test_un_invariant_check_builds_the_profile_metric(monkeypatch, params):
+    # the check classifies the same metric that instantiate builds for the profile
+    seen = []
+
+    def record(m, plan):
+        seen.append(m)
+        return kahler.KahlerReport(m.family_id, 0.0, 0.0, 0.0, 1.0, 1e-7,
+                                   "strongly_kahler", 1)
+
+    monkeypatch.setattr(kahler, "classify", record)
+    un_invariant_kahler_check(build_profile(params))
+    want = instantiate({"family": "un_invariant", "complex_dim": 2,
+                        "params": {"profile": params}})
+    (m,) = seen
+    assert m.family_id == want.family_id
+    assert (m.domain.kind, m.domain.radius) == (want.domain.kind, want.domain.radius)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        z = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        assert m.value(z, v) == want.value(z, v)
+        assert np.array_equal(m.complex_jet(z, v, 2).coeffs,
+                              want.complex_jet(z, v, 2).coeffs)

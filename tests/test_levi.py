@@ -8,7 +8,7 @@ import pytest
 from finsler.levi import LeviField, gradient_identity, levi_identity_residual
 from finsler.metrics import instantiate
 
-from oracles import hyperbolic_distance
+from oracles import hyperbolic_distance, straight_levi_rho2
 
 EUCLID1 = instantiate({"family": "hermitian", "complex_dim": 1,
                        "params": {"catalog": "euclidean"}})
@@ -24,11 +24,12 @@ NONKAHLER = instantiate({"family": "hermitian", "complex_dim": 2,
 
 def test_levi_euclidean_is_one():
     field = LeviField(EUCLID1, np.zeros(1, complex), curvature_K=0.0)
-    s = field.sample(np.array([0.4 + 0.3j]), np.array([1.0 + 0.5j]), fd_check=True)
+    z, v = np.array([0.4 + 0.3j]), np.array([1.0 + 0.5j])
+    s = field.sample(z, v)
     assert s.levi_value == pytest.approx(1.0, abs=1e-6)
     assert s.bound == pytest.approx(2.0)
     assert s.margin > 0
-    assert s.routes_gap < 1e-5
+    assert abs(straight_levi_rho2(field, z, v) - s.levi_value) < 1e-5
 
 
 def test_levi_poincare_bound():
@@ -54,9 +55,9 @@ def test_levi_minkowski_flat_bound():
     for _ in range(3):
         z = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        s = field.sample(z, v, fd_check=True)
+        s = field.sample(z, v)
         assert s.levi_value <= 2.0 + 1e-5
-        assert s.routes_gap < 1e-4
+        assert abs(straight_levi_rho2(field, z, v) - s.levi_value) < 1e-4
 
 
 def test_levi_near_pole_rejected():

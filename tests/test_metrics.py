@@ -184,3 +184,29 @@ def test_probe_catalog_tangency():
         der = (np.array([complex(w) for w in p(h + 0j)]) - at0) / h
         cross = der[0] * v[1] - der[1] * v[0]
         assert abs(cross) / max(1.0, np.linalg.norm(der)) < 1e-5
+
+
+def test_check_metric_records_engine_errors(monkeypatch):
+    from finsler.errors import DegenerateMetricError
+    m = instantiate({"family": "hermitian", "complex_dim": 1,
+                     "params": {"catalog": "poincare_disk"}})
+
+    def degenerate(z, v):
+        raise DegenerateMetricError("Levi matrix singular")
+
+    monkeypatch.setattr(m, "levi_matrix", degenerate)
+    rep = check_metric(m, SamplePlan(n_points=2, n_dirs=2))
+    assert not rep.passed
+    assert len(rep.errors) == 4 and "DegenerateMetricError" in rep.errors[0]
+
+
+def test_check_metric_surfaces_programming_errors(monkeypatch):
+    m = instantiate({"family": "hermitian", "complex_dim": 1,
+                     "params": {"catalog": "poincare_disk"}})
+
+    def broken(z, v):
+        raise KeyError("missing coefficient")
+
+    monkeypatch.setattr(m, "levi_matrix", broken)
+    with pytest.raises(KeyError):
+        check_metric(m, SamplePlan(n_points=2, n_dirs=2))

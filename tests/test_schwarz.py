@@ -233,3 +233,22 @@ def test_probe_maximality_szabo():
         rows = probe_curvatures_below_K(SZABO, z, v, quadratic_coeff=b)
         for pid, k, kg in rows:
             assert k <= kg + 1e-6
+
+
+def test_pullback_flags_engine_errors_and_raises_bugs(monkeypatch):
+    from finsler import schwarz
+    from finsler.errors import DomainError
+
+    def outside(*args):
+        raise DomainError("point outside the ball domain")
+
+    monkeypatch.setattr(schwarz, "_densities_at", outside)
+    rows = pullback(IDENTITY1, POINCARE, POINCARE, lambda zc: [zc], [0.1 + 0.0j])
+    assert rows[0].flag == "error:DomainError" and math.isnan(rows[0].ratio)
+
+    def broken(*args):
+        raise KeyError("missing coefficient")
+
+    monkeypatch.setattr(schwarz, "_densities_at", broken)
+    with pytest.raises(KeyError):
+        pullback(IDENTITY1, POINCARE, POINCARE, lambda zc: [zc], [0.1 + 0.0j])
