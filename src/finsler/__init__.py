@@ -11,8 +11,8 @@ from .chern import (ChernFinslerData, chern_finsler,
                     holomorphic_sectional_curvature, scale_invariance_check)
 from .kahler import KahlerReport, classify, un_invariant_kahler_check, \
     weakly_kahler_pde_residual
-from .geodesic import (GeodesicPath, PoleDistance, distance, exp_map,
-                       hessian_rho, index_form, integrate_geodesic,
+from .geodesic import (GeodesicPath, PoleDistance, distance, distance_hessian,
+                       exp_map, hessian_rho, index_form, integrate_geodesic,
                        jacobi_field, legendre_gradient)
 from .levi import LeviField, LeviSample, gradient_identity, \
     levi_identity_residual
@@ -30,8 +30,9 @@ __all__ = [
     "scale_invariance_check",
     "KahlerReport", "classify", "un_invariant_kahler_check",
     "weakly_kahler_pde_residual",
-    "GeodesicPath", "PoleDistance", "distance", "exp_map", "hessian_rho",
-    "index_form", "integrate_geodesic", "jacobi_field", "legendre_gradient",
+    "GeodesicPath", "PoleDistance", "distance", "distance_hessian", "exp_map",
+    "hessian_rho", "index_form", "integrate_geodesic", "jacobi_field",
+    "legendre_gradient",
     "LeviField", "LeviSample", "gradient_identity", "levi_identity_residual",
     "SchwarzCertificate", "certify_schwarz", "curvature_bounds",
     "gaussian_curvature", "pullback", "pullback_density",

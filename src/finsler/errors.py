@@ -39,6 +39,15 @@ class ShootingError(FinslerError):
         self.best_residual = best_residual
 
 
+class ConjugatePointError(FinslerError):
+    """Jacobi boundary map numerically singular: the endpoint of a geodesic is
+    (nearly) conjugate to its start, so boundary Jacobi fields are undefined."""
+
+    def __init__(self, message, cond=None):
+        super().__init__(message)
+        self.cond = cond
+
+
 class HypothesisViolationError(FinslerError):
     """Curvature-bound hypothesis of a comparison theorem is not met."""
 

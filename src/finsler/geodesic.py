@@ -1,4 +1,5 @@
-"""Geodesic flow, exponential map, shooting distance, Jacobi fields, index form.
+"""Geodesic flow, exponential map, shooting distance, Jacobi fields, index form,
+distance Hessians.
 
 Geodesics solve xddot^i + 2 G^i(x, xdot) = 0 in an affine parameter; the energy
 G(x, xdot) is a first integral and its drift along the integrated path is the
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .cartan import CartanData, cartan, spray_coefficients
-from .errors import ConfigurationError, ShootingError
+from .errors import SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError
 from .geometry import MetricDef, unit_directions
 from .jets import JetSpace
 
@@ -150,7 +151,7 @@ class RhoResult:
     n_integrations: int
 
 
-# tolerances of the shooting and stencil integrations, tighter than a plain path
+# tolerances of the shooting integrations, tighter than a plain path
 SHOOT_RTOL = 1e-12
 SHOOT_ATOL = 1e-14
 
@@ -160,7 +161,7 @@ class PoleDistance:
 
     Gauss-Newton on the endpoint mismatch with Broyden rank-one updates and a
     cache of the last ``CACHE_SIZE`` converged (target, velocity, jacobian)
-    triples, so stencil queries around a point cost only a couple of extra
+    triples, so queries near an earlier one cost only a couple of extra
     integrations. Falls back to a deterministic direction grid when the local
     solve stalls.
     """
@@ -248,7 +249,7 @@ class PoleDistance:
         w = np.asarray(w, dtype=float).copy()
         try:
             y = self._endpoint(w)
-        except Exception:
+        except SAMPLE_ERRORS:
             return w, None, None, None
         F = y[:d] - q
         refreshed = J is None
@@ -275,7 +276,7 @@ class PoleDistance:
                 w_new = w - lam * step
                 try:
                     y_new = self._endpoint(w_new)
-                except Exception:
+                except SAMPLE_ERRORS:
                     lam *= 0.5
                     continue
                 F_new = y_new[:d] - q
@@ -318,9 +319,8 @@ def distance(m: MetricDef, p, q) -> float:
 class _ConnectionCache:
     """Memoized Cartan data along a path, keyed by parameter value."""
 
-    def __init__(self, path, need_curvature=True):
+    def __init__(self, path):
         self.path = path
-        self.need_curvature = need_curvature
         self._memo = {}
 
     def at(self, s) -> CartanData:
@@ -328,24 +328,25 @@ class _ConnectionCache:
         data = self._memo.get(key)
         if data is None:
             x, u = self.path.state_at(s)
-            data = cartan(self.path.metric, x, u,
-                          need_curvature=self.need_curvature)
+            data = cartan(self.path.metric, x, u)
             self._memo[key] = data
         return data
 
 
 @dataclass
 class JacobiField:
-    """Dense Jacobi field J with covariant derivative W along a normal geodesic."""
+    """Dense Jacobi field J = Y_J c with covariant derivative W = Y_W c along a
+    normal geodesic, where the dense solution ``sol`` holds Y = (Y_J, Y_W)."""
 
     path: GeodesicPath
     sol: object
     r: float
+    c: np.ndarray
 
     def at(self, s):
         d = self.path.metric.dim
-        y = self.sol.sol(min(max(s, 0.0), self.r))
-        return y[:d], y[d:]
+        Y = self.sol.sol(min(max(s, 0.0), self.r)).reshape(2 * d, -1)
+        return Y[:d] @ self.c, Y[d:] @ self.c
 
     def value(self, s):
         return self.at(s)[0]
@@ -354,82 +355,95 @@ class JacobiField:
         return self.at(s)[1]
 
 
-@dataclass
-class BoundaryJacobiField(JacobiField):
-    """Jacobi field J(0) = 0, J(r) = u_perp, as the combination ``c`` of the
-    fundamental system integrated in ``sol``; ``zero_crossings`` counts sign
-    changes of the boundary determinant (conjugate-point monitor)."""
+# cond M(r) beyond which the endpoint counts as conjugate to the start: the Jacobi
+# integration's rtol 1e-10 times cond M(r) would exceed AGREEMENT_TOL
+CONJUGATE_COND = 1e6
 
-    c: np.ndarray
+
+@dataclass
+class BoundaryJacobiSystem:
+    """Fundamental system Y = (M, W) of the Jacobi fields J = M c with J(0) = 0,
+    D_T J(0) = c along a normal path, with M = M(r), W = W(r) and the unit
+    tangent T and fundamental tensor g = g_T at the endpoint. The field
+    reaching u at r has c = M(r)^-1 u. ``zero_crossings`` counts sign changes
+    of det M along the path (conjugate-point monitor)."""
+
+    path: GeodesicPath
+    sol: object
+    r: float
+    M: np.ndarray
+    W: np.ndarray
+    T: np.ndarray
+    g: np.ndarray
     zero_crossings: int
 
-    def at(self, s):
-        d = self.c.size
-        Y = self.sol.sol(min(max(s, 0.0), self.r)).reshape(2 * d, d)
-        return Y[:d] @ self.c, Y[d:] @ self.c
+    def _perp(self) -> np.ndarray:
+        """P u = u - g_T(u, T) / g_T(T, T) T, the part of u across T."""
+        gT = self.g @ self.T
+        return np.eye(self.T.size) - np.outer(self.T, gT) / float(self.T @ gT)
+
+    def _initial_derivatives(self, U):
+        """M(r)^-1 U; raises ``ConjugatePointError`` when M(r) is singular."""
+        cond = float(np.linalg.cond(self.M))
+        if not cond < CONJUGATE_COND:
+            raise ConjugatePointError(f"cond M(r) = {cond:.3g} at r = {self.r:.6g}: "
+                                      "the endpoint is conjugate to the start", cond=cond)
+        return np.linalg.solve(self.M, U)
+
+    def field(self, u_target) -> JacobiField:
+        """The Jacobi field with J(0) = 0 and J(r) the part of u_target across T."""
+        c = self._initial_derivatives(self._perp() @ np.asarray(u_target, dtype=float))
+        return JacobiField(path=self.path, sol=self.sol, r=self.r, c=c)
+
+    def boundary_form(self) -> np.ndarray:
+        """P^T g_T W M^-1 P: the index form's boundary term g_T(D_T J_u, J_u) at r
+        of the field J_u reaching u."""
+        P = self._perp()
+        return P.T @ self.g @ self.W @ self._initial_derivatives(P)
+
+
+def _integrate_jacobi(path: GeodesicPath, Y0) -> object:
+    """Dense solution of the Jacobi equation along ``path`` for the columns of
+    Y0 = (J(0), D_T J(0)), a (2d, k) array, in the path's arc parameter."""
+    d = path.metric.dim
+    conn = _ConnectionCache(path)
+
+    def rhs(t, y):
+        data = conn.at(t)
+        Y = y.reshape(2, d, -1)
+        GY = np.einsum("ijk,ajc,k->aic", data.gamma_h, Y, data.u)
+        return np.concatenate([Y[1] - GY[0], -data.riemann @ Y[0] - GY[1]]).ravel()
+
+    sol = solve_ivp(rhs, (0.0, path.arc_length), np.ravel(Y0), method="DOP853",
+                    rtol=1e-10, atol=1e-12, dense_output=True)
+    if not sol.success:
+        raise ShootingError(f"Jacobi integration failed: {sol.message}")
+    return sol
 
 
 def jacobi_field(path: GeodesicPath, J0, dJ0) -> JacobiField:
     """Integrate the Jacobi equation along a normal geodesic path."""
     if not path.normal:
         raise ConfigurationError("Jacobi fields are integrated along normal paths")
+    sol = _integrate_jacobi(path, np.concatenate([J0, dJ0]))
+    return JacobiField(path=path, sol=sol, r=path.arc_length, c=np.ones(1))
+
+
+def jacobi_boundary_field(path: GeodesicPath) -> BoundaryJacobiSystem:
+    """Fundamental system of the Jacobi fields vanishing at the start of a
+    normal path, integrated once; its ``field(u)`` is the Jacobi field with
+    J(0) = 0 and J(r) the part of u across T."""
     d = path.metric.dim
-    conn = _ConnectionCache(path)
-
-    def rhs(t, y):
-        data = conn.at(t)
-        J = y[:d]
-        W = y[d:]
-        T = data.u
-        GJ = np.einsum("ijk,j,k->i", data.gamma_h, J, T)
-        GW = np.einsum("ijk,j,k->i", data.gamma_h, W, T)
-        return np.concatenate([W - GJ, -data.riemann @ J - GW])
-
     r = path.arc_length
-    sol = solve_ivp(rhs, (0.0, r), np.concatenate([J0, dJ0]), method="DOP853",
-                    rtol=1e-10, atol=1e-12, dense_output=True)
-    if not sol.success:
-        raise ShootingError(f"Jacobi integration failed: {sol.message}")
-    return JacobiField(path=path, sol=sol, r=r)
-
-
-def jacobi_boundary_field(path: GeodesicPath, u_target) -> BoundaryJacobiField:
-    """Jacobi field with J(0) = 0 and J(r) = perpendicular part of u_target.
-
-    Built from a fundamental system of Jacobi fields; also reports sign
-    changes of the boundary determinant (conjugate-point monitor).
-    """
-    d = path.metric.dim
-    conn = _ConnectionCache(path)
-
-    def rhs(t, y):
-        data = conn.at(t)
-        T = data.u
-        Y = y.reshape(2 * d, d)
-        J = Y[:d]
-        W = Y[d:]
-        GJ = np.einsum("ijk,jc,k->ic", data.gamma_h, J, T)
-        GW = np.einsum("ijk,jc,k->ic", data.gamma_h, W, T)
-        return np.concatenate([W - GJ, -np.einsum("ik,kc->ic", data.riemann, J) - GW]).ravel()
-
-    r = path.arc_length
-    y0 = np.concatenate([np.zeros((d, d)), np.eye(d)]).ravel()
-    sol = solve_ivp(rhs, (0.0, r), y0, method="DOP853", rtol=1e-10, atol=1e-12,
-                    dense_output=True)
-    if not sol.success:
-        raise ShootingError(f"Jacobi fundamental system failed: {sol.message}")
+    sol = _integrate_jacobi(path, np.concatenate([np.zeros((d, d)), np.eye(d)]))
     dets = [np.linalg.det(sol.sol(t).reshape(2 * d, d)[:d]) for t in
             np.linspace(r * 1e-3, r, 33)]
     zero_crossings = sum(1 for a, b in zip(dets, dets[1:]) if a * b < 0)
-
-    data_r = conn.at(r)
-    T_r = data_r.u
-    gT = data_r.g
-    u_target = np.asarray(u_target, dtype=float)
-    u_perp = u_target - (float(u_target @ gT @ T_r) / float(T_r @ gT @ T_r)) * T_r
-    M = sol.sol(r).reshape(2 * d, d)[:d]
-    return BoundaryJacobiField(path=path, sol=sol, r=r, c=np.linalg.solve(M, u_perp),
-                               zero_crossings=zero_crossings)
+    x_r, u_r = path.state_at(r)
+    Y_r = sol.y[:, -1].reshape(2 * d, d)
+    return BoundaryJacobiSystem(path=path, sol=sol, r=r, M=Y_r[:d], W=Y_r[d:], T=u_r,
+                                g=path.metric.fundamental_real(x_r, u_r),
+                                zero_crossings=zero_crossings)
 
 
 @dataclass
@@ -553,90 +567,68 @@ AGREEMENT_TOL = 1e-4
 
 
 @dataclass
+class DistanceHessian:
+    """Covariant Hessian of rho at x (reference vector T), as a matrix."""
+
+    matrix: np.ndarray
+    rho: float
+    system: BoundaryJacobiSystem   # along the radial geodesic; ``T``, ``g`` at x
+
+
+def distance_hessian(pd: PoleDistance, x) -> DistanceHessian:
+    """Hessian of the distance from ``pd.pole`` at x, in every direction at once.
+
+    One shot gives rho and the radial geodesic, integrated again with dense
+    output; the Jacobi fields vanishing at the pole give H(rho)(u, u) as the
+    boundary term g_T(D_T J_u, J_u) at x of the index form of the field J_u
+    reaching u (Bao-Chern-Shen, GTM 200, ch. 5 and 7): H = P^T g_T W M^-1 P.
+    """
+    x = np.asarray(x, dtype=float)
+    if float(np.linalg.norm(x - pd.pole)) < 1e-6:
+        raise ConfigurationError("distance Hessian undefined at the pole")
+    base = pd.rho(x)
+    radial = integrate_geodesic(pd.m, pd.pole, base.w / base.value, base.value,
+                                rtol=1e-12)
+    system = jacobi_boundary_field(radial)
+    return DistanceHessian(matrix=system.boundary_form(), rho=base.value, system=system)
+
+
+@dataclass
 class HessianRhoResult:
     """Distance Hessian H(rho)(u,u) computed along two independent routes."""
 
-    value: float                 # geodesic second-difference route
-    value_index_form: float      # I(J, J) with the boundary Jacobi field
+    value: float                 # u.H.u with H from the Jacobi fundamental system
+    value_index_form: float      # I(J, J) by quadrature along the boundary Jacobi field
     discrepancy: float
     rho: float
     agreed: bool
-    zero_crossings: int = 0
-
-
-def _stencil_step(m: MetricDef, x, rho) -> float:
-    """Stencil width at x, a distance rho from the pole: wide enough that the
-    shooting tolerance does not dominate the second difference, narrow enough
-    to stay in the domain and away from the pole."""
-    margin = m.domain.margin(x)
-    return min(0.04, 0.3 * (margin if math.isfinite(margin) else 1.0), 0.45 * rho)
-
-
-def covariant_d2_rho(m: MetricDef, pd: PoleDistance, x, w, base: RhoResult,
-                     conn_T: CartanData, power=1) -> float:
-    """D^2 (rho^power)(w, w) at x by geodesic differencing plus connection correction.
-
-    ``base`` is ``pd.rho(x)`` and ``conn_T`` the Cartan data at (x, base.T).
-    The geodesic through (x, w) is integrated forward and backward over the
-    stencil width h; rho^power at arc parameters -h, -h/2, h/2 and h comes
-    from shots warm-started at ``base``, the central second differences at
-    h and h/2 are Richardson-extrapolated, and the gamma_h term relates the
-    curve's own reference vector to the radial one.
-    """
-    h = _stencil_step(m, x, base.value)
-    fwd = _integrate_affine(m, x, w, h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
-    bwd = _integrate_affine(m, x, w, -h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
-
-    def f_at(sol, t):
-        q = sol.sol(t)[:m.dim]
-        return pd.rho(q, guess=base.w + (q - x)).value ** power
-
-    fm, fm2, fp2, fp = f_at(bwd, -h), f_at(bwd, -h / 2), f_at(fwd, h / 2), f_at(fwd, h)
-    f0 = base.value ** power
-    d_h = (fp - 2 * f0 + fm) / h ** 2
-    d_h2 = (fp2 - 2 * f0 + fm2) / (0.5 * h) ** 2
-    d2 = (4.0 * d_h2 - d_h) / 3.0
-    # d(rho^p) = p rho^(p-1) g_T(T, .)
-    df = power * base.value ** (power - 1) * (conn_T.g @ base.T)
-    return d2 + float(df @ (2.0 * spray_coefficients(m, x, w)
-                            - np.einsum("ijk,j,k->i", conn_T.gamma_h, w, w)))
+    zero_crossings: int
 
 
 def hessian_rho(m: MetricDef, pole, x, u, *, pd: PoleDistance | None = None,
                 both_routes=True) -> HessianRhoResult:
-    """H(rho)(u,u) at x for the distance function rho from the pole.
+    """H(rho)(u,u) at x for the g_T-unit rescaling of u, rho the distance from the pole.
 
-    Route one differentiates rho twice along the geodesic through (x, u) and
-    subtracts the connection correction relating the curve's own reference
-    vector to the radial one. Route two evaluates the index form on the
-    Jacobi field matching u at the endpoint. Disagreement beyond
-    ``AGREEMENT_TOL`` is reported, not hidden. ``both_routes=False`` skips
-    the index-form route for bulk scans.
+    Route one reads u.H.u off ``distance_hessian``, the boundary term of the
+    index form. Route two integrates the index form by quadrature along the
+    Jacobi field of the same fundamental system that reaches u at x.
+    Disagreement beyond ``AGREEMENT_TOL`` is reported, not hidden.
+    ``both_routes=False`` skips the quadrature for bulk scans.
     """
-    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if float(np.linalg.norm(x - np.asarray(pole, dtype=float))) < 1e-6:
-        raise ConfigurationError("distance Hessian undefined at the pole")
-    pd = pd or PoleDistance(m, pole)
-    base = pd.rho(x)
-    rho0 = base.value
-    conn_T = cartan(m, x, base.T, need_curvature=False)
-    u = u / math.sqrt(float(u @ conn_T.g @ u))
-    value_a = covariant_d2_rho(m, pd, x, u, base, conn_T)
+    dh = distance_hessian(pd or PoleDistance(m, pole), x)
+    system = dh.system
+    u = u / math.sqrt(float(u @ system.g @ u))
+    value_a = float(u @ dh.matrix @ u)
 
-    if not both_routes:
-        return HessianRhoResult(value=value_a, value_index_form=math.nan,
-                                discrepancy=math.nan, rho=rho0, agreed=True)
-
-    # index-form route along the radial geodesic from the pole
-    radial = integrate_geodesic(m, pole, base.w / rho0, rho0, rtol=1e-12)
-    bvp = jacobi_boundary_field(radial, u)
-    iform = index_form(radial, bvp.value, bvp.value,
-                       xi_cov=bvp.cov_deriv, eta_cov=bvp.cov_deriv)
-    value_b = iform.value
-
+    value_b = math.nan
+    if both_routes:
+        bvp = system.field(u)
+        value_b = index_form(system.path, bvp.value, bvp.value,
+                             xi_cov=bvp.cov_deriv, eta_cov=bvp.cov_deriv).value
     disc = abs(value_a - value_b)
+    # a skipped route leaves disc = nan, which counts as agreeing
     return HessianRhoResult(value=value_a, value_index_form=value_b,
-                            discrepancy=disc, rho=rho0,
-                            agreed=disc <= AGREEMENT_TOL * max(1.0, abs(value_a)),
-                            zero_crossings=bvp.zero_crossings)
+                            discrepancy=disc, rho=dh.rho,
+                            agreed=not disc > AGREEMENT_TOL * max(1.0, abs(value_a)),
+                            zero_crossings=system.zero_crossings)

@@ -6,9 +6,11 @@ is computed through the realification identity
     4 d^2 rho^2 / dz dzbar (v, vbar) = D^2 rho^2(u, u) + D^2 rho^2(Ju, Ju),
 
 with u the realification of v and D^2 the covariant Hessian at reference
-vector T. Each covariant Hessian is a geodesic second difference plus the
-connection correction, exactly as in the real Hessian route. The distance
-function is kept away from the pole, where it is not smooth.
+vector T. Both terms come from one distance Hessian, the matrix H of
+``geodesic.distance_hessian``: one shot to the point, the radial geodesic and
+the fundamental system of Jacobi fields along it give H = P^T g_T W M^-1 P,
+and D^2 rho^2(w, w) = 2 g_T(T, w)^2 + 2 rho H(w, w). The distance function is
+kept away from the pole, where it is not smooth.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .cartan import cartan
 from .errors import ConfigurationError
-from .geodesic import PoleDistance, covariant_d2_rho, legendre_gradient
+from .geodesic import PoleDistance, distance_hessian, legendre_gradient
 from .geometry import (MetricDef, apply_J, complex_to_real_components,
                        realify_metric)
 from .jets import JetSpace, wirtinger
@@ -62,13 +64,15 @@ class LeviField:
         # normalize to a metric-unit vector
         v = v / math.sqrt(self.m.value(z, v))
         u = complex_to_real_components(v)
-        base = self.pd.rho(x)
-        conn_T = cartan(self.mr, x, base.T, need_curvature=False)
-        d2_u = covariant_d2_rho(self.mr, self.pd, x, u, base, conn_T, power=2)
-        d2_Ju = covariant_d2_rho(self.mr, self.pd, x, apply_J(u), base, conn_T, power=2)
-        levi_value = 0.25 * (d2_u + d2_Ju)
-        bound = 2.0 + base.value * self.K
-        return LeviSample(z=z, v=v, levi_value=levi_value, rho=base.value,
+        dh = distance_hessian(self.pd, x)
+        drho = dh.system.g @ dh.system.T
+
+        def d2_rho2(w):
+            return 2.0 * float(drho @ w) ** 2 + 2.0 * dh.rho * float(w @ dh.matrix @ w)
+
+        levi_value = 0.25 * (d2_rho2(u) + d2_rho2(apply_J(u)))
+        bound = 2.0 + dh.rho * self.K
+        return LeviSample(z=z, v=v, levi_value=levi_value, rho=dh.rho,
                           bound=bound, margin=bound - levi_value)
 
 

@@ -57,10 +57,14 @@ def density_jet(density, zeta) -> Jet:
     """Order-2 jet of a disk density over (Re zeta, Im zeta).
 
     Seeds at order 3 so densities defined through a probe derivative still
-    carry order 2.
+    carry order 2. A density that returns a plain number is constant.
     """
-    out = density(_disk_cjet(zeta, 3))
-    out = out.re if isinstance(out, CJet) else out
+    zc = _disk_cjet(zeta, 3)
+    out = density(zc)
+    if isinstance(out, CJet):
+        out = out.re
+    elif not isinstance(out, Jet):
+        out = zc.re.space.constant(float(out))
     return out.truncate(2) if out.order > 2 else out
 
 

@@ -421,6 +421,51 @@ def chern_by_partials(m, z, v):
     return gamma_h, gamma_v, torsion_h, R_zz
 
 
+# -- distance Hessians by geodesic second differences ------------------------------
+
+
+def _stencil_step(m, x, rho) -> float:
+    """Stencil width at x, a distance rho from the pole: wide enough that the
+    shooting tolerance does not dominate the second difference, narrow enough
+    to stay in the domain and away from the pole."""
+    margin = m.domain.margin(x)
+    return min(0.04, 0.3 * (margin if math.isfinite(margin) else 1.0), 0.45 * rho)
+
+
+def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
+    """D^2 (rho^power)(w, w) at x by geodesic differencing plus connection correction.
+
+    ``base`` is ``pd.rho(x)`` and ``conn_T`` the Cartan data at (x, base.T).
+    The geodesic through (x, w) is integrated forward and backward over the
+    stencil width h; rho^power at arc parameters -h, -h/2, h/2 and h comes
+    from shots warm-started at ``base``, the central second differences at
+    h and h/2 are Richardson-extrapolated, and the gamma_h term relates the
+    curve's own reference vector to the radial one. Independent of the
+    Jacobi fields behind ``geodesic.distance_hessian``; its error is the
+    shooting tolerance over h^2 plus the O(h^4) truncation.
+    """
+    from finsler.cartan import spray_coefficients
+    from finsler.geodesic import SHOOT_ATOL, SHOOT_RTOL, _integrate_affine
+
+    h = _stencil_step(m, x, base.value)
+    fwd = _integrate_affine(m, x, w, h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
+    bwd = _integrate_affine(m, x, w, -h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
+
+    def f_at(sol, t):
+        q = sol.sol(t)[:m.dim]
+        return pd.rho(q, guess=base.w + (q - x)).value ** power
+
+    fm, fm2, fp2, fp = f_at(bwd, -h), f_at(bwd, -h / 2), f_at(fwd, h / 2), f_at(fwd, h)
+    f0 = base.value ** power
+    d_h = (fp - 2 * f0 + fm) / h ** 2
+    d_h2 = (fp2 - 2 * f0 + fm2) / (0.5 * h) ** 2
+    d2 = (4.0 * d_h2 - d_h) / 3.0
+    # d(rho^p) = p rho^(p-1) g_T(T, .)
+    df = power * base.value ** (power - 1) * (conn_T.g @ base.T)
+    return d2 + float(df @ (2.0 * spray_coefficients(m, x, w)
+                            - np.einsum("ijk,j,k->i", conn_T.gamma_h, w, w)))
+
+
 # -- Levi form of rho^2 along straight segments -------------------------------------
 
 
@@ -429,10 +474,10 @@ def straight_levi_rho2(field, z, v):
 
     Samples rho^2 by shooting at five points on the straight segments through
     x along u and Ju (no geodesic stencil, no connection term), with the
-    stencil width of the production route, and Richardson-extrapolates.
-    ``field`` is a ``LeviField``, whose metric and distance field it reuses.
+    width of the geodesic stencil ``covariant_d2_rho``, and
+    Richardson-extrapolates. ``field`` is a ``LeviField``, whose metric and
+    distance field it reuses.
     """
-    from finsler.geodesic import _stencil_step
     from finsler.geometry import apply_J, complex_to_real_components
 
     z = np.asarray(z, dtype=complex)

@@ -5,16 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh
+
+from finsler import geodesic
 from finsler.cartan import cartan
+from finsler.errors import SAMPLE_ERRORS, ConjugatePointError, ShootingError
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, PoleDistance,
-                              _integrate_affine, distance, exp_map,
-                              hessian_rho, index_form, integrate_geodesic,
-                              jacobi_field, jacobi_boundary_field,
-                              legendre_gradient)
-from finsler.geometry import realify_metric
+                              _integrate_affine, distance, distance_hessian,
+                              exp_map, hessian_rho, index_form,
+                              integrate_geodesic, jacobi_field,
+                              jacobi_boundary_field, legendre_gradient)
+from finsler.geometry import MetricDef, realify_metric
+from finsler.jets import spow
 from finsler.metrics import instantiate
 
-from oracles import hyperbolic_distance, hyperbolic_hessian_tangential
+from oracles import (covariant_d2_rho, hyperbolic_distance,
+                     hyperbolic_hessian_tangential)
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "euclidean"}}))
@@ -24,6 +30,18 @@ HYPERBOLIC = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}}))
 MINKOWSKI = realify_metric(instantiate(
     {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}}))
+BALL2 = realify_metric(instantiate(
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}}))
+
+
+def _round_chart(x, u):
+    # the curvature-4 round metric in an affine chart of the sphere (the
+    # Fubini-Study metric of CP^1): geodesics meet their conjugate points at
+    # distance pi/2, and z -> -1/conj(z) is the antipode
+    return (u[0] * u[0] + u[1] * u[1]) * spow(1.0 + x[0] * x[0] + x[1] * x[1], -2)
+
+
+ROUND = MetricDef("real", _round_chart, dim_real=2, family_id="round_chart")
 
 
 def test_euclidean_straight_line():
@@ -171,6 +189,29 @@ def test_index_form_symmetry_and_projection():
     assert abs(c.value) < 1e-9
 
 
+def test_conjugate_point_guard():
+    # from 0.5 through the origin the unit-speed geodesic reaches the antipode
+    # -2 of its start at distance pi/2, where M(r) is singular
+    p, u = np.array([0.5, 0.0]), np.array([-1.25, 0.0])
+    assert ROUND.value(p, u) == pytest.approx(1.0, abs=1e-15)
+    at = jacobi_boundary_field(integrate_geodesic(ROUND, p, u, math.pi / 2))
+    assert np.allclose(at.path.endpoint()[0], [-2.0, 0.0], atol=1e-9)
+    with pytest.raises(ConjugatePointError) as info:
+        at.boundary_form()
+    assert isinstance(info.value, SAMPLE_ERRORS)
+    assert info.value.cond > geodesic.CONJUGATE_COND
+    with pytest.raises(ConjugatePointError):
+        at.field(np.array([0.0, 1.0]))
+    # past the conjugate point M(r) is regular again; the monitor saw det M change sign
+    assert jacobi_boundary_field(
+        integrate_geodesic(ROUND, p, u, math.pi / 2 + 0.3)).zero_crossings == 1
+    before = jacobi_boundary_field(integrate_geodesic(ROUND, p, u, 1.0))
+    assert before.zero_crossings == 0
+    # across T the Jacobi field is sin(2s)/2, so H = 2 cot 2r against g_T
+    ev = eigh(before.boundary_form(), before.g, eigvals_only=True)
+    assert ev == pytest.approx([2.0 / math.tan(2.0), 0.0], abs=1e-8)
+
+
 def test_jacobi_minimizes_index_form():
     r = 1.2
     path = integrate_geodesic(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), r)
@@ -178,7 +219,7 @@ def test_jacobi_minimizes_index_form():
     xr, ur = path.state_at(r)
     g_r = cartan(HYPERBOLIC, xr, ur, need_curvature=False).g
     u_end = u_end / math.sqrt(u_end @ g_r @ u_end)
-    bvp = jacobi_boundary_field(path, u_end)
+    bvp = jacobi_boundary_field(path).field(u_end)
     i_jacobi = index_form(path, bvp.value, bvp.value,
                           xi_cov=bvp.cov_deriv, eta_cov=bvp.cov_deriv).value
     rng = np.random.default_rng(4)
@@ -252,11 +293,11 @@ def test_hessian_rho_euclidean():
     q = np.array([0.8, 0.0, 0.0, 0.0])
     tang = np.array([0.0, 1.0, 0.0, 0.0])
     res = hessian_rho(EUCLID2, np.zeros(4), q, tang, pd=pd)
-    assert res.value == pytest.approx(1.0 / 0.8, abs=1e-5)
+    assert res.value == pytest.approx(1.0 / 0.8, abs=1e-8)
     assert res.agreed
     radial = np.array([1.0, 0.0, 0.0, 0.0])
     res_r = hessian_rho(EUCLID2, np.zeros(4), q, radial, pd=pd)
-    assert abs(res_r.value) < 1e-5
+    assert abs(res_r.value) < 1e-8
 
 
 def test_hessian_rho_hyperbolic():
@@ -265,9 +306,86 @@ def test_hessian_rho_hyperbolic():
     rho = hyperbolic_distance(0.5)
     tang = np.array([0.0, 1.0])
     res = hessian_rho(HYPERBOLIC, np.zeros(2), q, tang, pd=pd)
-    assert res.value == pytest.approx(hyperbolic_hessian_tangential(rho), abs=1e-4)
+    assert res.value == pytest.approx(hyperbolic_hessian_tangential(rho), abs=1e-8)
     assert res.value <= 1.0 / rho + 2.0 + 1e-3   # comparison bound with K = 2
     assert res.discrepancy < 1e-4 * max(1.0, abs(res.value))
+
+
+@pytest.mark.parametrize("m, q", [
+    (HYPERBOLIC, [0.3, 0.4]),
+    (EUCLID2, [0.3, -0.2, 0.1, 0.4]),
+    (BALL2, [0.3, -0.2, 0.1, 0.4]),
+    (MINKOWSKI, [0.2, -0.35, 0.1, 0.45]),
+])
+def test_distance_hessian_symmetric_and_null_along_T(m, q):
+    dh = distance_hessian(PoleDistance(m, np.zeros(m.dim)), np.array(q))
+    H = dh.matrix
+    scale = np.abs(H).max()
+    assert np.abs(H - H.T).max() < 1e-12 * scale
+    assert np.abs(H @ dh.system.T).max() < 1e-12 * scale
+
+
+def test_distance_hessian_spectra():
+    # eigenvalues against g_T: 0 along T, 2 coth 2 rho across it on the disk
+    # (curvature -4), 1/|q| three times across T on C^2
+    q = np.array([0.45, -0.3])
+    dh = distance_hessian(PoleDistance(HYPERBOLIC, np.zeros(2)), q)
+    rho = hyperbolic_distance(complex(*q))
+    assert dh.rho == pytest.approx(rho, abs=1e-9)
+    ev = eigh(dh.matrix, dh.system.g, eigvals_only=True)
+    assert ev == pytest.approx([0.0, hyperbolic_hessian_tangential(rho)], abs=1e-8)
+
+    q = np.array([0.3, -0.2, 0.1, 0.4])
+    dh = distance_hessian(PoleDistance(EUCLID2, np.zeros(4)), q)
+    ev = eigh(dh.matrix, dh.system.g, eigvals_only=True)
+    assert ev == pytest.approx([0.0] + [1.0 / np.linalg.norm(q)] * 3, abs=1e-8)
+
+
+@pytest.mark.parametrize("m, q", [
+    (HYPERBOLIC, [0.3, 0.4]),
+    (BALL2, [0.3, -0.2, 0.1, 0.4]),
+    (MINKOWSKI, [0.2, -0.35, 0.1, 0.45]),
+])
+def test_distance_hessian_matches_stencil_oracle(m, q):
+    q = np.array(q)
+    pd = PoleDistance(m, np.zeros(m.dim))
+    H = distance_hessian(pd, q).matrix
+    base = pd.rho(q)
+    conn_T = cartan(m, q, base.T, need_curvature=False)
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        w = rng.standard_normal(m.dim)
+        w /= math.sqrt(w @ conn_T.g @ w)
+        exact = float(w @ H @ w)
+        # the stencil's own error is its O(h^4) truncation, about 3e-6 at h = 0.04
+        assert abs(covariant_d2_rho(m, pd, q, w, base, conn_T) - exact) < \
+            1e-5 * max(1.0, abs(exact))
+
+
+def test_shooting_propagates_programming_errors(monkeypatch):
+    def broken_spray(m, x, u):
+        raise KeyError("spray")
+
+    monkeypatch.setattr(geodesic, "spray_coefficients", broken_spray)
+    with pytest.raises(KeyError):
+        PoleDistance(HYPERBOLIC, np.zeros(2)).rho(np.array([0.45, -0.3]))
+
+
+def test_shooting_error_on_one_start_tries_the_next(monkeypatch):
+    endpoint = PoleDistance._endpoint
+    failed = []
+
+    def first_start_fails(self, w):
+        if not failed:
+            failed.append(w.copy())
+            raise ShootingError("injected")
+        return endpoint(self, w)
+
+    monkeypatch.setattr(PoleDistance, "_endpoint", first_start_fails)
+    q = np.array([0.45, -0.3])
+    r = PoleDistance(HYPERBOLIC, np.zeros(2)).rho(q)
+    assert np.array_equal(failed[0], q)   # the straight start failed
+    assert r.value == pytest.approx(hyperbolic_distance(complex(*q)), abs=1e-9)
 
 
 def test_path_csv_export(tmp_path):

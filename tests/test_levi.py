@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from finsler.geodesic import PoleDistance
 from finsler.levi import LeviField, gradient_identity, levi_identity_residual
 from finsler.metrics import instantiate
 
@@ -26,7 +27,7 @@ def test_levi_euclidean_is_one():
     field = LeviField(EUCLID1, np.zeros(1, complex), curvature_K=0.0)
     z, v = np.array([0.4 + 0.3j]), np.array([1.0 + 0.5j])
     s = field.sample(z, v)
-    assert s.levi_value == pytest.approx(1.0, abs=1e-6)
+    assert s.levi_value == pytest.approx(1.0, abs=1e-8)
     assert s.bound == pytest.approx(2.0)
     assert s.margin > 0
     assert abs(straight_levi_rho2(field, z, v) - s.levi_value) < 1e-5
@@ -43,10 +44,28 @@ def test_levi_poincare_bound():
         s = field.sample(z, v)
         rho = hyperbolic_distance(z[0])
         assert s.rho == pytest.approx(rho, abs=1e-8)
+        assert s.levi_value == pytest.approx(0.5 + rho / math.tanh(2.0 * rho), abs=1e-8)
         # theorem bound with K = 2 and the quoted specialization 2(1 + 2 rho)
         assert s.levi_value <= 2.0 + 2.0 * rho + 1e-3
         assert s.levi_value <= 2.0 * (1.0 + 2.0 * rho) + 1e-3
         assert s.margin >= -1e-3
+    assert abs(straight_levi_rho2(field, z, v) - s.levi_value) < 1e-5
+
+
+def test_levi_sample_shoots_once(monkeypatch):
+    rho = PoleDistance.rho
+    calls = []
+
+    def counted(self, q, **kwargs):
+        calls.append(q)
+        return rho(self, q, **kwargs)
+
+    monkeypatch.setattr(PoleDistance, "rho", counted)
+    for m, K in ((POINCARE, 2.0), (BALL2, 2.0)):
+        field = LeviField(m, np.zeros(m.n, complex), curvature_K=K)
+        calls.clear()
+        field.sample(np.full(m.n, 0.3 + 0.2j), np.full(m.n, 1.0 - 0.5j))
+        assert len(calls) == 1
 
 
 def test_levi_minkowski_flat_bound():

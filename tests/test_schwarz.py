@@ -43,6 +43,8 @@ def test_gaussian_curvature_poincare_density():
 def test_gaussian_curvature_constant_density():
     assert gaussian_curvature(lambda zc: 3.0 + 0.0 * cabs2(zc), 0.2 + 0.1j) == \
         pytest.approx(0.0, abs=1e-12)
+    # a density returning a plain number, not a jet
+    assert gaussian_curvature(lambda zc: 3.0, 0.1 + 0.2j) == 0.0
 
 
 def test_gaussian_curvature_exp_density():
