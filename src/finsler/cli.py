@@ -24,10 +24,10 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config, parse_config
-from .errors import ConfigurationError, FinslerError
+from .errors import SAMPLE_ERRORS, ConfigurationError, FinslerError, NoSamplesError
 from .geometry import complex_to_real_components, realify_metric, sample_points
 from .metrics import build_map, check_metric, instantiate, plan_directions
-from .report import canonical_json, _clean
+from .report import canonical_json, _clean, sample_counts
 
 SCHEMA = 1
 
@@ -36,7 +36,8 @@ def _metric_id(spec, idx):
     return spec.get("id", f"{spec.get('family', 'metric')}_{idx}")
 
 
-def _write_report(outdir: Path, command, item_id, payload, config: RunConfig):
+def _write_report(outdir: Path, command, item_id, payload, config: RunConfig,
+                  metadata=None):
     d = outdir / command / item_id
     d.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -44,6 +45,7 @@ def _write_report(outdir: Path, command, item_id, payload, config: RunConfig):
         "metadata": {
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "engine_version": __version__,
+            **(metadata or {}),
         },
         "payload": _clean({**payload, "effective_config": config.effective()}),
     }
@@ -103,28 +105,35 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
     return status
 
 
+def _samples_summary(counts):
+    return f"samples ok {counts['ok']}/{counts['attempted']}"
+
+
 def cmd_curvature(config: RunConfig, outdir: Path) -> int:
-    from .chern import holomorphic_sectional_curvature
+    from .schwarz import holomorphic_curvature_samples
     status = 0
     for mid, m in _instantiate_all(config):
-        plan = config.plan()
-        pts = sample_points(m, plan)
-        dirs = plan_directions(m, plan.n_dirs, plan.seed + 3)
-        rows = []
-        for iz, z in enumerate(pts):
-            for iv, v in enumerate(dirs):
-                k = holomorphic_sectional_curvature(m, z, v)
-                rows.append([iz, iv, repr(float(k))])
-        ks = [float(r[2]) for r in rows]
-        payload = {"metric": mid, "n_samples": len(rows),
-                   "min": min(ks), "max": max(ks)}
+        samples = holomorphic_curvature_samples(m, config.plan())
+        counts = samples.counts
+        payload = {"metric": mid, "holomorphic_samples": counts,
+                   "min": None, "max": None}
+        try:
+            lo, hi = samples.extremes()
+        except NoSamplesError as exc:
+            payload["holomorphic_error"] = str(exc)
+            status = 1
+            summary = "no K_G sample evaluated"
+        else:
+            payload.update(min=lo, max=hi)
+            summary = f"K in [{lo:.6g}, {hi:.6g}]"
         d = _write_report(outdir, "curvature", mid, payload, config)
         _write_csv(d / "holomorphic_curvature.csv",
-                   ["point_index", "dir_index", "K_G"], rows)
+                   ["point_index", "dir_index", "K_G"],
+                   [[iz, iv, repr(k)] for iz, iv, k in samples.rows])
         expect = m.metadata.get("holomorphic_curvature")
-        if expect is not None and max(abs(k - expect) for k in ks) > 1e-5:
+        if expect is not None and any(abs(k - expect) > 1e-5 for _, _, k in samples.rows):
             status = 1
-        print(f"curvature {mid}: K in [{min(ks):.6g}, {max(ks):.6g}]")
+        print(f"curvature {mid}: {summary}; {_samples_summary(counts)}")
     return status
 
 
@@ -209,32 +218,34 @@ def _levi_table(m, pts, plan):
     min_margin = math.inf
     reasons = {}
     for i, z in enumerate(pts):
-        for v in dirs:
-            try:
-                s = field.sample(z, v)
-            except FinslerError as exc:
-                name = type(exc).__name__
-                reasons[name] = reasons.get(name, 0) + 1
-                continue
+        try:
+            samples = field.samples(z, dirs)
+        except SAMPLE_ERRORS as exc:
+            name = type(exc).__name__
+            reasons[name] = reasons.get(name, 0) + len(dirs)
+            continue
+        for s in samples:
             rows.append([i, repr(float(s.levi_value)), repr(float(s.rho)),
                          repr(float(s.bound)), repr(float(s.margin))])
             min_margin = min(min_margin, s.margin)
-    failed = sum(reasons.values())
-    counts = {"attempted": len(rows) + failed, "ok": len(rows), "failed": failed,
-              "failure_reasons": reasons}
-    return rows, min_margin, counts
+    return rows, min_margin, sample_counts(len(rows), reasons)
 
 
 def cmd_bounds(config: RunConfig, outdir: Path) -> int:
     from .cartan import radial_flag_bounds
-    from .schwarz import curvature_bounds
+    from .schwarz import holomorphic_curvature_samples
     status = 0
     for mid, m in _instantiate_all(config):
         plan = config.plan()
-        dom = curvature_bounds(m, "domain", plan)
-        payload = {"metric": mid,
-                   "holomorphic_inf": dom.raw_inf, "holomorphic_sup": dom.raw_sup,
-                   "K1": dom.value, "clamped": dom.clamped}
+        samples = holomorphic_curvature_samples(m, plan)
+        payload = {"metric": mid, "holomorphic_samples": samples.counts}
+        try:
+            dom = samples.bound("domain")
+            payload.update(holomorphic_inf=dom.raw_inf, holomorphic_sup=dom.raw_sup,
+                           K1=dom.value, clamped=dom.clamped)
+        except NoSamplesError as exc:
+            payload["holomorphic_error"] = str(exc)
+            status = 1
         try:
             mr = realify_metric(m) if m.is_complex else m
             rb = radial_flag_bounds(mr, np.zeros(mr.dim),
@@ -252,27 +263,46 @@ def cmd_bounds(config: RunConfig, outdir: Path) -> int:
             payload["radial_flag_error"] = str(exc)
             status = 1
         _write_report(outdir, "bounds", mid, payload, config)
-        print(f"bounds {mid}: K1={payload['K1']:.6g} "
-              f"radial=[{payload.get('radial_flag_inf', float('nan')):.6g}, "
-              f"{payload.get('radial_flag_sup', float('nan')):.6g}] "
+        print(f"bounds {mid}: K1={payload.get('K1', math.nan):.6g} "
+              f"({_samples_summary(samples.counts)}) "
+              f"radial=[{payload.get('radial_flag_inf', math.nan):.6g}, "
+              f"{payload.get('radial_flag_sup', math.nan):.6g}] "
               f"radial_samples={payload['radial_flag_samples']}")
     return status
 
 
-def _build_certificate(config: RunConfig, pair):
-    from .schwarz import certify_schwarz
-    metrics = {mid: m for mid, m in _instantiate_all(config)}
+def _analyses(config: RunConfig, ids):
+    """One ``MetricAnalysis`` on the config's plan per metric id in ``ids``.
+
+    An analysis computes each part when first read, so a command that shares
+    these across its pairs evaluates every metric once.
+    """
+    from .schwarz import MetricAnalysis
+    specs = {_metric_id(spec, i): spec for i, spec in enumerate(config.metrics)}
+    unknown = sorted(set(ids) - set(specs), key=str)
+    if unknown:
+        raise ConfigurationError(f"unknown metric id(s) {unknown}")
+    plan = config.plan()
+    return {mid: MetricAnalysis(instantiate(specs[mid]), plan)
+            for mid in dict.fromkeys(ids)}
+
+
+def _maps(config: RunConfig):
     maps = {}
-    for i, spec in enumerate(config.maps):
+    for spec in config.maps:
         mp = build_map(spec)
         maps[spec.get("id", mp.id)] = mp
-    map_id, dom_id, tgt_id = pair["map"], pair["domain"], pair["target"]
+    return maps
+
+
+def _certify(config: RunConfig, pair, maps, analyses):
+    from .schwarz import certify_schwarz
+    map_id = pair["map"]
     if map_id not in maps:
         raise ConfigurationError(f"unknown map id {map_id!r}")
-    if dom_id not in metrics or tgt_id not in metrics:
-        raise ConfigurationError(f"unknown metric id in pair {pair}")
-    return certify_schwarz(maps[map_id], metrics[dom_id], metrics[tgt_id],
-                           config.plan(), tolerance=config.tolerance)
+    return certify_schwarz(maps[map_id], analyses[pair["domain"]],
+                           analyses[pair["target"]], config.plan(),
+                           tolerance=config.tolerance)
 
 
 def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
@@ -280,10 +310,28 @@ def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
     if not config.pairs:
         raise ConfigurationError("schwarz command needs a pairs list")
     for pair in config.pairs:
-        cert = _build_certificate(config, pair)
+        if not isinstance(pair, dict) or not {"map", "domain", "target"} <= set(pair):
+            raise ConfigurationError(f"pair {pair!r} needs map, domain and target")
+    maps = _maps(config)
+    analyses = _analyses(config, [p[role] for p in config.pairs
+                                  for role in ("domain", "target")])
+    for pair in config.pairs:
+        try:
+            cert = _certify(config, pair, maps, analyses)
+        except ConfigurationError:
+            raise
+        except FinslerError as exc:
+            pair_id = f"{pair['map']}__{pair['domain']}__{pair['target']}"
+            error = f"{type(exc).__name__}: {exc}"
+            _write_report(outdir, "schwarz", pair_id, {"pair": pair, "error": error},
+                          config)
+            status = 1
+            print(f"schwarz {pair_id}: error {error}")
+            continue
         pair_id = f"{cert.map_id}__{cert.domain_id}__{cert.target_id}"
         payload = {"certificate": cert.to_payload()}
-        d = _write_report(outdir, "schwarz", pair_id, payload, config)
+        _write_report(outdir, "schwarz", pair_id, payload, config,
+                      metadata={"holomorphic_samples": cert.curvature_samples})
         expect_pass = pair.get("expect_pass")
         if expect_pass is not None and bool(expect_pass) != cert.passed:
             status = 1
@@ -292,31 +340,54 @@ def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
     return status
 
 
-def cmd_replay(cert_path: Path, tolerance: float | None) -> int:
-    with open(cert_path) as fp:
-        doc = json.load(fp)
-    payload = doc.get("payload", doc)
-    stored = payload.get("certificate", {})
+# certificate values a replay within a tolerance compares
+_REPLAY_VALUES = ("K1", "K2", "bound", "max_ratio")
+
+
+def _read_certificate(cert_path: Path):
+    """The stored certificate and the run configuration embedded with it.
+
+    A file that cannot be read, is not JSON or lacks the fields a replay
+    needs is a configuration error.
+    """
+    try:
+        doc = json.loads(cert_path.read_text())
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read certificate {cert_path}: {exc}")
+    except ValueError as exc:
+        raise ConfigurationError(f"certificate {cert_path} is not JSON: {exc}")
+    payload = doc.get("payload", doc) if isinstance(doc, dict) else None
+    stored = payload.get("certificate") if isinstance(payload, dict) else None
+    if not isinstance(stored, dict):
+        raise ConfigurationError(f"{cert_path} holds no certificate")
     if stored.get("schema") != SCHEMA:
         raise ConfigurationError(
             f"certificate schema {stored.get('schema')!r} does not match {SCHEMA}")
-    config = parse_config(payload["effective_config"])
-    pair = {"map": stored["map_id"], "domain": stored["domain_id"],
-            "target": stored["target_id"]}
+    missing = [k for k in ("map_id", "domain_id", "target_id", "passed") + _REPLAY_VALUES
+               if k not in stored]
+    if not isinstance(payload.get("effective_config"), dict):
+        missing.append("effective_config")
+    if missing:
+        raise ConfigurationError(f"certificate {cert_path} lacks {', '.join(missing)}")
+    return stored, parse_config(payload["effective_config"])
+
+
+def cmd_replay(cert_path: Path, tolerance: float | None) -> int:
+    stored, config = _read_certificate(cert_path)
+    key = (stored["map_id"], stored["domain_id"], stored["target_id"])
+    pair = {"map": key[0], "domain": key[1], "target": key[2]}
     for p in config.pairs:
-        if (p["map"], p["domain"], p["target"]) == \
-                (stored["map_id"], stored["domain_id"], stored["target_id"]):
+        if (p.get("map"), p.get("domain"), p.get("target")) == key:
             pair = p
             break
-    cert = _build_certificate(config, pair)
-    fresh = cert.to_payload()
+    analyses = _analyses(config, [pair["domain"], pair["target"]])
+    fresh = _certify(config, pair, _maps(config), analyses).to_payload()
     if tolerance is None:
         ok = canonical_json(fresh) == canonical_json(stored)
         mode = "bitwise"
     else:
-        keys = ("K1", "K2", "bound", "max_ratio")
-        ok = all(abs(float(fresh[k]) - float(stored[k])) <= tolerance for k in keys) \
-            and fresh["passed"] == stored["passed"]
+        ok = all(abs(float(fresh[k]) - float(stored[k])) <= tolerance
+                 for k in _REPLAY_VALUES) and fresh["passed"] == stored["passed"]
         mode = f"tolerance {tolerance:g}"
     print(f"replay {cert_path}: {'PASS' if ok else 'FAIL'} ({mode})")
     return 0 if ok else 1

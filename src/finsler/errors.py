@@ -52,6 +52,10 @@ class HypothesisViolationError(FinslerError):
     """Curvature-bound hypothesis of a comparison theorem is not met."""
 
 
+class NoSamplesError(FinslerError):
+    """Every sample of a plan failed, so no statistic over the plan exists."""
+
+
 #: Failures a sample loop records per sample; any other exception is a bug
 #: and propagates.
 SAMPLE_ERRORS = (FinslerError, np.linalg.LinAlgError, FloatingPointError)

@@ -56,24 +56,32 @@ class LeviField:
 
     def sample(self, z, v) -> LeviSample:
         """Levi value of rho^2 at (z, v) with the bound 2 + rho K."""
+        return self.samples(z, [v])[0]
+
+    def samples(self, z, dirs) -> list:
+        """Levi samples at z in each direction of ``dirs``, all read from the
+        one distance Hessian at z."""
         z = np.asarray(z, dtype=complex)
-        v = np.asarray(v, dtype=complex)
         x = complex_to_real_components(z)
         if float(np.linalg.norm(x - self.pole)) < 1e-3:
             raise ConfigurationError("Levi sampling excludes a neighborhood of the pole")
-        # normalize to a metric-unit vector
-        v = v / math.sqrt(self.m.value(z, v))
-        u = complex_to_real_components(v)
         dh = distance_hessian(self.pd, x)
         drho = dh.system.g @ dh.system.T
 
         def d2_rho2(w):
             return 2.0 * float(drho @ w) ** 2 + 2.0 * dh.rho * float(w @ dh.matrix @ w)
 
-        levi_value = 0.25 * (d2_rho2(u) + d2_rho2(apply_J(u)))
         bound = 2.0 + dh.rho * self.K
-        return LeviSample(z=z, v=v, levi_value=levi_value, rho=dh.rho,
-                          bound=bound, margin=bound - levi_value)
+        out = []
+        for v in dirs:
+            v = np.asarray(v, dtype=complex)
+            # normalize to a metric-unit vector
+            v = v / math.sqrt(self.m.value(z, v))
+            u = complex_to_real_components(v)
+            levi_value = 0.25 * (d2_rho2(u) + d2_rho2(apply_J(u)))
+            out.append(LeviSample(z=z, v=v, levi_value=levi_value, rho=dh.rho,
+                                  bound=bound, margin=bound - levi_value))
+        return out
 
 
 # -- Hessian/Levi identity for smooth test functions ---------------------------------

@@ -59,6 +59,13 @@ class VerificationReport:
         return f"[{flag}] {self.name} (tol={self.tolerance:g}) {self.stats}"
 
 
+def sample_counts(ok: int, failure_reasons: dict) -> dict:
+    """Attempted/ok/failed counts of a sample loop, failures tallied by error type."""
+    failed = sum(failure_reasons.values())
+    return {"attempted": ok + failed, "ok": ok, "failed": failed,
+            "failure_reasons": dict(failure_reasons)}
+
+
 def canonical_json(payload) -> str:
     """Deterministic serialization used for byte-exact replay comparison."""
     return json.dumps(_clean(payload), sort_keys=True, separators=(",", ":"))

@@ -19,16 +19,17 @@ K = -(2/g) d^2 log g / dzeta dzetabar of the Gaussian curvature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import SAMPLE_ERRORS, HypothesisViolationError
+from .errors import SAMPLE_ERRORS, HypothesisViolationError, NoSamplesError
 from .geometry import MetricDef, SamplePlan, sample_points
 from .jets import CJet, Jet, JetSpace
-from .kahler import classify, is_at_least
+from .kahler import KahlerReport, classify, is_at_least
 from .metrics import HoloMap, check_metric, plan_directions
-from .report import VerificationReport
+from .report import VerificationReport, sample_counts
 
 
 def _disk_cjet(zeta, order):
@@ -173,30 +174,109 @@ class CurvatureBound:
     n_samples: int
 
 
+@dataclass
+class CurvatureSamples:
+    """K_G over a plan's points x directions, every sample accounted for."""
+
+    rows: list              # (point index, direction index, K_G) of evaluated samples
+    failure_reasons: dict   # error type name -> number of failed samples
+
+    @property
+    def counts(self) -> dict:
+        return sample_counts(len(self.rows), self.failure_reasons)
+
+    def extremes(self):
+        """(inf, sup) of the evaluated samples; none evaluated is an error."""
+        if not self.rows:
+            raise NoSamplesError(
+                f"no K_G sample evaluated: {self.counts['attempted']} attempted, "
+                f"failures {self.failure_reasons}")
+        lo, hi = math.inf, -math.inf
+        for _, _, k in self.rows:
+            lo = min(lo, k)
+            hi = max(hi, k)
+        return lo, hi
+
+    def bound(self, role: str) -> CurvatureBound:
+        """Domain role: inf clamped to <= 0. Target role: sup, which must be < 0."""
+        lo, hi = self.extremes()
+        count = len(self.rows)
+        if role == "domain":
+            clamped = lo > 0
+            return CurvatureBound("domain", min(lo, 0.0), lo, hi, clamped, count)
+        if role == "target":
+            if hi >= 0:
+                raise HypothesisViolationError(
+                    f"target curvature supremum {hi:.3e} is not negative")
+            return CurvatureBound("target", hi, lo, hi, False, count)
+        raise ValueError(f"unknown role {role!r}")
+
+
+def holomorphic_curvature_samples(m: MetricDef, plan: SamplePlan) -> CurvatureSamples:
+    """K_G at the plan's points in ``plan_directions(seed + 3)``.
+
+    A sample that fails with one of ``SAMPLE_ERRORS`` is tallied by error
+    type; any other exception propagates.
+    """
+    from .chern import holomorphic_sectional_curvature
+    pts = sample_points(m, plan)
+    dirs = plan_directions(m, plan.n_dirs, plan.seed + 3)
+    rows = []
+    reasons = {}
+    for iz, z in enumerate(pts):
+        for iv, v in enumerate(dirs):
+            try:
+                rows.append((iz, iv, holomorphic_sectional_curvature(m, z, v)))
+            except SAMPLE_ERRORS as exc:
+                name = type(exc).__name__
+                reasons[name] = reasons.get(name, 0) + 1
+    return CurvatureSamples(rows, reasons)
+
+
 def curvature_bounds(m: MetricDef, role: str,
                      plan: SamplePlan | None = None) -> CurvatureBound:
     """Sampled inf (domain role, clamped to <= 0) or sup (target role) of K_G."""
-    from .chern import holomorphic_sectional_curvature
     plan = plan or SamplePlan(n_points=12, n_dirs=6)
-    pts = sample_points(m, plan)
-    dirs = plan_directions(m, plan.n_dirs, plan.seed + 3)
-    lo, hi = math.inf, -math.inf
-    count = 0
-    for z in pts:
-        for v in dirs:
-            k = holomorphic_sectional_curvature(m, z, v)
-            lo = min(lo, k)
-            hi = max(hi, k)
-            count += 1
-    if role == "domain":
-        clamped = lo > 0
-        return CurvatureBound("domain", min(lo, 0.0), lo, hi, clamped, count)
-    if role == "target":
-        if hi >= 0:
-            raise HypothesisViolationError(
-                f"target curvature supremum {hi:.3e} is not negative")
-        return CurvatureBound("target", hi, lo, hi, False, count)
-    raise ValueError(f"unknown role {role!r}")
+    return holomorphic_curvature_samples(m, plan).bound(role)
+
+
+class MetricAnalysis:
+    """What a Schwarz certificate needs to know of one metric on one plan.
+
+    The parts are the validity report on the plan's 6 x 4 sub-plan, the
+    Kaehler class on its 5 x 4 sub-plan, and one K_G grid on the plan, read
+    for both the domain bound and the target bound. Each part is computed
+    when first read and then kept, so certificates that share an analysis
+    evaluate each metric once.
+    """
+
+    def __init__(self, m: MetricDef, plan: SamplePlan):
+        self.m = m
+        self.plan = plan
+
+    def _sub_plan(self, n_points):
+        return SamplePlan(seed=self.plan.seed, n_points=n_points, n_dirs=4,
+                          radial_range=self.plan.radial_range)
+
+    @cached_property
+    def validity(self) -> VerificationReport:
+        return check_metric(self.m, self._sub_plan(6))
+
+    @cached_property
+    def kahler(self) -> KahlerReport:
+        return classify(self.m, self._sub_plan(5))
+
+    @cached_property
+    def curvature(self) -> CurvatureSamples:
+        return holomorphic_curvature_samples(self.m, self.plan)
+
+
+def _analysis(m, plan: SamplePlan) -> MetricAnalysis:
+    if not isinstance(m, MetricAnalysis):
+        return MetricAnalysis(m, plan)
+    if m.plan != plan:
+        raise ValueError(f"analysis of {m.m.family_id} was made on another plan")
+    return m
 
 
 @dataclass
@@ -216,6 +296,8 @@ class SchwarzCertificate:
     plan: dict
     tolerance: float
     schema: int = 1
+    # K_G sample counts per role; kept out of the payload, which goldens pin
+    curvature_samples: dict = field(default_factory=dict)
 
     def to_payload(self):
         from .report import _clean
@@ -236,29 +318,36 @@ class SchwarzCertificate:
         })
 
 
-def certify_schwarz(f: HoloMap, m_domain: MetricDef, m_target: MetricDef,
-                    plan: SamplePlan | None = None, *,
-                    tolerance=1e-6) -> SchwarzCertificate:
+def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
+                    *, tolerance=1e-6) -> SchwarzCertificate:
     """Certify sup H(f(z); df v) / G(z; v) <= K1/K2 over a sample grid.
 
-    Hypothesis failures (domain not weakly Kaehler, validity failures,
-    incompleteness) are recorded in the certificate; the comparison is still
-    executed and labeled.
+    ``domain`` and ``target`` are metrics or their ``MetricAnalysis`` on
+    ``plan``. The hypotheses (domain validity, weakly Kaehler class,
+    completeness) and K1, the clamped K_G infimum of the domain, come from the
+    domain analysis; K2, the K_G supremum of the target, from the target
+    analysis. Certifying several pairs with one analysis per metric computes
+    each metric's validity, class and K_G grid once, and a pair whose domain
+    and target are one analysis samples K_G once. Hypothesis failures are
+    recorded in the certificate; the comparison is still executed and
+    labeled.
     """
-    plan = plan or SamplePlan(n_points=14, n_dirs=17)
-    cm = check_metric(m_domain, SamplePlan(seed=plan.seed, n_points=6, n_dirs=4,
-                                           radial_range=plan.radial_range))
-    kah = classify(m_domain, SamplePlan(seed=plan.seed, n_points=5, n_dirs=4,
-                                        radial_range=plan.radial_range))
+    if plan is None:
+        plan = (domain.plan if isinstance(domain, MetricAnalysis)
+                else SamplePlan(n_points=14, n_dirs=17))
+    dom = _analysis(domain, plan)
+    tgt = dom if target is domain else _analysis(target, plan)
+    m_domain, m_target = dom.m, tgt.m
+    kah = dom.kahler
     hyp = {"checked": True,
-           "domain_valid_metric": bool(cm.passed),
+           "domain_valid_metric": bool(dom.validity.passed),
            "domain_kahler_class": kah.classification,
            "domain_weakly_kahler": is_at_least(kah.classification, "weakly_kahler"),
            "domain_complete": bool(m_domain.metadata.get("complete", False))}
     hyp["met"] = all((hyp["domain_valid_metric"], hyp["domain_weakly_kahler"],
                       hyp["domain_complete"]))
-    k1 = curvature_bounds(m_domain, "domain", plan)
-    k2 = curvature_bounds(m_target, "target", plan)
+    k1 = dom.curvature.bound("domain")
+    k2 = tgt.curvature.bound("target")
     bound = k1.value / k2.value
 
     pts = sample_points(m_domain, plan)
@@ -282,7 +371,9 @@ def certify_schwarz(f: HoloMap, m_domain: MetricDef, m_target: MetricDef,
         map_id=f.id, domain_id=m_domain.family_id, target_id=m_target.family_id,
         K1=k1.value, K2=k2.value, bound=bound, max_ratio=max_ratio,
         argmax=argmax, passed=bool(passed), hypotheses=hyp,
-        plan=plan.to_dict(), tolerance=tolerance)
+        plan=plan.to_dict(), tolerance=tolerance,
+        curvature_samples={"domain": dom.curvature.counts,
+                           "target": tgt.curvature.counts})
 
 
 def log_density_comparison(m_target: MetricDef, f: HoloMap, probe, K2,

@@ -4,6 +4,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finsler.cli import main
@@ -125,13 +126,14 @@ def test_cmd_distance_reports_levi_margin(tmp_path, capsys):
 
 
 def test_cmd_distance_fails_when_every_levi_sample_fails(tmp_path, monkeypatch):
+    from finsler import levi
     from finsler.errors import ShootingError
-    from finsler.levi import LeviField
 
-    def refuse(self, z, v, **kw):
+    def refuse(pd, x):
         raise ShootingError("refused")
 
-    monkeypatch.setattr(LeviField, "sample", refuse)
+    # every Levi sample at a point reads the one distance Hessian there
+    monkeypatch.setattr(levi, "distance_hessian", refuse)
     p = _disk_distance_config(tmp_path)
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
@@ -258,3 +260,178 @@ def test_golden_certificates_replay(tmp_path):
     for name in ("identity", "mobius", "square"):
         golden = Path(__file__).parent / "golden" / f"cert_{name}.json"
         assert main(["replay", "--certificate", str(golden)]) == 0
+
+
+def _two_pair_config():
+    cfg = dict(BASE_CONFIG)
+    cfg["pairs"] = [
+        {"map": "identity", "domain": "poincare", "target": "poincare",
+         "expect_pass": True},
+        {"map": "square", "domain": "poincare", "target": "poincare",
+         "expect_pass": True},
+    ]
+    cfg["plans"] = {"default": {"n_points": 3, "n_dirs": 2, "radial_range": [0.1, 0.6]}}
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["bounds", "curvature", "schwarz"])
+def test_zero_curvature_samples_fail_each_item(tmp_path, monkeypatch, capsys, command):
+    from finsler import chern
+    from finsler.errors import DegenerateMetricError
+
+    def refuse(m, z, v, **kw):
+        raise DegenerateMetricError("singular Levi matrix")
+
+    monkeypatch.setattr(chern, "holomorphic_sectional_curvature", refuse)
+    p = write_config(tmp_path, _two_pair_config())
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(p), "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2  # two metrics, or two pairs
+    if command == "schwarz":
+        assert all("error NoSamplesError" in line for line in lines)
+        rep = json.loads((out / "schwarz" / "square__poincare__poincare"
+                          / "report.json").read_text())
+        assert rep["payload"]["error"].startswith("NoSamplesError")
+        return
+    payload = json.loads((out / command / "poincare" / "report.json").read_text())["payload"]
+    assert payload["holomorphic_samples"] == {
+        "attempted": 6, "ok": 0, "failed": 6,
+        "failure_reasons": {"DegenerateMetricError": 6}}
+    assert "holomorphic_error" in payload
+    assert all("samples ok 0/6" in line for line in lines)
+
+
+def test_cmd_curvature_records_a_failing_sample(tmp_path, monkeypatch):
+    from finsler import chern
+    from finsler.errors import DegenerateMetricError
+    real = chern.holomorphic_sectional_curvature
+    calls = []
+
+    def flaky(m, z, v, **kw):
+        calls.append(1)
+        if len(calls) == 1:
+            raise DegenerateMetricError("singular Levi matrix")
+        return real(m, z, v, **kw)
+
+    monkeypatch.setattr(chern, "holomorphic_sectional_curvature", flaky)
+    cfg = dict(BASE_CONFIG)
+    cfg["metrics"] = [BASE_CONFIG["metrics"][0]]
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["curvature", "--config", str(p), "--out", str(out)]) == 0
+    d = out / "curvature" / "poincare"
+    payload = json.loads((d / "report.json").read_text())["payload"]
+    assert payload["holomorphic_samples"] == {
+        "attempted": 15, "ok": 14, "failed": 1,
+        "failure_reasons": {"DegenerateMetricError": 1}}
+    rows = (d / "holomorphic_curvature.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 14 and rows[0].startswith("0,1,")
+    assert payload["min"] == pytest.approx(-4.0, abs=1e-6)
+
+
+def _count_chern_finsler(monkeypatch):
+    from finsler import chern, kahler
+    real = chern.chern_finsler
+    seen = {}
+
+    def counted(m, z, v, *args, **kw):
+        key = (m.family_id, np.asarray(z).tobytes(), np.asarray(v).tobytes())
+        seen[key] = seen.get(key, 0) + 1
+        return real(m, z, v, *args, **kw)
+
+    monkeypatch.setattr(chern, "chern_finsler", counted)
+    monkeypatch.setattr(kahler, "chern_finsler", counted)
+    return seen
+
+
+def test_schwarz_analyses_each_metric_once(tmp_path, monkeypatch, capsys):
+    cfg = _two_pair_config()
+    cfg["maps"] = cfg["maps"] + [{"map": "linear", "id": "row_linear",
+                                  "params": {"matrix": [[0.25, 0.1]]}}]
+    cfg["pairs"] = cfg["pairs"] + [{"map": "row_linear", "domain": "minkowski",
+                                    "target": "poincare", "expect_pass": False}]
+    seen = _count_chern_finsler(monkeypatch)
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["schwarz", "--config", str(p), "--out", str(out)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    # per domain metric: classify on 5 x 4 and K_G on 3 x 2 samples
+    assert len(seen) == 2 * (5 * 4 + 3 * 2)
+    assert set(seen.values()) == {1}
+
+    # each certificate equals the one from a config holding that pair alone
+    for i, pair in enumerate(cfg["pairs"]):
+        pair_id = f"{pair['map']}__{pair['domain']}__{pair['target']}"
+        alone = dict(cfg, pairs=[pair])
+        p1 = write_config(tmp_path, alone, name=f"alone{i}.json")
+        assert main(["schwarz", "--config", str(p1), "--out", str(tmp_path / f"a{i}")]) == 0
+        shared = json.loads((out / "schwarz" / pair_id / "report.json").read_text())
+        single = json.loads((tmp_path / f"a{i}" / "schwarz" / pair_id
+                             / "report.json").read_text())
+        assert canonical_json(shared["payload"]["certificate"]) == \
+            canonical_json(single["payload"]["certificate"])
+        assert shared["metadata"]["holomorphic_samples"]["target"] == {
+            "attempted": 6, "ok": 6, "failed": 0, "failure_reasons": {}}
+
+
+def test_disk_replay_samples_curvature_once(tmp_path, monkeypatch):
+    from finsler import schwarz
+    p = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["schwarz", "--config", str(p), "--out", str(out)]) == 0
+    real = schwarz.holomorphic_curvature_samples
+    calls = []
+
+    def counted(m, plan):
+        calls.append(m.family_id)
+        return real(m, plan)
+
+    monkeypatch.setattr(schwarz, "holomorphic_curvature_samples", counted)
+    cert = out / "schwarz" / "identity__poincare__poincare" / "report.json"
+    assert main(["replay", "--certificate", str(cert)]) == 0
+    assert calls == ["poincare"]
+
+
+def _golden_without(*path):
+    doc = json.loads((Path(__file__).parent / "golden" / "cert_identity.json").read_text())
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "{not json",
+    "[1, 2]",
+    _golden_without("payload", "effective_config"),
+    _golden_without("payload", "certificate", "map_id"),
+    _golden_without("payload", "certificate", "K1"),
+], ids=["missing_file", "invalid_json", "not_a_mapping", "no_effective_config",
+        "no_map_id", "no_K1"])
+def test_replay_bad_input_is_a_configuration_error(tmp_path, capsys, content):
+    cert = tmp_path / "cert.json"
+    if content is not None:
+        cert.write_text(content)
+    assert main(["replay", "--certificate", str(cert), "--tolerance", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+def test_cmd_distance_builds_one_hessian_per_point(tmp_path, monkeypatch):
+    from finsler import geodesic
+    real = geodesic.jacobi_boundary_field
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(geodesic, "jacobi_boundary_field", counted)
+    p = _disk_distance_config(tmp_path)
+    assert main(["distance", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2  # two points, two directions each

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from finsler.errors import HypothesisViolationError
+from finsler.errors import (DegenerateMetricError, HypothesisViolationError,
+                            NoSamplesError)
 from finsler.geometry import SamplePlan
 from finsler.jets import cabs2
 from finsler.metrics import build_map, instantiate, probe_catalog
-from finsler.schwarz import (certify_schwarz, curvature_bounds,
-                             gaussian_curvature, log_density_comparison,
-                             pullback, pullback_density)
+from finsler.report import canonical_json
+from finsler.schwarz import (MetricAnalysis, certify_schwarz, curvature_bounds,
+                             gaussian_curvature, holomorphic_curvature_samples,
+                             log_density_comparison, pullback, pullback_density)
 
 POINCARE = instantiate({"family": "hermitian", "complex_dim": 1,
                         "params": {"catalog": "poincare_disk"}})
@@ -132,6 +134,60 @@ def test_scaled_metric_scales_curvature():
     plan = SamplePlan(seed=1, n_points=5, n_dirs=3, radial_range=(0.1, 0.6))
     b = curvature_bounds(scaled, "target", plan)
     assert b.value == pytest.approx(-2.0, abs=1e-6)
+
+
+def _failing_curvature(monkeypatch, fails, exc=DegenerateMetricError):
+    """Make the K_G samples whose call index is in ``fails`` raise ``exc``."""
+    from finsler import chern
+    real = chern.holomorphic_sectional_curvature
+    calls = []
+
+    def flaky(m, z, v, **kw):
+        calls.append(1)
+        if len(calls) - 1 in fails:
+            raise exc("singular Levi matrix")
+        return real(m, z, v, **kw)
+
+    monkeypatch.setattr(chern, "holomorphic_sectional_curvature", flaky)
+
+
+def test_curvature_samples_record_a_failing_sample(monkeypatch):
+    _failing_curvature(monkeypatch, {2})
+    plan = SamplePlan(seed=0, n_points=3, n_dirs=2, radial_range=(0.1, 0.7))
+    samples = holomorphic_curvature_samples(POINCARE, plan)
+    assert samples.counts == {"attempted": 6, "ok": 5, "failed": 1,
+                              "failure_reasons": {"DegenerateMetricError": 1}}
+    assert [(iz, iv) for iz, iv, _ in samples.rows] == [(0, 0), (0, 1), (1, 1),
+                                                         (2, 0), (2, 1)]
+    bound = samples.bound("domain")
+    assert bound.value == pytest.approx(-4.0, abs=1e-6) and bound.n_samples == 5
+
+
+def test_curvature_bounds_refuse_zero_evaluated_samples(monkeypatch):
+    _failing_curvature(monkeypatch, range(100))
+    plan = SamplePlan(seed=0, n_points=3, n_dirs=2, radial_range=(0.1, 0.7))
+    for role in ("domain", "target"):
+        with pytest.raises(NoSamplesError, match="6 attempted"):
+            curvature_bounds(POINCARE, role, plan)
+
+
+def test_curvature_samples_propagate_programming_errors(monkeypatch):
+    _failing_curvature(monkeypatch, {0}, exc=KeyError)
+    with pytest.raises(KeyError):
+        holomorphic_curvature_samples(POINCARE, SamplePlan(n_points=2, n_dirs=2))
+
+
+def test_analysis_is_tied_to_its_plan():
+    plan = SamplePlan(seed=3, n_points=4, n_dirs=2, radial_range=(0.1, 0.7))
+    analysis = MetricAnalysis(POINCARE, plan)
+    cert = certify_schwarz(IDENTITY1, analysis, analysis)
+    assert cert.plan == plan.to_dict()
+    assert cert.curvature_samples["domain"]["ok"] == 8
+    assert canonical_json(cert.to_payload()) == canonical_json(
+        certify_schwarz(IDENTITY1, POINCARE, POINCARE, plan).to_payload())
+    with pytest.raises(ValueError, match="another plan"):
+        certify_schwarz(IDENTITY1, analysis, POINCARE,
+                        SamplePlan(seed=4, n_points=4, n_dirs=2))
 
 
 def test_certificate_identity_poincare():
