@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config, parse_config
-from .errors import SAMPLE_ERRORS, ConfigurationError, FinslerError, NoSamplesError
+from .errors import (SAMPLE_ERRORS, ConfigurationError, FinslerError, NoSamplesError,
+                     ShootingError)
 from .geometry import complex_to_real_components, realify_metric, sample_points
 from .metrics import build_map, check_metric, instantiate, plan_directions
 from .report import canonical_json, _clean, sample_counts
@@ -32,8 +33,15 @@ from .report import canonical_json, _clean, sample_counts
 SCHEMA = 1
 
 
-def _metric_id(spec, idx):
-    return spec.get("id", f"{spec.get('family', 'metric')}_{idx}")
+def _metric_specs(config: RunConfig):
+    """``(id, spec)`` per config metric, the spec carrying its id: a metric
+    without ``id`` is named ``{family}_{index}``, and the metric it
+    instantiates (so a certificate naming it) has the id the pairs use."""
+    out = []
+    for i, spec in enumerate(config.metrics):
+        mid = spec.get("id", f"{spec.get('family', 'metric')}_{i}")
+        out.append((mid, {**spec, "id": mid}))
+    return out
 
 
 def _write_report(outdir: Path, command, item_id, payload, config: RunConfig,
@@ -64,10 +72,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _instantiate_all(config: RunConfig):
-    out = []
-    for i, spec in enumerate(config.metrics):
-        out.append((_metric_id(spec, i), instantiate(spec)))
-    return out
+    return [(mid, instantiate(spec)) for mid, spec in _metric_specs(config)]
 
 
 def cmd_check(config: RunConfig, outdir: Path) -> int:
@@ -101,7 +106,7 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
         if not rep.passed or not class_ok:
             status = 1
         print(f"check {mid}: validity={'PASS' if rep.passed else 'FAIL'} "
-              f"class={kah.classification}")
+              f"({_samples_summary(rep.stats['samples'])}) class={kah.classification}")
     return status
 
 
@@ -172,26 +177,43 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
         pts = sample_points(m, plan)
         rows = []
         worst = 0.0
+        reasons = {}
+        shooting = []
         for i, z in enumerate(pts):
             x = complex_to_real_components(z) if m.is_complex else z
-            r = pd.rho(x)
+            try:
+                r = pd.rho(x)
+            except SAMPLE_ERRORS as exc:
+                name = type(exc).__name__
+                reasons[name] = reasons.get(name, 0) + 1
+                if isinstance(exc, ShootingError):
+                    shooting.append({"point_index": i, "starts": exc.starts,
+                                     "integrations": exc.integrations,
+                                     "best_residual": exc.best_residual})
+                continue
             rows.append([i, repr(float(r.value)), repr(float(r.residual))])
             closed = m.metadata.get("distance_from_origin")
             if closed == "norm":
                 worst = max(worst, abs(r.value - math.sqrt(m.value(z, z))))
             elif closed == "atanh":
                 worst = max(worst, abs(r.value - math.atanh(float(np.linalg.norm(z)))))
+        rho_counts = sample_counts(len(rows), reasons)
         payload = {"metric": mid, "n_samples": len(rows),
-                   "max_closed_form_error": worst}
+                   "max_closed_form_error": worst if rows else None,
+                   "rho_samples": rho_counts, "shooting_failures": shooting}
+        if rho_counts["failed"]:
+            status = 1
         levi_rows = None
-        summary = ""
+        summary = f"; rho samples ok {rho_counts['ok']}/{rho_counts['attempted']}"
+        summary += "".join(f" (point {f['point_index']}: {f['starts']} starts, "
+                           f"{f['integrations']} integrations)" for f in shooting)
         if m.kind == "complex_strongly_convex":
             levi_rows, min_margin, counts = _levi_table(m, pts[:4], plan)
             payload["levi_samples"] = counts
             payload["levi_min_margin"] = min_margin if counts["ok"] else None
             if not counts["ok"] or min_margin < -1e-3:
                 status = 1
-            summary = f"; levi samples ok {counts['ok']}/{counts['attempted']}"
+            summary += f"; levi samples ok {counts['ok']}/{counts['attempted']}"
         d = _write_report(outdir, "distance", mid, payload, config)
         _write_csv(d / "distance.csv", ["point_index", "rho", "residual"], rows)
         if levi_rows is not None:
@@ -200,7 +222,8 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
                        levi_rows)
         if worst > 1e-6:
             status = 1
-        print(f"distance {mid}: max closed-form error {worst:.2e}{summary}")
+        error = f"{worst:.2e}" if rows else "n/a"
+        print(f"distance {mid}: max closed-form error {error}{summary}")
     return status
 
 
@@ -278,7 +301,7 @@ def _analyses(config: RunConfig, ids):
     these across its pairs evaluates every metric once.
     """
     from .schwarz import MetricAnalysis
-    specs = {_metric_id(spec, i): spec for i, spec in enumerate(config.metrics)}
+    specs = dict(_metric_specs(config))
     unknown = sorted(set(ids) - set(specs), key=str)
     if unknown:
         raise ConfigurationError(f"unknown metric id(s) {unknown}")

@@ -32,11 +32,18 @@ class DegenerateFlagError(FinslerError):
 
 
 class ShootingError(FinslerError):
-    """Boundary-value geodesic solve failed to converge."""
+    """Boundary-value geodesic solve failed to converge.
 
-    def __init__(self, message, best_residual=None):
+    ``starts`` counts the initial velocities tried, ``integrations`` the
+    geodesic integrations the solve spent, ``best_residual`` the least
+    endpoint mismatch reached (inf when no integration succeeded).
+    """
+
+    def __init__(self, message, best_residual=None, starts=None, integrations=None):
         super().__init__(message)
         self.best_residual = best_residual
+        self.starts = starts
+        self.integrations = integrations
 
 
 class ConjugatePointError(FinslerError):

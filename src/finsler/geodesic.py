@@ -224,7 +224,9 @@ class PoleDistance:
             w0, J = q - self.pole, None
 
         best_res = math.inf
+        starts = 0
         for winit in self._starts(q, w0):
+            starts += 1
             w, y, J_fin, resid = self._gauss_newton(winit, q, J, tol)
             J = None
             if resid is not None:
@@ -235,8 +237,11 @@ class PoleDistance:
                 self._remember(q, w, J_fin)
                 return RhoResult(rho, u_end / rho, w, resid,
                                  self.total_integrations - start)
-        raise ShootingError(f"shooting to {q} did not converge",
-                            best_residual=best_res)
+        spent = self.total_integrations - start
+        raise ShootingError(
+            f"shooting to {q} did not converge: {starts} starts, {spent} "
+            f"integrations, best residual {best_res:.3g}",
+            best_residual=best_res, starts=starts, integrations=spent)
 
     def _gauss_newton(self, w, q, J, tol, max_iter=40):
         """Solve endpoint(w) = q from ``w``; returns ``(w, y, J, residual)``.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SlitBundleError, StructuralError
-from .jets import CJet, Jet, JetSpace, wirtinger
+from .jets import CJet, Jet, JetProgram, wirtinger
 
 #: Metric derivatives are never requested at smaller relative vector norms;
 #: callers must renormalize using homogeneity.
@@ -161,6 +161,7 @@ class MetricDef:
         self.metadata = dict(metadata or {})
         self.family_id = family_id
         self.spec = dict(spec or {})
+        self._program = None
 
     @property
     def is_complex(self):
@@ -196,15 +197,25 @@ class MetricDef:
     # -- jet evaluation ------------------------------------------------------
 
     def real_jet(self, x, u, order) -> Jet:
-        """Jet of G over the 2*dim real variables (x block, then u block)."""
+        """Jet of G over the 2*dim real variables (x block, then u block).
+
+        The formula is recorded once, on the first call, as a straight-line
+        jet program (:class:`finsler.jets.JetProgram`); every call replays it
+        at the requested order.
+        """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         if x.size != self.dim or u.size != self.dim:
             raise StructuralError(f"expected {self.dim} real components")
         self.domain.require(self._point_for_domain(x))
         self._check_slit(x, u)
+        if self._program is None:
+            self._program = JetProgram.record(self._real_formula, 2 * self.dim)
+        return self._program.replay(np.concatenate([x, u]), order)
+
+    def _real_formula(self, seeds):
+        """The formula on real scalars (x block, then u block), as a real scalar."""
         m = self.dim
-        seeds = JetSpace.get(2 * m, order, False).variables(np.concatenate([x, u]))
         xj, uj = seeds[:m], seeds[m:]
         if self.is_complex:
             n = self.n
@@ -213,9 +224,7 @@ class MetricDef:
             out = self.formula(zc, vc)
         else:
             out = self.formula(xj, uj)
-        if isinstance(out, CJet):
-            out = out.re
-        return out
+        return out.re if isinstance(out, CJet) else out
 
     def complex_jet(self, z, v, order) -> Jet:
         """Wirtinger jet of G over (z_a, v_a, conj z_a, conj v_a)."""

@@ -15,6 +15,11 @@ Complex-analytic derivative tables are produced by :func:`wirtinger`, which
 rewrites a jet over paired real coordinates (x, y) as a complex-coefficient
 jet over formally independent holomorphic/antiholomorphic variables
 (z, zbar) with z = x + iy.
+
+A :class:`JetProgram` records a real formula once as a straight-line list of
+jet operations and replays it on coefficient arrays at any order; ``Jet``
+methods and the replay share the product and composition kernels, so both
+round alike.
 """
 
 from __future__ import annotations
@@ -179,18 +184,80 @@ class JetSpace:
             c[self.index[e]] = 1.0
         return Jet(self, c)
 
-    def variables(self, values) -> list:
-        """Seed jets for all ``nvars`` coordinates at once, jet i with base value ``values[i]``."""
+    def seed_coeffs(self, values) -> np.ndarray:
+        """Coefficient rows of the seed jets of all ``nvars`` coordinates, row i
+        with base value ``values[i]``."""
         c = np.zeros((self.nvars, self.n), dtype=self.dtype)
         c[:, 0] = values
         if self.order >= 1:
             c[np.arange(self.nvars), self.derivative_tables()[0]] = 1.0
-        return [Jet(self, row) for row in c]
+        return c
+
+    def variables(self, values) -> list:
+        """Seed jets for all ``nvars`` coordinates at once, jet i with base value ``values[i]``."""
+        return [Jet(self, row) for row in self.seed_coeffs(values)]
+
+
+# -- coefficient kernels shared by Jet objects and jet programs -----------------
 
 
 def _complex_bincount(idx, w, n):
     return np.bincount(idx, weights=w.real, minlength=n) + 1j * np.bincount(
         idx, weights=w.imag, minlength=n)
+
+
+def _product(sp, a, b):
+    """Coefficients of the truncated product of two jets over ``sp``."""
+    ia, ib, iout = sp.mult_table()
+    w = a[ia] * b[ib]
+    if sp.is_complex:
+        return _complex_bincount(iout, w, sp.n)
+    return np.bincount(iout, weights=w, minlength=sp.n)
+
+
+def _compose(sp, coeffs, taylor):
+    """Coefficients of g(f) for a jet f over ``sp``, where ``taylor[k]`` =
+    g^(k)(f0)/k!, by Horner's rule on the non-constant part of f."""
+    h = coeffs.copy()
+    h[0] = 0.0
+    out = np.zeros(sp.n, dtype=sp.dtype)
+    out[0] = taylor[-1]
+    for k in range(len(taylor) - 2, -1, -1):
+        out = _product(sp, out, h)
+        out[0] += taylor[k]
+    return out
+
+
+def _reciprocal_taylor(f0, order):
+    if abs(f0) < 1e-300:
+        raise ZeroDivisionError("division by a jet with zero constant term")
+    inv = 1.0 / f0
+    return [inv * (-inv) ** k for k in range(order + 1)]
+
+
+def _exp_taylor(f0, order):
+    e = math.exp(f0)
+    return [e / math.factorial(k) for k in range(order + 1)]
+
+
+def _log_taylor(f0, order):
+    if isinstance(f0, complex) or f0 <= 0.0:
+        raise ValueError(f"log of a jet needs a positive real constant term, got {f0}")
+    taylor = [math.log(f0)]
+    for k in range(1, order + 1):
+        taylor.append(((-1.0) ** (k + 1)) / (k * f0 ** k))
+    return taylor
+
+
+def _power_taylor(f0, order, p):
+    if isinstance(f0, complex) or f0 <= 0.0:
+        raise ValueError(f"fractional power of a jet needs a positive base, got {f0}")
+    taylor = []
+    c = f0 ** p
+    for k in range(order + 1):
+        taylor.append(c / math.factorial(k))
+        c = c * (p - k) / f0
+    return taylor
 
 
 class Jet:
@@ -268,11 +335,7 @@ class Jet:
                 a, b = self.coeffs, other.coeffs
             else:
                 a, b, sp = self._align(other)
-            ia, ib, iout = sp.mult_table()
-            w = a[ia] * b[ib]
-            if sp.is_complex:
-                return Jet(sp, _complex_bincount(iout, w, sp.n))
-            return Jet(sp, np.bincount(iout, weights=w, minlength=sp.n))
+            return Jet(sp, _product(sp, a, b))
         if isinstance(other, numbers.Number):
             if isinstance(other, complex) and not self.space.is_complex:
                 return self._to_complex() * other
@@ -299,37 +362,18 @@ class Jet:
 
     def _compose(self, taylor):
         """Evaluate g(self) where ``taylor[k]`` = g^(k)(value)/k!."""
-        h = self.coeffs.copy()
-        h[0] = 0.0
-        hj = Jet(self.space, h)
-        out = self.space.constant(taylor[-1])
-        for k in range(len(taylor) - 2, -1, -1):
-            out = out * hj + taylor[k]
-        return out
+        return Jet(self.space, _compose(self.space, self.coeffs, taylor))
 
     def reciprocal(self):
-        f0 = self.value
-        if abs(f0) < 1e-300:
-            raise ZeroDivisionError("division by a jet with zero constant term")
-        inv = 1.0 / f0
-        taylor = [inv * (-inv) ** k for k in range(self.order + 1)]
-        return self._compose(taylor)
+        return self._compose(_reciprocal_taylor(self.value, self.order))
 
     def exp(self):
         if self.space.is_complex:
             raise StructuralError("exp is only defined for real-coefficient jets")
-        e = math.exp(self.value)
-        taylor = [e / math.factorial(k) for k in range(self.order + 1)]
-        return self._compose(taylor)
+        return self._compose(_exp_taylor(self.value, self.order))
 
     def log(self):
-        f0 = self.value
-        if self.space.is_complex or f0 <= 0.0:
-            raise ValueError(f"log of a jet needs a positive real constant term, got {f0}")
-        taylor = [math.log(f0)]
-        for k in range(1, self.order + 1):
-            taylor.append(((-1.0) ** (k + 1)) / (k * f0 ** k))
-        return self._compose(taylor)
+        return self._compose(_log_taylor(self.value, self.order))
 
     def sqrt(self):
         return self.__pow__(0.5)
@@ -350,15 +394,7 @@ class Jet:
                 if not p:
                     return out
                 base = base * base
-        f0 = self.value
-        if self.space.is_complex or f0 <= 0.0:
-            raise ValueError(f"fractional power of a jet needs a positive base, got {f0}")
-        taylor = []
-        c = f0 ** p
-        for k in range(self.order + 1):
-            taylor.append(c / math.factorial(k))
-            c = c * (p - k) / f0
-        return self._compose(taylor)
+        return self._compose(_power_taylor(self.value, self.order, p))
 
     # -- derivative access ---------------------------------------------------
 
@@ -658,3 +694,219 @@ def invert_jet_matrix(mat):
             aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
             iden[r] = [a - f * b for a, b in zip(iden[r], iden[col])]
     return iden
+
+
+# -- jet programs: a formula recorded once, replayed on coefficient arrays ------
+#
+# Operator-overloading tape in the sense of Griewank & Walther, *Evaluating
+# Derivatives*, 2nd ed., ch. 6 (taping) and ch. 13 (Taylor arithmetic): the
+# formula runs once on recording jets that append one entry per operation, and
+# every later evaluation replays the entries through the kernels above, at any
+# order, without building a Jet per intermediate.
+
+_MUL, _ADD, _SUB, _SCALE, _ADDC, _RSUBC, _NEG, _CONST, _REC, _EXP, _LOG, _POW = range(12)
+# entries composed with a univariate function, whose Taylor coefficients
+# derive from the operand's value at replay (a power also takes its exponent)
+_TAYLOR = {_REC: _reciprocal_taylor, _EXP: _exp_taylor, _LOG: _log_taylor}
+
+
+def _reads_value(*_):
+    raise StructuralError(
+        "a recorded formula may not read a jet's value or branch on it")
+
+
+class _Tape:
+    """Operations appended by recording jets; entry i defines slot nvars + i."""
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        self.ops = []
+
+    def emit(self, code, a, b=None) -> "_RecordedJet":
+        self.ops.append((code, a, b))
+        return _RecordedJet(self, self.nvars + len(self.ops) - 1)
+
+    def constant(self, value) -> "_RecordedJet":
+        return self.emit(_CONST, None, value)
+
+
+class _RecordedJet(Jet):
+    """Stand-in for a real jet while a formula is recorded.
+
+    Each arithmetic operation appends to the tape instead of computing; the
+    space attribute is the tape, so ``space.constant`` (used by ``CJet``)
+    records a constant. Reading the jet's value (``value``, comparisons,
+    truth tests, ``float``, ``abs``) raises ``StructuralError``: a recorded
+    program must be the same straight line at every point.
+    """
+
+    __slots__ = ("slot",)
+
+    def __init__(self, tape, slot):
+        self.space = tape
+        self.coeffs = None
+        self.slot = slot
+
+    def _operand(self, other):
+        if isinstance(other, _RecordedJet) and other.space is self.space:
+            return other.slot
+        if isinstance(other, Jet):
+            raise StructuralError("a recorded formula mixed in a jet from outside the tape")
+        if isinstance(other, complex):
+            raise StructuralError("a recorded real formula met a complex constant")
+        return None
+
+    def _emit(self, code, b=None):
+        return self.space.emit(code, self.slot, b)
+
+    def __add__(self, other):
+        if not isinstance(other, (Jet, numbers.Number)):
+            return NotImplemented
+        slot = self._operand(other)
+        return self._emit(_ADDC, other) if slot is None else self._emit(_ADD, slot)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._emit(_NEG)
+
+    def __sub__(self, other):
+        if not isinstance(other, (Jet, numbers.Number)):
+            return NotImplemented
+        slot = self._operand(other)
+        return self._emit(_ADDC, -other) if slot is None else self._emit(_SUB, slot)
+
+    def __rsub__(self, other):
+        if not isinstance(other, numbers.Number):
+            return NotImplemented
+        self._operand(other)
+        return self._emit(_RSUBC, other)
+
+    def __mul__(self, other):
+        if not isinstance(other, (Jet, numbers.Number)):
+            return NotImplemented
+        slot = self._operand(other)
+        if slot is not None:
+            return self._emit(_MUL, slot)
+        # a scale by one is the identity in floating point: record nothing
+        return self if other == 1 else self._emit(_SCALE, other)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self):
+        return self._emit(_REC)
+
+    def exp(self):
+        return self._emit(_EXP)
+
+    def log(self):
+        return self._emit(_LOG)
+
+    def __pow__(self, p):
+        if isinstance(p, numbers.Integral):
+            return Jet.__pow__(self, p)
+        return self._emit(_POW, p)
+
+    def __repr__(self):
+        return f"_RecordedJet(slot={self.slot})"
+
+    value = property(_reads_value)
+    __bool__ = __float__ = __abs__ = _reads_value
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _reads_value
+
+
+class JetProgram:
+    """A real scalar formula of ``nvars`` variables as a straight-line list of
+    jet operations, replayable at every order 0..MAX_ORDER.
+
+    Entries are ``(code, a, b)``: slot ``a`` is the operand, ``b`` a second
+    slot, a constant, or an exponent. Slots ``0..nvars-1`` hold the seeds and
+    entry i defines slot ``nvars + i``. Entries that do not reach the output
+    are dropped when the program is recorded.
+    """
+
+    __slots__ = ("nvars", "ops", "out")
+
+    def __init__(self, nvars, ops, out):
+        self.nvars = nvars
+        self.ops = ops
+        self.out = out
+
+    @staticmethod
+    def record(fn, nvars) -> "JetProgram":
+        """Record ``fn(seeds)``, a real formula of ``nvars`` recording jets.
+
+        Raises ``StructuralError`` if the formula reads a jet's value, mixes
+        in a jet it did not build from the seeds, or does not return a real
+        jet or number.
+        """
+        tape = _Tape(nvars)
+        seeds = [_RecordedJet(tape, i) for i in range(nvars)]
+        out = fn(seeds)
+        if isinstance(out, numbers.Real):
+            out = tape.constant(out)
+        if not (isinstance(out, _RecordedJet) and out.space is tape):
+            raise StructuralError("a recorded formula must return a real jet")
+        return JetProgram._pruned(nvars, tape.ops, out.slot)
+
+    @staticmethod
+    def _pruned(nvars, ops, out):
+        """The entries that reach ``out``, renumbered in their original order."""
+        live = [False] * (nvars + len(ops))
+        live[out] = True
+        for i in range(len(ops) - 1, -1, -1):
+            if live[nvars + i]:
+                code, a, b = ops[i]
+                if a is not None:
+                    live[a] = True
+                if code in (_MUL, _ADD, _SUB):
+                    live[b] = True
+        new = list(range(nvars)) + [None] * len(ops)
+        kept = []
+        for i, (code, a, b) in enumerate(ops):
+            if live[nvars + i]:
+                new[nvars + i] = nvars + len(kept)
+                a = None if a is None else new[a]
+                if code in (_MUL, _ADD, _SUB):
+                    b = new[b]
+                kept.append((code, a, b))
+        return JetProgram(nvars, kept, new[out])
+
+    def replay(self, values, order) -> Jet:
+        """The formula's jet of the given order at the point ``values``.
+
+        Value-derived Taylor coefficients are computed here from the
+        operands, so their errors (zero reciprocal base, non-positive log or
+        fractional-power base, exp overflow) are raised on the call that
+        meets them.
+        """
+        sp = JetSpace.get(self.nvars, order, False)
+        n = sp.n
+        s = list(sp.seed_coeffs(values))
+        for code, a, b in self.ops:
+            if code == _MUL:
+                r = _product(sp, s[a], s[b])
+            elif code == _ADD:
+                r = s[a] + s[b]
+            elif code == _SCALE:
+                r = s[a] * b
+            elif code == _SUB:
+                r = s[a] - s[b]
+            elif code == _ADDC:
+                r = s[a].copy()
+                r[0] += b
+            elif code == _RSUBC:
+                r = -s[a]
+                r[0] += b
+            elif code == _NEG:
+                r = -s[a]
+            elif code == _CONST:
+                r = np.zeros(n)
+                r[0] = b
+            else:
+                f0 = float(s[a][0])
+                taylor = (_power_taylor(f0, order, b) if code == _POW
+                          else _TAYLOR[code](f0, order))
+                r = _compose(sp, s[a], taylor)
+            s.append(r)
+        return Jet(sp, s[self.out])

@@ -21,7 +21,7 @@ from .geometry import (Domain, MetricDef, SamplePlan, complex_to_real_components
                        product_domain, sample_points, sample_vectors,
                        unit_directions)
 from .jets import CJet, JetSpace, cabs2, cconj, creal, sexp, spow
-from .report import VerificationReport
+from .report import VerificationReport, sample_counts
 
 
 def _as_matrix(m, n, what):
@@ -40,11 +40,13 @@ def _as_matrix(m, n, what):
 
 
 def _hermitian_form(H, v):
-    """sum_ab H[a,b] v_a conj(v_b) as a real scalar (H entries scalars)."""
+    """sum_ab H[a,b] v_a conj(v_b) as a real scalar, for a Hermitian H (entries
+    scalars): each off-diagonal pair is summed once, over a < b, as
+    2 Re(v_a conj(v_b) H_ab)."""
     s = None
     n = len(v)
     for a in range(n):
-        for b in range(n):
+        for b in range(a, n):
             h = H[a][b] if not isinstance(H, np.ndarray) else H[a, b]
             if isinstance(h, numbers.Number) and h == 0:
                 continue
@@ -52,9 +54,9 @@ def _hermitian_form(H, v):
                 # real part of v_a conj(v_a) H_aa, computed in real arithmetic
                 term = cabs2(v[a]) * creal(h)
             else:
-                term = (v[a] * cconj(v[b])) * h
+                term = creal((v[a] * cconj(v[b])) * h) * 2.0
             s = term if s is None else s + term
-    return creal(s)
+    return s
 
 
 # -- Hermitian catalog -----------------------------------------------------------
@@ -360,7 +362,9 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
 
     Reports the minimum eigenvalues of the Levi matrix and of the real
     fundamental tensor over the sample grid, plus homogeneity residuals.
-    Per-sample evaluation failures are recorded, not raised.
+    Per-sample evaluation failures are recorded, not raised: ``stats["samples"]``
+    holds the attempted/ok/failed counts with failures tallied by error type,
+    and a check with a failed sample, or with no evaluated one, fails.
     """
     plan = plan or SamplePlan()
     rng = np.random.default_rng(plan.seed + 7)
@@ -371,6 +375,8 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
     min_value = math.inf
     hom_res = 0.0
     errors = []
+    reasons = {}
+    ok = 0
     samples = []
     for i, z in enumerate(pts):
         for j, v in enumerate(dirs):
@@ -400,12 +406,15 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
                     hom = abs(ref - lam ** 2 * G) / max(1.0, abs(ref))
                 min_value = min(min_value, G)
                 hom_res = max(hom_res, hom)
+                ok += 1
                 if len(samples) < 4:
                     samples.append({"point_index": i, "dir_index": j, "G": G})
             except SAMPLE_ERRORS as exc:
-                errors.append(f"sample ({i},{j}): {type(exc).__name__}: {exc}")
+                name = type(exc).__name__
+                reasons[name] = reasons.get(name, 0) + 1
+                errors.append(f"sample ({i},{j}): {name}: {exc}")
     tol = 1e-10
-    passed = (min_value > 0 and min_real > 0 and hom_res < tol
+    passed = (ok > 0 and min_value > 0 and min_real > 0 and hom_res < tol
               and (not m.is_complex or min_levi > 0) and not errors)
     return VerificationReport(
         name=f"check_metric:{m.family_id}",
@@ -416,7 +425,7 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
             "min_real_hessian_eigenvalue": None if min_real is math.inf else min_real,
             "min_value": min_value,
             "homogeneity_residual": hom_res,
-            "n_samples": len(pts) * len(dirs),
+            "samples": sample_counts(ok, reasons),
         },
         samples=samples,
         errors=errors,

@@ -263,6 +263,40 @@ def hermitian_holomorphic_curvature(h_fn, z, v):
     return float((2.0 * num / G ** 2).real)
 
 
+# -- metric jets evaluated on Jet objects ----------------------------------------
+
+
+def real_jet_by_objects(m, x, u, order):
+    """Jet of G over (x, u) from the formula run on fresh ``Jet``/``CJet``
+    objects, one object per intermediate: the reference for the recorded
+    program that ``MetricDef.real_jet`` replays."""
+    from finsler.jets import CJet, JetSpace
+
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    d = m.dim
+    seeds = JetSpace.get(2 * d, order, False).variables(np.concatenate([x, u]))
+    xj, uj = seeds[:d], seeds[d:]
+    if not m.is_complex:
+        return m.formula(xj, uj)
+    n = m.n
+    out = m.formula([CJet(xj[a], xj[n + a]) for a in range(n)],
+                    [CJet(uj[a], uj[n + a]) for a in range(n)])
+    return out.re if isinstance(out, CJet) else out
+
+
+def complex_jet_by_objects(m, z, v, order):
+    """Wirtinger jet of G from :func:`real_jet_by_objects`."""
+    from finsler.geometry import complex_to_real_components
+    from finsler.jets import wirtinger
+
+    n = m.n
+    jet = real_jet_by_objects(m, complex_to_real_components(z),
+                              complex_to_real_components(v), order)
+    pairs = [(a, n + a) for a in range(n)] + [(2 * n + a, 3 * n + a) for a in range(n)]
+    return wirtinger(jet, pairs)
+
+
 # -- geodesic spray read out one partial at a time ----------------------------------
 
 

@@ -435,3 +435,54 @@ def test_cmd_distance_builds_one_hessian_per_point(tmp_path, monkeypatch):
     p = _disk_distance_config(tmp_path)
     assert main(["distance", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 2  # two points, two directions each
+
+
+def test_replay_of_a_metric_without_id(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG)
+    cfg["metrics"] = [{"family": "hermitian", "complex_dim": 1,
+                       "params": {"catalog": "poincare_disk"}}]
+    cfg["pairs"] = [{"map": "square", "domain": "hermitian_0", "target": "hermitian_0",
+                     "expect_pass": True}]
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["schwarz", "--config", str(p), "--out", str(out)]) == 0
+    cert = out / "schwarz" / "square__hermitian_0__hermitian_0" / "report.json"
+    stored = json.loads(cert.read_text())["payload"]["certificate"]
+    assert (stored["domain_id"], stored["target_id"]) == ("hermitian_0", "hermitian_0")
+    assert main(["replay", "--certificate", str(cert)]) == 0
+    assert "PASS (bitwise)" in capsys.readouterr().out
+
+
+def test_cmd_check_summary_counts_samples(tmp_path, capsys):
+    p = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(p), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all("samples ok 15/15" in line for line in lines)
+    stats = json.loads((out / "check" / "poincare" / "report.json").read_text())[
+        "payload"]["validity"]["stats"]
+    assert stats["samples"] == {"attempted": 15, "ok": 15, "failed": 0,
+                                "failure_reasons": {}}
+
+
+def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
+    from finsler.errors import DomainError
+    from finsler.geodesic import PoleDistance
+
+    def outside(self, w):
+        self.total_integrations += 1
+        raise DomainError("injected")
+
+    monkeypatch.setattr(PoleDistance, "_endpoint", outside)
+    p = _disk_distance_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "distance" / "poincare" / "report.json").read_text())["payload"]
+    assert payload["rho_samples"] == {"attempted": 2, "ok": 0, "failed": 2,
+                                      "failure_reasons": {"ShootingError": 2}}
+    # each cold disk query tries the straight start and 5 grid directions
+    assert [(f["point_index"], f["starts"], f["integrations"])
+            for f in payload["shooting_failures"]] == [(0, 6, 6), (1, 6, 6)]
+    assert payload["max_closed_form_error"] is None
+    line = capsys.readouterr().out.strip()
+    assert "error n/a; rho samples ok 0/2 (point 0: 6 starts, 6 integrations)" in line

@@ -388,6 +388,26 @@ def test_shooting_error_on_one_start_tries_the_next(monkeypatch):
     assert r.value == pytest.approx(hyperbolic_distance(complex(*q)), abs=1e-9)
 
 
+def test_shooting_error_counts_starts_and_integrations(monkeypatch):
+    from finsler.errors import DomainError
+
+    def outside(self, w):
+        self.total_integrations += 1
+        raise DomainError("injected")
+
+    monkeypatch.setattr(PoleDistance, "_endpoint", outside)
+    q = np.array([0.45, -0.3])
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    with pytest.raises(ShootingError) as info:
+        pd.rho(q)
+    # a cold query starts from q itself, then the direction grid
+    n_starts = len(list(pd._starts(q, q - pd.pole)))
+    assert info.value.starts == n_starts == 6
+    assert info.value.integrations == n_starts   # one failed integration per start
+    assert info.value.best_residual == math.inf
+    assert f"{n_starts} starts, {n_starts} integrations" in str(info.value)
+
+
 def test_path_csv_export(tmp_path):
     path = integrate_geodesic(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), 0.8)
     f = tmp_path / "path.csv"

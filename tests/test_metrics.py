@@ -200,6 +200,27 @@ def test_check_metric_records_engine_errors(monkeypatch):
     assert len(rep.errors) == 4 and "DegenerateMetricError" in rep.errors[0]
 
 
+def test_check_metric_counts_samples(monkeypatch):
+    from finsler.errors import DegenerateMetricError
+    m = instantiate({"family": "hermitian", "complex_dim": 1,
+                     "params": {"catalog": "poincare_disk"}})
+    plan = SamplePlan(n_points=1, n_dirs=1)
+    rep = check_metric(m, plan)
+    assert rep.passed
+    assert rep.stats["samples"] == {"attempted": 1, "ok": 1, "failed": 0,
+                                    "failure_reasons": {}}
+
+    def degenerate(z, v):
+        raise DegenerateMetricError("Levi matrix singular")
+
+    # the one sample fails: no sample evaluated, so the check fails
+    monkeypatch.setattr(m, "levi_matrix", degenerate)
+    rep = check_metric(m, plan)
+    assert not rep.passed
+    assert rep.stats["samples"] == {"attempted": 1, "ok": 0, "failed": 1,
+                                    "failure_reasons": {"DegenerateMetricError": 1}}
+
+
 def test_check_metric_surfaces_programming_errors(monkeypatch):
     m = instantiate({"family": "hermitian", "complex_dim": 1,
                      "params": {"catalog": "poincare_disk"}})

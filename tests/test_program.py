@@ -1,0 +1,160 @@
+"""Recorded jet programs: ``MetricDef.real_jet`` replays each formula's tape.
+
+The replay must give the coefficients of the formula evaluated on fresh
+``Jet``/``CJet`` objects (``oracles.real_jet_by_objects``) bit for bit, at
+every order, for every family; value-derived Taylor coefficients are
+recomputed per call; formulas that read a jet's value are refused.
+"""
+
+import numpy as np
+import pytest
+
+from finsler.errors import StructuralError
+from finsler.geometry import (MetricDef, complex_to_real_components, creal_value,
+                              realify_metric)
+from finsler.jets import MAX_ORDER, JetProgram, spow
+from finsler.metrics import _hermitian_form, instantiate
+
+from oracles import complex_jet_by_objects, real_jet_by_objects
+
+
+def _disk(**params):
+    return {"catalog": "poincare_disk", **params}
+
+
+# every family and catalog entry, the unitary-invariant profiles included
+SPECS = [
+    {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "euclidean"}},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}},
+    {"family": "hermitian", "complex_dim": 2,
+     "params": {"catalog": "constant", "matrix": [[2.0, [0.3, 0.4]], [[0.3, -0.4], 1.5]]}},
+    {"family": "hermitian", "complex_dim": 1, "params": _disk()},
+    {"family": "hermitian", "complex_dim": 1, "params": _disk(scale=2.5)},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "product_disks"}},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "nonkahler"}},
+    {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}},
+    {"family": "minkowski", "complex_dim": 2, "params": {"k": 3, "eps": 0.25}},
+    {"family": "minkowski", "complex_dim": 2, "params": {
+        "k": 2, "eps": 0.5, "base": [[1.5, [0.2, -0.1]], [[0.2, 0.1], 1.0]],
+        "factors": [[[1.0, [0.2, 0.1]], [[0.2, -0.1], 0.5]], [[0.5, 0.0], [0.0, 1.0]]]}},
+    {"family": "szabo", "params": {"k": 2, "eps": 1.0}},
+    {"family": "szabo", "params": {"k": 3, "eps": 0.5,
+                                   "factor1": {"complex_dim": 1, "params": _disk()},
+                                   "factor2": {"complex_dim": 1, "params": _disk()}}},
+    {"family": "szabo", "params": {"k": 2, "eps": 1.0, "factors": [[[1.0]], [[1.5]]]}},
+    {"family": "un_invariant", "complex_dim": 2,
+     "params": {"profile": {"form": "gradient", "f": "exp", "c": 0.7}}},
+    {"family": "un_invariant", "complex_dim": 2,
+     "params": {"profile": {"form": "gradient", "f": "inv_one_minus_t"}}},
+    {"family": "un_invariant", "complex_dim": 2,
+     "params": {"profile": {"form": "free", "expr": "one_plus_s2"}}},
+    {"family": "un_invariant", "complex_dim": 2,
+     "params": {"profile": {"form": "free", "expr": "one_plus_ts2"}}},
+]
+POINTS_PER_SPEC = 3
+
+
+def _points(m, rng):
+    for _ in range(POINTS_PER_SPEC):
+        z = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
+        z *= 0.7 * rng.random() / np.linalg.norm(z)   # inside every unit-ball domain
+        v = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
+        yield z, v
+
+
+def test_replay_equals_object_evaluation_bitwise():
+    rng = np.random.default_rng(20261018)
+    compared = 0
+    for spec in SPECS:
+        m = instantiate(spec)
+        mr = realify_metric(m)
+        for z, v in _points(m, rng):
+            x, u = complex_to_real_components(z), complex_to_real_components(v)
+            for order in range(MAX_ORDER + 1):
+                for metric in (m, mr):
+                    got = metric.real_jet(x, u, order).coeffs
+                    want = real_jet_by_objects(metric, x, u, order).coeffs
+                    assert got.tobytes() == want.tobytes(), (m.family_id, order)
+                got = m.complex_jet(z, v, order).coeffs
+                want = complex_jet_by_objects(m, z, v, order).coeffs
+                assert got.tobytes() == want.tobytes(), (m.family_id, order)
+                compared += 1
+    assert compared == 270
+
+
+def test_value_derived_coefficients_are_recomputed_per_call():
+    prog = JetProgram.record(lambda s: (s[0] * 0.5).exp() + s[1] ** 0.5, 2)
+    for point in ([0.3, 2.0], [-1.2, 0.7]):
+        jet = prog.replay(np.array(point), 2)
+        assert jet.value == pytest.approx(np.exp(0.5 * point[0]) + np.sqrt(point[1]),
+                                          rel=1e-15)
+        assert jet.hessian()[0, 0] == pytest.approx(0.25 * np.exp(0.5 * point[0]),
+                                                    rel=1e-15)
+
+
+@pytest.mark.parametrize("op, bad, error", [
+    (lambda s: 1.0 / s[0], 0.0, ZeroDivisionError),
+    (lambda s: spow(s[0], -2), 0.0, ZeroDivisionError),
+    (lambda s: s[0] ** 0.5, -1.0, ValueError),
+    (lambda s: s[0] ** 1.5, 0.0, ValueError),
+    (lambda s: s[0].log(), 0.0, ValueError),
+    (lambda s: s[0].log(), -2.0, ValueError),
+])
+def test_replay_raises_on_a_bad_base(op, bad, error):
+    prog = JetProgram.record(op, 1)
+    prog.replay(np.array([0.8]), 3)   # the same program at a good base
+    for order in range(MAX_ORDER + 1):
+        with pytest.raises(error):
+            prog.replay(np.array([bad]), order)
+
+
+def _branching(x, u):
+    scale = 2.0 if x[0] > 0 else 1.0
+    return scale * (u[0] * u[0] + u[1] * u[1])
+
+
+@pytest.mark.parametrize("formula", [
+    _branching,
+    lambda x, u: (u[0] * u[0] + u[1] * u[1]) * (1.0 + creal_value(x[0])),
+    lambda x, u: (u[0] * u[0] + u[1] * u[1]) * float(1.0 + x[0] * x[0]),
+    lambda x, u: (u[0] * u[0] + u[1] * u[1]) if x[1] == 0 else u[0] * u[0],
+    lambda x, u: (u[0] * u[0] + u[1] * u[1]) * abs(x[0]),
+    lambda x, u: (u[0] * u[0] + u[1] * u[1]) * (x[0] + 1j),
+])
+def test_a_formula_that_reads_values_is_refused(formula):
+    m = MetricDef("real", formula, dim_real=2)
+    x, u = np.array([0.3, 0.1]), np.array([1.0, 0.5])
+    assert m.value(x, u) > 0   # plain numbers still evaluate
+    with pytest.raises(StructuralError):
+        m.real_jet(x, u, 2)
+
+
+def test_a_metric_is_recorded_once():
+    m = instantiate(SPECS[5])   # the Poincare ball
+    calls = []
+    formula = m.formula
+
+    def counted(z, v):
+        calls.append(1)
+        return formula(z, v)
+
+    m.formula = counted
+    z, v = np.array([0.2 + 0.1j, -0.3j]), np.array([1.0, 0.5 + 0.5j])
+    x, u = complex_to_real_components(z), complex_to_real_components(v)
+    for order in (2, 0, 4, 1, 3, 2):
+        m.real_jet(x, u, order)
+        m.complex_jet(z, v, order)
+    m.levi_matrix(z, v)
+    m.fundamental_real(x, u)
+    assert len(calls) == 1
+
+
+def test_hermitian_fold_equals_the_full_form():
+    rng = np.random.default_rng(3)
+    for n in (2, 3):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = a @ a.conj().T
+        v = list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        full = np.einsum("ab,a,b->", H, v, np.conj(v)).real
+        assert _hermitian_form(H, v) == pytest.approx(full, rel=1e-14)
