@@ -178,13 +178,14 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
         rows = []
         worst = 0.0
         reasons = {}
+        rho_errors = {}
         shooting = []
         for i, z in enumerate(pts):
             x = complex_to_real_components(z) if m.is_complex else z
             try:
                 r = pd.rho(x)
             except SAMPLE_ERRORS as exc:
-                name = type(exc).__name__
+                name = rho_errors[i] = type(exc).__name__
                 reasons[name] = reasons.get(name, 0) + 1
                 if isinstance(exc, ShootingError):
                     shooting.append({"point_index": i, "starts": exc.starts,
@@ -208,7 +209,7 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
         summary += "".join(f" (point {f['point_index']}: {f['starts']} starts, "
                            f"{f['integrations']} integrations)" for f in shooting)
         if m.kind == "complex_strongly_convex":
-            levi_rows, min_margin, counts = _levi_table(m, pts[:4], plan)
+            levi_rows, min_margin, counts = _levi_table(m, pts[:4], plan, rho_errors)
             payload["levi_samples"] = counts
             payload["levi_min_margin"] = min_margin if counts["ok"] else None
             if not counts["ok"] or min_margin < -1e-3:
@@ -227,9 +228,12 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
     return status
 
 
-def _levi_table(m, pts, plan):
+def _levi_table(m, pts, plan, rho_errors):
     """Levi samples of rho^2 at ``pts``: CSV rows, the least margin, and the
-    attempted/ok/failed counts with the failures tallied by error type."""
+    attempted/ok/failed counts with the failures tallied by error type. At a
+    point whose rho already failed (``rho_errors``: point index to error type
+    name) every direction counts as failed under that type, without another
+    shot."""
     from .levi import LeviField
     K = 0.0
     kg = m.metadata.get("holomorphic_curvature")
@@ -241,10 +245,13 @@ def _levi_table(m, pts, plan):
     min_margin = math.inf
     reasons = {}
     for i, z in enumerate(pts):
-        try:
-            samples = field.samples(z, dirs)
-        except SAMPLE_ERRORS as exc:
-            name = type(exc).__name__
+        name = rho_errors.get(i)
+        if name is None:
+            try:
+                samples = field.samples(z, dirs)
+            except SAMPLE_ERRORS as exc:
+                name = type(exc).__name__
+        if name is not None:
             reasons[name] = reasons.get(name, 0) + len(dirs)
             continue
         for s in samples:

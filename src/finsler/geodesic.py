@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cartan import CartanData, cartan, spray_coefficients
+from .cartan import cartan, spray_coefficients
 from .errors import SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError
 from .geometry import MetricDef, unit_directions
 from .jets import JetSpace
@@ -61,7 +61,10 @@ def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True):
 
 @dataclass
 class GeodesicPath:
-    """Discretized geodesic with dense interpolation in an affine parameter."""
+    """Discretized geodesic with dense interpolation in an affine parameter.
+
+    The dense state of ``sol`` starts with (x, u); a path integrated together
+    with its Jacobi fields carries them in the components after these."""
 
     metric: MetricDef
     x0: np.ndarray
@@ -83,7 +86,7 @@ class GeodesicPath:
         t = s / self.speed if self.speed > 0 else 0.0
         t = min(max(t, min(0.0, self.t_end)), max(0.0, self.t_end))
         y = self.sol.sol(t)
-        return y[:d], y[d:]
+        return y[:d], y[d:2 * d]
 
     def endpoint(self):
         return self.state_at(self.arc_length if self.t_end >= 0 else -self.arc_length)
@@ -102,7 +105,20 @@ class GeodesicPath:
                        + [repr(self.metric.value(x, u))])
 
 
-def integrate_geodesic(m: MetricDef, x0, u0, length, *, rtol=1e-11) -> GeodesicPath:
+def _path(m: MetricDef, x0, u0, G0, sol) -> GeodesicPath:
+    """The path of a solution starting at (x0, u0) with energy G0."""
+    d = m.dim
+    drift = max(abs(m.value(y[:d], y[d:2 * d]) - G0) for y in sol.y.T)
+    speed = math.sqrt(G0)
+    t_reached = sol.t[-1]
+    return GeodesicPath(
+        metric=m, x0=x0, u0=u0, speed=speed, t_end=t_reached, sol=sol,
+        arc_length=abs(t_reached) * speed, energy0=G0, energy_drift=drift,
+        n_steps=len(sol.t) - 1, nfev=sol.nfev,
+        normal=abs(G0 - 1.0) < 1e-9, truncated=sol.status == 1)
+
+
+def integrate_geodesic(m: MetricDef, x0, u0, length) -> GeodesicPath:
     """Geodesic of arc length ``length`` (may be negative to extend backwards)."""
     if length == 0:
         raise ConfigurationError("geodesic length must be nonzero")
@@ -111,20 +127,7 @@ def integrate_geodesic(m: MetricDef, x0, u0, length, *, rtol=1e-11) -> GeodesicP
     G0 = m.value(x0, u0)
     if G0 <= 0:
         raise ConfigurationError("initial velocity must be nonzero")
-    speed = math.sqrt(G0)
-    t_end = length / speed
-    sol = _integrate_affine(m, x0, u0, t_end, rtol=rtol)
-    truncated = sol.status == 1
-    t_reached = sol.t[-1]
-    d = m.dim
-    drift = 0.0
-    for t, y in zip(sol.t, sol.y.T):
-        drift = max(drift, abs(m.value(y[:d], y[d:]) - G0))
-    return GeodesicPath(
-        metric=m, x0=x0, u0=u0, speed=speed, t_end=t_reached, sol=sol,
-        arc_length=abs(t_reached) * speed, energy0=G0, energy_drift=drift,
-        n_steps=len(sol.t) - 1, nfev=sol.nfev,
-        normal=abs(G0 - 1.0) < 1e-9, truncated=truncated)
+    return _path(m, x0, u0, G0, _integrate_affine(m, x0, u0, length / math.sqrt(G0)))
 
 
 def exp_map(m: MetricDef, p, v):
@@ -204,7 +207,7 @@ class PoleDistance:
         if len(self._cache) > self.CACHE_SIZE:
             self._cache.pop(0)
 
-    def rho(self, q, *, guess=None) -> RhoResult:
+    def rho(self, q) -> RhoResult:
         q = np.asarray(q, dtype=float)
         if float(np.linalg.norm(q - self.pole)) < 1e-14:
             return RhoResult(0.0, np.zeros_like(q), np.zeros_like(q), 0.0, 0)
@@ -215,9 +218,7 @@ class PoleDistance:
         start = self.total_integrations
 
         near = self._nearest(q)
-        if guess is not None:
-            w0, J = np.asarray(guess, dtype=float), near[2] if near is not None else None
-        elif near is not None:
+        if near is not None:
             w0 = near[1] + (q - near[0])
             J = near[2]
         else:
@@ -321,36 +322,18 @@ def distance(m: MetricDef, p, q) -> float:
 # -- fields along geodesics --------------------------------------------------------
 
 
-class _ConnectionCache:
-    """Memoized Cartan data along a path, keyed by parameter value."""
-
-    def __init__(self, path):
-        self.path = path
-        self._memo = {}
-
-    def at(self, s) -> CartanData:
-        key = round(float(s), 12)
-        data = self._memo.get(key)
-        if data is None:
-            x, u = self.path.state_at(s)
-            data = cartan(self.path.metric, x, u)
-            self._memo[key] = data
-        return data
-
-
 @dataclass
 class JacobiField:
     """Dense Jacobi field J = Y_J c with covariant derivative W = Y_W c along a
-    normal geodesic, where the dense solution ``sol`` holds Y = (Y_J, Y_W)."""
+    normal geodesic, whose dense state (x, u, Y_J, Y_W) ``path`` holds."""
 
     path: GeodesicPath
-    sol: object
     r: float
     c: np.ndarray
 
     def at(self, s):
         d = self.path.metric.dim
-        Y = self.sol.sol(min(max(s, 0.0), self.r)).reshape(2 * d, -1)
+        Y = self.path.sol.sol(min(max(s, 0.0), self.r))[2 * d:].reshape(2 * d, -1)
         return Y[:d] @ self.c, Y[d:] @ self.c
 
     def value(self, s):
@@ -374,7 +357,6 @@ class BoundaryJacobiSystem:
     of det M along the path (conjugate-point monitor)."""
 
     path: GeodesicPath
-    sol: object
     r: float
     M: np.ndarray
     W: np.ndarray
@@ -398,7 +380,7 @@ class BoundaryJacobiSystem:
     def field(self, u_target) -> JacobiField:
         """The Jacobi field with J(0) = 0 and J(r) the part of u_target across T."""
         c = self._initial_derivatives(self._perp() @ np.asarray(u_target, dtype=float))
-        return JacobiField(path=self.path, sol=self.sol, r=self.r, c=c)
+        return JacobiField(path=self.path, r=self.r, c=c)
 
     def boundary_form(self) -> np.ndarray:
         """P^T g_T W M^-1 P: the index form's boundary term g_T(D_T J_u, J_u) at r
@@ -407,47 +389,57 @@ class BoundaryJacobiSystem:
         return P.T @ self.g @ self.W @ self._initial_derivatives(P)
 
 
-def _integrate_jacobi(path: GeodesicPath, Y0) -> object:
-    """Dense solution of the Jacobi equation along ``path`` for the columns of
-    Y0 = (J(0), D_T J(0)), a (2d, k) array, in the path's arc parameter."""
-    d = path.metric.dim
-    conn = _ConnectionCache(path)
+def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0) -> GeodesicPath:
+    """The unit-speed geodesic from (x0, u0) and the Jacobi fields along it
+    with initial data the columns of Y0 = (J(0), D_T J(0)), a (2d, k) array,
+    integrated together to arc length r as one dense state (x, u, Y): the
+    variational equations in the trajectory's own state (Hairer, Norsett &
+    Wanner, Solving ODEs I, sec. I.14). Each right-hand side evaluates the
+    Cartan data once; its spray moves (x, u) and its ``gamma_h`` and
+    ``riemann`` move Y."""
+    x0 = np.asarray(x0, dtype=float)
+    u0 = np.asarray(u0, dtype=float)
+    G0 = m.value(x0, u0)
+    if not abs(G0 - 1.0) < 1e-9:
+        raise ConfigurationError("Jacobi fields are integrated along normal paths")
+    d = m.dim
 
     def rhs(t, y):
-        data = conn.at(t)
-        Y = y.reshape(2, d, -1)
+        data = cartan(m, y[:d], y[d:2 * d])
+        Y = y[2 * d:].reshape(2, d, -1)
         GY = np.einsum("ijk,ajc,k->aic", data.gamma_h, Y, data.u)
-        return np.concatenate([Y[1] - GY[0], -data.riemann @ Y[0] - GY[1]]).ravel()
+        return np.concatenate([data.u, -2.0 * data.spray, (Y[1] - GY[0]).ravel(),
+                               (-data.riemann @ Y[0] - GY[1]).ravel()])
 
-    sol = solve_ivp(rhs, (0.0, path.arc_length), np.ravel(Y0), method="DOP853",
-                    rtol=1e-10, atol=1e-12, dense_output=True)
+    sol = solve_ivp(rhs, (0.0, r), np.concatenate([x0, u0, np.ravel(Y0)]),
+                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
     if not sol.success:
         raise ShootingError(f"Jacobi integration failed: {sol.message}")
-    return sol
+    return _path(m, x0, u0, G0, sol)
 
 
-def jacobi_field(path: GeodesicPath, J0, dJ0) -> JacobiField:
-    """Integrate the Jacobi equation along a normal geodesic path."""
-    if not path.normal:
-        raise ConfigurationError("Jacobi fields are integrated along normal paths")
-    sol = _integrate_jacobi(path, np.concatenate([J0, dJ0]))
-    return JacobiField(path=path, sol=sol, r=path.arc_length, c=np.ones(1))
+def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
+    """The Jacobi field with J(0) = J0, D_T J(0) = dJ0 along the unit-speed
+    geodesic from (x0, u0), to arc length r."""
+    path = _integrate_jacobi(m, x0, u0, r, np.concatenate([J0, dJ0]))
+    return JacobiField(path=path, r=r, c=np.ones(1))
 
 
-def jacobi_boundary_field(path: GeodesicPath) -> BoundaryJacobiSystem:
-    """Fundamental system of the Jacobi fields vanishing at the start of a
-    normal path, integrated once; its ``field(u)`` is the Jacobi field with
-    J(0) = 0 and J(r) the part of u across T."""
-    d = path.metric.dim
-    r = path.arc_length
-    sol = _integrate_jacobi(path, np.concatenate([np.zeros((d, d)), np.eye(d)]))
-    dets = [np.linalg.det(sol.sol(t).reshape(2 * d, d)[:d]) for t in
-            np.linspace(r * 1e-3, r, 33)]
+def jacobi_boundary_field(m: MetricDef, x0, u0, r) -> BoundaryJacobiSystem:
+    """Fundamental system of the Jacobi fields vanishing at x0 along the
+    unit-speed geodesic from (x0, u0), integrated with it to arc length r; its
+    ``field(u)`` is the Jacobi field with J(0) = 0 and J(r) the part of u
+    across T."""
+    d = m.dim
+    path = _integrate_jacobi(m, x0, u0, r, np.concatenate([np.zeros((d, d)), np.eye(d)]))
+    dets = [np.linalg.det(path.sol.sol(t)[2 * d:].reshape(2 * d, d)[:d])
+            for t in np.linspace(r * 1e-3, r, 33)]
     zero_crossings = sum(1 for a, b in zip(dets, dets[1:]) if a * b < 0)
-    x_r, u_r = path.state_at(r)
-    Y_r = sol.y[:, -1].reshape(2 * d, d)
-    return BoundaryJacobiSystem(path=path, sol=sol, r=r, M=Y_r[:d], W=Y_r[d:], T=u_r,
-                                g=path.metric.fundamental_real(x_r, u_r),
+    y_r = path.sol.y[:, -1]
+    x_r, u_r = y_r[:d], y_r[d:2 * d]
+    Y_r = y_r[2 * d:].reshape(2 * d, d)
+    return BoundaryJacobiSystem(path=path, r=r, M=Y_r[:d], W=Y_r[d:], T=u_r,
+                                g=m.fundamental_real(x_r, u_r),
                                 zero_crossings=zero_crossings)
 
 
@@ -457,48 +449,31 @@ class IndexFormResult:
     quadrature_error: float
 
 
-def index_form(path: GeodesicPath, xi, eta, *,
-               xi_cov=None, eta_cov=None) -> IndexFormResult:
+def index_form(path: GeodesicPath, xi, eta, xi_cov, eta_cov) -> IndexFormResult:
     """Morse index form I(xi, eta) along a normal geodesic.
 
     Fields are callables of the arc parameter; their component along T is
-    projected out pointwise. Covariant derivatives are taken from the
-    optional ``*_cov`` callables, else by high-order differencing of the
-    projected field. Quadrature is composite Gauss-Legendre over 12 panels
-    with the error estimated from one coarsening step.
+    projected out pointwise, and ``xi_cov``, ``eta_cov`` are the covariant
+    derivatives of the projected fields, callables of the same parameter.
+    The Cartan data are evaluated once per quadrature node. Quadrature is
+    composite Gauss-Legendre over 12 panels with the error estimated from
+    one coarsening step.
     """
     if not path.normal:
         raise ConfigurationError("the index form is defined along normal paths")
     r = path.arc_length
-    conn = _ConnectionCache(path)
-
-    def projected(f):
-        def g(s):
-            data = conn.at(s)
-            T = data.u
-            val = np.asarray(f(s), dtype=float)
-            return val - (float(val @ data.g @ T) / float(T @ data.g @ T)) * T
-        return g
-
-    xi_p = projected(xi)
-    eta_p = projected(eta)
-
-    def cov(fp, s, given):
-        if given is not None:
-            # caller supplies the covariant derivative of the (already
-            # perpendicular) field directly
-            return np.asarray(given(s), dtype=float)
-        data = conn.at(s)
-        h = max(r * 1e-5, 1e-8)
-        raw = (-fp(s + 2 * h) + 8 * fp(s + h) - 8 * fp(s - h) + fp(s - 2 * h)) / (12 * h)
-        return raw + np.einsum("ijk,j,k->i", data.gamma_h, fp(s), data.u)
 
     def integrand(s):
-        data = conn.at(s)
-        xv = xi_p(s)
-        ev_ = eta_p(s)
-        dx = cov(xi_p, s, xi_cov)
-        de = cov(eta_p, s, eta_cov)
+        data = cartan(path.metric, *path.state_at(s))
+        T = data.u
+
+        def perp(f):
+            val = np.asarray(f(s), dtype=float)
+            return val - (float(val @ data.g @ T) / float(T @ data.g @ T)) * T
+
+        xv, ev_ = perp(xi), perp(eta)
+        dx = np.asarray(xi_cov(s), dtype=float)
+        de = np.asarray(eta_cov(s), dtype=float)
         return float(dx @ data.g @ de) - float((data.riemann @ xv) @ data.g @ ev_)
 
     nodes, weights = np.polynomial.legendre.leggauss(4)
@@ -583,18 +558,17 @@ class DistanceHessian:
 def distance_hessian(pd: PoleDistance, x) -> DistanceHessian:
     """Hessian of the distance from ``pd.pole`` at x, in every direction at once.
 
-    One shot gives rho and the radial geodesic, integrated again with dense
-    output; the Jacobi fields vanishing at the pole give H(rho)(u, u) as the
-    boundary term g_T(D_T J_u, J_u) at x of the index form of the field J_u
-    reaching u (Bao-Chern-Shen, GTM 200, ch. 5 and 7): H = P^T g_T W M^-1 P.
+    One shot gives rho and the initial velocity of the radial geodesic; one
+    integration from the pole then carries that geodesic together with the
+    Jacobi fields vanishing at the pole to x. H(rho)(u, u) is the boundary
+    term g_T(D_T J_u, J_u) at x of the index form of the field J_u reaching u
+    (Bao-Chern-Shen, GTM 200, ch. 5 and 7): H = P^T g_T W M^-1 P.
     """
     x = np.asarray(x, dtype=float)
     if float(np.linalg.norm(x - pd.pole)) < 1e-6:
         raise ConfigurationError("distance Hessian undefined at the pole")
     base = pd.rho(x)
-    radial = integrate_geodesic(pd.m, pd.pole, base.w / base.value, base.value,
-                                rtol=1e-12)
-    system = jacobi_boundary_field(radial)
+    system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value)
     return DistanceHessian(matrix=system.boundary_form(), rho=base.value, system=system)
 
 

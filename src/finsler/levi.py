@@ -153,10 +153,10 @@ def gradient_identity(m: MetricDef, pole, z) -> VerificationReport:
     for i in range(d):
         e = np.zeros(d)
         e[i] = h
-        fp = pd.rho(x + e, guess=base.w + e).value ** 2
-        fm = pd.rho(x - e, guess=base.w - e).value ** 2
-        fp2 = pd.rho(x + 0.5 * e, guess=base.w + 0.5 * e).value ** 2
-        fm2 = pd.rho(x - 0.5 * e, guess=base.w - 0.5 * e).value ** 2
+        fp = pd.rho(x + e).value ** 2
+        fm = pd.rho(x - e).value ** 2
+        fp2 = pd.rho(x + 0.5 * e).value ** 2
+        fm2 = pd.rho(x - 0.5 * e).value ** 2
         d_h = (fp - fm) / (2 * h)
         d_h2 = (fp2 - fm2) / h
         df[i] = (4.0 * d_h2 - d_h) / 3.0

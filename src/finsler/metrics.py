@@ -153,12 +153,10 @@ def _make_hermitian(spec):
         g = _hermitian_form(mat, v)
         return g * scale if scale != 1.0 else g
 
+    meta.update(hermitian_matrix=matrix_fn, hermitian_scale=scale)
     fam_id = spec.get("id", f"hermitian_{catalog}_{n}")
-    md = MetricDef("complex_strongly_convex", formula, n_complex=n,
-                   domain=domain, metadata=meta, family_id=fam_id, spec=spec)
-    md.hermitian_matrix = matrix_fn
-    md.hermitian_scale = scale
-    return md
+    return MetricDef("complex_strongly_convex", formula, n_complex=n,
+                     domain=domain, metadata=meta, family_id=fam_id, spec=spec)
 
 
 # -- point-independent complex norms ----------------------------------------------

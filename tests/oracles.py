@@ -472,7 +472,8 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
     ``base`` is ``pd.rho(x)`` and ``conn_T`` the Cartan data at (x, base.T).
     The geodesic through (x, w) is integrated forward and backward over the
     stencil width h; rho^power at arc parameters -h, -h/2, h/2 and h comes
-    from shots warm-started at ``base``, the central second differences at
+    from shots that ``pd`` warm-starts at its nearest solved target, ``base``
+    or a closer one; the central second differences at
     h and h/2 are Richardson-extrapolated, and the gamma_h term relates the
     curve's own reference vector to the radial one. Independent of the
     Jacobi fields behind ``geodesic.distance_hessian``; its error is the
@@ -487,7 +488,7 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
 
     def f_at(sol, t):
         q = sol.sol(t)[:m.dim]
-        return pd.rho(q, guess=base.w + (q - x)).value ** power
+        return pd.rho(q).value ** power
 
     fm, fm2, fp2, fp = f_at(bwd, -h), f_at(bwd, -h / 2), f_at(fwd, h / 2), f_at(fwd, h)
     f0 = base.value ** power
@@ -498,6 +499,46 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
     df = power * base.value ** (power - 1) * (conn_T.g @ base.T)
     return d2 + float(df @ (2.0 * spray_coefficients(m, x, w)
                             - np.einsum("ijk,j,k->i", conn_T.gamma_h, w, w)))
+
+
+# -- covariant derivatives along a path by differencing ------------------------------
+
+
+def fd_covariant_derivatives(path, *fields):
+    """Covariant derivatives along a normal ``path`` of the parts of ``fields``
+    across its tangent T, as callables of the arc parameter.
+
+    Each is a five-point central difference of the projected field plus the
+    ``gamma_h`` term of the Cartan data at (x, T). The Cartan data are
+    memoized per arc parameter, shared by all the fields.
+    """
+    from finsler.cartan import cartan
+
+    memo = {}
+
+    def conn(s):
+        key = round(float(s), 12)
+        if key not in memo:
+            memo[key] = cartan(path.metric, *path.state_at(s), need_curvature=False)
+        return memo[key]
+
+    def perp(f, s):
+        data = conn(s)
+        T = data.u
+        val = np.asarray(f(s), dtype=float)
+        return val - (float(val @ data.g @ T) / float(T @ data.g @ T)) * T
+
+    h = max(path.arc_length * 1e-5, 1e-8)
+
+    def derivative(f):
+        def cov(s):
+            raw = (-perp(f, s + 2 * h) + 8 * perp(f, s + h)
+                   - 8 * perp(f, s - h) + perp(f, s - 2 * h)) / (12 * h)
+            data = conn(s)
+            return raw + np.einsum("ijk,j,k->i", data.gamma_h, perp(f, s), data.u)
+        return cov
+
+    return tuple(derivative(f) for f in fields)
 
 
 # -- Levi form of rho^2 along straight segments -------------------------------------
@@ -523,7 +564,7 @@ def straight_levi_rho2(field, z, v):
 
     def d2(w):
         def rho2(q):
-            return field.pd.rho(q, guess=base.w + (q - x)).value ** 2
+            return field.pd.rho(q).value ** 2
 
         fm, fm2, fp2, fp = (rho2(x + t * h * w) for t in (-1.0, -0.5, 0.5, 1.0))
         f0 = base.value ** 2

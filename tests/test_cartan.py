@@ -30,8 +30,9 @@ def hermitian_real_matrix(mc):
     def a_fn(x):
         n = mc.n
         z = x[:n] + 1j * x[n:]
-        H = np.asarray([[complex(h) for h in row] for row in mc.hermitian_matrix(list(z))],
-                       dtype=complex) * mc.hermitian_scale
+        H = np.asarray([[complex(h) for h in row]
+                        for row in mc.metadata["hermitian_matrix"](list(z))],
+                       dtype=complex) * mc.metadata["hermitian_scale"]
         A = H.real
         B = H.imag
         # realification of sum_ab H_ab v_a conj(v_b) with v = ux + i uy

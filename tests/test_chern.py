@@ -122,7 +122,8 @@ def test_hermitian_oracle_agreement(metric):
     n = metric.n
 
     def h_fn(zz):
-        return [[complex(e) for e in row] for row in metric.hermitian_matrix(list(zz))]
+        return [[complex(e) for e in row]
+                for row in metric.metadata["hermitian_matrix"](list(zz))]
 
     rng = np.random.default_rng(4)
     for _ in range(4):
@@ -150,7 +151,7 @@ def test_hermitian_reduction_of_connection():
     sp = JetSpace.get(2 * n, 1, False)
     zj = [CJet(sp.variable(a, z[a].real), sp.variable(n + a, z[a].imag))
           for a in range(n)]
-    H = BALL2.hermitian_matrix(zj)
+    H = BALL2.metadata["hermitian_matrix"](zj)
     g0 = np.array([[complex(H[a][b].value) for b in range(n)] for a in range(n)])
     ginv = np.linalg.inv(g0)
     dg = np.empty((n, n, n), dtype=complex)  # dg[mu][b][t]

@@ -486,3 +486,24 @@ def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
     assert payload["max_closed_form_error"] is None
     line = capsys.readouterr().out.strip()
     assert "error n/a; rho samples ok 0/2 (point 0: 6 starts, 6 integrations)" in line
+
+
+def test_cmd_distance_levi_skips_points_whose_rho_failed(tmp_path, monkeypatch):
+    from finsler.errors import DomainError
+    from finsler.geodesic import PoleDistance
+    calls = []
+
+    def outside(self, w):
+        calls.append(1)
+        raise DomainError("injected")
+
+    monkeypatch.setattr(PoleDistance, "_endpoint", outside)
+    p = _disk_distance_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "distance" / "poincare" / "report.json").read_text())["payload"]
+    # the two failed rho solves shoot 6 starts each; their Levi samples shoot none
+    assert len(calls) == 12
+    assert payload["levi_samples"] == {"attempted": 4, "ok": 0, "failed": 4,
+                                       "failure_reasons": {"ShootingError": 4}}
+    assert payload["levi_min_margin"] is None

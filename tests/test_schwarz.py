@@ -98,6 +98,22 @@ def test_pullback_flags_critical_point():
     assert rows[0].ratio == pytest.approx(0.0, abs=1e-6)
 
 
+def test_pullback_limit_row_at_a_critical_point_of_the_probe():
+    # the quadratic probe z + v zeta + b zeta^2 has phi'(0.25) = 0 for b = -v / 0.5,
+    # so both densities vanish there and the ratio is the limit of its neighbours
+    sq = build_map({"map": "power", "params": {"m": 2}})
+    v = 0.2
+    probe = next(p for p in probe_catalog(POINCARE, [0.1 + 0.05j], [v],
+                                          quadratic_coeff=[-v / (2 * 0.25)])
+                 if p.id == "quadratic")
+    before, at = pullback(sq, POINCARE, POINCARE, probe, [0.2 + 0.0j, 0.25 + 0.0j])
+    assert before.flag == "" and before.lam2 > 0
+    assert at.flag == "limit"
+    assert at.lam2 == 0.0 and at.sigma2 == 0.0
+    assert math.isfinite(at.ratio)
+    assert at.ratio == pytest.approx(before.ratio, rel=0.05)
+
+
 def test_reparameterization_invariance():
     # precomposition with a disk automorphism transports the ratio pointwise
     sq = build_map({"map": "power", "params": {"m": 2}})
@@ -226,6 +242,16 @@ def test_certificate_minkowski_to_poincare_fails():
     assert cert.bound == pytest.approx(0.0, abs=1e-7)
     assert cert.max_ratio > 1e-3
     assert not cert.passed
+
+
+def test_certificate_constant_map_from_minkowski_passes():
+    # with K1 = 0 the Schwarz bound is 0: only a constant map satisfies it
+    const = build_map({"map": "constant", "params": {"value": [[0.3, 0.1]], "n_in": 2}})
+    cert = certify_schwarz(const, MINKOWSKI, POINCARE,
+                           SamplePlan(seed=6, n_points=6, n_dirs=4))
+    assert cert.bound == 0.0
+    assert cert.max_ratio == 0.0
+    assert cert.passed
 
 
 def test_log_density_comparison_poincare_equality():
