@@ -1,15 +1,19 @@
 """Cartan connection, horizontal frame, and flag curvature of real Finsler metrics.
 
-The geodesic spray is computed from the order-2 vertical/mixed derivatives of
-G, the nonlinear connection as its vertical derivative, and the curvature as
-the spray's Riemann operator
+All data are read from the gathered derivative tensors of one jet of G over
+z = (x, u). The spray S^i = G^i solves g S = b/4, with g = (1/2) d2G/du du and
+b_l = u^k d2G/du^l dx^k - dG/dx^l; differentiating g S = b/4 in z gives
 
-    R^i_k = 2 dG^i/dx^k - u^j d2G^i/dx^j du^k
-            + 2 G^j d2G^i/du^j du^k - dG^i/du^j dG^j/du^k,
+    dS  = g^-1 (db/4 - dg.S)
+    d2S = g^-1 (d2b/4 - d2g.S - dg.dS - (dg.dS)^T),   (dg.dS)^i_ac = d_a g_il d_c S^l,
 
-which the order-4 jet of G determines exactly. The operator annihilates the
-flag pole, g(R u, .) = 0, so the flag-curvature ratio is invariant under
-X -> X + c u by construction.
+from the order-3 and order-4 jets. N = dS/du is the nonlinear connection, and
+the curvature is the spray's Riemann operator
+
+    R^i_k = 2 dS^i/dx^k - u^j d2S^i/dx^j du^k + 2 S^j d2S^i/du^j du^k - N^i_j N^j_k,
+
+which annihilates the flag pole, g(R u, .) = 0, so the flag-curvature ratio is
+invariant under X -> X + c u by construction.
 """
 
 from __future__ import annotations
@@ -21,18 +25,14 @@ import numpy as np
 
 from .errors import DegenerateFlagError, DegenerateMetricError
 from .geometry import MetricDef, SamplePlan, unit_directions
-from .jets import invert_jet_matrix
 
 
 @dataclass
 class CartanData:
     """Connection and curvature coefficients at a fixed (x, u)."""
 
-    x: np.ndarray
     u: np.ndarray
-    G: float
     g: np.ndarray              # fundamental tensor g_ij = (1/2) G_ij
-    g_inv: np.ndarray
     spray: np.ndarray          # G^i, geodesic equation xddot + 2 G = 0
     nonlinear: np.ndarray      # N^i_j = dG^i/du^j
     gamma_h: np.ndarray | None  # horizontal coefficients Gamma^j_{i;k}
@@ -40,65 +40,42 @@ class CartanData:
     riemann: np.ndarray | None  # R^i_k of the spray
 
 
-def _spray_jets(m: MetricDef, x, u, order):
-    """Spray coefficients G^i as jets of the given order (<= 2)."""
-    jet = m.real_jet(x, u, order + 2)
-    d = m.dim
-    sp = jet.space
-    g_rows = [[jet.extract(d + i).extract(d + j) * 0.5 for j in range(d)]
-              for i in range(d)]
-    g_inv = invert_jet_matrix(g_rows)
-    useed = [sp.sibling(order).variable(d + k, float(u[k])) for k in range(d)]
-    b = []
-    for l in range(d):
-        dG_l = jet.extract(d + l)
-        acc = None
-        for k in range(d):
-            t = dG_l.extract(k) * useed[k]
-            acc = t if acc is None else acc + t
-        acc = acc - jet.extract(l).truncate(order)
-        b.append(acc)
-    spray = []
-    for i in range(d):
-        acc = None
-        for l in range(d):
-            t = g_inv[i][l] * b[l]
-            acc = t if acc is None else acc + t
-        spray.append(acc * 0.25)
-    return jet, g_rows, g_inv, spray
-
-
-def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
-    """Values of the geodesic coefficients G^i(x, u) (fast path for ODEs)."""
-    jet = m.real_jet(x, u, 2)
-    d = m.dim
+def _spray(jet, u, d) -> np.ndarray:
+    """G^i from a jet of G over (x, u) of order >= 2: the solution of g S = b / 4."""
     H = jet.hessian()
     g = 0.5 * H[d:, d:]
     # (d^2 G / du^l dx^k) u^k; cumsum adds over k in order, as a scalar loop
     # does, where a pairwise sum would round differently
     rhs = np.cumsum(H[d:, :d] * u, axis=1)[:, -1] - jet.gradient()[:d]
     try:
-        y = np.linalg.solve(g, rhs)
+        return 0.25 * np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(f"fundamental tensor singular at x={x}") from exc
-    return 0.25 * y
+        raise DegenerateMetricError("fundamental tensor singular") from exc
+
+
+def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
+    """Values of the geodesic coefficients G^i(x, u) (fast path for ODEs)."""
+    return _spray(m.real_jet(x, u, 2), u, m.dim)
 
 
 def cartan(m: MetricDef, x, u, *, need_curvature=True) -> CartanData:
     """Cartan connection data at (x, u); curvature optional (cheaper without)."""
-    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     d = m.dim
-    order = 2 if need_curvature else 1
-    jet, g_rows, g_inv_rows, spray_j = _spray_jets(m, x, u, order)
-    g = np.array([[g_rows[i][j].value for j in range(d)] for i in range(d)])
+    jet = m.real_jet(x, u, 4 if need_curvature else 3)
+    D2 = jet.hessian()
+    g = 0.5 * D2[d:, d:]
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > 1e10:
         raise DegenerateMetricError(f"fundamental tensor condition number {cond:.2e}")
     g_inv = np.linalg.inv(g)
-    spray = np.array([s.value for s in spray_j])
-    dg = np.array([[gij.gradient() for gij in row] for row in g_rows])
-    dS = np.array([s.gradient() for s in spray_j])
+    spray = _spray(jet, u, d)
+    D3 = jet.derivatives(3)
+    dg = 0.5 * D3[d:, d:]      # dg[i, l, a] = d_a g_il over a = (x, u)
+    # d_a b_l, where b_l = u^k d^2 G / du^l dx^k - dG / dx^l
+    db = np.einsum("lka,k->la", D3[d:, :d], u) - D2[:d]
+    db[:, d:] += D2[d:, :d]
+    dS = g_inv @ (0.25 * db - np.einsum("ila,l->ia", dg, spray))
     N = dS[:, d:]
 
     # delta_k g_il = d_k g_il - N^m_k d_{u^m} g_il
@@ -110,12 +87,18 @@ def cartan(m: MetricDef, x, u, *, need_curvature=True) -> CartanData:
 
     riemann = None
     if need_curvature:
-        H = np.array([s.hessian() for s in spray_j])
-        riemann = (2.0 * dS[:, :d] - np.einsum("j,ijk->ik", u, H[:, :d, d:])
-                   + 2.0 * np.einsum("j,ijk->ik", spray, H[:, d:, d:]) - N @ N)
-    return CartanData(x=x, u=u, G=jet.value, g=g, g_inv=g_inv, spray=spray,
-                      nonlinear=N, gamma_h=gamma_h, gamma_v=gamma_v,
-                      riemann=riemann)
+        D4 = jet.derivatives(4)
+        d2b = np.einsum("lkac,k->lac", D4[d:, :d], u) - D3[:d]
+        d2b[:, d:] += D3[d:, :d]
+        d2b[:, :, d:] += D3[d:, :d].transpose(0, 2, 1)
+        dg_dS = np.einsum("ila,lc->iac", dg, dS)
+        d2S = np.einsum("jl,lac->jac", g_inv,
+                        0.25 * d2b - np.einsum("ilac,l->iac", 0.5 * D4[d:, d:], spray)
+                        - dg_dS - dg_dS.transpose(0, 2, 1))
+        riemann = (2.0 * dS[:, :d] - np.einsum("j,ijk->ik", u, d2S[:, :d, d:])
+                   + 2.0 * np.einsum("j,ijk->ik", spray, d2S[:, d:, d:]) - N @ N)
+    return CartanData(u=u, g=g, spray=spray, nonlinear=N, gamma_h=gamma_h,
+                      gamma_v=gamma_v, riemann=riemann)
 
 
 def flag_curvature(m: MetricDef, x, u, X, *, data: CartanData | None = None) -> float:

@@ -67,12 +67,7 @@ class RunConfig:
 
 
 def _merge_defaults(doc: dict) -> dict:
-    out = dict(DEFAULTS)
-    out.update(doc or {})
-    merged_out = dict(DEFAULTS["outputs"])
-    merged_out.update((doc or {}).get("outputs", {}))
-    out["outputs"] = merged_out
-    return out
+    return {**DEFAULTS, **doc, "outputs": {**DEFAULTS["outputs"], **doc.get("outputs", {})}}
 
 
 def _validate_plan(name, plan):
@@ -94,6 +89,11 @@ def _validate_plan(name, plan):
 
 
 def parse_config(doc: dict) -> RunConfig:
+    for key, kind in (("outputs", dict), ("plans", dict), ("metrics", list),
+                      ("maps", list), ("pairs", list)):
+        if not isinstance(doc.get(key, kind()), kind):
+            shape = "mapping" if kind is dict else "list"
+            raise ConfigurationError(f"{key} must be a {shape}, got {doc[key]!r}")
     doc = _merge_defaults(doc)
     if "seed" not in doc:
         raise ConfigurationError("config must declare a seed")
@@ -101,25 +101,26 @@ def parse_config(doc: dict) -> RunConfig:
         seed = int(doc["seed"])
     except (TypeError, ValueError):
         raise ConfigurationError(f"seed must be an integer, got {doc['seed']!r}")
-    metrics = doc.get("metrics", [])
-    if not isinstance(metrics, list):
-        raise ConfigurationError("metrics must be a list of family specs")
-    for spec in metrics:
-        if "family" not in spec:
-            raise ConfigurationError(f"metric spec without family: {spec}")
-    plans = doc.get("plans", {})
-    if not isinstance(plans, dict):
-        raise ConfigurationError("plans must be a mapping of named plans")
-    for name, plan in plans.items():
+    try:
+        tolerance = float(doc["tolerance"])
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"tolerance must be a number, got {doc['tolerance']!r}")
+    for spec in doc["metrics"]:
+        if not isinstance(spec, dict) or "family" not in spec:
+            raise ConfigurationError(f"metric spec without family: {spec!r}")
+    for spec in doc["maps"]:
+        if not isinstance(spec, dict):
+            raise ConfigurationError(f"map spec must be a mapping, got {spec!r}")
+    for name, plan in doc["plans"].items():
         _validate_plan(name, plan)
     return RunConfig(
         seed=seed,
-        metrics=metrics,
-        maps=doc.get("maps", []),
-        pairs=doc.get("pairs", []),
-        plans=plans,
+        metrics=doc["metrics"],
+        maps=doc["maps"],
+        pairs=doc["pairs"],
+        plans=doc["plans"],
         outputs=doc["outputs"],
-        tolerance=float(doc.get("tolerance", 1e-6)))
+        tolerance=tolerance)
 
 
 def load_config(path) -> RunConfig:

@@ -81,16 +81,12 @@ class JetSpace:
         self.n = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degrees = np.array([sum(m) for m in self.monomials], dtype=np.int64)
-        self.size_at_order = [0] * (order + 1)
-        for d in self.degrees:
-            for o in range(order + 1):
-                if d <= o:
-                    self.size_at_order[o] += 1
+        self.size_at_order = [int(np.sum(self.degrees <= o)) for o in range(order + 1)]
         self.dtype = np.complex128 if is_complex else np.float64
         self._mult_table = None
         self._extract_tables = {}
         self._conj_perm = None
-        self._derivative_tables = None
+        self._derivative_tables = {}
 
     @staticmethod
     def get(nvars, order, is_complex=False, pair_split=None) -> "JetSpace":
@@ -137,26 +133,28 @@ class JetSpace:
             self._extract_tables[var] = tab
         return tab
 
-    def derivative_tables(self):
-        """Gather tables ``(grad_idx, hess_idx, hess_scale)`` for first and second partials.
+    def derivative_table(self, k):
+        """Gather table ``(idx, scale)`` for all partials of order ``1 <= k <= order``.
 
-        ``coeffs[grad_idx]`` is the gradient of a jet over this space and
-        ``coeffs[hess_idx] * hess_scale`` its Hessian: the scale is the
-        factorial of the exponent, 2 on the diagonal and 1 off it. The Hessian
-        tables are ``None`` below order 2.
+        Both arrays have shape ``(nvars,) * k``; ``coeffs[idx] * scale`` is the
+        symmetric tensor of k-th partials of a jet over this space, the scale
+        being the product of the factorials of the exponent.
         """
-        if self._derivative_tables is None:
+        tab = self._derivative_tables.get(k)
+        if tab is None:
             n = self.nvars
-            unit = [(0,) * v + (1,) + (0,) * (n - v - 1) for v in range(n)]
-            grad_idx = np.array([self.index[e] for e in unit], dtype=np.int64)
-            hess_idx = hess_scale = None
-            if self.order >= 2:
-                hess_idx = np.array(
-                    [[self.index[tuple(a + b for a, b in zip(unit[i], unit[j]))]
-                      for j in range(n)] for i in range(n)], dtype=np.int64)
-                hess_scale = np.ones((n, n)) + np.eye(n)
-            self._derivative_tables = (grad_idx, hess_idx, hess_scale)
-        return self._derivative_tables
+            shape = (n,) * k
+            expo = np.eye(n, dtype=np.int64)[np.indices(shape).reshape(k, -1)].sum(axis=0)
+            # read as base-(k + 1) numbers, the degree-k exponents sort as the
+            # basis does (lex), so a binary search finds each one
+            lo, hi = self.size_at_order[k - 1], self.size_at_order[k]
+            place = (k + 1) ** np.arange(n - 1, -1, -1)
+            basis = np.array(self.monomials[lo:hi], dtype=np.int64) @ place
+            idx = lo + np.searchsorted(basis, expo @ place)
+            factorial = np.array([math.factorial(e) for e in range(k + 1)], dtype=float)
+            tab = (idx.reshape(shape), factorial[expo].prod(axis=1).reshape(shape))
+            self._derivative_tables[k] = tab
+        return tab
 
     def conj_perm(self):
         if self.pair_split is None:
@@ -190,7 +188,7 @@ class JetSpace:
         c = np.zeros((self.nvars, self.n), dtype=self.dtype)
         c[:, 0] = values
         if self.order >= 1:
-            c[np.arange(self.nvars), self.derivative_tables()[0]] = 1.0
+            c[np.arange(self.nvars), self.derivative_table(1)[0]] = 1.0
         return c
 
     def variables(self, values) -> list:
@@ -406,18 +404,20 @@ class Jet:
         lower = self.space.sibling(self.order - 1)
         return Jet(lower, self.coeffs[src] * fac)
 
+    def derivatives(self, k) -> np.ndarray:
+        """Symmetric tensor of all k-th partials, read through the space's gather table."""
+        if not 1 <= k <= self.order:
+            raise StructuralError("requested derivative exceeds jet order")
+        idx, scale = self.space.derivative_table(k)
+        return self.coeffs[idx] * scale
+
     def gradient(self) -> np.ndarray:
-        """All first partial derivatives, read through the space's gather table."""
-        if self.order == 0:
-            raise StructuralError("cannot differentiate an order-0 jet")
-        return self.coeffs[self.space.derivative_tables()[0]]
+        """All first partial derivatives."""
+        return self.derivatives(1)
 
     def hessian(self) -> np.ndarray:
-        """Symmetric matrix of all second partials, read through the space's gather table."""
-        if self.order < 2:
-            raise StructuralError("requested derivative exceeds jet order")
-        _, idx, scale = self.space.derivative_tables()
-        return self.coeffs[idx] * scale
+        """Symmetric matrix of all second partials."""
+        return self.derivatives(2)
 
     def partial(self, variables):
         """Exact mixed partial derivative for a sequence of variable indices."""

@@ -343,13 +343,23 @@ _FAMILIES = {
 }
 
 
+def _parsed(what, build, spec):
+    """``build(spec)``, where a spec value of the wrong type or shape, or a
+    missing key, raises a ``ConfigurationError`` naming the spec. Builders
+    only parse and make closures, so these errors come from nothing else."""
+    try:
+        return build(spec)
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise ConfigurationError(f"{what} spec {spec!r}: {type(exc).__name__}: {exc}") from exc
+
+
 def instantiate(spec) -> MetricDef:
     """Build a metric from a family spec document."""
     family = spec.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigurationError(
             f"unknown metric family {family!r}; expected one of {sorted(_FAMILIES)}")
-    return _FAMILIES[family](spec)
+    return _parsed("metric", _FAMILIES[family], spec)
 
 
 # -- metric validation -------------------------------------------------------------
@@ -467,6 +477,11 @@ def _holomorphic_jacobian(fn, z):
 
 
 def build_map(spec) -> HoloMap:
+    """Build a holomorphic map from a catalog spec document."""
+    return _parsed("map", _build_map, spec)
+
+
+def _build_map(spec) -> HoloMap:
     kind = spec.get("map")
     params = spec.get("params", {})
     if kind == "identity":

@@ -322,16 +322,45 @@ def spray_by_partials(m, x, u):
 # -- connections read out one partial at a time ------------------------------------
 
 
+def spray_jets_by_objects(m, x, u, order):
+    """``(g_rows, spray)``: the fundamental tensor and the spray coefficients
+    G^i as Jet objects of the given order (<= 2), built with ``extract()`` and
+    inverted by Gauss-Jordan over jets: the reference for the spray and its
+    implicit derivatives in ``cartan.cartan``."""
+    from finsler.jets import invert_jet_matrix
+
+    jet = m.real_jet(x, u, order + 2)
+    d = m.dim
+    g_rows = [[jet.extract(d + i).extract(d + j) * 0.5 for j in range(d)]
+              for i in range(d)]
+    g_inv = invert_jet_matrix(g_rows)
+    useed = [jet.space.sibling(order).variable(d + k, float(u[k])) for k in range(d)]
+    b = []
+    for l in range(d):
+        dG_l = jet.extract(d + l)
+        acc = None
+        for k in range(d):
+            t = dG_l.extract(k) * useed[k]
+            acc = t if acc is None else acc + t
+        b.append(acc - jet.extract(l).truncate(order))
+    spray = []
+    for i in range(d):
+        acc = None
+        for l in range(d):
+            t = g_inv[i][l] * b[l]
+            acc = t if acc is None else acc + t
+        spray.append(acc * 0.25)
+    return g_rows, spray
+
+
 def cartan_by_partials(m, x, u, need_curvature=True):
     """``(gamma_h, gamma_v, riemann)`` of the Cartan connection with every jet
     derivative read by :meth:`Jet.partial` in nested loops: the reference for
     the gathered, einsum-contracted assembly of ``cartan.cartan``."""
-    from finsler.cartan import _spray_jets
-
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     d = m.dim
-    _, g_rows, _, spray_j = _spray_jets(m, x, u, 2 if need_curvature else 1)
+    g_rows, spray_j = spray_jets_by_objects(m, x, u, 2 if need_curvature else 1)
     g = np.array([[g_rows[i][j].value for j in range(d)] for i in range(d)])
     g_inv = np.linalg.inv(g)
     spray = np.array([s.value for s in spray_j])

@@ -9,6 +9,7 @@ from finsler.errors import DegenerateFlagError
 from finsler.geometry import SamplePlan, realify_metric
 from finsler.metrics import instantiate
 
+from finsler import jets
 from finsler.jets import Jet
 
 from oracles import (cartan_by_partials, riemannian_sectional_curvature,
@@ -185,6 +186,9 @@ def test_cartan_assembly_matches_partial_readout(mc_spec):
         lean = cartan(m, x, u, need_curvature=False)
         want_h, want_v, _ = cartan_by_partials(m, x, u, need_curvature=False)
         assert lean.riemann is None
+        # the order-2 coefficients are a prefix of the order-3 and order-4 jets
+        spray = spray_coefficients(m, x, u)
+        assert np.array_equal(data.spray, spray) and np.array_equal(lean.spray, spray)
         assert np.allclose(lean.gamma_h, want_h, rtol=1e-13,
                            atol=1e-13 * np.abs(want_h).max())
         assert np.allclose(lean.gamma_v, want_v, rtol=1e-13,
@@ -192,13 +196,20 @@ def test_cartan_assembly_matches_partial_readout(mc_spec):
 
 
 def test_cartan_reads_no_scalar_partials(monkeypatch):
-    def refuse(self, variables):
-        raise AssertionError("scalar partial() readout")
+    # cartan reads gathered derivative tensors of one jet: no scalar partials,
+    # no products of Jet objects, no extract() and no inverse over jets
+    def refuse(*args, **kwargs):
+        raise AssertionError("jet-object arithmetic in cartan")
 
-    monkeypatch.setattr(Jet, "partial", refuse)
+    for name in ("partial", "__mul__", "__rmul__", "extract"):
+        monkeypatch.setattr(Jet, name, refuse)
+    monkeypatch.setattr(jets, "invert_jet_matrix", refuse)
     for m in (POINCARE, MINKOWSKI):
-        data = cartan(m, np.full(m.dim, 0.1), np.linspace(1.0, 2.0, m.dim))
+        x, u = np.full(m.dim, 0.1), np.linspace(1.0, 2.0, m.dim)
+        data = cartan(m, x, u)
         assert np.all(np.isfinite(data.riemann))
+        lean = cartan(m, x, u, need_curvature=False)
+        assert np.all(np.isfinite(lean.gamma_h))
 
 
 def test_flag_invariance_under_pole_shift():

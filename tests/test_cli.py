@@ -164,6 +164,26 @@ def test_bad_plan_is_a_configuration_error(tmp_path, capsys, plan):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("command, change", [
+    ("check", {"metrics": [1]}),
+    ("check", {"metrics": [{"family": ["hermitian"]}]}),
+    ("check", {"tolerance": "abc"}),
+    ("check", {"outputs": 5}),
+    ("schwarz", {"maps": [1]}),
+    ("check", {"metrics": [{"family": "hermitian", "complex_dim": "two"}]}),
+    ("check", {"metrics": [{"family": "hermitian", "params": {"scale": "x"}}]}),
+    ("check", {"metrics": [{"family": "hermitian", "params": [1]}]}),
+    ("schwarz", {"maps": [{"map": "linear", "id": "identity"}]}),
+], ids=["metric_not_a_mapping", "family_not_a_name", "tolerance_not_a_number",
+        "outputs_not_a_mapping", "map_not_a_mapping", "complex_dim_not_an_integer",
+        "scale_not_a_number", "params_not_a_mapping", "linear_map_without_matrix"])
+def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, change):
+    p = write_config(tmp_path, {**BASE_CONFIG, **change})
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
 def test_cmd_bounds(tmp_path):
     cfg = dict(BASE_CONFIG)
     cfg["metrics"] = [BASE_CONFIG["metrics"][0]]

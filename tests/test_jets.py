@@ -1,5 +1,7 @@
 """Jet arithmetic: seed semantics, chain/Leibniz exactness, Wirtinger tables."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,12 +209,19 @@ def test_cjet_times_complex_constant_is_a_coefficient_scale(c):
 
 def test_gradient_and_hessian_gathers_match_partials():
     rng = np.random.default_rng(4)
-    for nvars, order in ((2, 2), (4, 3), (8, 2)):
+    for nvars, order in ((2, 2), (4, 3), (8, 2), (4, 4), (8, 4)):
         jets = lift(rng.standard_normal(nvars), range(nvars), order)
         f = (jets[0] * jets[-1] + jets[1].exp()) * jets[nvars // 2] + jets[0] ** 3
         assert np.array_equal(f.gradient(), [f.partial([i]) for i in range(nvars)])
         assert np.array_equal(f.hessian(), [[f.partial([i, j]) for j in range(nvars)]
                                             for i in range(nvars)])
+        for k in range(3, order + 1):
+            want = np.empty((nvars,) * k)
+            for ix in itertools.product(range(nvars), repeat=k):
+                want[ix] = f.partial(ix)
+            assert np.array_equal(f.derivatives(k), want)
+        with pytest.raises(StructuralError):
+            f.derivatives(order + 1)
     with pytest.raises(StructuralError):
         lift([0.1, 0.2], {0, 1}, 1)[0].hessian()
 

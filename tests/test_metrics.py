@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finsler.errors import ConfigurationError
-from finsler.geometry import SamplePlan
+from finsler.geometry import SamplePlan, realify_metric
 from finsler.metrics import (ball_automorphism, build_map, build_profile,
                              check_metric, instantiate, probe_catalog)
 
@@ -61,6 +61,10 @@ def test_check_metric_poincare_center():
     assert L[0, 0] == pytest.approx(1.0)
     rep = check_metric(m, SamplePlan(seed=2, n_points=6, n_dirs=3))
     assert rep.passed
+    # the realified disk takes the real-kind branch: real scalings of u
+    real = check_metric(realify_metric(m), SamplePlan(seed=2, n_points=6, n_dirs=3))
+    assert real.passed and real.stats["samples"]["ok"] > 0
+    assert real.stats["homogeneity_residual"] < 1e-10
 
 
 def test_check_metric_szabo_strong_convexity():
