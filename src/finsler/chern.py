@@ -1,10 +1,27 @@
 """Chern-Finsler connection, torsion, curvature, holomorphic sectional curvature.
 
-All coefficients are assembled from one Wirtinger jet of G per base point.
-Variables of the complexified jet are ordered [z_a, v_a, zbar_a, vbar_a].
-The horizontal frame is delta_mu = d_mu - Gamma^s_{;mu} dot d_s, its conjugate
-acts with the conjugated nonlinear coefficients, and the curvature components
-follow the standard component formulas of the connection's curvature form.
+All data are read from the gathered derivative tensors D2, D3, D4 of one
+order-4 Wirtinger jet of G over [z, v, zbar, vbar]; write Z, V, ZB, VB for the
+four blocks, d for a derivative in any of the 4n variables, and contract with
+einsum. The Levi matrix and its derivatives are slices,
+
+    L = D2[V, VB],  dL = D3[V, VB, :],  d2L = D4[V, VB, :, :],
+
+and the inverse is differentiated implicitly, d(L^-1) = -L^-1 dL L^-1. With
+G^{tbar a} = (L^-1)[t, a] the nonlinear connection and the horizontal
+derivative of the Levi matrix are
+
+    N^s_mu   = G^{gbar s} D2[VB, Z]_{g mu},
+    dN       = d(L^-1)^T D2[VB, Z] + L^-T D3[VB, Z, :],
+    delta_mu L_{b tbar} = d_{z^mu} L_{b tbar} - N^s_mu d_{v^s} L_{b tbar},
+
+and the connection is Gamma^a_{b;mu} = G^{tbar a} delta_mu L_{b tbar},
+Gamma^a_{b g} = G^{tbar a} d_{v^g} L_{b tbar}, with torsion
+Gamma^a_{n;m} - Gamma^a_{m;n}. Only first derivatives of L^-1 and N are read:
+the conjugate frame delta_nubar = d_zbar^nu - conj(N^s_nu) d_vbar^s applied to
+Gamma_h and N gives the (dz, dzbar) curvature block
+
+    R^a_{b; mu nubar} = -delta_nubar Gamma^a_{b;mu} - Gamma^a_{b s} delta_nubar N^s_mu.
 
 The pairing entering the holomorphic sectional curvature is contracted as
 
@@ -24,7 +41,6 @@ import numpy as np
 
 from .errors import DegenerateMetricError
 from .geometry import MetricDef
-from .jets import invert_jet_matrix
 from .report import VerificationReport
 
 
@@ -32,13 +48,11 @@ from .report import VerificationReport
 class ChernFinslerData:
     """Connection and curvature coefficients at a fixed (z, v)."""
 
-    z: np.ndarray
     v: np.ndarray
     G: float
     G_alpha: np.ndarray          # dG/dv^a
     levi: np.ndarray             # G_{a bbar}
     levi_inv: np.ndarray         # G^{bbar a} as inv[b][a]
-    levi_cond: float
     nonlinear: np.ndarray        # Gamma^b_{;a}
     gamma_h: np.ndarray          # Gamma^a_{b;mu}, indexed [a, b, mu]
     gamma_v: np.ndarray          # Gamma^a_{b g}
@@ -51,84 +65,58 @@ def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     n = m.n
+    Z, V, ZB, VB = (slice(k * n, (k + 1) * n) for k in range(4))
     jet = m.complex_jet(z, v, 4)
+    D2, D3, D4 = (jet.derivatives(k) for k in (2, 3, 4))
 
-    iz = lambda a: a
-    iv = lambda a: n + a
-    ivb = lambda a: 3 * n + a
-
-    G = jet.value.real
-    G_alpha = jet.gradient()[n:2 * n]
-
-    # order-2 jets of the Levi matrix and its inverse
-    levi_jets = [[jet.extract(iv(a)).extract(ivb(b)) for b in range(n)]
-                 for a in range(n)]
-    levi = np.array([[levi_jets[a][b].value for b in range(n)] for a in range(n)])
+    levi = D2[V, VB]
     cond = float(np.linalg.cond(levi))
     if not np.isfinite(cond) or cond > 1e10:
         raise DegenerateMetricError(f"Levi matrix condition number {cond:.2e}")
-    inv_jets = invert_jet_matrix(levi_jets)
-    levi_inv = np.array([[inv_jets[a][b].value for b in range(n)] for a in range(n)])
+    levi_inv = np.linalg.inv(levi)
+    dL = D3[V, VB]                 # dL[b, t, c] = d_c G_{b tbar}
+    d2L = D4[V, VB]
+    # d_inv[a, d, e] = d_e (L^-1)[a, d]; the two inverses multiply first, as
+    # the reciprocal's coefficient -1/L^2 does at n = 1
+    d_inv = -np.einsum("ab,cd,bce->ade", levi_inv, levi_inv, dL)
 
-    # nonlinear coefficients Gamma^s_{;mu} = G^{gbar s} G_{gbar; mu} (order 2)
-    nl_jets = [[None] * n for _ in range(n)]
-    for s in range(n):
-        for mu in range(n):
-            acc = None
-            for g in range(n):
-                t = inv_jets[g][s] * jet.extract(ivb(g)).extract(iz(mu))
-                acc = t if acc is None else acc + t
-            nl_jets[s][mu] = acc
-    nonlinear = np.array([[nl_jets[s][mu].value for mu in range(n)]
-                          for s in range(n)])
+    # N^s_mu = G^{gbar s} G_{gbar; mu} and its gradient
+    X = D2[VB, Z]
+    nonlinear = np.einsum("gs,gm->sm", levi_inv, X)
+    dN = (np.einsum("gse,gm->sme", d_inv, X)
+          + np.einsum("gs,gme->sme", levi_inv, D3[VB, Z]))
 
-    # delta_mu(G_{b tbar}) as order-1 jets
-    def delta_of_levi(b, t_, mu):
-        out = levi_jets[b][t_].extract(iz(mu))
-        for s in range(n):
-            out = out - nl_jets[s][mu].truncate(1) * levi_jets[b][t_].extract(iv(s))
-        return out
-
-    delta_levi = [[[delta_of_levi(b, t_, mu) for mu in range(n)] for t_ in range(n)]
-                  for b in range(n)]
-    gamma_h_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for mu in range(n):
-                acc = None
-                for t_ in range(n):
-                    t = inv_jets[t_][a].truncate(1) * delta_levi[b][t_][mu]
-                    acc = t if acc is None else acc + t
-                gamma_h_jets[a][b][mu] = acc
-    gamma_h = np.array([[[gamma_h_jets[a][b][mu].value for mu in range(n)]
-                         for b in range(n)] for a in range(n)])
+    # delta_mu G_{b tbar} and its gradient, whose two product terms add before
+    # they are subtracted, as one jet product's do
+    delta = dL[..., Z] - np.einsum("sm,bts->btm", nonlinear, dL[..., V])
+    d_delta = d2L[:, :, Z] - (np.einsum("sme,bts->btme", dN, dL[..., V])
+                              + np.einsum("sm,btse->btme", nonlinear, d2L[:, :, V]))
+    # Gamma^a_{b;mu} = G^{tbar a} delta_mu G_{b tbar} and its gradient
+    gamma_h = np.einsum("ta,btm->abm", levi_inv, delta)
+    d_gamma_h = (np.einsum("tae,btm->abme", d_inv, delta)
+                 + np.einsum("ta,btme->abme", levi_inv, d_delta))
     torsion_h = gamma_h - gamma_h.transpose(0, 2, 1)
-
-    # Gamma^a_{b g} = G^{tbar a} d_{v^g} G_{b tbar}, from values alone
-    dv_levi = np.array([[lj.gradient()[n:2 * n] for lj in row] for row in levi_jets])
-    gamma_v = np.einsum("ta,btg->abg", levi_inv, dv_levi)
+    gamma_v = np.einsum("ta,btg->abg", levi_inv, dL[..., V])
 
     # conjugate horizontal frame delta_nubar = d_zbar - conj(N^s_nu) d_vbar^s on
-    # gathered gradients; the s sum subtracts term by term, as a scalar loop does
+    # gradients; the s sum subtracts term by term, as a scalar loop does
     nl_conj = nonlinear.conj()
 
     def delta_bar(grad):
-        out = grad[..., 2 * n:3 * n]  # d_zbar
+        out, d_vbar = grad[..., ZB], grad[..., VB]
         for s in range(n):
-            out = out - nl_conj[s] * grad[..., ivb(s), None]
+            out = out - nl_conj[s] * d_vbar[..., s, None]
         return out
 
-    dbar_gamma_h = delta_bar(np.array(
-        [[[gj.gradient() for gj in row] for row in plane] for plane in gamma_h_jets]))
-    dbar_nl = delta_bar(np.array([[nj.gradient() for nj in row] for row in nl_jets]))
-    R_zz = -dbar_gamma_h
+    dbar_nl = delta_bar(dN)
+    R_zz = -delta_bar(d_gamma_h)
     for s in range(n):
         R_zz = R_zz - gamma_v[:, :, s, None, None] * dbar_nl[s]
 
     return ChernFinslerData(
-        z=z, v=v, G=G, G_alpha=G_alpha, levi=levi, levi_inv=levi_inv,
-        levi_cond=cond, nonlinear=nonlinear, gamma_h=gamma_h, gamma_v=gamma_v,
-        torsion_h=torsion_h, R_zz=R_zz)
+        v=v, G=jet.value.real, G_alpha=jet.gradient()[V], levi=levi,
+        levi_inv=levi_inv, nonlinear=nonlinear, gamma_h=gamma_h,
+        gamma_v=gamma_v, torsion_h=torsion_h, R_zz=R_zz)
 
 
 def curvature_pairing(data: ChernFinslerData) -> complex:

@@ -330,9 +330,13 @@ def _certify(config: RunConfig, pair, maps, analyses):
     map_id = pair["map"]
     if map_id not in maps:
         raise ConfigurationError(f"unknown map id {map_id!r}")
-    return certify_schwarz(maps[map_id], analyses[pair["domain"]],
-                           analyses[pair["target"]], config.plan(),
-                           tolerance=config.tolerance)
+    f, domain, target = maps[map_id], analyses[pair["domain"]], analyses[pair["target"]]
+    if (f.n_in, f.n_out) != (domain.m.n, target.m.n):
+        raise ConfigurationError(
+            f"pair {map_id}__{pair['domain']}__{pair['target']}: map takes "
+            f"C^{f.n_in} to C^{f.n_out}, metrics live on C^{domain.m.n} "
+            f"and C^{target.m.n}")
+    return certify_schwarz(f, domain, target, config.plan(), tolerance=config.tolerance)
 
 
 def cmd_schwarz(config: RunConfig, outdir: Path) -> int:

@@ -29,7 +29,7 @@ import numbers
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateMetricError, StructuralError
+from .errors import ConfigurationError, StructuralError
 
 MAX_ORDER = 4
 
@@ -660,40 +660,6 @@ def spow(x, p):
 
 def sexp(x):
     return x.exp() if isinstance(x, Jet) else math.exp(x)
-
-
-# -- small dense linear algebra over jets --------------------------------------
-
-def invert_jet_matrix(mat):
-    """Gauss-Jordan inverse of a square matrix with Jet entries.
-
-    Pivots on the largest constant term; raises ``DegenerateMetricError`` if a
-    pivot column is numerically singular.
-    """
-    m = len(mat)
-    aug = [[mat[i][j] for j in range(m)] for i in range(m)]
-    sp = aug[0][0].space
-    iden = [[sp.constant(1.0 if i == j else 0.0) for j in range(m)] for i in range(m)]
-    scale = max(abs(aug[i][j].value) for i in range(m) for j in range(m)) or 1.0
-    for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(aug[r][col].value))
-        if abs(aug[piv][col].value) < 1e-13 * scale:
-            raise DegenerateMetricError("jet matrix numerically singular")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            iden[col], iden[piv] = iden[piv], iden[col]
-        inv_piv = aug[col][col].reciprocal()
-        aug[col] = [a * inv_piv for a in aug[col]]
-        iden[col] = [a * inv_piv for a in iden[col]]
-        for r in range(m):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if abs(f.value) == 0.0 and not np.any(f.coeffs):
-                continue
-            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-            iden[r] = [a - f * b for a, b in zip(iden[r], iden[col])]
-    return iden
 
 
 # -- jet programs: a formula recorded once, replayed on coefficient arrays ------

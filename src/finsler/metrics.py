@@ -62,8 +62,16 @@ def _hermitian_form(H, v):
 # -- Hermitian catalog -----------------------------------------------------------
 
 
+def _complex_dim(spec, default):
+    """The spec's ``complex_dim``, which must be an integer >= 1."""
+    n = int(spec.get("complex_dim", default))
+    if n < 1:
+        raise ConfigurationError(f"complex_dim must be >= 1, got {n}")
+    return n
+
+
 def _make_hermitian(spec):
-    n = int(spec.get("complex_dim", 1))
+    n = _complex_dim(spec, 1)
     params = spec.get("params", {})
     catalog = params.get("catalog", "euclidean")
     scale = float(params.get("scale", 1.0))
@@ -163,7 +171,7 @@ def _make_hermitian(spec):
 
 
 def _make_minkowski(spec):
-    n = int(spec.get("complex_dim", 1))
+    n = _complex_dim(spec, 1)
     params = spec.get("params", {})
     eps = float(params.get("eps", 1.0))
     k = params.get("k", 2)
@@ -308,7 +316,7 @@ def build_profile(params) -> UnitaryProfile:
 
 def _make_un_invariant(spec):
     profile = build_profile(spec.get("params", {}).get("profile", {}))
-    return un_invariant_metric(profile, int(spec.get("complex_dim", 2)), spec)
+    return un_invariant_metric(profile, _complex_dim(spec, 2), spec)
 
 
 def un_invariant_metric(profile: UnitaryProfile, n: int, spec) -> MetricDef:

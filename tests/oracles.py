@@ -322,13 +322,45 @@ def spray_by_partials(m, x, u):
 # -- connections read out one partial at a time ------------------------------------
 
 
+def invert_jet_matrix(mat):
+    """Gauss-Jordan inverse of a square matrix with Jet entries.
+
+    Pivots on the largest constant term; raises ``DegenerateMetricError`` if a
+    pivot column is numerically singular.
+    """
+    from finsler.errors import DegenerateMetricError
+
+    m = len(mat)
+    aug = [[mat[i][j] for j in range(m)] for i in range(m)]
+    sp = aug[0][0].space
+    iden = [[sp.constant(1.0 if i == j else 0.0) for j in range(m)] for i in range(m)]
+    scale = max(abs(aug[i][j].value) for i in range(m) for j in range(m)) or 1.0
+    for col in range(m):
+        piv = max(range(col, m), key=lambda r: abs(aug[r][col].value))
+        if abs(aug[piv][col].value) < 1e-13 * scale:
+            raise DegenerateMetricError("jet matrix numerically singular")
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            iden[col], iden[piv] = iden[piv], iden[col]
+        inv_piv = aug[col][col].reciprocal()
+        aug[col] = [a * inv_piv for a in aug[col]]
+        iden[col] = [a * inv_piv for a in iden[col]]
+        for r in range(m):
+            if r == col:
+                continue
+            f = aug[r][col]
+            if abs(f.value) == 0.0 and not np.any(f.coeffs):
+                continue
+            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+            iden[r] = [a - f * b for a, b in zip(iden[r], iden[col])]
+    return iden
+
+
 def spray_jets_by_objects(m, x, u, order):
     """``(g_rows, spray)``: the fundamental tensor and the spray coefficients
     G^i as Jet objects of the given order (<= 2), built with ``extract()`` and
     inverted by Gauss-Jordan over jets: the reference for the spray and its
     implicit derivatives in ``cartan.cartan``."""
-    from finsler.jets import invert_jet_matrix
-
     jet = m.real_jet(x, u, order + 2)
     d = m.dim
     g_rows = [[jet.extract(d + i).extract(d + j) * 0.5 for j in range(d)]
@@ -410,8 +442,6 @@ def chern_by_partials(m, z, v):
     with every jet derivative read by :meth:`Jet.partial` in nested loops and
     gamma_v carried as order-1 jets: the reference for the gathered assembly
     of ``chern.chern_finsler``."""
-    from finsler.jets import invert_jet_matrix
-
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     n = m.n

@@ -79,30 +79,43 @@ def test_chern_assembly_matches_partial_readout(metric):
     for _ in range(4):
         z, v = rand_zv(rng, metric.n, r=0.5)
         d = chern_finsler(metric, z, v)
-        got = (d.gamma_h, d.gamma_v, d.torsion_h, d.R_zz)
-        for name, g, w in zip(("gamma_h", "gamma_v", "torsion_h", "R_zz"), got,
-                              chern_by_partials(metric, z, v)):
-            assert np.allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max()), name
+        want = dict(zip(("gamma_h", "gamma_v", "torsion_h", "R_zz"),
+                        chern_by_partials(metric, z, v)))
+        # the torsion is gamma_h minus its transpose, so gamma_h sets its
+        # rounding scale; on a Kaehler metric both sides are pure roundoff
+        scale = dict(want, torsion_h=want["gamma_h"])
+        for name, w in want.items():
+            g = getattr(d, name)
+            assert np.allclose(g, w, rtol=1e-14,
+                               atol=1e-14 * np.abs(scale[name]).max()), name
     if metric is NONKAHLER:
         assert np.abs(d.torsion_h).max() > 1e-3
 
 
 def test_chern_one_dimensional_outputs_bitwise():
-    # the golden certificates hang on the n=1 evaluation order
+    # the golden certificates hang on the n=1 evaluation order. R_zz is held
+    # to the 1e-14 oracle bound, not to bits: the oracle's jet products round
+    # some vector lanes unlike a scalar product, so its bits depend on lane
+    # position. The golden replay guards the certificate bits.
     rng = np.random.default_rng(10)
     for _ in range(12):
         z, v = rand_zv(rng, 1, r=0.8)
         d = chern_finsler(POINCARE, z, v)
-        got = (d.gamma_h, d.gamma_v, d.torsion_h, d.R_zz)
-        for g, w in zip(got, chern_by_partials(POINCARE, z, v)):
+        gamma_h, gamma_v, torsion_h, R_zz = chern_by_partials(POINCARE, z, v)
+        for g, w in ((d.gamma_h, gamma_h), (d.gamma_v, gamma_v),
+                     (d.torsion_h, torsion_h)):
             assert g.tobytes() == w.tobytes()
+        assert np.allclose(d.R_zz, R_zz, rtol=1e-14, atol=0.0)
 
 
 def test_chern_reads_no_scalar_partials(monkeypatch):
-    def refuse(self, variables):
-        raise AssertionError("scalar partial() readout")
+    # chern_finsler reads gathered derivative tensors of one jet: no scalar
+    # partials, no products of Jet objects, no extract() and no truncate()
+    def refuse(*args, **kwargs):
+        raise AssertionError("jet-object arithmetic in chern_finsler")
 
-    monkeypatch.setattr(Jet, "partial", refuse)
+    for name in ("partial", "__mul__", "__rmul__", "extract", "truncate"):
+        monkeypatch.setattr(Jet, name, refuse)
     rng = np.random.default_rng(11)
     for metric in (POINCARE, MINKOWSKI):
         z, v = rand_zv(rng, metric.n)

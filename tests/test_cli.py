@@ -174,9 +174,15 @@ def test_bad_plan_is_a_configuration_error(tmp_path, capsys, plan):
     ("check", {"metrics": [{"family": "hermitian", "params": {"scale": "x"}}]}),
     ("check", {"metrics": [{"family": "hermitian", "params": [1]}]}),
     ("schwarz", {"maps": [{"map": "linear", "id": "identity"}]}),
+    ("schwarz", {"maps": [{"map": "linear", "id": "identity",
+                           "params": {"matrix": [[1, 2]]}}]}),
+    ("check", {"metrics": [{"family": "hermitian", "complex_dim": 0}]}),
+    ("check", {"metrics": [{"family": "minkowski", "complex_dim": 0}]}),
 ], ids=["metric_not_a_mapping", "family_not_a_name", "tolerance_not_a_number",
         "outputs_not_a_mapping", "map_not_a_mapping", "complex_dim_not_an_integer",
-        "scale_not_a_number", "params_not_a_mapping", "linear_map_without_matrix"])
+        "scale_not_a_number", "params_not_a_mapping", "linear_map_without_matrix",
+        "map_dimensions_do_not_match_pair", "hermitian_complex_dim_zero",
+        "minkowski_complex_dim_zero"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, change):
     p = write_config(tmp_path, {**BASE_CONFIG, **change})
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsler.errors import ConfigurationError, StructuralError
-from finsler.jets import CJet, Jet, JetSpace, invert_jet_matrix, lift, wirtinger
+from finsler.jets import CJet, Jet, JetSpace, lift, wirtinger
 
-from oracles import dict_poly_mult, random_expression, richardson_partial
+from oracles import (dict_poly_mult, invert_jet_matrix, random_expression,
+                     richardson_partial)
 
 
 def test_lift_seed_semantics():
