@@ -127,15 +127,10 @@ def curvature_pairing(data: ChernFinslerData) -> complex:
 
 
 def holomorphic_sectional_curvature(m: MetricDef, z, v, *,
-                                    data: ChernFinslerData | None = None,
-                                    return_imag=False):
+                                    data: ChernFinslerData | None = None):
     """K_G(v) = 2 <Omega(chi,chibar)chi,chi> / G(v)^2 (real scalar)."""
     data = data if data is not None else chern_finsler(m, z, v)
-    num = curvature_pairing(data)
-    k = 2.0 * num / data.G ** 2
-    if return_imag:
-        return float(k.real), abs(float(k.imag))
-    return float(k.real)
+    return float((2.0 * curvature_pairing(data) / data.G ** 2).real)
 
 
 def scale_invariance_check(m: MetricDef, z, v, zeta) -> VerificationReport:

@@ -28,7 +28,8 @@ from .errors import (SAMPLE_ERRORS, ConfigurationError, FinslerError, NoSamplesE
                      ShootingError)
 from .geometry import complex_to_real_components, realify_metric, sample_points
 from .metrics import build_map, check_metric, instantiate, plan_directions
-from .report import canonical_json, _clean, sample_counts
+from .report import (canonical_json, _clean, evaluate_samples, failure_reasons,
+                     sample_counts)
 
 SCHEMA = 1
 
@@ -175,30 +176,25 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
         plan = config.plan()
         pd = PoleDistance(mr, np.zeros(mr.dim))
         pts = sample_points(m, plan)
-        rows = []
+
+        def shoot(z, _):
+            r = pd.rho(complex_to_real_components(z) if m.is_complex else z)
+            return r.value, r.residual
+
+        found, failures = evaluate_samples(shoot, pts, [None])
+        rows = [[i, repr(float(rho)), repr(float(res))] for i, _, (rho, res) in found]
         worst = 0.0
-        reasons = {}
-        rho_errors = {}
-        shooting = []
-        for i, z in enumerate(pts):
-            x = complex_to_real_components(z) if m.is_complex else z
-            try:
-                r = pd.rho(x)
-            except SAMPLE_ERRORS as exc:
-                name = rho_errors[i] = type(exc).__name__
-                reasons[name] = reasons.get(name, 0) + 1
-                if isinstance(exc, ShootingError):
-                    shooting.append({"point_index": i, "starts": exc.starts,
-                                     "integrations": exc.integrations,
-                                     "best_residual": exc.best_residual})
-                continue
-            rows.append([i, repr(float(r.value)), repr(float(r.residual))])
-            closed = m.metadata.get("distance_from_origin")
+        closed = m.metadata.get("distance_from_origin")
+        for i, _, (rho, _) in found:
             if closed == "norm":
-                worst = max(worst, abs(r.value - math.sqrt(m.value(z, z))))
+                worst = max(worst, abs(rho - math.sqrt(m.value(pts[i], pts[i]))))
             elif closed == "atanh":
-                worst = max(worst, abs(r.value - math.atanh(float(np.linalg.norm(z)))))
-        rho_counts = sample_counts(len(rows), reasons)
+                worst = max(worst, abs(rho - math.atanh(float(np.linalg.norm(pts[i])))))
+        rho_errors = {i: type(exc).__name__ for i, _, exc in failures}
+        shooting = [{"point_index": i, "starts": exc.starts,
+                     "integrations": exc.integrations, "best_residual": exc.best_residual}
+                    for i, _, exc in failures if isinstance(exc, ShootingError)]
+        rho_counts = sample_counts(len(rows), failure_reasons(failures))
         payload = {"metric": mid, "n_samples": len(rows),
                    "max_closed_form_error": worst if rows else None,
                    "rho_samples": rho_counts, "shooting_failures": shooting}

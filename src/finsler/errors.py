@@ -63,6 +63,10 @@ class NoSamplesError(FinslerError):
     """Every sample of a plan failed, so no statistic over the plan exists."""
 
 
+class NonFiniteSampleError(FinslerError):
+    """A sample evaluated to a value with a NaN or infinite entry."""
+
+
 #: Failures a sample loop records per sample; any other exception is a bug
 #: and propagates.
 SAMPLE_ERRORS = (FinslerError, np.linalg.LinAlgError, FloatingPointError)

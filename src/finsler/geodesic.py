@@ -73,7 +73,6 @@ class GeodesicPath:
     t_end: float
     sol: object
     arc_length: float
-    energy0: float
     energy_drift: float
     n_steps: int
     nfev: int
@@ -113,7 +112,7 @@ def _path(m: MetricDef, x0, u0, G0, sol) -> GeodesicPath:
     t_reached = sol.t[-1]
     return GeodesicPath(
         metric=m, x0=x0, u0=u0, speed=speed, t_end=t_reached, sol=sol,
-        arc_length=abs(t_reached) * speed, energy0=G0, energy_drift=drift,
+        arc_length=abs(t_reached) * speed, energy_drift=drift,
         n_steps=len(sol.t) - 1, nfev=sol.nfev,
         normal=abs(G0 - 1.0) < 1e-9, truncated=sol.status == 1)
 

@@ -285,7 +285,7 @@ def realify_metric(m: MetricDef) -> MetricDef:
 
     return MetricDef(
         "real", real_formula, dim_real=m.dim, domain=_RealDomainView(m.domain),
-        metadata={**m.metadata, "realified_from": m.family_id},
+        metadata=m.metadata,
         family_id=m.family_id + "_real", spec=m.spec)
 
 

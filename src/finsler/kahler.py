@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chern import chern_finsler
-from .errors import SAMPLE_ERRORS
 from .geometry import MetricDef, SamplePlan, sample_points, sample_vectors
 from .jets import JetSpace
 from .metrics import UnitaryProfile, un_invariant_metric
-from .report import VerificationReport
+from .report import VerificationReport, evaluate_samples
 
 CLASS_ORDER = ["strongly_kahler", "kahler", "weakly_kahler", "none"]
 
@@ -68,32 +67,24 @@ def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
     """
     tolerance = 1e-7
     plan = plan or SamplePlan(n_points=8, n_dirs=4)
-    pts = sample_points(m, plan)
-    dirs = sample_vectors(m, plan)
-    res_strong = 0.0
-    res_kahler = 0.0
-    res_weak = 0.0
-    scale = 0.0
-    errors = []
-    count = 0
-    for z in pts:
-        for v in dirs:
-            try:
-                data = chern_finsler(m, z, v)
-            except SAMPLE_ERRORS as exc:
-                errors.append(f"{type(exc).__name__}: {exc}")
-                continue
-            count += 1
-            vn = np.asarray(v) / math.sqrt(data.G)
-            tor = data.torsion_h
-            res_strong = max(res_strong, float(np.abs(tor).max()))
-            contracted = np.einsum("anm,m->an", tor, vn)
-            res_kahler = max(res_kahler, float(np.abs(contracted).max()))
-            weak = np.einsum("a,an->n", data.G_alpha / math.sqrt(data.G), contracted)
-            res_weak = max(res_weak, float(np.abs(weak).max()))
-            scale = max(scale, 1.0, float(np.abs(data.gamma_h).max()))
-    tol = tolerance * max(scale, 1.0)
-    if count == 0:
+
+    def residuals(z, v):
+        """The three torsion residuals and max|Gamma_h| of one sample."""
+        data = chern_finsler(m, z, v)
+        vn = np.asarray(v) / math.sqrt(data.G)
+        tor = data.torsion_h
+        contracted = np.einsum("anm,m->an", tor, vn)
+        weak = np.einsum("a,an->n", data.G_alpha / math.sqrt(data.G), contracted)
+        return (float(np.abs(tor).max()), float(np.abs(contracted).max()),
+                float(np.abs(weak).max()), float(np.abs(data.gamma_h).max()))
+
+    rows, failures = evaluate_samples(residuals, sample_points(m, plan),
+                                      sample_vectors(m, plan))
+    res_strong, res_kahler, res_weak, scale = (
+        max((value[k] for _, _, value in rows), default=0.0) for k in range(4))
+    scale = max(scale, 1.0)
+    tol = tolerance * scale
+    if not rows:
         cls = "none"  # residuals of zero samples prove nothing
     elif res_strong < tol:
         cls = "strongly_kahler"
@@ -106,8 +97,8 @@ def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
     return KahlerReport(
         metric_id=m.family_id, residual_strong=res_strong,
         residual_kahler=res_kahler, residual_weak=res_weak,
-        scale=max(scale, 1.0), tolerance=tolerance, classification=cls,
-        n_samples=count, errors=errors)
+        scale=scale, tolerance=tolerance, classification=cls, n_samples=len(rows),
+        errors=[f"{type(exc).__name__}: {exc}" for _, _, exc in failures])
 
 
 def is_at_least(classification: str, level: str) -> bool:

@@ -16,24 +16,33 @@ import numbers
 
 import numpy as np
 
-from .errors import SAMPLE_ERRORS, ConfigurationError
+from .errors import ConfigurationError
 from .geometry import (Domain, MetricDef, SamplePlan, complex_to_real_components,
                        product_domain, sample_points, sample_vectors,
                        unit_directions)
 from .jets import CJet, JetSpace, cabs2, cconj, creal, sexp, spow
-from .report import VerificationReport, sample_counts
+from .report import (VerificationReport, evaluate_samples, failure_reasons,
+                     sample_counts)
+
+
+def _complex(e):
+    """A complex number given as a scalar or as an [re, im] pair."""
+    return complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
+
+
+def _hermitian(m, n, what):
+    """Parse an n x n complex matrix given as nested lists of ``_complex``
+    entries and check that it is Hermitian."""
+    arr = np.array([[_complex(m[i][j]) for j in range(n)] for i in range(n)],
+                   dtype=complex)
+    if not np.allclose(arr, arr.conj().T, atol=1e-12):
+        raise ConfigurationError(f"{what}: matrix must be Hermitian")
+    return arr
 
 
 def _as_matrix(m, n, what):
-    """Parse an n x n complex matrix given as nested lists (entries may be
-    [re, im] pairs) and check Hermitian positive definiteness."""
-    arr = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            e = m[i][j]
-            arr[i, j] = complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-    if not np.allclose(arr, arr.conj().T, atol=1e-12):
-        raise ConfigurationError(f"{what}: matrix must be Hermitian")
+    """``_hermitian`` of the nested lists, checked positive definite."""
+    arr = _hermitian(m, n, what)
     if np.linalg.eigvalsh(arr).min() <= 0:
         raise ConfigurationError(f"{what}: matrix must be positive definite")
     return arr
@@ -78,7 +87,7 @@ def _make_hermitian(spec):
     if scale <= 0:
         raise ConfigurationError("hermitian: scale must be positive")
 
-    meta = {"kind_hint": "hermitian", "quadratic": True, "complete": True}
+    meta = {"complete": True}
     domain = Domain()
 
     if catalog == "euclidean":
@@ -87,16 +96,14 @@ def _make_hermitian(spec):
         def matrix_fn(z):
             return H
 
-        meta.update(holomorphic_curvature=0.0, flat=True,
-                    kahler_class="strongly_kahler")
+        meta.update(holomorphic_curvature=0.0, kahler_class="strongly_kahler")
     elif catalog == "constant":
         H = _as_matrix(params["matrix"], n, "hermitian constant")
 
         def matrix_fn(z):
             return H
 
-        meta.update(holomorphic_curvature=0.0, flat=True,
-                    kahler_class="strongly_kahler")
+        meta.update(holomorphic_curvature=0.0, kahler_class="strongly_kahler")
     elif catalog == "poincare_disk":
         if n != 1:
             raise ConfigurationError("poincare_disk is one-dimensional")
@@ -186,18 +193,9 @@ def _make_minkowski(spec):
     if factors is None:
         Hs = [np.diag(np.eye(n)[a]).astype(complex) for a in range(n)]
     else:
-        Hs = []
-        for f in factors:
-            arr = np.empty((n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    e = f[i][j]
-                    arr[i, j] = complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-            if not np.allclose(arr, arr.conj().T, atol=1e-12):
-                raise ConfigurationError("minkowski: factors must be Hermitian")
-            if np.linalg.eigvalsh(arr).min() < -1e-12:
-                raise ConfigurationError("minkowski: factors must be positive semidefinite")
-            Hs.append(arr)
+        Hs = [_hermitian(f, n, "minkowski factors") for f in factors]
+        if any(np.linalg.eigvalsh(H).min() < -1e-12 for H in Hs):
+            raise ConfigurationError("minkowski: factors must be positive semidefinite")
 
     def formula(z, v):
         g = _hermitian_form(B, v)
@@ -209,10 +207,8 @@ def _make_minkowski(spec):
             g = g + eps * spow(q, 1.0 / k)
         return g
 
-    meta = {"flat": True, "kahler_class": "strongly_kahler",
-            "holomorphic_curvature": 0.0, "complete": True,
-            "quadratic": eps == 0.0, "point_independent": True,
-            "distance_from_origin": "norm"}
+    meta = {"kahler_class": "strongly_kahler", "holomorphic_curvature": 0.0,
+            "complete": True, "distance_from_origin": "norm"}
     fam_id = spec.get("id", f"minkowski_{n}_k{k}")
     return MetricDef("complex_strongly_convex", formula, n_complex=n,
                      domain=Domain(), metadata=meta, family_id=fam_id, spec=spec)
@@ -254,9 +250,7 @@ def _make_szabo(spec):
     factors_kahler = all(
         f.metadata.get("kahler_class", "none") in ("strongly_kahler", "kahler")
         for f in (f1, f2))
-    meta = {"berwald": True, "quadratic": False,
-            "kahler_class": "kahler" if factors_kahler else "none",
-            "point_independent": f1.metadata.get("flat", False) and f2.metadata.get("flat", False)}
+    meta = {"kahler_class": "kahler" if factors_kahler else "none"}
     fam_id = spec.get("id", f"szabo_k{k}_{f1.family_id}_{f2.family_id}")
     return MetricDef("complex_strongly_convex", formula, n_complex=n,
                      domain=product_domain(f1.domain, n1, f2.domain, n2),
@@ -336,7 +330,7 @@ def un_invariant_metric(profile: UnitaryProfile, n: int, spec) -> MetricDef:
         s = cabs2(ip) / r
         return r * profile(t, s)
 
-    meta = {"unitary_invariant": True, "profile": profile,
+    meta = {"profile": profile,
             "kahler_class": "kahler" if profile.is_gradient_form else "unknown"}
     fam_id = spec.get("id", f"un_{profile.id}_{n}")
     return MetricDef("complex", formula, n_complex=n, domain=domain,
@@ -384,67 +378,49 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
     """
     plan = plan or SamplePlan()
     rng = np.random.default_rng(plan.seed + 7)
-    pts = sample_points(m, plan)
-    dirs = sample_vectors(m, plan)
-    min_levi = math.inf
-    min_real = math.inf
-    min_value = math.inf
-    hom_res = 0.0
-    errors = []
-    reasons = {}
-    ok = 0
-    samples = []
-    for i, z in enumerate(pts):
-        for j, v in enumerate(dirs):
-            try:
-                if m.is_complex:
-                    G = m.value(z, v)
-                    L = m.levi_matrix(z, v)
-                    ev = float(np.linalg.eigvalsh(L).min())
-                    min_levi = min(min_levi, ev)
-                    x = complex_to_real_components(z)
-                    u = complex_to_real_components(v)
-                    g = m.fundamental_real(x, u)
-                    evr = float(np.linalg.eigvalsh(g).min())
-                    min_real = min(min_real, evr)
-                    zeta = complex(rng.standard_normal(), rng.standard_normal())
-                    ref = m.value(z, zeta * v)
-                    hom = abs(ref - abs(zeta) ** 2 * G) / max(1.0, abs(ref))
-                else:
-                    G = m.value(z, v)
-                    g = m.fundamental_real(z, v)
-                    evr = float(np.linalg.eigvalsh(g).min())
-                    min_real = min(min_real, evr)
-                    lam = float(rng.standard_normal())
-                    if abs(lam) < 0.1:
-                        lam = 0.5
-                    ref = m.value(z, lam * v)
-                    hom = abs(ref - lam ** 2 * G) / max(1.0, abs(ref))
-                min_value = min(min_value, G)
-                hom_res = max(hom_res, hom)
-                ok += 1
-                if len(samples) < 4:
-                    samples.append({"point_index": i, "dir_index": j, "G": G})
-            except SAMPLE_ERRORS as exc:
-                name = type(exc).__name__
-                reasons[name] = reasons.get(name, 0) + 1
-                errors.append(f"sample ({i},{j}): {name}: {exc}")
+
+    def sample(z, v):
+        """(G, least real eigenvalue, homogeneity residual[, least Levi eigenvalue])."""
+        G = m.value(z, v)
+        levi = ()
+        x, u = z, v
+        if m.is_complex:
+            levi = (float(np.linalg.eigvalsh(m.levi_matrix(z, v)).min()),)
+            x, u = complex_to_real_components(z), complex_to_real_components(v)
+        evr = float(np.linalg.eigvalsh(m.fundamental_real(x, u)).min())
+        if m.is_complex:
+            s = complex(rng.standard_normal(), rng.standard_normal())
+        else:
+            s = float(rng.standard_normal())
+            if abs(s) < 0.1:
+                s = 0.5
+        ref = m.value(z, s * v)
+        return (G, evr, abs(ref - abs(s) ** 2 * G) / max(1.0, abs(ref))) + levi
+
+    rows, failures = evaluate_samples(sample, sample_points(m, plan),
+                                      sample_vectors(m, plan))
+    min_value = min((val[0] for _, _, val in rows), default=math.inf)
+    min_real = min((val[1] for _, _, val in rows), default=None)
+    hom_res = max((val[2] for _, _, val in rows), default=0.0)
+    min_levi = min((val[3] for _, _, val in rows), default=None) if m.is_complex else None
     tol = 1e-10
-    passed = (ok > 0 and min_value > 0 and min_real > 0 and hom_res < tol
-              and (not m.is_complex or min_levi > 0) and not errors)
+    passed = (rows and min_value > 0 and min_real > 0 and hom_res < tol
+              and (min_levi is None or min_levi > 0) and not failures)
     return VerificationReport(
         name=f"check_metric:{m.family_id}",
         passed=bool(passed),
         tolerance=tol,
         stats={
-            "min_levi_eigenvalue": None if min_levi is math.inf else min_levi,
-            "min_real_hessian_eigenvalue": None if min_real is math.inf else min_real,
+            "min_levi_eigenvalue": min_levi,
+            "min_real_hessian_eigenvalue": min_real,
             "min_value": min_value,
             "homogeneity_residual": hom_res,
-            "samples": sample_counts(ok, reasons),
+            "samples": sample_counts(len(rows), failure_reasons(failures)),
         },
-        samples=samples,
-        errors=errors,
+        samples=[{"point_index": i, "dir_index": j, "G": value[0]}
+                 for i, j, value in rows[:4]],
+        errors=[f"sample ({i},{j}): {type(exc).__name__}: {exc}"
+                for i, j, exc in failures],
     )
 
 
@@ -508,8 +484,7 @@ def _build_map(spec) -> HoloMap:
             return [out]
         return HoloMap(spec.get("id", f"power_{mdeg}"), 1, 1, fn)
     if kind == "mobius":
-        a = params.get("a", 0.3)
-        a = complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
+        a = _complex(params.get("a", 0.3))
         if abs(a) >= 1:
             raise ConfigurationError("mobius parameter must satisfy |a| < 1")
 
@@ -518,8 +493,8 @@ def _build_map(spec) -> HoloMap:
             return [(a - w) / (1.0 - w * a.conjugate())]
         return HoloMap(spec.get("id", f"mobius_{a.real:g}_{a.imag:g}"), 1, 1, fn)
     if kind == "linear":
-        A = np.asarray([[complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-                         for e in row] for row in params["matrix"]], dtype=complex)
+        A = np.asarray([[_complex(e) for e in row] for row in params["matrix"]],
+                       dtype=complex)
         n_out, n_in = A.shape
 
         def fn(z):
@@ -537,8 +512,7 @@ def _build_map(spec) -> HoloMap:
             return out
         return HoloMap(spec.get("id", "linear"), n_in, n_out, fn)
     if kind == "constant":
-        c = [complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-             for e in params.get("value", [0.0])]
+        c = [_complex(e) for e in params.get("value", [0.0])]
         n_in = int(params.get("n_in", 1))
 
         def fn(z):

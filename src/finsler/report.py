@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+
+from .errors import SAMPLE_ERRORS, NonFiniteSampleError
 
 
 def _clean(obj):
@@ -59,11 +62,38 @@ class VerificationReport:
         return f"[{flag}] {self.name} (tol={self.tolerance:g}) {self.stats}"
 
 
-def sample_counts(ok: int, failure_reasons: dict) -> dict:
+def evaluate_samples(fn, points, dirs):
+    """``fn(z, v)`` at every point x direction, in plan order, as ``(rows,
+    failures)``: ``(iz, iv, value)`` per evaluated sample, ``(iz, iv, exception)``
+    per failed one. A sample fails when ``fn`` raises one of ``SAMPLE_ERRORS``,
+    or as a ``NonFiniteSampleError`` when its value, a real number or a tuple
+    of them, has a non-finite entry. Any other exception propagates.
+    """
+    rows, failures = [], []
+    for iz, z in enumerate(points):
+        for iv, v in enumerate(dirs):
+            try:
+                value = fn(z, v)
+                entries = value if isinstance(value, tuple) else (value,)
+                if not all(map(math.isfinite, entries)):
+                    raise NonFiniteSampleError(f"sample value {value} is not finite")
+            except SAMPLE_ERRORS as exc:
+                failures.append((iz, iv, exc))
+            else:
+                rows.append((iz, iv, value))
+    return rows, failures
+
+
+def failure_reasons(failures) -> dict:
+    """Failed samples ``(iz, iv, exception)`` tallied by error type name."""
+    return dict(Counter(type(exc).__name__ for _, _, exc in failures))
+
+
+def sample_counts(ok: int, reasons: dict) -> dict:
     """Attempted/ok/failed counts of a sample loop, failures tallied by error type."""
-    failed = sum(failure_reasons.values())
+    failed = sum(reasons.values())
     return {"attempted": ok + failed, "ok": ok, "failed": failed,
-            "failure_reasons": dict(failure_reasons)}
+            "failure_reasons": dict(reasons)}
 
 
 def canonical_json(payload) -> str:

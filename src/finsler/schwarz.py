@@ -29,7 +29,8 @@ from .geometry import MetricDef, SamplePlan, sample_points
 from .jets import CJet, Jet, JetSpace
 from .kahler import KahlerReport, classify, is_at_least
 from .metrics import HoloMap, check_metric, plan_directions
-from .report import VerificationReport, sample_counts
+from .report import (VerificationReport, evaluate_samples, failure_reasons,
+                     sample_counts)
 
 
 def _disk_cjet(zeta, order):
@@ -80,14 +81,7 @@ def gaussian_curvature(density, zeta) -> float:
 
 def pullback_density(m: MetricDef, probe):
     """zeta -> G(phi(zeta); phi'(zeta)) as a CJet-evaluable density."""
-
-    def density(zc: CJet):
-        sp = zc.re.space
-        pt = [_as_cjet(w, sp) for w in probe(zc)]
-        dphi = [_holo_derivative(w) for w in pt]
-        return m.formula(pt, dphi)
-
-    return density
+    return mapped_density(m, lambda z: z, probe)
 
 
 def mapped_density(m_target: MetricDef, f: HoloMap, probe):
@@ -191,11 +185,8 @@ class CurvatureSamples:
             raise NoSamplesError(
                 f"no K_G sample evaluated: {self.counts['attempted']} attempted, "
                 f"failures {self.failure_reasons}")
-        lo, hi = math.inf, -math.inf
-        for _, _, k in self.rows:
-            lo = min(lo, k)
-            hi = max(hi, k)
-        return lo, hi
+        values = [k for _, _, k in self.rows]
+        return min(values), max(values)
 
     def bound(self, role: str) -> CurvatureBound:
         """Domain role: inf clamped to <= 0. Target role: sup, which must be < 0."""
@@ -213,24 +204,13 @@ class CurvatureSamples:
 
 
 def holomorphic_curvature_samples(m: MetricDef, plan: SamplePlan) -> CurvatureSamples:
-    """K_G at the plan's points in ``plan_directions(seed + 3)``.
-
-    A sample that fails with one of ``SAMPLE_ERRORS`` is tallied by error
-    type; any other exception propagates.
-    """
+    """K_G at the plan's points in ``plan_directions(seed + 3)``; failed
+    samples, as ``evaluate_samples`` defines them, are tallied by error type."""
     from .chern import holomorphic_sectional_curvature
-    pts = sample_points(m, plan)
-    dirs = plan_directions(m, plan.n_dirs, plan.seed + 3)
-    rows = []
-    reasons = {}
-    for iz, z in enumerate(pts):
-        for iv, v in enumerate(dirs):
-            try:
-                rows.append((iz, iv, holomorphic_sectional_curvature(m, z, v)))
-            except SAMPLE_ERRORS as exc:
-                name = type(exc).__name__
-                reasons[name] = reasons.get(name, 0) + 1
-    return CurvatureSamples(rows, reasons)
+    rows, failures = evaluate_samples(
+        lambda z, v: holomorphic_sectional_curvature(m, z, v), sample_points(m, plan),
+        plan_directions(m, plan.n_dirs, plan.seed + 3))
+    return CurvatureSamples(rows, failure_reasons(failures))
 
 
 def curvature_bounds(m: MetricDef, role: str,

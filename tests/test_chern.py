@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from finsler.chern import (chern_finsler, holomorphic_sectional_curvature,
-                           scale_invariance_check)
+from finsler.chern import (chern_finsler, curvature_pairing,
+                           holomorphic_sectional_curvature, scale_invariance_check)
 from finsler.metrics import instantiate
 
 from finsler.jets import Jet
@@ -64,11 +64,11 @@ def test_poincare_disk_connection_and_curvature():
     rng = np.random.default_rng(2)
     for _ in range(8):
         z, v = rand_zv(rng, 1, r=0.7)
-        k, imag = holomorphic_sectional_curvature(POINCARE, z, v, return_imag=True)
-        assert k == pytest.approx(-4.0, abs=1e-6)
-        assert imag < 1e-10
-        # classical coefficient 2 zbar / (1 - |z|^2)
         d = chern_finsler(POINCARE, z, v)
+        k = 2 * curvature_pairing(d) / d.G ** 2
+        assert k.real == pytest.approx(-4.0, abs=1e-6)
+        assert abs(k.imag) < 1e-10
+        # classical coefficient 2 zbar / (1 - |z|^2)
         expect = 2 * np.conj(z[0]) / (1 - abs(z[0]) ** 2)
         assert d.gamma_h[0, 0, 0] == pytest.approx(expect, abs=1e-10)
 
@@ -231,6 +231,7 @@ def test_szabo_curvature_is_real_and_scale_free():
     rng = np.random.default_rng(8)
     for _ in range(4):
         z, v = rand_zv(rng, 2, r=0.25)
-        k, imag = holomorphic_sectional_curvature(SZABO, z, v, return_imag=True)
-        assert imag < 1e-9
-        assert np.isfinite(k)
+        d = chern_finsler(SZABO, z, v)
+        k = 2 * curvature_pairing(d) / d.G ** 2
+        assert abs(k.imag) < 1e-9
+        assert np.isfinite(k.real)

@@ -329,6 +329,30 @@ def test_zero_curvature_samples_fail_each_item(tmp_path, monkeypatch, capsys, co
     assert all("samples ok 0/6" in line for line in lines)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_underflowing_curvature_samples_fail(tmp_path, capsys):
+    # G ~ 1e-300 makes G^2 underflow, so every K_G = 2 num / G^2 is NaN; the
+    # validity values stay finite and positive
+    p = write_config(tmp_path, {
+        "seed": 7,
+        "metrics": [{"family": "hermitian", "complex_dim": 1, "id": "tiny",
+                     "params": {"catalog": "poincare_disk", "scale": 1e-300}}],
+        "plans": {"default": {"n_points": 3, "n_dirs": 2, "radial_range": [0.1, 0.6]}}})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for command, code in (("curvature", 1), ("bounds", 1), ("check", 0)):
+        assert main([command, "--config", str(p), "--out", str(out)]) == code
+        if command == "check":
+            continue
+        payload = json.loads((out / command / "tiny" / "report.json").read_text())["payload"]
+        assert payload["holomorphic_samples"] == {
+            "attempted": 6, "ok": 0, "failed": 6,
+            "failure_reasons": {"NonFiniteSampleError": 6}}
+        assert "holomorphic_error" in payload
+    assert "curvature tiny: no K_G sample evaluated; samples ok 0/6" in \
+        capsys.readouterr().out
+
+
 def test_cmd_curvature_records_a_failing_sample(tmp_path, monkeypatch):
     from finsler import chern
     from finsler.errors import DegenerateMetricError

@@ -9,7 +9,8 @@ from scipy.linalg import eigh
 
 from finsler import geodesic
 from finsler.cartan import cartan
-from finsler.errors import SAMPLE_ERRORS, ConjugatePointError, ShootingError
+from finsler.errors import (SAMPLE_ERRORS, ConjugatePointError, DomainError,
+                            ShootingError)
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, PoleDistance,
                               _integrate_affine, distance, distance_hessian,
                               exp_map, hessian_rho, index_form,
@@ -406,6 +407,88 @@ def test_shooting_error_counts_starts_and_integrations(monkeypatch):
     assert info.value.integrations == n_starts   # one failed integration per start
     assert info.value.best_residual == math.inf
     assert f"{n_starts} starts, {n_starts} integrations" in str(info.value)
+
+
+def _count_fd_jacobians(monkeypatch, make=None):
+    """Record each ``_fd_jacobian`` call; ``make(real, self, w, F0)`` may
+    replace the Jacobian it returns."""
+    real = PoleDistance._fd_jacobian
+    calls = []
+
+    def fd(self, w, F0):
+        calls.append(w.copy())
+        return make(real, self, w, F0) if make else real(self, w, F0)
+
+    monkeypatch.setattr(PoleDistance, "_fd_jacobian", fd)
+    return calls
+
+
+def _warm_query(monkeypatch, bend):
+    """A warm query whose cached Jacobian is ``bend(J)``: its distance and the
+    finite-difference Jacobians it spent."""
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    pd.rho(np.array([0.45, -0.3]))
+    pd._cache = [(q, w, bend(J)) for q, w, J in pd._cache]
+    calls = _count_fd_jacobians(monkeypatch)
+    q = np.array([0.451, -0.302])
+    r = pd.rho(q)
+    assert r.value == pytest.approx(hyperbolic_distance(complex(*q)), abs=1e-9)
+    return calls
+
+
+def test_singular_cached_jacobian_is_refreshed(monkeypatch):
+    assert len(_warm_query(monkeypatch, np.zeros_like)) == 1
+
+
+def test_cached_jacobian_whose_steps_never_improve_is_refreshed(monkeypatch):
+    # the reversed Jacobian steps away from the target at every trial length
+    assert len(_warm_query(monkeypatch, np.negative)) == 1
+
+
+def test_singular_refreshed_jacobian_gives_up_the_start(monkeypatch):
+    calls = _count_fd_jacobians(monkeypatch, lambda real, self, w, F0: np.zeros((2, 2)))
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    with pytest.raises(ShootingError) as info:
+        pd.rho(np.array([0.45, -0.3]))
+    # each start: one integration, one refresh, then no step to take
+    assert info.value.starts == len(calls) == 6
+    assert info.value.integrations == 6
+
+
+def test_refreshed_jacobian_whose_steps_never_improve_gives_up(monkeypatch):
+    calls = _count_fd_jacobians(monkeypatch, lambda real, self, w, F0: -real(self, w, F0))
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    with pytest.raises(ShootingError) as info:
+        pd.rho(np.array([0.45, -0.3]))
+    # each start: one integration, two probes, three trial steps, no improvement
+    assert info.value.starts == len(calls) == 6
+    assert info.value.integrations == 6 * (1 + 2 + 3)
+
+
+def test_failed_trial_step_is_halved(monkeypatch):
+    endpoint = PoleDistance._endpoint
+    shots = []
+
+    def first_trial_fails(self, w):
+        shots.append(w.copy())
+        if len(shots) == 4:   # the shot, two Jacobian probes, then the first trial
+            raise DomainError("injected")
+        return endpoint(self, w)
+
+    monkeypatch.setattr(PoleDistance, "_endpoint", first_trial_fails)
+    q = np.array([0.45, -0.3])
+    r = PoleDistance(HYPERBOLIC, np.zeros(2)).rho(q)
+    assert np.allclose(shots[4] - shots[0], 0.5 * (shots[3] - shots[0]), atol=1e-15)
+    assert r.value == pytest.approx(hyperbolic_distance(complex(*q)), abs=1e-9)
+
+
+def test_gauss_newton_returns_its_last_iterate_after_max_iter():
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    q = np.array([0.45, -0.3])
+    w, y, _, res = pd._gauss_newton(q, q, None, 1e-12, max_iter=2)
+    assert res > 1e-6   # two Broyden steps do not converge
+    assert np.array_equal(y, pd._endpoint(w))
+    assert res == float(np.linalg.norm(y[:2] - q))
 
 
 def test_path_csv_export(tmp_path):

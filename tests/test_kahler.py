@@ -1,5 +1,7 @@
 """Kaehler classification chain and the unitary-invariant characterizations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,24 @@ def test_classify_with_no_evaluated_sample_is_none(monkeypatch):
     assert rep.n_samples == 0
     assert rep.classification == "none"
     assert rep.errors and rep.errors[0].startswith("DegenerateMetricError")
+
+
+def test_classify_counts_non_finite_residuals_as_failed(monkeypatch):
+    real = kahler.chern_finsler
+
+    def nan_torsion(m, z, v):
+        data = real(m, z, v)
+        return dataclasses.replace(data, torsion_h=np.full_like(data.torsion_h, np.nan))
+
+    monkeypatch.setattr(kahler, "chern_finsler", nan_torsion)
+    m = instantiate({"family": "hermitian", "complex_dim": 2,
+                     "params": {"catalog": "nonkahler"}})
+    rep = classify(m, PLAN)
+    # residuals of NaN torsion prove nothing, not even the strong class
+    assert rep.classification == "none"
+    assert rep.n_samples == 0
+    assert len(rep.errors) == 24
+    assert all(e.startswith("NonFiniteSampleError: ") for e in rep.errors)
 
 
 def test_classify_surfaces_programming_errors(monkeypatch):

@@ -225,6 +225,25 @@ def test_check_metric_counts_samples(monkeypatch):
                                     "failure_reasons": {"DegenerateMetricError": 1}}
 
 
+def test_check_metric_fails_on_a_non_finite_levi_eigenvalue(monkeypatch):
+    m = instantiate({"family": "hermitian", "complex_dim": 1,
+                     "params": {"catalog": "poincare_disk"}})
+    real = m.levi_matrix
+    calls = []
+
+    def nan_first(z, v):
+        calls.append(1)
+        return np.full((1, 1), np.nan) if len(calls) == 1 else real(z, v)
+
+    monkeypatch.setattr(m, "levi_matrix", nan_first)
+    rep = check_metric(m, SamplePlan(n_points=2, n_dirs=2))
+    assert not rep.passed
+    assert rep.stats["samples"] == {"attempted": 4, "ok": 3, "failed": 1,
+                                    "failure_reasons": {"NonFiniteSampleError": 1}}
+    assert rep.errors[0].startswith("sample (0,0): NonFiniteSampleError: ")
+    assert rep.stats["min_levi_eigenvalue"] > 0
+
+
 def test_check_metric_surfaces_programming_errors(monkeypatch):
     m = instantiate({"family": "hermitian", "complex_dim": 1,
                      "params": {"catalog": "poincare_disk"}})

@@ -153,7 +153,8 @@ def test_scaled_metric_scales_curvature():
 
 
 def _failing_curvature(monkeypatch, fails, exc=DegenerateMetricError):
-    """Make the K_G samples whose call index is in ``fails`` raise ``exc``."""
+    """Make the K_G samples whose call index is in ``fails`` raise ``exc``, or
+    return it when it is a number."""
     from finsler import chern
     real = chern.holomorphic_sectional_curvature
     calls = []
@@ -161,6 +162,8 @@ def _failing_curvature(monkeypatch, fails, exc=DegenerateMetricError):
     def flaky(m, z, v, **kw):
         calls.append(1)
         if len(calls) - 1 in fails:
+            if isinstance(exc, float):
+                return exc
             raise exc("singular Levi matrix")
         return real(m, z, v, **kw)
 
@@ -177,6 +180,17 @@ def test_curvature_samples_record_a_failing_sample(monkeypatch):
                                                          (2, 0), (2, 1)]
     bound = samples.bound("domain")
     assert bound.value == pytest.approx(-4.0, abs=1e-6) and bound.n_samples == 5
+
+
+def test_curvature_samples_count_a_nan_sample_as_failed(monkeypatch):
+    _failing_curvature(monkeypatch, {1}, exc=math.nan)
+    plan = SamplePlan(seed=0, n_points=3, n_dirs=2, radial_range=(0.1, 0.7))
+    samples = holomorphic_curvature_samples(POINCARE, plan)
+    assert samples.counts == {"attempted": 6, "ok": 5, "failed": 1,
+                              "failure_reasons": {"NonFiniteSampleError": 1}}
+    assert [(iz, iv) for iz, iv, _ in samples.rows] == [(0, 0), (1, 0), (1, 1),
+                                                         (2, 0), (2, 1)]
+    assert samples.extremes() == pytest.approx((-4.0, -4.0), abs=1e-6)
 
 
 def test_curvature_bounds_refuse_zero_evaluated_samples(monkeypatch):
