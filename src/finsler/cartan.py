@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DegenerateFlagError, DegenerateMetricError
 from .geometry import MetricDef, SamplePlan, unit_directions
+from .report import require_finite
 
 
 @dataclass
@@ -136,7 +137,8 @@ def radial_flag_bounds(m: MetricDef, pole,
     """Sample flag curvatures of radial planes along geodesic fans from the pole.
 
     Radial tangents are transported along geodesics (integrated by the
-    geodesic module); flags are completed with deterministic directions.
+    geodesic module); flags are completed with deterministic directions. A
+    NaN or infinite flag curvature raises ``NonFiniteSampleError``.
     """
     from . import geodesic as geo
     plan = plan or SamplePlan()
@@ -160,7 +162,7 @@ def radial_flag_bounds(m: MetricDef, pole,
                 guX = float(ut @ data.g @ X)
                 if gu * gX - guX ** 2 < 1e-8 * gu * gX:
                     continue
-                k = flag_curvature(m, xt, ut, X, data=data)
+                k = require_finite(flag_curvature(m, xt, ut, X, data=data))
                 k_inf = min(k_inf, k)
                 k_sup = max(k_sup, k)
                 count += 1

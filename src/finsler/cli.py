@@ -18,6 +18,7 @@ import datetime
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,11 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, parse_config
 from .errors import (SAMPLE_ERRORS, ConfigurationError, FinslerError, NoSamplesError,
-                     ShootingError)
+                     NonFiniteSampleError, ShootingError)
 from .geometry import complex_to_real_components, realify_metric, sample_points
 from .metrics import build_map, check_metric, instantiate, plan_directions
 from .report import (canonical_json, _clean, evaluate_samples, failure_reasons,
-                     sample_counts)
+                     require_finite, sample_counts)
 
 SCHEMA = 1
 
@@ -147,7 +148,7 @@ def cmd_geodesic(config: RunConfig, outdir: Path) -> int:
     from .geodesic import integrate_geodesic
     status = 0
     for mid, m in _instantiate_all(config):
-        mr = realify_metric(m) if m.is_complex else m
+        mr = realify_metric(m)
         plan = config.plan()
         rng = np.random.default_rng(plan.seed)
         x0 = np.zeros(mr.dim)
@@ -172,13 +173,13 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
     from .geodesic import PoleDistance
     status = 0
     for mid, m in _instantiate_all(config):
-        mr = realify_metric(m) if m.is_complex else m
+        mr = realify_metric(m)
         plan = config.plan()
         pd = PoleDistance(mr, np.zeros(mr.dim))
         pts = sample_points(m, plan)
 
         def shoot(z, _):
-            r = pd.rho(complex_to_real_components(z) if m.is_complex else z)
+            r = pd.rho(complex_to_real_components(z))
             return r.value, r.residual
 
         found, failures = evaluate_samples(shoot, pts, [None])
@@ -189,7 +190,10 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
             if closed == "norm":
                 worst = max(worst, abs(rho - math.sqrt(m.value(pts[i], pts[i]))))
             elif closed == "atanh":
-                worst = max(worst, abs(rho - math.atanh(float(np.linalg.norm(pts[i])))))
+                # G = scale |v|^2 / (1 - |z|^2)^2 on the disk and along ball radii
+                closed_rho = math.sqrt(m.metadata["hermitian_scale"]) * math.atanh(
+                    float(np.linalg.norm(pts[i])))
+                worst = max(worst, abs(rho - closed_rho))
         rho_errors = {i: type(exc).__name__ for i, _, exc in failures}
         shooting = [{"point_index": i, "starts": exc.starts,
                      "integrations": exc.integrations, "best_residual": exc.best_residual}
@@ -229,7 +233,7 @@ def _levi_table(m, pts, plan, rho_errors):
     attempted/ok/failed counts with the failures tallied by error type. At a
     point whose rho already failed (``rho_errors``: point index to error type
     name) every direction counts as failed under that type, without another
-    shot."""
+    shot; a direction whose sample is not finite fails on its own."""
     from .levi import LeviField
     K = 0.0
     kg = m.metadata.get("holomorphic_curvature")
@@ -239,7 +243,7 @@ def _levi_table(m, pts, plan, rho_errors):
     dirs = plan_directions(m, 2, plan.seed + 5)
     rows = []
     min_margin = math.inf
-    reasons = {}
+    reasons = Counter()
     for i, z in enumerate(pts):
         name = rho_errors.get(i)
         if name is None:
@@ -248,11 +252,15 @@ def _levi_table(m, pts, plan, rho_errors):
             except SAMPLE_ERRORS as exc:
                 name = type(exc).__name__
         if name is not None:
-            reasons[name] = reasons.get(name, 0) + len(dirs)
+            reasons[name] += len(dirs)
             continue
         for s in samples:
-            rows.append([i, repr(float(s.levi_value)), repr(float(s.rho)),
-                         repr(float(s.bound)), repr(float(s.margin))])
+            try:
+                values = require_finite((s.levi_value, s.rho, s.bound, s.margin))
+            except NonFiniteSampleError:
+                reasons[NonFiniteSampleError.__name__] += 1
+                continue
+            rows.append([i] + [repr(float(val)) for val in values])
             min_margin = min(min_margin, s.margin)
     return rows, min_margin, sample_counts(len(rows), reasons)
 
@@ -273,7 +281,7 @@ def cmd_bounds(config: RunConfig, outdir: Path) -> int:
             payload["holomorphic_error"] = str(exc)
             status = 1
         try:
-            mr = realify_metric(m) if m.is_complex else m
+            mr = realify_metric(m)
             rb = radial_flag_bounds(mr, np.zeros(mr.dim),
                                     config.plan(n_points=plan.n_points // 2 or 4))
             payload["radial_flag_samples"] = rb.n_samples

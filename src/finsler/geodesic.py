@@ -67,8 +67,6 @@ class GeodesicPath:
     with its Jacobi fields carries them in the components after these."""
 
     metric: MetricDef
-    x0: np.ndarray
-    u0: np.ndarray
     speed: float                     # sqrt(G(x0, u0)); arc length = speed * t
     t_end: float
     sol: object
@@ -104,14 +102,14 @@ class GeodesicPath:
                        + [repr(self.metric.value(x, u))])
 
 
-def _path(m: MetricDef, x0, u0, G0, sol) -> GeodesicPath:
-    """The path of a solution starting at (x0, u0) with energy G0."""
+def _path(m: MetricDef, G0, sol) -> GeodesicPath:
+    """The path of a solution with energy G0."""
     d = m.dim
     drift = max(abs(m.value(y[:d], y[d:2 * d]) - G0) for y in sol.y.T)
     speed = math.sqrt(G0)
     t_reached = sol.t[-1]
     return GeodesicPath(
-        metric=m, x0=x0, u0=u0, speed=speed, t_end=t_reached, sol=sol,
+        metric=m, speed=speed, t_end=t_reached, sol=sol,
         arc_length=abs(t_reached) * speed, energy_drift=drift,
         n_steps=len(sol.t) - 1, nfev=sol.nfev,
         normal=abs(G0 - 1.0) < 1e-9, truncated=sol.status == 1)
@@ -126,7 +124,7 @@ def integrate_geodesic(m: MetricDef, x0, u0, length) -> GeodesicPath:
     G0 = m.value(x0, u0)
     if G0 <= 0:
         raise ConfigurationError("initial velocity must be nonzero")
-    return _path(m, x0, u0, G0, _integrate_affine(m, x0, u0, length / math.sqrt(G0)))
+    return _path(m, G0, _integrate_affine(m, x0, u0, length / math.sqrt(G0)))
 
 
 def exp_map(m: MetricDef, p, v):
@@ -414,7 +412,7 @@ def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0) -> GeodesicPath:
                     method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
     if not sol.success:
         raise ShootingError(f"Jacobi integration failed: {sol.message}")
-    return _path(m, x0, u0, G0, sol)
+    return _path(m, G0, sol)
 
 
 def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:

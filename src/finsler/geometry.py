@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SlitBundleError, StructuralError
-from .jets import CJet, Jet, JetProgram, wirtinger
+from .jets import CJet, Jet, JetProgram, creal, wirtinger
 
 #: Metric derivatives are never requested at smaller relative vector norms;
 #: callers must renormalize using homogeneity.
@@ -75,6 +75,15 @@ def complex_to_real_components(v):
     return np.concatenate([v.real, v.imag])
 
 
+def complex_coordinates(x) -> list:
+    """The complex coordinates z^a = x^a + i x^{n+a} of real components
+    (x block, then y block): CJets of jets, complex numbers of numbers."""
+    n = len(x) // 2
+    if isinstance(x[0], Jet):
+        return [CJet(x[a], x[n + a]) for a in range(n)]
+    return [complex(x[a], x[n + a]) for a in range(n)]
+
+
 def to_complex(t: RealTangent) -> ComplexTangent:
     """(1,0)-part (u - iJu)/2 of a real tangent, in the d/dz frame."""
     return ComplexTangent(real_to_complex_components(t.x), real_to_complex_components(t.u))
@@ -93,7 +102,10 @@ class Domain:
     """Region of the coordinate chart on which a metric family is defined.
 
     kind 'all' is the whole space, 'ball' the open norm ball of ``radius``,
-    'polydisk' a product of balls over the listed blocks.
+    'polydisk' a product of balls over the listed blocks of complex
+    coordinates. A point is given either as complex coordinates (a complex
+    array) or as their real components (a real array, x block then y block);
+    the norm of the real components is |z|, so only a polydisk converts them.
     """
 
     kind: str = "all"
@@ -108,6 +120,8 @@ class Domain:
         if self.kind == "ball":
             return self.radius - float(np.linalg.norm(z))
         if self.kind == "polydisk":
+            if not np.iscomplexobj(z):
+                z = real_to_complex_components(z)
             lo = math.inf
             start = 0
             for size, radius in self.blocks:
@@ -207,24 +221,20 @@ class MetricDef:
         u = np.asarray(u, dtype=float)
         if x.size != self.dim or u.size != self.dim:
             raise StructuralError(f"expected {self.dim} real components")
-        self.domain.require(self._point_for_domain(x))
+        self.domain.require(x)
         self._check_slit(x, u)
         if self._program is None:
-            self._program = JetProgram.record(self._real_formula, 2 * self.dim)
+            self._program = JetProgram.record(
+                lambda seeds: self.real_formula(seeds[:self.dim], seeds[self.dim:]),
+                2 * self.dim)
         return self._program.replay(np.concatenate([x, u]), order)
 
-    def _real_formula(self, seeds):
-        """The formula on real scalars (x block, then u block), as a real scalar."""
-        m = self.dim
-        xj, uj = seeds[:m], seeds[m:]
+    def real_formula(self, x, u):
+        """The formula on real components of the point and the vector, as a
+        real scalar."""
         if self.is_complex:
-            n = self.n
-            zc = [CJet(xj[a], xj[n + a]) for a in range(n)]
-            vc = [CJet(uj[a], uj[n + a]) for a in range(n)]
-            out = self.formula(zc, vc)
-        else:
-            out = self.formula(xj, uj)
-        return out.re if isinstance(out, CJet) else out
+            return creal(self.formula(complex_coordinates(x), complex_coordinates(u)))
+        return self.formula(x, u)
 
     def complex_jet(self, z, v, order) -> Jet:
         """Wirtinger jet of G over (z_a, v_a, conj z_a, conj v_a)."""
@@ -238,11 +248,6 @@ class MetricDef:
         n = self.n
         pairs = [(a, n + a) for a in range(n)] + [(2 * n + a, 3 * n + a) for a in range(n)]
         return wirtinger(jet, pairs)
-
-    def _point_for_domain(self, x):
-        if self.is_complex:
-            return real_to_complex_components(x)
-        return x
 
     # -- frequently used tensors ---------------------------------------------
 
@@ -269,43 +274,10 @@ def realify_metric(m: MetricDef) -> MetricDef:
     """View a strongly convex complex metric as a real Finsler metric on R^{2n}."""
     if not m.is_complex:
         raise StructuralError("realify_metric expects a complex metric")
-
-    def real_formula(xj, uj):
-        n = m.n
-        if isinstance(xj[0], Jet):
-            zc = [CJet(xj[a], xj[n + a]) for a in range(n)]
-            vc = [CJet(uj[a], uj[n + a]) for a in range(n)]
-        else:
-            zc = [complex(xj[a], xj[n + a]) for a in range(n)]
-            vc = [complex(uj[a], uj[n + a]) for a in range(n)]
-        out = m.formula(zc, vc)
-        if isinstance(out, CJet):
-            return out.re
-        return out.real if isinstance(out, complex) else out
-
     return MetricDef(
-        "real", real_formula, dim_real=m.dim, domain=_RealDomainView(m.domain),
+        "real", m.real_formula, dim_real=m.dim, domain=m.domain,
         metadata=m.metadata,
         family_id=m.family_id + "_real", spec=m.spec)
-
-
-class _RealDomainView:
-    """Domain adapter evaluating a complex-chart domain on real coordinates."""
-
-    def __init__(self, domain: Domain):
-        self._domain = domain
-        self.kind = domain.kind
-        self.radius = domain.radius
-
-    def margin(self, x):
-        return self._domain.margin(real_to_complex_components(np.asarray(x, float)))
-
-    def contains(self, x):
-        return self.margin(x) > 0.0
-
-    def require(self, x):
-        if not self.contains(x):
-            raise DomainError(f"point {np.asarray(x)} outside {self.kind} domain")
 
 
 # -- deterministic sampling helpers ---------------------------------------------
@@ -364,11 +336,7 @@ def sample_points(m: MetricDef, plan: SamplePlan):
             scale = 1.0
         x = r * scale * w
         z = real_to_complex_components(x) if m.is_complex else x
-        if m.is_complex:
-            ok = m.domain.contains(z)
-        else:
-            ok = m.domain.contains(x)
-        if ok:
+        if m.domain.contains(z):
             pts.append(z)
     if len(pts) < plan.n_points:
         raise DomainError("could not draw the requested number of in-domain points")

@@ -17,10 +17,10 @@ import numbers
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (Domain, MetricDef, SamplePlan, complex_to_real_components,
-                       product_domain, sample_points, sample_vectors,
-                       unit_directions)
-from .jets import CJet, JetSpace, cabs2, cconj, creal, sexp, spow
+from .geometry import (Domain, MetricDef, SamplePlan, complex_coordinates,
+                       complex_to_real_components, product_domain, sample_points,
+                       sample_vectors, unit_directions)
+from .jets import JetSpace, cabs2, cconj, creal, sexp, spow
 from .report import (VerificationReport, evaluate_samples, failure_reasons,
                      sample_counts)
 
@@ -456,7 +456,7 @@ def _holomorphic_jacobian(fn, z):
     z = np.asarray(z, dtype=complex)
     n = z.size
     seeds = JetSpace.get(2 * n, 1, False).variables(complex_to_real_components(z))
-    out = fn([CJet(seeds[a], seeds[n + a]) for a in range(n)])
+    out = fn(complex_coordinates(seeds))
     return np.array([w.re.gradient()[:n] + 1j * w.im.gradient()[:n] for w in out])
 
 

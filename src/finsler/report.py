@@ -62,21 +62,27 @@ class VerificationReport:
         return f"[{flag}] {self.name} (tol={self.tolerance:g}) {self.stats}"
 
 
+def require_finite(value):
+    """``value``, a real number or a tuple of them; a NaN or infinite entry
+    raises ``NonFiniteSampleError``, which fails the sample it belongs to."""
+    entries = value if isinstance(value, tuple) else (value,)
+    if not all(map(math.isfinite, entries)):
+        raise NonFiniteSampleError(f"sample value {value} is not finite")
+    return value
+
+
 def evaluate_samples(fn, points, dirs):
     """``fn(z, v)`` at every point x direction, in plan order, as ``(rows,
     failures)``: ``(iz, iv, value)`` per evaluated sample, ``(iz, iv, exception)``
     per failed one. A sample fails when ``fn`` raises one of ``SAMPLE_ERRORS``,
-    or as a ``NonFiniteSampleError`` when its value, a real number or a tuple
-    of them, has a non-finite entry. Any other exception propagates.
+    or when its value is not finite (``require_finite``). Any other exception
+    propagates.
     """
     rows, failures = [], []
     for iz, z in enumerate(points):
         for iv, v in enumerate(dirs):
             try:
-                value = fn(z, v)
-                entries = value if isinstance(value, tuple) else (value,)
-                if not all(map(math.isfinite, entries)):
-                    raise NonFiniteSampleError(f"sample value {value} is not finite")
+                value = require_finite(fn(z, v))
             except SAMPLE_ERRORS as exc:
                 failures.append((iz, iv, exc))
             else:

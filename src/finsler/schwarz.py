@@ -30,7 +30,7 @@ from .jets import CJet, Jet, JetSpace
 from .kahler import KahlerReport, classify, is_at_least
 from .metrics import HoloMap, check_metric, plan_directions
 from .report import (VerificationReport, evaluate_samples, failure_reasons,
-                     sample_counts)
+                     require_finite, sample_counts)
 
 
 def _disk_cjet(zeta, order):
@@ -310,7 +310,7 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
     each metric's validity, class and K_G grid once, and a pair whose domain
     and target are one analysis samples K_G once. Hypothesis failures are
     recorded in the certificate; the comparison is still executed and
-    labeled.
+    labeled. A NaN or infinite ratio raises ``NonFiniteSampleError``.
     """
     if plan is None:
         plan = (domain.plan if isinstance(domain, MetricAnalysis)
@@ -340,8 +340,9 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
         for iv, v in enumerate(dirs):
             G = m_domain.value(z, v)
             w = jac @ v
-            H = m_target.value(fz, w) if float(np.linalg.norm(w)) > 0 else 0.0
-            ratio = H / G
+            # != 0, not > 0: a NaN derivative must reach the finite check
+            H = m_target.value(fz, w) if float(np.linalg.norm(w)) != 0 else 0.0
+            ratio = require_finite(H / G)
             if ratio > max_ratio:
                 max_ratio = ratio
                 argmax = {"point_index": iz, "dir_index": iv,

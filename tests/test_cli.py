@@ -1,6 +1,7 @@
 """CLI wiring: config parsing, report layout, determinism, replay."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -557,3 +558,73 @@ def test_cmd_distance_levi_skips_points_whose_rho_failed(tmp_path, monkeypatch):
     assert payload["levi_samples"] == {"attempted": 4, "ok": 0, "failed": 4,
                                        "failure_reasons": {"ShootingError": 4}}
     assert payload["levi_min_margin"] is None
+
+
+@pytest.mark.parametrize("catalog, n", [("poincare_disk", 1), ("poincare_ball", 2)])
+def test_distance_closed_form_scales_with_the_metric(tmp_path, capsys, catalog, n):
+    # G = 4 |v|^2 / (1 - |z|^2)^2 along radii, so rho = 2 atanh |z|
+    p = write_config(tmp_path, {
+        "seed": 7,
+        "metrics": [{"family": "hermitian", "complex_dim": n, "id": "scaled",
+                     "params": {"catalog": catalog, "scale": 4}}],
+        "plans": {"default": {"n_points": 2, "n_dirs": 2, "radial_range": [0.2, 0.5]}}})
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
+    payload = json.loads((out / "distance" / "scaled" / "report.json").read_text())["payload"]
+    assert payload["max_closed_form_error"] < 1e-6
+    assert payload["rho_samples"]["ok"] == 2
+
+
+def test_cmd_distance_fails_non_finite_levi_samples(tmp_path, monkeypatch):
+    from dataclasses import replace
+    from finsler.levi import LeviField
+    samples = LeviField.samples
+
+    def nan_margins(self, z, dirs):
+        return [replace(s, margin=math.nan) for s in samples(self, z, dirs)]
+
+    monkeypatch.setattr(LeviField, "samples", nan_margins)
+    p = _disk_distance_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "distance" / "poincare" / "report.json").read_text())["payload"]
+    assert payload["levi_samples"] == {"attempted": 4, "ok": 0, "failed": 4,
+                                       "failure_reasons": {"NonFiniteSampleError": 4}}
+    assert payload["levi_min_margin"] is None
+    assert (out / "distance" / "poincare" / "levi.csv").read_text().splitlines()[1:] == []
+
+
+def test_cmd_bounds_fails_on_non_finite_flag_curvatures(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules["finsler.cartan"], "flag_curvature",
+                        lambda *a, **k: math.nan)
+    cfg = dict(BASE_CONFIG)
+    cfg["metrics"] = [BASE_CONFIG["metrics"][0]]
+    cfg["plans"] = {"default": {"n_points": 4, "n_dirs": 3, "radial_range": [0.1, 0.5]}}
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "bounds" / "poincare" / "report.json").read_text())["payload"]
+    assert payload["radial_flag_samples"] == 0
+    assert "not finite" in payload["radial_flag_error"]
+    assert "K_constant" not in payload
+
+
+def test_cmd_schwarz_fails_on_non_finite_ratios(tmp_path, monkeypatch, capsys):
+    from finsler.geometry import MetricDef
+    value = MetricDef.value
+
+    def nan_target(self, z, v):
+        return math.nan if self.family_id == "target" else value(self, z, v)
+
+    monkeypatch.setattr(MetricDef, "value", nan_target)
+    disk = BASE_CONFIG["metrics"][0]
+    p = write_config(tmp_path, {
+        **BASE_CONFIG,
+        "metrics": [disk, {**disk, "id": "target"}],
+        "pairs": [{"map": "identity", "domain": "poincare", "target": "target"}]})
+    out = tmp_path / "out"
+    assert main(["schwarz", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "schwarz" / "identity__poincare__target" / "report.json")
+                         .read_text())["payload"]
+    assert payload["error"].startswith("NonFiniteSampleError")
+    assert "certificate" not in payload

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsler.errors import SlitBundleError, StructuralError
-from finsler.geometry import (ComplexTangent, RealTangent, apply_J,
+from finsler.errors import DomainError, SlitBundleError, StructuralError
+from finsler.geometry import (ComplexTangent, RealTangent, SamplePlan, apply_J,
                               complex_to_real_components,
                               real_to_complex_components, realify_metric,
-                              to_complex, to_real)
+                              sample_points, to_complex, to_real)
 from finsler.metrics import instantiate
 
 POINCARE = {"family": "hermitian", "complex_dim": 1,
             "params": {"catalog": "poincare_disk"}}
 EUCLID2 = {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}}
 MINKOWSKI2 = {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}}
+# a product of two disks: its domain is a polydisk over complex coordinates
+SZABO = {"family": "szabo", "params": {
+    "k": 2, "eps": 0.5,
+    "factor1": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}},
+    "factor2": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}}}
 
 
 def test_to_complex_frame_vectors():
@@ -149,3 +154,39 @@ def test_realification_pairing_identity(spec):
         V = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
         W = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
         assert realification_pairing_residual(m, z, v, V, W) < 1e-8
+
+
+def test_realified_metric_shares_the_domain():
+    m = instantiate(SZABO)
+    assert realify_metric(m).domain is m.domain
+
+
+@pytest.mark.parametrize("z", [[0.3 + 0.2j, -0.5j], [0.9 + 0.6j, 0.2j], [0.1, 0.6 - 0.9j]],
+                         ids=["inside", "outside_first_disk", "outside_second_disk"])
+def test_polydisk_margin_of_real_components(z):
+    m = instantiate(SZABO)
+    z = np.asarray(z, dtype=complex)
+    margin = m.domain.margin(z)
+    assert margin == pytest.approx(min(1.0 - abs(z[0]), 1.0 - abs(z[1])), abs=1e-15)
+    assert realify_metric(m).domain.margin(complex_to_real_components(z)) == margin
+    assert (margin > 0) == bool(np.all(np.abs(z) < 1.0))
+
+
+@pytest.mark.parametrize("spec", [POINCARE, SZABO])
+def test_jets_outside_the_domain_raise(spec):
+    m = instantiate(spec)
+    z = np.zeros(m.n, complex)
+    z[-1] = 0.8 + 0.8j
+    v = np.ones(m.n, complex)
+    with pytest.raises(DomainError):
+        m.real_jet(complex_to_real_components(z), complex_to_real_components(v), 2)
+    with pytest.raises(DomainError):
+        m.complex_jet(z, v, 2)
+
+
+def test_sample_points_of_a_realified_polydisk_metric_stay_inside():
+    mr = realify_metric(instantiate(SZABO))
+    # radii up to 1.3 put some draws outside a factor disk, which are rejected
+    pts = sample_points(mr, SamplePlan(seed=4, n_points=30, radial_range=(0.5, 1.3)))
+    assert len(pts) == 30
+    assert all(np.all(np.abs(real_to_complex_components(x)) < 1.0) for x in pts)

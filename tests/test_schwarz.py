@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finsler.errors import (DegenerateMetricError, HypothesisViolationError,
-                            NoSamplesError)
+                            NoSamplesError, NonFiniteSampleError)
 from finsler.geometry import SamplePlan
 from finsler.jets import cabs2
 from finsler.metrics import build_map, instantiate, probe_catalog
@@ -228,6 +228,20 @@ def test_certificate_identity_poincare():
     assert cert.max_ratio == pytest.approx(1.0, abs=1e-6)
     assert cert.passed
     assert cert.hypotheses["met"]
+
+
+@pytest.mark.parametrize("broken", ["target_value", "map_derivative"])
+def test_certificate_fails_on_non_finite_ratios(monkeypatch, broken):
+    target = instantiate({"family": "hermitian", "complex_dim": 1,
+                          "params": {"catalog": "poincare_disk"}})
+    f = build_map({"map": "identity", "params": {"n": 1}})
+    if broken == "target_value":
+        monkeypatch.setattr(target, "value", lambda z, v: math.nan)
+    else:
+        monkeypatch.setattr(f, "jacobian", lambda z: np.full((1, 1), np.nan, complex))
+    with pytest.raises(NonFiniteSampleError):
+        certify_schwarz(f, POINCARE, target,
+                        SamplePlan(seed=3, n_points=3, n_dirs=2, radial_range=(0.1, 0.7)))
 
 
 def test_certificate_mobius_isometry():
