@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config, parse_config
+from .config import RunConfig, check_tolerance, load_config, parse_config
 from .errors import (SAMPLE_ERRORS, ConfigurationError, FinslerError, NoSamplesError,
                      NonFiniteSampleError, ShootingError)
 from .geometry import complex_to_real_components, realify_metric, sample_points
@@ -457,6 +457,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.tolerance is not None:
+            check_tolerance(args.tolerance)
         if args.command == "replay":
             cert = args.certificate or args.config
             if not cert:

@@ -8,6 +8,7 @@ defaults are merged into the effective config and echoed into every report.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,17 @@ def _validate_plan(name, plan):
             f"plan {name!r}: radial_range must be two numbers 0 <= lo < hi, got {rr!r}")
 
 
+def check_tolerance(value) -> float:
+    """``value`` as a float; raises ``ConfigurationError`` unless it is finite and >= 0."""
+    try:
+        tolerance = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"tolerance must be a number, got {value!r}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigurationError(f"tolerance must be finite and >= 0, got {value!r}")
+    return tolerance
+
+
 def parse_config(doc: dict) -> RunConfig:
     for key, kind in (("outputs", dict), ("plans", dict), ("metrics", list),
                       ("maps", list), ("pairs", list)):
@@ -97,14 +109,10 @@ def parse_config(doc: dict) -> RunConfig:
     doc = _merge_defaults(doc)
     if "seed" not in doc:
         raise ConfigurationError("config must declare a seed")
-    try:
-        seed = int(doc["seed"])
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"seed must be an integer, got {doc['seed']!r}")
-    try:
-        tolerance = float(doc["tolerance"])
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"tolerance must be a number, got {doc['tolerance']!r}")
+    seed = doc["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    tolerance = check_tolerance(doc["tolerance"])
     for spec in doc["metrics"]:
         if not isinstance(spec, dict) or "family" not in spec:
             raise ConfigurationError(f"metric spec without family: {spec!r}")
@@ -127,7 +135,10 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}")
     try:
         if path.suffix == ".json":
             doc = json.loads(text)

@@ -78,24 +78,20 @@ class GeodesicPath:
     truncated: bool
 
     def state_at(self, s):
-        """(x, u) at arc-length parameter ``s`` (signed, within the path)."""
+        """(x, u) at arc-length parameter ``s``, clamped to the path."""
         d = self.metric.dim
-        t = s / self.speed if self.speed > 0 else 0.0
-        t = min(max(t, min(0.0, self.t_end)), max(0.0, self.t_end))
-        y = self.sol.sol(t)
+        y = self.sol.sol(min(max(s / self.speed, 0.0), self.t_end))
         return y[:d], y[d:2 * d]
 
     def endpoint(self):
-        return self.state_at(self.arc_length if self.t_end >= 0 else -self.arc_length)
+        return self.state_at(self.arc_length)
 
     def to_csv(self, fp, n=65):
         """Write t, x, u, G rows over an even arc grid."""
         w = csv.writer(fp)
         d = self.metric.dim
         w.writerow(["t"] + [f"x{i}" for i in range(d)] + [f"u{i}" for i in range(d)] + ["G"])
-        lo = 0.0 if self.t_end >= 0 else -self.arc_length
-        hi = self.arc_length if self.t_end >= 0 else 0.0
-        for s in np.linspace(lo, hi, n):
+        for s in np.linspace(0.0, self.arc_length, n):
             x, u = self.state_at(s)
             w.writerow([repr(float(s))] + [repr(float(c)) for c in x]
                        + [repr(float(c)) for c in u]
@@ -110,15 +106,15 @@ def _path(m: MetricDef, G0, sol) -> GeodesicPath:
     t_reached = sol.t[-1]
     return GeodesicPath(
         metric=m, speed=speed, t_end=t_reached, sol=sol,
-        arc_length=abs(t_reached) * speed, energy_drift=drift,
+        arc_length=t_reached * speed, energy_drift=drift,
         n_steps=len(sol.t) - 1, nfev=sol.nfev,
         normal=abs(G0 - 1.0) < 1e-9, truncated=sol.status == 1)
 
 
 def integrate_geodesic(m: MetricDef, x0, u0, length) -> GeodesicPath:
-    """Geodesic of arc length ``length`` (may be negative to extend backwards)."""
-    if length == 0:
-        raise ConfigurationError("geodesic length must be nonzero")
+    """Geodesic from (x0, u0) forward to arc length ``length`` > 0."""
+    if not length > 0:
+        raise ConfigurationError(f"geodesic length must be positive, got {length!r}")
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     G0 = m.value(x0, u0)
@@ -350,8 +346,7 @@ class BoundaryJacobiSystem:
     """Fundamental system Y = (M, W) of the Jacobi fields J = M c with J(0) = 0,
     D_T J(0) = c along a normal path, with M = M(r), W = W(r) and the unit
     tangent T and fundamental tensor g = g_T at the endpoint. The field
-    reaching u at r has c = M(r)^-1 u. ``zero_crossings`` counts sign changes
-    of det M along the path (conjugate-point monitor)."""
+    reaching u at r has c = M(r)^-1 u."""
 
     path: GeodesicPath
     r: float
@@ -359,7 +354,6 @@ class BoundaryJacobiSystem:
     W: np.ndarray
     T: np.ndarray
     g: np.ndarray
-    zero_crossings: int
 
     def _perp(self) -> np.ndarray:
         """P u = u - g_T(u, T) / g_T(T, T) T, the part of u across T."""
@@ -429,15 +423,11 @@ def jacobi_boundary_field(m: MetricDef, x0, u0, r) -> BoundaryJacobiSystem:
     across T."""
     d = m.dim
     path = _integrate_jacobi(m, x0, u0, r, np.concatenate([np.zeros((d, d)), np.eye(d)]))
-    dets = [np.linalg.det(path.sol.sol(t)[2 * d:].reshape(2 * d, d)[:d])
-            for t in np.linspace(r * 1e-3, r, 33)]
-    zero_crossings = sum(1 for a, b in zip(dets, dets[1:]) if a * b < 0)
     y_r = path.sol.y[:, -1]
     x_r, u_r = y_r[:d], y_r[d:2 * d]
     Y_r = y_r[2 * d:].reshape(2 * d, d)
     return BoundaryJacobiSystem(path=path, r=r, M=Y_r[:d], W=Y_r[d:], T=u_r,
-                                g=m.fundamental_real(x_r, u_r),
-                                zero_crossings=zero_crossings)
+                                g=m.fundamental_real(x_r, u_r))
 
 
 @dataclass
@@ -543,30 +533,22 @@ def legendre_gradient(m: MetricDef, df, x):
 AGREEMENT_TOL = 1e-4
 
 
-@dataclass
-class DistanceHessian:
-    """Covariant Hessian of rho at x (reference vector T), as a matrix."""
-
-    matrix: np.ndarray
-    rho: float
-    system: BoundaryJacobiSystem   # along the radial geodesic; ``T``, ``g`` at x
-
-
-def distance_hessian(pd: PoleDistance, x) -> DistanceHessian:
+def distance_hessian(pd: PoleDistance, x) -> BoundaryJacobiSystem:
     """Hessian of the distance from ``pd.pole`` at x, in every direction at once.
 
     One shot gives rho and the initial velocity of the radial geodesic; one
     integration from the pole then carries that geodesic together with the
-    Jacobi fields vanishing at the pole to x. H(rho)(u, u) is the boundary
-    term g_T(D_T J_u, J_u) at x of the index form of the field J_u reaching u
-    (Bao-Chern-Shen, GTM 200, ch. 5 and 7): H = P^T g_T W M^-1 P.
+    Jacobi fields vanishing at the pole to x. The returned system holds
+    rho = ``r`` and the unit tangent ``T`` and g_T = ``g`` at x. H(rho)(u, u)
+    is the boundary term g_T(D_T J_u, J_u) at x of the index form of the field
+    J_u reaching u (Bao-Chern-Shen, GTM 200, ch. 5 and 7): the covariant
+    Hessian at reference vector T is H = P^T g_T W M^-1 P = ``boundary_form()``.
     """
     x = np.asarray(x, dtype=float)
     if float(np.linalg.norm(x - pd.pole)) < 1e-6:
         raise ConfigurationError("distance Hessian undefined at the pole")
     base = pd.rho(x)
-    system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value)
-    return DistanceHessian(matrix=system.boundary_form(), rho=base.value, system=system)
+    return jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value)
 
 
 @dataclass
@@ -578,33 +560,26 @@ class HessianRhoResult:
     discrepancy: float
     rho: float
     agreed: bool
-    zero_crossings: int
 
 
-def hessian_rho(m: MetricDef, pole, x, u, *, pd: PoleDistance | None = None,
-                both_routes=True) -> HessianRhoResult:
+def hessian_rho(m: MetricDef, pole, x, u, *,
+                pd: PoleDistance | None = None) -> HessianRhoResult:
     """H(rho)(u,u) at x for the g_T-unit rescaling of u, rho the distance from the pole.
 
     Route one reads u.H.u off ``distance_hessian``, the boundary term of the
     index form. Route two integrates the index form by quadrature along the
     Jacobi field of the same fundamental system that reaches u at x.
-    Disagreement beyond ``AGREEMENT_TOL`` is reported, not hidden.
-    ``both_routes=False`` skips the quadrature for bulk scans.
+    Disagreement beyond ``AGREEMENT_TOL`` is reported, not hidden; a NaN on
+    either route never agrees.
     """
     u = np.asarray(u, dtype=float)
-    dh = distance_hessian(pd or PoleDistance(m, pole), x)
-    system = dh.system
+    system = distance_hessian(pd or PoleDistance(m, pole), x)
     u = u / math.sqrt(float(u @ system.g @ u))
-    value_a = float(u @ dh.matrix @ u)
-
-    value_b = math.nan
-    if both_routes:
-        bvp = system.field(u)
-        value_b = index_form(system.path, bvp.value, bvp.value,
-                             xi_cov=bvp.cov_deriv, eta_cov=bvp.cov_deriv).value
+    value_a = float(u @ system.boundary_form() @ u)
+    bvp = system.field(u)
+    value_b = index_form(system.path, bvp.value, bvp.value,
+                         xi_cov=bvp.cov_deriv, eta_cov=bvp.cov_deriv).value
     disc = abs(value_a - value_b)
-    # a skipped route leaves disc = nan, which counts as agreeing
     return HessianRhoResult(value=value_a, value_index_form=value_b,
-                            discrepancy=disc, rho=dh.rho,
-                            agreed=not disc > AGREEMENT_TOL * max(1.0, abs(value_a)),
-                            zero_crossings=system.zero_crossings)
+                            discrepancy=disc, rho=system.r,
+                            agreed=disc <= AGREEMENT_TOL * max(1.0, abs(value_a)))

@@ -173,15 +173,6 @@ class JetSpace:
         c[0] = value
         return Jet(self, c)
 
-    def variable(self, var, value) -> "Jet":
-        """Seed jet for coordinate ``var`` with base value ``value``."""
-        c = np.zeros(self.n, dtype=self.dtype)
-        c[0] = value
-        if self.order >= 1:
-            e = (0,) * var + (1,) + (0,) * (self.nvars - var - 1)
-            c[self.index[e]] = 1.0
-        return Jet(self, c)
-
     def seed_coeffs(self, values) -> np.ndarray:
         """Coefficient rows of the seed jets of all ``nvars`` coordinates, row i
         with base value ``values[i]``."""
@@ -459,10 +450,9 @@ def lift(values, active, order):
     if any(a < 0 or a >= n for a in active):
         raise ConfigurationError("active indices out of range")
     sp = JetSpace.get(n, order, False)
-    out = []
-    for i, v in enumerate(values):
-        out.append(sp.variable(i, float(v)) if i in active else sp.constant(float(v)))
-    return out
+    values = [float(v) for v in values]
+    seeds = sp.variables(values)
+    return [seeds[i] if i in active else sp.constant(v) for i, v in enumerate(values)]
 
 
 # -- Wirtinger transform ------------------------------------------------------

@@ -148,7 +148,7 @@ def weakly_kahler_pde_residual(profile: UnitaryProfile) -> VerificationReport:
     for t in np.linspace(1e-3, t_hi, 20):
         for sfrac in fracs:
             s = float(sfrac * t)
-            phi_jet = profile(sp.variable(0, float(t)), sp.variable(1, s))
+            phi_jet = profile(*sp.variables([float(t), s]))
             phi = phi_jet.value
             pt, ps = (float(d) for d in phi_jet.gradient())
             hess = phi_jet.hessian()

@@ -6,11 +6,11 @@ is computed through the realification identity
     4 d^2 rho^2 / dz dzbar (v, vbar) = D^2 rho^2(u, u) + D^2 rho^2(Ju, Ju),
 
 with u the realification of v and D^2 the covariant Hessian at reference
-vector T. Both terms come from one distance Hessian, the matrix H of
-``geodesic.distance_hessian``: one shot to the point, the radial geodesic and
-the fundamental system of Jacobi fields along it give H = P^T g_T W M^-1 P,
-and D^2 rho^2(w, w) = 2 g_T(T, w)^2 + 2 rho H(w, w). The distance function is
-kept away from the pole, where it is not smooth.
+vector T. Both terms come from one distance Hessian, the boundary form H of
+the system that ``geodesic.distance_hessian`` returns: one shot to the point,
+the radial geodesic and the fundamental system of Jacobi fields along it give
+H = P^T g_T W M^-1 P, and D^2 rho^2(w, w) = 2 g_T(T, w)^2 + 2 rho H(w, w).
+The distance function is kept away from the pole, where it is not smooth.
 """
 
 from __future__ import annotations
@@ -65,13 +65,14 @@ class LeviField:
         x = complex_to_real_components(z)
         if float(np.linalg.norm(x - self.pole)) < 1e-3:
             raise ConfigurationError("Levi sampling excludes a neighborhood of the pole")
-        dh = distance_hessian(self.pd, x)
-        drho = dh.system.g @ dh.system.T
+        system = distance_hessian(self.pd, x)
+        H = system.boundary_form()
+        drho = system.g @ system.T
 
         def d2_rho2(w):
-            return 2.0 * float(drho @ w) ** 2 + 2.0 * dh.rho * float(w @ dh.matrix @ w)
+            return 2.0 * float(drho @ w) ** 2 + 2.0 * system.r * float(w @ H @ w)
 
-        bound = 2.0 + dh.rho * self.K
+        bound = 2.0 + system.r * self.K
         out = []
         for v in dirs:
             v = np.asarray(v, dtype=complex)
@@ -79,7 +80,7 @@ class LeviField:
             v = v / math.sqrt(self.m.value(z, v))
             u = complex_to_real_components(v)
             levi_value = 0.25 * (d2_rho2(u) + d2_rho2(apply_J(u)))
-            out.append(LeviSample(z=z, v=v, levi_value=levi_value, rho=dh.rho,
+            out.append(LeviSample(z=z, v=v, levi_value=levi_value, rho=system.r,
                                   bound=bound, margin=bound - levi_value))
         return out
 

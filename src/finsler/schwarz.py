@@ -36,7 +36,7 @@ from .report import (VerificationReport, evaluate_samples, failure_reasons,
 def _disk_cjet(zeta, order):
     sp = JetSpace.get(2, order, False)
     zeta = complex(zeta)
-    return CJet(sp.variable(0, zeta.real), sp.variable(1, zeta.imag))
+    return CJet(*sp.variables([zeta.real, zeta.imag]))
 
 
 def _as_cjet(w, space):

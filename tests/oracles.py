@@ -366,7 +366,7 @@ def spray_jets_by_objects(m, x, u, order):
     g_rows = [[jet.extract(d + i).extract(d + j) * 0.5 for j in range(d)]
               for i in range(d)]
     g_inv = invert_jet_matrix(g_rows)
-    useed = [jet.space.sibling(order).variable(d + k, float(u[k])) for k in range(d)]
+    useed = jet.space.sibling(order).variables(np.concatenate([x, u]))[d:]
     b = []
     for l in range(d):
         dG_l = jet.extract(d + l)

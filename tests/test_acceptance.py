@@ -15,7 +15,8 @@ import pytest
 
 from finsler.cartan import flag_curvature
 from finsler.chern import chern_finsler, holomorphic_sectional_curvature
-from finsler.geodesic import PoleDistance, hessian_rho, integrate_geodesic
+from finsler.geodesic import (PoleDistance, distance_hessian, hessian_rho,
+                              integrate_geodesic)
 from finsler.geometry import (SamplePlan, complex_to_real_components,
                               realify_metric)
 from finsler.jets import cabs2, lift
@@ -203,14 +204,11 @@ def test_criterion_05_distance_analytics():
             q = rng.standard_normal(dim)
             q *= rng.uniform(0.2, 0.7) / np.linalg.norm(q)
             u = rng.standard_normal(dim)
-            base = pd.rho(q)
-            from finsler.cartan import cartan
-            gT = cartan(m, q, base.T, need_curvature=False).g
-            u = u / math.sqrt(u @ gT @ u)
-            hr = hessian_rho(m, np.zeros(dim), q, u, pd=pd, both_routes=False)
-            drho_u = float(u @ gT @ base.T)
-            lhs = 2.0 * drho_u ** 2 + 2.0 * base.value * hr.value
-            assert lhs <= 2.0 * (2.0 + base.value * K) + 1e-3
+            system = distance_hessian(pd, q)
+            u = u / math.sqrt(u @ system.g @ u)
+            drho_u = float(u @ system.g @ system.T)
+            lhs = 2.0 * drho_u ** 2 + 2.0 * system.r * float(u @ system.boundary_form() @ u)
+            assert lhs <= 2.0 * (2.0 + system.r * K) + 1e-3
 
     coordinate_bound_check(HYPERBOLIC, pd_h, 2, 2.0, 25)
     coordinate_bound_check(EUCLID2R, pd_e, 4, 0.0, 25)

@@ -162,8 +162,8 @@ def test_hermitian_reduction_of_connection():
     from finsler.jets import JetSpace, CJet
     n = 2
     sp = JetSpace.get(2 * n, 1, False)
-    zj = [CJet(sp.variable(a, z[a].real), sp.variable(n + a, z[a].imag))
-          for a in range(n)]
+    seeds = sp.variables(np.concatenate([z.real, z.imag]))
+    zj = [CJet(seeds[a], seeds[n + a]) for a in range(n)]
     H = BALL2.metadata["hermitian_matrix"](zj)
     g0 = np.array([[complex(H[a][b].value) for b in range(n)] for a in range(n)])
     ginv = np.linalg.inv(g0)

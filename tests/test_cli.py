@@ -179,16 +179,45 @@ def test_bad_plan_is_a_configuration_error(tmp_path, capsys, plan):
                            "params": {"matrix": [[1, 2]]}}]}),
     ("check", {"metrics": [{"family": "hermitian", "complex_dim": 0}]}),
     ("check", {"metrics": [{"family": "minkowski", "complex_dim": 0}]}),
+    ("schwarz", {"tolerance": "nan"}),
+    ("check", {"tolerance": -1}),
+    ("check", {"seed": 1.5}),
+    ("check", {"seed": True}),
+    ("check", {"seed": -1}),
 ], ids=["metric_not_a_mapping", "family_not_a_name", "tolerance_not_a_number",
         "outputs_not_a_mapping", "map_not_a_mapping", "complex_dim_not_an_integer",
         "scale_not_a_number", "params_not_a_mapping", "linear_map_without_matrix",
         "map_dimensions_do_not_match_pair", "hermitian_complex_dim_zero",
-        "minkowski_complex_dim_zero"])
+        "minkowski_complex_dim_zero", "tolerance_nan", "tolerance_negative",
+        "seed_not_an_integer", "seed_a_bool", "seed_negative"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, change):
     p = write_config(tmp_path, {**BASE_CONFIG, **change})
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+def test_unreadable_config_is_a_configuration_error(tmp_path, capsys, kind):
+    p = tmp_path / "run.yaml"
+    if kind == "directory":
+        p.mkdir()
+    else:
+        p.write_bytes(b"seed: 7\nmetrics: []\n# \xff\xfe\n")
+    assert main(["check", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_bad_tolerance_flag_is_a_configuration_error(tmp_path, capsys, value):
+    golden = Path(__file__).parent / "golden" / "golden_config.json"
+    cert = Path(__file__).parent / "golden" / "cert_identity.json"
+    assert main(["schwarz", "--config", str(golden), "--out", str(tmp_path / "o"),
+                 f"--tolerance={value}"]) == 2
+    assert main(["replay", "--certificate", str(cert), f"--tolerance={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error: tolerance") == 2 and "Traceback" not in err
 
 
 def test_cmd_bounds(tmp_path):

@@ -9,9 +9,10 @@ from scipy.linalg import eigh
 
 from finsler import geodesic
 from finsler.cartan import cartan
-from finsler.errors import (SAMPLE_ERRORS, ConjugatePointError, DomainError,
-                            ShootingError)
-from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, PoleDistance,
+from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError,
+                            DomainError, ShootingError)
+from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
+                              IndexFormResult, PoleDistance,
                               _integrate_affine, distance, distance_hessian,
                               exp_map, hessian_rho, index_form,
                               integrate_geodesic, jacobi_field,
@@ -74,6 +75,12 @@ def test_poincare_radial_speed():
         x, _ = path.state_at(t)
         assert np.linalg.norm(x) == pytest.approx(math.tanh(t), abs=1e-9)
     assert path.energy_drift < 1e-8
+
+
+@pytest.mark.parametrize("length", [0.0, -0.5, math.nan])
+def test_geodesic_length_must_be_positive(length):
+    with pytest.raises(ConfigurationError, match="length"):
+        integrate_geodesic(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), length)
 
 
 def test_domain_truncation():
@@ -203,13 +210,12 @@ def test_conjugate_point_guard():
     assert info.value.cond > geodesic.CONJUGATE_COND
     with pytest.raises(ConjugatePointError):
         at.field(np.array([0.0, 1.0]))
-    # past the conjugate point M(r) is regular again; the monitor saw det M change sign
-    assert jacobi_boundary_field(ROUND, p, u, math.pi / 2 + 0.3).zero_crossings == 1
-    before = jacobi_boundary_field(ROUND, p, u, 1.0)
-    assert before.zero_crossings == 0
-    # across T the Jacobi field is sin(2s)/2, so H = 2 cot 2r against g_T
-    ev = eigh(before.boundary_form(), before.g, eigvals_only=True)
-    assert ev == pytest.approx([2.0 / math.tan(2.0), 0.0], abs=1e-8)
+    # across T the Jacobi field is sin(2s)/2, so the boundary form is 2 cot 2r
+    # against g_T; before and past the conjugate point M(r) is regular
+    for r in (1.0, math.pi / 2 + 0.3):
+        system = jacobi_boundary_field(ROUND, p, u, r)
+        ev = eigh(system.boundary_form(), system.g, eigvals_only=True)
+        assert ev == pytest.approx(sorted([2.0 / math.tan(2.0 * r), 0.0]), abs=1e-8)
 
 
 def test_jacobi_minimizes_index_form():
@@ -312,6 +318,22 @@ def test_hessian_rho_hyperbolic():
     assert res.discrepancy < 1e-4 * max(1.0, abs(res.value))
 
 
+def test_hessian_rho_nan_index_form_does_not_agree(monkeypatch):
+    nan = IndexFormResult(value=math.nan, quadrature_error=math.nan)
+    monkeypatch.setattr(geodesic, "index_form", lambda *a, **k: nan)
+    res = hessian_rho(HYPERBOLIC, np.zeros(2), np.array([0.5, 0.0]), np.array([0.0, 1.0]))
+    assert math.isnan(res.discrepancy)
+    assert not res.agreed
+
+
+@pytest.mark.parametrize("m, q", [(HYPERBOLIC, [0.45, -0.3]), (BALL2, [0.3, -0.2, 0.1, 0.4])])
+def test_distance_hessian_is_the_system_of_its_shot(m, q):
+    q = np.array(q)
+    system = distance_hessian(PoleDistance(m, np.zeros(m.dim)), q)
+    assert isinstance(system, BoundaryJacobiSystem)
+    assert system.r == PoleDistance(m, np.zeros(m.dim)).rho(q).value
+
+
 @pytest.mark.parametrize("m, q", [
     (HYPERBOLIC, [0.3, 0.4]),
     (EUCLID2, [0.3, -0.2, 0.1, 0.4]),
@@ -319,26 +341,26 @@ def test_hessian_rho_hyperbolic():
     (MINKOWSKI, [0.2, -0.35, 0.1, 0.45]),
 ])
 def test_distance_hessian_symmetric_and_null_along_T(m, q):
-    dh = distance_hessian(PoleDistance(m, np.zeros(m.dim)), np.array(q))
-    H = dh.matrix
+    system = distance_hessian(PoleDistance(m, np.zeros(m.dim)), np.array(q))
+    H = system.boundary_form()
     scale = np.abs(H).max()
     assert np.abs(H - H.T).max() < 1e-12 * scale
-    assert np.abs(H @ dh.system.T).max() < 1e-12 * scale
+    assert np.abs(H @ system.T).max() < 1e-12 * scale
 
 
 def test_distance_hessian_spectra():
     # eigenvalues against g_T: 0 along T, 2 coth 2 rho across it on the disk
     # (curvature -4), 1/|q| three times across T on C^2
     q = np.array([0.45, -0.3])
-    dh = distance_hessian(PoleDistance(HYPERBOLIC, np.zeros(2)), q)
+    system = distance_hessian(PoleDistance(HYPERBOLIC, np.zeros(2)), q)
     rho = hyperbolic_distance(complex(*q))
-    assert dh.rho == pytest.approx(rho, abs=1e-9)
-    ev = eigh(dh.matrix, dh.system.g, eigvals_only=True)
+    assert system.r == pytest.approx(rho, abs=1e-9)
+    ev = eigh(system.boundary_form(), system.g, eigvals_only=True)
     assert ev == pytest.approx([0.0, hyperbolic_hessian_tangential(rho)], abs=1e-8)
 
     q = np.array([0.3, -0.2, 0.1, 0.4])
-    dh = distance_hessian(PoleDistance(EUCLID2, np.zeros(4)), q)
-    ev = eigh(dh.matrix, dh.system.g, eigvals_only=True)
+    system = distance_hessian(PoleDistance(EUCLID2, np.zeros(4)), q)
+    ev = eigh(system.boundary_form(), system.g, eigvals_only=True)
     assert ev == pytest.approx([0.0] + [1.0 / np.linalg.norm(q)] * 3, abs=1e-8)
 
 
@@ -350,7 +372,7 @@ def test_distance_hessian_spectra():
 def test_distance_hessian_matches_stencil_oracle(m, q):
     q = np.array(q)
     pd = PoleDistance(m, np.zeros(m.dim))
-    H = distance_hessian(pd, q).matrix
+    H = distance_hessian(pd, q).boundary_form()
     base = pd.rho(q)
     conn_T = cartan(m, q, base.T, need_curvature=False)
     rng = np.random.default_rng(6)
