@@ -7,7 +7,8 @@ b_l = u^k d2G/du^l dx^k - dG/dx^l; differentiating g S = b/4 in z gives
     dS  = g^-1 (db/4 - dg.S)
     d2S = g^-1 (d2b/4 - d2g.S - dg.dS - (dg.dS)^T),   (dg.dS)^i_ac = d_a g_il d_c S^l,
 
-from the order-3 and order-4 jets. N = dS/du is the nonlinear connection, and
+from the order-3 and order-4 jets; ``spray_jacobian`` is the one route to dS,
+and needs order 3 only. N = dS/du is the nonlinear connection, and
 the curvature is the spray's Riemann operator
 
     R^i_k = 2 dS^i/dx^k - u^j d2S^i/dx^j du^k + 2 S^j d2S^i/du^j du^k - N^i_j N^j_k,
@@ -59,11 +60,10 @@ def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     return _spray(m.real_jet(x, u, 2), u, m.dim)
 
 
-def cartan(m: MetricDef, x, u, *, need_curvature=True) -> CartanData:
-    """Cartan connection data at (x, u); curvature optional (cheaper without)."""
-    u = np.asarray(u, dtype=float)
-    d = m.dim
-    jet = m.real_jet(x, u, 4 if need_curvature else 3)
+def spray_jacobian(jet, u, d):
+    """(g, g^-1, S, dS) from a jet of G over (x, u) of order >= 3, dS the d x 2d
+    derivative of the spray in (x, u); raises ``DegenerateMetricError`` when g
+    is singular."""
     D2 = jet.hessian()
     g = 0.5 * D2[d:, d:]
     cond = np.linalg.cond(g)
@@ -76,8 +76,18 @@ def cartan(m: MetricDef, x, u, *, need_curvature=True) -> CartanData:
     # d_a b_l, where b_l = u^k d^2 G / du^l dx^k - dG / dx^l
     db = np.einsum("lka,k->la", D3[d:, :d], u) - D2[:d]
     db[:, d:] += D2[d:, :d]
-    dS = g_inv @ (0.25 * db - np.einsum("ila,l->ia", dg, spray))
+    return g, g_inv, spray, g_inv @ (0.25 * db - np.einsum("ila,l->ia", dg, spray))
+
+
+def cartan(m: MetricDef, x, u, *, need_curvature=True) -> CartanData:
+    """Cartan connection data at (x, u); curvature optional (cheaper without)."""
+    u = np.asarray(u, dtype=float)
+    d = m.dim
+    jet = m.real_jet(x, u, 4 if need_curvature else 3)
+    g, g_inv, spray, dS = spray_jacobian(jet, u, d)
     N = dS[:, d:]
+    D3 = jet.derivatives(3)
+    dg = 0.5 * D3[d:, d:]
 
     # delta_k g_il = d_k g_il - N^m_k d_{u^m} g_il
     delta = dg[..., :d] - np.einsum("mk,ilm->ilk", N, dg[..., d:])
@@ -148,8 +158,7 @@ def radial_flag_bounds(m: MetricDef, pole,
     lo, hi = plan.radial_range
     ts = np.linspace(lo, hi, max(3, plan.n_points // len(dirs) + 1))
     flags = unit_directions(2 * d, d, plan.seed + 1)
-    k_inf, k_sup = math.inf, -math.inf
-    count = 0
+    ks = []
     for w in dirs:
         G0 = m.value(pole, w)
         path = geo.integrate_geodesic(m, pole, w / math.sqrt(G0), hi * 1.05)
@@ -162,8 +171,6 @@ def radial_flag_bounds(m: MetricDef, pole,
                 guX = float(ut @ data.g @ X)
                 if gu * gX - guX ** 2 < 1e-8 * gu * gX:
                     continue
-                k = require_finite(flag_curvature(m, xt, ut, X, data=data))
-                k_inf = min(k_inf, k)
-                k_sup = max(k_sup, k)
-                count += 1
-    return RadialFlagBounds(k_inf=k_inf, k_sup=k_sup, n_samples=count)
+                ks.append(require_finite(flag_curvature(m, xt, ut, X, data=data)))
+    return RadialFlagBounds(k_inf=min(ks, default=math.inf), k_sup=max(ks, default=-math.inf),
+                            n_samples=len(ks))

@@ -195,8 +195,8 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
                     float(np.linalg.norm(pts[i])))
                 worst = max(worst, abs(rho - closed_rho))
         rho_errors = {i: type(exc).__name__ for i, _, exc in failures}
-        shooting = [{"point_index": i, "starts": exc.starts,
-                     "integrations": exc.integrations, "best_residual": exc.best_residual}
+        shooting = [{"point_index": i, "starts": exc.starts, "integrations": exc.integrations,
+                     "iterations": exc.iterations, "best_residual": exc.best_residual}
                     for i, _, exc in failures if isinstance(exc, ShootingError)]
         rho_counts = sample_counts(len(rows), failure_reasons(failures))
         payload = {"metric": mid, "n_samples": len(rows),

@@ -34,16 +34,18 @@ class DegenerateFlagError(FinslerError):
 class ShootingError(FinslerError):
     """Boundary-value geodesic solve failed to converge.
 
-    ``starts`` counts the initial velocities tried, ``integrations`` the
-    geodesic integrations the solve spent, ``best_residual`` the least
-    endpoint mismatch reached (inf when no integration succeeded).
+    ``starts`` counts the initial velocities tried, ``integrations`` and
+    ``iterations`` the integrations and Gauss-Newton steps spent, and
+    ``best_residual`` is the least endpoint mismatch (inf if none succeeded).
     """
 
-    def __init__(self, message, best_residual=None, starts=None, integrations=None):
+    def __init__(self, message, best_residual=None, starts=None, integrations=None,
+                 iterations=None):
         super().__init__(message)
         self.best_residual = best_residual
         self.starts = starts
         self.integrations = integrations
+        self.iterations = iterations
 
 
 class ConjugatePointError(FinslerError):

@@ -6,7 +6,9 @@ G(x, xdot) is a first integral and its drift along the integrated path is the
 reported accuracy proxy. Covariant derivatives along a curve use the
 connection coefficients evaluated at the reference vector T, the curve's own
 velocity, which along geodesics makes the Cartan and Chern-type derivatives
-coincide.
+coincide. Jacobi fields are geodesic variations: they solve the linearized
+geodesic equation dx'' = -2 (dG/dx dx + dG/du dx') in coordinates, which needs
+an order-3 jet and no curvature, and D_T J = dx' + N dx with N = dG/du.
 """
 
 from __future__ import annotations
@@ -14,25 +16,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cartan import cartan, spray_coefficients
+from .cartan import cartan, spray_coefficients, spray_jacobian
 from .errors import SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError
 from .geometry import MetricDef, unit_directions
 from .jets import JetSpace
-
-
-def _rhs(m):
-    d = m.dim
-
-    def fn(t, y):
-        x = y[:d]
-        u = y[d:]
-        return np.concatenate([u, -2.0 * spray_coefficients(m, x, u)])
-
-    return fn
 
 
 def _domain_events(m, x0):
@@ -50,10 +42,14 @@ def _domain_events(m, x0):
 def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True):
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    events = _domain_events(m, x0)
-    sol = solve_ivp(_rhs(m), (0.0, t_end), np.concatenate([x0, u0]),
+    d = m.dim
+
+    def rhs(t, y):
+        return np.concatenate([y[d:], -2.0 * spray_coefficients(m, y[:d], y[d:])])
+
+    sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([x0, u0]),
                     method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=dense, events=events)
+                    dense_output=dense, events=_domain_events(m, x0))
     if not sol.success and sol.status != 1:
         raise ShootingError(f"geodesic integration failed: {sol.message}")
     return sol
@@ -93,9 +89,7 @@ class GeodesicPath:
         w.writerow(["t"] + [f"x{i}" for i in range(d)] + [f"u{i}" for i in range(d)] + ["G"])
         for s in np.linspace(0.0, self.arc_length, n):
             x, u = self.state_at(s)
-            w.writerow([repr(float(s))] + [repr(float(c)) for c in x]
-                       + [repr(float(c)) for c in u]
-                       + [repr(self.metric.value(x, u))])
+            w.writerow([repr(float(c)) for c in (s, *x, *u)] + [repr(self.metric.value(x, u))])
 
 
 def _path(m: MetricDef, G0, sol) -> GeodesicPath:
@@ -145,6 +139,7 @@ class RhoResult:
     w: np.ndarray                 # initial velocity reaching the target at t=1
     residual: float
     n_integrations: int
+    iterations: int               # Gauss-Newton steps taken over all starts
 
 
 # tolerances of the shooting integrations, tighter than a plain path
@@ -169,6 +164,7 @@ class PoleDistance:
         self.pole = np.asarray(pole, dtype=float)
         self._cache = []
         self.total_integrations = 0
+        self.total_iterations = 0
 
     def _endpoint(self, w):
         """End state (x, u) at t = 1 of the geodesic leaving the pole with velocity w."""
@@ -188,12 +184,8 @@ class PoleDistance:
         return J
 
     def _nearest(self, q):
-        best, bd = None, math.inf
-        for entry in self._cache:
-            dist = float(np.linalg.norm(entry[0] - q))
-            if dist < bd:
-                best, bd = entry, dist
-        return best
+        return min(self._cache, key=lambda entry: float(np.linalg.norm(entry[0] - q)),
+                   default=None)
 
     def _remember(self, q, w, J):
         self._cache.append((q.copy(), w.copy(), J.copy()))
@@ -203,19 +195,15 @@ class PoleDistance:
     def rho(self, q) -> RhoResult:
         q = np.asarray(q, dtype=float)
         if float(np.linalg.norm(q - self.pole)) < 1e-14:
-            return RhoResult(0.0, np.zeros_like(q), np.zeros_like(q), 0.0, 0)
+            return RhoResult(0.0, np.zeros_like(q), np.zeros_like(q), 0.0, 0, 0)
         scale = 1.0 + float(np.linalg.norm(q - self.pole))
         # iterate toward the tight target; accept the documented tolerance
         tol = 3e-12 * scale
         tol_accept = 1e-9 * scale
-        start = self.total_integrations
+        start, start_iterations = self.total_integrations, self.total_iterations
 
         near = self._nearest(q)
-        if near is not None:
-            w0 = near[1] + (q - near[0])
-            J = near[2]
-        else:
-            w0, J = q - self.pole, None
+        w0, J = (q - self.pole, None) if near is None else (near[1] + (q - near[0]), near[2])
 
         best_res = math.inf
         starts = 0
@@ -230,12 +218,13 @@ class PoleDistance:
                 rho = math.sqrt(self.m.value(self.pole, w))
                 self._remember(q, w, J_fin)
                 return RhoResult(rho, u_end / rho, w, resid,
-                                 self.total_integrations - start)
-        spent = self.total_integrations - start
+                                 self.total_integrations - start,
+                                 self.total_iterations - start_iterations)
+        spent, steps = self.total_integrations - start, self.total_iterations - start_iterations
         raise ShootingError(
             f"shooting to {q} did not converge: {starts} starts, {spent} "
-            f"integrations, best residual {best_res:.3g}",
-            best_residual=best_res, starts=starts, integrations=spent)
+            f"integrations, {steps} Gauss-Newton steps, best residual {best_res:.3g}",
+            best_residual=best_res, starts=starts, integrations=spent, iterations=steps)
 
     def _gauss_newton(self, w, q, J, tol, max_iter=40):
         """Solve endpoint(w) = q from ``w``; returns ``(w, y, J, residual)``.
@@ -254,8 +243,7 @@ class PoleDistance:
         refreshed = J is None
         if J is None:
             if float(np.linalg.norm(F)) < tol:
-                J = np.eye(d)
-                return w, y, J, float(np.linalg.norm(F))
+                return w, y, np.eye(d), float(np.linalg.norm(F))
             J = self._fd_jacobian(w, F + q)
         for _ in range(max_iter):
             res = float(np.linalg.norm(F))
@@ -264,26 +252,18 @@ class PoleDistance:
             try:
                 step = np.linalg.solve(J, F)
             except np.linalg.LinAlgError:
-                if refreshed:
-                    return w, y, J, res
-                J = self._fd_jacobian(w, F + q)
-                refreshed = True
-                continue
-            lam = 1.0
-            improved = False
-            while lam >= 0.25:
+                step = None
+            # trial steps of length 1, 1/2 and 1/4 until one improves
+            for lam in (1.0, 0.5, 0.25) if step is not None else ():
                 w_new = w - lam * step
                 try:
                     y_new = self._endpoint(w_new)
                 except SAMPLE_ERRORS:
-                    lam *= 0.5
                     continue
                 F_new = y_new[:d] - q
                 if float(np.linalg.norm(F_new)) < res:
-                    improved = True
                     break
-                lam *= 0.5
-            if not improved:
+            else:
                 if refreshed:
                     return w, y, J, res
                 J = self._fd_jacobian(w, F + q)
@@ -295,6 +275,7 @@ class PoleDistance:
             if denom > 0:
                 J = J + np.outer(dF - J @ dw, dw) / denom
             w, y, F = w_new, y_new, F_new
+            self.total_iterations += 1
         return w, y, J, float(np.linalg.norm(F))
 
     def _starts(self, q, w0):
@@ -315,22 +296,34 @@ def distance(m: MetricDef, p, q) -> float:
 # -- fields along geodesics --------------------------------------------------------
 
 
+def _nonlinear(m: MetricDef, x, u) -> np.ndarray:
+    """N = dG/du at (x, u), from one order-3 jet."""
+    return spray_jacobian(m.real_jet(x, u, 3), u, m.dim)[3][:, m.dim:]
+
+
 @dataclass
 class JacobiField:
-    """Dense Jacobi field J = Y_J c with covariant derivative W = Y_W c along a
-    normal geodesic, whose dense state (x, u, Y_J, Y_W) ``path`` holds."""
+    """Dense Jacobi field J = Y_x c along a normal geodesic, whose dense state
+    (x, u, Y_x, Y_v) ``path`` holds: the fundamental system of the linearized
+    geodesic flow, with J = dx = Y_x c and dx' = Y_v c."""
 
     path: GeodesicPath
     r: float
     c: np.ndarray
 
-    def at(self, s):
+    def _state(self, s):
+        """x, u, J = dx and dx' at s."""
         d = self.path.metric.dim
-        Y = self.path.sol.sol(min(max(s, 0.0), self.r))[2 * d:].reshape(2 * d, -1)
-        return Y[:d] @ self.c, Y[d:] @ self.c
+        y = self.path.sol.sol(min(max(s, 0.0), self.r))
+        return (y[:d], y[d:2 * d], *(y[2 * d:].reshape(2, d, -1) @ self.c))
+
+    def at(self, s):
+        """(J, D_T J) at s, with D_T J = dx' + N J and N at the path's state."""
+        x, u, J, dJ = self._state(s)
+        return J, dJ + _nonlinear(self.path.metric, x, u) @ J
 
     def value(self, s):
-        return self.at(s)[0]
+        return self._state(s)[2]
 
     def cov_deriv(self, s):
         return self.at(s)[1]
@@ -344,9 +337,9 @@ CONJUGATE_COND = 1e6
 @dataclass
 class BoundaryJacobiSystem:
     """Fundamental system Y = (M, W) of the Jacobi fields J = M c with J(0) = 0,
-    D_T J(0) = c along a normal path, with M = M(r), W = W(r) and the unit
-    tangent T and fundamental tensor g = g_T at the endpoint. The field
-    reaching u at r has c = M(r)^-1 u."""
+    D_T J(0) = c along a normal path, with M = M(r), W = W(r) = D_T M(r) and
+    the unit tangent T and fundamental tensor g = g_T at the endpoint. The
+    field reaching u at r has c = M(r)^-1 u."""
 
     path: GeodesicPath
     r: float
@@ -355,39 +348,39 @@ class BoundaryJacobiSystem:
     T: np.ndarray
     g: np.ndarray
 
-    def _perp(self) -> np.ndarray:
-        """P u = u - g_T(u, T) / g_T(T, T) T, the part of u across T."""
+    @cached_property
+    def _perp_solution(self):
+        """(P, M(r)^-1 P), with P u = u - g_T(u, T) / g_T(T, T) T the part of u
+        across T; M(r) is factored once per system. Raises
+        ``ConjugatePointError`` when M(r) is singular."""
         gT = self.g @ self.T
-        return np.eye(self.T.size) - np.outer(self.T, gT) / float(self.T @ gT)
-
-    def _initial_derivatives(self, U):
-        """M(r)^-1 U; raises ``ConjugatePointError`` when M(r) is singular."""
+        P = np.eye(self.T.size) - np.outer(self.T, gT) / float(self.T @ gT)
         cond = float(np.linalg.cond(self.M))
         if not cond < CONJUGATE_COND:
             raise ConjugatePointError(f"cond M(r) = {cond:.3g} at r = {self.r:.6g}: "
                                       "the endpoint is conjugate to the start", cond=cond)
-        return np.linalg.solve(self.M, U)
+        return P, np.linalg.solve(self.M, P)
 
     def field(self, u_target) -> JacobiField:
         """The Jacobi field with J(0) = 0 and J(r) the part of u_target across T."""
-        c = self._initial_derivatives(self._perp() @ np.asarray(u_target, dtype=float))
+        c = self._perp_solution[1] @ np.asarray(u_target, dtype=float)
         return JacobiField(path=self.path, r=self.r, c=c)
 
     def boundary_form(self) -> np.ndarray:
         """P^T g_T W M^-1 P: the index form's boundary term g_T(D_T J_u, J_u) at r
         of the field J_u reaching u."""
-        P = self._perp()
-        return P.T @ self.g @ self.W @ self._initial_derivatives(P)
+        P, M_inv_P = self._perp_solution
+        return P.T @ self.g @ self.W @ M_inv_P
 
 
 def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0) -> GeodesicPath:
-    """The unit-speed geodesic from (x0, u0) and the Jacobi fields along it
-    with initial data the columns of Y0 = (J(0), D_T J(0)), a (2d, k) array,
+    """The unit-speed geodesic from (x0, u0) and the variations of it with
+    initial data the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array,
     integrated together to arc length r as one dense state (x, u, Y): the
     variational equations in the trajectory's own state (Hairer, Norsett &
-    Wanner, Solving ODEs I, sec. I.14). Each right-hand side evaluates the
-    Cartan data once; its spray moves (x, u) and its ``gamma_h`` and
-    ``riemann`` move Y."""
+    Wanner, Solving ODEs I, sec. I.14). Each right-hand side reads S and
+    dS = dG/d(x, u) from one order-3 jet; S moves (x, u) and
+    dx'' = -2 dS (dx, dx') moves Y."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     G0 = m.value(x0, u0)
@@ -396,11 +389,10 @@ def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0) -> GeodesicPath:
     d = m.dim
 
     def rhs(t, y):
-        data = cartan(m, y[:d], y[d:2 * d])
-        Y = y[2 * d:].reshape(2, d, -1)
-        GY = np.einsum("ijk,ajc,k->aic", data.gamma_h, Y, data.u)
-        return np.concatenate([data.u, -2.0 * data.spray, (Y[1] - GY[0]).ravel(),
-                               (-data.riemann @ Y[0] - GY[1]).ravel()])
+        u = y[d:2 * d]
+        _, _, spray, dS = spray_jacobian(m.real_jet(y[:d], u, 3), u, d)
+        Y = y[2 * d:].reshape(2 * d, -1)
+        return np.concatenate([u, -2.0 * spray, Y[d:].ravel(), (-2.0 * dS @ Y).ravel()])
 
     sol = solve_ivp(rhs, (0.0, r), np.concatenate([x0, u0, np.ravel(Y0)]),
                     method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
@@ -411,8 +403,10 @@ def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0) -> GeodesicPath:
 
 def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
     """The Jacobi field with J(0) = J0, D_T J(0) = dJ0 along the unit-speed
-    geodesic from (x0, u0), to arc length r."""
-    path = _integrate_jacobi(m, x0, u0, r, np.concatenate([J0, dJ0]))
+    geodesic from (x0, u0), to arc length r: the variation with dx(0) = J0 and
+    dx'(0) = dJ0 - N J0."""
+    N0 = _nonlinear(m, np.asarray(x0, dtype=float), np.asarray(u0, dtype=float))
+    path = _integrate_jacobi(m, x0, u0, r, np.concatenate([J0, dJ0 - N0 @ J0]))
     return JacobiField(path=path, r=r, c=np.ones(1))
 
 
@@ -420,14 +414,15 @@ def jacobi_boundary_field(m: MetricDef, x0, u0, r) -> BoundaryJacobiSystem:
     """Fundamental system of the Jacobi fields vanishing at x0 along the
     unit-speed geodesic from (x0, u0), integrated with it to arc length r; its
     ``field(u)`` is the Jacobi field with J(0) = 0 and J(r) the part of u
-    across T."""
+    across T. At r, W = dx' + N M with N and g_T from one order-3 jet."""
     d = m.dim
     path = _integrate_jacobi(m, x0, u0, r, np.concatenate([np.zeros((d, d)), np.eye(d)]))
     y_r = path.sol.y[:, -1]
     x_r, u_r = y_r[:d], y_r[d:2 * d]
     Y_r = y_r[2 * d:].reshape(2 * d, d)
-    return BoundaryJacobiSystem(path=path, r=r, M=Y_r[:d], W=Y_r[d:], T=u_r,
-                                g=m.fundamental_real(x_r, u_r))
+    g, _, _, dS = spray_jacobian(m.real_jet(x_r, u_r, 3), u_r, d)
+    return BoundaryJacobiSystem(path=path, r=r, M=Y_r[:d], W=Y_r[d:] + dS[:, d:] @ Y_r[:d],
+                                T=u_r, g=g)
 
 
 @dataclass
@@ -442,13 +437,15 @@ def index_form(path: GeodesicPath, xi, eta, xi_cov, eta_cov) -> IndexFormResult:
     Fields are callables of the arc parameter; their component along T is
     projected out pointwise, and ``xi_cov``, ``eta_cov`` are the covariant
     derivatives of the projected fields, callables of the same parameter.
-    The Cartan data are evaluated once per quadrature node. Quadrature is
+    The Cartan data, curvature included, are evaluated once per quadrature
+    node, and a field once when xi and eta are equal callables. Quadrature is
     composite Gauss-Legendre over 12 panels with the error estimated from
     one coarsening step.
     """
     if not path.normal:
         raise ConfigurationError("the index form is defined along normal paths")
     r = path.arc_length
+    same = xi == eta and xi_cov == eta_cov
 
     def integrand(s):
         data = cartan(path.metric, *path.state_at(s))
@@ -458,9 +455,9 @@ def index_form(path: GeodesicPath, xi, eta, xi_cov, eta_cov) -> IndexFormResult:
             val = np.asarray(f(s), dtype=float)
             return val - (float(val @ data.g @ T) / float(T @ data.g @ T)) * T
 
-        xv, ev_ = perp(xi), perp(eta)
+        xv = perp(xi)
         dx = np.asarray(xi_cov(s), dtype=float)
-        de = np.asarray(eta_cov(s), dtype=float)
+        ev_, de = (xv, dx) if same else (perp(eta), np.asarray(eta_cov(s), dtype=float))
         return float(dx @ data.g @ de) - float((data.riemann @ xv) @ data.g @ ev_)
 
     nodes, weights = np.polynomial.legendre.leggauss(4)
@@ -495,9 +492,9 @@ def legendre_gradient(m: MetricDef, df, x):
     if callable(df):
         df = df(JetSpace.get(d, 1, False).variables(x)).gradient()
     df = np.asarray(df, dtype=float)
-    if float(np.linalg.norm(df)) == 0.0:
-        raise ConfigurationError("gradient undefined where df = 0")
     scale = float(np.linalg.norm(df))
+    if scale == 0.0:
+        raise ConfigurationError("gradient undefined where df = 0")
 
     best_res = math.inf
     seeds = [df, np.ones(d)]
@@ -538,7 +535,8 @@ def distance_hessian(pd: PoleDistance, x) -> BoundaryJacobiSystem:
 
     One shot gives rho and the initial velocity of the radial geodesic; one
     integration from the pole then carries that geodesic together with the
-    Jacobi fields vanishing at the pole to x. The returned system holds
+    Jacobi fields vanishing at the pole to x, as solutions of the linearized
+    geodesic flow: no curvature and no order-4 jet. The returned system holds
     rho = ``r`` and the unit tangent ``T`` and g_T = ``g`` at x. H(rho)(u, u)
     is the boundary term g_T(D_T J_u, J_u) at x of the index form of the field
     J_u reaching u (Bao-Chern-Shen, GTM 200, ch. 5 and 7): the covariant
@@ -567,8 +565,9 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
     """H(rho)(u,u) at x for the g_T-unit rescaling of u, rho the distance from the pole.
 
     Route one reads u.H.u off ``distance_hessian``, the boundary term of the
-    index form. Route two integrates the index form by quadrature along the
-    Jacobi field of the same fundamental system that reaches u at x.
+    index form, which needs no curvature. Route two integrates the index form,
+    with the curvature R at its nodes, by quadrature along the Jacobi field of
+    the same fundamental system that reaches u at x.
     Disagreement beyond ``AGREEMENT_TOL`` is reported, not hidden; a NaN on
     either route never agrees.
     """

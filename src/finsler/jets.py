@@ -40,21 +40,9 @@ def _monomials(nvars: int, order: int):
     """All exponent tuples with total degree <= order, sorted by (degree, lex)."""
     levels = [[(0,) * nvars]]
     for _ in range(order):
-        prev = levels[-1]
-        seen = set()
-        nxt = []
-        for mono in prev:
-            for i in range(nvars):
-                m = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                if m not in seen:
-                    seen.add(m)
-                    nxt.append(m)
-        nxt.sort()
-        levels.append(nxt)
-    out = []
-    for lv in levels:
-        out.extend(lv)
-    return out
+        levels.append(sorted({mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                              for mono in levels[-1] for i in range(nvars)}))
+    return [mono for level in levels for mono in level]
 
 
 class JetSpace:

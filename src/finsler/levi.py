@@ -10,7 +10,9 @@ vector T. Both terms come from one distance Hessian, the boundary form H of
 the system that ``geodesic.distance_hessian`` returns: one shot to the point,
 the radial geodesic and the fundamental system of Jacobi fields along it give
 H = P^T g_T W M^-1 P, and D^2 rho^2(w, w) = 2 g_T(T, w)^2 + 2 rho H(w, w).
-The distance function is kept away from the pole, where it is not smooth.
+The Jacobi fields solve the linearized geodesic flow, so a sample reads
+order-3 jets only. The distance function is kept away from the pole, where
+it is not smooth.
 """
 
 from __future__ import annotations

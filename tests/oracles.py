@@ -649,3 +649,42 @@ def hyperbolic_hessian_tangential(rho):
 
 def exact_binomial(n, k):
     return int(math.comb(n, k))
+
+
+# -- Jacobi fields in covariant form ---------------------------------------------
+
+
+def covariant_boundary_form(m, x0, u0, r):
+    """H = P^T g_T W M^-1 P at arc length r along the unit-speed geodesic from
+    (x0, u0), from the Jacobi equation in covariant form.
+
+    The state (x, u, J, W) carries the fields J with J(0) = 0, D_T J(0) = I
+    and their covariant derivatives W = D_T J, moved by
+    J' = W - gamma_h(J, T) and W' = -R J - gamma_h(W, T) with the Cartan data
+    (curvature included) at every right-hand side, at the tolerances of
+    ``geodesic.jacobi_boundary_field``. Independent of the linearized
+    geodesic flow and its conversions through N.
+    """
+    from scipy.integrate import solve_ivp
+
+    from finsler.cartan import cartan
+
+    d = m.dim
+
+    def rhs(t, y):
+        data = cartan(m, y[:d], y[d:2 * d])
+        Y = y[2 * d:].reshape(2, d, -1)
+        GY = np.einsum("ijk,ajc,k->aic", data.gamma_h, Y, data.u)
+        return np.concatenate([data.u, -2.0 * data.spray, (Y[1] - GY[0]).ravel(),
+                               (-data.riemann @ Y[0] - GY[1]).ravel()])
+
+    y0 = np.concatenate([x0, u0, np.zeros(d * d), np.eye(d).ravel()])
+    sol = solve_ivp(rhs, (0.0, r), y0, method="DOP853", rtol=1e-10, atol=1e-12)
+    assert sol.success, sol.message
+    y_r = sol.y[:, -1]
+    x_r, T = y_r[:d], y_r[d:2 * d]
+    M, W = y_r[2 * d:].reshape(2, d, d)
+    g = m.fundamental_real(x_r, T)
+    gT = g @ T
+    P = np.eye(d) - np.outer(T, gT) / float(T @ gT)
+    return P.T @ g @ W @ np.linalg.solve(M, P)

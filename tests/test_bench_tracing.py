@@ -2,10 +2,14 @@
 
 ``bench/tracing.py`` wraps engine functions and methods by module and
 attribute name; renaming or deleting one of them breaks the traced
-benchmark run. Loading the tracer by path keeps that contract in tier-1.
+benchmark run. Loading the tracer by path, and one small traced run of the
+``levi`` workload, keep that contract in tier-1.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -42,3 +46,16 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert (geodesic.hessian_rho, LeviField.sample, geodesic.solve_ivp) == originals
+
+
+def test_traced_levi_run_is_correct():
+    # one traced pass of every Levi and Hessian operation: the tracer's checks
+    # (spray calls against scipy's nfev, equal counts on both traced passes)
+    # hold on the Jacobi right-hand sides
+    root = TRACING.parent.parent
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "levi", "--small",
+                           "--trace", "1"], cwd=root, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr

@@ -563,6 +563,7 @@ def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
     # each cold disk query tries the straight start and 5 grid directions
     assert [(f["point_index"], f["starts"], f["integrations"])
             for f in payload["shooting_failures"]] == [(0, 6, 6), (1, 6, 6)]
+    assert [f["iterations"] for f in payload["shooting_failures"]] == [0, 0]
     assert payload["max_closed_form_error"] is None
     line = capsys.readouterr().out.strip()
     assert "error n/a; rho samples ok 0/2 (point 0: 6 starts, 6 integrations)" in line

@@ -21,7 +21,7 @@ from finsler.geometry import MetricDef, realify_metric
 from finsler.jets import spow
 from finsler.metrics import instantiate
 
-from oracles import (covariant_d2_rho, fd_covariant_derivatives,
+from oracles import (covariant_boundary_form, covariant_d2_rho, fd_covariant_derivatives,
                      hyperbolic_distance, hyperbolic_hessian_tangential)
 
 EUCLID = realify_metric(instantiate(
@@ -170,6 +170,38 @@ def test_jacobi_hyperbolic_sinh():
         gt = cartan(HYPERBOLIC, xt, ut, need_curvature=False).g
         norm = math.sqrt(float(J.value(t) @ gt @ J.value(t)))
         assert norm == pytest.approx(math.sinh(2 * t) / 2.0, abs=1e-7)
+
+
+def test_jacobi_hyperbolic_cosh_off_the_origin():
+    # off the origin N != 0, so both conversions between dx' and D_T J count:
+    # across T with D_T J(0) = 0 the field is |J0| cosh 2t and its covariant
+    # derivative 2 |J0| sinh 2t (curvature -4)
+    x0, u0 = np.array([0.3, -0.2]), np.array([0.6, 0.8])
+    u0 = u0 / math.sqrt(HYPERBOLIC.value(x0, u0))
+    g0 = HYPERBOLIC.fundamental_real(x0, u0)
+    J0 = np.array([-0.8, 0.6])
+    J0 = 0.7 * (J0 - (J0 @ g0 @ u0) * u0) / math.sqrt(J0 @ g0 @ J0 - (J0 @ g0 @ u0) ** 2)
+    J = jacobi_field(HYPERBOLIC, x0, u0, 1.0, J0, np.zeros(2))
+    for t in (0.0, 0.3, 0.7, 1.0):
+        xt, ut = J.path.state_at(t)
+        gt = HYPERBOLIC.fundamental_real(xt, ut)
+        Jt, DJt = J.at(t)
+        assert math.sqrt(Jt @ gt @ Jt) == pytest.approx(0.7 * math.cosh(2 * t), abs=1e-8)
+        assert math.sqrt(DJt @ gt @ DJt) == pytest.approx(0.7 * 2 * math.sinh(2 * t), abs=1e-8)
+
+
+@pytest.mark.parametrize("m", [HYPERBOLIC, BALL2, EUCLID2, MINKOWSKI],
+                         ids=["disk", "ball", "euclid2", "minkowski"])
+@pytest.mark.parametrize("r", [0.3, 0.8, 1.5])
+def test_boundary_form_matches_covariant_oracle(m, r):
+    # the linearized geodesic flow against the Jacobi equation with R and
+    # gamma_h, from a start off the origin
+    x0 = 0.1 * np.arange(1, m.dim + 1) / m.dim
+    u0 = np.array([0.3, -0.7, 0.5, 0.2][:m.dim])
+    u0 = u0 / math.sqrt(m.value(x0, u0))
+    H = jacobi_boundary_field(m, x0, u0, r).boundary_form()
+    want = covariant_boundary_form(m, x0, u0, r)
+    assert np.abs(H - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_index_form_flat_linear_field():
@@ -385,6 +417,33 @@ def test_distance_hessian_matches_stencil_oracle(m, q):
             1e-5 * max(1.0, abs(exact))
 
 
+def test_hessian_rho_factors_M_once(monkeypatch):
+    systems, cond_args, solve_args = [], [], []
+    hessian, cond, solve = geodesic.distance_hessian, np.linalg.cond, np.linalg.solve
+
+    def kept(pd, x):
+        systems.append(hessian(pd, x))
+        return systems[-1]
+
+    monkeypatch.setattr(geodesic, "distance_hessian", kept)
+    monkeypatch.setattr(np.linalg, "cond", lambda a, *k: cond_args.append(a) or cond(a, *k))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve_args.append(a) or solve(a, b))
+    res = hessian_rho(HYPERBOLIC, np.zeros(2), np.array([0.45, -0.3]), np.array([0.3, 0.45]))
+    assert res.agreed
+    M = systems[0].M
+    assert sum(a is M for a in cond_args) == sum(a is M for a in solve_args) == 1
+
+
+def test_rho_counts_gauss_newton_steps():
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    q = np.array([0.45, -0.3])
+    r = pd.rho(q)
+    assert r.iterations == pd.total_iterations > 0
+    # one shot and two Jacobian probes, then one integration per full step
+    assert r.n_integrations == 1 + 2 + r.iterations
+    assert pd.rho(pd.pole).iterations == 0
+
+
 def test_shooting_propagates_programming_errors(monkeypatch):
     def broken_spray(m, x, u):
         raise KeyError("spray")
@@ -428,7 +487,8 @@ def test_shooting_error_counts_starts_and_integrations(monkeypatch):
     assert info.value.starts == n_starts == 6
     assert info.value.integrations == n_starts   # one failed integration per start
     assert info.value.best_residual == math.inf
-    assert f"{n_starts} starts, {n_starts} integrations" in str(info.value)
+    assert info.value.iterations == 0
+    assert f"{n_starts} starts, {n_starts} integrations, 0 Gauss-Newton steps" in str(info.value)
 
 
 def _count_fd_jacobians(monkeypatch, make=None):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from finsler.geodesic import PoleDistance
+from finsler import geodesic
+from finsler.geodesic import PoleDistance, distance_hessian
+from finsler.geometry import MetricDef, complex_to_real_components, realify_metric
 from finsler.levi import LeviField, gradient_identity, levi_identity_residual
 from finsler.metrics import instantiate
 
@@ -66,6 +68,32 @@ def test_levi_sample_shoots_once(monkeypatch):
         calls.clear()
         field.sample(np.full(m.n, 0.3 + 0.2j), np.full(m.n, 1.0 - 0.5j))
         assert len(calls) == 1
+
+
+def test_levi_path_reads_no_order_4_jets(monkeypatch):
+    # distance Hessians and Levi samples integrate the linearized geodesic
+    # flow: order-3 jets, no curvature, no cartan
+    real_jet = MetricDef.real_jet
+
+    def order_3(self, x, u, order):
+        if order > 3:
+            raise AssertionError(f"order-{order} jet on the Levi path")
+        return real_jet(self, x, u, order)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cartan on the Levi path")
+
+    monkeypatch.setattr(MetricDef, "real_jet", order_3)
+    monkeypatch.setattr(geodesic, "cartan", refuse)
+    for m, K in ((POINCARE, 2.0), (BALL2, 2.0), (MINKOWSKI, 0.0)):
+        z, v = np.full(m.n, 0.3 + 0.2j), np.full(m.n, 1.0 - 0.5j)
+        x = complex_to_real_components(z)
+        system = distance_hessian(PoleDistance(realify_metric(m), np.zeros(2 * m.n)), x)
+        assert np.isfinite(system.boundary_form()).all()
+        s = LeviField(m, np.zeros(m.n, complex), curvature_K=K).sample(z, v)
+        assert s.margin >= -1e-3
+    with pytest.raises(AssertionError, match="order-4"):
+        POINCARE.complex_jet(np.array([0.3 + 0.2j]), np.array([1.0 - 0.5j]), 4)
 
 
 def test_levi_minkowski_flat_bound():
