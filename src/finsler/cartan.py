@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFlagError, DegenerateMetricError
-from .geometry import MetricDef, SamplePlan, unit_directions
+from .geometry import MetricDef, SamplePlan, unit_directions, well_conditioned_inverse
 from .report import require_finite
 
 
@@ -63,13 +63,10 @@ def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
 def spray_jacobian(jet, u, d):
     """(g, g^-1, S, dS) from a jet of G over (x, u) of order >= 3, dS the d x 2d
     derivative of the spray in (x, u); raises ``DegenerateMetricError`` when g
-    is singular."""
+    is singular or ill-conditioned."""
     D2 = jet.hessian()
     g = 0.5 * D2[d:, d:]
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > 1e10:
-        raise DegenerateMetricError(f"fundamental tensor condition number {cond:.2e}")
-    g_inv = np.linalg.inv(g)
+    g_inv = well_conditioned_inverse(g, "fundamental tensor")
     spray = _spray(jet, u, d)
     D3 = jet.derivatives(3)
     dg = 0.5 * D3[d:, d:]      # dg[i, l, a] = d_a g_il over a = (x, u)

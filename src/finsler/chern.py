@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError
-from .geometry import MetricDef
+from .geometry import MetricDef, well_conditioned_inverse
 from .report import VerificationReport
 
 
@@ -70,10 +69,7 @@ def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
     D2, D3, D4 = (jet.derivatives(k) for k in (2, 3, 4))
 
     levi = D2[V, VB]
-    cond = float(np.linalg.cond(levi))
-    if not np.isfinite(cond) or cond > 1e10:
-        raise DegenerateMetricError(f"Levi matrix condition number {cond:.2e}")
-    levi_inv = np.linalg.inv(levi)
+    levi_inv = well_conditioned_inverse(levi, "Levi matrix")
     dL = D3[V, VB]                 # dL[b, t, c] = d_c G_{b tbar}
     d2L = D4[V, VB]
     # d_inv[a, d, e] = d_e (L^-1)[a, d]; the two inverses multiply first, as

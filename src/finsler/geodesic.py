@@ -19,12 +19,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .cartan import cartan, spray_coefficients, spray_jacobian
 from .errors import SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError
 from .geometry import MetricDef, unit_directions
 from .jets import JetSpace
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first use: most commands never integrate."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _domain_events(m, x0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SlitBundleError, StructuralError
+from .errors import DegenerateMetricError, DomainError, SlitBundleError, StructuralError
 from .jets import CJet, Jet, JetProgram, creal, wirtinger
 
 #: Metric derivatives are never requested at smaller relative vector norms;
@@ -260,6 +260,20 @@ class MetricDef:
         """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j."""
         m = self.dim
         return 0.5 * self.real_jet(x, u, 2).hessian()[m:, m:]
+
+
+def well_conditioned_inverse(a, what) -> np.ndarray:
+    """``np.linalg.inv`` of a symmetric or Hermitian matrix ``what``, which must be
+    regular with |a|_1 |a^-1|_1 (>= its 2-norm condition) <= 1e10, or raise
+    ``DegenerateMetricError``."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError(f"{what} singular") from exc
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+    if not cond <= 1e10:
+        raise DegenerateMetricError(f"{what} condition number {cond:.2e}")
+    return inv
 
 
 def creal_value(s):

@@ -4,12 +4,14 @@ A ``Jet`` stores the Taylor coefficients ``D^a f / a!`` of a scalar function
 over the monomial basis of total degree <= order, sorted by (degree, lex).
 Arithmetic (+, *, /, powers, exp, log, sqrt) propagates all mixed partial
 derivatives exactly through the chain and Leibniz rules; multiplication is a
-truncated polynomial convolution driven by precomputed index tables.
+truncated polynomial convolution driven by cached index tables.
 
 Because the basis is sorted by total degree first, the basis of order k is a
 prefix of the basis of any higher order over the same variables, so order
 truncation is a slice and binary operations align jets of mixed order by
-truncating to the lower one.
+truncating to the lower one. Read as base-(order + 1) digits after the degree,
+exponents sort as the basis does and add under products, so every index table
+is built by array operations and a binary search, with no loop over monomials.
 
 Complex-analytic derivative tables are produced by :func:`wirtinger`, which
 rewrites a jet over paired real coordinates (x, y) as a complex-coefficient
@@ -24,6 +26,7 @@ round alike.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -36,22 +39,27 @@ MAX_ORDER = 4
 _SPACE_CACHE: dict = {}
 
 
-def _monomials(nvars: int, order: int):
-    """All exponent tuples with total degree <= order, sorted by (degree, lex)."""
-    levels = [[(0,) * nvars]]
+def _monomials(nvars: int, order: int) -> np.ndarray:
+    """Exponent rows of total degree <= order, sorted by (degree, lex); each
+    degree raises one exponent of the last, sorted as base-(order + 1) numbers."""
+    levels = [np.zeros((1, nvars), dtype=np.int64)]
+    place = (order + 1) ** np.arange(nvars - 1, -1, -1)
     for _ in range(order):
-        levels.append(sorted({mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                              for mono in levels[-1] for i in range(nvars)}))
-    return [mono for level in levels for mono in level]
+        up = (levels[-1][:, None] + np.eye(nvars, dtype=np.int64)).reshape(-1, nvars)
+        levels.append(up[np.unique(up @ place, return_index=True)[1]])
+    return np.concatenate(levels)
 
 
 class JetSpace:
-    """Monomial basis and cached index tables for jets over ``nvars`` variables."""
+    """Monomial basis and cached index tables for jets over ``nvars`` variables.
+
+    Tables are array operations on the basis rows ``exponents``, which
+    ``locate`` finds by a binary search over their sort keys, without loops."""
 
     __slots__ = (
-        "nvars", "order", "is_complex", "pair_split", "monomials", "index", "n",
-        "degrees", "size_at_order", "_mult_table", "_extract_tables",
-        "_conj_perm", "_derivative_tables", "dtype",
+        "nvars", "order", "is_complex", "pair_split", "exponents", "n", "degrees",
+        "size_at_order", "_mult_table", "_extract_tables", "_conj_perm",
+        "_derivative_tables", "dtype",
     )
 
     def __init__(self, nvars, order, is_complex=False, pair_split=None):
@@ -65,10 +73,9 @@ class JetSpace:
         # pair_split = P means variables [0, P) are holomorphic and [P, 2P)
         # their conjugates; enables conj().
         self.pair_split = pair_split
-        self.monomials = _monomials(nvars, order)
-        self.n = len(self.monomials)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.degrees = np.array([sum(m) for m in self.monomials], dtype=np.int64)
+        self.exponents = _monomials(nvars, order)
+        self.n = len(self.exponents)
+        self.degrees = self.exponents.sum(axis=1)
         self.size_at_order = [int(np.sum(self.degrees <= o)) for o in range(order + 1)]
         self.dtype = np.complex128 if is_complex else np.float64
         self._mult_table = None
@@ -88,36 +95,35 @@ class JetSpace:
     def sibling(self, order) -> "JetSpace":
         return JetSpace.get(self.nvars, order, self.is_complex, self.pair_split)
 
+    def _key(self, expo):
+        """Sort keys of exponent rows of degree <= order: the degree, then the
+        base-(order + 1) digits. They ascend on the basis and add under products."""
+        base = self.order + 1
+        return (expo.sum(axis=-1) * base ** self.nvars
+                + expo @ base ** np.arange(self.nvars - 1, -1, -1))
+
+    def locate(self, expo) -> np.ndarray:
+        """Basis indices of exponent rows (last axis) of degree <= order."""
+        return np.searchsorted(self._key(self.exponents), self._key(expo))
+
     def mult_table(self):
+        """(ia, ib, iout) of every product p * q of degree <= order, by p then q;
+        the basis is sorted by degree, so the partners q of p are a prefix."""
         if self._mult_table is None:
-            ia, ib, iout = [], [], []
-            for p, mp in enumerate(self.monomials):
-                dp = int(self.degrees[p])
-                for q, mq in enumerate(self.monomials):
-                    if dp + int(self.degrees[q]) > self.order:
-                        continue
-                    prod = tuple(a + b for a, b in zip(mp, mq))
-                    ia.append(p)
-                    ib.append(q)
-                    iout.append(self.index[prod])
-            self._mult_table = (
-                np.array(ia, dtype=np.int64),
-                np.array(ib, dtype=np.int64),
-                np.array(iout, dtype=np.int64),
-            )
+            ends = np.array(self.size_at_order)[self.order - self.degrees]
+            ia = np.repeat(np.arange(self.n), ends)
+            ib = np.arange(len(ia)) - np.repeat(np.cumsum(ends) - ends, ends)
+            keys = self._key(self.exponents)
+            self._mult_table = (ia, ib, np.searchsorted(keys, keys[ia] + keys[ib]))
         return self._mult_table
 
     def extract_table(self, var):
+        """(src, fac): ``coeffs[src] * fac`` is the partial in ``var``, one order lower."""
         tab = self._extract_tables.get(var)
         if tab is None:
-            lower = self.sibling(self.order - 1)
-            src = np.empty(lower.n, dtype=np.int64)
-            fac = np.empty(lower.n, dtype=np.float64)
-            for j, mono in enumerate(lower.monomials):
-                up = mono[:var] + (mono[var] + 1,) + mono[var + 1:]
-                src[j] = self.index[up]
-                fac[j] = mono[var] + 1
-            tab = (src, fac)
+            lower = self.exponents[:self.size_at_order[self.order - 1]]
+            tab = (self.locate(lower + np.eye(self.nvars, dtype=np.int64)[var]),
+                   lower[:, var] + 1.0)
             self._extract_tables[var] = tab
         return tab
 
@@ -133,27 +139,19 @@ class JetSpace:
             n = self.nvars
             shape = (n,) * k
             expo = np.eye(n, dtype=np.int64)[np.indices(shape).reshape(k, -1)].sum(axis=0)
-            # read as base-(k + 1) numbers, the degree-k exponents sort as the
-            # basis does (lex), so a binary search finds each one
-            lo, hi = self.size_at_order[k - 1], self.size_at_order[k]
-            place = (k + 1) ** np.arange(n - 1, -1, -1)
-            basis = np.array(self.monomials[lo:hi], dtype=np.int64) @ place
-            idx = lo + np.searchsorted(basis, expo @ place)
             factorial = np.array([math.factorial(e) for e in range(k + 1)], dtype=float)
-            tab = (idx.reshape(shape), factorial[expo].prod(axis=1).reshape(shape))
+            tab = (self.locate(expo).reshape(shape),
+                   factorial[expo].prod(axis=1).reshape(shape))
             self._derivative_tables[k] = tab
         return tab
 
     def conj_perm(self):
+        """Basis index of each monomial with its holomorphic and antiholomorphic blocks swapped."""
         if self.pair_split is None:
             raise StructuralError("conjugation needs a paired holomorphic layout")
         if self._conj_perm is None:
             p = self.pair_split
-            perm = np.empty(self.n, dtype=np.int64)
-            for i, mono in enumerate(self.monomials):
-                swapped = mono[p:2 * p] + mono[:p] + mono[2 * p:]
-                perm[i] = self.index[swapped]
-            self._conj_perm = perm
+            self._conj_perm = self.locate(self.exponents[:, np.r_[p:2 * p, :p, 2 * p:self.nvars]])
         return self._conj_perm
 
     def constant(self, value) -> "Jet":
@@ -400,16 +398,10 @@ class Jet:
 
     def partial(self, variables):
         """Exact mixed partial derivative for a sequence of variable indices."""
-        expo = [0] * self.space.nvars
-        for v in variables:
-            expo[v] += 1
-        expo = tuple(expo)
-        if sum(expo) > self.order:
+        expo = np.bincount(np.asarray(variables, dtype=np.int64), minlength=self.space.nvars)
+        if expo.sum() > self.order:
             raise StructuralError("requested derivative exceeds jet order")
-        scale = 1.0
-        for e in expo:
-            scale *= math.factorial(e)
-        val = self.coeffs[self.space.index[expo]] * scale
+        val = self.coeffs[self.space.locate(expo)] * float(math.prod(map(math.factorial, expo)))
         return complex(val) if self.space.is_complex else float(val)
 
     def conj(self) -> "Jet":
@@ -445,50 +437,45 @@ def lift(values, active, order):
 
 # -- Wirtinger transform ------------------------------------------------------
 
-_WIRTINGER_CACHE: dict = {}
 
-
+@functools.cache
 def _wirtinger_rows(nvars, order, pairs):
     """Sparse rows (dst, src, val) of the real->complex basis change.
 
     Real increments substitute as hx = (hz + hzbar)/2, hy = -i(hz - hzbar)/2.
     Output variables are ordered [w_0..w_{P-1}, conj(w_0)..conj(w_{P-1})].
+    A real monomial of degree k expands along 2^k paths, one choice of z or
+    zbar per factor in variable order. Its rows come in the order the paths
+    first reach them, and rows whose dyadic (so exact) sums cancel are dropped.
     """
-    key = (nvars, order, pairs)
-    rows = _WIRTINGER_CACHE.get(key)
-    if rows is not None:
-        return rows
     P = len(pairs)
-    subs = {}
-    for j, (re_i, im_i) in enumerate(pairs):
-        subs[re_i] = ((j, 0.5), (P + j, 0.5))
-        subs[im_i] = ((j, -0.5j), (P + j, 0.5j))
     real_sp = JetSpace.get(nvars, order, False)
     cx_sp = JetSpace.get(2 * P, order, True, P)
-    dst, src, val = [], [], []
-    for p, mono in enumerate(real_sp.monomials):
-        expansion = {(0,) * (2 * P): 1.0 + 0.0j}
-        for var, e in enumerate(mono):
-            if e == 0:
-                continue
-            if var not in subs:
-                raise StructuralError("every active variable must belong to a pair")
-            for _ in range(e):
-                nxt = {}
-                for cm, cv in expansion.items():
-                    for cvar, w in subs[var]:
-                        m2 = cm[:cvar] + (cm[cvar] + 1,) + cm[cvar + 1:]
-                        nxt[m2] = nxt.get(m2, 0.0 + 0.0j) + cv * w
-                expansion = nxt
-        for cm, cv in expansion.items():
-            if cv != 0.0:
-                dst.append(cx_sp.index[cm])
-                src.append(p)
-                val.append(cv)
-    rows = (np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64),
-            np.array(val, dtype=np.complex128), cx_sp)
-    _WIRTINGER_CACHE[key] = rows
-    return rows
+    unit = cx_sp._key(np.eye(2 * P, dtype=np.int64))
+    feed = np.empty((nvars, 2), dtype=np.int64)    # keys of the z and zbar a variable feeds
+    weight = np.empty((nvars, 2), dtype=np.complex128)
+    for j, (re_i, im_i) in enumerate(pairs):
+        feed[[re_i, im_i]] = unit[[j, P + j]]
+        weight[re_i], weight[im_i] = (0.5, 0.5), (-0.5j, 0.5j)
+    deg = real_sp.degrees
+    # step_var[p, s]: the variable of factor s of monomial p
+    step_var = (np.cumsum(real_sp.exponents, axis=1)[:, :, None] <= np.arange(order)).sum(axis=1)
+    src = np.repeat(np.arange(real_sp.n), 2 ** deg)
+    path = np.arange(len(src)) - np.repeat(np.cumsum(2 ** deg) - 2 ** deg, 2 ** deg)
+    key = np.zeros(len(src), dtype=np.int64)      # sort key of the complex monomial
+    val = np.ones(len(src), dtype=np.complex128)
+    for s in range(order):
+        on = np.flatnonzero(deg[src] > s)
+        var = step_var[src[on], s]
+        choice = (path[on] >> (deg[src[on]] - 1 - s)) & 1
+        key[on] += feed[var, choice]
+        val[on] *= weight[var, choice]
+    dst = np.searchsorted(cx_sp._key(cx_sp.exponents), key)
+    _, first, inverse = np.unique(src * cx_sp.n + dst, return_index=True, return_inverse=True)
+    val = _complex_bincount(inverse, val, len(first))
+    by_first = np.argsort(first)
+    kept = by_first[val[by_first] != 0.0]
+    return dst[first[kept]], src[first[kept]], val[kept], cx_sp
 
 
 def wirtinger(jet: Jet, pairs) -> Jet:
@@ -500,12 +487,10 @@ def wirtinger(jet: Jet, pairs) -> Jet:
     are read off with :meth:`Jet.gradient` and :meth:`Jet.hessian`.
     """
     pairs = tuple((int(a), int(b)) for a, b in pairs)
-    seen = [i for p in pairs for i in p]
-    if len(set(seen)) != len(seen):
-        raise StructuralError("coordinate pairs must be disjoint")
-    if len(seen) != jet.space.nvars:
+    seen = sorted(i for p in pairs for i in p)
+    if seen != list(range(jet.space.nvars)):
         raise StructuralError(
-            f"pairing covers {len(seen)} of {jet.space.nvars} variables; "
+            f"pairs {pairs} must split the {jet.space.nvars} variables into disjoint couples; "
             "odd or partial layouts are not supported")
     dst, src, val, cx_sp = _wirtinger_rows(jet.space.nvars, jet.order, pairs)
     out = np.zeros(cx_sp.n, dtype=np.complex128)

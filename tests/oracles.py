@@ -68,6 +68,93 @@ def dict_poly_mult(pa, pb, order):
     return out
 
 
+# -- jet index tables built by Python loops over the monomial basis ----------------
+#
+# The engine builds these tables with array operations; the loops below are
+# the former builders, kept to check that the arrays are identical (values,
+# order and dtype), which keeps every bincount and np.add.at summation order.
+
+
+def loop_monomials(nvars, order):
+    """All exponent tuples with total degree <= order, sorted by (degree, lex)."""
+    levels = [[(0,) * nvars]]
+    for _ in range(order):
+        levels.append(sorted({mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                              for mono in levels[-1] for i in range(nvars)}))
+    return [mono for level in levels for mono in level]
+
+
+def _loop_index(nvars, order):
+    monomials = loop_monomials(nvars, order)
+    return monomials, {m: i for i, m in enumerate(monomials)}
+
+
+def loop_mult_table(nvars, order):
+    """(ia, ib, iout): every product of basis monomials p * q of degree <= order."""
+    monomials, index = _loop_index(nvars, order)
+    ia, ib, iout = [], [], []
+    for p, mp in enumerate(monomials):
+        for q, mq in enumerate(monomials):
+            if sum(mp) + sum(mq) > order:
+                continue
+            ia.append(p)
+            ib.append(q)
+            iout.append(index[tuple(a + b for a, b in zip(mp, mq))])
+    return (np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64),
+            np.array(iout, dtype=np.int64))
+
+
+def loop_extract_table(nvars, order, var):
+    """(src, fac): the partial in ``var`` of a jet of the given order, read at order - 1."""
+    lower, _ = _loop_index(nvars, order - 1)
+    _, index = _loop_index(nvars, order)
+    src = np.empty(len(lower), dtype=np.int64)
+    fac = np.empty(len(lower), dtype=np.float64)
+    for j, mono in enumerate(lower):
+        src[j] = index[mono[:var] + (mono[var] + 1,) + mono[var + 1:]]
+        fac[j] = mono[var] + 1
+    return src, fac
+
+
+def loop_conj_perm(nvars, order, pair_split):
+    """Basis index of each monomial with its holomorphic and antiholomorphic blocks swapped."""
+    monomials, index = _loop_index(nvars, order)
+    p = pair_split
+    perm = np.empty(len(monomials), dtype=np.int64)
+    for i, mono in enumerate(monomials):
+        perm[i] = index[mono[p:2 * p] + mono[:p] + mono[2 * p:]]
+    return perm
+
+
+def loop_wirtinger_rows(nvars, order, pairs):
+    """Sparse rows (dst, src, val) of the real->complex basis change, expanded
+    one substitution hx = (hz + hzbar)/2, hy = -i(hz - hzbar)/2 at a time."""
+    P = len(pairs)
+    subs = {}
+    for j, (re_i, im_i) in enumerate(pairs):
+        subs[re_i] = ((j, 0.5), (P + j, 0.5))
+        subs[im_i] = ((j, -0.5j), (P + j, 0.5j))
+    _, cx_index = _loop_index(2 * P, order)
+    dst, src, val = [], [], []
+    for p, mono in enumerate(loop_monomials(nvars, order)):
+        expansion = {(0,) * (2 * P): 1.0 + 0.0j}
+        for var, e in enumerate(mono):
+            for _ in range(e):
+                nxt = {}
+                for cm, cv in expansion.items():
+                    for cvar, w in subs[var]:
+                        m2 = cm[:cvar] + (cm[cvar] + 1,) + cm[cvar + 1:]
+                        nxt[m2] = nxt.get(m2, 0.0 + 0.0j) + cv * w
+                expansion = nxt
+        for cm, cv in expansion.items():
+            if cv != 0.0:
+                dst.append(cx_index[cm])
+                src.append(p)
+                val.append(cv)
+    return (np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64),
+            np.array(val, dtype=np.complex128))
+
+
 # -- random composite scalar functions -------------------------------------------
 
 

@@ -74,7 +74,7 @@ def test_criterion_01_jet_correctness():
         def plain(y):
             return expr(list(y))
 
-        for mono in jet.space.monomials:
+        for mono in jet.space.exponents.tolist():
             if sum(mono) == 0:
                 continue
             multi = [i for i, e in enumerate(mono) for _ in range(e)]

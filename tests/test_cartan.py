@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from finsler.cartan import (cartan, flag_curvature, radial_flag_bounds,
-                            spray_coefficients)
-from finsler.errors import DegenerateFlagError
+                            spray_coefficients, spray_jacobian)
+from finsler.errors import DegenerateFlagError, DegenerateMetricError
 from finsler.geometry import SamplePlan, realify_metric
 from finsler.metrics import instantiate
 
@@ -243,3 +243,24 @@ def test_radial_flag_bounds():
     assert bp.lower_bound_constant == pytest.approx(2.0, abs=1e-4)
     bm = radial_flag_bounds(MINKOWSKI, np.zeros(4), plan)
     assert max(abs(bm.k_inf), abs(bm.k_sup)) < 1e-6
+
+
+# a constant Hermitian metric whose fundamental tensor and Levi matrix have
+# 2-norm condition number 1e11
+ILL_CONDITIONED = {"family": "hermitian", "complex_dim": 2,
+                   "params": {"catalog": "constant", "matrix": [[1, 0], [0, 1e-11]]}}
+
+
+def test_ill_conditioned_fundamental_tensor_is_degenerate():
+    m = realify_metric(instantiate(ILL_CONDITIONED))
+    with pytest.raises(DegenerateMetricError, match="condition number"):
+        cartan(m, np.zeros(4), np.array([1.0, 0.3, 0.2, 0.5]))
+
+
+def test_singular_fundamental_tensor_is_degenerate_not_linalg_error():
+    class SingularJet:
+        def hessian(self):
+            return np.ones((4, 4))   # g = [[1/2, 1/2], [1/2, 1/2]]
+
+    with pytest.raises(DegenerateMetricError, match="singular"):
+        spray_jacobian(SingularJet(), np.ones(2), 2)

@@ -5,6 +5,7 @@ import pytest
 
 from finsler.chern import (chern_finsler, curvature_pairing,
                            holomorphic_sectional_curvature, scale_invariance_check)
+from finsler.errors import DegenerateMetricError
 from finsler.metrics import instantiate
 
 from finsler.jets import Jet
@@ -235,3 +236,25 @@ def test_szabo_curvature_is_real_and_scale_free():
         k = 2 * curvature_pairing(d) / d.G ** 2
         assert abs(k.imag) < 1e-9
         assert np.isfinite(k.real)
+
+
+def test_ill_conditioned_levi_matrix_is_degenerate():
+    m = instantiate({"family": "hermitian", "complex_dim": 2,
+                     "params": {"catalog": "constant", "matrix": [[1, 0], [0, 1e-11]]}})
+    with pytest.raises(DegenerateMetricError, match="condition number"):
+        chern_finsler(m, np.zeros(2, complex), np.array([1.0, 0.3j]))
+
+
+def test_singular_levi_matrix_is_degenerate_not_linalg_error():
+    class ZeroJet:
+        def derivatives(self, k):
+            return np.zeros((4,) * k, complex)
+
+    class SingularLevi:
+        n = 1
+
+        def complex_jet(self, z, v, order):
+            return ZeroJet()
+
+    with pytest.raises(DegenerateMetricError, match="singular"):
+        chern_finsler(SingularLevi(), np.zeros(1, complex), np.ones(1, complex))

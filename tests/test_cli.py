@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -658,3 +660,33 @@ def test_cmd_schwarz_fails_on_non_finite_ratios(tmp_path, monkeypatch, capsys):
                          .read_text())["payload"]
     assert payload["error"].startswith("NonFiniteSampleError")
     assert "certificate" not in payload
+
+
+FRESH_PROCESS = """
+import sys
+from finsler.cli import main
+assert main(["check", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "scipy.integrate" not in sys.modules, "check imported scipy.integrate"
+import numpy as np
+from finsler.geodesic import integrate_geodesic
+from finsler.geometry import realify_metric
+from finsler.metrics import instantiate
+disk = realify_metric(instantiate({"family": "hermitian", "complex_dim": 1,
+                                   "params": {"catalog": "poincare_disk"}}))
+integrate_geodesic(disk, np.zeros(2), np.array([1.0, 0.0]), 0.5)
+assert "scipy.integrate" in sys.modules, "integrating did not import scipy.integrate"
+"""
+
+
+def test_fresh_process_imports_scipy_integrate_on_first_integration(tmp_path):
+    # check, curvature, schwarz and replay never integrate, so a process that
+    # runs one of them does not pay for importing scipy.integrate
+    doc = {"seed": 7, "metrics": BASE_CONFIG["metrics"][:1],
+           "plans": {"default": {"n_points": 3, "n_dirs": 2}}}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, str(write_config(tmp_path, doc)),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsler.errors import DomainError, SlitBundleError, StructuralError
+from finsler.errors import DegenerateMetricError, DomainError, SlitBundleError, StructuralError
 from finsler.geometry import (ComplexTangent, RealTangent, SamplePlan, apply_J,
                               complex_to_real_components,
                               real_to_complex_components, realify_metric,
-                              sample_points, to_complex, to_real)
+                              sample_points, to_complex, to_real, well_conditioned_inverse)
 from finsler.metrics import instantiate
 
 POINCARE = {"family": "hermitian", "complex_dim": 1,
@@ -190,3 +190,40 @@ def test_sample_points_of_a_realified_polydisk_metric_stay_inside():
     pts = sample_points(mr, SamplePlan(seed=4, n_points=30, radial_range=(0.5, 1.3)))
     assert len(pts) == 30
     assert all(np.all(np.abs(real_to_complex_components(x)) < 1.0) for x in pts)
+
+
+# -- the condition gate of the connection inverses --------------------------------
+
+
+def conditioned(rng, n, cond, hermitian):
+    """A random symmetric (or Hermitian) positive definite n x n matrix with
+    2-norm condition number ``cond``."""
+    a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if hermitian else 0)
+    q = np.linalg.qr(a)[0]
+    m = (q * np.geomspace(1.0, cond, n)) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_condition_estimate_bounds_the_two_norm_condition(hermitian):
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 8):
+        for cond in np.geomspace(1.0, 1e12, 25):
+            a = conditioned(rng, n, cond, hermitian)
+            estimate = np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1)
+            # |a|_1 bounds the spectral radius, which is |a|_2 for a Hermitian a
+            assert estimate >= np.linalg.cond(a) * (1.0 - 1e-6)
+            if estimate > 1e10:
+                with pytest.raises(DegenerateMetricError, match="condition number"):
+                    well_conditioned_inverse(a, "test matrix")
+            else:
+                # the gate only tightens: it never admits a matrix the 2-norm gate refused
+                assert np.linalg.cond(a) <= 1e10
+                assert np.array_equal(well_conditioned_inverse(a, "test matrix"),
+                                      np.linalg.inv(a))
+
+
+def test_singular_and_non_finite_matrices_are_degenerate():
+    for a in (np.ones((2, 2)), np.zeros((3, 3), complex), np.full((2, 2), np.nan)):
+        with pytest.raises(DegenerateMetricError):
+            well_conditioned_inverse(a, "test matrix")

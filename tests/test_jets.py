@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsler.errors import ConfigurationError, StructuralError
-from finsler.jets import CJet, Jet, JetSpace, lift, wirtinger
+from finsler.jets import CJet, Jet, JetSpace, _monomials, _wirtinger_rows, lift, wirtinger
 
-from oracles import (dict_poly_mult, invert_jet_matrix, random_expression,
+from oracles import (dict_poly_mult, invert_jet_matrix, loop_conj_perm, loop_extract_table,
+                     loop_monomials, loop_mult_table, loop_wirtinger_rows, random_expression,
                      richardson_partial)
 
 
@@ -41,9 +42,9 @@ def test_lift_rejects_bad_requests():
 
 @st.composite
 def integer_polys(draw, nvars=2, order=4):
-    sp = JetSpace.get(nvars, order, False)
-    coeffs = draw(st.lists(st.integers(-9, 9), min_size=sp.n, max_size=sp.n))
-    return {m: float(c) for m, c in zip(sp.monomials, coeffs) if c}
+    basis = loop_monomials(nvars, order)
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(basis), max_size=len(basis)))
+    return {m: float(c) for m, c in zip(basis, coeffs) if c}
 
 
 @settings(max_examples=60, deadline=None)
@@ -51,17 +52,18 @@ def integer_polys(draw, nvars=2, order=4):
 def test_product_rule_is_exact_convolution(pa, pb):
     # integer coefficients keep float arithmetic exact regardless of order
     sp = JetSpace.get(2, 4, False)
+    index = {m: i for i, m in enumerate(loop_monomials(2, 4))}
     ja = np.zeros(sp.n)
     jb = np.zeros(sp.n)
     for m, c in pa.items():
-        ja[sp.index[m]] = c
+        ja[index[m]] = c
     for m, c in pb.items():
-        jb[sp.index[m]] = c
+        jb[index[m]] = c
     prod = Jet(sp, ja) * Jet(sp, jb)
     ref = dict_poly_mult(pa or {(0, 0): 0.0}, pb or {(0, 0): 0.0}, 4)
     expect = np.zeros(sp.n)
     for m, c in ref.items():
-        expect[sp.index[m]] = c
+        expect[index[m]] = c
     assert np.array_equal(prod.coeffs, expect)
 
 
@@ -79,8 +81,7 @@ def test_composites_match_richardson_fd(seed):
     def plain(y):
         return expr(list(y))
 
-    sp = jf.space
-    for mono in sp.monomials:
+    for mono in jf.space.exponents.tolist():
         k = sum(mono)
         if k == 0:
             assert plain(x0) == pytest.approx(jf.value, rel=1e-12)
@@ -160,6 +161,13 @@ def test_wirtinger_rejects_partial_pairings():
     x, y, z = lift([1.0, 2.0, 3.0], {0, 1, 2}, 2)
     with pytest.raises(StructuralError):
         wirtinger(x + y + z, [(0, 1)])
+
+
+def test_wirtinger_rejects_pairs_that_do_not_split_the_variables():
+    x, y = lift([1.0, 2.0], {0, 1}, 2)
+    for pairs in ([(0, 0)], [(0, 2)], [(-1, 0)], [(0, 1), (0, 1)]):
+        with pytest.raises(StructuralError):
+            wirtinger(x + y, pairs)
 
 
 def test_conj_swaps_blocks():
@@ -262,3 +270,59 @@ def test_engine_reads_no_scalar_partials(monkeypatch):
     rep = log_density_comparison(disk, build_map({"map": "identity", "params": {"n": 1}}),
                                  lambda zc: [zc], -4.0, [0.1, 0.3 - 0.2j])
     assert rep.passed and rep.stats["n_grid"] == 2
+
+
+# -- index tables against the loop builders ---------------------------------------
+
+SHAPES = [(nvars, order) for nvars in range(1, 9) for order in range(5)]
+
+
+def assert_identical(got, want, bits=False):
+    # equal values in equal order and dtype keep every bincount/add.at
+    # summation order; complex values compare bit patterns, signed zeros too
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if bits:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nvars, order", SHAPES)
+def test_basis_and_real_tables_match_loop_builders(nvars, order):
+    want = loop_monomials(nvars, order)
+    rows = np.array(want, dtype=np.int64).reshape(len(want), nvars)
+    assert_identical(_monomials(nvars, order), rows)
+    sp = JetSpace.get(nvars, order)
+    assert_identical(sp.exponents, rows)
+    assert [sp.locate(np.array(m)) for m in want] == list(range(len(want)))
+    for got, ref in zip(sp.mult_table(), loop_mult_table(nvars, order)):
+        assert_identical(got, ref)
+    for var in range(nvars if order else 0):
+        for got, ref in zip(sp.extract_table(var), loop_extract_table(nvars, order, var)):
+            assert_identical(got, ref)
+
+
+def pair_layouts(nvars):
+    """The block and interleaved pairings of 2P real variables, and the one
+    complex jets use over (x, u) when 4 divides nvars."""
+    P = nvars // 2
+    layouts = [[(a, P + a) for a in range(P)], [(2 * a, 2 * a + 1) for a in range(P)]]
+    if nvars % 4 == 0:
+        n = nvars // 4
+        layouts.append([(a, n + a) for a in range(n)] + [(2 * n + a, 3 * n + a)
+                                                         for a in range(n)])
+    return [tuple(layout) for layout in layouts]
+
+
+@pytest.mark.parametrize("nvars, order", [s for s in SHAPES if s[0] % 2 == 0])
+def test_complex_tables_match_loop_builders(nvars, order):
+    for P in range(1, nvars // 2 + 1):
+        assert_identical(JetSpace.get(nvars, order, True, P).conj_perm(),
+                         loop_conj_perm(nvars, order, P))
+    for pairs in pair_layouts(nvars):
+        dst, src, val, cx_sp = _wirtinger_rows(nvars, order, pairs)
+        want = loop_wirtinger_rows(nvars, order, pairs)
+        assert_identical(dst, want[0])
+        assert_identical(src, want[1])
+        assert_identical(val, want[2], bits=True)
+        assert cx_sp is JetSpace.get(nvars, order, True, nvars // 2)

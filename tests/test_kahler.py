@@ -191,3 +191,39 @@ def test_un_invariant_check_builds_the_profile_metric(monkeypatch, params):
         assert m.value(z, v) == want.value(z, v)
         assert np.array_equal(m.complex_jet(z, v, 2).coeffs,
                               want.complex_jet(z, v, 2).coeffs)
+
+
+def synthetic_torsion(kind):
+    """A chern_finsler whose torsion at (z, v), over C^2, is nonzero but has
+    zero contraction with v ("kahler"), or a nonzero contraction whose
+    G_alpha-weighted sum is zero ("weakly_kahler"), or neither ("none")."""
+    real = kahler.chern_finsler
+
+    def patched(m, z, v):
+        data = real(m, z, v)
+        across_v = np.array([v[1], -v[0]])            # sum_m w_m v^m = 0
+        across_ga = np.array([data.G_alpha[1], -data.G_alpha[0]])
+        torsion = {"kahler": np.einsum("a,n,m->anm", np.ones(2), np.ones(2), across_v),
+                   "weakly_kahler": np.einsum("a,nm->anm", across_ga, np.eye(2)),
+                   "none": np.einsum("a,nm->anm", np.ones(2), np.eye(2))}[kind]
+        return dataclasses.replace(data, torsion_h=torsion)
+
+    return patched
+
+
+@pytest.mark.parametrize("kind", ["kahler", "weakly_kahler", "none"])
+def test_classify_reaches_every_level_below_strong(monkeypatch, kind):
+    # no catalog metric is Kaehler or weakly Kaehler without being strongly
+    # Kaehler, so synthetic torsion drives the two middle levels
+    monkeypatch.setattr(kahler, "chern_finsler", synthetic_torsion(kind))
+    m = instantiate({"family": "hermitian", "complex_dim": 2,
+                     "params": {"catalog": "nonkahler"}})
+    rep = classify(m, PLAN)
+    assert rep.classification == kind
+    assert rep.n_samples == 24 and not rep.errors
+    tol = rep.tolerance * rep.scale
+    assert rep.residual_strong >= tol
+    assert (rep.residual_kahler < tol) == (kind == "kahler")
+    assert (rep.residual_weak < tol) == (kind != "none")
+    assert rep.passes == {"strongly_kahler": False, "kahler": kind == "kahler",
+                          "weakly_kahler": kind != "none"}
