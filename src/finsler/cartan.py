@@ -43,20 +43,28 @@ class CartanData:
 
 
 def _spray(jet, u, d) -> np.ndarray:
-    """G^i from a jet of G over (x, u) of order >= 2: the solution of g S = b / 4."""
+    """G^i from a jet of G over (x, u) of order >= 2: the solution of g S = b / 4.
+    Coefficient rows (B, n) with u of shape (B, d) give the B sprays (B, d)."""
     H = jet.hessian()
-    g = 0.5 * H[d:, d:]
+    rows = H.ndim > 2
+    if rows:
+        u = u[:, None, :]
+    g = 0.5 * H[..., d:, d:]
     # (d^2 G / du^l dx^k) u^k; cumsum adds over k in order, as a scalar loop
     # does, where a pairwise sum would round differently
-    rhs = np.cumsum(H[d:, :d] * u, axis=1)[:, -1] - jet.gradient()[:d]
+    rhs = np.cumsum(H[..., d:, :d] * u, axis=-1)[..., -1] - jet.gradient()[..., :d]
     try:
+        if rows:
+            # one LAPACK solve per row, each as the single point's
+            return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
         return 0.25 * np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("fundamental tensor singular") from exc
 
 
 def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
-    """Values of the geodesic coefficients G^i(x, u) (fast path for ODEs)."""
+    """Values of the geodesic coefficients G^i(x, u) (fast path for ODEs); rows
+    x, u of shape (B, d) give the B sprays from one batched order-2 replay."""
     return _spray(m.real_jet(x, u, 2), u, m.dim)
 
 
@@ -143,9 +151,11 @@ def radial_flag_bounds(m: MetricDef, pole,
                        plan: SamplePlan | None = None) -> RadialFlagBounds:
     """Sample flag curvatures of radial planes along geodesic fans from the pole.
 
-    Radial tangents are transported along geodesics (integrated by the
-    geodesic module); flags are completed with deterministic directions. A
-    NaN or infinite flag curvature raises ``NonFiniteSampleError``.
+    Radial tangents are transported along the fan's geodesics, integrated as
+    one stacked state (``geodesic.integrate_fan``); a geodesic that leaves
+    the domain is sampled up to 0.999 of its own exit length. Flags are
+    completed with deterministic directions. A NaN or infinite flag curvature
+    raises ``NonFiniteSampleError``.
     """
     from . import geodesic as geo
     plan = plan or SamplePlan()
@@ -155,12 +165,11 @@ def radial_flag_bounds(m: MetricDef, pole,
     lo, hi = plan.radial_range
     ts = np.linspace(lo, hi, max(3, plan.n_points // len(dirs) + 1))
     flags = unit_directions(2 * d, d, plan.seed + 1)
+    fan = geo.integrate_fan(m, pole, [w / math.sqrt(m.value(pole, w)) for w in dirs], hi * 1.05)
     ks = []
-    for w in dirs:
-        G0 = m.value(pole, w)
-        path = geo.integrate_geodesic(m, pole, w / math.sqrt(G0), hi * 1.05)
+    for b, arc_length in enumerate(fan.arc_lengths):
         for t in ts:
-            xt, ut = path.state_at(min(t, path.arc_length * 0.999))
+            xt, ut = fan.state_at(b, min(t, arc_length * 0.999))
             data = cartan(m, xt, ut, need_curvature=True)
             for X in flags:
                 gu = float(ut @ data.g @ ut)

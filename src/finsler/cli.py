@@ -8,6 +8,9 @@ effective configuration embedded, plus CSV tables. Reports separate a
 volatile ``metadata`` block (timestamps, versions) from the deterministic
 ``payload``; replay recomputes the payload from the embedded plan and
 compares byte-for-byte, or within a tolerance when one is given.
+``--tolerance`` is the certificate tolerance of ``schwarz`` and the
+comparison tolerance of ``replay``; the other commands read no tolerance and
+refuse the flag.
 """
 
 from __future__ import annotations
@@ -451,13 +454,15 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="YAML or JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="numeric tolerance (replay: compare within it)")
+                        help="schwarz: certificate tolerance; replay: compare within it")
     parser.add_argument("--certificate", default=None,
                         help="certificate file for replay")
     args = parser.parse_args(argv)
 
     try:
         if args.tolerance is not None:
+            if args.command not in ("schwarz", "replay"):
+                raise ConfigurationError(f"--tolerance is not read by {args.command}")
             check_tolerance(args.tolerance)
         if args.command == "replay":
             cert = args.certificate or args.config

@@ -32,16 +32,22 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _domain_events(m, x0):
+def _domain_events(m, x0, members=1):
+    """Terminal events at domain margin 1e-9, one for each of ``members``
+    stacked (x, u) blocks of the state; None on an unbounded domain."""
     if m.domain.kind == "all" or not math.isfinite(m.domain.margin(x0)):
         return None
+    d = m.dim
 
-    def ev(t, y):
-        return m.domain.margin(y[:len(y) // 2]) - 1e-9
+    def exit_of(j):
+        def ev(t, y):
+            return m.domain.margin(y[2 * d * j:2 * d * j + d]) - 1e-9
 
-    ev.terminal = True
-    ev.direction = -1
-    return [ev]
+        ev.terminal = True
+        ev.direction = -1
+        return ev
+
+    return [exit_of(j) for j in range(members)]
 
 
 def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True):
@@ -120,6 +126,87 @@ def integrate_geodesic(m: MetricDef, x0, u0, length) -> GeodesicPath:
     if G0 <= 0:
         raise ConfigurationError("initial velocity must be nonzero")
     return _path(m, G0, _integrate_affine(m, x0, u0, length / math.sqrt(G0)))
+
+
+@dataclass
+class GeodesicFan:
+    """Geodesics from one point, integrated as one stacked state.
+
+    Member b reaches affine time ``t_ends[b]`` at speed ``speeds[b]``: its
+    full length, or where it left the domain. ``segments`` holds, in time
+    order, each stacked solution with the members it carries; a member that
+    leaves the domain ends its segment, and the others go on from there."""
+
+    metric: MetricDef
+    speeds: np.ndarray
+    t_ends: np.ndarray
+    segments: list
+
+    @property
+    def arc_lengths(self) -> np.ndarray:
+        return self.t_ends * self.speeds
+
+    def state_at(self, b, s):
+        """(x, u) of member ``b`` at arc-length parameter ``s``, clamped to its path."""
+        d = self.metric.dim
+        t = min(max(s / self.speeds[b], 0.0), self.t_ends[b])
+        sol, members = next((sol, members) for sol, members in self.segments
+                            if b in members and t <= sol.t[-1])
+        j = members.index(b)
+        y = sol.sol(t)[2 * d * j:2 * d * (j + 1)]
+        return y[:d], y[d:]
+
+
+def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
+    """Geodesics from x0 with the initial velocities of the rows of U0, each
+    forward to arc length ``length`` > 0, as one stacked state of B members
+    whose right-hand side is one batched spray.
+
+    The tolerances of a single path are divided by sqrt(B), which bounds the
+    stacked RMS error norm by each member's. A member that leaves the domain
+    ends at its own terminal event, and so does every member that has reached
+    its exit margin at that state; the others restart from the event state
+    with the last step size, since scipy's first-step probe would overshoot
+    the domain from so close to its edge.
+    """
+    if not length > 0:
+        raise ConfigurationError(f"geodesic length must be positive, got {length!r}")
+    x0 = np.asarray(x0, dtype=float)
+    U0 = np.asarray(U0, dtype=float)
+    d = m.dim
+    G0 = np.array([m.value(x0, u) for u in U0])
+    if not np.all(G0 > 0):
+        raise ConfigurationError("initial velocities must be nonzero")
+    speeds = np.sqrt(G0)
+    t_ends = length / speeds
+    members = list(range(len(U0)))
+    y = np.concatenate([np.broadcast_to(x0, U0.shape), U0], axis=1)
+    t0, first_step = 0.0, None
+    segments = []
+    while members and t_ends[members].max() > t0:
+        k = len(members)
+
+        def rhs(t, state, k=k):
+            Y = state.reshape(k, 2 * d)
+            S = spray_coefficients(m, Y[:, :d], Y[:, d:])
+            return np.concatenate([Y[:, d:], -2.0 * S], axis=1).ravel()
+
+        events = _domain_events(m, x0, k)
+        sol = solve_ivp(rhs, (t0, float(t_ends[members].max())), y.ravel(), method="DOP853",
+                        rtol=1e-11 / math.sqrt(k), atol=1e-13 / math.sqrt(k),
+                        dense_output=True, events=events, first_step=first_step)
+        if not sol.success and sol.status != 1:
+            raise ShootingError(f"geodesic integration failed: {sol.message}")
+        segments.append((sol, members))
+        if sol.status != 1:
+            break
+        t0, y_end = sol.t[-1], sol.y[:, -1]
+        stay = [j for j in range(k) if not len(sol.t_events[j]) and events[j](t0, y_end) > 0]
+        t_ends[[b for j, b in enumerate(members) if j not in stay]] = t0
+        y = y_end.reshape(k, 2 * d)[stay]
+        members = [members[j] for j in stay]
+        first_step = float(np.diff(sol.t)[-2:].max())
+    return GeodesicFan(metric=m, speeds=speeds, t_ends=t_ends, segments=segments)
 
 
 def exp_map(m: MetricDef, p, v):

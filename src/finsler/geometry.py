@@ -215,19 +215,26 @@ class MetricDef:
 
         The formula is recorded once, on the first call, as a straight-line
         jet program (:class:`finsler.jets.JetProgram`); every call replays it
-        at the requested order.
+        at the requested order. Arrays x, u of shape (B, dim) replay B points
+        at once into (B, n) coefficient rows, each point guarded as a single
+        call is.
         """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if x.size != self.dim or u.size != self.dim:
+        if x.ndim == 1 and x.size == u.size == self.dim:
+            self.domain.require(x)
+            self._check_slit(x, u)
+        elif x.ndim == 2 and x.shape == u.shape and x.shape[1] == self.dim:
+            for xb, ub in zip(x, u):
+                self.domain.require(xb)
+                self._check_slit(xb, ub)
+        else:
             raise StructuralError(f"expected {self.dim} real components")
-        self.domain.require(x)
-        self._check_slit(x, u)
         if self._program is None:
             self._program = JetProgram.record(
                 lambda seeds: self.real_formula(seeds[:self.dim], seeds[self.dim:]),
                 2 * self.dim)
-        return self._program.replay(np.concatenate([x, u]), order)
+        return self._program.replay(np.concatenate([x, u], axis=-1), order)
 
     def real_formula(self, x, u):
         """The formula on real components of the point and the vector, as a

@@ -21,7 +21,11 @@ jet over formally independent holomorphic/antiholomorphic variables
 A :class:`JetProgram` records a real formula once as a straight-line list of
 jet operations and replays it on coefficient arrays at any order; ``Jet``
 methods and the replay share the product and composition kernels, so both
-round alike.
+round alike. The tape numbers values as it records: an entry equal to one
+already recorded (same operation, operands and constant) reuses its slot. A
+replay of B points at once carries (B, n) coefficient rows, and multiplies
+them with one bincount over row-offset product tables; each row keeps the
+summation order of a single point, so row b is bit for bit its own replay.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class JetSpace:
     __slots__ = (
         "nvars", "order", "is_complex", "pair_split", "exponents", "n", "degrees",
         "size_at_order", "_mult_table", "_extract_tables", "_conj_perm",
-        "_derivative_tables", "dtype",
+        "_derivative_tables", "_row_tables", "dtype",
     )
 
     def __init__(self, nvars, order, is_complex=False, pair_split=None):
@@ -82,6 +86,7 @@ class JetSpace:
         self._extract_tables = {}
         self._conj_perm = None
         self._derivative_tables = {}
+        self._row_tables = {}
 
     @staticmethod
     def get(nvars, order, is_complex=False, pair_split=None) -> "JetSpace":
@@ -116,6 +121,16 @@ class JetSpace:
             keys = self._key(self.exponents)
             self._mult_table = (ia, ib, np.searchsorted(keys, keys[ia] + keys[ib]))
         return self._mult_table
+
+    def row_mult_table(self, rows):
+        """``mult_table`` over ``rows`` raveled coefficient rows: entry k of row b
+        reads and writes offset by b * n, so one bincount multiplies every row."""
+        tab = self._row_tables.get(rows)
+        if tab is None:
+            offset = self.n * np.arange(rows)[:, None]
+            tab = tuple((t + offset).ravel() for t in self.mult_table())
+            self._row_tables[rows] = tab
+        return tab
 
     def extract_table(self, var):
         """(src, fac): ``coeffs[src] * fac`` is the partial in ``var``, one order lower."""
@@ -161,11 +176,13 @@ class JetSpace:
 
     def seed_coeffs(self, values) -> np.ndarray:
         """Coefficient rows of the seed jets of all ``nvars`` coordinates, row i
-        with base value ``values[i]``."""
-        c = np.zeros((self.nvars, self.n), dtype=self.dtype)
-        c[:, 0] = values
+        with base value ``values[..., i]``; values of shape (B, nvars) give
+        (nvars, B, n), the seeds of B points."""
+        values = np.asarray(values)
+        c = np.zeros(values.shape[::-1] + (self.n,), dtype=self.dtype)
+        c[..., 0] = values.T
         if self.order >= 1:
-            c[np.arange(self.nvars), self.derivative_table(1)[0]] = 1.0
+            c[np.arange(self.nvars), ..., self.derivative_table(1)[0]] = 1.0
         return c
 
     def variables(self, values) -> list:
@@ -190,16 +207,27 @@ def _product(sp, a, b):
     return np.bincount(iout, weights=w, minlength=sp.n)
 
 
-def _compose(sp, coeffs, taylor):
+def _product_rows(sp, a, b):
+    """``_product`` of each row pair of two real (B, n) coefficient arrays, as
+    one bincount; row b sums its terms in the order ``_product`` does."""
+    rows = len(a)
+    ia, ib, iout = sp.row_mult_table(rows)
+    w = a.ravel().take(ia) * b.ravel().take(ib)
+    return np.bincount(iout, weights=w, minlength=rows * sp.n).reshape(rows, sp.n)
+
+
+def _compose(sp, coeffs, taylor, product=_product, c0=0):
     """Coefficients of g(f) for a jet f over ``sp``, where ``taylor[k]`` =
-    g^(k)(f0)/k!, by Horner's rule on the non-constant part of f."""
+    g^(k)(f0)/k!, by Horner's rule on the non-constant part of f. Rows of jets
+    pass ``_product_rows``, the constant column ``c0`` and one Taylor value
+    per row in each ``taylor[k]``."""
     h = coeffs.copy()
-    h[0] = 0.0
-    out = np.zeros(sp.n, dtype=sp.dtype)
-    out[0] = taylor[-1]
+    h[c0] = 0.0
+    out = np.zeros(coeffs.shape, dtype=sp.dtype)
+    out[c0] = taylor[-1]
     for k in range(len(taylor) - 2, -1, -1):
-        out = _product(sp, out, h)
-        out[0] += taylor[k]
+        out = product(sp, out, h)
+        out[c0] += taylor[k]
     return out
 
 
@@ -382,11 +410,13 @@ class Jet:
         return Jet(lower, self.coeffs[src] * fac)
 
     def derivatives(self, k) -> np.ndarray:
-        """Symmetric tensor of all k-th partials, read through the space's gather table."""
+        """Symmetric tensor of all k-th partials, read through the space's gather
+        table; coefficient rows (B, n) of a batched replay give (B, nvars, ...)."""
         if not 1 <= k <= self.order:
             raise StructuralError("requested derivative exceeds jet order")
         idx, scale = self.space.derivative_table(k)
-        return self.coeffs[idx] * scale
+        c = self.coeffs
+        return (c[idx] if c.ndim == 1 else c.take(idx, axis=-1)) * scale
 
     def gradient(self) -> np.ndarray:
         """All first partial derivatives."""
@@ -645,15 +675,25 @@ def _reads_value(*_):
 
 
 class _Tape:
-    """Operations appended by recording jets; entry i defines slot nvars + i."""
+    """Operations appended by recording jets; entry i defines slot nvars + i.
+
+    An entry is recorded once: emitting one already on the tape returns its
+    slot. Constants key by type and ``repr``, so 0.0 and -0.0 stay apart.
+    Commutative operands are not reordered, since ``a * b`` and ``b * a`` sum
+    their terms in different orders."""
 
     def __init__(self, nvars):
         self.nvars = nvars
         self.ops = []
+        self.slots = {}
 
     def emit(self, code, a, b=None) -> "_RecordedJet":
-        self.ops.append((code, a, b))
-        return _RecordedJet(self, self.nvars + len(self.ops) - 1)
+        key = (code, a, b) if code in (_MUL, _ADD, _SUB) else (code, a, type(b), repr(b))
+        slot = self.slots.get(key)
+        if slot is None:
+            self.ops.append((code, a, b))
+            slot = self.slots[key] = self.nvars + len(self.ops) - 1
+        return _RecordedJet(self, slot)
 
     def constant(self, value) -> "_RecordedJet":
         return self.emit(_CONST, None, value)
@@ -804,17 +844,22 @@ class JetProgram:
     def replay(self, values, order) -> Jet:
         """The formula's jet of the given order at the point ``values``.
 
-        Value-derived Taylor coefficients are computed here from the
-        operands, so their errors (zero reciprocal base, non-positive log or
-        fractional-power base, exp overflow) are raised on the call that
-        meets them.
+        Values of shape (B, nvars) replay B points at once: the jet's
+        coefficients are then (B, n) rows, row b bit for bit the replay at
+        ``values[b]``. Value-derived Taylor coefficients are computed here
+        from the operands, point by point, so their errors (zero reciprocal
+        base, non-positive log or fractional-power base, exp overflow) are
+        raised on the call that meets them.
         """
         sp = JetSpace.get(self.nvars, order, False)
-        n = sp.n
         s = list(sp.seed_coeffs(values))
+        if s[0].ndim == 1:
+            product, c0, taylor_of = _product, 0, _taylor
+        else:
+            product, c0, taylor_of = _product_rows, (slice(None), 0), _row_taylor
         for code, a, b in self.ops:
             if code == _MUL:
-                r = _product(sp, s[a], s[b])
+                r = product(sp, s[a], s[b])
             elif code == _ADD:
                 r = s[a] + s[b]
             elif code == _SCALE:
@@ -823,19 +868,28 @@ class JetProgram:
                 r = s[a] - s[b]
             elif code == _ADDC:
                 r = s[a].copy()
-                r[0] += b
+                r[c0] += b
             elif code == _RSUBC:
                 r = -s[a]
-                r[0] += b
+                r[c0] += b
             elif code == _NEG:
                 r = -s[a]
             elif code == _CONST:
-                r = np.zeros(n)
-                r[0] = b
+                r = np.zeros(s[0].shape)
+                r[c0] = b
             else:
-                f0 = float(s[a][0])
-                taylor = (_power_taylor(f0, order, b) if code == _POW
-                          else _TAYLOR[code](f0, order))
-                r = _compose(sp, s[a], taylor)
+                r = _compose(sp, s[a], taylor_of(code, b, s[a][c0], order), product, c0)
             s.append(r)
         return Jet(sp, s[self.out])
+
+
+def _taylor(code, p, f0, order):
+    """Taylor coefficients of entry ``code`` (exponent ``p`` for a power) at ``f0``."""
+    f0 = float(f0)
+    return _power_taylor(f0, order, p) if code == _POW else _TAYLOR[code](f0, order)
+
+
+def _row_taylor(code, p, f0s, order):
+    """``_taylor`` at each of the values ``f0s``, as an (order + 1, B) array;
+    each point is computed as a scalar, since array powers round differently."""
+    return np.array([_taylor(code, p, f0, order) for f0 in f0s.tolist()]).T

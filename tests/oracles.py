@@ -384,6 +384,21 @@ def complex_jet_by_objects(m, z, v, order):
     return wirtinger(jet, pairs)
 
 
+def record_unmerged(fn, nvars):
+    """``JetProgram.record`` on a tape that appends every entry it is given,
+    repeats included: the reference for the value-numbered tape."""
+    from finsler.jets import JetProgram, _RecordedJet, _Tape
+
+    class AppendingTape(_Tape):
+        def emit(self, code, a, b=None):
+            self.ops.append((code, a, b))
+            return _RecordedJet(self, self.nvars + len(self.ops) - 1)
+
+    tape = AppendingTape(nvars)
+    out = fn([_RecordedJet(tape, i) for i in range(nvars)])
+    return JetProgram._pruned(nvars, tape.ops, out.slot)
+
+
 # -- geodesic spray read out one partial at a time ----------------------------------
 
 
@@ -775,3 +790,45 @@ def covariant_boundary_form(m, x0, u0, r):
     gT = g @ T
     P = np.eye(d) - np.outer(T, gT) / float(T @ gT)
     return P.T @ g @ W @ np.linalg.solve(M, P)
+
+
+# -- radial fans integrated one geodesic at a time ----------------------------------
+
+
+def fan_by_paths(m, pole, plan):
+    """The geodesics of ``radial_flag_bounds``'s fan, one ``integrate_geodesic``
+    each, with the arc lengths at which it samples them: the reference for
+    the stacked fan. Returns ``[(path, [s, ...]), ...]`` by direction."""
+    from finsler.geodesic import integrate_geodesic
+    from finsler.geometry import unit_directions
+
+    d = m.dim
+    dirs = unit_directions(max(plan.n_dirs, 3), d, plan.seed)
+    lo, hi = plan.radial_range
+    ts = np.linspace(lo, hi, max(3, plan.n_points // len(dirs) + 1))
+    out = []
+    for w in dirs:
+        path = integrate_geodesic(m, pole, w / math.sqrt(m.value(pole, w)), hi * 1.05)
+        out.append((path, [min(t, path.arc_length * 0.999) for t in ts]))
+    return out
+
+
+def radial_flag_bounds_by_paths(m, pole, plan):
+    """(k_inf, k_sup, n_samples) of ``radial_flag_bounds`` sampled along
+    :func:`fan_by_paths`."""
+    from finsler.cartan import cartan, flag_curvature
+    from finsler.geometry import unit_directions
+
+    d = m.dim
+    flags = unit_directions(2 * d, d, plan.seed + 1)
+    ks = []
+    for path, arcs in fan_by_paths(m, np.asarray(pole, dtype=float), plan):
+        for s in arcs:
+            xt, ut = path.state_at(s)
+            data = cartan(m, xt, ut, need_curvature=True)
+            for X in flags:
+                gu, gX, guX = ut @ data.g @ ut, X @ data.g @ X, ut @ data.g @ X
+                if gu * gX - guX ** 2 >= 1e-8 * gu * gX:
+                    ks.append(flag_curvature(m, xt, ut, X, data=data))
+    return min(ks), max(ks), len(ks)
+

@@ -3,7 +3,7 @@
 ``bench/tracing.py`` wraps engine functions and methods by module and
 attribute name; renaming or deleting one of them breaks the traced
 benchmark run. Loading the tracer by path, and one small traced run of the
-``levi`` workload, keep that contract in tier-1.
+``levi`` and of the ``certify`` workload, keep that contract in tier-1.
 """
 
 import importlib.util
@@ -48,14 +48,24 @@ def test_tracer_installs_and_restores():
     assert (geodesic.hessian_rho, LeviField.sample, geodesic.solve_ivp) == originals
 
 
-def test_traced_levi_run_is_correct():
-    # one traced pass of every Levi and Hessian operation: the tracer's checks
-    # (spray calls against scipy's nfev, equal counts on both traced passes)
-    # hold on the Jacobi right-hand sides
+def _assert_traced_run_is_correct(workload):
     root = TRACING.parent.parent
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "levi", "--small",
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--small",
                            "--trace", "1"], cwd=root, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
+
+
+def test_traced_levi_run_is_correct():
+    # one traced pass of every Levi and Hessian operation: the tracer's checks
+    # (spray calls against scipy's nfev, equal counts on both traced passes)
+    # hold on the Jacobi right-hand sides
+    _assert_traced_run_is_correct("levi")
+
+
+def test_traced_certify_run_is_correct():
+    # the same checks over check, bounds, schwarz and replay: each stacked
+    # right-hand side of a radial-flag fan is one batched spray call
+    _assert_traced_run_is_correct("certify")

@@ -222,6 +222,16 @@ def test_bad_tolerance_flag_is_a_configuration_error(tmp_path, capsys, value):
     assert err.count("configuration error: tolerance") == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "curvature", "geodesic", "distance", "bounds"])
+def test_tolerance_flag_is_refused_where_nothing_reads_it(tmp_path, capsys, command):
+    p = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(p), "--out", str(out), "--tolerance", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: --tolerance is not read by {command}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_cmd_bounds(tmp_path):
     cfg = dict(BASE_CONFIG)
     cfg["metrics"] = [BASE_CONFIG["metrics"][0]]

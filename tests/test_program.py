@@ -3,19 +3,26 @@
 The replay must give the coefficients of the formula evaluated on fresh
 ``Jet``/``CJet`` objects (``oracles.real_jet_by_objects``) bit for bit, at
 every order, for every family; value-derived Taylor coefficients are
-recomputed per call; formulas that read a jet's value are refused.
+recomputed per call; formulas that read a jet's value are refused. A tape
+records each entry once and replays as the tape of every emitted entry
+(``oracles.record_unmerged``) does; a replay of B points gives, row by row,
+the replays of each point.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from finsler.errors import StructuralError
+from finsler.errors import DomainError, SlitBundleError, StructuralError
 from finsler.geometry import (MetricDef, complex_to_real_components, creal_value,
                               realify_metric)
-from finsler.jets import MAX_ORDER, JetProgram, spow
+from finsler.cartan import spray_coefficients
+from finsler.jets import (_ADD, _ADDC, _CONST, _EXP, _LOG, _MUL, _NEG, _POW, _REC, _RSUBC,
+                          _SCALE, _SUB, MAX_ORDER, JetProgram, spow)
 from finsler.metrics import _hermitian_form, instantiate
 
-from oracles import complex_jet_by_objects, real_jet_by_objects
+from oracles import complex_jet_by_objects, real_jet_by_objects, record_unmerged
 
 
 def _disk(**params):
@@ -158,3 +165,136 @@ def test_hermitian_fold_equals_the_full_form():
         v = list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         full = np.einsum("ab,a,b->", H, v, np.conj(v)).real
         assert _hermitian_form(H, v) == pytest.approx(full, rel=1e-14)
+
+
+# -- value numbering at record time ----------------------------------------------
+
+
+def _program_of(m):
+    d = m.dim
+    return JetProgram.record(lambda s: m.real_formula(s[:d], s[d:]), 2 * d)
+
+
+def test_repeated_entries_are_recorded_once():
+    # the Poincare ball repeats 4 products, Minkowski 4 of its 10
+    assert len(_program_of(instantiate(SPECS[5])).ops) == 44
+    assert len(_program_of(instantiate(SPECS[8])).ops) == 12
+    assert len(JetProgram.record(lambda s: s[0] * s[1] + s[0] * s[1], 2).ops) == 2
+    # commuted operands sum in another order, so they stay apart
+    assert len(JetProgram.record(lambda s: s[0] * s[1] + s[1] * s[0], 2).ops) == 3
+
+
+def test_merged_tape_replays_as_the_unmerged_one_bitwise():
+    rng = np.random.default_rng(20261019)
+    shrunk = 0
+    for spec in SPECS:
+        m = instantiate(spec)
+        d = m.dim
+        merged = _program_of(m)
+        unmerged = record_unmerged(lambda s: m.real_formula(s[:d], s[d:]), 2 * d)
+        shrunk += len(merged.ops) < len(unmerged.ops)
+        for z, v in _points(m, rng):
+            values = np.concatenate([complex_to_real_components(z), complex_to_real_components(v)])
+            for order in range(MAX_ORDER + 1):
+                got = merged.replay(values, order).coeffs
+                want = unmerged.replay(values, order).coeffs
+                assert got.tobytes() == want.tobytes(), (m.family_id, order)
+    assert shrunk >= 2
+
+
+def test_signed_zero_constants_are_not_merged():
+    prog = JetProgram.record(lambda s: (s[0] + 0.0) * (s[0] - 0.0), 1)
+    assert prog.ops == [(_ADDC, 0, 0.0), (_ADDC, 0, -0.0), (_MUL, 1, 2)]
+    # the entries differ at -0: -0 + 0 = 0, while -0 + -0 = -0
+    for out, sign in ((1, 1.0), (2, -1.0)):
+        value = JetProgram(1, prog.ops[:2], out).replay(np.array([-0.0]), 0).value
+        assert value == 0.0 and math.copysign(1.0, value) == sign
+    consts = JetProgram.record(lambda s: s[0].space.constant(0.0) + s[0].space.constant(-0.0), 1)
+    assert [code for code, _, _ in consts.ops] == [_CONST, _CONST, _ADD]
+
+
+# -- batched replay ------------------------------------------------------------------
+
+
+def _every_op(s):
+    a = s[0] * s[1] + s[2]                   # MUL, ADD
+    b = (a - s[1]) * 0.5                     # SUB, SCALE
+    c = -(2.0 - b) + 1.5                     # RSUBC, NEG, ADDC
+    e = (c * c + 1.0).log() + (0.1 * s[2]).exp()
+    f = 1.0 / (s[0] * s[0] + 2.0) + (s[1] * s[1] + 1.0) ** 0.75
+    return e + f * s[0].space.constant(0.25)  # REC, POW, CONST
+
+
+EVERY_OP = {_MUL, _ADD, _SUB, _SCALE, _ADDC, _RSUBC, _NEG, _CONST, _REC, _EXP, _LOG, _POW}
+BATCH_SPECS = [SPECS[3], SPECS[5], SPECS[8], SPECS[12], SPECS[16]]   # disk, ball, Minkowski,
+#                                                      Szabo of disks, one_plus_s2
+
+
+def _batch(m, rng, rows):
+    x = rng.standard_normal((rows, m.dim))
+    x *= 0.7 * rng.random((rows, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    return x, rng.standard_normal((rows, m.dim))
+
+
+def _assert_rows_are_point_replays(prog, values, order):
+    rows = prog.replay(values, order).coeffs
+    assert rows.shape == (len(values), prog.replay(values[0], order).coeffs.size)
+    for b, point in enumerate(values):
+        assert rows[b].tobytes() == prog.replay(point, order).coeffs.tobytes(), (order, b)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_batched_replay_rows_equal_point_replays(rows):
+    rng = np.random.default_rng(rows)
+    prog = JetProgram.record(_every_op, 3)
+    assert {code for code, _, _ in prog.ops} == EVERY_OP
+    for order in range(MAX_ORDER + 1):
+        _assert_rows_are_point_replays(prog, rng.uniform(0.2, 1.5, (rows, 3)), order)
+    for spec in BATCH_SPECS:
+        m = realify_metric(instantiate(spec))
+        x, u = _batch(m, rng, rows)
+        for order in range(MAX_ORDER + 1):
+            rows_jet = m.real_jet(x, u, order).coeffs
+            for b in range(rows):
+                point = m.real_jet(x[b], u[b], order).coeffs
+                assert rows_jet[b].tobytes() == point.tobytes(), (m.family_id, order, b)
+
+
+def test_batched_spray_equals_point_sprays():
+    rng = np.random.default_rng(5)
+    for spec in BATCH_SPECS:
+        m = realify_metric(instantiate(spec))
+        x, u = _batch(m, rng, 8)
+        sprays = spray_coefficients(m, x, u)
+        assert sprays.shape == (8, m.dim)
+        for b in range(8):
+            assert sprays[b].tobytes() == spray_coefficients(m, x[b], u[b]).tobytes()
+
+
+@pytest.mark.parametrize("op, bad, error", [
+    (lambda s: 1.0 / s[0], 0.0, ZeroDivisionError),
+    (lambda s: s[0].log(), 0.0, ValueError),
+    (lambda s: s[0].log(), -2.0, ValueError),
+])
+def test_batched_replay_raises_as_the_bad_member_does(op, bad, error):
+    prog = JetProgram.record(op, 1)
+    for order in range(MAX_ORDER + 1):
+        with pytest.raises(error):
+            prog.replay(np.array([bad]), order)
+        with pytest.raises(error):
+            prog.replay(np.array([[0.8], [bad], [1.3]]), order)
+
+
+def test_batched_metric_guards_each_member():
+    m = realify_metric(instantiate(SPECS[3]))   # the unit disk
+    x = np.array([[0.1, 0.2], [1.5, 0.0]])
+    u = np.ones((2, 2))
+    with pytest.raises(DomainError):
+        m.real_jet(x[1], u[1], 2)
+    with pytest.raises(DomainError):
+        spray_coefficients(m, x, u)
+    u[0] = 0.0
+    with pytest.raises(SlitBundleError):
+        m.real_jet(x[0], u[0], 2)
+    with pytest.raises(SlitBundleError):
+        spray_coefficients(m, x[:1], u[:1])
