@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DegenerateFlagError, DegenerateMetricError
 from .geometry import MetricDef, SamplePlan, unit_directions, well_conditioned_inverse
+from .jets import JetSpace
 from .report import require_finite
 
 
@@ -43,21 +44,31 @@ class CartanData:
 
 
 def _spray(jet, u, d) -> np.ndarray:
-    """G^i from a jet of G over (x, u) of order >= 2: the solution of g S = b / 4.
-    Coefficient rows (B, n) with u of shape (B, d) give the B sprays (B, d)."""
+    """G^i from a jet of G over (x, u) of order >= 2: the solution of g S = b / 4."""
     H = jet.hessian()
-    rows = H.ndim > 2
-    if rows:
-        u = u[:, None, :]
-    g = 0.5 * H[..., d:, d:]
+    g = 0.5 * H[d:, d:]
     # (d^2 G / du^l dx^k) u^k; cumsum adds over k in order, as a scalar loop
     # does, where a pairwise sum would round differently
-    rhs = np.cumsum(H[..., d:, :d] * u, axis=-1)[..., -1] - jet.gradient()[..., :d]
+    rhs = np.cumsum(H[d:, :d] * u, axis=1)[:, -1] - jet.gradient()[:d]
     try:
-        if rows:
-            # one LAPACK solve per row, each as the single point's
-            return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
         return 0.25 * np.linalg.solve(g, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError("fundamental tensor singular") from exc
+
+
+def _spray_rows(m: MetricDef, x, u) -> np.ndarray:
+    """``_spray`` at each row of x, u (B, d), read from one batched order-2
+    replay through the derivative tables; each row's gathers, sums and
+    LAPACK solve are the single point's."""
+    d = m.dim
+    coeffs = m.real_rows(x, u, 2)
+    sp = JetSpace.get(2 * d, 2)
+    (i1, s1), (i2, s2) = sp.derivative_table(1), sp.derivative_table(2)
+    H = coeffs.take(i2, axis=1) * s2
+    rhs = (np.cumsum(H[:, d:, :d] * u[:, None, :], axis=2)[:, :, -1]
+           - (coeffs.take(i1, axis=1) * s1)[:, :d])
+    try:
+        return 0.25 * np.linalg.solve(0.5 * H[:, d:, d:], rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("fundamental tensor singular") from exc
 
@@ -65,6 +76,8 @@ def _spray(jet, u, d) -> np.ndarray:
 def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     """Values of the geodesic coefficients G^i(x, u) (fast path for ODEs); rows
     x, u of shape (B, d) give the B sprays from one batched order-2 replay."""
+    if getattr(x, "ndim", 1) == 2:
+        return _spray_rows(m, x, np.asarray(u, dtype=float))
     return _spray(m.real_jet(x, u, 2), u, m.dim)
 
 

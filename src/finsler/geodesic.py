@@ -32,35 +32,58 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _domain_events(m, x0, members=1):
-    """Terminal events at domain margin 1e-9, one for each of ``members``
-    stacked (x, u) blocks of the state; None on an unbounded domain."""
-    if m.domain.kind == "all" or not math.isfinite(m.domain.margin(x0)):
+_EXIT_MARGIN = 1e-9   # domain margin at which an integrated geodesic stops
+
+
+def _domain_events(m, x0):
+    """Terminal events at domain margin ``_EXIT_MARGIN``, one for the (x, u)
+    block of each row of x0 in a stacked state (one for a single point);
+    None on an unbounded domain."""
+    x0 = np.atleast_2d(x0)
+    if m.domain.kind == "all" or not math.isfinite(m.domain.margin(x0[0])):
         return None
     d = m.dim
 
     def exit_of(j):
         def ev(t, y):
-            return m.domain.margin(y[2 * d * j:2 * d * j + d]) - 1e-9
+            return m.domain.margin(y[2 * d * j:2 * d * j + d]) - _EXIT_MARGIN
 
         ev.terminal = True
         ev.direction = -1
         return ev
 
-    return [exit_of(j) for j in range(members)]
+    return [exit_of(j) for j in range(len(x0))]
 
 
-def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True):
+def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True, t0=0.0,
+                      first_step=None):
+    """DOP853 solution of the geodesic flow from (x0, u0) at affine time t0
+    to t_end, stopped where the domain margin falls to ``_EXIT_MARGIN``.
+
+    Rows x0, u0 of shape (k, d) integrate k geodesics as one stacked state,
+    (x, u) block j for row j, with one batched spray per right-hand side and
+    one exit event per block. The tolerances are then divided by sqrt(k),
+    which bounds the stacked RMS error norm by each member's.
+    """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     d = m.dim
+    if x0.ndim == 1:
+        k = 1
 
-    def rhs(t, y):
-        return np.concatenate([y[d:], -2.0 * spray_coefficients(m, y[:d], y[d:])])
+        def rhs(t, y):
+            return np.concatenate([y[d:], -2.0 * spray_coefficients(m, y[:d], y[d:])])
+    else:
+        k = len(x0)
 
-    sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([x0, u0]),
-                    method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=dense, events=_domain_events(m, x0))
+        def rhs(t, y):
+            Y = y.reshape(k, 2 * d)
+            S = spray_coefficients(m, Y[:, :d], Y[:, d:])
+            return np.concatenate([Y[:, d:], -2.0 * S], axis=1).ravel()
+
+    sol = solve_ivp(rhs, (t0, t_end), np.concatenate([x0, u0], axis=-1).ravel(),
+                    method="DOP853", rtol=rtol / math.sqrt(k), atol=atol / math.sqrt(k),
+                    dense_output=dense, events=_domain_events(m, x0), first_step=first_step)
     if not sol.success and sol.status != 1:
         raise ShootingError(f"geodesic integration failed: {sol.message}")
     return sol
@@ -159,15 +182,13 @@ class GeodesicFan:
 
 def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
     """Geodesics from x0 with the initial velocities of the rows of U0, each
-    forward to arc length ``length`` > 0, as one stacked state of B members
-    whose right-hand side is one batched spray.
+    forward to arc length ``length`` > 0, as one stacked state whose
+    right-hand side is one batched spray (``_integrate_affine``).
 
-    The tolerances of a single path are divided by sqrt(B), which bounds the
-    stacked RMS error norm by each member's. A member that leaves the domain
-    ends at its own terminal event, and so does every member that has reached
-    its exit margin at that state; the others restart from the event state
-    with the last step size, since scipy's first-step probe would overshoot
-    the domain from so close to its edge.
+    A member ends at its own exit event, at its exit margin, or where it has
+    reached its own length; when one leaves the domain, the others restart
+    from the event state with the last step size, since scipy's first-step
+    probe would overshoot the domain from so close to its edge.
     """
     if not length > 0:
         raise ConfigurationError(f"geodesic length must be positive, got {length!r}")
@@ -180,30 +201,22 @@ def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
     speeds = np.sqrt(G0)
     t_ends = length / speeds
     members = list(range(len(U0)))
-    y = np.concatenate([np.broadcast_to(x0, U0.shape), U0], axis=1)
-    t0, first_step = 0.0, None
-    segments = []
-    while members and t_ends[members].max() > t0:
-        k = len(members)
-
-        def rhs(t, state, k=k):
-            Y = state.reshape(k, 2 * d)
-            S = spray_coefficients(m, Y[:, :d], Y[:, d:])
-            return np.concatenate([Y[:, d:], -2.0 * S], axis=1).ravel()
-
-        events = _domain_events(m, x0, k)
-        sol = solve_ivp(rhs, (t0, float(t_ends[members].max())), y.ravel(), method="DOP853",
-                        rtol=1e-11 / math.sqrt(k), atol=1e-13 / math.sqrt(k),
-                        dense_output=True, events=events, first_step=first_step)
-        if not sol.success and sol.status != 1:
-            raise ShootingError(f"geodesic integration failed: {sol.message}")
+    x, u = np.broadcast_to(x0, U0.shape), U0
+    t0, first_step, segments = 0.0, None, []
+    while members:
+        t_end = float(t_ends[members].max())
+        sol = _integrate_affine(m, x, u, t_end, t0=t0, first_step=(
+            None if first_step is None else min(first_step, t_end - t0)))
         segments.append((sol, members))
         if sol.status != 1:
             break
-        t0, y_end = sol.t[-1], sol.y[:, -1]
-        stay = [j for j in range(k) if not len(sol.t_events[j]) and events[j](t0, y_end) > 0]
-        t_ends[[b for j, b in enumerate(members) if j not in stay]] = t0
-        y = y_end.reshape(k, 2 * d)[stay]
+        t0, y = sol.t[-1], sol.y[:, -1].reshape(len(members), 2 * d)
+        stay = [j for j, b in enumerate(members)
+                if not len(sol.t_events[j]) and t_ends[b] > t0
+                and m.domain.margin(y[j, :d]) > _EXIT_MARGIN]
+        ended = [b for j, b in enumerate(members) if j not in stay]
+        t_ends[ended] = np.minimum(t_ends[ended], t0)
+        x, u = y[stay, :d], y[stay, d:]
         members = [members[j] for j in stay]
         first_step = float(np.diff(sol.t)[-2:].max())
     return GeodesicFan(metric=m, speeds=speeds, t_ends=t_ends, segments=segments)

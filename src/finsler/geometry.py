@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,7 +176,6 @@ class MetricDef:
         self.metadata = dict(metadata or {})
         self.family_id = family_id
         self.spec = dict(spec or {})
-        self._program = None
 
     @property
     def is_complex(self):
@@ -213,28 +213,36 @@ class MetricDef:
     def real_jet(self, x, u, order) -> Jet:
         """Jet of G over the 2*dim real variables (x block, then u block).
 
-        The formula is recorded once, on the first call, as a straight-line
+        The formula is recorded once, on the first use, as a straight-line
         jet program (:class:`finsler.jets.JetProgram`); every call replays it
-        at the requested order. Arrays x, u of shape (B, dim) replay B points
-        at once into (B, n) coefficient rows, each point guarded as a single
-        call is.
+        at the requested order.
         """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if x.ndim == 1 and x.size == u.size == self.dim:
-            self.domain.require(x)
-            self._check_slit(x, u)
-        elif x.ndim == 2 and x.shape == u.shape and x.shape[1] == self.dim:
-            for xb, ub in zip(x, u):
-                self.domain.require(xb)
-                self._check_slit(xb, ub)
-        else:
+        if x.size != self.dim or u.size != self.dim:
             raise StructuralError(f"expected {self.dim} real components")
-        if self._program is None:
-            self._program = JetProgram.record(
-                lambda seeds: self.real_formula(seeds[:self.dim], seeds[self.dim:]),
-                2 * self.dim)
-        return self._program.replay(np.concatenate([x, u], axis=-1), order)
+        self.domain.require(x)
+        self._check_slit(x, u)
+        return self.program.replay(np.concatenate([x, u]), order)
+
+    def real_rows(self, x, u, order) -> np.ndarray:
+        """Coefficient rows (B, n) of the real jets at the B points of x, u of
+        shape (B, dim), row b bit for bit ``real_jet(x[b], u[b], order).coeffs``;
+        each point is guarded as ``real_jet`` guards it."""
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if x.ndim != 2 or x.shape != u.shape or x.shape[1] != self.dim:
+            raise StructuralError(f"expected rows of {self.dim} real components")
+        for xb, ub in zip(x, u):
+            self.domain.require(xb)
+            self._check_slit(xb, ub)
+        return self.program.replay_rows(np.concatenate([x, u], axis=1), order)
+
+    @cached_property
+    def program(self) -> JetProgram:
+        """``real_formula`` recorded as a jet program over (x, u)."""
+        return JetProgram.record(
+            lambda seeds: self.real_formula(seeds[:self.dim], seeds[self.dim:]), 2 * self.dim)
 
     def real_formula(self, x, u):
         """The formula on real components of the point and the vector, as a

@@ -22,10 +22,11 @@ A :class:`JetProgram` records a real formula once as a straight-line list of
 jet operations and replays it on coefficient arrays at any order; ``Jet``
 methods and the replay share the product and composition kernels, so both
 round alike. The tape numbers values as it records: an entry equal to one
-already recorded (same operation, operands and constant) reuses its slot. A
-replay of B points at once carries (B, n) coefficient rows, and multiplies
-them with one bincount over row-offset product tables; each row keeps the
-summation order of a single point, so row b is bit for bit its own replay.
+already recorded (same operation, operands and constant) reuses its slot.
+``JetProgram.replay_rows`` replays B points at once into (B, n) coefficient
+rows, and multiplies them with one bincount over row-offset product tables;
+each row keeps the summation order of a single point, so row b is bit for bit
+its own replay.
 """
 
 from __future__ import annotations
@@ -176,13 +177,11 @@ class JetSpace:
 
     def seed_coeffs(self, values) -> np.ndarray:
         """Coefficient rows of the seed jets of all ``nvars`` coordinates, row i
-        with base value ``values[..., i]``; values of shape (B, nvars) give
-        (nvars, B, n), the seeds of B points."""
-        values = np.asarray(values)
-        c = np.zeros(values.shape[::-1] + (self.n,), dtype=self.dtype)
-        c[..., 0] = values.T
+        with base value ``values[i]``."""
+        c = np.zeros((self.nvars, self.n), dtype=self.dtype)
+        c[:, 0] = values
         if self.order >= 1:
-            c[np.arange(self.nvars), ..., self.derivative_table(1)[0]] = 1.0
+            c[np.arange(self.nvars), self.derivative_table(1)[0]] = 1.0
         return c
 
     def variables(self, values) -> list:
@@ -410,13 +409,11 @@ class Jet:
         return Jet(lower, self.coeffs[src] * fac)
 
     def derivatives(self, k) -> np.ndarray:
-        """Symmetric tensor of all k-th partials, read through the space's gather
-        table; coefficient rows (B, n) of a batched replay give (B, nvars, ...)."""
+        """Symmetric tensor of all k-th partials, read through the space's gather table."""
         if not 1 <= k <= self.order:
             raise StructuralError("requested derivative exceeds jet order")
         idx, scale = self.space.derivative_table(k)
-        c = self.coeffs
-        return (c[idx] if c.ndim == 1 else c.take(idx, axis=-1)) * scale
+        return self.coeffs[idx] * scale
 
     def gradient(self) -> np.ndarray:
         """All first partial derivatives."""
@@ -844,19 +841,33 @@ class JetProgram:
     def replay(self, values, order) -> Jet:
         """The formula's jet of the given order at the point ``values``.
 
-        Values of shape (B, nvars) replay B points at once: the jet's
-        coefficients are then (B, n) rows, row b bit for bit the replay at
-        ``values[b]``. Value-derived Taylor coefficients are computed here
-        from the operands, point by point, so their errors (zero reciprocal
-        base, non-positive log or fractional-power base, exp overflow) are
-        raised on the call that meets them.
+        Value-derived Taylor coefficients are computed here from the
+        operands, so their errors (zero reciprocal base, non-positive log or
+        fractional-power base, exp overflow) are raised on the call that
+        meets them.
         """
         sp = JetSpace.get(self.nvars, order, False)
-        s = list(sp.seed_coeffs(values))
-        if s[0].ndim == 1:
-            product, c0, taylor_of = _product, 0, _taylor
-        else:
-            product, c0, taylor_of = _product_rows, (slice(None), 0), _row_taylor
+        return Jet(sp, self._run(sp, list(sp.seed_coeffs(values)), order, _product, 0, _taylor))
+
+    def replay_rows(self, values, order) -> np.ndarray:
+        """Coefficient rows (B, n) of the formula's jets at the B points of
+        ``values`` (B, nvars), row b bit for bit ``replay(values[b], order).coeffs``.
+
+        Each product multiplies every row with one bincount
+        (``_product_rows``); Taylor coefficients are computed point by point,
+        so a bad point raises as its own replay does.
+        """
+        sp = JetSpace.get(self.nvars, order, False)
+        values = np.asarray(values, dtype=float)
+        seeds = np.repeat(sp.seed_coeffs(values[0])[:, None], len(values), axis=1)
+        seeds[:, :, 0] = values.T
+        return self._run(sp, list(seeds), order, _product_rows, (slice(None), 0), _row_taylor)
+
+    def _run(self, sp, s, order, product, c0, taylor_of):
+        """The entries replayed on the seed coefficients ``s``: ``product``
+        multiplies two operands, ``c0`` indexes their constant coefficients
+        and ``taylor_of(code, p, f0, order)`` gives a composite's Taylor
+        coefficients at those values. Returns the output's coefficients."""
         for code, a, b in self.ops:
             if code == _MUL:
                 r = product(sp, s[a], s[b])
@@ -880,7 +891,7 @@ class JetProgram:
             else:
                 r = _compose(sp, s[a], taylor_of(code, b, s[a][c0], order), product, c0)
             s.append(r)
-        return Jet(sp, s[self.out])
+        return s[self.out]
 
 
 def _taylor(code, p, f0, order):

@@ -37,17 +37,23 @@ SZABO = {"family": "szabo", "params": {"k": 2, "eps": 0.5, "factor1": _disk(),
 SMALL_DISK = {"family": "hermitian", **_disk(scale=1e-3)}
 SMALL_SZABO = {"family": "szabo", "params": {"k": 2, "eps": 0.5, "factor1": _disk(scale=1e-3),
                                              "factor2": _disk(scale=1e-3)}}
-SPECS = {"disk": DISK, "ball": BALL, "minkowski": MINKOWSKI, "szabo": SZABO,
-         "small_disk": SMALL_DISK, "small_szabo": SMALL_SZABO}
 BOUNDS_PLAN = SamplePlan(seed=101, n_points=3, n_dirs=4, radial_range=(0.1, 0.7))
 EXIT_PLAN = SamplePlan(seed=0, n_points=12, n_dirs=4, radial_range=(0.05, 0.6))
+# the polydisk members exit at arc lengths 0.4240, 0.4264, 0.4884 and 0.4933:
+# a fan of length 1.05 * hi = 0.425 ends just past the first exit, so the
+# others restart with less time left than the last step
+FIRST_EXIT_PLAN = SamplePlan(seed=0, n_points=12, n_dirs=4, radial_range=(0.05, 0.425 / 1.05))
+CASES = {"disk": (DISK, BOUNDS_PLAN), "ball": (BALL, BOUNDS_PLAN),
+         "minkowski": (MINKOWSKI, BOUNDS_PLAN), "szabo": (SZABO, BOUNDS_PLAN),
+         "small_disk": (SMALL_DISK, EXIT_PLAN), "small_szabo": (SMALL_SZABO, EXIT_PLAN),
+         "small_szabo_first_exit": (SMALL_SZABO, FIRST_EXIT_PLAN)}
 
 
 @functools.cache
 def _integrated(name):
-    """(metric, plan, stacked fan, ``fan_by_paths`` oracle) of a spec."""
-    m = realify_metric(instantiate(SPECS[name]))
-    plan = EXIT_PLAN if name.startswith("small") else BOUNDS_PLAN
+    """(metric, plan, stacked fan, ``fan_by_paths`` oracle) of a case."""
+    spec, plan = CASES[name]
+    m = realify_metric(instantiate(spec))
     d = m.dim
     dirs = unit_directions(max(plan.n_dirs, 3), d, plan.seed)
     pole = np.zeros(d)
@@ -56,7 +62,7 @@ def _integrated(name):
     return m, plan, fan, fan_by_paths(m, pole, plan)
 
 
-@pytest.mark.parametrize("name", list(SPECS))
+@pytest.mark.parametrize("name", list(CASES))
 def test_fan_members_follow_their_single_geodesics(name):
     _, _, fan, ref = _integrated(name)
     for b, (path, arcs) in enumerate(ref):
@@ -93,6 +99,37 @@ def test_a_member_that_leaves_the_domain_ends_alone(name):
     assert got.n_samples == n > 0
     assert got.k_inf == pytest.approx(k_inf, rel=1e-6)
     assert got.k_sup == pytest.approx(k_sup, rel=1e-6)
+
+
+def test_a_fan_ending_just_past_the_first_exit_finishes_the_others():
+    m, plan, fan, ref = _integrated("small_szabo_first_exit")
+    length = plan.radial_range[1] * 1.05
+    exits = [path.arc_length if path.truncated else None for path, _ in ref]
+    assert exits[0] < length and exits[1:] == [None] * 3
+    assert len(fan.segments) == 2 and fan.segments[1][1] == [1, 2, 3]
+    assert fan.arc_lengths[0] == pytest.approx(ref[0][0].arc_length, rel=1e-6)
+    assert fan.arc_lengths[1:] == pytest.approx([length] * 3, rel=1e-14)
+    for b in (1, 2, 3):
+        x, u = fan.state_at(b, length)
+        x_ref, u_ref = ref[b][0].endpoint()
+        assert np.abs(x - x_ref).max() < 1e-9 and np.abs(u - u_ref).max() < 1e-9
+
+
+def test_a_member_leaving_after_its_own_length_ends_at_its_length():
+    m = realify_metric(instantiate(SMALL_DISK))
+    pole = np.zeros(2)
+    w = np.array([1.0, 0.0]) / math.sqrt(m.value(pole, np.array([1.0, 0.0])))
+    # at twice the speed the second member reaches its length 0.25 at half
+    # the fan's affine time and leaves the domain (arc 0.339) after that,
+    # while the first is still inside
+    fan = geodesic.integrate_fan(m, pole, [w, 2.0 * w], 0.25)
+    assert fan.arc_lengths == pytest.approx([0.25, 0.25], rel=1e-14)
+    path = geodesic.integrate_geodesic(m, pole, w, 0.25)
+    for b, speed in ((0, 1.0), (1, 2.0)):
+        for s in (0.1, 0.25, 0.3):
+            x, u = fan.state_at(b, s)
+            x_ref, u_ref = path.state_at(s)
+            assert np.abs(x - x_ref).max() < 1e-9 and np.abs(u - speed * u_ref).max() < 1e-9
 
 
 def test_a_member_reaching_the_slit_fails_the_fan_as_its_geodesic_does():

@@ -237,7 +237,7 @@ def _batch(m, rng, rows):
 
 
 def _assert_rows_are_point_replays(prog, values, order):
-    rows = prog.replay(values, order).coeffs
+    rows = prog.replay_rows(values, order)
     assert rows.shape == (len(values), prog.replay(values[0], order).coeffs.size)
     for b, point in enumerate(values):
         assert rows[b].tobytes() == prog.replay(point, order).coeffs.tobytes(), (order, b)
@@ -254,7 +254,7 @@ def test_batched_replay_rows_equal_point_replays(rows):
         m = realify_metric(instantiate(spec))
         x, u = _batch(m, rng, rows)
         for order in range(MAX_ORDER + 1):
-            rows_jet = m.real_jet(x, u, order).coeffs
+            rows_jet = m.real_rows(x, u, order)
             for b in range(rows):
                 point = m.real_jet(x[b], u[b], order).coeffs
                 assert rows_jet[b].tobytes() == point.tobytes(), (m.family_id, order, b)
@@ -282,13 +282,15 @@ def test_batched_replay_raises_as_the_bad_member_does(op, bad, error):
         with pytest.raises(error):
             prog.replay(np.array([bad]), order)
         with pytest.raises(error):
-            prog.replay(np.array([[0.8], [bad], [1.3]]), order)
+            prog.replay_rows(np.array([[0.8], [bad], [1.3]]), order)
 
 
 def test_batched_metric_guards_each_member():
     m = realify_metric(instantiate(SPECS[3]))   # the unit disk
     x = np.array([[0.1, 0.2], [1.5, 0.0]])
     u = np.ones((2, 2))
+    with pytest.raises(StructuralError):   # rows go through real_rows only
+        m.real_jet(x, u, 2)
     with pytest.raises(DomainError):
         m.real_jet(x[1], u[1], 2)
     with pytest.raises(DomainError):
