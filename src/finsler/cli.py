@@ -218,7 +218,13 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
             if not counts["ok"] or min_margin < -1e-3:
                 status = 1
             summary += f"; levi samples ok {counts['ok']}/{counts['attempted']}"
-        d = _write_report(outdir, "distance", mid, payload, config)
+        cost = {"integrations": pd.total_integrations,
+                "loose_integrations": pd.loose_integrations,
+                "iterations": pd.total_iterations}
+        summary += (f"; shooting {cost['integrations']} integrations "
+                    f"({cost['loose_integrations']} loose), {cost['iterations']} iterations")
+        d = _write_report(outdir, "distance", mid, payload, config,
+                          metadata={"shooting": cost})
         _write_csv(d / "distance.csv", ["point_index", "rho", "residual"], rows)
         if levi_rows is not None:
             _write_csv(d / "levi.csv",

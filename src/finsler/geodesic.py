@@ -3,12 +3,15 @@ distance Hessians.
 
 Geodesics solve xddot^i + 2 G^i(x, xdot) = 0 in an affine parameter; the energy
 G(x, xdot) is a first integral and its drift along the integrated path is the
-reported accuracy proxy. Covariant derivatives along a curve use the
-connection coefficients evaluated at the reference vector T, the curve's own
-velocity, which along geodesics makes the Cartan and Chern-type derivatives
-coincide. Jacobi fields are geodesic variations: they solve the linearized
-geodesic equation dx'' = -2 (dG/dx dx + dG/du dx') in coordinates, which needs
-an order-3 jet and no curvature, and D_T J = dx' + N dx with N = dG/du.
+reported accuracy proxy. Shooting is inexact Newton: trial shots from an
+iterate far from the target integrate at loose tolerances, and every returned
+iterate, so every distance, comes from a tight integration. Covariant
+derivatives along a curve use the connection coefficients evaluated at the
+reference vector T, the curve's own velocity, which along geodesics makes the
+Cartan and Chern-type derivatives coincide. Jacobi fields are geodesic
+variations: they solve the linearized geodesic equation
+dx'' = -2 (dG/dx dx + dG/du dx') in coordinates, which needs an order-3 jet
+and no curvature, and D_T J = dx' + N dx with N = dG/du.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .cartan import cartan, spray_coefficients, spray_jacobian
-from .errors import SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError
+from .errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError,
+                     StructuralError)
 from .geometry import MetricDef, unit_directions
 from .jets import JetSpace
 
@@ -107,10 +111,17 @@ class GeodesicPath:
     normal: bool
     truncated: bool
 
+    def _dense_state(self, t):
+        """The whole dense state at affine time ``t``, clamped to the path."""
+        if self.sol.sol is None:
+            raise StructuralError("the path was integrated without dense output, "
+                                  "so only its endpoint state sol.y[:, -1] is known")
+        return self.sol.sol(min(max(t, 0.0), self.t_end))
+
     def state_at(self, s):
         """(x, u) at arc-length parameter ``s``, clamped to the path."""
         d = self.metric.dim
-        y = self.sol.sol(min(max(s / self.speed, 0.0), self.t_end))
+        y = self._dense_state(s / self.speed)
         return y[:d], y[d:2 * d]
 
     def endpoint(self):
@@ -250,6 +261,11 @@ class RhoResult:
 # tolerances of the shooting integrations, tighter than a plain path
 SHOOT_RTOL = 1e-12
 SHOOT_ATOL = 1e-14
+# a Gauss-Newton trial from an iterate whose residual exceeds LOOSE_ABOVE
+# integrates at the loose tolerances (inexact Newton)
+LOOSE_ABOVE = 1e-5
+LOOSE_RTOL = 1e-8
+LOOSE_ATOL = 1e-10
 
 
 class PoleDistance:
@@ -260,6 +276,16 @@ class PoleDistance:
     triples, so queries near an earlier one cost only a couple of extra
     integrations. Falls back to a deterministic direction grid when the local
     solve stalls.
+
+    Inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+    1982): a trial step from an iterate whose residual exceeds
+    ``LOOSE_ABOVE`` integrates at ``LOOSE_RTOL``/``LOOSE_ATOL``; the first
+    shot of every start, the finite-difference probes and every other trial
+    integrate at ``SHOOT_RTOL``/``SHOOT_ATOL``. A returned iterate, and so
+    every ``RhoResult``, comes from a tight integration of its ``w``: a loose
+    iterate is integrated again at the tight tolerances before it may
+    converge or end the solve.
+    ``loose_integrations`` counts the loose share of ``total_integrations``.
     """
 
     CACHE_SIZE = 48
@@ -269,13 +295,17 @@ class PoleDistance:
         self.pole = np.asarray(pole, dtype=float)
         self._cache = []
         self.total_integrations = 0
+        self.loose_integrations = 0
         self.total_iterations = 0
 
-    def _endpoint(self, w):
-        """End state (x, u) at t = 1 of the geodesic leaving the pole with velocity w."""
+    def _endpoint(self, w, loose=False):
+        """End state (x, u) at t = 1 of the geodesic leaving the pole with
+        velocity w, integrated at the loose or the tight shooting tolerances."""
         self.total_integrations += 1
-        sol = _integrate_affine(self.m, self.pole, w, 1.0,
-                                rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense=False)
+        self.loose_integrations += loose
+        sol = _integrate_affine(self.m, self.pole, w, 1.0, dense=False,
+                                rtol=LOOSE_RTOL if loose else SHOOT_RTOL,
+                                atol=LOOSE_ATOL if loose else SHOOT_ATOL)
         return sol.y[:, -1]
 
     def _fd_jacobian(self, w, F0):
@@ -334,9 +364,10 @@ class PoleDistance:
     def _gauss_newton(self, w, q, J, tol, max_iter=40):
         """Solve endpoint(w) = q from ``w``; returns ``(w, y, J, residual)``.
 
-        ``y`` is the end state (x, u) of the integration of the returned ``w``,
-        so its arriving tangent needs no second integration. The residual is
-        ``None`` when the first integration fails.
+        ``y`` is the end state (x, u) of the tight integration of the returned
+        ``w``, so its arriving tangent needs no second integration, and the
+        residual is read from it. The residual is ``None`` when the first
+        integration fails.
         """
         d = self.m.dim
         w = np.asarray(w, dtype=float).copy()
@@ -345,6 +376,7 @@ class PoleDistance:
         except SAMPLE_ERRORS:
             return w, None, None, None
         F = y[:d] - q
+        loose = False   # y, F come from a loose integration
         refreshed = J is None
         if J is None:
             if float(np.linalg.norm(F)) < tol:
@@ -353,7 +385,12 @@ class PoleDistance:
         for _ in range(max_iter):
             res = float(np.linalg.norm(F))
             if res < tol:
-                return w, y, J, res
+                if not loose:
+                    return w, y, J, res
+                # below tol a loose residual is within its own integration error
+                y, loose = self._endpoint(w), False
+                F = y[:d] - q
+                continue
             try:
                 step = np.linalg.solve(J, F)
             except np.linalg.LinAlgError:
@@ -362,7 +399,7 @@ class PoleDistance:
             for lam in (1.0, 0.5, 0.25) if step is not None else ():
                 w_new = w - lam * step
                 try:
-                    y_new = self._endpoint(w_new)
+                    y_new = self._endpoint(w_new, res > LOOSE_ABOVE)
                 except SAMPLE_ERRORS:
                     continue
                 F_new = y_new[:d] - q
@@ -370,7 +407,7 @@ class PoleDistance:
                     break
             else:
                 if refreshed:
-                    return w, y, J, res
+                    break
                 J = self._fd_jacobian(w, F + q)
                 refreshed = True
                 continue
@@ -379,8 +416,11 @@ class PoleDistance:
             denom = float(dw @ dw)
             if denom > 0:
                 J = J + np.outer(dF - J @ dw, dw) / denom
-            w, y, F = w_new, y_new, F_new
+            w, y, F, loose = w_new, y_new, F_new, res > LOOSE_ABOVE
             self.total_iterations += 1
+        if loose:
+            y = self._endpoint(w)
+            F = y[:d] - q
         return w, y, J, float(np.linalg.norm(F))
 
     def _starts(self, q, w0):
@@ -419,7 +459,7 @@ class JacobiField:
     def _state(self, s):
         """x, u, J = dx and dx' at s."""
         d = self.path.metric.dim
-        y = self.path.sol.sol(min(max(s, 0.0), self.r))
+        y = self.path._dense_state(s)
         return (y[:d], y[d:2 * d], *(y[2 * d:].reshape(2, d, -1) @ self.c))
 
     def at(self, s):
@@ -478,14 +518,14 @@ class BoundaryJacobiSystem:
         return P.T @ self.g @ self.W @ M_inv_P
 
 
-def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0) -> GeodesicPath:
+def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, dense=True) -> GeodesicPath:
     """The unit-speed geodesic from (x0, u0) and the variations of it with
     initial data the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array,
-    integrated together to arc length r as one dense state (x, u, Y): the
-    variational equations in the trajectory's own state (Hairer, Norsett &
-    Wanner, Solving ODEs I, sec. I.14). Each right-hand side reads S and
-    dS = dG/d(x, u) from one order-3 jet; S moves (x, u) and
-    dx'' = -2 dS (dx, dx') moves Y."""
+    integrated together to arc length r as one state (x, u, Y), with dense
+    output if ``dense``: the variational equations in the trajectory's own
+    state (Hairer, Norsett & Wanner, Solving ODEs I, sec. I.14). Each
+    right-hand side reads S and dS = dG/d(x, u) from one order-3 jet; S moves
+    (x, u) and dx'' = -2 dS (dx, dx') moves Y."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     G0 = m.value(x0, u0)
@@ -500,7 +540,7 @@ def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0) -> GeodesicPath:
         return np.concatenate([u, -2.0 * spray, Y[d:].ravel(), (-2.0 * dS @ Y).ravel()])
 
     sol = solve_ivp(rhs, (0.0, r), np.concatenate([x0, u0, np.ravel(Y0)]),
-                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
+                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=dense)
     if not sol.success:
         raise ShootingError(f"Jacobi integration failed: {sol.message}")
     return _path(m, G0, sol)
@@ -515,13 +555,15 @@ def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
     return JacobiField(path=path, r=r, c=np.ones(1))
 
 
-def jacobi_boundary_field(m: MetricDef, x0, u0, r) -> BoundaryJacobiSystem:
+def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, dense=False) -> BoundaryJacobiSystem:
     """Fundamental system of the Jacobi fields vanishing at x0 along the
     unit-speed geodesic from (x0, u0), integrated with it to arc length r; its
     ``field(u)`` is the Jacobi field with J(0) = 0 and J(r) the part of u
-    across T. At r, W = dx' + N M with N and g_T from one order-3 jet."""
+    across T, whose values along the path need ``dense``. At r, W = dx' + N M
+    with N and g_T from one order-3 jet."""
     d = m.dim
-    path = _integrate_jacobi(m, x0, u0, r, np.concatenate([np.zeros((d, d)), np.eye(d)]))
+    path = _integrate_jacobi(m, x0, u0, r, np.concatenate([np.zeros((d, d)), np.eye(d)]),
+                             dense=dense)
     y_r = path.sol.y[:, -1]
     x_r, u_r = y_r[:d], y_r[d:2 * d]
     Y_r = y_r[2 * d:].reshape(2 * d, d)
@@ -635,7 +677,7 @@ def legendre_gradient(m: MetricDef, df, x):
 AGREEMENT_TOL = 1e-4
 
 
-def distance_hessian(pd: PoleDistance, x) -> BoundaryJacobiSystem:
+def distance_hessian(pd: PoleDistance, x, *, dense=False) -> BoundaryJacobiSystem:
     """Hessian of the distance from ``pd.pole`` at x, in every direction at once.
 
     One shot gives rho and the initial velocity of the radial geodesic; one
@@ -646,12 +688,14 @@ def distance_hessian(pd: PoleDistance, x) -> BoundaryJacobiSystem:
     is the boundary term g_T(D_T J_u, J_u) at x of the index form of the field
     J_u reaching u (Bao-Chern-Shen, GTM 200, ch. 5 and 7): the covariant
     Hessian at reference vector T is H = P^T g_T W M^-1 P = ``boundary_form()``.
+    The Jacobi integration keeps dense output, which ``system.field(u)`` reads
+    along the path, only if ``dense``.
     """
     x = np.asarray(x, dtype=float)
     if float(np.linalg.norm(x - pd.pole)) < 1e-6:
         raise ConfigurationError("distance Hessian undefined at the pole")
     base = pd.rho(x)
-    return jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value)
+    return jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value, dense=dense)
 
 
 @dataclass
@@ -677,7 +721,7 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
     either route never agrees.
     """
     u = np.asarray(u, dtype=float)
-    system = distance_hessian(pd or PoleDistance(m, pole), x)
+    system = distance_hessian(pd or PoleDistance(m, pole), x, dense=True)
     u = u / math.sqrt(float(u @ system.g @ u))
     value_a = float(u @ system.boundary_form() @ u)
     bvp = system.field(u)

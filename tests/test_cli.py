@@ -557,6 +557,40 @@ def test_cmd_check_summary_counts_samples(tmp_path, capsys):
                                 "failure_reasons": {}}
 
 
+def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
+    from finsler.geodesic import PoleDistance
+    rho, endpoint = PoleDistance.rho, PoleDistance._endpoint
+    solves, shots = [], []
+
+    def counted_rho(self, q):
+        solves.append((self, rho(self, q)))
+        return solves[-1][1]
+
+    def counted_endpoint(self, w, loose=False):
+        shots.append((self, loose))
+        return endpoint(self, w, loose)
+
+    monkeypatch.setattr(PoleDistance, "rho", counted_rho)
+    monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
+    p = _disk_distance_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
+    doc = json.loads((out / "distance" / "poincare" / "report.json").read_text())
+    # the rho column's own solver, not the Levi samples' one
+    pd = solves[0][0]
+    mine = [r for owner, r in solves if owner is pd]
+    assert len(mine) == 2
+    cost = {"integrations": sum(r.n_integrations for r in mine),
+            "loose_integrations": sum(loose for owner, loose in shots if owner is pd),
+            "iterations": sum(r.iterations for r in mine)}
+    assert doc["metadata"]["shooting"] == cost
+    assert 0 < cost["loose_integrations"] < cost["integrations"]
+    assert "shooting" not in doc["payload"]
+    assert capsys.readouterr().out.strip().endswith(
+        f"; shooting {cost['integrations']} integrations "
+        f"({cost['loose_integrations']} loose), {cost['iterations']} iterations")
+
+
 def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
     from finsler.errors import DomainError
     from finsler.geodesic import PoleDistance

@@ -1,6 +1,7 @@
 """Geodesic flow, shooting distance, Jacobi fields, index form, distance Hessians."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.linalg import eigh
 from finsler import geodesic
 from finsler.cartan import cartan
 from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError,
-                            DomainError, ShootingError)
+                            DomainError, ShootingError, StructuralError)
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
                               IndexFormResult, PoleDistance,
                               _integrate_affine, distance, distance_hessian,
@@ -234,7 +235,7 @@ def test_conjugate_point_guard():
     # -2 of its start at distance pi/2, where M(r) is singular
     p, u = np.array([0.5, 0.0]), np.array([-1.25, 0.0])
     assert ROUND.value(p, u) == pytest.approx(1.0, abs=1e-15)
-    at = jacobi_boundary_field(ROUND, p, u, math.pi / 2)
+    at = jacobi_boundary_field(ROUND, p, u, math.pi / 2, dense=True)
     assert np.allclose(at.path.endpoint()[0], [-2.0, 0.0], atol=1e-9)
     with pytest.raises(ConjugatePointError) as info:
         at.boundary_form()
@@ -250,9 +251,27 @@ def test_conjugate_point_guard():
         assert ev == pytest.approx(sorted([2.0 / math.tan(2.0 * r), 0.0]), abs=1e-8)
 
 
+@pytest.mark.parametrize("m, q", [(HYPERBOLIC, (0.45, -0.3)), (EUCLID2, (0.3, -0.2, 0.1, 0.4))])
+def test_distance_hessian_skips_dense_output(m, q):
+    pd = PoleDistance(m, np.zeros(m.dim))
+    plain = distance_hessian(pd, np.array(q))
+    dense = distance_hessian(pd, np.array(q), dense=True)
+    # DOP853 takes the same steps either way; dense output costs 3 more
+    # right-hand sides per step
+    assert plain.path.nfev == dense.path.nfev - 3 * plain.path.n_steps
+    for a, b in ((plain.M, dense.M), (plain.W, dense.W), (plain.T, dense.T),
+                 (plain.boundary_form(), dense.boundary_form())):
+        assert np.array_equal(a, b)
+    with pytest.raises(StructuralError, match="without dense output"):
+        plain.path.state_at(0.1)
+    with pytest.raises(StructuralError):
+        plain.field(np.array(q)[::-1]).value(0.1)
+    dense.path.state_at(0.1)
+
+
 def test_jacobi_minimizes_index_form():
     r = 1.2
-    system = jacobi_boundary_field(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), r)
+    system = jacobi_boundary_field(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), r, dense=True)
     path = system.path
     u_end = np.array([0.0, 1.0])
     xr, ur = path.state_at(r)
@@ -421,8 +440,8 @@ def test_hessian_rho_factors_M_once(monkeypatch):
     systems, cond_args, solve_args = [], [], []
     hessian, cond, solve = geodesic.distance_hessian, np.linalg.cond, np.linalg.solve
 
-    def kept(pd, x):
-        systems.append(hessian(pd, x))
+    def kept(pd, x, **kw):
+        systems.append(hessian(pd, x, **kw))
         return systems[-1]
 
     monkeypatch.setattr(geodesic, "distance_hessian", kept)
@@ -457,7 +476,7 @@ def test_shooting_error_on_one_start_tries_the_next(monkeypatch):
     endpoint = PoleDistance._endpoint
     failed = []
 
-    def first_start_fails(self, w):
+    def first_start_fails(self, w, loose=False):
         if not failed:
             failed.append(w.copy())
             raise ShootingError("injected")
@@ -551,7 +570,7 @@ def test_failed_trial_step_is_halved(monkeypatch):
     endpoint = PoleDistance._endpoint
     shots = []
 
-    def first_trial_fails(self, w):
+    def first_trial_fails(self, w, loose=False):
         shots.append(w.copy())
         if len(shots) == 4:   # the shot, two Jacobian probes, then the first trial
             raise DomainError("injected")
@@ -571,6 +590,117 @@ def test_gauss_newton_returns_its_last_iterate_after_max_iter():
     assert res > 1e-6   # two Broyden steps do not converge
     assert np.array_equal(y, pd._endpoint(w))
     assert res == float(np.linalg.norm(y[:2] - q))
+
+
+def _record_shots(monkeypatch):
+    """Record each ``_endpoint`` call as (loose, calling function, the
+    caller's current residual ``res`` or None, w): inside the Gauss-Newton
+    loop ``res`` is the residual of the iterate the shot steps from."""
+    endpoint = PoleDistance._endpoint
+    shots = []
+
+    def recorded(self, w, loose=False):
+        caller = sys._getframe(1)
+        shots.append((loose, caller.f_code.co_name, caller.f_locals.get("res"), w.copy()))
+        return endpoint(self, w, loose)
+
+    monkeypatch.setattr(PoleDistance, "_endpoint", recorded)
+    return shots
+
+
+@pytest.mark.parametrize("m, queries", [
+    (HYPERBOLIC, [(0.45, -0.3), (0.452, -0.303), (-0.1, 0.6)]),
+    (BALL2, [(0.3, -0.2, 0.1, 0.4)])])
+def test_loose_shots_only_step_from_large_residuals(monkeypatch, m, queries):
+    shots = _record_shots(monkeypatch)
+    pd = PoleDistance(m, np.zeros(m.dim))
+    for q in queries:
+        del shots[:]
+        r = pd.rho(np.array(q))
+        assert not shots[0][0]   # the first shot of a start is tight
+        for loose, caller, res, _ in shots:
+            if caller == "_fd_jacobian":
+                assert not loose
+            if loose:
+                assert caller == "_gauss_newton" and res > geodesic.LOOSE_ABOVE
+        # the accepted iterate is the last shot, and a tight one
+        assert not shots[-1][0] and np.array_equal(shots[-1][3], r.w)
+    assert 0 < pd.loose_integrations < pd.total_integrations
+
+
+def test_cold_flat_query_is_one_tight_integration(monkeypatch):
+    shots = _record_shots(monkeypatch)
+    pd = PoleDistance(EUCLID2, np.zeros(4))
+    assert pd.rho(np.array([0.3, -0.2, 0.1, 0.4])).n_integrations == 1
+    assert [loose for loose, *_ in shots] == [False]
+    assert pd.loose_integrations == 0
+
+
+def test_loose_iterate_below_tol_is_integrated_again_tight(monkeypatch):
+    # loose shots as accurate as tight ones, taken at every residual, reach
+    # tol on a loose iterate, which must not return as it is
+    monkeypatch.setattr(geodesic, "LOOSE_ABOVE", 0.0)
+    monkeypatch.setattr(geodesic, "LOOSE_RTOL", SHOOT_RTOL)
+    monkeypatch.setattr(geodesic, "LOOSE_ATOL", SHOOT_ATOL)
+    shots = _record_shots(monkeypatch)
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    q = np.array([0.45, -0.3])
+    r = pd.rho(q)
+    loose, caller, res, w = shots[-1]
+    assert not loose and res < 3e-12 * (1 + np.linalg.norm(q)) and np.array_equal(w, r.w)
+    assert shots[-2][0] and np.array_equal(shots[-2][3], r.w)   # the same w, loose
+    assert r.n_integrations == 1 + 2 + r.iterations + 1
+    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), r.w, 1.0,
+                            rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense=False)
+    assert np.array_equal(r.T, sol.y[2:, -1] / r.value)
+    assert r.residual == float(np.linalg.norm(sol.y[:2, -1] - q))
+
+
+def _batch_work(monkeypatch):
+    """Total ``nfev`` and the distances of 8 disk and 3 ball queries laid out
+    like the ``distance`` benchmark batch: radii in equal strata of
+    [0.2, 0.7], disk points at golden-angle spacing, ball points along fixed
+    complex directions, one warm-starting ``PoleDistance`` per metric."""
+    nfev = [0]
+    solve = geodesic.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfev[0] += sol.nfev
+        return sol
+
+    monkeypatch.setattr(geodesic, "solve_ivp", counted)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    disk = [(0.2 + 0.0625 * (k + 0.5)) * np.array([math.cos(1.0 + k * golden),
+                                                   math.sin(1.0 + k * golden)])
+            for k in range(8)]
+    rng = np.random.default_rng(101)
+    ball = []
+    for k in range(3):
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        z *= (0.2 + (0.5 / 3) * (k + 0.5)) / np.linalg.norm(z)
+        ball.append(np.concatenate([z.real, z.imag]))
+    out = []
+    for m, queries in ((HYPERBOLIC, disk), (BALL2, ball)):
+        pd = PoleDistance(m, np.zeros(m.dim))
+        out += [(q, pd.rho(q)) for q in queries]
+    return nfev[0], out
+
+
+def test_loose_shots_cut_the_work_of_a_distance_batch(monkeypatch):
+    work, results = _batch_work(monkeypatch)
+    with monkeypatch.context() as tight:
+        tight.setattr(geodesic, "LOOSE_ABOVE", math.inf)
+        tight.setattr(geodesic, "LOOSE_RTOL", SHOOT_RTOL)
+        tight.setattr(geodesic, "LOOSE_ATOL", SHOOT_ATOL)
+        tight_work, tight_results = _batch_work(tight)
+    assert work <= 0.85 * tight_work
+    for (q, r), (_, t) in zip(results, tight_results):
+        radius = float(np.linalg.norm(q))
+        assert r.value == pytest.approx(math.atanh(radius), abs=1e-9)
+        # both solves accept an endpoint within 3e-12 (1 + |q|) of q, and
+        # rho = atanh|q| moves by 1 / (1 - |q|^2) per unit of endpoint error
+        assert abs(r.value - t.value) <= 2 * 3e-12 * (1 + radius) / (1 - radius ** 2)
 
 
 def test_path_csv_export(tmp_path):
