@@ -396,10 +396,11 @@ class PoleDistance:
             except np.linalg.LinAlgError:
                 step = None
             # trial steps of length 1, 1/2 and 1/4 until one improves
+            trial_loose = res > LOOSE_ABOVE
             for lam in (1.0, 0.5, 0.25) if step is not None else ():
                 w_new = w - lam * step
                 try:
-                    y_new = self._endpoint(w_new, res > LOOSE_ABOVE)
+                    y_new = self._endpoint(w_new, trial_loose)
                 except SAMPLE_ERRORS:
                     continue
                 F_new = y_new[:d] - q
@@ -416,7 +417,7 @@ class PoleDistance:
             denom = float(dw @ dw)
             if denom > 0:
                 J = J + np.outer(dF - J @ dw, dw) / denom
-            w, y, F, loose = w_new, y_new, F_new, res > LOOSE_ABOVE
+            w, y, F, loose = w_new, y_new, F_new, trial_loose
             self.total_iterations += 1
         if loose:
             y = self._endpoint(w)
