@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .jets import CJet, Jet, JetSpace, lift, wirtinger
-from .geometry import (ComplexTangent, MetricDef, RealTangent, SamplePlan,
-                       apply_J, realify_metric, to_complex, to_real)
+from .geometry import MetricDef, SamplePlan, apply_J, realify_metric
 from .metrics import build_map, build_profile, check_metric, instantiate
 from .cartan import CartanData, cartan, flag_curvature, radial_flag_bounds
 from .chern import (ChernFinslerData, chern_finsler,
@@ -22,8 +21,7 @@ from .report import VerificationReport
 
 __all__ = [
     "CJet", "Jet", "JetSpace", "lift", "wirtinger",
-    "ComplexTangent", "MetricDef", "RealTangent", "SamplePlan", "apply_J",
-    "realify_metric", "to_complex", "to_real",
+    "MetricDef", "SamplePlan", "apply_J", "realify_metric",
     "build_map", "build_profile", "check_metric", "instantiate",
     "CartanData", "cartan", "flag_curvature", "radial_flag_bounds",
     "ChernFinslerData", "chern_finsler", "holomorphic_sectional_curvature",

@@ -173,12 +173,16 @@ def cmd_geodesic(config: RunConfig, outdir: Path) -> int:
 
 
 def cmd_distance(config: RunConfig, outdir: Path) -> int:
-    from .geodesic import PoleDistance
+    from .levi import LeviField
     status = 0
     for mid, m in _instantiate_all(config):
-        mr = realify_metric(m)
         plan = config.plan()
-        pd = PoleDistance(mr, np.zeros(mr.dim))
+        # one solver per metric: the rho column shoots with the Levi field's,
+        # so a Levi sample starts from the velocity the column converged to
+        kg = m.metadata.get("holomorphic_curvature")
+        field = LeviField(m, np.zeros(m.n, complex),
+                          curvature_K=math.sqrt(-kg) if kg is not None and kg < 0 else 0.0)
+        pd = field.pd
         pts = sample_points(m, plan)
 
         def shoot(z, _):
@@ -212,7 +216,7 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
         summary += "".join(f" (point {f['point_index']}: {f['starts']} starts, "
                            f"{f['integrations']} integrations)" for f in shooting)
         if m.kind == "complex_strongly_convex":
-            levi_rows, min_margin, counts = _levi_table(m, pts[:4], plan, rho_errors)
+            levi_rows, min_margin, counts = _levi_table(field, pts[:4], plan, rho_errors)
             payload["levi_samples"] = counts
             payload["levi_min_margin"] = min_margin if counts["ok"] else None
             if not counts["ok"] or min_margin < -1e-3:
@@ -237,19 +241,14 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
     return status
 
 
-def _levi_table(m, pts, plan, rho_errors):
-    """Levi samples of rho^2 at ``pts``: CSV rows, the least margin, and the
-    attempted/ok/failed counts with the failures tallied by error type. At a
-    point whose rho already failed (``rho_errors``: point index to error type
-    name) every direction counts as failed under that type, without another
-    shot; a direction whose sample is not finite fails on its own."""
-    from .levi import LeviField
-    K = 0.0
-    kg = m.metadata.get("holomorphic_curvature")
-    if kg is not None and kg < 0:
-        K = math.sqrt(-kg)
-    field = LeviField(m, np.zeros(m.n, complex), curvature_K=K)
-    dirs = plan_directions(m, 2, plan.seed + 5)
+def _levi_table(field, pts, plan, rho_errors):
+    """Levi samples of rho^2 from ``field`` at ``pts``: CSV rows, the least
+    margin, and the attempted/ok/failed counts with the failures tallied by
+    error type. At a point whose rho already failed (``rho_errors``: point
+    index to error type name) every direction counts as failed under that
+    type, without another shot; a direction whose sample is not finite fails
+    on its own."""
+    dirs = plan_directions(field.m, 2, plan.seed + 5)
     rows = []
     min_margin = math.inf
     reasons = Counter()

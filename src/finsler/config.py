@@ -120,6 +120,9 @@ def parse_config(doc: dict) -> RunConfig:
         if not isinstance(spec, dict):
             raise ConfigurationError(f"map spec must be a mapping, got {spec!r}")
     for name, plan in doc["plans"].items():
+        if name != "default":
+            raise ConfigurationError(
+                f"plan {name!r} is not read: commands read only plan 'default'")
         _validate_plan(name, plan)
     return RunConfig(
         seed=seed,

@@ -23,34 +23,6 @@ from .jets import CJet, Jet, JetProgram, creal, wirtinger
 EPS_SLIT = 1e-8
 
 
-@dataclass(frozen=True)
-class RealTangent:
-    """Point and tangent vector of the underlying real manifold."""
-
-    x: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if self.x.shape != self.u.shape or self.x.ndim != 1:
-            raise StructuralError("point and vector must be 1-d arrays of equal length")
-
-
-@dataclass(frozen=True)
-class ComplexTangent:
-    """Point and (1,0) tangent vector of the complex manifold."""
-
-    z: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=complex))
-        if self.z.shape != self.v.shape or self.z.ndim != 1:
-            raise StructuralError("point and vector must be 1-d arrays of equal length")
-
-
 def apply_J(u):
     """Complex structure on real tangent components."""
     u = np.asarray(u, dtype=float)
@@ -83,16 +55,6 @@ def complex_coordinates(x) -> list:
     if isinstance(x[0], Jet):
         return [CJet(x[a], x[n + a]) for a in range(n)]
     return [complex(x[a], x[n + a]) for a in range(n)]
-
-
-def to_complex(t: RealTangent) -> ComplexTangent:
-    """(1,0)-part (u - iJu)/2 of a real tangent, in the d/dz frame."""
-    return ComplexTangent(real_to_complex_components(t.x), real_to_complex_components(t.u))
-
-
-def to_real(t: ComplexTangent) -> RealTangent:
-    """Realification v + conj(v) of a (1,0) tangent."""
-    return RealTangent(complex_to_real_components(t.z), complex_to_real_components(t.v))
 
 
 # -- validity domains ----------------------------------------------------------

@@ -40,6 +40,10 @@ class KahlerReport:
 
     @property
     def passes(self):
+        """Whether each level holds; no level holds on zero samples, whose
+        residuals prove nothing."""
+        if not self.n_samples:
+            return dict.fromkeys(CLASS_ORDER[:-1], False)
         tol = self.tolerance * self.scale
         strong = self.residual_strong < tol
         kahler = strong or self.residual_kahler < tol
@@ -82,23 +86,15 @@ def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
                                       sample_vectors(m, plan))
     res_strong, res_kahler, res_weak, scale = (
         max((value[k] for _, _, value in rows), default=0.0) for k in range(4))
-    scale = max(scale, 1.0)
-    tol = tolerance * scale
-    if not rows:
-        cls = "none"  # residuals of zero samples prove nothing
-    elif res_strong < tol:
-        cls = "strongly_kahler"
-    elif res_kahler < tol:
-        cls = "kahler"
-    elif res_weak < tol:
-        cls = "weakly_kahler"
-    else:
-        cls = "none"
-    return KahlerReport(
+    rep = KahlerReport(
         metric_id=m.family_id, residual_strong=res_strong,
         residual_kahler=res_kahler, residual_weak=res_weak,
-        scale=scale, tolerance=tolerance, classification=cls, n_samples=len(rows),
+        scale=max(scale, 1.0), tolerance=tolerance, classification="none",
+        n_samples=len(rows),
         errors=[f"{type(exc).__name__}: {exc}" for _, _, exc in failures])
+    # the first level that holds, in CLASS_ORDER
+    rep.classification = next((level for level, ok in rep.passes.items() if ok), "none")
+    return rep
 
 
 def is_at_least(classification: str, level: str) -> bool:

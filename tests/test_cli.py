@@ -167,6 +167,20 @@ def test_bad_plan_is_a_configuration_error(tmp_path, capsys, plan):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("plans", [
+    {"fine": {"n_points": 3}},
+    {"default": {"n_points": 3}, "coarse": {"n_points": 2}},
+])
+def test_plan_other_than_default_is_a_configuration_error(tmp_path, capsys, plans):
+    # only the default plan is read, so another one would be silently ignored
+    p = write_config(tmp_path, {**BASE_CONFIG, "plans": plans})
+    assert main(["check", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: plan ") and "Traceback" not in err
+    with pytest.raises(ConfigurationError, match="commands read only plan 'default'"):
+        parse_config({**BASE_CONFIG, "plans": plans})
+
+
 @pytest.mark.parametrize("command, change", [
     ("check", {"metrics": [1]}),
     ("check", {"metrics": [{"family": ["hermitian"]}]}),
@@ -576,19 +590,44 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
     doc = json.loads((out / "distance" / "poincare" / "report.json").read_text())
-    # the rho column's own solver, not the Levi samples' one
-    pd = solves[0][0]
-    mine = [r for owner, r in solves if owner is pd]
-    assert len(mine) == 2
-    cost = {"integrations": sum(r.n_integrations for r in mine),
-            "loose_integrations": sum(loose for owner, loose in shots if owner is pd),
-            "iterations": sum(r.iterations for r in mine)}
+    # one solver shoots the rho column and the Levi samples' distance Hessians
+    assert len({id(owner) for owner, _ in solves + shots}) == 1
+    assert len(solves) == 4
+    cost = {"integrations": len(shots),
+            "loose_integrations": sum(loose for _, loose in shots),
+            "iterations": sum(r.iterations for _, r in solves)}
+    assert cost["integrations"] == sum(r.n_integrations for _, r in solves) == 16
     assert doc["metadata"]["shooting"] == cost
     assert 0 < cost["loose_integrations"] < cost["integrations"]
     assert "shooting" not in doc["payload"]
     assert capsys.readouterr().out.strip().endswith(
         f"; shooting {cost['integrations']} integrations "
         f"({cost['loose_integrations']} loose), {cost['iterations']} iterations")
+
+
+def test_cmd_distance_levi_samples_reuse_the_rho_column_shots(tmp_path, monkeypatch):
+    from finsler.geodesic import PoleDistance
+    rho = PoleDistance.rho
+    solves = []
+
+    def counted_rho(self, q):
+        solves.append(rho(self, q))
+        return solves[-1]
+
+    monkeypatch.setattr(PoleDistance, "rho", counted_rho)
+    p = _disk_distance_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
+    # two rho-column solves, then one distance Hessian per Levi point, each
+    # starting from the velocity its column solve converged to
+    assert len(solves) == 4
+    assert [(r.n_integrations, r.iterations) for r in solves[2:]] == [(1, 0), (1, 0)]
+    d = out / "distance" / "poincare"
+    column = dict(row.split(",")[:2] for row in
+                  (d / "distance.csv").read_text().splitlines()[1:])
+    levi_rows = [row.split(",") for row in (d / "levi.csv").read_text().splitlines()[1:]]
+    assert sorted({row[0] for row in levi_rows}) == ["0", "1"]
+    assert all(row[2] == column[row[0]] for row in levi_rows)
 
 
 def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):

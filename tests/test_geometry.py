@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsler.errors import DegenerateMetricError, DomainError, SlitBundleError, StructuralError
-from finsler.geometry import (ComplexTangent, RealTangent, SamplePlan, apply_J,
-                              complex_to_real_components,
+from finsler.geometry import (SamplePlan, apply_J, complex_to_real_components,
                               real_to_complex_components, realify_metric,
-                              sample_points, to_complex, to_real, well_conditioned_inverse)
+                              sample_points, well_conditioned_inverse)
 from finsler.metrics import instantiate
 
 POINCARE = {"family": "hermitian", "complex_dim": 1,
@@ -22,30 +21,12 @@ SZABO = {"family": "szabo", "params": {
     "factor2": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}}}
 
 
-def test_to_complex_frame_vectors():
-    n = 2
-    u = np.zeros(2 * n)
-    u[0] = 1.0  # d/dx^1
-    t = to_complex(RealTangent(np.zeros(2 * n), u))
-    assert np.allclose(t.v, [1.0, 0.0])
-    tj = to_complex(RealTangent(np.zeros(2 * n), apply_J(u)))
-    assert np.allclose(tj.v, [1j, 0.0])
-
-
-def test_to_real_frame_vectors():
-    t = ComplexTangent(np.zeros(2), np.array([1.0, 0.0]))
-    assert np.allclose(to_real(t).u, [1, 0, 0, 0])
-    ti = ComplexTangent(np.zeros(2), np.array([1j, 0.0]))
-    assert np.allclose(to_real(ti).u, [0, 0, 1, 0])
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=4, max_size=4))
 def test_round_trip_and_J_squared(vals):
     u = np.asarray(vals)
-    x = np.zeros(4)
-    back = to_real(to_complex(RealTangent(x, u)))
-    assert np.allclose(back.u, u)
+    back = complex_to_real_components(real_to_complex_components(u))
+    assert np.allclose(back, u)
     assert np.allclose(apply_J(apply_J(u)), -u)
 
 

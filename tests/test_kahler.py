@@ -135,6 +135,13 @@ def test_classify_with_no_evaluated_sample_is_none(monkeypatch):
     assert rep.errors and rep.errors[0].startswith("DegenerateMetricError")
 
 
+def test_zero_samples_pass_no_level():
+    # zero residuals over zero samples: nothing was measured, so nothing holds
+    empty = kahler.KahlerReport("empty", 0.0, 0.0, 0.0, 1.0, 1e-7, "none", 0)
+    assert empty.passes == {"strongly_kahler": False, "kahler": False,
+                            "weakly_kahler": False}
+
+
 def test_classify_counts_non_finite_residuals_as_failed(monkeypatch):
     real = kahler.chern_finsler
 
