@@ -224,9 +224,11 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
             summary += f"; levi samples ok {counts['ok']}/{counts['attempted']}"
         cost = {"integrations": pd.total_integrations,
                 "loose_integrations": pd.loose_integrations,
-                "iterations": pd.total_iterations}
+                "iterations": pd.total_iterations,
+                "rhs_evaluations": pd.rhs_evaluations}
         summary += (f"; shooting {cost['integrations']} integrations "
-                    f"({cost['loose_integrations']} loose), {cost['iterations']} iterations")
+                    f"({cost['loose_integrations']} loose), {cost['iterations']} iterations, "
+                    f"{cost['rhs_evaluations']} right-hand sides")
         d = _write_report(outdir, "distance", mid, payload, config,
                           metadata={"shooting": cost})
         _write_csv(d / "distance.csv", ["point_index", "rho", "residual"], rows)

@@ -5,10 +5,12 @@ Geodesics solve xddot^i + 2 G^i(x, xdot) = 0 in an affine parameter; the energy
 G(x, xdot) is a first integral and its drift along the integrated path is the
 reported accuracy proxy. Shooting is inexact Newton: trial shots from an
 iterate far from the target integrate at loose tolerances, and every returned
-iterate, so every distance, comes from a tight integration. Covariant
-derivatives along a curve use the connection coefficients evaluated at the
-reference vector T, the curve's own velocity, which along geodesics makes the
-Cartan and Chern-type derivatives coincide. Jacobi fields are geodesic
+iterate, so every distance, comes from a tight integration. Each shot of a
+solver starts at the step size its previous shot at the same tolerances
+settled on, as a fan's segments do, in place of scipy's initial-step probe.
+Covariant derivatives along a curve use the connection coefficients evaluated
+at the reference vector T, the curve's own velocity, which along geodesics
+makes the Cartan and Chern-type derivatives coincide. Jacobi fields are geodesic
 variations: they solve the linearized geodesic equation
 dx'' = -2 (dG/dx dx + dG/du dx') in coordinates, which needs an order-3 jet
 and no curvature, and D_T J = dx' + N dx with N = dG/du.
@@ -67,7 +69,8 @@ def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True, t
     Rows x0, u0 of shape (k, d) integrate k geodesics as one stacked state,
     (x, u) block j for row j, with one batched spray per right-hand side and
     one exit event per block. The tolerances are then divided by sqrt(k),
-    which bounds the stacked RMS error norm by each member's.
+    which bounds the stacked RMS error norm by each member's. A
+    ``first_step`` is capped at the time to integrate.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -87,10 +90,18 @@ def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True, t
 
     sol = solve_ivp(rhs, (t0, t_end), np.concatenate([x0, u0], axis=-1).ravel(),
                     method="DOP853", rtol=rtol / math.sqrt(k), atol=atol / math.sqrt(k),
-                    dense_output=dense, events=_domain_events(m, x0), first_step=first_step)
+                    dense_output=dense, events=_domain_events(m, x0),
+                    first_step=None if first_step is None else min(first_step, abs(t_end - t0)))
     if not sol.success and sol.status != 1:
         raise ShootingError(f"geodesic integration failed: {sol.message}")
     return sol
+
+
+def _settled_step(sol):
+    """The step size an integration's error controller settled on, to start
+    the next integration of a like geodesic with: the larger of its last two
+    steps, since the last one is cut short to reach the end time."""
+    return float(np.diff(sol.t)[-2:].max())
 
 
 @dataclass
@@ -216,8 +227,7 @@ def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
     t0, first_step, segments = 0.0, None, []
     while members:
         t_end = float(t_ends[members].max())
-        sol = _integrate_affine(m, x, u, t_end, t0=t0, first_step=(
-            None if first_step is None else min(first_step, t_end - t0)))
+        sol = _integrate_affine(m, x, u, t_end, t0=t0, first_step=first_step)
         segments.append((sol, members))
         if sol.status != 1:
             break
@@ -229,7 +239,7 @@ def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
         t_ends[ended] = np.minimum(t_ends[ended], t0)
         x, u = y[stay, :d], y[stay, d:]
         members = [members[j] for j in stay]
-        first_step = float(np.diff(sol.t)[-2:].max())
+        first_step = _settled_step(sol)
     return GeodesicFan(metric=m, speeds=speeds, t_ends=t_ends, segments=segments)
 
 
@@ -285,7 +295,15 @@ class PoleDistance:
     every ``RhoResult``, comes from a tight integration of its ``w``: a loose
     iterate is integrated again at the tight tolerances before it may
     converge or end the solve.
-    ``loose_integrations`` counts the loose share of ``total_integrations``.
+    ``loose_integrations`` counts the loose share of ``total_integrations``,
+    and ``rhs_evaluations`` sums their right-hand sides (scipy's ``nfev``).
+
+    Step continuation (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
+    all shots leave the same pole along nearby geodesics, so each starts at
+    the step size the solver's previous shot at the same tolerances, tight or
+    loose, settled on, in place of scipy's initial-step probe and its
+    ramp-up. Every step, the first included, still passes DOP853's error test
+    at the same tolerances.
     """
 
     CACHE_SIZE = 48
@@ -297,6 +315,8 @@ class PoleDistance:
         self.total_integrations = 0
         self.loose_integrations = 0
         self.total_iterations = 0
+        self.rhs_evaluations = 0
+        self._steps = {False: None, True: None}   # settled step, by looseness
 
     def _endpoint(self, w, loose=False):
         """End state (x, u) at t = 1 of the geodesic leaving the pole with
@@ -305,7 +325,10 @@ class PoleDistance:
         self.loose_integrations += loose
         sol = _integrate_affine(self.m, self.pole, w, 1.0, dense=False,
                                 rtol=LOOSE_RTOL if loose else SHOOT_RTOL,
-                                atol=LOOSE_ATOL if loose else SHOOT_ATOL)
+                                atol=LOOSE_ATOL if loose else SHOOT_ATOL,
+                                first_step=self._steps[loose])
+        self.rhs_evaluations += sol.nfev
+        self._steps[loose] = _settled_step(sol)
         return sol.y[:, -1]
 
     def _fd_jacobian(self, w, F0):
@@ -323,6 +346,9 @@ class PoleDistance:
                    default=None)
 
     def _remember(self, q, w, J):
+        """Cache (q, w, J) as the newest entry, in place of an entry with the
+        same target, and drop the oldest past ``CACHE_SIZE``."""
+        self._cache = [entry for entry in self._cache if not np.array_equal(entry[0], q)]
         self._cache.append((q.copy(), w.copy(), J.copy()))
         if len(self._cache) > self.CACHE_SIZE:
             self._cache.pop(0)

@@ -572,9 +572,10 @@ def test_cmd_check_summary_counts_samples(tmp_path, capsys):
 
 
 def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
+    from finsler import geodesic
     from finsler.geodesic import PoleDistance
-    rho, endpoint = PoleDistance.rho, PoleDistance._endpoint
-    solves, shots = [], []
+    rho, endpoint, integrate = PoleDistance.rho, PoleDistance._endpoint, geodesic._integrate_affine
+    solves, shots, nfev = [], [], []
 
     def counted_rho(self, q):
         solves.append((self, rho(self, q)))
@@ -584,8 +585,14 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
         shots.append((self, loose))
         return endpoint(self, w, loose)
 
+    def counted_integration(*args, **kwargs):
+        sol = integrate(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
     monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
+    monkeypatch.setattr(geodesic, "_integrate_affine", counted_integration)
     p = _disk_distance_config(tmp_path)
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
@@ -595,14 +602,16 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     assert len(solves) == 4
     cost = {"integrations": len(shots),
             "loose_integrations": sum(loose for _, loose in shots),
-            "iterations": sum(r.iterations for _, r in solves)}
-    assert cost["integrations"] == sum(r.n_integrations for _, r in solves) == 16
+            "iterations": sum(r.iterations for _, r in solves),
+            "rhs_evaluations": sum(nfev)}
+    assert cost["integrations"] == sum(r.n_integrations for _, r in solves) == len(nfev) == 16
     assert doc["metadata"]["shooting"] == cost
     assert 0 < cost["loose_integrations"] < cost["integrations"]
     assert "shooting" not in doc["payload"]
     assert capsys.readouterr().out.strip().endswith(
         f"; shooting {cost['integrations']} integrations "
-        f"({cost['loose_integrations']} loose), {cost['iterations']} iterations")
+        f"({cost['loose_integrations']} loose), {cost['iterations']} iterations, "
+        f"{cost['rhs_evaluations']} right-hand sides")
 
 
 def test_cmd_distance_levi_samples_reuse_the_rho_column_shots(tmp_path, monkeypatch):

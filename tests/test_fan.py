@@ -152,6 +152,26 @@ def test_fan_bounds_match_the_single_geodesic_sampling():
         assert lo - 1e-6 <= got.k_inf <= got.k_sup <= hi + 1e-6
 
 
+def test_fan_values_are_pinned():
+    # each segment after an exit starts at the step the previous one settled
+    # on, capped at the time left; these values pin that rule bit for bit
+    pins = {"disk": (-4.0000000000000036, -3.999999999999997, 36),
+            "ball": (-3.8854850197014583, -1.0000745950932932, 96),
+            "minkowski": (0.0, 0.0, 96)}
+    for name, pinned in pins.items():
+        spec, plan = CASES[name]
+        m = realify_metric(instantiate(spec))
+        got = radial_flag_bounds(m, np.zeros(m.dim), plan)
+        assert (got.k_inf, got.k_sup, got.n_samples) == pinned
+    _, _, fan, _ = _integrated("small_szabo_first_exit")
+    assert fan.arc_lengths[0] == 0.4240125163408244
+    x, u = fan.state_at(1, fan.arc_lengths[1])
+    assert np.concatenate([x, u]).tolist() == [
+        -0.37997828481506896, 0.3566852693648884, 0.9249953896436325, 0.9342213723820781,
+        -2.683336872900909e-07, 3.4003108179499246e-05, 6.532147587070938e-07,
+        8.906011298215148e-05]
+
+
 def test_fan_rejects_a_zero_velocity_and_a_nonpositive_length():
     m = realify_metric(instantiate(DISK))
     with pytest.raises(ConfigurationError, match="nonzero"):

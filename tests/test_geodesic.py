@@ -143,12 +143,27 @@ def test_cold_flat_query_integrates_once():
     assert np.allclose(r.T, q / np.linalg.norm(q), atol=1e-12)
 
 
-def test_arriving_tangent_is_the_converged_shot():
+def _record_first_steps(monkeypatch):
+    """Record the ``first_step`` of each ``_integrate_affine`` call, so a test
+    can integrate a shot again exactly as the solver did."""
+    steps = []
+
+    def recorded(*args, first_step=None, **kwargs):
+        steps.append(first_step)
+        return _integrate_affine(*args, first_step=first_step, **kwargs)
+
+    monkeypatch.setattr(geodesic, "_integrate_affine", recorded)
+    return steps
+
+
+def test_arriving_tangent_is_the_converged_shot(monkeypatch):
+    steps = _record_first_steps(monkeypatch)
     pd = PoleDistance(HYPERBOLIC, np.zeros(2))
     r = pd.rho(np.array([0.45, -0.3]))
     assert r.n_integrations > 1   # Gauss-Newton iterated before converging
-    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), r.w, 1.0,
-                            rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense=False)
+    # the accepted shot is the last integration
+    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), r.w, 1.0, rtol=SHOOT_RTOL,
+                            atol=SHOOT_ATOL, dense=False, first_step=steps[-1])
     u_end = sol.y[2:, -1]
     assert np.array_equal(r.T, u_end / r.value)
 
@@ -537,6 +552,19 @@ def _warm_query(monkeypatch, bend):
     return calls
 
 
+def test_repeat_queries_replace_their_cache_entries():
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    targets = [np.array([0.45, -0.3]), np.array([-0.1, 0.6])]
+    for q in targets:
+        pd.rho(q)
+    assert len(pd._cache) == 2
+    for q in targets:
+        r = pd.rho(q)
+        assert (r.n_integrations, r.iterations) == (1, 0)
+    assert len(pd._cache) == 2
+    assert [entry[0].tolist() for entry in pd._cache] == [q.tolist() for q in targets]
+
+
 def test_singular_cached_jacobian_is_refreshed(monkeypatch):
     assert len(_warm_query(monkeypatch, np.zeros_like)) == 1
 
@@ -583,12 +611,16 @@ def test_failed_trial_step_is_halved(monkeypatch):
     assert r.value == pytest.approx(hyperbolic_distance(complex(*q)), abs=1e-9)
 
 
-def test_gauss_newton_returns_its_last_iterate_after_max_iter():
+def test_gauss_newton_returns_its_last_iterate_after_max_iter(monkeypatch):
+    steps = _record_first_steps(monkeypatch)
     pd = PoleDistance(HYPERBOLIC, np.zeros(2))
     q = np.array([0.45, -0.3])
     w, y, _, res = pd._gauss_newton(q, q, None, 1e-12, max_iter=2)
     assert res > 1e-6   # two Broyden steps do not converge
-    assert np.array_equal(y, pd._endpoint(w))
+    # y is the end state of the last integration, a tight one of w
+    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), w, 1.0, rtol=SHOOT_RTOL,
+                            atol=SHOOT_ATOL, dense=False, first_step=steps[-1])
+    assert np.array_equal(y, sol.y[:, -1])
     assert res == float(np.linalg.norm(y[:2] - q))
 
 
@@ -643,6 +675,7 @@ def test_loose_iterate_below_tol_is_integrated_again_tight(monkeypatch):
     monkeypatch.setattr(geodesic, "LOOSE_RTOL", SHOOT_RTOL)
     monkeypatch.setattr(geodesic, "LOOSE_ATOL", SHOOT_ATOL)
     shots = _record_shots(monkeypatch)
+    steps = _record_first_steps(monkeypatch)
     pd = PoleDistance(HYPERBOLIC, np.zeros(2))
     q = np.array([0.45, -0.3])
     r = pd.rho(q)
@@ -650,8 +683,8 @@ def test_loose_iterate_below_tol_is_integrated_again_tight(monkeypatch):
     assert not loose and res < 3e-12 * (1 + np.linalg.norm(q)) and np.array_equal(w, r.w)
     assert shots[-2][0] and np.array_equal(shots[-2][3], r.w)   # the same w, loose
     assert r.n_integrations == 1 + 2 + r.iterations + 1
-    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), r.w, 1.0,
-                            rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense=False)
+    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), r.w, 1.0, rtol=SHOOT_RTOL,
+                            atol=SHOOT_ATOL, dense=False, first_step=steps[-1])
     assert np.array_equal(r.T, sol.y[2:, -1] / r.value)
     assert r.residual == float(np.linalg.norm(sol.y[:2, -1] - q))
 
@@ -687,6 +720,15 @@ def _batch_work(monkeypatch):
     return nfev[0], out
 
 
+def _assert_batches_agree(results, other_results):
+    for (q, r), (_, t) in zip(results, other_results):
+        radius = float(np.linalg.norm(q))
+        assert r.value == pytest.approx(math.atanh(radius), abs=1e-9)
+        # both solves accept an endpoint within 3e-12 (1 + |q|) of q, and
+        # rho = atanh|q| moves by 1 / (1 - |q|^2) per unit of endpoint error
+        assert abs(r.value - t.value) <= 2 * 3e-12 * (1 + radius) / (1 - radius ** 2)
+
+
 def test_loose_shots_cut_the_work_of_a_distance_batch(monkeypatch):
     work, results = _batch_work(monkeypatch)
     with monkeypatch.context() as tight:
@@ -695,12 +737,56 @@ def test_loose_shots_cut_the_work_of_a_distance_batch(monkeypatch):
         tight.setattr(geodesic, "LOOSE_ATOL", SHOOT_ATOL)
         tight_work, tight_results = _batch_work(tight)
     assert work <= 0.85 * tight_work
-    for (q, r), (_, t) in zip(results, tight_results):
-        radius = float(np.linalg.norm(q))
-        assert r.value == pytest.approx(math.atanh(radius), abs=1e-9)
-        # both solves accept an endpoint within 3e-12 (1 + |q|) of q, and
-        # rho = atanh|q| moves by 1 / (1 - |q|^2) per unit of endpoint error
-        assert abs(r.value - t.value) <= 2 * 3e-12 * (1 + radius) / (1 - radius ** 2)
+    _assert_batches_agree(results, tight_results)
+
+
+def test_step_continuation_cuts_the_work_of_a_distance_batch(monkeypatch):
+    work, results = _batch_work(monkeypatch)
+    with monkeypatch.context() as again:
+        assert _batch_work(again)[0] == work
+    with monkeypatch.context() as cold:
+        # every shot starts from scipy's initial-step probe
+        cold.setattr(geodesic, "_settled_step", lambda sol: None)
+        cold_work, cold_results = _batch_work(cold)
+    assert work <= 0.85 * cold_work
+    _assert_batches_agree(results, cold_results)
+
+
+def test_a_warm_flat_query_starts_at_the_settled_step():
+    # the cold shot ramps up from scipy's initial-step probe; the next one
+    # starts at the step the first settled on, which is exact on a line
+    pd = PoleDistance(EUCLID2, np.zeros(4))
+    costs = []
+    for q in ([0.3, -0.2, 0.1, 0.4], [-0.5, 0.1, 0.2, 0.3]):
+        before = pd.rhs_evaluations
+        assert pd.rho(np.array(q)).n_integrations == 1
+        costs.append(pd.rhs_evaluations - before)
+    assert 2 * costs[1] < costs[0]
+
+
+def test_step_continuation_survives_queries_near_the_edge(monkeypatch):
+    # a step settled on near the pole starts a shot that ends near the edge,
+    # and the other way round; no shot may leave the domain for it
+    endpoint = PoleDistance._endpoint
+    raised = []
+
+    def recorded(self, w, loose=False):
+        try:
+            return endpoint(self, w, loose)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(PoleDistance, "_endpoint", recorded)
+    z = np.array([0.6 + 0.3j, -0.2 + 0.7j]) / math.sqrt(0.98)
+    for m, direction, radii in ((HYPERBOLIC, np.array([math.cos(1.0), math.sin(1.0)]),
+                                 (0.2, 0.97, 0.2)),
+                                (BALL2, np.concatenate([z.real, z.imag]), (0.2, 0.95))):
+        pd = PoleDistance(m, np.zeros(m.dim))
+        for radius in radii:
+            r = pd.rho(radius * direction)
+            assert r.value == pytest.approx(math.atanh(radius), abs=1e-9)
+    assert raised == []
 
 
 def test_path_csv_export(tmp_path):
