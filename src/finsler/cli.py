@@ -222,11 +222,12 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
             if not counts["ok"] or min_margin < -1e-3:
                 status = 1
             summary += f"; levi samples ok {counts['ok']}/{counts['attempted']}"
-        cost = {"integrations": pd.total_integrations,
+        cost = {"starts": pd.total_starts,
+                "integrations": pd.total_integrations,
                 "loose_integrations": pd.loose_integrations,
                 "iterations": pd.total_iterations,
                 "rhs_evaluations": pd.rhs_evaluations}
-        summary += (f"; shooting {cost['integrations']} integrations "
+        summary += (f"; shooting {cost['starts']} starts, {cost['integrations']} integrations "
                     f"({cost['loose_integrations']} loose), {cost['iterations']} iterations, "
                     f"{cost['rhs_evaluations']} right-hand sides")
         d = _write_report(outdir, "distance", mid, payload, config,

@@ -3,11 +3,17 @@ distance Hessians.
 
 Geodesics solve xddot^i + 2 G^i(x, xdot) = 0 in an affine parameter; the energy
 G(x, xdot) is a first integral and its drift along the integrated path is the
-reported accuracy proxy. Shooting is inexact Newton: trial shots from an
-iterate far from the target integrate at loose tolerances, and every returned
-iterate, so every distance, comes from a tight integration. Each shot of a
-solver starts at the step size its previous shot at the same tolerances
-settled on, as a fan's segments do, in place of scipy's initial-step probe.
+reported accuracy proxy. A shooting query first shoots from the chord
+start: the velocity along the straight chord from the pole to the target
+whose length is the chord's Finsler length, which lands at once where the
+chord is a geodesic. A warm query also tries the nearest cached velocity,
+moved by the change of target, and shoots first whichever the cached
+Jacobian predicts lands closer. Shooting is inexact Newton: trial
+shots from an iterate far from the target integrate at loose tolerances,
+and every returned iterate, so every distance, comes from a tight
+integration. Each shot of a solver starts at the step size its previous
+shot at the same tolerances settled on, as a fan's segments do, in place of
+scipy's initial-step probe.
 Covariant derivatives along a curve use the connection coefficients evaluated
 at the reference vector T, the curve's own velocity, which along geodesics
 makes the Cartan and Chern-type derivatives coincide. Jacobi fields are geodesic
@@ -22,6 +28,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -276,16 +283,33 @@ SHOOT_ATOL = 1e-14
 LOOSE_ABOVE = 1e-5
 LOOSE_RTOL = 1e-8
 LOOSE_ATOL = 1e-10
+# the parameters t of the chord p + t (q - p) at which its length is read: 0
+# for the pole, then the nodes of the 32-point Gauss-Legendre rule on [0, 1],
+# whose weights are _CHORD_WEIGHTS
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_CHORD_T = np.concatenate([[0.0], 0.5 * (_GAUSS_NODES + 1.0)])
+_CHORD_WEIGHTS = 0.5 * _GAUSS_WEIGHTS
 
 
 class PoleDistance:
     """Shooting-based distance field from a fixed pole, with warm starts.
 
     Gauss-Newton on the endpoint mismatch with Broyden rank-one updates and a
-    cache of the last ``CACHE_SIZE`` converged (target, velocity, jacobian)
+    cache of the last ``CACHE_SIZE`` converged (target, velocity, Jacobian)
     triples, so queries near an earlier one cost only a couple of extra
-    integrations. Falls back to a deterministic direction grid when the local
-    solve stalls.
+    integrations, and a repeated one a single integration.
+
+    Starts, in order (``_starts``; ``total_starts`` counts those tried):
+    the chord start (q - p) L / F(p, q - p), L the Finsler length of the
+    straight chord from the pole p to q by a 32-point Gauss-Legendre rule;
+    L >= rho, with equality where the chord is a geodesic (radii of the disk
+    and the ball from the origin, every chord of a Minkowski norm), where
+    the first shot lands. A warm query adds the nearest entry's velocity
+    moved by q - near_q, and shoots the first of the two with the entry's
+    Jacobian; where the entry has one, the two go in the order of the
+    residuals it predicts. Then q - p, then a deterministic direction grid
+    when the local solve stalls. A first shot that lands caches no
+    Jacobian: the identity it once cached is exact only for flat metrics.
 
     Inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
     1982): a trial step from an iterate whose residual exceeds
@@ -312,6 +336,8 @@ class PoleDistance:
         self.m = m
         self.pole = np.asarray(pole, dtype=float)
         self._cache = []
+        self._targets = np.empty((0, m.dim))   # the targets of ``_cache``, in its order
+        self.total_starts = 0
         self.total_integrations = 0
         self.loose_integrations = 0
         self.total_iterations = 0
@@ -342,16 +368,23 @@ class PoleDistance:
         return J
 
     def _nearest(self, q):
-        return min(self._cache, key=lambda entry: float(np.linalg.norm(entry[0] - q)),
-                   default=None)
+        if not self._cache:
+            return None
+        return self._cache[int(np.argmin(np.linalg.norm(self._targets - q, axis=1)))]
 
     def _remember(self, q, w, J):
         """Cache (q, w, J) as the newest entry, in place of an entry with the
-        same target, and drop the oldest past ``CACHE_SIZE``."""
-        self._cache = [entry for entry in self._cache if not np.array_equal(entry[0], q)]
-        self._cache.append((q.copy(), w.copy(), J.copy()))
+        same target, and drop the oldest past ``CACHE_SIZE``; J is None where
+        no Jacobian was computed."""
+        keep = ~(self._targets == q).all(axis=1)
+        if not keep.all():
+            self._cache = [entry for entry, k in zip(self._cache, keep) if k]
+            self._targets = self._targets[keep]
+        self._cache.append((q.copy(), w.copy(), None if J is None else J.copy()))
+        self._targets = np.concatenate([self._targets, q[None]])
         if len(self._cache) > self.CACHE_SIZE:
             self._cache.pop(0)
+            self._targets = self._targets[1:]
 
     def rho(self, q) -> RhoResult:
         q = np.asarray(q, dtype=float)
@@ -364,12 +397,12 @@ class PoleDistance:
         start, start_iterations = self.total_integrations, self.total_iterations
 
         near = self._nearest(q)
-        w0, J = (q - self.pole, None) if near is None else (near[1] + (q - near[0]), near[2])
-
+        J = None if near is None else near[2]
         best_res = math.inf
         starts = 0
-        for winit in self._starts(q, w0):
+        for winit in self._starts(q, near):
             starts += 1
+            self.total_starts += 1
             w, y, J_fin, resid = self._gauss_newton(winit, q, J, tol)
             J = None
             if resid is not None:
@@ -406,7 +439,7 @@ class PoleDistance:
         refreshed = J is None
         if J is None:
             if float(np.linalg.norm(F)) < tol:
-                return w, y, np.eye(d), float(np.linalg.norm(F))
+                return w, y, None, float(np.linalg.norm(F))
             J = self._fd_jacobian(w, F + q)
         for _ in range(max_iter):
             res = float(np.linalg.norm(F))
@@ -450,14 +483,49 @@ class PoleDistance:
             F = y[:d] - q
         return w, y, J, float(np.linalg.norm(F))
 
-    def _starts(self, q, w0):
-        yield w0
+    def _chord_start(self, q):
+        """The chord start (q - p) L / F(p, q - p), whose length F(p, .) is
+        L, the Finsler length of the chord from the pole p to q by
+        Gauss-Legendre quadrature. L >= rho, with equality where the chord is
+        a geodesic; there the geodesic leaving p with the chord start reaches
+        q at t = 1. The pole and the nodes are the rows of one ``real_rows`` call.
+        Where the chord cannot be evaluated, q - p."""
+        v = q - self.pole
+        X = self.pole + np.outer(_CHORD_T, v)
+        try:
+            F = np.sqrt(self.m.real_rows(X, np.broadcast_to(v, X.shape), 0)[:, 0])
+        except SAMPLE_ERRORS:
+            return v
+        scale = float(_CHORD_WEIGHTS @ F[1:]) / F[0]
+        return v * scale if math.isfinite(scale) and scale > 0 else v
+
+    def _starts(self, q, near):
+        """The initial velocities to shoot from, in order, each more than
+        1e-12 from every earlier one: the chord start; with a nearest cached
+        entry ``near`` = (near_q, near_w, J), near_w moved by q - near_q; then
+        q - p and a direction grid. Where the entry has a Jacobian J, the
+        first two go in the order of the residuals |near_q + J (w - near_w) - q|
+        of its linear model, so a repeated target shoots its cached velocity
+        first.
+        """
+        first = [self._chord_start(q)]
+        if near is not None:
+            near_q, near_w, J = near
+            first.append(near_w + (q - near_q))
+            if J is not None:
+                first.sort(key=lambda w: float(np.linalg.norm(near_q + J @ (w - near_w) - q)))
         base = q - self.pole
-        if float(np.linalg.norm(w0 - base)) > 1e-12:
-            yield base
-        r = float(np.linalg.norm(base))
-        for dvec in unit_directions(2 * self.m.dim + 1, self.m.dim, seed=5):
-            yield r * dvec
+
+        def grid():
+            r = float(np.linalg.norm(base))
+            for dvec in unit_directions(2 * self.m.dim + 1, self.m.dim, seed=5):
+                yield r * dvec
+
+        tried = []
+        for w in chain(first, [base], grid()):
+            if all(float(np.linalg.norm(w - t)) > 1e-12 for t in tried):
+                tried.append(w)
+                yield w
 
 
 def distance(m: MetricDef, p, q) -> float:

@@ -744,6 +744,20 @@ def hyperbolic_distance(zeta):
     return math.atanh(abs(zeta))
 
 
+def ball_distance(p, q):
+    """Distance between the points of real components p, q (x block, then y
+    block) of the curvature -4 unit ball, G = ((1 - |z|^2)|v|^2 + |<z, v>|^2)
+    / (1 - |z|^2)^2, which is the disk metric for n = 1: atanh |phi_p(q)| for
+    the ball automorphism phi_p exchanging p and 0, by
+    1 - |phi_p(q)|^2 = (1 - |p|^2)(1 - |q|^2) / |1 - <q, p>|^2 (Rudin,
+    Function Theory in the Unit Ball of C^n, thm 2.2.2)."""
+    n = len(p) // 2
+    zp = np.asarray(p[:n]) + 1j * np.asarray(p[n:])
+    zq = np.asarray(q[:n]) + 1j * np.asarray(q[n:])
+    rest = (1 - np.vdot(zp, zp).real) * (1 - np.vdot(zq, zq).real) / abs(1 - np.vdot(zp, zq)) ** 2
+    return math.atanh(math.sqrt(1 - rest))
+
+
 def hyperbolic_hessian_tangential(rho):
     """H(rho)(u,u) for sphere-tangent unit u on the curvature -4 surface."""
     return 2.0 / math.tanh(2.0 * rho)

@@ -114,6 +114,16 @@ def _disk_distance_config(tmp_path):
     return write_config(tmp_path, cfg)
 
 
+def _szabo_distance_config(tmp_path):
+    # the chords of the Szabo polydisk are no geodesics, so its queries iterate
+    disk = {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}
+    cfg = dict(BASE_CONFIG)
+    cfg["metrics"] = [{"family": "szabo", "id": "szabo",
+                       "params": {"k": 2, "eps": 0.5, "factor1": disk, "factor2": disk}}]
+    cfg["plans"] = {"default": {"n_points": 2, "n_dirs": 2, "radial_range": [0.2, 0.5]}}
+    return write_config(tmp_path, cfg)
+
+
 def test_cmd_distance_reports_levi_margin(tmp_path, capsys):
     p = _disk_distance_config(tmp_path)
     out = tmp_path / "out"
@@ -575,11 +585,16 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     from finsler import geodesic
     from finsler.geodesic import PoleDistance
     rho, endpoint, integrate = PoleDistance.rho, PoleDistance._endpoint, geodesic._integrate_affine
-    solves, shots, nfev = [], [], []
+    gauss_newton = PoleDistance._gauss_newton
+    solves, shots, nfev, starts = [], [], [], []
 
     def counted_rho(self, q):
         solves.append((self, rho(self, q)))
         return solves[-1][1]
+
+    def counted_start(self, *args):
+        starts.append(self)
+        return gauss_newton(self, *args)
 
     def counted_endpoint(self, w, loose=False):
         shots.append((self, loose))
@@ -593,23 +608,27 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
     monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
     monkeypatch.setattr(geodesic, "_integrate_affine", counted_integration)
-    p = _disk_distance_config(tmp_path)
+    monkeypatch.setattr(PoleDistance, "_gauss_newton", counted_start)
+    p = _szabo_distance_config(tmp_path)
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
-    doc = json.loads((out / "distance" / "poincare" / "report.json").read_text())
+    doc = json.loads((out / "distance" / "szabo" / "report.json").read_text())
     # one solver shoots the rho column and the Levi samples' distance Hessians
-    assert len({id(owner) for owner, _ in solves + shots}) == 1
+    assert len({id(owner) for owner, _ in solves + shots} | {id(o) for o in starts}) == 1
     assert len(solves) == 4
-    cost = {"integrations": len(shots),
+    # one start per solve: the two column points, then their repeats
+    cost = {"starts": len(starts),
+            "integrations": len(shots),
             "loose_integrations": sum(loose for _, loose in shots),
             "iterations": sum(r.iterations for _, r in solves),
             "rhs_evaluations": sum(nfev)}
-    assert cost["integrations"] == sum(r.n_integrations for _, r in solves) == len(nfev) == 16
+    assert cost["starts"] == 4
+    assert cost["integrations"] == sum(r.n_integrations for _, r in solves) == len(nfev) == 17
     assert doc["metadata"]["shooting"] == cost
     assert 0 < cost["loose_integrations"] < cost["integrations"]
     assert "shooting" not in doc["payload"]
     assert capsys.readouterr().out.strip().endswith(
-        f"; shooting {cost['integrations']} integrations "
+        f"; shooting {cost['starts']} starts, {cost['integrations']} integrations "
         f"({cost['loose_integrations']} loose), {cost['iterations']} iterations, "
         f"{cost['rhs_evaluations']} right-hand sides")
 
@@ -624,14 +643,15 @@ def test_cmd_distance_levi_samples_reuse_the_rho_column_shots(tmp_path, monkeypa
         return solves[-1]
 
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
-    p = _disk_distance_config(tmp_path)
+    p = _szabo_distance_config(tmp_path)
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
     # two rho-column solves, then one distance Hessian per Levi point, each
     # starting from the velocity its column solve converged to
     assert len(solves) == 4
+    assert all(r.n_integrations > 1 for r in solves[:2])
     assert [(r.n_integrations, r.iterations) for r in solves[2:]] == [(1, 0), (1, 0)]
-    d = out / "distance" / "poincare"
+    d = out / "distance" / "szabo"
     column = dict(row.split(",")[:2] for row in
                   (d / "distance.csv").read_text().splitlines()[1:])
     levi_rows = [row.split(",") for row in (d / "levi.csv").read_text().splitlines()[1:]]
@@ -654,13 +674,14 @@ def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
     payload = json.loads((out / "distance" / "poincare" / "report.json").read_text())["payload"]
     assert payload["rho_samples"] == {"attempted": 2, "ok": 0, "failed": 2,
                                       "failure_reasons": {"ShootingError": 2}}
-    # each cold disk query tries the straight start and 5 grid directions
+    # each cold disk query tries the chord start, the straight start and 5
+    # grid directions
     assert [(f["point_index"], f["starts"], f["integrations"])
-            for f in payload["shooting_failures"]] == [(0, 6, 6), (1, 6, 6)]
+            for f in payload["shooting_failures"]] == [(0, 7, 7), (1, 7, 7)]
     assert [f["iterations"] for f in payload["shooting_failures"]] == [0, 0]
     assert payload["max_closed_form_error"] is None
     line = capsys.readouterr().out.strip()
-    assert "error n/a; rho samples ok 0/2 (point 0: 6 starts, 6 integrations)" in line
+    assert "error n/a; rho samples ok 0/2 (point 0: 7 starts, 7 integrations)" in line
 
 
 def test_cmd_distance_levi_skips_points_whose_rho_failed(tmp_path, monkeypatch):
@@ -677,11 +698,30 @@ def test_cmd_distance_levi_skips_points_whose_rho_failed(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
     payload = json.loads((out / "distance" / "poincare" / "report.json").read_text())["payload"]
-    # the two failed rho solves shoot 6 starts each; their Levi samples shoot none
-    assert len(calls) == 12
+    # the two failed rho solves shoot 7 starts each; their Levi samples shoot none
+    assert len(calls) == 14
     assert payload["levi_samples"] == {"attempted": 4, "ok": 0, "failed": 4,
                                        "failure_reasons": {"ShootingError": 4}}
     assert payload["levi_min_margin"] is None
+
+
+def test_cmd_distance_shoots_each_radius_once(tmp_path, capsys):
+    # every radius of the disk, the ball and a Minkowski norm is a geodesic,
+    # so each of the 10 column points and 4 Levi points costs one integration
+    metrics = [{"family": "hermitian", "complex_dim": 1, "id": "disk",
+                "params": {"catalog": "poincare_disk"}},
+               {"family": "hermitian", "complex_dim": 2, "id": "ball",
+                "params": {"catalog": "poincare_ball"}},
+               {**BASE_CONFIG["metrics"][1]}]
+    p = write_config(tmp_path, {
+        "seed": 7, "metrics": metrics,
+        "plans": {"default": {"n_points": 10, "n_dirs": 3, "radial_range": [0.1, 0.7]}}})
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
+    for mid in ("disk", "ball", "minkowski"):
+        doc = json.loads((out / "distance" / mid / "report.json").read_text())
+        assert doc["payload"]["rho_samples"]["ok"] == 10
+        assert doc["metadata"]["shooting"]["integrations"] <= 14
 
 
 @pytest.mark.parametrize("catalog, n", [("poincare_disk", 1), ("poincare_ball", 2)])

@@ -22,8 +22,9 @@ from finsler.geometry import MetricDef, realify_metric
 from finsler.jets import spow
 from finsler.metrics import instantiate
 
-from oracles import (covariant_boundary_form, covariant_d2_rho, fd_covariant_derivatives,
-                     hyperbolic_distance, hyperbolic_hessian_tangential)
+from oracles import (ball_distance, covariant_boundary_form, covariant_d2_rho,
+                     fd_covariant_derivatives, hyperbolic_distance,
+                     hyperbolic_hessian_tangential)
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "euclidean"}}))
@@ -35,6 +36,17 @@ MINKOWSKI = realify_metric(instantiate(
     {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}}))
 BALL2 = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}}))
+SZABO = realify_metric(instantiate({"family": "szabo", "params": {
+    "k": 2, "eps": 0.5, "factor1": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}},
+    "factor2": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}}}))
+NONKAHLER = realify_metric(instantiate(
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "nonkahler"}}))
+
+# Every chord from the origin of the disk or the ball is a geodesic, so a
+# query from there lands at its first shot. From this pole a chord is one only
+# along the diameter through the pole, so a query to OFF_Q iterates.
+OFF_POLE = np.array([0.3, 0.0])
+OFF_Q = np.array([0.45, -0.3])
 
 
 def _round_chart(x, u):
@@ -118,17 +130,20 @@ def test_distance_closed_forms():
 
 
 def test_pole_distance_tangent_and_warm_start():
-    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
     q = np.array([0.5, 0.2])
-    r1 = pd.rho(q)
-    n1 = pd.total_integrations
+    r1 = PoleDistance(HYPERBOLIC, np.zeros(2)).rho(q)
     # arriving tangent is radial and unit
     assert HYPERBOLIC.value(q, r1.T) == pytest.approx(1.0, abs=1e-9)
     assert abs(r1.T[0] * q[1] - r1.T[1] * q[0]) < 1e-9
-    r2 = pd.rho(q + np.array([1e-3, -2e-3]))
+    # off the pole's diameter the cold query iterates
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    pd.rho(q)
+    n1 = pd.total_integrations
+    assert n1 > 1
+    q2 = q + np.array([1e-3, -2e-3])
+    r2 = pd.rho(q2)
     assert pd.total_integrations - n1 <= n1  # warm start reuses work
-    assert r2.value == pytest.approx(
-        hyperbolic_distance(complex(q[0] + 1e-3, q[1] - 2e-3)), abs=1e-9)
+    assert r2.value == pytest.approx(ball_distance(OFF_POLE, q2), abs=1e-9)
 
 
 def test_cold_flat_query_integrates_once():
@@ -141,6 +156,72 @@ def test_cold_flat_query_integrates_once():
     assert pd.total_integrations == 1
     assert r.value == pytest.approx(np.linalg.norm(q), abs=1e-12)
     assert np.allclose(r.T, q / np.linalg.norm(q), atol=1e-12)
+
+
+def _chord_length(pd, q):
+    """L = F(p, w_c) for the chord start w_c = (q - p) L / F(p, q - p)."""
+    return math.sqrt(pd.m.value(pd.pole, pd._chord_start(q)))
+
+
+@pytest.mark.parametrize("m", [SZABO, NONKAHLER], ids=["szabo", "nonkahler"])
+def test_chord_length_bounds_rho(m):
+    rng = np.random.default_rng(12)
+    for pole in (np.zeros(4), np.array([0.1, -0.2, 0.05, 0.3])):
+        pd = PoleDistance(m, pole)
+        for radius in (0.2, 0.5, 0.8):
+            v = rng.standard_normal(4)
+            q = radius * v / np.linalg.norm(v)
+            r = pd.rho(q)
+            assert r.n_integrations > 1   # the chord is no geodesic
+            assert _chord_length(pd, q) >= r.value - 1e-12
+
+
+@pytest.mark.parametrize("m", [HYPERBOLIC, BALL2], ids=["disk", "ball"])
+def test_chord_length_of_a_radius_is_rho(m):
+    rng = np.random.default_rng(13)
+    pd = PoleDistance(m, np.zeros(m.dim))
+    for radius in (0.3, 0.7, 0.9):
+        v = rng.standard_normal(m.dim)
+        q = radius * v / np.linalg.norm(v)
+        assert _chord_length(pd, q) == pytest.approx(math.atanh(radius), abs=1e-12)
+        r = pd.rho(q)
+        assert (r.n_integrations, r.iterations) == (1, 0)
+        assert r.value == pytest.approx(math.atanh(radius), abs=1e-12)
+
+
+def test_chord_length_of_a_minkowski_chord_is_rho():
+    rng = np.random.default_rng(14)
+    for pole in (np.zeros(4), np.array([0.4, -1.0, 0.3, 2.0])):
+        pd = PoleDistance(MINKOWSKI, pole)
+        for _ in range(3):
+            q = pole + rng.standard_normal(4)
+            exact = math.sqrt(MINKOWSKI.value(pole, q - pole))
+            assert _chord_length(pd, q) == pytest.approx(exact, abs=1e-12)
+            assert pd.rho(q).value == pytest.approx(exact, abs=1e-12)
+
+
+def test_chord_start_falls_back_to_q_minus_p_where_the_chord_fails():
+    # a target outside the disk: the chord raises DomainError, and q - p starts
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    q = np.array([0.6, 0.9])
+    assert np.array_equal(pd._chord_start(q), q)
+
+
+def test_one_shot_landing_caches_no_jacobian():
+    # the diameter through the pole is a geodesic, so its chord start lands
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    on_diameter = np.array([0.7, 0.0])
+    r = pd.rho(on_diameter)
+    assert (r.n_integrations, r.iterations) == (1, 0)
+    assert r.value == pytest.approx(ball_distance(OFF_POLE, on_diameter), abs=1e-12)
+    assert pd._cache[-1][2] is None
+    # a neighbour off the diameter costs what it costs cold, not more
+    neighbour = np.array([0.68, 0.12])
+    cold = PoleDistance(HYPERBOLIC, OFF_POLE).rho(neighbour)
+    assert cold.n_integrations > 1
+    warm = pd.rho(neighbour)
+    assert warm.n_integrations <= cold.n_integrations
+    assert warm.value == pytest.approx(ball_distance(OFF_POLE, neighbour), abs=1e-9)
 
 
 def _record_first_steps(monkeypatch):
@@ -158,11 +239,11 @@ def _record_first_steps(monkeypatch):
 
 def test_arriving_tangent_is_the_converged_shot(monkeypatch):
     steps = _record_first_steps(monkeypatch)
-    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
-    r = pd.rho(np.array([0.45, -0.3]))
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    r = pd.rho(OFF_Q)
     assert r.n_integrations > 1   # Gauss-Newton iterated before converging
     # the accepted shot is the last integration
-    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), r.w, 1.0, rtol=SHOOT_RTOL,
+    sol = _integrate_affine(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
                             atol=SHOOT_ATOL, dense=False, first_step=steps[-1])
     u_end = sol.y[2:, -1]
     assert np.array_equal(r.T, u_end / r.value)
@@ -469,9 +550,8 @@ def test_hessian_rho_factors_M_once(monkeypatch):
 
 
 def test_rho_counts_gauss_newton_steps():
-    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
-    q = np.array([0.45, -0.3])
-    r = pd.rho(q)
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    r = pd.rho(OFF_Q)
     assert r.iterations == pd.total_iterations > 0
     # one shot and two Jacobian probes, then one integration per full step
     assert r.n_integrations == 1 + 2 + r.iterations
@@ -498,10 +578,10 @@ def test_shooting_error_on_one_start_tries_the_next(monkeypatch):
         return endpoint(self, w)
 
     monkeypatch.setattr(PoleDistance, "_endpoint", first_start_fails)
-    q = np.array([0.45, -0.3])
-    r = PoleDistance(HYPERBOLIC, np.zeros(2)).rho(q)
-    assert np.array_equal(failed[0], q)   # the straight start failed
-    assert r.value == pytest.approx(hyperbolic_distance(complex(*q)), abs=1e-9)
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    r = pd.rho(OFF_Q)
+    assert np.array_equal(failed[0], pd._chord_start(OFF_Q))   # the chord start failed
+    assert r.value == pytest.approx(ball_distance(OFF_POLE, OFF_Q), abs=1e-9)
 
 
 def test_shooting_error_counts_starts_and_integrations(monkeypatch):
@@ -516,9 +596,11 @@ def test_shooting_error_counts_starts_and_integrations(monkeypatch):
     pd = PoleDistance(HYPERBOLIC, np.zeros(2))
     with pytest.raises(ShootingError) as info:
         pd.rho(q)
-    # a cold query starts from q itself, then the direction grid
-    n_starts = len(list(pd._starts(q, q - pd.pole)))
-    assert info.value.starts == n_starts == 6
+    # a cold query starts from the chord start, from q itself, then the
+    # direction grid
+    n_starts = len(list(pd._starts(q, None)))
+    assert info.value.starts == n_starts == 7
+    assert pd.total_starts == n_starts
     assert info.value.integrations == n_starts   # one failed integration per start
     assert info.value.best_residual == math.inf
     assert info.value.iterations == 0
@@ -542,25 +624,26 @@ def _count_fd_jacobians(monkeypatch, make=None):
 def _warm_query(monkeypatch, bend):
     """A warm query whose cached Jacobian is ``bend(J)``: its distance and the
     finite-difference Jacobians it spent."""
-    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
-    pd.rho(np.array([0.45, -0.3]))
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    pd.rho(OFF_Q)
     pd._cache = [(q, w, bend(J)) for q, w, J in pd._cache]
     calls = _count_fd_jacobians(monkeypatch)
     q = np.array([0.451, -0.302])
     r = pd.rho(q)
-    assert r.value == pytest.approx(hyperbolic_distance(complex(*q)), abs=1e-9)
+    assert r.value == pytest.approx(ball_distance(OFF_POLE, q), abs=1e-9)
     return calls
 
 
 def test_repeat_queries_replace_their_cache_entries():
-    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
-    targets = [np.array([0.45, -0.3]), np.array([-0.1, 0.6])]
-    for q in targets:
-        pd.rho(q)
+    # off the pole's diameter, so only the cached velocity lands at once
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    targets = [OFF_Q, np.array([-0.1, 0.6])]
+    first = [pd.rho(q) for q in targets]
     assert len(pd._cache) == 2
-    for q in targets:
+    for q, before in zip(targets, first):
         r = pd.rho(q)
         assert (r.n_integrations, r.iterations) == (1, 0)
+        assert r.value == before.value and np.array_equal(r.w, before.w)
     assert len(pd._cache) == 2
     assert [entry[0].tolist() for entry in pd._cache] == [q.tolist() for q in targets]
 
@@ -576,22 +659,22 @@ def test_cached_jacobian_whose_steps_never_improve_is_refreshed(monkeypatch):
 
 def test_singular_refreshed_jacobian_gives_up_the_start(monkeypatch):
     calls = _count_fd_jacobians(monkeypatch, lambda real, self, w, F0: np.zeros((2, 2)))
-    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     with pytest.raises(ShootingError) as info:
-        pd.rho(np.array([0.45, -0.3]))
+        pd.rho(OFF_Q)
     # each start: one integration, one refresh, then no step to take
-    assert info.value.starts == len(calls) == 6
-    assert info.value.integrations == 6
+    assert info.value.starts == len(calls) == 7
+    assert info.value.integrations == 7
 
 
 def test_refreshed_jacobian_whose_steps_never_improve_gives_up(monkeypatch):
     calls = _count_fd_jacobians(monkeypatch, lambda real, self, w, F0: -real(self, w, F0))
-    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     with pytest.raises(ShootingError) as info:
-        pd.rho(np.array([0.45, -0.3]))
+        pd.rho(OFF_Q)
     # each start: one integration, two probes, three trial steps, no improvement
-    assert info.value.starts == len(calls) == 6
-    assert info.value.integrations == 6 * (1 + 2 + 3)
+    assert info.value.starts == len(calls) == 7
+    assert info.value.integrations == 7 * (1 + 2 + 3)
 
 
 def test_failed_trial_step_is_halved(monkeypatch):
@@ -605,10 +688,9 @@ def test_failed_trial_step_is_halved(monkeypatch):
         return endpoint(self, w)
 
     monkeypatch.setattr(PoleDistance, "_endpoint", first_trial_fails)
-    q = np.array([0.45, -0.3])
-    r = PoleDistance(HYPERBOLIC, np.zeros(2)).rho(q)
+    r = PoleDistance(HYPERBOLIC, OFF_POLE).rho(OFF_Q)
     assert np.allclose(shots[4] - shots[0], 0.5 * (shots[3] - shots[0]), atol=1e-15)
-    assert r.value == pytest.approx(hyperbolic_distance(complex(*q)), abs=1e-9)
+    assert r.value == pytest.approx(ball_distance(OFF_POLE, OFF_Q), abs=1e-9)
 
 
 def test_gauss_newton_returns_its_last_iterate_after_max_iter(monkeypatch):
@@ -645,7 +727,9 @@ def _record_shots(monkeypatch):
     (BALL2, [(0.3, -0.2, 0.1, 0.4)])])
 def test_loose_shots_only_step_from_large_residuals(monkeypatch, m, queries):
     shots = _record_shots(monkeypatch)
-    pd = PoleDistance(m, np.zeros(m.dim))
+    pole = np.zeros(m.dim)   # OFF_POLE on the disk, (0.3, 0) on the ball
+    pole[0] = OFF_POLE[0]
+    pd = PoleDistance(m, pole)
     for q in queries:
         del shots[:]
         r = pd.rho(np.array(q))
@@ -676,24 +760,25 @@ def test_loose_iterate_below_tol_is_integrated_again_tight(monkeypatch):
     monkeypatch.setattr(geodesic, "LOOSE_ATOL", SHOOT_ATOL)
     shots = _record_shots(monkeypatch)
     steps = _record_first_steps(monkeypatch)
-    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
-    q = np.array([0.45, -0.3])
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    q = OFF_Q
     r = pd.rho(q)
     loose, caller, res, w = shots[-1]
-    assert not loose and res < 3e-12 * (1 + np.linalg.norm(q)) and np.array_equal(w, r.w)
+    assert not loose and res < 3e-12 * (1 + np.linalg.norm(q - OFF_POLE)) and np.array_equal(w, r.w)
     assert shots[-2][0] and np.array_equal(shots[-2][3], r.w)   # the same w, loose
     assert r.n_integrations == 1 + 2 + r.iterations + 1
-    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), r.w, 1.0, rtol=SHOOT_RTOL,
+    sol = _integrate_affine(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
                             atol=SHOOT_ATOL, dense=False, first_step=steps[-1])
     assert np.array_equal(r.T, sol.y[2:, -1] / r.value)
     assert r.residual == float(np.linalg.norm(sol.y[:2, -1] - q))
 
 
 def _batch_work(monkeypatch):
-    """Total ``nfev`` and the distances of 8 disk and 3 ball queries laid out
-    like the ``distance`` benchmark batch: radii in equal strata of
-    [0.2, 0.7], disk points at golden-angle spacing, ball points along fixed
-    complex directions, one warm-starting ``PoleDistance`` per metric."""
+    """Total ``nfev`` and the (metric, target, result) triples of 8 Szabo
+    polydisk and 3 ``nonkahler`` queries from the origin, laid out like the
+    ``distance`` benchmark's C^2 kinds: radii in equal strata of [0.2, 0.7]
+    along fixed complex directions, one warm-starting ``PoleDistance`` per
+    metric. Their chords are no geodesics, so the queries iterate."""
     nfev = [0]
     solve = geodesic.solve_ivp
 
@@ -703,30 +788,36 @@ def _batch_work(monkeypatch):
         return sol
 
     monkeypatch.setattr(geodesic, "solve_ivp", counted)
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    disk = [(0.2 + 0.0625 * (k + 0.5)) * np.array([math.cos(1.0 + k * golden),
-                                                   math.sin(1.0 + k * golden)])
-            for k in range(8)]
     rng = np.random.default_rng(101)
-    ball = []
-    for k in range(3):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        z *= (0.2 + (0.5 / 3) * (k + 0.5)) / np.linalg.norm(z)
-        ball.append(np.concatenate([z.real, z.imag]))
     out = []
-    for m, queries in ((HYPERBOLIC, disk), (BALL2, ball)):
-        pd = PoleDistance(m, np.zeros(m.dim))
-        out += [(q, pd.rho(q)) for q in queries]
+    for m, count in ((SZABO, 8), (NONKAHLER, 3)):
+        pd = PoleDistance(m, np.zeros(4))
+        for k in range(count):
+            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            z *= (0.2 + (0.5 / count) * (k + 0.5)) / np.linalg.norm(z)
+            q = np.concatenate([z.real, z.imag])
+            out.append((m, q, pd.rho(q)))
     return nfev[0], out
 
 
+def _speed_bound(m, q):
+    """An upper bound of F(q, e) over the Euclidean unit vectors e, so of the
+    change of rho per unit of endpoint error at q."""
+    a, b = abs(complex(q[0], q[2])) ** 2, abs(complex(q[1], q[3])) ** 2
+    if m is NONKAHLER:   # G = |v0|^2 + (1 + |z0|^2) |v1|^2
+        return math.sqrt(1.0 + a)
+    # Szabo: G = A + B + eps sqrt(A^2 + B^2) <= (1 + eps)(A + B), where A and B
+    # are the factors' |v_k|^2 / (1 - |z_k|^2)^2
+    return math.sqrt(1.5) / min(1.0 - a, 1.0 - b)
+
+
 def _assert_batches_agree(results, other_results):
-    for (q, r), (_, t) in zip(results, other_results):
-        radius = float(np.linalg.norm(q))
-        assert r.value == pytest.approx(math.atanh(radius), abs=1e-9)
-        # both solves accept an endpoint within 3e-12 (1 + |q|) of q, and
-        # rho = atanh|q| moves by 1 / (1 - |q|^2) per unit of endpoint error
-        assert abs(r.value - t.value) <= 2 * 3e-12 * (1 + radius) / (1 - radius ** 2)
+    for (m, q, r), (_, _, t) in zip(results, other_results):
+        assert r.value <= math.sqrt(m.value(np.zeros(4), PoleDistance(m, np.zeros(4))
+                                            ._chord_start(q))) + 1e-12
+        # both solves accept an endpoint within 3e-12 (1 + |q|) of q
+        assert abs(r.value - t.value) <= \
+            2 * 3e-12 * (1 + np.linalg.norm(q)) * _speed_bound(m, q)
 
 
 def test_loose_shots_cut_the_work_of_a_distance_batch(monkeypatch):

@@ -300,3 +300,52 @@ def test_batched_metric_guards_each_member():
         m.real_jet(x[0], u[0], 2)
     with pytest.raises(SlitBundleError):
         spray_coefficients(m, x[:1], u[:1])
+
+
+def _first_member_error(m, x, u):
+    """The error type of the first row's ``real_jet`` that raises, or None."""
+    for xb, ub in zip(x, u):
+        try:
+            m.real_jet(xb, ub, 0)
+        except (DomainError, SlitBundleError) as exc:
+            return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec, outside", [
+    (SPECS[5], [0.8, 0.0, 0.7, 0.0]),    # the ball: |z| > 1
+    (SPECS[12], [1.05, 0.1, 0.0, 0.0]),  # the Szabo polydisk: member 0 outside
+    (SPECS[12], [0.1, 0.0, 0.2, 1.0]),   # the Szabo polydisk: member 1 outside
+])
+def test_batched_guards_raise_the_first_bad_members_error(spec, outside):
+    m = realify_metric(instantiate(spec))
+    inside, slit = np.array([0.1, -0.2, 0.3, 0.1]), np.zeros(4)
+    # inside both polydisk members, though outside the ball of radius 1
+    x = np.array([inside, [0.6, 0.0, 0.6, 0.7]])
+    if m.domain.kind == "polydisk":
+        assert np.all(np.isfinite(m.real_rows(x, np.ones((2, 4)), 1)))
+    cases = [  # rows x, rows u, the error of the first bad row
+        ([inside, outside], [np.ones(4)] * 2, DomainError),
+        ([inside, inside, outside], [np.ones(4), slit, np.ones(4)], SlitBundleError),
+        ([inside, outside, inside], [np.ones(4), np.ones(4), slit], DomainError),
+        ([outside, inside], [slit, slit], DomainError),   # the domain guard comes first
+        # inside by less than the rounding slack of the batched guard
+        ([[1.0 - 1e-13, 0.0, 0.0, 0.0], outside], [np.ones(4)] * 2, DomainError),
+    ]
+    if m.domain.kind == "ball":
+        cases.append(([inside, [math.nan] * 4], [np.ones(4)] * 2, DomainError))
+    for rows_x, rows_u, error in cases:
+        x, u = np.array(rows_x, dtype=float), np.array(rows_u, dtype=float)
+        assert _first_member_error(m, x, u) is error
+        with pytest.raises(error):
+            m.real_rows(x, u, 0)
+
+
+def test_batched_guards_on_the_whole_space_check_the_slit_only():
+    m = realify_metric(instantiate(SPECS[8]))   # Minkowski
+    x = np.array([[0.1, 0.2, 0.3, 0.4], [50.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    u = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1e-9, 0.0, 0.0, 0.0]])
+    assert np.all(np.isfinite(m.real_rows(x[:2], u[:2], 1)))
+    assert _first_member_error(m, x, u) is SlitBundleError
+    with pytest.raises(SlitBundleError):
+        m.real_rows(x, u, 0)
