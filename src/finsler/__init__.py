@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .jets import CJet, Jet, JetSpace, lift, wirtinger
+from .jets import CJet, Jet, JetSpace, wirtinger
 from .geometry import MetricDef, SamplePlan, apply_J, realify_metric
 from .metrics import build_map, build_profile, check_metric, instantiate
 from .cartan import CartanData, cartan, flag_curvature, radial_flag_bounds
@@ -11,8 +11,8 @@ from .chern import (ChernFinslerData, chern_finsler,
 from .kahler import KahlerReport, classify, un_invariant_kahler_check, \
     weakly_kahler_pde_residual
 from .geodesic import (GeodesicPath, PoleDistance, distance, distance_hessian,
-                       exp_map, hessian_rho, index_form, integrate_geodesic,
-                       jacobi_field, legendre_gradient)
+                       hessian_rho, index_form, integrate_geodesic, jacobi_field,
+                       legendre_gradient)
 from .levi import LeviField, LeviSample, gradient_identity, \
     levi_identity_residual
 from .schwarz import (SchwarzCertificate, certify_schwarz, curvature_bounds,
@@ -20,7 +20,7 @@ from .schwarz import (SchwarzCertificate, certify_schwarz, curvature_bounds,
 from .report import VerificationReport
 
 __all__ = [
-    "CJet", "Jet", "JetSpace", "lift", "wirtinger",
+    "CJet", "Jet", "JetSpace", "wirtinger",
     "MetricDef", "SamplePlan", "apply_J", "realify_metric",
     "build_map", "build_profile", "check_metric", "instantiate",
     "CartanData", "cartan", "flag_curvature", "radial_flag_bounds",
@@ -28,7 +28,7 @@ __all__ = [
     "scale_invariance_check",
     "KahlerReport", "classify", "un_invariant_kahler_check",
     "weakly_kahler_pde_residual",
-    "GeodesicPath", "PoleDistance", "distance", "distance_hessian", "exp_map",
+    "GeodesicPath", "PoleDistance", "distance", "distance_hessian",
     "hessian_rho", "index_form", "integrate_geodesic", "jacobi_field",
     "legendre_gradient",
     "LeviField", "LeviSample", "gradient_identity", "levi_identity_residual",

@@ -43,42 +43,28 @@ class CartanData:
     riemann: np.ndarray | None  # R^i_k of the spray
 
 
-def _spray(jet, u, d) -> np.ndarray:
-    """G^i from a jet of G over (x, u) of order >= 2: the solution of g S = b / 4."""
-    H = jet.hessian()
-    g = 0.5 * H[d:, d:]
+def _spray(H, dG, u, d) -> np.ndarray:
+    """G^i, the solution of g S = b / 4, from the Hessian H and the gradient dG
+    of G over (x, u), with any leading shape: (2d, 2d) and (2d) for a point,
+    (B, 2d, 2d) and (B, 2d) for B rows, each row summed and solved as a point."""
     # (d^2 G / du^l dx^k) u^k; cumsum adds over k in order, as a scalar loop
     # does, where a pairwise sum would round differently
-    rhs = np.cumsum(H[d:, :d] * u, axis=1)[:, -1] - jet.gradient()[:d]
+    rhs = np.cumsum(H[..., d:, :d] * u[..., None, :], axis=-1)[..., -1] - dG[..., :d]
     try:
-        return 0.25 * np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError("fundamental tensor singular") from exc
-
-
-def _spray_rows(m: MetricDef, x, u) -> np.ndarray:
-    """``_spray`` at each row of x, u (B, d), read from one batched order-2
-    replay through the derivative tables; each row's gathers, sums and
-    LAPACK solve are the single point's."""
-    d = m.dim
-    coeffs = m.real_rows(x, u, 2)
-    sp = JetSpace.get(2 * d, 2)
-    (i1, s1), (i2, s2) = sp.derivative_table(1), sp.derivative_table(2)
-    H = coeffs.take(i2, axis=1) * s2
-    rhs = (np.cumsum(H[:, d:, :d] * u[:, None, :], axis=2)[:, :, -1]
-           - (coeffs.take(i1, axis=1) * s1)[:, :d])
-    try:
-        return 0.25 * np.linalg.solve(0.5 * H[:, d:, d:], rhs[:, :, None])[:, :, 0]
+        return 0.25 * np.linalg.solve(0.5 * H[..., d:, d:], rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("fundamental tensor singular") from exc
 
 
 def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     """Values of the geodesic coefficients G^i(x, u) (fast path for ODEs); rows
-    x, u of shape (B, d) give the B sprays from one batched order-2 replay."""
-    if getattr(x, "ndim", 1) == 2:
-        return _spray_rows(m, x, np.asarray(u, dtype=float))
-    return _spray(m.real_jet(x, u, 2), u, m.dim)
+    x, u of shape (B, d) give the B sprays from one batched order-2 replay,
+    each bit for bit its point's."""
+    u = np.asarray(u, dtype=float)
+    coeffs = m.real_rows(x, u, 2) if np.ndim(x) == 2 else m.real_jet(x, u, 2).coeffs
+    sp = JetSpace.get(2 * m.dim, 2)
+    (i1, s1), (i2, s2) = sp.derivative_table(1), sp.derivative_table(2)
+    return _spray(coeffs.take(i2, axis=-1) * s2, coeffs.take(i1, axis=-1) * s1, u, m.dim)
 
 
 def spray_jacobian(jet, u, d):
@@ -88,7 +74,7 @@ def spray_jacobian(jet, u, d):
     D2 = jet.hessian()
     g = 0.5 * D2[d:, d:]
     g_inv = well_conditioned_inverse(g, "fundamental tensor")
-    spray = _spray(jet, u, d)
+    spray = _spray(D2, jet.gradient(), u, d)
     D3 = jet.derivatives(3)
     dg = 0.5 * D3[d:, d:]      # dg[i, l, a] = d_a g_il over a = (x, u)
     # d_a b_l, where b_l = u^k d^2 G / du^l dx^k - dG / dx^l

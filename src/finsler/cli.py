@@ -159,16 +159,17 @@ def cmd_geodesic(config: RunConfig, outdir: Path) -> int:
         u0 = w / math.sqrt(mr.value(x0, w))
         length = float(plan.radial_range[1])
         path = integrate_geodesic(mr, x0, u0, length)
+        drift = path.energy_drift()
         d = _write_report(outdir, "geodesic", mid, {
             "metric": mid, "arc_length": path.arc_length,
-            "energy_drift": path.energy_drift, "steps": path.n_steps,
+            "energy_drift": drift, "steps": path.n_steps,
             "nfev": path.nfev, "normal": path.normal,
             "truncated": path.truncated}, config)
         with open(d / "path.csv", "w", newline="") as fp:
             path.to_csv(fp)
-        if path.energy_drift > 1e-8:
+        if drift > 1e-8:
             status = 1
-        print(f"geodesic {mid}: drift={path.energy_drift:.2e} steps={path.n_steps}")
+        print(f"geodesic {mid}: drift={drift:.2e} steps={path.n_steps}")
     return status
 
 

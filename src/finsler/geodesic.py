@@ -1,12 +1,12 @@
-"""Geodesic flow, exponential map, shooting distance, Jacobi fields, index form,
-distance Hessians.
+"""Geodesic flow, shooting distance, Jacobi fields, index form, distance Hessians.
 
 Geodesics solve xddot^i + 2 G^i(x, xdot) = 0 in an affine parameter; the energy
-G(x, xdot) is a first integral and its drift along the integrated path is the
-reported accuracy proxy. A shooting query first shoots from the chord
-start: the velocity along the straight chord from the pole to the target
-whose length is the chord's Finsler length, which lands at once where the
-chord is a geodesic. A warm query also tries the nearest cached velocity,
+G(x, xdot) is a first integral. Its drift along an integrated path, which a
+path computes on request (``GeodesicPath.energy_drift``), is the accuracy
+proxy that ``finsler geodesic`` reports. A shooting query first shoots from
+the chord start: the velocity along the straight chord from the pole to the
+target whose length is the chord's Finsler length, which lands at once where
+the chord is a geodesic. A warm query also tries the nearest cached velocity,
 moved by the change of target, and shoots first whichever the cached
 Jacobian predicts lands closer. Shooting is inexact Newton: trial
 shots from an iterate far from the target integrate at loose tolerances,
@@ -119,15 +119,25 @@ class GeodesicPath:
     with its Jacobi fields carries them in the components after these."""
 
     metric: MetricDef
-    speed: float                     # sqrt(G(x0, u0)); arc length = speed * t
+    energy: float                    # G(x0, u0), a first integral of the flow
     t_end: float
     sol: object
     arc_length: float
-    energy_drift: float
     n_steps: int
     nfev: int
     normal: bool
     truncated: bool
+
+    @property
+    def speed(self) -> float:
+        """sqrt(G(x0, u0)); arc length = speed * t."""
+        return math.sqrt(self.energy)
+
+    def energy_drift(self) -> float:
+        """max |G(x, u) - G(x0, u0)| over the integrator's steps, one metric
+        value per step."""
+        d, m = self.metric.dim, self.metric
+        return max(abs(m.value(y[:d], y[d:2 * d]) - self.energy) for y in self.sol.y.T)
 
     def _dense_state(self, t):
         """The whole dense state at affine time ``t``, clamped to the path."""
@@ -157,13 +167,9 @@ class GeodesicPath:
 
 def _path(m: MetricDef, G0, sol) -> GeodesicPath:
     """The path of a solution with energy G0."""
-    d = m.dim
-    drift = max(abs(m.value(y[:d], y[d:2 * d]) - G0) for y in sol.y.T)
-    speed = math.sqrt(G0)
     t_reached = sol.t[-1]
     return GeodesicPath(
-        metric=m, speed=speed, t_end=t_reached, sol=sol,
-        arc_length=t_reached * speed, energy_drift=drift,
+        metric=m, energy=G0, t_end=t_reached, sol=sol, arc_length=t_reached * math.sqrt(G0),
         n_steps=len(sol.t) - 1, nfev=sol.nfev,
         normal=abs(G0 - 1.0) < 1e-9, truncated=sol.status == 1)
 
@@ -250,16 +256,6 @@ def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
     return GeodesicFan(metric=m, speeds=speeds, t_ends=t_ends, segments=segments)
 
 
-def exp_map(m: MetricDef, p, v):
-    """Endpoint of the geodesic with initial velocity v after unit affine time."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if float(np.linalg.norm(v)) == 0.0:
-        return p.copy()
-    sol = _integrate_affine(m, p, v, 1.0, dense=False)
-    return sol.y[:m.dim, -1]
-
-
 # -- boundary-value geodesics (shooting) -----------------------------------------
 
 
@@ -295,9 +291,10 @@ class PoleDistance:
     """Shooting-based distance field from a fixed pole, with warm starts.
 
     Gauss-Newton on the endpoint mismatch with Broyden rank-one updates and a
-    cache of the last ``CACHE_SIZE`` converged (target, velocity, Jacobian)
-    triples, so queries near an earlier one cost only a couple of extra
-    integrations, and a repeated one a single integration.
+    cache of every converged (target, velocity, Jacobian) triple, O(d^2)
+    floats each for a solver that lives for one command, so queries near an
+    earlier one cost only a couple of extra integrations, and a repeated one
+    a single integration.
 
     Starts, in order (``_starts``; ``total_starts`` counts those tried):
     the chord start (q - p) L / F(p, q - p), L the Finsler length of the
@@ -329,8 +326,6 @@ class PoleDistance:
     ramp-up. Every step, the first included, still passes DOP853's error test
     at the same tolerances.
     """
-
-    CACHE_SIZE = 48
 
     def __init__(self, m: MetricDef, pole):
         self.m = m
@@ -374,17 +369,13 @@ class PoleDistance:
 
     def _remember(self, q, w, J):
         """Cache (q, w, J) as the newest entry, in place of an entry with the
-        same target, and drop the oldest past ``CACHE_SIZE``; J is None where
-        no Jacobian was computed."""
+        same target; J is None where no Jacobian was computed."""
         keep = ~(self._targets == q).all(axis=1)
         if not keep.all():
             self._cache = [entry for entry, k in zip(self._cache, keep) if k]
             self._targets = self._targets[keep]
         self._cache.append((q.copy(), w.copy(), None if J is None else J.copy()))
         self._targets = np.concatenate([self._targets, q[None]])
-        if len(self._cache) > self.CACHE_SIZE:
-            self._cache.pop(0)
-            self._targets = self._targets[1:]
 
     def rho(self, q) -> RhoResult:
         q = np.asarray(q, dtype=float)

@@ -85,12 +85,13 @@ class Domain:
         if self.kind == "polydisk":
             if not np.iscomplexobj(z):
                 z = real_to_complex_components(z)
+            # np.minimum, unlike min, keeps a NaN, which no domain contains
             lo = math.inf
             start = 0
             for size, radius in self.blocks:
-                lo = min(lo, radius - float(np.linalg.norm(z[start:start + size])))
+                lo = np.minimum(lo, radius - float(np.linalg.norm(z[start:start + size])))
                 start += size
-            return lo
+            return float(lo)
         raise StructuralError(f"unknown domain kind {self.kind!r}")
 
     def row_margins(self, x) -> np.ndarray:

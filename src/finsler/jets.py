@@ -441,27 +441,6 @@ class Jet:
         return f"Jet(nvars={self.space.nvars}, order={self.order}, value={self.value})"
 
 
-def lift(values, active, order):
-    """Seed jets for the coordinates ``values`` with identity derivatives on ``active``.
-
-    Returns one jet per entry of ``values``; jets of inactive coordinates are
-    constants. Raises ``ConfigurationError`` for an empty active set or an
-    unsupported order.
-    """
-    if order < 1 or order > MAX_ORDER:
-        raise ConfigurationError(f"lift order must be in [1, {MAX_ORDER}], got {order}")
-    active = set(active)
-    if not active:
-        raise ConfigurationError("lift needs a non-empty active variable set")
-    n = len(values)
-    if any(a < 0 or a >= n for a in active):
-        raise ConfigurationError("active indices out of range")
-    sp = JetSpace.get(n, order, False)
-    values = [float(v) for v in values]
-    seeds = sp.variables(values)
-    return [seeds[i] if i in active else sp.constant(v) for i, v in enumerate(values)]
-
-
 # -- Wirtinger transform ------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from finsler.geodesic import (PoleDistance, distance_hessian, hessian_rho,
                               integrate_geodesic)
 from finsler.geometry import (SamplePlan, complex_to_real_components,
                               realify_metric)
-from finsler.jets import cabs2, lift
+from finsler.jets import JetSpace, cabs2
 from finsler.kahler import classify, is_at_least, weakly_kahler_pde_residual
 from finsler.levi import LeviField, gradient_identity, levi_identity_residual
 from finsler.metrics import build_map, build_profile, instantiate, probe_catalog
@@ -66,7 +66,7 @@ def test_criterion_01_jet_correctness():
         nvars = int(rng.integers(1, 4))
         expr = random_expression(rng, nvars)
         x0 = rng.uniform(0.6, 1.4, size=nvars)
-        jet = expr(lift(x0, set(range(nvars)), 4))
+        jet = expr(JetSpace.get(nvars, 4).variables(x0))
         if not hasattr(jet, "partial"):
             continue  # tree degenerated to a constant; draw again
         checked += 1

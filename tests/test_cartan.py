@@ -1,5 +1,7 @@
 """Real connection and flag curvature against flat and Riemannian oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,18 @@ MINKOWSKI = realify_metric(instantiate(
     {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}}))
 NONKAHLER = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "nonkahler"}}))
+
+# the disk, C^2, the ball, Minkowski and the Szabo polydisk
+SPRAY_SPECS = [
+    {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}},
+    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}},
+    {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}},
+    {"family": "szabo", "params": {
+        "k": 2, "eps": 0.5,
+        "factor1": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}},
+        "factor2": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}}},
+]
 
 
 def hermitian_real_matrix(mc):
@@ -140,16 +154,7 @@ def test_flag_curvature_matches_riemannian_oracle(mc_spec):
         assert k_swapped == pytest.approx(k_engine, abs=1e-6, rel=1e-6)
 
 
-@pytest.mark.parametrize("mc_spec", [
-    {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}},
-    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}},
-    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}},
-    {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}},
-    {"family": "szabo", "params": {
-        "k": 2, "eps": 0.5,
-        "factor1": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}},
-        "factor2": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}}},
-])
+@pytest.mark.parametrize("mc_spec", SPRAY_SPECS)
 def test_spray_gathers_match_partial_readout(mc_spec):
     m = realify_metric(instantiate(mc_spec))
     rng = np.random.default_rng(11)
@@ -161,16 +166,7 @@ def test_spray_gathers_match_partial_readout(mc_spec):
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("mc_spec", [
-    {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}},
-    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}},
-    {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}},
-    {"family": "minkowski", "complex_dim": 2, "params": {"k": 2, "eps": 1.0}},
-    {"family": "szabo", "params": {
-        "k": 2, "eps": 0.5,
-        "factor1": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}},
-        "factor2": {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}}},
-])
+@pytest.mark.parametrize("mc_spec", SPRAY_SPECS)
 def test_cartan_assembly_matches_partial_readout(mc_spec):
     m = realify_metric(instantiate(mc_spec))
     rng = np.random.default_rng(12)
@@ -192,6 +188,27 @@ def test_cartan_assembly_matches_partial_readout(mc_spec):
                            atol=1e-13 * np.abs(want_h).max())
         assert np.allclose(lean.gamma_v, want_v, rtol=1e-13,
                            atol=1e-13 * np.abs(want_v).max())
+
+
+def test_spray_values_are_pinned():
+    # a float.hex digest of the sprays at points and at rows, and of S and dS
+    # from order-3 and order-4 jets, taken while the point and the row sprays
+    # were two separate readouts: one shared readout must not move a bit
+    rng = np.random.default_rng(22)
+    digest = hashlib.sha256()
+    for spec in SPRAY_SPECS:
+        m = realify_metric(instantiate(spec))
+        for rows in (1, 3, 8):
+            x = 0.6 * rng.uniform(-1, 1, (rows, m.dim)) / np.sqrt(m.dim)
+            u = rng.standard_normal((rows, m.dim))
+            values = [spray_coefficients(m, x, u)]
+            for b in range(rows):
+                values.append(spray_coefficients(m, x[b], u[b]))
+                for order in (3, 4):
+                    values.extend(spray_jacobian(m.real_jet(x[b], u[b], order), u[b], m.dim)[2:])
+            for a in values:
+                digest.update(" ".join(map(float.hex, a.ravel().tolist())).encode())
+    assert digest.hexdigest() == "5a2c4c5e60621c8688395ec24cf7b876c0d0c8dadbd87d2cbdc7b0c45f5c58fc"
 
 
 def test_cartan_reads_no_scalar_partials(monkeypatch):

@@ -659,6 +659,37 @@ def test_cmd_distance_levi_samples_reuse_the_rho_column_shots(tmp_path, monkeypa
     assert all(row[2] == column[row[0]] for row in levi_rows)
 
 
+def test_cmd_distance_levi_points_of_a_long_plan_stay_one_integration(tmp_path, monkeypatch):
+    # the solver keeps every converged query, so however long the rho column,
+    # each Levi point shoots its own column velocity once; a plan of more
+    # than 48 points once evicted them, and the Szabo polydisk's Levi points
+    # then iterated anew (its chords are no geodesics, so no first shot lands)
+    from finsler.geodesic import PoleDistance
+    rho, endpoint = PoleDistance.rho, PoleDistance._endpoint
+    solves, shots = [], []   # (shots, result) per rho call; one entry per shot
+
+    def counted_rho(self, q):
+        start = len(shots)
+        result = rho(self, q)
+        solves.append((len(shots) - start, result))
+        return result
+
+    def counted_endpoint(self, w, loose=False):
+        shots.append(loose)
+        return endpoint(self, w, loose)
+
+    monkeypatch.setattr(PoleDistance, "rho", counted_rho)
+    monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
+    cfg = json.loads(_szabo_distance_config(tmp_path).read_text())
+    cfg["plans"]["default"]["n_points"] = 49
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert all(n > 1 for n, _ in solves[:49])
+    levi = solves[49:]
+    assert len(levi) == 4
+    assert all(n == result.n_integrations == 1 for n, result in levi)
+
+
 def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
     from finsler.errors import DomainError
     from finsler.geodesic import PoleDistance

@@ -15,7 +15,7 @@ from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointErr
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
                               IndexFormResult, PoleDistance,
                               _integrate_affine, distance, distance_hessian,
-                              exp_map, hessian_rho, index_form,
+                              hessian_rho, index_form,
                               integrate_geodesic, jacobi_field,
                               jacobi_boundary_field, legendre_gradient)
 from finsler.geometry import MetricDef, realify_metric
@@ -65,7 +65,7 @@ def test_euclidean_straight_line():
     x, u = path.endpoint()
     assert np.allclose(x, 2.0 * u0, atol=1e-12)
     assert path.arc_length == pytest.approx(2.0)
-    assert path.energy_drift < 1e-12
+    assert path.energy_drift() < 1e-12
     assert path.normal
 
 
@@ -78,7 +78,7 @@ def test_minkowski_rays():
         path = integrate_geodesic(MINKOWSKI, np.zeros(4), u0, 1.5)
         x, _ = path.endpoint()
         assert np.linalg.norm(x - 1.5 * u0) < 1e-9
-        assert path.energy_drift < 1e-10
+        assert path.energy_drift() < 1e-10
 
 
 def test_poincare_radial_speed():
@@ -87,7 +87,7 @@ def test_poincare_radial_speed():
     for t in (0.3, 0.7, 1.2):
         x, _ = path.state_at(t)
         assert np.linalg.norm(x) == pytest.approx(math.tanh(t), abs=1e-9)
-    assert path.energy_drift < 1e-8
+    assert path.energy_drift() < 1e-8
 
 
 @pytest.mark.parametrize("length", [0.0, -0.5, math.nan])
@@ -104,14 +104,18 @@ def test_domain_truncation():
     assert np.linalg.norm(x) <= 1.0
 
 
+def _exp(m, p, v):
+    """exp_p(v): the geodesic from (p, v) at unit affine time, arc length F(p, v)."""
+    return integrate_geodesic(m, p, v, math.sqrt(m.value(p, v))).endpoint()[0]
+
+
 def test_exp_map_closed_forms():
-    assert np.allclose(exp_map(EUCLID2, np.array([1.0, 0, 0, 2.0]),
-                               np.array([0.5, 1, -1, 0.25])),
+    assert np.allclose(_exp(EUCLID2, np.array([1.0, 0, 0, 2.0]), np.array([0.5, 1, -1, 0.25])),
                        [1.5, 1, -1, 2.25], atol=1e-10)
     v = np.array([0.3, -0.2, 0.7, 0.1])
-    assert np.allclose(exp_map(MINKOWSKI, np.zeros(4), v), v, atol=1e-10)
+    assert np.allclose(_exp(MINKOWSKI, np.zeros(4), v), v, atol=1e-10)
     w = np.array([0.8, 0.6])
-    out = exp_map(HYPERBOLIC, np.zeros(2), w)
+    out = _exp(HYPERBOLIC, np.zeros(2), w)
     assert np.allclose(out, math.tanh(1.0) * w, atol=1e-9)
 
 
@@ -299,6 +303,20 @@ def test_boundary_form_matches_covariant_oracle(m, r):
     H = jacobi_boundary_field(m, x0, u0, r).boundary_form()
     want = covariant_boundary_form(m, x0, u0, r)
     assert np.abs(H - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_a_jacobi_system_reads_the_metric_value_once(monkeypatch):
+    # G(x0, u0) checks that the path is normal; the energy drift, one metric
+    # value per step, is computed only where a caller asks for it
+    value, calls = MetricDef.value, []
+
+    def counted(self, point, vector):
+        calls.append(1)
+        return value(self, point, vector)
+
+    monkeypatch.setattr(MetricDef, "value", counted)
+    system = jacobi_boundary_field(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), 1.2)
+    assert system.path.n_steps > 1 and len(calls) == 1
 
 
 def test_index_form_flat_linear_field():

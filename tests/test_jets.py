@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsler.errors import ConfigurationError, StructuralError
-from finsler.jets import CJet, Jet, JetSpace, _monomials, _wirtinger_rows, lift, wirtinger
+from finsler.jets import CJet, Jet, JetSpace, _monomials, _wirtinger_rows, wirtinger
 
 from oracles import (dict_poly_mult, invert_jet_matrix, loop_conj_perm, loop_extract_table,
                      loop_monomials, loop_mult_table, loop_wirtinger_rows, random_expression,
@@ -15,29 +15,25 @@ from oracles import (dict_poly_mult, invert_jet_matrix, loop_conj_perm, loop_ext
 
 
 def test_lift_seed_semantics():
-    (j,) = lift([2.0], {0}, 2)
+    (j,) = JetSpace.get(1, 2).variables([2.0])
     assert j.value == 2.0
     assert j.partial([0]) == 1.0
     assert j.partial([0, 0]) == 0.0
 
 
 def test_lift_bilinear_mixed_partial():
-    x, y = lift([1.0, 3.0], {0, 1}, 2)
+    x, y = JetSpace.get(2, 2).variables([1.0, 3.0])
     assert (x * y).partial([0, 1]) == 1.0
 
 
 def test_lift_monomial_factorial():
-    (x,) = lift([1.0], {0}, 4)
+    (x,) = JetSpace.get(1, 4).variables([1.0])
     assert (x ** 4).partial([0, 0, 0, 0]) == pytest.approx(24.0)
 
 
-def test_lift_rejects_bad_requests():
+def test_jet_space_rejects_an_order_above_the_maximum():
     with pytest.raises(ConfigurationError):
-        lift([1.0], {0}, 5)
-    with pytest.raises(ConfigurationError):
-        lift([1.0], set(), 2)
-    with pytest.raises(ConfigurationError):
-        lift([1.0], {3}, 2)
+        JetSpace.get(1, 5)
 
 
 @st.composite
@@ -73,7 +69,7 @@ def test_composites_match_richardson_fd(seed):
     nvars = int(rng.integers(1, 4))
     expr = random_expression(rng, nvars)
     x0 = rng.uniform(0.6, 1.4, size=nvars)
-    jets = lift(x0, set(range(nvars)), 4)
+    jets = JetSpace.get(nvars, 4).variables(x0)
     jf = expr(jets)
     if not isinstance(jf, Jet):  # the random tree may degenerate to a constant
         return
@@ -94,7 +90,7 @@ def test_composites_match_richardson_fd(seed):
 
 
 def test_division_and_roots_invert():
-    x, y = lift([0.8, 1.7], {0, 1}, 4)
+    x, y = JetSpace.get(2, 4).variables([0.8, 1.7])
     f = (x * x * y + 2.0)
     g = f / (y + 0.5)
     back = g * (y + 0.5)
@@ -105,7 +101,7 @@ def test_division_and_roots_invert():
 
 
 def test_mixed_order_alignment_truncates():
-    x, y = lift([0.5, 0.25], {0, 1}, 4)
+    x, y = JetSpace.get(2, 4).variables([0.5, 0.25])
     f4 = x * x * y
     f2 = f4.truncate(2)
     out = f4 + f2
@@ -114,7 +110,7 @@ def test_mixed_order_alignment_truncates():
 
 
 def test_extract_consistency():
-    x, y = lift([0.8, -0.4], {0, 1}, 4)
+    x, y = JetSpace.get(2, 4).variables([0.8, -0.4])
     f = (x * y + y * y) ** 2
     fx = f.extract(0)
     assert fx.order == 3
@@ -126,20 +122,20 @@ def test_extract_consistency():
 
 
 def test_wirtinger_mod_square():
-    x, y = lift([0.3, -0.7], {0, 1}, 2)
+    x, y = JetSpace.get(2, 2).variables([0.3, -0.7])
     w = wirtinger(x * x + y * y, [(0, 1)])
     assert w.partial([0, 1]) == pytest.approx(1.0)
     assert abs(w.partial([0, 0])) < 1e-14
 
 
 def test_wirtinger_real_part():
-    x, y = lift([0.3, -0.7], {0, 1}, 1)
+    x, y = JetSpace.get(2, 1).variables([0.3, -0.7])
     w = wirtinger(x, [(0, 1)])
     assert w.partial([0]) == pytest.approx(0.5)
 
 
 def test_wirtinger_mod_fourth_at_one():
-    x, y = lift([1.0, 0.0], {0, 1}, 2)
+    x, y = JetSpace.get(2, 2).variables([1.0, 0.0])
     w = wirtinger((x * x + y * y) ** 2, [(0, 1)])
     assert w.partial([0, 1]) == pytest.approx(4.0)
 
@@ -158,20 +154,20 @@ def test_wirtinger_hermitian_symmetry(coeffs):
 
 
 def test_wirtinger_rejects_partial_pairings():
-    x, y, z = lift([1.0, 2.0, 3.0], {0, 1, 2}, 2)
+    x, y, z = JetSpace.get(3, 2).variables([1.0, 2.0, 3.0])
     with pytest.raises(StructuralError):
         wirtinger(x + y + z, [(0, 1)])
 
 
 def test_wirtinger_rejects_pairs_that_do_not_split_the_variables():
-    x, y = lift([1.0, 2.0], {0, 1}, 2)
+    x, y = JetSpace.get(2, 2).variables([1.0, 2.0])
     for pairs in ([(0, 0)], [(0, 2)], [(-1, 0)], [(0, 1), (0, 1)]):
         with pytest.raises(StructuralError):
             wirtinger(x + y, pairs)
 
 
 def test_conj_swaps_blocks():
-    x, y = lift([0.4, 0.9], {0, 1}, 3)
+    x, y = JetSpace.get(2, 3).variables([0.4, 0.9])
     w = wirtinger(x * y + x, [(0, 1)])
     wc = w.conj()
     assert wc.partial([0]) == pytest.approx(np.conj(w.partial([1])))
@@ -181,7 +177,7 @@ def test_conj_swaps_blocks():
 
 
 def test_invert_jet_matrix_roundtrip():
-    x, y = lift([0.2, -0.1], {0, 1}, 2)
+    x, y = JetSpace.get(2, 2).variables([0.2, -0.1])
     M = [[x + 3.0, x * y], [y, y * y + 2.0]]
     Minv = invert_jet_matrix(M)
     for i in range(2):
@@ -196,7 +192,7 @@ def test_invert_jet_matrix_roundtrip():
 
 
 def test_cjet_field_operations():
-    x, y = lift([0.6, -0.3], {0, 1}, 3)
+    x, y = JetSpace.get(2, 3).variables([0.6, -0.3])
     z = CJet(x, y)
     w = CJet(y + 1.0, x * y)
     q = (z * w) / w
@@ -207,7 +203,7 @@ def test_cjet_field_operations():
 
 @pytest.mark.parametrize("c", [0.7 - 1.3j, np.complex128(-0.25 + 2.0j), 1j, 2.5 + 0j])
 def test_cjet_times_complex_constant_is_a_coefficient_scale(c):
-    x, y = lift([0.6, -0.3], {0, 1}, 4)
+    x, y = JetSpace.get(2, 4).variables([0.6, -0.3])
     z = CJet(x * y + 0.5, x - y * y)
     const = CJet(x.space.constant(complex(c).real), x.space.constant(complex(c).imag))
     for got in (z * c, c * z):
@@ -219,7 +215,7 @@ def test_cjet_times_complex_constant_is_a_coefficient_scale(c):
 def test_gradient_and_hessian_gathers_match_partials():
     rng = np.random.default_rng(4)
     for nvars, order in ((2, 2), (4, 3), (8, 2), (4, 4), (8, 4)):
-        jets = lift(rng.standard_normal(nvars), range(nvars), order)
+        jets = JetSpace.get(nvars, order).variables(rng.standard_normal(nvars))
         f = (jets[0] * jets[-1] + jets[1].exp()) * jets[nvars // 2] + jets[0] ** 3
         assert np.array_equal(f.gradient(), [f.partial([i]) for i in range(nvars)])
         assert np.array_equal(f.hessian(), [[f.partial([i, j]) for j in range(nvars)]
@@ -232,7 +228,7 @@ def test_gradient_and_hessian_gathers_match_partials():
         with pytest.raises(StructuralError):
             f.derivatives(order + 1)
     with pytest.raises(StructuralError):
-        lift([0.1, 0.2], {0, 1}, 1)[0].hessian()
+        JetSpace.get(2, 1).variables([0.1, 0.2])[0].hessian()
 
 
 def test_engine_reads_no_scalar_partials(monkeypatch):

@@ -331,9 +331,8 @@ def test_batched_guards_raise_the_first_bad_members_error(spec, outside):
         ([outside, inside], [slit, slit], DomainError),   # the domain guard comes first
         # inside by less than the rounding slack of the batched guard
         ([[1.0 - 1e-13, 0.0, 0.0, 0.0], outside], [np.ones(4)] * 2, DomainError),
+        ([inside, [math.nan] * 4], [np.ones(4)] * 2, DomainError),
     ]
-    if m.domain.kind == "ball":
-        cases.append(([inside, [math.nan] * 4], [np.ones(4)] * 2, DomainError))
     for rows_x, rows_u, error in cases:
         x, u = np.array(rows_x, dtype=float), np.array(rows_u, dtype=float)
         assert _first_member_error(m, x, u) is error
