@@ -192,8 +192,9 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
 
         found, failures = evaluate_samples(shoot, pts, [None])
         rows = [[i, repr(float(rho)), repr(float(res))] for i, _, (rho, res) in found]
-        worst = 0.0
+        # None where nothing was checked: no samples, or no closed form
         closed = m.metadata.get("distance_from_origin")
+        worst = 0.0 if rows and closed else None
         for i, _, (rho, _) in found:
             if closed == "norm":
                 worst = max(worst, abs(rho - math.sqrt(m.value(pts[i], pts[i]))))
@@ -208,7 +209,7 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
                     for i, _, exc in failures if isinstance(exc, ShootingError)]
         rho_counts = sample_counts(len(rows), failure_reasons(failures))
         payload = {"metric": mid, "n_samples": len(rows),
-                   "max_closed_form_error": worst if rows else None,
+                   "max_closed_form_error": worst,
                    "rho_samples": rho_counts, "shooting_failures": shooting}
         if rho_counts["failed"]:
             status = 1
@@ -227,10 +228,14 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
                 "integrations": pd.total_integrations,
                 "loose_integrations": pd.loose_integrations,
                 "iterations": pd.total_iterations,
-                "rhs_evaluations": pd.rhs_evaluations}
+                "rhs_evaluations": pd.rhs_evaluations,
+                "jacobi_integrations": pd.jacobi_integrations,
+                "jacobi_rhs_evaluations": pd.jacobi_rhs_evaluations}
         summary += (f"; shooting {cost['starts']} starts, {cost['integrations']} integrations "
                     f"({cost['loose_integrations']} loose), {cost['iterations']} iterations, "
-                    f"{cost['rhs_evaluations']} right-hand sides")
+                    f"{cost['rhs_evaluations']} right-hand sides; jacobi "
+                    f"{cost['jacobi_integrations']} integrations, "
+                    f"{cost['jacobi_rhs_evaluations']} right-hand sides")
         d = _write_report(outdir, "distance", mid, payload, config,
                           metadata={"shooting": cost})
         _write_csv(d / "distance.csv", ["point_index", "rho", "residual"], rows)
@@ -238,9 +243,9 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
             _write_csv(d / "levi.csv",
                        ["point_index", "levi_value", "rho", "bound", "margin"],
                        levi_rows)
-        if worst > 1e-6:
+        if worst is not None and worst > 1e-6:
             status = 1
-        error = f"{worst:.2e}" if rows else "n/a"
+        error = "n/a" if worst is None else f"{worst:.2e}"
         print(f"distance {mid}: max closed-form error {error}{summary}")
     return status
 

@@ -13,7 +13,8 @@ shots from an iterate far from the target integrate at loose tolerances,
 and every returned iterate, so every distance, comes from a tight
 integration. Each shot of a solver starts at the step size its previous
 shot at the same tolerances settled on, as a fan's segments do, in place of
-scipy's initial-step probe.
+scipy's initial-step probe, and so does the Jacobi system of a distance
+Hessian, at its shot's settled step scaled to arc length.
 Covariant derivatives along a curve use the connection coefficients evaluated
 at the reference vector T, the curve's own velocity, which along geodesics
 makes the Cartan and Chern-type derivatives coincide. Jacobi fields are geodesic
@@ -317,7 +318,9 @@ class PoleDistance:
     iterate is integrated again at the tight tolerances before it may
     converge or end the solve.
     ``loose_integrations`` counts the loose share of ``total_integrations``,
-    and ``rhs_evaluations`` sums their right-hand sides (scipy's ``nfev``).
+    and ``rhs_evaluations`` sums their right-hand sides (scipy's ``nfev``);
+    ``jacobi_integrations`` and ``jacobi_rhs_evaluations`` count the Jacobi
+    systems of the distance Hessians shot with the solver.
 
     Step continuation (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
     all shots leave the same pole along nearby geodesics, so each starts at
@@ -337,6 +340,8 @@ class PoleDistance:
         self.loose_integrations = 0
         self.total_iterations = 0
         self.rhs_evaluations = 0
+        self.jacobi_integrations = 0      # counted by ``distance_hessian``
+        self.jacobi_rhs_evaluations = 0
         self._steps = {False: None, True: None}   # settled step, by looseness
 
     def _endpoint(self, w, loose=False):
@@ -604,14 +609,16 @@ class BoundaryJacobiSystem:
         return P.T @ self.g @ self.W @ M_inv_P
 
 
-def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, dense=True) -> GeodesicPath:
+def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, dense=True,
+                      first_step=None) -> GeodesicPath:
     """The unit-speed geodesic from (x0, u0) and the variations of it with
     initial data the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array,
     integrated together to arc length r as one state (x, u, Y), with dense
     output if ``dense``: the variational equations in the trajectory's own
     state (Hairer, Norsett & Wanner, Solving ODEs I, sec. I.14). Each
     right-hand side reads S and dS = dG/d(x, u) from one order-3 jet; S moves
-    (x, u) and dx'' = -2 dS (dx, dx') moves Y."""
+    (x, u) and dx'' = -2 dS (dx, dx') moves Y. A ``first_step``, in arc
+    length, is capped at r."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     G0 = m.value(x0, u0)
@@ -626,7 +633,8 @@ def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, dense=True) -> GeodesicPat
         return np.concatenate([u, -2.0 * spray, Y[d:].ravel(), (-2.0 * dS @ Y).ravel()])
 
     sol = solve_ivp(rhs, (0.0, r), np.concatenate([x0, u0, np.ravel(Y0)]),
-                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=dense)
+                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=dense,
+                    first_step=None if first_step is None else min(first_step, r))
     if not sol.success:
         raise ShootingError(f"Jacobi integration failed: {sol.message}")
     return _path(m, G0, sol)
@@ -641,15 +649,18 @@ def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
     return JacobiField(path=path, r=r, c=np.ones(1))
 
 
-def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, dense=False) -> BoundaryJacobiSystem:
+def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, dense=False,
+                          first_step=None) -> BoundaryJacobiSystem:
     """Fundamental system of the Jacobi fields vanishing at x0 along the
     unit-speed geodesic from (x0, u0), integrated with it to arc length r; its
     ``field(u)`` is the Jacobi field with J(0) = 0 and J(r) the part of u
     across T, whose values along the path need ``dense``. At r, W = dx' + N M
-    with N and g_T from one order-3 jet."""
+    with N and g_T from one order-3 jet. The integration starts at
+    ``first_step`` (arc length, capped at r) where one is given, and at
+    scipy's initial-step probe otherwise."""
     d = m.dim
     path = _integrate_jacobi(m, x0, u0, r, np.concatenate([np.zeros((d, d)), np.eye(d)]),
-                             dense=dense)
+                             dense=dense, first_step=first_step)
     y_r = path.sol.y[:, -1]
     x_r, u_r = y_r[:d], y_r[d:2 * d]
     Y_r = y_r[2 * d:].reshape(2 * d, d)
@@ -776,12 +787,23 @@ def distance_hessian(pd: PoleDistance, x, *, dense=False) -> BoundaryJacobiSyste
     Hessian at reference vector T is H = P^T g_T W M^-1 P = ``boundary_form()``.
     The Jacobi integration keeps dense output, which ``system.field(u)`` reads
     along the path, only if ``dense``.
+
+    Step continuation, as for the shots: the Jacobi integration starts at
+    the step the solver's last tight shot settled on, in affine time on
+    [0, 1], times rho, since the system runs in arc length. Every step still
+    passes DOP853's error test, so H depends on the solver's history only in
+    its last bits. ``pd.jacobi_integrations`` and ``pd.jacobi_rhs_evaluations``
+    count the systems and their right-hand sides.
     """
     x = np.asarray(x, dtype=float)
     if float(np.linalg.norm(x - pd.pole)) < 1e-6:
         raise ConfigurationError("distance Hessian undefined at the pole")
     base = pd.rho(x)
-    return jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value, dense=dense)
+    system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value, dense=dense,
+                                   first_step=pd._steps[False] * base.value)
+    pd.jacobi_integrations += 1
+    pd.jacobi_rhs_evaluations += system.path.nfev
+    return system
 
 
 @dataclass

@@ -585,8 +585,8 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     from finsler import geodesic
     from finsler.geodesic import PoleDistance
     rho, endpoint, integrate = PoleDistance.rho, PoleDistance._endpoint, geodesic._integrate_affine
-    gauss_newton = PoleDistance._gauss_newton
-    solves, shots, nfev, starts = [], [], [], []
+    gauss_newton, integrate_jacobi = PoleDistance._gauss_newton, geodesic._integrate_jacobi
+    solves, shots, nfev, starts, jacobi_nfev = [], [], [], [], []
 
     def counted_rho(self, q):
         solves.append((self, rho(self, q)))
@@ -605,7 +605,13 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
         nfev.append(sol.nfev)
         return sol
 
+    def counted_jacobi(*args, **kwargs):
+        path = integrate_jacobi(*args, **kwargs)
+        jacobi_nfev.append(path.nfev)
+        return path
+
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
+    monkeypatch.setattr(geodesic, "_integrate_jacobi", counted_jacobi)
     monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
     monkeypatch.setattr(geodesic, "_integrate_affine", counted_integration)
     monkeypatch.setattr(PoleDistance, "_gauss_newton", counted_start)
@@ -621,16 +627,53 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
             "integrations": len(shots),
             "loose_integrations": sum(loose for _, loose in shots),
             "iterations": sum(r.iterations for _, r in solves),
-            "rhs_evaluations": sum(nfev)}
+            "rhs_evaluations": sum(nfev),
+            "jacobi_integrations": len(jacobi_nfev),
+            "jacobi_rhs_evaluations": sum(jacobi_nfev)}
     assert cost["starts"] == 4
     assert cost["integrations"] == sum(r.n_integrations for _, r in solves) == len(nfev) == 17
+    # one Jacobi system per Levi point
+    assert cost["jacobi_integrations"] == 2
     assert doc["metadata"]["shooting"] == cost
     assert 0 < cost["loose_integrations"] < cost["integrations"]
     assert "shooting" not in doc["payload"]
     assert capsys.readouterr().out.strip().endswith(
         f"; shooting {cost['starts']} starts, {cost['integrations']} integrations "
         f"({cost['loose_integrations']} loose), {cost['iterations']} iterations, "
-        f"{cost['rhs_evaluations']} right-hand sides")
+        f"{cost['rhs_evaluations']} right-hand sides; jacobi {cost['jacobi_integrations']} "
+        f"integrations, {cost['jacobi_rhs_evaluations']} right-hand sides")
+
+
+@pytest.mark.parametrize("config, mid, measured", [
+    (_szabo_distance_config, "szabo", False), (_disk_distance_config, "poincare", True)])
+def test_cmd_distance_reports_a_closed_form_error_only_where_measured(
+        tmp_path, capsys, config, mid, measured):
+    # the disk's distance has the atanh closed form; the Szabo polydisk's has
+    # none, so no error was measured
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(config(tmp_path)), "--out", str(out)]) == 0
+    error = json.loads((out / "distance" / mid / "report.json").read_text())["payload"][
+        "max_closed_form_error"]
+    line = capsys.readouterr().out
+    if measured:
+        assert 0.0 <= error < 1e-6
+        assert f"max closed-form error {error:.2e};" in line
+    else:
+        assert error is None
+        assert "max closed-form error n/a;" in line
+
+
+def test_cmd_distance_runs_leave_no_state_behind(tmp_path):
+    # two runs in one process write the same files and report the same cost
+    p = _szabo_distance_config(tmp_path)
+    runs = []
+    for name in ("first", "second"):
+        d = tmp_path / name / "distance" / "szabo"
+        assert main(["distance", "--config", str(p), "--out", str(tmp_path / name)]) == 0
+        doc = json.loads((d / "report.json").read_text())
+        runs.append(((d / "distance.csv").read_bytes(), (d / "levi.csv").read_bytes(),
+                     json.dumps(doc["payload"]), doc["metadata"]["shooting"]))
+    assert runs[0] == runs[1]
 
 
 def test_cmd_distance_levi_samples_reuse_the_rho_column_shots(tmp_path, monkeypatch):

@@ -367,9 +367,10 @@ def test_conjugate_point_guard():
 
 @pytest.mark.parametrize("m, q", [(HYPERBOLIC, (0.45, -0.3)), (EUCLID2, (0.3, -0.2, 0.1, 0.4))])
 def test_distance_hessian_skips_dense_output(m, q):
-    pd = PoleDistance(m, np.zeros(m.dim))
-    plain = distance_hessian(pd, np.array(q))
-    dense = distance_hessian(pd, np.array(q), dense=True)
+    # a fresh solver for each system, since a Jacobi system starts at the
+    # step its solver's last shot settled on
+    plain = distance_hessian(PoleDistance(m, np.zeros(m.dim)), np.array(q))
+    dense = distance_hessian(PoleDistance(m, np.zeros(m.dim)), np.array(q), dense=True)
     # DOP853 takes the same steps either way; dense output costs 3 more
     # right-hand sides per step
     assert plain.path.nfev == dense.path.nfev - 3 * plain.path.n_steps
@@ -381,6 +382,34 @@ def test_distance_hessian_skips_dense_output(m, q):
     with pytest.raises(StructuralError):
         plain.field(np.array(q)[::-1]).value(0.1)
     dense.path.state_at(0.1)
+
+
+def test_jacobi_system_starts_at_the_shots_settled_step():
+    # DOP853 accepts any step on flat C^2, so the first step is the one given:
+    # the settled step of the last tight shot, in affine time, times rho
+    pd = PoleDistance(EUCLID2, np.zeros(4))
+    for q in ((0.3, -0.2, 0.1, 0.4), (0.5, 0.1, -0.2, 0.3)):
+        system = distance_hessian(pd, np.array(q))
+        assert system.path.sol.t[1] == pd._steps[False] * system.r
+
+
+@pytest.mark.parametrize("m, pole, q", [
+    (HYPERBOLIC, OFF_POLE, OFF_Q),
+    (EUCLID2, np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])),
+    (BALL2, np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])),
+    (SZABO, np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4]))],
+    ids=["disk", "euclid2", "ball", "szabo"])
+def test_warm_distance_hessian_matches_a_fresh_one(m, pole, q):
+    # the first step depends on the solver's earlier queries, the system only
+    # in its last bits
+    warm = PoleDistance(m, pole)
+    for shift in (0.1, -0.15, 0.05):
+        distance_hessian(warm, q + shift * (q - pole))
+    a = distance_hessian(warm, q)
+    b = distance_hessian(PoleDistance(m, pole), q)
+    for x, y in ((a.boundary_form(), b.boundary_form()), (a.M, b.M), (a.W, b.W)):
+        assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+    assert warm.jacobi_integrations == 4
 
 
 def test_jacobi_minimizes_index_form():

@@ -70,6 +70,30 @@ def test_levi_sample_shoots_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_levi_samples_start_their_jacobi_systems_at_the_shots_step(monkeypatch):
+    # eight C^1 samples on one field, as the benchmark's levi batch, then the
+    # same systems integrated from scipy's initial-step probe
+    angles, phases = np.random.default_rng(3).uniform(0, 2 * math.pi, (2, 8))
+    points = [(np.array([r * np.exp(1j * a)]), np.array([np.exp(1j * b)]))
+              for r, a, b in zip(np.linspace(0.2, 0.9, 8), angles, phases)]
+
+    def jacobi_cost():
+        field = LeviField(EUCLID1, np.zeros(1, complex), curvature_K=0.0)
+        for z, v in points:
+            assert field.sample(z, v).levi_value == pytest.approx(1.0, abs=1e-8)
+        assert field.pd.jacobi_integrations == 8
+        return field.pd.jacobi_rhs_evaluations
+
+    continued = jacobi_cost()
+    integrate = geodesic._integrate_jacobi
+
+    def from_the_probe(*args, first_step=None, **kwargs):
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(geodesic, "_integrate_jacobi", from_the_probe)
+    assert continued < jacobi_cost()
+
+
 def test_levi_path_reads_no_order_4_jets(monkeypatch):
     # distance Hessians and Levi samples integrate the linearized geodesic
     # flow: order-3 jets, no curvature, no cartan
