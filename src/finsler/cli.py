@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-    finsler <check|curvature|geodesic|distance|bounds|schwarz|replay>
+    finsler <check|curvature|geodesic|distance|bounds|schwarz>
             --config FILE [--out DIR] [--tolerance X]
+    finsler replay --certificate FILE [--tolerance X]
 
 Each command writes, per metric or map pair, a versioned JSON report with the
 effective configuration embedded, plus CSV tables. Reports separate a
@@ -9,8 +10,9 @@ volatile ``metadata`` block (timestamps, versions) from the deterministic
 ``payload``; replay recomputes the payload from the embedded plan and
 compares byte-for-byte, or within a tolerance when one is given.
 ``--tolerance`` is the certificate tolerance of ``schwarz`` and the
-comparison tolerance of ``replay``; the other commands read no tolerance and
-refuse the flag.
+comparison tolerance of ``replay``. A command refuses every flag it does not
+read: ``--tolerance`` outside ``schwarz`` and ``replay``, ``--certificate``
+outside ``replay``, and ``--config`` and ``--out`` on ``replay``.
 """
 
 from __future__ import annotations
@@ -365,8 +367,9 @@ def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
     if not config.pairs:
         raise ConfigurationError("schwarz command needs a pairs list")
     for pair in config.pairs:
-        if not isinstance(pair, dict) or not {"map", "domain", "target"} <= set(pair):
-            raise ConfigurationError(f"pair {pair!r} needs map, domain and target")
+        if not (isinstance(pair, dict) and all(isinstance(pair.get(role), str)
+                                               for role in ("map", "domain", "target"))):
+            raise ConfigurationError(f"pair {pair!r} needs map, domain and target ids")
     maps = _maps(config)
     analyses = _analyses(config, [p[role] for p in config.pairs
                                   for role in ("domain", "target")])
@@ -458,6 +461,11 @@ COMMANDS = {
 }
 
 
+# the commands that read each optional flag; any other command refuses it
+_FLAG_READERS = {"tolerance": ("schwarz", "replay"), "certificate": ("replay",),
+                 "config": COMMANDS, "out": COMMANDS}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="finsler",
@@ -474,15 +482,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        for flag, readers in _FLAG_READERS.items():
+            if getattr(args, flag) is not None and args.command not in readers:
+                raise ConfigurationError(f"--{flag} is not read by {args.command}")
         if args.tolerance is not None:
-            if args.command not in ("schwarz", "replay"):
-                raise ConfigurationError(f"--tolerance is not read by {args.command}")
             check_tolerance(args.tolerance)
         if args.command == "replay":
-            cert = args.certificate or args.config
-            if not cert:
+            if not args.certificate:
                 parser.error("replay needs --certificate FILE")
-            return cmd_replay(Path(cert), args.tolerance)
+            return cmd_replay(Path(args.certificate), args.tolerance)
         if not args.config:
             parser.error(f"{args.command} needs --config FILE")
         config = load_config(args.config)

@@ -113,12 +113,21 @@ def parse_config(doc: dict) -> RunConfig:
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     tolerance = check_tolerance(doc["tolerance"])
+    directory = doc["outputs"]["directory"]
+    if not isinstance(directory, str):
+        raise ConfigurationError(f"outputs.directory must be a string, got {directory!r}")
     for spec in doc["metrics"]:
         if not isinstance(spec, dict) or "family" not in spec:
             raise ConfigurationError(f"metric spec without family: {spec!r}")
     for spec in doc["maps"]:
         if not isinstance(spec, dict):
             raise ConfigurationError(f"map spec must be a mapping, got {spec!r}")
+    # reports land in <out>/<command>/<id>, so an id is one path component
+    for kind in ("metric", "map"):
+        for mid in (spec["id"] for spec in doc[f"{kind}s"] if "id" in spec):
+            if not isinstance(mid, str) or mid in ("", ".", "..") or "/" in mid or "\0" in mid:
+                raise ConfigurationError(f"{kind} id must be a non-empty name without '/', "
+                                         f"not '.' or '..', got {mid!r}")
     for name, plan in doc["plans"].items():
         if name != "default":
             raise ConfigurationError(

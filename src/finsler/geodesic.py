@@ -15,12 +15,13 @@ integration. Each shot of a solver starts at the step size its previous
 shot at the same tolerances settled on, as a fan's segments do, in place of
 scipy's initial-step probe, and so does the Jacobi system of a distance
 Hessian, at its shot's settled step scaled to arc length.
-Covariant derivatives along a curve use the connection coefficients evaluated
-at the reference vector T, the curve's own velocity, which along geodesics
-makes the Cartan and Chern-type derivatives coincide. Jacobi fields are geodesic
+Covariant derivatives along a geodesic use the connection at the reference
+vector T, the geodesic's own velocity, which makes the Cartan and
+Chern-type derivatives coincide: D_T V = dV/ds + N V with N = dG/du, the
+nonlinear connection ``cartan`` returns. Jacobi fields are geodesic
 variations: they solve the linearized geodesic equation
 dx'' = -2 (dG/dx dx + dG/du dx') in coordinates, which needs an order-3 jet
-and no curvature, and D_T J = dx' + N dx with N = dG/du.
+and no curvature, and D_T J = dx' + N dx.
 """
 
 from __future__ import annotations
@@ -532,37 +533,21 @@ def distance(m: MetricDef, p, q) -> float:
 # -- fields along geodesics --------------------------------------------------------
 
 
-def _nonlinear(m: MetricDef, x, u) -> np.ndarray:
-    """N = dG/du at (x, u), from one order-3 jet."""
-    return spray_jacobian(m.real_jet(x, u, 3), u, m.dim)[3][:, m.dim:]
-
-
 @dataclass
 class JacobiField:
     """Dense Jacobi field J = Y_x c along a normal geodesic, whose dense state
     (x, u, Y_x, Y_v) ``path`` holds: the fundamental system of the linearized
-    geodesic flow, with J = dx = Y_x c and dx' = Y_v c."""
+    geodesic flow, with J = dx = Y_x c and dx' = Y_v c in affine time. Called
+    at arc length s, it returns (J, dJ/ds), the form ``index_form`` takes, from
+    one dense evaluation at affine time s / speed, as ``path.state_at`` reads."""
 
     path: GeodesicPath
-    r: float
     c: np.ndarray
 
-    def _state(self, s):
-        """x, u, J = dx and dx' at s."""
-        d = self.path.metric.dim
-        y = self.path._dense_state(s)
-        return (y[:d], y[d:2 * d], *(y[2 * d:].reshape(2, d, -1) @ self.c))
-
-    def at(self, s):
-        """(J, D_T J) at s, with D_T J = dx' + N J and N at the path's state."""
-        x, u, J, dJ = self._state(s)
-        return J, dJ + _nonlinear(self.path.metric, x, u) @ J
-
-    def value(self, s):
-        return self._state(s)[2]
-
-    def cov_deriv(self, s):
-        return self.at(s)[1]
+    def __call__(self, s):
+        d, speed = self.path.metric.dim, self.path.speed
+        J, dJ = self.path._dense_state(s / speed)[2 * d:].reshape(2, d, -1) @ self.c
+        return J, dJ / speed
 
 
 # cond M(r) beyond which the endpoint counts as conjugate to the start: the Jacobi
@@ -600,7 +585,7 @@ class BoundaryJacobiSystem:
     def field(self, u_target) -> JacobiField:
         """The Jacobi field with J(0) = 0 and J(r) the part of u_target across T."""
         c = self._perp_solution[1] @ np.asarray(u_target, dtype=float)
-        return JacobiField(path=self.path, r=self.r, c=c)
+        return JacobiField(path=self.path, c=c)
 
     def boundary_form(self) -> np.ndarray:
         """P^T g_T W M^-1 P: the index form's boundary term g_T(D_T J_u, J_u) at r
@@ -644,9 +629,9 @@ def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
     """The Jacobi field with J(0) = J0, D_T J(0) = dJ0 along the unit-speed
     geodesic from (x0, u0), to arc length r: the variation with dx(0) = J0 and
     dx'(0) = dJ0 - N J0."""
-    N0 = _nonlinear(m, np.asarray(x0, dtype=float), np.asarray(u0, dtype=float))
+    N0 = cartan(m, x0, u0, need_curvature=False).nonlinear
     path = _integrate_jacobi(m, x0, u0, r, np.concatenate([J0, dJ0 - N0 @ J0]))
-    return JacobiField(path=path, r=r, c=np.ones(1))
+    return JacobiField(path=path, c=np.ones(1))
 
 
 def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, dense=False,
@@ -675,34 +660,34 @@ class IndexFormResult:
     quadrature_error: float
 
 
-def index_form(path: GeodesicPath, xi, eta, xi_cov, eta_cov) -> IndexFormResult:
+def index_form(path: GeodesicPath, xi, eta) -> IndexFormResult:
     """Morse index form I(xi, eta) along a normal geodesic.
 
-    Fields are callables of the arc parameter; their component along T is
-    projected out pointwise, and ``xi_cov``, ``eta_cov`` are the covariant
-    derivatives of the projected fields, callables of the same parameter.
-    The Cartan data, curvature included, are evaluated once per quadrature
-    node, and a field once when xi and eta are equal callables. Quadrature is
-    composite Gauss-Legendre over 12 panels with the error estimated from
-    one coarsening step.
+    A field is a callable of the arc parameter s returning (V, dV/ds), its
+    value and coordinate derivative; a ``JacobiField`` is one. At each
+    quadrature node one ``cartan`` call, curvature included, gives g_T, R
+    and N at (x, T), and D_T V = dV/ds + N V. Both V and D_T V lose their
+    component along T: projecting commutes with D_T, since D_T T = 0 along
+    a geodesic. A field is read once per node when xi and eta are the same
+    callable. Quadrature is composite Gauss-Legendre over 12 panels with the
+    error estimated from one coarsening step.
     """
     if not path.normal:
         raise ConfigurationError("the index form is defined along normal paths")
     r = path.arc_length
-    same = xi == eta and xi_cov == eta_cov
 
     def integrand(s):
         data = cartan(path.metric, *path.state_at(s))
-        T = data.u
+        T, g = data.u, data.g
 
-        def perp(f):
-            val = np.asarray(f(s), dtype=float)
-            return val - (float(val @ data.g @ T) / float(T @ data.g @ T)) * T
+        def across(f):
+            V, dV = (np.asarray(a, dtype=float) for a in f(s))
+            return [v - (float(v @ g @ T) / float(T @ g @ T)) * T
+                    for v in (V, dV + data.nonlinear @ V)]
 
-        xv = perp(xi)
-        dx = np.asarray(xi_cov(s), dtype=float)
-        ev_, de = (xv, dx) if same else (perp(eta), np.asarray(eta_cov(s), dtype=float))
-        return float(dx @ data.g @ de) - float((data.riemann @ xv) @ data.g @ ev_)
+        xv, dx = across(xi)
+        ev_, de = (xv, dx) if xi is eta else across(eta)
+        return float(dx @ g @ de) - float((data.riemann @ xv) @ g @ ev_)
 
     nodes, weights = np.polynomial.legendre.leggauss(4)
 
@@ -811,8 +796,7 @@ class HessianRhoResult:
     """Distance Hessian H(rho)(u,u) computed along two independent routes."""
 
     value: float                 # u.H.u with H from the Jacobi fundamental system
-    value_index_form: float      # I(J, J) by quadrature along the boundary Jacobi field
-    discrepancy: float
+    discrepancy: float           # |value - I(J, J)|, I by quadrature along the Jacobi field
     rho: float
     agreed: bool
 
@@ -833,9 +817,6 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
     u = u / math.sqrt(float(u @ system.g @ u))
     value_a = float(u @ system.boundary_form() @ u)
     bvp = system.field(u)
-    value_b = index_form(system.path, bvp.value, bvp.value,
-                         xi_cov=bvp.cov_deriv, eta_cov=bvp.cov_deriv).value
-    disc = abs(value_a - value_b)
-    return HessianRhoResult(value=value_a, value_index_form=value_b,
-                            discrepancy=disc, rho=system.r,
+    disc = abs(value_a - index_form(system.path, bvp, bvp).value)
+    return HessianRhoResult(value=value_a, discrepancy=disc, rho=system.r,
                             agreed=disc <= AGREEMENT_TOL * max(1.0, abs(value_a)))

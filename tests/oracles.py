@@ -702,6 +702,35 @@ def fd_covariant_derivatives(path, *fields):
     return tuple(derivative(f) for f in fields)
 
 
+def fd_index_form(path, xi, eta) -> float:
+    """I(xi, eta) along a normal ``path`` by the composite rule of
+    ``geodesic.index_form`` (4-point Gauss-Legendre over 12 panels), with the
+    covariant derivatives of ``fd_covariant_derivatives``, the ``gamma_h``
+    route, in place of dV/ds + N V. ``xi`` and ``eta`` are callables of the
+    arc parameter that return the field's value only.
+    """
+    from finsler.cartan import cartan
+
+    xi_cov, eta_cov = fd_covariant_derivatives(path, xi, eta)
+
+    def integrand(s):
+        data = cartan(path.metric, *path.state_at(s))
+        T = data.u
+
+        def perp(f):
+            val = np.asarray(f(s), dtype=float)
+            return val - (float(val @ data.g @ T) / float(T @ data.g @ T)) * T
+
+        xv, ev = perp(xi), perp(eta)
+        return (float(xi_cov(s) @ data.g @ eta_cov(s))
+                - float((data.riemann @ xv) @ data.g @ ev))
+
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    edges = np.linspace(0.0, path.arc_length, 13)
+    return sum(w * 0.5 * (b - a) * integrand(0.5 * (a + b) + 0.5 * (b - a) * t)
+               for a, b in zip(edges, edges[1:]) for t, w in zip(nodes, weights))
+
+
 # -- Levi form of rho^2 along straight segments -------------------------------------
 
 

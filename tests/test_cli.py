@@ -256,6 +256,59 @@ def test_tolerance_flag_is_refused_where_nothing_reads_it(tmp_path, capsys, comm
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "curvature", "geodesic", "distance", "bounds",
+                                     "schwarz"])
+def test_certificate_flag_is_refused_where_nothing_reads_it(tmp_path, capsys, command):
+    p = write_config(tmp_path)
+    out = tmp_path / "o"
+    cert = Path(__file__).parent / "golden" / "cert_identity.json"
+    assert main([command, "--config", str(p), "--out", str(out), "--certificate", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: --certificate is not read by {command}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_replay_refuses_config_and_out(tmp_path, capsys, flag):
+    cert = Path(__file__).parent / "golden" / "cert_identity.json"
+    assert main(["replay", "--certificate", str(cert), flag, str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {flag} is not read by replay" in err
+    assert "Traceback" not in err and not (tmp_path / "x").exists()
+    # nor does --config name the certificate in place of --certificate
+    assert main(["replay", flag, str(cert)]) == 2
+
+
+_DISK = BASE_CONFIG["metrics"][0]
+_IDENTITY = BASE_CONFIG["maps"][0]
+
+
+@pytest.mark.parametrize("command, change", [
+    ("check", {"outputs": {"directory": 5}}),
+    ("check", {"metrics": [{**_DISK, "id": 7}]}),
+    ("check", {"metrics": [{**_DISK, "id": ["a"]}]}),
+    ("schwarz", {"maps": [{**_IDENTITY, "id": ["x"]}]}),
+    ("check", {"metrics": [{**_DISK, "id": "../../x"}]}),
+    ("check", {"metrics": [{**_DISK, "id": ""}]}),
+    ("check", {"metrics": [{**_DISK, "id": ".."}]}),
+    ("schwarz", {"maps": [{**_IDENTITY, "id": "../m"}],
+                 "pairs": [{"map": "../m", "domain": "poincare", "target": "poincare"}]}),
+    ("check", {"metrics": [{**_DISK, "id": "a\0b"}]}),
+    ("schwarz", {"pairs": [{"map": ["identity"], "domain": "poincare", "target": "poincare"}]}),
+    ("schwarz", {"pairs": [{"map": "identity", "domain": ["poincare"], "target": "poincare"}]}),
+], ids=["directory_not_a_string", "metric_id_a_number", "metric_id_a_list", "map_id_a_list",
+        "metric_id_leaves_out", "metric_id_empty", "metric_id_parent", "map_id_leaves_out",
+        "metric_id_with_nul", "pair_map_a_list", "pair_domain_a_list"])
+def test_bad_id_or_output_directory_is_a_configuration_error(tmp_path, capsys, command, change):
+    # reports land in <out>/<command>/<id>, so an id must be one path component
+    p = write_config(tmp_path, {**BASE_CONFIG, **change})
+    out = tmp_path / "runs" / "o"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert list(tmp_path.rglob("*")) == [p]
+
+
 def test_cmd_bounds(tmp_path):
     cfg = dict(BASE_CONFIG)
     cfg["metrics"] = [BASE_CONFIG["metrics"][0]]

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from scipy.linalg import eigh
 
 from finsler import geodesic
-from finsler.cartan import cartan
+from finsler.cartan import cartan, spray_coefficients
 from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError,
                             DomainError, ShootingError, StructuralError)
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
@@ -23,8 +24,7 @@ from finsler.jets import spow
 from finsler.metrics import instantiate
 
 from oracles import (ball_distance, covariant_boundary_form, covariant_d2_rho,
-                     fd_covariant_derivatives, hyperbolic_distance,
-                     hyperbolic_hessian_tangential)
+                     fd_index_form, hyperbolic_distance, hyperbolic_hessian_tangential)
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "euclidean"}}))
@@ -257,7 +257,7 @@ def test_jacobi_flat_linear():
     e = np.array([0.0, 1.0, 0, 0])
     J = jacobi_field(EUCLID2, np.zeros(4), np.array([1.0, 0, 0, 0]), 2.0, np.zeros(4), e)
     for t in (0.5, 1.0, 2.0):
-        assert np.allclose(J.value(t), t * e, atol=1e-9)
+        assert np.allclose(J(t)[0], t * e, atol=1e-9)
 
 
 def test_jacobi_hyperbolic_sinh():
@@ -269,7 +269,8 @@ def test_jacobi_hyperbolic_sinh():
     for t in (0.4, 0.9, 1.5):
         xt, ut = J.path.state_at(t)
         gt = cartan(HYPERBOLIC, xt, ut, need_curvature=False).g
-        norm = math.sqrt(float(J.value(t) @ gt @ J.value(t)))
+        Jt = J(t)[0]
+        norm = math.sqrt(float(Jt @ gt @ Jt))
         assert norm == pytest.approx(math.sinh(2 * t) / 2.0, abs=1e-7)
 
 
@@ -286,7 +287,8 @@ def test_jacobi_hyperbolic_cosh_off_the_origin():
     for t in (0.0, 0.3, 0.7, 1.0):
         xt, ut = J.path.state_at(t)
         gt = HYPERBOLIC.fundamental_real(xt, ut)
-        Jt, DJt = J.at(t)
+        Jt, dJt = J(t)
+        DJt = dJt + cartan(HYPERBOLIC, xt, ut, need_curvature=False).nonlinear @ Jt
         assert math.sqrt(Jt @ gt @ Jt) == pytest.approx(0.7 * math.cosh(2 * t), abs=1e-8)
         assert math.sqrt(DJt @ gt @ DJt) == pytest.approx(0.7 * 2 * math.sinh(2 * t), abs=1e-8)
 
@@ -319,29 +321,52 @@ def test_a_jacobi_system_reads_the_metric_value_once(monkeypatch):
     assert system.path.n_steps > 1 and len(calls) == 1
 
 
+# a unit-speed disk geodesic off the origin, where N != 0, so D_T V = dV/ds + N V
+# and the oracle's gamma_h route differ term by term
+DISK_X0 = np.array([0.3, -0.2])
+DISK_U0 = np.array([0.6, 0.8]) / math.sqrt(HYPERBOLIC.value(DISK_X0, np.array([0.6, 0.8])))
+
+
+def _values(field):
+    """The value part of a field that returns (V, dV/ds), for ``fd_index_form``."""
+    return lambda t: field(t)[0]
+
+
 def test_index_form_flat_linear_field():
     r = 2.0
     path = integrate_geodesic(EUCLID2, np.zeros(4), np.array([1.0, 0, 0, 0]), r)
     e = np.array([0.0, 1.0, 0.0, 0.0])
-    xi = lambda t: (t / r) * e
-    out = index_form(path, xi, xi, *fd_covariant_derivatives(path, xi, xi))
+    xi = lambda t: ((t / r) * e, e / r)
+    out = index_form(path, xi, xi)
     assert out.value == pytest.approx(1.0 / r, abs=1e-9)
     assert out.quadrature_error < 1e-9
+    assert out.value == pytest.approx(fd_index_form(path, _values(xi), _values(xi)), abs=1e-7)
+    disk = integrate_geodesic(HYPERBOLIC, DISK_X0, DISK_U0, 1.0)
+    lin = lambda t: (t * np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    assert index_form(disk, lin, lin).value == pytest.approx(
+        fd_index_form(disk, _values(lin), _values(lin)), abs=1e-7)
 
 
 def test_index_form_symmetry_and_projection():
     r = 1.5
-    path = integrate_geodesic(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), r)
-    xi = lambda t: np.array([0.2 * t, (t / r) ** 2])
-    eta = lambda t: np.array([-0.1 * t * t, math.sin(t)])
-    xi_cov, eta_cov = fd_covariant_derivatives(path, xi, eta)
-    a = index_form(path, xi, eta, xi_cov, eta_cov)
-    b = index_form(path, eta, xi, eta_cov, xi_cov)
-    assert abs(a.value - b.value) < 1e-9
-    # the tangential component is projected away
-    tang = lambda t: path.state_at(t)[1] * (1 + 0.3 * t)
-    c = index_form(path, tang, tang, *fd_covariant_derivatives(path, tang, tang))
-    assert abs(c.value) < 1e-9
+    xi = lambda t: (np.array([0.2 * t, (t / r) ** 2]), np.array([0.2, 2 * t / r ** 2]))
+    eta = lambda t: (np.array([-0.1 * t * t, math.sin(t)]), np.array([-0.2 * t, math.cos(t)]))
+    for x0, u0 in ((np.zeros(2), np.array([1.0, 0.0])), (DISK_X0, DISK_U0)):
+        path = integrate_geodesic(HYPERBOLIC, x0, u0, r)
+        a = index_form(path, xi, eta)
+        b = index_form(path, eta, xi)
+        assert abs(a.value - b.value) < 1e-9
+        assert a.value == pytest.approx(fd_index_form(path, _values(xi), _values(eta)), abs=1e-7)
+
+        # the tangential component is projected away; d/ds of f(s) u(s) is
+        # f' u - 2 f G(x, u) along the unit-speed geodesic
+        def tang(t, path=path):
+            x, u = path.state_at(t)
+            return u * (1 + 0.3 * t), 0.3 * u - 2.0 * (1 + 0.3 * t) * spray_coefficients(
+                HYPERBOLIC, x, u)
+
+        c = index_form(path, tang, tang)
+        assert abs(c.value) < 1e-9
 
 
 def test_conjugate_point_guard():
@@ -380,7 +405,7 @@ def test_distance_hessian_skips_dense_output(m, q):
     with pytest.raises(StructuralError, match="without dense output"):
         plain.path.state_at(0.1)
     with pytest.raises(StructuralError):
-        plain.field(np.array(q)[::-1]).value(0.1)
+        plain.field(np.array(q)[::-1])(0.1)
     dense.path.state_at(0.1)
 
 
@@ -414,27 +439,33 @@ def test_warm_distance_hessian_matches_a_fresh_one(m, pole, q):
 
 def test_jacobi_minimizes_index_form():
     r = 1.2
-    system = jacobi_boundary_field(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), r, dense=True)
-    path = system.path
-    u_end = np.array([0.0, 1.0])
-    xr, ur = path.state_at(r)
-    g_r = cartan(HYPERBOLIC, xr, ur, need_curvature=False).g
-    u_end = u_end / math.sqrt(u_end @ g_r @ u_end)
-    bvp = system.field(u_end)
-    i_jacobi = index_form(path, bvp.value, bvp.value,
-                          xi_cov=bvp.cov_deriv, eta_cov=bvp.cov_deriv).value
-    rng = np.random.default_rng(4)
-    for _ in range(4):
-        a, b = rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5)
+    for x0, u0 in ((np.zeros(2), np.array([1.0, 0.0])), (DISK_X0, DISK_U0)):
+        system = jacobi_boundary_field(HYPERBOLIC, x0, u0, r, dense=True)
+        path = system.path
+        u_end = np.array([0.0, 1.0])
+        xr, ur = path.state_at(r)
+        g_r = cartan(HYPERBOLIC, xr, ur, need_curvature=False).g
+        u_end = u_end / math.sqrt(u_end @ g_r @ u_end)
+        bvp = system.field(u_end)
+        i_jacobi = index_form(path, bvp, bvp).value
+        assert i_jacobi == pytest.approx(fd_index_form(path, _values(bvp), _values(bvp)),
+                                         abs=1e-7)
+        J_r = bvp(r)[0]
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            a, b = rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5)
 
-        def eta(t, a=a, b=b):
-            # competitor with the same endpoints as the Jacobi field
-            base = bvp.value(r) * (t / r) ** a
-            bump = math.sin(math.pi * t / r) * b * np.array([0.0, 1.0])
-            return base + bump
+            def eta(t, a=a, b=b):
+                # competitor with the same endpoints as the Jacobi field
+                e = np.array([0.0, 1.0])
+                return (J_r * (t / r) ** a + math.sin(math.pi * t / r) * b * e,
+                        J_r * a * (t / r) ** (a - 1) / r
+                        + math.cos(math.pi * t / r) * math.pi / r * b * e)
 
-        i_eta = index_form(path, eta, eta, *fd_covariant_derivatives(path, eta, eta)).value
-        assert i_jacobi <= i_eta + 1e-7
+            i_eta = index_form(path, eta, eta).value
+            assert i_eta == pytest.approx(fd_index_form(path, _values(eta), _values(eta)),
+                                          abs=1e-7)
+            assert i_jacobi <= i_eta + 1e-7
 
 
 def test_legendre_gradient_euclidean():
@@ -510,6 +541,31 @@ def test_hessian_rho_hyperbolic():
     assert res.value == pytest.approx(hyperbolic_hessian_tangential(rho), abs=1e-8)
     assert res.value <= 1.0 / rho + 2.0 + 1e-3   # comparison bound with K = 2
     assert res.discrepancy < 1e-4 * max(1.0, abs(res.value))
+
+
+@pytest.mark.parametrize("m, q", [(HYPERBOLIC, (0.45, -0.3)), (EUCLID2, (0.3, -0.2, 0.1, 0.4))])
+def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
+    # order 3: the Jacobi system's right-hand sides and its readout at r;
+    # order 4: one cartan call per index-form node, 4 on each of 12 + 6 panels,
+    # whose N the covariant derivatives reuse
+    real_jet, orders = MetricDef.real_jet, Counter()
+
+    def counted(self, x, u, order):
+        orders[order] += 1
+        return real_jet(self, x, u, order)
+
+    monkeypatch.setattr(MetricDef, "real_jet", counted)
+    nfev = []
+    distance_hessian = geodesic.distance_hessian
+
+    def recorded(*args, **kwargs):
+        system = distance_hessian(*args, **kwargs)
+        nfev.append(system.path.nfev)
+        return system
+
+    monkeypatch.setattr(geodesic, "distance_hessian", recorded)
+    hessian_rho(m, np.zeros(m.dim), np.array(q), np.array(q)[::-1])
+    assert nfev and orders[3] == nfev[0] + 1 and orders[4] == 72
 
 
 def test_hessian_rho_nan_index_form_does_not_agree(monkeypatch):
