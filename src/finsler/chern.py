@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import MetricDef, well_conditioned_inverse
-from .report import VerificationReport
 
 
 @dataclass
@@ -128,26 +127,3 @@ def holomorphic_sectional_curvature(m: MetricDef, z, v, *,
     data = data if data is not None else chern_finsler(m, z, v)
     return float((2.0 * curvature_pairing(data) / data.G ** 2).real)
 
-
-def scale_invariance_check(m: MetricDef, z, v, zeta) -> VerificationReport:
-    """K_G(v) equals K_G(zeta v) to 1e-8 for nonzero complex zeta (homogeneity)."""
-    tol = 1e-8
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise ValueError("zeta must be nonzero")
-    v = np.asarray(v, dtype=complex)
-    w = zeta * v
-    # stay on the slit bundle for tiny rescalings
-    nw = float(np.linalg.norm(w))
-    renormalized = False
-    if nw < 1e-6:
-        w = w / nw
-        renormalized = True
-    k1 = holomorphic_sectional_curvature(m, z, v)
-    k2 = holomorphic_sectional_curvature(m, z, w)
-    diff = abs(k1 - k2)
-    return VerificationReport(
-        name=f"holomorphic_curvature_scale_invariance:{m.family_id}",
-        passed=diff < tol, tolerance=tol,
-        stats={"K_v": k1, "K_scaled": k2, "difference": diff,
-               "zeta": zeta, "renormalized": renormalized})

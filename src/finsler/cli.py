@@ -43,12 +43,15 @@ SCHEMA = 1
 def _metric_specs(config: RunConfig):
     """``(id, spec)`` per config metric, the spec carrying its id: a metric
     without ``id`` is named ``{family}_{index}``, and the metric it
-    instantiates (so a certificate naming it) has the id the pairs use."""
-    out = []
+    instantiates (so a certificate naming it) has the id the pairs use. Two
+    metrics of one id would write one report over the other, so that is refused."""
+    out = {}
     for i, spec in enumerate(config.metrics):
         mid = spec.get("id", f"{spec.get('family', 'metric')}_{i}")
-        out.append((mid, {**spec, "id": mid}))
-    return out
+        if mid in out:
+            raise ConfigurationError(f"duplicate metric id {mid!r}")
+        out[mid] = {**spec, "id": mid}
+    return list(out.items())
 
 
 def _write_report(outdir: Path, command, item_id, payload, config: RunConfig,
@@ -344,7 +347,10 @@ def _maps(config: RunConfig):
     maps = {}
     for spec in config.maps:
         mp = build_map(spec)
-        maps[spec.get("id", mp.id)] = mp
+        mid = spec.get("id", mp.id)
+        if mid in maps:
+            raise ConfigurationError(f"duplicate map id {mid!r}")
+        maps[mid] = mp
     return maps
 
 

@@ -101,6 +101,14 @@ def check_tolerance(value) -> float:
 
 
 def parse_config(doc: dict) -> RunConfig:
+    # a misspelt key would otherwise leave its section at the default, silently
+    unknown = sorted(set(doc) - {"seed", *DEFAULTS}, key=str)
+    outputs = doc.get("outputs", {})
+    if isinstance(outputs, dict):
+        unknown += [f"outputs.{key}" for key in
+                    sorted(set(outputs) - set(DEFAULTS["outputs"]), key=str)]
+    if unknown:
+        raise ConfigurationError(f"unknown config key(s) {unknown}")
     for key, kind in (("outputs", dict), ("plans", dict), ("metrics", list),
                       ("maps", list), ("pairs", list)):
         if not isinstance(doc.get(key, kind()), kind):
@@ -116,6 +124,10 @@ def parse_config(doc: dict) -> RunConfig:
     directory = doc["outputs"]["directory"]
     if not isinstance(directory, str):
         raise ConfigurationError(f"outputs.directory must be a string, got {directory!r}")
+    # commands write report.json and, where they have tables, CSV; nothing else is implemented
+    if doc["outputs"]["formats"] != DEFAULTS["outputs"]["formats"]:
+        raise ConfigurationError(f"outputs.formats must be {DEFAULTS['outputs']['formats']}, "
+                                 f"got {doc['outputs']['formats']!r}")
     for spec in doc["metrics"]:
         if not isinstance(spec, dict) or "family" not in spec:
             raise ConfigurationError(f"metric spec without family: {spec!r}")

@@ -38,7 +38,6 @@ from .cartan import cartan, spray_coefficients, spray_jacobian
 from .errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError,
                      StructuralError)
 from .geometry import MetricDef, unit_directions
-from .jets import JetSpace
 
 
 def solve_ivp(*args, **kwargs):
@@ -525,11 +524,6 @@ class PoleDistance:
                 yield w
 
 
-def distance(m: MetricDef, p, q) -> float:
-    """Arc length of the connecting geodesic found by shooting from p."""
-    return PoleDistance(m, p).rho(q).value
-
-
 # -- fields along geodesics --------------------------------------------------------
 
 
@@ -704,53 +698,6 @@ def index_form(path: GeodesicPath, xi, eta) -> IndexFormResult:
     fine = quad(12)
     coarse = quad(6)
     return IndexFormResult(value=fine, quadrature_error=abs(fine - coarse))
-
-
-# -- Legendre transform and gradients -----------------------------------------------
-
-
-def legendre_gradient(m: MetricDef, df, x):
-    """Solve g_ij(x, Y) Y^j = df_i for Y (the metric gradient of f at x).
-
-    ``df`` is the differential as a covector array, or a callable point
-    function differentiated exactly through jets. Damped Newton from a few
-    seeds, at most 60 steps each, to a residual below 1e-10 |df|.
-    """
-    x = np.asarray(x, dtype=float)
-    d = m.dim
-    if callable(df):
-        df = df(JetSpace.get(d, 1, False).variables(x)).gradient()
-    df = np.asarray(df, dtype=float)
-    scale = float(np.linalg.norm(df))
-    if scale == 0.0:
-        raise ConfigurationError("gradient undefined where df = 0")
-
-    best_res = math.inf
-    seeds = [df, np.ones(d)]
-    seeds.extend(unit_directions(3, d, seed=2) * scale)
-    for Y in seeds:
-        Y = np.asarray(Y, dtype=float).copy()
-        if float(np.linalg.norm(Y)) < 1e-12:
-            continue
-        for _ in range(60):
-            jet = m.real_jet(x, Y, 2)
-            F = 0.5 * jet.gradient()[d:] - df
-            res = float(np.linalg.norm(F))
-            best_res = min(best_res, res)
-            if res < 1e-10 * scale:
-                return Y
-            g = 0.5 * jet.hessian()[d:, d:]
-            try:
-                step = np.linalg.solve(g, F)
-            except np.linalg.LinAlgError:
-                break
-            # damped Newton keeps iterates on the slit bundle
-            lam = 1.0
-            while lam > 1e-4 and float(np.linalg.norm(Y - lam * step)) < 1e-10 * scale:
-                lam *= 0.5
-            Y = Y - lam * step
-    raise ShootingError("Legendre gradient Newton iteration did not converge",
-                        best_residual=best_res)
 
 
 # -- distance Hessian ---------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Kaehler-class residuals and the unitary-invariant characterizations.
+"""Kaehler-class residuals and the weakly-Kaehler PDE of unitary-invariant profiles.
 
 The three residuals measure symmetry failures of the horizontal connection
 coefficients: full index symmetry, symmetry after radial contraction, and
 symmetry after radial contraction paired against the vertical gradient of G.
 Each pass implies the next by construction, so the classification chain is
 monotone. Residuals are normalized by the sampled magnitude of the
-coefficients to stay dimensionless across families.
+coefficients to stay dimensionless across families. For a unitary-invariant
+metric the weakly Kaehler condition is also a PDE in its profile, which
+``weakly_kahler_pde_residual`` evaluates without the connection.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .chern import chern_finsler
 from .geometry import MetricDef, SamplePlan, sample_points, sample_vectors
 from .jets import JetSpace
-from .metrics import UnitaryProfile, un_invariant_metric
+from .metrics import UnitaryProfile
 from .report import VerificationReport, evaluate_samples
 
 CLASS_ORDER = ["strongly_kahler", "kahler", "weakly_kahler", "none"]
@@ -99,28 +101,6 @@ def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
 
 def is_at_least(classification: str, level: str) -> bool:
     return CLASS_ORDER.index(classification) <= CLASS_ORDER.index(level)
-
-
-def un_invariant_kahler_check(profile: UnitaryProfile) -> VerificationReport:
-    """Compare the torsion classification with the closed-form profile shape.
-
-    A unitary-invariant metric is Kaehler exactly when its profile has the
-    gradient form f(t) + f'(t) s; the check builds the profile's metric on C^2
-    and runs the residual classification against that predicate.
-    """
-    m = un_invariant_metric(profile, 2, {})
-    rep = classify(m, SamplePlan(n_points=6, n_dirs=4, radial_range=(0.1, 0.6)))
-    predicted = profile.is_gradient_form
-    observed = is_at_least(rep.classification, "kahler")
-    return VerificationReport(
-        name=f"un_invariant_kahler_check:{profile.id}",
-        passed=predicted == observed,
-        tolerance=rep.tolerance,
-        stats={"predicted_kahler": predicted, "observed_class": rep.classification,
-               "residual_strong": rep.residual_strong,
-               "residual_kahler": rep.residual_kahler,
-               "residual_weak": rep.residual_weak},
-        errors=rep.errors)
 
 
 def weakly_kahler_pde_residual(profile: UnitaryProfile) -> VerificationReport:

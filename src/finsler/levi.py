@@ -1,4 +1,4 @@
-"""Complex-side distance analytics: Levi forms of rho^2 and gradient identities.
+"""Complex-side distance analytics: Levi forms of rho^2.
 
 The Levi form of the squared distance contracted against a unit (1,0) vector
 is computed through the realification identity
@@ -22,13 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import cartan
 from .errors import ConfigurationError
-from .geodesic import PoleDistance, distance_hessian, legendre_gradient
+from .geodesic import PoleDistance, distance_hessian
 from .geometry import (MetricDef, apply_J, complex_to_real_components,
                        realify_metric)
-from .jets import JetSpace, wirtinger
-from .report import VerificationReport
 
 
 @dataclass
@@ -86,102 +83,3 @@ class LeviField:
                                   bound=bound, margin=bound - levi_value))
         return out
 
-
-# -- Hessian/Levi identity for smooth test functions ---------------------------------
-
-
-def levi_identity_residual(m: MetricDef, f, z, X) -> dict:
-    """Residual of 4 f_{;a bbar} Xo Xobar = D^2 f(X, X) + D^2 f(JX, JX).
-
-    ``f`` is a smooth closed-form function of the real point coordinates,
-    evaluable on jets. The left side uses Wirtinger derivatives of f, the
-    right side the covariant Hessian at reference vector grad f; both sides
-    are assembled through unrelated code paths.
-    """
-    mr = realify_metric(m)
-    z = np.asarray(z, dtype=complex)
-    x = complex_to_real_components(z)
-    X = np.asarray(X, dtype=float)
-    d = mr.dim
-    n = m.n
-
-    sp = JetSpace.get(d, 2, False)
-    fj = f(sp.variables(x))
-    grad = fj.gradient()
-    hess = fj.hessian()
-
-    # f_{;a bbar}: the (z, zbar) block of the Wirtinger Hessian
-    f_abar = wirtinger(fj, [(a, n + a) for a in range(n)]).hessian()[:n, n:]
-    Xo = X[:n] + 1j * X[n:]       # (1,0)-part of X in the d/dz frame
-    lhs = 4.0 * np.einsum("ab,a,b->", f_abar, Xo, Xo.conj())
-
-    Y = legendre_gradient(mr, grad, x)
-    conn = cartan(mr, x, Y, need_curvature=False)
-
-    def d2(wv):
-        quad = float(wv @ hess @ wv)
-        corr = float(np.einsum("kij,i,j->k", conn.gamma_h, wv, wv) @ grad)
-        return quad - corr
-
-    rhs = d2(X) + d2(apply_J(X))
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return {"lhs": complex(lhs), "rhs": float(rhs),
-            "residual": abs(lhs.real - rhs) + abs(lhs.imag),
-            "relative_residual": (abs(lhs.real - rhs) + abs(lhs.imag)) / scale}
-
-
-# -- gradient identities ---------------------------------------------------------------
-
-
-def gradient_identity(m: MetricDef, pole, z) -> VerificationReport:
-    """Radial pairing identities of the distance gradient.
-
-    Checks that the real pairing of grad(rho^2) with the arriving unit tangent
-    is 2 rho, and that half of the complex pairing against the (1,0) part of
-    the tangent is rho. The gradient is recovered from numerically
-    differentiated rho^2 through the Legendre transform, independently of the
-    shooting tangent. Both pairings must hold to 1e-6 relative.
-    """
-    tol = 1e-6
-    mr = realify_metric(m)
-    pole_x = complex_to_real_components(np.asarray(pole, dtype=complex))
-    pd = PoleDistance(mr, pole_x)
-    z = np.asarray(z, dtype=complex)
-    x = complex_to_real_components(z)
-    base = pd.rho(x)
-    d = mr.dim
-
-    h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    df = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        fp = pd.rho(x + e).value ** 2
-        fm = pd.rho(x - e).value ** 2
-        fp2 = pd.rho(x + 0.5 * e).value ** 2
-        fm2 = pd.rho(x - 0.5 * e).value ** 2
-        d_h = (fp - fm) / (2 * h)
-        d_h2 = (fp2 - fm2) / h
-        df[i] = (4.0 * d_h2 - d_h) / 3.0
-
-    Y = legendre_gradient(mr, df, x)
-    conn_T = cartan(mr, x, base.T, need_curvature=False)
-    real_pairing = float(Y @ conn_T.g @ base.T)
-
-    T_c = base.T[:m.n] + 1j * base.T[m.n:]
-    Y_c = Y[:m.n] + 1j * Y[m.n:]
-    levi_T = m.levi_matrix(z, T_c)
-    complex_pairing = 0.5 * np.einsum("ab,a,b->", levi_T, Y_c, T_c.conj())
-
-    rho = base.value
-    err_real = abs(real_pairing - 2.0 * rho) / max(1.0, 2.0 * rho)
-    err_complex = abs(complex_pairing - rho) / max(1.0, rho)
-    return VerificationReport(
-        name=f"gradient_identity:{m.family_id}",
-        passed=err_real < tol and err_complex < tol,
-        tolerance=tol,
-        stats={"rho": rho, "real_pairing": real_pairing,
-               "complex_pairing_re": float(complex_pairing.real),
-               "complex_pairing_im": float(complex_pairing.imag),
-               "relative_error_real": err_real,
-               "relative_error_complex": err_complex})

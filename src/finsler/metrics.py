@@ -1,12 +1,11 @@
 """Built-in metric families, holomorphic map catalog, and metric validation.
 
 Families are written against the generic scalar protocol of :mod:`finsler.jets`
-so the same formula evaluates on plain complex numbers (fast values), on CJets
-over real coordinates (full jets), and on CJets over disk parameters (pullback
-densities). Pure p-norm metrics are not smooth where a component vanishes, so
-the point-independent norm family is built from p-th-root combinations of
-Hermitian quadratics with a full-rank base term, which keeps it smooth on the
-slit bundle.
+so the same formula evaluates on plain complex numbers (fast values) and on
+CJets over real coordinates (full jets). Pure p-norm metrics are not smooth
+where a component vanishes, so the point-independent norm family is built
+from p-th-root combinations of Hermitian quadratics with a full-rank base
+term, which keeps it smooth on the slit bundle.
 """
 
 from __future__ import annotations
@@ -520,89 +519,6 @@ def _build_map(spec) -> HoloMap:
             return [zero + ci for ci in c]
         return HoloMap(spec.get("id", "constant"), n_in, len(c), fn)
     raise ConfigurationError(f"unknown holomorphic map {kind!r}")
-
-
-# -- holomorphic disk probes -----------------------------------------------------------
-
-
-def ball_automorphism(center):
-    """Automorphism of the unit ball sending 0 to ``center`` (generic scalars)."""
-    a = np.asarray(center, dtype=complex)
-    na2 = float(np.vdot(a, a).real)
-    if na2 >= 1.0:
-        raise ConfigurationError("automorphism center must lie inside the unit ball")
-    s = math.sqrt(1.0 - na2)
-
-    def fn(x):
-        if na2 == 0.0:
-            return [-xi for xi in x]
-        ip = None
-        for xi, ai in zip(x, a):
-            term = xi * ai.conjugate()
-            ip = term if ip is None else ip + term
-        denom = 1.0 - ip
-        out = []
-        for xi, ai in zip(x, a):
-            proj = ip * (ai / na2)
-            num = ai - proj - (xi - proj) * s
-            out.append(num / denom)
-        return out
-
-    return fn
-
-
-class DiskProbe:
-    """Holomorphic disk through an anchor point, tangent to a given direction."""
-
-    def __init__(self, probe_id, fn, radius=1.0):
-        self.id = probe_id
-        self._fn = fn
-        self.radius = radius
-
-    def __call__(self, zeta):
-        return self._fn(zeta)
-
-
-def probe_catalog(m: MetricDef, z, v, *, quadratic_coeff=None):
-    """Disk probes through (z, v) staying in the metric domain near 0.
-
-    Always contains the affine disk; for unit-ball domains also the
-    totally geodesic disk obtained from a ball automorphism.
-    """
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    margin = m.domain.margin(z)
-    vnorm = float(np.linalg.norm(v))
-    safe = 0.45 * margin / max(vnorm, 1e-12) if math.isfinite(margin) else 1.0
-    probes = []
-
-    def affine(zeta):
-        return [zeta * v[a] + z[a] for a in range(z.size)]
-
-    probes.append(DiskProbe("affine", affine, radius=safe))
-
-    if quadratic_coeff is not None:
-        b = np.asarray(quadratic_coeff, dtype=complex)
-
-        def quad(zeta):
-            z2 = zeta * zeta
-            return [zeta * v[a] + z2 * b[a] + z[a] for a in range(z.size)]
-
-        qr = min(safe, 0.45 * margin / max(float(np.linalg.norm(b)), 1e-12)) \
-            if math.isfinite(margin) else safe
-        probes.append(DiskProbe("quadratic", quad, radius=qr))
-
-    if m.domain.kind == "ball" and m.domain.radius == 1.0:
-        psi = ball_automorphism(z)
-        # direction e with d(psi)(0) e parallel to v
-        e = np.linalg.solve(_holomorphic_jacobian(psi, np.zeros(z.size)), v)
-        en = float(np.linalg.norm(e))
-
-        def geo(zeta):
-            return psi([zeta * (ei / en) for ei in e])
-
-        probes.append(DiskProbe("geodesic", geo, radius=0.95))
-    return probes
 
 
 def plan_directions(m: MetricDef, k: int, seed=0):

@@ -1,19 +1,15 @@
-"""Pullback densities, Gaussian curvature of disk metrics, Schwarz certification.
+"""Holomorphic sectional curvature bounds and Schwarz-ratio certificates.
 
-A holomorphic probe phi from the disk and a holomorphic map f between metric
-domains induce conformal densities
+The Schwarz lemma compares a holomorphic map f from a complete, weakly
+Kaehler domain metric G with K_G >= K1 into a target metric H with
+K_H <= K2 < 0:
 
-    lambda^2(zeta) = G(phi(zeta); phi'(zeta)),
-    sigma^2(zeta)  = H(f(phi(zeta)); (f o phi)'(zeta)),
+    H(f(z); df_z v) <= (K1 / K2) G(z; v).
 
-composed here through jets over the disk parameter, so their logarithmic
-Laplacians are exact. The certified inequality compares the pointwise ratio
-sigma^2 / lambda^2 against the curvature-bound quotient K1/K2.
-
-Sign conventions are pinned by the constant-curvature disk density, for which
-the comparison d^2 log sigma^2 / dzeta dzetabar >= -(1/2) K2 sigma^2 holds
-with equality; the one-half factor ties the comparison to the normalization
-K = -(2/g) d^2 log g / dzeta dzetabar of the Gaussian curvature.
+``certify_schwarz`` samples the ratio H(f(z); df_z v) / G(z; v) over a plan's
+points and directions and compares its supremum with K1/K2, where K1 is the
+clamped K_G infimum of the domain and K2 the K_G supremum of the target, both
+sampled on the plan. The hypotheses are checked and recorded, not assumed.
 """
 
 from __future__ import annotations
@@ -24,136 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SAMPLE_ERRORS, HypothesisViolationError, NoSamplesError
+from .errors import HypothesisViolationError, NoSamplesError
 from .geometry import MetricDef, SamplePlan, sample_points
-from .jets import CJet, Jet, JetSpace
 from .kahler import KahlerReport, classify, is_at_least
 from .metrics import HoloMap, check_metric, plan_directions
 from .report import (VerificationReport, evaluate_samples, failure_reasons,
                      require_finite, sample_counts)
-
-
-def _disk_cjet(zeta, order):
-    sp = JetSpace.get(2, order, False)
-    zeta = complex(zeta)
-    return CJet(*sp.variables([zeta.real, zeta.imag]))
-
-
-def _as_cjet(w, space):
-    if isinstance(w, CJet):
-        return w
-    z = complex(w)
-    return CJet(space.constant(z.real), space.constant(z.imag))
-
-
-def _holo_derivative(w: CJet) -> CJet:
-    """d/dzeta of a holomorphic CJet over (Re zeta, Im zeta); drops one order."""
-    re_a = w.re.extract(0)
-    re_b = w.re.extract(1)
-    im_a = w.im.extract(0)
-    im_b = w.im.extract(1)
-    return CJet((re_a + im_b) * 0.5, (im_a - re_b) * 0.5)
-
-
-def density_jet(density, zeta) -> Jet:
-    """Order-2 jet of a disk density over (Re zeta, Im zeta).
-
-    Seeds at order 3 so densities defined through a probe derivative still
-    carry order 2. A density that returns a plain number is constant.
-    """
-    zc = _disk_cjet(zeta, 3)
-    out = density(zc)
-    if isinstance(out, CJet):
-        out = out.re
-    elif not isinstance(out, Jet):
-        out = zc.re.space.constant(float(out))
-    return out.truncate(2) if out.order > 2 else out
-
-
-def gaussian_curvature(density, zeta) -> float:
-    """K = -(2/g) d^2 log g / dzeta dzetabar for a positive disk density."""
-    g = density_jet(density, zeta)
-    if g.value <= 0:
-        raise ValueError(f"density must be positive, got {g.value}")
-    lap_quarter = 0.25 * float(np.trace(g.log().hessian()))
-    return -2.0 / g.value * lap_quarter
-
-
-def pullback_density(m: MetricDef, probe):
-    """zeta -> G(phi(zeta); phi'(zeta)) as a CJet-evaluable density."""
-    return mapped_density(m, lambda z: z, probe)
-
-
-def mapped_density(m_target: MetricDef, f: HoloMap, probe):
-    """zeta -> H((f o phi)(zeta); (f o phi)'(zeta)) as a CJet density."""
-
-    def density(zc: CJet):
-        sp = zc.re.space
-        pt = [_as_cjet(w, sp) for w in probe(zc)]
-        fz = [_as_cjet(w, sp) for w in f(pt)]
-        dcomp = [_holo_derivative(w) for w in fz]
-        return m_target.formula(fz, dcomp)
-
-    return density
-
-
-@dataclass
-class PullbackRow:
-    zeta: complex
-    lam2: float
-    sigma2: float
-    ratio: float
-    flag: str = ""
-
-
-def _densities_at(f, m_domain, m_target, probe, zeta):
-    zc = _disk_cjet(zeta, 1)
-    sp = zc.re.space
-    pt = [_as_cjet(w, sp) for w in probe(zc)]
-    pt_vals = np.array([w.value for w in pt])
-    dphi = np.array([_holo_derivative(w).value for w in pt])
-    lam2 = m_domain.value(pt_vals, dphi) if float(np.linalg.norm(dphi)) > 0 else 0.0
-    fz = f.apply_values(pt_vals)
-    dfz = f.jacobian(pt_vals) @ dphi
-    sigma2 = m_target.value(fz, dfz) if float(np.linalg.norm(dfz)) > 0 else 0.0
-    return float(lam2), float(sigma2)
-
-
-def pullback(f: HoloMap, m_domain: MetricDef, m_target: MetricDef, probe,
-             grid) -> list:
-    """Density table over a zeta grid.
-
-    Points where the image derivative vanishes get the ratio as a refined
-    limit when both densities vanish and zero when only the image density
-    does; per-point evaluation failures are flagged, not raised.
-    """
-    rows = []
-    for zeta in grid:
-        zeta = complex(zeta)
-        try:
-            lam2, sigma2 = _densities_at(f, m_domain, m_target, probe, zeta)
-        except SAMPLE_ERRORS as exc:
-            rows.append(PullbackRow(zeta, math.nan, math.nan, math.nan,
-                                    flag=f"error:{type(exc).__name__}"))
-            continue
-        eps = 1e-12
-        if lam2 > eps:
-            rows.append(PullbackRow(zeta, lam2, sigma2, sigma2 / lam2))
-        elif sigma2 <= eps:
-            vals = []
-            for k in range(4):
-                zz = zeta + 1e-4 * np.exp(2j * math.pi * k / 4)
-                try:
-                    l2, s2 = _densities_at(f, m_domain, m_target, probe, zz)
-                    if l2 > eps:
-                        vals.append(s2 / l2)
-                except SAMPLE_ERRORS:
-                    pass
-            ratio = float(np.mean(vals)) if vals else 0.0
-            rows.append(PullbackRow(zeta, lam2, sigma2, ratio, flag="limit"))
-        else:
-            rows.append(PullbackRow(zeta, lam2, sigma2, math.inf, flag="degenerate"))
-    return rows
 
 
 @dataclass
@@ -356,29 +228,3 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
         curvature_samples={"domain": dom.curvature.counts,
                            "target": tgt.curvature.counts})
 
-
-def log_density_comparison(m_target: MetricDef, f: HoloMap, probe, K2,
-                           grid, *, tolerance=1e-6) -> VerificationReport:
-    """Check d^2 log sigma^2 / dzeta dzetabar >= -(1/2) K2 sigma^2 on a grid.
-
-    Equality holds for the constant-curvature disk density, which pins the
-    one-half convention.
-    """
-    density = mapped_density(m_target, f, probe)
-    worst = math.inf
-    rows = []
-    for zeta in grid:
-        sig_jet = density_jet(density, zeta)
-        if sig_jet.value <= 1e-14:
-            continue
-        lhs = 0.25 * float(np.trace(sig_jet.log().hessian()))
-        rhs = -0.5 * K2 * sig_jet.value
-        margin = lhs - rhs
-        worst = min(worst, margin)
-        rows.append({"zeta": complex(zeta), "lhs": lhs, "rhs": rhs})
-    return VerificationReport(
-        name=f"log_density_comparison:{f.id}->{m_target.family_id}",
-        passed=worst > -tolerance,
-        tolerance=tolerance,
-        stats={"min_margin": worst, "n_grid": len(rows)},
-        samples=rows[:5])

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written against plain numeric evaluation or
 textbook formulas, without reusing the engine's derivative pipelines, so that
-agreement between the two is evidence rather than tautology.
+agreement between the two is evidence rather than tautology. The second
+routes to a quantity the engine computes once (K_G from disk densities, the
+distance gradient through the Legendre transform) use the jet algebra, but
+not the production formula of the quantity they check.
 """
 
 from __future__ import annotations
@@ -875,3 +878,272 @@ def radial_flag_bounds_by_paths(m, pole, plan):
                     ks.append(flag_curvature(m, xt, ut, X, data=data))
     return min(ks), max(ks), len(ks)
 
+
+
+# -- disk densities and their Gaussian curvature ----------------------------------
+#
+# K_G(v) is the supremum of the Gaussian curvatures at 0 of the densities that G
+# pulls back to the holomorphic disks through (z, v) (Abate & Patrizio, Finsler
+# Metrics - A Global Approach, LNM 1591): a second route to the curvature that
+# ``chern.holomorphic_sectional_curvature`` reads from the Chern-Finsler tensors.
+
+
+def _disk_cjet(zeta, order):
+    """The disk parameter zeta as a CJet over (Re zeta, Im zeta)."""
+    from finsler.jets import CJet, JetSpace
+    zeta = complex(zeta)
+    return CJet(*JetSpace.get(2, order, False).variables([zeta.real, zeta.imag]))
+
+
+def _as_cjet(w, space):
+    from finsler.jets import CJet
+    if isinstance(w, CJet):
+        return w
+    z = complex(w)
+    return CJet(space.constant(z.real), space.constant(z.imag))
+
+
+def _holo_derivative(w):
+    """d/dzeta of a holomorphic CJet over (Re zeta, Im zeta); drops one order."""
+    from finsler.jets import CJet
+    return CJet((w.re.extract(0) + w.im.extract(1)) * 0.5,
+                (w.im.extract(0) - w.re.extract(1)) * 0.5)
+
+
+def density_jet(density, zeta):
+    """Order-2 jet of a disk density over (Re zeta, Im zeta).
+
+    Seeds at order 3 so densities defined through a probe derivative still
+    carry order 2. A density that returns a plain number is constant.
+    """
+    from finsler.jets import CJet, Jet
+    zc = _disk_cjet(zeta, 3)
+    out = density(zc)
+    if isinstance(out, CJet):
+        out = out.re
+    elif not isinstance(out, Jet):
+        out = zc.re.space.constant(float(out))
+    return out.truncate(2) if out.order > 2 else out
+
+
+def gaussian_curvature(density, zeta) -> float:
+    """K = -(2/g) d^2 log g / dzeta dzetabar for a positive disk density."""
+    g = density_jet(density, zeta)
+    if g.value <= 0:
+        raise ValueError(f"density must be positive, got {g.value}")
+    return -2.0 / g.value * (0.25 * float(np.trace(g.log().hessian())))
+
+
+def pullback_density(m, probe):
+    """zeta -> G(phi(zeta); phi'(zeta)) for a holomorphic disk phi, as a CJet
+    density; the density f pushes forward is the pullback along f o phi."""
+
+    def density(zc):
+        pt = [_as_cjet(w, zc.re.space) for w in probe(zc)]
+        return m.formula(pt, [_holo_derivative(w) for w in pt])
+
+    return density
+
+
+def log_density_comparison(m_target, f, probe, K2, grid):
+    """Margins of d^2 log sigma^2 / dzeta dzetabar >= -(1/2) K2 sigma^2 at the
+    grid points where sigma^2, the pullback of the target metric along f o phi,
+    is positive. Equality holds for the constant-curvature disk density, which
+    pins the one-half convention."""
+    density = pullback_density(m_target, lambda zc: f(probe(zc)))
+    margins = []
+    for zeta in grid:
+        sig = density_jet(density, zeta)
+        if sig.value > 1e-14:
+            margins.append(0.25 * float(np.trace(sig.log().hessian())) + 0.5 * K2 * sig.value)
+    return margins
+
+
+def ball_automorphism(center):
+    """Automorphism of the unit ball sending 0 to ``center`` (generic scalars)."""
+    a = np.asarray(center, dtype=complex)
+    na2 = float(np.vdot(a, a).real)
+    if na2 >= 1.0:
+        raise ValueError("automorphism center must lie inside the unit ball")
+    s = math.sqrt(1.0 - na2)
+
+    def fn(x):
+        if na2 == 0.0:
+            return [-xi for xi in x]
+        ip = None
+        for xi, ai in zip(x, a):
+            term = xi * ai.conjugate()
+            ip = term if ip is None else ip + term
+        denom = 1.0 - ip
+        out = []
+        for xi, ai in zip(x, a):
+            proj = ip * (ai / na2)
+            num = ai - proj - (xi - proj) * s
+            out.append(num / denom)
+        return out
+
+    return fn
+
+
+def probe_catalog(m, z, v, *, quadratic_coeff=None):
+    """Holomorphic disks phi with phi(0) = z and phi'(0) parallel to v, by id:
+    the affine disk z + zeta v; with ``quadratic_coeff`` b, z + zeta v + zeta^2 b;
+    on the unit ball, the totally geodesic disk through a ball automorphism."""
+    from finsler.metrics import _holomorphic_jacobian
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    probes = {"affine": lambda zeta: [zeta * v[a] + z[a] for a in range(z.size)]}
+    if quadratic_coeff is not None:
+        b = np.asarray(quadratic_coeff, dtype=complex)
+        probes["quadratic"] = lambda zeta: [zeta * v[a] + zeta * zeta * b[a] + z[a]
+                                            for a in range(z.size)]
+    if m.domain.kind == "ball" and m.domain.radius == 1.0:
+        psi = ball_automorphism(z)
+        # direction e with d(psi)(0) e parallel to v
+        e = np.linalg.solve(_holomorphic_jacobian(psi, np.zeros(z.size)), v)
+        en = float(np.linalg.norm(e))
+        probes["geodesic"] = lambda zeta: psi([zeta * (ei / en) for ei in e])
+    return probes
+
+
+# -- the Legendre gradient and the identities it enters ----------------------------
+
+
+def legendre_gradient(m, df, x):
+    """Solve g_ij(x, Y) Y^j = df_i for Y (the metric gradient of f at x).
+
+    ``df`` is the differential as a covector array, or a callable point
+    function differentiated exactly through jets. Damped Newton from a few
+    seeds, at most 60 steps each, to a residual below 1e-10 |df|.
+    """
+    from finsler.geometry import unit_directions
+    from finsler.jets import JetSpace
+    x = np.asarray(x, dtype=float)
+    d = m.dim
+    if callable(df):
+        df = df(JetSpace.get(d, 1, False).variables(x)).gradient()
+    df = np.asarray(df, dtype=float)
+    scale = float(np.linalg.norm(df))
+    if scale == 0.0:
+        raise ValueError("gradient undefined where df = 0")
+    seeds = [df, np.ones(d)]
+    seeds.extend(unit_directions(3, d, seed=2) * scale)
+    for Y in seeds:
+        Y = np.asarray(Y, dtype=float).copy()
+        if float(np.linalg.norm(Y)) < 1e-12:
+            continue
+        for _ in range(60):
+            jet = m.real_jet(x, Y, 2)
+            F = 0.5 * jet.gradient()[d:] - df
+            if float(np.linalg.norm(F)) < 1e-10 * scale:
+                return Y
+            try:
+                step = np.linalg.solve(0.5 * jet.hessian()[d:, d:], F)
+            except np.linalg.LinAlgError:
+                break
+            # damped Newton keeps iterates on the slit bundle
+            lam = 1.0
+            while lam > 1e-4 and float(np.linalg.norm(Y - lam * step)) < 1e-10 * scale:
+                lam *= 0.5
+            Y = Y - lam * step
+    raise RuntimeError("Legendre gradient Newton iteration did not converge")
+
+
+def levi_identity_residual(m, f, z, X) -> dict:
+    """Residual of 4 f_{;a bbar} Xo Xobar = D^2 f(X, X) + D^2 f(JX, JX).
+
+    ``f`` is a smooth closed-form function of the real point coordinates,
+    evaluable on jets. The left side uses Wirtinger derivatives of f, the
+    right side the covariant Hessian at reference vector grad f; both sides
+    are assembled through unrelated code paths.
+    """
+    from finsler.cartan import cartan
+    from finsler.geometry import apply_J, complex_to_real_components, realify_metric
+    from finsler.jets import JetSpace, wirtinger
+    mr = realify_metric(m)
+    z = np.asarray(z, dtype=complex)
+    x = complex_to_real_components(z)
+    X = np.asarray(X, dtype=float)
+    n = m.n
+
+    fj = f(JetSpace.get(mr.dim, 2, False).variables(x))
+    grad = fj.gradient()
+    hess = fj.hessian()
+
+    # f_{;a bbar}: the (z, zbar) block of the Wirtinger Hessian
+    f_abar = wirtinger(fj, [(a, n + a) for a in range(n)]).hessian()[:n, n:]
+    Xo = X[:n] + 1j * X[n:]       # (1,0)-part of X in the d/dz frame
+    lhs = 4.0 * np.einsum("ab,a,b->", f_abar, Xo, Xo.conj())
+
+    conn = cartan(mr, x, legendre_gradient(mr, grad, x), need_curvature=False)
+
+    def d2(wv):
+        quad = float(wv @ hess @ wv)
+        corr = float(np.einsum("kij,i,j->k", conn.gamma_h, wv, wv) @ grad)
+        return quad - corr
+
+    rhs = d2(X) + d2(apply_J(X))
+    scale = max(1.0, abs(lhs), abs(rhs))
+    return {"lhs": complex(lhs), "rhs": float(rhs),
+            "relative_residual": (abs(lhs.real - rhs) + abs(lhs.imag)) / scale}
+
+
+def gradient_identity(m, pole, z) -> dict:
+    """Relative errors of the radial pairings of the distance gradient.
+
+    The real pairing of grad(rho^2) with the arriving unit tangent is 2 rho,
+    and half of the complex pairing against the (1,0) part of the tangent is
+    rho. The gradient comes from rho^2 differentiated numerically (central
+    differences at h and h/2, Richardson-extrapolated) through the Legendre
+    transform, independently of the shooting tangent.
+    """
+    from finsler.cartan import cartan
+    from finsler.geodesic import PoleDistance
+    from finsler.geometry import complex_to_real_components, realify_metric
+    mr = realify_metric(m)
+    pd = PoleDistance(mr, complex_to_real_components(np.asarray(pole, dtype=complex)))
+    z = np.asarray(z, dtype=complex)
+    x = complex_to_real_components(z)
+    base = pd.rho(x)
+    d = mr.dim
+
+    h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
+    df = np.empty(d)
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        fp = pd.rho(x + e).value ** 2
+        fm = pd.rho(x - e).value ** 2
+        fp2 = pd.rho(x + 0.5 * e).value ** 2
+        fm2 = pd.rho(x - 0.5 * e).value ** 2
+        d_h = (fp - fm) / (2 * h)
+        d_h2 = (fp2 - fm2) / h
+        df[i] = (4.0 * d_h2 - d_h) / 3.0
+
+    Y = legendre_gradient(mr, df, x)
+    conn_T = cartan(mr, x, base.T, need_curvature=False)
+    real_pairing = float(Y @ conn_T.g @ base.T)
+
+    T_c = base.T[:m.n] + 1j * base.T[m.n:]
+    Y_c = Y[:m.n] + 1j * Y[m.n:]
+    complex_pairing = 0.5 * np.einsum("ab,a,b->", m.levi_matrix(z, T_c), Y_c, T_c.conj())
+
+    rho = base.value
+    return {"rho": rho,
+            "relative_error_real": abs(real_pairing - 2.0 * rho) / max(1.0, 2.0 * rho),
+            "relative_error_complex": abs(complex_pairing - rho) / max(1.0, rho)}
+
+
+# -- the Kaehler condition of unitary-invariant profiles --------------------------
+
+
+def un_invariant_kahler_check(profile):
+    """(predicted, observed): whether the profile has the gradient form
+    f(t) + f'(t) s, the closed-form condition for a unitary-invariant metric
+    to be Kaehler, and the torsion classification of its metric on C^2."""
+    from finsler.geometry import SamplePlan
+    from finsler.kahler import classify
+    from finsler.metrics import un_invariant_metric
+    rep = classify(un_invariant_metric(profile, 2, {}),
+                   SamplePlan(n_points=6, n_dirs=4, radial_range=(0.1, 0.6)))
+    return profile.is_gradient_form, rep.classification

@@ -296,17 +296,39 @@ _IDENTITY = BASE_CONFIG["maps"][0]
     ("check", {"metrics": [{**_DISK, "id": "a\0b"}]}),
     ("schwarz", {"pairs": [{"map": ["identity"], "domain": "poincare", "target": "poincare"}]}),
     ("schwarz", {"pairs": [{"map": "identity", "domain": ["poincare"], "target": "poincare"}]}),
+    ("check", {"metrics": [_DISK, _DISK]}),
+    ("curvature", {"metrics": [{**_DISK, "id": "hermitian_1"},
+                               {k: v for k, v in _DISK.items() if k != "id"}]}),
+    ("geodesic", {"metrics": [_DISK, _DISK]}),
+    ("distance", {"metrics": [_DISK, _DISK]}),
+    ("bounds", {"metrics": [_DISK, _DISK]}),
+    ("schwarz", {"metrics": [_DISK, _DISK]}),
+    ("schwarz", {"maps": [_IDENTITY, _IDENTITY]}),
+    ("check", {"metrics": [], "metric": [_DISK]}),
+    ("check", {"outputs": {"directory": "o", "format": ["csv"]}}),
+    ("check", {"outputs": {"formats": ["csv"]}}),
 ], ids=["directory_not_a_string", "metric_id_a_number", "metric_id_a_list", "map_id_a_list",
         "metric_id_leaves_out", "metric_id_empty", "metric_id_parent", "map_id_leaves_out",
-        "metric_id_with_nul", "pair_map_a_list", "pair_domain_a_list"])
+        "metric_id_with_nul", "pair_map_a_list", "pair_domain_a_list", "duplicate_metric_id",
+        "metric_id_equal_to_a_generated_id", "duplicate_metric_id_geodesic",
+        "duplicate_metric_id_distance", "duplicate_metric_id_bounds",
+        "duplicate_metric_id_schwarz", "duplicate_map_id", "unknown_key",
+        "unknown_outputs_key", "formats_not_the_default"])
 def test_bad_id_or_output_directory_is_a_configuration_error(tmp_path, capsys, command, change):
     # reports land in <out>/<command>/<id>, so an id must be one path component
+    # and name one metric or map: a second report of one id would overwrite the first.
+    # A misspelt key or an output format no command writes would run with defaults.
     p = write_config(tmp_path, {**BASE_CONFIG, **change})
     out = tmp_path / "runs" / "o"
     assert main([command, "--config", str(p), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
     assert list(tmp_path.rglob("*")) == [p]
+
+
+def test_default_formats_are_accepted_and_echoed():
+    cfg = parse_config({**BASE_CONFIG, "outputs": {"formats": ["json", "csv"]}})
+    assert cfg.effective() == parse_config(BASE_CONFIG).effective()
 
 
 def test_cmd_bounds(tmp_path):

@@ -15,16 +15,17 @@ from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointErr
                             DomainError, ShootingError, StructuralError)
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
                               IndexFormResult, PoleDistance,
-                              _integrate_affine, distance, distance_hessian,
+                              _integrate_affine, distance_hessian,
                               hessian_rho, index_form,
                               integrate_geodesic, jacobi_field,
-                              jacobi_boundary_field, legendre_gradient)
+                              jacobi_boundary_field)
 from finsler.geometry import MetricDef, realify_metric
 from finsler.jets import spow
 from finsler.metrics import instantiate
 
 from oracles import (ball_distance, covariant_boundary_form, covariant_d2_rho,
-                     fd_index_form, hyperbolic_distance, hyperbolic_hessian_tangential)
+                     fd_index_form, hyperbolic_distance, hyperbolic_hessian_tangential,
+                     legendre_gradient)
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "euclidean"}}))
@@ -122,14 +123,15 @@ def test_exp_map_closed_forms():
 def test_distance_closed_forms():
     p = np.array([0.1, -0.2, 0.3, 0.0])
     q = np.array([0.9, 0.4, -0.1, 0.5])
-    assert distance(EUCLID2, p, q) == pytest.approx(np.linalg.norm(q - p), abs=1e-9)
+    assert PoleDistance(EUCLID2, p).rho(q).value == pytest.approx(np.linalg.norm(q - p),
+                                                                  abs=1e-9)
 
     zq = np.array([0.55, -0.3])
-    assert distance(HYPERBOLIC, np.zeros(2), zq) == pytest.approx(
+    assert PoleDistance(HYPERBOLIC, np.zeros(2)).rho(zq).value == pytest.approx(
         hyperbolic_distance(complex(*zq)), abs=1e-9)
 
     x = np.array([0.4, -0.7, 0.2, 0.9])
-    dm = distance(MINKOWSKI, np.zeros(4), x)
+    dm = PoleDistance(MINKOWSKI, np.zeros(4)).rho(x).value
     assert dm == pytest.approx(math.sqrt(MINKOWSKI.value(np.zeros(4), x)), abs=1e-9)
 
 

@@ -8,9 +8,10 @@ import pytest
 from finsler import kahler
 from finsler.errors import DegenerateMetricError
 from finsler.geometry import SamplePlan
-from finsler.kahler import (classify, is_at_least, un_invariant_kahler_check,
-                            weakly_kahler_pde_residual)
+from finsler.kahler import classify, is_at_least, weakly_kahler_pde_residual
 from finsler.metrics import build_profile, instantiate
+
+from oracles import un_invariant_kahler_check
 
 PLAN = SamplePlan(seed=0, n_points=6, n_dirs=4, radial_range=(0.1, 0.55))
 
@@ -62,23 +63,20 @@ def test_pass_chain_is_monotone():
 
 
 def test_un_invariant_check_euclidean_profile():
-    rep = un_invariant_kahler_check(build_profile({"form": "gradient", "f": "one"}))
-    assert rep.passed
-    assert rep.stats["observed_class"] == "strongly_kahler"
+    assert un_invariant_kahler_check(build_profile({"form": "gradient", "f": "one"})) == \
+        (True, "strongly_kahler")
 
 
 def test_un_invariant_check_exponential_profile():
-    rep = un_invariant_kahler_check(
+    predicted, observed = un_invariant_kahler_check(
         build_profile({"form": "gradient", "f": "exp", "c": 1.0}))
-    assert rep.passed, rep.stats
-    assert is_at_least(rep.stats["observed_class"], "kahler")
+    assert predicted and is_at_least(observed, "kahler"), observed
 
 
 def test_un_invariant_check_free_profile_not_kahler():
-    rep = un_invariant_kahler_check(
+    predicted, observed = un_invariant_kahler_check(
         build_profile({"form": "free", "expr": "one_plus_ts2"}))
-    assert rep.passed, rep.stats
-    assert rep.stats["observed_class"] in ("weakly_kahler", "none")
+    assert not predicted and observed in ("weakly_kahler", "none"), observed
 
 
 def test_pde_residual_constant_profile():
@@ -115,10 +113,9 @@ def test_cross_validation_pde_vs_classify():
     ):
         profile = build_profile(params)
         pde = weakly_kahler_pde_residual(profile)
-        cls = un_invariant_kahler_check(profile)
-        observed_weak = pde.passed
-        assert observed_weak == expect
-        assert cls.passed
+        predicted, observed = un_invariant_kahler_check(profile)
+        assert pde.passed == expect
+        assert predicted == is_at_least(observed, "kahler")
 
 
 DISK = {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}}
