@@ -429,6 +429,16 @@ def test_golden_certificates_replay(tmp_path):
         assert main(["replay", "--certificate", str(golden)]) == 0
 
 
+def test_replay_ignores_the_certificates_outputs(tmp_path):
+    # outputs written before formats and outputs keys were checked do not stop a replay
+    doc = json.loads((Path(__file__).parent / "golden" / "cert_identity.json").read_text())
+    doc["payload"]["effective_config"]["outputs"] = {"directory": "x", "formats": ["json"],
+                                                      "extra": 1}
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    assert main(["replay", "--certificate", str(cert)]) == 0
+
+
 def _two_pair_config():
     cfg = dict(BASE_CONFIG)
     cfg["pairs"] = [

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from finsler.errors import ConfigurationError, StructuralError
 from finsler.jets import CJet, Jet, JetSpace, _monomials, _wirtinger_rows, wirtinger
 
-from oracles import (dict_poly_mult, invert_jet_matrix, loop_conj_perm, loop_extract_table,
-                     loop_monomials, loop_mult_table, loop_wirtinger_rows, random_expression,
-                     richardson_partial)
+from oracles import (dict_poly_mult, gaussian_curvature, gradient_identity, invert_jet_matrix,
+                     levi_identity_residual, log_density_comparison, loop_conj_perm,
+                     loop_extract_table, loop_monomials, loop_mult_table, loop_wirtinger_rows,
+                     probe_catalog, pullback_density, random_expression, richardson_partial)
 
 
 def test_lift_seed_semantics():
@@ -233,19 +234,39 @@ def test_gradient_and_hessian_gathers_match_partials():
 
 def test_engine_reads_no_scalar_partials(monkeypatch):
     # every derivative readout in the engine goes through gradient()/hessian()
+    # (wirtinger, levi_matrix, PoleDistance.rho, realified jets, probe Jacobians),
+    # reached here through the oracles that call them
     from finsler.kahler import weakly_kahler_pde_residual
-    from finsler.metrics import build_map, build_profile
+    from finsler.metrics import build_map, build_profile, instantiate
 
     def refuse(self, variables):
         raise AssertionError("scalar partial() readout")
 
     monkeypatch.setattr(Jet, "partial", refuse)
+    disk = instantiate({"family": "hermitian", "complex_dim": 1,
+                        "params": {"catalog": "poincare_disk"}})
+    ball = instantiate({"family": "hermitian", "complex_dim": 2,
+                        "params": {"catalog": "poincare_ball"}})
+    euclid = instantiate({"family": "hermitian", "complex_dim": 1,
+                          "params": {"catalog": "euclidean"}})
     assert weakly_kahler_pde_residual(build_profile({"form": "gradient", "f": "exp"})).passed
+    out = levi_identity_residual(ball, lambda xs: xs[0] * xs[3], np.array([0.2 + 0.1j, -0.3j]),
+                                 np.array([0.3, -0.5, 0.7, 0.1]))
+    assert out["relative_residual"] < 1e-8
+    rep = gradient_identity(euclid, np.zeros(1, complex), np.array([0.5 + 0.2j]))
+    assert rep["relative_error_real"] < 1e-6 and rep["relative_error_complex"] < 1e-6
     mob = build_map({"map": "mobius", "params": {"a": [0.3, -0.2]}})
     a = complex(0.3, -0.2)
     z = 0.1 + 0.4j
     assert mob.jacobian(np.array([z]))[0, 0] == pytest.approx(
         (abs(a) ** 2 - 1) / (1 - z * a.conjugate()) ** 2, abs=1e-14)
+    probes = probe_catalog(ball, np.array([0.2 + 0.1j, -0.1j]), np.array([1.0, 0.5j]))
+    assert list(probes) == ["affine", "geodesic"]
+    assert gaussian_curvature(pullback_density(ball, probes["geodesic"]), 0.1j) == pytest.approx(
+        -4.0, abs=1e-8)
+    margins = log_density_comparison(disk, build_map({"map": "identity", "params": {"n": 1}}),
+                                     lambda zc: [zc], -4.0, [0.1, 0.3 - 0.2j])
+    assert len(margins) == 2 and min(margins) > -1e-6
 
 
 # -- index tables against the loop builders ---------------------------------------
