@@ -47,7 +47,7 @@ def _metric_specs(config: RunConfig):
     metrics of one id would write one report over the other, so that is refused."""
     out = {}
     for i, spec in enumerate(config.metrics):
-        mid = spec.get("id", f"{spec.get('family', 'metric')}_{i}")
+        mid = spec.get("id", f"{spec['family']}_{i}")
         if mid in out:
             raise ConfigurationError(f"duplicate metric id {mid!r}")
         out[mid] = {**spec, "id": mid}
@@ -109,7 +109,7 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
             pde = weakly_kahler_pde_residual(profile)
             payload["weakly_kahler_pde"] = pde.to_dict()
             expect_pde = expectation.get("weakly_kahler_pde")
-            if expect_pde is not None and bool(expect_pde) != pde.passed:
+            if expect_pde is not None and expect_pde != pde.passed:
                 class_ok = False
                 payload["class_matches_expectation"] = False
         _write_report(outdir, "check", mid, payload, config)
@@ -372,10 +372,6 @@ def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
     status = 0
     if not config.pairs:
         raise ConfigurationError("schwarz command needs a pairs list")
-    for pair in config.pairs:
-        if not (isinstance(pair, dict) and all(isinstance(pair.get(role), str)
-                                               for role in ("map", "domain", "target"))):
-            raise ConfigurationError(f"pair {pair!r} needs map, domain and target ids")
     maps = _maps(config)
     analyses = _analyses(config, [p[role] for p in config.pairs
                                   for role in ("domain", "target")])
@@ -397,7 +393,7 @@ def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
         _write_report(outdir, "schwarz", pair_id, payload, config,
                       metadata={"holomorphic_samples": cert.curvature_samples})
         expect_pass = pair.get("expect_pass")
-        if expect_pass is not None and bool(expect_pass) != cert.passed:
+        if expect_pass is not None and expect_pass != cert.passed:
             status = 1
         print(f"schwarz {pair_id}: ratio={cert.max_ratio:.8g} "
               f"bound={cert.bound:.8g} {'PASS' if cert.passed else 'FAIL'}")

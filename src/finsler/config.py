@@ -1,8 +1,9 @@
-"""Run configuration: loading, defaults, and effective-config echoing.
+"""Run configuration: the key table, loading, defaults, and effective-config echoing.
 
-Configs are YAML documents (JSON is a YAML subset and loads unchanged). The
-seed is mandatory so that identical configs give byte-identical reports; all
-defaults are merged into the effective config and echoed into every report.
+Configs are YAML documents (JSON is a YAML subset and loads unchanged), checked
+against ``CONFIG_KEYS`` before any command runs. The seed is mandatory so that
+identical configs give byte-identical reports; all defaults are merged into the
+effective config and echoed into every report.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .geometry import SamplePlan
+from .kahler import CLASS_ORDER
 
 DEFAULT_PLAN = {
     "n_points": 10,
@@ -71,22 +73,103 @@ def _merge_defaults(doc: dict) -> dict:
     return {**DEFAULTS, **doc, "outputs": {**DEFAULTS["outputs"], **doc.get("outputs", {})}}
 
 
-def _validate_plan(name, plan):
-    if not isinstance(plan, dict):
-        raise ConfigurationError(f"plan {name!r} must be a mapping")
+def _is_count(value, least) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+
+
+def _leaf(what, test):
+    """A table leaf whose value must pass ``test``, described as ``what`` when refused."""
+    def check(value, path):
+        if not test(value):
+            raise ConfigurationError(f"{path} must be {what}, got {value!r}")
+    return check
+
+
+_STRING = _leaf("a string", lambda v: isinstance(v, str))
+_BOOL = _leaf("true or false", lambda v: isinstance(v, bool))
+# reports land in <out>/<command>/<id>, so an id is one path component
+_NAME = _leaf("a non-empty name without '/', not '.' or '..'", lambda v: isinstance(v, str)
+              and v not in ("", ".", "..") and not {"/", "\0"} & set(v))
+_HERMITIAN = dict.fromkeys(["catalog", "scale", "matrix"])
+_FACTOR = {"complex_dim": None, "id": None, "params": _HERMITIAN}
+_CLASSES = [*CLASS_ORDER, "unknown"]
+
+# Every key a config may hold, and the only check of its shape. A dict lists a
+# mapping's keys, [item] is a list of items, a function checks a leaf value,
+# None is a leaf the builders check, and (key, tables) picks the table of a
+# mapping by the value of the ``key`` beside it. A key in _REQUIRED must be
+# present in every mapping whose table lists it.
+CONFIG_KEYS = {
+    "seed": _leaf("an integer >= 0", lambda v: _is_count(v, 0)),
+    "tolerance": None,
+    "outputs": {"directory": _STRING,
+                "formats": _leaf(DEFAULTS["outputs"]["formats"],
+                                 lambda v: v == DEFAULTS["outputs"]["formats"])},
+    "plans": {"default": dict.fromkeys(DEFAULT_PLAN)},
+    "metrics": [{
+        "family": None, "complex_dim": None, "id": _NAME,
+        "params": ("family", {
+            "hermitian": _HERMITIAN,
+            "minkowski": dict.fromkeys(["k", "eps", "base", "factors"]),
+            "szabo": {"k": None, "eps": None, "factors": None,
+                      "factor1": _FACTOR, "factor2": _FACTOR},
+            "un_invariant": {"profile": dict.fromkeys(["form", "f", "c", "expr"])},
+        }),
+        "expect": {"kahler_class": _leaf(f"one of {_CLASSES}", lambda v: v in _CLASSES),
+                   "weakly_kahler_pde": _BOOL},
+    }],
+    "maps": [{"map": None, "id": _NAME, "params": ("map", {
+        "identity": {"n": None}, "power": {"m": None}, "mobius": {"a": None},
+        "linear": {"matrix": None}, "constant": {"value": None, "n_in": None},
+    })}],
+    "pairs": [{"map": _STRING, "domain": _STRING, "target": _STRING, "expect_pass": _BOOL}],
+}
+_REQUIRED = ("seed", "family", "map", "domain", "target")
+
+
+def _walk(value, shape, path="", parent=None):
+    """Check ``value`` against its ``shape`` in ``CONFIG_KEYS``; ``path`` is its dotted name."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{path} must be a mapping, got {value!r}")
+        for key in _REQUIRED:
+            if key in shape and key not in value:
+                raise ConfigurationError(f"{path or 'config'} must declare {key}")
+        for key, item in value.items():
+            here = f"{path}.{key}" if path else str(key)
+            if key not in shape:
+                raise ConfigurationError(
+                    f"plan {key!r} is not read: commands read only plan 'default'"
+                    if path == "plans" else f"unknown config key {here}")
+            _walk(item, shape[key], here, value)
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _walk(item, shape[0], f"{path}[{i}]")
+    elif isinstance(shape, tuple):
+        # an unknown family or map kind is the builders' error
+        kind = parent.get(shape[0])
+        if isinstance(kind, str) and kind in shape[1]:
+            _walk(value, shape[1][kind], path)
+    elif shape is not None:
+        shape(value, path)
+
+
+def _validate_plan(plan):
     merged = {**DEFAULT_PLAN, **plan}
     for key in ("n_points", "n_dirs"):
         value = merged[key]
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        if not _is_count(value, 1):
             raise ConfigurationError(
-                f"plan {name!r}: {key} must be an integer >= 1, got {value!r}")
+                f"plan 'default': {key} must be an integer >= 1, got {value!r}")
     rr = merged["radial_range"]
     if (not isinstance(rr, (list, tuple)) or len(rr) != 2
             or not all(isinstance(r, numbers.Real) and not isinstance(r, bool)
                        for r in rr)
-            or not 0 <= rr[0] < rr[1]):
+            or not 0 <= rr[0] < rr[1] < math.inf):
         raise ConfigurationError(
-            f"plan {name!r}: radial_range must be two numbers 0 <= lo < hi, got {rr!r}")
+            f"plan 'default': radial_range must be two finite numbers 0 <= lo < hi, got {rr!r}")
 
 
 def check_tolerance(value) -> float:
@@ -101,52 +184,12 @@ def check_tolerance(value) -> float:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    # a misspelt key would otherwise leave its section at the default, silently
-    unknown = sorted(set(doc) - {"seed", *DEFAULTS}, key=str)
-    outputs = doc.get("outputs", {})
-    if isinstance(outputs, dict):
-        unknown += [f"outputs.{key}" for key in
-                    sorted(set(outputs) - set(DEFAULTS["outputs"]), key=str)]
-    if unknown:
-        raise ConfigurationError(f"unknown config key(s) {unknown}")
-    for key, kind in (("outputs", dict), ("plans", dict), ("metrics", list),
-                      ("maps", list), ("pairs", list)):
-        if not isinstance(doc.get(key, kind()), kind):
-            shape = "mapping" if kind is dict else "list"
-            raise ConfigurationError(f"{key} must be a {shape}, got {doc[key]!r}")
+    _walk(doc, CONFIG_KEYS)
     doc = _merge_defaults(doc)
-    if "seed" not in doc:
-        raise ConfigurationError("config must declare a seed")
-    seed = doc["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     tolerance = check_tolerance(doc["tolerance"])
-    directory = doc["outputs"]["directory"]
-    if not isinstance(directory, str):
-        raise ConfigurationError(f"outputs.directory must be a string, got {directory!r}")
-    # commands write report.json and, where they have tables, CSV; nothing else is implemented
-    if doc["outputs"]["formats"] != DEFAULTS["outputs"]["formats"]:
-        raise ConfigurationError(f"outputs.formats must be {DEFAULTS['outputs']['formats']}, "
-                                 f"got {doc['outputs']['formats']!r}")
-    for spec in doc["metrics"]:
-        if not isinstance(spec, dict) or "family" not in spec:
-            raise ConfigurationError(f"metric spec without family: {spec!r}")
-    for spec in doc["maps"]:
-        if not isinstance(spec, dict):
-            raise ConfigurationError(f"map spec must be a mapping, got {spec!r}")
-    # reports land in <out>/<command>/<id>, so an id is one path component
-    for kind in ("metric", "map"):
-        for mid in (spec["id"] for spec in doc[f"{kind}s"] if "id" in spec):
-            if not isinstance(mid, str) or mid in ("", ".", "..") or "/" in mid or "\0" in mid:
-                raise ConfigurationError(f"{kind} id must be a non-empty name without '/', "
-                                         f"not '.' or '..', got {mid!r}")
-    for name, plan in doc["plans"].items():
-        if name != "default":
-            raise ConfigurationError(
-                f"plan {name!r} is not read: commands read only plan 'default'")
-        _validate_plan(name, plan)
+    _validate_plan(doc["plans"].get("default", {}))
     return RunConfig(
-        seed=seed,
+        seed=doc["seed"],
         metrics=doc["metrics"],
         maps=doc["maps"],
         pairs=doc["pairs"],

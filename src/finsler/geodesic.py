@@ -153,9 +153,6 @@ class GeodesicPath:
         y = self._dense_state(s / self.speed)
         return y[:d], y[d:2 * d]
 
-    def endpoint(self):
-        return self.state_at(self.arc_length)
-
     def to_csv(self, fp, n=65):
         """Write t, x, u, G rows over an even arc grid."""
         w = csv.writer(fp)

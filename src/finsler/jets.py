@@ -98,9 +98,6 @@ class JetSpace:
             _SPACE_CACHE[key] = sp
         return sp
 
-    def sibling(self, order) -> "JetSpace":
-        return JetSpace.get(self.nvars, order, self.is_complex, self.pair_split)
-
     def _key(self, expo):
         """Sort keys of exponent rows of degree <= order: the degree, then the
         base-(order + 1) digits. They ascend on the basis and add under products."""
@@ -280,14 +277,6 @@ class Jet:
     def order(self):
         return self.space.order
 
-    def truncate(self, order) -> "Jet":
-        if order == self.order:
-            return self
-        if order > self.order:
-            raise StructuralError("cannot extend a jet to higher order")
-        sp = self.space.sibling(order)
-        return Jet(sp, self.coeffs[:sp.n].copy())
-
     def _align(self, other):
         """Coefficients of two jets over the same variables at their common (lower) order."""
         a, b = self, other
@@ -399,14 +388,6 @@ class Jet:
         return self._compose(_power_taylor(self.value, self.order, p))
 
     # -- derivative access ---------------------------------------------------
-
-    def extract(self, var) -> "Jet":
-        """Partial derivative with respect to variable ``var`` (one order lower)."""
-        if self.order == 0:
-            raise StructuralError("cannot differentiate an order-0 jet")
-        src, fac = self.space.extract_table(var)
-        lower = self.space.sibling(self.order - 1)
-        return Jet(lower, self.coeffs[src] * fac)
 
     def derivatives(self, k) -> np.ndarray:
         """Symmetric tensor of all k-th partials, read through the space's gather table."""

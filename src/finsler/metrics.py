@@ -67,22 +67,33 @@ def _hermitian_form(H, v):
     return s
 
 
+def _count(value, least, what) -> int:
+    """``value``, which must be an integer >= ``least`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _finite(value, what) -> float:
+    """``value`` as a float, which must be finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
+    return x
+
+
 # -- Hermitian catalog -----------------------------------------------------------
 
 
 def _complex_dim(spec, default):
-    """The spec's ``complex_dim``, which must be an integer >= 1."""
-    n = int(spec.get("complex_dim", default))
-    if n < 1:
-        raise ConfigurationError(f"complex_dim must be >= 1, got {n}")
-    return n
+    return _count(spec.get("complex_dim", default), 1, "complex_dim")
 
 
 def _make_hermitian(spec):
     n = _complex_dim(spec, 1)
     params = spec.get("params", {})
     catalog = params.get("catalog", "euclidean")
-    scale = float(params.get("scale", 1.0))
+    scale = _finite(params.get("scale", 1.0), "hermitian: scale")
     if scale <= 0:
         raise ConfigurationError("hermitian: scale must be positive")
 
@@ -179,13 +190,10 @@ def _make_hermitian(spec):
 def _make_minkowski(spec):
     n = _complex_dim(spec, 1)
     params = spec.get("params", {})
-    eps = float(params.get("eps", 1.0))
-    k = params.get("k", 2)
+    eps = _finite(params.get("eps", 1.0), "minkowski: eps")
     if eps < 0:
         raise ConfigurationError("minkowski: eps must be >= 0")
-    if eps > 0 and (int(k) != k or k < 2):
-        raise ConfigurationError("minkowski: k must be an integer >= 2")
-    k = int(k)
+    k = _count(params.get("k", 2), 2, "minkowski: k")
     base = params.get("base")
     B = np.eye(n, dtype=complex) if base is None else _as_matrix(base, n, "minkowski base")
     factors = params.get("factors")
@@ -218,13 +226,10 @@ def _make_minkowski(spec):
 
 def _make_szabo(spec):
     params = spec.get("params", {})
-    k = params.get("k", 2)
-    eps = float(params.get("eps", 1.0))
+    eps = _finite(params.get("eps", 1.0), "szabo: eps")
     if eps <= 0:
         raise ConfigurationError("szabo: eps must be positive")
-    if int(k) != k or k < 2:
-        raise ConfigurationError("szabo: k must be an integer >= 2")
-    k = int(k)
+    k = _count(params.get("k", 2), 2, "szabo: k")
     if "factors" in params:
         # shorthand: two constant Hermitian matrices
         if len(params["factors"]) != 2:
@@ -281,7 +286,7 @@ def build_profile(params) -> UnitaryProfile:
     form = params.get("form", "gradient")
     if form == "gradient":
         fname = params.get("f", "one")
-        c = float(params.get("c", 1.0))
+        c = _finite(params.get("c", 1.0), "profile c")
         if fname == "one":
             return UnitaryProfile("phi_f_one", lambda t, s: 1.0 + 0.0 * creal(t),
                                   is_gradient_form=True)
@@ -468,12 +473,10 @@ def _build_map(spec) -> HoloMap:
     kind = spec.get("map")
     params = spec.get("params", {})
     if kind == "identity":
-        n = int(params.get("n", 1))
+        n = _count(params.get("n", 1), 1, "identity map n")
         return HoloMap(spec.get("id", f"identity_{n}"), n, n, lambda z: z)
     if kind == "power":
-        mdeg = int(params.get("m", 2))
-        if mdeg < 1:
-            raise ConfigurationError("power map needs m >= 1")
+        mdeg = _count(params.get("m", 2), 1, "power map m")
 
         def fn(z):
             w = z[0]
@@ -484,7 +487,7 @@ def _build_map(spec) -> HoloMap:
         return HoloMap(spec.get("id", f"power_{mdeg}"), 1, 1, fn)
     if kind == "mobius":
         a = _complex(params.get("a", 0.3))
-        if abs(a) >= 1:
+        if not abs(a) < 1:
             raise ConfigurationError("mobius parameter must satisfy |a| < 1")
 
         def fn(z):
@@ -512,7 +515,7 @@ def _build_map(spec) -> HoloMap:
         return HoloMap(spec.get("id", "linear"), n_in, n_out, fn)
     if kind == "constant":
         c = [_complex(e) for e in params.get("value", [0.0])]
-        n_in = int(params.get("n_in", 1))
+        n_in = _count(params.get("n_in", 1), 1, "constant map n_in")
 
         def fn(z):
             zero = z[0] * 0.0

@@ -71,6 +71,42 @@ def dict_poly_mult(pa, pb, order):
     return out
 
 
+# -- jet and path readouts the engine itself never takes -------------------------
+
+
+def sibling(space, order):
+    """The jet space over the variables of ``space`` at another ``order``."""
+    from finsler.jets import JetSpace
+    return JetSpace.get(space.nvars, order, space.is_complex, space.pair_split)
+
+
+def truncate(jet, order):
+    """``jet`` read at an ``order`` no higher than its own."""
+    from finsler.errors import StructuralError
+    from finsler.jets import Jet
+    if order == jet.order:
+        return jet
+    if order > jet.order:
+        raise StructuralError("cannot extend a jet to higher order")
+    sp = sibling(jet.space, order)
+    return Jet(sp, jet.coeffs[:sp.n].copy())
+
+
+def extract(jet, var):
+    """Partial derivative of ``jet`` in variable ``var``, one order lower."""
+    from finsler.errors import StructuralError
+    from finsler.jets import Jet
+    if jet.order == 0:
+        raise StructuralError("cannot differentiate an order-0 jet")
+    src, fac = jet.space.extract_table(var)
+    return Jet(sibling(jet.space, jet.order - 1), jet.coeffs[src] * fac)
+
+
+def endpoint(path):
+    """``(x, u)`` at the end of a geodesic path."""
+    return path.state_at(path.arc_length)
+
+
 # -- jet index tables built by Python loops over the monomial basis ----------------
 #
 # The engine builds these tables with array operations; the loops below are
@@ -468,18 +504,18 @@ def spray_jets_by_objects(m, x, u, order):
     implicit derivatives in ``cartan.cartan``."""
     jet = m.real_jet(x, u, order + 2)
     d = m.dim
-    g_rows = [[jet.extract(d + i).extract(d + j) * 0.5 for j in range(d)]
+    g_rows = [[extract(extract(jet, d + i), d + j) * 0.5 for j in range(d)]
               for i in range(d)]
     g_inv = invert_jet_matrix(g_rows)
-    useed = jet.space.sibling(order).variables(np.concatenate([x, u]))[d:]
+    useed = sibling(jet.space, order).variables(np.concatenate([x, u]))[d:]
     b = []
     for l in range(d):
-        dG_l = jet.extract(d + l)
+        dG_l = extract(jet, d + l)
         acc = None
         for k in range(d):
-            t = dG_l.extract(k) * useed[k]
+            t = extract(dG_l, k) * useed[k]
             acc = t if acc is None else acc + t
-        b.append(acc - jet.extract(l).truncate(order))
+        b.append(acc - truncate(extract(jet, l), order))
     spray = []
     for i in range(d):
         acc = None
@@ -556,7 +592,7 @@ def chern_by_partials(m, z, v):
     izb = lambda a: 2 * n + a
     ivb = lambda a: 3 * n + a
 
-    levi_jets = [[jet.extract(iv(a)).extract(ivb(b)) for b in range(n)]
+    levi_jets = [[extract(extract(jet, iv(a)), ivb(b)) for b in range(n)]
                  for a in range(n)]
     inv_jets = invert_jet_matrix(levi_jets)
     nl_jets = [[None] * n for _ in range(n)]
@@ -564,16 +600,16 @@ def chern_by_partials(m, z, v):
         for mu in range(n):
             acc = None
             for g in range(n):
-                t = inv_jets[g][s] * jet.extract(ivb(g)).extract(iz(mu))
+                t = inv_jets[g][s] * extract(extract(jet, ivb(g)), iz(mu))
                 acc = t if acc is None else acc + t
             nl_jets[s][mu] = acc
     nonlinear = np.array([[nl_jets[s][mu].value for mu in range(n)]
                           for s in range(n)])
 
     def delta_of_levi(b, t_, mu):
-        out = levi_jets[b][t_].extract(iz(mu))
+        out = extract(levi_jets[b][t_], iz(mu))
         for s in range(n):
-            out = out - nl_jets[s][mu].truncate(1) * levi_jets[b][t_].extract(iv(s))
+            out = out - truncate(nl_jets[s][mu], 1) * extract(levi_jets[b][t_], iv(s))
         return out
 
     gamma_h_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -583,13 +619,13 @@ def chern_by_partials(m, z, v):
             for mu in range(n):
                 acc = None
                 for t_ in range(n):
-                    t = inv_jets[t_][a].truncate(1) * delta_of_levi(b, t_, mu)
+                    t = truncate(inv_jets[t_][a], 1) * delta_of_levi(b, t_, mu)
                     acc = t if acc is None else acc + t
                 gamma_h_jets[a][b][mu] = acc
             for g in range(n):
                 acc = None
                 for t_ in range(n):
-                    t = inv_jets[t_][a].truncate(1) * levi_jets[b][t_].extract(iv(g))
+                    t = truncate(inv_jets[t_][a], 1) * extract(levi_jets[b][t_], iv(g))
                     acc = t if acc is None else acc + t
                 gamma_v_jets[a][b][g] = acc
     gamma_h = np.array([[[gamma_h_jets[a][b][mu].value for mu in range(n)]
@@ -906,8 +942,8 @@ def _as_cjet(w, space):
 def _holo_derivative(w):
     """d/dzeta of a holomorphic CJet over (Re zeta, Im zeta); drops one order."""
     from finsler.jets import CJet
-    return CJet((w.re.extract(0) + w.im.extract(1)) * 0.5,
-                (w.im.extract(0) - w.re.extract(1)) * 0.5)
+    return CJet((extract(w.re, 0) + extract(w.im, 1)) * 0.5,
+                (extract(w.im, 0) - extract(w.re, 1)) * 0.5)
 
 
 def density_jet(density, zeta):
@@ -923,7 +959,7 @@ def density_jet(density, zeta):
         out = out.re
     elif not isinstance(out, Jet):
         out = zc.re.space.constant(float(out))
-    return out.truncate(2) if out.order > 2 else out
+    return truncate(out, 2) if out.order > 2 else out
 
 
 def gaussian_curvature(density, zeta) -> float:

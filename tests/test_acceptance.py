@@ -27,7 +27,7 @@ from finsler.schwarz import certify_schwarz
 from finsler.cli import main as cli_main
 from finsler.report import canonical_json
 
-from oracles import (gaussian_curvature, gradient_identity, hyperbolic_distance,
+from oracles import (endpoint, gaussian_curvature, gradient_identity, hyperbolic_distance,
                      hyperbolic_hessian_tangential, levi_identity_residual,
                      probe_catalog, pullback_density, random_expression,
                      richardson_partial, un_invariant_kahler_check)
@@ -131,7 +131,7 @@ def test_criterion_03_minkowski_family():
         u0 = rng.standard_normal(4)
         u0 /= math.sqrt(mr.value(np.zeros(4), u0))
         path = integrate_geodesic(mr, np.zeros(4), u0, 2.0)
-        x_end, _ = path.endpoint()
+        x_end, _ = endpoint(path)
         worst_ray = max(worst_ray, float(np.linalg.norm(x_end - 2.0 * u0)))
     assert worst_ray < 1e-9
     rep = classify(MINKOWSKI, SamplePlan(seed=1, n_points=6, n_dirs=4))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from finsler.cli import main
 from finsler.config import load_config, parse_config
@@ -33,6 +34,10 @@ BASE_CONFIG = {
     ],
     "plans": {"default": {"n_points": 5, "n_dirs": 3, "radial_range": [0.1, 0.6]}},
 }
+
+
+_DISK = BASE_CONFIG["metrics"][0]
+_IDENTITY = BASE_CONFIG["maps"][0]
 
 
 def write_config(tmp_path, doc=None, name="run.json"):
@@ -165,6 +170,7 @@ def test_cmd_distance_fails_when_every_levi_sample_fails(tmp_path, monkeypatch):
     {"radial_range": [-0.1, 0.5]},
     {"radial_range": [0.1]},
     {"radial_range": "wide"},
+    {"radial_range": [0.1, math.inf]},
 ])
 def test_bad_plan_is_a_configuration_error(tmp_path, capsys, plan):
     cfg = dict(BASE_CONFIG)
@@ -210,12 +216,18 @@ def test_plan_other_than_default_is_a_configuration_error(tmp_path, capsys, plan
     ("check", {"seed": 1.5}),
     ("check", {"seed": True}),
     ("check", {"seed": -1}),
+    ("check", {"metrics": [{**_DISK, "complex_dim": 1.9}]}),
+    ("schwarz", {"maps": [_IDENTITY, {"map": "power", "params": {"m": 2.7}, "id": "square"}]}),
+    ("check", {"metrics": [{**_DISK, "params": {"catalog": "poincare_disk", "scale": math.inf}}]}),
+    ("check", {"metrics": [{"family": "szabo", "params": {"eps": math.nan}}]}),
+    ("schwarz", {"maps": [{"map": "mobius", "params": {"a": [math.nan, 0.0]}, "id": "identity"}]}),
 ], ids=["metric_not_a_mapping", "family_not_a_name", "tolerance_not_a_number",
         "outputs_not_a_mapping", "map_not_a_mapping", "complex_dim_not_an_integer",
         "scale_not_a_number", "params_not_a_mapping", "linear_map_without_matrix",
         "map_dimensions_do_not_match_pair", "hermitian_complex_dim_zero",
         "minkowski_complex_dim_zero", "tolerance_nan", "tolerance_negative",
-        "seed_not_an_integer", "seed_a_bool", "seed_negative"])
+        "seed_not_an_integer", "seed_a_bool", "seed_negative", "complex_dim_fractional",
+        "power_m_fractional", "scale_infinite", "eps_nan", "mobius_a_nan"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, change):
     p = write_config(tmp_path, {**BASE_CONFIG, **change})
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -279,51 +291,118 @@ def test_replay_refuses_config_and_out(tmp_path, capsys, flag):
     assert main(["replay", flag, str(cert)]) == 2
 
 
-_DISK = BASE_CONFIG["metrics"][0]
-_IDENTITY = BASE_CONFIG["maps"][0]
+_FACTOR = {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}
+_SZABO = {"family": "szabo", "id": "szabo",
+          "params": {"k": 2, "eps": 0.5, "factor1": _FACTOR, "factor2": _FACTOR}}
+_UN = {"family": "un_invariant", "complex_dim": 2, "id": "un",
+       "params": {"profile": {"form": "gradient", "f": "exp", "c": 0.5}}}
 
 
-@pytest.mark.parametrize("command, change", [
-    ("check", {"outputs": {"directory": 5}}),
-    ("check", {"metrics": [{**_DISK, "id": 7}]}),
-    ("check", {"metrics": [{**_DISK, "id": ["a"]}]}),
-    ("schwarz", {"maps": [{**_IDENTITY, "id": ["x"]}]}),
-    ("check", {"metrics": [{**_DISK, "id": "../../x"}]}),
-    ("check", {"metrics": [{**_DISK, "id": ""}]}),
-    ("check", {"metrics": [{**_DISK, "id": ".."}]}),
+def _with(spec, **params):
+    return {**spec, "params": {**spec["params"], **params}}
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("check", {"outputs": {"directory": 5}}, "outputs.directory must be a string"),
+    ("check", {"metrics": [{**_DISK, "id": 7}]}, "metrics[0].id must be a non-empty name"),
+    ("check", {"metrics": [{**_DISK, "id": ["a"]}]}, "metrics[0].id"),
+    ("schwarz", {"maps": [{**_IDENTITY, "id": ["x"]}]}, "maps[0].id"),
+    ("check", {"metrics": [{**_DISK, "id": "../../x"}]}, "metrics[0].id"),
+    ("check", {"metrics": [{**_DISK, "id": ""}]}, "metrics[0].id"),
+    ("check", {"metrics": [{**_DISK, "id": ".."}]}, "metrics[0].id"),
     ("schwarz", {"maps": [{**_IDENTITY, "id": "../m"}],
-                 "pairs": [{"map": "../m", "domain": "poincare", "target": "poincare"}]}),
-    ("check", {"metrics": [{**_DISK, "id": "a\0b"}]}),
-    ("schwarz", {"pairs": [{"map": ["identity"], "domain": "poincare", "target": "poincare"}]}),
-    ("schwarz", {"pairs": [{"map": "identity", "domain": ["poincare"], "target": "poincare"}]}),
-    ("check", {"metrics": [_DISK, _DISK]}),
+                 "pairs": [{"map": "../m", "domain": "poincare", "target": "poincare"}]},
+     "maps[0].id"),
+    ("check", {"metrics": [{**_DISK, "id": "a\0b"}]}, "metrics[0].id"),
+    ("schwarz", {"pairs": [{"map": ["identity"], "domain": "poincare", "target": "poincare"}]},
+     "pairs[0].map must be a string"),
+    ("schwarz", {"pairs": [{"map": "identity", "domain": ["poincare"], "target": "poincare"}]},
+     "pairs[0].domain must be a string"),
+    ("check", {"metrics": [_DISK, _DISK]}, "duplicate metric id 'poincare'"),
     ("curvature", {"metrics": [{**_DISK, "id": "hermitian_1"},
-                               {k: v for k, v in _DISK.items() if k != "id"}]}),
-    ("geodesic", {"metrics": [_DISK, _DISK]}),
-    ("distance", {"metrics": [_DISK, _DISK]}),
-    ("bounds", {"metrics": [_DISK, _DISK]}),
-    ("schwarz", {"metrics": [_DISK, _DISK]}),
-    ("schwarz", {"maps": [_IDENTITY, _IDENTITY]}),
-    ("check", {"metrics": [], "metric": [_DISK]}),
-    ("check", {"outputs": {"directory": "o", "format": ["csv"]}}),
-    ("check", {"outputs": {"formats": ["csv"]}}),
+                               {k: v for k, v in _DISK.items() if k != "id"}]},
+     "duplicate metric id 'hermitian_1'"),
+    ("geodesic", {"metrics": [_DISK, _DISK]}, "duplicate metric id"),
+    ("distance", {"metrics": [_DISK, _DISK]}, "duplicate metric id"),
+    ("bounds", {"metrics": [_DISK, _DISK]}, "duplicate metric id"),
+    ("schwarz", {"metrics": [_DISK, _DISK]}, "duplicate metric id"),
+    ("schwarz", {"maps": [_IDENTITY, _IDENTITY]}, "duplicate map id"),
+    ("check", {"metrics": [], "metric": [_DISK]}, "unknown config key metric"),
+    ("check", {"outputs": {"directory": "o", "format": ["csv"]}},
+     "unknown config key outputs.format"),
+    ("check", {"outputs": {"formats": ["csv"]}}, "outputs.formats must be"),
+    # one key outside the table per section, each named by its dotted path
+    ("check", {"metrics": [{**_DISK, "expct": {"kahler_class": "none"}}]},
+     "unknown config key metrics[0].expct"),
+    ("check", {"metrics": [{k: v for k, v in _DISK.items() if k != "family"}]},
+     "metrics[0] must declare family"),
+    ("check", {"metrics": [_with(_DISK, scal=4.0)]}, "unknown config key metrics[0].params.scal"),
+    ("check", {"metrics": [_DISK, _with(BASE_CONFIG["metrics"][1], kk=3)]},
+     "unknown config key metrics[1].params.kk"),
+    ("check", {"metrics": [_with(_SZABO, epsilon=2.0)]},
+     "unknown config key metrics[0].params.epsilon"),
+    ("check", {"metrics": [_with(_SZABO, factor2=_with(_FACTOR, scal=4.0))]},
+     "unknown config key metrics[0].params.factor2.params.scal"),
+    ("check", {"metrics": [_with(_SZABO, factor1={**_FACTOR, "family": "hermitian"})]},
+     "unknown config key metrics[0].params.factor1.family"),
+    ("check", {"metrics": [_with(_UN, profil={"form": "free"})]},
+     "unknown config key metrics[0].params.profil"),
+    ("check", {"metrics": [_with(_UN, profile={"form": "gradient", "f": "exp", "cc": 2.0})]},
+     "unknown config key metrics[0].params.profile.cc"),
+    ("schwarz", {"maps": [_IDENTITY, {"map": "power", "params": {"mm": 3}, "id": "square"}]},
+     "unknown config key maps[1].params.mm"),
+    ("schwarz", {"maps": [{**_IDENTITY, "idd": "x"}]}, "unknown config key maps[0].idd"),
+    ("schwarz", {"pairs": [{"map": "identity", "domain": "poincare", "target": "poincare",
+                            "expect_pas": False}]}, "unknown config key pairs[0].expect_pas"),
+    ("schwarz", {"pairs": [{"map": "identity", "domain": "poincare"}]},
+     "pairs[0] must declare target"),
+    ("check", {"metrics": [{**_DISK, "expect": {"kahler_clas": "none"}}]},
+     "unknown config key metrics[0].expect.kahler_clas"),
+    ("check", {"plans": {"default": {"n_points": 4, "n_point": 99}}},
+     "unknown config key plans.default.n_point"),
+    # expectations are read as written: a mapping, booleans and a class name
+    ("check", {"metrics": [{**_DISK, "expect": 5}]}, "metrics[0].expect must be a mapping"),
+    ("check", {"metrics": [{**_DISK, "expect": {"kahler_class": "strong"}}]},
+     "metrics[0].expect.kahler_class must be one of"),
+    ("check", {"metrics": [{**_UN, "expect": {"weakly_kahler_pde": "yes"}}]},
+     "metrics[0].expect.weakly_kahler_pde must be true or false"),
+    ("schwarz", {"pairs": [{"map": "identity", "domain": "poincare", "target": "poincare",
+                            "expect_pass": "no"}]},
+     "pairs[0].expect_pass must be true or false"),
 ], ids=["directory_not_a_string", "metric_id_a_number", "metric_id_a_list", "map_id_a_list",
         "metric_id_leaves_out", "metric_id_empty", "metric_id_parent", "map_id_leaves_out",
         "metric_id_with_nul", "pair_map_a_list", "pair_domain_a_list", "duplicate_metric_id",
         "metric_id_equal_to_a_generated_id", "duplicate_metric_id_geodesic",
         "duplicate_metric_id_distance", "duplicate_metric_id_bounds",
         "duplicate_metric_id_schwarz", "duplicate_map_id", "unknown_key",
-        "unknown_outputs_key", "formats_not_the_default"])
-def test_bad_id_or_output_directory_is_a_configuration_error(tmp_path, capsys, command, change):
+        "unknown_outputs_key", "formats_not_the_default", "unknown_metric_key",
+        "metric_without_family", "unknown_hermitian_param", "unknown_minkowski_param",
+        "unknown_szabo_param", "unknown_szabo_factor_param", "unknown_szabo_factor_key",
+        "unknown_un_invariant_param", "unknown_profile_key", "unknown_map_param",
+        "unknown_map_key", "unknown_pair_key", "pair_without_target",
+        "unknown_expectation_key", "unknown_plan_key", "expectation_not_a_mapping",
+        "kahler_class_not_a_class", "weakly_kahler_pde_not_a_bool", "expect_pass_not_a_bool"])
+def test_bad_id_or_output_directory_is_a_configuration_error(tmp_path, capsys, command, change,
+                                                             message):
     # reports land in <out>/<command>/<id>, so an id must be one path component
     # and name one metric or map: a second report of one id would overwrite the first.
-    # A misspelt key or an output format no command writes would run with defaults.
+    # A misspelt key, an expectation that is not read as written, or an output
+    # format no command writes would run with defaults.
     p = write_config(tmp_path, {**BASE_CONFIG, **change})
     out = tmp_path / "runs" / "o"
     assert main([command, "--config", str(p), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
+    assert message in err
     assert list(tmp_path.rglob("*")) == [p]
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(yaml.safe_load(example))
+    assert [spec["id"] for spec in cfg.metrics] == ["poincare", "minkowski"]
+    assert cfg.pairs[0]["expect_pass"] is True
 
 
 def test_default_formats_are_accepted_and_echoed():
@@ -437,6 +516,17 @@ def test_replay_ignores_the_certificates_outputs(tmp_path):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(doc))
     assert main(["replay", "--certificate", str(cert)]) == 0
+
+
+def test_replay_refuses_a_key_outside_the_table(tmp_path, capsys):
+    # only the embedded outputs are dropped; any other unknown key is refused
+    doc = json.loads((Path(__file__).parent / "golden" / "cert_identity.json").read_text())
+    doc["payload"]["effective_config"]["pairs"][0]["expect_pas"] = False
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    assert main(["replay", "--certificate", str(cert)]) == 2
+    assert ("configuration error: unknown config key pairs[0].expect_pas"
+            in capsys.readouterr().err)
 
 
 def _two_pair_config():

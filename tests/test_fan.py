@@ -18,7 +18,7 @@ from finsler.errors import ConfigurationError, DegenerateMetricError, SlitBundle
 from finsler.geometry import SamplePlan, realify_metric, unit_directions
 from finsler.metrics import instantiate
 
-from oracles import fan_by_paths, radial_flag_bounds_by_paths
+from oracles import endpoint, fan_by_paths, radial_flag_bounds_by_paths
 
 
 def _disk(**params):
@@ -111,7 +111,7 @@ def test_a_fan_ending_just_past_the_first_exit_finishes_the_others():
     assert fan.arc_lengths[1:] == pytest.approx([length] * 3, rel=1e-14)
     for b in (1, 2, 3):
         x, u = fan.state_at(b, length)
-        x_ref, u_ref = ref[b][0].endpoint()
+        x_ref, u_ref = endpoint(ref[b][0])
         assert np.abs(x - x_ref).max() < 1e-9 and np.abs(u - u_ref).max() < 1e-9
 
 

@@ -47,6 +47,26 @@ def test_invalid_parameters_are_named():
         instantiate({"family": "nope"})
 
 
+@pytest.mark.parametrize("build, spec, key", [
+    (instantiate, {"family": "hermitian", "complex_dim": 1.9}, "complex_dim"),
+    (instantiate, {"family": "hermitian", "complex_dim": True}, "complex_dim"),
+    (instantiate, {"family": "minkowski", "params": {"k": 2.5}}, "k"),
+    (instantiate, {"family": "hermitian", "params": {"scale": math.inf}}, "scale"),
+    (instantiate, {"family": "minkowski", "params": {"eps": math.inf}}, "eps"),
+    (instantiate, {"family": "szabo", "params": {"eps": math.nan}}, "eps"),
+    (instantiate, {"family": "un_invariant", "params": {"profile": {"f": "exp", "c": math.nan}}},
+     "c"),
+    (build_map, {"map": "identity", "params": {"n": 1.5}}, "n"),
+    (build_map, {"map": "power", "params": {"m": 2.7}}, "m"),
+    (build_map, {"map": "power", "params": {"m": True}}, "m"),
+    (build_map, {"map": "constant", "params": {"n_in": 2.5}}, "n_in"),
+])
+def test_counts_are_integers_and_reals_finite(build, spec, key):
+    # a fractional count would be truncated, and a non-finite real passes a sign check
+    with pytest.raises(ConfigurationError, match=rf"\b{key} must be"):
+        build(spec)
+
+
 def test_check_metric_euclidean_levi_identity():
     m = instantiate({"family": "hermitian", "complex_dim": 2,
                      "params": {"catalog": "euclidean"}})

@@ -1,4 +1,5 @@
-"""The package's public names, and what in ``src/`` a command or benchmark reaches."""
+"""The package's public names, what in `src/` a command or benchmark reaches, and
+the config keys the code reads."""
 
 import ast
 import re
@@ -24,22 +25,35 @@ def _identifiers(node):
             yield sub.attr
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_src_definition_is_reached():
     # Roots: the CLI entry point, the names module-level statements use (the
     # dispatch tables) and every identifier in bench/, whose tracer names its
     # targets in strings. Reaching a name follows the identifiers in the body
-    # of every top-level definition of that name; a definition nothing reaches
-    # is code only tests call: an oracle belongs in tests/oracles.py, a repeat
-    # of a production route nowhere.
+    # of every definition of that name: a top-level function, a class (its own
+    # statements and dunder methods, which the language calls), or a method of
+    # a top-level class. A definition nothing reaches is code only tests call:
+    # an oracle belongs in tests/oracles.py, a repeat of a production route nowhere.
     defs = {}
     roots = {"main"}
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                if path.name != "__init__.py":
-                    defs.setdefault(stmt.name, []).append((path.stem, stmt))
-            else:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 roots.update(_identifiers(stmt))
+            elif path.name != "__init__.py":
+                body = [stmt]
+                if isinstance(stmt, ast.ClassDef):
+                    methods = [sub for sub in stmt.body if isinstance(sub, ast.FunctionDef)
+                               and not _is_dunder(sub.name)]
+                    for method in methods:
+                        defs.setdefault(method.name, []).append(
+                            (f"{path.stem}.{stmt.name}", [method]))
+                    body = [*stmt.bases, *stmt.decorator_list,
+                            *(sub for sub in stmt.body if sub not in methods)]
+                defs.setdefault(stmt.name, []).append((path.stem, body))
     for path in sorted((ROOT / "bench").glob("*.py")):
         roots.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
 
@@ -49,8 +63,49 @@ def test_every_src_definition_is_reached():
         if name in reached:
             continue
         reached.add(name)
-        for _, stmt in defs[name]:
-            todo.extend(n for n in _identifiers(stmt) if n in defs)
-    unreached = sorted(f"{module}.{name}" for name, entries in defs.items()
-                       if name not in reached for module, _ in entries)
+        for _, body in defs[name]:
+            todo.extend(n for node in body for n in _identifiers(node) if n in defs)
+    unreached = sorted(f"{owner}.{name}" for name, entries in defs.items()
+                       if name not in reached for owner, _ in entries)
     assert unreached == [], f"definitions no command or benchmark reaches: {unreached}"
+
+
+def _table_keys(shape):
+    if isinstance(shape, dict):
+        for key, sub in shape.items():
+            yield key
+            yield from _table_keys(sub)
+    elif isinstance(shape, list):
+        yield from _table_keys(shape[0])
+    elif isinstance(shape, tuple):
+        for table in shape[1].values():
+            yield from _table_keys(table)
+
+
+def _receiver(node):
+    """The name a key is read from: ``params`` in ``params.get(...)``, ``spec``
+    in ``m.spec[...]``, and in a chain such as ``spec.get(...).get(...)`` the first."""
+    while isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        node = node.func.value
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_config_table_lists_every_key_the_code_reads():
+    # the builders and commands read config keys through .get and [...]; a key
+    # they read that the table lacks would be refused before it could be used
+    from finsler.config import CONFIG_KEYS
+    read = set()
+    for name in ("metrics.py", "cli.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and node.args):
+                receiver, key = node.func.value, node.args[0]
+            elif isinstance(node, ast.Subscript):
+                receiver, key = node.value, node.slice
+            else:
+                continue
+            if (_receiver(receiver) in ("params", "spec", "pair", "expectation")
+                    and isinstance(key, ast.Constant) and isinstance(key.value, str)):
+                read.add(key.value)
+    assert {"catalog", "expect", "expect_pass", "profile", "weakly_kahler_pde"} <= read
+    assert sorted(read - set(_table_keys(CONFIG_KEYS))) == []
