@@ -31,23 +31,31 @@ The pairing entering the holomorphic sectional curvature is contracted as
 the (dz, dzbar) block of the curvature evaluated on the radial horizontal
 direction; the Hermitian special case reduces to the classical curvature
 tensor and is oracle-tested.
+
+Every function takes one point, z and v of shape (n,), or B rows of shape
+(B, n). Rows read their jets from one ``MetricDef.complex_rows`` replay and
+run through the same contractions with a leading axis, each row bit for bit
+its point's.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import MetricDef, well_conditioned_inverse
+from .jets import JetSpace
 
 
 @dataclass
 class ChernFinslerData:
-    """Connection and curvature coefficients at a fixed (z, v)."""
+    """Connection and curvature coefficients at a fixed (z, v), or at B rows,
+    each field then with a leading axis of length B."""
 
     v: np.ndarray
-    G: float
+    G: float | np.ndarray
     G_alpha: np.ndarray          # dG/dv^a
     levi: np.ndarray             # G_{a bbar}
     levi_inv: np.ndarray         # G^{bbar a} as inv[b][a]
@@ -59,39 +67,46 @@ class ChernFinslerData:
 
 
 def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
-    """All Chern-Finsler connection data at (z, v)."""
+    """All Chern-Finsler connection data at (z, v), or at each row of z, v of
+    shape (B, n) from one replay, row b bit for bit its point's data."""
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     n = m.n
     Z, V, ZB, VB = (slice(k * n, (k + 1) * n) for k in range(4))
-    jet = m.complex_jet(z, v, 4)
-    D2, D3, D4 = (jet.derivatives(k) for k in (2, 3, 4))
-
-    levi = D2[V, VB]
+    if z.ndim == 2:
+        coeffs = m.complex_rows(z, v, 4)
+        partials = functools.partial(JetSpace.get(4 * n, 4, True, 2 * n).gather, coeffs)
+    else:
+        jet = m.complex_jet(z, v, 4)
+        partials = jet.derivatives
+    # the blocks the algebra reads, each with the bits of the full tensor's slice
+    D2 = partials(2)
+    levi = D2[..., V, VB]
     levi_inv = well_conditioned_inverse(levi, "Levi matrix")
-    dL = D3[V, VB]                 # dL[b, t, c] = d_c G_{b tbar}
-    d2L = D4[V, VB]
+    dL = partials(3, V, VB)        # dL[b, t, c] = d_c G_{b tbar}
+    d2L = partials(4, V, VB)
     # d_inv[a, d, e] = d_e (L^-1)[a, d]; the two inverses multiply first, as
     # the reciprocal's coefficient -1/L^2 does at n = 1
-    d_inv = -np.einsum("ab,cd,bce->ade", levi_inv, levi_inv, dL)
+    d_inv = -np.einsum("...ab,...cd,...bce->...ade", levi_inv, levi_inv, dL)
 
     # N^s_mu = G^{gbar s} G_{gbar; mu} and its gradient
-    X = D2[VB, Z]
-    nonlinear = np.einsum("gs,gm->sm", levi_inv, X)
-    dN = (np.einsum("gse,gm->sme", d_inv, X)
-          + np.einsum("gs,gme->sme", levi_inv, D3[VB, Z]))
+    X = D2[..., VB, Z]
+    nonlinear = np.einsum("...gs,...gm->...sm", levi_inv, X)
+    dN = (np.einsum("...gse,...gm->...sme", d_inv, X)
+          + np.einsum("...gs,...gme->...sme", levi_inv, partials(3, VB, Z)))
 
     # delta_mu G_{b tbar} and its gradient, whose two product terms add before
     # they are subtracted, as one jet product's do
-    delta = dL[..., Z] - np.einsum("sm,bts->btm", nonlinear, dL[..., V])
-    d_delta = d2L[:, :, Z] - (np.einsum("sme,bts->btme", dN, dL[..., V])
-                              + np.einsum("sm,btse->btme", nonlinear, d2L[:, :, V]))
+    delta = dL[..., Z] - np.einsum("...sm,...bts->...btm", nonlinear, dL[..., V])
+    d_delta = d2L[..., Z, :] - (
+        np.einsum("...sme,...bts->...btme", dN, dL[..., V])
+        + np.einsum("...sm,...btse->...btme", nonlinear, d2L[..., V, :]))
     # Gamma^a_{b;mu} = G^{tbar a} delta_mu G_{b tbar} and its gradient
-    gamma_h = np.einsum("ta,btm->abm", levi_inv, delta)
-    d_gamma_h = (np.einsum("tae,btm->abme", d_inv, delta)
-                 + np.einsum("ta,btme->abme", levi_inv, d_delta))
-    torsion_h = gamma_h - gamma_h.transpose(0, 2, 1)
-    gamma_v = np.einsum("ta,btg->abg", levi_inv, dL[..., V])
+    gamma_h = np.einsum("...ta,...btm->...abm", levi_inv, delta)
+    d_gamma_h = (np.einsum("...tae,...btm->...abme", d_inv, delta)
+                 + np.einsum("...ta,...btme->...abme", levi_inv, d_delta))
+    torsion_h = gamma_h - np.swapaxes(gamma_h, -1, -2)
+    gamma_v = np.einsum("...ta,...btg->...abg", levi_inv, dL[..., V])
 
     # conjugate horizontal frame delta_nubar = d_zbar - conj(N^s_nu) d_vbar^s on
     # gradients; the s sum subtracts term by term, as a scalar loop does
@@ -99,31 +114,40 @@ def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
 
     def delta_bar(grad):
         out, d_vbar = grad[..., ZB], grad[..., VB]
+        # conj(N^s_nu) broadcast over the axes of grad between rows and nu
+        across = (None,) * (grad.ndim - nl_conj.ndim + 1)
         for s in range(n):
-            out = out - nl_conj[s] * d_vbar[..., s, None]
+            out = out - nl_conj[(..., s) + across + (slice(None),)] * d_vbar[..., s, None]
         return out
 
     dbar_nl = delta_bar(dN)
     R_zz = -delta_bar(d_gamma_h)
     for s in range(n):
-        R_zz = R_zz - gamma_v[:, :, s, None, None] * dbar_nl[s]
+        R_zz = R_zz - gamma_v[..., s, None, None] * dbar_nl[..., s, None, None, :, :]
 
     return ChernFinslerData(
-        v=v, G=jet.value.real, G_alpha=jet.gradient()[V], levi=levi,
+        v=v, G=coeffs[:, 0].real if z.ndim == 2 else jet.value.real,
+        G_alpha=partials(1, V), levi=levi,
         levi_inv=levi_inv, nonlinear=nonlinear, gamma_h=gamma_h,
         gamma_v=gamma_v, torsion_h=torsion_h, R_zz=R_zz)
 
 
-def curvature_pairing(data: ChernFinslerData) -> complex:
-    """<Omega(chi, chibar) chi, chi> on the radial horizontal direction."""
+def curvature_pairing(data: ChernFinslerData):
+    """<Omega(chi, chibar) chi, chi> on the radial horizontal direction, one
+    complex number per row."""
     v = data.v
-    return np.einsum("ag,abmn,b,m,n,g->", data.levi, data.R_zz,
+    return np.einsum("...ag,...abmn,...b,...m,...n,...g->...", data.levi, data.R_zz,
                      v, v, v.conj(), v.conj())
 
 
 def holomorphic_sectional_curvature(m: MetricDef, z, v, *,
                                     data: ChernFinslerData | None = None):
-    """K_G(v) = 2 <Omega(chi,chibar)chi,chi> / G(v)^2 (real scalar)."""
+    """K_G(v) = 2 <Omega(chi,chibar)chi,chi> / G(v)^2, a real scalar at a point
+    and an array of B at B rows."""
     data = data if data is not None else chern_finsler(m, z, v)
-    return float((2.0 * curvature_pairing(data) / data.G ** 2).real)
+    # G^2 per sample as a float power, which libm's pow rounds; numpy squares
+    # an array as x * x, which can differ in the last bit
+    square = np.reshape([g ** 2 for g in np.ravel(data.G).tolist()], np.shape(data.G))
+    k = (2.0 * curvature_pairing(data) / square).real
+    return float(k) if np.ndim(k) == 0 else k
 

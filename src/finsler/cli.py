@@ -112,7 +112,8 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
             if expect_pde is not None and expect_pde != pde.passed:
                 class_ok = False
                 payload["class_matches_expectation"] = False
-        _write_report(outdir, "check", mid, payload, config)
+        _write_report(outdir, "check", mid, payload, config,
+                      metadata={"grids": {"kahler": kah.grid}})
         if not rep.passed or not class_ok:
             status = 1
         print(f"check {mid}: validity={'PASS' if rep.passed else 'FAIL'} "
@@ -141,7 +142,8 @@ def cmd_curvature(config: RunConfig, outdir: Path) -> int:
         else:
             payload.update(min=lo, max=hi)
             summary = f"K in [{lo:.6g}, {hi:.6g}]"
-        d = _write_report(outdir, "curvature", mid, payload, config)
+        d = _write_report(outdir, "curvature", mid, payload, config,
+                          metadata={"grids": {"holomorphic": samples.grid}})
         _write_csv(d / "holomorphic_curvature.csv",
                    ["point_index", "dir_index", "K_G"],
                    [[iz, iv, repr(k)] for iz, iv, k in samples.rows])
@@ -318,7 +320,8 @@ def cmd_bounds(config: RunConfig, outdir: Path) -> int:
             payload["radial_flag_samples"] = 0
             payload["radial_flag_error"] = str(exc)
             status = 1
-        _write_report(outdir, "bounds", mid, payload, config)
+        _write_report(outdir, "bounds", mid, payload, config,
+                      metadata={"grids": {"holomorphic": samples.grid}})
         print(f"bounds {mid}: K1={payload.get('K1', math.nan):.6g} "
               f"({_samples_summary(samples.counts)}) "
               f"radial=[{payload.get('radial_flag_inf', math.nan):.6g}, "
@@ -391,7 +394,8 @@ def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
         pair_id = f"{cert.map_id}__{cert.domain_id}__{cert.target_id}"
         payload = {"certificate": cert.to_payload()}
         _write_report(outdir, "schwarz", pair_id, payload, config,
-                      metadata={"holomorphic_samples": cert.curvature_samples})
+                      metadata={"holomorphic_samples": cert.curvature_samples,
+                                "grids": cert.grids})
         expect_pass = pair.get("expect_pass")
         if expect_pass is not None and expect_pass != cert.passed:
             status = 1

@@ -90,15 +90,21 @@ _BOOL = _leaf("true or false", lambda v: isinstance(v, bool))
 # reports land in <out>/<command>/<id>, so an id is one path component
 _NAME = _leaf("a non-empty name without '/', not '.' or '..'", lambda v: isinstance(v, str)
               and v not in ("", ".", "..") and not {"/", "\0"} & set(v))
-_HERMITIAN = dict.fromkeys(["catalog", "scale", "matrix"])
+_CATALOG = dict.fromkeys(["catalog", "scale"])
+# Hermitian params per catalog entry, the builder's default "euclidean" when absent
+_HERMITIAN = (lambda params: params.get("catalog", "euclidean"), {
+    **dict.fromkeys(["euclidean", "poincare_disk", "poincare_ball", "product_disks",
+                     "nonkahler"], _CATALOG),
+    "constant": {**_CATALOG, "matrix": None}})
 _FACTOR = {"complex_dim": None, "id": None, "params": _HERMITIAN}
 _CLASSES = [*CLASS_ORDER, "unknown"]
 
 # Every key a config may hold, and the only check of its shape. A dict lists a
 # mapping's keys, [item] is a list of items, a function checks a leaf value,
-# None is a leaf the builders check, and (key, tables) picks the table of a
-# mapping by the value of the ``key`` beside it. A key in _REQUIRED must be
-# present in every mapping whose table lists it.
+# None is a leaf the builders check, and (pick, tables) picks the table of a
+# mapping: by the value of the key ``pick`` beside it, or, when ``pick`` is a
+# function, by ``pick(mapping)``. A key in _REQUIRED must be present in every
+# mapping whose table lists it.
 CONFIG_KEYS = {
     "seed": _leaf("an integer >= 0", lambda v: _is_count(v, 0)),
     "tolerance": None,
@@ -111,9 +117,13 @@ CONFIG_KEYS = {
         "params": ("family", {
             "hermitian": _HERMITIAN,
             "minkowski": dict.fromkeys(["k", "eps", "base", "factors"]),
-            "szabo": {"k": None, "eps": None, "factors": None,
-                      "factor1": _FACTOR, "factor2": _FACTOR},
-            "un_invariant": {"profile": dict.fromkeys(["form", "f", "c", "expr"])},
+            # the builder reads factor1 and factor2 only without factors
+            "szabo": (lambda params: "factors" if "factors" in params else "pair", {
+                "factors": dict.fromkeys(["k", "eps", "factors"]),
+                "pair": {"k": None, "eps": None, "factor1": _FACTOR, "factor2": _FACTOR}}),
+            "un_invariant": {"profile": (lambda profile: profile.get("form", "gradient"), {
+                "gradient": dict.fromkeys(["form", "f", "c"]),
+                "free": dict.fromkeys(["form", "expr"])})},
         }),
         "expect": {"kahler_class": _leaf(f"one of {_CLASSES}", lambda v: v in _CLASSES),
                    "weakly_kahler_pde": _BOOL},
@@ -148,10 +158,16 @@ def _walk(value, shape, path="", parent=None):
         for i, item in enumerate(value):
             _walk(item, shape[0], f"{path}[{i}]")
     elif isinstance(shape, tuple):
-        # an unknown family or map kind is the builders' error
-        kind = parent.get(shape[0])
-        if isinstance(kind, str) and kind in shape[1]:
-            _walk(value, shape[1][kind], path)
+        pick, tables = shape
+        if callable(pick):
+            if not isinstance(value, dict):
+                raise ConfigurationError(f"{path} must be a mapping, got {value!r}")
+            kind = pick(value)
+        else:
+            kind = parent.get(pick)
+        # an unknown family, map kind, catalog entry or form is the builders' error
+        if isinstance(kind, str) and kind in tables:
+            _walk(value, tables[kind], path)
     elif shape is not None:
         shape(value, path)
 

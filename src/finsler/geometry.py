@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, SlitBundleError, StructuralError
-from .jets import CJet, Jet, JetProgram, creal, wirtinger
+from .jets import CJet, Jet, JetProgram, JetSpace, creal, wirtinger, wirtinger_coeffs
 
 #: Metric derivatives are never requested at smaller relative vector norms;
 #: callers must renormalize using homogeneity.
@@ -246,10 +246,26 @@ class MetricDef:
         v = np.asarray(v, dtype=complex)
         x = complex_to_real_components(z)
         u = complex_to_real_components(v)
-        jet = self.real_jet(x, u, order)
+        return wirtinger(self.real_jet(x, u, order), self._wirtinger_pairs)
+
+    def complex_rows(self, z, v, order) -> np.ndarray:
+        """Coefficient rows of the Wirtinger jets at the B rows of z, v of shape
+        (B, n), row b bit for bit ``complex_jet(z[b], v[b], order).coeffs``,
+        from one ``real_rows`` replay; each point is guarded as there."""
+        if not self.is_complex:
+            raise StructuralError("complex jets need a complex metric")
+        z = np.asarray(z, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        x = np.concatenate([z.real, z.imag], axis=1)
+        u = np.concatenate([v.real, v.imag], axis=1)
+        sp = JetSpace.get(2 * self.dim, order, False)
+        return wirtinger_coeffs(self.real_rows(x, u, order), sp, self._wirtinger_pairs)[1]
+
+    @property
+    def _wirtinger_pairs(self):
+        """(real, imaginary) variable pairs of z, then of v, over (x, u)."""
         n = self.n
-        pairs = [(a, n + a) for a in range(n)] + [(2 * n + a, 3 * n + a) for a in range(n)]
-        return wirtinger(jet, pairs)
+        return [(a, n + a) for a in range(n)] + [(2 * n + a, 3 * n + a) for a in range(n)]
 
     # -- frequently used tensors ---------------------------------------------
 
@@ -265,16 +281,17 @@ class MetricDef:
 
 
 def well_conditioned_inverse(a, what) -> np.ndarray:
-    """``np.linalg.inv`` of a symmetric or Hermitian matrix ``what``, which must be
-    regular with |a|_1 |a^-1|_1 (>= its 2-norm condition) <= 1e10, or raise
-    ``DegenerateMetricError``."""
+    """``np.linalg.inv`` of a symmetric or Hermitian matrix ``what``, or of each
+    of a stack of them, which must be regular with |a|_1 |a^-1|_1 (>= its
+    2-norm condition) <= 1e10, or raise ``DegenerateMetricError``."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(f"{what} singular") from exc
-    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
-    if not cond <= 1e10:
-        raise DegenerateMetricError(f"{what} condition number {cond:.2e}")
+    cond = np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    worst = cond.max() if cond.ndim else cond   # a NaN stays NaN
+    if not worst <= 1e10:
+        raise DegenerateMetricError(f"{what} condition number {worst:.2e}")
     return inv
 
 

@@ -26,7 +26,9 @@ already recorded (same operation, operands and constant) reuses its slot.
 ``JetProgram.replay_rows`` replays B points at once into (B, n) coefficient
 rows, and multiplies them with one bincount over row-offset product tables;
 each row keeps the summation order of a single point, so row b is bit for bit
-its own replay.
+its own replay. Derivative readouts (``JetSpace.gather``) and the Wirtinger
+transform (``wirtinger_coeffs``) take such rows as they take one jet's
+coefficients.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ import numpy as np
 from .errors import ConfigurationError, StructuralError
 
 MAX_ORDER = 4
+
+#: Product-table entries (rows x ``len(mult_table)``) of one stacked product;
+#: ``JetProgram.replay_rows`` replays more rows in chunks, which bounds the
+#: memory of its tables and temporaries.
+ROW_PRODUCTS = 2 ** 14
 
 _SPACE_CACHE: dict = {}
 
@@ -64,7 +71,7 @@ class JetSpace:
     __slots__ = (
         "nvars", "order", "is_complex", "pair_split", "exponents", "n", "degrees",
         "size_at_order", "_mult_table", "_extract_tables", "_conj_perm",
-        "_derivative_tables", "_row_tables", "dtype",
+        "_derivative_tables", "dtype",
     )
 
     def __init__(self, nvars, order, is_complex=False, pair_split=None):
@@ -87,7 +94,6 @@ class JetSpace:
         self._extract_tables = {}
         self._conj_perm = None
         self._derivative_tables = {}
-        self._row_tables = {}
 
     @staticmethod
     def get(nvars, order, is_complex=False, pair_split=None) -> "JetSpace":
@@ -122,13 +128,11 @@ class JetSpace:
 
     def row_mult_table(self, rows):
         """``mult_table`` over ``rows`` raveled coefficient rows: entry k of row b
-        reads and writes offset by b * n, so one bincount multiplies every row."""
-        tab = self._row_tables.get(rows)
-        if tab is None:
-            offset = self.n * np.arange(rows)[:, None]
-            tab = tuple((t + offset).ravel() for t in self.mult_table())
-            self._row_tables[rows] = tab
-        return tab
+        reads and writes offset by b * n, so one bincount multiplies every row.
+        Built on each call and not kept: a replay builds it once for all its
+        products."""
+        offset = self.n * np.arange(rows)[:, None]
+        return tuple((t + offset).ravel() for t in self.mult_table())
 
     def extract_table(self, var):
         """(src, fac): ``coeffs[src] * fac`` is the partial in ``var``, one order lower."""
@@ -167,6 +171,15 @@ class JetSpace:
             self._conj_perm = self.locate(self.exponents[:, np.r_[p:2 * p, :p, 2 * p:self.nvars]])
         return self._conj_perm
 
+    def gather(self, coeffs, k, *blocks) -> np.ndarray:
+        """The k-th partials of the jets whose coefficients are the last axis of
+        ``coeffs``, restricted to ``blocks`` (an index or a slice per leading
+        derivative axis); rows (B, n) give B tensors, each its jet's."""
+        idx, scale = self.derivative_table(k)
+        if blocks:
+            idx, scale = idx[blocks], scale[blocks]
+        return coeffs.take(idx, axis=-1) * scale
+
     def constant(self, value) -> "Jet":
         c = np.zeros(self.n, dtype=self.dtype)
         c[0] = value
@@ -203,11 +216,12 @@ def _product(sp, a, b):
     return np.bincount(iout, weights=w, minlength=sp.n)
 
 
-def _product_rows(sp, a, b):
+def _product_rows(sp, a, b, table):
     """``_product`` of each row pair of two real (B, n) coefficient arrays, as
-    one bincount; row b sums its terms in the order ``_product`` does."""
+    one bincount over ``table``, ``sp.row_mult_table(B)``; row b sums its terms
+    in the order ``_product`` does."""
     rows = len(a)
-    ia, ib, iout = sp.row_mult_table(rows)
+    ia, ib, iout = table
     w = a.ravel().take(ia) * b.ravel().take(ib)
     return np.bincount(iout, weights=w, minlength=rows * sp.n).reshape(rows, sp.n)
 
@@ -215,8 +229,8 @@ def _product_rows(sp, a, b):
 def _compose(sp, coeffs, taylor, product=_product, c0=0):
     """Coefficients of g(f) for a jet f over ``sp``, where ``taylor[k]`` =
     g^(k)(f0)/k!, by Horner's rule on the non-constant part of f. Rows of jets
-    pass ``_product_rows``, the constant column ``c0`` and one Taylor value
-    per row in each ``taylor[k]``."""
+    pass ``_product_rows`` bound to their table, the constant column ``c0``
+    and one Taylor value per row in each ``taylor[k]``."""
     h = coeffs.copy()
     h[c0] = 0.0
     out = np.zeros(coeffs.shape, dtype=sp.dtype)
@@ -389,12 +403,12 @@ class Jet:
 
     # -- derivative access ---------------------------------------------------
 
-    def derivatives(self, k) -> np.ndarray:
-        """Symmetric tensor of all k-th partials, read through the space's gather table."""
+    def derivatives(self, k, *blocks) -> np.ndarray:
+        """Symmetric tensor of all k-th partials, or its block ``blocks``, read
+        through the space's gather table (``JetSpace.gather``)."""
         if not 1 <= k <= self.order:
             raise StructuralError("requested derivative exceeds jet order")
-        idx, scale = self.space.derivative_table(k)
-        return self.coeffs[idx] * scale
+        return self.space.gather(self.coeffs, k, *blocks)
 
     def gradient(self) -> np.ndarray:
         """All first partial derivatives."""
@@ -473,16 +487,26 @@ def wirtinger(jet: Jet, pairs) -> Jet:
     [w_0..w_{P-1}, conj(w_0)..conj(w_{P-1})]; its mixed holomorphic partials
     are read off with :meth:`Jet.gradient` and :meth:`Jet.hessian`.
     """
+    return Jet(*wirtinger_coeffs(jet.coeffs, jet.space, pairs))
+
+
+def wirtinger_coeffs(coeffs, space: JetSpace, pairs):
+    """``(complex space, coefficients)`` of the Wirtinger rewrite of the real
+    jet coefficients ``coeffs`` over ``space``, whose last axis is the basis;
+    rows (B, n) give rows (B, n'), row b bit for bit its jet's (``wirtinger``)."""
     pairs = tuple((int(a), int(b)) for a, b in pairs)
     seen = sorted(i for p in pairs for i in p)
-    if seen != list(range(jet.space.nvars)):
+    if seen != list(range(space.nvars)):
         raise StructuralError(
-            f"pairs {pairs} must split the {jet.space.nvars} variables into disjoint couples; "
+            f"pairs {pairs} must split the {space.nvars} variables into disjoint couples; "
             "odd or partial layouts are not supported")
-    dst, src, val, cx_sp = _wirtinger_rows(jet.space.nvars, jet.order, pairs)
-    out = np.zeros(cx_sp.n, dtype=np.complex128)
-    np.add.at(out, dst, val * jet.coeffs[src])
-    return Jet(cx_sp, out)
+    dst, src, val, cx_sp = _wirtinger_rows(space.nvars, space.order, pairs)
+    out = np.zeros(coeffs.shape[:-1] + (cx_sp.n,), dtype=np.complex128)
+    # one 1-d np.add.at per jet: it sums each coefficient in entry order, is
+    # faster than one over a 2-d index, and holds one jet's terms at a time
+    for row, c in zip(out.reshape(-1, cx_sp.n), coeffs.reshape(-1, space.n)):
+        np.add.at(row, dst, val * c[src])
+    return cx_sp, out
 
 
 # -- complex-valued jets as (re, im) pairs ------------------------------------
@@ -813,15 +837,23 @@ class JetProgram:
         """Coefficient rows (B, n) of the formula's jets at the B points of
         ``values`` (B, nvars), row b bit for bit ``replay(values[b], order).coeffs``.
 
-        Each product multiplies every row with one bincount
-        (``_product_rows``); Taylor coefficients are computed point by point,
-        so a bad point raises as its own replay does.
+        Each product multiplies the rows of a chunk of at most
+        ``ROW_PRODUCTS`` table entries with one bincount (``_product_rows``);
+        Taylor coefficients are computed point by point, so a bad point
+        raises as its own replay does.
         """
         sp = JetSpace.get(self.nvars, order, False)
         values = np.asarray(values, dtype=float)
-        seeds = np.repeat(sp.seed_coeffs(values[0])[:, None], len(values), axis=1)
-        seeds[:, :, 0] = values.T
-        return self._run(sp, list(seeds), order, _product_rows, (slice(None), 0), _row_taylor)
+        chunk = max(1, ROW_PRODUCTS // len(sp.mult_table()[0]))
+        out = []
+        for start in range(0, len(values), chunk):
+            part = values[start:start + chunk]
+            seeds = np.repeat(sp.seed_coeffs(part[0])[:, None], len(part), axis=1)
+            seeds[:, :, 0] = part.T
+            product = functools.partial(_product_rows, table=sp.row_mult_table(len(part)))
+            out.append(self._run(sp, list(seeds), order, product, (slice(None), 0),
+                                 _row_taylor))
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def _run(self, sp, s, order, product, c0, taylor_of):
         """The entries replayed on the seed coefficients ``s``: ``product``

@@ -8,6 +8,15 @@ monotone. Residuals are normalized by the sampled magnitude of the
 coefficients to stay dimensionless across families. For a unitary-invariant
 metric the weakly Kaehler condition is also a PDE in its profile, which
 ``weakly_kahler_pde_residual`` evaluates without the connection.
+
+The ``kahler`` level is empty for the metrics the engine accepts: Chen and
+Shen (Chinese Ann. Math. B 30, 2009) prove that a Kaehler Finsler metric is
+strongly Kaehler. A ``kahler`` classification is therefore a numerical
+artefact of the tolerance, not a class of its own; the level stays so that
+each residual has its level.
+
+``classify`` evaluates its whole sample grid as stacked rows through
+``report.evaluate_stacked``, falling back to one sample at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from .chern import chern_finsler
 from .geometry import MetricDef, SamplePlan, sample_points, sample_vectors
 from .jets import JetSpace
 from .metrics import UnitaryProfile
-from .report import VerificationReport, evaluate_samples
+from .report import VerificationReport, evaluate_stacked
 
 CLASS_ORDER = ["strongly_kahler", "kahler", "weakly_kahler", "none"]
 
@@ -39,6 +48,13 @@ class KahlerReport:
     classification: str
     n_samples: int
     errors: list = field(default_factory=list)
+    # whether one stacked call evaluated the grid; kept out of the payload
+    stacked: bool = True
+
+    @property
+    def grid(self) -> dict:
+        """Rows of the sample grid and whether one stacked call evaluated them."""
+        return {"rows": self.n_samples + len(self.errors), "stacked": self.stacked}
 
     @property
     def passes(self):
@@ -75,17 +91,18 @@ def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
     plan = plan or SamplePlan(n_points=8, n_dirs=4)
 
     def residuals(z, v):
-        """The three torsion residuals and max|Gamma_h| of one sample."""
+        """The three torsion residuals and max|Gamma_h| of one sample, or of
+        each row of z, v as a row of four."""
         data = chern_finsler(m, z, v)
-        vn = np.asarray(v) / math.sqrt(data.G)
+        root = np.sqrt(data.G)[..., None]
         tor = data.torsion_h
-        contracted = np.einsum("anm,m->an", tor, vn)
-        weak = np.einsum("a,an->n", data.G_alpha / math.sqrt(data.G), contracted)
-        return (float(np.abs(tor).max()), float(np.abs(contracted).max()),
-                float(np.abs(weak).max()), float(np.abs(data.gamma_h).max()))
+        contracted = np.einsum("...anm,...m->...an", tor, np.asarray(v) / root)
+        weak = np.einsum("...a,...an->...n", data.G_alpha / root, contracted)
+        return np.stack([np.abs(t).max(axis=tuple(range(-k, 0))) for t, k in (
+            (tor, 3), (contracted, 2), (weak, 1), (data.gamma_h, 3))], axis=-1)
 
-    rows, failures = evaluate_samples(residuals, sample_points(m, plan),
-                                      sample_vectors(m, plan))
+    rows, failures, stacked = evaluate_stacked(residuals, sample_points(m, plan),
+                                               sample_vectors(m, plan))
     res_strong, res_kahler, res_weak, scale = (
         max((value[k] for _, _, value in rows), default=0.0) for k in range(4))
     rep = KahlerReport(
@@ -93,7 +110,7 @@ def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
         residual_kahler=res_kahler, residual_weak=res_weak,
         scale=max(scale, 1.0), tolerance=tolerance, classification="none",
         n_samples=len(rows),
-        errors=[f"{type(exc).__name__}: {exc}" for _, _, exc in failures])
+        errors=[f"{type(exc).__name__}: {exc}" for _, _, exc in failures], stacked=stacked)
     # the first level that holds, in CLASS_ORDER
     rep.classification = next((level for level, ok in rep.passes.items() if ok), "none")
     return rep

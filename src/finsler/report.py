@@ -7,13 +7,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import SAMPLE_ERRORS, NonFiniteSampleError
 
 
 def _clean(obj):
     """Recursively convert numpy scalars/arrays so json can serialize them."""
-    import numpy as np
-
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -88,6 +88,38 @@ def evaluate_samples(fn, points, dirs):
             else:
                 rows.append((iz, iv, value))
     return rows, failures
+
+
+def evaluate_stacked(fn, points, dirs):
+    """``evaluate_samples(fn, points, dirs)`` from one stacked call, as ``(rows,
+    failures, stacked)``.
+
+    ``fn`` takes the grid as rows Z, V of shape (B, n), every point x direction
+    in plan order, and returns B values or B rows of values, each what ``fn``
+    gives at its one point. If that call raises one of ``SAMPLE_ERRORS`` or
+    yields a value that is not finite, the grid runs again point by point
+    through ``evaluate_samples``, which attributes each failure to its sample,
+    and ``stacked`` is false. Any other exception propagates. Values are
+    Python floats, a row of several a tuple of them.
+    """
+    def plain(value):
+        value = np.asarray(value, dtype=float).tolist()
+        return tuple(value) if isinstance(value, list) else value
+
+    if not (len(points) and len(dirs)):
+        return [], [], True
+    Z = np.repeat(np.asarray(points), len(dirs), axis=0)
+    V = np.tile(np.asarray(dirs), (len(points), 1))
+    try:
+        values = np.asarray(fn(Z, V), dtype=float)
+        stacked = bool(np.isfinite(values).all())
+    except SAMPLE_ERRORS:
+        stacked = False
+    if not stacked:
+        rows, failures = evaluate_samples(lambda z, v: plain(fn(z, v)), points, dirs)
+        return rows, failures, False
+    samples = ((iz, iv) for iz in range(len(points)) for iv in range(len(dirs)))
+    return [(iz, iv, plain(value)) for (iz, iv), value in zip(samples, values)], [], True
 
 
 def failure_reasons(failures) -> dict:

@@ -24,7 +24,7 @@ from .errors import HypothesisViolationError, NoSamplesError
 from .geometry import MetricDef, SamplePlan, sample_points
 from .kahler import KahlerReport, classify, is_at_least
 from .metrics import HoloMap, check_metric, plan_directions
-from .report import (VerificationReport, evaluate_samples, failure_reasons,
+from .report import (VerificationReport, evaluate_stacked, failure_reasons,
                      require_finite, sample_counts)
 
 
@@ -46,10 +46,16 @@ class CurvatureSamples:
 
     rows: list              # (point index, direction index, K_G) of evaluated samples
     failure_reasons: dict   # error type name -> number of failed samples
+    stacked: bool = True    # whether one stacked call evaluated the grid
 
     @property
     def counts(self) -> dict:
         return sample_counts(len(self.rows), self.failure_reasons)
+
+    @property
+    def grid(self) -> dict:
+        """Rows of the sample grid and whether one stacked call evaluated them."""
+        return {"rows": self.counts["attempted"], "stacked": self.stacked}
 
     def extremes(self):
         """(inf, sup) of the evaluated samples; none evaluated is an error."""
@@ -76,13 +82,14 @@ class CurvatureSamples:
 
 
 def holomorphic_curvature_samples(m: MetricDef, plan: SamplePlan) -> CurvatureSamples:
-    """K_G at the plan's points in ``plan_directions(seed + 3)``; failed
-    samples, as ``evaluate_samples`` defines them, are tallied by error type."""
+    """K_G at the plan's points in ``plan_directions(seed + 3)``, all in one
+    stacked call unless a sample fails; failed samples, as
+    ``evaluate_samples`` defines them, are tallied by error type."""
     from .chern import holomorphic_sectional_curvature
-    rows, failures = evaluate_samples(
+    rows, failures, stacked = evaluate_stacked(
         lambda z, v: holomorphic_sectional_curvature(m, z, v), sample_points(m, plan),
         plan_directions(m, plan.n_dirs, plan.seed + 3))
-    return CurvatureSamples(rows, failure_reasons(failures))
+    return CurvatureSamples(rows, failure_reasons(failures), stacked)
 
 
 def curvature_bounds(m: MetricDef, role: str,
@@ -148,8 +155,10 @@ class SchwarzCertificate:
     plan: dict
     tolerance: float
     schema: int = 1
-    # K_G sample counts per role; kept out of the payload, which goldens pin
+    # K_G sample counts per role, and the rows of each stacked grid with
+    # whether one call evaluated them; kept out of the payload, which goldens pin
     curvature_samples: dict = field(default_factory=dict)
+    grids: dict = field(default_factory=dict)
 
     def to_payload(self):
         from .report import _clean
@@ -226,5 +235,7 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
         argmax=argmax, passed=bool(passed), hypotheses=hyp,
         plan=plan.to_dict(), tolerance=tolerance,
         curvature_samples={"domain": dom.curvature.counts,
-                           "target": tgt.curvature.counts})
+                           "target": tgt.curvature.counts},
+        grids={"domain_kahler": kah.grid, "domain_holomorphic": dom.curvature.grid,
+               "target_holomorphic": tgt.curvature.grid})
 

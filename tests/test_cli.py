@@ -360,6 +360,13 @@ def _with(spec, **params):
      "unknown config key metrics[0].expect.kahler_clas"),
     ("check", {"plans": {"default": {"n_points": 4, "n_point": 99}}},
      "unknown config key plans.default.n_point"),
+    # a key that the chosen catalog entry, profile form or Szabo shorthand never reads
+    ("check", {"metrics": [_with(_DISK, matrix=[[2.0]])]},
+     "unknown config key metrics[0].params.matrix"),
+    ("check", {"metrics": [_with(_UN, profile={"form": "free", "c": 3.0})]},
+     "unknown config key metrics[0].params.profile.c"),
+    ("check", {"metrics": [_with(_SZABO, factors=[[[1.0]], [[2.0]]])]},
+     "unknown config key metrics[0].params.factor1"),
     # expectations are read as written: a mapping, booleans and a class name
     ("check", {"metrics": [{**_DISK, "expect": 5}]}, "metrics[0].expect must be a mapping"),
     ("check", {"metrics": [{**_DISK, "expect": {"kahler_class": "strong"}}]},
@@ -380,7 +387,8 @@ def _with(spec, **params):
         "unknown_szabo_param", "unknown_szabo_factor_param", "unknown_szabo_factor_key",
         "unknown_un_invariant_param", "unknown_profile_key", "unknown_map_param",
         "unknown_map_key", "unknown_pair_key", "pair_without_target",
-        "unknown_expectation_key", "unknown_plan_key", "expectation_not_a_mapping",
+        "unknown_expectation_key", "unknown_plan_key", "param_of_another_catalog",
+        "param_of_another_form", "szabo_factors_beside_factor1", "expectation_not_a_mapping",
         "kahler_class_not_a_class", "weakly_kahler_pde_not_a_bool", "expect_pass_not_a_bool"])
 def test_bad_id_or_output_directory_is_a_configuration_error(tmp_path, capsys, command, change,
                                                              message):
@@ -601,6 +609,10 @@ def test_cmd_curvature_records_a_failing_sample(tmp_path, monkeypatch):
     calls = []
 
     def flaky(m, z, v, **kw):
+        # the first sample fails: in the stacked call, which holds it, and at
+        # the first call of the per-sample run
+        if np.ndim(z) == 2:
+            raise DegenerateMetricError("singular Levi matrix")
         calls.append(1)
         if len(calls) == 1:
             raise DegenerateMetricError("singular Levi matrix")
@@ -622,14 +634,70 @@ def test_cmd_curvature_records_a_failing_sample(tmp_path, monkeypatch):
     assert payload["min"] == pytest.approx(-4.0, abs=1e-6)
 
 
+def test_grids_record_rows_and_whether_one_call_evaluated_them(tmp_path, monkeypatch):
+    from finsler import chern, kahler
+    from finsler.errors import DegenerateMetricError
+    from finsler.geometry import sample_points
+    from finsler.metrics import instantiate
+    cfg = _two_pair_config()
+    p = write_config(tmp_path, cfg)
+
+    def grids(out, command, item):
+        report = json.loads((out / command / item / "report.json").read_text())
+        return report["metadata"]["grids"], report["payload"]
+
+    def run(out):
+        for command in ("check", "bounds", "curvature", "schwarz"):
+            main([command, "--config", str(p), "--out", str(out)])
+
+    def expected(stacked):
+        six = {"rows": 6, "stacked": stacked}
+        return {("check", "poincare"): {"kahler": six},
+                ("bounds", "poincare"): {"holomorphic": six},
+                ("curvature", "poincare"): {"holomorphic": six},
+                ("schwarz", "square__poincare__poincare"): {
+                    "domain_kahler": {"rows": 20, "stacked": stacked},
+                    "domain_holomorphic": six, "target_holomorphic": six}}
+
+    run(tmp_path / "stacked")
+    for (command, item), want in expected(True).items():
+        assert grids(tmp_path / "stacked", command, item)[0] == want
+
+    # every sample at the plan's first disk point fails, in a stacked call
+    # that holds it and at its own point, so each disk grid runs per sample
+    z0 = sample_points(instantiate(_DISK), load_config(p).plan())[0]
+    real = chern.chern_finsler
+
+    def failing(m, z, v):
+        if np.any(np.all(np.asarray(z) == z0, axis=-1)):
+            raise DegenerateMetricError("Levi matrix singular")
+        return real(m, z, v)
+
+    monkeypatch.setattr(chern, "chern_finsler", failing)
+    monkeypatch.setattr(kahler, "chern_finsler", failing)
+    run(tmp_path / "fallback")
+    for (command, item), want in expected(False).items():
+        assert grids(tmp_path / "fallback", command, item)[0] == want
+    payload = grids(tmp_path / "fallback", "curvature", "poincare")[1]
+    assert payload["holomorphic_samples"]["failure_reasons"] == {"DegenerateMetricError": 2}
+    payload = grids(tmp_path / "fallback", "check", "poincare")[1]
+    assert payload["kahler"]["errors"] == ["DegenerateMetricError: Levi matrix singular"] * 2
+    # the Minkowski grids hold no failing sample and stay stacked
+    assert grids(tmp_path / "fallback", "curvature", "minkowski")[0] == {
+        "holomorphic": {"rows": 6, "stacked": True}}
+
+
 def _count_chern_finsler(monkeypatch):
     from finsler import chern, kahler
     real = chern.chern_finsler
     seen = {}
 
     def counted(m, z, v, *args, **kw):
-        key = (m.family_id, np.asarray(z).tobytes(), np.asarray(v).tobytes())
-        seen[key] = seen.get(key, 0) + 1
+        # a stacked call evaluates each of its rows
+        z, v = np.asarray(z), np.asarray(v)
+        for zb, vb in zip(*(z, v) if z.ndim == 2 else ([z], [v])):
+            key = (m.family_id, zb.tobytes(), vb.tobytes())
+            seen[key] = seen.get(key, 0) + 1
         return real(m, z, v, *args, **kw)
 
     monkeypatch.setattr(chern, "chern_finsler", counted)

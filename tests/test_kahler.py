@@ -204,12 +204,16 @@ def synthetic_torsion(kind):
     real = kahler.chern_finsler
 
     def patched(m, z, v):
+        # z, v are one sample or rows of them; so are the fields of data
         data = real(m, z, v)
-        across_v = np.array([v[1], -v[0]])            # sum_m w_m v^m = 0
-        across_ga = np.array([data.G_alpha[1], -data.G_alpha[0]])
-        torsion = {"kahler": np.einsum("a,n,m->anm", np.ones(2), np.ones(2), across_v),
-                   "weakly_kahler": np.einsum("a,nm->anm", across_ga, np.eye(2)),
-                   "none": np.einsum("a,nm->anm", np.ones(2), np.eye(2))}[kind]
+        v = np.asarray(v)
+        across_v = np.stack([v[..., 1], -v[..., 0]], axis=-1)      # sum_m w_m v^m = 0
+        ga = data.G_alpha
+        across_ga = np.stack([ga[..., 1], -ga[..., 0]], axis=-1)
+        ones = np.ones(v.shape)
+        torsion = {"kahler": np.einsum("...a,...n,...m->...anm", ones, ones, across_v),
+                   "weakly_kahler": np.einsum("...a,nm->...anm", across_ga, np.eye(2)),
+                   "none": np.einsum("...a,nm->...anm", ones, np.eye(2))}[kind]
         return dataclasses.replace(data, torsion_h=torsion)
 
     return patched

@@ -19,7 +19,7 @@ from finsler.geometry import (MetricDef, complex_to_real_components, creal_value
                               realify_metric)
 from finsler.cartan import spray_coefficients
 from finsler.jets import (_ADD, _ADDC, _CONST, _EXP, _LOG, _MUL, _NEG, _POW, _REC, _RSUBC,
-                          _SCALE, _SUB, MAX_ORDER, JetProgram, spow)
+                          _SCALE, _SUB, MAX_ORDER, ROW_PRODUCTS, JetProgram, JetSpace, spow)
 from finsler.metrics import _hermitian_form, instantiate
 
 from oracles import complex_jet_by_objects, real_jet_by_objects, record_unmerged
@@ -258,6 +258,33 @@ def test_batched_replay_rows_equal_point_replays(rows):
             for b in range(rows):
                 point = m.real_jet(x[b], u[b], order).coeffs
                 assert rows_jet[b].tobytes() == point.tobytes(), (m.family_id, order, b)
+
+
+def test_batched_replay_chunks_its_rows():
+    # 8 rows of the ball at order 4 (8 variables) exceed one stacked product,
+    # so test_batched_replay_rows_equal_point_replays crosses chunk boundaries
+    assert 8 * len(JetSpace.get(8, 4).mult_table()[0]) > ROW_PRODUCTS
+
+
+def test_row_tables_offset_each_row():
+    sp = JetSpace(3, 2)
+    ia, ib, iout = sp.mult_table()
+    tables = sp.row_mult_table(3)
+    for t, base in zip(tables, (ia, ib, iout)):
+        assert np.array_equal(t.reshape(3, -1), base + sp.n * np.arange(3)[:, None])
+
+
+def test_complex_rows_equal_point_complex_jets():
+    rng = np.random.default_rng(9)
+    for spec in BATCH_SPECS:
+        m = instantiate(spec)
+        x, u = _batch(realify_metric(m), rng, 5)
+        z, v = (w[:, :m.n] + 1j * w[:, m.n:] for w in (x, u))
+        for order in range(MAX_ORDER + 1):
+            rows = m.complex_rows(z, v, order)
+            for b in range(5):
+                point = m.complex_jet(z[b], v[b], order).coeffs
+                assert rows[b].tobytes() == point.tobytes(), (m.family_id, order, b)
 
 
 def test_batched_spray_equals_point_sprays():

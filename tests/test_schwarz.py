@@ -112,13 +112,22 @@ def test_scaled_metric_scales_curvature():
 
 
 def _failing_curvature(monkeypatch, fails, exc=DegenerateMetricError):
-    """Make the K_G samples whose call index is in ``fails`` raise ``exc``, or
-    return it when it is a number."""
+    """Make the K_G samples whose index in plan order is in ``fails`` raise
+    ``exc``, or return it when it is a number: in the stacked call, at their
+    rows; in a per-sample run, at their call index."""
     from finsler import chern
     real = chern.holomorphic_sectional_curvature
     calls = []
 
     def flaky(m, z, v, **kw):
+        if np.ndim(z) == 2:
+            hit = [i for i in range(len(z)) if i in fails]
+            if hit and not isinstance(exc, float):
+                raise exc("singular Levi matrix")
+            k = real(m, z, v, **kw)
+            if hit:
+                k[hit] = exc
+            return k
         calls.append(1)
         if len(calls) - 1 in fails:
             if isinstance(exc, float):
