@@ -23,7 +23,6 @@ import datetime
 import json
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +33,7 @@ from .errors import (SAMPLE_ERRORS, ConfigurationError, FinslerError, NoSamplesE
                      NonFiniteSampleError, ShootingError)
 from .geometry import complex_to_real_components, realify_metric, sample_points
 from .metrics import build_map, check_metric, instantiate, plan_directions
-from .report import (canonical_json, _clean, evaluate_samples, failure_reasons,
-                     require_finite, sample_counts)
+from .report import SampleGrid, canonical_json, _clean, evaluate_samples, require_finite
 
 SCHEMA = 1
 
@@ -113,7 +111,7 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
                 class_ok = False
                 payload["class_matches_expectation"] = False
         _write_report(outdir, "check", mid, payload, config,
-                      metadata={"grids": {"kahler": kah.grid}})
+                      metadata={"grids": {"kahler": kah.samples.grid}})
         if not rep.passed or not class_ok:
             status = 1
         print(f"check {mid}: validity={'PASS' if rep.passed else 'FAIL'} "
@@ -197,12 +195,12 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
             r = pd.rho(complex_to_real_components(z))
             return r.value, r.residual
 
-        found, failures = evaluate_samples(shoot, pts, [None])
-        rows = [[i, repr(float(rho)), repr(float(res))] for i, _, (rho, res) in found]
+        shots = evaluate_samples(shoot, pts, [None])
+        rows = [[i, repr(float(rho)), repr(float(res))] for i, _, (rho, res) in shots.rows]
         # None where nothing was checked: no samples, or no closed form
         closed = m.metadata.get("distance_from_origin")
         worst = 0.0 if rows and closed else None
-        for i, _, (rho, _) in found:
+        for i, _, (rho, _) in shots.rows:
             if closed == "norm":
                 worst = max(worst, abs(rho - math.sqrt(m.value(pts[i], pts[i]))))
             elif closed == "atanh":
@@ -210,18 +208,17 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
                 closed_rho = math.sqrt(m.metadata["hermitian_scale"]) * math.atanh(
                     float(np.linalg.norm(pts[i])))
                 worst = max(worst, abs(rho - closed_rho))
-        rho_errors = {i: type(exc).__name__ for i, _, exc in failures}
+        rho_errors = {i: exc for i, _, exc in shots.failures}
         shooting = [{"point_index": i, "starts": exc.starts, "integrations": exc.integrations,
                      "iterations": exc.iterations, "best_residual": exc.best_residual}
-                    for i, _, exc in failures if isinstance(exc, ShootingError)]
-        rho_counts = sample_counts(len(rows), failure_reasons(failures))
+                    for i, exc in rho_errors.items() if isinstance(exc, ShootingError)]
         payload = {"metric": mid, "n_samples": len(rows),
                    "max_closed_form_error": worst,
-                   "rho_samples": rho_counts, "shooting_failures": shooting}
-        if rho_counts["failed"]:
+                   "rho_samples": shots.counts, "shooting_failures": shooting}
+        if shots.failures:
             status = 1
         levi_rows = None
-        summary = f"; rho samples ok {rho_counts['ok']}/{rho_counts['attempted']}"
+        summary = f"; rho {_samples_summary(shots.counts)}"
         summary += "".join(f" (point {f['point_index']}: {f['starts']} starts, "
                            f"{f['integrations']} integrations)" for f in shooting)
         if m.kind == "complex_strongly_convex":
@@ -230,7 +227,7 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
             payload["levi_min_margin"] = min_margin if counts["ok"] else None
             if not counts["ok"] or min_margin < -1e-3:
                 status = 1
-            summary += f"; levi samples ok {counts['ok']}/{counts['attempted']}"
+            summary += f"; levi {_samples_summary(counts)}"
         cost = {"starts": pd.total_starts,
                 "integrations": pd.total_integrations,
                 "loose_integrations": pd.loose_integrations,
@@ -259,34 +256,32 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
 
 def _levi_table(field, pts, plan, rho_errors):
     """Levi samples of rho^2 from ``field`` at ``pts``: CSV rows, the least
-    margin, and the attempted/ok/failed counts with the failures tallied by
-    error type. At a point whose rho already failed (``rho_errors``: point
-    index to error type name) every direction counts as failed under that
-    type, without another shot; a direction whose sample is not finite fails
-    on its own."""
+    margin, and the attempted/ok/failed counts. At a point whose rho already
+    failed (``rho_errors``: point index to its exception) every direction
+    fails with that exception, without another shot; a direction whose sample
+    is not finite fails on its own."""
     dirs = plan_directions(field.m, 2, plan.seed + 5)
-    rows = []
-    min_margin = math.inf
-    reasons = Counter()
+    grid = SampleGrid([], [])
     for i, z in enumerate(pts):
-        name = rho_errors.get(i)
-        if name is None:
+        exc = rho_errors.get(i)
+        if exc is None:
             try:
                 samples = field.samples(z, dirs)
-            except SAMPLE_ERRORS as exc:
-                name = type(exc).__name__
-        if name is not None:
-            reasons[name] += len(dirs)
+            except SAMPLE_ERRORS as err:
+                exc = err
+        if exc is not None:
+            grid.failures.extend((i, j, exc) for j in range(len(dirs)))
             continue
-        for s in samples:
+        for j, s in enumerate(samples):
             try:
                 values = require_finite((s.levi_value, s.rho, s.bound, s.margin))
-            except NonFiniteSampleError:
-                reasons[NonFiniteSampleError.__name__] += 1
-                continue
-            rows.append([i] + [repr(float(val)) for val in values])
-            min_margin = min(min_margin, s.margin)
-    return rows, min_margin, sample_counts(len(rows), reasons)
+            except NonFiniteSampleError as err:
+                grid.failures.append((i, j, err))
+            else:
+                grid.rows.append((i, j, values))
+    rows = [[i] + [repr(float(val)) for val in values] for i, _, values in grid.rows]
+    min_margin = min((values[3] for _, _, values in grid.rows), default=math.inf)
+    return rows, min_margin, grid.counts
 
 
 def cmd_bounds(config: RunConfig, outdir: Path) -> int:

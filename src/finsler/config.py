@@ -98,6 +98,7 @@ _HERMITIAN = (lambda params: params.get("catalog", "euclidean"), {
     "constant": {**_CATALOG, "matrix": None}})
 _FACTOR = {"complex_dim": None, "id": None, "params": _HERMITIAN}
 _CLASSES = [*CLASS_ORDER, "unknown"]
+_EXPECT = {"kahler_class": _leaf(f"one of {_CLASSES}", lambda v: v in _CLASSES)}
 
 # Every key a config may hold, and the only check of its shape. A dict lists a
 # mapping's keys, [item] is a list of items, a function checks a leaf value,
@@ -125,8 +126,10 @@ CONFIG_KEYS = {
                 "gradient": dict.fromkeys(["form", "f", "c"]),
                 "free": dict.fromkeys(["form", "expr"])})},
         }),
-        "expect": {"kahler_class": _leaf(f"one of {_CLASSES}", lambda v: v in _CLASSES),
-                   "weakly_kahler_pde": _BOOL},
+        # only a unitary-invariant metric has a profile whose PDE ``check`` reads
+        "expect": ("family", {
+            **dict.fromkeys(["hermitian", "minkowski", "szabo"], _EXPECT),
+            "un_invariant": {**_EXPECT, "weakly_kahler_pde": _BOOL}}),
     }],
     "maps": [{"map": None, "id": _NAME, "params": ("map", {
         "identity": {"n": None}, "power": {"m": None}, "mobius": {"a": None},

@@ -10,7 +10,7 @@ convention, which is fixed here and nowhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -346,10 +346,7 @@ class SamplePlan:
     radial_range: tuple = (0.05, 0.85)
 
     def to_dict(self):
-        return {
-            "seed": self.seed, "n_points": self.n_points, "n_dirs": self.n_dirs,
-            "radial_range": list(self.radial_range),
-        }
+        return {**asdict(self), "radial_range": list(self.radial_range)}
 
 
 def sample_points(m: MetricDef, plan: SamplePlan):

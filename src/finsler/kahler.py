@@ -30,7 +30,7 @@ from .chern import chern_finsler
 from .geometry import MetricDef, SamplePlan, sample_points, sample_vectors
 from .jets import JetSpace
 from .metrics import UnitaryProfile
-from .report import VerificationReport, evaluate_stacked
+from .report import SampleGrid, VerificationReport, evaluate_stacked, record
 
 CLASS_ORDER = ["strongly_kahler", "kahler", "weakly_kahler", "none"]
 
@@ -48,13 +48,8 @@ class KahlerReport:
     classification: str
     n_samples: int
     errors: list = field(default_factory=list)
-    # whether one stacked call evaluated the grid; kept out of the payload
-    stacked: bool = True
-
-    @property
-    def grid(self) -> dict:
-        """Rows of the sample grid and whether one stacked call evaluated them."""
-        return {"rows": self.n_samples + len(self.errors), "stacked": self.stacked}
+    # the residual grid, kept out of the payload
+    samples: SampleGrid = field(default_factory=lambda: SampleGrid([], []))
 
     @property
     def passes(self):
@@ -69,17 +64,7 @@ class KahlerReport:
         return {"strongly_kahler": strong, "kahler": kahler, "weakly_kahler": weak}
 
     def to_dict(self):
-        return {
-            "metric_id": self.metric_id,
-            "residual_strong": self.residual_strong,
-            "residual_kahler": self.residual_kahler,
-            "residual_weak": self.residual_weak,
-            "scale": self.scale,
-            "tolerance": self.tolerance,
-            "classification": self.classification,
-            "n_samples": self.n_samples,
-            "errors": list(self.errors),
-        }
+        return record(self, "samples")
 
 
 def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
@@ -101,16 +86,16 @@ def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
         return np.stack([np.abs(t).max(axis=tuple(range(-k, 0))) for t, k in (
             (tor, 3), (contracted, 2), (weak, 1), (data.gamma_h, 3))], axis=-1)
 
-    rows, failures, stacked = evaluate_stacked(residuals, sample_points(m, plan),
-                                               sample_vectors(m, plan))
+    samples = evaluate_stacked(residuals, sample_points(m, plan), sample_vectors(m, plan))
     res_strong, res_kahler, res_weak, scale = (
-        max((value[k] for _, _, value in rows), default=0.0) for k in range(4))
+        max((value[k] for _, _, value in samples.rows), default=0.0) for k in range(4))
     rep = KahlerReport(
         metric_id=m.family_id, residual_strong=res_strong,
         residual_kahler=res_kahler, residual_weak=res_weak,
         scale=max(scale, 1.0), tolerance=tolerance, classification="none",
-        n_samples=len(rows),
-        errors=[f"{type(exc).__name__}: {exc}" for _, _, exc in failures], stacked=stacked)
+        n_samples=len(samples.rows),
+        errors=[f"{type(exc).__name__}: {exc}" for _, _, exc in samples.failures],
+        samples=samples)
     # the first level that holds, in CLASS_ORDER
     rep.classification = next((level for level, ok in rep.passes.items() if ok), "none")
     return rep

@@ -20,8 +20,7 @@ from .geometry import (Domain, MetricDef, SamplePlan, complex_coordinates,
                        complex_to_real_components, product_domain, sample_points,
                        sample_vectors, unit_directions)
 from .jets import JetSpace, cabs2, cconj, creal, sexp, spow
-from .report import (VerificationReport, evaluate_samples, failure_reasons,
-                     sample_counts)
+from .report import VerificationReport, evaluate_samples
 
 
 def _complex(e):
@@ -251,10 +250,10 @@ def _make_szabo(spec):
         b2 = f2.formula(z[n1:], v[n1:])
         return a2 + b2 + eps * spow(spow(a2, k) + spow(b2, k), 1.0 / k)
 
-    factors_kahler = all(
-        f.metadata.get("kahler_class", "none") in ("strongly_kahler", "kahler")
-        for f in (f1, f2))
-    meta = {"kahler_class": "kahler" if factors_kahler else "none"}
+    # Kaehler factors are strongly Kaehler, and so is their Szabo metric: the
+    # kahler level is empty (Chen and Shen, see finsler.kahler)
+    factors_kahler = all(f.metadata.get("kahler_class") == "strongly_kahler" for f in (f1, f2))
+    meta = {"kahler_class": "strongly_kahler" if factors_kahler else "none"}
     fam_id = spec.get("id", f"szabo_k{k}_{f1.family_id}_{f2.family_id}")
     return MetricDef("complex_strongly_convex", formula, n_complex=n,
                      domain=product_domain(f1.domain, n1, f2.domain, n2),
@@ -335,7 +334,7 @@ def un_invariant_metric(profile: UnitaryProfile, n: int, spec) -> MetricDef:
         return r * profile(t, s)
 
     meta = {"profile": profile,
-            "kahler_class": "kahler" if profile.is_gradient_form else "unknown"}
+            "kahler_class": "strongly_kahler" if profile.is_gradient_form else "unknown"}
     fam_id = spec.get("id", f"un_{profile.id}_{n}")
     return MetricDef("complex", formula, n_complex=n, domain=domain,
                      metadata=meta, family_id=fam_id, spec=spec)
@@ -401,8 +400,8 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
         ref = m.value(z, s * v)
         return (G, evr, abs(ref - abs(s) ** 2 * G) / max(1.0, abs(ref))) + levi
 
-    rows, failures = evaluate_samples(sample, sample_points(m, plan),
-                                      sample_vectors(m, plan))
+    grid = evaluate_samples(sample, sample_points(m, plan), sample_vectors(m, plan))
+    rows, failures = grid.rows, grid.failures
     min_value = min((val[0] for _, _, val in rows), default=math.inf)
     min_real = min((val[1] for _, _, val in rows), default=None)
     hom_res = max((val[2] for _, _, val in rows), default=0.0)
@@ -419,7 +418,7 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
             "min_real_hessian_eigenvalue": min_real,
             "min_value": min_value,
             "homogeneity_residual": hom_res,
-            "samples": sample_counts(len(rows), failure_reasons(failures)),
+            "samples": grid.counts,
         },
         samples=[{"point_index": i, "dir_index": j, "G": value[0]}
                  for i, j, value in rows[:4]],

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,11 @@ def _clean(obj):
     return obj
 
 
+def record(obj, *omit) -> dict:
+    """The dataclass fields of ``obj`` but those named in ``omit``, ready for JSON."""
+    return _clean({f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit})
+
+
 @dataclass
 class VerificationReport:
     """Result of checking one inequality/identity over a sample plan."""
@@ -48,18 +53,35 @@ class VerificationReport:
     errors: list = field(default_factory=list)
 
     def to_dict(self):
-        return _clean({
-            "name": self.name,
-            "passed": bool(self.passed),
-            "tolerance": self.tolerance,
-            "stats": self.stats,
-            "samples": self.samples,
-            "errors": self.errors,
-        })
+        return record(self)
 
-    def __str__(self):
-        flag = "PASS" if self.passed else "FAIL"
-        return f"[{flag}] {self.name} (tol={self.tolerance:g}) {self.stats}"
+
+@dataclass
+class SampleGrid:
+    """What one sample loop attempted, in plan order: ``rows`` holds ``(iz, iv,
+    value)`` per evaluated sample, ``failures`` ``(iz, iv, exception)`` per
+    failed one, and ``stacked`` says whether one stacked call evaluated them."""
+
+    rows: list
+    failures: list
+    stacked: bool = False
+
+    @property
+    def failure_reasons(self) -> dict:
+        """Failed samples tallied by error type name."""
+        return dict(Counter(type(exc).__name__ for _, _, exc in self.failures))
+
+    @property
+    def counts(self) -> dict:
+        """Attempted/ok/failed counts, failures tallied by error type."""
+        ok, failed = len(self.rows), len(self.failures)
+        return {"attempted": ok + failed, "ok": ok, "failed": failed,
+                "failure_reasons": self.failure_reasons}
+
+    @property
+    def grid(self) -> dict:
+        """Rows of the grid and whether one stacked call evaluated them."""
+        return {"rows": len(self.rows) + len(self.failures), "stacked": self.stacked}
 
 
 def require_finite(value):
@@ -71,12 +93,10 @@ def require_finite(value):
     return value
 
 
-def evaluate_samples(fn, points, dirs):
-    """``fn(z, v)`` at every point x direction, in plan order, as ``(rows,
-    failures)``: ``(iz, iv, value)`` per evaluated sample, ``(iz, iv, exception)``
-    per failed one. A sample fails when ``fn`` raises one of ``SAMPLE_ERRORS``,
-    or when its value is not finite (``require_finite``). Any other exception
-    propagates.
+def evaluate_samples(fn, points, dirs) -> SampleGrid:
+    """``fn(z, v)`` at every point x direction, one sample at a time. A sample
+    fails when ``fn`` raises one of ``SAMPLE_ERRORS``, or when its value is not
+    finite (``require_finite``). Any other exception propagates.
     """
     rows, failures = [], []
     for iz, z in enumerate(points):
@@ -87,12 +107,11 @@ def evaluate_samples(fn, points, dirs):
                 failures.append((iz, iv, exc))
             else:
                 rows.append((iz, iv, value))
-    return rows, failures
+    return SampleGrid(rows, failures)
 
 
-def evaluate_stacked(fn, points, dirs):
-    """``evaluate_samples(fn, points, dirs)`` from one stacked call, as ``(rows,
-    failures, stacked)``.
+def evaluate_stacked(fn, points, dirs) -> SampleGrid:
+    """``evaluate_samples(fn, points, dirs)`` from one stacked call.
 
     ``fn`` takes the grid as rows Z, V of shape (B, n), every point x direction
     in plan order, and returns B values or B rows of values, each what ``fn``
@@ -107,7 +126,7 @@ def evaluate_stacked(fn, points, dirs):
         return tuple(value) if isinstance(value, list) else value
 
     if not (len(points) and len(dirs)):
-        return [], [], True
+        return SampleGrid([], [], True)
     Z = np.repeat(np.asarray(points), len(dirs), axis=0)
     V = np.tile(np.asarray(dirs), (len(points), 1))
     try:
@@ -116,22 +135,10 @@ def evaluate_stacked(fn, points, dirs):
     except SAMPLE_ERRORS:
         stacked = False
     if not stacked:
-        rows, failures = evaluate_samples(lambda z, v: plain(fn(z, v)), points, dirs)
-        return rows, failures, False
+        return evaluate_samples(lambda z, v: plain(fn(z, v)), points, dirs)
     samples = ((iz, iv) for iz in range(len(points)) for iv in range(len(dirs)))
-    return [(iz, iv, plain(value)) for (iz, iv), value in zip(samples, values)], [], True
-
-
-def failure_reasons(failures) -> dict:
-    """Failed samples ``(iz, iv, exception)`` tallied by error type name."""
-    return dict(Counter(type(exc).__name__ for _, _, exc in failures))
-
-
-def sample_counts(ok: int, reasons: dict) -> dict:
-    """Attempted/ok/failed counts of a sample loop, failures tallied by error type."""
-    failed = sum(reasons.values())
-    return {"attempted": ok + failed, "ok": ok, "failed": failed,
-            "failure_reasons": dict(reasons)}
+    return SampleGrid([(iz, iv, plain(value)) for (iz, iv), value in zip(samples, values)],
+                      [], True)
 
 
 def canonical_json(payload) -> str:

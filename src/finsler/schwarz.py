@@ -24,8 +24,7 @@ from .errors import HypothesisViolationError, NoSamplesError
 from .geometry import MetricDef, SamplePlan, sample_points
 from .kahler import KahlerReport, classify, is_at_least
 from .metrics import HoloMap, check_metric, plan_directions
-from .report import (VerificationReport, evaluate_stacked, failure_reasons,
-                     require_finite, sample_counts)
+from .report import SampleGrid, VerificationReport, evaluate_stacked, record, require_finite
 
 
 @dataclass
@@ -40,22 +39,8 @@ class CurvatureBound:
     n_samples: int
 
 
-@dataclass
-class CurvatureSamples:
-    """K_G over a plan's points x directions, every sample accounted for."""
-
-    rows: list              # (point index, direction index, K_G) of evaluated samples
-    failure_reasons: dict   # error type name -> number of failed samples
-    stacked: bool = True    # whether one stacked call evaluated the grid
-
-    @property
-    def counts(self) -> dict:
-        return sample_counts(len(self.rows), self.failure_reasons)
-
-    @property
-    def grid(self) -> dict:
-        """Rows of the sample grid and whether one stacked call evaluated them."""
-        return {"rows": self.counts["attempted"], "stacked": self.stacked}
+class CurvatureSamples(SampleGrid):
+    """K_G over a plan's points x directions: rows ``(iz, iv, K_G)``."""
 
     def extremes(self):
         """(inf, sup) of the evaluated samples; none evaluated is an error."""
@@ -83,13 +68,13 @@ class CurvatureSamples:
 
 def holomorphic_curvature_samples(m: MetricDef, plan: SamplePlan) -> CurvatureSamples:
     """K_G at the plan's points in ``plan_directions(seed + 3)``, all in one
-    stacked call unless a sample fails; failed samples, as
-    ``evaluate_samples`` defines them, are tallied by error type."""
+    stacked call unless a sample fails; failed samples are as
+    ``evaluate_samples`` defines them."""
     from .chern import holomorphic_sectional_curvature
-    rows, failures, stacked = evaluate_stacked(
+    grid = evaluate_stacked(
         lambda z, v: holomorphic_sectional_curvature(m, z, v), sample_points(m, plan),
         plan_directions(m, plan.n_dirs, plan.seed + 3))
-    return CurvatureSamples(rows, failure_reasons(failures), stacked)
+    return CurvatureSamples(grid.rows, grid.failures, grid.stacked)
 
 
 def curvature_bounds(m: MetricDef, role: str,
@@ -161,22 +146,7 @@ class SchwarzCertificate:
     grids: dict = field(default_factory=dict)
 
     def to_payload(self):
-        from .report import _clean
-        return _clean({
-            "schema": self.schema,
-            "map_id": self.map_id,
-            "domain_id": self.domain_id,
-            "target_id": self.target_id,
-            "K1": self.K1,
-            "K2": self.K2,
-            "bound": self.bound,
-            "max_ratio": self.max_ratio,
-            "argmax": self.argmax,
-            "passed": self.passed,
-            "hypotheses": self.hypotheses,
-            "plan": self.plan,
-            "tolerance": self.tolerance,
-        })
+        return record(self, "curvature_samples", "grids")
 
 
 def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
@@ -236,6 +206,6 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
         plan=plan.to_dict(), tolerance=tolerance,
         curvature_samples={"domain": dom.curvature.counts,
                            "target": tgt.curvature.counts},
-        grids={"domain_kahler": kah.grid, "domain_holomorphic": dom.curvature.grid,
+        grids={"domain_kahler": kah.samples.grid, "domain_holomorphic": dom.curvature.grid,
                "target_holomorphic": tgt.curvature.grid})
 

@@ -14,6 +14,7 @@ import yaml
 from finsler.cli import main
 from finsler.config import load_config, parse_config
 from finsler.errors import ConfigurationError
+from finsler.metrics import instantiate
 from finsler.report import canonical_json
 
 BASE_CONFIG = {
@@ -373,6 +374,9 @@ def _with(spec, **params):
      "metrics[0].expect.kahler_class must be one of"),
     ("check", {"metrics": [{**_UN, "expect": {"weakly_kahler_pde": "yes"}}]},
      "metrics[0].expect.weakly_kahler_pde must be true or false"),
+    # only a profile metric has the PDE that check compares with its expectation
+    ("check", {"metrics": [{**_DISK, "expect": {"weakly_kahler_pde": False}}]},
+     "unknown config key metrics[0].expect.weakly_kahler_pde"),
     ("schwarz", {"pairs": [{"map": "identity", "domain": "poincare", "target": "poincare",
                             "expect_pass": "no"}]},
      "pairs[0].expect_pass must be true or false"),
@@ -389,7 +393,8 @@ def _with(spec, **params):
         "unknown_map_key", "unknown_pair_key", "pair_without_target",
         "unknown_expectation_key", "unknown_plan_key", "param_of_another_catalog",
         "param_of_another_form", "szabo_factors_beside_factor1", "expectation_not_a_mapping",
-        "kahler_class_not_a_class", "weakly_kahler_pde_not_a_bool", "expect_pass_not_a_bool"])
+        "kahler_class_not_a_class", "weakly_kahler_pde_not_a_bool",
+        "weakly_kahler_pde_without_profile", "expect_pass_not_a_bool"])
 def test_bad_id_or_output_directory_is_a_configuration_error(tmp_path, capsys, command, change,
                                                              message):
     # reports land in <out>/<command>/<id>, so an id must be one path component
@@ -499,6 +504,21 @@ def test_cmd_check_profile_expectation(tmp_path):
     cfg["metrics"][0]["expect"] = {"weakly_kahler_pde": True}
     p2 = write_config(tmp_path, cfg, name="run2.json")
     assert main(["check", "--config", str(p2), "--out", str(tmp_path / "o2")]) == 1
+
+
+@pytest.mark.parametrize("spec", [_SZABO, _UN], ids=["szabo_of_disks", "gradient_profile"])
+def test_cmd_check_kahler_families_declare_strongly_kahler(tmp_path, capsys, spec):
+    # the kahler level is empty (Chen and Shen): a metric whose declared class
+    # is Kahler must be declared strongly Kahler, or its own check fails it
+    cfg = {"seed": 5, "metrics": [spec],
+           "plans": {"default": {"n_points": 3, "n_dirs": 2, "radial_range": [0.1, 0.5]}}}
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert instantiate(spec).metadata["kahler_class"] == "strongly_kahler"
+    payload = json.loads((out / "check" / spec["id"] / "report.json").read_text())["payload"]
+    assert payload["kahler"]["classification"] == "strongly_kahler"
+    assert payload["class_matches_expectation"] is True
+    assert "class=strongly_kahler" in capsys.readouterr().out
 
 
 def test_replay_schema_mismatch(tmp_path):

@@ -1,5 +1,6 @@
-"""The package's public names, what in `src/` a command or benchmark reaches, and
-the config keys the code reads."""
+"""The package's public names, what in `src/` a command or benchmark reaches, the
+config keys the code reads, the payload keys of each record, and imports that
+nothing uses."""
 
 import ast
 import re
@@ -109,3 +110,45 @@ def test_config_table_lists_every_key_the_code_reads():
                 read.add(key.value)
     assert {"catalog", "expect", "expect_pass", "profile", "weakly_kahler_pde"} <= read
     assert sorted(read - set(_table_keys(CONFIG_KEYS))) == []
+
+
+def test_records_write_their_pinned_payload_keys():
+    # record() writes every field not omitted, so a field added to a record
+    # enters its payload; the check report has no golden that would notice
+    disk = finsler.instantiate({"family": "hermitian", "complex_dim": 1,
+                                "params": {"catalog": "poincare_disk"}})
+    plan = finsler.SamplePlan(seed=1, n_points=2, n_dirs=2)
+    cert = finsler.certify_schwarz(finsler.build_map({"map": "identity"}), disk, disk, plan)
+    assert sorted(finsler.check_metric(disk, plan).to_dict()) == [
+        "errors", "name", "passed", "samples", "stats", "tolerance"]
+    assert sorted(finsler.classify(disk, plan).to_dict()) == [
+        "classification", "errors", "metric_id", "n_samples", "residual_kahler",
+        "residual_strong", "residual_weak", "scale", "tolerance"]
+    assert sorted(cert.to_payload()) == [
+        "K1", "K2", "argmax", "bound", "domain_id", "hypotheses", "map_id", "max_ratio",
+        "passed", "plan", "schema", "target_id", "tolerance"]
+
+
+def _imports(tree):
+    """(line, bound name) of every import in ``tree`` but ``__future__`` ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.asname or alias.name.split(".")[0])
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, alias.asname or alias.name) for alias in node.names)
+
+
+def test_every_import_is_used():
+    # a name imported and never read is what a change leaves behind; the
+    # names a module exports in __all__ count as read
+    unused = []
+    for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                    for node in ast.walk(stmt.value) if isinstance(node, ast.Constant))
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for line, name in _imports(tree) if name not in used]
+    assert unused == []
