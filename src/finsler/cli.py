@@ -111,7 +111,7 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
                 class_ok = False
                 payload["class_matches_expectation"] = False
         _write_report(outdir, "check", mid, payload, config,
-                      metadata={"grids": {"kahler": kah.samples.grid}})
+                      metadata={"grids": {"validity": rep.grid, "kahler": kah.samples.grid}})
         if not rep.passed or not class_ok:
             status = 1
         print(f"check {mid}: validity={'PASS' if rep.passed else 'FAIL'} "

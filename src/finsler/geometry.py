@@ -44,8 +44,10 @@ def real_to_complex_components(u):
 
 
 def complex_to_real_components(v):
+    """Real components (real parts, then imaginary parts) of a complex vector,
+    or of each row of an array of them."""
     v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
+    return np.concatenate([v.real, v.imag], axis=-1)
 
 
 def complex_coordinates(x) -> list:
@@ -254,10 +256,7 @@ class MetricDef:
         from one ``real_rows`` replay; each point is guarded as there."""
         if not self.is_complex:
             raise StructuralError("complex jets need a complex metric")
-        z = np.asarray(z, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        x = np.concatenate([z.real, z.imag], axis=1)
-        u = np.concatenate([v.real, v.imag], axis=1)
+        x, u = complex_to_real_components(z), complex_to_real_components(v)
         sp = JetSpace.get(2 * self.dim, order, False)
         return wirtinger_coeffs(self.real_rows(x, u, order), sp, self._wirtinger_pairs)[1]
 
@@ -270,14 +269,24 @@ class MetricDef:
     # -- frequently used tensors ---------------------------------------------
 
     def levi_matrix(self, z, v) -> np.ndarray:
-        """(G_{a bbar}) at (z, v)."""
+        """(G_{a bbar}) at (z, v), or at each row of z, v of shape (B, n) from
+        one ``complex_rows`` replay, row b bit for bit its point's matrix."""
         n = self.n
-        return self.complex_jet(z, v, 2).hessian()[n:2 * n, 3 * n:]
+        V, VB = slice(n, 2 * n), slice(3 * n, 4 * n)
+        if np.ndim(z) == 2:
+            sp = JetSpace.get(4 * n, 2, True, 2 * n)
+            return sp.gather(self.complex_rows(z, v, 2), 2, V, VB)
+        return self.complex_jet(z, v, 2).derivatives(2, V, VB)
 
     def fundamental_real(self, x, u) -> np.ndarray:
-        """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j."""
-        m = self.dim
-        return 0.5 * self.real_jet(x, u, 2).hessian()[m:, m:]
+        """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j at (x, u), or
+        at each row of x, u of shape (B, dim) from one ``real_rows`` replay,
+        row b bit for bit its point's tensor."""
+        U = slice(self.dim, 2 * self.dim)
+        if np.ndim(x) == 2:
+            sp = JetSpace.get(2 * self.dim, 2, False)
+            return 0.5 * sp.gather(self.real_rows(x, u, 2), 2, U, U)
+        return 0.5 * self.real_jet(x, u, 2).derivatives(2, U, U)
 
 
 def well_conditioned_inverse(a, what) -> np.ndarray:

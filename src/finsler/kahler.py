@@ -46,10 +46,17 @@ class KahlerReport:
     scale: float
     tolerance: float
     classification: str
-    n_samples: int
-    errors: list = field(default_factory=list)
-    # the residual grid, kept out of the payload
+    # the residual grid, kept out of the payload; the payload's n_samples
+    # and errors are read from it
     samples: SampleGrid = field(default_factory=lambda: SampleGrid([], []))
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.samples.rows)
+
+    @property
+    def errors(self) -> list:
+        return [f"{type(exc).__name__}: {exc}" for _, _, exc in self.samples.failures]
 
     @property
     def passes(self):
@@ -64,7 +71,8 @@ class KahlerReport:
         return {"strongly_kahler": strong, "kahler": kahler, "weakly_kahler": weak}
 
     def to_dict(self):
-        return record(self, "samples")
+        return {**record(self, "samples"), "n_samples": self.n_samples,
+                "errors": self.errors}
 
 
 def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
@@ -93,8 +101,6 @@ def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
         metric_id=m.family_id, residual_strong=res_strong,
         residual_kahler=res_kahler, residual_weak=res_weak,
         scale=max(scale, 1.0), tolerance=tolerance, classification="none",
-        n_samples=len(samples.rows),
-        errors=[f"{type(exc).__name__}: {exc}" for _, _, exc in samples.failures],
         samples=samples)
     # the first level that holds, in CLASS_ORDER
     rep.classification = next((level for level, ok in rep.passes.items() if ok), "none")

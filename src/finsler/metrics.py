@@ -20,7 +20,7 @@ from .geometry import (Domain, MetricDef, SamplePlan, complex_coordinates,
                        complex_to_real_components, product_domain, sample_points,
                        sample_vectors, unit_directions)
 from .jets import JetSpace, cabs2, cconj, creal, sexp, spow
-from .report import VerificationReport, evaluate_samples
+from .report import VerificationReport, evaluate_stacked
 
 
 def _complex(e):
@@ -375,32 +375,48 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
 
     Reports the minimum eigenvalues of the Levi matrix and of the real
     fundamental tensor over the sample grid, plus homogeneity residuals.
+    The grid runs as stacked rows through ``report.evaluate_stacked``: each
+    tensor comes from one order-2 replay over every sample and goes through
+    one stacked ``eigvalsh``, while G and the homogeneity reference stay
+    per-sample values. If a sample fails, the grid runs again point by point.
+    The homogeneity scale s is drawn sample by sample in plan order from
+    ``default_rng(seed + 7)``, a fresh one for the stacked call and another
+    for the per-point run, so both paths draw the same scales.
     Per-sample evaluation failures are recorded, not raised: ``stats["samples"]``
     holds the attempted/ok/failed counts with failures tallied by error type,
     and a check with a failed sample, or with no evaluated one, fails.
     """
     plan = plan or SamplePlan()
-    rng = np.random.default_rng(plan.seed + 7)
+    point_rng = np.random.default_rng(plan.seed + 7)
+
+    def scale(rng):
+        if m.is_complex:
+            return complex(rng.standard_normal(), rng.standard_normal())
+        s = float(rng.standard_normal())
+        return 0.5 if abs(s) < 0.1 else s
 
     def sample(z, v):
-        """(G, least real eigenvalue, homogeneity residual[, least Levi eigenvalue])."""
-        G = m.value(z, v)
+        """(G, least real eigenvalue, homogeneity residual[, least Levi
+        eigenvalue]) of one sample, or a row of them for each row of z, v."""
+        rows = np.ndim(z) == 2
+        pairs = list(zip(z, v)) if rows else [(z, v)]
+        rng = np.random.default_rng(plan.seed + 7) if rows else point_rng
+        G = [m.value(a, b) for a, b in pairs]
         levi = ()
         x, u = z, v
         if m.is_complex:
-            levi = (float(np.linalg.eigvalsh(m.levi_matrix(z, v)).min()),)
+            levi = (np.linalg.eigvalsh(m.levi_matrix(z, v)).min(axis=-1),)
             x, u = complex_to_real_components(z), complex_to_real_components(v)
-        evr = float(np.linalg.eigvalsh(m.fundamental_real(x, u)).min())
-        if m.is_complex:
-            s = complex(rng.standard_normal(), rng.standard_normal())
-        else:
-            s = float(rng.standard_normal())
-            if abs(s) < 0.1:
-                s = 0.5
-        ref = m.value(z, s * v)
-        return (G, evr, abs(ref - abs(s) ** 2 * G) / max(1.0, abs(ref))) + levi
+        evr = np.linalg.eigvalsh(m.fundamental_real(x, u)).min(axis=-1)
+        hom = []
+        for (a, b), g in zip(pairs, G):
+            s = scale(rng)
+            ref = m.value(a, s * b)
+            hom.append(abs(ref - abs(s) ** 2 * g) / max(1.0, abs(ref)))
+        values = np.column_stack((G, evr, hom) + levi)
+        return values if rows else values[0]
 
-    grid = evaluate_samples(sample, sample_points(m, plan), sample_vectors(m, plan))
+    grid = evaluate_stacked(sample, sample_points(m, plan), sample_vectors(m, plan))
     rows, failures = grid.rows, grid.failures
     min_value = min((val[0] for _, _, val in rows), default=math.inf)
     min_real = min((val[1] for _, _, val in rows), default=None)
@@ -424,6 +440,7 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
                  for i, j, value in rows[:4]],
         errors=[f"sample ({i},{j}): {type(exc).__name__}: {exc}"
                 for i, j, exc in failures],
+        grid=grid.grid,
     )
 
 

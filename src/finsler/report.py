@@ -51,9 +51,12 @@ class VerificationReport:
     stats: dict = field(default_factory=dict)
     samples: list = field(default_factory=list)
     errors: list = field(default_factory=list)
+    # the rows of the sample grid and whether one stacked call evaluated
+    # them (``SampleGrid.grid``), kept out of the payload
+    grid: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return record(self)
+        return record(self, "grid")
 
 
 @dataclass

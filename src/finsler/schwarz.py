@@ -206,6 +206,7 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
         plan=plan.to_dict(), tolerance=tolerance,
         curvature_samples={"domain": dom.curvature.counts,
                            "target": tgt.curvature.counts},
-        grids={"domain_kahler": kah.samples.grid, "domain_holomorphic": dom.curvature.grid,
+        grids={"domain_validity": dom.validity.grid, "domain_kahler": kah.samples.grid,
+               "domain_holomorphic": dom.curvature.grid,
                "target_holomorphic": tgt.curvature.grid})
 

@@ -1183,3 +1183,53 @@ def un_invariant_kahler_check(profile):
     rep = classify(un_invariant_metric(profile, 2, {}),
                    SamplePlan(n_points=6, n_dirs=4, radial_range=(0.1, 0.6)))
     return profile.is_gradient_form, rep.classification
+
+
+# -- the validity grid one sample at a time ------------------------------------
+
+
+def per_point_check_metric(m, plan=None):
+    """``check_metric`` evaluated one sample at a time: per sample, one
+    order-2 jet for the Levi matrix, one for the real fundamental tensor, one
+    ``eigvalsh`` each, and the homogeneity scale drawn after both."""
+    from finsler.geometry import SamplePlan, complex_to_real_components, sample_points, \
+        sample_vectors
+    from finsler.report import VerificationReport, evaluate_samples
+    plan = plan or SamplePlan()
+    rng = np.random.default_rng(plan.seed + 7)
+
+    def sample(z, v):
+        G = m.value(z, v)
+        levi = ()
+        x, u = z, v
+        if m.is_complex:
+            levi = (float(np.linalg.eigvalsh(m.levi_matrix(z, v)).min()),)
+            x, u = complex_to_real_components(z), complex_to_real_components(v)
+        evr = float(np.linalg.eigvalsh(m.fundamental_real(x, u)).min())
+        if m.is_complex:
+            s = complex(rng.standard_normal(), rng.standard_normal())
+        else:
+            s = float(rng.standard_normal())
+            if abs(s) < 0.1:
+                s = 0.5
+        ref = m.value(z, s * v)
+        return (G, evr, abs(ref - abs(s) ** 2 * G) / max(1.0, abs(ref))) + levi
+
+    grid = evaluate_samples(sample, sample_points(m, plan), sample_vectors(m, plan))
+    rows, failures = grid.rows, grid.failures
+    min_value = min((val[0] for _, _, val in rows), default=math.inf)
+    min_real = min((val[1] for _, _, val in rows), default=None)
+    hom_res = max((val[2] for _, _, val in rows), default=0.0)
+    min_levi = min((val[3] for _, _, val in rows), default=None) if m.is_complex else None
+    tol = 1e-10
+    passed = (rows and min_value > 0 and min_real > 0 and hom_res < tol
+              and (min_levi is None or min_levi > 0) and not failures)
+    return VerificationReport(
+        name=f"check_metric:{m.family_id}", passed=bool(passed), tolerance=tol,
+        stats={"min_levi_eigenvalue": min_levi, "min_real_hessian_eigenvalue": min_real,
+               "min_value": min_value, "homogeneity_residual": hom_res,
+               "samples": grid.counts},
+        samples=[{"point_index": i, "dir_index": j, "G": value[0]}
+                 for i, j, value in rows[:4]],
+        errors=[f"sample ({i},{j}): {type(exc).__name__}: {exc}" for i, j, exc in failures],
+        grid=grid.grid)

@@ -671,11 +671,14 @@ def test_grids_record_rows_and_whether_one_call_evaluated_them(tmp_path, monkeyp
             main([command, "--config", str(p), "--out", str(out)])
 
     def expected(stacked):
+        # the validity grid reads no Chern-Finsler data and stays stacked
         six = {"rows": 6, "stacked": stacked}
-        return {("check", "poincare"): {"kahler": six},
+        return {("check", "poincare"): {"validity": {"rows": 6, "stacked": True},
+                                        "kahler": six},
                 ("bounds", "poincare"): {"holomorphic": six},
                 ("curvature", "poincare"): {"holomorphic": six},
                 ("schwarz", "square__poincare__poincare"): {
+                    "domain_validity": {"rows": 24, "stacked": True},
                     "domain_kahler": {"rows": 20, "stacked": stacked},
                     "domain_holomorphic": six, "target_holomorphic": six}}
 
@@ -705,6 +708,32 @@ def test_grids_record_rows_and_whether_one_call_evaluated_them(tmp_path, monkeyp
     # the Minkowski grids hold no failing sample and stay stacked
     assert grids(tmp_path / "fallback", "curvature", "minkowski")[0] == {
         "holomorphic": {"rows": 6, "stacked": True}}
+
+
+def test_bench_certify_traffic_runs_every_grid_stacked(tmp_path, monkeypatch):
+    # the certify benchmark times these commands on this config; a grid that
+    # fell back to one sample at a time would cost several times more there
+    import importlib.util
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    cfg = workloads.CertifyWorkload(3001).config
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    for command in ("check", "schwarz"):
+        main([command, "--config", str(p), "--out", str(out)])
+    reports = sorted(out.glob("*/*/report.json"))
+    assert len(reports) == len(cfg["metrics"]) + len(cfg["pairs"])
+    names = set()
+    for report in reports:
+        grids = json.loads(report.read_text())["metadata"]["grids"]
+        names |= set(grids)
+        assert all(g["stacked"] and g["rows"] > 0 for g in grids.values()), (report, grids)
+    assert names == {"validity", "kahler", "domain_validity", "domain_kahler",
+                     "domain_holomorphic", "target_holomorphic"}
 
 
 def _count_chern_finsler(monkeypatch):

@@ -10,6 +10,7 @@ from finsler.errors import DegenerateMetricError
 from finsler.geometry import SamplePlan
 from finsler.kahler import classify, is_at_least, weakly_kahler_pde_residual
 from finsler.metrics import build_profile, instantiate
+from finsler.report import SampleGrid
 
 from oracles import un_invariant_kahler_check
 
@@ -134,7 +135,7 @@ def test_classify_with_no_evaluated_sample_is_none(monkeypatch):
 
 def test_zero_samples_pass_no_level():
     # zero residuals over zero samples: nothing was measured, so nothing holds
-    empty = kahler.KahlerReport("empty", 0.0, 0.0, 0.0, 1.0, 1e-7, "none", 0)
+    empty = kahler.KahlerReport("empty", 0.0, 0.0, 0.0, 1.0, 1e-7, "none")
     assert empty.passes == {"strongly_kahler": False, "kahler": False,
                             "weakly_kahler": False}
 
@@ -179,7 +180,7 @@ def test_un_invariant_check_builds_the_profile_metric(monkeypatch, params):
     def record(m, plan):
         seen.append(m)
         return kahler.KahlerReport(m.family_id, 0.0, 0.0, 0.0, 1.0, 1e-7,
-                                   "strongly_kahler", 1)
+                                   "strongly_kahler", SampleGrid([(0, 0, (0.0,) * 4)], []))
 
     monkeypatch.setattr(kahler, "classify", record)
     un_invariant_kahler_check(build_profile(params))

@@ -253,8 +253,14 @@ def test_check_metric_fails_on_a_non_finite_levi_eigenvalue(monkeypatch):
     calls = []
 
     def nan_first(z, v):
+        # sample (0,0) is the first row of the stacked call and the first
+        # call of the per-point run
+        levi = real(z, v)
+        if np.ndim(z) == 2:
+            levi[0] = np.nan
+            return levi
         calls.append(1)
-        return np.full((1, 1), np.nan) if len(calls) == 1 else real(z, v)
+        return np.full((1, 1), np.nan) if len(calls) == 1 else levi
 
     monkeypatch.setattr(m, "levi_matrix", nan_first)
     rep = check_metric(m, SamplePlan(n_points=2, n_dirs=2))

@@ -9,8 +9,13 @@ import pytest
 from finsler import chern, kahler, schwarz
 from finsler.chern import chern_finsler
 from finsler.errors import DegenerateMetricError
-from finsler.geometry import SamplePlan
-from finsler.metrics import instantiate
+from finsler.geometry import (MetricDef, SamplePlan, complex_to_real_components,
+                              realify_metric, sample_points, sample_vectors)
+from finsler.jets import JetProgram
+from finsler.metrics import check_metric, instantiate
+from finsler.report import canonical_json
+
+from oracles import per_point_check_metric
 
 DISK = {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}
 CATALOG = {
@@ -125,3 +130,110 @@ def test_a_programming_error_in_the_stacked_call_propagates(monkeypatch, grid):
     monkeypatch.setattr(kahler, "chern_finsler", broken)
     with pytest.raises(KeyError):
         GRIDS[grid][1](instantiate(CATALOG["disk"]), PLAN)
+
+
+# -- the validity grid of check_metric --------------------------------------------
+
+
+VALIDITY = {
+    "disk": CATALOG["disk"],
+    "ball": CATALOG["ball"],
+    "euclidean_c2": {"family": "hermitian", "complex_dim": 2,
+                     "params": {"catalog": "euclidean"}},
+    "nonkahler": CATALOG["nonkahler"],
+    "product_disks": {"family": "hermitian", "complex_dim": 2,
+                      "params": {"catalog": "product_disks"}},
+    "minkowski_k2_c2": CATALOG["minkowski"],
+    "minkowski_k3_c3": {"family": "minkowski", "complex_dim": 3,
+                        "params": {"k": 3, "eps": 0.25}},
+    "szabo_default": {"family": "szabo"},
+    "un_invariant": CATALOG["un_invariant"],
+    "realified_disk": None,
+}
+
+
+def _validity_metric(name):
+    spec = VALIDITY[name]
+    return realify_metric(instantiate(CATALOG["disk"])) if spec is None else instantiate(spec)
+
+
+def _payload(rep):
+    return canonical_json(rep.to_dict())
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("name", VALIDITY)
+def test_validity_grid_equals_the_per_point_check(name):
+    m = _validity_metric(name)
+    rep = check_metric(m, PLAN)
+    assert rep.passed and rep.grid == {"rows": 12, "stacked": True}
+    assert _payload(rep) == _payload(per_point_check_metric(m, PLAN))
+
+
+@pytest.mark.parametrize("name", ["disk", "ball", "minkowski_k3_c3", "realified_disk"])
+def test_a_passing_validity_grid_makes_one_replay_per_tensor(monkeypatch, name):
+    m = _validity_metric(name)
+    calls = {}
+    for owner, method in ((JetProgram, "replay_rows"), (JetProgram, "replay"),
+                          (MetricDef, "real_jet"), (MetricDef, "complex_jet")):
+        _count_calls(monkeypatch, owner, method, calls)
+    rep = check_metric(m, PLAN)
+    assert rep.passed and rep.grid["stacked"]
+    # the real fundamental tensor, and on complex kinds the Levi matrix
+    assert calls == {"replay_rows": 2 if m.is_complex else 1}
+
+
+def _spoil_at(monkeypatch, m, method, sample, spoil):
+    """``m.<method>`` applies ``spoil`` to its result wherever its point and
+    vector are the plan's ``sample`` (iz, iv), in a stacked call and at its
+    own point; its arguments are complex or real components as ``method``
+    takes them."""
+    iz, iv = sample
+    z_bad, v_bad = sample_points(m, PLAN)[iz], sample_vectors(m, PLAN)[iv]
+    if method == "fundamental_real" and m.is_complex:
+        z_bad, v_bad = complex_to_real_components(z_bad), complex_to_real_components(v_bad)
+    real = getattr(m, method)
+
+    def spoiled(z, v):
+        out = real(z, v)
+        hit = np.all(np.asarray(z) == z_bad, axis=-1) & np.all(np.asarray(v) == v_bad, axis=-1)
+        return spoil(out, hit) if np.any(hit) else out
+
+    monkeypatch.setattr(m, method, spoiled)
+
+
+def _raise(out, hit):
+    raise DegenerateMetricError("fundamental tensor singular")
+
+
+def _nan(out, hit):
+    out = np.array(out)
+    out[hit] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("method, spoil, reason", [
+    ("fundamental_real", _raise, "DegenerateMetricError"),
+    ("levi_matrix", _nan, "NonFiniteSampleError"),
+])
+@pytest.mark.parametrize("name", ["disk", "ball"])
+def test_a_failed_validity_sample_runs_the_grid_per_point(monkeypatch, name, method,
+                                                          spoil, reason):
+    m = _validity_metric(name)
+    _spoil_at(monkeypatch, m, method, (1, 2), spoil)
+    rep = check_metric(m, PLAN)
+    assert not rep.passed and rep.grid == {"rows": 12, "stacked": False}
+    assert rep.stats["samples"] == {"attempted": 12, "ok": 11, "failed": 1,
+                                    "failure_reasons": {reason: 1}}
+    assert len(rep.errors) == 1 and rep.errors[0].startswith(f"sample (1,2): {reason}: ")
+    # the other samples, their homogeneity scales included, as one at a time
+    assert _payload(rep) == _payload(per_point_check_metric(m, PLAN))
