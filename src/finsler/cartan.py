@@ -146,8 +146,7 @@ class RadialFlagBounds:
         return math.sqrt(max(0.0, -self.k_inf))
 
 
-def radial_flag_bounds(m: MetricDef, pole,
-                       plan: SamplePlan | None = None) -> RadialFlagBounds:
+def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds:
     """Sample flag curvatures of radial planes along geodesic fans from the pole.
 
     Radial tangents are transported along the fan's geodesics, integrated as
@@ -157,7 +156,6 @@ def radial_flag_bounds(m: MetricDef, pole,
     raises ``NonFiniteSampleError``.
     """
     from . import geodesic as geo
-    plan = plan or SamplePlan()
     pole = np.asarray(pole, dtype=float)
     d = m.dim
     dirs = unit_directions(max(plan.n_dirs, 3), d, plan.seed)

@@ -32,10 +32,9 @@ the (dz, dzbar) block of the curvature evaluated on the radial horizontal
 direction; the Hermitian special case reduces to the classical curvature
 tensor and is oracle-tested.
 
-Every function takes one point, z and v of shape (n,), or B rows of shape
-(B, n). Rows read their jets from one ``MetricDef.complex_rows`` replay and
-run through the same contractions with a leading axis, each row bit for bit
-its point's.
+Every function takes B rows z, v of shape (B, n), one point being one row.
+The jets come from one ``MetricDef.complex_rows`` replay, and the contractions
+run with a leading axis of rows, each row's result independent of the others.
 """
 
 from __future__ import annotations
@@ -51,11 +50,11 @@ from .jets import JetSpace
 
 @dataclass
 class ChernFinslerData:
-    """Connection and curvature coefficients at a fixed (z, v), or at B rows,
-    each field then with a leading axis of length B."""
+    """Connection and curvature coefficients at B rows (z, v), each field with
+    a leading axis of length B."""
 
     v: np.ndarray
-    G: float | np.ndarray
+    G: np.ndarray
     G_alpha: np.ndarray          # dG/dv^a
     levi: np.ndarray             # G_{a bbar}
     levi_inv: np.ndarray         # G^{bbar a} as inv[b][a]
@@ -67,18 +66,13 @@ class ChernFinslerData:
 
 
 def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
-    """All Chern-Finsler connection data at (z, v), or at each row of z, v of
-    shape (B, n) from one replay, row b bit for bit its point's data."""
-    z = np.asarray(z, dtype=complex)
+    """All Chern-Finsler connection data at each row of z, v of shape (B, n),
+    from one order-4 replay."""
     v = np.asarray(v, dtype=complex)
     n = m.n
     Z, V, ZB, VB = (slice(k * n, (k + 1) * n) for k in range(4))
-    if z.ndim == 2:
-        coeffs = m.complex_rows(z, v, 4)
-        partials = functools.partial(JetSpace.get(4 * n, 4, True, 2 * n).gather, coeffs)
-    else:
-        jet = m.complex_jet(z, v, 4)
-        partials = jet.derivatives
+    coeffs = m.complex_rows(z, v, 4)
+    partials = functools.partial(JetSpace.get(4 * n, 4, True, 2 * n).gather, coeffs)
     # the blocks the algebra reads, each with the bits of the full tensor's slice
     D2 = partials(2)
     levi = D2[..., V, VB]
@@ -126,7 +120,7 @@ def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
         R_zz = R_zz - gamma_v[..., s, None, None] * dbar_nl[..., s, None, None, :, :]
 
     return ChernFinslerData(
-        v=v, G=coeffs[:, 0].real if z.ndim == 2 else jet.value.real,
+        v=v, G=coeffs[:, 0].real,
         G_alpha=partials(1, V), levi=levi,
         levi_inv=levi_inv, nonlinear=nonlinear, gamma_h=gamma_h,
         gamma_v=gamma_v, torsion_h=torsion_h, R_zz=R_zz)
@@ -140,14 +134,10 @@ def curvature_pairing(data: ChernFinslerData):
                      v, v, v.conj(), v.conj())
 
 
-def holomorphic_sectional_curvature(m: MetricDef, z, v, *,
-                                    data: ChernFinslerData | None = None):
-    """K_G(v) = 2 <Omega(chi,chibar)chi,chi> / G(v)^2, a real scalar at a point
-    and an array of B at B rows."""
-    data = data if data is not None else chern_finsler(m, z, v)
+def holomorphic_sectional_curvature(m: MetricDef, z, v) -> np.ndarray:
+    """K_G(v) = 2 <Omega(chi,chibar)chi,chi> / G(v)^2 at each row of z, v."""
+    data = chern_finsler(m, z, v)
     # G^2 per sample as a float power, which libm's pow rounds; numpy squares
     # an array as x * x, which can differ in the last bit
-    square = np.reshape([g ** 2 for g in np.ravel(data.G).tolist()], np.shape(data.G))
-    k = (2.0 * curvature_pairing(data) / square).real
-    return float(k) if np.ndim(k) == 0 else k
-
+    square = np.array([g ** 2 for g in data.G.tolist()])
+    return (2.0 * curvature_pairing(data) / square).real

@@ -241,7 +241,9 @@ class MetricDef:
         return self.formula(x, u)
 
     def complex_jet(self, z, v, order) -> Jet:
-        """Wirtinger jet of G over (z_a, v_a, conj z_a, conj v_a)."""
+        """Wirtinger jet of G over (z_a, v_a, conj z_a, conj v_a) at one point:
+        the reference ``complex_rows`` rows are pinned to, which no engine
+        route reads."""
         if not self.is_complex:
             raise StructuralError("complex jets need a complex metric")
         z = np.asarray(z, dtype=complex)
@@ -269,24 +271,17 @@ class MetricDef:
     # -- frequently used tensors ---------------------------------------------
 
     def levi_matrix(self, z, v) -> np.ndarray:
-        """(G_{a bbar}) at (z, v), or at each row of z, v of shape (B, n) from
-        one ``complex_rows`` replay, row b bit for bit its point's matrix."""
+        """(G_{a bbar}) at each row of z, v of shape (B, n), from one order-2
+        ``complex_rows`` replay."""
         n = self.n
-        V, VB = slice(n, 2 * n), slice(3 * n, 4 * n)
-        if np.ndim(z) == 2:
-            sp = JetSpace.get(4 * n, 2, True, 2 * n)
-            return sp.gather(self.complex_rows(z, v, 2), 2, V, VB)
-        return self.complex_jet(z, v, 2).derivatives(2, V, VB)
+        sp = JetSpace.get(4 * n, 2, True, 2 * n)
+        return sp.gather(self.complex_rows(z, v, 2), 2, slice(n, 2 * n), slice(3 * n, 4 * n))
 
     def fundamental_real(self, x, u) -> np.ndarray:
-        """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j at (x, u), or
-        at each row of x, u of shape (B, dim) from one ``real_rows`` replay,
-        row b bit for bit its point's tensor."""
+        """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j at each row of
+        x, u of shape (B, dim), from one order-2 ``real_rows`` replay."""
         U = slice(self.dim, 2 * self.dim)
-        if np.ndim(x) == 2:
-            sp = JetSpace.get(2 * self.dim, 2, False)
-            return 0.5 * sp.gather(self.real_rows(x, u, 2), 2, U, U)
-        return 0.5 * self.real_jet(x, u, 2).derivatives(2, U, U)
+        return 0.5 * JetSpace.get(2 * self.dim, 2, False).gather(self.real_rows(x, u, 2), 2, U, U)
 
 
 def well_conditioned_inverse(a, what) -> np.ndarray:

@@ -16,7 +16,8 @@ artefact of the tolerance, not a class of its own; the level stays so that
 each residual has its level.
 
 ``classify`` evaluates its whole sample grid as stacked rows through
-``report.evaluate_stacked``, falling back to one sample at a time.
+``report.evaluate_stacked``; after a failed sample the same residual function
+runs again on one row at a time.
 """
 
 from __future__ import annotations
@@ -75,17 +76,16 @@ class KahlerReport:
                 "errors": self.errors}
 
 
-def classify(m: MetricDef, plan: SamplePlan | None = None) -> KahlerReport:
+def classify(m: MetricDef, plan: SamplePlan) -> KahlerReport:
     """Classify the metric by its torsion residuals over a sample plan.
 
     A residual passes below 1e-7 times the sampled coefficient magnitude.
     """
     tolerance = 1e-7
-    plan = plan or SamplePlan(n_points=8, n_dirs=4)
 
     def residuals(z, v):
-        """The three torsion residuals and max|Gamma_h| of one sample, or of
-        each row of z, v as a row of four."""
+        """The three torsion residuals and max|Gamma_h| of each row of z, v,
+        as a row of four."""
         data = chern_finsler(m, z, v)
         root = np.sqrt(data.G)[..., None]
         tor = data.torsion_h

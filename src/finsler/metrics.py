@@ -370,7 +370,7 @@ def instantiate(spec) -> MetricDef:
 # -- metric validation -------------------------------------------------------------
 
 
-def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationReport:
+def check_metric(m: MetricDef, plan: SamplePlan) -> VerificationReport:
     """Positivity, homogeneity, strong pseudoconvexity and strong convexity.
 
     Reports the minimum eigenvalues of the Levi matrix and of the real
@@ -378,45 +378,42 @@ def check_metric(m: MetricDef, plan: SamplePlan | None = None) -> VerificationRe
     The grid runs as stacked rows through ``report.evaluate_stacked``: each
     tensor comes from one order-2 replay over every sample and goes through
     one stacked ``eigvalsh``, while G and the homogeneity reference stay
-    per-sample values. If a sample fails, the grid runs again point by point.
-    The homogeneity scale s is drawn sample by sample in plan order from
-    ``default_rng(seed + 7)``, a fresh one for the stacked call and another
-    for the per-point run, so both paths draw the same scales.
+    per-sample values. The homogeneity scales s are drawn once, one per
+    sample in plan order, from ``default_rng(seed + 7)``, and reach the rows
+    as a column beside Z and V, so a grid rerun one row at a time after a
+    failed sample reads the same scales.
     Per-sample evaluation failures are recorded, not raised: ``stats["samples"]``
     holds the attempted/ok/failed counts with failures tallied by error type,
     and a check with a failed sample, or with no evaluated one, fails.
     """
-    plan = plan or SamplePlan()
-    point_rng = np.random.default_rng(plan.seed + 7)
+    rng = np.random.default_rng(plan.seed + 7)
 
-    def scale(rng):
+    def scale():
         if m.is_complex:
             return complex(rng.standard_normal(), rng.standard_normal())
         s = float(rng.standard_normal())
         return 0.5 if abs(s) < 0.1 else s
 
-    def sample(z, v):
+    def sample(Z, V, S):
         """(G, least real eigenvalue, homogeneity residual[, least Levi
-        eigenvalue]) of one sample, or a row of them for each row of z, v."""
-        rows = np.ndim(z) == 2
-        pairs = list(zip(z, v)) if rows else [(z, v)]
-        rng = np.random.default_rng(plan.seed + 7) if rows else point_rng
-        G = [m.value(a, b) for a, b in pairs]
+        eigenvalue]) of each row of Z, V, the homogeneity scale its row of S."""
+        G = [m.value(z, v) for z, v in zip(Z, V)]
         levi = ()
-        x, u = z, v
+        X, U = Z, V
         if m.is_complex:
-            levi = (np.linalg.eigvalsh(m.levi_matrix(z, v)).min(axis=-1),)
-            x, u = complex_to_real_components(z), complex_to_real_components(v)
-        evr = np.linalg.eigvalsh(m.fundamental_real(x, u)).min(axis=-1)
+            levi = (np.linalg.eigvalsh(m.levi_matrix(Z, V)).min(axis=-1),)
+            X, U = complex_to_real_components(Z), complex_to_real_components(V)
+        evr = np.linalg.eigvalsh(m.fundamental_real(X, U)).min(axis=-1)
         hom = []
-        for (a, b), g in zip(pairs, G):
-            s = scale(rng)
-            ref = m.value(a, s * b)
+        # Python scalars, whose |s| ** 2 is libm's pow
+        for z, v, g, s in zip(Z, V, G, S.tolist()):
+            ref = m.value(z, s * v)
             hom.append(abs(ref - abs(s) ** 2 * g) / max(1.0, abs(ref)))
-        values = np.column_stack((G, evr, hom) + levi)
-        return values if rows else values[0]
+        return np.column_stack((G, evr, hom) + levi)
 
-    grid = evaluate_stacked(sample, sample_points(m, plan), sample_vectors(m, plan))
+    points, dirs = sample_points(m, plan), sample_vectors(m, plan)
+    scales = np.array([scale() for _ in range(len(points) * len(dirs))])
+    grid = evaluate_stacked(sample, points, dirs, scales)
     rows, failures = grid.rows, grid.failures
     min_value = min((val[0] for _, _, val in rows), default=math.inf)
     min_real = min((val[1] for _, _, val in rows), default=None)

@@ -113,16 +113,17 @@ def evaluate_samples(fn, points, dirs) -> SampleGrid:
     return SampleGrid(rows, failures)
 
 
-def evaluate_stacked(fn, points, dirs) -> SampleGrid:
-    """``evaluate_samples(fn, points, dirs)`` from one stacked call.
+def evaluate_stacked(fn, points, dirs, *columns) -> SampleGrid:
+    """``fn`` over every point x direction, in plan order, from one stacked call.
 
-    ``fn`` takes the grid as rows Z, V of shape (B, n), every point x direction
-    in plan order, and returns B values or B rows of values, each what ``fn``
-    gives at its one point. If that call raises one of ``SAMPLE_ERRORS`` or
-    yields a value that is not finite, the grid runs again point by point
-    through ``evaluate_samples``, which attributes each failure to its sample,
-    and ``stacked`` is false. Any other exception propagates. Values are
-    Python floats, a row of several a tuple of them.
+    ``fn`` takes the grid as rows Z, V of shape (B, n) and each of ``columns``,
+    B per-sample entries, and returns B values or B rows of values. If that
+    call raises one of ``SAMPLE_ERRORS`` or yields a value that is not finite,
+    the grid runs again one row at a time, ``fn`` on ``Z[b:b+1]``, ``V[b:b+1]``
+    and the columns' row b read at row 0, through ``evaluate_samples``, which
+    attributes each failure to its sample, and ``stacked`` is false. Any other
+    exception propagates. Values are Python floats, a row of several a tuple
+    of them.
     """
     def plain(value):
         value = np.asarray(value, dtype=float).tolist()
@@ -133,15 +134,21 @@ def evaluate_stacked(fn, points, dirs) -> SampleGrid:
     Z = np.repeat(np.asarray(points), len(dirs), axis=0)
     V = np.tile(np.asarray(dirs), (len(points), 1))
     try:
-        values = np.asarray(fn(Z, V), dtype=float)
+        values = np.asarray(fn(Z, V, *columns), dtype=float)
         stacked = bool(np.isfinite(values).all())
     except SAMPLE_ERRORS:
         stacked = False
-    if not stacked:
-        return evaluate_samples(lambda z, v: plain(fn(z, v)), points, dirs)
-    samples = ((iz, iv) for iz in range(len(points)) for iv in range(len(dirs)))
-    return SampleGrid([(iz, iv, plain(value)) for (iz, iv), value in zip(samples, values)],
-                      [], True)
+    if stacked:
+        samples = ((iz, iv) for iz in range(len(points)) for iv in range(len(dirs)))
+        return SampleGrid([(iz, iv, plain(value)) for (iz, iv), value in zip(samples, values)],
+                          [], True)
+
+    def one_row(iz, iv):
+        b = iz * len(dirs) + iv
+        row = slice(b, b + 1)
+        return plain(fn(Z[row], V[row], *(column[row] for column in columns))[0])
+
+    return evaluate_samples(one_row, range(len(points)), range(len(dirs)))
 
 
 def canonical_json(payload) -> str:

@@ -77,10 +77,8 @@ def holomorphic_curvature_samples(m: MetricDef, plan: SamplePlan) -> CurvatureSa
     return CurvatureSamples(grid.rows, grid.failures, grid.stacked)
 
 
-def curvature_bounds(m: MetricDef, role: str,
-                     plan: SamplePlan | None = None) -> CurvatureBound:
+def curvature_bounds(m: MetricDef, role: str, plan: SamplePlan) -> CurvatureBound:
     """Sampled inf (domain role, clamped to <= 0) or sup (target role) of K_G."""
-    plan = plan or SamplePlan(n_points=12, n_dirs=6)
     return holomorphic_curvature_samples(m, plan).bound(role)
 
 
@@ -149,7 +147,7 @@ class SchwarzCertificate:
         return record(self, "curvature_samples", "grids")
 
 
-def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
+def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
                     *, tolerance=1e-6) -> SchwarzCertificate:
     """Certify sup H(f(z); df v) / G(z; v) <= K1/K2 over a sample grid.
 
@@ -163,9 +161,6 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan | None = None,
     recorded in the certificate; the comparison is still executed and
     labeled. A NaN or infinite ratio raises ``NonFiniteSampleError``.
     """
-    if plan is None:
-        plan = (domain.plan if isinstance(domain, MetricAnalysis)
-                else SamplePlan(n_points=14, n_dirs=17))
     dom = _analysis(domain, plan)
     tgt = dom if target is domain else _analysis(target, plan)
     m_domain, m_target = dom.m, tgt.m

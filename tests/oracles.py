@@ -10,9 +10,26 @@ not the production formula of the quantity they check.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
+
+
+# -- the grid tensors at one point -------------------------------------------------
+
+
+def at_point(tensor, *args):
+    """``tensor`` at one point: one of the grid tensors, which take rows (B, n)
+    only (``chern_finsler``, ``holomorphic_sectional_curvature``,
+    ``MetricDef.levi_matrix``, ``MetricDef.fundamental_real``), called with
+    its last two arguments as one row each, and row 0 of what it returns."""
+    *head, z, v = args
+    out = tensor(*head, np.asarray(z)[None], np.asarray(v)[None])
+    if dataclasses.is_dataclass(out):
+        return dataclasses.replace(out, **{f.name: getattr(out, f.name)[0]
+                                           for f in dataclasses.fields(out)})
+    return out[0]
 
 
 # -- finite differences with Richardson extrapolation ---------------------------
@@ -868,7 +885,7 @@ def covariant_boundary_form(m, x0, u0, r):
     y_r = sol.y[:, -1]
     x_r, T = y_r[:d], y_r[d:2 * d]
     M, W = y_r[2 * d:].reshape(2, d, d)
-    g = m.fundamental_real(x_r, T)
+    g = at_point(m.fundamental_real, x_r, T)
     gT = g @ T
     P = np.eye(d) - np.outer(T, gT) / float(T @ gT)
     return P.T @ g @ W @ np.linalg.solve(M, P)
@@ -1162,7 +1179,8 @@ def gradient_identity(m, pole, z) -> dict:
 
     T_c = base.T[:m.n] + 1j * base.T[m.n:]
     Y_c = Y[:m.n] + 1j * Y[m.n:]
-    complex_pairing = 0.5 * np.einsum("ab,a,b->", m.levi_matrix(z, T_c), Y_c, T_c.conj())
+    complex_pairing = 0.5 * np.einsum("ab,a,b->", at_point(m.levi_matrix, z, T_c), Y_c,
+                                      T_c.conj())
 
     rho = base.value
     return {"rho": rho,
@@ -1188,34 +1206,53 @@ def un_invariant_kahler_check(profile):
 # -- the validity grid one sample at a time ------------------------------------
 
 
+def point_levi_matrix(m, z, v):
+    """The Levi matrix (G_{a bbar}) at one point, read from its order-2
+    ``complex_jet``."""
+    n = m.n
+    return m.complex_jet(z, v, 2).derivatives(2, slice(n, 2 * n), slice(3 * n, 4 * n))
+
+
+def point_fundamental_real(m, x, u):
+    """The real fundamental tensor at one point, read from its order-2
+    ``real_jet``."""
+    U = slice(m.dim, 2 * m.dim)
+    return 0.5 * m.real_jet(x, u, 2).derivatives(2, U, U)
+
+
 def per_point_check_metric(m, plan=None):
     """``check_metric`` evaluated one sample at a time: per sample, one
-    order-2 jet for the Levi matrix, one for the real fundamental tensor, one
-    ``eigvalsh`` each, and the homogeneity scale drawn after both."""
+    order-2 point jet for the Levi matrix (``point_levi_matrix``) and one for
+    the real fundamental tensor (``point_fundamental_real``), one ``eigvalsh``
+    each, and the homogeneity scale s that ``default_rng(seed + 7)`` draws
+    for the sample's index in plan order, a failed sample's included."""
     from finsler.geometry import SamplePlan, complex_to_real_components, sample_points, \
         sample_vectors
     from finsler.report import VerificationReport, evaluate_samples
     plan = plan or SamplePlan()
     rng = np.random.default_rng(plan.seed + 7)
+    points, dirs = sample_points(m, plan), sample_vectors(m, plan)
+    scales = []
+    for _ in range(len(points) * len(dirs)):
+        if m.is_complex:
+            scales.append(complex(rng.standard_normal(), rng.standard_normal()))
+        else:
+            s = float(rng.standard_normal())
+            scales.append(0.5 if abs(s) < 0.1 else s)
 
-    def sample(z, v):
+    def sample(iz, iv):
+        z, v, s = points[iz], dirs[iv], scales[iz * len(dirs) + iv]
         G = m.value(z, v)
         levi = ()
         x, u = z, v
         if m.is_complex:
-            levi = (float(np.linalg.eigvalsh(m.levi_matrix(z, v)).min()),)
+            levi = (float(np.linalg.eigvalsh(point_levi_matrix(m, z, v)).min()),)
             x, u = complex_to_real_components(z), complex_to_real_components(v)
-        evr = float(np.linalg.eigvalsh(m.fundamental_real(x, u)).min())
-        if m.is_complex:
-            s = complex(rng.standard_normal(), rng.standard_normal())
-        else:
-            s = float(rng.standard_normal())
-            if abs(s) < 0.1:
-                s = 0.5
+        evr = float(np.linalg.eigvalsh(point_fundamental_real(m, x, u)).min())
         ref = m.value(z, s * v)
         return (G, evr, abs(ref - abs(s) ** 2 * G) / max(1.0, abs(ref))) + levi
 
-    grid = evaluate_samples(sample, sample_points(m, plan), sample_vectors(m, plan))
+    grid = evaluate_samples(sample, range(len(points)), range(len(dirs)))
     rows, failures = grid.rows, grid.failures
     min_value = min((val[0] for _, _, val in rows), default=math.inf)
     min_real = min((val[1] for _, _, val in rows), default=None)

@@ -27,8 +27,8 @@ from finsler.schwarz import certify_schwarz
 from finsler.cli import main as cli_main
 from finsler.report import canonical_json
 
-from oracles import (endpoint, gaussian_curvature, gradient_identity, hyperbolic_distance,
-                     hyperbolic_hessian_tangential, levi_identity_residual,
+from oracles import (at_point, endpoint, gaussian_curvature, gradient_identity,
+                     hyperbolic_distance, hyperbolic_hessian_tangential, levi_identity_residual,
                      probe_catalog, pullback_density, random_expression,
                      richardson_partial, un_invariant_kahler_check)
 
@@ -95,7 +95,7 @@ def test_criterion_02_poincare_curvatures():
         z = np.array([0.85 * rng.uniform(0.05, 1.0) *
                       np.exp(2j * math.pi * rng.uniform())])
         v = np.array([(rng.standard_normal() + 1j * rng.standard_normal())])
-        k = holomorphic_sectional_curvature(POINCARE, z, v)
+        k = at_point(holomorphic_sectional_curvature, POINCARE, z, v)
         assert abs(k + 4.0) < 1e-5
     density = lambda zc: (1.0 - cabs2(zc)) ** -2
     for _ in range(10):
@@ -115,10 +115,10 @@ def test_criterion_03_minkowski_family():
     for _ in range(10):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        data = chern_finsler(MINKOWSKI, z, v)
+        data = at_point(chern_finsler, MINKOWSKI, z, v)
         worst_gamma = max(worst_gamma, float(np.abs(data.gamma_h).max()))
-        worst_k = max(worst_k, abs(holomorphic_sectional_curvature(
-            MINKOWSKI, z, v, data=data)))
+        worst_k = max(worst_k, abs(at_point(holomorphic_sectional_curvature,
+                                            MINKOWSKI, z, v)))
         x = complex_to_real_components(z)
         u = complex_to_real_components(v)
         X = rng.standard_normal(4)
@@ -355,7 +355,7 @@ def test_criterion_09_disk_probe_maximality():
         z = 0.4 * rng.uniform(0.2, 1.0) * w / np.linalg.norm(w)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        kg = holomorphic_sectional_curvature(BALL2, z, v)
+        kg = at_point(holomorphic_sectional_curvature, BALL2, z, v)
         best = -math.inf
         for p in probe_catalog(BALL2, z, v, quadratic_coeff=b).values():
             k = gaussian_curvature(pullback_density(BALL2, p), 0.0 + 0.0j)
@@ -367,7 +367,7 @@ def test_criterion_09_disk_probe_maximality():
     for (z_t, v_t, k_pin) in SZABO_PINNED:
         z = np.array(z_t)
         v = np.array(v_t)
-        k = holomorphic_sectional_curvature(SZABO, z, v)
+        k = at_point(holomorphic_sectional_curvature, SZABO, z, v)
         assert k == pytest.approx(k_pin, abs=1e-10)
         b = 0.2 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         for p in probe_catalog(SZABO, z, v, quadratic_coeff=b).values():

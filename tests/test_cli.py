@@ -574,7 +574,7 @@ def test_zero_curvature_samples_fail_each_item(tmp_path, monkeypatch, capsys, co
     from finsler import chern
     from finsler.errors import DegenerateMetricError
 
-    def refuse(m, z, v, **kw):
+    def refuse(m, z, v):
         raise DegenerateMetricError("singular Levi matrix")
 
     monkeypatch.setattr(chern, "holomorphic_sectional_curvature", refuse)
@@ -626,17 +626,15 @@ def test_cmd_curvature_records_a_failing_sample(tmp_path, monkeypatch):
     from finsler import chern
     from finsler.errors import DegenerateMetricError
     real = chern.holomorphic_sectional_curvature
-    calls = []
+    first = {}
 
-    def flaky(m, z, v, **kw):
-        # the first sample fails: in the stacked call, which holds it, and at
-        # the first call of the per-sample run
-        if np.ndim(z) == 2:
+    def flaky(m, z, v):
+        # the first sample fails in every call whose rows hold it: the stacked
+        # call, whose first row it is, and its own one-row call
+        key = first.setdefault("sample", (z[0].tobytes(), v[0].tobytes()))
+        if any((zb.tobytes(), vb.tobytes()) == key for zb, vb in zip(z, v)):
             raise DegenerateMetricError("singular Levi matrix")
-        calls.append(1)
-        if len(calls) == 1:
-            raise DegenerateMetricError("singular Levi matrix")
-        return real(m, z, v, **kw)
+        return real(m, z, v)
 
     monkeypatch.setattr(chern, "holomorphic_sectional_curvature", flaky)
     cfg = dict(BASE_CONFIG)
@@ -686,13 +684,13 @@ def test_grids_record_rows_and_whether_one_call_evaluated_them(tmp_path, monkeyp
     for (command, item), want in expected(True).items():
         assert grids(tmp_path / "stacked", command, item)[0] == want
 
-    # every sample at the plan's first disk point fails, in a stacked call
-    # that holds it and at its own point, so each disk grid runs per sample
+    # every sample at the plan's first disk point fails, in every call whose
+    # rows hold it, so each disk grid runs again one row at a time
     z0 = sample_points(instantiate(_DISK), load_config(p).plan())[0]
     real = chern.chern_finsler
 
     def failing(m, z, v):
-        if np.any(np.all(np.asarray(z) == z0, axis=-1)):
+        if np.any(np.all(z == z0, axis=-1)):
             raise DegenerateMetricError("Levi matrix singular")
         return real(m, z, v)
 
@@ -741,13 +739,12 @@ def _count_chern_finsler(monkeypatch):
     real = chern.chern_finsler
     seen = {}
 
-    def counted(m, z, v, *args, **kw):
-        # a stacked call evaluates each of its rows
-        z, v = np.asarray(z), np.asarray(v)
-        for zb, vb in zip(*(z, v) if z.ndim == 2 else ([z], [v])):
+    def counted(m, z, v):
+        # a call evaluates each of its rows
+        for zb, vb in zip(z, v):
             key = (m.family_id, zb.tobytes(), vb.tobytes())
             seen[key] = seen.get(key, 0) + 1
-        return real(m, z, v, *args, **kw)
+        return real(m, z, v)
 
     monkeypatch.setattr(chern, "chern_finsler", counted)
     monkeypatch.setattr(kahler, "chern_finsler", counted)

@@ -23,9 +23,9 @@ from finsler.geometry import MetricDef, realify_metric
 from finsler.jets import spow
 from finsler.metrics import instantiate
 
-from oracles import (ball_distance, covariant_boundary_form, covariant_d2_rho, endpoint,
-                     fd_index_form, hyperbolic_distance, hyperbolic_hessian_tangential,
-                     legendre_gradient)
+from oracles import (at_point, ball_distance, covariant_boundary_form, covariant_d2_rho,
+                     endpoint, fd_index_form, hyperbolic_distance,
+                     hyperbolic_hessian_tangential, legendre_gradient)
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "euclidean"}}))
@@ -282,13 +282,13 @@ def test_jacobi_hyperbolic_cosh_off_the_origin():
     # derivative 2 |J0| sinh 2t (curvature -4)
     x0, u0 = np.array([0.3, -0.2]), np.array([0.6, 0.8])
     u0 = u0 / math.sqrt(HYPERBOLIC.value(x0, u0))
-    g0 = HYPERBOLIC.fundamental_real(x0, u0)
+    g0 = at_point(HYPERBOLIC.fundamental_real, x0, u0)
     J0 = np.array([-0.8, 0.6])
     J0 = 0.7 * (J0 - (J0 @ g0 @ u0) * u0) / math.sqrt(J0 @ g0 @ J0 - (J0 @ g0 @ u0) ** 2)
     J = jacobi_field(HYPERBOLIC, x0, u0, 1.0, J0, np.zeros(2))
     for t in (0.0, 0.3, 0.7, 1.0):
         xt, ut = J.path.state_at(t)
-        gt = HYPERBOLIC.fundamental_real(xt, ut)
+        gt = at_point(HYPERBOLIC.fundamental_real, xt, ut)
         Jt, dJt = J(t)
         DJt = dJt + cartan(HYPERBOLIC, xt, ut, need_curvature=False).nonlinear @ Jt
         assert math.sqrt(Jt @ gt @ Jt) == pytest.approx(0.7 * math.cosh(2 * t), abs=1e-8)

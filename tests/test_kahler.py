@@ -205,7 +205,7 @@ def synthetic_torsion(kind):
     real = kahler.chern_finsler
 
     def patched(m, z, v):
-        # z, v are one sample or rows of them; so are the fields of data
+        # z, v are rows of samples, and the fields of data rows of tensors
         data = real(m, z, v)
         v = np.asarray(v)
         across_v = np.stack([v[..., 1], -v[..., 0]], axis=-1)      # sum_m w_m v^m = 0

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from finsler.errors import ConfigurationError
-from finsler.geometry import SamplePlan, realify_metric
+from finsler.geometry import SamplePlan, realify_metric, sample_points, sample_vectors
 from finsler.metrics import build_map, build_profile, check_metric, instantiate
 
-from oracles import ball_automorphism, probe_catalog
+from oracles import at_point, ball_automorphism, probe_catalog
 
 
 def test_poincare_disk_value_and_metadata():
@@ -78,7 +78,7 @@ def test_check_metric_euclidean_levi_identity():
 def test_check_metric_poincare_center():
     m = instantiate({"family": "hermitian", "complex_dim": 1,
                      "params": {"catalog": "poincare_disk"}})
-    L = m.levi_matrix(np.zeros(1, complex), np.array([0.4 + 0.2j]))
+    L = at_point(m.levi_matrix, np.zeros(1, complex), np.array([0.4 + 0.2j]))
     assert L[0, 0] == pytest.approx(1.0)
     rep = check_metric(m, SamplePlan(seed=2, n_points=6, n_dirs=3))
     assert rep.passed
@@ -249,21 +249,19 @@ def test_check_metric_counts_samples(monkeypatch):
 def test_check_metric_fails_on_a_non_finite_levi_eigenvalue(monkeypatch):
     m = instantiate({"family": "hermitian", "complex_dim": 1,
                      "params": {"catalog": "poincare_disk"}})
+    plan = SamplePlan(n_points=2, n_dirs=2)
+    z0, v0 = sample_points(m, plan)[0], sample_vectors(m, plan)[0]
     real = m.levi_matrix
-    calls = []
 
     def nan_first(z, v):
-        # sample (0,0) is the first row of the stacked call and the first
-        # call of the per-point run
+        # sample (0,0) reads NaN in every call whose rows hold it: the
+        # stacked call and its own one-row call
         levi = real(z, v)
-        if np.ndim(z) == 2:
-            levi[0] = np.nan
-            return levi
-        calls.append(1)
-        return np.full((1, 1), np.nan) if len(calls) == 1 else levi
+        levi[np.all(z == z0, axis=-1) & np.all(v == v0, axis=-1)] = np.nan
+        return levi
 
     monkeypatch.setattr(m, "levi_matrix", nan_first)
-    rep = check_metric(m, SamplePlan(n_points=2, n_dirs=2))
+    rep = check_metric(m, plan)
     assert not rep.passed
     assert rep.stats["samples"] == {"attempted": 4, "ok": 3, "failed": 1,
                                     "failure_reasons": {"NonFiniteSampleError": 1}}

@@ -30,14 +30,15 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def test_every_src_definition_is_reached():
-    # Roots: the CLI entry point, the names module-level statements use (the
-    # dispatch tables) and every identifier in bench/, whose tracer names its
-    # targets in strings. Reaching a name follows the identifiers in the body
-    # of every definition of that name: a top-level function, a class (its own
-    # statements and dunder methods, which the language calls), or a method of
-    # a top-level class. A definition nothing reaches is code only tests call:
-    # an oracle belongs in tests/oracles.py, a repeat of a production route nowhere.
+def _unreached(bench_roots):
+    """Definitions in `src/` that nothing reaches from the roots.
+
+    Roots: the CLI entry point, the names module-level statements use (the
+    dispatch tables) and, with ``bench_roots``, every identifier in bench/,
+    whose tracer names its targets in strings. Reaching a name follows the
+    identifiers in the body of every definition of that name: a top-level
+    function, a class (its own statements and dunder methods, which the
+    language calls), or a method of a top-level class."""
     defs = {}
     roots = {"main"}
     for path in sorted(SRC.glob("*.py")):
@@ -55,8 +56,9 @@ def test_every_src_definition_is_reached():
                     body = [*stmt.bases, *stmt.decorator_list,
                             *(sub for sub in stmt.body if sub not in methods)]
                 defs.setdefault(stmt.name, []).append((path.stem, body))
-    for path in sorted((ROOT / "bench").glob("*.py")):
-        roots.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    if bench_roots:
+        for path in sorted((ROOT / "bench").glob("*.py")):
+            roots.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
 
     reached, todo = set(), [name for name in roots if name in defs]
     while todo:
@@ -66,9 +68,25 @@ def test_every_src_definition_is_reached():
         reached.add(name)
         for _, body in defs[name]:
             todo.extend(n for node in body for n in _identifiers(node) if n in defs)
-    unreached = sorted(f"{owner}.{name}" for name, entries in defs.items()
-                       if name not in reached for owner, _ in entries)
+    return sorted(f"{owner}.{name}" for name, entries in defs.items()
+                  if name not in reached for owner, _ in entries)
+
+
+def test_every_src_definition_is_reached():
+    # a definition nothing reaches is code only tests call: an oracle belongs
+    # in tests/oracles.py, a repeat of a production route nowhere
+    unreached = _unreached(bench_roots=True)
     assert unreached == [], f"definitions no command or benchmark reaches: {unreached}"
+
+
+def test_the_definitions_only_bench_reaches_are_pinned():
+    # code that only bench/ names: routes its workloads time and functions its
+    # tracer wraps. A change that adds to this list, or frees a name from it,
+    # updates it here.
+    assert _unreached(bench_roots=False) == [
+        "geodesic.HessianRhoResult", "geodesic.IndexFormResult", "geodesic.hessian_rho",
+        "geodesic.index_form", "geodesic.jacobi_field", "geometry.MetricDef.complex_jet",
+        "jets.JetSpace.extract_table", "jets.wirtinger", "schwarz.curvature_bounds"]
 
 
 def _table_keys(shape):

@@ -7,14 +7,14 @@ import pytest
 
 from finsler.errors import (DegenerateMetricError, HypothesisViolationError,
                             NoSamplesError, NonFiniteSampleError)
-from finsler.geometry import SamplePlan
+from finsler.geometry import SamplePlan, sample_points
 from finsler.jets import cabs2
-from finsler.metrics import build_map, instantiate
+from finsler.metrics import build_map, instantiate, plan_directions
 from finsler.report import canonical_json
 from finsler.schwarz import (MetricAnalysis, certify_schwarz, curvature_bounds,
                              holomorphic_curvature_samples)
 
-from oracles import (_disk_cjet, gaussian_curvature, log_density_comparison,
+from oracles import (_disk_cjet, at_point, gaussian_curvature, log_density_comparison,
                      probe_catalog, pullback_density)
 
 POINCARE = instantiate({"family": "hermitian", "complex_dim": 1,
@@ -111,36 +111,33 @@ def test_scaled_metric_scales_curvature():
     assert b.value == pytest.approx(-2.0, abs=1e-6)
 
 
-def _failing_curvature(monkeypatch, fails, exc=DegenerateMetricError):
-    """Make the K_G samples whose index in plan order is in ``fails`` raise
-    ``exc``, or return it when it is a number: in the stacked call, at their
-    rows; in a per-sample run, at their call index."""
+def _failing_curvature(monkeypatch, plan, fails, exc=DegenerateMetricError):
+    """Make the disk's K_G samples on ``plan`` whose index in plan order is in
+    ``fails`` raise ``exc``, or read it when it is a number, in every call
+    whose rows hold them: the stacked call and their own one-row calls."""
     from finsler import chern
     real = chern.holomorphic_sectional_curvature
-    calls = []
+    dirs = plan_directions(POINCARE, plan.n_dirs, plan.seed + 3)
+    samples = [(z, v) for z in sample_points(POINCARE, plan) for v in dirs]
+    bad = [samples[i] for i in fails if i < len(samples)]
 
-    def flaky(m, z, v, **kw):
-        if np.ndim(z) == 2:
-            hit = [i for i in range(len(z)) if i in fails]
-            if hit and not isinstance(exc, float):
-                raise exc("singular Levi matrix")
-            k = real(m, z, v, **kw)
-            if hit:
-                k[hit] = exc
-            return k
-        calls.append(1)
-        if len(calls) - 1 in fails:
-            if isinstance(exc, float):
-                return exc
+    def flaky(m, z, v):
+        hit = [b for b in range(len(z))
+               if any(np.array_equal(z[b], zb) and np.array_equal(v[b], vb) for zb, vb in bad)]
+        if not hit:
+            return real(m, z, v)
+        if not isinstance(exc, float):
             raise exc("singular Levi matrix")
-        return real(m, z, v, **kw)
+        k = real(m, z, v)
+        k[hit] = exc
+        return k
 
     monkeypatch.setattr(chern, "holomorphic_sectional_curvature", flaky)
 
 
 def test_curvature_samples_record_a_failing_sample(monkeypatch):
-    _failing_curvature(monkeypatch, {2})
     plan = SamplePlan(seed=0, n_points=3, n_dirs=2, radial_range=(0.1, 0.7))
+    _failing_curvature(monkeypatch, plan, {2})
     samples = holomorphic_curvature_samples(POINCARE, plan)
     assert samples.counts == {"attempted": 6, "ok": 5, "failed": 1,
                               "failure_reasons": {"DegenerateMetricError": 1}}
@@ -151,8 +148,8 @@ def test_curvature_samples_record_a_failing_sample(monkeypatch):
 
 
 def test_curvature_samples_count_a_nan_sample_as_failed(monkeypatch):
-    _failing_curvature(monkeypatch, {1}, exc=math.nan)
     plan = SamplePlan(seed=0, n_points=3, n_dirs=2, radial_range=(0.1, 0.7))
+    _failing_curvature(monkeypatch, plan, {1}, exc=math.nan)
     samples = holomorphic_curvature_samples(POINCARE, plan)
     assert samples.counts == {"attempted": 6, "ok": 5, "failed": 1,
                               "failure_reasons": {"NonFiniteSampleError": 1}}
@@ -162,23 +159,24 @@ def test_curvature_samples_count_a_nan_sample_as_failed(monkeypatch):
 
 
 def test_curvature_bounds_refuse_zero_evaluated_samples(monkeypatch):
-    _failing_curvature(monkeypatch, range(100))
     plan = SamplePlan(seed=0, n_points=3, n_dirs=2, radial_range=(0.1, 0.7))
+    _failing_curvature(monkeypatch, plan, range(100))
     for role in ("domain", "target"):
         with pytest.raises(NoSamplesError, match="6 attempted"):
             curvature_bounds(POINCARE, role, plan)
 
 
 def test_curvature_samples_propagate_programming_errors(monkeypatch):
-    _failing_curvature(monkeypatch, {0}, exc=KeyError)
+    plan = SamplePlan(n_points=2, n_dirs=2)
+    _failing_curvature(monkeypatch, plan, {0}, exc=KeyError)
     with pytest.raises(KeyError):
-        holomorphic_curvature_samples(POINCARE, SamplePlan(n_points=2, n_dirs=2))
+        holomorphic_curvature_samples(POINCARE, plan)
 
 
 def test_analysis_is_tied_to_its_plan():
     plan = SamplePlan(seed=3, n_points=4, n_dirs=2, radial_range=(0.1, 0.7))
     analysis = MetricAnalysis(POINCARE, plan)
-    cert = certify_schwarz(IDENTITY1, analysis, analysis)
+    cert = certify_schwarz(IDENTITY1, analysis, analysis, plan)
     assert cert.plan == plan.to_dict()
     assert cert.curvature_samples["domain"]["ok"] == 8
     assert canonical_json(cert.to_payload()) == canonical_json(
@@ -267,7 +265,7 @@ def test_log_density_comparison_square_map():
 
 def probe_curvatures_below_K(metric, z, v, quadratic_coeff=None):
     from finsler.chern import holomorphic_sectional_curvature
-    kg = holomorphic_sectional_curvature(metric, z, v)
+    kg = at_point(holomorphic_sectional_curvature, metric, z, v)
     out = []
     for pid, p in probe_catalog(metric, z, v, quadratic_coeff=quadratic_coeff).items():
         out.append((pid, gaussian_curvature(pullback_density(metric, p), 0.0 + 0.0j), kg))

@@ -1,21 +1,23 @@
 """Sample grids as stacked rows: one call per grid, each row bit for bit its
-sample's per-point value, and a per-sample run when a sample fails."""
+sample's one-row value, and a run of the same function one row at a time when
+a sample fails."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from finsler import chern, kahler, schwarz
+from finsler import chern, kahler, metrics, schwarz
 from finsler.chern import chern_finsler
 from finsler.errors import DegenerateMetricError
 from finsler.geometry import (MetricDef, SamplePlan, complex_to_real_components,
                               realify_metric, sample_points, sample_vectors)
 from finsler.jets import JetProgram
 from finsler.metrics import check_metric, instantiate
-from finsler.report import canonical_json
+from finsler.report import canonical_json, evaluate_stacked
 
-from oracles import per_point_check_metric
+import oracles
+from oracles import at_point, per_point_check_metric
 
 DISK = {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}
 CATALOG = {
@@ -61,7 +63,7 @@ def test_stacked_grid_equals_per_point_values(monkeypatch, name, grid):
     samples = result.samples if grid == "kahler" else result
     assert samples.stacked and samples.grid == {"rows": 12, "stacked": True}
     fn = seen["fn"]
-    want = [(iz, iv, _bits(fn(z, v))) for iz, z in enumerate(seen["points"])
+    want = [(iz, iv, _bits(at_point(fn, z, v))) for iz, z in enumerate(seen["points"])
             for iv, v in enumerate(seen["dirs"])]
     assert [(iz, iv, _bits(value)) for iz, iv, value in seen["rows"]] == want
 
@@ -76,21 +78,20 @@ def test_chern_finsler_rows_equal_points(name):
     rows = chern_finsler(m, Z, V)
     k_rows = chern.holomorphic_sectional_curvature(m, Z, V)
     for b in range(5):
-        point = chern_finsler(m, Z[b], V[b])
+        point = at_point(chern_finsler, m, Z[b], V[b])
         for f in dataclasses.fields(point):
             assert np.asarray(getattr(rows, f.name))[b].tobytes() == \
                 np.asarray(getattr(point, f.name)).tobytes(), f.name
-        assert k_rows[b] == chern.holomorphic_sectional_curvature(m, Z[b], V[b])
+        assert k_rows[b] == at_point(chern.holomorphic_sectional_curvature, m, Z[b], V[b])
 
 
 def _fail_at(monkeypatch, z_bad, v_bad):
-    """``chern_finsler`` raises at the sample (z_bad, v_bad): in a stacked call
-    that holds it, and at its own point."""
+    """``chern_finsler`` raises in every call whose rows hold the sample
+    (z_bad, v_bad): the stacked call, and the sample's own one-row call."""
     real = chern.chern_finsler
 
     def failing(m, z, v):
-        hit = np.all(np.asarray(z) == z_bad, axis=-1) & np.all(np.asarray(v) == v_bad, axis=-1)
-        if np.any(hit):
+        if np.any(np.all(z == z_bad, axis=-1) & np.all(v == v_bad, axis=-1)):
             raise DegenerateMetricError("Levi matrix singular")
         return real(m, z, v)
 
@@ -193,22 +194,26 @@ def test_a_passing_validity_grid_makes_one_replay_per_tensor(monkeypatch, name):
 
 
 def _spoil_at(monkeypatch, m, method, sample, spoil):
-    """``m.<method>`` applies ``spoil`` to its result wherever its point and
-    vector are the plan's ``sample`` (iz, iv), in a stacked call and at its
-    own point; its arguments are complex or real components as ``method``
-    takes them."""
+    """``m.<method>``, and its point form ``oracles.point_<method>`` that the
+    per-sample oracle reads, apply ``spoil`` to their result in every call
+    whose rows, or point, hold the plan's ``sample`` (iz, iv): the stacked
+    call, the sample's own one-row call and the oracle's call at it. Their
+    arguments are complex or real components as ``method`` takes them."""
     iz, iv = sample
     z_bad, v_bad = sample_points(m, PLAN)[iz], sample_vectors(m, PLAN)[iv]
     if method == "fundamental_real" and m.is_complex:
         z_bad, v_bad = complex_to_real_components(z_bad), complex_to_real_components(v_bad)
-    real = getattr(m, method)
 
-    def spoiled(z, v):
-        out = real(z, v)
-        hit = np.all(np.asarray(z) == z_bad, axis=-1) & np.all(np.asarray(v) == v_bad, axis=-1)
-        return spoil(out, hit) if np.any(hit) else out
+    def spoiled(real):
+        def call(*args):
+            *_, z, v = args
+            out = real(*args)
+            hit = np.all(z == z_bad, axis=-1) & np.all(v == v_bad, axis=-1)
+            return spoil(out, hit) if np.any(hit) else out
+        return call
 
-    monkeypatch.setattr(m, method, spoiled)
+    monkeypatch.setattr(m, method, spoiled(getattr(m, method)))
+    monkeypatch.setattr(oracles, f"point_{method}", spoiled(getattr(oracles, f"point_{method}")))
 
 
 def _raise(out, hit):
@@ -237,3 +242,99 @@ def test_a_failed_validity_sample_runs_the_grid_per_point(monkeypatch, name, met
     assert len(rep.errors) == 1 and rep.errors[0].startswith(f"sample (1,2): {reason}: ")
     # the other samples, their homogeneity scales included, as one at a time
     assert _payload(rep) == _payload(per_point_check_metric(m, PLAN))
+
+
+# -- one row function on both paths ---------------------------------------------
+
+
+@pytest.mark.parametrize("fail", [None, "raise", "nan"])
+def test_the_fallback_calls_the_stacked_function_one_row_at_a_time(fail):
+    points = [np.array([x, 0.0]) for x in (0.1, 0.2, 0.3)]
+    dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    column = np.arange(6.0)
+    shapes = []
+
+    def fn(Z, V, S):
+        shapes.append((Z.shape, V.shape, S.shape))
+        bad = (Z[:, 0] == 0.2) & (V[:, 1] == 1.0)       # sample (1, 1)
+        if fail == "raise" and bad.any():
+            raise DegenerateMetricError("Levi matrix singular")
+        values = np.column_stack([Z[:, 0] + S, V[:, 1]])
+        if fail == "nan":
+            values[bad] = np.nan
+        return values
+
+    grid = evaluate_stacked(fn, points, dirs, column)
+    want = [(iz, iv, (points[iz][0] + column[2 * iz + iv], dirs[iv][1]))
+            for iz in range(3) for iv in range(2)]
+    if fail is None:
+        assert shapes == [((6, 2), (6, 2), (6,))] and grid.stacked
+        assert grid.rows == want and grid.failures == []
+    else:
+        assert shapes == [((6, 2), (6, 2), (6,))] + [((1, 2), (1, 2), (1,))] * 6
+        assert not grid.stacked
+        assert grid.rows == [row for row in want if row[:2] != (1, 1)]
+        assert [(iz, iv) for iz, iv, _ in grid.failures] == [(1, 1)]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("name", ["disk", "ball"])
+def test_a_failed_grid_sample_writes_the_per_sample_bytes(monkeypatch, name, grid):
+    # the oracle reads every sample's jet from its own point jet, complex_jet
+    m = instantiate(CATALOG[name])
+    _, seen = _run_grid(monkeypatch, grid, m)
+    _fail_at(monkeypatch, seen["points"][1], seen["dirs"][2])
+    point_rows = lambda z, v, order: np.array([m.complex_jet(a, b, order).coeffs
+                                               for a, b in zip(z, v)])
+    runs = []
+    for oracle in (False, True):
+        if oracle:
+            monkeypatch.setattr(m, "complex_rows", point_rows)
+        result, seen = _run_grid(monkeypatch, grid, m)
+        samples = result.samples if grid == "kahler" else result
+        assert samples.grid == {"rows": 12, "stacked": False}
+        payload = result.to_dict() if grid == "kahler" else result.counts
+        runs.append((canonical_json(payload),
+                     [(iz, iv, _bits(value)) for iz, iv, value in seen["rows"]]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("fail", [False, True])
+@pytest.mark.parametrize("grid", [*GRIDS, "validity"])
+@pytest.mark.parametrize("name", ["disk", "ball"])
+def test_no_grid_reads_a_point_jet(monkeypatch, name, grid, fail):
+    m = instantiate(CATALOG[name])
+    if fail and grid == "validity":
+        _spoil_at(monkeypatch, m, "levi_matrix", (1, 2), _raise)
+    elif fail:
+        _, seen = _run_grid(monkeypatch, grid, m)
+        _fail_at(monkeypatch, seen["points"][1], seen["dirs"][2])
+    calls = {}
+    for method in ("real_jet", "complex_jet"):
+        _count_calls(monkeypatch, MetricDef, method, calls)
+    result = check_metric(m, PLAN) if grid == "validity" else GRIDS[grid][1](m, PLAN)
+    stacked = (result.samples if grid == "kahler" else result).grid["stacked"]
+    assert stacked != fail and calls == {}
+
+
+@pytest.mark.parametrize("method, spoil", [("fundamental_real", _raise), ("levi_matrix", _nan)])
+@pytest.mark.parametrize("name", ["disk", "ball"])
+def test_a_failed_validity_sample_leaves_the_other_rows_alone(monkeypatch, name, method, spoil):
+    # each sample reads the homogeneity scale of its index in plan order, so
+    # a failed sample, raising or not, shifts no other sample's scale
+    m = _validity_metric(name)
+    real = metrics.evaluate_stacked
+    grids = []
+
+    def capture(*args):
+        grids.append(real(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(metrics, "evaluate_stacked", capture)
+    check_metric(m, PLAN)
+    _spoil_at(monkeypatch, m, method, (1, 2), spoil)
+    check_metric(m, PLAN)
+    good, bad = grids
+    assert [(iz, iv) for iz, iv, _ in bad.failures] == [(1, 2)]
+    assert [(iz, iv, _bits(value)) for iz, iv, value in bad.rows] == \
+        [(iz, iv, _bits(value)) for iz, iv, value in good.rows if (iz, iv) != (1, 2)]
