@@ -102,16 +102,17 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
             "kahler": kah.to_dict(),
             "class_matches_expectation": class_ok,
         }
+        grids = {"validity": rep.grid, "kahler": kah.samples.grid}
         profile = m.metadata.get("profile")
         if profile is not None:
             pde = weakly_kahler_pde_residual(profile)
             payload["weakly_kahler_pde"] = pde.to_dict()
+            grids["weakly_kahler_pde"] = pde.grid
             expect_pde = expectation.get("weakly_kahler_pde")
             if expect_pde is not None and expect_pde != pde.passed:
                 class_ok = False
                 payload["class_matches_expectation"] = False
-        _write_report(outdir, "check", mid, payload, config,
-                      metadata={"grids": {"validity": rep.grid, "kahler": kah.samples.grid}})
+        _write_report(outdir, "check", mid, payload, config, metadata={"grids": grids})
         if not rep.passed or not class_ok:
             status = 1
         print(f"check {mid}: validity={'PASS' if rep.passed else 'FAIL'} "

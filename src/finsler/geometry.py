@@ -140,10 +140,11 @@ class MetricDef:
     """A Finsler metric as a jet-polymorphic evaluator plus metadata.
 
     ``formula`` maps (point scalars, vector scalars) to a real scalar of the
-    same arithmetic type (floats, Jets or CJets). For complex kinds the
-    scalars are complex/CJet per complex coordinate; for real kind they are
-    real per real coordinate. Homogeneity of degree 2 in the vector argument
-    is assumed and checked by the validation suite, not enforced here.
+    same arithmetic type: numbers, or the recording Jets and CJets of its jet
+    program (``program``). For complex kinds the scalars are complex/CJet per
+    complex coordinate; for real kind they are real per real coordinate.
+    Homogeneity of degree 2 in the vector argument is assumed and checked by
+    the validation suite, not enforced here.
     """
 
     def __init__(self, kind, formula, *, n_complex=None, dim_real=None,
@@ -300,10 +301,7 @@ def well_conditioned_inverse(a, what) -> np.ndarray:
 
 
 def creal_value(s):
-    if isinstance(s, CJet):
-        return s.value.real
-    if isinstance(s, Jet):
-        return s.value
+    """The real part of a formula's value at numeric arguments."""
     return complex(s).real if isinstance(s, complex) else float(s)
 
 

@@ -1,15 +1,15 @@
-"""Dense truncated Taylor arithmetic (forward-mode jets) up to total order 4.
+"""Dense truncated Taylor expansions (forward-mode jets) up to total order 4.
 
 A ``Jet`` stores the Taylor coefficients ``D^a f / a!`` of a scalar function
-over the monomial basis of total degree <= order, sorted by (degree, lex).
-Arithmetic (+, *, /, powers, exp, log, sqrt) propagates all mixed partial
-derivatives exactly through the chain and Leibniz rules; multiplication is a
-truncated polynomial convolution driven by cached index tables.
+over the monomial basis of total degree <= order, sorted by (degree, lex),
+and reads its mixed partial derivatives through gather tables. Derivatives
+propagate through the chain and Leibniz rules in two kernels: the truncated
+polynomial product, driven by cached index tables, and the composition with
+a univariate function by Horner's rule.
 
 Because the basis is sorted by total degree first, the basis of order k is a
 prefix of the basis of any higher order over the same variables, so order
-truncation is a slice and binary operations align jets of mixed order by
-truncating to the lower one. Read as base-(order + 1) digits after the degree,
+truncation is a slice. Read as base-(order + 1) digits after the degree,
 exponents sort as the basis does and add under products, so every index table
 is built by array operations and a binary search, with no loop over monomials.
 
@@ -18,11 +18,15 @@ rewrites a jet over paired real coordinates (x, y) as a complex-coefficient
 jet over formally independent holomorphic/antiholomorphic variables
 (z, zbar) with z = x + iy.
 
-A :class:`JetProgram` records a real formula once as a straight-line list of
-jet operations and replays it on coefficient arrays at any order; ``Jet``
-methods and the replay share the product and composition kernels, so both
-round alike. The tape numbers values as it records: an entry equal to one
-already recorded (same operation, operands and constant) reuses its slot.
+Every jet the engine computes comes from a :class:`JetProgram`: a real
+formula recorded once, as a straight-line list of jet operations, and
+replayed through the kernels on coefficient arrays at any order. The formula
+runs on recording jets, whose arithmetic (+, -, *, /, powers, exp, sqrt)
+appends entries; no engine route computes on ``Jet`` objects. The eager ring
+on ``Jet`` objects, which shares the kernels and so rounds alike, is the
+reference arithmetic of the tests (``tests/oracles.py``). The tape numbers
+values as it records: an entry equal to one already recorded (same
+operation, operands and constant) reuses its slot.
 ``JetProgram.replay_rows`` replays B points at once into (B, n) coefficient
 rows, and multiplies them with one bincount over row-offset product tables;
 each row keeps the summation order of a single point, so row b is bit for bit
@@ -180,11 +184,6 @@ class JetSpace:
             idx, scale = idx[blocks], scale[blocks]
         return coeffs.take(idx, axis=-1) * scale
 
-    def constant(self, value) -> "Jet":
-        c = np.zeros(self.n, dtype=self.dtype)
-        c[0] = value
-        return Jet(self, c)
-
     def seed_coeffs(self, values) -> np.ndarray:
         """Coefficient rows of the seed jets of all ``nvars`` coordinates, row i
         with base value ``values[i]``."""
@@ -194,12 +193,8 @@ class JetSpace:
             c[np.arange(self.nvars), self.derivative_table(1)[0]] = 1.0
         return c
 
-    def variables(self, values) -> list:
-        """Seed jets for all ``nvars`` coordinates at once, jet i with base value ``values[i]``."""
-        return [Jet(self, row) for row in self.seed_coeffs(values)]
 
-
-# -- coefficient kernels shared by Jet objects and jet programs -----------------
+# -- coefficient kernels -------------------------------------------------------
 
 
 def _complex_bincount(idx, w, n):
@@ -253,15 +248,6 @@ def _exp_taylor(f0, order):
     return [e / math.factorial(k) for k in range(order + 1)]
 
 
-def _log_taylor(f0, order):
-    if isinstance(f0, complex) or f0 <= 0.0:
-        raise ValueError(f"log of a jet needs a positive real constant term, got {f0}")
-    taylor = [math.log(f0)]
-    for k in range(1, order + 1):
-        taylor.append(((-1.0) ** (k + 1)) / (k * f0 ** k))
-    return taylor
-
-
 def _power_taylor(f0, order, p):
     if isinstance(f0, complex) or f0 <= 0.0:
         raise ValueError(f"fractional power of a jet needs a positive base, got {f0}")
@@ -274,7 +260,13 @@ def _power_taylor(f0, order, p):
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar function."""
+    """Truncated Taylor expansion of a scalar function: its coefficients over
+    a space's basis, and the derivative readouts that gather them.
+
+    Jets come from replayed programs (``JetProgram.replay``); a formula's
+    arithmetic runs once, on the recording jets of ``JetProgram.record``. The
+    product stays defined on ``Jet``: the eager ring of the tests
+    (``tests/oracles.py``) builds on it, and the benchmark tracer counts it."""
 
     __slots__ = ("space", "coeffs")
 
@@ -291,115 +283,16 @@ class Jet:
     def order(self):
         return self.space.order
 
-    def _align(self, other):
-        """Coefficients of two jets over the same variables at their common (lower) order."""
-        a, b = self, other
-        if a.space.nvars != b.space.nvars:
-            raise StructuralError("jets live over different variable sets")
-        o = min(a.order, b.order)
-        cx = a.space.is_complex or b.space.is_complex
-        ps = a.space.pair_split or b.space.pair_split
-        sp = JetSpace.get(a.space.nvars, o, cx, ps)
-        ca = a.coeffs[:sp.n].astype(sp.dtype, copy=False)
-        cb = b.coeffs[:sp.n].astype(sp.dtype, copy=False)
-        return ca, cb, sp
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            if other.space is self.space:
-                return Jet(self.space, self.coeffs + other.coeffs)
-            a, b, sp = self._align(other)
-            return Jet(sp, a + b)
-        if isinstance(other, numbers.Number):
-            c = self.coeffs.copy()
-            if isinstance(other, complex) and not self.space.is_complex:
-                return self._to_complex() + other
-            c[0] += other
-            return Jet(self.space, c)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs)
-
-    def __sub__(self, other):
-        if isinstance(other, (Jet, numbers.Number)):
-            return self + (-other if isinstance(other, Jet) else -other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            sp = self.space
-            if other.space is sp:
-                a, b = self.coeffs, other.coeffs
-            else:
-                a, b, sp = self._align(other)
-            return Jet(sp, _product(sp, a, b))
-        if isinstance(other, numbers.Number):
-            if isinstance(other, complex) and not self.space.is_complex:
-                return self._to_complex() * other
-            return Jet(self.space, self.coeffs * other)
+        """The truncated product (``_product``) with a jet over the same space,
+        or the scale by a number of its field, as a jet of this one's class."""
+        if isinstance(other, Jet) and other.space is self.space:
+            return type(self)(self.space, _product(self.space, self.coeffs, other.coeffs))
+        if isinstance(other, numbers.Complex if self.space.is_complex else numbers.Real):
+            return type(self)(self.space, self.coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        if isinstance(other, numbers.Number):
-            return self * (1.0 / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def _to_complex(self):
-        sp = JetSpace.get(self.space.nvars, self.order, True, self.space.pair_split)
-        return Jet(sp, self.coeffs.astype(np.complex128))
-
-    # -- analytic functions via univariate composition ----------------------
-
-    def _compose(self, taylor):
-        """Evaluate g(self) where ``taylor[k]`` = g^(k)(value)/k!."""
-        return Jet(self.space, _compose(self.space, self.coeffs, taylor))
-
-    def reciprocal(self):
-        return self._compose(_reciprocal_taylor(self.value, self.order))
-
-    def exp(self):
-        if self.space.is_complex:
-            raise StructuralError("exp is only defined for real-coefficient jets")
-        return self._compose(_exp_taylor(self.value, self.order))
-
-    def log(self):
-        return self._compose(_log_taylor(self.value, self.order))
-
-    def sqrt(self):
-        return self.__pow__(0.5)
-
-    def __pow__(self, p):
-        if isinstance(p, numbers.Integral):
-            p = int(p)
-            if p < 0:
-                return self.reciprocal() ** (-p)
-            if p == 0:
-                return self.space.constant(1.0)
-            out = None
-            base = self
-            while True:
-                if p & 1:
-                    out = base if out is None else out * base
-                p >>= 1
-                if not p:
-                    return out
-                base = base * base
-        return self._compose(_power_taylor(self.value, self.order, p))
 
     # -- derivative access ---------------------------------------------------
 
@@ -425,12 +318,6 @@ class Jet:
             raise StructuralError("requested derivative exceeds jet order")
         val = self.coeffs[self.space.locate(expo)] * float(math.prod(map(math.factorial, expo)))
         return complex(val) if self.space.is_complex else float(val)
-
-    def conj(self) -> "Jet":
-        perm = self.space.conj_perm()
-        out = np.empty_like(self.coeffs)
-        out[perm] = np.conj(self.coeffs)
-        return Jet(self.space, out)
 
     def __repr__(self):
         return f"Jet(nvars={self.space.nvars}, order={self.order}, value={self.value})"
@@ -514,8 +401,9 @@ def wirtinger_coeffs(coeffs, space: JetSpace, pairs):
 class CJet:
     """Complex scalar whose real and imaginary parts are real-coefficient jets.
 
-    Used to evaluate holomorphic formulas over real coordinates; supports the
-    field operations plus conj/abs2 needed by the metric families.
+    Used to record holomorphic formulas over real coordinates, whose parts
+    are recording jets; supports the field operations plus conj/abs2 needed
+    by the metric families and the map catalog.
     """
 
     __slots__ = ("re", "im")
@@ -644,10 +532,10 @@ def sexp(x):
 # every later evaluation replays the entries through the kernels above, at any
 # order, without building a Jet per intermediate.
 
-_MUL, _ADD, _SUB, _SCALE, _ADDC, _RSUBC, _NEG, _CONST, _REC, _EXP, _LOG, _POW = range(12)
+_MUL, _ADD, _SUB, _SCALE, _ADDC, _RSUBC, _NEG, _CONST, _REC, _EXP, _POW = range(11)
 # entries composed with a univariate function, whose Taylor coefficients
 # derive from the operand's value at replay (a power also takes its exponent)
-_TAYLOR = {_REC: _reciprocal_taylor, _EXP: _exp_taylor, _LOG: _log_taylor}
+_TAYLOR = {_REC: _reciprocal_taylor, _EXP: _exp_taylor}
 
 
 def _reads_value(*_):
@@ -743,19 +631,44 @@ class _RecordedJet(Jet):
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return self * other.reciprocal()
+        if isinstance(other, numbers.Number):
+            return self * (1.0 / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * other
+
     def reciprocal(self):
         return self._emit(_REC)
 
     def exp(self):
         return self._emit(_EXP)
 
-    def log(self):
-        return self._emit(_LOG)
+    def sqrt(self):
+        return self ** 0.5
 
     def __pow__(self, p):
-        if isinstance(p, numbers.Integral):
-            return Jet.__pow__(self, p)
-        return self._emit(_POW, p)
+        """A fractional power is one entry; an integer power is recorded as
+        products by binary exponentiation, a negative one of the reciprocal."""
+        if not isinstance(p, numbers.Integral):
+            return self._emit(_POW, p)
+        p = int(p)
+        if p < 0:
+            return self.reciprocal() ** (-p)
+        if p == 0:
+            return self.space.constant(1.0)
+        out = None
+        base = self
+        while True:
+            if p & 1:
+                out = base if out is None else out * base
+            p >>= 1
+            if not p:
+                return out
+            base = base * base
 
     def __repr__(self):
         return f"_RecordedJet(slot={self.slot})"
@@ -826,7 +739,7 @@ class JetProgram:
         """The formula's jet of the given order at the point ``values``.
 
         Value-derived Taylor coefficients are computed here from the
-        operands, so their errors (zero reciprocal base, non-positive log or
+        operands, so their errors (zero reciprocal base, non-positive
         fractional-power base, exp overflow) are raised on the call that
         meets them.
         """

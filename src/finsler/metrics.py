@@ -1,17 +1,19 @@
 """Built-in metric families, holomorphic map catalog, and metric validation.
 
-Families are written against the generic scalar protocol of :mod:`finsler.jets`
-so the same formula evaluates on plain complex numbers (fast values) and on
-CJets over real coordinates (full jets). Pure p-norm metrics are not smooth
-where a component vanishes, so the point-independent norm family is built
-from p-th-root combinations of Hermitian quadratics with a full-rank base
-term, which keeps it smooth on the slit bundle.
+Families and maps are written against the generic scalar protocol of
+:mod:`finsler.jets`, so the same formula evaluates on plain complex numbers
+(fast values) and records, on CJets of recording jets over real coordinates,
+the jet program that every derivative replays. Pure p-norm metrics are not
+smooth where a component vanishes, so the point-independent norm family is
+built from p-th-root combinations of Hermitian quadratics with a full-rank
+base term, which keeps it smooth on the slit bundle.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .errors import ConfigurationError
 from .geometry import (Domain, MetricDef, SamplePlan, complex_coordinates,
                        complex_to_real_components, product_domain, sample_points,
                        sample_vectors, unit_directions)
-from .jets import JetSpace, cabs2, cconj, creal, sexp, spow
+from .jets import JetProgram, JetSpace, cabs2, cconj, creal, sexp, spow
 from .report import VerificationReport, evaluate_stacked
 
 
@@ -445,7 +447,8 @@ def check_metric(m: MetricDef, plan: SamplePlan) -> VerificationReport:
 
 
 class HoloMap:
-    """Holomorphic map from the catalog, evaluable on complex scalars or CJets."""
+    """Holomorphic map from the catalog: its formula runs on complex scalars
+    for values, and is recorded as jet programs for its Jacobian."""
 
     def __init__(self, map_id, n_in, n_out, fn):
         self.id = map_id
@@ -459,22 +462,26 @@ class HoloMap:
     def apply_values(self, z):
         return np.array([complex(w) for w in self._fn([complex(c) for c in z])])
 
-    def jacobian(self, z):
-        """Exact complex Jacobian dF/dz at a point, via first-order jets."""
-        return _holomorphic_jacobian(self._fn, z)
+    @cached_property
+    def programs(self) -> list:
+        """(real part, imaginary part) of each output, each recorded as a jet
+        program over (Re z, Im z), as ``MetricDef.program`` records G."""
+        def part(i, name):
+            return JetProgram.record(
+                lambda seeds: getattr(self._fn(complex_coordinates(seeds))[i], name),
+                2 * self.n_in)
+        return [(part(i, "re"), part(i, "im")) for i in range(self.n_out)]
 
-
-def _holomorphic_jacobian(fn, z):
-    """Complex Jacobian dF/dz of a holomorphic map on generic scalars at z.
-
-    F is evaluated on first-order jets over (Re z, Im z); by the
-    Cauchy-Riemann equations dF/dz = dF/dRe z, read from the gradients.
-    """
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-    seeds = JetSpace.get(2 * n, 1, False).variables(complex_to_real_components(z))
-    out = fn(complex_coordinates(seeds))
-    return np.array([w.re.gradient()[:n] + 1j * w.im.gradient()[:n] for w in out])
+    def jacobian(self, z) -> np.ndarray:
+        """Exact complex Jacobians dF/dz (B, n_out, n_in) at the rows z (B, n_in),
+        from one order-1 ``replay_rows`` per program: by the Cauchy-Riemann
+        equations dF/dz = dF/dRe z, read from the gradients."""
+        x = complex_to_real_components(z)
+        sp = JetSpace.get(2 * self.n_in, 1, False)
+        re_z = slice(self.n_in)
+        return np.stack([sp.gather(re.replay_rows(x, 1), 1, re_z)
+                         + 1j * sp.gather(im.replay_rows(x, 1), 1, re_z)
+                         for re, im in self.programs], axis=1)
 
 
 def build_map(spec) -> HoloMap:

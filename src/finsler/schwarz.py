@@ -180,8 +180,7 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
     dirs = plan_directions(m_domain, plan.n_dirs, plan.seed + 17)
     max_ratio = -math.inf
     argmax = {}
-    for iz, z in enumerate(pts):
-        jac = f.jacobian(z)
+    for iz, (z, jac) in enumerate(zip(pts, f.jacobian(pts))):
         fz = f.apply_values(z)
         for iv, v in enumerate(dirs):
             G = m_domain.value(z, v)

@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
+
+from finsler.errors import StructuralError
+from finsler.jets import (Jet, JetSpace, _compose, _exp_taylor, _power_taylor, _product,
+                          _reciprocal_taylor)
 
 
 # -- the grid tensors at one point -------------------------------------------------
@@ -88,35 +93,200 @@ def dict_poly_mult(pa, pb, order):
     return out
 
 
+# -- the eager jet ring ------------------------------------------------------------
+#
+# The reference arithmetic on Jet objects: each operation computes its result's
+# coefficients at once, through the product and composition kernels that the
+# recorded programs replay, so an object evaluation rounds as the replay does.
+
+
+_EAGER_SPACES: dict = {}
+
+
+class EagerSpace(JetSpace):
+    """A ``JetSpace`` whose jets are ``EagerJet`` objects: ``variables`` seeds
+    them, ``constant`` makes one."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def get(nvars, order, is_complex=False, pair_split=None) -> "EagerSpace":
+        key = (nvars, order, is_complex, pair_split)
+        if key not in _EAGER_SPACES:
+            _EAGER_SPACES[key] = EagerSpace(*key)
+        return _EAGER_SPACES[key]
+
+    def constant(self, value) -> "EagerJet":
+        c = np.zeros(self.n, dtype=self.dtype)
+        c[0] = value
+        return EagerJet(self, c)
+
+    def variables(self, values) -> list:
+        """Seed jets for all ``nvars`` coordinates, jet i with base value ``values[i]``."""
+        return [EagerJet(self, row) for row in self.seed_coeffs(values)]
+
+
+def eager(jet) -> "EagerJet":
+    """``jet``, such as a replayed one, as an ``EagerJet`` over its variables."""
+    sp = jet.space
+    return EagerJet(EagerSpace.get(sp.nvars, sp.order, sp.is_complex, sp.pair_split), jet.coeffs)
+
+
+class EagerJet(Jet):
+    """A jet with the eager ring: +, -, *, /, integer and real powers, exp,
+    log, sqrt and conj. Operands of mixed order or field are first aligned to
+    the lower order and to the complex field."""
+
+    __slots__ = ()
+
+    def _align(self, other):
+        """Coefficients of two jets over the same variables at their common (lower) order."""
+        a, b = self, other
+        if a.space.nvars != b.space.nvars:
+            raise StructuralError("jets live over different variable sets")
+        sp = EagerSpace.get(a.space.nvars, min(a.order, b.order),
+                            a.space.is_complex or b.space.is_complex,
+                            a.space.pair_split or b.space.pair_split)
+        return (a.coeffs[:sp.n].astype(sp.dtype, copy=False),
+                b.coeffs[:sp.n].astype(sp.dtype, copy=False), sp)
+
+    def _to_complex(self):
+        sp = EagerSpace.get(self.space.nvars, self.order, True, self.space.pair_split)
+        return EagerJet(sp, self.coeffs.astype(np.complex128))
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            if other.space is self.space:
+                return EagerJet(self.space, self.coeffs + other.coeffs)
+            a, b, sp = self._align(other)
+            return EagerJet(sp, a + b)
+        if isinstance(other, numbers.Number):
+            if isinstance(other, complex) and not self.space.is_complex:
+                return self._to_complex() + other
+            c = self.coeffs.copy()
+            c[0] += other
+            return EagerJet(self.space, c)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return EagerJet(self.space, -self.coeffs)
+
+    def __sub__(self, other):
+        if isinstance(other, (Jet, numbers.Number)):
+            return self + (-other if isinstance(other, Jet) else -other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, Jet) and other.space is not self.space:
+            a, b, sp = self._align(other)
+            return EagerJet(sp, _product(sp, a, b))
+        if isinstance(other, complex) and not self.space.is_complex:
+            return self._to_complex() * other
+        return Jet.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return self * other.reciprocal()
+        if isinstance(other, numbers.Number):
+            return self * (1.0 / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * other
+
+    def _compose(self, taylor):
+        """g(self), where ``taylor[k]`` = g^(k)(value)/k!."""
+        return EagerJet(self.space, _compose(self.space, self.coeffs, taylor))
+
+    def reciprocal(self):
+        return self._compose(_reciprocal_taylor(self.value, self.order))
+
+    def exp(self):
+        if self.space.is_complex:
+            raise StructuralError("exp is only defined for real-coefficient jets")
+        return self._compose(_exp_taylor(self.value, self.order))
+
+    def log(self):
+        f0 = self.value
+        if isinstance(f0, complex) or f0 <= 0.0:
+            raise ValueError(f"log of a jet needs a positive real constant term, got {f0}")
+        return self._compose([math.log(f0)] + [(-1.0) ** (k + 1) / (k * f0 ** k)
+                                               for k in range(1, self.order + 1)])
+
+    def sqrt(self):
+        return self ** 0.5
+
+    def __pow__(self, p):
+        if not isinstance(p, numbers.Integral):
+            return self._compose(_power_taylor(self.value, self.order, p))
+        p = int(p)
+        if p < 0:
+            return self.reciprocal() ** (-p)
+        if p == 0:
+            return self.space.constant(1.0)
+        out = None
+        base = self
+        while True:
+            if p & 1:
+                out = base if out is None else out * base
+            p >>= 1
+            if not p:
+                return out
+            base = base * base
+
+    def conj(self) -> "EagerJet":
+        """The jet with its holomorphic and antiholomorphic variables swapped
+        and its coefficients conjugated."""
+        out = np.empty_like(self.coeffs)
+        out[self.space.conj_perm()] = np.conj(self.coeffs)
+        return EagerJet(self.space, out)
+
+
+def holomorphic_jacobian(fn, z):
+    """Complex Jacobian dF/dz of a holomorphic map on generic scalars at one
+    point z: F evaluated on first-order eager jets over (Re z, Im z), and by
+    the Cauchy-Riemann equations dF/dz = dF/dRe z, read from the gradients.
+    The reference for ``HoloMap.jacobian``."""
+    from finsler.geometry import complex_coordinates, complex_to_real_components
+    z = np.asarray(z, dtype=complex)
+    n = z.size
+    seeds = EagerSpace.get(2 * n, 1).variables(complex_to_real_components(z))
+    out = fn(complex_coordinates(seeds))
+    return np.array([w.re.gradient()[:n] + 1j * w.im.gradient()[:n] for w in out])
+
+
 # -- jet and path readouts the engine itself never takes -------------------------
 
 
 def sibling(space, order):
-    """The jet space over the variables of ``space`` at another ``order``."""
-    from finsler.jets import JetSpace
-    return JetSpace.get(space.nvars, order, space.is_complex, space.pair_split)
+    """The eager jet space over the variables of ``space`` at another ``order``."""
+    return EagerSpace.get(space.nvars, order, space.is_complex, space.pair_split)
 
 
 def truncate(jet, order):
-    """``jet`` read at an ``order`` no higher than its own."""
-    from finsler.errors import StructuralError
-    from finsler.jets import Jet
+    """``jet`` read at an ``order`` no higher than its own, as an eager jet."""
     if order == jet.order:
-        return jet
+        return eager(jet)
     if order > jet.order:
         raise StructuralError("cannot extend a jet to higher order")
     sp = sibling(jet.space, order)
-    return Jet(sp, jet.coeffs[:sp.n].copy())
+    return EagerJet(sp, jet.coeffs[:sp.n].copy())
 
 
 def extract(jet, var):
-    """Partial derivative of ``jet`` in variable ``var``, one order lower."""
-    from finsler.errors import StructuralError
-    from finsler.jets import Jet
+    """Partial derivative of ``jet`` in variable ``var``, one order lower, as
+    an eager jet."""
     if jet.order == 0:
         raise StructuralError("cannot differentiate an order-0 jet")
     src, fac = jet.space.extract_table(var)
-    return Jet(sibling(jet.space, jet.order - 1), jet.coeffs[src] * fac)
+    return EagerJet(sibling(jet.space, jet.order - 1), jet.coeffs[src] * fac)
 
 
 def endpoint(path):
@@ -413,12 +583,12 @@ def real_jet_by_objects(m, x, u, order):
     """Jet of G over (x, u) from the formula run on fresh ``Jet``/``CJet``
     objects, one object per intermediate: the reference for the recorded
     program that ``MetricDef.real_jet`` replays."""
-    from finsler.jets import CJet, JetSpace
+    from finsler.jets import CJet
 
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     d = m.dim
-    seeds = JetSpace.get(2 * d, order, False).variables(np.concatenate([x, u]))
+    seeds = EagerSpace.get(2 * d, order).variables(np.concatenate([x, u]))
     xj, uj = seeds[:d], seeds[d:]
     if not m.is_complex:
         return m.formula(xj, uj)
@@ -943,9 +1113,9 @@ def radial_flag_bounds_by_paths(m, pole, plan):
 
 def _disk_cjet(zeta, order):
     """The disk parameter zeta as a CJet over (Re zeta, Im zeta)."""
-    from finsler.jets import CJet, JetSpace
+    from finsler.jets import CJet
     zeta = complex(zeta)
-    return CJet(*JetSpace.get(2, order, False).variables([zeta.real, zeta.imag]))
+    return CJet(*EagerSpace.get(2, order).variables([zeta.real, zeta.imag]))
 
 
 def _as_cjet(w, space):
@@ -969,7 +1139,7 @@ def density_jet(density, zeta):
     Seeds at order 3 so densities defined through a probe derivative still
     carry order 2. A density that returns a plain number is constant.
     """
-    from finsler.jets import CJet, Jet
+    from finsler.jets import CJet
     zc = _disk_cjet(zeta, 3)
     out = density(zc)
     if isinstance(out, CJet):
@@ -1042,7 +1212,6 @@ def probe_catalog(m, z, v, *, quadratic_coeff=None):
     """Holomorphic disks phi with phi(0) = z and phi'(0) parallel to v, by id:
     the affine disk z + zeta v; with ``quadratic_coeff`` b, z + zeta v + zeta^2 b;
     on the unit ball, the totally geodesic disk through a ball automorphism."""
-    from finsler.metrics import _holomorphic_jacobian
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     probes = {"affine": lambda zeta: [zeta * v[a] + z[a] for a in range(z.size)]}
@@ -1053,7 +1222,7 @@ def probe_catalog(m, z, v, *, quadratic_coeff=None):
     if m.domain.kind == "ball" and m.domain.radius == 1.0:
         psi = ball_automorphism(z)
         # direction e with d(psi)(0) e parallel to v
-        e = np.linalg.solve(_holomorphic_jacobian(psi, np.zeros(z.size)), v)
+        e = np.linalg.solve(holomorphic_jacobian(psi, np.zeros(z.size)), v)
         en = float(np.linalg.norm(e))
         probes["geodesic"] = lambda zeta: psi([zeta * (ei / en) for ei in e])
     return probes
@@ -1070,11 +1239,10 @@ def legendre_gradient(m, df, x):
     seeds, at most 60 steps each, to a residual below 1e-10 |df|.
     """
     from finsler.geometry import unit_directions
-    from finsler.jets import JetSpace
     x = np.asarray(x, dtype=float)
     d = m.dim
     if callable(df):
-        df = df(JetSpace.get(d, 1, False).variables(x)).gradient()
+        df = df(EagerSpace.get(d, 1).variables(x)).gradient()
     df = np.asarray(df, dtype=float)
     scale = float(np.linalg.norm(df))
     if scale == 0.0:
@@ -1112,14 +1280,14 @@ def levi_identity_residual(m, f, z, X) -> dict:
     """
     from finsler.cartan import cartan
     from finsler.geometry import apply_J, complex_to_real_components, realify_metric
-    from finsler.jets import JetSpace, wirtinger
+    from finsler.jets import wirtinger
     mr = realify_metric(m)
     z = np.asarray(z, dtype=complex)
     x = complex_to_real_components(z)
     X = np.asarray(X, dtype=float)
     n = m.n
 
-    fj = f(JetSpace.get(mr.dim, 2, False).variables(x))
+    fj = f(EagerSpace.get(mr.dim, 2).variables(x))
     grad = fj.gradient()
     hess = fj.hessian()
 
@@ -1201,6 +1369,37 @@ def un_invariant_kahler_check(profile):
     rep = classify(un_invariant_metric(profile, 2, {}),
                    SamplePlan(n_points=6, n_dirs=4, radial_range=(0.1, 0.6)))
     return profile.is_gradient_form, rep.classification
+
+
+def weakly_kahler_pde_stats_by_objects(profile) -> dict:
+    """The stats of ``weakly_kahler_pde_residual``, with the profile run on
+    fresh eager jets of (t, s) at each grid point, one point at a time."""
+    t_hi = min(0.9, 0.9 * profile.t_max) if math.isfinite(profile.t_max) else 0.9
+    sp = EagerSpace.get(2, 2)
+    worst = 0.0
+    argmax = (None, None)
+    scale_terms = 1.0
+    n_eval = 0
+    for t in np.linspace(1e-3, t_hi, 20):
+        for sfrac in np.linspace(0.0, 1.0, 20):
+            s = float(sfrac * t)
+            phi_jet = profile(*sp.variables([float(t), s]))
+            phi = phi_jet.value
+            pt, ps = (float(d) for d in phi_jet.gradient())
+            hess = phi_jet.hessian()
+            pss = float(hess[1, 1])
+            pst = float(hess[0, 1])
+            term1 = (phi - s * ps) * (phi + (t - s) * ps) * (ps - pt + s * (pst + pss))
+            term2 = s * (t - s) * pss * (phi * (ps - pt) + s * ps * (pt + ps))
+            lhs = term1 + term2
+            n_eval += 1
+            scale_terms = max(scale_terms,
+                              (abs(phi) + abs(pt) + abs(ps) + abs(pss) + abs(pst)) ** 3)
+            if abs(lhs) > worst:
+                worst = abs(lhs)
+                argmax = (float(t), s)
+    return {"max_residual": worst, "argmax_t": argmax[0], "argmax_s": argmax[1],
+            "scale": scale_terms, "n_grid": n_eval}
 
 
 # -- the validity grid one sample at a time ------------------------------------

@@ -10,7 +10,7 @@ from finsler.metrics import instantiate
 
 from finsler.jets import Jet, JetSpace
 
-from oracles import at_point, chern_by_partials, hermitian_holomorphic_curvature
+from oracles import EagerSpace, at_point, chern_by_partials, hermitian_holomorphic_curvature
 
 POINCARE = instantiate({"family": "hermitian", "complex_dim": 1,
                         "params": {"catalog": "poincare_disk"}})
@@ -160,9 +160,9 @@ def test_hermitian_reduction_of_connection():
     assert np.abs(d1.gamma_v).max() < 1e-11
 
     # classical Chern coefficients g^{tbar a} d_mu g_{b tbar} by 1st-order jets
-    from finsler.jets import JetSpace, CJet
+    from finsler.jets import CJet
     n = 2
-    sp = JetSpace.get(2 * n, 1, False)
+    sp = EagerSpace.get(2 * n, 1)
     seeds = sp.variables(np.concatenate([z.real, z.imag]))
     zj = [CJet(seeds[a], seeds[n + a]) for a in range(n)]
     H = BALL2.metadata["hermitian_matrix"](zj)

@@ -506,6 +506,47 @@ def test_cmd_check_profile_expectation(tmp_path):
     assert main(["check", "--config", str(p2), "--out", str(tmp_path / "o2")]) == 1
 
 
+def test_cmd_check_records_the_profile_pde_grid(tmp_path):
+    # the PDE residual of a profile metric is one stacked grid of 400 rows; a
+    # metric without a profile records no such grid, and no payload holds one
+    cfg = {"seed": 5, "metrics": [_UN, _DISK],
+           "plans": {"default": {"n_points": 3, "n_dirs": 2, "radial_range": [0.1, 0.5]}}}
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    un, disk = (json.loads((out / "check" / mid / "report.json").read_text())
+                for mid in ("un", "poincare"))
+    assert un["metadata"]["grids"]["weakly_kahler_pde"] == {"rows": 400, "stacked": True}
+    assert "weakly_kahler_pde" not in disk["metadata"]["grids"]
+    assert sorted(un["payload"]["weakly_kahler_pde"]) == [
+        "errors", "name", "passed", "samples", "stats", "tolerance"]
+
+
+def test_no_command_computes_on_jet_objects(tmp_path, monkeypatch):
+    # every jet a command reads is replayed from a recorded program: with the
+    # product of Jet objects refused, each command still succeeds
+    from finsler.jets import Jet
+
+    def refuse(*args):
+        raise AssertionError("arithmetic on Jet objects")
+
+    monkeypatch.setattr(Jet, "__mul__", refuse)
+    monkeypatch.setattr(Jet, "__rmul__", refuse)
+    golden = json.loads((Path(__file__).parent / "golden" / "golden_config.json").read_text())
+    out = tmp_path / "out"
+    with_profile = write_config(tmp_path, {**golden, "metrics": golden["metrics"] + [_UN]},
+                                name="profile.json")
+    assert main(["check", "--config", str(with_profile), "--out", str(out)]) == 0
+    p = write_config(tmp_path, golden, name="golden.json")
+    for command in ("curvature", "bounds", "schwarz"):
+        assert main([command, "--config", str(p), "--out", str(out)]) == 0
+    for pair in ("identity", "mobius", "square"):
+        cert = out / "schwarz" / f"{pair}__poincare__poincare" / "report.json"
+        assert main(["replay", "--certificate", str(cert)]) == 0
+    p = _disk_distance_config(tmp_path)
+    for command in ("geodesic", "distance"):
+        assert main([command, "--config", str(p), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("spec", [_SZABO, _UN], ids=["szabo_of_disks", "gradient_profile"])
 def test_cmd_check_kahler_families_declare_strongly_kahler(tmp_path, capsys, spec):
     # the kahler level is empty (Chen and Shen): a metric whose declared class

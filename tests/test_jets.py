@@ -1,4 +1,5 @@
-"""Jet arithmetic: seed semantics, chain/Leibniz exactness, Wirtinger tables."""
+"""Jet arithmetic on the oracles' eager ring (seed semantics, chain/Leibniz
+exactness), derivative readouts, and the index and Wirtinger tables."""
 
 import itertools
 
@@ -9,27 +10,27 @@ from hypothesis import given, settings, strategies as st
 from finsler.errors import ConfigurationError, StructuralError
 from finsler.jets import CJet, Jet, JetSpace, _monomials, _wirtinger_rows, wirtinger
 
-from oracles import (dict_poly_mult, extract, gaussian_curvature, gradient_identity,
-                     invert_jet_matrix, levi_identity_residual, log_density_comparison,
-                     loop_conj_perm, loop_extract_table, loop_monomials, loop_mult_table,
-                     loop_wirtinger_rows, probe_catalog, pullback_density, random_expression,
-                     richardson_partial, truncate)
+from oracles import (EagerSpace, dict_poly_mult, eager, extract, gaussian_curvature,
+                     gradient_identity, invert_jet_matrix, levi_identity_residual,
+                     log_density_comparison, loop_conj_perm, loop_extract_table, loop_monomials,
+                     loop_mult_table, loop_wirtinger_rows, probe_catalog, pullback_density,
+                     random_expression, richardson_partial, truncate)
 
 
 def test_lift_seed_semantics():
-    (j,) = JetSpace.get(1, 2).variables([2.0])
+    (j,) = EagerSpace.get(1, 2).variables([2.0])
     assert j.value == 2.0
     assert j.partial([0]) == 1.0
     assert j.partial([0, 0]) == 0.0
 
 
 def test_lift_bilinear_mixed_partial():
-    x, y = JetSpace.get(2, 2).variables([1.0, 3.0])
+    x, y = EagerSpace.get(2, 2).variables([1.0, 3.0])
     assert (x * y).partial([0, 1]) == 1.0
 
 
 def test_lift_monomial_factorial():
-    (x,) = JetSpace.get(1, 4).variables([1.0])
+    (x,) = EagerSpace.get(1, 4).variables([1.0])
     assert (x ** 4).partial([0, 0, 0, 0]) == pytest.approx(24.0)
 
 
@@ -71,7 +72,7 @@ def test_composites_match_richardson_fd(seed):
     nvars = int(rng.integers(1, 4))
     expr = random_expression(rng, nvars)
     x0 = rng.uniform(0.6, 1.4, size=nvars)
-    jets = JetSpace.get(nvars, 4).variables(x0)
+    jets = EagerSpace.get(nvars, 4).variables(x0)
     jf = expr(jets)
     if not isinstance(jf, Jet):  # the random tree may degenerate to a constant
         return
@@ -92,7 +93,7 @@ def test_composites_match_richardson_fd(seed):
 
 
 def test_division_and_roots_invert():
-    x, y = JetSpace.get(2, 4).variables([0.8, 1.7])
+    x, y = EagerSpace.get(2, 4).variables([0.8, 1.7])
     f = (x * x * y + 2.0)
     g = f / (y + 0.5)
     back = g * (y + 0.5)
@@ -103,7 +104,7 @@ def test_division_and_roots_invert():
 
 
 def test_mixed_order_alignment_truncates():
-    x, y = JetSpace.get(2, 4).variables([0.5, 0.25])
+    x, y = EagerSpace.get(2, 4).variables([0.5, 0.25])
     f4 = x * x * y
     f2 = truncate(f4, 2)
     out = f4 + f2
@@ -112,7 +113,7 @@ def test_mixed_order_alignment_truncates():
 
 
 def test_extract_consistency():
-    x, y = JetSpace.get(2, 4).variables([0.8, -0.4])
+    x, y = EagerSpace.get(2, 4).variables([0.8, -0.4])
     f = (x * y + y * y) ** 2
     fx = extract(f, 0)
     assert fx.order == 3
@@ -124,20 +125,20 @@ def test_extract_consistency():
 
 
 def test_wirtinger_mod_square():
-    x, y = JetSpace.get(2, 2).variables([0.3, -0.7])
+    x, y = EagerSpace.get(2, 2).variables([0.3, -0.7])
     w = wirtinger(x * x + y * y, [(0, 1)])
     assert w.partial([0, 1]) == pytest.approx(1.0)
     assert abs(w.partial([0, 0])) < 1e-14
 
 
 def test_wirtinger_real_part():
-    x, y = JetSpace.get(2, 1).variables([0.3, -0.7])
+    x, y = EagerSpace.get(2, 1).variables([0.3, -0.7])
     w = wirtinger(x, [(0, 1)])
     assert w.partial([0]) == pytest.approx(0.5)
 
 
 def test_wirtinger_mod_fourth_at_one():
-    x, y = JetSpace.get(2, 2).variables([1.0, 0.0])
+    x, y = EagerSpace.get(2, 2).variables([1.0, 0.0])
     w = wirtinger((x * x + y * y) ** 2, [(0, 1)])
     assert w.partial([0, 1]) == pytest.approx(4.0)
 
@@ -156,22 +157,22 @@ def test_wirtinger_hermitian_symmetry(coeffs):
 
 
 def test_wirtinger_rejects_partial_pairings():
-    x, y, z = JetSpace.get(3, 2).variables([1.0, 2.0, 3.0])
+    x, y, z = EagerSpace.get(3, 2).variables([1.0, 2.0, 3.0])
     with pytest.raises(StructuralError):
         wirtinger(x + y + z, [(0, 1)])
 
 
 def test_wirtinger_rejects_pairs_that_do_not_split_the_variables():
-    x, y = JetSpace.get(2, 2).variables([1.0, 2.0])
+    x, y = EagerSpace.get(2, 2).variables([1.0, 2.0])
     for pairs in ([(0, 0)], [(0, 2)], [(-1, 0)], [(0, 1), (0, 1)]):
         with pytest.raises(StructuralError):
             wirtinger(x + y, pairs)
 
 
 def test_conj_swaps_blocks():
-    x, y = JetSpace.get(2, 3).variables([0.4, 0.9])
+    x, y = EagerSpace.get(2, 3).variables([0.4, 0.9])
     w = wirtinger(x * y + x, [(0, 1)])
-    wc = w.conj()
+    wc = eager(w).conj()
     assert wc.partial([0]) == pytest.approx(np.conj(w.partial([1])))
 
 
@@ -179,7 +180,7 @@ def test_conj_swaps_blocks():
 
 
 def test_invert_jet_matrix_roundtrip():
-    x, y = JetSpace.get(2, 2).variables([0.2, -0.1])
+    x, y = EagerSpace.get(2, 2).variables([0.2, -0.1])
     M = [[x + 3.0, x * y], [y, y * y + 2.0]]
     Minv = invert_jet_matrix(M)
     for i in range(2):
@@ -194,7 +195,7 @@ def test_invert_jet_matrix_roundtrip():
 
 
 def test_cjet_field_operations():
-    x, y = JetSpace.get(2, 3).variables([0.6, -0.3])
+    x, y = EagerSpace.get(2, 3).variables([0.6, -0.3])
     z = CJet(x, y)
     w = CJet(y + 1.0, x * y)
     q = (z * w) / w
@@ -205,7 +206,7 @@ def test_cjet_field_operations():
 
 @pytest.mark.parametrize("c", [0.7 - 1.3j, np.complex128(-0.25 + 2.0j), 1j, 2.5 + 0j])
 def test_cjet_times_complex_constant_is_a_coefficient_scale(c):
-    x, y = JetSpace.get(2, 4).variables([0.6, -0.3])
+    x, y = EagerSpace.get(2, 4).variables([0.6, -0.3])
     z = CJet(x * y + 0.5, x - y * y)
     const = CJet(x.space.constant(complex(c).real), x.space.constant(complex(c).imag))
     for got in (z * c, c * z):
@@ -217,7 +218,7 @@ def test_cjet_times_complex_constant_is_a_coefficient_scale(c):
 def test_gradient_and_hessian_gathers_match_partials():
     rng = np.random.default_rng(4)
     for nvars, order in ((2, 2), (4, 3), (8, 2), (4, 4), (8, 4)):
-        jets = JetSpace.get(nvars, order).variables(rng.standard_normal(nvars))
+        jets = EagerSpace.get(nvars, order).variables(rng.standard_normal(nvars))
         f = (jets[0] * jets[-1] + jets[1].exp()) * jets[nvars // 2] + jets[0] ** 3
         assert np.array_equal(f.gradient(), [f.partial([i]) for i in range(nvars)])
         assert np.array_equal(f.hessian(), [[f.partial([i, j]) for j in range(nvars)]
@@ -230,7 +231,7 @@ def test_gradient_and_hessian_gathers_match_partials():
         with pytest.raises(StructuralError):
             f.derivatives(order + 1)
     with pytest.raises(StructuralError):
-        JetSpace.get(2, 1).variables([0.1, 0.2])[0].hessian()
+        EagerSpace.get(2, 1).variables([0.1, 0.2])[0].hessian()
 
 
 def test_engine_reads_no_scalar_partials(monkeypatch):
@@ -259,7 +260,7 @@ def test_engine_reads_no_scalar_partials(monkeypatch):
     mob = build_map({"map": "mobius", "params": {"a": [0.3, -0.2]}})
     a = complex(0.3, -0.2)
     z = 0.1 + 0.4j
-    assert mob.jacobian(np.array([z]))[0, 0] == pytest.approx(
+    assert mob.jacobian(np.array([[z]]))[0, 0, 0] == pytest.approx(
         (abs(a) ** 2 - 1) / (1 - z * a.conjugate()) ** 2, abs=1e-14)
     probes = probe_catalog(ball, np.array([0.2 + 0.1j, -0.1j]), np.array([1.0, 0.5j]))
     assert list(probes) == ["affine", "geodesic"]

@@ -12,7 +12,7 @@ from finsler.kahler import classify, is_at_least, weakly_kahler_pde_residual
 from finsler.metrics import build_profile, instantiate
 from finsler.report import SampleGrid
 
-from oracles import un_invariant_kahler_check
+from oracles import un_invariant_kahler_check, weakly_kahler_pde_stats_by_objects
 
 PLAN = SamplePlan(seed=0, n_points=6, n_dirs=4, radial_range=(0.1, 0.55))
 
@@ -104,6 +104,24 @@ def test_pde_residual_violated_profile():
     assert not rep.passed
     assert rep.stats["max_residual"] > 1e-3
     assert rep.stats["argmax_t"] is not None
+
+
+PROFILES = [{"form": "gradient", "f": "one"}, {"form": "gradient", "f": "exp", "c": 0.7},
+            {"form": "gradient", "f": "inv_one_minus_t"}, {"form": "free", "expr": "one_plus_s2"},
+            {"form": "free", "expr": "one_plus_ts2"}]
+
+
+@pytest.mark.parametrize("params", PROFILES, ids=lambda p: p.get("f", p.get("expr")))
+def test_pde_residual_equals_the_eager_loop_bitwise(params):
+    # one row replay of the recorded profile, against the profile run on fresh
+    # eager jets point by point
+    profile = build_profile(params)
+    rep = weakly_kahler_pde_residual(profile)
+
+    def bits(stats):
+        return {k: v if v is None else float(v).hex() for k, v in stats.items()}
+
+    assert bits(rep.stats) == bits(weakly_kahler_pde_stats_by_objects(profile))
 
 
 def test_cross_validation_pde_vs_classify():

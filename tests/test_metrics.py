@@ -9,7 +9,7 @@ from finsler.errors import ConfigurationError
 from finsler.geometry import SamplePlan, realify_metric, sample_points, sample_vectors
 from finsler.metrics import build_map, build_profile, check_metric, instantiate
 
-from oracles import at_point, ball_automorphism, probe_catalog
+from oracles import at_point, ball_automorphism, holomorphic_jacobian, probe_catalog
 
 
 def test_poincare_disk_value_and_metadata():
@@ -173,7 +173,7 @@ def test_map_catalog_jacobians():
     sq = build_map({"map": "power", "params": {"m": 2}})
     z = np.array([0.3 + 0.4j])
     assert sq.apply_values(z)[0] == pytest.approx(z[0] ** 2)
-    assert sq.jacobian(z)[0, 0] == pytest.approx(2 * z[0])
+    assert sq.jacobian(z[None])[0, 0, 0] == pytest.approx(2 * z[0])
     mob = build_map({"map": "mobius", "params": {"a": [0.5, 0.0]}})
     a = 0.5
     expect = (a - z[0]) / (1 - z[0] * a)
@@ -182,6 +182,32 @@ def test_map_catalog_jacobians():
     w = lin.apply_values(np.array([1 + 1j, 2.0]))
     assert w[0] == pytest.approx((1 + 1j) + 1.0)
     assert w[1] == pytest.approx(2j)
+
+
+MAP_SPECS = {
+    "identity": {"map": "identity"},
+    "mobius_real": {"map": "mobius", "params": {"a": 0.3}},
+    "mobius_complex": {"map": "mobius", "params": {"a": [0.35, 0.15]}},
+    "power_2": {"map": "power", "params": {"m": 2}},
+    "power_5": {"map": "power", "params": {"m": 5}},
+    "linear": {"map": "linear", "params": {"matrix": [[0.5, [0.1, 0.2]], [0.0, [-0.3, 0.4]]]}},
+    "constant": {"map": "constant", "params": {"value": [[0.1, 0.2]]}},
+}
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS.values(), ids=MAP_SPECS.keys())
+def test_jacobian_rows_equal_the_eager_jacobian_bitwise(spec):
+    # one order-1 row replay per program, against the map run on first-order
+    # eager jets at each point of a certificate plan
+    f = build_map(spec)
+    m = instantiate({"family": "hermitian", "complex_dim": f.n_in,
+                     "params": {"catalog": "poincare_ball"}})
+    points = sample_points(m, SamplePlan(seed=20240801, n_points=14, n_dirs=4,
+                                         radial_range=(0.1, 0.7)))
+    rows = f.jacobian(np.array(points))
+    assert rows.shape == (14, f.n_out, f.n_in)
+    for z, row in zip(points, rows):
+        assert row.tobytes() == holomorphic_jacobian(f, z).tobytes()
 
 
 def test_ball_automorphism_moves_origin():

@@ -18,12 +18,18 @@ def test_every_exported_name_resolves():
     assert [name for name in finsler.__all__ if not hasattr(finsler, name)] == []
 
 
-def _identifiers(node):
+def _identifiers(node, modules):
+    """The names ``node`` reads, and the attributes it reads but those off a
+    name in ``modules``: ``functools.partial`` reads no method ``partial``."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            root = sub.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if getattr(root, "id", None) not in modules:
+                yield sub.attr
 
 
 def _is_dunder(name):
@@ -38,13 +44,19 @@ def _unreached(bench_roots):
     whose tracer names its targets in strings. Reaching a name follows the
     identifiers in the body of every definition of that name: a top-level
     function, a class (its own statements and dunder methods, which the
-    language calls), or a method of a top-level class."""
+    language calls), or a method of a top-level class. Attributes read off an
+    imported module that is not ``finsler`` (``np.``, ``math.``) are not uses."""
     defs = {}
     roots = {"main"}
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    # src imports finsler modules relatively, so every plain import is another package
+    modules = frozenset(alias.asname or alias.name.split(".")[0] for tree in trees.values()
+                        for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names)
+    for path, tree in trees.items():
+        for stmt in tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                roots.update(_identifiers(stmt))
+                roots.update(_identifiers(stmt, modules))
             elif path.name != "__init__.py":
                 body = [stmt]
                 if isinstance(stmt, ast.ClassDef):
@@ -67,7 +79,7 @@ def _unreached(bench_roots):
             continue
         reached.add(name)
         for _, body in defs[name]:
-            todo.extend(n for node in body for n in _identifiers(node) if n in defs)
+            todo.extend(n for node in body for n in _identifiers(node, modules) if n in defs)
     return sorted(f"{owner}.{name}" for name, entries in defs.items()
                   if name not in reached for owner, _ in entries)
 
@@ -81,12 +93,14 @@ def test_every_src_definition_is_reached():
 
 def test_the_definitions_only_bench_reaches_are_pinned():
     # code that only bench/ names: routes its workloads time and functions its
-    # tracer wraps. A change that adds to this list, or frees a name from it,
-    # updates it here.
+    # tracer wraps (Jet.partial, JetSpace.conj_perm and extract_table among
+    # them); the recording sqrt only shares its name with bench's math.sqrt. A
+    # change that adds to this list, or frees a name from it, updates it here.
     assert _unreached(bench_roots=False) == [
         "geodesic.HessianRhoResult", "geodesic.IndexFormResult", "geodesic.hessian_rho",
         "geodesic.index_form", "geodesic.jacobi_field", "geometry.MetricDef.complex_jet",
-        "jets.JetSpace.extract_table", "jets.wirtinger", "schwarz.curvature_bounds"]
+        "jets.Jet.partial", "jets.JetSpace.conj_perm", "jets.JetSpace.extract_table",
+        "jets._RecordedJet.sqrt", "jets.wirtinger", "schwarz.curvature_bounds"]
 
 
 def _table_keys(shape):

@@ -18,7 +18,7 @@ from finsler.errors import DomainError, SlitBundleError, StructuralError
 from finsler.geometry import (MetricDef, complex_to_real_components, creal_value,
                               realify_metric)
 from finsler.cartan import spray_coefficients
-from finsler.jets import (_ADD, _ADDC, _CONST, _EXP, _LOG, _MUL, _NEG, _POW, _REC, _RSUBC,
+from finsler.jets import (_ADD, _ADDC, _CONST, _EXP, _MUL, _NEG, _POW, _REC, _RSUBC,
                           _SCALE, _SUB, MAX_ORDER, ROW_PRODUCTS, JetProgram, JetSpace, spow)
 from finsler.metrics import _hermitian_form, instantiate
 
@@ -105,8 +105,8 @@ def test_value_derived_coefficients_are_recomputed_per_call():
     (lambda s: spow(s[0], -2), 0.0, ZeroDivisionError),
     (lambda s: s[0] ** 0.5, -1.0, ValueError),
     (lambda s: s[0] ** 1.5, 0.0, ValueError),
-    (lambda s: s[0].log(), 0.0, ValueError),
-    (lambda s: s[0].log(), -2.0, ValueError),
+    (lambda s: s[0] ** 2.5, 0.0, ValueError),
+    (lambda s: s[0] ** 0.25, -2.0, ValueError),
 ])
 def test_replay_raises_on_a_bad_base(op, bad, error):
     prog = JetProgram.record(op, 1)
@@ -220,12 +220,12 @@ def _every_op(s):
     a = s[0] * s[1] + s[2]                   # MUL, ADD
     b = (a - s[1]) * 0.5                     # SUB, SCALE
     c = -(2.0 - b) + 1.5                     # RSUBC, NEG, ADDC
-    e = (c * c + 1.0).log() + (0.1 * s[2]).exp()
+    e = (c * c + 1.0) ** 0.5 + (0.1 * s[2]).exp()
     f = 1.0 / (s[0] * s[0] + 2.0) + (s[1] * s[1] + 1.0) ** 0.75
     return e + f * s[0].space.constant(0.25)  # REC, POW, CONST
 
 
-EVERY_OP = {_MUL, _ADD, _SUB, _SCALE, _ADDC, _RSUBC, _NEG, _CONST, _REC, _EXP, _LOG, _POW}
+EVERY_OP = {_MUL, _ADD, _SUB, _SCALE, _ADDC, _RSUBC, _NEG, _CONST, _REC, _EXP, _POW}
 BATCH_SPECS = [SPECS[3], SPECS[5], SPECS[8], SPECS[12], SPECS[16]]   # disk, ball, Minkowski,
 #                                                      Szabo of disks, one_plus_s2
 
@@ -300,8 +300,8 @@ def test_batched_spray_equals_point_sprays():
 
 @pytest.mark.parametrize("op, bad, error", [
     (lambda s: 1.0 / s[0], 0.0, ZeroDivisionError),
-    (lambda s: s[0].log(), 0.0, ValueError),
-    (lambda s: s[0].log(), -2.0, ValueError),
+    (lambda s: s[0] ** 1.5, 0.0, ValueError),
+    (lambda s: s[0] ** 0.5, -2.0, ValueError),
 ])
 def test_batched_replay_raises_as_the_bad_member_does(op, bad, error):
     prog = JetProgram.record(op, 1)

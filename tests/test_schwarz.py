@@ -72,7 +72,7 @@ def _ratio(f, zeta):
     """H(f(z); df_z v) / G(z; v) on the disk at z = zeta, v = 1, as the certificate
     computes it."""
     z, v = np.array([zeta]), np.array([1.0])
-    return POINCARE.value(f.apply_values(z), f.jacobian(z) @ v) / POINCARE.value(z, v)
+    return POINCARE.value(f.apply_values(z), f.jacobian(z[None])[0] @ v) / POINCARE.value(z, v)
 
 
 def test_pullback_ratio_identity_map():
@@ -204,7 +204,7 @@ def test_certificate_fails_on_non_finite_ratios(monkeypatch, broken):
     if broken == "target_value":
         monkeypatch.setattr(target, "value", lambda z, v: math.nan)
     else:
-        monkeypatch.setattr(f, "jacobian", lambda z: np.full((1, 1), np.nan, complex))
+        monkeypatch.setattr(f, "jacobian", lambda z: np.full((len(z), 1, 1), np.nan, complex))
     with pytest.raises(NonFiniteSampleError):
         certify_schwarz(f, POINCARE, target,
                         SamplePlan(seed=3, n_points=3, n_dirs=2, radial_range=(0.1, 0.7)))
