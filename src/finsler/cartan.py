@@ -1,15 +1,17 @@
 """Cartan connection, horizontal frame, and flag curvature of real Finsler metrics.
 
-All data are read from the gathered derivative tensors of one jet of G over
-z = (x, u). The spray S^i = G^i solves g S = b/4, with g = (1/2) d2G/du du and
+All data are read from the derivative tensors of a jet of G over z = (x, u),
+each gathered once from the jet's coefficients at a point, or from the
+coefficient rows of a stack of points (one ``real_rows`` replay). The spray
+S^i = G^i solves g S = b/4, with g = (1/2) d2G/du du and
 b_l = u^k d2G/du^l dx^k - dG/dx^l; differentiating g S = b/4 in z gives
 
     dS  = g^-1 (db/4 - dg.S)
     d2S = g^-1 (d2b/4 - d2g.S - dg.dS - (dg.dS)^T),   (dg.dS)^i_ac = d_a g_il d_c S^l,
 
-from the order-3 and order-4 jets; ``spray_jacobian`` is the one route to dS,
-and needs order 3 only. N = dS/du is the nonlinear connection, and
-the curvature is the spray's Riemann operator
+from the order-3 and order-4 jets; dS needs order 3 only, and
+``spray_jacobian`` reads it without the curvature. N = dS/du is the
+nonlinear connection, and the curvature is the spray's Riemann operator
 
     R^i_k = 2 dS^i/dx^k - u^j d2S^i/dx^j du^k + 2 S^j d2S^i/du^j du^k - N^i_j N^j_k,
 
@@ -32,15 +34,16 @@ from .report import require_finite
 
 @dataclass
 class CartanData:
-    """Connection and curvature coefficients at a fixed (x, u)."""
+    """Connection and curvature coefficients at a point (x, u), or at each row
+    of x, u: every field then has a leading row axis."""
 
     u: np.ndarray
     g: np.ndarray              # fundamental tensor g_ij = (1/2) G_ij
     spray: np.ndarray          # G^i, geodesic equation xddot + 2 G = 0
     nonlinear: np.ndarray      # N^i_j = dG^i/du^j
-    gamma_h: np.ndarray | None  # horizontal coefficients Gamma^j_{i;k}
-    gamma_v: np.ndarray | None  # vertical coefficients Gamma^j_{ik}
-    riemann: np.ndarray | None  # R^i_k of the spray
+    gamma_h: np.ndarray        # horizontal coefficients Gamma^j_{i;k}
+    gamma_v: np.ndarray        # vertical coefficients Gamma^j_{ik}
+    riemann: np.ndarray        # R^i_k of the spray
 
 
 def _spray(H, dG, u, d) -> np.ndarray:
@@ -67,69 +70,73 @@ def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     return _spray(coeffs.take(i2, axis=-1) * s2, coeffs.take(i1, axis=-1) * s1, u, m.dim)
 
 
-def spray_jacobian(jet, u, d):
-    """(g, g^-1, S, dS) from a jet of G over (x, u) of order >= 3, dS the d x 2d
-    derivative of the spray in (x, u); raises ``DegenerateMetricError`` when g
-    is singular or ill-conditioned."""
-    D2 = jet.hessian()
-    g = 0.5 * D2[d:, d:]
+def _jacobian(D1, D2, D3, u, d):
+    """(g, g^-1, S, dg, dS) from the first three derivative tensors of G over
+    (x, u), with any leading shape; dg[..., i, l, a] = d_a g_il."""
+    g = 0.5 * D2[..., d:, d:]
     g_inv = well_conditioned_inverse(g, "fundamental tensor")
-    spray = _spray(D2, jet.gradient(), u, d)
-    D3 = jet.derivatives(3)
-    dg = 0.5 * D3[d:, d:]      # dg[i, l, a] = d_a g_il over a = (x, u)
+    spray = _spray(D2, D1, u, d)
+    dg = 0.5 * D3[..., d:, d:, :]
     # d_a b_l, where b_l = u^k d^2 G / du^l dx^k - dG / dx^l
-    db = np.einsum("lka,k->la", D3[d:, :d], u) - D2[:d]
-    db[:, d:] += D2[d:, :d]
-    return g, g_inv, spray, g_inv @ (0.25 * db - np.einsum("ila,l->ia", dg, spray))
+    db = np.einsum("...lka,...k->...la", D3[..., d:, :d, :], u) - D2[..., :d, :]
+    db[..., d:] += D2[..., d:, :d]
+    return g, g_inv, spray, dg, g_inv @ (0.25 * db - np.einsum("...ila,...l->...ia", dg, spray))
 
 
-def cartan(m: MetricDef, x, u, *, need_curvature=True) -> CartanData:
-    """Cartan connection data at (x, u); curvature optional (cheaper without)."""
+def spray_jacobian(coeffs, u):
+    """(g, g^-1, S, dS) from the coefficients of a jet of G over (x, u) of
+    order >= 3 at a point, shape (n,), or of B rows, shape (B, n), with u of
+    shape (d,) or (B, d); dS is the d x 2d derivative of the spray in (x, u).
+    Raises ``DegenerateMetricError`` when g is singular or ill-conditioned."""
+    u = np.asarray(u, dtype=float)
+    d = u.shape[-1]
+    # an order-3 basis is the prefix of every higher-order one
+    sp = JetSpace.get(2 * d, 3)
+    g, g_inv, spray, _, dS = _jacobian(*(sp.gather(coeffs, k) for k in (1, 2, 3)), u, d)
+    return g, g_inv, spray, dS
+
+
+def cartan(m: MetricDef, x, u) -> CartanData:
+    """Cartan connection and curvature at (x, u) of shape (d,), or at each row
+    of x, u of shape (B, d) from one order-4 ``real_rows`` replay, each row
+    bit for bit its point's."""
     u = np.asarray(u, dtype=float)
     d = m.dim
-    jet = m.real_jet(x, u, 4 if need_curvature else 3)
-    g, g_inv, spray, dS = spray_jacobian(jet, u, d)
-    N = dS[:, d:]
-    D3 = jet.derivatives(3)
-    dg = 0.5 * D3[d:, d:]
+    coeffs = m.real_rows(x, u, 4) if np.ndim(x) == 2 else m.real_jet(x, u, 4).coeffs
+    sp = JetSpace.get(2 * d, 4)
+    D1, D2, D3, D4 = (sp.gather(coeffs, k) for k in (1, 2, 3, 4))
+    g, g_inv, spray, dg, dS = _jacobian(D1, D2, D3, u, d)
+    N = dS[..., d:]
 
     # delta_k g_il = d_k g_il - N^m_k d_{u^m} g_il
-    delta = dg[..., :d] - np.einsum("mk,ilm->ilk", N, dg[..., d:])
+    delta = dg[..., :d] - np.einsum("...mk,...ilm->...ilk", N, dg[..., d:])
     gamma_h = 0.5 * np.einsum(
-        "jl,ilk->jik", g_inv,
-        delta + delta.transpose(2, 0, 1) - delta.transpose(0, 2, 1))
-    gamma_v = 0.5 * np.einsum("jl,ikl->jik", g_inv, dg[..., d:])
+        "...jl,...ilk->...jik", g_inv,
+        delta + np.moveaxis(delta, -1, -3) - np.swapaxes(delta, -1, -2))
+    gamma_v = 0.5 * np.einsum("...jl,...ikl->...jik", g_inv, dg[..., d:])
 
-    riemann = None
-    if need_curvature:
-        D4 = jet.derivatives(4)
-        d2b = np.einsum("lkac,k->lac", D4[d:, :d], u) - D3[:d]
-        d2b[:, d:] += D3[d:, :d]
-        d2b[:, :, d:] += D3[d:, :d].transpose(0, 2, 1)
-        dg_dS = np.einsum("ila,lc->iac", dg, dS)
-        d2S = np.einsum("jl,lac->jac", g_inv,
-                        0.25 * d2b - np.einsum("ilac,l->iac", 0.5 * D4[d:, d:], spray)
-                        - dg_dS - dg_dS.transpose(0, 2, 1))
-        riemann = (2.0 * dS[:, :d] - np.einsum("j,ijk->ik", u, d2S[:, :d, d:])
-                   + 2.0 * np.einsum("j,ijk->ik", spray, d2S[:, d:, d:]) - N @ N)
+    d2b = np.einsum("...lkac,...k->...lac", D4[..., d:, :d, :, :], u) - D3[..., :d, :, :]
+    d2b[..., d:, :] += D3[..., d:, :d, :]
+    d2b[..., d:] += np.swapaxes(D3[..., d:, :d, :], -1, -2)
+    dg_dS = np.einsum("...ila,...lc->...iac", dg, dS)
+    d2g_S = np.einsum("...ilac,...l->...iac", 0.5 * D4[..., d:, d:, :, :], spray)
+    d2S = np.einsum("...jl,...lac->...jac", g_inv,
+                    0.25 * d2b - d2g_S - dg_dS - np.swapaxes(dg_dS, -1, -2))
+    riemann = (2.0 * dS[..., :d] - np.einsum("...j,...ijk->...ik", u, d2S[..., :d, d:])
+               + 2.0 * np.einsum("...j,...ijk->...ik", spray, d2S[..., d:, d:]) - N @ N)
     return CartanData(u=u, g=g, spray=spray, nonlinear=N, gamma_h=gamma_h,
                       gamma_v=gamma_v, riemann=riemann)
 
 
-def flag_curvature(m: MetricDef, x, u, X, *, data: CartanData | None = None) -> float:
-    """Flag curvature of the plane span{u, X} with flag pole u."""
-    data = data if data is not None else cartan(m, x, u, need_curvature=True)
-    X = np.asarray(X, dtype=float)
-    g = data.g
-    RX = data.riemann @ X
-    num = float(X @ g @ RX)
-    gu = float(data.u @ g @ data.u)
-    gX = float(X @ g @ X)
-    guX = float(data.u @ g @ X)
+def _flag_ratio(g, R, X, gu, gX, guX) -> float:
+    """The flag curvature of span{u, X} with flag pole u: g(X, R X) over the
+    area gu gX - guX^2 of the plane, from its Gram entries gu = g(u, u),
+    gX = g(X, X) and guX = g(u, X); raises ``DegenerateFlagError`` when the
+    area is numerically zero."""
     den = gu * gX - guX ** 2
     if den <= 1e-12 * max(1.0, gu * gX):
         raise DegenerateFlagError("flag plane numerically degenerate")
-    return num / den
+    return float(X @ g @ (R @ X)) / den
 
 
 @dataclass
@@ -151,9 +158,11 @@ def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds
 
     Radial tangents are transported along the fan's geodesics, integrated as
     one stacked state (``geodesic.integrate_fan``); a geodesic that leaves
-    the domain is sampled up to 0.999 of its own exit length. Flags are
-    completed with deterministic directions. A NaN or infinite flag curvature
-    raises ``NonFiniteSampleError``.
+    the domain is sampled up to 0.999 of its own exit length. The Cartan
+    data of all samples come from one stacked ``cartan`` call. Flags are
+    completed with deterministic directions; a flag plane whose Gram
+    determinant is below 1e-8 g(u, u) g(X, X) is skipped. A NaN or infinite
+    flag curvature raises ``NonFiniteSampleError``.
     """
     from . import geodesic as geo
     pole = np.asarray(pole, dtype=float)
@@ -163,17 +172,15 @@ def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds
     ts = np.linspace(lo, hi, max(3, plan.n_points // len(dirs) + 1))
     flags = unit_directions(2 * d, d, plan.seed + 1)
     fan = geo.integrate_fan(m, pole, [w / math.sqrt(m.value(pole, w)) for w in dirs], hi * 1.05)
+    states = [fan.state_at(b, min(t, arc_length * 0.999))
+              for b, arc_length in enumerate(fan.arc_lengths) for t in ts]
+    data = cartan(m, *map(np.array, zip(*states)))
     ks = []
-    for b, arc_length in enumerate(fan.arc_lengths):
-        for t in ts:
-            xt, ut = fan.state_at(b, min(t, arc_length * 0.999))
-            data = cartan(m, xt, ut, need_curvature=True)
-            for X in flags:
-                gu = float(ut @ data.g @ ut)
-                gX = float(X @ data.g @ X)
-                guX = float(ut @ data.g @ X)
-                if gu * gX - guX ** 2 < 1e-8 * gu * gX:
-                    continue
-                ks.append(require_finite(flag_curvature(m, xt, ut, X, data=data)))
+    for g, R, u in zip(data.g, data.riemann, data.u):
+        for X in flags:
+            gu, gX, guX = float(u @ g @ u), float(X @ g @ X), float(u @ g @ X)
+            if gu * gX - guX ** 2 < 1e-8 * gu * gX:
+                continue
+            ks.append(require_finite(_flag_ratio(g, R, X, gu, gX, guX)))
     return RadialFlagBounds(k_inf=min(ks, default=math.inf), k_sup=max(ks, default=-math.inf),
                             n_samples=len(ks))

@@ -604,7 +604,7 @@ def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, dense=True,
 
     def rhs(t, y):
         u = y[d:2 * d]
-        _, _, spray, dS = spray_jacobian(m.real_jet(y[:d], u, 3), u, d)
+        _, _, spray, dS = spray_jacobian(m.real_jet(y[:d], u, 3).coeffs, u)
         Y = y[2 * d:].reshape(2 * d, -1)
         return np.concatenate([u, -2.0 * spray, Y[d:].ravel(), (-2.0 * dS @ Y).ravel()])
 
@@ -620,7 +620,7 @@ def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
     """The Jacobi field with J(0) = J0, D_T J(0) = dJ0 along the unit-speed
     geodesic from (x0, u0), to arc length r: the variation with dx(0) = J0 and
     dx'(0) = dJ0 - N J0."""
-    N0 = cartan(m, x0, u0, need_curvature=False).nonlinear
+    N0 = spray_jacobian(m.real_jet(x0, u0, 3).coeffs, u0)[3][:, m.dim:]
     path = _integrate_jacobi(m, x0, u0, r, np.concatenate([J0, dJ0 - N0 @ J0]))
     return JacobiField(path=path, c=np.ones(1))
 
@@ -640,7 +640,7 @@ def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, dense=False,
     y_r = path.sol.y[:, -1]
     x_r, u_r = y_r[:d], y_r[d:2 * d]
     Y_r = y_r[2 * d:].reshape(2 * d, d)
-    g, _, _, dS = spray_jacobian(m.real_jet(x_r, u_r, 3), u_r, d)
+    g, _, _, dS = spray_jacobian(m.real_jet(x_r, u_r, 3).coeffs, u_r)
     return BoundaryJacobiSystem(path=path, r=r, M=Y_r[:d], W=Y_r[d:] + dS[:, d:] @ Y_r[:d],
                                 T=u_r, g=g)
 
@@ -656,12 +656,12 @@ def index_form(path: GeodesicPath, xi, eta) -> IndexFormResult:
 
     A field is a callable of the arc parameter s returning (V, dV/ds), its
     value and coordinate derivative; a ``JacobiField`` is one. At each
-    quadrature node one ``cartan`` call, curvature included, gives g_T, R
-    and N at (x, T), and D_T V = dV/ds + N V. Both V and D_T V lose their
-    component along T: projecting commutes with D_T, since D_T T = 0 along
-    a geodesic. A field is read once per node when xi and eta are the same
-    callable. Quadrature is composite Gauss-Legendre over 12 panels with the
-    error estimated from one coarsening step.
+    quadrature node one ``cartan`` call gives g_T, R and N at (x, T), and
+    D_T V = dV/ds + N V. Both V and D_T V lose their component along T:
+    projecting commutes with D_T, since D_T T = 0 along a geodesic. A field
+    is read once per node when xi and eta are the same callable. Quadrature
+    is composite Gauss-Legendre over 12 panels with the error estimated from
+    one coarsening step.
     """
     if not path.normal:
         raise ConfigurationError("the index form is defined along normal paths")

@@ -288,15 +288,16 @@ class MetricDef:
 def well_conditioned_inverse(a, what) -> np.ndarray:
     """``np.linalg.inv`` of a symmetric or Hermitian matrix ``what``, or of each
     of a stack of them, which must be regular with |a|_1 |a^-1|_1 (>= its
-    2-norm condition) <= 1e10, or raise ``DegenerateMetricError``."""
+    2-norm condition) <= 1e10, or raise ``DegenerateMetricError`` with the
+    condition number of the first row in row order that is not (NaN included)."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(f"{what} singular") from exc
-    cond = np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
-    worst = cond.max() if cond.ndim else cond   # a NaN stays NaN
-    if not worst <= 1e10:
-        raise DegenerateMetricError(f"{what} condition number {worst:.2e}")
+    cond = np.ravel(np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1)))
+    bad = np.flatnonzero(~(cond <= 1e10))
+    if bad.size:
+        raise DegenerateMetricError(f"{what} condition number {cond[bad[0]]:.2e}")
     return inv
 
 

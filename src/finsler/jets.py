@@ -261,7 +261,7 @@ def _power_taylor(f0, order, p):
 
 class Jet:
     """Truncated Taylor expansion of a scalar function: its coefficients over
-    a space's basis, and the derivative readouts that gather them.
+    a space's basis, whose partials ``JetSpace.gather`` reads.
 
     Jets come from replayed programs (``JetProgram.replay``); a formula's
     arithmetic runs once, on the recording jets of ``JetProgram.record``. The
@@ -293,23 +293,6 @@ class Jet:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    # -- derivative access ---------------------------------------------------
-
-    def derivatives(self, k, *blocks) -> np.ndarray:
-        """Symmetric tensor of all k-th partials, or its block ``blocks``, read
-        through the space's gather table (``JetSpace.gather``)."""
-        if not 1 <= k <= self.order:
-            raise StructuralError("requested derivative exceeds jet order")
-        return self.space.gather(self.coeffs, k, *blocks)
-
-    def gradient(self) -> np.ndarray:
-        """All first partial derivatives."""
-        return self.derivatives(1)
-
-    def hessian(self) -> np.ndarray:
-        """Symmetric matrix of all second partials."""
-        return self.derivatives(2)
 
     def partial(self, variables):
         """Exact mixed partial derivative for a sequence of variable indices."""
@@ -372,7 +355,7 @@ def wirtinger(jet: Jet, pairs) -> Jet:
     ``pairs`` lists (real_index, imag_index) couples defining w = x + iy for
     each complex variable. The result is a complex-coefficient jet over
     [w_0..w_{P-1}, conj(w_0)..conj(w_{P-1})]; its mixed holomorphic partials
-    are read off with :meth:`Jet.gradient` and :meth:`Jet.hessian`.
+    are read off with ``JetSpace.gather``.
     """
     return Jet(*wirtinger_coeffs(jet.coeffs, jet.space, pairs))
 

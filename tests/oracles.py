@@ -139,6 +139,13 @@ class EagerJet(Jet):
 
     __slots__ = ()
 
+    def derivatives(self, k, *blocks) -> np.ndarray:
+        """Symmetric tensor of all k-th partials, or its block ``blocks``, read
+        through the space's gather table (``JetSpace.gather``)."""
+        if not 1 <= k <= self.order:
+            raise StructuralError("requested derivative exceeds jet order")
+        return self.space.gather(self.coeffs, k, *blocks)
+
     def _align(self, other):
         """Coefficients of two jets over the same variables at their common (lower) order."""
         a, b = self, other
@@ -259,7 +266,7 @@ def holomorphic_jacobian(fn, z):
     n = z.size
     seeds = EagerSpace.get(2 * n, 1).variables(complex_to_real_components(z))
     out = fn(complex_coordinates(seeds))
-    return np.array([w.re.gradient()[:n] + 1j * w.im.gradient()[:n] for w in out])
+    return np.array([w.re.derivatives(1)[:n] + 1j * w.im.derivatives(1)[:n] for w in out])
 
 
 # -- jet and path readouts the engine itself never takes -------------------------
@@ -713,14 +720,14 @@ def spray_jets_by_objects(m, x, u, order):
     return g_rows, spray
 
 
-def cartan_by_partials(m, x, u, need_curvature=True):
+def cartan_by_partials(m, x, u):
     """``(gamma_h, gamma_v, riemann)`` of the Cartan connection with every jet
     derivative read by :meth:`Jet.partial` in nested loops: the reference for
     the gathered, einsum-contracted assembly of ``cartan.cartan``."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     d = m.dim
-    g_rows, spray_j = spray_jets_by_objects(m, x, u, 2 if need_curvature else 1)
+    g_rows, spray_j = spray_jets_by_objects(m, x, u, 2)
     g = np.array([[g_rows[i][j].value for j in range(d)] for i in range(d)])
     g_inv = np.linalg.inv(g)
     spray = np.array([s.value for s in spray_j])
@@ -751,17 +758,15 @@ def cartan_by_partials(m, x, u, need_curvature=True):
                 for l in range(d):
                     s += g_inv[j, l] * g_rows[i][k].partial([d + l])
                 gamma_v[j, i, k] = 0.5 * s
-    riemann = None
-    if need_curvature:
-        riemann = np.empty((d, d))
-        for i in range(d):
-            for k in range(d):
-                s = 2.0 * spray_j[i].partial([k])
-                for j in range(d):
-                    s -= u[j] * spray_j[i].partial([j, d + k])
-                    s += 2.0 * spray[j] * spray_j[i].partial([d + j, d + k])
-                    s -= spray_j[i].partial([d + j]) * spray_j[j].partial([d + k])
-                riemann[i, k] = s
+    riemann = np.empty((d, d))
+    for i in range(d):
+        for k in range(d):
+            s = 2.0 * spray_j[i].partial([k])
+            for j in range(d):
+                s -= u[j] * spray_j[i].partial([j, d + k])
+                s += 2.0 * spray[j] * spray_j[i].partial([d + j, d + k])
+                s -= spray_j[i].partial([d + j]) * spray_j[j].partial([d + k])
+            riemann[i, k] = s
     return gamma_h, gamma_v, riemann
 
 
@@ -906,7 +911,7 @@ def fd_covariant_derivatives(path, *fields):
     def conn(s):
         key = round(float(s), 12)
         if key not in memo:
-            memo[key] = cartan(path.metric, *path.state_at(s), need_curvature=False)
+            memo[key] = cartan(path.metric, *path.state_at(s))
         return memo[key]
 
     def perp(f, s):
@@ -1064,6 +1069,18 @@ def covariant_boundary_form(m, x0, u0, r):
 # -- radial fans integrated one geodesic at a time ----------------------------------
 
 
+def flag_curvature(m, x, u, X):
+    """The flag curvature of the plane span{u, X} with flag pole u at one point:
+    the ratio ``radial_flag_bounds`` takes at each sample
+    (``cartan._flag_ratio``), on one single-point ``cartan`` call."""
+    from finsler.cartan import _flag_ratio, cartan
+
+    data = cartan(m, x, u)
+    g, u = data.g, data.u
+    X = np.asarray(X, dtype=float)
+    return _flag_ratio(g, data.riemann, X, float(u @ g @ u), float(X @ g @ X), float(u @ g @ X))
+
+
 def fan_by_paths(m, pole, plan):
     """The geodesics of ``radial_flag_bounds``'s fan, one ``integrate_geodesic``
     each, with the arc lengths at which it samples them: the reference for
@@ -1085,7 +1102,7 @@ def fan_by_paths(m, pole, plan):
 def radial_flag_bounds_by_paths(m, pole, plan):
     """(k_inf, k_sup, n_samples) of ``radial_flag_bounds`` sampled along
     :func:`fan_by_paths`."""
-    from finsler.cartan import cartan, flag_curvature
+    from finsler.cartan import cartan
     from finsler.geometry import unit_directions
 
     d = m.dim
@@ -1093,12 +1110,12 @@ def radial_flag_bounds_by_paths(m, pole, plan):
     ks = []
     for path, arcs in fan_by_paths(m, np.asarray(pole, dtype=float), plan):
         for s in arcs:
-            xt, ut = path.state_at(s)
-            data = cartan(m, xt, ut, need_curvature=True)
+            data = cartan(m, *path.state_at(s))
+            g, ut = data.g, data.u
             for X in flags:
-                gu, gX, guX = ut @ data.g @ ut, X @ data.g @ X, ut @ data.g @ X
+                gu, gX, guX = ut @ g @ ut, X @ g @ X, ut @ g @ X
                 if gu * gX - guX ** 2 >= 1e-8 * gu * gX:
-                    ks.append(flag_curvature(m, xt, ut, X, data=data))
+                    ks.append((X @ g @ data.riemann @ X) / (gu * gX - guX ** 2))
     return min(ks), max(ks), len(ks)
 
 
@@ -1154,7 +1171,7 @@ def gaussian_curvature(density, zeta) -> float:
     g = density_jet(density, zeta)
     if g.value <= 0:
         raise ValueError(f"density must be positive, got {g.value}")
-    return -2.0 / g.value * (0.25 * float(np.trace(g.log().hessian())))
+    return -2.0 / g.value * (0.25 * float(np.trace(g.log().derivatives(2))))
 
 
 def pullback_density(m, probe):
@@ -1178,7 +1195,7 @@ def log_density_comparison(m_target, f, probe, K2, grid):
     for zeta in grid:
         sig = density_jet(density, zeta)
         if sig.value > 1e-14:
-            margins.append(0.25 * float(np.trace(sig.log().hessian())) + 0.5 * K2 * sig.value)
+            margins.append(0.25 * float(np.trace(sig.log().derivatives(2))) + 0.5 * K2 * sig.value)
     return margins
 
 
@@ -1242,7 +1259,7 @@ def legendre_gradient(m, df, x):
     x = np.asarray(x, dtype=float)
     d = m.dim
     if callable(df):
-        df = df(EagerSpace.get(d, 1).variables(x)).gradient()
+        df = df(EagerSpace.get(d, 1).variables(x)).derivatives(1)
     df = np.asarray(df, dtype=float)
     scale = float(np.linalg.norm(df))
     if scale == 0.0:
@@ -1254,12 +1271,12 @@ def legendre_gradient(m, df, x):
         if float(np.linalg.norm(Y)) < 1e-12:
             continue
         for _ in range(60):
-            jet = m.real_jet(x, Y, 2)
-            F = 0.5 * jet.gradient()[d:] - df
+            jet = eager(m.real_jet(x, Y, 2))
+            F = 0.5 * jet.derivatives(1)[d:] - df
             if float(np.linalg.norm(F)) < 1e-10 * scale:
                 return Y
             try:
-                step = np.linalg.solve(0.5 * jet.hessian()[d:, d:], F)
+                step = np.linalg.solve(0.5 * jet.derivatives(2)[d:, d:], F)
             except np.linalg.LinAlgError:
                 break
             # damped Newton keeps iterates on the slit bundle
@@ -1288,15 +1305,15 @@ def levi_identity_residual(m, f, z, X) -> dict:
     n = m.n
 
     fj = f(EagerSpace.get(mr.dim, 2).variables(x))
-    grad = fj.gradient()
-    hess = fj.hessian()
+    grad = fj.derivatives(1)
+    hess = fj.derivatives(2)
 
     # f_{;a bbar}: the (z, zbar) block of the Wirtinger Hessian
-    f_abar = wirtinger(fj, [(a, n + a) for a in range(n)]).hessian()[:n, n:]
+    f_abar = eager(wirtinger(fj, [(a, n + a) for a in range(n)])).derivatives(2)[:n, n:]
     Xo = X[:n] + 1j * X[n:]       # (1,0)-part of X in the d/dz frame
     lhs = 4.0 * np.einsum("ab,a,b->", f_abar, Xo, Xo.conj())
 
-    conn = cartan(mr, x, legendre_gradient(mr, grad, x), need_curvature=False)
+    conn = cartan(mr, x, legendre_gradient(mr, grad, x))
 
     def d2(wv):
         quad = float(wv @ hess @ wv)
@@ -1342,7 +1359,7 @@ def gradient_identity(m, pole, z) -> dict:
         df[i] = (4.0 * d_h2 - d_h) / 3.0
 
     Y = legendre_gradient(mr, df, x)
-    conn_T = cartan(mr, x, base.T, need_curvature=False)
+    conn_T = cartan(mr, x, base.T)
     real_pairing = float(Y @ conn_T.g @ base.T)
 
     T_c = base.T[:m.n] + 1j * base.T[m.n:]
@@ -1385,8 +1402,8 @@ def weakly_kahler_pde_stats_by_objects(profile) -> dict:
             s = float(sfrac * t)
             phi_jet = profile(*sp.variables([float(t), s]))
             phi = phi_jet.value
-            pt, ps = (float(d) for d in phi_jet.gradient())
-            hess = phi_jet.hessian()
+            pt, ps = (float(d) for d in phi_jet.derivatives(1))
+            hess = phi_jet.derivatives(2)
             pss = float(hess[1, 1])
             pst = float(hess[0, 1])
             term1 = (phi - s * ps) * (phi + (t - s) * ps) * (ps - pt + s * (pst + pss))
@@ -1409,14 +1426,14 @@ def point_levi_matrix(m, z, v):
     """The Levi matrix (G_{a bbar}) at one point, read from its order-2
     ``complex_jet``."""
     n = m.n
-    return m.complex_jet(z, v, 2).derivatives(2, slice(n, 2 * n), slice(3 * n, 4 * n))
+    return eager(m.complex_jet(z, v, 2)).derivatives(2, slice(n, 2 * n), slice(3 * n, 4 * n))
 
 
 def point_fundamental_real(m, x, u):
     """The real fundamental tensor at one point, read from its order-2
     ``real_jet``."""
     U = slice(m.dim, 2 * m.dim)
-    return 0.5 * m.real_jet(x, u, 2).derivatives(2, U, U)
+    return 0.5 * eager(m.real_jet(x, u, 2)).derivatives(2, U, U)
 
 
 def per_point_check_metric(m, plan=None):

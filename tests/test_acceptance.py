@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finsler.cartan import flag_curvature
 from finsler.chern import chern_finsler, holomorphic_sectional_curvature
 from finsler.geodesic import (PoleDistance, distance_hessian, hessian_rho,
                               integrate_geodesic)
@@ -27,9 +26,9 @@ from finsler.schwarz import certify_schwarz
 from finsler.cli import main as cli_main
 from finsler.report import canonical_json
 
-from oracles import (EagerSpace, at_point, endpoint, gaussian_curvature, gradient_identity,
-                     hyperbolic_distance, hyperbolic_hessian_tangential, levi_identity_residual,
-                     probe_catalog, pullback_density, random_expression,
+from oracles import (EagerSpace, at_point, endpoint, flag_curvature, gaussian_curvature,
+                     gradient_identity, hyperbolic_distance, hyperbolic_hessian_tangential,
+                     levi_identity_residual, probe_catalog, pullback_density, random_expression,
                      richardson_partial, un_invariant_kahler_check)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

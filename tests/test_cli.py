@@ -547,6 +547,25 @@ def test_no_command_computes_on_jet_objects(tmp_path, monkeypatch):
         assert main([command, "--config", str(p), "--out", str(out)]) == 0
 
 
+def test_no_grid_command_replays_a_single_point(tmp_path, monkeypatch):
+    # every sample grid of these commands is read from stacked rows
+    # (replay_rows): with the single-point replay refused, each still succeeds
+    from finsler.jets import JetProgram
+
+    def refuse(*args):
+        raise AssertionError("single-point replay in a grid command")
+
+    monkeypatch.setattr(JetProgram, "replay", refuse)
+    golden = json.loads((Path(__file__).parent / "golden" / "golden_config.json").read_text())
+    out = tmp_path / "out"
+    p = write_config(tmp_path, golden, name="golden.json")
+    for command in ("check", "curvature", "bounds", "schwarz"):
+        assert main([command, "--config", str(p), "--out", str(out)]) == 0
+    for pair in ("identity", "mobius", "square"):
+        cert = out / "schwarz" / f"{pair}__poincare__poincare" / "report.json"
+        assert main(["replay", "--certificate", str(cert)]) == 0
+
+
 @pytest.mark.parametrize("spec", [_SZABO, _UN], ids=["szabo_of_disks", "gradient_profile"])
 def test_cmd_check_kahler_families_declare_strongly_kahler(tmp_path, capsys, spec):
     # the kahler level is empty (Chen and Shen): a metric whose declared class
@@ -1163,8 +1182,8 @@ def test_cmd_distance_fails_non_finite_levi_samples(tmp_path, monkeypatch):
 
 
 def test_cmd_bounds_fails_on_non_finite_flag_curvatures(tmp_path, monkeypatch):
-    monkeypatch.setattr(sys.modules["finsler.cartan"], "flag_curvature",
-                        lambda *a, **k: math.nan)
+    # every flag curvature of the fan is one `_flag_ratio`
+    monkeypatch.setattr(sys.modules["finsler.cartan"], "_flag_ratio", lambda *a: math.nan)
     cfg = dict(BASE_CONFIG)
     cfg["metrics"] = [BASE_CONFIG["metrics"][0]]
     cfg["plans"] = {"default": {"n_points": 4, "n_dirs": 3, "radial_range": [0.1, 0.5]}}

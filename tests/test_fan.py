@@ -8,6 +8,7 @@ member that leaves the domain ends at its own exit, while the others go on.
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ import pytest
 from finsler import geodesic
 from finsler.cartan import cartan, radial_flag_bounds
 from finsler.errors import ConfigurationError, DegenerateMetricError, SlitBundleError
-from finsler.geometry import SamplePlan, realify_metric, unit_directions
+from finsler.geometry import MetricDef, SamplePlan, realify_metric, unit_directions
+from finsler.jets import JetProgram
 from finsler.metrics import instantiate
 
 from oracles import endpoint, fan_by_paths, radial_flag_bounds_by_paths
@@ -99,6 +101,43 @@ def test_a_member_that_leaves_the_domain_ends_alone(name):
     assert got.n_samples == n > 0
     assert got.k_inf == pytest.approx(k_inf, rel=1e-6)
     assert got.k_sup == pytest.approx(k_sup, rel=1e-6)
+
+
+def test_the_first_ill_conditioned_sample_fails_the_fan():
+    # the stacked connection names the first sample, in fan order, whose
+    # fundamental tensor fails the condition gate, as a loop over the
+    # samples meets it, not the worst one (8.69e+13)
+    m = realify_metric(instantiate(SMALL_SZABO))
+    with pytest.raises(DegenerateMetricError, match=r"condition number 5\.17e\+13$"):
+        radial_flag_bounds(m, np.zeros(m.dim), EXIT_PLAN)
+
+
+@pytest.mark.parametrize("name", ["disk", "ball", "minkowski", "small_disk"])
+def test_a_fan_takes_one_stacked_connection(monkeypatch, name):
+    spec, plan = CASES[name]
+    m = realify_metric(instantiate(spec))
+    calls = []
+
+    def counted(owner, method, label):
+        real = getattr(owner, method)
+
+        def call(*args, **kwargs):
+            calls.append(label(*args))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, method, call)
+
+    counted(JetProgram, "replay_rows", lambda program, values, order: ("replay_rows", order))
+    counted(JetProgram, "replay", lambda program, values, order: ("replay", order))
+    counted(MetricDef, "real_jet", lambda m, x, u, order: ("real_jet", order))
+    # the package exports the function under the module's name
+    counted(sys.modules["finsler.cartan"], "cartan", lambda m, x, u: ("cartan", np.shape(x)))
+    got = radial_flag_bounds(m, np.zeros(m.dim), plan)
+    # the fan's sprays are order-2 rows; its samples take one order-4 replay
+    n_dirs = max(plan.n_dirs, 3)
+    samples = n_dirs * max(3, plan.n_points // n_dirs + 1)
+    assert [c for c in calls if c != ("replay_rows", 2)] == [
+        ("cartan", (samples, m.dim)), ("replay_rows", 4)]
+    assert got.n_samples > 0
 
 
 def test_a_fan_ending_just_past_the_first_exit_finishes_the_others():

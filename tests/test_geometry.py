@@ -1,5 +1,7 @@
 """Complex structure, realification maps, and metric-interface invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +206,18 @@ def test_condition_estimate_bounds_the_two_norm_condition(hermitian):
                 assert np.linalg.cond(a) <= 1e10
                 assert np.array_equal(well_conditioned_inverse(a, "test matrix"),
                                       np.linalg.inv(a))
+
+
+def test_a_stack_reports_its_first_failing_row():
+    # rows in order: fine, condition 1e12, NaN, condition 1e14; the error
+    # names the first failure in row order, not the worst one
+    stack = np.array([np.eye(2), np.diag([1.0, 1e-12]), np.full((2, 2), np.nan),
+                      np.diag([1.0, 1e-14])])
+    for rows, cond in ((stack, "1.00e+12"), (stack[[0, 2, 3]], "nan"),
+                       (stack[[3, 1]], "1.00e+14"), (stack[:2].reshape(1, 2, 2, 2), "1.00e+12")):
+        with pytest.raises(DegenerateMetricError, match=re.escape(f"number {cond}") + "$"):
+            well_conditioned_inverse(rows, "test matrix")
+    assert np.array_equal(well_conditioned_inverse(stack[[0, 0]], "test matrix"), stack[[0, 0]])
 
 
 def test_singular_and_non_finite_matrices_are_degenerate():

@@ -220,8 +220,8 @@ def test_gradient_and_hessian_gathers_match_partials():
     for nvars, order in ((2, 2), (4, 3), (8, 2), (4, 4), (8, 4)):
         jets = EagerSpace.get(nvars, order).variables(rng.standard_normal(nvars))
         f = (jets[0] * jets[-1] + jets[1].exp()) * jets[nvars // 2] + jets[0] ** 3
-        assert np.array_equal(f.gradient(), [f.partial([i]) for i in range(nvars)])
-        assert np.array_equal(f.hessian(), [[f.partial([i, j]) for j in range(nvars)]
+        assert np.array_equal(f.derivatives(1), [f.partial([i]) for i in range(nvars)])
+        assert np.array_equal(f.derivatives(2), [[f.partial([i, j]) for j in range(nvars)]
                                             for i in range(nvars)])
         for k in range(3, order + 1):
             want = np.empty((nvars,) * k)
@@ -231,11 +231,11 @@ def test_gradient_and_hessian_gathers_match_partials():
         with pytest.raises(StructuralError):
             f.derivatives(order + 1)
     with pytest.raises(StructuralError):
-        EagerSpace.get(2, 1).variables([0.1, 0.2])[0].hessian()
+        EagerSpace.get(2, 1).variables([0.1, 0.2])[0].derivatives(2)
 
 
 def test_engine_reads_no_scalar_partials(monkeypatch):
-    # every derivative readout in the engine goes through gradient()/hessian()
+    # every derivative readout in the engine goes through derivatives() gathers
     # (wirtinger, levi_matrix, PoleDistance.rho, realified jets, probe Jacobians),
     # reached here through the oracles that call them
     from finsler.kahler import weakly_kahler_pde_residual
