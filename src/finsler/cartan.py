@@ -171,7 +171,7 @@ def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds
     lo, hi = plan.radial_range
     ts = np.linspace(lo, hi, max(3, plan.n_points // len(dirs) + 1))
     flags = unit_directions(2 * d, d, plan.seed + 1)
-    fan = geo.integrate_fan(m, pole, [w / math.sqrt(m.value(pole, w)) for w in dirs], hi * 1.05)
+    fan = geo.integrate_fan(m, pole, dirs / np.sqrt(m.value(pole, dirs))[:, None], hi * 1.05)
     states = [fan.state_at(b, min(t, arc_length * 0.999))
               for b, arc_length in enumerate(fan.arc_lengths) for t in ts]
     data = cartan(m, *map(np.array, zip(*states)))

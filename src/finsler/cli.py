@@ -201,14 +201,15 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
         # None where nothing was checked: no samples, or no closed form
         closed = m.metadata.get("distance_from_origin")
         worst = 0.0 if rows and closed else None
-        for i, _, (rho, _) in shots.rows:
+        if worst is not None:
+            reached = np.array([pts[i] for i, _, _ in shots.rows])
             if closed == "norm":
-                worst = max(worst, abs(rho - math.sqrt(m.value(pts[i], pts[i]))))
-            elif closed == "atanh":
+                closed_rho = np.sqrt(m.value(reached, reached)).tolist()
+            else:
                 # G = scale |v|^2 / (1 - |z|^2)^2 on the disk and along ball radii
-                closed_rho = math.sqrt(m.metadata["hermitian_scale"]) * math.atanh(
-                    float(np.linalg.norm(pts[i])))
-                worst = max(worst, abs(rho - closed_rho))
+                closed_rho = [math.sqrt(m.metadata["hermitian_scale"])
+                              * math.atanh(float(np.linalg.norm(z))) for z in reached]
+            worst = max(abs(rho - c) for (_, _, (rho, _)), c in zip(shots.rows, closed_rho))
         rho_errors = {i: exc for i, _, exc in shots.failures}
         shooting = [{"point_index": i, "starts": exc.starts, "integrations": exc.integrations,
                      "iterations": exc.iterations, "best_residual": exc.best_residual}
@@ -391,6 +392,7 @@ def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
         payload = {"certificate": cert.to_payload()}
         _write_report(outdir, "schwarz", pair_id, payload, config,
                       metadata={"holomorphic_samples": cert.curvature_samples,
+                                "target_valid_metric": cert.target_valid_metric,
                                 "grids": cert.grids})
         expect_pass = pair.get("expect_pass")
         if expect_pass is not None and expect_pass != cert.passed:

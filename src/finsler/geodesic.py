@@ -135,10 +135,11 @@ class GeodesicPath:
         return math.sqrt(self.energy)
 
     def energy_drift(self) -> float:
-        """max |G(x, u) - G(x0, u0)| over the integrator's steps, one metric
-        value per step."""
-        d, m = self.metric.dim, self.metric
-        return max(abs(m.value(y[:d], y[d:2 * d]) - self.energy) for y in self.sol.y.T)
+        """max |G(x, u) - G(x0, u0)| over the integrator's steps, read from one
+        ``value`` call over their states."""
+        d = self.metric.dim
+        y = self.sol.y.T
+        return float(np.abs(self.metric.value(y[:, :d], y[:, d:2 * d]) - self.energy).max())
 
     def _dense_state(self, t):
         """The whole dense state at affine time ``t``, clamped to the path."""
@@ -154,13 +155,15 @@ class GeodesicPath:
         return y[:d], y[d:2 * d]
 
     def to_csv(self, fp, n=65):
-        """Write t, x, u, G rows over an even arc grid."""
+        """Write t, x, u, G rows over an even arc grid, G from one ``value``
+        call over its states."""
         w = csv.writer(fp)
         d = self.metric.dim
         w.writerow(["t"] + [f"x{i}" for i in range(d)] + [f"u{i}" for i in range(d)] + ["G"])
-        for s in np.linspace(0.0, self.arc_length, n):
-            x, u = self.state_at(s)
-            w.writerow([repr(float(c)) for c in (s, *x, *u)] + [repr(self.metric.value(x, u))])
+        arcs = np.linspace(0.0, self.arc_length, n)
+        X, U = map(np.array, zip(*(self.state_at(s) for s in arcs)))
+        for s, x, u, G in zip(arcs, X, U, self.metric.value(X, U).tolist()):
+            w.writerow([repr(float(c)) for c in (s, *x, *u)] + [repr(G)])
 
 
 def _path(m: MetricDef, G0, sol) -> GeodesicPath:
@@ -228,7 +231,7 @@ def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
     x0 = np.asarray(x0, dtype=float)
     U0 = np.asarray(U0, dtype=float)
     d = m.dim
-    G0 = np.array([m.value(x0, u) for u in U0])
+    G0 = m.value(x0, U0)
     if not np.all(G0 > 0):
         raise ConfigurationError("initial velocities must be nonzero")
     speeds = np.sqrt(G0)

@@ -51,12 +51,10 @@ def complex_to_real_components(v):
 
 
 def complex_coordinates(x) -> list:
-    """The complex coordinates z^a = x^a + i x^{n+a} of real components
-    (x block, then y block): CJets of jets, complex numbers of numbers."""
+    """The complex coordinates z^a = x^a + i x^{n+a}, as CJets, of the real
+    components of a point as jets (x block, then y block)."""
     n = len(x) // 2
-    if isinstance(x[0], Jet):
-        return [CJet(x[a], x[n + a]) for a in range(n)]
-    return [complex(x[a], x[n + a]) for a in range(n)]
+    return [CJet(x[a], x[n + a]) for a in range(n)]
 
 
 # -- validity domains ----------------------------------------------------------
@@ -139,10 +137,11 @@ def product_domain(d1: Domain, n1: int, d2: Domain, n2: int) -> Domain:
 class MetricDef:
     """A Finsler metric as a jet-polymorphic evaluator plus metadata.
 
-    ``formula`` maps (point scalars, vector scalars) to a real scalar of the
-    same arithmetic type: numbers, or the recording Jets and CJets of its jet
-    program (``program``). For complex kinds the scalars are complex/CJet per
-    complex coordinate; for real kind they are real per real coordinate.
+    ``formula`` maps (point scalars, vector scalars) to a real scalar. It runs
+    only while its jet program is recorded (``program``), on recording jets:
+    one CJet per complex coordinate for complex kinds, one real jet per real
+    coordinate for the real kind. Every value and derivative of G is replayed
+    from that program.
     Homogeneity of degree 2 in the vector argument is assumed and checked by
     the validation suite, not enforced here.
     """
@@ -174,24 +173,36 @@ class MetricDef:
             raise SlitBundleError(
                 "vector too close to the zero section; renormalize by homogeneity")
 
-    # -- plain value evaluation --------------------------------------------
+    # -- values -------------------------------------------------------------
 
-    def value(self, point, vector) -> float:
-        """G at numeric arguments; zero vector maps to 0 by homogeneity."""
+    def value(self, point, vector):
+        """G at a point and a vector, a float, or at the B rows of shape (B, n)
+        of either, broadcast against the other, an array (B,): complex
+        coordinates for complex kinds, real components for the real kind.
+
+        G is the constant coefficient of one order-0 replay of ``program``:
+        ``real_rows`` for rows, and for a point its own ``real_jet``, which is
+        bit for bit its row and costs less than a one-row replay. Each point
+        is guarded as there. A zero vector gives 0, and a vector the slit
+        guard could refuse is read at its unit vector and scaled back by
+        homogeneity.
+        """
+        dtype = complex if self.is_complex else float
+        z, v = np.asarray(point, dtype=dtype), np.asarray(vector, dtype=dtype)
+        x, u = np.broadcast_arrays(np.atleast_2d(z), np.atleast_2d(v))
         if self.is_complex:
-            z = np.asarray(point, dtype=complex)
-            v = np.asarray(vector, dtype=complex)
-        else:
-            z = np.asarray(point, dtype=float)
-            v = np.asarray(vector, dtype=float)
-        self.domain.require(z)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return 0.0
-        if nv < EPS_SLIT:
-            # renormalize through homogeneity to stay on the slit bundle
-            return nv ** 2 * float(creal_value(self.formula(list(z), list(v / nv))))
-        return float(creal_value(self.formula(list(z), list(v))))
+            x, u = complex_to_real_components(x), complex_to_real_components(u)
+        nu = np.linalg.norm(u, axis=1)
+        small = nu <= (1.0 + 1e-9) * EPS_SLIT * (1.0 + np.linalg.norm(x, axis=1))
+        if small.any():
+            u = u.copy()
+            for b in np.flatnonzero(small):
+                # a zero vector reads G at e_0, scaled back by 0
+                u[b] = u[b] / nu[b] if nu[b] > 0 else np.eye(self.dim)[0]
+        one = z.ndim == v.ndim == 1
+        G = self.real_jet(x[0], u[0], 0).coeffs if one else self.real_rows(x, u, 0)[:, 0]
+        G[small] *= nu[small] ** 2
+        return float(G[0]) if one else G
 
     # -- jet evaluation ------------------------------------------------------
 
@@ -299,11 +310,6 @@ def well_conditioned_inverse(a, what) -> np.ndarray:
     if bad.size:
         raise DegenerateMetricError(f"{what} condition number {cond[bad[0]]:.2e}")
     return inv
-
-
-def creal_value(s):
-    """The real part of a formula's value at numeric arguments."""
-    return complex(s).real if isinstance(s, complex) else float(s)
 
 
 def realify_metric(m: MetricDef) -> MetricDef:

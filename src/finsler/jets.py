@@ -18,15 +18,16 @@ rewrites a jet over paired real coordinates (x, y) as a complex-coefficient
 jet over formally independent holomorphic/antiholomorphic variables
 (z, zbar) with z = x + iy.
 
-Every jet the engine computes comes from a :class:`JetProgram`: a real
-formula recorded once, as a straight-line list of jet operations, and
-replayed through the kernels on coefficient arrays at any order. The formula
-runs on recording jets, whose arithmetic (+, -, *, /, powers, exp, sqrt)
-appends entries; no engine route computes on ``Jet`` objects. The eager ring
-on ``Jet`` objects, which shares the kernels and so rounds alike, is the
-reference arithmetic of the tests (``tests/oracles.py``). The tape numbers
-values as it records: an entry equal to one already recorded (same
-operation, operands and constant) reuses its slot.
+Every value and jet the engine computes comes from a :class:`JetProgram`: a
+real formula recorded once, as a straight-line list of jet operations, and
+replayed through the kernels on coefficient arrays at any order, a value
+being the order-0 replay. Formulas run only while they are recorded, on
+recording jets, whose arithmetic (+, -, *, /, powers, exp) appends entries;
+no engine route runs a formula on numbers or computes on ``Jet`` objects.
+The eager ring on ``Jet`` objects, which shares the kernels and so rounds
+alike, is the reference arithmetic of the tests (``tests/oracles.py``). The
+tape numbers values as it records: an entry equal to one already recorded
+(same operation, operands and constant) reuses its slot.
 ``JetProgram.replay_rows`` replays B points at once into (B, n) coefficient
 rows, and multiplies them with one bincount over row-offset product tables;
 each row keeps the summation order of a single point, so row b is bit for bit
@@ -474,37 +475,11 @@ class CJet:
         return self.re * self.re + self.im * self.im
 
 
-# -- generic scalar helpers (dispatch float/complex vs Jet/CJet) ---------------
-
-def cconj(w):
-    if isinstance(w, CJet):
-        return w.conj()
-    return np.conj(w) if isinstance(w, complex) else w
-
-
-def cabs2(w):
-    if isinstance(w, CJet):
-        return w.abs2()
-    if isinstance(w, Jet):
-        return w * w
-    return (w * w.conjugate()).real if isinstance(w, complex) else w * w
-
-
 def creal(w):
+    """The real part of a CJet, a real jet or a constant."""
     if isinstance(w, CJet):
         return w.re
     return w.real if isinstance(w, complex) else w
-
-
-def spow(x, p):
-    """x**p for real scalars or real jets."""
-    if isinstance(x, Jet):
-        return x ** p
-    return float(x) ** p
-
-
-def sexp(x):
-    return x.exp() if isinstance(x, Jet) else math.exp(x)
 
 
 # -- jet programs: a formula recorded once, replayed on coefficient arrays ------
@@ -629,9 +604,6 @@ class _RecordedJet(Jet):
 
     def exp(self):
         return self._emit(_EXP)
-
-    def sqrt(self):
-        return self ** 0.5
 
     def __pow__(self, p):
         """A fractional power is one entry; an integer power is recorded as

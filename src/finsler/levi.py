@@ -17,7 +17,6 @@ it is not smooth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +71,10 @@ class LeviField:
             return 2.0 * float(drho @ w) ** 2 + 2.0 * system.r * float(w @ H @ w)
 
         bound = 2.0 + system.r * self.K
+        dirs = np.asarray(dirs, dtype=complex)
         out = []
-        for v in dirs:
-            v = np.asarray(v, dtype=complex)
-            # normalize to a metric-unit vector
-            v = v / math.sqrt(self.m.value(z, v))
+        # each direction normalized to a metric-unit vector
+        for v in dirs / np.sqrt(self.m.value(z, dirs))[:, None]:
             u = complex_to_real_components(v)
             levi_value = 0.25 * (d2_rho2(u) + d2_rho2(apply_J(u)))
             out.append(LeviSample(z=z, v=v, levi_value=levi_value, rho=system.r,

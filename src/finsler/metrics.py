@@ -1,12 +1,12 @@
 """Built-in metric families, holomorphic map catalog, and metric validation.
 
-Families and maps are written against the generic scalar protocol of
-:mod:`finsler.jets`, so the same formula evaluates on plain complex numbers
-(fast values) and records, on CJets of recording jets over real coordinates,
-the jet program that every derivative replays. Pure p-norm metrics are not
-smooth where a component vanishes, so the point-independent norm family is
-built from p-th-root combinations of Hermitian quadratics with a full-rank
-base term, which keeps it smooth on the slit bundle.
+Families, maps and profiles are formulas on the CJets and recording jets of
+:mod:`finsler.jets`. A formula runs only while it is recorded, over real
+coordinates, as the jet program from which every value and derivative is
+replayed. Pure p-norm metrics are not smooth where a component vanishes, so
+the point-independent norm family is built from p-th-root combinations of
+Hermitian quadratics with a full-rank base term, which keeps it smooth on
+the slit bundle.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ConfigurationError
 from .geometry import (Domain, MetricDef, SamplePlan, complex_coordinates,
                        complex_to_real_components, product_domain, sample_points,
                        sample_vectors, unit_directions)
-from .jets import JetProgram, JetSpace, cabs2, cconj, creal, sexp, spow
+from .jets import JetProgram, JetSpace, creal
 from .report import VerificationReport, evaluate_stacked
 
 
@@ -61,9 +61,9 @@ def _hermitian_form(H, v):
                 continue
             if a == b:
                 # real part of v_a conj(v_a) H_aa, computed in real arithmetic
-                term = cabs2(v[a]) * creal(h)
+                term = v[a].abs2() * creal(h)
             else:
-                term = creal((v[a] * cconj(v[b])) * h) * 2.0
+                term = creal((v[a] * v[b].conj()) * h) * 2.0
             s = term if s is None else s + term
     return s
 
@@ -121,8 +121,8 @@ def _make_hermitian(spec):
         domain = Domain("ball", 1.0)
 
         def matrix_fn(z):
-            w = 1.0 - cabs2(z[0])
-            return [[spow(w, -2)]]
+            w = 1.0 - z[0].abs2()
+            return [[w ** -2]]
 
         meta.update(holomorphic_curvature=-4.0 / scale,
                     kahler_class="strongly_kahler",
@@ -131,14 +131,14 @@ def _make_hermitian(spec):
         domain = Domain("ball", 1.0)
 
         def matrix_fn(z):
-            t = cabs2(z[0])
+            t = z[0].abs2()
             for a in range(1, n):
-                t = t + cabs2(z[a])
-            w = spow(1.0 - t, -2)
+                t = t + z[a].abs2()
+            w = (1.0 - t) ** -2
             mat = [[None] * n for _ in range(n)]
             for a in range(n):
                 for b in range(n):
-                    entry = cconj(z[a]) * z[b] if a != b else cabs2(z[a])
+                    entry = z[a].conj() * z[b] if a != b else z[a].abs2()
                     if a == b:
                         entry = entry + (1.0 - t)
                     mat[a][b] = entry * w
@@ -155,7 +155,7 @@ def _make_hermitian(spec):
         def matrix_fn(z):
             mat = [[0.0] * n for _ in range(n)]
             for a in range(n):
-                mat[a][a] = spow(1.0 - cabs2(z[a]), -2)
+                mat[a][a] = (1.0 - z[a].abs2()) ** -2
             return mat
 
         meta.update(kahler_class="strongly_kahler", complete=True)
@@ -167,7 +167,7 @@ def _make_hermitian(spec):
             mat = [[0.0] * n for _ in range(n)]
             mat[0][0] = 1.0
             for a in range(1, n):
-                mat[a][a] = 1.0 + cabs2(z[0])
+                mat[a][a] = 1.0 + z[0].abs2()
             return mat
 
         meta.update(kahler_class="none")
@@ -210,9 +210,9 @@ def _make_minkowski(spec):
         if eps > 0:
             q = None
             for H in Hs:
-                term = spow(_hermitian_form(H, v), k)
+                term = _hermitian_form(H, v) ** k
                 q = term if q is None else q + term
-            g = g + eps * spow(q, 1.0 / k)
+            g = g + eps * q ** (1.0 / k)
         return g
 
     meta = {"kahler_class": "strongly_kahler", "holomorphic_curvature": 0.0,
@@ -250,7 +250,7 @@ def _make_szabo(spec):
     def formula(z, v):
         a2 = f1.formula(z[:n1], v[:n1])
         b2 = f2.formula(z[n1:], v[n1:])
-        return a2 + b2 + eps * spow(spow(a2, k) + spow(b2, k), 1.0 / k)
+        return a2 + b2 + eps * (a2 ** k + b2 ** k) ** (1.0 / k)
 
     # Kaehler factors are strongly Kaehler, and so is their Szabo metric: the
     # kahler level is empty (Chen and Shen, see finsler.kahler)
@@ -289,16 +289,16 @@ def build_profile(params) -> UnitaryProfile:
         fname = params.get("f", "one")
         c = _finite(params.get("c", 1.0), "profile c")
         if fname == "one":
-            return UnitaryProfile("phi_f_one", lambda t, s: 1.0 + 0.0 * creal(t),
+            return UnitaryProfile("phi_f_one", lambda t, s: 1.0 + 0.0 * t,
                                   is_gradient_form=True)
         if fname == "exp":
             def fn(t, s):
-                return sexp(t * c) * (1.0 + c * s)
+                return (t * c).exp() * (1.0 + c * s)
             return UnitaryProfile(f"phi_f_exp_c{c:g}", fn, is_gradient_form=True)
         if fname == "inv_one_minus_t":
             def fn(t, s):
                 w = 1.0 - t
-                return spow(w, -1) + s * spow(w, -2)
+                return w ** -1 + s * w ** -2
             return UnitaryProfile("phi_f_inv", fn, is_gradient_form=True, t_max=1.0)
         raise ConfigurationError(f"unknown gradient profile f {fname!r}")
     if form == "free":
@@ -325,14 +325,14 @@ def un_invariant_metric(profile: UnitaryProfile, n: int, spec) -> MetricDef:
     domain = Domain("ball", radius) if math.isfinite(radius) else Domain()
 
     def formula(z, v):
-        r = cabs2(v[0])
-        t = cabs2(z[0])
-        ip = v[0] * cconj(z[0])
+        r = v[0].abs2()
+        t = z[0].abs2()
+        ip = v[0] * z[0].conj()
         for a in range(1, n):
-            r = r + cabs2(v[a])
-            t = t + cabs2(z[a])
-            ip = ip + v[a] * cconj(z[a])
-        s = cabs2(ip) / r
+            r = r + v[a].abs2()
+            t = t + z[a].abs2()
+            ip = ip + v[a] * z[a].conj()
+        s = ip.abs2() / r
         return r * profile(t, s)
 
     meta = {"profile": profile,
@@ -379,11 +379,12 @@ def check_metric(m: MetricDef, plan: SamplePlan) -> VerificationReport:
     fundamental tensor over the sample grid, plus homogeneity residuals.
     The grid runs as stacked rows through ``report.evaluate_stacked``: each
     tensor comes from one order-2 replay over every sample and goes through
-    one stacked ``eigvalsh``, while G and the homogeneity reference stay
-    per-sample values. The homogeneity scales s are drawn once, one per
-    sample in plan order, from ``default_rng(seed + 7)``, and reach the rows
-    as a column beside Z and V, so a grid rerun one row at a time after a
-    failed sample reads the same scales.
+    one stacked ``eigvalsh``, and G(z, v) and the homogeneity reference
+    G(z, s v) from one order-0 replay over both. The homogeneity scales s
+    are drawn once, one per sample in plan order, from
+    ``default_rng(seed + 7)``, and reach the rows as a column beside Z and V,
+    so a grid rerun one row at a time after a failed sample reads the same
+    scales.
     Per-sample evaluation failures are recorded, not raised: ``stats["samples"]``
     holds the attempted/ok/failed counts with failures tallied by error type,
     and a check with a failed sample, or with no evaluated one, fails.
@@ -399,18 +400,17 @@ def check_metric(m: MetricDef, plan: SamplePlan) -> VerificationReport:
     def sample(Z, V, S):
         """(G, least real eigenvalue, homogeneity residual[, least Levi
         eigenvalue]) of each row of Z, V, the homogeneity scale its row of S."""
-        G = [m.value(z, v) for z, v in zip(Z, V)]
+        # G(z, v) and the homogeneity reference G(z, s v) from one replay
+        G, ref = np.split(m.value(np.concatenate([Z, Z]), np.concatenate([V, S[:, None] * V])), 2)
         levi = ()
         X, U = Z, V
         if m.is_complex:
             levi = (np.linalg.eigvalsh(m.levi_matrix(Z, V)).min(axis=-1),)
             X, U = complex_to_real_components(Z), complex_to_real_components(V)
         evr = np.linalg.eigvalsh(m.fundamental_real(X, U)).min(axis=-1)
-        hom = []
-        # Python scalars, whose |s| ** 2 is libm's pow
-        for z, v, g, s in zip(Z, V, G, S.tolist()):
-            ref = m.value(z, s * v)
-            hom.append(abs(ref - abs(s) ** 2 * g) / max(1.0, abs(ref)))
+        # |s| ** 2 of Python scalars is libm's pow, as one sample's check takes it
+        s2 = np.array([abs(s) ** 2 for s in S.tolist()])
+        hom = np.abs(ref - s2 * G) / np.maximum(1.0, np.abs(ref))
         return np.column_stack((G, evr, hom) + levi)
 
     points, dirs = sample_points(m, plan), sample_vectors(m, plan)
@@ -447,20 +447,14 @@ def check_metric(m: MetricDef, plan: SamplePlan) -> VerificationReport:
 
 
 class HoloMap:
-    """Holomorphic map from the catalog: its formula runs on complex scalars
-    for values, and is recorded as jet programs for its Jacobian."""
+    """Holomorphic map from the catalog: its formula is recorded as jet
+    programs, from which its values and Jacobians are replayed."""
 
     def __init__(self, map_id, n_in, n_out, fn):
         self.id = map_id
         self.n_in = n_in
         self.n_out = n_out
         self._fn = fn
-
-    def __call__(self, z):
-        return self._fn(list(z))
-
-    def apply_values(self, z):
-        return np.array([complex(w) for w in self._fn([complex(c) for c in z])])
 
     @cached_property
     def programs(self) -> list:
@@ -472,16 +466,19 @@ class HoloMap:
                 2 * self.n_in)
         return [(part(i, "re"), part(i, "im")) for i in range(self.n_out)]
 
-    def jacobian(self, z) -> np.ndarray:
-        """Exact complex Jacobians dF/dz (B, n_out, n_in) at the rows z (B, n_in),
-        from one order-1 ``replay_rows`` per program: by the Cauchy-Riemann
-        equations dF/dz = dF/dRe z, read from the gradients."""
+    def evaluate(self, z):
+        """The values F(z) (B, n_out) and the exact complex Jacobians dF/dz
+        (B, n_out, n_in) at the rows z (B, n_in), from one order-1
+        ``replay_rows`` per program: the values are the constant coefficients
+        and, by the Cauchy-Riemann equations, dF/dz = dF/dRe z, read from the
+        gradients."""
         x = complex_to_real_components(z)
         sp = JetSpace.get(2 * self.n_in, 1, False)
         re_z = slice(self.n_in)
-        return np.stack([sp.gather(re.replay_rows(x, 1), 1, re_z)
-                         + 1j * sp.gather(im.replay_rows(x, 1), 1, re_z)
-                         for re, im in self.programs], axis=1)
+        rows = [(re.replay_rows(x, 1), im.replay_rows(x, 1)) for re, im in self.programs]
+        values = np.stack([re[:, 0] + 1j * im[:, 0] for re, im in rows], axis=1)
+        return values, np.stack([sp.gather(re, 1, re_z) + 1j * sp.gather(im, 1, re_z)
+                                 for re, im in rows], axis=1)
 
 
 def build_map(spec) -> HoloMap:

@@ -14,7 +14,6 @@ sampled on the plan. The hypotheses are checked and recorded, not assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -138,13 +137,16 @@ class SchwarzCertificate:
     plan: dict
     tolerance: float
     schema: int = 1
-    # K_G sample counts per role, and the rows of each stacked grid with
-    # whether one call evaluated them; kept out of the payload, which goldens pin
+    # K_G sample counts per role, whether the target passed its validity
+    # check (a hypothesis folded into ``met``), and the rows of each stacked
+    # grid with whether one call evaluated them; kept out of the payload,
+    # which goldens pin
     curvature_samples: dict = field(default_factory=dict)
+    target_valid_metric: bool = True
     grids: dict = field(default_factory=dict)
 
     def to_payload(self):
-        return record(self, "curvature_samples", "grids")
+        return record(self, "curvature_samples", "target_valid_metric", "grids")
 
 
 def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
@@ -154,12 +156,15 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
     ``domain`` and ``target`` are metrics or their ``MetricAnalysis`` on
     ``plan``. The hypotheses (domain validity, weakly Kaehler class,
     completeness) and K1, the clamped K_G infimum of the domain, come from the
-    domain analysis; K2, the K_G supremum of the target, from the target
-    analysis. Certifying several pairs with one analysis per metric computes
-    each metric's validity, class and K_G grid once, and a pair whose domain
-    and target are one analysis samples K_G once. Hypothesis failures are
-    recorded in the certificate; the comparison is still executed and
-    labeled. A NaN or infinite ratio raises ``NonFiniteSampleError``.
+    domain analysis; the target's validity and K2, the K_G supremum of the
+    target, from the target analysis. The ratio grid reads G and H over all
+    its rows in one ``value`` call each, and f(z) with df_z from one
+    ``HoloMap.evaluate``. Certifying several pairs with one analysis per
+    metric computes each metric's validity, class and K_G grid once, and a
+    pair whose domain and target are one analysis samples K_G once.
+    Hypothesis failures are recorded in the certificate; the comparison is
+    still executed and labeled. A NaN or infinite ratio raises
+    ``NonFiniteSampleError``.
     """
     dom = _analysis(domain, plan)
     tgt = dom if target is domain else _analysis(target, plan)
@@ -170,28 +175,27 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
            "domain_kahler_class": kah.classification,
            "domain_weakly_kahler": is_at_least(kah.classification, "weakly_kahler"),
            "domain_complete": bool(m_domain.metadata.get("complete", False))}
+    target_valid = bool(tgt.validity.passed)
     hyp["met"] = all((hyp["domain_valid_metric"], hyp["domain_weakly_kahler"],
-                      hyp["domain_complete"]))
+                      hyp["domain_complete"], target_valid))
     k1 = dom.curvature.bound("domain")
     k2 = tgt.curvature.bound("target")
     bound = k1.value / k2.value
 
-    pts = sample_points(m_domain, plan)
-    dirs = plan_directions(m_domain, plan.n_dirs, plan.seed + 17)
-    max_ratio = -math.inf
-    argmax = {}
-    for iz, (z, jac) in enumerate(zip(pts, f.jacobian(pts))):
-        fz = f.apply_values(z)
-        for iv, v in enumerate(dirs):
-            G = m_domain.value(z, v)
-            w = jac @ v
-            # != 0, not > 0: a NaN derivative must reach the finite check
-            H = m_target.value(fz, w) if float(np.linalg.norm(w)) != 0 else 0.0
-            ratio = require_finite(H / G)
-            if ratio > max_ratio:
-                max_ratio = ratio
-                argmax = {"point_index": iz, "dir_index": iv,
-                          "z": list(z), "ratio": ratio}
+    # the ratio grid as rows, point by point in plan order, each point's
+    # value and Jacobian repeated over the directions
+    pts = np.asarray(sample_points(m_domain, plan))
+    dirs = np.asarray(plan_directions(m_domain, plan.n_dirs, plan.seed + 17))
+    fz, jac = (np.repeat(a, len(dirs), axis=0) for a in f.evaluate(pts))
+    Z, V = np.repeat(pts, len(dirs), axis=0), np.tile(dirs, (len(pts), 1))
+    W = (jac @ V[:, :, None])[:, :, 0]
+    ratios = m_target.value(fz, W) / m_domain.value(Z, V)
+    for ratio in ratios.tolist():
+        require_finite(ratio)
+    b = int(np.argmax(ratios))
+    max_ratio = float(ratios[b])
+    iz, iv = divmod(b, len(dirs))
+    argmax = {"point_index": iz, "dir_index": iv, "z": list(pts[iz]), "ratio": max_ratio}
     passed = max_ratio <= bound + tolerance
     return SchwarzCertificate(
         map_id=f.id, domain_id=m_domain.family_id, target_id=m_target.family_id,
@@ -200,7 +204,9 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
         plan=plan.to_dict(), tolerance=tolerance,
         curvature_samples={"domain": dom.curvature.counts,
                            "target": tgt.curvature.counts},
+        target_valid_metric=target_valid,
         grids={"domain_validity": dom.validity.grid, "domain_kahler": kah.samples.grid,
                "domain_holomorphic": dom.curvature.grid,
+               "target_validity": tgt.validity.grid,
                "target_holomorphic": tgt.curvature.grid})
 

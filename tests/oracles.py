@@ -257,16 +257,28 @@ class EagerJet(Jet):
 
 
 def holomorphic_jacobian(fn, z):
-    """Complex Jacobian dF/dz of a holomorphic map on generic scalars at one
-    point z: F evaluated on first-order eager jets over (Re z, Im z), and by
-    the Cauchy-Riemann equations dF/dz = dF/dRe z, read from the gradients.
-    The reference for ``HoloMap.jacobian``."""
+    """Complex Jacobian dF/dz of a holomorphic map on CJets at one point z: F
+    evaluated on first-order eager jets over (Re z, Im z), and by the
+    Cauchy-Riemann equations dF/dz = dF/dRe z, read from the gradients. The
+    reference for the Jacobians of ``HoloMap.evaluate``."""
+    n = np.size(z)
+    out = fn(eager_cjets(z, 1))
+    return np.array([w.re.derivatives(1)[:n] + 1j * w.im.derivatives(1)[:n] for w in out])
+
+
+def eager_cjets(z, order=0) -> list:
+    """The complex numbers z as CJets of eager jets of the given order over
+    (Re z, Im z): the arguments on which a formula, which runs on CJets and
+    jets only, evaluates at a numeric point."""
     from finsler.geometry import complex_coordinates, complex_to_real_components
     z = np.asarray(z, dtype=complex)
-    n = z.size
-    seeds = EagerSpace.get(2 * n, 1).variables(complex_to_real_components(z))
-    out = fn(complex_coordinates(seeds))
-    return np.array([w.re.derivatives(1)[:n] + 1j * w.im.derivatives(1)[:n] for w in out])
+    return complex_coordinates(EagerSpace.get(2 * z.size, order).variables(
+        complex_to_real_components(z)))
+
+
+def number(w) -> complex:
+    """The value of a CJet or a jet, or a constant, as a complex number."""
+    return complex(w.value) if hasattr(w, "value") else complex(w)
 
 
 # -- jet and path readouts the engine itself never takes -------------------------
@@ -1190,7 +1202,7 @@ def log_density_comparison(m_target, f, probe, K2, grid):
     grid points where sigma^2, the pullback of the target metric along f o phi,
     is positive. Equality holds for the constant-curvature disk density, which
     pins the one-half convention."""
-    density = pullback_density(m_target, lambda zc: f(probe(zc)))
+    density = pullback_density(m_target, lambda zc: f._fn(probe(zc)))
     margins = []
     for zeta in grid:
         sig = density_jet(density, zeta)

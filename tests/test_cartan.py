@@ -12,8 +12,8 @@ from finsler.metrics import instantiate
 
 from finsler.jets import Jet, JetProgram
 
-from oracles import (cartan_by_partials, flag_curvature, riemannian_sectional_curvature,
-                     spray_by_partials)
+from oracles import (cartan_by_partials, eager_cjets, flag_curvature, number,
+                     riemannian_sectional_curvature, spray_by_partials)
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}}))
@@ -43,8 +43,8 @@ def hermitian_real_matrix(mc):
     def a_fn(x):
         n = mc.n
         z = x[:n] + 1j * x[n:]
-        H = np.asarray([[complex(h) for h in row]
-                        for row in mc.metadata["hermitian_matrix"](list(z))],
+        H = np.asarray([[number(h) for h in row]
+                        for row in mc.metadata["hermitian_matrix"](eager_cjets(z))],
                        dtype=complex) * mc.metadata["hermitian_scale"]
         A = H.real
         B = H.imag

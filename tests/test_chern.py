@@ -10,7 +10,8 @@ from finsler.metrics import instantiate
 
 from finsler.jets import Jet, JetSpace
 
-from oracles import EagerSpace, at_point, chern_by_partials, hermitian_holomorphic_curvature
+from oracles import (EagerSpace, at_point, chern_by_partials, eager_cjets,
+                     hermitian_holomorphic_curvature, number)
 
 POINCARE = instantiate({"family": "hermitian", "complex_dim": 1,
                         "params": {"catalog": "poincare_disk"}})
@@ -136,8 +137,8 @@ def test_hermitian_oracle_agreement(metric):
     n = metric.n
 
     def h_fn(zz):
-        return [[complex(e) for e in row]
-                for row in metric.metadata["hermitian_matrix"](list(zz))]
+        return [[number(e) for e in row]
+                for row in metric.metadata["hermitian_matrix"](eager_cjets(zz))]
 
     rng = np.random.default_rng(4)
     for _ in range(4):

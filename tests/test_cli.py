@@ -547,6 +547,83 @@ def test_no_command_computes_on_jet_objects(tmp_path, monkeypatch):
         assert main([command, "--config", str(p), "--out", str(out)]) == 0
 
 
+def test_no_command_runs_a_formula_outside_its_recording(tmp_path, monkeypatch):
+    # values come from the recorded programs as well as derivatives: with every
+    # metric, map and profile formula refusing an argument that is not a
+    # recording jet (or a CJet of two), each command still succeeds
+    from finsler.geometry import MetricDef
+    from finsler.jets import CJet, _RecordedJet
+    from finsler.metrics import HoloMap, UnitaryProfile
+
+    def recording(fn):
+        def call(*args):
+            scalars = [w for arg in args for w in (arg if isinstance(arg, list) else [arg])]
+            parts = [p for w in scalars for p in ((w.re, w.im) if isinstance(w, CJet) else (w,))]
+            if not all(isinstance(p, _RecordedJet) for p in parts):
+                raise AssertionError(f"a formula ran on {[type(p).__name__ for p in parts]}")
+            return fn(*args)
+        return call
+
+    # the index of the formula among each constructor's positional arguments
+    for cls, at in ((MetricDef, 1), (HoloMap, 3), (UnitaryProfile, 1)):
+        init = cls.__init__
+
+        def refusing(self, *args, _init=init, _at=at, **kwargs):
+            args = list(args)
+            args[_at] = recording(args[_at])
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", refusing)
+    golden = json.loads((Path(__file__).parent / "golden" / "golden_config.json").read_text())
+    out = tmp_path / "out"
+    with_profile = write_config(tmp_path, {**golden, "metrics": golden["metrics"] + [_UN]},
+                                name="profile.json")
+    assert main(["check", "--config", str(with_profile), "--out", str(out)]) == 0
+    p = write_config(tmp_path, golden, name="golden.json")
+    for command in ("curvature", "bounds", "schwarz"):
+        assert main([command, "--config", str(p), "--out", str(out)]) == 0
+    for pair in ("identity", "mobius", "square"):
+        cert = out / "schwarz" / f"{pair}__poincare__poincare" / "report.json"
+        assert main(["replay", "--certificate", str(cert)]) == 0
+    # the disk and a Minkowski norm, whose closed-form distances read G
+    p = write_config(tmp_path, {**BASE_CONFIG, "plans": {"default": {
+        "n_points": 2, "n_dirs": 2, "radial_range": [0.2, 0.5]}}}, name="distance.json")
+    for command in ("geodesic", "distance"):
+        assert main([command, "--config", str(p), "--out", str(out)]) == 0
+
+
+def test_cmd_schwarz_records_the_target_validity(tmp_path, monkeypatch):
+    # a target that fails its validity check fails the certificate's
+    # hypotheses; the metadata says so, and the payload has no key for it
+    from finsler.errors import DegenerateMetricError
+    from finsler.geometry import MetricDef
+    levi = MetricDef.levi_matrix
+
+    def degenerate_target(self, z, v):
+        if self.family_id == "target":
+            raise DegenerateMetricError("Levi matrix singular")
+        return levi(self, z, v)
+
+    monkeypatch.setattr(MetricDef, "levi_matrix", degenerate_target)
+    p = write_config(tmp_path, {
+        **BASE_CONFIG,
+        "metrics": [_DISK, {**_DISK, "id": "target"}],
+        "pairs": [{"map": "identity", "domain": "poincare", "target": target}
+                  for target in ("poincare", "target")]})
+    out = tmp_path / "out"
+    assert main(["schwarz", "--config", str(p), "--out", str(out)]) == 0
+    good, bad = (json.loads((out / "schwarz" / f"identity__poincare__{t}" / "report.json")
+                            .read_text()) for t in ("poincare", "target"))
+    assert good["metadata"]["target_valid_metric"] is True
+    assert bad["metadata"]["target_valid_metric"] is False
+    assert good["metadata"]["grids"]["target_validity"] == {"rows": 24, "stacked": True}
+    assert bad["metadata"]["grids"]["target_validity"] == {"rows": 24, "stacked": False}
+    good, bad = good["payload"]["certificate"], bad["payload"]["certificate"]
+    assert good["hypotheses"]["met"] is True and bad["hypotheses"]["met"] is False
+    assert sorted(bad["hypotheses"]) == sorted(good["hypotheses"])
+    assert bad["passed"] is good["passed"] is True
+
+
 def test_no_grid_command_replays_a_single_point(tmp_path, monkeypatch):
     # every sample grid of these commands is read from stacked rows
     # (replay_rows): with the single-point replay refused, each still succeeds
@@ -738,7 +815,9 @@ def test_grids_record_rows_and_whether_one_call_evaluated_them(tmp_path, monkeyp
                 ("schwarz", "square__poincare__poincare"): {
                     "domain_validity": {"rows": 24, "stacked": True},
                     "domain_kahler": {"rows": 20, "stacked": stacked},
-                    "domain_holomorphic": six, "target_holomorphic": six}}
+                    "domain_holomorphic": six,
+                    "target_validity": {"rows": 24, "stacked": True},
+                    "target_holomorphic": six}}
 
     run(tmp_path / "stacked")
     for (command, item), want in expected(True).items():
@@ -791,7 +870,7 @@ def test_bench_certify_traffic_runs_every_grid_stacked(tmp_path, monkeypatch):
         names |= set(grids)
         assert all(g["stacked"] and g["rows"] > 0 for g in grids.values()), (report, grids)
     assert names == {"validity", "kahler", "domain_validity", "domain_kahler",
-                     "domain_holomorphic", "target_holomorphic"}
+                     "domain_holomorphic", "target_validity", "target_holomorphic"}
 
 
 def _count_chern_finsler(monkeypatch):
@@ -1201,7 +1280,7 @@ def test_cmd_schwarz_fails_on_non_finite_ratios(tmp_path, monkeypatch, capsys):
     value = MetricDef.value
 
     def nan_target(self, z, v):
-        return math.nan if self.family_id == "target" else value(self, z, v)
+        return np.full(len(z), math.nan) if self.family_id == "target" else value(self, z, v)
 
     monkeypatch.setattr(MetricDef, "value", nan_target)
     disk = BASE_CONFIG["metrics"][0]

@@ -132,11 +132,12 @@ def test_a_fan_takes_one_stacked_connection(monkeypatch, name):
     # the package exports the function under the module's name
     counted(sys.modules["finsler.cartan"], "cartan", lambda m, x, u: ("cartan", np.shape(x)))
     got = radial_flag_bounds(m, np.zeros(m.dim), plan)
-    # the fan's sprays are order-2 rows; its samples take one order-4 replay
+    # the unit-speed directions and the fan's energies are one order-0 replay
+    # each, its sprays order-2 rows; its samples take one order-4 replay
     n_dirs = max(plan.n_dirs, 3)
     samples = n_dirs * max(3, plan.n_points // n_dirs + 1)
     assert [c for c in calls if c != ("replay_rows", 2)] == [
-        ("cartan", (samples, m.dim)), ("replay_rows", 4)]
+        ("replay_rows", 0), ("replay_rows", 0), ("cartan", (samples, m.dim)), ("replay_rows", 4)]
     assert got.n_samples > 0
 
 

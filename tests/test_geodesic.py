@@ -20,7 +20,6 @@ from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
                               integrate_geodesic, jacobi_field,
                               jacobi_boundary_field)
 from finsler.geometry import MetricDef, realify_metric
-from finsler.jets import spow
 from finsler.metrics import instantiate
 
 from oracles import (at_point, ball_distance, covariant_boundary_form, covariant_d2_rho,
@@ -54,7 +53,7 @@ def _round_chart(x, u):
     # the curvature-4 round metric in an affine chart of the sphere (the
     # Fubini-Study metric of CP^1): geodesics meet their conjugate points at
     # distance pi/2, and z -> -1/conj(z) is the antipode
-    return (u[0] * u[0] + u[1] * u[1]) * spow(1.0 + x[0] * x[0] + x[1] * x[1], -2)
+    return (u[0] * u[0] + u[1] * u[1]) * (1.0 + x[0] * x[0] + x[1] * x[1]) ** -2
 
 
 ROUND = MetricDef("real", _round_chart, dim_real=2, family_id="round_chart")

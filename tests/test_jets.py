@@ -260,7 +260,7 @@ def test_engine_reads_no_scalar_partials(monkeypatch):
     mob = build_map({"map": "mobius", "params": {"a": [0.3, -0.2]}})
     a = complex(0.3, -0.2)
     z = 0.1 + 0.4j
-    assert mob.jacobian(np.array([[z]]))[0, 0, 0] == pytest.approx(
+    assert mob.evaluate(np.array([[z]]))[1][0, 0, 0] == pytest.approx(
         (abs(a) ** 2 - 1) / (1 - z * a.conjugate()) ** 2, abs=1e-14)
     probes = probe_catalog(ball, np.array([0.2 + 0.1j, -0.1j]), np.array([1.0, 0.5j]))
     assert list(probes) == ["affine", "geodesic"]

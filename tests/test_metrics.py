@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from finsler.errors import ConfigurationError
-from finsler.geometry import SamplePlan, realify_metric, sample_points, sample_vectors
+from finsler.errors import ConfigurationError, DomainError, SlitBundleError
+from finsler.geometry import (SamplePlan, complex_to_real_components, realify_metric,
+                              sample_points, sample_vectors)
 from finsler.metrics import build_map, build_profile, check_metric, instantiate
 
-from oracles import at_point, ball_automorphism, holomorphic_jacobian, probe_catalog
+from oracles import (EagerSpace, at_point, ball_automorphism, holomorphic_jacobian,
+                     probe_catalog)
 
 
 def test_poincare_disk_value_and_metadata():
@@ -153,7 +155,7 @@ def test_hermitian_families_are_quadratic_in_v():
 def test_un_invariant_profiles():
     kp = build_profile({"form": "gradient", "f": "exp", "c": 0.7})
     assert kp.is_gradient_form
-    phi = kp(0.2, 0.1)
+    phi = kp(*EagerSpace.get(2, 0).variables([0.2, 0.1])).value
     assert phi == pytest.approx(math.exp(0.14) * (1 + 0.07))
     free = build_profile({"form": "free", "expr": "one_plus_s2"})
     assert not free.is_gradient_form
@@ -169,19 +171,94 @@ def test_un_invariant_profiles():
         assert m.value(z, v) == pytest.approx(ball.value(z, v), rel=1e-12)
 
 
+VALUE_SPECS = {
+    "disk": {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}},
+    "ball": {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}},
+    "minkowski": {"family": "minkowski", "complex_dim": 2, "params": {"k": 3, "eps": 0.25}},
+    "un_invariant": {"family": "un_invariant", "complex_dim": 2,
+                     "params": {"profile": {"form": "gradient", "f": "exp", "c": 0.5}}},
+    "realified_disk": None,
+}
+
+
+def _value_metric(name):
+    disk = instantiate(VALUE_SPECS["disk"])
+    return realify_metric(disk) if VALUE_SPECS[name] is None else instantiate(VALUE_SPECS[name])
+
+
+@pytest.mark.parametrize("name", VALUE_SPECS)
+def test_value_rows_are_the_order_0_replay(name):
+    # G is the constant coefficient of the program's order-0 replay: rows of
+    # one call equal real_rows and each point's own call bit for bit
+    m = _value_metric(name)
+    plan = SamplePlan(seed=9, n_points=5, n_dirs=3, radial_range=(0.1, 0.8))
+    points, dirs = sample_points(m, plan), sample_vectors(m, plan)
+    Z = np.repeat(np.array(points), len(dirs), axis=0)
+    V = np.tile(np.array(dirs), (len(points), 1))
+    rows = m.value(Z, V)
+    X, U = (complex_to_real_components(Z), complex_to_real_components(V)) if m.is_complex \
+        else (Z, V)
+    assert rows.shape == (15,)
+    assert rows.tobytes() == m.real_rows(X, U, 0)[:, 0].tobytes()
+    assert rows.tolist() == [m.value(z, v) for z, v in zip(Z, V)]
+    # one point against rows of vectors reads the point in every row
+    assert m.value(Z[0], V[:3]).tobytes() == rows[:3].tobytes()
+
+
+@pytest.mark.parametrize("name", VALUE_SPECS)
+def test_value_of_a_zero_or_slit_vector_follows_homogeneity(name):
+    m = _value_metric(name)
+    z = sample_points(m, SamplePlan(seed=9, n_points=1))[0]
+    v = sample_vectors(m, SamplePlan(seed=9, n_dirs=1))[0]
+    assert m.value(z, np.zeros_like(v)) == 0.0
+    # |v| = 1e-10 is inside the slit guard that real_jet and real_rows keep
+    tiny = 1e-10 * v
+    norm = float(np.linalg.norm(tiny))
+    x, u = map(complex_to_real_components, (z, tiny)) if m.is_complex else (z, tiny)
+    with pytest.raises(SlitBundleError):
+        m.real_rows(x[None], u[None], 0)
+    got = m.value(np.array([z, z, z]), np.array([v, tiny, 0.0 * v]))
+    assert got[0] == m.value(z, v) and got[2] == 0.0
+    assert got[1] == pytest.approx(norm ** 2 * m.value(z, tiny / norm), rel=1e-15)
+    assert got[1] == pytest.approx(1e-20 * got[0], rel=1e-14)
+
+
+def test_value_refuses_a_row_outside_the_domain():
+    m = instantiate(VALUE_SPECS["disk"])
+    Z = np.array([[0.3 + 0.1j], [1.2 + 0.0j]])
+    with pytest.raises(DomainError):
+        m.value(Z, np.ones((2, 1), complex))
+    with pytest.raises(DomainError):
+        m.value(Z[1], np.zeros(1, complex))
+
+
 def test_map_catalog_jacobians():
     sq = build_map({"map": "power", "params": {"m": 2}})
     z = np.array([0.3 + 0.4j])
-    assert sq.apply_values(z)[0] == pytest.approx(z[0] ** 2)
-    assert sq.jacobian(z[None])[0, 0, 0] == pytest.approx(2 * z[0])
+    values, jac = sq.evaluate(z[None])
+    assert values[0, 0] == pytest.approx(z[0] ** 2)
+    assert jac[0, 0, 0] == pytest.approx(2 * z[0])
     mob = build_map({"map": "mobius", "params": {"a": [0.5, 0.0]}})
     a = 0.5
     expect = (a - z[0]) / (1 - z[0] * a)
-    assert mob.apply_values(z)[0] == pytest.approx(expect)
+    assert mob.evaluate(z[None])[0][0, 0] == pytest.approx(expect)
     lin = build_map({"map": "linear", "params": {"matrix": [[1, 0.5], [0, [0, 1.0]]]}})
-    w = lin.apply_values(np.array([1 + 1j, 2.0]))
+    w = lin.evaluate(np.array([[1 + 1j, 2.0]]))[0][0]
     assert w[0] == pytest.approx((1 + 1j) + 1.0)
     assert w[1] == pytest.approx(2j)
+
+
+def test_map_values_are_the_constant_coefficients():
+    # f(z) is read from the same order-1 replays as f'(z), one row per point
+    rng = np.random.default_rng(11)
+    z = 0.8 * rng.uniform(0.0, 1.0, 9) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 9))
+    a = complex(0.35, 0.15)
+    for spec, closed in (({"map": "power", "params": {"m": 2}}, z * z),
+                         ({"map": "mobius", "params": {"a": [0.35, 0.15]}},
+                          (a - z) / (1.0 - z * a.conjugate()))):
+        values, jac = build_map(spec).evaluate(z[:, None])
+        assert values.shape == (9, 1) and jac.shape == (9, 1, 1)
+        assert np.all(np.abs(values[:, 0] - closed) <= 1e-15 * np.abs(closed))
 
 
 MAP_SPECS = {
@@ -204,10 +281,10 @@ def test_jacobian_rows_equal_the_eager_jacobian_bitwise(spec):
                      "params": {"catalog": "poincare_ball"}})
     points = sample_points(m, SamplePlan(seed=20240801, n_points=14, n_dirs=4,
                                          radial_range=(0.1, 0.7)))
-    rows = f.jacobian(np.array(points))
+    rows = f.evaluate(np.array(points))[1]
     assert rows.shape == (14, f.n_out, f.n_in)
     for z, row in zip(points, rows):
-        assert row.tobytes() == holomorphic_jacobian(f, z).tobytes()
+        assert row.tobytes() == holomorphic_jacobian(f._fn, z).tobytes()
 
 
 def test_ball_automorphism_moves_origin():

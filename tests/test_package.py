@@ -94,13 +94,13 @@ def test_every_src_definition_is_reached():
 def test_the_definitions_only_bench_reaches_are_pinned():
     # code that only bench/ names: routes its workloads time and functions its
     # tracer wraps (Jet.partial, JetSpace.conj_perm and extract_table among
-    # them); the recording sqrt only shares its name with bench's math.sqrt. A
-    # change that adds to this list, or frees a name from it, updates it here.
+    # them). A change that adds to this list, or frees a name from it, updates
+    # it here.
     assert _unreached(bench_roots=False) == [
         "geodesic.HessianRhoResult", "geodesic.IndexFormResult", "geodesic.hessian_rho",
         "geodesic.index_form", "geodesic.jacobi_field", "geometry.MetricDef.complex_jet",
         "jets.Jet.partial", "jets.JetSpace.conj_perm", "jets.JetSpace.extract_table",
-        "jets._RecordedJet.sqrt", "jets.wirtinger", "schwarz.curvature_bounds"]
+        "jets.wirtinger", "schwarz.curvature_bounds"]
 
 
 def _table_keys(shape):

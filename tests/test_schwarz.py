@@ -8,7 +8,6 @@ import pytest
 from finsler.errors import (DegenerateMetricError, HypothesisViolationError,
                             NoSamplesError, NonFiniteSampleError)
 from finsler.geometry import SamplePlan, sample_points
-from finsler.jets import cabs2
 from finsler.metrics import build_map, instantiate, plan_directions
 from finsler.report import canonical_json
 from finsler.schwarz import (MetricAnalysis, certify_schwarz, curvature_bounds,
@@ -34,7 +33,7 @@ IDENTITY1 = build_map({"map": "identity", "params": {"n": 1}})
 
 
 def poincare_density(zc):
-    return (1.0 - cabs2(zc)) ** -2
+    return (1.0 - zc.abs2()) ** -2
 
 
 def test_gaussian_curvature_poincare_density():
@@ -45,14 +44,14 @@ def test_gaussian_curvature_poincare_density():
 
 
 def test_gaussian_curvature_constant_density():
-    assert gaussian_curvature(lambda zc: 3.0 + 0.0 * cabs2(zc), 0.2 + 0.1j) == \
+    assert gaussian_curvature(lambda zc: 3.0 + 0.0 * zc.abs2(), 0.2 + 0.1j) == \
         pytest.approx(0.0, abs=1e-12)
     # a density returning a plain number, not a jet
     assert gaussian_curvature(lambda zc: 3.0, 0.1 + 0.2j) == 0.0
 
 
 def test_gaussian_curvature_exp_density():
-    density = lambda zc: cabs2(zc).exp()
+    density = lambda zc: zc.abs2().exp()
     assert gaussian_curvature(density, 0.0 + 0.0j) == pytest.approx(-2.0, abs=1e-10)
 
 
@@ -72,7 +71,8 @@ def _ratio(f, zeta):
     """H(f(z); df_z v) / G(z; v) on the disk at z = zeta, v = 1, as the certificate
     computes it."""
     z, v = np.array([zeta]), np.array([1.0])
-    return POINCARE.value(f.apply_values(z), f.jacobian(z[None])[0] @ v) / POINCARE.value(z, v)
+    fz, jac = f.evaluate(z[None])
+    return POINCARE.value(fz[0], jac[0] @ v) / POINCARE.value(z, v)
 
 
 def test_pullback_ratio_identity_map():
@@ -202,12 +202,38 @@ def test_certificate_fails_on_non_finite_ratios(monkeypatch, broken):
                           "params": {"catalog": "poincare_disk"}})
     f = build_map({"map": "identity", "params": {"n": 1}})
     if broken == "target_value":
-        monkeypatch.setattr(target, "value", lambda z, v: math.nan)
+        monkeypatch.setattr(target, "value", lambda z, v: np.full(len(z), math.nan))
     else:
-        monkeypatch.setattr(f, "jacobian", lambda z: np.full((len(z), 1, 1), np.nan, complex))
+        values = f.evaluate
+        monkeypatch.setattr(f, "evaluate", lambda z: (values(z)[0],
+                                                      np.full((len(z), 1, 1), np.nan, complex)))
     with pytest.raises(NonFiniteSampleError):
         certify_schwarz(f, POINCARE, target,
                         SamplePlan(seed=3, n_points=3, n_dirs=2, radial_range=(0.1, 0.7)))
+
+
+def test_a_target_that_fails_its_validity_check_fails_the_hypotheses(monkeypatch):
+    # the lemma needs a valid target metric: its failed check_metric (the
+    # negative control of test_metrics.py) turns met false, and the sampled
+    # comparison, which does not read it, is unchanged
+    from finsler.errors import DegenerateMetricError
+    target = instantiate({"family": "hermitian", "complex_dim": 1,
+                          "params": {"catalog": "poincare_disk"}})
+    sq = build_map({"map": "power", "params": {"m": 2}})
+    plan = SamplePlan(seed=3, n_points=4, n_dirs=2, radial_range=(0.1, 0.7))
+    good = certify_schwarz(sq, POINCARE, target, plan)
+
+    def degenerate(z, v):
+        raise DegenerateMetricError("Levi matrix singular")
+
+    monkeypatch.setattr(target, "levi_matrix", degenerate)
+    bad = certify_schwarz(sq, POINCARE, target, plan)
+    assert good.hypotheses["met"] and good.target_valid_metric
+    assert not bad.hypotheses["met"] and not bad.target_valid_metric
+    assert bad.grids["target_validity"] == {"rows": 24, "stacked": False}
+    assert {**bad.hypotheses, "met": True} == good.hypotheses
+    assert {**bad.to_payload(), "hypotheses": None} == {**good.to_payload(), "hypotheses": None}
+    assert bad.passed and good.passed
 
 
 def test_certificate_mobius_isometry():

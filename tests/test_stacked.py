@@ -189,8 +189,9 @@ def test_a_passing_validity_grid_makes_one_replay_per_tensor(monkeypatch, name):
         _count_calls(monkeypatch, owner, method, calls)
     rep = check_metric(m, PLAN)
     assert rep.passed and rep.grid["stacked"]
-    # the real fundamental tensor, and on complex kinds the Levi matrix
-    assert calls == {"replay_rows": 2 if m.is_complex else 1}
+    # G with its homogeneity reference, the real fundamental tensor, and on
+    # complex kinds the Levi matrix
+    assert calls == {"replay_rows": 3 if m.is_complex else 2}
 
 
 def _spoil_at(monkeypatch, m, method, sample, spoil):
