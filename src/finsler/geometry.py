@@ -181,11 +181,11 @@ class MetricDef:
         coordinates for complex kinds, real components for the real kind.
 
         G is the constant coefficient of one order-0 replay of ``program``:
-        ``real_rows`` for rows, and for a point its own ``real_jet``, which is
-        bit for bit its row and costs less than a one-row replay. Each point
-        is guarded as there. A zero vector gives 0, and a vector the slit
-        guard could refuse is read at its unit vector and scaled back by
-        homogeneity.
+        ``real_rows`` for several rows, and for a single one its point's
+        ``real_jet``, which is bit for bit its row and costs about half of a
+        one-row replay. Each point is guarded as there. A zero vector gives
+        0, and a vector the slit guard could refuse is read at its unit
+        vector and scaled back by homogeneity.
         """
         dtype = complex if self.is_complex else float
         z, v = np.asarray(point, dtype=dtype), np.asarray(vector, dtype=dtype)
@@ -199,10 +199,9 @@ class MetricDef:
             for b in np.flatnonzero(small):
                 # a zero vector reads G at e_0, scaled back by 0
                 u[b] = u[b] / nu[b] if nu[b] > 0 else np.eye(self.dim)[0]
-        one = z.ndim == v.ndim == 1
-        G = self.real_jet(x[0], u[0], 0).coeffs if one else self.real_rows(x, u, 0)[:, 0]
+        G = self.real_jet(x[0], u[0], 0).coeffs if len(x) == 1 else self.real_rows(x, u, 0)[:, 0]
         G[small] *= nu[small] ** 2
-        return float(G[0]) if one else G
+        return float(G[0]) if z.ndim == v.ndim == 1 else G
 
     # -- jet evaluation ------------------------------------------------------
 
