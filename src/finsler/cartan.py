@@ -50,9 +50,9 @@ def _spray(H, dG, u, d) -> np.ndarray:
     """G^i, the solution of g S = b / 4, from the Hessian H and the gradient dG
     of G over (x, u), with any leading shape: (2d, 2d) and (2d) for a point,
     (B, 2d, 2d) and (B, 2d) for B rows, each row summed and solved as a point."""
-    # (d^2 G / du^l dx^k) u^k; cumsum adds over k in order, as a scalar loop
-    # does, where a pairwise sum would round differently
-    rhs = np.cumsum(H[..., d:, :d] * u[..., None, :], axis=-1)[..., -1] - dG[..., :d]
+    # (d^2 G / du^l dx^k) u^k; a running sum adds over k in order, as a
+    # scalar loop does, where a pairwise sum would round differently
+    rhs = np.add.accumulate(H[..., d:, :d] * u[..., None, :], axis=-1)[..., -1] - dG[..., :d]
     try:
         return 0.25 * np.linalg.solve(0.5 * H[..., d:, d:], rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -60,11 +60,11 @@ def _spray(H, dG, u, d) -> np.ndarray:
 
 
 def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
-    """Values of the geodesic coefficients G^i(x, u) (fast path for ODEs); rows
-    x, u of shape (B, d) give the B sprays from one batched order-2 replay,
-    each bit for bit its point's."""
+    """Values of the geodesic coefficients G^i at each row of x, u of shape
+    (B, d), a point being one row (fast path for ODEs): the B sprays from one
+    order-2 ``real_rows`` replay, row b independent of the other rows."""
     u = np.asarray(u, dtype=float)
-    coeffs = m.real_rows(x, u, 2) if np.ndim(x) == 2 else m.real_jet(x, u, 2).coeffs
+    coeffs = m.real_rows(x, u, 2)
     sp = JetSpace.get(2 * m.dim, 2)
     (i1, s1), (i2, s2) = sp.derivative_table(1), sp.derivative_table(2)
     return _spray(coeffs.take(i2, axis=-1) * s2, coeffs.take(i1, axis=-1) * s1, u, m.dim)

@@ -51,9 +51,8 @@ _EXIT_MARGIN = 1e-9   # domain margin at which an integrated geodesic stops
 
 def _domain_events(m, x0):
     """Terminal events at domain margin ``_EXIT_MARGIN``, one for the (x, u)
-    block of each row of x0 in a stacked state (one for a single point);
-    None on an unbounded domain."""
-    x0 = np.atleast_2d(x0)
+    block of each row of x0 (k, d) in a stacked state; None on an unbounded
+    domain."""
     if m.domain.kind == "all" or not math.isfinite(m.domain.margin(x0[0])):
         return None
     d = m.dim
@@ -75,28 +74,21 @@ def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True, t
     to t_end, stopped where the domain margin falls to ``_EXIT_MARGIN``.
 
     Rows x0, u0 of shape (k, d) integrate k geodesics as one stacked state,
-    (x, u) block j for row j, with one batched spray per right-hand side and
-    one exit event per block. The tolerances are then divided by sqrt(k),
-    which bounds the stacked RMS error norm by each member's. A
-    ``first_step`` is capped at the time to integrate.
+    (x, u) block j for row j, a point (d,) being one row, with one batched
+    spray per right-hand side and one exit event per block. The tolerances
+    are then divided by sqrt(k), which bounds the stacked RMS error norm by
+    each member's. A ``first_step`` is capped at the time to integrate.
     """
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    d = m.dim
-    if x0.ndim == 1:
-        k = 1
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    u0 = np.atleast_2d(np.asarray(u0, dtype=float))
+    d, k = m.dim, len(x0)
 
-        def rhs(t, y):
-            return np.concatenate([y[d:], -2.0 * spray_coefficients(m, y[:d], y[d:])])
-    else:
-        k = len(x0)
+    def rhs(t, y):
+        Y = y.reshape(k, 2 * d)
+        S = spray_coefficients(m, Y[:, :d], Y[:, d:])
+        return np.concatenate([Y[:, d:], -2.0 * S], axis=1).ravel()
 
-        def rhs(t, y):
-            Y = y.reshape(k, 2 * d)
-            S = spray_coefficients(m, Y[:, :d], Y[:, d:])
-            return np.concatenate([Y[:, d:], -2.0 * S], axis=1).ravel()
-
-    sol = solve_ivp(rhs, (t0, t_end), np.concatenate([x0, u0], axis=-1).ravel(),
+    sol = solve_ivp(rhs, (t0, t_end), np.concatenate([x0, u0], axis=1).ravel(),
                     method="DOP853", rtol=rtol / math.sqrt(k), atol=atol / math.sqrt(k),
                     dense_output=dense, events=_domain_events(m, x0),
                     first_step=None if first_step is None else min(first_step, abs(t_end - t0)))

@@ -23,6 +23,16 @@ from .jets import CJet, Jet, JetProgram, JetSpace, creal, wirtinger, wirtinger_c
 EPS_SLIT = 1e-8
 
 
+def _norm(a) -> float:
+    """``np.linalg.norm`` of a 1-D float or complex array, bit for bit: the
+    root of the dots of its raveled real and imaginary parts with
+    themselves, as ``norm`` takes it, without ``norm``'s dispatch."""
+    a = a.ravel(order="K")
+    if a.dtype.kind == "c":
+        return math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+    return math.sqrt(a.dot(a))
+
+
 def apply_J(u):
     """Complex structure on real tangent components."""
     u = np.asarray(u, dtype=float)
@@ -81,7 +91,7 @@ class Domain:
         if self.kind == "all":
             return math.inf
         if self.kind == "ball":
-            return self.radius - float(np.linalg.norm(z))
+            return self.radius - _norm(z)
         if self.kind == "polydisk":
             if not np.iscomplexobj(z):
                 z = real_to_complex_components(z)
@@ -89,14 +99,14 @@ class Domain:
             lo = math.inf
             start = 0
             for size, radius in self.blocks:
-                lo = np.minimum(lo, radius - float(np.linalg.norm(z[start:start + size])))
+                lo = np.minimum(lo, radius - _norm(z[start:start + size]))
                 start += size
             return float(lo)
         raise StructuralError(f"unknown domain kind {self.kind!r}")
 
     def row_margins(self, x) -> np.ndarray:
         """``margin`` of each row of x, rows of real components, at once; each
-        within rounding of its row's ``margin``."""
+        within rounding of its row's ``margin``, and NaN where that is NaN."""
         x = np.asarray(x, dtype=float)
         if self.kind == "all":
             return np.full(len(x), math.inf)
@@ -168,8 +178,8 @@ class MetricDef:
     # -- guards -----------------------------------------------------------
 
     def _check_slit(self, x, u):
-        nx = float(np.linalg.norm(x))
-        if float(np.linalg.norm(u)) < EPS_SLIT * (1.0 + nx):
+        nx = _norm(x)
+        if _norm(u) < EPS_SLIT * (1.0 + nx):
             raise SlitBundleError(
                 "vector too close to the zero section; renormalize by homogeneity")
 
@@ -180,12 +190,10 @@ class MetricDef:
         of either, broadcast against the other, an array (B,): complex
         coordinates for complex kinds, real components for the real kind.
 
-        G is the constant coefficient of one order-0 replay of ``program``:
-        ``real_rows`` for several rows, and for a single one its point's
-        ``real_jet``, which is bit for bit its row and costs about half of a
-        one-row replay. Each point is guarded as there. A zero vector gives
-        0, and a vector the slit guard could refuse is read at its unit
-        vector and scaled back by homogeneity.
+        G is the constant coefficient of one order-0 ``real_rows`` replay of
+        ``program``, a point being one row, and each row is guarded as there.
+        A zero vector gives 0, and a vector the slit guard could refuse is
+        read at its unit vector and scaled back by homogeneity.
         """
         dtype = complex if self.is_complex else float
         z, v = np.asarray(point, dtype=dtype), np.asarray(vector, dtype=dtype)
@@ -199,41 +207,38 @@ class MetricDef:
             for b in np.flatnonzero(small):
                 # a zero vector reads G at e_0, scaled back by 0
                 u[b] = u[b] / nu[b] if nu[b] > 0 else np.eye(self.dim)[0]
-        G = self.real_jet(x[0], u[0], 0).coeffs if len(x) == 1 else self.real_rows(x, u, 0)[:, 0]
+        G = self.real_rows(x, u, 0)[:, 0]
         G[small] *= nu[small] ** 2
         return float(G[0]) if z.ndim == v.ndim == 1 else G
 
     # -- jet evaluation ------------------------------------------------------
 
     def real_jet(self, x, u, order) -> Jet:
-        """Jet of G over the 2*dim real variables (x block, then u block).
-
-        The formula is recorded once, on the first use, as a straight-line
-        jet program (:class:`finsler.jets.JetProgram`); every call replays it
-        at the requested order.
-        """
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.size != self.dim or u.size != self.dim:
-            raise StructuralError(f"expected {self.dim} real components")
-        self.domain.require(x)
-        self._check_slit(x, u)
-        return self.program.replay(np.concatenate([x, u]), order)
+        """Jet of G over the 2*dim real variables (x block, then u block) at
+        one point: its ``real_rows`` replay as one row, guarded as there."""
+        x, u = np.asarray(x, dtype=float).reshape(1, -1), np.asarray(u, dtype=float).reshape(1, -1)
+        return Jet(JetSpace.get(2 * self.dim, order, False), self.real_rows(x, u, order)[0])
 
     def real_rows(self, x, u, order) -> np.ndarray:
-        """Coefficient rows (B, n) of the real jets at the B points of x, u of
-        shape (B, dim), row b bit for bit ``real_jet(x[b], u[b], order).coeffs``;
-        each point is guarded as ``real_jet`` guards it."""
+        """Coefficient rows (B, n) of the real jets of G at the B points of x,
+        u of shape (B, dim), from one replay of ``program``, which is recorded
+        once, on the first use (:class:`finsler.jets.JetProgram`). Each row
+        must lie in the domain (``Domain.require``) and clear the slit guard
+        (``_check_slit``): a point takes those exact checks, and of several
+        rows only those within rounding of failing them, or not finite."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         if x.ndim != 2 or x.shape != u.shape or x.shape[1] != self.dim:
             raise StructuralError(f"expected rows of {self.dim} real components")
-        # the guards of real_jet decide only for rows within rounding of
-        # failing, or not finite
-        nx = np.linalg.norm(x, axis=1)
-        doubtful = ~((self.domain.row_margins(x) > 1e-12 * (1.0 + nx))
-                     & (np.linalg.norm(u, axis=1) > (1.0 + 1e-9) * EPS_SLIT * (1.0 + nx)))
-        for b in np.flatnonzero(doubtful):
+        # the array screen costs several points' exact checks (12-15 us
+        # against 1.8-2.6 us a point), so a point skips it
+        doubtful = range(len(x))
+        if len(x) > 1:
+            nx = np.linalg.norm(x, axis=1)
+            doubtful = np.flatnonzero(~((self.domain.row_margins(x) > 1e-12 * (1.0 + nx))
+                                        & (np.linalg.norm(u, axis=1)
+                                           > (1.0 + 1e-9) * EPS_SLIT * (1.0 + nx))))
+        for b in doubtful:
             self.domain.require(x[b])
             self._check_slit(x[b], u[b])
         return self.program.replay_rows(np.concatenate([x, u], axis=1), order)

@@ -28,12 +28,13 @@ The eager ring on ``Jet`` objects, which shares the kernels and so rounds
 alike, is the reference arithmetic of the tests (``tests/oracles.py``). The
 tape numbers values as it records: an entry equal to one already recorded
 (same operation, operands and constant) reuses its slot.
-``JetProgram.replay_rows`` replays B points at once into (B, n) coefficient
-rows, and multiplies them with one bincount over row-offset product tables;
-each row keeps the summation order of a single point, so row b is bit for bit
-its own replay. Derivative readouts (``JetSpace.gather``) and the Wirtinger
-transform (``wirtinger_coeffs``) take such rows as they take one jet's
-coefficients.
+``JetProgram.replay_rows`` is the one replay: it replays B points at once
+into (B, n) coefficient rows, raveled while it runs, and multiplies them with
+one bincount over a product table, row-offset for B > 1 and ``mult_table``
+itself for one row; each row keeps the summation order of a single jet, so
+row b does not depend on the other rows, and a point is the one-row case.
+Derivative readouts (``JetSpace.gather``) and the Wirtinger transform
+(``wirtinger_coeffs``) take such rows as they take one jet's coefficients.
 """
 
 from __future__ import annotations
@@ -134,8 +135,10 @@ class JetSpace:
     def row_mult_table(self, rows):
         """``mult_table`` over ``rows`` raveled coefficient rows: entry k of row b
         reads and writes offset by b * n, so one bincount multiplies every row.
-        Built on each call and not kept: a replay builds it once for all its
-        products."""
+        One row's is ``mult_table()`` itself; more rows' is built on each call
+        and not kept: a replay builds it once for all its products."""
+        if rows == 1:
+            return self.mult_table()
         offset = self.n * np.arange(rows)[:, None]
         return tuple((t + offset).ravel() for t in self.mult_table())
 
@@ -186,12 +189,16 @@ class JetSpace:
         return coeffs.take(idx, axis=-1) * scale
 
     def seed_coeffs(self, values) -> np.ndarray:
-        """Coefficient rows of the seed jets of all ``nvars`` coordinates, row i
-        with base value ``values[i]``."""
-        c = np.zeros((self.nvars, self.n), dtype=self.dtype)
-        c[:, 0] = values
+        """Coefficients (nvars, B * n) of the seed jets of all ``nvars``
+        coordinates at the B points of the array ``values`` (B, nvars), row b
+        raveled at offset b * n: seed i at point b has base value
+        ``values[b, i]`` and first partials e_i, which the degree-1 block of
+        the basis, following the constant, lists."""
+        c = np.zeros((self.nvars, len(values) * self.n), dtype=self.dtype)
+        c[:, ::self.n] = values.T
         if self.order >= 1:
-            c[np.arange(self.nvars), self.derivative_table(1)[0]] = 1.0
+            c.reshape(self.nvars, len(values), self.n)[:, :, 1:self.nvars + 1] = (
+                self.exponents[1:self.nvars + 1].T[:, None])
         return c
 
 
@@ -203,48 +210,41 @@ def _complex_bincount(idx, w, n):
         idx, weights=w.imag, minlength=n)
 
 
-def _product(sp, a, b):
-    """Coefficients of the truncated product of two jets over ``sp``."""
-    ia, ib, iout = sp.mult_table()
+def _product(sp, a, b, table=None):
+    """Coefficients of the truncated product of two jets over ``sp``, or of
+    each row pair of B raveled coefficient rows (row b at offset b * n) with
+    ``table`` = ``sp.row_mult_table(B)``; each row sums its terms in the
+    order of one jet's product."""
+    ia, ib, iout = sp.mult_table() if table is None else table
     w = a[ia] * b[ib]
     if sp.is_complex:
-        return _complex_bincount(iout, w, sp.n)
-    return np.bincount(iout, weights=w, minlength=sp.n)
+        return _complex_bincount(iout, w, len(a))
+    return np.bincount(iout, weights=w, minlength=len(a))
 
 
-def _product_rows(sp, a, b, table):
-    """``_product`` of each row pair of two real (B, n) coefficient arrays, as
-    one bincount over ``table``, ``sp.row_mult_table(B)``; row b sums its terms
-    in the order ``_product`` does."""
-    rows = len(a)
-    ia, ib, iout = table
-    w = a.ravel().take(ia) * b.ravel().take(ib)
-    return np.bincount(iout, weights=w, minlength=rows * sp.n).reshape(rows, sp.n)
-
-
-def _compose(sp, coeffs, taylor, product=_product, c0=0):
+def _compose(sp, coeffs, taylor, table=None, c0=0):
     """Coefficients of g(f) for a jet f over ``sp``, where ``taylor[k]`` =
-    g^(k)(f0)/k!, by Horner's rule on the non-constant part of f. Rows of jets
-    pass ``_product_rows`` bound to their table, the constant column ``c0``
+    g^(k)(f0)/k!, by Horner's rule on the non-constant part of f. Raveled
+    rows pass their product ``table``, their constant coefficients ``c0``
     and one Taylor value per row in each ``taylor[k]``."""
     h = coeffs.copy()
     h[c0] = 0.0
     out = np.zeros(coeffs.shape, dtype=sp.dtype)
     out[c0] = taylor[-1]
     for k in range(len(taylor) - 2, -1, -1):
-        out = product(sp, out, h)
+        out = _product(sp, out, h, table)
         out[c0] += taylor[k]
     return out
 
 
-def _reciprocal_taylor(f0, order):
+def _reciprocal_taylor(f0, order, p=None):
     if abs(f0) < 1e-300:
         raise ZeroDivisionError("division by a jet with zero constant term")
     inv = 1.0 / f0
     return [inv * (-inv) ** k for k in range(order + 1)]
 
 
-def _exp_taylor(f0, order):
+def _exp_taylor(f0, order, p=None):
     e = math.exp(f0)
     return [e / math.factorial(k) for k in range(order + 1)]
 
@@ -264,7 +264,7 @@ class Jet:
     """Truncated Taylor expansion of a scalar function: its coefficients over
     a space's basis, whose partials ``JetSpace.gather`` reads.
 
-    Jets come from replayed programs (``JetProgram.replay``); a formula's
+    Jets come from replayed programs (``JetProgram.replay_rows``); a formula's
     arithmetic runs once, on the recording jets of ``JetProgram.record``. The
     product stays defined on ``Jet``: the eager ring of the tests
     (``tests/oracles.py``) builds on it, and the benchmark tracer counts it."""
@@ -492,8 +492,8 @@ def creal(w):
 
 _MUL, _ADD, _SUB, _SCALE, _ADDC, _RSUBC, _NEG, _CONST, _REC, _EXP, _POW = range(11)
 # entries composed with a univariate function, whose Taylor coefficients
-# derive from the operand's value at replay (a power also takes its exponent)
-_TAYLOR = {_REC: _reciprocal_taylor, _EXP: _exp_taylor}
+# derive from the operand's value at replay (a power also takes its exponent p)
+_TAYLOR = {_REC: _reciprocal_taylor, _EXP: _exp_taylor, _POW: _power_taylor}
 
 
 def _reads_value(*_):
@@ -573,7 +573,7 @@ class _RecordedJet(Jet):
         return self._emit(_ADDC, -other) if slot is None else self._emit(_SUB, slot)
 
     def __rsub__(self, other):
-        if not isinstance(other, numbers.Number):
+        if not isinstance(other, (Jet, numbers.Number)):
             return NotImplemented
         self._operand(other)
         return self._emit(_RSUBC, other)
@@ -591,6 +591,7 @@ class _RecordedJet(Jet):
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
+            self._operand(other)
             return self * other.reciprocal()
         if isinstance(other, numbers.Number):
             return self * (1.0 / other)
@@ -690,47 +691,40 @@ class JetProgram:
                 kept.append((code, a, b))
         return JetProgram(nvars, kept, new[out])
 
-    def replay(self, values, order) -> Jet:
-        """The formula's jet of the given order at the point ``values``.
-
-        Value-derived Taylor coefficients are computed here from the
-        operands, so their errors (zero reciprocal base, non-positive
-        fractional-power base, exp overflow) are raised on the call that
-        meets them.
-        """
-        sp = JetSpace.get(self.nvars, order, False)
-        return Jet(sp, self._run(sp, list(sp.seed_coeffs(values)), order, _product, 0, _taylor))
-
     def replay_rows(self, values, order) -> np.ndarray:
-        """Coefficient rows (B, n) of the formula's jets at the B points of
-        ``values`` (B, nvars), row b bit for bit ``replay(values[b], order).coeffs``.
+        """Coefficient rows (B, n) of the formula's jets of the given order at
+        the B points of ``values`` (B, nvars); row b does not depend on the
+        other rows, so a point is replayed as one row.
 
-        Each product multiplies the rows of a chunk of at most
-        ``ROW_PRODUCTS`` table entries with one bincount (``_product_rows``);
-        Taylor coefficients are computed point by point, so a bad point
-        raises as its own replay does.
+        Rows replay in chunks of at most ``ROW_PRODUCTS`` product-table
+        entries. Value-derived Taylor coefficients are computed here, point by
+        point, from the operands, so their errors (zero reciprocal base,
+        non-positive fractional-power base, exp overflow) are raised on the
+        call that meets them.
         """
         sp = JetSpace.get(self.nvars, order, False)
         values = np.asarray(values, dtype=float)
+        if len(values) * len(sp.mult_table()[0]) <= ROW_PRODUCTS:
+            return self._run(sp, values, order)
         chunk = max(1, ROW_PRODUCTS // len(sp.mult_table()[0]))
-        out = []
-        for start in range(0, len(values), chunk):
-            part = values[start:start + chunk]
-            seeds = np.repeat(sp.seed_coeffs(part[0])[:, None], len(part), axis=1)
-            seeds[:, :, 0] = part.T
-            product = functools.partial(_product_rows, table=sp.row_mult_table(len(part)))
-            out.append(self._run(sp, list(seeds), order, product, (slice(None), 0),
-                                 _row_taylor))
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return np.concatenate([self._run(sp, values[start:start + chunk], order)
+                               for start in range(0, len(values), chunk)])
 
-    def _run(self, sp, s, order, product, c0, taylor_of):
-        """The entries replayed on the seed coefficients ``s``: ``product``
-        multiplies two operands, ``c0`` indexes their constant coefficients
-        and ``taylor_of(code, p, f0, order)`` gives a composite's Taylor
-        coefficients at those values. Returns the output's coefficients."""
+    def _run(self, sp, values, order):
+        """The entries replayed at the B points of ``values``, each slot the B
+        jets' coefficients raveled, row b at offset b * n: a product is one
+        bincount over ``sp.row_mult_table(B)``, and ``c0`` indexes the
+        constant coefficients, an integer for one row, whose assignments cost
+        a fifth of a strided slice's. Returns the output's rows (B, n)."""
+        rows = len(values)
+        if not rows:
+            return np.empty((0, sp.n))
+        s = list(sp.seed_coeffs(values))
+        table = sp.row_mult_table(rows)
+        c0 = 0 if rows == 1 else slice(None, None, sp.n)
         for code, a, b in self.ops:
             if code == _MUL:
-                r = product(sp, s[a], s[b])
+                r = _product(sp, s[a], s[b], table)
             elif code == _ADD:
                 r = s[a] + s[b]
             elif code == _SCALE:
@@ -749,18 +743,17 @@ class JetProgram:
                 r = np.zeros(s[0].shape)
                 r[c0] = b
             else:
-                r = _compose(sp, s[a], taylor_of(code, b, s[a][c0], order), product, c0)
+                r = _compose(sp, s[a], _taylor(code, b, s[a][c0], order), table, c0)
             s.append(r)
-        return s[self.out]
+        return s[self.out].reshape(rows, sp.n)
 
 
-def _taylor(code, p, f0, order):
-    """Taylor coefficients of entry ``code`` (exponent ``p`` for a power) at ``f0``."""
-    f0 = float(f0)
-    return _power_taylor(f0, order, p) if code == _POW else _TAYLOR[code](f0, order)
-
-
-def _row_taylor(code, p, f0s, order):
-    """``_taylor`` at each of the values ``f0s``, as an (order + 1, B) array;
-    each point is computed as a scalar, since array powers round differently."""
-    return np.array([_taylor(code, p, f0, order) for f0 in f0s.tolist()]).T
+def _taylor(code, p, f0s, order):
+    """Taylor coefficients of entry ``code`` (exponent ``p`` for a power) at
+    ``f0s``, one value or an array of B: ``[k]`` is g^(k)(f0s)/k!, a number
+    or an array (B,). Each value is computed as a scalar, since array powers
+    round differently."""
+    taylor = _TAYLOR[code]
+    if isinstance(f0s, np.ndarray):
+        return np.array([taylor(f0, order, p) for f0 in f0s.tolist()]).T
+    return taylor(float(f0s), order, p)

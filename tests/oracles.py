@@ -25,9 +25,10 @@ from finsler.jets import (Jet, JetSpace, _compose, _exp_taylor, _power_taylor, _
 
 
 def at_point(tensor, *args):
-    """``tensor`` at one point: one of the grid tensors, which take rows (B, n)
+    """``tensor`` at one point: one of the functions that take rows (B, n)
     only (``chern_finsler``, ``holomorphic_sectional_curvature``,
-    ``MetricDef.levi_matrix``, ``MetricDef.fundamental_real``), called with
+    ``MetricDef.levi_matrix``, ``MetricDef.fundamental_real``,
+    ``cartan.spray_coefficients``), called with
     its last two arguments as one row each, and row 0 of what it returns."""
     *head, z, v = args
     out = tensor(*head, np.asarray(z)[None], np.asarray(v)[None])
@@ -123,7 +124,7 @@ class EagerSpace(JetSpace):
 
     def variables(self, values) -> list:
         """Seed jets for all ``nvars`` coordinates, jet i with base value ``values[i]``."""
-        return [EagerJet(self, row) for row in self.seed_coeffs(values)]
+        return [EagerJet(self, row) for row in self.seed_coeffs(np.array([values]))]
 
 
 def eager(jet) -> "EagerJet":
@@ -901,7 +902,7 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
     d2 = (4.0 * d_h2 - d_h) / 3.0
     # d(rho^p) = p rho^(p-1) g_T(T, .)
     df = power * base.value ** (power - 1) * (conn_T.g @ base.T)
-    return d2 + float(df @ (2.0 * spray_coefficients(m, x, w)
+    return d2 + float(df @ (2.0 * at_point(spray_coefficients, m, x, w)
                             - np.einsum("ijk,j,k->i", conn_T.gamma_h, w, w)))
 
 

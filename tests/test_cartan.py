@@ -12,7 +12,7 @@ from finsler.metrics import instantiate
 
 from finsler.jets import Jet, JetProgram
 
-from oracles import (cartan_by_partials, eager_cjets, flag_curvature, number,
+from oracles import (at_point, cartan_by_partials, eager_cjets, flag_curvature, number,
                      riemannian_sectional_curvature, spray_by_partials)
 
 EUCLID = realify_metric(instantiate(
@@ -161,7 +161,7 @@ def test_spray_gathers_match_partial_readout(mc_spec):
         x = 0.6 * rng.uniform(-1, 1, m.dim) / np.sqrt(m.dim)
         u = rng.standard_normal(m.dim)
         want = spray_by_partials(m, x, u)
-        got = spray_coefficients(m, x, u)
+        got = at_point(spray_coefficients, m, x, u)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
@@ -199,7 +199,7 @@ def test_cartan_assembly_matches_partial_readout(mc_spec):
                               cartan_by_partials(m, x, u)):
             assert np.allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max()), name
         # the order-2 coefficients are a prefix of the order-4 jet
-        assert np.array_equal(data.spray, spray_coefficients(m, x, u))
+        assert np.array_equal(data.spray, at_point(spray_coefficients, m, x, u))
 
 
 def test_spray_values_are_pinned():
@@ -215,7 +215,7 @@ def test_spray_values_are_pinned():
             u = rng.standard_normal((rows, m.dim))
             values = [spray_coefficients(m, x, u)]
             for b in range(rows):
-                values.append(spray_coefficients(m, x[b], u[b]))
+                values.append(spray_coefficients(m, x[b:b + 1], u[b:b + 1]))
                 for order in (3, 4):
                     values.extend(spray_jacobian(m.real_jet(x[b], u[b], order).coeffs, u[b])[2:])
             for a in values:
@@ -288,7 +288,7 @@ def test_singular_fundamental_tensor_is_degenerate_not_linalg_error():
     # G = (x1 + x2 + u1 + u2)^2 / 2 has the Hessian of all ones, so
     # g = [[1/2, 1/2], [1/2, 1/2]]
     program = JetProgram.record(lambda s: 0.5 * (s[0] + s[1] + s[2] + s[3]) ** 2, 4)
-    for coeffs, u in ((program.replay(np.ones(4), 3).coeffs, np.ones(2)),
+    for coeffs, u in ((program.replay_rows(np.ones((1, 4)), 3)[0], np.ones(2)),
                       (program.replay_rows(np.ones((2, 4)), 3), np.ones((2, 2)))):
         with pytest.raises(DegenerateMetricError, match="singular"):
             spray_jacobian(coeffs, u)

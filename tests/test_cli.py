@@ -625,14 +625,23 @@ def test_cmd_schwarz_records_the_target_validity(tmp_path, monkeypatch):
 
 
 def test_no_grid_command_replays_a_single_point(tmp_path, monkeypatch):
-    # every sample grid of these commands is read from stacked rows
-    # (replay_rows): with the single-point replay refused, each still succeeds
+    # every sample grid of these commands is read from stacked rows: with the
+    # single-point jet and every one-row replay refused, each still succeeds
+    from finsler.geometry import MetricDef
     from finsler.jets import JetProgram
 
     def refuse(*args):
-        raise AssertionError("single-point replay in a grid command")
+        raise AssertionError("single-point jet in a grid command")
 
-    monkeypatch.setattr(JetProgram, "replay", refuse)
+    replay_rows = JetProgram.replay_rows
+
+    def several_rows(program, values, order):
+        if len(values) == 1:
+            raise AssertionError("one-row replay in a grid command")
+        return replay_rows(program, values, order)
+
+    monkeypatch.setattr(MetricDef, "real_jet", refuse)
+    monkeypatch.setattr(JetProgram, "replay_rows", several_rows)
     golden = json.loads((Path(__file__).parent / "golden" / "golden_config.json").read_text())
     out = tmp_path / "out"
     p = write_config(tmp_path, golden, name="golden.json")

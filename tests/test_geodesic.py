@@ -363,8 +363,8 @@ def test_index_form_symmetry_and_projection():
         # f' u - 2 f G(x, u) along the unit-speed geodesic
         def tang(t, path=path):
             x, u = path.state_at(t)
-            return u * (1 + 0.3 * t), 0.3 * u - 2.0 * (1 + 0.3 * t) * spray_coefficients(
-                HYPERBOLIC, x, u)
+            return u * (1 + 0.3 * t), 0.3 * u - 2.0 * (1 + 0.3 * t) * at_point(
+                spray_coefficients, HYPERBOLIC, x, u)
 
         c = index_form(path, tang, tang)
         assert abs(c.value) < 1e-9

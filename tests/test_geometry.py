@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsler.errors import DegenerateMetricError, DomainError, SlitBundleError, StructuralError
-from finsler.geometry import (SamplePlan, apply_J, complex_to_real_components,
+from finsler.geometry import (SamplePlan, _norm, apply_J, complex_to_real_components,
                               real_to_complex_components, realify_metric,
                               sample_points, well_conditioned_inverse)
 from finsler.metrics import instantiate
@@ -157,6 +157,18 @@ def test_polydisk_margin_of_real_components(z):
     assert (margin > 0) == bool(np.all(np.abs(z) < 1.0))
 
 
+def test_polydisk_row_margins_keep_a_nan_block():
+    # a NaN in either disk makes its row's margin NaN, as ``margin`` does,
+    # whether or not the other disk's margin is smaller
+    domain = instantiate(SZABO).domain
+    rows = complex_to_real_components(np.array([
+        [0.3 + 0.2j, -0.5j], [np.nan, -0.5j], [0.1, complex(np.nan, 0.2)], [0.99, np.nan]]))
+    got = domain.row_margins(rows)
+    assert got[0] == pytest.approx(0.5, abs=1e-15)
+    assert np.isnan(got[1:]).all()
+    assert all(np.isnan(domain.margin(row)) for row in rows[1:])
+
+
 @pytest.mark.parametrize("spec", [POINCARE, SZABO])
 def test_jets_outside_the_domain_raise(spec):
     m = instantiate(spec)
@@ -224,3 +236,16 @@ def test_singular_and_non_finite_matrices_are_degenerate():
     for a in (np.ones((2, 2)), np.zeros((3, 3), complex), np.full((2, 2), np.nan)):
         with pytest.raises(DegenerateMetricError):
             well_conditioned_inverse(a, "test matrix")
+
+
+def test_point_guards_take_numpys_norms_bit_for_bit():
+    # Domain.margin and the slit guard take their norms without
+    # np.linalg.norm's dispatch; exit events read the margin, so it must
+    # not move by a bit
+    rng = np.random.default_rng(41)
+    for size in (1, 2, 3, 4, 8):
+        for _ in range(300):
+            x = rng.standard_normal(2 * size) * 10.0 ** rng.uniform(-8, 8)
+            z = x[:size] + 1j * x[size:]
+            for a in (x, z, x[::2], np.stack([x, x], axis=1)[:, 0]):
+                assert _norm(a) == float(np.linalg.norm(a))

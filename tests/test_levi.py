@@ -97,18 +97,19 @@ def test_levi_samples_start_their_jacobi_systems_at_the_shots_step(monkeypatch):
 
 def test_levi_path_reads_no_order_4_jets(monkeypatch):
     # distance Hessians and Levi samples integrate the linearized geodesic
-    # flow: order-3 jets, no curvature, no cartan
-    real_jet = MetricDef.real_jet
+    # flow: order-3 jets, no curvature, no cartan; every jet is a real_rows
+    # replay, a point's (real_jet) included
+    real_rows = MetricDef.real_rows
 
     def order_3(self, x, u, order):
         if order > 3:
             raise AssertionError(f"order-{order} jet on the Levi path")
-        return real_jet(self, x, u, order)
+        return real_rows(self, x, u, order)
 
     def refuse(*args, **kwargs):
         raise AssertionError("cartan on the Levi path")
 
-    monkeypatch.setattr(MetricDef, "real_jet", order_3)
+    monkeypatch.setattr(MetricDef, "real_rows", order_3)
     monkeypatch.setattr(geodesic, "cartan", refuse)
     for m, K in ((POINCARE, 2.0), (BALL2, 2.0), (MINKOWSKI, 0.0)):
         z, v = np.full(m.n, 0.3 + 0.2j), np.full(m.n, 1.0 - 0.5j)

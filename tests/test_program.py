@@ -2,11 +2,12 @@
 
 The replay must give the coefficients of the formula evaluated on fresh
 ``Jet``/``CJet`` objects (``oracles.real_jet_by_objects``) bit for bit, at
-every order, for every family; value-derived Taylor coefficients are
-recomputed per call; formulas that read a jet's value are refused. A tape
-records each entry once and replays as the tape of every emitted entry
+every order, for every family, and so must every opcode at every row of a
+replay of B points; value-derived Taylor coefficients are recomputed per
+call; formulas that read a jet's value are refused. A tape records each entry
+once and replays as the tape of every emitted entry
 (``oracles.record_unmerged``) does; a replay of B points gives, row by row,
-the replays of each point.
+the one-row replays of each point.
 """
 
 import math
@@ -18,11 +19,17 @@ from finsler.errors import DomainError, SlitBundleError, StructuralError
 from finsler.geometry import MetricDef, complex_to_real_components, realify_metric
 from finsler.cartan import spray_coefficients
 from finsler.jets import (_ADD, _ADDC, _CONST, _EXP, _MUL, _NEG, _POW, _REC, _RSUBC,
-                          _SCALE, _SUB, MAX_ORDER, ROW_PRODUCTS, JetProgram, JetSpace)
+                          _SCALE, _SUB, MAX_ORDER, ROW_PRODUCTS, Jet, JetProgram, JetSpace)
 from finsler.metrics import _hermitian_form, instantiate
 
-from oracles import (at_point, complex_jet_by_objects, eager, eager_cjets,
+from oracles import (EagerSpace, at_point, complex_jet_by_objects, eager, eager_cjets,
                      real_jet_by_objects, record_unmerged)
+
+
+def _replay(prog, point, order):
+    """The jet of ``prog`` at one point: its replay as one row."""
+    sp = JetSpace.get(prog.nvars, order)
+    return Jet(sp, prog.replay_rows(np.asarray(point, dtype=float)[None], order)[0])
 
 
 def _disk(**params):
@@ -93,7 +100,7 @@ def test_replay_equals_object_evaluation_bitwise():
 def test_value_derived_coefficients_are_recomputed_per_call():
     prog = JetProgram.record(lambda s: (s[0] * 0.5).exp() + s[1] ** 0.5, 2)
     for point in ([0.3, 2.0], [-1.2, 0.7]):
-        jet = prog.replay(np.array(point), 2)
+        jet = _replay(prog, point, 2)
         assert jet.value == pytest.approx(np.exp(0.5 * point[0]) + np.sqrt(point[1]),
                                           rel=1e-15)
         assert eager(jet).derivatives(2)[0, 0] == pytest.approx(0.25 * np.exp(0.5 * point[0]),
@@ -110,10 +117,10 @@ def test_value_derived_coefficients_are_recomputed_per_call():
 ])
 def test_replay_raises_on_a_bad_base(op, bad, error):
     prog = JetProgram.record(op, 1)
-    prog.replay(np.array([0.8]), 3)   # the same program at a good base
+    _replay(prog, [0.8], 3)   # the same program at a good base
     for order in range(MAX_ORDER + 1):
         with pytest.raises(error):
-            prog.replay(np.array([bad]), order)
+            _replay(prog, [bad], order)
 
 
 def _branching(x, u):
@@ -138,6 +145,19 @@ def test_a_formula_that_reads_values_is_refused(formula):
         m.value(x, u)
     with pytest.raises(StructuralError):
         m.real_jet(x, u, 2)
+
+
+@pytest.mark.parametrize("op", [
+    lambda s, J: s[0] * J, lambda s, J: J * s[0],
+    lambda s, J: s[0] + J, lambda s, J: J + s[0],
+    lambda s, J: s[0] - J, lambda s, J: J - s[0],
+    lambda s, J: s[0] / J, lambda s, J: J / s[0],
+])
+def test_a_jet_from_outside_the_tape_is_refused(op):
+    sp = JetSpace.get(1, 2)
+    outside = Jet(sp, sp.seed_coeffs(np.array([[0.5]]))[0])
+    with pytest.raises(StructuralError, match="outside the tape"):
+        JetProgram.record(lambda s: op(s, outside), 1)
 
 
 def test_a_metric_is_recorded_once():
@@ -199,8 +219,8 @@ def test_merged_tape_replays_as_the_unmerged_one_bitwise():
         for z, v in _points(m, rng):
             values = np.concatenate([complex_to_real_components(z), complex_to_real_components(v)])
             for order in range(MAX_ORDER + 1):
-                got = merged.replay(values, order).coeffs
-                want = unmerged.replay(values, order).coeffs
+                got = _replay(merged, values, order).coeffs
+                want = _replay(unmerged, values, order).coeffs
                 assert got.tobytes() == want.tobytes(), (m.family_id, order)
     assert shrunk >= 2
 
@@ -210,7 +230,7 @@ def test_signed_zero_constants_are_not_merged():
     assert prog.ops == [(_ADDC, 0, 0.0), (_ADDC, 0, -0.0), (_MUL, 1, 2)]
     # the entries differ at -0: -0 + 0 = 0, while -0 + -0 = -0
     for out, sign in ((1, 1.0), (2, -1.0)):
-        value = JetProgram(1, prog.ops[:2], out).replay(np.array([-0.0]), 0).value
+        value = _replay(JetProgram(1, prog.ops[:2], out), [-0.0], 0).value
         assert value == 0.0 and math.copysign(1.0, value) == sign
     consts = JetProgram.record(lambda s: s[0].space.constant(0.0) + s[0].space.constant(-0.0), 1)
     assert [code for code, _, _ in consts.ops] == [_CONST, _CONST, _ADD]
@@ -241,16 +261,31 @@ def _batch(m, rng, rows):
 
 def _assert_rows_are_point_replays(prog, values, order):
     rows = prog.replay_rows(values, order)
-    assert rows.shape == (len(values), prog.replay(values[0], order).coeffs.size)
+    assert rows.shape == (len(values), JetSpace.get(prog.nvars, order).n)
     for b, point in enumerate(values):
-        assert rows[b].tobytes() == prog.replay(point, order).coeffs.tobytes(), (order, b)
+        assert rows[b].tobytes() == _replay(prog, point, order).coeffs.tobytes(), (order, b)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_every_opcode_replays_as_the_eager_ring(rows):
+    # the eager ring of the tests evaluates the formula on objects, one point
+    # at a time and with no tape: a reference for the replay's dispatch of
+    # every opcode, its seeds and its raveled rows
+    rng = np.random.default_rng(100 + rows)
+    prog = JetProgram.record(_every_op, 3)
+    assert {code for code, _, _ in prog.ops} == EVERY_OP
+    for order in range(MAX_ORDER + 1):
+        values = rng.uniform(0.2, 1.5, (rows, 3))
+        got = prog.replay_rows(values, order)
+        for b, point in enumerate(values):
+            want = _every_op(EagerSpace.get(3, order).variables(point)).coeffs
+            assert got[b].tobytes() == want.tobytes(), (order, b)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 8])
 def test_batched_replay_rows_equal_point_replays(rows):
     rng = np.random.default_rng(rows)
     prog = JetProgram.record(_every_op, 3)
-    assert {code for code, _, _ in prog.ops} == EVERY_OP
     for order in range(MAX_ORDER + 1):
         _assert_rows_are_point_replays(prog, rng.uniform(0.2, 1.5, (rows, 3)), order)
     for spec in BATCH_SPECS:
@@ -272,9 +307,24 @@ def test_batched_replay_chunks_its_rows():
 def test_row_tables_offset_each_row():
     sp = JetSpace(3, 2)
     ia, ib, iout = sp.mult_table()
-    tables = sp.row_mult_table(3)
-    for t, base in zip(tables, (ia, ib, iout)):
-        assert np.array_equal(t.reshape(3, -1), base + sp.n * np.arange(3)[:, None])
+    for rows in (1, 3):
+        tables = sp.row_mult_table(rows)
+        for t, base in zip(tables, (ia, ib, iout)):
+            assert np.array_equal(t.reshape(rows, -1), base + sp.n * np.arange(rows)[:, None])
+        # one row multiplies over the product table itself, built once per space
+        assert (tables is sp.mult_table()) == (rows == 1)
+
+
+def test_zero_rows_give_empty_arrays():
+    prog = JetProgram.record(_every_op, 3)
+    for order in range(MAX_ORDER + 1):
+        assert prog.replay_rows(np.empty((0, 3)), order).shape == (0, JetSpace.get(3, order).n)
+    m = instantiate(SPECS[5])   # the Poincare ball
+    none = np.empty((0, m.n), dtype=complex)
+    assert m.real_rows(np.empty((0, m.dim)), np.empty((0, m.dim)), 2).shape == (
+        0, JetSpace.get(2 * m.dim, 2).n)
+    assert m.value(none, none).shape == (0,)
+    assert m.levi_matrix(none, none).shape == (0, m.n, m.n)
 
 
 def test_complex_rows_equal_point_complex_jets():
@@ -298,7 +348,7 @@ def test_batched_spray_equals_point_sprays():
         sprays = spray_coefficients(m, x, u)
         assert sprays.shape == (8, m.dim)
         for b in range(8):
-            assert sprays[b].tobytes() == spray_coefficients(m, x[b], u[b]).tobytes()
+            assert sprays[b].tobytes() == spray_coefficients(m, x[b:b + 1], u[b:b + 1]).tobytes()
 
 
 @pytest.mark.parametrize("op, bad, error", [
@@ -310,7 +360,7 @@ def test_batched_replay_raises_as_the_bad_member_does(op, bad, error):
     prog = JetProgram.record(op, 1)
     for order in range(MAX_ORDER + 1):
         with pytest.raises(error):
-            prog.replay(np.array([bad]), order)
+            _replay(prog, [bad], order)
         with pytest.raises(error):
             prog.replay_rows(np.array([[0.8], [bad], [1.3]]), order)
 
@@ -333,10 +383,12 @@ def test_batched_metric_guards_each_member():
 
 
 def _first_member_error(m, x, u):
-    """The error type of the first row's ``real_jet`` that raises, or None."""
+    """The error type of the first row that the exact point guards,
+    ``Domain.require`` then ``MetricDef._check_slit``, refuse, or None."""
     for xb, ub in zip(x, u):
         try:
-            m.real_jet(xb, ub, 0)
+            m.domain.require(xb)
+            m._check_slit(xb, ub)
         except (DomainError, SlitBundleError) as exc:
             return type(exc)
     return None
