@@ -11,10 +11,11 @@ moved by the change of target, and shoots first whichever the cached
 Jacobian predicts lands closer. Shooting is inexact Newton: trial
 shots from an iterate far from the target integrate at loose tolerances,
 and every returned iterate, so every distance, comes from a tight
-integration. Each shot of a solver starts at the step size its previous
-shot at the same tolerances settled on, as a fan's segments do, in place of
-scipy's initial-step probe, and so does the Jacobi system of a distance
-Hessian, at its shot's settled step scaled to arc length.
+integration. Integrations run on the package's own DOP853 (``dop853``), which
+builds dense output only for the steps a caller reads. Each shot of a solver,
+and the Jacobi system of a distance Hessian, starts where the solver's last
+shot at the same tolerances left off, scaled to arc length, in place of the
+initial-step probe.
 Covariant derivatives along a geodesic use the connection at the reference
 vector T, the geodesic's own velocity, which makes the Cartan and
 Chern-type derivatives coincide: D_T V = dV/ds + N V with N = dG/du, the
@@ -35,15 +36,9 @@ from itertools import chain
 import numpy as np
 
 from .cartan import cartan, spray_coefficients, spray_jacobian
-from .errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError,
-                     StructuralError)
+from .dop853 import solve_ivp
+from .errors import SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError
 from .geometry import MetricDef, unit_directions
-
-
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on first use: most commands never integrate."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 _EXIT_MARGIN = 1e-9   # domain margin at which an integrated geodesic stops
@@ -51,25 +46,16 @@ _EXIT_MARGIN = 1e-9   # domain margin at which an integrated geodesic stops
 
 def _domain_events(m, x0):
     """Terminal events at domain margin ``_EXIT_MARGIN``, one for the (x, u)
-    block of each row of x0 (k, d) in a stacked state; None on an unbounded
+    block of each row of x0 (k, d) in a stacked state; none on an unbounded
     domain."""
     if m.domain.kind == "all" or not math.isfinite(m.domain.margin(x0[0])):
-        return None
+        return []
     d = m.dim
-
-    def exit_of(j):
-        def ev(t, y):
-            return m.domain.margin(y[2 * d * j:2 * d * j + d]) - _EXIT_MARGIN
-
-        ev.terminal = True
-        ev.direction = -1
-        return ev
-
-    return [exit_of(j) for j in range(len(x0))]
+    return [lambda t, y, j=j: m.domain.margin(y[2 * d * j:2 * d * j + d]) - _EXIT_MARGIN
+            for j in range(len(x0))]
 
 
-def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True, t0=0.0,
-                      first_step=None):
+def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, t0=0.0, first_step=None):
     """DOP853 solution of the geodesic flow from (x0, u0) at affine time t0
     to t_end, stopped where the domain margin falls to ``_EXIT_MARGIN``.
 
@@ -89,18 +75,16 @@ def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, dense=True, t
         return np.concatenate([Y[:, d:], -2.0 * S], axis=1).ravel()
 
     sol = solve_ivp(rhs, (t0, t_end), np.concatenate([x0, u0], axis=1).ravel(),
-                    method="DOP853", rtol=rtol / math.sqrt(k), atol=atol / math.sqrt(k),
-                    dense_output=dense, events=_domain_events(m, x0),
-                    first_step=None if first_step is None else min(first_step, abs(t_end - t0)))
-    if not sol.success and sol.status != 1:
+                    rtol=rtol / math.sqrt(k), atol=atol / math.sqrt(k),
+                    first_step=first_step, events=_domain_events(m, x0))
+    if not sol.success:
         raise ShootingError(f"geodesic integration failed: {sol.message}")
     return sol
 
 
 def _settled_step(sol):
-    """The step size an integration's error controller settled on, to start
-    the next integration of a like geodesic with: the larger of its last two
-    steps, since the last one is cut short to reach the end time."""
+    """The larger of an integration's last two steps, the last one cut short
+    at its end time or event."""
     return float(np.diff(sol.t)[-2:].max())
 
 
@@ -117,7 +101,6 @@ class GeodesicPath:
     sol: object
     arc_length: float
     n_steps: int
-    nfev: int
     normal: bool
     truncated: bool
 
@@ -125,6 +108,11 @@ class GeodesicPath:
     def speed(self) -> float:
         """sqrt(G(x0, u0)); arc length = speed * t."""
         return math.sqrt(self.energy)
+
+    @property
+    def nfev(self) -> int:
+        """The right-hand sides spent, the dense output built so far included."""
+        return self.sol.nfev
 
     def energy_drift(self) -> float:
         """max |G(x, u) - G(x0, u0)| over the integrator's steps, read from one
@@ -135,9 +123,6 @@ class GeodesicPath:
 
     def _dense_state(self, t):
         """The whole dense state at affine time ``t``, clamped to the path."""
-        if self.sol.sol is None:
-            raise StructuralError("the path was integrated without dense output, "
-                                  "so only its endpoint state sol.y[:, -1] is known")
         return self.sol.sol(min(max(t, 0.0), self.t_end))
 
     def state_at(self, s):
@@ -163,7 +148,7 @@ def _path(m: MetricDef, G0, sol) -> GeodesicPath:
     t_reached = sol.t[-1]
     return GeodesicPath(
         metric=m, energy=G0, t_end=t_reached, sol=sol, arc_length=t_reached * math.sqrt(G0),
-        n_steps=len(sol.t) - 1, nfev=sol.nfev,
+        n_steps=len(sol.t) - 1,
         normal=abs(G0 - 1.0) < 1e-9, truncated=sol.status == 1)
 
 
@@ -215,8 +200,9 @@ def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
 
     A member ends at its own exit event, at its exit margin, or where it has
     reached its own length; when one leaves the domain, the others restart
-    from the event state with the last step size, since scipy's first-step
-    probe would overshoot the domain from so close to its edge.
+    from the event state at the larger of the segment's last two steps, the
+    last one cut short at the event, since the initial-step probe would
+    overshoot the domain from so close to its edge.
     """
     if not length > 0:
         raise ConfigurationError(f"geodesic length must be positive, got {length!r}")
@@ -310,16 +296,18 @@ class PoleDistance:
     iterate is integrated again at the tight tolerances before it may
     converge or end the solve.
     ``loose_integrations`` counts the loose share of ``total_integrations``,
-    and ``rhs_evaluations`` sums their right-hand sides (scipy's ``nfev``);
+    and ``rhs_evaluations`` sums their right-hand sides (their ``nfev``);
     ``jacobi_integrations`` and ``jacobi_rhs_evaluations`` count the Jacobi
     systems of the distance Hessians shot with the solver.
 
     Step continuation (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
     all shots leave the same pole along nearby geodesics, so each starts at
-    the step size the solver's previous shot at the same tolerances, tight or
-    loose, settled on, in place of scipy's initial-step probe and its
-    ramp-up. Every step, the first included, still passes DOP853's error test
-    at the same tolerances.
+    the step its predecessor at the same tolerances ended with, times
+    |w_prev| / |w| to carry it over in arc length, in place of the
+    initial-step probe and its ramp-up: after a tight shot the step the error
+    controller proposes (``h_next``), so a shot that needs one step takes one,
+    after a loose one the larger of its last two steps. Every step still
+    passes DOP853's error test at the same tolerances.
     """
 
     def __init__(self, m: MetricDef, pole):
@@ -334,19 +322,27 @@ class PoleDistance:
         self.rhs_evaluations = 0
         self.jacobi_integrations = 0      # counted by ``distance_hessian``
         self.jacobi_rhs_evaluations = 0
-        self._steps = {False: None, True: None}   # settled step, by looseness
+        self._steps = {False: None, True: None}   # last shot's step times |w|, by looseness
+
+    def _first_step(self, w, loose=False):
+        """The step to start a shot with velocity w at: the last shot's at the
+        same tolerances, scaled by |w_prev| / |w|; None for the initial-step
+        probe."""
+        step = self._steps[loose]
+        return None if step is None else step / float(np.linalg.norm(w))
 
     def _endpoint(self, w, loose=False):
         """End state (x, u) at t = 1 of the geodesic leaving the pole with
         velocity w, integrated at the loose or the tight shooting tolerances."""
         self.total_integrations += 1
         self.loose_integrations += loose
-        sol = _integrate_affine(self.m, self.pole, w, 1.0, dense=False,
+        sol = _integrate_affine(self.m, self.pole, w, 1.0,
                                 rtol=LOOSE_RTOL if loose else SHOOT_RTOL,
                                 atol=LOOSE_ATOL if loose else SHOOT_ATOL,
-                                first_step=self._steps[loose])
+                                first_step=self._first_step(w, loose))
         self.rhs_evaluations += sol.nfev
-        self._steps[loose] = _settled_step(sol)
+        step = _settled_step(sol) if loose else sol.h_next
+        self._steps[loose] = step * float(np.linalg.norm(w))
         return sol.y[:, -1]
 
     def _fd_jacobian(self, w, F0):
@@ -580,13 +576,12 @@ class BoundaryJacobiSystem:
         return P.T @ self.g @ self.W @ M_inv_P
 
 
-def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, dense=True,
-                      first_step=None) -> GeodesicPath:
+def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, first_step=None) -> GeodesicPath:
     """The unit-speed geodesic from (x0, u0) and the variations of it with
     initial data the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array,
-    integrated together to arc length r as one state (x, u, Y), with dense
-    output if ``dense``: the variational equations in the trajectory's own
-    state (Hairer, Norsett & Wanner, Solving ODEs I, sec. I.14). Each
+    integrated together to arc length r as one state (x, u, Y): the variational
+    equations in the trajectory's own state (Hairer, Norsett & Wanner, Solving
+    ODEs I, sec. I.14). Each
     right-hand side reads S and dS = dG/d(x, u) from one order-3 jet; S moves
     (x, u) and dx'' = -2 dS (dx, dx') moves Y. A ``first_step``, in arc
     length, is capped at r."""
@@ -603,9 +598,8 @@ def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, dense=True,
         Y = y[2 * d:].reshape(2 * d, -1)
         return np.concatenate([u, -2.0 * spray, Y[d:].ravel(), (-2.0 * dS @ Y).ravel()])
 
-    sol = solve_ivp(rhs, (0.0, r), np.concatenate([x0, u0, np.ravel(Y0)]),
-                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=dense,
-                    first_step=None if first_step is None else min(first_step, r))
+    sol = solve_ivp(rhs, (0.0, r), np.concatenate([x0, u0, np.ravel(Y0)]), rtol=1e-10,
+                    atol=1e-12, first_step=first_step)
     if not sol.success:
         raise ShootingError(f"Jacobi integration failed: {sol.message}")
     return _path(m, G0, sol)
@@ -620,18 +614,16 @@ def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
     return JacobiField(path=path, c=np.ones(1))
 
 
-def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, dense=False,
-                          first_step=None) -> BoundaryJacobiSystem:
+def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, first_step=None) -> BoundaryJacobiSystem:
     """Fundamental system of the Jacobi fields vanishing at x0 along the
     unit-speed geodesic from (x0, u0), integrated with it to arc length r; its
     ``field(u)`` is the Jacobi field with J(0) = 0 and J(r) the part of u
-    across T, whose values along the path need ``dense``. At r, W = dx' + N M
-    with N and g_T from one order-3 jet. The integration starts at
-    ``first_step`` (arc length, capped at r) where one is given, and at
-    scipy's initial-step probe otherwise."""
+    across T. At r, W = dx' + N M with N and g_T from one order-3 jet. The
+    integration starts at ``first_step`` (arc length, capped at r) where one
+    is given, and at the initial-step probe otherwise."""
     d = m.dim
     path = _integrate_jacobi(m, x0, u0, r, np.concatenate([np.zeros((d, d)), np.eye(d)]),
-                             dense=dense, first_step=first_step)
+                             first_step=first_step)
     y_r = path.sol.y[:, -1]
     x_r, u_r = y_r[:d], y_r[d:2 * d]
     Y_r = y_r[2 * d:].reshape(2 * d, d)
@@ -698,7 +690,7 @@ def index_form(path: GeodesicPath, xi, eta) -> IndexFormResult:
 AGREEMENT_TOL = 1e-4
 
 
-def distance_hessian(pd: PoleDistance, x, *, dense=False) -> BoundaryJacobiSystem:
+def distance_hessian(pd: PoleDistance, x) -> BoundaryJacobiSystem:
     """Hessian of the distance from ``pd.pole`` at x, in every direction at once.
 
     One shot gives rho and the initial velocity of the radial geodesic; one
@@ -709,12 +701,10 @@ def distance_hessian(pd: PoleDistance, x, *, dense=False) -> BoundaryJacobiSyste
     is the boundary term g_T(D_T J_u, J_u) at x of the index form of the field
     J_u reaching u (Bao-Chern-Shen, GTM 200, ch. 5 and 7): the covariant
     Hessian at reference vector T is H = P^T g_T W M^-1 P = ``boundary_form()``.
-    The Jacobi integration keeps dense output, which ``system.field(u)`` reads
-    along the path, only if ``dense``.
 
     Step continuation, as for the shots: the Jacobi integration starts at
-    the step the solver's last tight shot settled on, in affine time on
-    [0, 1], times rho, since the system runs in arc length. Every step still
+    the proposal of the solver's last tight shot, scaled to ``base.w`` and
+    times rho, since the system runs in arc length. Every step still
     passes DOP853's error test, so H depends on the solver's history only in
     its last bits. ``pd.jacobi_integrations`` and ``pd.jacobi_rhs_evaluations``
     count the systems and their right-hand sides.
@@ -723,8 +713,8 @@ def distance_hessian(pd: PoleDistance, x, *, dense=False) -> BoundaryJacobiSyste
     if float(np.linalg.norm(x - pd.pole)) < 1e-6:
         raise ConfigurationError("distance Hessian undefined at the pole")
     base = pd.rho(x)
-    system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value, dense=dense,
-                                   first_step=pd._steps[False] * base.value)
+    system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value,
+                                   first_step=pd._first_step(base.w) * base.value)
     pd.jacobi_integrations += 1
     pd.jacobi_rhs_evaluations += system.path.nfev
     return system
@@ -752,7 +742,7 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
     either route never agrees.
     """
     u = np.asarray(u, dtype=float)
-    system = distance_hessian(pd or PoleDistance(m, pole), x, dense=True)
+    system = distance_hessian(pd or PoleDistance(m, pole), x)
     u = u / math.sqrt(float(u @ system.g @ u))
     value_a = float(u @ system.boundary_form() @ u)
     bvp = system.field(u)

@@ -906,6 +906,44 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
                             - np.einsum("ijk,j,k->i", conn_T.gamma_h, w, w)))
 
 
+# -- scipy's DOP853, the reference of the package's own stepper ----------------------
+
+
+def scipy_dop853(fun, t_span, y0, *, rtol, atol, first_step=None, events=(),
+                 dense_output=False):
+    """The integration ``finsler.dop853.solve_ivp`` runs, by
+    ``scipy.integrate.solve_ivp(method="DOP853")`` with the same arguments:
+    the package caps ``first_step`` at the span, and its events are terminal
+    and fire where they fall through 0."""
+    from scipy.integrate import solve_ivp
+
+    def terminal(ev):
+        def event(t, y):
+            return ev(t, y)
+
+        event.terminal, event.direction = True, -1
+        return event
+
+    if first_step is not None:
+        first_step = min(first_step, abs(t_span[1] - t_span[0]))
+    return solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                     first_step=first_step, events=[terminal(ev) for ev in events] or None,
+                     dense_output=dense_output)
+
+
+def scipy_proposals(fun, t_span, y0, *, rtol, atol, first_step=None):
+    """The step scipy's DOP853 controller proposes after each accepted step
+    (its ``h_abs``), stepping its solver class by hand."""
+    from scipy.integrate import DOP853
+
+    solver = DOP853(fun, t_span[0], y0, t_span[1], rtol=rtol, atol=atol, first_step=first_step)
+    proposals = []
+    while solver.status == "running":
+        solver.step()
+        proposals.append(solver.h_abs)
+    return proposals
+
+
 # -- covariant derivatives along a path by differencing ------------------------------
 
 

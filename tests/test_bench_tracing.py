@@ -60,7 +60,7 @@ def _assert_traced_run_is_correct(workload):
 
 def test_traced_levi_run_is_correct():
     # one traced pass of every Levi and Hessian operation: the tracer's checks
-    # (spray calls against scipy's nfev, equal counts on both traced passes)
+    # (spray calls against the integrations' nfev, equal counts on both traced passes)
     # hold on the Jacobi right-hand sides
     _assert_traced_run_is_correct("levi")
 

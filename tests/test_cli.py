@@ -1308,22 +1308,16 @@ def test_cmd_schwarz_fails_on_non_finite_ratios(tmp_path, monkeypatch, capsys):
 FRESH_PROCESS = """
 import sys
 from finsler.cli import main
-assert main(["check", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-assert "scipy.integrate" not in sys.modules, "check imported scipy.integrate"
-import numpy as np
-from finsler.geodesic import integrate_geodesic
-from finsler.geometry import realify_metric
-from finsler.metrics import instantiate
-disk = realify_metric(instantiate({"family": "hermitian", "complex_dim": 1,
-                                   "params": {"catalog": "poincare_disk"}}))
-integrate_geodesic(disk, np.zeros(2), np.array([1.0, 0.0]), 0.5)
-assert "scipy.integrate" in sys.modules, "integrating did not import scipy.integrate"
+for command in ("check", "bounds", "distance"):
+    assert main([command, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0, command
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:5]}"
 """
 
 
-def test_fresh_process_imports_scipy_integrate_on_first_integration(tmp_path):
-    # check, curvature, schwarz and replay never integrate, so a process that
-    # runs one of them does not pay for importing scipy.integrate
+def test_fresh_processes_never_import_scipy(tmp_path):
+    # the package integrates with its own DOP853, so no command pays for
+    # importing scipy, not even bounds and distance, which integrate
     doc = {"seed": 7, "metrics": BASE_CONFIG["metrics"][:1],
            "plans": {"default": {"n_points": 3, "n_dirs": 2}}}
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -12,7 +12,7 @@ from scipy.linalg import eigh
 from finsler import geodesic
 from finsler.cartan import cartan, spray_coefficients
 from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError,
-                            DomainError, ShootingError, StructuralError)
+                            DomainError, ShootingError)
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
                               IndexFormResult, PoleDistance,
                               _integrate_affine, distance_hessian,
@@ -249,7 +249,7 @@ def test_arriving_tangent_is_the_converged_shot(monkeypatch):
     assert r.n_integrations > 1   # Gauss-Newton iterated before converging
     # the accepted shot is the last integration
     sol = _integrate_affine(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
-                            atol=SHOOT_ATOL, dense=False, first_step=steps[-1])
+                            atol=SHOOT_ATOL, first_step=steps[-1])
     u_end = sol.y[2:, -1]
     assert np.array_equal(r.T, u_end / r.value)
 
@@ -375,7 +375,7 @@ def test_conjugate_point_guard():
     # -2 of its start at distance pi/2, where M(r) is singular
     p, u = np.array([0.5, 0.0]), np.array([-1.25, 0.0])
     assert ROUND.value(p, u) == pytest.approx(1.0, abs=1e-15)
-    at = jacobi_boundary_field(ROUND, p, u, math.pi / 2, dense=True)
+    at = jacobi_boundary_field(ROUND, p, u, math.pi / 2)
     assert np.allclose(endpoint(at.path)[0], [-2.0, 0.0], atol=1e-9)
     with pytest.raises(ConjugatePointError) as info:
         at.boundary_form()
@@ -393,30 +393,32 @@ def test_conjugate_point_guard():
 
 @pytest.mark.parametrize("m, q", [(HYPERBOLIC, (0.45, -0.3)), (EUCLID2, (0.3, -0.2, 0.1, 0.4))])
 def test_distance_hessian_skips_dense_output(m, q):
-    # a fresh solver for each system, since a Jacobi system starts at the
-    # step its solver's last shot settled on
-    plain = distance_hessian(PoleDistance(m, np.zeros(m.dim)), np.array(q))
-    dense = distance_hessian(PoleDistance(m, np.zeros(m.dim)), np.array(q), dense=True)
-    # DOP853 takes the same steps either way; dense output costs 3 more
-    # right-hand sides per step
-    assert plain.path.nfev == dense.path.nfev - 3 * plain.path.n_steps
-    for a, b in ((plain.M, dense.M), (plain.W, dense.W), (plain.T, dense.T),
-                 (plain.boundary_form(), dense.boundary_form())):
-        assert np.array_equal(a, b)
-    with pytest.raises(StructuralError, match="without dense output"):
-        plain.path.state_at(0.1)
-    with pytest.raises(StructuralError):
-        plain.field(np.array(q)[::-1])(0.1)
-    dense.path.state_at(0.1)
+    # a step builds its 3 dense-output stages when it is first read, and
+    # counts them in the path's nfev; the steps nobody reads cost none
+    system = distance_hessian(PoleDistance(m, np.zeros(m.dim)), np.array(q))
+    path, stepped = system.path, system.path.nfev
+    first = path.sol.t[1] * path.speed   # the arc length of the first step
+    x, _ = path.state_at(0.5 * first)
+    assert path.nfev == stepped + 3
+    assert np.array_equal(path.state_at(0.5 * first)[0], x)
+    path.state_at(0.25 * first)
+    assert path.nfev == stepped + 3   # built once per step
+    system.field(np.array(q)[::-1])(path.arc_length)   # read on the last step
+    assert path.nfev == stepped + (6 if path.n_steps > 1 else 3)
 
 
 def test_jacobi_system_starts_at_the_shots_settled_step():
-    # DOP853 accepts any step on flat C^2, so the first step is the one given:
-    # the settled step of the last tight shot, in affine time, times rho
-    pd = PoleDistance(EUCLID2, np.zeros(4))
-    for q in ((0.3, -0.2, 0.1, 0.4), (0.5, 0.1, -0.2, 0.3)):
-        system = distance_hessian(pd, np.array(q))
-        assert system.path.sol.t[1] == pd._steps[False] * system.r
+    # the first step of the disk's Jacobi system is the one given, accepted:
+    # the proposal of the last tight shot scaled to the shot's velocity w, in
+    # affine time, times rho; on flat C^2 that covers the whole path
+    for m, queries in ((HYPERBOLIC, ((0.45, -0.3), (0.5, -0.2))),
+                       (EUCLID2, ((0.3, -0.2, 0.1, 0.4), (0.5, 0.1, -0.2, 0.3)))):
+        pd = PoleDistance(m, np.zeros(m.dim))
+        for q in queries:
+            system = distance_hessian(pd, np.array(q))
+            w = pd._cache[-1][1]   # the velocity of the query's last, tight shot
+            assert system.path.sol.t[1] == min(pd._first_step(w) * system.r, system.r)
+            assert system.path.n_steps == (1 if m is EUCLID2 else 7)
 
 
 @pytest.mark.parametrize("m, pole, q", [
@@ -441,7 +443,7 @@ def test_warm_distance_hessian_matches_a_fresh_one(m, pole, q):
 def test_jacobi_minimizes_index_form():
     r = 1.2
     for x0, u0 in ((np.zeros(2), np.array([1.0, 0.0])), (DISK_X0, DISK_U0)):
-        system = jacobi_boundary_field(HYPERBOLIC, x0, u0, r, dense=True)
+        system = jacobi_boundary_field(HYPERBOLIC, x0, u0, r)
         path = system.path
         u_end = np.array([0.0, 1.0])
         xr, ur = path.state_at(r)
@@ -556,17 +558,22 @@ def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
         return real_jet(self, x, u, order)
 
     monkeypatch.setattr(MetricDef, "real_jet", counted)
-    nfev = []
+    systems = []
     distance_hessian = geodesic.distance_hessian
 
     def recorded(*args, **kwargs):
         system = distance_hessian(*args, **kwargs)
-        nfev.append(system.path.nfev)
+        systems.append((system, system.path.nfev))
         return system
 
     monkeypatch.setattr(geodesic, "distance_hessian", recorded)
     hessian_rho(m, np.zeros(m.dim), np.array(q), np.array(q)[::-1])
-    assert nfev and orders[3] == nfev[0] + 1 and orders[4] == 72
+    (system, stepped), = systems
+    # the index form reads every step of the path, which builds its dense
+    # output then: 3 right-hand sides a step, in the path's nfev
+    path = system.path
+    assert path.nfev == stepped + 3 * path.n_steps
+    assert orders[3] == path.nfev + 1 and orders[4] == 72
 
 
 def test_hessian_rho_nan_index_form_does_not_agree(monkeypatch):
@@ -805,7 +812,7 @@ def test_gauss_newton_returns_its_last_iterate_after_max_iter(monkeypatch):
     assert res > 1e-6   # two Broyden steps do not converge
     # y is the end state of the last integration, a tight one of w
     sol = _integrate_affine(HYPERBOLIC, np.zeros(2), w, 1.0, rtol=SHOOT_RTOL,
-                            atol=SHOOT_ATOL, dense=False, first_step=steps[-1])
+                            atol=SHOOT_ATOL, first_step=steps[-1])
     assert np.array_equal(y, sol.y[:, -1])
     assert res == float(np.linalg.norm(y[:2] - q))
 
@@ -872,7 +879,7 @@ def test_loose_iterate_below_tol_is_integrated_again_tight(monkeypatch):
     assert shots[-2][0] and np.array_equal(shots[-2][3], r.w)   # the same w, loose
     assert r.n_integrations == 1 + 2 + r.iterations + 1
     sol = _integrate_affine(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
-                            atol=SHOOT_ATOL, dense=False, first_step=steps[-1])
+                            atol=SHOOT_ATOL, first_step=steps[-1])
     assert np.array_equal(r.T, sol.y[2:, -1] / r.value)
     assert r.residual == float(np.linalg.norm(sol.y[:2, -1] - q))
 
@@ -939,24 +946,33 @@ def test_step_continuation_cuts_the_work_of_a_distance_batch(monkeypatch):
     work, results = _batch_work(monkeypatch)
     with monkeypatch.context() as again:
         assert _batch_work(again)[0] == work
+    integrate = geodesic._integrate_affine
+
+    def from_the_probe(*args, first_step=None, **kwargs):
+        return integrate(*args, **kwargs)
+
     with monkeypatch.context() as cold:
-        # every shot starts from scipy's initial-step probe
-        cold.setattr(geodesic, "_settled_step", lambda sol: None)
+        # every shot starts from the initial-step probe
+        cold.setattr(geodesic, "_integrate_affine", from_the_probe)
         cold_work, cold_results = _batch_work(cold)
     assert work <= 0.85 * cold_work
     _assert_batches_agree(results, cold_results)
 
 
-def test_a_warm_flat_query_starts_at_the_settled_step():
-    # the cold shot ramps up from scipy's initial-step probe; the next one
-    # starts at the step the first settled on, which is exact on a line
+def test_a_warm_flat_query_starts_at_the_settled_step(monkeypatch):
+    # the cold shot ramps up from the initial-step probe; the controller's
+    # proposal after it, scaled to the next velocity, covers a whole chord,
+    # which is exact on a line: every warm shot is one step of 13 right-hand
+    # sides (the initial derivative and 12 stages)
+    steps = _record_first_steps(monkeypatch)
     pd = PoleDistance(EUCLID2, np.zeros(4))
     costs = []
-    for q in ([0.3, -0.2, 0.1, 0.4], [-0.5, 0.1, 0.2, 0.3]):
+    for q in ([0.3, -0.2, 0.1, 0.4], [-0.5, 0.1, 0.2, 0.3], [0.1, 0.6, -0.3, 0.2]):
         before = pd.rhs_evaluations
         assert pd.rho(np.array(q)).n_integrations == 1
         costs.append(pd.rhs_evaluations - before)
-    assert 2 * costs[1] < costs[0]
+    assert costs[0] > 13 and costs[1:] == [13, 13]
+    assert steps[0] is None and all(step >= 1.0 for step in steps[1:])
 
 
 def test_step_continuation_survives_queries_near_the_edge(monkeypatch):

@@ -73,7 +73,7 @@ def test_levi_sample_shoots_once(monkeypatch):
 
 def test_levi_samples_start_their_jacobi_systems_at_the_shots_step(monkeypatch):
     # eight C^1 samples on one field, as the benchmark's levi batch, then the
-    # same systems integrated from scipy's initial-step probe
+    # same systems integrated from the initial-step probe
     angles, phases = np.random.default_rng(3).uniform(0, 2 * math.pi, (2, 8))
     points = [(np.array([r * np.exp(1j * a)]), np.array([np.exp(1j * b)]))
               for r, a, b in zip(np.linspace(0.2, 0.9, 8), angles, phases)]
