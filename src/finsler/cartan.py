@@ -10,8 +10,10 @@ b_l = u^k d2G/du^l dx^k - dG/dx^l; differentiating g S = b/4 in z gives
     d2S = g^-1 (d2b/4 - d2g.S - dg.dS - (dg.dS)^T),   (dg.dS)^i_ac = d_a g_il d_c S^l,
 
 from the order-3 and order-4 jets; dS needs order 3 only, and
-``spray_jacobian`` reads it without the curvature. N = dS/du is the
-nonlinear connection, and the curvature is the spray's Riemann operator
+``spray_jacobian`` reads it without the curvature. Both jets keep only the
+monomials of u-degree >= degree - 2 (the spray's, of order 2, >= degree - 1):
+every block read has a u index, and d2S is formed on its u columns. N = dS/du
+is the nonlinear connection, and the curvature is the spray's Riemann operator
 
     R^i_k = 2 dS^i/dx^k - u^j d2S^i/dx^j du^k + 2 S^j d2S^i/du^j du^k - N^i_j N^j_k,
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateFlagError, DegenerateMetricError
 from .geometry import MetricDef, SamplePlan, unit_directions, well_conditioned_inverse
-from .jets import JetSpace
+from .jets import Jet
 from .report import require_finite
 
 
@@ -46,15 +48,15 @@ class CartanData:
     riemann: np.ndarray        # R^i_k of the spray
 
 
-def _spray(H, dG, u, d) -> np.ndarray:
-    """G^i, the solution of g S = b / 4, from the Hessian H and the gradient dG
-    of G over (x, u), with any leading shape: (2d, 2d) and (2d) for a point,
-    (B, 2d, 2d) and (B, 2d) for B rows, each row summed and solved as a point."""
+def _spray(Hu, dG, u, d) -> np.ndarray:
+    """G^i, the solution of g S = b / 4, from the u rows Hu of the Hessian and
+    the gradient dG of G over (x, u), with any leading shape: (d, 2d) and (2d)
+    for a point, (B, d, 2d) and (B, 2d) for B rows, each row as a point."""
     # (d^2 G / du^l dx^k) u^k; a running sum adds over k in order, as a
     # scalar loop does, where a pairwise sum would round differently
-    rhs = np.add.accumulate(H[..., d:, :d] * u[..., None, :], axis=-1)[..., -1] - dG[..., :d]
+    rhs = np.add.accumulate(Hu[..., :d] * u[..., None, :], axis=-1)[..., -1] - dG[..., :d]
     try:
-        return 0.25 * np.linalg.solve(0.5 * H[..., d:, d:], rhs[..., None])[..., 0]
+        return 0.25 * np.linalg.solve(0.5 * Hu[..., d:], rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("fundamental tensor singular") from exc
 
@@ -62,37 +64,38 @@ def _spray(H, dG, u, d) -> np.ndarray:
 def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     """Values of the geodesic coefficients G^i at each row of x, u of shape
     (B, d), a point being one row (fast path for ODEs): the B sprays from one
-    order-2 ``real_rows`` replay, row b independent of the other rows."""
+    order-2 ``real_rows`` replay over ``fibre_space(2, 1)``, row b independent
+    of the other rows."""
     u = np.asarray(u, dtype=float)
-    coeffs = m.real_rows(x, u, 2)
-    sp = JetSpace.get(2 * m.dim, 2)
-    (i1, s1), (i2, s2) = sp.derivative_table(1), sp.derivative_table(2)
-    return _spray(coeffs.take(i2, axis=-1) * s2, coeffs.take(i1, axis=-1) * s1, u, m.dim)
+    sp = m.fibre_space(2, 1)
+    coeffs = m.real_rows(x, u, sp)
+    return _spray(sp.gather(coeffs, 2, slice(m.dim, None)), sp.gather(coeffs, 1), u, m.dim)
 
 
-def _jacobian(D1, D2, D3, u, d):
-    """(g, g^-1, S, dg, dS) from the first three derivative tensors of G over
-    (x, u), with any leading shape; dg[..., i, l, a] = d_a g_il."""
+def _jacobian(D1, D2, D3u, u, d):
+    """(g, g^-1, S, dg, dS) from the derivative tensors of G over (x, u), the
+    third's u rows D3u, with any leading shape; dg[..., i, l, a] = d_a g_il."""
     g = 0.5 * D2[..., d:, d:]
     g_inv = well_conditioned_inverse(g, "fundamental tensor")
-    spray = _spray(D2, D1, u, d)
-    dg = 0.5 * D3[..., d:, d:, :]
+    spray = _spray(D2[..., d:, :], D1, u, d)
+    dg = 0.5 * D3u[..., d:, :]
     # d_a b_l, where b_l = u^k d^2 G / du^l dx^k - dG / dx^l
-    db = np.einsum("...lka,...k->...la", D3[..., d:, :d, :], u) - D2[..., :d, :]
+    db = np.einsum("...lka,...k->...la", D3u[..., :d, :], u) - D2[..., :d, :]
     db[..., d:] += D2[..., d:, :d]
     return g, g_inv, spray, dg, g_inv @ (0.25 * db - np.einsum("...ila,...l->...ia", dg, spray))
 
 
-def spray_jacobian(coeffs, u):
-    """(g, g^-1, S, dS) from the coefficients of a jet of G over (x, u) of
-    order >= 3 at a point, shape (n,), or of B rows, shape (B, n), with u of
+def spray_jacobian(jet: Jet, u):
+    """(g, g^-1, S, dS) from a jet of G over (x, u) of order >= 3 whose basis
+    keeps u-degree >= degree - 2 (``fibre_space(3, 2)`` is the least), its
+    coefficients a point's, shape (n,), or B rows, shape (B, n), with u of
     shape (d,) or (B, d); dS is the d x 2d derivative of the spray in (x, u).
     Raises ``DegenerateMetricError`` when g is singular or ill-conditioned."""
     u = np.asarray(u, dtype=float)
     d = u.shape[-1]
-    # an order-3 basis is the prefix of every higher-order one
-    sp = JetSpace.get(2 * d, 3)
-    g, g_inv, spray, _, dS = _jacobian(*(sp.gather(coeffs, k) for k in (1, 2, 3)), u, d)
+    sp, c = jet.space, jet.coeffs
+    g, g_inv, spray, _, dS = _jacobian(sp.gather(c, 1), sp.gather(c, 2),
+                                       sp.gather(c, 3, slice(d, None)), u, d)
     return g, g_inv, spray, dS
 
 
@@ -102,10 +105,12 @@ def cartan(m: MetricDef, x, u) -> CartanData:
     bit for bit its point's."""
     u = np.asarray(u, dtype=float)
     d = m.dim
-    coeffs = m.real_rows(x, u, 4) if np.ndim(x) == 2 else m.real_jet(x, u, 4).coeffs
-    sp = JetSpace.get(2 * d, 4)
-    D1, D2, D3, D4 = (sp.gather(coeffs, k) for k in (1, 2, 3, 4))
-    g, g_inv, spray, dg, dS = _jacobian(D1, D2, D3, u, d)
+    sp, U = m.fibre_space(4, 2), slice(d, None)
+    coeffs = m.real_rows(x, u, sp) if np.ndim(x) == 2 else m.real_jet(x, u, sp).coeffs
+    # D3 and D4 as far as they are read: D3's u rows, D4's u rows and columns
+    D1, D2, D3u, D4 = (sp.gather(coeffs, 1), sp.gather(coeffs, 2), sp.gather(coeffs, 3, U),
+                      sp.gather(coeffs, 4, U, slice(None), slice(None), U))
+    g, g_inv, spray, dg, dS = _jacobian(D1, D2, D3u, u, d)
     N = dS[..., d:]
 
     # delta_k g_il = d_k g_il - N^m_k d_{u^m} g_il
@@ -115,15 +120,17 @@ def cartan(m: MetricDef, x, u) -> CartanData:
         delta + np.moveaxis(delta, -1, -3) - np.swapaxes(delta, -1, -2))
     gamma_v = 0.5 * np.einsum("...jl,...ikl->...jik", g_inv, dg[..., d:])
 
-    d2b = np.einsum("...lkac,...k->...lac", D4[..., d:, :d, :, :], u) - D3[..., :d, :, :]
-    d2b[..., d:, :] += D3[..., d:, :d, :]
-    d2b[..., d:] += np.swapaxes(D3[..., d:, :d, :], -1, -2)
+    # d2b and d2S on the u columns riemann reads; D3[x, :, u] is D3u moved
+    d2b = (np.einsum("...lkac,...k->...lac", D4[..., :d, :, :], u)
+           - np.moveaxis(D3u[..., :d, :], -3, -1))
+    d2b[..., d:, :] += D3u[..., :d, d:]
+    d2b += np.swapaxes(D3u[..., :d, :], -1, -2)
     dg_dS = np.einsum("...ila,...lc->...iac", dg, dS)
-    d2g_S = np.einsum("...ilac,...l->...iac", 0.5 * D4[..., d:, d:, :, :], spray)
-    d2S = np.einsum("...jl,...lac->...jac", g_inv,
-                    0.25 * d2b - d2g_S - dg_dS - np.swapaxes(dg_dS, -1, -2))
-    riemann = (2.0 * dS[..., :d] - np.einsum("...j,...ijk->...ik", u, d2S[..., :d, d:])
-               + 2.0 * np.einsum("...j,...ijk->...ik", spray, d2S[..., d:, d:]) - N @ N)
+    d2g_S = np.einsum("...ilac,...l->...iac", 0.5 * D4[..., d:, :, :], spray)
+    d2S = np.einsum("...jl,...lac->...jac", g_inv, 0.25 * d2b - d2g_S - dg_dS[..., d:]
+                    - np.swapaxes(dg_dS, -1, -2)[..., d:])
+    riemann = (2.0 * dS[..., :d] - np.einsum("...j,...ijk->...ik", u, d2S[..., :d, :])
+               + 2.0 * np.einsum("...j,...ijk->...ik", spray, d2S[..., d:, :]) - N @ N)
     return CartanData(u=u, g=g, spray=spray, nonlinear=N, gamma_h=gamma_h,
                       gamma_v=gamma_v, riemann=riemann)
 

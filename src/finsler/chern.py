@@ -35,6 +35,8 @@ tensor and is oracle-tested.
 Every function takes B rows z, v of shape (B, n), one point being one row.
 The jets come from one ``MetricDef.complex_rows`` replay, and the contractions
 run with a leading axis of rows, each row's result independent of the others.
+The replay keeps only the monomials of (v, vbar)-degree >= degree - 2: the
+algebra reads D3 only with a V or VB index and D4 only with both.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
     v = np.asarray(v, dtype=complex)
     n = m.n
     Z, V, ZB, VB = (slice(k * n, (k + 1) * n) for k in range(4))
-    coeffs = m.complex_rows(z, v, 4)
-    partials = functools.partial(JetSpace.get(4 * n, 4, True, 2 * n).gather, coeffs)
+    coeffs = m.complex_rows(z, v, JetSpace.get(4 * n, 4, fibre=range(2 * n, 4 * n), reach=2))
+    sp = JetSpace.get(4 * n, 4, True, 2 * n, (*range(n, 2 * n), *range(3 * n, 4 * n)), 2)
+    partials = functools.partial(sp.gather, coeffs)
     # the blocks the algebra reads, each with the bits of the full tensor's slice
     D2 = partials(2)
     levi = D2[..., V, VB]

@@ -591,10 +591,11 @@ def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, first_step=None) -> Geodes
     if not abs(G0 - 1.0) < 1e-9:
         raise ConfigurationError("Jacobi fields are integrated along normal paths")
     d = m.dim
+    sp = m.fibre_space(3, 2)
 
     def rhs(t, y):
         u = y[d:2 * d]
-        _, _, spray, dS = spray_jacobian(m.real_jet(y[:d], u, 3).coeffs, u)
+        _, _, spray, dS = spray_jacobian(m.real_jet(y[:d], u, sp), u)
         Y = y[2 * d:].reshape(2 * d, -1)
         return np.concatenate([u, -2.0 * spray, Y[d:].ravel(), (-2.0 * dS @ Y).ravel()])
 
@@ -609,7 +610,7 @@ def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
     """The Jacobi field with J(0) = J0, D_T J(0) = dJ0 along the unit-speed
     geodesic from (x0, u0), to arc length r: the variation with dx(0) = J0 and
     dx'(0) = dJ0 - N J0."""
-    N0 = spray_jacobian(m.real_jet(x0, u0, 3).coeffs, u0)[3][:, m.dim:]
+    N0 = spray_jacobian(m.real_jet(x0, u0, m.fibre_space(3, 2)), u0)[3][:, m.dim:]
     path = _integrate_jacobi(m, x0, u0, r, np.concatenate([J0, dJ0 - N0 @ J0]))
     return JacobiField(path=path, c=np.ones(1))
 
@@ -627,7 +628,7 @@ def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, first_step=None) -> Bounda
     y_r = path.sol.y[:, -1]
     x_r, u_r = y_r[:d], y_r[d:2 * d]
     Y_r = y_r[2 * d:].reshape(2 * d, d)
-    g, _, _, dS = spray_jacobian(m.real_jet(x_r, u_r, 3).coeffs, u_r)
+    g, _, _, dS = spray_jacobian(m.real_jet(x_r, u_r, m.fibre_space(3, 2)), u_r)
     return BoundaryJacobiSystem(path=path, r=r, M=Y_r[:d], W=Y_r[d:] + dS[:, d:] @ Y_r[:d],
                                 T=u_r, g=g)
 

@@ -213,19 +213,25 @@ class MetricDef:
 
     # -- jet evaluation ------------------------------------------------------
 
-    def real_jet(self, x, u, order) -> Jet:
+    def real_jet(self, x, u, basis) -> Jet:
         """Jet of G over the 2*dim real variables (x block, then u block) at
         one point: its ``real_rows`` replay as one row, guarded as there."""
         x, u = np.asarray(x, dtype=float).reshape(1, -1), np.asarray(u, dtype=float).reshape(1, -1)
-        return Jet(JetSpace.get(2 * self.dim, order, False), self.real_rows(x, u, order)[0])
+        sp = JetSpace.of(2 * self.dim, basis)
+        return Jet(sp, self.real_rows(x, u, sp)[0])
 
-    def real_rows(self, x, u, order) -> np.ndarray:
-        """Coefficient rows (B, n) of the real jets of G at the B points of x,
-        u of shape (B, dim), from one replay of ``program``, which is recorded
-        once, on the first use (:class:`finsler.jets.JetProgram`). Each row
-        must lie in the domain (``Domain.require``) and clear the slit guard
-        (``_check_slit``): a point takes those exact checks, and of several
-        rows only those within rounding of failing them, or not finite."""
+    def fibre_space(self, order, reach) -> JetSpace:
+        """The basis over (x, u) that keeps the monomials whose degree in u is
+        at least their degree - reach: the part of the jet a reader gathers."""
+        return JetSpace.get(2 * self.dim, order, fibre=range(self.dim, 2 * self.dim), reach=reach)
+
+    def real_rows(self, x, u, basis) -> np.ndarray:
+        """Coefficient rows (B, n) over ``basis`` of the real jets of G at the B
+        points of x, u of shape (B, dim), from one replay of ``program``,
+        recorded once, on the first use (:class:`finsler.jets.JetProgram`).
+        Each row must lie in the domain (``Domain.require``) and clear the slit
+        guard (``_check_slit``): a point takes those exact checks, and of
+        several rows only those within rounding of failing them, or not finite."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         if x.ndim != 2 or x.shape != u.shape or x.shape[1] != self.dim:
@@ -241,7 +247,7 @@ class MetricDef:
         for b in doubtful:
             self.domain.require(x[b])
             self._check_slit(x[b], u[b])
-        return self.program.replay_rows(np.concatenate([x, u], axis=1), order)
+        return self.program.replay_rows(np.concatenate([x, u], axis=1), basis)
 
     @cached_property
     def program(self) -> JetProgram:
@@ -268,15 +274,16 @@ class MetricDef:
         u = complex_to_real_components(v)
         return wirtinger(self.real_jet(x, u, order), self._wirtinger_pairs)
 
-    def complex_rows(self, z, v, order) -> np.ndarray:
+    def complex_rows(self, z, v, basis) -> np.ndarray:
         """Coefficient rows of the Wirtinger jets at the B rows of z, v of shape
-        (B, n), row b bit for bit ``complex_jet(z[b], v[b], order).coeffs``,
+        (B, n), row b the coefficients of ``complex_jet(z[b], v[b], order)``
+        that the Wirtinger image of the real ``basis`` keeps, bit for bit,
         from one ``real_rows`` replay; each point is guarded as there."""
         if not self.is_complex:
             raise StructuralError("complex jets need a complex metric")
         x, u = complex_to_real_components(z), complex_to_real_components(v)
-        sp = JetSpace.get(2 * self.dim, order, False)
-        return wirtinger_coeffs(self.real_rows(x, u, order), sp, self._wirtinger_pairs)[1]
+        sp = JetSpace.of(2 * self.dim, basis)
+        return wirtinger_coeffs(self.real_rows(x, u, sp), sp, self._wirtinger_pairs)[1]
 
     @property
     def _wirtinger_pairs(self):

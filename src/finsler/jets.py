@@ -35,6 +35,15 @@ itself for one row; each row keeps the summation order of a single jet, so
 row b does not depend on the other rows, and a point is the one-row case.
 Derivative readouts (``JetSpace.gather``) and the Wirtinger transform
 (``wirtinger_coeffs``) take such rows as they take one jet's coefficients.
+
+A reader replays over the basis it gathers: ``JetSpace.get(..., fibre, reach)``
+keeps the monomials whose degree in ``fibre`` is at least their degree - reach.
+The set is closed under taking divisors, and a product's coefficient at m
+reads only divisors of m, so the product table filtered in order to kept
+outputs sums each kept bin as the full one does; every other step acts
+entrywise, and the Wirtinger transform keeps the degree in each pair. A kept
+replay is the full one's kept coefficients bit for bit (Griewank & Walther,
+ch. 13; Neidinger, Math. Comp. 74, 2005).
 """
 
 from __future__ import annotations
@@ -75,12 +84,12 @@ class JetSpace:
     ``locate`` finds by a binary search over their sort keys, without loops."""
 
     __slots__ = (
-        "nvars", "order", "is_complex", "pair_split", "exponents", "n", "degrees",
-        "size_at_order", "_mult_table", "_extract_tables", "_conj_perm",
+        "nvars", "order", "is_complex", "pair_split", "fibre", "reach", "exponents", "n",
+        "degrees", "size_at_order", "_mult_table", "_extract_tables", "_conj_perm",
         "_derivative_tables", "dtype",
     )
 
-    def __init__(self, nvars, order, is_complex=False, pair_split=None):
+    def __init__(self, nvars, order, is_complex=False, pair_split=None, fibre=(), reach=None):
         if order < 0 or order > MAX_ORDER:
             raise ConfigurationError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
         if nvars < 1:
@@ -91,7 +100,10 @@ class JetSpace:
         # pair_split = P means variables [0, P) are holomorphic and [P, 2P)
         # their conjugates; enables conj().
         self.pair_split = pair_split
+        self.fibre, self.reach = tuple(fibre), reach
         self.exponents = _monomials(nvars, order)
+        if reach is not None:
+            self.exponents = self.exponents[self._base_degrees(self.exponents) <= reach]
         self.n = len(self.exponents)
         self.degrees = self.exponents.sum(axis=1)
         self.size_at_order = [int(np.sum(self.degrees <= o)) for o in range(order + 1)]
@@ -102,13 +114,27 @@ class JetSpace:
         self._derivative_tables = {}
 
     @staticmethod
-    def get(nvars, order, is_complex=False, pair_split=None) -> "JetSpace":
-        key = (nvars, order, is_complex, pair_split)
+    def get(nvars, order, is_complex=False, pair_split=None, fibre=(), reach=None) -> "JetSpace":
+        """The cached space; ``reach`` keeps the monomials of degree <= reach outside ``fibre``."""
+        if reach is None or reach >= order:
+            fibre, reach = (), None
+        key = (nvars, order, is_complex, pair_split, tuple(fibre), reach)
         sp = _SPACE_CACHE.get(key)
         if sp is None:
-            sp = JetSpace(nvars, order, is_complex, pair_split)
+            sp = JetSpace(*key)
             _SPACE_CACHE[key] = sp
         return sp
+
+    @staticmethod
+    def of(nvars, basis) -> "JetSpace":
+        """``basis`` if it is a space, else the full real space of that order."""
+        return basis if isinstance(basis, JetSpace) else JetSpace.get(nvars, basis)
+
+    def __repr__(self):
+        return f"JetSpace({self.nvars}, {self.order}, fibre={self.fibre}, reach={self.reach})"
+
+    def _base_degrees(self, expo):
+        return expo.sum(axis=1) - expo[:, list(self.fibre)].sum(axis=1)
 
     def _key(self, expo):
         """Sort keys of exponent rows of degree <= order: the degree, then the
@@ -118,16 +144,22 @@ class JetSpace:
                 + expo @ base ** np.arange(self.nvars - 1, -1, -1))
 
     def locate(self, expo) -> np.ndarray:
-        """Basis indices of exponent rows (last axis) of degree <= order."""
-        return np.searchsorted(self._key(self.exponents), self._key(expo))
+        """Basis indices of exponent rows (last axis) of degree <= order; ``n``,
+        past the end, for a monomial the basis does not keep."""
+        keys, want = self._key(self.exponents), self._key(expo)
+        idx = np.searchsorted(keys, want)
+        return np.where(keys.take(idx, mode="clip") == want, idx, self.n)
 
     def mult_table(self):
-        """(ia, ib, iout) of every product p * q of degree <= order, by p then q;
-        the basis is sorted by degree, so the partners q of p are a prefix."""
+        """(ia, ib, iout) of every kept product p * q of degree <= order, by p
+        then q; the basis is sorted by degree, so the partners q of p are a prefix."""
         if self._mult_table is None:
             ends = np.array(self.size_at_order)[self.order - self.degrees]
             ia = np.repeat(np.arange(self.n), ends)
             ib = np.arange(len(ia)) - np.repeat(np.cumsum(ends) - ends, ends)
+            if self.reach is not None:
+                base = self._base_degrees(self.exponents)
+                ia, ib = (t[base[ia] + base[ib] <= self.reach] for t in (ia, ib))
             keys = self._key(self.exponents)
             self._mult_table = (ia, ib, np.searchsorted(keys, keys[ia] + keys[ib]))
         return self._mult_table
@@ -182,11 +214,15 @@ class JetSpace:
     def gather(self, coeffs, k, *blocks) -> np.ndarray:
         """The k-th partials of the jets whose coefficients are the last axis of
         ``coeffs``, restricted to ``blocks`` (an index or a slice per leading
-        derivative axis); rows (B, n) give B tensors, each its jet's."""
+        derivative axis); rows (B, n) give B tensors, each its jet's. A
+        partial of a monomial the basis does not keep raises ``StructuralError``."""
         idx, scale = self.derivative_table(k)
         if blocks:
             idx, scale = idx[blocks], scale[blocks]
-        return coeffs.take(idx, axis=-1) * scale
+        try:
+            return coeffs.take(idx, axis=-1) * scale
+        except IndexError:
+            raise StructuralError(f"{self} does not keep every partial gathered") from None
 
     def seed_coeffs(self, values) -> np.ndarray:
         """Coefficients (nvars, B * n) of the seed jets of all ``nvars``
@@ -196,9 +232,8 @@ class JetSpace:
         the basis, following the constant, lists."""
         c = np.zeros((self.nvars, len(values) * self.n), dtype=self.dtype)
         c[:, ::self.n] = values.T
-        if self.order >= 1:
-            c.reshape(self.nvars, len(values), self.n)[:, :, 1:self.nvars + 1] = (
-                self.exponents[1:self.nvars + 1].T[:, None])
+        one = slice(1, self.size_at_order[min(1, self.order)])
+        c.reshape(self.nvars, len(values), self.n)[:, :, one] = self.exponents[one].T[:, None]
         return c
 
 
@@ -311,18 +346,23 @@ class Jet:
 
 
 @functools.cache
-def _wirtinger_rows(nvars, order, pairs):
-    """Sparse rows (dst, src, val) of the real->complex basis change.
+def _wirtinger_rows(nvars, order, pairs, fibre=(), reach=None):
+    """Sparse rows (dst, src, val) of the real->complex basis change, from the
+    real space ``JetSpace.get(nvars, order, False, None, fibre, reach)``.
 
     Real increments substitute as hx = (hz + hzbar)/2, hy = -i(hz - hzbar)/2.
     Output variables are ordered [w_0..w_{P-1}, conj(w_0)..conj(w_{P-1})].
     A real monomial of degree k expands along 2^k paths, one choice of z or
     zbar per factor in variable order. Its rows come in the order the paths
     first reach them, and rows whose dyadic (so exact) sums cancel are dropped.
+    The transform keeps the degree in each pair, so a kept real basis whose
+    fibre each pair lies in or outside maps onto the kept complex basis whose
+    fibre is the image of the real one.
     """
     P = len(pairs)
-    real_sp = JetSpace.get(nvars, order, False)
-    cx_sp = JetSpace.get(2 * P, order, True, P)
+    real_sp = JetSpace.get(nvars, order, False, None, fibre, reach)
+    cx_sp = JetSpace.get(2 * P, order, True, P, [j + h for h in (0, P) for j, (a, _) in
+                                                 enumerate(pairs) if a in real_sp.fibre], reach)
     unit = cx_sp._key(np.eye(2 * P, dtype=np.int64))
     feed = np.empty((nvars, 2), dtype=np.int64)    # keys of the z and zbar a variable feeds
     weight = np.empty((nvars, 2), dtype=np.complex128)
@@ -371,7 +411,8 @@ def wirtinger_coeffs(coeffs, space: JetSpace, pairs):
         raise StructuralError(
             f"pairs {pairs} must split the {space.nvars} variables into disjoint couples; "
             "odd or partial layouts are not supported")
-    dst, src, val, cx_sp = _wirtinger_rows(space.nvars, space.order, pairs)
+    dst, src, val, cx_sp = _wirtinger_rows(space.nvars, space.order, pairs, space.fibre,
+                                           space.reach)
     out = np.zeros(coeffs.shape[:-1] + (cx_sp.n,), dtype=np.complex128)
     # one 1-d np.add.at per jet: it sums each coefficient in entry order, is
     # faster than one over a 2-d index, and holds one jet's terms at a time
@@ -691,26 +732,27 @@ class JetProgram:
                 kept.append((code, a, b))
         return JetProgram(nvars, kept, new[out])
 
-    def replay_rows(self, values, order) -> np.ndarray:
-        """Coefficient rows (B, n) of the formula's jets of the given order at
-        the B points of ``values`` (B, nvars); row b does not depend on the
-        other rows, so a point is replayed as one row.
+    def replay_rows(self, values, basis) -> np.ndarray:
+        """Coefficient rows (B, n) of the formula's jets over ``basis``, a
+        space or an order (``JetSpace.of``), at the B points of ``values``
+        (B, nvars); row b does not depend on the other rows, so a point is
+        replayed as one row.
 
-        Rows replay in chunks of at most ``ROW_PRODUCTS`` product-table
+        Rows replay in chunks of at most ``ROW_PRODUCTS`` kept product-table
         entries. Value-derived Taylor coefficients are computed here, point by
         point, from the operands, so their errors (zero reciprocal base,
         non-positive fractional-power base, exp overflow) are raised on the
         call that meets them.
         """
-        sp = JetSpace.get(self.nvars, order, False)
+        sp = JetSpace.of(self.nvars, basis)
         values = np.asarray(values, dtype=float)
         if len(values) * len(sp.mult_table()[0]) <= ROW_PRODUCTS:
-            return self._run(sp, values, order)
+            return self._run(sp, values)
         chunk = max(1, ROW_PRODUCTS // len(sp.mult_table()[0]))
-        return np.concatenate([self._run(sp, values[start:start + chunk], order)
+        return np.concatenate([self._run(sp, values[start:start + chunk])
                                for start in range(0, len(values), chunk)])
 
-    def _run(self, sp, values, order):
+    def _run(self, sp, values):
         """The entries replayed at the B points of ``values``, each slot the B
         jets' coefficients raveled, row b at offset b * n: a product is one
         bincount over ``sp.row_mult_table(B)``, and ``c0`` indexes the
@@ -743,7 +785,7 @@ class JetProgram:
                 r = np.zeros(s[0].shape)
                 r[c0] = b
             else:
-                r = _compose(sp, s[a], _taylor(code, b, s[a][c0], order), table, c0)
+                r = _compose(sp, s[a], _taylor(code, b, s[a][c0], sp.order), table, c0)
             s.append(r)
         return s[self.out].reshape(rows, sp.n)
 

@@ -127,19 +127,19 @@ def test_a_fan_takes_one_stacked_connection(monkeypatch, name):
         monkeypatch.setattr(owner, method, call)
 
     counted(JetProgram, "replay_rows",
-            lambda program, values, order: ("replay_rows", order, len(values)))
-    counted(MetricDef, "real_jet", lambda m, x, u, order: ("real_jet", order))
+            lambda program, values, basis: ("replay_rows", basis, len(values)))
+    counted(MetricDef, "real_jet", lambda m, x, u, basis: ("real_jet", basis))
     # the package exports the function under the module's name
     counted(sys.modules["finsler.cartan"], "cartan", lambda m, x, u: ("cartan", np.shape(x)))
     got = radial_flag_bounds(m, np.zeros(m.dim), plan)
     # the unit-speed directions and the fan's energies are one order-0 replay
-    # each, its sprays order-2 rows, never one row; its samples take one
-    # order-4 replay
+    # each, its sprays order-2 rows over the spray's basis, never one row;
+    # its samples take one order-4 replay over Cartan's basis
     n_dirs = max(plan.n_dirs, 3)
     samples = n_dirs * max(3, plan.n_points // n_dirs + 1)
-    assert [c for c in calls if c[:2] != ("replay_rows", 2) or c[2] == 1] == [
+    assert [c for c in calls if c[:2] != ("replay_rows", m.fibre_space(2, 1)) or c[2] == 1] == [
         ("replay_rows", 0, n_dirs), ("replay_rows", 0, n_dirs), ("cartan", (samples, m.dim)),
-        ("replay_rows", 4, samples)]
+        ("replay_rows", m.fibre_space(4, 2), samples)]
     assert got.n_samples > 0
 
 

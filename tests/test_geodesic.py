@@ -553,9 +553,9 @@ def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
     # whose N the covariant derivatives reuse
     real_jet, orders = MetricDef.real_jet, Counter()
 
-    def counted(self, x, u, order):
-        orders[order] += 1
-        return real_jet(self, x, u, order)
+    def counted(self, x, u, basis):
+        orders[basis] += 1
+        return real_jet(self, x, u, basis)
 
     monkeypatch.setattr(MetricDef, "real_jet", counted)
     systems = []
@@ -573,7 +573,9 @@ def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
     # output then: 3 right-hand sides a step, in the path's nfev
     path = system.path
     assert path.nfev == stepped + 3 * path.n_steps
-    assert orders[3] == path.nfev + 1 and orders[4] == 72
+    # each over its reader's kept basis
+    assert orders[m.fibre_space(3, 2)] == path.nfev + 1 and orders[m.fibre_space(4, 2)] == 72
+    assert sum(orders.values()) == path.nfev + 1 + 72
 
 
 def test_hessian_rho_nan_index_form_does_not_agree(monkeypatch):

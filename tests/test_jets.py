@@ -294,11 +294,59 @@ def test_basis_and_real_tables_match_loop_builders(nvars, order):
     sp = JetSpace.get(nvars, order)
     assert_identical(sp.exponents, rows)
     assert [sp.locate(np.array(m)) for m in want] == list(range(len(want)))
-    for got, ref in zip(sp.mult_table(), loop_mult_table(nvars, order)):
+    table = loop_mult_table(nvars, order)
+    for got, ref in zip(sp.mult_table(), table):
         assert_identical(got, ref)
     for var in range(nvars if order else 0):
         for got, ref in zip(sp.extract_table(var), loop_extract_table(nvars, order, var)):
             assert_identical(got, ref)
+    # kept bases: fibre degree >= degree - reach, over the u half of (x, u)
+    # and over the (v, vbar) blocks of [z, v, zbar, vbar]
+    fibres = [tuple(range(nvars // 2, nvars))] if nvars > 1 else []
+    if nvars % 4 == 0:
+        n = nvars // 4
+        fibres.append((*range(n, 2 * n), *range(3 * n, 4 * n)))
+    for fibre, reach in itertools.product(fibres, range(order)):
+        kept = JetSpace.get(nvars, order, fibre=fibre, reach=reach)
+        keep = np.array([sum(m) - sum(m[i] for i in fibre) <= reach for m in want])
+        assert_identical(kept.exponents, rows[keep])
+        # closed under divisors: lowering a positive exponent stays in the basis
+        for var in range(nvars):
+            lower = kept.exponents[kept.exponents[:, var] > 0] - np.eye(nvars, dtype=np.int64)[var]
+            assert (kept.locate(lower) < kept.n).all()
+        assert (kept.locate(rows[~keep]) == kept.n).all()
+        # the loop builder's table filtered, in order, to its kept outputs
+        index = np.cumsum(keep) - 1
+        on = keep[table[2]]
+        for got, ref in zip(kept.mult_table(), table):
+            assert_identical(got, index[ref[on]])
+
+
+def test_kept_tables_count_the_work_they_skip():
+    # product-table entries, full and kept, a machine-independent work count:
+    # Chern-Finsler and Cartan at order 4, the spray, the Jacobi system
+    for nvars, order, reach, full, kept in ((4, 4, 2, 495, 360), (8, 4, 2, 4845, 3435),
+                                            (4, 2, 1, 45, 35), (8, 2, 1, 153, 117),
+                                            (4, 3, 2, 165, 145), (8, 3, 2, 969, 849)):
+        fibre = range(nvars // 2, nvars)
+        assert len(JetSpace.get(nvars, order).mult_table()[0]) == full
+        assert len(JetSpace.get(nvars, order, fibre=fibre, reach=reach).mult_table()[0]) == kept
+    # the Wirtinger image of the n = 2 Chern-Finsler basis keeps as many
+    assert len(JetSpace.get(8, 4, True, 4, (2, 3, 6, 7), 2).mult_table()[0]) == 3435
+    # a reach of at least the order keeps everything: it is the full space
+    assert JetSpace.get(4, 2, fibre=(2, 3), reach=2) is JetSpace.get(4, 2)
+
+
+def test_gathering_a_partial_the_basis_drops_is_an_error():
+    sp = JetSpace.get(4, 3, fibre=(2, 3), reach=2)
+    rows = np.ones((2, sp.n))
+    U = slice(2, None)
+    assert sp.gather(rows, 3, U).shape == (2, 2, 4, 4)
+    assert sp.gather(rows[0], 2).shape == (4, 4)
+    # d^3 / dx0 dx1 dx0 has u-degree 0 < 3 - 2: a bug, not a zero
+    for blocks in ((), (slice(0, 2), slice(0, 2), 0)):
+        with pytest.raises(StructuralError, match="does not keep"):
+            sp.gather(rows, 3, *blocks)
 
 
 def pair_layouts(nvars):

@@ -17,7 +17,8 @@ import pytest
 
 from finsler.errors import DomainError, SlitBundleError, StructuralError
 from finsler.geometry import MetricDef, complex_to_real_components, realify_metric
-from finsler.cartan import spray_coefficients
+from finsler.cartan import cartan, spray_coefficients, spray_jacobian
+from finsler.chern import chern_finsler, holomorphic_sectional_curvature
 from finsler.jets import (_ADD, _ADDC, _CONST, _EXP, _MUL, _NEG, _POW, _REC, _RSUBC,
                           _SCALE, _SUB, MAX_ORDER, ROW_PRODUCTS, Jet, JetProgram, JetSpace)
 from finsler.metrics import _hermitian_form, instantiate
@@ -300,8 +301,71 @@ def test_batched_replay_rows_equal_point_replays(rows):
 
 def test_batched_replay_chunks_its_rows():
     # 8 rows of the ball at order 4 (8 variables) exceed one stacked product,
-    # so test_batched_replay_rows_equal_point_replays crosses chunk boundaries
-    assert 8 * len(JetSpace.get(8, 4).mult_table()[0]) > ROW_PRODUCTS
+    # over the full basis and over Cartan's and Chern-Finsler's kept one, so
+    # test_batched_replay_rows_equal_point_replays and
+    # test_kept_replays_are_the_kept_coefficients_of_full_replays cross chunk
+    # boundaries; a chunk counts the kept entries, so it holds more rows
+    m = instantiate(SPECS[5])
+    full, kept = JetSpace.get(8, 4), m.fibre_space(4, 2)
+    assert ROW_PRODUCTS // len(full.mult_table()[0]) < ROW_PRODUCTS // len(kept.mult_table()[0])
+    assert 8 * len(kept.mult_table()[0]) > ROW_PRODUCTS
+
+
+def _reader_spaces(m):
+    """The kept bases over (x, u) of the spray, the spray Jacobian and Cartan,
+    and over [z, v, zbar, vbar] of Chern-Finsler, of a complex metric m."""
+    n = m.n
+    return ((m.fibre_space(2, 1), m.fibre_space(3, 2), m.fibre_space(4, 2)),
+            JetSpace.get(4 * n, 4, True, 2 * n, (*range(n, 2 * n), *range(3 * n, 4 * n)), 2))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_kept_replays_are_the_kept_coefficients_of_full_replays(rows):
+    # a kept basis is closed under divisors, so its product table sums each
+    # kept coefficient's terms as the full one does: bit for bit, every family
+    rng = np.random.default_rng(30 + rows)
+    for spec in SPECS:
+        m = instantiate(spec)
+        x, u = _batch(m, rng, rows)
+        z, v = x[:, :m.n] + 1j * x[:, m.n:], u[:, :m.n] + 1j * u[:, m.n:]
+        real, cx = _reader_spaces(m)
+        for sp in real:
+            full = m.real_rows(x, u, sp.order)[:, JetSpace.get(2 * m.dim, sp.order).locate(
+                sp.exponents)]
+            assert m.real_rows(x, u, sp).tobytes() == full.tobytes(), (m.family_id, sp)
+            assert m.real_jet(x[0], u[0], sp).coeffs.tobytes() == full[0].tobytes()
+        full = m.complex_rows(z, v, 4)[:, JetSpace.get(4 * m.n, 4, True, 2 * m.n).locate(
+            cx.exponents)]
+        assert m.complex_rows(z, v, real[2]).tobytes() == full.tobytes(), m.family_id
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_readers_equal_their_full_basis_readouts(monkeypatch, rows):
+    # every reader over its kept basis, against the same reader with every
+    # space full (the oracle), bit for bit on every family
+    def readouts(m, x, u, z, v):
+        cf, ct = chern_finsler(m, z, v), cartan(m, x, u)
+        jac = [spray_jacobian(m.real_jet(x[b], u[b], m.fibre_space(3, 2)), u[b])
+               for b in range(rows)]
+        return ([getattr(cf, f) for f in vars(cf)] + [getattr(ct, f) for f in vars(ct)]
+                + [holomorphic_sectional_curvature(m, z, v), spray_coefficients(m, x, u)]
+                + [a for out in jac for a in out])
+
+    rng = np.random.default_rng(40 + rows)
+    get = JetSpace.get
+    for spec in SPECS:
+        m = instantiate(spec)
+        x, u = _batch(m, rng, rows)
+        z, v = x[:, :m.n] + 1j * x[:, m.n:], u[:, :m.n] + 1j * u[:, m.n:]
+        kept = readouts(m, x, u, z, v)
+        with monkeypatch.context() as patch:
+            patch.setattr(JetSpace, "get", staticmethod(
+                lambda nvars, order, is_complex=False, pair_split=None, fibre=(), reach=None:
+                get(nvars, order, is_complex, pair_split)))
+            assert m.fibre_space(4, 2) is get(2 * m.dim, 4)
+            full = readouts(m, x, u, z, v)
+        for a, b in zip(kept, full, strict=True):
+            assert a.tobytes() == b.tobytes(), m.family_id
 
 
 def test_row_tables_offset_each_row():
