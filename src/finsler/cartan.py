@@ -64,10 +64,10 @@ def _spray(Hu, dG, u, d) -> np.ndarray:
 def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     """Values of the geodesic coefficients G^i at each row of x, u of shape
     (B, d), a point being one row (fast path for ODEs): the B sprays from one
-    order-2 ``real_rows`` replay over ``fibre_space(2, 1)``, row b independent
-    of the other rows."""
+    order-2 ``real_rows`` replay over ``fibre_space(2, 1)`` (``spray_space``),
+    row b independent of the other rows."""
     u = np.asarray(u, dtype=float)
-    sp = m.fibre_space(2, 1)
+    sp = m.spray_space
     coeffs = m.real_rows(x, u, sp)
     return _spray(sp.gather(coeffs, 2, slice(m.dim, None)), sp.gather(coeffs, 1), u, m.dim)
 

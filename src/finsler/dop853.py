@@ -141,9 +141,9 @@ def _brentq(f, xpre, xcur):
 class Solution:
     """Accepted times ``t`` and states ``y`` (n, len(t)), right-hand sides
     ``nfev``, ``status`` (0: end reached, 1: terminal event, -1: failed),
-    ``success``, ``message``, event times ``t_events``, and ``h_next``: the
-    larger of the steps the error controller proposed after the last two
-    steps, since the last one is cut short at the end."""
+    ``success``, ``message``, ``t_events``: each event's root in the last
+    step, where scipy keeps only the earliest, and ``h_next``: the larger of
+    the controller's proposals after the last two steps, the last cut short."""
 
     def __init__(self, fun, direction):
         self._fun, self._direction, self._steps, self.nfev = fun, direction, [], 1
@@ -179,8 +179,9 @@ class Solution:
 def solve_ivp(fun, t_span, y0, *, rtol, atol, first_step=None, events=()):
     """y' = fun(t, y) over ``t_span`` from y0 at tolerances ``rtol``, ``atol``,
     from the step ``first_step`` (capped at the span) or the initial-step
-    probe's. The ``events`` are terminal: the integration ends at the first
-    root, by ``_brentq`` on the dense output, of one that falls through 0.
+    probe's. The ``events`` are terminal: each that falls through 0 in a step
+    records its root there (``_brentq`` on the dense output; scipy records
+    only the earliest), and the integration ends at the earliest.
     An exception of ``fun`` or of an event propagates as it is."""
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -223,12 +224,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, first_step=None, events=()):
         status = 0 if direction * (t - t_bound) >= 0 else None
         g_new = [ev(t, y) for ev in events]
         crossed = [j for j in range(len(events)) if g[j] >= 0 and g_new[j] <= 0]
+        for j in crossed:
+            out.t_events[j].append(_brentq(lambda s, ev=events[j]: ev(s, out.sol(s, -1)),
+                                           t_old, t))
         if crossed:
-            roots = [_brentq(lambda s, ev=events[j]: ev(s, out.sol(s, -1)), t_old, t)
-                     for j in crossed]
-            k = min(range(len(crossed)), key=lambda k: direction * roots[k])
-            t, status = roots[k], 1
-            out.t_events[crossed[k]].append(t)
+            t, status = min((out.t_events[j][-1] for j in crossed), key=lambda r: direction * r), 1
             y = out.sol(t, -1)
         ts.append(t)
         ys.append(y)

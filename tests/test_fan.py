@@ -43,7 +43,7 @@ BOUNDS_PLAN = SamplePlan(seed=101, n_points=3, n_dirs=4, radial_range=(0.1, 0.7)
 EXIT_PLAN = SamplePlan(seed=0, n_points=12, n_dirs=4, radial_range=(0.05, 0.6))
 # the polydisk members exit at arc lengths 0.4240, 0.4264, 0.4884 and 0.4933:
 # a fan of length 1.05 * hi = 0.425 ends just past the first exit, so the
-# others restart with less time left than the last step
+# others restart with less time left than the step they restart at
 FIRST_EXIT_PLAN = SamplePlan(seed=0, n_points=12, n_dirs=4, radial_range=(0.05, 0.425 / 1.05))
 CASES = {"disk": (DISK, BOUNDS_PLAN), "ball": (BALL, BOUNDS_PLAN),
          "minkowski": (MINKOWSKI, BOUNDS_PLAN), "szabo": (SZABO, BOUNDS_PLAN),
@@ -51,17 +51,20 @@ CASES = {"disk": (DISK, BOUNDS_PLAN), "ball": (BALL, BOUNDS_PLAN),
          "small_szabo_first_exit": (SMALL_SZABO, FIRST_EXIT_PLAN)}
 
 
+def _fan(m, plan):
+    """The stacked fan of ``radial_flag_bounds`` from the origin."""
+    pole = np.zeros(m.dim)
+    dirs = unit_directions(max(plan.n_dirs, 3), m.dim, plan.seed)
+    return geodesic.integrate_fan(m, pole, [w / math.sqrt(m.value(pole, w)) for w in dirs],
+                                  plan.radial_range[1] * 1.05)
+
+
 @functools.cache
 def _integrated(name):
     """(metric, plan, stacked fan, ``fan_by_paths`` oracle) of a case."""
     spec, plan = CASES[name]
     m = realify_metric(instantiate(spec))
-    d = m.dim
-    dirs = unit_directions(max(plan.n_dirs, 3), d, plan.seed)
-    pole = np.zeros(d)
-    fan = geodesic.integrate_fan(m, pole, [w / math.sqrt(m.value(pole, w)) for w in dirs],
-                                 plan.radial_range[1] * 1.05)
-    return m, plan, fan, fan_by_paths(m, pole, plan)
+    return m, plan, _fan(m, plan), fan_by_paths(m, np.zeros(m.dim), plan)
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -74,13 +77,20 @@ def test_fan_members_follow_their_single_geodesics(name):
             assert np.abs(x - x_ref).max() < 1e-9 and np.abs(u - u_ref).max() < 1e-9, (b, s)
 
 
-@pytest.mark.parametrize("name", ["small_disk", "small_szabo"])
-def test_a_member_that_leaves_the_domain_ends_alone(name):
+@pytest.mark.parametrize("name, segments, rhs", [
+    ("small_disk", [[0, 1, 2, 3]], 973), ("small_szabo", [[0, 1, 2, 3], [1, 2]], 941)],
+    ids=["small_disk", "small_szabo"])
+def test_a_member_that_leaves_the_domain_ends_alone(name, segments, rhs):
     m, plan, fan, ref = _integrated(name)
     assert all(path.truncated for path, _ in ref)
-    # every exit restarts the others: the disk's members exit together, up
-    # to rounding, and the polydisk's axis-like and diagonal ones apart
-    assert len(fan.segments) >= 2 and fan.segments[0][1] == list(range(4))
+    # a member whose exit event falls in a segment's last step ends at its own
+    # root there, and only the others restart: the disk's members all exit
+    # within 3e-9 in one step, the polydisk's axis-like ones (0, 3) in the
+    # first segment's last step and its diagonal ones (1, 2) in the second's
+    assert [members for _, members in fan.segments] == segments
+    # no more right-hand sides than when each exit root restarted the others,
+    # counted before any dense output is read
+    assert sum(sol.nfev for sol, _ in _fan(m, plan).segments) <= rhs
     # the margin falls exponentially slowly along these paths, so an
     # integration error of ~1e-14 in x moves the exit by ~1e-8 in arc length
     exits = [path.arc_length for path, _ in ref]
@@ -195,8 +205,8 @@ def test_fan_bounds_match_the_single_geodesic_sampling():
 
 
 def test_fan_values_are_pinned():
-    # each segment after an exit starts at the step the previous one settled
-    # on, capped at the time left; these values pin that rule bit for bit
+    # each segment after an exit starts at the step the error controller
+    # proposed, capped at the time left; these values pin that rule bit for bit
     pins = {"disk": (-4.0000000000000036, -3.999999999999997, 36),
             "ball": (-3.8854850197014583, -1.0000745950932932, 96),
             "minkowski": (0.0, 0.0, 96)}

@@ -312,11 +312,14 @@ def test_batched_replay_chunks_its_rows():
 
 
 def _reader_spaces(m):
-    """The kept bases over (x, u) of the spray, the spray Jacobian and Cartan,
-    and over [z, v, zbar, vbar] of Chern-Finsler, of a complex metric m."""
-    n = m.n
-    return ((m.fibre_space(2, 1), m.fibre_space(3, 2), m.fibre_space(4, 2)),
-            JetSpace.get(4 * n, 4, True, 2 * n, (*range(n, 2 * n), *range(3 * n, 4 * n)), 2))
+    """The kept bases over (x, u) of the real fundamental tensor, the spray,
+    the spray Jacobian and Cartan, and the (real basis, its Wirtinger image
+    over [z, v, zbar, vbar]) of the Levi matrix and of Chern-Finsler, of a
+    complex metric m."""
+    n, fibre = m.n, (*range(m.n, 2 * m.n), *range(3 * m.n, 4 * m.n))
+    return ((m.fibre_space(2, 0), m.fibre_space(2, 1), m.fibre_space(3, 2), m.fibre_space(4, 2)),
+            [(m.fibre_space(order, reach), JetSpace.get(4 * n, order, True, 2 * n, fibre, reach))
+             for order, reach in ((2, 0), (4, 2))])
 
 
 @pytest.mark.parametrize("rows", [1, 3, 8])
@@ -328,27 +331,30 @@ def test_kept_replays_are_the_kept_coefficients_of_full_replays(rows):
         m = instantiate(spec)
         x, u = _batch(m, rng, rows)
         z, v = x[:, :m.n] + 1j * x[:, m.n:], u[:, :m.n] + 1j * u[:, m.n:]
-        real, cx = _reader_spaces(m)
+        real, images = _reader_spaces(m)
         for sp in real:
             full = m.real_rows(x, u, sp.order)[:, JetSpace.get(2 * m.dim, sp.order).locate(
                 sp.exponents)]
             assert m.real_rows(x, u, sp).tobytes() == full.tobytes(), (m.family_id, sp)
             assert m.real_jet(x[0], u[0], sp).coeffs.tobytes() == full[0].tobytes()
-        full = m.complex_rows(z, v, 4)[:, JetSpace.get(4 * m.n, 4, True, 2 * m.n).locate(
-            cx.exponents)]
-        assert m.complex_rows(z, v, real[2]).tobytes() == full.tobytes(), m.family_id
+        for sp, cx in images:
+            full = m.complex_rows(z, v, sp.order)[:, JetSpace.get(
+                4 * m.n, sp.order, True, 2 * m.n).locate(cx.exponents)]
+            assert m.complex_rows(z, v, sp).tobytes() == full.tobytes(), (m.family_id, sp)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_readers_equal_their_full_basis_readouts(monkeypatch, rows):
     # every reader over its kept basis, against the same reader with every
-    # space full (the oracle), bit for bit on every family
+    # space full (the oracle), bit for bit on every family; the oracle takes
+    # a metric of its own, so no basis a metric keeps leaks into it
     def readouts(m, x, u, z, v):
         cf, ct = chern_finsler(m, z, v), cartan(m, x, u)
         jac = [spray_jacobian(m.real_jet(x[b], u[b], m.fibre_space(3, 2)), u[b])
                for b in range(rows)]
         return ([getattr(cf, f) for f in vars(cf)] + [getattr(ct, f) for f in vars(ct)]
-                + [holomorphic_sectional_curvature(m, z, v), spray_coefficients(m, x, u)]
+                + [holomorphic_sectional_curvature(m, z, v), spray_coefficients(m, x, u),
+                   m.levi_matrix(z, v), m.fundamental_real(x, u)]
                 + [a for out in jac for a in out])
 
     rng = np.random.default_rng(40 + rows)
@@ -362,7 +368,9 @@ def test_readers_equal_their_full_basis_readouts(monkeypatch, rows):
             patch.setattr(JetSpace, "get", staticmethod(
                 lambda nvars, order, is_complex=False, pair_split=None, fibre=(), reach=None:
                 get(nvars, order, is_complex, pair_split)))
+            m = instantiate(spec)
             assert m.fibre_space(4, 2) is get(2 * m.dim, 4)
+            assert m.spray_space is get(2 * m.dim, 2)
             full = readouts(m, x, u, z, v)
         for a, b in zip(kept, full, strict=True):
             assert a.tobytes() == b.tobytes(), m.family_id
