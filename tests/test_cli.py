@@ -1,5 +1,6 @@
 """CLI wiring: config parsing, report layout, determinism, replay."""
 
+import hashlib
 import json
 import math
 import os
@@ -128,6 +129,40 @@ def _szabo_distance_config(tmp_path):
                        "params": {"k": 2, "eps": 0.5, "factor1": disk, "factor2": disk}}]
     cfg["plans"] = {"default": {"n_points": 2, "n_dirs": 2, "radial_range": [0.2, 0.5]}}
     return write_config(tmp_path, cfg)
+
+
+# the disk, the ball, a Minkowski norm, a non-Kahler Hermitian metric and the
+# disk at scale 1e-3, whose geodesic from the origin leaves the domain near
+# arc length 0.34, before the plan's radial_range[1] = 0.7
+GEODESIC_CONFIG = {
+    "seed": 7,
+    "metrics": [
+        _DISK,
+        {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"},
+         "id": "ball"},
+        BASE_CONFIG["metrics"][1],
+        {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "nonkahler"},
+         "id": "nonkahler"},
+        {"family": "hermitian", "complex_dim": 1,
+         "params": {"catalog": "poincare_disk", "scale": 1e-3}, "id": "small_disk"},
+    ],
+    "plans": {"default": {"n_points": 5, "n_dirs": 3, "radial_range": [0.1, 0.7]}},
+}
+
+
+def test_cmd_geodesic_output_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    # the small disk's energy drifts by 6.8e-7 on its way to the edge: status 1
+    assert main(["geodesic", "--config", str(write_config(tmp_path, GEODESIC_CONFIG)),
+                 "--out", str(out)]) == 1
+    digest = hashlib.sha256()
+    for spec in GEODESIC_CONFIG["metrics"]:
+        d = out / "geodesic" / spec["id"]
+        payload = json.loads((d / "report.json").read_text())["payload"]
+        digest.update(canonical_json(payload).encode())
+        digest.update((d / "path.csv").read_bytes())
+    assert payload["truncated"] and payload["arc_length"] == pytest.approx(0.3386, abs=1e-4)
+    assert digest.hexdigest() == "fa8918d91de849b798e02da44a0d407acc9184d9c1cd8a333e930aad439843f2"
 
 
 def test_cmd_distance_reports_levi_margin(tmp_path, capsys):
