@@ -8,7 +8,7 @@ from .metrics import build_map, build_profile, check_metric, instantiate
 from .cartan import CartanData, cartan, radial_flag_bounds
 from .chern import ChernFinslerData, chern_finsler, holomorphic_sectional_curvature
 from .kahler import KahlerReport, classify, weakly_kahler_pde_residual
-from .geodesic import (GeodesicPath, PoleDistance, distance_hessian, hessian_rho,
+from .geodesic import (GeodesicFan, PoleDistance, distance_hessian, hessian_rho,
                        index_form, integrate_geodesic, jacobi_field)
 from .levi import LeviField, LeviSample
 from .schwarz import SchwarzCertificate, certify_schwarz, curvature_bounds
@@ -21,7 +21,7 @@ __all__ = [
     "CartanData", "cartan", "radial_flag_bounds",
     "ChernFinslerData", "chern_finsler", "holomorphic_sectional_curvature",
     "KahlerReport", "classify", "weakly_kahler_pde_residual",
-    "GeodesicPath", "PoleDistance", "distance_hessian", "hessian_rho",
+    "GeodesicFan", "PoleDistance", "distance_hessian", "hessian_rho",
     "index_form", "integrate_geodesic", "jacobi_field",
     "LeviField", "LeviSample",
     "SchwarzCertificate", "certify_schwarz", "curvature_bounds",

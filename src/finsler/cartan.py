@@ -164,7 +164,7 @@ def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds
     """Sample flag curvatures of radial planes along geodesic fans from the pole.
 
     Radial tangents are transported along the fan's geodesics, integrated as
-    one stacked state (``geodesic.integrate_fan``); a geodesic that leaves
+    one stacked state (``geodesic.integrate_geodesic``); a geodesic that leaves
     the domain is sampled up to 0.999 of its own exit length. The Cartan
     data of all samples come from one stacked ``cartan`` call. Flags are
     completed with deterministic directions; a flag plane whose Gram
@@ -178,7 +178,7 @@ def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds
     lo, hi = plan.radial_range
     ts = np.linspace(lo, hi, max(3, plan.n_points // len(dirs) + 1))
     flags = unit_directions(2 * d, d, plan.seed + 1)
-    fan = geo.integrate_fan(m, pole, dirs / np.sqrt(m.value(pole, dirs))[:, None], hi * 1.05)
+    fan = geo.integrate_geodesic(m, pole, dirs / np.sqrt(m.value(pole, dirs))[:, None], hi * 1.05)
     states = [fan.state_at(b, min(t, arc_length * 0.999))
               for b, arc_length in enumerate(fan.arc_lengths) for t in ts]
     data = cartan(m, *map(np.array, zip(*states)))

@@ -164,18 +164,21 @@ def cmd_geodesic(config: RunConfig, outdir: Path) -> int:
         w = rng.standard_normal(mr.dim)
         u0 = w / math.sqrt(mr.value(x0, w))
         length = float(plan.radial_range[1])
-        path = integrate_geodesic(mr, x0, u0, length)
-        drift = path.energy_drift()
+        fan = integrate_geodesic(mr, x0, u0, length)
+        drift, nfev, arc = fan.energy_drift(), fan.nfev, fan.arc_lengths[0]
         d = _write_report(outdir, "geodesic", mid, {
-            "metric": mid, "arc_length": path.arc_length,
-            "energy_drift": drift, "steps": path.n_steps,
-            "nfev": path.nfev, "normal": path.normal,
-            "truncated": path.truncated}, config)
-        with open(d / "path.csv", "w", newline="") as fp:
-            path.to_csv(fp)
+            "metric": mid, "arc_length": arc, "energy_drift": drift, "steps": fan.steps,
+            "nfev": nfev, "normal": fan.normal[0], "truncated": fan.truncated[0]}, config)
+        # t, x, u and G over an even arc grid, G from one ``value`` call
+        arcs = np.linspace(0.0, arc, 65)
+        X, U = map(np.array, zip(*(fan.state_at(0, s) for s in arcs)))
+        _write_csv(d / "path.csv", ["t", *(f"{c}{i}" for c in "xu" for i in range(mr.dim)), "G"],
+                   [[repr(float(c)) for c in (s, *x, *u)] + [repr(G)]
+                    for s, x, u, G in zip(arcs, X, U, mr.value(X, U).tolist())])
         if drift > 1e-8:
             status = 1
-        print(f"geodesic {mid}: drift={drift:.2e} steps={path.n_steps}")
+        exited = f" exit at arc {arc:.6g}" if fan.truncated[0] else ""
+        print(f"geodesic {mid}: drift={drift:.2e} steps={fan.steps} nfev={nfev}{exited}")
     return status
 
 

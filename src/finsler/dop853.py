@@ -86,12 +86,12 @@ D = np.array([
     96.32455395918828, -39.17726167561544, -149.72683625798564]).reshape(4, 16)
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """The initial-step probe (Hairer, Norsett & Wanner, sec. II.4), one right-hand side."""
-    interval, scale, root_n = abs(t_bound - t0), atol + np.abs(y0) * rtol, y0.size ** 0.5
+    interval, scale, root_n = t_bound - t0, atol + np.abs(y0) * rtol, y0.size ** 0.5
     d0, d1 = np.linalg.norm(y0 / scale) / root_n, np.linalg.norm(f0 / scale) / root_n
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
     d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         return min(100 * h0, max(1e-6, h0 * 1e-3), interval)
@@ -145,8 +145,8 @@ class Solution:
     step, where scipy keeps only the earliest, and ``h_next``: the larger of
     the controller's proposals after the last two steps, the last cut short."""
 
-    def __init__(self, fun, direction):
-        self._fun, self._direction, self._steps, self.nfev = fun, direction, [], 1
+    def __init__(self, fun):
+        self._fun, self._steps, self.nfev = fun, [], 1
         self.t = self.y = self.t_events = self.status = self.success = self.message = None
         self.h_next = None
 
@@ -157,8 +157,7 @@ class Solution:
         if not self._steps:   # an empty span
             return self.y[:, 0].copy()
         if i is None:
-            i = int(np.searchsorted(self._direction * self.t, self._direction * t)) - 1
-            i = min(max(i, 0), len(self._steps) - 1)
+            i = min(max(int(np.searchsorted(self.t, t)) - 1, 0), len(self._steps) - 1)
         step = self._steps[i]
         t_old, h, y_old, y_new, K, F = step
         if F is None:
@@ -177,32 +176,32 @@ class Solution:
 
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol, first_step=None, events=()):
-    """y' = fun(t, y) over ``t_span`` from y0 at tolerances ``rtol``, ``atol``,
-    from the step ``first_step`` (capped at the span) or the initial-step
-    probe's. The ``events`` are terminal: each that falls through 0 in a step
-    records its root there (``_brentq`` on the dense output; scipy records
-    only the earliest), and the integration ends at the earliest.
+    """y' = fun(t, y) forward over ``t_span`` = (t0, t_bound), t_bound >= t0,
+    from y0 at tolerances ``rtol``, ``atol``, from the step ``first_step``
+    (capped at the span) or the initial-step probe's; a backward span raises
+    ``ValueError``. The ``events`` are terminal: each that falls through 0 in
+    a step records its root there (``_brentq`` on the dense output; scipy
+    records only the earliest), and the integration ends at the earliest.
     An exception of ``fun`` or of an event propagates as it is."""
     t, t_bound = map(float, t_span)
+    if not t_bound >= t:
+        raise ValueError(f"solve_ivp integrates forward, got t_span {t_span!r}")
     y = np.asarray(y0, dtype=float)
-    direction = np.sign(t_bound - t) if t_bound != t else 1
-    out, f = Solution(fun, direction), fun(t, y)
+    out, f = Solution(fun), fun(t, y)
     if first_step is None and t != t_bound:
-        h_abs = _initial_step(fun, t, y, t_bound, f, direction, rtol, atol)
+        h_abs = _initial_step(fun, t, y, t_bound, f, rtol, atol)
         out.nfev += 1
     else:
-        h_abs = min(first_step or 0.0, abs(t_bound - t))
+        h_abs = min(first_step or 0.0, t_bound - t)
     ts, ys, proposals, g = [t], [y], [], [ev(t, y) for ev in events]
     out.t_events, status = [[] for _ in events], None if t != t_bound else 0
     while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while h_abs >= min_step:   # a NaN step fails
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
+            t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs, K = np.abs(h), np.empty((16, y.size))
+            h_abs, K = h, np.empty((16, y.size))
             K[0] = f
             for s in range(1, 12):
                 K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
@@ -221,14 +220,14 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, first_step=None, events=()):
         out._steps.append([t, h, y, y_new, K, None])
         proposals.append(h_abs)
         t_old, t, y, f = t, t_new, y_new, K[12]
-        status = 0 if direction * (t - t_bound) >= 0 else None
+        status = 0 if t >= t_bound else None
         g_new = [ev(t, y) for ev in events]
         crossed = [j for j in range(len(events)) if g[j] >= 0 and g_new[j] <= 0]
         for j in crossed:
             out.t_events[j].append(_brentq(lambda s, ev=events[j]: ev(s, out.sol(s, -1)),
                                            t_old, t))
         if crossed:
-            t, status = min((out.t_events[j][-1] for j in crossed), key=lambda r: direction * r), 1
+            t, status = min(out.t_events[j][-1] for j in crossed), 1
             y = out.sol(t, -1)
         ts.append(t)
         ys.append(y)

@@ -1,9 +1,11 @@
 """Geodesic flow, shooting distance, Jacobi fields, index form, distance Hessians.
 
 Geodesics solve xddot^i + 2 G^i(x, xdot) = 0 in an affine parameter; the energy
-G(x, xdot) is a first integral. Its drift along an integrated path, which a
-path computes on request (``GeodesicPath.energy_drift``), is the accuracy
-proxy that ``finsler geodesic`` reports. A shooting query first shoots from
+G(x, xdot) is a first integral. ``integrate_geodesic`` integrates one
+geodesic or a fan of them from one point as one stacked state; a single
+geodesic is a ``GeodesicFan`` of one. The energy's drift along a fan, which
+it computes on request (``GeodesicFan.energy_drift``), is the accuracy proxy
+that ``finsler geodesic`` reports. A shooting query first shoots from
 the chord start: the velocity along the straight chord from the pole to the
 target whose length is the chord's Finsler length, which lands at once where
 the chord is a geodesic. A warm query also tries the nearest cached velocity,
@@ -27,7 +29,6 @@ and no curvature, and D_T J = dx' + N dx.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -83,115 +84,79 @@ def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, t0=0.0, first
 
 
 @dataclass
-class GeodesicPath:
-    """Discretized geodesic with dense interpolation in an affine parameter.
-
-    The dense state of ``sol`` starts with (x, u); a path integrated together
-    with its Jacobi fields carries them in the components after these."""
-
-    metric: MetricDef
-    energy: float                    # G(x0, u0), a first integral of the flow
-    t_end: float
-    sol: object
-    arc_length: float
-    n_steps: int
-    normal: bool
-    truncated: bool
-
-    @property
-    def speed(self) -> float:
-        """sqrt(G(x0, u0)); arc length = speed * t."""
-        return math.sqrt(self.energy)
-
-    @property
-    def nfev(self) -> int:
-        """The right-hand sides spent, the dense output built so far included."""
-        return self.sol.nfev
-
-    def energy_drift(self) -> float:
-        """max |G(x, u) - G(x0, u0)| over the integrator's steps, read from one
-        ``value`` call over their states."""
-        d = self.metric.dim
-        y = self.sol.y.T
-        return float(np.abs(self.metric.value(y[:, :d], y[:, d:2 * d]) - self.energy).max())
-
-    def _dense_state(self, t):
-        """The whole dense state at affine time ``t``, clamped to the path."""
-        return self.sol.sol(min(max(t, 0.0), self.t_end))
-
-    def state_at(self, s):
-        """(x, u) at arc-length parameter ``s``, clamped to the path."""
-        d = self.metric.dim
-        y = self._dense_state(s / self.speed)
-        return y[:d], y[d:2 * d]
-
-    def to_csv(self, fp, n=65):
-        """Write t, x, u, G rows over an even arc grid, G from one ``value``
-        call over its states."""
-        w = csv.writer(fp)
-        d = self.metric.dim
-        w.writerow(["t"] + [f"x{i}" for i in range(d)] + [f"u{i}" for i in range(d)] + ["G"])
-        arcs = np.linspace(0.0, self.arc_length, n)
-        X, U = map(np.array, zip(*(self.state_at(s) for s in arcs)))
-        for s, x, u, G in zip(arcs, X, U, self.metric.value(X, U).tolist()):
-            w.writerow([repr(float(c)) for c in (s, *x, *u)] + [repr(G)])
-
-
-def _path(m: MetricDef, G0, sol) -> GeodesicPath:
-    """The path of a solution with energy G0."""
-    t_reached = sol.t[-1]
-    return GeodesicPath(
-        metric=m, energy=G0, t_end=t_reached, sol=sol, arc_length=t_reached * math.sqrt(G0),
-        n_steps=len(sol.t) - 1,
-        normal=abs(G0 - 1.0) < 1e-9, truncated=sol.status == 1)
-
-
-def integrate_geodesic(m: MetricDef, x0, u0, length) -> GeodesicPath:
-    """Geodesic from (x0, u0) forward to arc length ``length`` > 0."""
-    if not length > 0:
-        raise ConfigurationError(f"geodesic length must be positive, got {length!r}")
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    G0 = m.value(x0, u0)
-    if G0 <= 0:
-        raise ConfigurationError("initial velocity must be nonzero")
-    return _path(m, G0, _integrate_affine(m, x0, u0, length / math.sqrt(G0)))
-
-
-@dataclass
 class GeodesicFan:
-    """Geodesics from one point, integrated as one stacked state.
+    """Geodesics from one point, integrated as one stacked state; a single
+    geodesic is a fan of one.
 
-    Member b reaches affine time ``t_ends[b]`` at speed ``speeds[b]``: its
-    full length, or its own exit root. ``segments`` holds, in time order,
+    Member b has energy ``energies[b]`` = G(x0, u0), a first integral of the
+    flow, and reaches affine time ``t_ends[b]``: its full length, or its own
+    exit root, where it is ``truncated``. ``segments`` holds, in time order,
     each stacked solution with its members; each ends at its earliest root,
-    and the members without one in its last step go on from there."""
+    and the members without one in its last step go on from there. A
+    member's block of the dense state starts with its (x, u); a path
+    integrated together with its Jacobi fields carries them after these."""
 
     metric: MetricDef
-    speeds: np.ndarray
+    energies: np.ndarray
     t_ends: np.ndarray
+    truncated: np.ndarray
     segments: list
+
+    @property
+    def speeds(self) -> np.ndarray:
+        """sqrt(G(x0, u0)); arc length = speed * t."""
+        return np.sqrt(self.energies)
 
     @property
     def arc_lengths(self) -> np.ndarray:
         return self.t_ends * self.speeds
 
-    def state_at(self, b, s):
-        """(x, u) of member ``b`` at arc-length parameter ``s``, clamped to its path,
-        by the last segment holding b from before it, whose last step spans b's root."""
-        d = self.metric.dim
+    @property
+    def normal(self) -> np.ndarray:
+        """Whether each member has unit speed."""
+        return np.abs(self.energies - 1.0) < 1e-9
+
+    @property
+    def steps(self) -> int:
+        """The integrator's accepted steps over all segments."""
+        return sum(len(sol.t) - 1 for sol, _ in self.segments)
+
+    @property
+    def nfev(self) -> int:
+        """The right-hand sides spent, the dense output built so far included."""
+        return sum(sol.nfev for sol, _ in self.segments)
+
+    def energy_drift(self) -> float:
+        """max |G(x, u) - G(x0, u0)| over the members' states at the
+        integrator's steps, one ``value`` call per segment."""
+        d, drift = self.metric.dim, 0.0
+        for sol, members in self.segments:
+            Y = sol.y.T.reshape(len(sol.t), len(members), -1)
+            G = self.metric.value(Y[..., :d].reshape(-1, d), Y[..., d:2 * d].reshape(-1, d))
+            dG = G.reshape(Y.shape[:2]) - self.energies[members]
+            drift = max(drift, float(np.abs(dG).max()))
+        return drift
+
+    def dense_state(self, b, s):
+        """Member ``b``'s block of the dense state at arc length ``s``, clamped
+        to its path, by the last segment holding b from before it, whose last
+        step spans b's root."""
         t = min(max(s / self.speeds[b], 0.0), self.t_ends[b])
         sol, members = [(sol, members) for sol, members in self.segments
                         if b in members and sol.t[0] <= t][-1]
-        j = members.index(b)
-        y = sol.sol(t)[2 * d * j:2 * d * (j + 1)]
-        return y[:d], y[d:]
+        n, j = len(sol.y) // len(members), members.index(b)
+        return sol.sol(t)[n * j:n * (j + 1)]
+
+    def state_at(self, b, s):
+        """(x, u) of member ``b`` at arc length ``s``, clamped to its path."""
+        return np.split(self.dense_state(b, s)[:2 * self.metric.dim], 2)
 
 
-def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
-    """Geodesics from x0 with the initial velocities of the rows of U0, each
-    forward to arc length ``length`` > 0, as one stacked state whose
-    right-hand side is one batched spray (``_integrate_affine``).
+def integrate_geodesic(m: MetricDef, x0, u0, length) -> GeodesicFan:
+    """Geodesics from x0 with the initial velocity u0, or with each row of a
+    (B, d) array u0, a velocity (d,) being one row, forward to arc length
+    ``length`` > 0 as one stacked state whose right-hand side is one batched
+    spray (``_integrate_affine``).
 
     A member ends at its own exit root or at its own length. A segment ends
     at its earliest exit root, and every member whose exit event falls in the
@@ -202,30 +167,32 @@ def integrate_fan(m: MetricDef, x0, U0, length) -> GeodesicFan:
     if not length > 0:
         raise ConfigurationError(f"geodesic length must be positive, got {length!r}")
     x0 = np.asarray(x0, dtype=float)
-    U0 = np.asarray(U0, dtype=float)
+    U0 = np.atleast_2d(np.asarray(u0, dtype=float))
     d = m.dim
     G0 = m.value(x0, U0)
     if not np.all(G0 > 0):
         raise ConfigurationError("initial velocities must be nonzero")
-    speeds = np.sqrt(G0)
-    t_ends = length / speeds
+    t_ends = length / np.sqrt(G0)
+    truncated = np.zeros(len(U0), dtype=bool)
     members = list(range(len(U0)))
     x, u = np.broadcast_to(x0, U0.shape), U0
     t0, first_step, segments = 0.0, None, []
     while members:
-        t_end = float(t_ends[members].max())
-        sol = _integrate_affine(m, x, u, t_end, t0=t0, first_step=first_step)
+        sol = _integrate_affine(m, x, u, float(t_ends[members].max()), t0=t0,
+                                first_step=first_step)
         segments.append((sol, members))
         if sol.status != 1:
             break
         t0, y = sol.t[-1], sol.y[:, -1].reshape(len(members), 2 * d)
         for roots, b in zip(sol.t_events, members):
-            t_ends[b] = min([t_ends[b], *roots])
+            if roots and roots[0] <= t_ends[b]:
+                t_ends[b], truncated[b] = roots[0], True
         stay = [j for j, b in enumerate(members) if not sol.t_events[j] and t_ends[b] > t0]
         x, u = y[stay, :d], y[stay, d:]
         members = [members[j] for j in stay]
         first_step = sol.h_next
-    return GeodesicFan(metric=m, speeds=speeds, t_ends=t_ends, segments=segments)
+    return GeodesicFan(metric=m, energies=G0, t_ends=t_ends, truncated=truncated,
+                       segments=segments)
 
 
 # -- boundary-value geodesics (shooting) -----------------------------------------
@@ -511,19 +478,19 @@ class PoleDistance:
 
 @dataclass
 class JacobiField:
-    """Dense Jacobi field J = Y_x c along a normal geodesic, whose dense state
-    (x, u, Y_x, Y_v) ``path`` holds: the fundamental system of the linearized
-    geodesic flow, with J = dx = Y_x c and dx' = Y_v c in affine time. Called
-    at arc length s, it returns (J, dJ/ds), the form ``index_form`` takes, from
-    one dense evaluation at affine time s / speed, as ``path.state_at`` reads."""
+    """Dense Jacobi field J = Y_x c along a normal geodesic, the one-member fan
+    ``path`` whose dense state is (x, u, Y_x, Y_v): the fundamental system of
+    the linearized geodesic flow, with J = dx = Y_x c and dx' = Y_v c in
+    affine time. Called at arc length s, it returns (J, dJ/ds), the form
+    ``index_form`` takes, from one ``path.dense_state`` evaluation."""
 
-    path: GeodesicPath
+    path: GeodesicFan
     c: np.ndarray
 
     def __call__(self, s):
-        d, speed = self.path.metric.dim, self.path.speed
-        J, dJ = self.path._dense_state(s / speed)[2 * d:].reshape(2, d, -1) @ self.c
-        return J, dJ / speed
+        d = self.path.metric.dim
+        J, dJ = self.path.dense_state(0, s)[2 * d:].reshape(2, d, -1) @ self.c
+        return J, dJ / self.path.speeds[0]
 
 
 # cond M(r) beyond which the endpoint counts as conjugate to the start: the Jacobi
@@ -534,11 +501,11 @@ CONJUGATE_COND = 1e6
 @dataclass
 class BoundaryJacobiSystem:
     """Fundamental system Y = (M, W) of the Jacobi fields J = M c with J(0) = 0,
-    D_T J(0) = c along a normal path, with M = M(r), W = W(r) = D_T M(r) and
-    the unit tangent T and fundamental tensor g = g_T at the endpoint. The
-    field reaching u at r has c = M(r)^-1 u."""
+    D_T J(0) = c along a normal path, a one-member fan, with M = M(r),
+    W = W(r) = D_T M(r) and the unit tangent T and fundamental tensor g = g_T
+    at the endpoint. The field reaching u at r has c = M(r)^-1 u."""
 
-    path: GeodesicPath
+    path: GeodesicFan
     r: float
     M: np.ndarray
     W: np.ndarray
@@ -570,15 +537,15 @@ class BoundaryJacobiSystem:
         return P.T @ self.g @ self.W @ M_inv_P
 
 
-def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, first_step=None) -> GeodesicPath:
+def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, first_step=None) -> GeodesicFan:
     """The unit-speed geodesic from (x0, u0) and the variations of it with
     initial data the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array,
-    integrated together to arc length r as one state (x, u, Y): the variational
-    equations in the trajectory's own state (Hairer, Norsett & Wanner, Solving
-    ODEs I, sec. I.14). Each
-    right-hand side reads S and dS = dG/d(x, u) from one order-3 jet; S moves
-    (x, u) and dx'' = -2 dS (dx, dx') moves Y. A ``first_step``, in arc
-    length, is capped at r."""
+    integrated together to arc length r as one state (x, u, Y), a one-member
+    fan: the variational equations in the trajectory's own state (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. I.14). Each right-hand side reads
+    S and dS = dG/d(x, u) from one order-3 jet; S moves (x, u) and
+    dx'' = -2 dS (dx, dx') moves Y. A ``first_step``, in arc length, is
+    capped at r."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     G0 = m.value(x0, u0)
@@ -597,7 +564,8 @@ def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, first_step=None) -> Geodes
                     atol=1e-12, first_step=first_step)
     if not sol.success:
         raise ShootingError(f"Jacobi integration failed: {sol.message}")
-    return _path(m, G0, sol)
+    return GeodesicFan(metric=m, energies=np.array([G0]), t_ends=sol.t[-1:],
+                       truncated=np.zeros(1, dtype=bool), segments=[(sol, [0])])
 
 
 def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
@@ -619,7 +587,7 @@ def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, first_step=None) -> Bounda
     d = m.dim
     path = _integrate_jacobi(m, x0, u0, r, np.concatenate([np.zeros((d, d)), np.eye(d)]),
                              first_step=first_step)
-    y_r = path.sol.y[:, -1]
+    y_r = path.segments[0][0].y[:, -1]
     x_r, u_r = y_r[:d], y_r[d:2 * d]
     Y_r = y_r[2 * d:].reshape(2 * d, d)
     g, _, _, dS = spray_jacobian(m.real_jet(x_r, u_r, m.fibre_space(3, 2)), u_r)
@@ -633,8 +601,8 @@ class IndexFormResult:
     quadrature_error: float
 
 
-def index_form(path: GeodesicPath, xi, eta) -> IndexFormResult:
-    """Morse index form I(xi, eta) along a normal geodesic.
+def index_form(path: GeodesicFan, xi, eta) -> IndexFormResult:
+    """Morse index form I(xi, eta) along a normal geodesic, a one-member fan.
 
     A field is a callable of the arc parameter s returning (V, dV/ds), its
     value and coordinate derivative; a ``JacobiField`` is one. At each
@@ -645,12 +613,12 @@ def index_form(path: GeodesicPath, xi, eta) -> IndexFormResult:
     is composite Gauss-Legendre over 12 panels with the error estimated from
     one coarsening step.
     """
-    if not path.normal:
+    if not path.normal[0]:
         raise ConfigurationError("the index form is defined along normal paths")
-    r = path.arc_length
+    r = path.arc_lengths[0]
 
     def integrand(s):
-        data = cartan(path.metric, *path.state_at(s))
+        data = cartan(path.metric, *path.state_at(0, s))
         T, g = data.u, data.g
 
         def across(f):

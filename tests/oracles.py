@@ -310,8 +310,8 @@ def extract(jet, var):
 
 
 def endpoint(path):
-    """``(x, u)`` at the end of a geodesic path."""
-    return path.state_at(path.arc_length)
+    """``(x, u)`` at the end of a geodesic path, a one-member fan."""
+    return path.state_at(0, path.arc_lengths[0])
 
 
 # -- jet index tables built by Python loops over the monomial basis ----------------
@@ -876,7 +876,8 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
 
     ``base`` is ``pd.rho(x)`` and ``conn_T`` the Cartan data at (x, base.T).
     The geodesic through (x, w) is integrated forward and backward over the
-    stencil width h; rho^power at arc parameters -h, -h/2, h/2 and h comes
+    stencil width h, the backward leg by ``scipy_dop853``, since the package
+    integrates forward only; rho^power at arc parameters -h, -h/2, h/2 and h comes
     from shots that ``pd`` warm-starts at its nearest solved target, ``base``
     or a closer one; the central second differences at
     h and h/2 are Richardson-extrapolated, and the gamma_h term relates the
@@ -889,7 +890,13 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
 
     h = _stencil_step(m, x, base.value)
     fwd = _integrate_affine(m, x, w, h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
-    bwd = _integrate_affine(m, x, w, -h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
+
+    def flow(t, y):
+        S = spray_coefficients(m, y[None, :m.dim], y[None, m.dim:])[0]
+        return np.concatenate([y[m.dim:], -2.0 * S])
+
+    bwd = scipy_dop853(flow, (0.0, -h), np.concatenate([x, w]), rtol=SHOOT_RTOL,
+                       atol=SHOOT_ATOL, dense_output=True)
 
     def f_at(sol, t):
         q = sol.sol(t)[:m.dim]
@@ -965,8 +972,8 @@ def scipy_proposals(fun, t_span, y0, *, rtol, atol, first_step=None):
 
 
 def fd_covariant_derivatives(path, *fields):
-    """Covariant derivatives along a normal ``path`` of the parts of ``fields``
-    across its tangent T, as callables of the arc parameter.
+    """Covariant derivatives along a normal ``path``, a one-member fan, of the
+    parts of ``fields`` across its tangent T, as callables of the arc parameter.
 
     Each is a five-point central difference of the projected field plus the
     ``gamma_h`` term of the Cartan data at (x, T). The Cartan data are
@@ -979,7 +986,7 @@ def fd_covariant_derivatives(path, *fields):
     def conn(s):
         key = round(float(s), 12)
         if key not in memo:
-            memo[key] = cartan(path.metric, *path.state_at(s))
+            memo[key] = cartan(path.metric, *path.state_at(0, s))
         return memo[key]
 
     def perp(f, s):
@@ -988,7 +995,7 @@ def fd_covariant_derivatives(path, *fields):
         val = np.asarray(f(s), dtype=float)
         return val - (float(val @ data.g @ T) / float(T @ data.g @ T)) * T
 
-    h = max(path.arc_length * 1e-5, 1e-8)
+    h = max(path.arc_lengths[0] * 1e-5, 1e-8)
 
     def derivative(f):
         def cov(s):
@@ -1002,10 +1009,10 @@ def fd_covariant_derivatives(path, *fields):
 
 
 def fd_index_form(path, xi, eta) -> float:
-    """I(xi, eta) along a normal ``path`` by the composite rule of
-    ``geodesic.index_form`` (4-point Gauss-Legendre over 12 panels), with the
-    covariant derivatives of ``fd_covariant_derivatives``, the ``gamma_h``
-    route, in place of dV/ds + N V. ``xi`` and ``eta`` are callables of the
+    """I(xi, eta) along a normal ``path``, a one-member fan, by the composite
+    rule of ``geodesic.index_form`` (4-point Gauss-Legendre over 12 panels),
+    with the covariant derivatives of ``fd_covariant_derivatives``, the
+    ``gamma_h`` route, in place of dV/ds + N V. ``xi`` and ``eta`` are callables of the
     arc parameter that return the field's value only.
     """
     from finsler.cartan import cartan
@@ -1013,7 +1020,7 @@ def fd_index_form(path, xi, eta) -> float:
     xi_cov, eta_cov = fd_covariant_derivatives(path, xi, eta)
 
     def integrand(s):
-        data = cartan(path.metric, *path.state_at(s))
+        data = cartan(path.metric, *path.state_at(0, s))
         T = data.u
 
         def perp(f):
@@ -1025,7 +1032,7 @@ def fd_index_form(path, xi, eta) -> float:
                 - float((data.riemann @ xv) @ data.g @ ev))
 
     nodes, weights = np.polynomial.legendre.leggauss(4)
-    edges = np.linspace(0.0, path.arc_length, 13)
+    edges = np.linspace(0.0, path.arc_lengths[0], 13)
     return sum(w * 0.5 * (b - a) * integrand(0.5 * (a + b) + 0.5 * (b - a) * t)
                for a, b in zip(edges, edges[1:]) for t, w in zip(nodes, weights))
 
@@ -1150,9 +1157,10 @@ def flag_curvature(m, x, u, X):
 
 
 def fan_by_paths(m, pole, plan):
-    """The geodesics of ``radial_flag_bounds``'s fan, one ``integrate_geodesic``
-    each, with the arc lengths at which it samples them: the reference for
-    the stacked fan. Returns ``[(path, [s, ...]), ...]`` by direction."""
+    """The geodesics of ``radial_flag_bounds``'s fan, each integrated alone as
+    a one-member fan, with the arc lengths at which it samples them: the
+    reference for the stacked k-member fan. Returns ``[(path, [s, ...]), ...]``
+    by direction, each path a one-member fan."""
     from finsler.geodesic import integrate_geodesic
     from finsler.geometry import unit_directions
 
@@ -1163,13 +1171,13 @@ def fan_by_paths(m, pole, plan):
     out = []
     for w in dirs:
         path = integrate_geodesic(m, pole, w / math.sqrt(m.value(pole, w)), hi * 1.05)
-        out.append((path, [min(t, path.arc_length * 0.999) for t in ts]))
+        out.append((path, [min(t, path.arc_lengths[0] * 0.999) for t in ts]))
     return out
 
 
 def radial_flag_bounds_by_paths(m, pole, plan):
-    """(k_inf, k_sup, n_samples) of ``radial_flag_bounds`` sampled along
-    :func:`fan_by_paths`."""
+    """(k_inf, k_sup, n_samples) of ``radial_flag_bounds`` sampled along the
+    one-member fans of :func:`fan_by_paths`, against its one k-member fan."""
     from finsler.cartan import cartan
     from finsler.geometry import unit_directions
 
@@ -1178,7 +1186,7 @@ def radial_flag_bounds_by_paths(m, pole, plan):
     ks = []
     for path, arcs in fan_by_paths(m, np.asarray(pole, dtype=float), plan):
         for s in arcs:
-            data = cartan(m, *path.state_at(s))
+            data = cartan(m, *path.state_at(0, s))
             g, ut = data.g, data.u
             for X in flags:
                 gu, gX, guX = ut @ g @ ut, X @ g @ X, ut @ g @ X

@@ -14,7 +14,7 @@ import pytest
 
 from finsler import dop853, geodesic
 from finsler.errors import DomainError, ShootingError
-from finsler.geodesic import PoleDistance, distance_hessian, integrate_fan
+from finsler.geodesic import PoleDistance, distance_hessian, integrate_geodesic
 from finsler.geometry import realify_metric, unit_directions
 from finsler.metrics import instantiate
 
@@ -94,7 +94,8 @@ def test_cold_probe_picks_scipys_first_step(monkeypatch):
 def test_a_fan_and_a_jacobi_system_match_scipy_bitwise(monkeypatch):
     pairs = _twins(monkeypatch)
     dirs = unit_directions(4, BALL.dim, 101)
-    integrate_fan(BALL, np.zeros(4), dirs / np.sqrt(BALL.value(np.zeros(4), dirs))[:, None], 0.7)
+    integrate_geodesic(BALL, np.zeros(4), dirs / np.sqrt(BALL.value(np.zeros(4), dirs))[:, None],
+                       0.7)
     assert len(pairs) == 1 and pairs[0][0].y.shape[0] == 4 * 2 * BALL.dim   # one stacked state
     pd = PoleDistance(DISK, np.zeros(2))
     distance_hessian(pd, np.array([0.45, -0.3]))
@@ -106,7 +107,8 @@ def test_a_fan_and_a_jacobi_system_match_scipy_bitwise(monkeypatch):
 def test_dense_output_matches_scipys(monkeypatch):
     pairs = _twins(monkeypatch, dense=True)
     dirs = unit_directions(4, BALL.dim, 101)
-    integrate_fan(BALL, np.zeros(4), dirs / np.sqrt(BALL.value(np.zeros(4), dirs))[:, None], 0.7)
+    integrate_geodesic(BALL, np.zeros(4), dirs / np.sqrt(BALL.value(np.zeros(4), dirs))[:, None],
+                       0.7)
     distance_hessian(PoleDistance(SZABO, np.zeros(4)), np.array([0.3, -0.2, 0.1, 0.4]))
     for ours, ref, _ in pairs:
         scale = np.abs(ref.y).max()
@@ -120,7 +122,7 @@ def test_exit_times_match_scipys_brentq_roots(monkeypatch, m, segments):
     pairs = _twins(monkeypatch)
     dirs = unit_directions(4, m.dim, 0)
     pole = np.zeros(m.dim)
-    integrate_fan(m, pole, dirs / np.sqrt(m.value(pole, dirs))[:, None], 0.63)
+    integrate_geodesic(m, pole, dirs / np.sqrt(m.value(pole, dirs))[:, None], 0.63)
     firsts = further = 0
     for ours, ref, (fun, t_span, y0, kwargs) in pairs:
         assert ours.status == ref.status == 1   # every segment ends at an exit
@@ -195,6 +197,17 @@ def test_a_sample_error_in_the_right_hand_side_propagates_as_it_is(monkeypatch):
 def test_an_empty_span_returns_the_initial_state():
     # a Jacobi system of arc length 0 is its initial data, with no step taken
     system = geodesic.jacobi_boundary_field(DISK, np.zeros(2), np.array([1.0, 0.0]), 0.0)
-    assert system.path.nfev == 1 and system.path.n_steps == 0
+    assert system.path.nfev == 1 and system.path.steps == 0
     assert np.array_equal(system.M, np.zeros((2, 2))) and np.array_equal(system.W, np.eye(2))
-    assert np.array_equal(system.path.state_at(0.0)[1], [1.0, 0.0])
+    assert np.array_equal(system.path.state_at(0, 0.0)[1], [1.0, 0.0])
+
+
+def test_a_backward_span_is_refused():
+    def rhs(t, y):
+        return -y
+
+    with pytest.raises(ValueError, match="forward"):
+        dop853.solve_ivp(rhs, (1.0, 0.0), np.array([1.0]), rtol=1e-10, atol=1e-12)
+    # forward and empty spans integrate as before
+    assert dop853.solve_ivp(rhs, (0.0, 1.0), np.array([1.0]), rtol=1e-10, atol=1e-12).success
+    assert dop853.solve_ivp(rhs, (1.0, 1.0), np.array([1.0]), rtol=1e-10, atol=1e-12).success

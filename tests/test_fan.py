@@ -1,9 +1,10 @@
 """Radial fans integrated as one stacked state, against one geodesic at a time.
 
-``geodesic.integrate_fan`` carries every direction of ``radial_flag_bounds``
-in one DOP853 state at tolerances divided by sqrt(B); each member must
-follow its own ``integrate_geodesic`` path (``oracles.fan_by_paths``). A
-member that leaves the domain ends at its own exit, while the others go on.
+``geodesic.integrate_geodesic`` carries every direction of
+``radial_flag_bounds`` in one DOP853 state at tolerances divided by sqrt(B);
+each member of this k-member fan must follow its own one-member fan
+(``oracles.fan_by_paths``). A member that leaves the domain ends at its own
+exit, while the others go on.
 """
 
 import functools
@@ -55,13 +56,13 @@ def _fan(m, plan):
     """The stacked fan of ``radial_flag_bounds`` from the origin."""
     pole = np.zeros(m.dim)
     dirs = unit_directions(max(plan.n_dirs, 3), m.dim, plan.seed)
-    return geodesic.integrate_fan(m, pole, [w / math.sqrt(m.value(pole, w)) for w in dirs],
-                                  plan.radial_range[1] * 1.05)
+    return geodesic.integrate_geodesic(m, pole, [w / math.sqrt(m.value(pole, w)) for w in dirs],
+                                       plan.radial_range[1] * 1.05)
 
 
 @functools.cache
 def _integrated(name):
-    """(metric, plan, stacked fan, ``fan_by_paths`` oracle) of a case."""
+    """(metric, plan, stacked fan, ``fan_by_paths`` oracle of one-member fans) of a case."""
     spec, plan = CASES[name]
     m = realify_metric(instantiate(spec))
     return m, plan, _fan(m, plan), fan_by_paths(m, np.zeros(m.dim), plan)
@@ -73,7 +74,7 @@ def test_fan_members_follow_their_single_geodesics(name):
     for b, (path, arcs) in enumerate(ref):
         for s in arcs:
             x, u = fan.state_at(b, s)
-            x_ref, u_ref = path.state_at(s)
+            x_ref, u_ref = path.state_at(0, s)
             assert np.abs(x - x_ref).max() < 1e-9 and np.abs(u - u_ref).max() < 1e-9, (b, s)
 
 
@@ -82,7 +83,7 @@ def test_fan_members_follow_their_single_geodesics(name):
     ids=["small_disk", "small_szabo"])
 def test_a_member_that_leaves_the_domain_ends_alone(name, segments, rhs):
     m, plan, fan, ref = _integrated(name)
-    assert all(path.truncated for path, _ in ref)
+    assert all(path.truncated[0] for path, _ in ref)
     # a member whose exit event falls in a segment's last step ends at its own
     # root there, and only the others restart: the disk's members all exit
     # within 3e-9 in one step, the polydisk's axis-like ones (0, 3) in the
@@ -93,8 +94,8 @@ def test_a_member_that_leaves_the_domain_ends_alone(name, segments, rhs):
     assert sum(sol.nfev for sol, _ in _fan(m, plan).segments) <= rhs
     # the margin falls exponentially slowly along these paths, so an
     # integration error of ~1e-14 in x moves the exit by ~1e-8 in arc length
-    exits = [path.arc_length for path, _ in ref]
-    assert np.allclose(fan.arc_lengths, exits, rtol=1e-6, atol=0)
+    exits = [path.arc_lengths[0] for path, _ in ref]
+    assert np.allclose(fan.arc_lengths, exits, rtol=1e-6, atol=0) and fan.truncated.all()
     for b, arc in enumerate(fan.arc_lengths):
         x, _ = fan.state_at(b, arc)
         assert abs(m.domain.margin(x) - 1e-9) < 1e-12   # its own exit event
@@ -156,10 +157,11 @@ def test_a_fan_takes_one_stacked_connection(monkeypatch, name):
 def test_a_fan_ending_just_past_the_first_exit_finishes_the_others():
     m, plan, fan, ref = _integrated("small_szabo_first_exit")
     length = plan.radial_range[1] * 1.05
-    exits = [path.arc_length if path.truncated else None for path, _ in ref]
+    exits = [path.arc_lengths[0] if path.truncated[0] else None for path, _ in ref]
     assert exits[0] < length and exits[1:] == [None] * 3
     assert len(fan.segments) == 2 and fan.segments[1][1] == [1, 2, 3]
-    assert fan.arc_lengths[0] == pytest.approx(ref[0][0].arc_length, rel=1e-6)
+    assert fan.truncated.tolist() == [True, False, False, False]
+    assert fan.arc_lengths[0] == pytest.approx(ref[0][0].arc_lengths[0], rel=1e-6)
     assert fan.arc_lengths[1:] == pytest.approx([length] * 3, rel=1e-14)
     for b in (1, 2, 3):
         x, u = fan.state_at(b, length)
@@ -174,13 +176,13 @@ def test_a_member_leaving_after_its_own_length_ends_at_its_length():
     # at twice the speed the second member reaches its length 0.25 at half
     # the fan's affine time and leaves the domain (arc 0.339) after that,
     # while the first is still inside
-    fan = geodesic.integrate_fan(m, pole, [w, 2.0 * w], 0.25)
-    assert fan.arc_lengths == pytest.approx([0.25, 0.25], rel=1e-14)
+    fan = geodesic.integrate_geodesic(m, pole, [w, 2.0 * w], 0.25)
+    assert fan.arc_lengths == pytest.approx([0.25, 0.25], rel=1e-14) and not fan.truncated.any()
     path = geodesic.integrate_geodesic(m, pole, w, 0.25)
     for b, speed in ((0, 1.0), (1, 2.0)):
         for s in (0.1, 0.25, 0.3):
             x, u = fan.state_at(b, s)
-            x_ref, u_ref = path.state_at(s)
+            x_ref, u_ref = path.state_at(0, s)
             assert np.abs(x - x_ref).max() < 1e-9 and np.abs(u - speed * u_ref).max() < 1e-9
 
 
@@ -227,6 +229,24 @@ def test_fan_values_are_pinned():
 def test_fan_rejects_a_zero_velocity_and_a_nonpositive_length():
     m = realify_metric(instantiate(DISK))
     with pytest.raises(ConfigurationError, match="nonzero"):
-        geodesic.integrate_fan(m, np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
+        geodesic.integrate_geodesic(m, np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
     with pytest.raises(ConfigurationError, match="positive"):
-        geodesic.integrate_fan(m, np.zeros(2), np.eye(2), 0.0)
+        geodesic.integrate_geodesic(m, np.zeros(2), np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize("name, length", [("disk", 3.0), ("ball", 0.7), ("minkowski", 0.01),
+                                          ("small_disk", 0.63)])
+def test_a_velocity_is_a_fan_of_one_row(name, length):
+    # a (d,) velocity and its (1, d) row take the same steps and states
+    m = realify_metric(instantiate(CASES[name][0]))
+    pole = np.zeros(m.dim)
+    w = unit_directions(1, m.dim, 3)[0]
+    w = w / math.sqrt(m.value(pole, w))
+    point, row = (geodesic.integrate_geodesic(m, pole, v, length) for v in (w, w[None]))
+    for fan in (point, row):
+        assert len(fan.segments) == 1 and fan.segments[0][1] == [0]
+    (a, _), (b, _) = point.segments[0], row.segments[0]
+    assert np.array_equal(a.t, b.t) and np.array_equal(a.y, b.y) and a.nfev == b.nfev
+    assert point.arc_lengths.tolist() == row.arc_lengths.tolist()
+    assert point.truncated.tolist() == row.truncated.tolist() == [name == "small_disk"]
+    assert point.energy_drift() == row.energy_drift()

@@ -1,5 +1,6 @@
 """Geodesic flow, shooting distance, Jacobi fields, index form, distance Hessians."""
 
+import json
 import math
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ from scipy.linalg import eigh
 
 from finsler import geodesic
 from finsler.cartan import cartan, spray_coefficients
+from finsler.cli import main
 from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError,
                             DomainError, ShootingError)
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
@@ -64,9 +66,9 @@ def test_euclidean_straight_line():
     path = integrate_geodesic(EUCLID, np.zeros(2), u0, 2.0)
     x, u = endpoint(path)
     assert np.allclose(x, 2.0 * u0, atol=1e-12)
-    assert path.arc_length == pytest.approx(2.0)
+    assert path.arc_lengths[0] == pytest.approx(2.0)
     assert path.energy_drift() < 1e-12
-    assert path.normal
+    assert path.normal[0]
 
 
 def test_minkowski_rays():
@@ -85,7 +87,7 @@ def test_poincare_radial_speed():
     path = integrate_geodesic(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), 1.2)
     # after arc length t the Euclidean radius is tanh(t)
     for t in (0.3, 0.7, 1.2):
-        x, _ = path.state_at(t)
+        x, _ = path.state_at(0, t)
         assert np.linalg.norm(x) == pytest.approx(math.tanh(t), abs=1e-9)
     assert path.energy_drift() < 1e-8
 
@@ -99,7 +101,7 @@ def test_geodesic_length_must_be_positive(length):
 def test_domain_truncation():
     path = integrate_geodesic(HYPERBOLIC, np.array([0.9, 0.0]),
                               np.array([10.0, 0.0]), 50.0)
-    assert path.truncated
+    assert path.truncated[0]
     x, _ = endpoint(path)
     assert np.linalg.norm(x) <= 1.0
 
@@ -268,7 +270,7 @@ def test_jacobi_hyperbolic_sinh():
     e = e / math.sqrt(e @ g0 @ e)
     J = jacobi_field(HYPERBOLIC, x0, u0, 1.5, np.zeros(2), e)
     for t in (0.4, 0.9, 1.5):
-        xt, ut = J.path.state_at(t)
+        xt, ut = J.path.state_at(0, t)
         gt = cartan(HYPERBOLIC, xt, ut).g
         Jt = J(t)[0]
         norm = math.sqrt(float(Jt @ gt @ Jt))
@@ -286,7 +288,7 @@ def test_jacobi_hyperbolic_cosh_off_the_origin():
     J0 = 0.7 * (J0 - (J0 @ g0 @ u0) * u0) / math.sqrt(J0 @ g0 @ J0 - (J0 @ g0 @ u0) ** 2)
     J = jacobi_field(HYPERBOLIC, x0, u0, 1.0, J0, np.zeros(2))
     for t in (0.0, 0.3, 0.7, 1.0):
-        xt, ut = J.path.state_at(t)
+        xt, ut = J.path.state_at(0, t)
         gt = at_point(HYPERBOLIC.fundamental_real, xt, ut)
         Jt, dJt = J(t)
         DJt = dJt + cartan(HYPERBOLIC, xt, ut).nonlinear @ Jt
@@ -319,7 +321,7 @@ def test_a_jacobi_system_reads_the_metric_value_once(monkeypatch):
 
     monkeypatch.setattr(MetricDef, "value", counted)
     system = jacobi_boundary_field(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), 1.2)
-    assert system.path.n_steps > 1 and len(calls) == 1
+    assert system.path.steps > 1 and len(calls) == 1
 
 
 # a unit-speed disk geodesic off the origin, where N != 0, so D_T V = dV/ds + N V
@@ -362,7 +364,7 @@ def test_index_form_symmetry_and_projection():
         # the tangential component is projected away; d/ds of f(s) u(s) is
         # f' u - 2 f G(x, u) along the unit-speed geodesic
         def tang(t, path=path):
-            x, u = path.state_at(t)
+            x, u = path.state_at(0, t)
             return u * (1 + 0.3 * t), 0.3 * u - 2.0 * (1 + 0.3 * t) * at_point(
                 spray_coefficients, HYPERBOLIC, x, u)
 
@@ -397,14 +399,14 @@ def test_distance_hessian_skips_dense_output(m, q):
     # counts them in the path's nfev; the steps nobody reads cost none
     system = distance_hessian(PoleDistance(m, np.zeros(m.dim)), np.array(q))
     path, stepped = system.path, system.path.nfev
-    first = path.sol.t[1] * path.speed   # the arc length of the first step
-    x, _ = path.state_at(0.5 * first)
+    first = path.segments[0][0].t[1] * path.speeds[0]   # the arc length of the first step
+    x, _ = path.state_at(0, 0.5 * first)
     assert path.nfev == stepped + 3
-    assert np.array_equal(path.state_at(0.5 * first)[0], x)
-    path.state_at(0.25 * first)
+    assert np.array_equal(path.state_at(0, 0.5 * first)[0], x)
+    path.state_at(0, 0.25 * first)
     assert path.nfev == stepped + 3   # built once per step
-    system.field(np.array(q)[::-1])(path.arc_length)   # read on the last step
-    assert path.nfev == stepped + (6 if path.n_steps > 1 else 3)
+    system.field(np.array(q)[::-1])(path.arc_lengths[0])   # read on the last step
+    assert path.nfev == stepped + (6 if path.steps > 1 else 3)
 
 
 def test_jacobi_system_starts_at_the_shots_settled_step():
@@ -417,8 +419,8 @@ def test_jacobi_system_starts_at_the_shots_settled_step():
         for q in queries:
             system = distance_hessian(pd, np.array(q))
             w = pd._cache[-1][1]   # the velocity of the query's last, tight shot
-            assert system.path.sol.t[1] == min(pd._first_step(w) * system.r, system.r)
-            assert system.path.n_steps == (1 if m is EUCLID2 else 7)
+            assert system.path.segments[0][0].t[1] == min(pd._first_step(w) * system.r, system.r)
+            assert system.path.steps == (1 if m is EUCLID2 else 7)
 
 
 @pytest.mark.parametrize("m, pole, q", [
@@ -446,7 +448,7 @@ def test_jacobi_minimizes_index_form():
         system = jacobi_boundary_field(HYPERBOLIC, x0, u0, r)
         path = system.path
         u_end = np.array([0.0, 1.0])
-        xr, ur = path.state_at(r)
+        xr, ur = path.state_at(0, r)
         g_r = cartan(HYPERBOLIC, xr, ur).g
         u_end = u_end / math.sqrt(u_end @ g_r @ u_end)
         bvp = system.field(u_end)
@@ -572,7 +574,7 @@ def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
     # the index form reads every step of the path, which builds its dense
     # output then: 3 right-hand sides a step, in the path's nfev
     path = system.path
-    assert path.nfev == stepped + 3 * path.n_steps
+    assert path.nfev == stepped + 3 * path.steps
     # each over its reader's kept basis
     assert orders[m.fibre_space(3, 2)] == path.nfev + 1 and orders[m.fibre_space(4, 2)] == 72
     assert sum(orders.values()) == path.nfev + 1 + 72
@@ -1003,12 +1005,17 @@ def test_step_continuation_survives_queries_near_the_edge(monkeypatch):
 
 
 def test_path_csv_export(tmp_path):
-    path = integrate_geodesic(HYPERBOLIC, np.zeros(2), np.array([1.0, 0.0]), 0.8)
-    f = tmp_path / "path.csv"
-    with open(f, "w") as fp:
-        path.to_csv(fp, n=9)
-    rows = f.read_text().strip().splitlines()
-    assert rows[0].split(",")[:3] == ["t", "x0", "x1"]
-    assert len(rows) == 10
+    # ``finsler geodesic`` writes t, x, u and G over 65 even arc steps of its
+    # unit-speed geodesic
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "seed": 1, "plans": {"default": {"radial_range": [0.1, 0.8]}},
+        "metrics": [{"family": "hermitian", "complex_dim": 1,
+                     "params": {"catalog": "poincare_disk"}, "id": "disk"}]}))
+    assert main(["geodesic", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "geodesic" / "disk" / "path.csv").read_text().strip().splitlines()
+    assert rows[0].split(",") == ["t", "x0", "x1", "u0", "u1", "G"]
+    assert len(rows) == 66
     last = [float(v) for v in rows[-1].split(",")]
+    assert last[0] == pytest.approx(0.8, rel=1e-14)
     assert last[-1] == pytest.approx(1.0, abs=1e-8)  # G stays 1 along the path
