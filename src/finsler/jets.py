@@ -30,10 +30,10 @@ tape numbers values as it records: an entry equal to one already recorded
 (same operation, operands and constant) reuses its slot.
 ``JetProgram.replay_rows`` is the one replay: it replays B points at once
 into (B, n) coefficient rows, raveled while it runs, and multiplies them with
-one bincount over a product table, row-offset for B > 1 and ``mult_table``
-itself for one row; each row keeps the summation order of a single jet, so
-row b does not depend on the other rows, and a point is the one-row case.
-Derivative readouts (``JetSpace.gather``) and the Wirtinger transform
+one bincount over a product table, row-offset for B > 1 and the one-row
+table itself for one row; each row keeps the summation order of a single
+jet, so row b does not depend on the other rows, and a point is the one-row
+case. Derivative readouts (``JetSpace.gather``) and the Wirtinger transform
 (``wirtinger_coeffs``) take such rows as they take one jet's coefficients.
 
 A reader replays over the basis it gathers: ``JetSpace.get(..., fibre, reach)``
@@ -44,6 +44,20 @@ outputs sums each kept bin as the full one does; every other step acts
 entrywise, and the Wirtinger transform keeps the degree in each pair. A kept
 replay is the full one's kept coefficients bit for bit (Griewank & Walther,
 ch. 13; Neidinger, Math. Comp. 74, 2005).
+
+A product also multiplies only the monomials of the variables its operands
+depend on: each program slot has a support, the bit mask of the variables
+it depends on (``JetProgram.support``), and its coefficient at a monomial
+with a variable outside it is exactly +-0. So ``JetSpace.support_table``
+keeps, in table order, the entries whose two factors lie in their operands'
+supports, and a Horner product of a composition those in its operand's.
+With finite coefficients every dropped term is a +-0 factor times a finite
+one, so +-0. ``bincount`` accumulates each bin from +0.0, a sum from +0.0
+is never -0.0 in round-to-nearest, and adding +-0 to a value that is not
+-0.0 leaves its bits: the pruned replay is the full one bit for bit. (An
+infinite or NaN coefficient times a dropped +-0 would have made a NaN.)
+The pruned tables of each entry come from a plan built once per program,
+basis and row count (``JetProgram._plan``), not per replay.
 """
 
 from __future__ import annotations
@@ -62,6 +76,10 @@ MAX_ORDER = 4
 #: ``JetProgram.replay_rows`` replays more rows in chunks, which bounds the
 #: memory of its tables and temporaries.
 ROW_PRODUCTS = 2 ** 14
+
+#: Replay plans a ``JetProgram`` keeps (``JetProgram._plan``), one per basis
+#: and row count it replayed last.
+PLANS = 16
 
 _SPACE_CACHE: dict = {}
 
@@ -85,8 +103,8 @@ class JetSpace:
 
     __slots__ = (
         "nvars", "order", "is_complex", "pair_split", "fibre", "reach", "exponents", "n",
-        "degrees", "size_at_order", "_mult_table", "_extract_tables", "_conj_perm",
-        "_derivative_tables", "dtype",
+        "degrees", "size_at_order", "_mult_table", "_support_tables", "_extract_tables",
+        "_conj_perm", "_derivative_tables", "dtype",
     )
 
     def __init__(self, nvars, order, is_complex=False, pair_split=None, fibre=(), reach=None):
@@ -109,6 +127,7 @@ class JetSpace:
         self.size_at_order = [int(np.sum(self.degrees <= o)) for o in range(order + 1)]
         self.dtype = np.complex128 if is_complex else np.float64
         self._mult_table = None
+        self._support_tables = {}
         self._extract_tables = {}
         self._conj_perm = None
         self._derivative_tables = {}
@@ -164,15 +183,22 @@ class JetSpace:
             self._mult_table = (ia, ib, np.searchsorted(keys, keys[ia] + keys[ib]))
         return self._mult_table
 
-    def row_mult_table(self, rows):
-        """``mult_table`` over ``rows`` raveled coefficient rows: entry k of row b
-        reads and writes offset by b * n, so one bincount multiplies every row.
-        One row's is ``mult_table()`` itself; more rows' is built on each call
-        and not kept: a replay builds it once for all its products."""
-        if rows == 1:
-            return self.mult_table()
-        offset = self.n * np.arange(rows)[:, None]
-        return tuple((t + offset).ravel() for t in self.mult_table())
+    def support_table(self, mask_a, mask_b):
+        """The entries of ``mult_table``, in its order, whose factors' monomials
+        use only the variables in the bit masks ``mask_a`` and ``mask_b``: the
+        terms of a product of a jet of those variables by a jet of these.
+        Pairs of masks that keep the same entries share one table."""
+        tab = self._support_tables.get((mask_a, mask_b))
+        if tab is None:
+            ia, ib, iout = self.mult_table()
+            support = (self.exponents > 0) @ (1 << np.arange(self.nvars))
+            keep = np.flatnonzero(((support[ia] | mask_a) == mask_a)
+                                  & ((support[ib] | mask_b) == mask_b))
+            tab = self._support_tables.get(keep.tobytes())
+            if tab is None:
+                tab = self._support_tables[keep.tobytes()] = (ia[keep], ib[keep], iout[keep])
+            self._support_tables[(mask_a, mask_b)] = tab
+        return tab
 
     def extract_table(self, var):
         """(src, fac): ``coeffs[src] * fac`` is the partial in ``var``, one order lower."""
@@ -247,9 +273,13 @@ def _complex_bincount(idx, w, n):
 
 def _product(sp, a, b, table=None):
     """Coefficients of the truncated product of two jets over ``sp``, or of
-    each row pair of B raveled coefficient rows (row b at offset b * n) with
-    ``table`` = ``sp.row_mult_table(B)``; each row sums its terms in the
-    order of one jet's product."""
+    each row pair of B raveled coefficient rows (row b at offset b * n), by
+    one bincount over ``table``: ``sp.mult_table()`` by default, or its
+    entries that a replay plan keeps, row-offset for B rows. Each row sums
+    its terms in the order of one jet's product. A table that drops only
+    terms with a factor of exactly +-0 gives the same bits, since each bin
+    accumulates from +0.0, never holds -0.0, and so is unchanged by adding
+    +-0; a dropped factor of +-0 times a finite one is +-0."""
     ia, ib, iout = sp.mult_table() if table is None else table
     w = a[ia] * b[ib]
     if sp.is_complex:
@@ -259,9 +289,10 @@ def _product(sp, a, b, table=None):
 
 def _compose(sp, coeffs, taylor, table=None, c0=0):
     """Coefficients of g(f) for a jet f over ``sp``, where ``taylor[k]`` =
-    g^(k)(f0)/k!, by Horner's rule on the non-constant part of f. Raveled
-    rows pass their product ``table``, their constant coefficients ``c0``
-    and one Taylor value per row in each ``taylor[k]``."""
+    g^(k)(f0)/k!, by Horner's rule on the non-constant part of f: each step
+    is a ``_product`` over ``table``. Raveled rows pass their product
+    ``table``, their constant coefficients ``c0`` and one Taylor value per
+    row in each ``taylor[k]``."""
     h = coeffs.copy()
     h[c0] = 0.0
     out = np.zeros(coeffs.shape, dtype=sp.dtype)
@@ -683,14 +714,28 @@ class JetProgram:
     slot, a constant, or an exponent. Slots ``0..nvars-1`` hold the seeds and
     entry i defines slot ``nvars + i``. Entries that do not reach the output
     are dropped when the program is recorded.
+
+    ``support[i]`` is the bit mask of the variables slot i depends on: a
+    seed's own, the union of a product's, sum's or difference's operands,
+    none for a constant, and its operand's for every other entry. A slot's
+    coefficient at a monomial with a variable outside its mask is +-0.
     """
 
-    __slots__ = ("nvars", "ops", "out")
+    __slots__ = ("nvars", "ops", "out", "support", "_plans")
 
     def __init__(self, nvars, ops, out):
         self.nvars = nvars
         self.ops = ops
         self.out = out
+        self.support = support = [1 << i for i in range(nvars)]
+        for code, a, b in ops:
+            if code == _CONST:
+                support.append(0)
+            elif code in (_MUL, _ADD, _SUB):
+                support.append(support[a] | support[b])
+            else:
+                support.append(support[a])
+        self._plans = {}
 
     @staticmethod
     def record(fn, nvars) -> "JetProgram":
@@ -734,37 +779,79 @@ class JetProgram:
 
     def replay_rows(self, values, basis) -> np.ndarray:
         """Coefficient rows (B, n) of the formula's jets over ``basis``, a
-        space or an order (``JetSpace.of``), at the B points of ``values``
-        (B, nvars); row b does not depend on the other rows, so a point is
-        replayed as one row.
+        space or an order (``JetSpace.of``), at the B points of the array
+        ``values`` (B, nvars); row b does not depend on the other rows, so a
+        point is replayed as one row.
 
         Rows replay in chunks of at most ``ROW_PRODUCTS`` kept product-table
-        entries. Value-derived Taylor coefficients are computed here, point by
-        point, from the operands, so their errors (zero reciprocal base,
+        entries, each through the plan of its basis and row count (``_plan``),
+        built on first use. A product multiplies only the entries whose
+        factors lie in its operands' supports: with finite coefficients each
+        dropped term is +-0 and leaves its bin's bits, so the rows are those
+        of products over the whole table. The program keeps its last
+        ``PLANS`` plans, each of at most 3 index arrays of a chunk's rows x
+        ``len(sp.mult_table())`` entries per distinct support table.
+        Value-derived Taylor coefficients are computed here, point by point,
+        from the operands, so their errors (zero reciprocal base,
         non-positive fractional-power base, exp overflow) are raised on the
         call that meets them.
         """
-        sp = JetSpace.of(self.nvars, basis)
-        values = np.asarray(values, dtype=float)
-        if len(values) * len(sp.mult_table()[0]) <= ROW_PRODUCTS:
-            return self._run(sp, values)
-        chunk = max(1, ROW_PRODUCTS // len(sp.mult_table()[0]))
-        return np.concatenate([self._run(sp, values[start:start + chunk])
-                               for start in range(0, len(values), chunk)])
-
-    def _run(self, sp, values):
-        """The entries replayed at the B points of ``values``, each slot the B
-        jets' coefficients raveled, row b at offset b * n: a product is one
-        bincount over ``sp.row_mult_table(B)``, and ``c0`` indexes the
-        constant coefficients, an integer for one row, whose assignments cost
-        a fifth of a strided slice's. Returns the output's rows (B, n)."""
         rows = len(values)
+        plan = self._plans.get((basis, rows))
+        if plan is not None:
+            return self._run(plan, values)
+        sp = JetSpace.of(self.nvars, basis)
+        chunk = max(1, ROW_PRODUCTS // len(sp.mult_table()[0]))
         if not rows:
             return np.empty((0, sp.n))
-        s = list(sp.seed_coeffs(values))
-        table = sp.row_mult_table(rows)
-        c0 = 0 if rows == 1 else slice(None, None, sp.n)
+        if rows <= chunk:
+            return self._run(self._plan(basis, sp, rows), values)
+        return np.concatenate([self._run(self._plan(basis, sp, len(part)), part) for part in
+                               (values[start:start + chunk] for start in range(0, rows, chunk))])
+
+    def _plan(self, basis, sp, rows):
+        """The plan of a replay of ``rows`` points over ``sp``, kept under
+        ``(basis, rows)``: ``(sp, steps, seeds, slots, c0)``. A step is an
+        entry with its product table, ``sp.support_table`` of its operands'
+        supports (its operand's for both factors of a Horner product),
+        row-offset by b * n for row b of several. ``seeds`` are the seeds'
+        raveled coefficients, whose constant coefficients each replay writes
+        over, ``slots`` their rows, and ``c0`` indexes the constant
+        coefficients, an integer for one row, whose assignments cost a fifth
+        of a strided slice's."""
+        plan = self._plans.get((basis, rows))
+        if plan is not None:
+            return plan
+        offset = sp.n * np.arange(rows)[:, None]
+        row_tables = {}
+        steps = []
         for code, a, b in self.ops:
+            table = None
+            if code == _MUL or code in _TAYLOR:
+                table = sp.support_table(self.support[a], self.support[b if code == _MUL else a])
+                if rows > 1:
+                    if id(table) not in row_tables:
+                        row_tables[id(table)] = tuple((t + offset).ravel() for t in table)
+                    table = row_tables[id(table)]
+            steps.append((code, a, b, table))
+        seeds = sp.seed_coeffs(np.zeros((rows, self.nvars)))
+        plan = (sp, steps, seeds, list(seeds), 0 if rows == 1 else slice(None, None, sp.n))
+        if len(self._plans) == PLANS:
+            del self._plans[next(iter(self._plans))]
+        self._plans[(basis, rows)] = plan
+        return plan
+
+    def _run(self, plan, values):
+        """The entries replayed at the B points of ``values`` by ``plan``, each
+        slot the B jets' coefficients raveled, row b at offset b * n, a
+        product being one bincount over its step's table. No entry writes
+        into its operands, so the plan's seeds serve every replay; an output
+        that is a seed is copied. Returns the output's rows (B, n)."""
+        sp, steps, seeds, slots, c0 = plan
+        rows = len(values)
+        seeds[:, c0] = values.T if rows > 1 else values[0]
+        s = slots.copy()
+        for code, a, b, table in steps:
             if code == _MUL:
                 r = _product(sp, s[a], s[b], table)
             elif code == _ADD:
@@ -787,7 +874,10 @@ class JetProgram:
             else:
                 r = _compose(sp, s[a], _taylor(code, b, s[a][c0], sp.order), table, c0)
             s.append(r)
-        return s[self.out].reshape(rows, sp.n)
+        out = s[self.out]
+        if self.out < self.nvars:
+            out = out.copy()
+        return out[None] if rows == 1 else out.reshape(rows, sp.n)
 
 
 def _taylor(code, p, f0s, order):

@@ -645,6 +645,46 @@ def record_unmerged(fn, nvars):
     return JetProgram._pruned(nvars, tape.ops, out.slot)
 
 
+def replay_rows_unpruned(program, values, basis):
+    """``JetProgram.replay_rows`` with every product over the whole product
+    table (``JetSpace.mult_table``, row b offset by b * n) and every seed and
+    table built on the call: the reference for the support-pruned tables of
+    the replay plans, which must give its rows byte for byte."""
+    from finsler.jets import (_ADD, _ADDC, _CONST, _MUL, _NEG, _RSUBC, _SCALE, _SUB,
+                              _taylor)
+
+    sp = JetSpace.of(program.nvars, basis)
+    rows = len(values)
+    offset = sp.n * np.arange(rows)[:, None]
+    table = tuple((t + offset).ravel() for t in sp.mult_table())
+    c0 = 0 if rows == 1 else slice(None, None, sp.n)
+    s = list(sp.seed_coeffs(np.asarray(values, dtype=float)))
+    for code, a, b in program.ops:
+        if code == _MUL:
+            r = _product(sp, s[a], s[b], table)
+        elif code == _ADD:
+            r = s[a] + s[b]
+        elif code == _SCALE:
+            r = s[a] * b
+        elif code == _SUB:
+            r = s[a] - s[b]
+        elif code == _ADDC:
+            r = s[a].copy()
+            r[c0] += b
+        elif code == _RSUBC:
+            r = -s[a]
+            r[c0] += b
+        elif code == _NEG:
+            r = -s[a]
+        elif code == _CONST:
+            r = np.zeros(s[0].shape)
+            r[c0] = b
+        else:
+            r = _compose(sp, s[a], _taylor(code, b, s[a][c0], sp.order), table, c0)
+        s.append(r)
+    return s[program.out].reshape(rows, sp.n)
+
+
 # -- geodesic spray read out one partial at a time ----------------------------------
 
 

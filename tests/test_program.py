@@ -20,11 +20,12 @@ from finsler.geometry import MetricDef, complex_to_real_components, realify_metr
 from finsler.cartan import cartan, spray_coefficients, spray_jacobian
 from finsler.chern import chern_finsler, holomorphic_sectional_curvature
 from finsler.jets import (_ADD, _ADDC, _CONST, _EXP, _MUL, _NEG, _POW, _REC, _RSUBC,
-                          _SCALE, _SUB, MAX_ORDER, ROW_PRODUCTS, Jet, JetProgram, JetSpace)
+                          _SCALE, _SUB, MAX_ORDER, PLANS, ROW_PRODUCTS, Jet, JetProgram,
+                          JetSpace)
 from finsler.metrics import _hermitian_form, instantiate
 
 from oracles import (EagerSpace, at_point, complex_jet_by_objects, eager, eager_cjets,
-                     real_jet_by_objects, record_unmerged)
+                     real_jet_by_objects, record_unmerged, replay_rows_unpruned)
 
 
 def _replay(prog, point, order):
@@ -378,13 +379,82 @@ def test_readers_equal_their_full_basis_readouts(monkeypatch, rows):
 
 def test_row_tables_offset_each_row():
     sp = JetSpace(3, 2)
-    ia, ib, iout = sp.mult_table()
+    prog = JetProgram.record(_every_op, 3)
     for rows in (1, 3):
-        tables = sp.row_mult_table(rows)
-        for t, base in zip(tables, (ia, ib, iout)):
-            assert np.array_equal(t.reshape(rows, -1), base + sp.n * np.arange(rows)[:, None])
-        # one row multiplies over the product table itself, built once per space
-        assert (tables is sp.mult_table()) == (rows == 1)
+        tabled = 0
+        for code, a, b, tables in prog._plan(sp, sp, rows)[1]:
+            if tables is None:
+                continue
+            base = sp.support_table(prog.support[a], prog.support[b if code == _MUL else a])
+            for t, t1 in zip(tables, base, strict=True):
+                assert np.array_equal(t.reshape(rows, -1), t1 + sp.n * np.arange(rows)[:, None])
+            # one row multiplies over the support table itself, built once per space
+            assert (tables is base) == (rows == 1)
+            tabled += 1
+        assert tabled == 9   # 5 products, a reciprocal, 2 powers and an exp
+
+
+# the bit-identity families: the disk, C^2, the ball, nonkahler, Minkowski, the
+# Szabo polydisk of disks and a unitary-invariant profile
+UNPRUNED_SPECS = [SPECS[3], SPECS[1], SPECS[5], SPECS[7], SPECS[8], SPECS[12], SPECS[16]]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_replay_rows_equal_the_unpruned_kernel(rows):
+    # a pruned product drops only terms with a factor of exactly +-0, which
+    # leave a bincount's bins as they are; 8 rows of the ball cross a chunk
+    # at order 4 (test_batched_replay_chunks_its_rows)
+    rng = np.random.default_rng(50 + rows)
+    for spec in UNPRUNED_SPECS:
+        m = instantiate(spec)
+        x, u = _batch(m, rng, rows)
+        values = np.concatenate([x, u], axis=1)
+        bases = [*range(MAX_ORDER + 1), m.fibre_space(2, 0), m.spray_space,
+                 m.fibre_space(3, 2), m.fibre_space(4, 2)]
+        for basis in bases:
+            got = m.program.replay_rows(values, basis)
+            want = replay_rows_unpruned(m.program, values, basis)
+            assert got.tobytes() == want.tobytes(), (m.family_id, basis)
+    prog = JetProgram.record(_every_op, 3)
+    for order in range(MAX_ORDER + 1):
+        values = rng.uniform(0.2, 1.5, (rows, 3))
+        assert (prog.replay_rows(values, order).tobytes()
+                == replay_rows_unpruned(prog, values, order).tobytes())
+
+
+def _table_entries(prog, sp):
+    """Product-table entries of one one-row replay over ``sp``, pruned and
+    full: a Taylor entry runs ``order`` Horner products."""
+    pruned = full = 0
+    for code, _, _, tables in prog._plan(sp, sp, 1)[1]:
+        if tables is not None:
+            products = 1 if code == _MUL else sp.order
+            pruned += products * len(tables[0])
+            full += products * len(sp.mult_table()[0])
+    return full, pruned
+
+
+def test_pruned_replays_count_their_table_entries():
+    # machine-independent work of one replay: each product multiplies only
+    # the monomials of the variables its operands depend on
+    disk, ball, minkowski = (instantiate(SPECS[i]) for i in (3, 5, 8))
+    assert _table_entries(ball.program, ball.spray_space) == (3159, 241)
+    assert _table_entries(ball.program, ball.fibre_space(4, 2)) == (99615, 1523)
+    assert _table_entries(minkowski.program, minkowski.fibre_space(4, 2)) == (34350, 2180)
+    assert _table_entries(disk.program, disk.spray_space) == (280, 45)
+
+
+def test_a_program_keeps_its_last_plans():
+    prog = JetProgram.record(lambda s: s[1], 2)   # the output is a seed
+    for rows in range(1, PLANS + 4):
+        prog.replay_rows(np.full((rows, 2), 0.5), 2)
+    assert len(prog._plans) == PLANS and next(iter(prog._plans)) == (2, 4)
+    # each replay writes its values into its plan's seeds: an output that is a
+    # seed is copied, so a later replay leaves the rows it returned
+    for rows in (1, 3):
+        first = prog.replay_rows(np.full((rows, 2), 0.25), 2)
+        prog.replay_rows(np.full((rows, 2), 0.75), 2)
+        assert (first[:, 0] == 0.25).all()
 
 
 def test_zero_rows_give_empty_arrays():
