@@ -214,8 +214,9 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
                               * math.atanh(float(np.linalg.norm(z))) for z in reached]
             worst = max(abs(rho - c) for (_, _, (rho, _)), c in zip(shots.rows, closed_rho))
         rho_errors = {i: exc for i, _, exc in shots.failures}
-        shooting = [{"point_index": i, "starts": exc.starts, "integrations": exc.integrations,
-                     "iterations": exc.iterations, "best_residual": exc.best_residual}
+        shooting = [{"point_index": i, "best_residual": exc.best_residual,
+                     **{k: None if exc.work is None else exc.work[k]
+                        for k in ("starts", "integrations", "iterations")}}
                     for i, exc in rho_errors.items() if isinstance(exc, ShootingError)]
         payload = {"metric": mid, "n_samples": len(rows),
                    "max_closed_form_error": worst,
@@ -233,20 +234,12 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
             if not counts["ok"] or min_margin < -1e-3:
                 status = 1
             summary += f"; levi {_samples_summary(counts)}"
-        cost = {"starts": pd.total_starts,
-                "integrations": pd.total_integrations,
-                "loose_integrations": pd.loose_integrations,
-                "iterations": pd.total_iterations,
-                "rhs_evaluations": pd.rhs_evaluations,
-                "jacobi_integrations": pd.jacobi_integrations,
-                "jacobi_rhs_evaluations": pd.jacobi_rhs_evaluations}
-        summary += (f"; shooting {cost['starts']} starts, {cost['integrations']} integrations "
-                    f"({cost['loose_integrations']} loose), {cost['iterations']} iterations, "
-                    f"{cost['rhs_evaluations']} right-hand sides; jacobi "
-                    f"{cost['jacobi_integrations']} integrations, "
-                    f"{cost['jacobi_rhs_evaluations']} right-hand sides")
+        summary += ("; shooting {starts} starts, {integrations} integrations "
+                    "({loose_integrations} loose), {iterations} iterations, {rhs_evaluations} "
+                    "right-hand sides; jacobi {jacobi_integrations} integrations, "
+                    "{jacobi_rhs_evaluations} right-hand sides").format_map(pd.work)
         d = _write_report(outdir, "distance", mid, payload, config,
-                          metadata={"shooting": cost})
+                          metadata={"shooting": dict(pd.work)})
         _write_csv(d / "distance.csv", ["point_index", "rho", "residual"], rows)
         if levi_rows is not None:
             _write_csv(d / "levi.csv",

@@ -34,18 +34,16 @@ class DegenerateFlagError(FinslerError):
 class ShootingError(FinslerError):
     """Boundary-value geodesic solve failed to converge.
 
-    ``starts`` counts the initial velocities tried, ``integrations`` and
-    ``iterations`` the integrations and Gauss-Newton steps spent, and
-    ``best_residual`` is the least endpoint mismatch (inf if none succeeded).
+    ``work`` is the failed solve's share of its solver's work record
+    (``PoleDistance.work``: starts tried, integrations, Gauss-Newton steps),
+    None where the error did not end a shooting solve, and ``best_residual``
+    is the least endpoint mismatch (inf if none succeeded).
     """
 
-    def __init__(self, message, best_residual=None, starts=None, integrations=None,
-                 iterations=None):
+    def __init__(self, message, best_residual=None, work=None):
         super().__init__(message)
         self.best_residual = best_residual
-        self.starts = starts
-        self.integrations = integrations
-        self.iterations = iterations
+        self.work = work
 
 
 class ConjugatePointError(FinslerError):

@@ -30,6 +30,7 @@ and no curvature, and D_T J = dx' + N dx.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -206,9 +207,12 @@ class RhoResult:
     T: np.ndarray
     w: np.ndarray                 # initial velocity reaching the target at t=1
     residual: float
-    n_integrations: int
-    iterations: int               # Gauss-Newton steps taken over all starts
+    work: Counter                 # this query's share of its solver's ``work``
 
+
+# the names of the counts that ``PoleDistance.work`` keeps
+WORK = ("starts", "integrations", "loose_integrations", "iterations", "rhs_evaluations",
+        "jacobi_integrations", "jacobi_rhs_evaluations")
 
 # tolerances of the shooting integrations, tighter than a plain path
 SHOOT_RTOL = 1e-12
@@ -235,7 +239,7 @@ class PoleDistance:
     earlier one cost only a couple of extra integrations, and a repeated one
     a single integration.
 
-    Starts, in order (``_starts``; ``total_starts`` counts those tried):
+    Starts, in order (``_starts``; ``work["starts"]`` counts those tried):
     the chord start (q - p) L / F(p, q - p), L the Finsler length of the
     straight chord from the pole p to q by a 32-point Gauss-Legendre rule;
     L >= rho, with equality where the chord is a geodesic (radii of the disk
@@ -255,10 +259,13 @@ class PoleDistance:
     every ``RhoResult``, comes from a tight integration of its ``w``: a loose
     iterate is integrated again at the tight tolerances before it may
     converge or end the solve.
-    ``loose_integrations`` counts the loose share of ``total_integrations``,
-    and ``rhs_evaluations`` sums their right-hand sides (their ``nfev``);
-    ``jacobi_integrations`` and ``jacobi_rhs_evaluations`` count the Jacobi
-    systems of the distance Hessians shot with the solver.
+    ``work`` is the solver's one record of its cost, a ``Counter`` over
+    ``WORK`` that starts with every count at 0: ``loose_integrations`` counts
+    the loose share of ``integrations``, and ``rhs_evaluations`` sums their
+    right-hand sides (their ``nfev``); ``jacobi_integrations`` and
+    ``jacobi_rhs_evaluations`` count the Jacobi systems of the distance
+    Hessians shot with the solver. A ``RhoResult`` or ``ShootingError`` holds
+    its query's share, ``work`` after the query minus before.
 
     Step continuation (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
     all shots leave the same pole along nearby geodesics, so each starts at
@@ -275,13 +282,7 @@ class PoleDistance:
         self.pole = np.asarray(pole, dtype=float)
         self._cache = []
         self._targets = np.empty((0, m.dim))   # the targets of ``_cache``, in its order
-        self.total_starts = 0
-        self.total_integrations = 0
-        self.loose_integrations = 0
-        self.total_iterations = 0
-        self.rhs_evaluations = 0
-        self.jacobi_integrations = 0      # counted by ``distance_hessian``
-        self.jacobi_rhs_evaluations = 0
+        self.work = Counter(dict.fromkeys(WORK, 0))
         self._steps = {False: None, True: None}   # last shot's step times |w|, by looseness
 
     def _first_step(self, w, loose=False):
@@ -294,13 +295,12 @@ class PoleDistance:
     def _endpoint(self, w, loose=False):
         """End state (x, u) at t = 1 of the geodesic leaving the pole with
         velocity w, integrated at the loose or the tight shooting tolerances."""
-        self.total_integrations += 1
-        self.loose_integrations += loose
+        self.work.update(integrations=1, loose_integrations=loose)
         sol = _integrate_affine(self.m, self.pole, w, 1.0,
                                 rtol=LOOSE_RTOL if loose else SHOOT_RTOL,
                                 atol=LOOSE_ATOL if loose else SHOOT_ATOL,
                                 first_step=self._first_step(w, loose))
-        self.rhs_evaluations += sol.nfev
+        self.work["rhs_evaluations"] += sol.nfev
         # loose shots keep their larger last step: from h_next, warm Hessians moved 2.8e-12
         step = float(np.diff(sol.t)[-2:].max()) if loose else sol.h_next
         self._steps[loose] = step * float(np.linalg.norm(w))
@@ -334,20 +334,18 @@ class PoleDistance:
     def rho(self, q) -> RhoResult:
         q = np.asarray(q, dtype=float)
         if float(np.linalg.norm(q - self.pole)) < 1e-14:
-            return RhoResult(0.0, np.zeros_like(q), np.zeros_like(q), 0.0, 0, 0)
+            return RhoResult(0.0, np.zeros_like(q), np.zeros_like(q), 0.0, Counter())
         scale = 1.0 + float(np.linalg.norm(q - self.pole))
         # iterate toward the tight target; accept the documented tolerance
         tol = 3e-12 * scale
         tol_accept = 1e-9 * scale
-        start, start_iterations = self.total_integrations, self.total_iterations
+        before = self.work.copy()
 
         near = self._nearest(q)
         J = None if near is None else near[2]
         best_res = math.inf
-        starts = 0
         for winit in self._starts(q, near):
-            starts += 1
-            self.total_starts += 1
+            self.work["starts"] += 1
             w, y, J_fin, resid = self._gauss_newton(winit, q, J, tol)
             J = None
             if resid is not None:
@@ -356,14 +354,12 @@ class PoleDistance:
                 u_end = y[self.m.dim:]
                 rho = math.sqrt(self.m.value(self.pole, w))
                 self._remember(q, w, J_fin)
-                return RhoResult(rho, u_end / rho, w, resid,
-                                 self.total_integrations - start,
-                                 self.total_iterations - start_iterations)
-        spent, steps = self.total_integrations - start, self.total_iterations - start_iterations
+                return RhoResult(rho, u_end / rho, w, resid, self.work - before)
+        work = self.work - before
         raise ShootingError(
-            f"shooting to {q} did not converge: {starts} starts, {spent} "
-            f"integrations, {steps} Gauss-Newton steps, best residual {best_res:.3g}",
-            best_residual=best_res, starts=starts, integrations=spent, iterations=steps)
+            f"shooting to {q} did not converge: {work['starts']} starts, {work['integrations']} "
+            f"integrations, {work['iterations']} Gauss-Newton steps, best residual {best_res:.3g}",
+            best_res, work)
 
     def _gauss_newton(self, w, q, J, tol, max_iter=40):
         """Solve endpoint(w) = q from ``w``; returns ``(w, y, J, residual)``.
@@ -422,7 +418,7 @@ class PoleDistance:
             if denom > 0:
                 J = J + np.outer(dF - J @ dw, dw) / denom
             w, y, F, loose = w_new, y_new, F_new, trial_loose
-            self.total_iterations += 1
+            self.work["iterations"] += 1
         if loose:
             y = self._endpoint(w)
             F = y[:d] - q
@@ -669,8 +665,8 @@ def distance_hessian(pd: PoleDistance, x) -> BoundaryJacobiSystem:
     the proposal of the solver's last tight shot, scaled to ``base.w`` and
     times rho, since the system runs in arc length. Every step still
     passes DOP853's error test, so H depends on the solver's history only in
-    its last bits. ``pd.jacobi_integrations`` and ``pd.jacobi_rhs_evaluations``
-    count the systems and their right-hand sides.
+    its last bits. The system and its right-hand sides count into ``pd.work``
+    as ``jacobi_integrations`` and ``jacobi_rhs_evaluations``.
     """
     x = np.asarray(x, dtype=float)
     if float(np.linalg.norm(x - pd.pole)) < 1e-6:
@@ -678,8 +674,7 @@ def distance_hessian(pd: PoleDistance, x) -> BoundaryJacobiSystem:
     base = pd.rho(x)
     system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value,
                                    first_step=pd._first_step(base.w) * base.value)
-    pd.jacobi_integrations += 1
-    pd.jacobi_rhs_evaluations += system.path.nfev
+    pd.work.update(jacobi_integrations=1, jacobi_rhs_evaluations=system.path.nfev)
     return system
 
 

@@ -1098,12 +1098,12 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     cost = {"starts": len(starts),
             "integrations": len(shots),
             "loose_integrations": sum(loose for _, loose in shots),
-            "iterations": sum(r.iterations for _, r in solves),
+            "iterations": sum(r.work["iterations"] for _, r in solves),
             "rhs_evaluations": sum(nfev),
             "jacobi_integrations": len(jacobi_nfev),
             "jacobi_rhs_evaluations": sum(jacobi_nfev)}
     assert cost["starts"] == 4
-    assert cost["integrations"] == sum(r.n_integrations for _, r in solves) == len(nfev) == 17
+    assert cost["integrations"] == sum(r.work["integrations"] for _, r in solves) == len(nfev) == 17
     # one Jacobi system per Levi point
     assert cost["jacobi_integrations"] == 2
     assert doc["metadata"]["shooting"] == cost
@@ -1122,14 +1122,21 @@ def test_cmd_distance_reports_a_closed_form_error_only_where_measured(
         tmp_path, capsys, config, mid, measured):
     # the disk's distance has the atanh closed form; the Szabo polydisk's has
     # none, so no error was measured
+    from finsler.geodesic import WORK
     out = tmp_path / "out"
     assert main(["distance", "--config", str(config(tmp_path)), "--out", str(out)]) == 0
-    error = json.loads((out / "distance" / mid / "report.json").read_text())["payload"][
-        "max_closed_form_error"]
+    doc = json.loads((out / "distance" / mid / "report.json").read_text())
+    error = doc["payload"]["max_closed_form_error"]
+    shooting = doc["metadata"]["shooting"]
+    # every count is reported, those that read 0 too
+    assert sorted(shooting) == sorted(WORK)
     line = capsys.readouterr().out
     if measured:
         assert 0.0 <= error < 1e-6
         assert f"max closed-form error {error:.2e};" in line
+        # the two column points and their two Levi points each land at one tight shot
+        assert [shooting[k] for k in ("starts", "integrations", "loose_integrations",
+                                      "iterations")] == [4, 4, 0, 0]
     else:
         assert error is None
         assert "max closed-form error n/a;" in line
@@ -1164,8 +1171,8 @@ def test_cmd_distance_levi_samples_reuse_the_rho_column_shots(tmp_path, monkeypa
     # two rho-column solves, then one distance Hessian per Levi point, each
     # starting from the velocity its column solve converged to
     assert len(solves) == 4
-    assert all(r.n_integrations > 1 for r in solves[:2])
-    assert [(r.n_integrations, r.iterations) for r in solves[2:]] == [(1, 0), (1, 0)]
+    assert all(r.work["integrations"] > 1 for r in solves[:2])
+    assert [(r.work["integrations"], r.work["iterations"]) for r in solves[2:]] == [(1, 0), (1, 0)]
     d = out / "distance" / "szabo"
     column = dict(row.split(",")[:2] for row in
                   (d / "distance.csv").read_text().splitlines()[1:])
@@ -1202,7 +1209,7 @@ def test_cmd_distance_levi_points_of_a_long_plan_stay_one_integration(tmp_path, 
     assert all(n > 1 for n, _ in solves[:49])
     levi = solves[49:]
     assert len(levi) == 4
-    assert all(n == result.n_integrations == 1 for n, result in levi)
+    assert all(n == result.work["integrations"] == 1 for n, result in levi)
 
 
 def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
@@ -1210,7 +1217,7 @@ def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
     from finsler.geodesic import PoleDistance
 
     def outside(self, w):
-        self.total_integrations += 1
+        self.work["integrations"] += 1
         raise DomainError("injected")
 
     monkeypatch.setattr(PoleDistance, "_endpoint", outside)

@@ -145,11 +145,11 @@ def test_pole_distance_tangent_and_warm_start():
     # off the pole's diameter the cold query iterates
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     pd.rho(q)
-    n1 = pd.total_integrations
+    n1 = pd.work["integrations"]
     assert n1 > 1
     q2 = q + np.array([1e-3, -2e-3])
     r2 = pd.rho(q2)
-    assert pd.total_integrations - n1 <= n1  # warm start reuses work
+    assert pd.work["integrations"] - n1 <= n1  # warm start reuses work
     assert r2.value == pytest.approx(ball_distance(OFF_POLE, q2), abs=1e-9)
 
 
@@ -159,8 +159,8 @@ def test_cold_flat_query_integrates_once():
     pd = PoleDistance(EUCLID2, np.zeros(4))
     q = np.array([0.3, -0.2, 0.1, 0.4])
     r = pd.rho(q)
-    assert r.n_integrations == 1
-    assert pd.total_integrations == 1
+    assert r.work["integrations"] == 1
+    assert pd.work["integrations"] == 1
     assert r.value == pytest.approx(np.linalg.norm(q), abs=1e-12)
     assert np.allclose(r.T, q / np.linalg.norm(q), atol=1e-12)
 
@@ -179,7 +179,7 @@ def test_chord_length_bounds_rho(m):
             v = rng.standard_normal(4)
             q = radius * v / np.linalg.norm(v)
             r = pd.rho(q)
-            assert r.n_integrations > 1   # the chord is no geodesic
+            assert r.work["integrations"] > 1   # the chord is no geodesic
             assert _chord_length(pd, q) >= r.value - 1e-12
 
 
@@ -192,7 +192,7 @@ def test_chord_length_of_a_radius_is_rho(m):
         q = radius * v / np.linalg.norm(v)
         assert _chord_length(pd, q) == pytest.approx(math.atanh(radius), abs=1e-12)
         r = pd.rho(q)
-        assert (r.n_integrations, r.iterations) == (1, 0)
+        assert (r.work["integrations"], r.work["iterations"]) == (1, 0)
         assert r.value == pytest.approx(math.atanh(radius), abs=1e-12)
 
 
@@ -219,15 +219,15 @@ def test_one_shot_landing_caches_no_jacobian():
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     on_diameter = np.array([0.7, 0.0])
     r = pd.rho(on_diameter)
-    assert (r.n_integrations, r.iterations) == (1, 0)
+    assert (r.work["integrations"], r.work["iterations"]) == (1, 0)
     assert r.value == pytest.approx(ball_distance(OFF_POLE, on_diameter), abs=1e-12)
     assert pd._cache[-1][2] is None
     # a neighbour off the diameter costs what it costs cold, not more
     neighbour = np.array([0.68, 0.12])
     cold = PoleDistance(HYPERBOLIC, OFF_POLE).rho(neighbour)
-    assert cold.n_integrations > 1
+    assert cold.work["integrations"] > 1
     warm = pd.rho(neighbour)
-    assert warm.n_integrations <= cold.n_integrations
+    assert warm.work["integrations"] <= cold.work["integrations"]
     assert warm.value == pytest.approx(ball_distance(OFF_POLE, neighbour), abs=1e-9)
 
 
@@ -248,7 +248,7 @@ def test_arriving_tangent_is_the_converged_shot(monkeypatch):
     steps = _record_first_steps(monkeypatch)
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     r = pd.rho(OFF_Q)
-    assert r.n_integrations > 1   # Gauss-Newton iterated before converging
+    assert r.work["integrations"] > 1   # Gauss-Newton iterated before converging
     # the accepted shot is the last integration
     sol = _integrate_affine(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
                             atol=SHOOT_ATOL, first_step=steps[-1])
@@ -439,7 +439,7 @@ def test_warm_distance_hessian_matches_a_fresh_one(m, pole, q):
     b = distance_hessian(PoleDistance(m, pole), q)
     for x, y in ((a.boundary_form(), b.boundary_form()), (a.M, b.M), (a.W, b.W)):
         assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
-    assert warm.jacobi_integrations == 4
+    assert warm.work["jacobi_integrations"] == 4
 
 
 def test_jacobi_minimizes_index_form():
@@ -664,13 +664,41 @@ def test_hessian_rho_factors_M_once(monkeypatch):
     assert sum(a is M for a in cond_args) == sum(a is M for a in solve_args) == 1
 
 
-def test_rho_counts_gauss_newton_steps():
+def test_rho_counts_gauss_newton_steps(monkeypatch):
+    rho = PoleDistance.rho
+    results = []
+
+    def recorded(self, q):
+        results.append(rho(self, q))
+        return results[-1]
+
+    def outside(*args, **kwargs):
+        raise DomainError("injected")
+
+    monkeypatch.setattr(PoleDistance, "rho", recorded)
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     r = pd.rho(OFF_Q)
-    assert r.iterations == pd.total_iterations > 0
+    assert r.work["iterations"] == pd.work["iterations"] > 0
     # one shot and two Jacobian probes, then one integration per full step
-    assert r.n_integrations == 1 + 2 + r.iterations
-    assert pd.rho(pd.pole).iterations == 0
+    assert r.work["integrations"] == 1 + 2 + r.work["iterations"]
+    warm = pd.rho(OFF_Q)
+    assert (warm.work["starts"], warm.work["integrations"], warm.work["iterations"]) == (1, 1, 0)
+    pole = pd.rho(pd.pole)
+    assert pole.work["iterations"] == 0
+    assert not pole.work
+    system = distance_hessian(pd, np.array([0.2, 0.4]))
+    # a query whose every integration fails counts each of them: one per
+    # start, the nearest cached velocity and the seven of a cold query
+    monkeypatch.setattr(geodesic, "_integrate_affine", outside)
+    with pytest.raises(ShootingError) as info:
+        pd.rho(np.array([-0.2, 0.3]))
+    assert info.value.work == Counter(starts=8, integrations=8)
+    # the shares of the four results (the last the Hessian's own rho) and of
+    # the error, with the Hessian's Jacobi system, add up to the solver's record
+    assert len(results) == 4
+    shares = sum((res.work for res in results), info.value.work)
+    assert shares + Counter(jacobi_integrations=1,
+                            jacobi_rhs_evaluations=system.path.nfev) == pd.work
 
 
 def test_shooting_propagates_programming_errors(monkeypatch):
@@ -703,7 +731,7 @@ def test_shooting_error_counts_starts_and_integrations(monkeypatch):
     from finsler.errors import DomainError
 
     def outside(self, w):
-        self.total_integrations += 1
+        self.work["integrations"] += 1
         raise DomainError("injected")
 
     monkeypatch.setattr(PoleDistance, "_endpoint", outside)
@@ -714,11 +742,11 @@ def test_shooting_error_counts_starts_and_integrations(monkeypatch):
     # a cold query starts from the chord start, from q itself, then the
     # direction grid
     n_starts = len(list(pd._starts(q, None)))
-    assert info.value.starts == n_starts == 7
-    assert pd.total_starts == n_starts
-    assert info.value.integrations == n_starts   # one failed integration per start
+    assert info.value.work["starts"] == n_starts == 7
+    assert pd.work["starts"] == n_starts
+    assert info.value.work["integrations"] == n_starts   # one failed integration per start
     assert info.value.best_residual == math.inf
-    assert info.value.iterations == 0
+    assert info.value.work["iterations"] == 0
     assert f"{n_starts} starts, {n_starts} integrations, 0 Gauss-Newton steps" in str(info.value)
 
 
@@ -757,7 +785,7 @@ def test_repeat_queries_replace_their_cache_entries():
     assert len(pd._cache) == 2
     for q, before in zip(targets, first):
         r = pd.rho(q)
-        assert (r.n_integrations, r.iterations) == (1, 0)
+        assert (r.work["integrations"], r.work["iterations"]) == (1, 0)
         assert r.value == before.value and np.array_equal(r.w, before.w)
     assert len(pd._cache) == 2
     assert [entry[0].tolist() for entry in pd._cache] == [q.tolist() for q in targets]
@@ -778,8 +806,8 @@ def test_singular_refreshed_jacobian_gives_up_the_start(monkeypatch):
     with pytest.raises(ShootingError) as info:
         pd.rho(OFF_Q)
     # each start: one integration, one refresh, then no step to take
-    assert info.value.starts == len(calls) == 7
-    assert info.value.integrations == 7
+    assert info.value.work["starts"] == len(calls) == 7
+    assert info.value.work["integrations"] == 7
 
 
 def test_refreshed_jacobian_whose_steps_never_improve_gives_up(monkeypatch):
@@ -788,8 +816,8 @@ def test_refreshed_jacobian_whose_steps_never_improve_gives_up(monkeypatch):
     with pytest.raises(ShootingError) as info:
         pd.rho(OFF_Q)
     # each start: one integration, two probes, three trial steps, no improvement
-    assert info.value.starts == len(calls) == 7
-    assert info.value.integrations == 7 * (1 + 2 + 3)
+    assert info.value.work["starts"] == len(calls) == 7
+    assert info.value.work["integrations"] == 7 * (1 + 2 + 3)
 
 
 def test_failed_trial_step_is_halved(monkeypatch):
@@ -856,15 +884,15 @@ def test_loose_shots_only_step_from_large_residuals(monkeypatch, m, queries):
                 assert caller == "_gauss_newton" and res > geodesic.LOOSE_ABOVE
         # the accepted iterate is the last shot, and a tight one
         assert not shots[-1][0] and np.array_equal(shots[-1][3], r.w)
-    assert 0 < pd.loose_integrations < pd.total_integrations
+    assert 0 < pd.work["loose_integrations"] < pd.work["integrations"]
 
 
 def test_cold_flat_query_is_one_tight_integration(monkeypatch):
     shots = _record_shots(monkeypatch)
     pd = PoleDistance(EUCLID2, np.zeros(4))
-    assert pd.rho(np.array([0.3, -0.2, 0.1, 0.4])).n_integrations == 1
+    assert pd.rho(np.array([0.3, -0.2, 0.1, 0.4])).work["integrations"] == 1
     assert [loose for loose, *_ in shots] == [False]
-    assert pd.loose_integrations == 0
+    assert pd.work["loose_integrations"] == 0
 
 
 def test_loose_iterate_below_tol_is_integrated_again_tight(monkeypatch):
@@ -881,7 +909,7 @@ def test_loose_iterate_below_tol_is_integrated_again_tight(monkeypatch):
     loose, caller, res, w = shots[-1]
     assert not loose and res < 3e-12 * (1 + np.linalg.norm(q - OFF_POLE)) and np.array_equal(w, r.w)
     assert shots[-2][0] and np.array_equal(shots[-2][3], r.w)   # the same w, loose
-    assert r.n_integrations == 1 + 2 + r.iterations + 1
+    assert r.work["integrations"] == 1 + 2 + r.work["iterations"] + 1
     sol = _integrate_affine(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
                             atol=SHOOT_ATOL, first_step=steps[-1])
     assert np.array_equal(r.T, sol.y[2:, -1] / r.value)
@@ -972,9 +1000,9 @@ def test_a_warm_flat_query_starts_at_the_settled_step(monkeypatch):
     pd = PoleDistance(EUCLID2, np.zeros(4))
     costs = []
     for q in ([0.3, -0.2, 0.1, 0.4], [-0.5, 0.1, 0.2, 0.3], [0.1, 0.6, -0.3, 0.2]):
-        before = pd.rhs_evaluations
-        assert pd.rho(np.array(q)).n_integrations == 1
-        costs.append(pd.rhs_evaluations - before)
+        before = pd.work["rhs_evaluations"]
+        assert pd.rho(np.array(q)).work["integrations"] == 1
+        costs.append(pd.work["rhs_evaluations"] - before)
     assert costs[0] > 13 and costs[1:] == [13, 13]
     assert steps[0] is None and all(step >= 1.0 for step in steps[1:])
 

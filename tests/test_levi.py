@@ -83,8 +83,8 @@ def test_levi_samples_start_their_jacobi_systems_at_the_shots_step(monkeypatch):
         field = LeviField(EUCLID1, np.zeros(1, complex), curvature_K=0.0)
         for z, v in points:
             assert field.sample(z, v).levi_value == pytest.approx(1.0, abs=1e-8)
-        assert field.pd.jacobi_integrations == 8
-        return field.pd.jacobi_rhs_evaluations
+        assert field.pd.work["jacobi_integrations"] == 8
+        return field.pd.work["jacobi_rhs_evaluations"]
 
     continued = jacobi_cost()
     integrate = geodesic._integrate_jacobi
