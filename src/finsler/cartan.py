@@ -36,15 +36,15 @@ from .report import require_finite
 
 @dataclass
 class CartanData:
-    """Connection and curvature coefficients at a point (x, u), or at each row
-    of x, u: every field then has a leading row axis."""
+    """The fundamental tensor, spray, nonlinear connection and spray curvature
+    at a point (x, u), or at each row of x, u: every field then has a leading
+    row axis. The connection's own coefficients Gamma, which no route reads,
+    are not formed."""
 
     u: np.ndarray
     g: np.ndarray              # fundamental tensor g_ij = (1/2) G_ij
     spray: np.ndarray          # G^i, geodesic equation xddot + 2 G = 0
     nonlinear: np.ndarray      # N^i_j = dG^i/du^j
-    gamma_h: np.ndarray        # horizontal coefficients Gamma^j_{i;k}
-    gamma_v: np.ndarray        # vertical coefficients Gamma^j_{ik}
     riemann: np.ndarray        # R^i_k of the spray
 
 
@@ -100,9 +100,9 @@ def spray_jacobian(jet: Jet, u):
 
 
 def cartan(m: MetricDef, x, u) -> CartanData:
-    """Cartan connection and curvature at (x, u) of shape (d,), or at each row
-    of x, u of shape (B, d) from one order-4 ``real_rows`` replay, each row
-    bit for bit its point's."""
+    """The Cartan data (``CartanData``: g, spray, N and the spray curvature)
+    at (x, u) of shape (d,), or at each row of x, u of shape (B, d) from one
+    order-4 ``real_rows`` replay, each row bit for bit its point's."""
     u = np.asarray(u, dtype=float)
     d = m.dim
     sp, U = m.fibre_space(4, 2), slice(d, None)
@@ -112,13 +112,6 @@ def cartan(m: MetricDef, x, u) -> CartanData:
                       sp.gather(coeffs, 4, U, slice(None), slice(None), U))
     g, g_inv, spray, dg, dS = _jacobian(D1, D2, D3u, u, d)
     N = dS[..., d:]
-
-    # delta_k g_il = d_k g_il - N^m_k d_{u^m} g_il
-    delta = dg[..., :d] - np.einsum("...mk,...ilm->...ilk", N, dg[..., d:])
-    gamma_h = 0.5 * np.einsum(
-        "...jl,...ilk->...jik", g_inv,
-        delta + np.moveaxis(delta, -1, -3) - np.swapaxes(delta, -1, -2))
-    gamma_v = 0.5 * np.einsum("...jl,...ikl->...jik", g_inv, dg[..., d:])
 
     # d2b and d2S on the u columns riemann reads; D3[x, :, u] is D3u moved
     d2b = (np.einsum("...lkac,...k->...lac", D4[..., :d, :, :], u)
@@ -131,8 +124,7 @@ def cartan(m: MetricDef, x, u) -> CartanData:
                     - np.swapaxes(dg_dS, -1, -2)[..., d:])
     riemann = (2.0 * dS[..., :d] - np.einsum("...j,...ijk->...ik", u, d2S[..., :d, :])
                + 2.0 * np.einsum("...j,...ijk->...ik", spray, d2S[..., d:, :]) - N @ N)
-    return CartanData(u=u, g=g, spray=spray, nonlinear=N, gamma_h=gamma_h,
-                      gamma_v=gamma_v, riemann=riemann)
+    return CartanData(u=u, g=g, spray=spray, nonlinear=N, riemann=riemann)
 
 
 def _flag_ratio(g, R, X, gu, gX, guX) -> float:

@@ -73,8 +73,7 @@ def chern_finsler(m: MetricDef, z, v) -> ChernFinslerData:
     v = np.asarray(v, dtype=complex)
     n = m.n
     Z, V, ZB, VB = (slice(k * n, (k + 1) * n) for k in range(4))
-    coeffs = m.complex_rows(z, v, JetSpace.get(4 * n, 4, fibre=range(2 * n, 4 * n), reach=2))
-    sp = JetSpace.get(4 * n, 4, True, 2 * n, (*range(n, 2 * n), *range(3 * n, 4 * n)), 2)
+    sp, coeffs = m.complex_rows(z, v, JetSpace.get(4 * n, 4, fibre=range(2 * n, 4 * n), reach=2))
     partials = functools.partial(sp.gather, coeffs)
     # the blocks the algebra reads, each with the bits of the full tensor's slice
     D2 = partials(2)

@@ -215,8 +215,7 @@ def cmd_distance(config: RunConfig, outdir: Path) -> int:
             worst = max(abs(rho - c) for (_, _, (rho, _)), c in zip(shots.rows, closed_rho))
         rho_errors = {i: exc for i, _, exc in shots.failures}
         shooting = [{"point_index": i, "best_residual": exc.best_residual,
-                     **{k: None if exc.work is None else exc.work[k]
-                        for k in ("starts", "integrations", "iterations")}}
+                     **{k: exc.work[k] for k in ("starts", "integrations", "iterations")}}
                     for i, exc in rho_errors.items() if isinstance(exc, ShootingError)]
         payload = {"metric": mid, "n_samples": len(rows),
                    "max_closed_form_error": worst,

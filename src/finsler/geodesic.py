@@ -222,6 +222,8 @@ SHOOT_ATOL = 1e-14
 LOOSE_ABOVE = 1e-5
 LOOSE_RTOL = 1e-8
 LOOSE_ATOL = 1e-10
+# Gauss-Newton iterations of one start before it returns its last iterate
+MAX_ITERATIONS = 40
 # the parameters t of the chord p + t (q - p) at which its length is read: 0
 # for the pole, then the nodes of the 32-point Gauss-Legendre rule on [0, 1],
 # whose weights are _CHORD_WEIGHTS
@@ -346,11 +348,13 @@ class PoleDistance:
         best_res = math.inf
         for winit in self._starts(q, near):
             self.work["starts"] += 1
-            w, y, J_fin, resid = self._gauss_newton(winit, q, J, tol)
+            try:
+                w, y, J_fin, resid = self._gauss_newton(winit, q, J, tol)
+            except SAMPLE_ERRORS:
+                resid = math.inf   # a failed shot, probe or re-integration ends its start only
             J = None
-            if resid is not None:
-                best_res = min(best_res, resid)
-            if resid is not None and resid < tol_accept:
+            best_res = min(best_res, resid)
+            if resid < tol_accept:
                 u_end = y[self.m.dim:]
                 rho = math.sqrt(self.m.value(self.pole, w))
                 self._remember(q, w, J_fin)
@@ -361,20 +365,18 @@ class PoleDistance:
             f"integrations, {work['iterations']} Gauss-Newton steps, best residual {best_res:.3g}",
             best_res, work)
 
-    def _gauss_newton(self, w, q, J, tol, max_iter=40):
+    def _gauss_newton(self, w, q, J, tol):
         """Solve endpoint(w) = q from ``w``; returns ``(w, y, J, residual)``.
 
         ``y`` is the end state (x, u) of the tight integration of the returned
         ``w``, so its arriving tangent needs no second integration, and the
-        residual is read from it. The residual is ``None`` when the first
-        integration fails.
+        residual is read from it. A failed trial step is skipped; any other
+        failed integration (the first shot, a finite-difference probe, a
+        tight re-integration) raises, which ends the start (``rho``).
         """
         d = self.m.dim
         w = np.asarray(w, dtype=float).copy()
-        try:
-            y = self._endpoint(w)
-        except SAMPLE_ERRORS:
-            return w, None, None, None
+        y = self._endpoint(w)
         F = y[:d] - q
         loose = False   # y, F come from a loose integration
         refreshed = J is None
@@ -382,7 +384,7 @@ class PoleDistance:
             if float(np.linalg.norm(F)) < tol:
                 return w, y, None, float(np.linalg.norm(F))
             J = self._fd_jacobian(w, F + q)
-        for _ in range(max_iter):
+        for _ in range(MAX_ITERATIONS):
             res = float(np.linalg.norm(F))
             if res < tol:
                 if not loose:

@@ -279,16 +279,16 @@ class MetricDef:
         u = complex_to_real_components(v)
         return wirtinger(self.real_jet(x, u, order), self._wirtinger_pairs)
 
-    def complex_rows(self, z, v, basis) -> np.ndarray:
-        """Coefficient rows of the Wirtinger jets at the B rows of z, v of shape
-        (B, n), row b the coefficients of ``complex_jet(z[b], v[b], order)``
-        that the Wirtinger image of the real ``basis`` keeps, bit for bit,
-        from one ``real_rows`` replay; each point is guarded as there."""
+    def complex_rows(self, z, v, basis):
+        """``(space, rows)``: the Wirtinger jets at the B rows of z, v of shape
+        (B, n) over the complex space the image of the real ``basis`` keeps,
+        row b the coefficients of ``complex_jet(z[b], v[b], basis)`` bit for
+        bit, from one ``real_rows`` replay; each point is guarded as there."""
         if not self.is_complex:
             raise StructuralError("complex jets need a complex metric")
         x, u = complex_to_real_components(z), complex_to_real_components(v)
         sp = JetSpace.of(2 * self.dim, basis)
-        return wirtinger_coeffs(self.real_rows(x, u, sp), sp, self._wirtinger_pairs)[1]
+        return wirtinger_coeffs(self.real_rows(x, u, sp), sp, self._wirtinger_pairs)
 
     @property
     def _wirtinger_pairs(self):
@@ -299,12 +299,19 @@ class MetricDef:
     # -- frequently used tensors ---------------------------------------------
 
     def levi_matrix(self, z, v) -> np.ndarray:
-        """(G_{a bbar}) at each row of z, v of shape (B, n), from one order-2
-        ``complex_rows`` replay over ``fibre_space(2, 0)``: v and vbar alone."""
+        """(G_{a bbar}) at each row of z, v of shape (B, n), read off the real
+        fundamental tensor g (``fundamental_real``) at the realified rows: with
+        p, q the real and imaginary parts of v, L = (g_pp + g_qq)/2 +
+        i (g_pq - g_qp)/2 (Abate & Patrizio, LNM 1591, ch. 2). Each part sums
+        two coefficients from +0.0, as the order-2 Wirtinger jet
+        (``complex_rows``) does, so L is its (v, vbar) block bit for bit."""
         n = self.n
-        V, VB = slice(n, 2 * n), slice(3 * n, 4 * n)
-        sp = JetSpace.get(4 * n, 2, True, 2 * n, (*range(n, 2 * n), *range(3 * n, 4 * n)), 0)
-        return sp.gather(self.complex_rows(z, v, self.fibre_space(2, 0)), 2, V, VB)
+        g = self.fundamental_real(complex_to_real_components(z), complex_to_real_components(v))
+        P, Q = slice(None, n), slice(n, None)
+        levi = np.empty(g.shape[:-2] + (n, n), dtype=complex)
+        levi.real = 0.5 * (g[..., P, P] + g[..., Q, Q]) + 0.0
+        levi.imag = 0.5 * (g[..., P, Q] - g[..., Q, P]) + 0.0
+        return levi
 
     def fundamental_real(self, x, u) -> np.ndarray:
         """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j at each row of
@@ -343,20 +350,12 @@ def realify_metric(m: MetricDef) -> MetricDef:
 
 
 def unit_directions(k, dim, seed=0):
-    """k deterministic unit vectors in R^dim (golden-angle lattice for low dim)."""
-    if dim == 1:
-        return np.array([[1.0] if i % 2 == 0 else [-1.0] for i in range(k)])
+    """k deterministic unit vectors in R^dim: a golden-angle lattice on the
+    circle for dim 2, normalized Gaussian draws from ``seed`` above."""
     if dim == 2:
         golden = (1 + math.sqrt(5)) / 2
         ang = 2 * math.pi * np.arange(k) / golden
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if dim == 3:
-        # Fibonacci sphere
-        i = np.arange(k) + 0.5
-        phi = math.pi * (3 - math.sqrt(5)) * i
-        ct = 1 - 2 * i / k
-        st = np.sqrt(1 - ct ** 2)
-        return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=1)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((k, dim))
     return w / np.linalg.norm(w, axis=1, keepdims=True)
@@ -388,8 +387,6 @@ def sample_points(m: MetricDef, plan: SamplePlan):
         w /= np.linalg.norm(w)
         r = lo + (hi - lo) * rng.random()
         scale = m.domain.radius if m.domain.kind == "ball" else 1.0
-        if not math.isfinite(scale):
-            scale = 1.0
         x = r * scale * w
         z = real_to_complex_components(x) if m.is_complex else x
         if m.domain.contains(z):

@@ -99,15 +99,18 @@ class JetSpace:
     """Monomial basis and cached index tables for jets over ``nvars`` variables.
 
     Tables are array operations on the basis rows ``exponents``, which
-    ``locate`` finds by a binary search over their sort keys, without loops."""
+    ``locate`` finds by a binary search over their sort keys, without loops.
+    A complex space (``is_complex``) is the Wirtinger layout of
+    ``wirtinger_coeffs``, the one producer of complex jets: variables
+    [w_0..w_{P-1}, conj(w_0)..conj(w_{P-1})], P = nvars / 2."""
 
     __slots__ = (
-        "nvars", "order", "is_complex", "pair_split", "fibre", "reach", "exponents", "n",
+        "nvars", "order", "is_complex", "fibre", "reach", "exponents", "n",
         "degrees", "size_at_order", "_mult_table", "_support_tables", "_extract_tables",
         "_conj_perm", "_derivative_tables", "dtype",
     )
 
-    def __init__(self, nvars, order, is_complex=False, pair_split=None, fibre=(), reach=None):
+    def __init__(self, nvars, order, is_complex=False, fibre=(), reach=None):
         if order < 0 or order > MAX_ORDER:
             raise ConfigurationError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
         if nvars < 1:
@@ -115,9 +118,6 @@ class JetSpace:
         self.nvars = nvars
         self.order = order
         self.is_complex = is_complex
-        # pair_split = P means variables [0, P) are holomorphic and [P, 2P)
-        # their conjugates; enables conj().
-        self.pair_split = pair_split
         self.fibre, self.reach = tuple(fibre), reach
         self.exponents = _monomials(nvars, order)
         if reach is not None:
@@ -133,11 +133,11 @@ class JetSpace:
         self._derivative_tables = {}
 
     @staticmethod
-    def get(nvars, order, is_complex=False, pair_split=None, fibre=(), reach=None) -> "JetSpace":
+    def get(nvars, order, is_complex=False, fibre=(), reach=None) -> "JetSpace":
         """The cached space; ``reach`` keeps the monomials of degree <= reach outside ``fibre``."""
         if reach is None or reach >= order:
             fibre, reach = (), None
-        key = (nvars, order, is_complex, pair_split, tuple(fibre), reach)
+        key = (nvars, order, is_complex, tuple(fibre), reach)
         sp = _SPACE_CACHE.get(key)
         if sp is None:
             sp = JetSpace(*key)
@@ -229,12 +229,12 @@ class JetSpace:
         return tab
 
     def conj_perm(self):
-        """Basis index of each monomial with its holomorphic and antiholomorphic blocks swapped."""
-        if self.pair_split is None:
-            raise StructuralError("conjugation needs a paired holomorphic layout")
+        """Basis index of each monomial with its holomorphic and antiholomorphic halves swapped."""
+        if not self.is_complex or self.nvars % 2:
+            raise StructuralError("conjugation needs a complex space of paired variables")
         if self._conj_perm is None:
-            p = self.pair_split
-            self._conj_perm = self.locate(self.exponents[:, np.r_[p:2 * p, :p, 2 * p:self.nvars]])
+            p = self.nvars // 2
+            self._conj_perm = self.locate(self.exponents[:, np.r_[p:2 * p, :p]])
         return self._conj_perm
 
     def gather(self, coeffs, k, *blocks) -> np.ndarray:
@@ -379,7 +379,7 @@ class Jet:
 @functools.cache
 def _wirtinger_rows(nvars, order, pairs, fibre=(), reach=None):
     """Sparse rows (dst, src, val) of the real->complex basis change, from the
-    real space ``JetSpace.get(nvars, order, False, None, fibre, reach)``.
+    real space ``JetSpace.get(nvars, order, False, fibre, reach)``.
 
     Real increments substitute as hx = (hz + hzbar)/2, hy = -i(hz - hzbar)/2.
     Output variables are ordered [w_0..w_{P-1}, conj(w_0)..conj(w_{P-1})].
@@ -391,9 +391,9 @@ def _wirtinger_rows(nvars, order, pairs, fibre=(), reach=None):
     fibre is the image of the real one.
     """
     P = len(pairs)
-    real_sp = JetSpace.get(nvars, order, False, None, fibre, reach)
-    cx_sp = JetSpace.get(2 * P, order, True, P, [j + h for h in (0, P) for j, (a, _) in
-                                                 enumerate(pairs) if a in real_sp.fibre], reach)
+    real_sp = JetSpace.get(nvars, order, False, fibre, reach)
+    cx_sp = JetSpace.get(2 * P, order, True, [j + h for h in (0, P) for j, (a, _) in
+                                              enumerate(pairs) if a in real_sp.fibre], reach)
     unit = cx_sp._key(np.eye(2 * P, dtype=np.int64))
     feed = np.empty((nvars, 2), dtype=np.int64)    # keys of the z and zbar a variable feeds
     weight = np.empty((nvars, 2), dtype=np.complex128)
@@ -472,8 +472,6 @@ class CJet:
     def _coerce(x, like):
         if isinstance(x, CJet):
             return x
-        if isinstance(x, Jet):
-            return CJet(x)
         if isinstance(x, numbers.Number):
             z = complex(x)
             sp = like.re.space
@@ -523,10 +521,6 @@ class CJet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return CJet(self.re / other, self.im / other)
-        if isinstance(other, numbers.Number) and not isinstance(other, complex):
-            return CJet(self.re / other, self.im / other)
         o = CJet._coerce(other, self)
         if o is None:
             return NotImplemented
@@ -534,14 +528,8 @@ class CJet:
         num = self * o.conj()
         return CJet(num.re / d, num.im / d)
 
-    def __rtruediv__(self, other):
-        o = CJet._coerce(other, self)
-        return o.__truediv__(self)
-
     def conj(self):
         return CJet(self.re, -self.im)
-
-    conjugate = conj
 
     def abs2(self) -> Jet:
         return self.re * self.re + self.im * self.im
@@ -665,8 +653,6 @@ class _RecordedJet(Jet):
         if isinstance(other, Jet):
             self._operand(other)
             return self * other.reciprocal()
-        if isinstance(other, numbers.Number):
-            return self * (1.0 / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -743,13 +729,11 @@ class JetProgram:
 
         Raises ``StructuralError`` if the formula reads a jet's value, mixes
         in a jet it did not build from the seeds, or does not return a real
-        jet or number.
+        jet.
         """
         tape = _Tape(nvars)
         seeds = [_RecordedJet(tape, i) for i in range(nvars)]
         out = fn(seeds)
-        if isinstance(out, numbers.Real):
-            out = tape.constant(out)
         if not (isinstance(out, _RecordedJet) and out.space is tape):
             raise StructuralError("a recorded formula must return a real jet")
         return JetProgram._pruned(nvars, tape.ops, out.slot)

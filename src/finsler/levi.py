@@ -47,8 +47,7 @@ class LeviField:
             raise ConfigurationError("Levi analytics need a complex metric")
         self.m = m
         self.mr = realify_metric(m)
-        self.pole_z = np.asarray(pole, dtype=complex)
-        self.pole = complex_to_real_components(self.pole_z)
+        self.pole = complex_to_real_components(np.asarray(pole, dtype=complex))
         self.pd = PoleDistance(self.mr, self.pole)
         self.K = float(curvature_K)
 

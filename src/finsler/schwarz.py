@@ -30,12 +30,10 @@ from .report import SampleGrid, VerificationReport, evaluate_stacked, record, re
 class CurvatureBound:
     """Holomorphic sectional curvature extreme over a sample grid."""
 
-    role: str
     value: float
     raw_inf: float
     raw_sup: float
     clamped: bool
-    n_samples: int
 
 
 class CurvatureSamples(SampleGrid):
@@ -53,15 +51,13 @@ class CurvatureSamples(SampleGrid):
     def bound(self, role: str) -> CurvatureBound:
         """Domain role: inf clamped to <= 0. Target role: sup, which must be < 0."""
         lo, hi = self.extremes()
-        count = len(self.rows)
         if role == "domain":
-            clamped = lo > 0
-            return CurvatureBound("domain", min(lo, 0.0), lo, hi, clamped, count)
+            return CurvatureBound(min(lo, 0.0), lo, hi, lo > 0)
         if role == "target":
             if hi >= 0:
                 raise HypothesisViolationError(
                     f"target curvature supremum {hi:.3e} is not negative")
-            return CurvatureBound("target", hi, lo, hi, False, count)
+            return CurvatureBound(hi, lo, hi, False)
         raise ValueError(f"unknown role {role!r}")
 
 

@@ -111,8 +111,8 @@ class EagerSpace(JetSpace):
     __slots__ = ()
 
     @staticmethod
-    def get(nvars, order, is_complex=False, pair_split=None) -> "EagerSpace":
-        key = (nvars, order, is_complex, pair_split)
+    def get(nvars, order, is_complex=False) -> "EagerSpace":
+        key = (nvars, order, is_complex)
         if key not in _EAGER_SPACES:
             _EAGER_SPACES[key] = EagerSpace(*key)
         return _EAGER_SPACES[key]
@@ -130,7 +130,7 @@ class EagerSpace(JetSpace):
 def eager(jet) -> "EagerJet":
     """``jet``, such as a replayed one, as an ``EagerJet`` over its variables."""
     sp = jet.space
-    return EagerJet(EagerSpace.get(sp.nvars, sp.order, sp.is_complex, sp.pair_split), jet.coeffs)
+    return EagerJet(EagerSpace.get(sp.nvars, sp.order, sp.is_complex), jet.coeffs)
 
 
 class EagerJet(Jet):
@@ -153,13 +153,12 @@ class EagerJet(Jet):
         if a.space.nvars != b.space.nvars:
             raise StructuralError("jets live over different variable sets")
         sp = EagerSpace.get(a.space.nvars, min(a.order, b.order),
-                            a.space.is_complex or b.space.is_complex,
-                            a.space.pair_split or b.space.pair_split)
+                            a.space.is_complex or b.space.is_complex)
         return (a.coeffs[:sp.n].astype(sp.dtype, copy=False),
                 b.coeffs[:sp.n].astype(sp.dtype, copy=False), sp)
 
     def _to_complex(self):
-        sp = EagerSpace.get(self.space.nvars, self.order, True, self.space.pair_split)
+        sp = EagerSpace.get(self.space.nvars, self.order, True)
         return EagerJet(sp, self.coeffs.astype(np.complex128))
 
     def __add__(self, other):
@@ -287,7 +286,7 @@ def number(w) -> complex:
 
 def sibling(space, order):
     """The eager jet space over the variables of ``space`` at another ``order``."""
-    return EagerSpace.get(space.nvars, order, space.is_complex, space.pair_split)
+    return EagerSpace.get(space.nvars, order, space.is_complex)
 
 
 def truncate(jet, order):
@@ -362,13 +361,13 @@ def loop_extract_table(nvars, order, var):
     return src, fac
 
 
-def loop_conj_perm(nvars, order, pair_split):
-    """Basis index of each monomial with its holomorphic and antiholomorphic blocks swapped."""
+def loop_conj_perm(nvars, order):
+    """Basis index of each monomial with its holomorphic and antiholomorphic halves swapped."""
     monomials, index = _loop_index(nvars, order)
-    p = pair_split
+    p = nvars // 2
     perm = np.empty(len(monomials), dtype=np.int64)
     for i, mono in enumerate(monomials):
-        perm[i] = index[mono[p:2 * p] + mono[:p] + mono[2 * p:]]
+        perm[i] = index[mono[p:] + mono[:p]]
     return perm
 
 
@@ -823,6 +822,24 @@ def cartan_by_partials(m, x, u):
     return gamma_h, gamma_v, riemann
 
 
+def horizontal_coefficients(m, x, u):
+    """Gamma^j_{i;k} of the Cartan connection at (x, u), gathered from one
+    order-4 jet and contracted by einsum, with
+    delta_k g_il = d_k g_il - N^m_k d_{u^m} g_il: the fast gamma_h of the
+    oracles that read it at every right-hand side or arc parameter, pinned
+    to ``cartan_by_partials`` in ``test_cartan``."""
+    from finsler.cartan import spray_jacobian
+    u = np.asarray(u, dtype=float)
+    d = m.dim
+    jet = m.real_jet(x, u, m.fibre_space(4, 2))
+    _, g_inv, _, dS = spray_jacobian(jet, u)
+    U = slice(d, None)
+    dg = 0.5 * jet.space.gather(jet.coeffs, 3, U, U)    # dg[i, l, a] = d_a g_il
+    delta = dg[..., :d] - np.einsum("...mk,...ilm->...ilk", dS[..., U], dg[..., U])
+    return 0.5 * np.einsum("...jl,...ilk->...jik", g_inv,
+                           delta + np.moveaxis(delta, -1, -3) - np.swapaxes(delta, -1, -2))
+
+
 def chern_by_partials(m, z, v):
     """``(gamma_h, gamma_v, torsion_h, R_zz)`` of the Chern-Finsler connection
     with every jet derivative read by :meth:`Jet.partial` in nested loops and
@@ -920,8 +937,9 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
     integrates forward only; rho^power at arc parameters -h, -h/2, h/2 and h comes
     from shots that ``pd`` warm-starts at its nearest solved target, ``base``
     or a closer one; the central second differences at
-    h and h/2 are Richardson-extrapolated, and the gamma_h term relates the
-    curve's own reference vector to the radial one. Independent of the
+    h and h/2 are Richardson-extrapolated, and the gamma_h term, from
+    ``cartan_by_partials`` at (x, base.T), relates the curve's own reference
+    vector to the radial one. Independent of the
     Jacobi fields behind ``geodesic.distance_hessian``; its error is the
     shooting tolerance over h^2 plus the O(h^4) truncation.
     """
@@ -950,7 +968,8 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
     # d(rho^p) = p rho^(p-1) g_T(T, .)
     df = power * base.value ** (power - 1) * (conn_T.g @ base.T)
     return d2 + float(df @ (2.0 * at_point(spray_coefficients, m, x, w)
-                            - np.einsum("ijk,j,k->i", conn_T.gamma_h, w, w)))
+                            - np.einsum("ijk,j,k->i", cartan_by_partials(m, x, conn_T.u)[0],
+                                        w, w)))
 
 
 # -- scipy's DOP853, the reference of the package's own stepper ----------------------
@@ -1016,24 +1035,23 @@ def fd_covariant_derivatives(path, *fields):
     parts of ``fields`` across its tangent T, as callables of the arc parameter.
 
     Each is a five-point central difference of the projected field plus the
-    ``gamma_h`` term of the Cartan data at (x, T). The Cartan data are
-    memoized per arc parameter, shared by all the fields.
+    ``gamma_h`` term (``horizontal_coefficients``) at (x, T). The tangent T
+    and the fundamental tensor g_T that project a field are memoized per arc
+    parameter, shared by all the fields.
     """
-    from finsler.cartan import cartan
-
     memo = {}
 
-    def conn(s):
+    def frame(s):
         key = round(float(s), 12)
         if key not in memo:
-            memo[key] = cartan(path.metric, *path.state_at(0, s))
+            x, T = path.state_at(0, s)
+            memo[key] = x, T, at_point(path.metric.fundamental_real, x, T)
         return memo[key]
 
     def perp(f, s):
-        data = conn(s)
-        T = data.u
+        _, T, g = frame(s)
         val = np.asarray(f(s), dtype=float)
-        return val - (float(val @ data.g @ T) / float(T @ data.g @ T)) * T
+        return val - (float(val @ g @ T) / float(T @ g @ T)) * T
 
     h = max(path.arc_lengths[0] * 1e-5, 1e-8)
 
@@ -1041,8 +1059,9 @@ def fd_covariant_derivatives(path, *fields):
         def cov(s):
             raw = (-perp(f, s + 2 * h) + 8 * perp(f, s + h)
                    - 8 * perp(f, s - h) + perp(f, s - 2 * h)) / (12 * h)
-            data = conn(s)
-            return raw + np.einsum("ijk,j,k->i", data.gamma_h, perp(f, s), data.u)
+            x, T, _ = frame(s)
+            return raw + np.einsum("ijk,j,k->i", horizontal_coefficients(path.metric, x, T),
+                                   perp(f, s), T)
         return cov
 
     return tuple(derivative(f) for f in fields)
@@ -1152,9 +1171,9 @@ def covariant_boundary_form(m, x0, u0, r):
     The state (x, u, J, W) carries the fields J with J(0) = 0, D_T J(0) = I
     and their covariant derivatives W = D_T J, moved by
     J' = W - gamma_h(J, T) and W' = -R J - gamma_h(W, T) with the Cartan data
-    (curvature included) at every right-hand side, at the tolerances of
-    ``geodesic.jacobi_boundary_field``. Independent of the linearized
-    geodesic flow and its conversions through N.
+    (curvature included) and ``horizontal_coefficients`` at every right-hand
+    side, at the tolerances of ``geodesic.jacobi_boundary_field``. Independent
+    of the linearized geodesic flow and its conversions through N.
     """
     from scipy.integrate import solve_ivp
 
@@ -1165,7 +1184,7 @@ def covariant_boundary_form(m, x0, u0, r):
     def rhs(t, y):
         data = cartan(m, y[:d], y[d:2 * d])
         Y = y[2 * d:].reshape(2, d, -1)
-        GY = np.einsum("ijk,ajc,k->aic", data.gamma_h, Y, data.u)
+        GY = np.einsum("ijk,ajc,k->aic", horizontal_coefficients(m, y[:d], data.u), Y, data.u)
         return np.concatenate([data.u, -2.0 * data.spray, (Y[1] - GY[0]).ravel(),
                                (-data.riemann @ Y[0] - GY[1]).ravel()])
 
@@ -1411,7 +1430,6 @@ def levi_identity_residual(m, f, z, X) -> dict:
     right side the covariant Hessian at reference vector grad f; both sides
     are assembled through unrelated code paths.
     """
-    from finsler.cartan import cartan
     from finsler.geometry import apply_J, complex_to_real_components, realify_metric
     from finsler.jets import wirtinger
     mr = realify_metric(m)
@@ -1429,11 +1447,11 @@ def levi_identity_residual(m, f, z, X) -> dict:
     Xo = X[:n] + 1j * X[n:]       # (1,0)-part of X in the d/dz frame
     lhs = 4.0 * np.einsum("ab,a,b->", f_abar, Xo, Xo.conj())
 
-    conn = cartan(mr, x, legendre_gradient(mr, grad, x))
+    gamma_h = horizontal_coefficients(mr, x, legendre_gradient(mr, grad, x))
 
     def d2(wv):
         quad = float(wv @ hess @ wv)
-        corr = float(np.einsum("kij,i,j->k", conn.gamma_h, wv, wv) @ grad)
+        corr = float(np.einsum("kij,i,j->k", gamma_h, wv, wv) @ grad)
         return quad - corr
 
     rhs = d2(X) + d2(apply_J(X))

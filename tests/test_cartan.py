@@ -7,13 +7,14 @@ import pytest
 
 from finsler.cartan import cartan, radial_flag_bounds, spray_coefficients, spray_jacobian
 from finsler.errors import DegenerateFlagError, DegenerateMetricError
-from finsler.geometry import SamplePlan, realify_metric
+from finsler.geometry import MetricDef, SamplePlan, realify_metric
 from finsler.metrics import instantiate
 
 from finsler.jets import Jet, JetProgram, JetSpace
 
-from oracles import (at_point, cartan_by_partials, eager_cjets, flag_curvature, number,
-                     riemannian_sectional_curvature, spray_by_partials)
+from oracles import (at_point, cartan_by_partials, eager_cjets, flag_curvature,
+                     horizontal_coefficients, number, riemannian_sectional_curvature,
+                     spray_by_partials)
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}}))
@@ -55,9 +56,10 @@ def hermitian_real_matrix(mc):
 
 
 def test_euclidean_connection_vanishes():
-    data = cartan(EUCLID, np.zeros(4), np.array([1.0, 2.0, -0.5, 0.3]))
+    x, u = np.zeros(4), np.array([1.0, 2.0, -0.5, 0.3])
+    data = cartan(EUCLID, x, u)
     assert np.abs(data.spray).max() < 1e-14
-    assert np.abs(data.gamma_h).max() < 1e-12
+    assert np.abs(horizontal_coefficients(EUCLID, x, u)).max() < 1e-12
     assert np.abs(data.riemann).max() < 1e-12
     assert np.allclose(data.g, np.eye(4))
 
@@ -69,9 +71,10 @@ def test_minkowski_connection_is_flat_but_not_quadratic():
         u = rng.standard_normal(4)
         data = cartan(MINKOWSKI, x, u)
         assert np.abs(data.spray).max() < 1e-12
-        assert np.abs(data.gamma_h).max() < 1e-10
+        assert np.abs(horizontal_coefficients(MINKOWSKI, x, u)).max() < 1e-10
         assert np.abs(data.riemann).max() < 1e-9
-        assert np.abs(data.gamma_v).max() > 1e-3  # genuinely non-Riemannian
+        # genuinely non-Riemannian: the vertical coefficients of the reference
+        assert np.abs(cartan_by_partials(MINKOWSKI, x, u)[1]).max() > 1e-3
 
 
 def test_cartan_tensor_annihilates_reference_vector():
@@ -79,8 +82,7 @@ def test_cartan_tensor_annihilates_reference_vector():
     for m in (MINKOWSKI, POINCARE):
         x = np.zeros(m.dim)
         u = rng.standard_normal(m.dim)
-        data = cartan(m, x, u)
-        contraction = np.einsum("jik,k->ji", data.gamma_v, u)
+        contraction = np.einsum("jik,k->ji", cartan_by_partials(m, x, u)[1], u)
         assert np.abs(contraction).max() < 1e-10
 
 
@@ -90,7 +92,7 @@ def test_riemannian_members_have_u_independent_connection():
     vals = []
     for _ in range(3):
         u = rng.standard_normal(4)
-        vals.append(cartan(NONKAHLER, x, u).gamma_h)
+        vals.append(horizontal_coefficients(NONKAHLER, x, u))
     assert np.abs(vals[0] - vals[1]).max() < 1e-10
     assert np.abs(vals[1] - vals[2]).max() < 1e-10
 
@@ -182,7 +184,7 @@ def test_cartan_rows_are_their_points_bit_for_bit(name):
     rows = cartan(m, x, u)
     for b in range(len(x)):
         point = cartan(m, x[b], u[b])
-        for field in ("u", "g", "spray", "nonlinear", "gamma_h", "gamma_v", "riemann"):
+        for field in ("u", "g", "spray", "nonlinear", "riemann"):
             assert np.array_equal(getattr(rows, field)[b], getattr(point, field)), (b, field)
 
 
@@ -194,9 +196,10 @@ def test_cartan_assembly_matches_partial_readout(mc_spec):
         x = 0.6 * rng.uniform(-1, 1, m.dim) / np.sqrt(m.dim)
         u = rng.standard_normal(m.dim)
         data = cartan(m, x, u)
-        got = (data.gamma_h, data.gamma_v, data.riemann)
-        for name, g, w in zip(("gamma_h", "gamma_v", "riemann"), got,
-                              cartan_by_partials(m, x, u)):
+        gamma_h, _, riemann = cartan_by_partials(m, x, u)
+        # the oracles' gathered gamma_h, and the riemann of cartan
+        for name, g, w in (("gamma_h", horizontal_coefficients(m, x, u), gamma_h),
+                           ("riemann", data.riemann, riemann)):
             assert np.allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max()), name
         # the order-2 coefficients are a prefix of the order-4 jet
         assert np.array_equal(data.spray, at_point(spray_coefficients, m, x, u))
@@ -292,3 +295,7 @@ def test_singular_fundamental_tensor_is_degenerate_not_linalg_error():
                       (program.replay_rows(np.ones((2, 4)), 3), np.ones((2, 2)))):
         with pytest.raises(DegenerateMetricError, match="singular"):
             spray_jacobian(Jet(JetSpace.get(4, 3), coeffs), u)
+    # the spray alone solves g S = b / 4, with no inverse to check
+    m = MetricDef("real", lambda x, u: 0.5 * (x[0] + x[1] + u[0] + u[1]) ** 2, dim_real=2)
+    with pytest.raises(DegenerateMetricError, match="fundamental tensor singular"):
+        spray_coefficients(m, np.ones((1, 2)), np.ones((1, 2)))

@@ -251,7 +251,7 @@ def test_singular_levi_matrix_is_degenerate_not_linalg_error():
         n = 1
 
         def complex_rows(self, z, v, basis):
-            return wirtinger_coeffs(np.zeros((len(z), basis.n)), basis, ((0, 1), (2, 3)))[1]
+            return wirtinger_coeffs(np.zeros((len(z), basis.n)), basis, ((0, 1), (2, 3)))
 
     with pytest.raises(DegenerateMetricError, match="singular"):
         at_point(chern_finsler, SingularLevi(), np.zeros(1, complex), np.ones(1, complex))

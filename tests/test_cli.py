@@ -79,6 +79,37 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["check", "--config", str(p)]) == 2
 
 
+def test_an_engine_error_escaping_a_command_exits_1(tmp_path, monkeypatch, capsys):
+    from finsler.errors import ShootingError
+
+    def failing(*args, **kwargs):
+        raise ShootingError("injected")
+
+    monkeypatch.setattr("finsler.geodesic.integrate_geodesic", failing)
+    p = write_config(tmp_path)
+    assert main(["geodesic", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: injected\n"
+
+
+def test_cmd_schwarz_tolerance_sets_the_certificate_tolerance_and_verdict(tmp_path, capsys):
+    # z -> 1.2 z keeps the disk's sample points inside it and exceeds the
+    # bound 1 by a margin of about 1.13: a tolerance below it fails the
+    # certificate, one above passes it
+    cfg = {**BASE_CONFIG, "maps": [{"map": "linear", "params": {"matrix": [[1.2]]},
+                                    "id": "stretch"}],
+           "pairs": [{"map": "stretch", "domain": "poincare", "target": "poincare"}]}
+    p = write_config(tmp_path, cfg)
+    rel = Path("schwarz") / "stretch__poincare__poincare" / "report.json"
+    for tolerance, passed in (("1.1", False), ("1.2", True)):
+        out = tmp_path / tolerance
+        assert main(["schwarz", "--config", str(p), "--out", str(out),
+                     "--tolerance", tolerance]) == 0
+        cert = json.loads((out / rel).read_text())["payload"]["certificate"]
+        assert cert["tolerance"] == float(tolerance) and cert["passed"] is passed
+        assert 1.1 < cert["max_ratio"] - cert["bound"] < 1.2
+        assert capsys.readouterr().out.strip().endswith("PASS" if passed else "FAIL")
+
+
 def test_cmd_check_writes_reports(tmp_path):
     p = write_config(tmp_path)
     out = tmp_path / "out"
@@ -257,13 +288,14 @@ def test_plan_other_than_default_is_a_configuration_error(tmp_path, capsys, plan
     ("check", {"metrics": [{**_DISK, "params": {"catalog": "poincare_disk", "scale": math.inf}}]}),
     ("check", {"metrics": [{"family": "szabo", "params": {"eps": math.nan}}]}),
     ("schwarz", {"maps": [{"map": "mobius", "params": {"a": [math.nan, 0.0]}, "id": "identity"}]}),
+    ("check", {"metrics": _DISK}),
 ], ids=["metric_not_a_mapping", "family_not_a_name", "tolerance_not_a_number",
         "outputs_not_a_mapping", "map_not_a_mapping", "complex_dim_not_an_integer",
         "scale_not_a_number", "params_not_a_mapping", "linear_map_without_matrix",
         "map_dimensions_do_not_match_pair", "hermitian_complex_dim_zero",
         "minkowski_complex_dim_zero", "tolerance_nan", "tolerance_negative",
         "seed_not_an_integer", "seed_a_bool", "seed_negative", "complex_dim_fractional",
-        "power_m_fractional", "scale_infinite", "eps_nan", "mobius_a_nan"])
+        "power_m_fractional", "scale_infinite", "eps_nan", "mobius_a_nan", "metrics_not_a_list"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, change):
     p = write_config(tmp_path, {**BASE_CONFIG, **change})
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -271,13 +303,21 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, ch
     assert err.startswith("configuration error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+UNREADABLE = {"not_utf8": ("run.yaml", b"seed: 7\nmetrics: []\n# \xff\xfe\n"),
+              "directory": ("run.yaml", None),
+              "json_cut_short": ("run.json", b'{"seed": 7,'),
+              "yaml_unclosed": ("run.yaml", b"seed: [7\n"),
+              "root_a_list": ("run.json", b"[7]")}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
 def test_unreadable_config_is_a_configuration_error(tmp_path, capsys, kind):
-    p = tmp_path / "run.yaml"
-    if kind == "directory":
+    name, content = UNREADABLE[kind]
+    p = tmp_path / name
+    if content is None:
         p.mkdir()
     else:
-        p.write_bytes(b"seed: 7\nmetrics: []\n# \xff\xfe\n")
+        p.write_bytes(content)
     assert main(["check", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
@@ -1235,6 +1275,31 @@ def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
     assert payload["max_closed_form_error"] is None
     line = capsys.readouterr().out.strip()
     assert "error n/a; rho samples ok 0/2 (point 0: 7 starts, 7 integrations)" in line
+
+
+def test_cmd_distance_a_failed_probe_ends_its_start_not_the_query(tmp_path, monkeypatch, capsys):
+    # every finite-difference probe raises a bare ShootingError, as an
+    # integration failing inside the integrator does: each start ends at its
+    # probe, the next is tried, and each query's failure reports its counts
+    from finsler.errors import ShootingError
+    from finsler.geodesic import PoleDistance
+
+    def failing_probe(self, w, F0):
+        raise ShootingError("injected")
+
+    monkeypatch.setattr(PoleDistance, "_fd_jacobian", failing_probe)
+    p = _szabo_distance_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "distance" / "szabo" / "report.json").read_text())["payload"]
+    assert payload["rho_samples"]["failure_reasons"] == {"ShootingError": 2}
+    failures = payload["shooting_failures"]
+    assert [f["point_index"] for f in failures] == [0, 1]
+    for f in failures:
+        # one first shot per start, none of which lands, and no step
+        assert f["starts"] > 1 and f["integrations"] == f["starts"] and f["iterations"] == 0
+        assert all(type(f[k]) is int for k in ("starts", "integrations", "iterations"))
+    assert "None" not in capsys.readouterr().out
 
 
 def test_cmd_distance_levi_skips_points_whose_rho_failed(tmp_path, monkeypatch):

@@ -750,6 +750,59 @@ def test_shooting_error_counts_starts_and_integrations(monkeypatch):
     assert f"{n_starts} starts, {n_starts} integrations, 0 Gauss-Newton steps" in str(info.value)
 
 
+@pytest.mark.parametrize("error", [DomainError("injected"), ShootingError("injected")])
+@pytest.mark.parametrize("m", [SZABO, NONKAHLER], ids=["szabo", "nonkahler"])
+def test_a_failed_probe_ends_its_start_not_the_query(monkeypatch, m, error):
+    # the first start's finite-difference probe fails, as an integration
+    # raising out of the domain or out of the integrator would; the query
+    # goes on to its next start and converges there
+    q = 0.4 * np.arange(1, m.dim + 1) / m.dim
+    want = PoleDistance(m, np.zeros(m.dim)).rho(q)
+    real, probes = PoleDistance._fd_jacobian, []
+
+    def first_probe_fails(self, w, F0):
+        probes.append(1)
+        if len(probes) == 1:
+            raise error
+        return real(self, w, F0)
+
+    monkeypatch.setattr(PoleDistance, "_fd_jacobian", first_probe_fails)
+    r = PoleDistance(m, np.zeros(m.dim)).rho(q)
+    assert r.work["starts"] >= 2 and len(probes) >= 2
+    assert r.value == pytest.approx(want.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("setting", [("MAX_ITERATIONS", 1), ("LOOSE_ABOVE", 0.0)],
+                         ids=["last-iterate", "below-tol"])
+def test_a_failed_tight_reintegration_ends_its_start_not_the_query(monkeypatch, setting):
+    # every tight integration of an iterate that came from a loose one fails:
+    # a loose last iterate (one iteration allowed) or a loose iterate below
+    # tol (every trial loose) is integrated again tight; each start that
+    # reaches one ends there, and the query reports its whole cost in its
+    # own ShootingError
+    monkeypatch.setattr(geodesic, *setting)
+    real, loose_ws, failed = PoleDistance._endpoint, [], []
+
+    def endpoint(self, w, loose=False):
+        if loose:
+            loose_ws.append(w.copy())
+        elif any(np.array_equal(w, lw) for lw in loose_ws):
+            failed.append(1)
+            self.work["integrations"] += 1
+            raise DomainError("injected")
+        return real(self, w, loose)
+
+    monkeypatch.setattr(PoleDistance, "_endpoint", endpoint)
+    q = 0.1 * np.arange(1, 5)
+    pd = PoleDistance(NONKAHLER, np.zeros(4))
+    with pytest.raises(ShootingError) as info:
+        pd.rho(q)
+    work = info.value.work
+    assert len(failed) == work["starts"] >= 2
+    assert all(type(work[k]) is int for k in geodesic.WORK)
+    assert work == pd.work
+
+
 def _count_fd_jacobians(monkeypatch, make=None):
     """Record each ``_fd_jacobian`` call; ``make(real, self, w, F0)`` may
     replace the Jacobian it returns."""
@@ -840,7 +893,8 @@ def test_gauss_newton_returns_its_last_iterate_after_max_iter(monkeypatch):
     steps = _record_first_steps(monkeypatch)
     pd = PoleDistance(HYPERBOLIC, np.zeros(2))
     q = np.array([0.45, -0.3])
-    w, y, _, res = pd._gauss_newton(q, q, None, 1e-12, max_iter=2)
+    monkeypatch.setattr("finsler.geodesic.MAX_ITERATIONS", 2)
+    w, y, _, res = pd._gauss_newton(q, q, None, 1e-12)
     assert res > 1e-6   # two Broyden steps do not converge
     # y is the end state of the last integration, a tight one of w
     sol = _integrate_affine(HYPERBOLIC, np.zeros(2), w, 1.0, rtol=SHOOT_RTOL,

@@ -103,6 +103,23 @@ def test_the_definitions_only_bench_reaches_are_pinned():
         "jets.wirtinger", "schwarz.curvature_bounds"]
 
 
+def test_only_jets_builds_a_complex_jet_space():
+    # the Wirtinger layout is jets.py's: wirtinger_coeffs builds every complex
+    # space, and a reader of complex jets takes its space from there
+    built = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "jets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            called = isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-2:]
+            if called not in (["JetSpace"], ["JetSpace", "get"]):
+                continue
+            flag = [kw.value for kw in node.keywords if kw.arg == "is_complex"] + node.args[2:3]
+            if flag and not (isinstance(flag[0], ast.Constant) and flag[0].value is False):
+                built.append(f"{path.name}:{node.lineno}")
+    assert built == []
+
+
 def _table_keys(shape):
     if isinstance(shape, dict):
         for key, sub in shape.items():

@@ -319,7 +319,7 @@ def _reader_spaces(m):
     complex metric m."""
     n, fibre = m.n, (*range(m.n, 2 * m.n), *range(3 * m.n, 4 * m.n))
     return ((m.fibre_space(2, 0), m.fibre_space(2, 1), m.fibre_space(3, 2), m.fibre_space(4, 2)),
-            [(m.fibre_space(order, reach), JetSpace.get(4 * n, order, True, 2 * n, fibre, reach))
+            [(m.fibre_space(order, reach), JetSpace.get(4 * n, order, True, fibre, reach))
              for order, reach in ((2, 0), (4, 2))])
 
 
@@ -339,9 +339,40 @@ def test_kept_replays_are_the_kept_coefficients_of_full_replays(rows):
             assert m.real_rows(x, u, sp).tobytes() == full.tobytes(), (m.family_id, sp)
             assert m.real_jet(x[0], u[0], sp).coeffs.tobytes() == full[0].tobytes()
         for sp, cx in images:
-            full = m.complex_rows(z, v, sp.order)[:, JetSpace.get(
-                4 * m.n, sp.order, True, 2 * m.n).locate(cx.exponents)]
-            assert m.complex_rows(z, v, sp).tobytes() == full.tobytes(), (m.family_id, sp)
+            full_sp, full = m.complex_rows(z, v, sp.order)
+            assert full_sp is JetSpace.get(4 * m.n, sp.order, True)
+            kept_sp, kept = m.complex_rows(z, v, sp)
+            assert kept_sp is cx
+            assert kept.tobytes() == full[:, full_sp.locate(cx.exponents)].tobytes(), (
+                m.family_id, sp)
+
+
+def _signed_zero_square(z, v):
+    """|v|^2 of C^2, recorded so that its mixed coefficients are -0.0 but +0.0
+    at q0 p1: the real and the imaginary part of L_{0 1bar} each take the
+    difference of two of them, which a Wirtinger jet sums from +0.0."""
+    (p0, q0), (p1, q1) = ((w.re, w.im) for w in v)
+    negative = (-p0) * p0 + (-q0) * q0 + (-p1) * p1 + (-q1) * q1
+    square = -(p0 * p0 + q0 * q0 + p1 * p1 + q1 * q1)
+    return ((square - q0 * (-p1)) + (q0 * p1) * -1.0) - 2.0 * negative
+
+
+def test_levi_matrix_is_the_wirtinger_gather_bit_for_bit():
+    # L read off the real fundamental tensor against its oracle, the (v, vbar)
+    # block of the order-2 Wirtinger jet, on every family and on a form whose
+    # zero coefficients are -0.0: at random rows and along the axes of v,
+    # where most parts are zeros that must keep their sign
+    rng = np.random.default_rng(41)
+    signed_zeros = MetricDef("complex", _signed_zero_square, n_complex=2)
+    for m in [instantiate(spec) for spec in SPECS] + [signed_zeros]:
+        n = m.n
+        x, u = _batch(realify_metric(m), rng, 6)
+        axes = np.concatenate([np.eye(n), -1j * np.eye(n)])
+        for z, v in ((x[:, :n] + 1j * x[:, n:], u[:, :n] + 1j * u[:, n:]),
+                     (np.zeros((2 * n, n), complex), axes)):
+            sp, rows = m.complex_rows(z, v, m.fibre_space(2, 0))
+            want = sp.gather(rows, 2, slice(n, 2 * n), slice(3 * n, 4 * n))
+            assert m.levi_matrix(z, v).tobytes() == want.tobytes(), m.family_id
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -367,8 +398,8 @@ def test_readers_equal_their_full_basis_readouts(monkeypatch, rows):
         kept = readouts(m, x, u, z, v)
         with monkeypatch.context() as patch:
             patch.setattr(JetSpace, "get", staticmethod(
-                lambda nvars, order, is_complex=False, pair_split=None, fibre=(), reach=None:
-                get(nvars, order, is_complex, pair_split)))
+                lambda nvars, order, is_complex=False, fibre=(), reach=None:
+                get(nvars, order, is_complex)))
             m = instantiate(spec)
             assert m.fibre_space(4, 2) is get(2 * m.dim, 4)
             assert m.spray_space is get(2 * m.dim, 2)
@@ -476,7 +507,8 @@ def test_complex_rows_equal_point_complex_jets():
         x, u = _batch(realify_metric(m), rng, 5)
         z, v = (w[:, :m.n] + 1j * w[:, m.n:] for w in (x, u))
         for order in range(MAX_ORDER + 1):
-            rows = m.complex_rows(z, v, order)
+            sp, rows = m.complex_rows(z, v, order)
+            assert sp is JetSpace.get(4 * m.n, order, True)
             for b in range(5):
                 point = m.complex_jet(z[b], v[b], order).coeffs
                 assert rows[b].tobytes() == point.tobytes(), (m.family_id, order, b)
