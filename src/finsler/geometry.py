@@ -46,11 +46,12 @@ def apply_J(u):
 
 
 def real_to_complex_components(u):
+    """The inverse of ``complex_to_real_components``, on a vector or on rows."""
     u = np.asarray(u, dtype=float)
-    if u.size % 2:
+    if u.shape[-1] % 2:
         raise StructuralError("complexification needs an even real dimension")
-    n = u.size // 2
-    return u[:n] + 1j * u[n:]
+    n = u.shape[-1] // 2
+    return u[..., :n] + 1j * u[..., n:]
 
 
 def complex_to_real_components(v):
@@ -113,8 +114,7 @@ class Domain:
         if self.kind == "ball":
             return self.radius - np.linalg.norm(x, axis=1)
         if self.kind == "polydisk":
-            n = x.shape[1] // 2
-            z = x[:, :n] + 1j * x[:, n:]
+            z = real_to_complex_components(x)
             lo = np.full(len(x), math.inf)
             start = 0
             for size, radius in self.blocks:
@@ -298,26 +298,27 @@ class MetricDef:
 
     # -- frequently used tensors ---------------------------------------------
 
-    def levi_matrix(self, z, v) -> np.ndarray:
-        """(G_{a bbar}) at each row of z, v of shape (B, n), read off the real
-        fundamental tensor g (``fundamental_real``) at the realified rows: with
-        p, q the real and imaginary parts of v, L = (g_pp + g_qq)/2 +
-        i (g_pq - g_qp)/2 (Abate & Patrizio, LNM 1591, ch. 2). Each part sums
-        two coefficients from +0.0, as the order-2 Wirtinger jet
-        (``complex_rows``) does, so L is its (v, vbar) block bit for bit."""
-        n = self.n
-        g = self.fundamental_real(complex_to_real_components(z), complex_to_real_components(v))
-        P, Q = slice(None, n), slice(n, None)
-        levi = np.empty(g.shape[:-2] + (n, n), dtype=complex)
-        levi.real = 0.5 * (g[..., P, P] + g[..., Q, Q]) + 0.0
-        levi.imag = 0.5 * (g[..., P, Q] - g[..., Q, P]) + 0.0
-        return levi
-
     def fundamental_real(self, x, u) -> np.ndarray:
-        """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j at each row of
-        x, u of shape (B, dim), from one order-2 ``real_rows`` replay over u alone."""
+        """Real fundamental tensor g_ij = (1/2) d^2 G / du_i du_j at the rows x, u
+        (B, dim), from one order-2 ``real_rows`` replay over u alone; L = levi_matrix(g)."""
         sp, U = self.fibre_space(2, 0), slice(self.dim, 2 * self.dim)
         return 0.5 * sp.gather(self.real_rows(x, u, sp), 2, U, U)
+
+
+def levi_matrix(g) -> np.ndarray:
+    """The Levi matrix (G_{a bbar}) of each real fundamental tensor g of shape
+    (..., 2n, 2n) of a complex metric (``MetricDef.fundamental_real`` at
+    realified rows): with p, q the real and imaginary parts of v,
+    L = (g_pp + g_qq)/2 + i (g_pq - g_qp)/2 (Abate & Patrizio, LNM 1591,
+    ch. 2). Each part sums two coefficients from +0.0, as the order-2
+    Wirtinger jet (``MetricDef.complex_rows``) does, so L is its (v, vbar)
+    block bit for bit."""
+    n = g.shape[-1] // 2
+    P, Q = slice(None, n), slice(n, None)
+    levi = np.empty(g.shape[:-2] + (n, n), dtype=complex)
+    levi.real = 0.5 * (g[..., P, P] + g[..., Q, Q]) + 0.0
+    levi.imag = 0.5 * (g[..., P, Q] - g[..., Q, P]) + 0.0
+    return levi
 
 
 def well_conditioned_inverse(a, what) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import (Domain, MetricDef, SamplePlan, complex_coordinates,
-                       complex_to_real_components, product_domain, sample_points,
-                       sample_vectors, unit_directions)
+                       complex_to_real_components, levi_matrix, product_domain,
+                       real_to_complex_components, sample_points, sample_vectors, unit_directions)
 from .jets import JetProgram, JetSpace, creal
 from .report import VerificationReport, evaluate_stacked
 
@@ -51,12 +51,12 @@ def _as_matrix(m, n, what):
 def _hermitian_form(H, v):
     """sum_ab H[a,b] v_a conj(v_b) as a real scalar, for a Hermitian H (entries
     scalars): each off-diagonal pair is summed once, over a < b, as
-    2 Re(v_a conj(v_b) H_ab)."""
+    2 Re(v_a conj(v_b) H_ab). H is nested lists or an array, read as H[a][b]."""
     s = None
     n = len(v)
     for a in range(n):
         for b in range(a, n):
-            h = H[a][b] if not isinstance(H, np.ndarray) else H[a, b]
+            h = H[a][b]
             if isinstance(h, numbers.Number) and h == 0:
                 continue
             if a == b:
@@ -101,15 +101,9 @@ def _make_hermitian(spec):
     meta = {"complete": True}
     domain = Domain()
 
-    if catalog == "euclidean":
-        H = np.eye(n, dtype=complex)
-
-        def matrix_fn(z):
-            return H
-
-        meta.update(holomorphic_curvature=0.0, kahler_class="strongly_kahler")
-    elif catalog == "constant":
-        H = _as_matrix(params["matrix"], n, "hermitian constant")
+    if catalog in ("euclidean", "constant"):
+        H = (np.eye(n, dtype=complex) if catalog == "euclidean"
+             else _as_matrix(params["matrix"], n, "hermitian constant"))
 
         def matrix_fn(z):
             return H
@@ -377,14 +371,15 @@ def check_metric(m: MetricDef, plan: SamplePlan) -> VerificationReport:
 
     Reports the minimum eigenvalues of the Levi matrix and of the real
     fundamental tensor over the sample grid, plus homogeneity residuals.
-    The grid runs as stacked rows through ``report.evaluate_stacked``: each
-    tensor comes from one order-2 replay over every sample and goes through
-    one stacked ``eigvalsh``, and G(z, v) and the homogeneity reference
-    G(z, s v) from one order-0 replay over both. The homogeneity scales s
-    are drawn once, one per sample in plan order, from
-    ``default_rng(seed + 7)``, and reach the rows as a column beside Z and V,
-    so a grid rerun one row at a time after a failed sample reads the same
-    scales.
+    The grid runs as stacked rows through ``report.evaluate_stacked``: the
+    real tensor g comes from one order-2 replay over every sample, at the
+    realified rows, the Levi matrix is read off g (``geometry.levi_matrix``),
+    each goes through one stacked ``eigvalsh``, and G(z, v) and the
+    homogeneity reference G(z, s v) come from one order-0 replay over both.
+    The homogeneity scales s are drawn once, one per sample in plan order,
+    from ``default_rng(seed + 7)``, and reach the rows as a column beside Z
+    and V, so a grid rerun one row at a time after a failed sample reads the
+    same scales.
     Per-sample evaluation failures are recorded, not raised: ``stats["samples"]``
     holds the attempted/ok/failed counts with failures tallied by error type,
     and a check with a failed sample, or with no evaluated one, fails.
@@ -402,12 +397,10 @@ def check_metric(m: MetricDef, plan: SamplePlan) -> VerificationReport:
         eigenvalue]) of each row of Z, V, the homogeneity scale its row of S."""
         # G(z, v) and the homogeneity reference G(z, s v) from one replay
         G, ref = np.split(m.value(np.concatenate([Z, Z]), np.concatenate([V, S[:, None] * V])), 2)
-        levi = ()
-        X, U = Z, V
-        if m.is_complex:
-            levi = (np.linalg.eigvalsh(m.levi_matrix(Z, V)).min(axis=-1),)
-            X, U = complex_to_real_components(Z), complex_to_real_components(V)
-        evr = np.linalg.eigvalsh(m.fundamental_real(X, U)).min(axis=-1)
+        X, U = map(complex_to_real_components, (Z, V)) if m.is_complex else (Z, V)
+        g = m.fundamental_real(X, U)
+        evr = np.linalg.eigvalsh(g).min(axis=-1)
+        levi = (np.linalg.eigvalsh(levi_matrix(g)).min(axis=-1),) if m.is_complex else ()
         # |s| ** 2 of Python scalars is libm's pow, as one sample's check takes it
         s2 = np.array([abs(s) ** 2 for s in S.tolist()])
         hom = np.abs(ref - s2 * G) / np.maximum(1.0, np.abs(ref))
@@ -543,5 +536,4 @@ def _build_map(spec) -> HoloMap:
 
 def plan_directions(m: MetricDef, k: int, seed=0):
     """k deterministic complex unit directions for curvature/ratio fans."""
-    dirs = unit_directions(k, 2 * m.n, seed)
-    return [d[:m.n] + 1j * d[m.n:] for d in dirs]
+    return list(real_to_complex_components(unit_directions(k, 2 * m.n, seed)))

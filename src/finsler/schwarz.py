@@ -14,7 +14,7 @@ sampled on the plan. The hypotheses are checked and recorded, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -92,8 +92,7 @@ class MetricAnalysis:
         self.plan = plan
 
     def _sub_plan(self, n_points):
-        return SamplePlan(seed=self.plan.seed, n_points=n_points, n_dirs=4,
-                          radial_range=self.plan.radial_range)
+        return replace(self.plan, n_points=n_points, n_dirs=4)
 
     @cached_property
     def validity(self) -> VerificationReport:
@@ -161,6 +160,13 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
     Hypothesis failures are recorded in the certificate; the comparison is
     still executed and labeled. A NaN or infinite ratio raises
     ``NonFiniteSampleError``.
+
+    The bound is K1/K2 + 0.0, so a flat domain (K1 = 0, as the paper's
+    Minkowski corollary has it) writes +0.0. The certificate passes when
+    ``max_ratio <= bound + tolerance * min(1, bound)``, so the least excess
+    over the bound it tells apart is ``tolerance`` at a bound >= 1 and
+    ``tolerance * bound`` below. A zero bound allows no slack: only a ratio
+    of 0 on every sample (f*H = 0, as a constant map gives) passes.
     """
     dom = _analysis(domain, plan)
     tgt = dom if target is domain else _analysis(target, plan)
@@ -176,7 +182,7 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
                       hyp["domain_complete"], target_valid))
     k1 = dom.curvature.bound("domain")
     k2 = tgt.curvature.bound("target")
-    bound = k1.value / k2.value
+    bound = k1.value / k2.value + 0.0
 
     # the ratio grid as rows, point by point in plan order, each point's
     # value and Jacobian repeated over the directions
@@ -192,7 +198,7 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
     max_ratio = float(ratios[b])
     iz, iv = divmod(b, len(dirs))
     argmax = {"point_index": iz, "dir_index": iv, "z": list(pts[iz]), "ratio": max_ratio}
-    passed = max_ratio <= bound + tolerance
+    passed = max_ratio <= bound + tolerance * min(1.0, bound)
     return SchwarzCertificate(
         map_id=f.id, domain_id=m_domain.family_id, target_id=m_target.family_id,
         K1=k1.value, K2=k2.value, bound=bound, max_ratio=max_ratio,

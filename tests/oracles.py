@@ -17,6 +17,7 @@ import numbers
 import numpy as np
 
 from finsler.errors import StructuralError
+from finsler.geometry import complex_to_real_components, levi_matrix
 from finsler.jets import (Jet, JetSpace, _compose, _exp_taylor, _power_taylor, _product,
                           _reciprocal_taylor)
 
@@ -27,15 +28,22 @@ from finsler.jets import (Jet, JetSpace, _compose, _exp_taylor, _power_taylor, _
 def at_point(tensor, *args):
     """``tensor`` at one point: one of the functions that take rows (B, n)
     only (``chern_finsler``, ``holomorphic_sectional_curvature``,
-    ``MetricDef.levi_matrix``, ``MetricDef.fundamental_real``,
-    ``cartan.spray_coefficients``), called with
-    its last two arguments as one row each, and row 0 of what it returns."""
+    ``MetricDef.fundamental_real``, ``cartan.spray_coefficients``), called
+    with its last two arguments as one row each, and row 0 of what it returns."""
     *head, z, v = args
     out = tensor(*head, np.asarray(z)[None], np.asarray(v)[None])
     if dataclasses.is_dataclass(out):
         return dataclasses.replace(out, **{f.name: getattr(out, f.name)[0]
                                            for f in dataclasses.fields(out)})
     return out[0]
+
+
+def levi_at(m, z, v):
+    """The Levi matrix of a complex metric at one point, as ``check_metric``
+    reads it: ``geometry.levi_matrix`` of ``MetricDef.fundamental_real`` at
+    the realified point."""
+    x, u = complex_to_real_components(z), complex_to_real_components(v)
+    return levi_matrix(at_point(m.fundamental_real, x, u))
 
 
 # -- finite differences with Richardson extrapolation ---------------------------
@@ -1498,7 +1506,7 @@ def gradient_identity(m, pole, z) -> dict:
 
     T_c = base.T[:m.n] + 1j * base.T[m.n:]
     Y_c = Y[:m.n] + 1j * Y[m.n:]
-    complex_pairing = 0.5 * np.einsum("ab,a,b->", at_point(m.levi_matrix, z, T_c), Y_c,
+    complex_pairing = 0.5 * np.einsum("ab,a,b->", levi_at(m, z, T_c), Y_c,
                                       T_c.conj())
 
     rho = base.value

@@ -672,14 +672,14 @@ def test_cmd_schwarz_records_the_target_validity(tmp_path, monkeypatch):
     # hypotheses; the metadata says so, and the payload has no key for it
     from finsler.errors import DegenerateMetricError
     from finsler.geometry import MetricDef
-    levi = MetricDef.levi_matrix
+    fundamental_real = MetricDef.fundamental_real
 
-    def degenerate_target(self, z, v):
+    def degenerate_target(self, x, u):
         if self.family_id == "target":
-            raise DegenerateMetricError("Levi matrix singular")
-        return levi(self, z, v)
+            raise DegenerateMetricError("fundamental tensor singular")
+        return fundamental_real(self, x, u)
 
-    monkeypatch.setattr(MetricDef, "levi_matrix", degenerate_target)
+    monkeypatch.setattr(MetricDef, "fundamental_real", degenerate_target)
     p = write_config(tmp_path, {
         **BASE_CONFIG,
         "metrics": [_DISK, {**_DISK, "id": "target"}],
@@ -1434,3 +1434,139 @@ def test_fresh_processes_never_import_scipy(tmp_path):
                            str(tmp_path / "out")], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- exits no other test reaches -------------------------------------------------
+
+
+def test_cmd_curvature_exits_1_when_a_sample_departs_from_the_declared_curvature(
+        tmp_path, monkeypatch, capsys):
+    from finsler import chern
+    real = chern.holomorphic_sectional_curvature
+    monkeypatch.setattr(chern, "holomorphic_sectional_curvature",
+                        lambda m, z, v: real(m, z, v) + 1e-3)
+    p = write_config(tmp_path, {**BASE_CONFIG, "metrics": [_DISK]})
+    out = tmp_path / "out"
+    assert main(["curvature", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "curvature" / "poincare" / "report.json").read_text())["payload"]
+    assert payload["min"] == pytest.approx(-4.0 + 1e-3, abs=1e-9)
+    assert capsys.readouterr().out.startswith("curvature poincare: K in [")
+
+
+def test_cmd_distance_exits_1_above_the_closed_form_error(tmp_path, monkeypatch, capsys):
+    # the disk's closed form reads sqrt(scale) atanh|z|: a wrong scale
+    # puts every rho 10% away from it
+    from finsler import cli
+
+    def misdeclared(spec):
+        m = instantiate(spec)
+        m.metadata["hermitian_scale"] = 1.21
+        return m
+
+    monkeypatch.setattr(cli, "instantiate", misdeclared)
+    p = write_config(tmp_path, {**BASE_CONFIG, "metrics": [_DISK], "plans": {"default": {
+        "n_points": 2, "n_dirs": 2, "radial_range": [0.2, 0.5]}}})
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
+    payload = json.loads((out / "distance" / "poincare" / "report.json").read_text())["payload"]
+    rows = (out / "distance" / "poincare" / "distance.csv").read_text().splitlines()[1:]
+    rho = max(float(row.split(",")[1]) for row in rows)
+    assert len(rows) == payload["rho_samples"]["ok"] == 2
+    assert payload["max_closed_form_error"] == pytest.approx(0.1 * rho, rel=1e-6)
+    error = f"{payload['max_closed_form_error']:.2e}"
+    assert capsys.readouterr().out.startswith(f"distance poincare: max closed-form error {error};")
+
+
+@pytest.mark.parametrize("pair, message", [
+    ({"map": "identity", "domain": "nowhere", "target": "poincare"},
+     "unknown metric id(s) ['nowhere']"),
+    ({"map": "nothing", "domain": "poincare", "target": "poincare"},
+     "unknown map id 'nothing'"),
+])
+def test_cmd_schwarz_exits_2_on_an_unknown_id_in_a_pair(tmp_path, capsys, pair, message):
+    p = write_config(tmp_path, {**BASE_CONFIG, "pairs": [pair]})
+    assert main(["schwarz", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_cmd_schwarz_exits_2_without_pairs(tmp_path, capsys):
+    p = write_config(tmp_path, {k: v for k, v in BASE_CONFIG.items() if k != "pairs"})
+    assert main(["schwarz", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "configuration error: schwarz command needs a pairs list\n"
+
+
+def test_cmd_schwarz_exits_1_when_a_verdict_departs_from_expect_pass(tmp_path, capsys):
+    # the identity of the disk passes; expecting it to fail is a failed run,
+    # which still writes the certificate
+    p = write_config(tmp_path, {**BASE_CONFIG, "pairs": [
+        {**BASE_CONFIG["pairs"][0], "expect_pass": False}]})
+    out = tmp_path / "out"
+    assert main(["schwarz", "--config", str(p), "--out", str(out)]) == 1
+    cert = json.loads((out / "schwarz" / "identity__poincare__poincare" / "report.json")
+                      .read_text())["payload"]["certificate"]
+    assert cert["passed"] is True
+    assert capsys.readouterr().out.rstrip().endswith(" PASS")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["replay"], "replay needs --certificate FILE"),
+    (["check"], "check needs --config FILE"),
+])
+def test_a_missing_file_flag_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+
+# -- catalog branches that users' configs reach ----------------------------------
+
+
+_CATALOG_CONFIG = {
+    "seed": 7,
+    "metrics": [
+        {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "product_disks"},
+         "id": "polydisk"},
+        {"family": "hermitian", "complex_dim": 2, "id": "constant",
+         "params": {"catalog": "constant", "matrix": [[2.0, [0.5, 0.5]], [[0.5, -0.5], 1.0]]}},
+        {"family": "minkowski", "complex_dim": 2, "id": "minkowski_factors",
+         "params": {"k": 3, "eps": 0.5,
+                    "factors": [[[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]]}},
+        {"family": "szabo", "id": "szabo_factors",
+         "params": {"k": 2, "eps": 0.5, "factors": [[[1.0]], [[2.0]]]}},
+        {"family": "un_invariant", "complex_dim": 2, "id": "f_one",
+         "params": {"profile": {"form": "gradient", "f": "one"}}},
+        {"family": "un_invariant", "complex_dim": 2, "id": "f_inv",
+         "params": {"profile": {"form": "gradient", "f": "inv_one_minus_t"}}},
+        {"family": "un_invariant", "complex_dim": 2, "id": "one_plus_ts2",
+         "params": {"profile": {"form": "free", "expr": "one_plus_ts2"}}},
+    ],
+    "maps": [
+        {"map": "constant", "params": {"value": [0.1, [0.2, -0.1]], "n_in": 2}, "id": "const"},
+        {"map": "linear", "params": {"matrix": [[0.5, 0.0], [0.0, 0.0]]}, "id": "half_first"},
+    ],
+    "pairs": [
+        {"map": "const", "domain": "constant", "target": "polydisk", "expect_pass": True},
+        {"map": "half_first", "domain": "minkowski_factors", "target": "polydisk",
+         "expect_pass": False},
+    ],
+    "plans": {"default": {"n_points": 4, "n_dirs": 3, "radial_range": [0.1, 0.6]}},
+}
+
+
+def test_the_catalog_branches_run_through_check_and_schwarz(tmp_path, capsys):
+    p = write_config(tmp_path, _CATALOG_CONFIG)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(p), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"check {spec['id']}: validity=PASS (samples ok 12/12) class="
+                     f"{'none' if spec['id'] == 'one_plus_ts2' else 'strongly_kahler'}"
+                     for spec in _CATALOG_CONFIG["metrics"]]
+    assert main(["schwarz", "--config", str(p), "--out", str(out)]) == 0
+    certs = [json.loads((out / "schwarz" / f"{pair['map']}__{pair['domain']}__polydisk"
+                         / "report.json").read_text())["payload"]["certificate"]
+             for pair in _CATALOG_CONFIG["pairs"]]
+    # both domains are flat: the bound is +0.0, met by the constant map only
+    assert [(c["bound"], c["hypotheses"]["met"]) for c in certs] == [(0.0, True)] * 2
+    assert [c["max_ratio"] == 0.0 for c in certs] == [True, False]
+    assert [c["passed"] for c in certs] == [True, False]

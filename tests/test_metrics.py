@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from finsler import metrics
 from finsler.errors import ConfigurationError, DomainError, SlitBundleError
 from finsler.geometry import (SamplePlan, complex_to_real_components, realify_metric,
                               sample_points, sample_vectors)
 from finsler.metrics import build_map, build_profile, check_metric, instantiate
 
-from oracles import (EagerSpace, at_point, ball_automorphism, holomorphic_jacobian,
+from oracles import (EagerSpace, ball_automorphism, holomorphic_jacobian, levi_at,
                      probe_catalog)
 
 
@@ -80,7 +81,7 @@ def test_check_metric_euclidean_levi_identity():
 def test_check_metric_poincare_center():
     m = instantiate({"family": "hermitian", "complex_dim": 1,
                      "params": {"catalog": "poincare_disk"}})
-    L = at_point(m.levi_matrix, np.zeros(1, complex), np.array([0.4 + 0.2j]))
+    L = levi_at(m, np.zeros(1, complex), np.array([0.4 + 0.2j]))
     assert L[0, 0] == pytest.approx(1.0)
     rep = check_metric(m, SamplePlan(seed=2, n_points=6, n_dirs=3))
     assert rep.passed
@@ -319,10 +320,10 @@ def test_check_metric_records_engine_errors(monkeypatch):
     m = instantiate({"family": "hermitian", "complex_dim": 1,
                      "params": {"catalog": "poincare_disk"}})
 
-    def degenerate(z, v):
-        raise DegenerateMetricError("Levi matrix singular")
+    def degenerate(x, u):
+        raise DegenerateMetricError("fundamental tensor singular")
 
-    monkeypatch.setattr(m, "levi_matrix", degenerate)
+    monkeypatch.setattr(m, "fundamental_real", degenerate)
     rep = check_metric(m, SamplePlan(n_points=2, n_dirs=2))
     assert not rep.passed
     assert len(rep.errors) == 4 and "DegenerateMetricError" in rep.errors[0]
@@ -338,11 +339,11 @@ def test_check_metric_counts_samples(monkeypatch):
     assert rep.stats["samples"] == {"attempted": 1, "ok": 1, "failed": 0,
                                     "failure_reasons": {}}
 
-    def degenerate(z, v):
-        raise DegenerateMetricError("Levi matrix singular")
+    def degenerate(x, u):
+        raise DegenerateMetricError("fundamental tensor singular")
 
     # the one sample fails: no sample evaluated, so the check fails
-    monkeypatch.setattr(m, "levi_matrix", degenerate)
+    monkeypatch.setattr(m, "fundamental_real", degenerate)
     rep = check_metric(m, plan)
     assert not rep.passed
     assert rep.stats["samples"] == {"attempted": 1, "ok": 0, "failed": 1,
@@ -354,16 +355,24 @@ def test_check_metric_fails_on_a_non_finite_levi_eigenvalue(monkeypatch):
                      "params": {"catalog": "poincare_disk"}})
     plan = SamplePlan(n_points=2, n_dirs=2)
     z0, v0 = sample_points(m, plan)[0], sample_vectors(m, plan)[0]
-    real = m.levi_matrix
+    x0, u0 = complex_to_real_components(z0), complex_to_real_components(v0)
+    real_g, real_levi = m.fundamental_real, metrics.levi_matrix
+    hit = []
 
-    def nan_first(z, v):
-        # sample (0,0) reads NaN in every call whose rows hold it: the
-        # stacked call and its own one-row call
-        levi = real(z, v)
-        levi[np.all(z == z0, axis=-1) & np.all(v == v0, axis=-1)] = np.nan
+    def tagged(x, u):
+        hit.append(np.all(x == x0, axis=-1) & np.all(u == u0, axis=-1))
+        return real_g(x, u)
+
+    def nan_first(g):
+        # sample (0,0) reads a NaN Levi matrix, and a finite g, in every call
+        # whose rows hold it: the stacked call and its own one-row call (the
+        # disk's g does not depend on v, so the rows of g name the sample)
+        levi = real_levi(g)
+        levi[hit[-1]] = np.nan
         return levi
 
-    monkeypatch.setattr(m, "levi_matrix", nan_first)
+    monkeypatch.setattr(m, "fundamental_real", tagged)
+    monkeypatch.setattr(metrics, "levi_matrix", nan_first)
     rep = check_metric(m, plan)
     assert not rep.passed
     assert rep.stats["samples"] == {"attempted": 4, "ok": 3, "failed": 1,
@@ -376,9 +385,9 @@ def test_check_metric_surfaces_programming_errors(monkeypatch):
     m = instantiate({"family": "hermitian", "complex_dim": 1,
                      "params": {"catalog": "poincare_disk"}})
 
-    def broken(z, v):
+    def broken(x, u):
         raise KeyError("missing coefficient")
 
-    monkeypatch.setattr(m, "levi_matrix", broken)
+    monkeypatch.setattr(m, "fundamental_real", broken)
     with pytest.raises(KeyError):
         check_metric(m, SamplePlan(n_points=2, n_dirs=2))

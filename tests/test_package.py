@@ -120,6 +120,38 @@ def test_only_jets_builds_a_complex_jet_space():
     assert built == []
 
 
+def _halves_paired(src):
+    """``file:line`` of each ``a[...] + 1j * a[...]``, the real and imaginary
+    halves of one array paired into complex numbers, outside
+    ``geometry.real_to_complex_components``."""
+    written = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "geometry.py":
+            fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                      and node.name == "real_to_complex_components")
+            allowed = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+                    and isinstance(node.right.left, ast.Constant) and node.right.left.value == 1j):
+                continue
+            halves = node.left, node.right.right
+            if (all(isinstance(half, ast.Subscript) for half in halves)
+                    and ast.unparse(halves[0].value) == ast.unparse(halves[1].value)
+                    and id(node) not in allowed):
+                written.append(f"{path.name}:{node.lineno}")
+    return written
+
+
+def test_only_geometry_pairs_the_real_halves():
+    # the realification z^a = x^a + i x^{n+a} is written once, in
+    # geometry.real_to_complex_components; re + 1j * im of two arrays, as
+    # HoloMap.evaluate combines its programs, is not a realification
+    assert _halves_paired(SRC) == []
+
+
 def _table_keys(shape):
     if isinstance(shape, dict):
         for key, sub in shape.items():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from finsler.errors import DomainError, SlitBundleError, StructuralError
-from finsler.geometry import MetricDef, complex_to_real_components, realify_metric
+from finsler.geometry import MetricDef, complex_to_real_components, levi_matrix, realify_metric
 from finsler.cartan import cartan, spray_coefficients, spray_jacobian
 from finsler.chern import chern_finsler, holomorphic_sectional_curvature
 from finsler.jets import (_ADD, _ADDC, _CONST, _EXP, _MUL, _NEG, _POW, _REC, _RSUBC,
@@ -25,7 +25,7 @@ from finsler.jets import (_ADD, _ADDC, _CONST, _EXP, _MUL, _NEG, _POW, _REC, _RS
 from finsler.metrics import _hermitian_form, instantiate
 
 from oracles import (EagerSpace, at_point, complex_jet_by_objects, eager, eager_cjets,
-                     real_jet_by_objects, record_unmerged, replay_rows_unpruned)
+                     levi_at, real_jet_by_objects, record_unmerged, replay_rows_unpruned)
 
 
 def _replay(prog, point, order):
@@ -177,7 +177,7 @@ def test_a_metric_is_recorded_once():
     for order in (2, 0, 4, 1, 3, 2):
         m.real_jet(x, u, order)
         m.complex_jet(z, v, order)
-    at_point(m.levi_matrix, z, v)
+    levi_at(m, z, v)
     at_point(m.fundamental_real, x, u)
     assert len(calls) == 1
 
@@ -372,7 +372,8 @@ def test_levi_matrix_is_the_wirtinger_gather_bit_for_bit():
                      (np.zeros((2 * n, n), complex), axes)):
             sp, rows = m.complex_rows(z, v, m.fibre_space(2, 0))
             want = sp.gather(rows, 2, slice(n, 2 * n), slice(3 * n, 4 * n))
-            assert m.levi_matrix(z, v).tobytes() == want.tobytes(), m.family_id
+            g = m.fundamental_real(complex_to_real_components(z), complex_to_real_components(v))
+            assert levi_matrix(g).tobytes() == want.tobytes(), m.family_id
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -386,7 +387,7 @@ def test_readers_equal_their_full_basis_readouts(monkeypatch, rows):
                for b in range(rows)]
         return ([getattr(cf, f) for f in vars(cf)] + [getattr(ct, f) for f in vars(ct)]
                 + [holomorphic_sectional_curvature(m, z, v), spray_coefficients(m, x, u),
-                   m.levi_matrix(z, v), m.fundamental_real(x, u)]
+                   levi_matrix(m.fundamental_real(x, u)), m.fundamental_real(x, u)]
                 + [a for out in jac for a in out])
 
     rng = np.random.default_rng(40 + rows)
@@ -497,7 +498,8 @@ def test_zero_rows_give_empty_arrays():
     assert m.real_rows(np.empty((0, m.dim)), np.empty((0, m.dim)), 2).shape == (
         0, JetSpace.get(2 * m.dim, 2).n)
     assert m.value(none, none).shape == (0,)
-    assert m.levi_matrix(none, none).shape == (0, m.n, m.n)
+    assert levi_matrix(m.fundamental_real(np.empty((0, m.dim)), np.empty((0, m.dim)))).shape == (
+        0, m.n, m.n)
 
 
 def test_complex_rows_equal_point_complex_jets():

@@ -223,10 +223,10 @@ def test_a_target_that_fails_its_validity_check_fails_the_hypotheses(monkeypatch
     plan = SamplePlan(seed=3, n_points=4, n_dirs=2, radial_range=(0.1, 0.7))
     good = certify_schwarz(sq, POINCARE, target, plan)
 
-    def degenerate(z, v):
-        raise DegenerateMetricError("Levi matrix singular")
+    def degenerate(x, u):
+        raise DegenerateMetricError("fundamental tensor singular")
 
-    monkeypatch.setattr(target, "levi_matrix", degenerate)
+    monkeypatch.setattr(target, "fundamental_real", degenerate)
     bad = certify_schwarz(sq, POINCARE, target, plan)
     assert good.hypotheses["met"] and good.target_valid_metric
     assert not bad.hypotheses["met"] and not bad.target_valid_metric
@@ -272,6 +272,26 @@ def test_certificate_constant_map_from_minkowski_passes():
     assert cert.bound == 0.0
     assert cert.max_ratio == 0.0
     assert cert.passed
+
+
+def test_a_zero_bound_allows_no_slack():
+    # the paper's Minkowski corollary: a flat domain (K1 = 0) gives the bound
+    # +0.0, which only f*H = 0 meets. z -> 1e-3 z reads a ratio of about
+    # 5.8e-7, within the certificate's tolerance of 1e-6 above the bound,
+    # and fails all the same
+    plan = SamplePlan(seed=7, n_points=14, n_dirs=17, radial_range=(0.1, 0.7))
+    dom, tgt = MetricAnalysis(MINKOWSKI, plan), MetricAnalysis(BALL2, plan)
+    const = build_map({"map": "constant", "params": {"value": [0.1, [0.2, -0.1]], "n_in": 2}})
+    cert = certify_schwarz(const, dom, tgt, plan)
+    assert cert.K1 == 0.0 and cert.hypotheses["met"]
+    assert cert.bound == 0.0 and math.copysign(1.0, cert.bound) == 1.0
+    assert cert.max_ratio == 0.0 and cert.passed
+    for c in (0.5, 1e-3):
+        scaled = build_map({"map": "linear", "params": {"matrix": [[c, 0.0], [0.0, c]]}})
+        cert = certify_schwarz(scaled, dom, tgt, plan)
+        assert math.copysign(1.0, cert.bound) == 1.0 and cert.bound == 0.0
+        assert 0.0 < cert.max_ratio and not cert.passed, c
+    assert cert.max_ratio < cert.tolerance
 
 
 def test_log_density_comparison_poincare_equality():

@@ -12,7 +12,7 @@ from finsler.chern import chern_finsler
 from finsler.errors import DegenerateMetricError
 from finsler.geometry import (MetricDef, SamplePlan, complex_to_real_components,
                               realify_metric, sample_points, sample_vectors)
-from finsler.jets import JetProgram
+from finsler.jets import JetProgram, JetSpace
 from finsler.metrics import check_metric, instantiate
 from finsler.report import canonical_json, evaluate_stacked
 
@@ -189,32 +189,72 @@ def test_a_passing_validity_grid_makes_one_replay_per_tensor(monkeypatch, name):
         _count_calls(monkeypatch, owner, method, calls)
     rep = check_metric(m, PLAN)
     assert rep.passed and rep.grid["stacked"]
-    # G with its homogeneity reference, the real fundamental tensor, and on
-    # complex kinds the Levi matrix
-    assert calls == {"replay_rows": 3 if m.is_complex else 2}
+    # G with its homogeneity reference, and the real fundamental tensor, off
+    # which complex kinds read the Levi matrix
+    assert calls == {"replay_rows": 2}
+
+
+@pytest.mark.parametrize("name", ["disk", "ball"])
+def test_a_validity_grid_replays_g_once_and_reads_levi_off_it(monkeypatch, name):
+    # one order-0 replay of G and its homogeneity reference over 2B rows, and
+    # one order-2 replay of g over the B rows, which both eigenvalue minima read
+    m = _validity_metric(name)
+    replay_rows = JetProgram.replay_rows
+    seen = []
+
+    def recorded(self, values, basis):
+        seen.append((len(values), JetSpace.of(self.nvars, basis).order))
+        return replay_rows(self, values, basis)
+
+    monkeypatch.setattr(JetProgram, "replay_rows", recorded)
+    rep = check_metric(m, PLAN)
+    assert rep.passed and rep.grid == {"rows": 12, "stacked": True}
+    assert seen == [(24, 0), (12, 2)]
 
 
 def _spoil_at(monkeypatch, m, method, sample, spoil):
-    """``m.<method>``, and its point form ``oracles.point_<method>`` that the
-    per-sample oracle reads, apply ``spoil`` to their result in every call
-    whose rows, or point, hold the plan's ``sample`` (iz, iv): the stacked
-    call, the sample's own one-row call and the oracle's call at it. Their
-    arguments are complex or real components as ``method`` takes them."""
+    """Apply ``spoil`` to what the validity grid reads at the plan's ``sample``
+    (iz, iv) in every call whose rows, or point, hold it: the stacked call,
+    the sample's own one-row call and the per-sample oracle's call at it.
+    ``method`` "fundamental_real" spoils ``m.fundamental_real`` at the
+    sample's realified row; "levi_matrix" spoils ``metrics.levi_matrix`` at
+    that row of the ``fundamental_real`` call it reads (a Hermitian g does
+    not depend on v, so g alone cannot name the sample), and only the Levi
+    verdict reads the spoiled value. Each also spoils
+    ``oracles.point_<method>``, the point form that the per-sample oracle
+    reads, at the sample's point."""
     iz, iv = sample
     z_bad, v_bad = sample_points(m, PLAN)[iz], sample_vectors(m, PLAN)[iv]
-    if method == "fundamental_real" and m.is_complex:
-        z_bad, v_bad = complex_to_real_components(z_bad), complex_to_real_components(v_bad)
+    x_bad, u_bad = z_bad, v_bad
+    if m.is_complex:
+        x_bad, u_bad = complex_to_real_components(z_bad), complex_to_real_components(v_bad)
 
-    def spoiled(real):
+    def spoiled(real, hit_of):
         def call(*args):
-            *_, z, v = args
             out = real(*args)
-            hit = np.all(z == z_bad, axis=-1) & np.all(v == v_bad, axis=-1)
+            hit = hit_of(*args)
             return spoil(out, hit) if np.any(hit) else out
         return call
 
-    monkeypatch.setattr(m, method, spoiled(getattr(m, method)))
-    monkeypatch.setattr(oracles, f"point_{method}", spoiled(getattr(oracles, f"point_{method}")))
+    def at_rows(z, v):
+        return lambda *args: np.all(args[-2] == z, axis=-1) & np.all(args[-1] == v, axis=-1)
+
+    bad_rows = at_rows(x_bad, u_bad)
+    if method == "fundamental_real":
+        monkeypatch.setattr(m, method, spoiled(m.fundamental_real, bad_rows))
+        point_rows = bad_rows
+    else:
+        hits, real = [], m.fundamental_real
+
+        def tagged(x, u):
+            hits.append(bad_rows(x, u))
+            return real(x, u)
+
+        monkeypatch.setattr(m, "fundamental_real", tagged)
+        monkeypatch.setattr(metrics, method, spoiled(metrics.levi_matrix, lambda g: hits[-1]))
+        point_rows = at_rows(z_bad, v_bad)
+    monkeypatch.setattr(oracles, f"point_{method}",
+                        spoiled(getattr(oracles, f"point_{method}"), point_rows))
 
 
 def _raise(out, hit):
@@ -308,7 +348,7 @@ def test_a_failed_grid_sample_writes_the_per_sample_bytes(monkeypatch, name, gri
 def test_no_grid_reads_a_point_jet(monkeypatch, name, grid, fail):
     m = instantiate(CATALOG[name])
     if fail and grid == "validity":
-        _spoil_at(monkeypatch, m, "levi_matrix", (1, 2), _raise)
+        _spoil_at(monkeypatch, m, "fundamental_real", (1, 2), _raise)
     elif fail:
         _, seen = _run_grid(monkeypatch, grid, m)
         _fail_at(monkeypatch, seen["points"][1], seen["dirs"][2])
