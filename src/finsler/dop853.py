@@ -177,7 +177,9 @@ class Solution:
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol, first_step=None, events=()):
     """y' = fun(t, y) forward over ``t_span`` = (t0, t_bound), t_bound >= t0,
-    from y0 at tolerances ``rtol``, ``atol``, from the step ``first_step``
+    from y0 at tolerances ``rtol``, ``atol``, each a scalar or an array of
+    y0's shape applied component by component, as scipy accepts them
+    (``validate_tol``), from the step ``first_step``
     (capped at the span) or the initial-step probe's; a backward span raises
     ``ValueError``. The ``events`` are terminal: each that falls through 0 in
     a step records its root there (``_brentq`` on the dense output; scipy

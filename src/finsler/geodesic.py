@@ -14,10 +14,12 @@ Jacobian predicts lands closer. Shooting is inexact Newton: trial
 shots from an iterate far from the target integrate at loose tolerances,
 and every returned iterate, so every distance, comes from a tight
 integration. Integrations run on the package's own DOP853 (``dop853``), which
-builds dense output only for the steps a caller reads. Each shot of a solver,
-and the Jacobi system of a distance Hessian, starts where the solver's last
-shot at the same tolerances left off, scaled to arc length, in place of the
-initial-step probe.
+builds dense output only for the steps a caller reads. Each shot of a solver
+starts where the solver's last shot of the same kind left off, scaled to arc
+length, in place of the initial-step probe.
+A distance Hessian is the end state of its query's landing shot, which
+carries the Jacobi fields (``distance_hessian``); the arc-length Jacobi
+system along a plain shot (``hessian_rho``) is the independent oracle.
 Covariant derivatives along a geodesic use the connection at the reference
 vector T, the geodesic's own velocity, which makes the Cartan and
 Chern-type derivatives coincide: D_T V = dV/ds + N V with N = dG/du, the
@@ -222,6 +224,11 @@ SHOOT_ATOL = 1e-14
 LOOSE_ABOVE = 1e-5
 LOOSE_RTOL = 1e-8
 LOOSE_ATOL = 1e-10
+# tolerances of the Jacobi fields
+JACOBI_RTOL = 1e-10
+JACOBI_ATOL = 1e-12
+# ``PoleDistance._endpoint``'s ``loose`` for a shot that carries the Jacobi fields
+VARIATIONAL = "variational"
 # Gauss-Newton iterations of one start before it returns its last iterate
 MAX_ITERATIONS = 40
 # the parameters t of the chord p + t (q - p) at which its length is read: 0
@@ -261,22 +268,30 @@ class PoleDistance:
     every ``RhoResult``, comes from a tight integration of its ``w``: a loose
     iterate is integrated again at the tight tolerances before it may
     converge or end the solve.
+
+    In a Hessian query (``distance_hessian``) the first shot of each start
+    carries the Jacobi fields (``_variational_shot``): where it lands, its
+    end state is the Hessian; where it misses, Y_x(1) / rho is the exact
+    shooting Jacobian in place of the cached one or the probes, and the
+    accepted iterate takes one more step, shot variationally (``_settle``).
+
     ``work`` is the solver's one record of its cost, a ``Counter`` over
-    ``WORK`` that starts with every count at 0: ``loose_integrations`` counts
-    the loose share of ``integrations``, and ``rhs_evaluations`` sums their
-    right-hand sides (their ``nfev``); ``jacobi_integrations`` and
-    ``jacobi_rhs_evaluations`` count the Jacobi systems of the distance
-    Hessians shot with the solver. A ``RhoResult`` or ``ShootingError`` holds
+    ``WORK`` that starts with every count at 0: ``rhs_evaluations`` sums the
+    right-hand sides (``nfev``) of the ``integrations``, whose loose share
+    is ``loose_integrations`` and whose variational share, with their
+    right-hand sides, is ``jacobi_integrations`` and
+    ``jacobi_rhs_evaluations``. A ``RhoResult`` or ``ShootingError`` holds
     its query's share, ``work`` after the query minus before.
 
     Step continuation (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
     all shots leave the same pole along nearby geodesics, so each starts at
-    the step its predecessor at the same tolerances ended with, times
-    |w_prev| / |w| to carry it over in arc length, in place of the
-    initial-step probe and its ramp-up: after a tight shot the controller's
-    proposal (``h_next``), so a shot that needs one step takes one; after a
-    loose one the larger of its last two steps, on which warm and fresh
-    distance Hessians agree to 1e-12. Every step passes DOP853's error test.
+    the step its predecessor of the same kind (tight, loose or variational)
+    ended with, times |w_prev| / |w| to carry it over in arc length, in place
+    of the initial-step probe and its ramp-up: after a tight or a variational
+    shot the controller's proposal (``h_next``), so a shot that needs one
+    step takes one; after a loose one the larger of its last two steps. A
+    solver's first variational shot starts at its last tight shot's step.
+    Every step passes DOP853's error test.
     """
 
     def __init__(self, m: MetricDef, pole):
@@ -285,18 +300,32 @@ class PoleDistance:
         self._cache = []
         self._targets = np.empty((0, m.dim))   # the targets of ``_cache``, in its order
         self.work = Counter(dict.fromkeys(WORK, 0))
-        self._steps = {False: None, True: None}   # last shot's step times |w|, by looseness
+        # last shot's step times |w|, by kind: tight (False), loose (True), VARIATIONAL
+        self._steps = dict.fromkeys((False, True, VARIATIONAL))
+        # None outside a Hessian query; in one, (w, system) for each variational
+        # shot that reached t = 1
+        self._systems = None
 
     def _first_step(self, w, loose=False):
-        """The step to start a shot with velocity w at: the last shot's at the
-        same tolerances, scaled by |w_prev| / |w|; None for the initial-step
-        probe."""
+        """The step to start a shot with velocity w at: the last shot's of the
+        same kind, scaled by |w_prev| / |w|; for a solver's first variational
+        shot the last tight shot's; None for the initial-step probe."""
         step = self._steps[loose]
+        if step is None and loose == VARIATIONAL:
+            step = self._steps[False]
         return None if step is None else step / float(np.linalg.norm(w))
 
     def _endpoint(self, w, loose=False):
         """End state (x, u) at t = 1 of the geodesic leaving the pole with
-        velocity w, integrated at the loose or the tight shooting tolerances."""
+        velocity w, integrated at the loose (True) or the tight (False)
+        shooting tolerances; with ``loose`` = VARIATIONAL, together with its
+        Jacobi fields (``_variational_shot``), or plain where that fails, so
+        that a Hessian query's starts end where a plain query's do."""
+        if loose == VARIATIONAL:
+            try:
+                return self._variational_shot(w)
+            except SAMPLE_ERRORS:
+                loose = False
         self.work.update(integrations=1, loose_integrations=loose)
         sol = _integrate_affine(self.m, self.pole, w, 1.0,
                                 rtol=LOOSE_RTOL if loose else SHOOT_RTOL,
@@ -307,6 +336,36 @@ class PoleDistance:
         step = float(np.diff(sol.t)[-2:].max()) if loose else sol.h_next
         self._steps[loose] = step * float(np.linalg.norm(w))
         return sol.y[:, -1]
+
+    def _variational_shot(self, w):
+        """End state (x, u) at t = 1 of the geodesic leaving the pole with
+        velocity w, integrated in affine time with the Jacobi fields
+        Y(0) = (0, rho I), rho = sqrt(G(p, w)), so that Y_x(t) = M(rho t):
+        (x, u) at the shooting tolerances and Y at the Jacobi ones, each over
+        sqrt(1 + d), which bounds each block's RMS error norm by the stacked
+        one. A shot that reaches t = 1 appends (w, its system) to
+        ``_systems``: M = Y_x(1), W = (Y_u(1) + N M) / rho, T = u(1) / rho,
+        and g and N = dS/du from the last stage's right-hand side there."""
+        m, d = self.m, self.m.dim
+        G0 = m.value(self.pole, w)
+        rho = math.sqrt(G0)
+        blocks, scale = (2 * d, 2 * d * d), math.sqrt(1 + d)
+        self.work.update(integrations=1, jacobi_integrations=1)
+        sol, (g, dS) = _integrate_variational(
+            m, self.pole, w, 1.0, np.concatenate([np.zeros((d, d)), rho * np.eye(d)]),
+            rtol=np.repeat([SHOOT_RTOL, JACOBI_RTOL], blocks) / scale,
+            atol=np.repeat([SHOOT_ATOL, JACOBI_ATOL], blocks) / scale,
+            first_step=self._first_step(w, VARIATIONAL),
+            events=_domain_events(m, self.pole[None]))
+        self.work.update(rhs_evaluations=sol.nfev, jacobi_rhs_evaluations=sol.nfev)
+        self._steps[VARIATIONAL] = sol.h_next * float(np.linalg.norm(w))
+        y = sol.y[:, -1]
+        if sol.status == 0:
+            M, Yu = y[2 * d:].reshape(2, d, d)
+            self._systems.append((w, BoundaryJacobiSystem(
+                path=_one_member_fan(m, G0, sol), r=rho, M=M, W=(Yu + dS[:, d:] @ M) / rho,
+                T=y[d:2 * d] / rho, g=g)))
+        return y[:2 * d]
 
     def _fd_jacobian(self, w, F0):
         d = self.m.dim
@@ -376,19 +435,23 @@ class PoleDistance:
         """
         d = self.m.dim
         w = np.asarray(w, dtype=float).copy()
-        y = self._endpoint(w)
+        y = self._endpoint(w) if self._systems is None else self._endpoint(w, VARIATIONAL)
         F = y[:d] - q
+        if float(np.linalg.norm(F)) < tol:
+            return w, y, J, float(np.linalg.norm(F))
         loose = False   # y, F come from a loose integration
-        refreshed = J is None
-        if J is None:
-            if float(np.linalg.norm(F)) < tol:
-                return w, y, None, float(np.linalg.norm(F))
+        # the first shot's system, where it was variational and reached t = 1
+        carried = self._systems[-1][1] if self._systems and self._systems[-1][0] is w else None
+        refreshed = J is None or carried is not None
+        if carried is not None:
+            J = carried.M / carried.r   # the exact shooting Jacobian
+        elif J is None:
             J = self._fd_jacobian(w, F + q)
         for _ in range(MAX_ITERATIONS):
             res = float(np.linalg.norm(F))
             if res < tol:
                 if not loose:
-                    return w, y, J, res
+                    return self._settle(w, y, J, res, q)
                 # below tol a loose residual is within its own integration error
                 y, loose = self._endpoint(w), False
                 F = y[:d] - q
@@ -425,6 +488,24 @@ class PoleDistance:
             y = self._endpoint(w)
             F = y[:d] - q
         return w, y, J, float(np.linalg.norm(F))
+
+    def _settle(self, w, y, J, res, q):
+        """A start's accepted iterate (w, y, J, res) after Gauss-Newton steps;
+        in a Hessian query, one more step, shot variationally, where it
+        lowers the residual: the Hessian then does not depend on how far
+        below tol the iteration stopped."""
+        if self._systems is None:
+            return w, y, J, res
+        try:
+            w_new = w - np.linalg.solve(J, y[:self.m.dim] - q)
+            y_new = self._endpoint(w_new, VARIATIONAL)
+        except SAMPLE_ERRORS:
+            return w, y, J, res
+        res_new = float(np.linalg.norm(y_new[:self.m.dim] - q))
+        if not res_new < res:
+            return w, y, J, res
+        self.work["iterations"] += 1
+        return w_new, y_new, J, res_new
 
     def _chord_start(self, q):
         """The chord start (q - p) L / F(p, q - p), whose length F(p, .) is
@@ -476,7 +557,7 @@ class PoleDistance:
 
 @dataclass
 class JacobiField:
-    """Dense Jacobi field J = Y_x c along a normal geodesic, the one-member fan
+    """Dense Jacobi field J = Y_x c along a geodesic, the one-member fan
     ``path`` whose dense state is (x, u, Y_x, Y_v): the fundamental system of
     the linearized geodesic flow, with J = dx = Y_x c and dx' = Y_v c in
     affine time. Called at arc length s, it returns (J, dJ/ds), the form
@@ -499,7 +580,9 @@ CONJUGATE_COND = 1e6
 @dataclass
 class BoundaryJacobiSystem:
     """Fundamental system Y = (M, W) of the Jacobi fields J = M c with J(0) = 0,
-    D_T J(0) = c along a normal path, a one-member fan, with M = M(r),
+    D_T J(0) = c along a path, a one-member fan in arc length
+    (``jacobi_boundary_field``) or in affine time (a variational shot), with
+    M = M(r),
     W = W(r) = D_T M(r) and the unit tangent T and fundamental tensor g = g_T
     at the endpoint. The field reaching u at r has c = M(r)^-1 u."""
 
@@ -535,35 +618,57 @@ class BoundaryJacobiSystem:
         return P.T @ self.g @ self.W @ M_inv_P
 
 
+def _integrate_variational(m: MetricDef, x0, u0, t_end, Y0, *, rtol, atol, first_step=None,
+                           events=()):
+    """The geodesic from (x0, u0) and the variations of it with initial data
+    the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array, integrated together
+    to time t_end as one state (x, u, Y): the variational equations in the
+    trajectory's own state (Hairer, Norsett & Wanner, Solving ODEs I,
+    sec. I.14). Each right-hand side reads S and dS = dG/d(x, u) from one
+    order-3 jet; S moves (x, u) and dx'' = -2 dS (dx, dx') moves Y. Returns
+    the DOP853 solution and (g, dS) at its end state, as the last stage's
+    right-hand side read them."""
+    d = m.dim
+    sp = m.fibre_space(3, 2)
+    last = [None]   # the state of the latest right-hand side, with its g and dS
+
+    def rhs(t, y):
+        u = y[d:2 * d]
+        g, _, spray, dS = spray_jacobian(m.real_jet(y[:d], u, sp), u)
+        last[0] = (y, g, dS)
+        Y = y[2 * d:].reshape(2 * d, -1)
+        return np.concatenate([u, -2.0 * spray, Y[d:].ravel(), (-2.0 * dS @ Y).ravel()])
+
+    sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([x0, u0, np.ravel(Y0)]), rtol=rtol,
+                    atol=atol, first_step=first_step, events=events)
+    if not sol.success:
+        raise ShootingError(f"Jacobi integration failed: {sol.message}")
+    y, g, dS = last[0]
+    if not np.array_equal(y, sol.y[:, -1]):   # an exit root, or a later dense-output stage
+        rhs(t_end, sol.y[:, -1])
+        _, g, dS = last[0]
+    return sol, (g, dS)
+
+
+def _one_member_fan(m: MetricDef, G0, sol) -> GeodesicFan:
+    """The one-member fan of energy G0 whose one segment is ``sol``."""
+    return GeodesicFan(metric=m, energies=np.array([G0]), t_ends=sol.t[-1:],
+                       truncated=np.zeros(1, dtype=bool), segments=[(sol, [0])])
+
+
 def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, first_step=None) -> GeodesicFan:
-    """The unit-speed geodesic from (x0, u0) and the variations of it with
-    initial data the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array,
-    integrated together to arc length r as one state (x, u, Y), a one-member
-    fan: the variational equations in the trajectory's own state (Hairer,
-    Norsett & Wanner, Solving ODEs I, sec. I.14). Each right-hand side reads
-    S and dS = dG/d(x, u) from one order-3 jet; S moves (x, u) and
-    dx'' = -2 dS (dx, dx') moves Y. A ``first_step``, in arc length, is
-    capped at r."""
+    """The unit-speed geodesic from (x0, u0) and its variations with initial
+    data Y0 (``_integrate_variational``) to arc length r, at the Jacobi
+    tolerances, a one-member fan. A ``first_step``, in arc length, is capped
+    at r."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     G0 = m.value(x0, u0)
     if not abs(G0 - 1.0) < 1e-9:
         raise ConfigurationError("Jacobi fields are integrated along normal paths")
-    d = m.dim
-    sp = m.fibre_space(3, 2)
-
-    def rhs(t, y):
-        u = y[d:2 * d]
-        _, _, spray, dS = spray_jacobian(m.real_jet(y[:d], u, sp), u)
-        Y = y[2 * d:].reshape(2 * d, -1)
-        return np.concatenate([u, -2.0 * spray, Y[d:].ravel(), (-2.0 * dS @ Y).ravel()])
-
-    sol = solve_ivp(rhs, (0.0, r), np.concatenate([x0, u0, np.ravel(Y0)]), rtol=1e-10,
-                    atol=1e-12, first_step=first_step)
-    if not sol.success:
-        raise ShootingError(f"Jacobi integration failed: {sol.message}")
-    return GeodesicFan(metric=m, energies=np.array([G0]), t_ends=sol.t[-1:],
-                       truncated=np.zeros(1, dtype=bool), segments=[(sol, [0])])
+    sol, _ = _integrate_variational(m, x0, u0, r, Y0, rtol=JACOBI_RTOL, atol=JACOBI_ATOL,
+                                    first_step=first_step)
+    return _one_member_fan(m, G0, sol)
 
 
 def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
@@ -651,33 +756,51 @@ def index_form(path: GeodesicFan, xi, eta) -> IndexFormResult:
 AGREEMENT_TOL = 1e-4
 
 
-def distance_hessian(pd: PoleDistance, x) -> BoundaryJacobiSystem:
+def distance_hessian(pd: PoleDistance, x, *, oracle=False) -> BoundaryJacobiSystem:
     """Hessian of the distance from ``pd.pole`` at x, in every direction at once.
 
-    One shot gives rho and the initial velocity of the radial geodesic; one
-    integration from the pole then carries that geodesic together with the
-    Jacobi fields vanishing at the pole to x, as solutions of the linearized
-    geodesic flow: no curvature and no order-4 jet. The returned system holds
-    rho = ``r`` and the unit tangent ``T`` and g_T = ``g`` at x. H(rho)(u, u)
-    is the boundary term g_T(D_T J_u, J_u) at x of the index form of the field
-    J_u reaching u (Bao-Chern-Shen, GTM 200, ch. 5 and 7): the covariant
-    Hessian at reference vector T is H = P^T g_T W M^-1 P = ``boundary_form()``.
+    One integration from the pole carries the radial geodesic together with
+    the Jacobi fields vanishing at the pole to x, as solutions of the
+    linearized geodesic flow: no curvature and no order-4 jet. The returned
+    system holds rho = ``r`` and the unit tangent ``T`` and g_T = ``g`` at x.
+    H(rho)(u, u) is the boundary term g_T(D_T J_u, J_u) at x of the index
+    form of the field J_u reaching u (Bao-Chern-Shen, GTM 200, ch. 5 and 7):
+    the covariant Hessian at reference vector T is
+    H = P^T g_T W M^-1 P = ``boundary_form()``.
 
-    Step continuation, as for the shots: the Jacobi integration starts at
-    the proposal of the solver's last tight shot, scaled to ``base.w`` and
-    times rho, since the system runs in arc length. Every step still
-    passes DOP853's error test, so H depends on the solver's history only in
-    its last bits. The system and its right-hand sides count into ``pd.work``
-    as ``jacobi_integrations`` and ``jacobi_rhs_evaluations``.
+    The integration is the query's landing shot: ``pd.rho(x)`` runs as a
+    Hessian query (``PoleDistance``), whose variational shots carry the
+    system in affine time, so no second integration runs; where no
+    variational shot landed, the converged velocity is shot once more. H
+    depends on the solver's history only in its last bits.
+
+    ``oracle=True`` takes the arc-length route that ``hessian_rho`` checks:
+    a plain query, then ``jacobi_boundary_field`` along its velocity, from
+    the proposal of the solver's last tight shot scaled to ``base.w`` and
+    times rho. Either route's integrations count into ``pd.work``.
     """
     x = np.asarray(x, dtype=float)
     if float(np.linalg.norm(x - pd.pole)) < 1e-6:
         raise ConfigurationError("distance Hessian undefined at the pole")
-    base = pd.rho(x)
-    system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value,
-                                   first_step=pd._first_step(base.w) * base.value)
-    pd.work.update(jacobi_integrations=1, jacobi_rhs_evaluations=system.path.nfev)
-    return system
+    if oracle:
+        base = pd.rho(x)
+        system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value,
+                                       first_step=pd._first_step(base.w) * base.value)
+        nfev = system.path.nfev
+        pd.work.update(integrations=1, rhs_evaluations=nfev, jacobi_integrations=1,
+                       jacobi_rhs_evaluations=nfev)
+        return system
+    pd._systems = []
+    try:
+        base = pd.rho(x)
+        if not any(np.array_equal(w, base.w) for w, _ in pd._systems):
+            pd._variational_shot(base.w)   # no variational shot landed
+        systems = [system for w, system in pd._systems if np.array_equal(w, base.w)]
+    finally:
+        pd._systems = None
+    if not systems:
+        raise ShootingError(f"the variational shot to {x} stopped at the domain's edge")
+    return systems[-1]
 
 
 @dataclass
@@ -694,15 +817,16 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
                 pd: PoleDistance | None = None) -> HessianRhoResult:
     """H(rho)(u,u) at x for the g_T-unit rescaling of u, rho the distance from the pole.
 
-    Route one reads u.H.u off ``distance_hessian``, the boundary term of the
-    index form, which needs no curvature. Route two integrates the index form,
-    with the curvature R at its nodes, by quadrature along the Jacobi field of
-    the same fundamental system that reaches u at x.
+    The arc-length oracle: route one reads u.H.u off ``distance_hessian``'s
+    arc-length route (``oracle=True``), the boundary term of the index form,
+    which needs no curvature. Route two integrates the index form, with the
+    curvature R at its nodes, by quadrature along the Jacobi field of the
+    same fundamental system that reaches u at x.
     Disagreement beyond ``AGREEMENT_TOL`` is reported, not hidden; a NaN on
     either route never agrees.
     """
     u = np.asarray(u, dtype=float)
-    system = distance_hessian(pd or PoleDistance(m, pole), x)
+    system = distance_hessian(pd or PoleDistance(m, pole), x, oracle=True)
     u = u / math.sqrt(float(u @ system.g @ u))
     value_a = float(u @ system.boundary_form() @ u)
     bvp = system.field(u)

@@ -196,6 +196,28 @@ def test_cmd_geodesic_output_is_pinned(tmp_path):
     assert digest.hexdigest() == "fa8918d91de849b798e02da44a0d407acc9184d9c1cd8a333e930aad439843f2"
 
 
+def test_cmd_distance_rho_column_is_pinned(tmp_path):
+    # the rho column comes from plain shots, which the Levi samples' Hessian
+    # queries never move: distance.csv of the disk, the ball, a Minkowski
+    # norm, a non-Kahler Hermitian metric and the Szabo polydisk is pinned
+    # byte for byte, while each levi.csv may move in its last bits
+    disk = {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}
+    metrics = [_DISK, *GEODESIC_CONFIG["metrics"][1:4],
+               {"family": "szabo", "id": "szabo",
+                "params": {"k": 2, "eps": 0.5, "factor1": disk, "factor2": disk}}]
+    p = write_config(tmp_path, {
+        "seed": 7, "metrics": metrics,
+        "plans": {"default": {"n_points": 3, "n_dirs": 2, "radial_range": [0.2, 0.6]}}})
+    out = tmp_path / "out"
+    assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for spec in metrics:
+        d = out / "distance" / spec["id"]
+        assert (d / "levi.csv").exists()
+        digest.update((d / "distance.csv").read_bytes())
+    assert digest.hexdigest() == "a6b95988ffd6cd6d2130d2916b542346cc410e00ab0df64cd0a03affd72a8cda"
+
+
 def test_cmd_distance_reports_levi_margin(tmp_path, capsys):
     p = _disk_distance_config(tmp_path)
     out = tmp_path / "out"
@@ -1052,17 +1074,18 @@ def test_replay_bad_input_is_a_configuration_error(tmp_path, capsys, content):
 
 def test_cmd_distance_builds_one_hessian_per_point(tmp_path, monkeypatch):
     from finsler import geodesic
-    real = geodesic.jacobi_boundary_field
+    real = geodesic._integrate_variational
     calls = []
 
     def counted(*args, **kw):
         calls.append(1)
         return real(*args, **kw)
 
-    monkeypatch.setattr(geodesic, "jacobi_boundary_field", counted)
+    monkeypatch.setattr(geodesic, "_integrate_variational", counted)
     p = _disk_distance_config(tmp_path)
     assert main(["distance", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 2  # two points, two directions each
+    # two points, two directions each: one landing shot with its Jacobi fields a point
+    assert len(calls) == 2
 
 
 def test_replay_of_a_metric_without_id(tmp_path, capsys):
@@ -1097,7 +1120,7 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     from finsler import geodesic
     from finsler.geodesic import PoleDistance
     rho, endpoint, integrate = PoleDistance.rho, PoleDistance._endpoint, geodesic._integrate_affine
-    gauss_newton, integrate_jacobi = PoleDistance._gauss_newton, geodesic._integrate_jacobi
+    gauss_newton, integrate_jacobi = PoleDistance._gauss_newton, geodesic._integrate_variational
     solves, shots, nfev, starts, jacobi_nfev = [], [], [], [], []
 
     def counted_rho(self, q):
@@ -1118,12 +1141,12 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
         return sol
 
     def counted_jacobi(*args, **kwargs):
-        path = integrate_jacobi(*args, **kwargs)
-        jacobi_nfev.append(path.nfev)
-        return path
+        sol, readout = integrate_jacobi(*args, **kwargs)
+        jacobi_nfev.append(sol.nfev)
+        return sol, readout
 
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
-    monkeypatch.setattr(geodesic, "_integrate_jacobi", counted_jacobi)
+    monkeypatch.setattr(geodesic, "_integrate_variational", counted_jacobi)
     monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
     monkeypatch.setattr(geodesic, "_integrate_affine", counted_integration)
     monkeypatch.setattr(PoleDistance, "_gauss_newton", counted_start)
@@ -1137,15 +1160,16 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     # one start per solve: the two column points, then their repeats
     cost = {"starts": len(starts),
             "integrations": len(shots),
-            "loose_integrations": sum(loose for _, loose in shots),
+            "loose_integrations": sum(loose is True for _, loose in shots),
             "iterations": sum(r.work["iterations"] for _, r in solves),
-            "rhs_evaluations": sum(nfev),
+            "rhs_evaluations": sum(nfev) + sum(jacobi_nfev),
             "jacobi_integrations": len(jacobi_nfev),
             "jacobi_rhs_evaluations": sum(jacobi_nfev)}
     assert cost["starts"] == 4
-    assert cost["integrations"] == sum(r.work["integrations"] for _, r in solves) == len(nfev) == 17
-    # one Jacobi system per Levi point
-    assert cost["jacobi_integrations"] == 2
+    assert cost["integrations"] == sum(r.work["integrations"] for _, r in solves) == 17
+    # each Levi point lands at one variational shot, the rest are plain
+    assert cost["jacobi_integrations"] == 2 and len(nfev) == 15
+    assert [loose for _, loose in shots].count(geodesic.VARIATIONAL) == 2
     assert doc["metadata"]["shooting"] == cost
     assert 0 < cost["loose_integrations"] < cost["integrations"]
     assert "shooting" not in doc["payload"]

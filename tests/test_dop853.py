@@ -104,6 +104,32 @@ def test_a_fan_and_a_jacobi_system_match_scipy_bitwise(monkeypatch):
     _assert_bitwise(pairs)
 
 
+def test_variational_shots_match_scipy_bitwise(monkeypatch):
+    # a Hessian query's shot carries (x, u, Y) at per-component tolerances,
+    # which scipy takes as arrays too: a solver's first variational shot
+    # starts at the initial-step probe, the next where the first left off
+    queries = [np.array([0.3, -0.2, 0.1, 0.4]), np.array([-0.5, 0.1, 0.2, 0.3])]
+    pd = PoleDistance(BALL, np.zeros(4))
+    alone = [distance_hessian(pd, q).boundary_form() for q in queries]
+    with monkeypatch.context() as dense:
+        # scipy's dense output evaluates the right-hand side after ours
+        # reached the end state, where the system reads g and N, so the
+        # system reads them again
+        _twins(dense, dense=True)
+        pd = PoleDistance(BALL, np.zeros(4))
+        twinned = [distance_hessian(pd, q).boundary_form() for q in queries]
+    assert all(np.array_equal(a, b) for a, b in zip(alone, twinned))
+    pairs = _twins(monkeypatch)
+    pd = PoleDistance(BALL, np.zeros(4))
+    for q in queries:
+        distance_hessian(pd, q)
+    (cold, _, (*_, first)), (continued, _, (*_, second)) = pairs
+    assert first["first_step"] is None and second["first_step"] is not None
+    assert cold.y.shape[0] == len(first["rtol"]) == len(first["atol"]) == 2 * 4 + 2 * 4 * 4
+    assert len(np.unique(first["rtol"])) == 2   # one tolerance for (x, u), one for Y
+    _assert_bitwise(pairs)
+
+
 def test_dense_output_matches_scipys(monkeypatch):
     pairs = _twins(monkeypatch, dense=True)
     dirs = unit_directions(4, BALL.dim, 101)

@@ -14,7 +14,7 @@ from finsler import geodesic
 from finsler.cartan import cartan, spray_coefficients
 from finsler.cli import main
 from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError,
-                            DomainError, ShootingError)
+                            DegenerateMetricError, DomainError, ShootingError)
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
                               IndexFormResult, PoleDistance,
                               _integrate_affine, distance_hessian,
@@ -409,18 +409,38 @@ def test_distance_hessian_skips_dense_output(m, q):
     assert path.nfev == stepped + (6 if path.steps > 1 else 3)
 
 
-def test_jacobi_system_starts_at_the_shots_settled_step():
-    # the first step of the disk's Jacobi system is the one given, accepted:
-    # the proposal of the last tight shot scaled to the shot's velocity w, in
-    # affine time, times rho; on flat C^2 that covers the whole path
+def test_jacobi_system_starts_at_the_shots_settled_step(monkeypatch):
+    # a solver's first variational shot starts at the initial-step probe; the
+    # next starts at the step the last one left off at, accepted: its proposal
+    # scaled to the next velocity w, in affine time; on flat C^2 that covers
+    # the whole path
     for m, queries in ((HYPERBOLIC, ((0.45, -0.3), (0.5, -0.2))),
                        (EUCLID2, ((0.3, -0.2, 0.1, 0.4), (0.5, 0.1, -0.2, 0.3)))):
         pd = PoleDistance(m, np.zeros(m.dim))
-        for q in queries:
+        for k, q in enumerate(queries):
+            step = pd._steps[geodesic.VARIATIONAL]
             system = distance_hessian(pd, np.array(q))
-            w = pd._cache[-1][1]   # the velocity of the query's last, tight shot
-            assert system.path.segments[0][0].t[1] == min(pd._first_step(w) * system.r, system.r)
-            assert system.path.steps == (1 if m is EUCLID2 else 7)
+            assert (step is None) == (k == 0)
+            if k:
+                w = pd._cache[-1][1]   # the velocity of the query's landing shot
+                assert system.path.segments[0][0].t[1] == min(step / np.linalg.norm(w), 1.0)
+                assert system.path.steps == (1 if m is EUCLID2 else 8)
+    # after a plain query, a solver's first variational shot starts from
+    # the step of its last tight shot (which the variational state may
+    # shrink), and that step stays as it was
+    integrate, first_steps = geodesic._integrate_variational, []
+
+    def recorded(*args, first_step=None, **kwargs):
+        first_steps.append(first_step)
+        return integrate(*args, first_step=first_step, **kwargs)
+
+    monkeypatch.setattr(geodesic, "_integrate_variational", recorded)
+    pd = PoleDistance(HYPERBOLIC, np.zeros(2))
+    pd.rho(np.array([0.5, -0.2]))
+    step = pd._steps[False]
+    distance_hessian(pd, np.array([0.45, -0.3]))
+    assert first_steps == [step / np.linalg.norm(pd._cache[-1][1])]
+    assert pd._steps[False] == step
 
 
 @pytest.mark.parametrize("m, pole, q", [
@@ -439,7 +459,124 @@ def test_warm_distance_hessian_matches_a_fresh_one(m, pole, q):
     b = distance_hessian(PoleDistance(m, pole), q)
     for x, y in ((a.boundary_form(), b.boundary_form()), (a.M, b.M), (a.W, b.W)):
         assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
-    assert warm.work["jacobi_integrations"] == 4
+    # each query's first shot is variational; off the disk's and the ball's
+    # radii from the origin it misses, and the query's last Gauss-Newton step
+    # is variational too
+    assert warm.work["jacobi_integrations"] == (8 if m in (HYPERBOLIC, SZABO) else 4)
+
+
+Q4 = np.array([0.3, -0.2, 0.1, 0.4])
+ILL_CONDITIONED = realify_metric(instantiate(
+    {"family": "hermitian", "complex_dim": 2,
+     "params": {"catalog": "constant", "matrix": [[1, 0], [0, 1e-11]]}}))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("m, pole, q, lands", [
+    (HYPERBOLIC, np.zeros(2), np.array([0.45, -0.3]), True),
+    (BALL2, np.zeros(4), Q4, True),
+    (EUCLID2, np.zeros(4), Q4, True),
+    (MINKOWSKI, np.zeros(4), np.array([0.2, -0.35, 0.1, 0.45]), True),
+    (NONKAHLER, np.zeros(4), Q4, False),
+    (HYPERBOLIC, OFF_POLE, OFF_Q, False),
+    (SZABO, np.zeros(4), Q4, False)],
+    ids=["disk", "ball", "c2", "minkowski", "nonkahler", "off_pole_disk", "szabo"])
+def test_distance_hessian_agrees_with_the_arc_length_oracle(m, pole, q, lands, warm):
+    # the production route (variational shots in affine time) against the
+    # oracle (a plain shot, then the arc-length Jacobi system), each on its
+    # own solver, warm after two nearby Hessian queries
+    pd, pd_oracle = PoleDistance(m, pole), PoleDistance(m, pole)
+    for shift in (0.1, -0.15) if warm else ():
+        distance_hessian(pd, q + shift * (q - pole))
+        distance_hessian(pd_oracle, q + shift * (q - pole), oracle=True)
+    before = pd.work["integrations"]
+    a = distance_hessian(pd, q)
+    b = distance_hessian(pd_oracle, q, oracle=True)
+    # Both integrate the same linear Jacobi flow, whose Y block each
+    # integrator holds at JACOBI_RTOL relative per step (the production route
+    # tighter, by sqrt(1 + d)). A relative error e of M and W gives H =
+    # P^T g W M^-1 P a relative error of at most e (1 + cond M), as
+    # CONJUGATE_COND reads the same product, so the two routes agree within
+    # twice that. Where the query iterates, each route's velocity lands
+    # within 3e-12 (1 + |q - p|) of q, which moves H by that distance times
+    # its relative variation along x, about 1/rho: some 1e-11, over an order
+    # below the bound.
+    bound = 2 * geodesic.JACOBI_RTOL * (1.0 + np.linalg.cond(b.M))
+    for x, y in ((a.boundary_form(), b.boundary_form()), (a.M, b.M), (a.W, b.W)):
+        assert np.abs(x - y).max() <= bound * np.abs(y).max()
+    assert abs(a.r - b.r) <= bound * b.r and np.abs(a.T - b.T).max() <= bound
+    if lands:
+        # the same velocity: rho is bitwise the plain shot's, and no second
+        # integration runs
+        assert a.r == b.r and pd.work["integrations"] - before == 1
+    # with Y(0) = (0, rho I) the affine-time Y_x(t) is M at arc length rho t,
+    # and system.field(u) is the same Jacobi field on both routes
+    d = m.dim
+    u = np.roll(q - pole, 1)
+    fa, fb = a.field(u), b.field(u)
+    for s in np.linspace(0.0, b.r, 5):
+        Ma = a.path.dense_state(0, s)[2 * d:3 * d]
+        Mb = b.path.dense_state(0, s)[2 * d:3 * d]
+        assert np.abs(Ma - Mb).max() <= bound * max(1.0, np.abs(Mb).max())
+        (Ja, dJa), (Jb, dJb) = fa(s), fb(s)
+        scale = max(1.0, np.abs(Jb).max(), np.abs(dJb).max())
+        assert max(np.abs(Ja - Jb).max(), np.abs(dJa - dJb).max()) <= bound * scale
+
+
+@pytest.mark.parametrize("m, points", [
+    (HYPERBOLIC, [(0.45, -0.3), (-0.2, 0.6), (0.1, 0.3)]),
+    (BALL2, [(0.3, -0.2, 0.1, 0.4), (-0.5, 0.1, 0.2, 0.3), (0.1, 0.4, -0.3, 0.2)])],
+    ids=["disk", "ball"])
+def test_plain_rho_after_hessian_queries_is_a_fresh_solvers(monkeypatch, m, points):
+    # variational shots keep their own step-continuation slot: after Hessian
+    # queries that land, a plain query takes the steps of a solver that made
+    # none, and returns its bits
+    steps = _record_first_steps(monkeypatch)
+    pd = PoleDistance(m, np.zeros(m.dim))
+    for x in points[:-1]:
+        distance_hessian(pd, np.array(x))
+    assert steps == [] and pd._steps[False] is None
+    q = np.array(points[-1])
+    r = pd.rho(q)
+    fresh = PoleDistance(m, np.zeros(m.dim)).rho(q)
+    assert steps == [None, None]   # both shots from the initial-step probe
+    assert r.value == fresh.value and r.residual == fresh.residual
+    assert np.array_equal(r.T, fresh.T) and np.array_equal(r.w, fresh.w)
+
+
+def test_hessian_queries_raise_the_jacobi_fields_errors():
+    # the shooting guard catches a failed variational first shot and shoots
+    # it again plain, so the errors of the Jacobi fields come out of the
+    # Hessian query as they come out of the arc-length route, not as a
+    # ShootingError: the ill-conditioned constant metric of test_cartan.py,
+    # whose straight chords land at once, and the antipode of the round
+    # sphere's chart, conjugate to the pole
+    for oracle in (False, True):
+        with pytest.raises(DegenerateMetricError, match="condition number"):
+            distance_hessian(PoleDistance(ILL_CONDITIONED, np.zeros(4)), Q4, oracle=oracle)
+        system = distance_hessian(PoleDistance(ROUND, np.array([0.5, 0.0])),
+                                  np.array([-2.0, 0.0]), oracle=oracle)
+        with pytest.raises(ConjugatePointError):
+            system.boundary_form()
+
+
+def test_a_hessian_query_that_misses_takes_the_exact_jacobian(monkeypatch):
+    # a missed variational first shot gives the shooting Jacobian
+    # dx(1)/dw = Y_x(1) / rho, which the finite-difference probes estimate
+    # with an error of order their step h = 1e-6 (1 + |w|), and takes their place
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    w = pd._chord_start(OFF_Q)
+    pd._systems = []
+    x1 = pd._variational_shot(w)[:2]
+    (_, system), = pd._systems
+    fd = pd._fd_jacobian(w, x1)
+    assert np.abs(system.M / system.r - fd).max() <= 1e-5 * np.abs(fd).max()
+    calls = _count_fd_jacobians(monkeypatch)
+    for m, pole, q in ((HYPERBOLIC, OFF_POLE, OFF_Q), (SZABO, np.zeros(4), Q4)):
+        pd = PoleDistance(m, pole)
+        distance_hessian(pd, q)
+        assert pd.work["iterations"] > 0
+    assert calls == []
 
 
 def test_jacobi_minimizes_index_form():
@@ -693,12 +830,13 @@ def test_rho_counts_gauss_newton_steps(monkeypatch):
     with pytest.raises(ShootingError) as info:
         pd.rho(np.array([-0.2, 0.3]))
     assert info.value.work == Counter(starts=8, integrations=8)
-    # the shares of the four results (the last the Hessian's own rho) and of
-    # the error, with the Hessian's Jacobi system, add up to the solver's record
+    # the shares of the four results (the last the Hessian's own rho, whose
+    # variational shots carry its Jacobi fields) and of the error add up to
+    # the solver's record
     assert len(results) == 4
     shares = sum((res.work for res in results), info.value.work)
-    assert shares + Counter(jacobi_integrations=1,
-                            jacobi_rhs_evaluations=system.path.nfev) == pd.work
+    assert results[-1].work["jacobi_rhs_evaluations"] >= system.path.nfev
+    assert shares == pd.work
 
 
 def test_shooting_propagates_programming_errors(monkeypatch):

@@ -70,6 +70,8 @@ def test_levi_sample_shoots_once(monkeypatch):
         calls.clear()
         field.sample(np.full(m.n, 0.3 + 0.2j), np.full(m.n, 1.0 - 0.5j))
         assert len(calls) == 1
+        # the landing shot carries the Jacobi fields: one integration in all
+        assert field.pd.work["integrations"] == field.pd.work["jacobi_integrations"] == 1
 
 
 def test_levi_samples_start_their_jacobi_systems_at_the_shots_step(monkeypatch):
@@ -87,12 +89,12 @@ def test_levi_samples_start_their_jacobi_systems_at_the_shots_step(monkeypatch):
         return field.pd.work["jacobi_rhs_evaluations"]
 
     continued = jacobi_cost()
-    integrate = geodesic._integrate_jacobi
+    integrate = geodesic._integrate_variational
 
     def from_the_probe(*args, first_step=None, **kwargs):
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(geodesic, "_integrate_jacobi", from_the_probe)
+    monkeypatch.setattr(geodesic, "_integrate_variational", from_the_probe)
     assert continued < jacobi_cost()
 
 
