@@ -17,9 +17,9 @@ integration. Integrations run on the package's own DOP853 (``dop853``), which
 builds dense output only for the steps a caller reads. Each shot of a solver
 starts where the solver's last shot of the same kind left off, scaled to arc
 length, in place of the initial-step probe.
-A distance Hessian is the end state of its query's landing shot, which
-carries the Jacobi fields (``distance_hessian``); the arc-length Jacobi
-system along a plain shot (``hessian_rho``) is the independent oracle.
+A Hessian query (``rho(q, hessian=True)``, ``distance_hessian``) returns
+the system of the shot that landed, which carried the Jacobi fields; the
+arc-length Jacobi system along a plain shot (``hessian_rho``) checks it.
 Covariant derivatives along a geodesic use the connection at the reference
 vector T, the geodesic's own velocity, which makes the Cartan and
 Chern-type derivatives coincide: D_T V = dV/ds + N V with N = dG/du, the
@@ -210,6 +210,7 @@ class RhoResult:
     w: np.ndarray                 # initial velocity reaching the target at t=1
     residual: float
     work: Counter                 # this query's share of its solver's ``work``
+    system: BoundaryJacobiSystem | None = None   # a Hessian query's (``distance_hessian``)
 
 
 # the names of the counts that ``PoleDistance.work`` keeps
@@ -227,7 +228,7 @@ LOOSE_ATOL = 1e-10
 # tolerances of the Jacobi fields
 JACOBI_RTOL = 1e-10
 JACOBI_ATOL = 1e-12
-# ``PoleDistance._endpoint``'s ``loose`` for a shot that carries the Jacobi fields
+# the ``PoleDistance._steps`` slot of the shots that carry the Jacobi fields
 VARIATIONAL = "variational"
 # Gauss-Newton iterations of one start before it returns its last iterate
 MAX_ITERATIONS = 40
@@ -269,11 +270,11 @@ class PoleDistance:
     iterate is integrated again at the tight tolerances before it may
     converge or end the solve.
 
-    In a Hessian query (``distance_hessian``) the first shot of each start
-    carries the Jacobi fields (``_variational_shot``): where it lands, its
-    end state is the Hessian; where it misses, Y_x(1) / rho is the exact
-    shooting Jacobian in place of the cached one or the probes, and the
-    accepted iterate takes one more step, shot variationally (``_settle``).
+    In a Hessian query (``rho(q, hessian=True)``) the first shot of each
+    start carries the Jacobi fields (``_variational_shot``): where it lands,
+    its end state is the result's ``system``; where it misses, Y_x(1) / rho
+    is the exact shooting Jacobian, and the accepted iterate takes one more
+    step, shot variationally (``_settle``), or is shot so once more.
 
     ``work`` is the solver's one record of its cost, a ``Counter`` over
     ``WORK`` that starts with every count at 0: ``rhs_evaluations`` sums the
@@ -302,30 +303,20 @@ class PoleDistance:
         self.work = Counter(dict.fromkeys(WORK, 0))
         # last shot's step times |w|, by kind: tight (False), loose (True), VARIATIONAL
         self._steps = dict.fromkeys((False, True, VARIATIONAL))
-        # None outside a Hessian query; in one, (w, system) for each variational
-        # shot that reached t = 1
-        self._systems = None
 
-    def _first_step(self, w, loose=False):
+    def _first_step(self, w, kind=False):
         """The step to start a shot with velocity w at: the last shot's of the
         same kind, scaled by |w_prev| / |w|; for a solver's first variational
         shot the last tight shot's; None for the initial-step probe."""
-        step = self._steps[loose]
-        if step is None and loose == VARIATIONAL:
+        step = self._steps[kind]
+        if step is None and kind == VARIATIONAL:
             step = self._steps[False]
         return None if step is None else step / float(np.linalg.norm(w))
 
     def _endpoint(self, w, loose=False):
         """End state (x, u) at t = 1 of the geodesic leaving the pole with
         velocity w, integrated at the loose (True) or the tight (False)
-        shooting tolerances; with ``loose`` = VARIATIONAL, together with its
-        Jacobi fields (``_variational_shot``), or plain where that fails, so
-        that a Hessian query's starts end where a plain query's do."""
-        if loose == VARIATIONAL:
-            try:
-                return self._variational_shot(w)
-            except SAMPLE_ERRORS:
-                loose = False
+        shooting tolerances."""
         self.work.update(integrations=1, loose_integrations=loose)
         sol = _integrate_affine(self.m, self.pole, w, 1.0,
                                 rtol=LOOSE_RTOL if loose else SHOOT_RTOL,
@@ -338,34 +329,31 @@ class PoleDistance:
         return sol.y[:, -1]
 
     def _variational_shot(self, w):
-        """End state (x, u) at t = 1 of the geodesic leaving the pole with
-        velocity w, integrated in affine time with the Jacobi fields
-        Y(0) = (0, rho I), rho = sqrt(G(p, w)), so that Y_x(t) = M(rho t):
-        (x, u) at the shooting tolerances and Y at the Jacobi ones, each over
-        sqrt(1 + d), which bounds each block's RMS error norm by the stacked
-        one. A shot that reaches t = 1 appends (w, its system) to
-        ``_systems``: M = Y_x(1), W = (Y_u(1) + N M) / rho, T = u(1) / rho,
-        and g and N = dS/du from the last stage's right-hand side there."""
+        """``(y, system)``: the end state y = (x, u) at t = 1 of the geodesic
+        leaving the pole with velocity w, integrated in affine time with the
+        Jacobi fields Y(0) = (0, rho I), rho = sqrt(G(p, w)), so that
+        Y_x(t) = M(rho t): (x, u) at the shooting tolerances and Y at the
+        Jacobi ones, each over sqrt(1 + d), which bounds each block's RMS
+        error norm by the stacked one. ``system`` is the path's
+        ``BoundaryJacobiSystem`` at speed rho where the shot reached t = 1,
+        and None where it stopped at the domain's edge."""
         m, d = self.m, self.m.dim
         G0 = m.value(self.pole, w)
         rho = math.sqrt(G0)
         blocks, scale = (2 * d, 2 * d * d), math.sqrt(1 + d)
         self.work.update(integrations=1, jacobi_integrations=1)
-        sol, (g, dS) = _integrate_variational(
-            m, self.pole, w, 1.0, np.concatenate([np.zeros((d, d)), rho * np.eye(d)]),
+        path, readout = _integrate_variational(
+            m, self.pole, w, G0, 1.0, np.concatenate([np.zeros((d, d)), rho * np.eye(d)]),
             rtol=np.repeat([SHOOT_RTOL, JACOBI_RTOL], blocks) / scale,
             atol=np.repeat([SHOOT_ATOL, JACOBI_ATOL], blocks) / scale,
             first_step=self._first_step(w, VARIATIONAL),
             events=_domain_events(m, self.pole[None]))
+        sol = path.segments[0][0]
         self.work.update(rhs_evaluations=sol.nfev, jacobi_rhs_evaluations=sol.nfev)
         self._steps[VARIATIONAL] = sol.h_next * float(np.linalg.norm(w))
-        y = sol.y[:, -1]
-        if sol.status == 0:
-            M, Yu = y[2 * d:].reshape(2, d, d)
-            self._systems.append((w, BoundaryJacobiSystem(
-                path=_one_member_fan(m, G0, sol), r=rho, M=M, W=(Yu + dS[:, d:] @ M) / rho,
-                T=y[d:2 * d] / rho, g=g)))
-        return y[:2 * d]
+        system = None if path.truncated[0] else BoundaryJacobiSystem.at_end(
+            path, rho, rho, *readout)
+        return sol.y[:2 * d, -1], system
 
     def _fd_jacobian(self, w, F0):
         d = self.m.dim
@@ -392,7 +380,9 @@ class PoleDistance:
         self._cache.append((q.copy(), w.copy(), None if J is None else J.copy()))
         self._targets = np.concatenate([self._targets, q[None]])
 
-    def rho(self, q) -> RhoResult:
+    def rho(self, q, *, hessian=False) -> RhoResult:
+        """Distance from the pole to q; with ``hessian``, the result carries
+        the ``system`` of the distance Hessian at q (``distance_hessian``)."""
         q = np.asarray(q, dtype=float)
         if float(np.linalg.norm(q - self.pole)) < 1e-14:
             return RhoResult(0.0, np.zeros_like(q), np.zeros_like(q), 0.0, Counter())
@@ -408,7 +398,7 @@ class PoleDistance:
         for winit in self._starts(q, near):
             self.work["starts"] += 1
             try:
-                w, y, J_fin, resid = self._gauss_newton(winit, q, J, tol)
+                w, y, J_fin, resid, system = self._gauss_newton(winit, q, J, tol, hessian)
             except SAMPLE_ERRORS:
                 resid = math.inf   # a failed shot, probe or re-integration ends its start only
             J = None
@@ -417,41 +407,51 @@ class PoleDistance:
                 u_end = y[self.m.dim:]
                 rho = math.sqrt(self.m.value(self.pole, w))
                 self._remember(q, w, J_fin)
-                return RhoResult(rho, u_end / rho, w, resid, self.work - before)
+                if hessian and system is None:   # no variational shot landed at w
+                    _, system = self._variational_shot(w)
+                    if system is None:
+                        raise ShootingError(
+                            f"the variational shot to {q} stopped at the domain's edge")
+                return RhoResult(rho, u_end / rho, w, resid, self.work - before, system)
         work = self.work - before
         raise ShootingError(
             f"shooting to {q} did not converge: {work['starts']} starts, {work['integrations']} "
             f"integrations, {work['iterations']} Gauss-Newton steps, best residual {best_res:.3g}",
             best_res, work)
 
-    def _gauss_newton(self, w, q, J, tol):
-        """Solve endpoint(w) = q from ``w``; returns ``(w, y, J, residual)``.
+    def _gauss_newton(self, w, q, J, tol, hessian):
+        """Solve endpoint(w) = q from ``w``; returns ``(w, y, J, residual, system)``.
 
         ``y`` is the end state (x, u) of the tight integration of the returned
         ``w``, so its arriving tangent needs no second integration, and the
-        residual is read from it. A failed trial step is skipped; any other
-        failed integration (the first shot, a finite-difference probe, a
-        tight re-integration) raises, which ends the start (``rho``).
+        residual is read from it; ``system`` is a variational shot's of ``w``,
+        or None. A failed trial step is skipped; any other failed integration
+        (the first shot, a finite-difference probe, a tight re-integration)
+        raises, which ends the start (``rho``). A Hessian query's first shot
+        is variational, and plain where its Jacobi fields fail.
         """
         d = self.m.dim
         w = np.asarray(w, dtype=float).copy()
-        y = self._endpoint(w) if self._systems is None else self._endpoint(w, VARIATIONAL)
+        try:
+            y, system = self._variational_shot(w) if hessian else (None, None)
+        except SAMPLE_ERRORS:
+            y = system = None
+        if y is None:
+            y = self._endpoint(w)
         F = y[:d] - q
         if float(np.linalg.norm(F)) < tol:
-            return w, y, J, float(np.linalg.norm(F))
+            return w, y, J, float(np.linalg.norm(F)), system
         loose = False   # y, F come from a loose integration
-        # the first shot's system, where it was variational and reached t = 1
-        carried = self._systems[-1][1] if self._systems and self._systems[-1][0] is w else None
-        refreshed = J is None or carried is not None
-        if carried is not None:
-            J = carried.M / carried.r   # the exact shooting Jacobian
+        refreshed = J is None or system is not None
+        if system is not None:
+            J = system.M / system.r   # the exact shooting Jacobian
         elif J is None:
             J = self._fd_jacobian(w, F + q)
         for _ in range(MAX_ITERATIONS):
             res = float(np.linalg.norm(F))
             if res < tol:
                 if not loose:
-                    return self._settle(w, y, J, res, q)
+                    return self._settle(w, y, J, res, q) if hessian else (w, y, J, res, None)
                 # below tol a loose residual is within its own integration error
                 y, loose = self._endpoint(w), False
                 F = y[:d] - q
@@ -482,30 +482,28 @@ class PoleDistance:
             denom = float(dw @ dw)
             if denom > 0:
                 J = J + np.outer(dF - J @ dw, dw) / denom
-            w, y, F, loose = w_new, y_new, F_new, trial_loose
+            w, y, F, loose, system = w_new, y_new, F_new, trial_loose, None
             self.work["iterations"] += 1
         if loose:
             y = self._endpoint(w)
             F = y[:d] - q
-        return w, y, J, float(np.linalg.norm(F))
+        return w, y, J, float(np.linalg.norm(F)), system
 
     def _settle(self, w, y, J, res, q):
-        """A start's accepted iterate (w, y, J, res) after Gauss-Newton steps;
-        in a Hessian query, one more step, shot variationally, where it
-        lowers the residual: the Hessian then does not depend on how far
-        below tol the iteration stopped."""
-        if self._systems is None:
-            return w, y, J, res
+        """A Hessian query's accepted iterate (w, y, J, res) after Gauss-Newton
+        steps, with one more step, shot variationally, where it lowers the
+        residual: the Hessian then does not depend on how far below tol the
+        iteration stopped. Returns ``_gauss_newton``'s tuple."""
         try:
             w_new = w - np.linalg.solve(J, y[:self.m.dim] - q)
-            y_new = self._endpoint(w_new, VARIATIONAL)
+            y_new, system = self._variational_shot(w_new)
         except SAMPLE_ERRORS:
-            return w, y, J, res
+            return w, y, J, res, None
         res_new = float(np.linalg.norm(y_new[:self.m.dim] - q))
         if not res_new < res:
-            return w, y, J, res
+            return w, y, J, res, None
         self.work["iterations"] += 1
-        return w_new, y_new, J, res_new
+        return w_new, y_new, J, res_new, system
 
     def _chord_start(self, q):
         """The chord start (q - p) L / F(p, q - p), whose length F(p, .) is
@@ -593,6 +591,17 @@ class BoundaryJacobiSystem:
     T: np.ndarray
     g: np.ndarray
 
+    @classmethod
+    def at_end(cls, path, r, speed, g, dS) -> BoundaryJacobiSystem:
+        """The system at the end of ``path``, integrated from Y(0) = (0, speed I)
+        with (g, dS) read at its end state (``_integrate_variational``):
+        M = Y_x, W = (Y_u + N M) / speed and T = u / speed, N = dS/du."""
+        d = path.metric.dim
+        y = path.segments[0][0].y[:, -1]
+        M, Yu = y[2 * d:].reshape(2, d, d)
+        return cls(path=path, r=r, M=M, W=(Yu + dS[:, d:] @ M) / speed,
+                   T=y[d:2 * d] / speed, g=g)
+
     @cached_property
     def _perp_solution(self):
         """(P, M(r)^-1 P), with P u = u - g_T(u, T) / g_T(T, T) T the part of u
@@ -618,16 +627,16 @@ class BoundaryJacobiSystem:
         return P.T @ self.g @ self.W @ M_inv_P
 
 
-def _integrate_variational(m: MetricDef, x0, u0, t_end, Y0, *, rtol, atol, first_step=None,
-                           events=()):
-    """The geodesic from (x0, u0) and the variations of it with initial data
-    the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array, integrated together
-    to time t_end as one state (x, u, Y): the variational equations in the
-    trajectory's own state (Hairer, Norsett & Wanner, Solving ODEs I,
-    sec. I.14). Each right-hand side reads S and dS = dG/d(x, u) from one
-    order-3 jet; S moves (x, u) and dx'' = -2 dS (dx, dx') moves Y. Returns
-    the DOP853 solution and (g, dS) at its end state, as the last stage's
-    right-hand side read them."""
+def _integrate_variational(m: MetricDef, x0, u0, G0, t_end, Y0, *, rtol, atol,
+                           first_step=None, events=()):
+    """The geodesic from (x0, u0), of energy G0, and the variations of it with
+    initial data the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array,
+    integrated together to time t_end as one state (x, u, Y): the variational
+    equations in the trajectory's own state (Hairer, Norsett & Wanner,
+    Solving ODEs I, sec. I.14). Each right-hand side reads S and
+    dS = dG/d(x, u) from one order-3 jet; S moves (x, u) and
+    dx'' = -2 dS (dx, dx') moves Y. Returns the one-member fan of the DOP853
+    solution and (g, dS) at its end state, as the last right-hand side read them."""
     d = m.dim
     sp = m.fibre_space(3, 2)
     last = [None]   # the state of the latest right-hand side, with its g and dS
@@ -647,28 +656,23 @@ def _integrate_variational(m: MetricDef, x0, u0, t_end, Y0, *, rtol, atol, first
     if not np.array_equal(y, sol.y[:, -1]):   # an exit root, or a later dense-output stage
         rhs(t_end, sol.y[:, -1])
         _, g, dS = last[0]
-    return sol, (g, dS)
+    path = GeodesicFan(metric=m, energies=np.array([G0]), t_ends=sol.t[-1:],
+                       truncated=np.array([sol.status == 1]), segments=[(sol, [0])])
+    return path, (g, dS)
 
 
-def _one_member_fan(m: MetricDef, G0, sol) -> GeodesicFan:
-    """The one-member fan of energy G0 whose one segment is ``sol``."""
-    return GeodesicFan(metric=m, energies=np.array([G0]), t_ends=sol.t[-1:],
-                       truncated=np.zeros(1, dtype=bool), segments=[(sol, [0])])
-
-
-def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, first_step=None) -> GeodesicFan:
+def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, first_step=None):
     """The unit-speed geodesic from (x0, u0) and its variations with initial
-    data Y0 (``_integrate_variational``) to arc length r, at the Jacobi
-    tolerances, a one-member fan. A ``first_step``, in arc length, is capped
-    at r."""
+    data Y0 to arc length r, at the Jacobi tolerances: the one-member fan and
+    the (g, dS) at its end of ``_integrate_variational``. A ``first_step``,
+    in arc length, is capped at r."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     G0 = m.value(x0, u0)
     if not abs(G0 - 1.0) < 1e-9:
         raise ConfigurationError("Jacobi fields are integrated along normal paths")
-    sol, _ = _integrate_variational(m, x0, u0, r, Y0, rtol=JACOBI_RTOL, atol=JACOBI_ATOL,
-                                    first_step=first_step)
-    return _one_member_fan(m, G0, sol)
+    return _integrate_variational(m, x0, u0, G0, r, Y0, rtol=JACOBI_RTOL, atol=JACOBI_ATOL,
+                                  first_step=first_step)
 
 
 def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
@@ -676,7 +680,7 @@ def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
     geodesic from (x0, u0), to arc length r: the variation with dx(0) = J0 and
     dx'(0) = dJ0 - N J0."""
     N0 = spray_jacobian(m.real_jet(x0, u0, m.fibre_space(3, 2)), u0)[3][:, m.dim:]
-    path = _integrate_jacobi(m, x0, u0, r, np.concatenate([J0, dJ0 - N0 @ J0]))
+    path, _ = _integrate_jacobi(m, x0, u0, r, np.concatenate([J0, dJ0 - N0 @ J0]))
     return JacobiField(path=path, c=np.ones(1))
 
 
@@ -684,18 +688,15 @@ def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, first_step=None) -> Bounda
     """Fundamental system of the Jacobi fields vanishing at x0 along the
     unit-speed geodesic from (x0, u0), integrated with it to arc length r; its
     ``field(u)`` is the Jacobi field with J(0) = 0 and J(r) the part of u
-    across T. At r, W = dx' + N M with N and g_T from one order-3 jet. The
-    integration starts at ``first_step`` (arc length, capped at r) where one
-    is given, and at the initial-step probe otherwise."""
+    across T. At r, W = dx' + N M with N and g_T from the order-3 jet of the
+    last right-hand side. The integration starts at ``first_step`` (arc
+    length, capped at r) where one is given, and at the initial-step probe
+    otherwise."""
     d = m.dim
-    path = _integrate_jacobi(m, x0, u0, r, np.concatenate([np.zeros((d, d)), np.eye(d)]),
-                             first_step=first_step)
-    y_r = path.segments[0][0].y[:, -1]
-    x_r, u_r = y_r[:d], y_r[d:2 * d]
-    Y_r = y_r[2 * d:].reshape(2 * d, d)
-    g, _, _, dS = spray_jacobian(m.real_jet(x_r, u_r, m.fibre_space(3, 2)), u_r)
-    return BoundaryJacobiSystem(path=path, r=r, M=Y_r[:d], W=Y_r[d:] + dS[:, d:] @ Y_r[:d],
-                                T=u_r, g=g)
+    path, readout = _integrate_jacobi(m, x0, u0, r,
+                                      np.concatenate([np.zeros((d, d)), np.eye(d)]),
+                                      first_step=first_step)
+    return BoundaryJacobiSystem.at_end(path, r, 1.0, *readout)
 
 
 @dataclass
@@ -756,7 +757,7 @@ def index_form(path: GeodesicFan, xi, eta) -> IndexFormResult:
 AGREEMENT_TOL = 1e-4
 
 
-def distance_hessian(pd: PoleDistance, x, *, oracle=False) -> BoundaryJacobiSystem:
+def distance_hessian(pd: PoleDistance, x) -> BoundaryJacobiSystem:
     """Hessian of the distance from ``pd.pole`` at x, in every direction at once.
 
     One integration from the pole carries the radial geodesic together with
@@ -768,39 +769,17 @@ def distance_hessian(pd: PoleDistance, x, *, oracle=False) -> BoundaryJacobiSyst
     the covariant Hessian at reference vector T is
     H = P^T g_T W M^-1 P = ``boundary_form()``.
 
-    The integration is the query's landing shot: ``pd.rho(x)`` runs as a
-    Hessian query (``PoleDistance``), whose variational shots carry the
-    system in affine time, so no second integration runs; where no
-    variational shot landed, the converged velocity is shot once more. H
-    depends on the solver's history only in its last bits.
-
-    ``oracle=True`` takes the arc-length route that ``hessian_rho`` checks:
-    a plain query, then ``jacobi_boundary_field`` along its velocity, from
-    the proposal of the solver's last tight shot scaled to ``base.w`` and
-    times rho. Either route's integrations count into ``pd.work``.
+    The integration is the query's landing shot: ``pd.rho(x, hessian=True)``
+    (``PoleDistance``) returns the system of its variational shot that
+    landed, so no second integration runs; where none landed, the converged
+    velocity is shot once more, and a ``ShootingError`` is raised where that
+    shot stops at the domain's edge. H depends on the solver's history only
+    in its last bits; its integrations count into ``pd.work``.
     """
     x = np.asarray(x, dtype=float)
     if float(np.linalg.norm(x - pd.pole)) < 1e-6:
         raise ConfigurationError("distance Hessian undefined at the pole")
-    if oracle:
-        base = pd.rho(x)
-        system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value,
-                                       first_step=pd._first_step(base.w) * base.value)
-        nfev = system.path.nfev
-        pd.work.update(integrations=1, rhs_evaluations=nfev, jacobi_integrations=1,
-                       jacobi_rhs_evaluations=nfev)
-        return system
-    pd._systems = []
-    try:
-        base = pd.rho(x)
-        if not any(np.array_equal(w, base.w) for w, _ in pd._systems):
-            pd._variational_shot(base.w)   # no variational shot landed
-        systems = [system for w, system in pd._systems if np.array_equal(w, base.w)]
-    finally:
-        pd._systems = None
-    if not systems:
-        raise ShootingError(f"the variational shot to {x} stopped at the domain's edge")
-    return systems[-1]
+    return pd.rho(x, hessian=True).system
 
 
 @dataclass
@@ -817,16 +796,27 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
                 pd: PoleDistance | None = None) -> HessianRhoResult:
     """H(rho)(u,u) at x for the g_T-unit rescaling of u, rho the distance from the pole.
 
-    The arc-length oracle: route one reads u.H.u off ``distance_hessian``'s
-    arc-length route (``oracle=True``), the boundary term of the index form,
-    which needs no curvature. Route two integrates the index form, with the
+    The arc-length oracle of ``distance_hessian``: a plain query, then the
+    Jacobi system ``jacobi_boundary_field`` along its velocity in arc length,
+    from the proposal of the solver's last tight shot scaled to the velocity
+    and times rho; its integration counts into ``pd.work``. Route one reads
+    u.H.u off its boundary form, the boundary term of the index form, which
+    needs no curvature. Route two integrates the index form, with the
     curvature R at its nodes, by quadrature along the Jacobi field of the
     same fundamental system that reaches u at x.
     Disagreement beyond ``AGREEMENT_TOL`` is reported, not hidden; a NaN on
     either route never agrees.
     """
-    u = np.asarray(u, dtype=float)
-    system = distance_hessian(pd or PoleDistance(m, pole), x, oracle=True)
+    pd = pd or PoleDistance(m, pole)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    if float(np.linalg.norm(x - pd.pole)) < 1e-6:
+        raise ConfigurationError("distance Hessian undefined at the pole")
+    base = pd.rho(x)
+    system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value,
+                                   first_step=pd._first_step(base.w) * base.value)
+    nfev = system.path.nfev
+    pd.work.update(integrations=1, rhs_evaluations=nfev, jacobi_integrations=1,
+                   jacobi_rhs_evaluations=nfev)
     u = u / math.sqrt(float(u @ system.g @ u))
     value_a = float(u @ system.boundary_form() @ u)
     bvp = system.field(u)

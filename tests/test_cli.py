@@ -200,7 +200,8 @@ def test_cmd_distance_rho_column_is_pinned(tmp_path):
     # the rho column comes from plain shots, which the Levi samples' Hessian
     # queries never move: distance.csv of the disk, the ball, a Minkowski
     # norm, a non-Kahler Hermitian metric and the Szabo polydisk is pinned
-    # byte for byte, while each levi.csv may move in its last bits
+    # byte for byte, and so is each levi.csv, read off the systems of the
+    # Hessian queries' variational shots
     disk = {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}
     metrics = [_DISK, *GEODESIC_CONFIG["metrics"][1:4],
                {"family": "szabo", "id": "szabo",
@@ -210,12 +211,14 @@ def test_cmd_distance_rho_column_is_pinned(tmp_path):
         "plans": {"default": {"n_points": 3, "n_dirs": 2, "radial_range": [0.2, 0.6]}}})
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 0
-    digest = hashlib.sha256()
+    digest, levi_digest = hashlib.sha256(), hashlib.sha256()
     for spec in metrics:
         d = out / "distance" / spec["id"]
-        assert (d / "levi.csv").exists()
         digest.update((d / "distance.csv").read_bytes())
+        levi_digest.update((d / "levi.csv").read_bytes())
     assert digest.hexdigest() == "a6b95988ffd6cd6d2130d2916b542346cc410e00ab0df64cd0a03affd72a8cda"
+    assert levi_digest.hexdigest() == (
+        "a1b36fd326ee9654047bc8ecf5b8750fa86fbabe5046833c7f69369e05fdfc25")
 
 
 def test_cmd_distance_reports_levi_margin(tmp_path, capsys):
@@ -1121,10 +1124,11 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     from finsler.geodesic import PoleDistance
     rho, endpoint, integrate = PoleDistance.rho, PoleDistance._endpoint, geodesic._integrate_affine
     gauss_newton, integrate_jacobi = PoleDistance._gauss_newton, geodesic._integrate_variational
+    variational_shot = PoleDistance._variational_shot
     solves, shots, nfev, starts, jacobi_nfev = [], [], [], [], []
 
-    def counted_rho(self, q):
-        solves.append((self, rho(self, q)))
+    def counted_rho(self, q, **kwargs):
+        solves.append((self, rho(self, q, **kwargs)))
         return solves[-1][1]
 
     def counted_start(self, *args):
@@ -1134,6 +1138,10 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     def counted_endpoint(self, w, loose=False):
         shots.append((self, loose))
         return endpoint(self, w, loose)
+
+    def counted_variational_shot(self, w):
+        shots.append((self, "variational"))
+        return variational_shot(self, w)
 
     def counted_integration(*args, **kwargs):
         sol = integrate(*args, **kwargs)
@@ -1148,6 +1156,7 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
     monkeypatch.setattr(geodesic, "_integrate_variational", counted_jacobi)
     monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
+    monkeypatch.setattr(PoleDistance, "_variational_shot", counted_variational_shot)
     monkeypatch.setattr(geodesic, "_integrate_affine", counted_integration)
     monkeypatch.setattr(PoleDistance, "_gauss_newton", counted_start)
     p = _szabo_distance_config(tmp_path)
@@ -1169,7 +1178,7 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     assert cost["integrations"] == sum(r.work["integrations"] for _, r in solves) == 17
     # each Levi point lands at one variational shot, the rest are plain
     assert cost["jacobi_integrations"] == 2 and len(nfev) == 15
-    assert [loose for _, loose in shots].count(geodesic.VARIATIONAL) == 2
+    assert [loose for _, loose in shots].count("variational") == 2
     assert doc["metadata"]["shooting"] == cost
     assert 0 < cost["loose_integrations"] < cost["integrations"]
     assert "shooting" not in doc["payload"]
@@ -1224,8 +1233,8 @@ def test_cmd_distance_levi_samples_reuse_the_rho_column_shots(tmp_path, monkeypa
     rho = PoleDistance.rho
     solves = []
 
-    def counted_rho(self, q):
-        solves.append(rho(self, q))
+    def counted_rho(self, q, **kwargs):
+        solves.append(rho(self, q, **kwargs))
         return solves[-1]
 
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
@@ -1252,11 +1261,12 @@ def test_cmd_distance_levi_points_of_a_long_plan_stay_one_integration(tmp_path, 
     # then iterated anew (its chords are no geodesics, so no first shot lands)
     from finsler.geodesic import PoleDistance
     rho, endpoint = PoleDistance.rho, PoleDistance._endpoint
+    variational_shot = PoleDistance._variational_shot
     solves, shots = [], []   # (shots, result) per rho call; one entry per shot
 
-    def counted_rho(self, q):
+    def counted_rho(self, q, **kwargs):
         start = len(shots)
-        result = rho(self, q)
+        result = rho(self, q, **kwargs)
         solves.append((len(shots) - start, result))
         return result
 
@@ -1264,8 +1274,13 @@ def test_cmd_distance_levi_points_of_a_long_plan_stay_one_integration(tmp_path, 
         shots.append(loose)
         return endpoint(self, w, loose)
 
+    def counted_variational_shot(self, w):
+        shots.append("variational")
+        return variational_shot(self, w)
+
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
     monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
+    monkeypatch.setattr(PoleDistance, "_variational_shot", counted_variational_shot)
     cfg = json.loads(_szabo_distance_config(tmp_path).read_text())
     cfg["plans"]["default"]["n_points"] = 49
     out = tmp_path / "out"

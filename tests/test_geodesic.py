@@ -466,6 +466,19 @@ def test_warm_distance_hessian_matches_a_fresh_one(m, pole, q):
 
 
 Q4 = np.array([0.3, -0.2, 0.1, 0.4])
+
+
+def _arc_length_system(monkeypatch, pd, x):
+    """The arc-length Jacobi system that ``hessian_rho`` reads along a plain
+    query to x on ``pd``: the oracle of ``distance_hessian``."""
+    systems, build = [], geodesic.jacobi_boundary_field
+    with monkeypatch.context() as patch:
+        patch.setattr(geodesic, "jacobi_boundary_field",
+                      lambda *args, **kwargs: systems.append(build(*args, **kwargs)) or systems[-1])
+        hessian_rho(pd.m, pd.pole, x, np.roll(x - pd.pole, 1), pd=pd)
+    return systems[-1]
+
+
 ILL_CONDITIONED = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 2,
      "params": {"catalog": "constant", "matrix": [[1, 0], [0, 1e-11]]}}))
@@ -481,17 +494,18 @@ ILL_CONDITIONED = realify_metric(instantiate(
     (HYPERBOLIC, OFF_POLE, OFF_Q, False),
     (SZABO, np.zeros(4), Q4, False)],
     ids=["disk", "ball", "c2", "minkowski", "nonkahler", "off_pole_disk", "szabo"])
-def test_distance_hessian_agrees_with_the_arc_length_oracle(m, pole, q, lands, warm):
+def test_distance_hessian_agrees_with_the_arc_length_oracle(monkeypatch, m, pole, q, lands,
+                                                            warm):
     # the production route (variational shots in affine time) against the
-    # oracle (a plain shot, then the arc-length Jacobi system), each on its
-    # own solver, warm after two nearby Hessian queries
+    # oracle (a plain shot, then the arc-length Jacobi system of hessian_rho),
+    # each on its own solver, warm after two nearby queries of its route
     pd, pd_oracle = PoleDistance(m, pole), PoleDistance(m, pole)
     for shift in (0.1, -0.15) if warm else ():
         distance_hessian(pd, q + shift * (q - pole))
-        distance_hessian(pd_oracle, q + shift * (q - pole), oracle=True)
+        _arc_length_system(monkeypatch, pd_oracle, q + shift * (q - pole))
     before = pd.work["integrations"]
     a = distance_hessian(pd, q)
-    b = distance_hessian(pd_oracle, q, oracle=True)
+    b = _arc_length_system(monkeypatch, pd_oracle, q)
     # Both integrate the same linear Jacobi flow, whose Y block each
     # integrator holds at JACOBI_RTOL relative per step (the production route
     # tighter, by sqrt(1 + d)). A relative error e of M and W gives H =
@@ -550,14 +564,42 @@ def test_hessian_queries_raise_the_jacobi_fields_errors():
     # Hessian query as they come out of the arc-length route, not as a
     # ShootingError: the ill-conditioned constant metric of test_cartan.py,
     # whose straight chords land at once, and the antipode of the round
-    # sphere's chart, conjugate to the pole
-    for oracle in (False, True):
-        with pytest.raises(DegenerateMetricError, match="condition number"):
-            distance_hessian(PoleDistance(ILL_CONDITIONED, np.zeros(4)), Q4, oracle=oracle)
-        system = distance_hessian(PoleDistance(ROUND, np.array([0.5, 0.0])),
-                                  np.array([-2.0, 0.0]), oracle=oracle)
-        with pytest.raises(ConjugatePointError):
-            system.boundary_form()
+    # sphere's chart, conjugate to the pole; hessian_rho's route raises them
+    # from a plain query's velocity
+    with pytest.raises(DegenerateMetricError, match="condition number"):
+        distance_hessian(PoleDistance(ILL_CONDITIONED, np.zeros(4)), Q4)
+    system = distance_hessian(PoleDistance(ROUND, np.array([0.5, 0.0])), np.array([-2.0, 0.0]))
+    with pytest.raises(ConjugatePointError):
+        system.boundary_form()
+    with pytest.raises(DegenerateMetricError, match="condition number"):
+        hessian_rho(ILL_CONDITIONED, np.zeros(4), Q4, np.roll(Q4, 1))
+    with pytest.raises(ConjugatePointError):
+        hessian_rho(ROUND, np.array([0.5, 0.0]), np.array([-2.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def test_a_hessian_query_whose_variational_shots_stop_raises(monkeypatch):
+    # where no variational shot reaches t = 1 the Hessian query raises, and
+    # the solver stays a plain one: its next query shoots plain, from a fresh
+    # solver's steps, and returns a fresh solver's bits
+    solve = geodesic.solve_ivp
+
+    def stopped(fun, t_span, y0, **kwargs):
+        sol = solve(fun, t_span, y0, **kwargs)
+        if len(y0) > 2 * HYPERBOLIC.dim:   # a shot that carries the Jacobi fields
+            sol.status = 1   # as if an exit event had ended it at t = 1
+        return sol
+
+    pd, q = PoleDistance(HYPERBOLIC, np.zeros(2)), np.array([0.45, -0.3])
+    with monkeypatch.context() as patch:
+        patch.setattr(geodesic, "solve_ivp", stopped)
+        with pytest.raises(ShootingError, match="stopped at the domain's edge"):
+            distance_hessian(pd, q)
+    # the chord start lands, and the converged velocity is shot once more
+    assert pd.work["jacobi_integrations"] == pd.work["integrations"] == 2
+    r, fresh = pd.rho(q), PoleDistance(HYPERBOLIC, np.zeros(2)).rho(q)
+    assert r.system is None and pd.work["jacobi_integrations"] == 2
+    assert r.value == fresh.value and r.residual == fresh.residual
+    assert np.array_equal(r.T, fresh.T) and np.array_equal(r.w, fresh.w)
 
 
 def test_a_hessian_query_that_misses_takes_the_exact_jacobian(monkeypatch):
@@ -566,10 +608,8 @@ def test_a_hessian_query_that_misses_takes_the_exact_jacobian(monkeypatch):
     # with an error of order their step h = 1e-6 (1 + |w|), and takes their place
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     w = pd._chord_start(OFF_Q)
-    pd._systems = []
-    x1 = pd._variational_shot(w)[:2]
-    (_, system), = pd._systems
-    fd = pd._fd_jacobian(w, x1)
+    y, system = pd._variational_shot(w)
+    fd = pd._fd_jacobian(w, y[:2])
     assert np.abs(system.M / system.r - fd).max() <= 1e-5 * np.abs(fd).max()
     calls = _count_fd_jacobians(monkeypatch)
     for m, pole, q in ((HYPERBOLIC, OFF_POLE, OFF_Q), (SZABO, np.zeros(4), Q4)):
@@ -698,23 +738,34 @@ def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
 
     monkeypatch.setattr(MetricDef, "real_jet", counted)
     systems = []
-    distance_hessian = geodesic.distance_hessian
+    jacobi_boundary_field = geodesic.jacobi_boundary_field
 
     def recorded(*args, **kwargs):
-        system = distance_hessian(*args, **kwargs)
+        system = jacobi_boundary_field(*args, **kwargs)
         systems.append((system, system.path.nfev))
         return system
 
-    monkeypatch.setattr(geodesic, "distance_hessian", recorded)
+    monkeypatch.setattr(geodesic, "jacobi_boundary_field", recorded)
     hessian_rho(m, np.zeros(m.dim), np.array(q), np.array(q)[::-1])
     (system, stepped), = systems
     # the index form reads every step of the path, which builds its dense
     # output then: 3 right-hand sides a step, in the path's nfev
     path = system.path
     assert path.nfev == stepped + 3 * path.steps
-    # each over its reader's kept basis
-    assert orders[m.fibre_space(3, 2)] == path.nfev + 1 and orders[m.fibre_space(4, 2)] == 72
-    assert sum(orders.values()) == path.nfev + 1 + 72
+    # each over its reader's kept basis; the readout at r is the last
+    # right-hand side's, so no jet is replayed there
+    assert orders[m.fibre_space(3, 2)] == path.nfev and orders[m.fibre_space(4, 2)] == 72
+    assert sum(orders.values()) == path.nfev + 72
+
+
+def test_both_hessian_routes_refuse_the_pole():
+    # rho is not smooth at the pole, where neither route shoots
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    with pytest.raises(ConfigurationError, match="undefined at the pole"):
+        distance_hessian(pd, OFF_POLE + 1e-7)
+    with pytest.raises(ConfigurationError, match="undefined at the pole"):
+        hessian_rho(HYPERBOLIC, OFF_POLE, OFF_POLE, np.array([0.0, 1.0]), pd=pd)
+    assert pd.work["integrations"] == 0
 
 
 def test_hessian_rho_nan_index_form_does_not_agree(monkeypatch):
@@ -786,13 +837,13 @@ def test_distance_hessian_matches_stencil_oracle(m, q):
 
 def test_hessian_rho_factors_M_once(monkeypatch):
     systems, cond_args, solve_args = [], [], []
-    hessian, cond, solve = geodesic.distance_hessian, np.linalg.cond, np.linalg.solve
+    build, cond, solve = geodesic.jacobi_boundary_field, np.linalg.cond, np.linalg.solve
 
-    def kept(pd, x, **kw):
-        systems.append(hessian(pd, x, **kw))
+    def kept(*args, **kwargs):
+        systems.append(build(*args, **kwargs))
         return systems[-1]
 
-    monkeypatch.setattr(geodesic, "distance_hessian", kept)
+    monkeypatch.setattr(geodesic, "jacobi_boundary_field", kept)
     monkeypatch.setattr(np.linalg, "cond", lambda a, *k: cond_args.append(a) or cond(a, *k))
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve_args.append(a) or solve(a, b))
     res = hessian_rho(HYPERBOLIC, np.zeros(2), np.array([0.45, -0.3]), np.array([0.3, 0.45]))
@@ -805,8 +856,8 @@ def test_rho_counts_gauss_newton_steps(monkeypatch):
     rho = PoleDistance.rho
     results = []
 
-    def recorded(self, q):
-        results.append(rho(self, q))
+    def recorded(self, q, **kwargs):
+        results.append(rho(self, q, **kwargs))
         return results[-1]
 
     def outside(*args, **kwargs):
@@ -1032,7 +1083,8 @@ def test_gauss_newton_returns_its_last_iterate_after_max_iter(monkeypatch):
     pd = PoleDistance(HYPERBOLIC, np.zeros(2))
     q = np.array([0.45, -0.3])
     monkeypatch.setattr("finsler.geodesic.MAX_ITERATIONS", 2)
-    w, y, _, res = pd._gauss_newton(q, q, None, 1e-12)
+    w, y, _, res, system = pd._gauss_newton(q, q, None, 1e-12, False)
+    assert system is None   # a plain query's
     assert res > 1e-6   # two Broyden steps do not converge
     # y is the end state of the last integration, a tight one of w
     sol = _integrate_affine(HYPERBOLIC, np.zeros(2), w, 1.0, rtol=SHOOT_RTOL,

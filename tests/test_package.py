@@ -97,10 +97,30 @@ def test_the_definitions_only_bench_reaches_are_pinned():
     # them). A change that adds to this list, or frees a name from it, updates
     # it here.
     assert _unreached(bench_roots=False) == [
-        "geodesic.HessianRhoResult", "geodesic.IndexFormResult", "geodesic.hessian_rho",
-        "geodesic.index_form", "geodesic.jacobi_field", "geometry.MetricDef.complex_jet",
-        "jets.Jet.partial", "jets.JetSpace.conj_perm", "jets.JetSpace.extract_table",
-        "jets.wirtinger", "schwarz.curvature_bounds"]
+        "geodesic.HessianRhoResult", "geodesic.IndexFormResult", "geodesic._integrate_jacobi",
+        "geodesic.hessian_rho", "geodesic.index_form", "geodesic.jacobi_boundary_field",
+        "geodesic.jacobi_field", "geometry.MetricDef.complex_jet", "jets.Jet.partial",
+        "jets.JetSpace.conj_perm", "jets.JetSpace.extract_table", "jets.wirtinger",
+        "schwarz.curvature_bounds"]
+
+
+def _private_attributes_set(src):
+    """``file:line`` of each store into an underscore attribute of an object
+    other than ``self``."""
+    written = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and node.attr.startswith("_") and ast.unparse(node.value) != "self"):
+                written.append(f"{path.name}:{node.lineno}")
+    return written
+
+
+def test_no_module_sets_another_objects_private_attribute():
+    # an object's underscore attributes are its own state: a function that
+    # sets one on another object puts that object into a mode its own
+    # methods do not show; it passes an argument instead
+    assert _private_attributes_set(SRC) == []
 
 
 def test_only_jets_builds_a_complex_jet_space():
