@@ -10,10 +10,11 @@ the chord start: the velocity along the straight chord from the pole to the
 target whose length is the chord's Finsler length, which lands at once where
 the chord is a geodesic. A warm query also tries the nearest cached velocity,
 moved by the change of target, and shoots first whichever the cached
-Jacobian predicts lands closer. Shooting is inexact Newton: trial
-shots from an iterate far from the target integrate at loose tolerances,
-and every returned iterate, so every distance, comes from a tight
-integration. Integrations run on the package's own DOP853 (``dop853``), which
+Jacobian predicts lands closer. Shooting is inexact Newton with exact
+Jacobians, Y_x(1) / rho of shots that carry the Jacobi fields: trial shots
+from an iterate far from the target integrate at loose tolerances, and
+every returned iterate, so every distance, comes from a tight integration.
+Integrations run on the package's own DOP853 (``dop853``), which
 builds dense output only for the steps a caller reads. Each shot of a solver
 starts where the solver's last shot of the same kind left off, scaled to arc
 length, in place of the initial-step probe.
@@ -264,17 +265,19 @@ class PoleDistance:
     Inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
     1982): a trial step from an iterate whose residual exceeds
     ``LOOSE_ABOVE`` integrates at ``LOOSE_RTOL``/``LOOSE_ATOL``; the first
-    shot of every start, the finite-difference probes and every other trial
-    integrate at ``SHOOT_RTOL``/``SHOOT_ATOL``. A returned iterate, and so
+    shot of every start and every other trial integrate at
+    ``SHOOT_RTOL``/``SHOOT_ATOL``. A returned iterate, and so
     every ``RhoResult``, comes from a tight integration of its ``w``: a loose
     iterate is integrated again at the tight tolerances before it may
     converge or end the solve.
 
-    In a Hessian query (``rho(q, hessian=True)``) the first shot of each
-    start carries the Jacobi fields (``_variational_shot``): where it lands,
-    its end state is the result's ``system``; where it misses, Y_x(1) / rho
-    is the exact shooting Jacobian, and the accepted iterate takes one more
-    step, shot variationally (``_settle``), or is shot so once more.
+    Every Jacobian is the exact dx(1)/dw = Y_x(1) / rho of a shot of the
+    iterate that carries the Jacobi fields (``_variational_shot``), taken
+    where a first shot misses with no cached Jacobian or a line search
+    stalls. In a Hessian query (``rho(q, hessian=True)``) each start's first
+    shot is one: where it lands, its end state is the result's ``system``;
+    where it misses, it gives the Jacobian, and the accepted iterate takes
+    one more step, shot variationally (``_settle``), or is shot so again.
 
     ``work`` is the solver's one record of its cost, a ``Counter`` over
     ``WORK`` that starts with every count at 0: ``rhs_evaluations`` sums the
@@ -288,10 +291,9 @@ class PoleDistance:
     all shots leave the same pole along nearby geodesics, so each starts at
     the step its predecessor of the same kind (tight, loose or variational)
     ended with, times |w_prev| / |w| to carry it over in arc length, in place
-    of the initial-step probe and its ramp-up: after a tight or a variational
-    shot the controller's proposal (``h_next``), so a shot that needs one
-    step takes one; after a loose one the larger of its last two steps. A
-    solver's first variational shot starts at its last tight shot's step.
+    of the initial-step probe and its ramp-up: the controller's proposal
+    (``h_next``), so a shot that needs one step takes one. A solver's first
+    variational shot starts at its last tight shot's step.
     Every step passes DOP853's error test.
     """
 
@@ -323,9 +325,7 @@ class PoleDistance:
                                 atol=LOOSE_ATOL if loose else SHOOT_ATOL,
                                 first_step=self._first_step(w, loose))
         self.work["rhs_evaluations"] += sol.nfev
-        # loose shots keep their larger last step: from h_next, warm Hessians moved 2.8e-12
-        step = float(np.diff(sol.t)[-2:].max()) if loose else sol.h_next
-        self._steps[loose] = step * float(np.linalg.norm(w))
+        self._steps[loose] = sol.h_next * float(np.linalg.norm(w))
         return sol.y[:, -1]
 
     def _variational_shot(self, w):
@@ -355,15 +355,17 @@ class PoleDistance:
             path, rho, rho, *readout)
         return sol.y[:2 * d, -1], system
 
-    def _fd_jacobian(self, w, F0):
-        d = self.m.dim
-        J = np.empty((d, d))
-        h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
-        for j in range(d):
-            wp = w.copy()
-            wp[j] += h
-            J[:, j] = (self._endpoint(wp)[:d] - F0) / h
-        return J
+    def _landed_system(self, w):
+        """The ``system`` of a variational shot of w, which must reach t = 1."""
+        system = self._variational_shot(w)[1]
+        if system is None:
+            raise ShootingError(f"the variational shot of {w} stopped at the domain's edge")
+        return system
+
+    def _jacobian(self, w, system=None):
+        """dx(1)/dw = Y_x(1) / rho at w, off w's ``system`` or a new shot's."""
+        system = system or self._landed_system(w)
+        return system.M / system.r
 
     def _nearest(self, q):
         if not self._cache:
@@ -400,7 +402,7 @@ class PoleDistance:
             try:
                 w, y, J_fin, resid, system = self._gauss_newton(winit, q, J, tol, hessian)
             except SAMPLE_ERRORS:
-                resid = math.inf   # a failed shot, probe or re-integration ends its start only
+                resid = math.inf   # a failed shot or re-integration ends its start only
             J = None
             best_res = min(best_res, resid)
             if resid < tol_accept:
@@ -408,10 +410,7 @@ class PoleDistance:
                 rho = math.sqrt(self.m.value(self.pole, w))
                 self._remember(q, w, J_fin)
                 if hessian and system is None:   # no variational shot landed at w
-                    _, system = self._variational_shot(w)
-                    if system is None:
-                        raise ShootingError(
-                            f"the variational shot to {q} stopped at the domain's edge")
+                    system = self._landed_system(w)
                 return RhoResult(rho, u_end / rho, w, resid, self.work - before, system)
         work = self.work - before
         raise ShootingError(
@@ -426,9 +425,9 @@ class PoleDistance:
         ``w``, so its arriving tangent needs no second integration, and the
         residual is read from it; ``system`` is a variational shot's of ``w``,
         or None. A failed trial step is skipped; any other failed integration
-        (the first shot, a finite-difference probe, a tight re-integration)
-        raises, which ends the start (``rho``). A Hessian query's first shot
-        is variational, and plain where its Jacobi fields fail.
+        (the first shot, a Jacobian shot that fails or stops at the edge, a
+        tight re-integration) raises, which ends the start (``rho``). A Hessian
+        query's first shot is variational, and plain where its Jacobi fields fail.
         """
         d = self.m.dim
         w = np.asarray(w, dtype=float).copy()
@@ -443,10 +442,8 @@ class PoleDistance:
             return w, y, J, float(np.linalg.norm(F)), system
         loose = False   # y, F come from a loose integration
         refreshed = J is None or system is not None
-        if system is not None:
-            J = system.M / system.r   # the exact shooting Jacobian
-        elif J is None:
-            J = self._fd_jacobian(w, F + q)
+        if refreshed:
+            J = self._jacobian(w, system)
         for _ in range(MAX_ITERATIONS):
             res = float(np.linalg.norm(F))
             if res < tol:
@@ -474,8 +471,7 @@ class PoleDistance:
             else:
                 if refreshed:
                     break
-                J = self._fd_jacobian(w, F + q)
-                refreshed = True
+                J, refreshed = self._jacobian(w), True
                 continue
             dw = w_new - w
             dF = F_new - F

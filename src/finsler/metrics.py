@@ -32,10 +32,10 @@ def _complex(e):
 
 def _hermitian(m, n, what):
     """Parse an n x n complex matrix given as nested lists of ``_complex``
-    entries and check that it is Hermitian."""
+    entries and check it Hermitian to 1e-12 max(1, |entry|), no relative slack."""
     arr = np.array([[_complex(m[i][j]) for j in range(n)] for i in range(n)],
                    dtype=complex)
-    if not np.allclose(arr, arr.conj().T, atol=1e-12):
+    if not np.allclose(arr, arr.conj().T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(arr).max())):
         raise ConfigurationError(f"{what}: matrix must be Hermitian")
     return arr
 

@@ -980,6 +980,32 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
                                         w, w)))
 
 
+# -- the shooting Jacobian by finite differences -----------------------------------
+
+# the relative step of ``fd_shooting_jacobian``: h = FD_SHOOTING_STEP (1 + |w|)
+FD_SHOOTING_STEP = 1e-6
+
+
+def fd_shooting_jacobian(pd, w):
+    """dx(1)/dw of the geodesic leaving ``pd.pole`` with velocity w, by one
+    forward difference per column, h = ``FD_SHOOTING_STEP`` (1 + |w|), of
+    tight shots from the initial-step probe, which touch neither ``pd.work``
+    nor its step slots. Independent of the variational equations behind
+    ``PoleDistance``'s Jacobians; its error is h/2 times the second
+    derivative of x(1) plus twice the shooting tolerance over h."""
+    from finsler.geodesic import SHOOT_ATOL, SHOOT_RTOL, _integrate_affine
+
+    w = np.asarray(w, dtype=float)
+    d, h = w.size, FD_SHOOTING_STEP * (1.0 + float(np.linalg.norm(w)))
+
+    def x1(v):
+        return _integrate_affine(pd.m, pd.pole, v, 1.0, rtol=SHOOT_RTOL,
+                                 atol=SHOOT_ATOL).y[:d, -1]
+
+    x0 = x1(w)
+    return np.stack([(x1(w + h * e) - x0) / h for e in np.eye(d)], axis=1)
+
+
 # -- scipy's DOP853, the reference of the package's own stepper ----------------------
 
 

@@ -201,7 +201,9 @@ def test_cmd_distance_rho_column_is_pinned(tmp_path):
     # queries never move: distance.csv of the disk, the ball, a Minkowski
     # norm, a non-Kahler Hermitian metric and the Szabo polydisk is pinned
     # byte for byte, and so is each levi.csv, read off the systems of the
-    # Hessian queries' variational shots
+    # Hessian queries' variational shots. The queries that iterate (the
+    # last two metrics) move in their last bits with their shooting
+    # Jacobians, which are Y_x(1) / rho of a variational shot
     disk = {"complex_dim": 1, "params": {"catalog": "poincare_disk"}}
     metrics = [_DISK, *GEODESIC_CONFIG["metrics"][1:4],
                {"family": "szabo", "id": "szabo",
@@ -216,9 +218,9 @@ def test_cmd_distance_rho_column_is_pinned(tmp_path):
         d = out / "distance" / spec["id"]
         digest.update((d / "distance.csv").read_bytes())
         levi_digest.update((d / "levi.csv").read_bytes())
-    assert digest.hexdigest() == "a6b95988ffd6cd6d2130d2916b542346cc410e00ab0df64cd0a03affd72a8cda"
+    assert digest.hexdigest() == "5e9ae844fffecdcfe2bd4d7dc05c9084d9dc8859e6fcbf6041641a313d567671"
     assert levi_digest.hexdigest() == (
-        "a1b36fd326ee9654047bc8ecf5b8750fa86fbabe5046833c7f69369e05fdfc25")
+        "d0e272fb8b815363c9752e4861edfae7a2bff71758c799b30ca06f9685c79736")
 
 
 def test_cmd_distance_reports_levi_margin(tmp_path, capsys):
@@ -314,13 +316,16 @@ def test_plan_other_than_default_is_a_configuration_error(tmp_path, capsys, plan
     ("check", {"metrics": [{"family": "szabo", "params": {"eps": math.nan}}]}),
     ("schwarz", {"maps": [{"map": "mobius", "params": {"a": [math.nan, 0.0]}, "id": "identity"}]}),
     ("check", {"metrics": _DISK}),
+    ("check", {"metrics": [{"family": "hermitian", "complex_dim": 2, "params": {
+        "catalog": "constant", "matrix": [[2, 1], [1.00001, 2]]}}]}),
 ], ids=["metric_not_a_mapping", "family_not_a_name", "tolerance_not_a_number",
         "outputs_not_a_mapping", "map_not_a_mapping", "complex_dim_not_an_integer",
         "scale_not_a_number", "params_not_a_mapping", "linear_map_without_matrix",
         "map_dimensions_do_not_match_pair", "hermitian_complex_dim_zero",
         "minkowski_complex_dim_zero", "tolerance_nan", "tolerance_negative",
         "seed_not_an_integer", "seed_a_bool", "seed_negative", "complex_dim_fractional",
-        "power_m_fractional", "scale_infinite", "eps_nan", "mobius_a_nan", "metrics_not_a_list"])
+        "power_m_fractional", "scale_infinite", "eps_nan", "mobius_a_nan", "metrics_not_a_list",
+        "matrix_not_hermitian"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, change):
     p = write_config(tmp_path, {**BASE_CONFIG, **change})
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -1175,10 +1180,11 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
             "jacobi_integrations": len(jacobi_nfev),
             "jacobi_rhs_evaluations": sum(jacobi_nfev)}
     assert cost["starts"] == 4
-    assert cost["integrations"] == sum(r.work["integrations"] for _, r in solves) == 17
-    # each Levi point lands at one variational shot, the rest are plain
-    assert cost["jacobi_integrations"] == 2 and len(nfev) == 15
-    assert [loose for _, loose in shots].count("variational") == 2
+    assert cost["integrations"] == sum(r.work["integrations"] for _, r in solves) == 14
+    # each Levi point lands at one variational shot, and the first column
+    # point's shooting Jacobian is read off one; the rest are plain
+    assert cost["jacobi_integrations"] == 3 and len(nfev) == 11
+    assert [loose for _, loose in shots].count("variational") == 3
     assert doc["metadata"]["shooting"] == cost
     assert 0 < cost["loose_integrations"] < cost["integrations"]
     assert "shooting" not in doc["payload"]
@@ -1317,16 +1323,16 @@ def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
 
 
 def test_cmd_distance_a_failed_probe_ends_its_start_not_the_query(tmp_path, monkeypatch, capsys):
-    # every finite-difference probe raises a bare ShootingError, as an
-    # integration failing inside the integrator does: each start ends at its
-    # probe, the next is tried, and each query's failure reports its counts
+    # every Jacobian shot raises a bare ShootingError, as an integration
+    # failing inside the integrator does: each start ends at its Jacobian
+    # shot, the next is tried, and each query's failure reports its counts
     from finsler.errors import ShootingError
     from finsler.geodesic import PoleDistance
 
-    def failing_probe(self, w, F0):
+    def failing_probe(self, w):
         raise ShootingError("injected")
 
-    monkeypatch.setattr(PoleDistance, "_fd_jacobian", failing_probe)
+    monkeypatch.setattr(PoleDistance, "_variational_shot", failing_probe)
     p = _szabo_distance_config(tmp_path)
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 1

@@ -25,7 +25,8 @@ from finsler.geometry import MetricDef, realify_metric
 from finsler.metrics import instantiate
 
 from oracles import (at_point, ball_distance, covariant_boundary_form, covariant_d2_rho,
-                     endpoint, fd_index_form, hyperbolic_distance,
+                     endpoint, FD_SHOOTING_STEP, fd_index_form, fd_shooting_jacobian,
+                     hyperbolic_distance,
                      hyperbolic_hessian_tangential, legendre_gradient)
 
 EUCLID = realify_metric(instantiate(
@@ -461,8 +462,10 @@ def test_warm_distance_hessian_matches_a_fresh_one(m, pole, q):
         assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
     # each query's first shot is variational; off the disk's and the ball's
     # radii from the origin it misses, and the query's last Gauss-Newton step
-    # is variational too
-    assert warm.work["jacobi_integrations"] == (8 if m in (HYPERBOLIC, SZABO) else 4)
+    # is variational too; on the Szabo polydisk the last query's iterate
+    # lands within 2e-16, which that step cannot lower, so its velocity is
+    # shot variationally once more
+    assert warm.work["jacobi_integrations"] == (8 if m is HYPERBOLIC else 9 if m is SZABO else 4)
 
 
 Q4 = np.array([0.3, -0.2, 0.1, 0.4])
@@ -602,21 +605,114 @@ def test_a_hessian_query_whose_variational_shots_stop_raises(monkeypatch):
     assert np.array_equal(r.T, fresh.T) and np.array_equal(r.w, fresh.w)
 
 
+def _record_jacobians(monkeypatch):
+    """Record each ``_jacobian`` call as (solver, w, whether the caller gave
+    w's own system, the Jacobian returned)."""
+    real, calls = PoleDistance._jacobian, []
+
+    def recorded(self, w, system=None):
+        calls.append((self, w.copy(), system is not None, real(self, w, system)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(PoleDistance, "_jacobian", recorded)
+    return calls
+
+
+def _assert_exact_jacobians(calls):
+    # Y_x(1) / rho against the oracle's forward differences of step h, which
+    # are off by h/2 times the second derivative of x(1), within a few
+    # |dx(1)/dw| on these metrics, plus twice the shooting tolerance over h;
+    # measured: 0.1 h to 0.5 h
+    assert calls
+    for pd, w, _, J in calls:
+        fd = fd_shooting_jacobian(pd, w)
+        h = FD_SHOOTING_STEP * (1.0 + np.linalg.norm(w))
+        assert np.abs(J - fd).max() <= (2 * h + 2 * SHOOT_RTOL / h) * np.abs(fd).max()
+
+
 def test_a_hessian_query_that_misses_takes_the_exact_jacobian(monkeypatch):
     # a missed variational first shot gives the shooting Jacobian
-    # dx(1)/dw = Y_x(1) / rho, which the finite-difference probes estimate
-    # with an error of order their step h = 1e-6 (1 + |w|), and takes their place
-    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
-    w = pd._chord_start(OFF_Q)
-    y, system = pd._variational_shot(w)
-    fd = pd._fd_jacobian(w, y[:2])
-    assert np.abs(system.M / system.r - fd).max() <= 1e-5 * np.abs(fd).max()
-    calls = _count_fd_jacobians(monkeypatch)
+    # dx(1)/dw = Y_x(1) / rho, so no other shot of its velocity runs: the
+    # query's variational shots are its first shot and its settling step
+    calls = _record_jacobians(monkeypatch)
     for m, pole, q in ((HYPERBOLIC, OFF_POLE, OFF_Q), (SZABO, np.zeros(4), Q4)):
         pd = PoleDistance(m, pole)
         distance_hessian(pd, q)
-        assert pd.work["iterations"] > 0
-    assert calls == []
+        assert pd.work["iterations"] > 0 and pd.work["jacobi_integrations"] == 2
+    assert [given for _, _, given, _ in calls] == [True, True]
+    _assert_exact_jacobians(calls)
+
+
+@pytest.mark.parametrize("m, pole, q", [
+    (HYPERBOLIC, OFF_POLE, OFF_Q),
+    (SZABO, np.zeros(4), Q4),
+    (NONKAHLER, np.zeros(4), Q4),
+    (BALL2, np.array([0.3, 0.0, 0.0, 0.0]), Q4)],
+    ids=["off_pole_disk", "szabo", "nonkahler", "off_pole_ball"])
+def test_a_plain_query_that_misses_takes_the_exact_jacobian(monkeypatch, m, pole, q):
+    # a plain first shot that misses with no cached Jacobian reads
+    # dx(1)/dw = Y_x(1) / rho off one variational shot of its velocity
+    calls = _record_jacobians(monkeypatch)
+    r = PoleDistance(m, pole).rho(q)
+    assert r.system is None and r.work["iterations"] > 0
+    assert [given for _, _, given, _ in calls] == [False]
+    assert r.work["jacobi_integrations"] == 1
+    _assert_exact_jacobians(calls)
+
+
+def test_a_jacobian_shot_that_exits_ends_its_start_not_the_query(monkeypatch):
+    # the first start's Jacobian shot stops at the domain's edge, as if an
+    # exit event had ended it at t = 1: the start ends, and the query goes on
+    # to its next start and converges there
+    want = PoleDistance(SZABO, np.zeros(4)).rho(Q4)
+    solve, exits = geodesic.solve_ivp, []
+
+    def stopped(fun, t_span, y0, **kwargs):
+        sol = solve(fun, t_span, y0, **kwargs)
+        if len(y0) > 2 * SZABO.dim and not exits:   # the first shot with Jacobi fields
+            exits.append(1)
+            sol.status = 1
+        return sol
+
+    monkeypatch.setattr(geodesic, "solve_ivp", stopped)
+    r = PoleDistance(SZABO, np.zeros(4)).rho(Q4)
+    assert exits == [1] and r.work["starts"] >= 2 and r.work["jacobi_integrations"] >= 2
+    assert r.value == pytest.approx(want.value, abs=1e-9)
+
+
+def test_a_failed_settling_step_returns_the_converged_iterates_system(monkeypatch):
+    # the settling step's variational shot fails inside its integration: the
+    # Hessian query shoots its converged velocity variationally once more and
+    # returns that shot's system, and its work adds up to what it integrated
+    integrate, solve, paths, nfev = geodesic._integrate_variational, geodesic.solve_ivp, [], []
+
+    def settle_fails(*args, **kwargs):
+        if sys._getframe(2).f_code.co_name == "_settle":
+            raise ShootingError("injected")
+        path, readout = integrate(*args, **kwargs)
+        paths.append(path)
+        return path, readout
+
+    def counted(fun, t_span, y0, **kwargs):
+        sol = solve(fun, t_span, y0, **kwargs)
+        nfev.append((len(y0) > 2 * HYPERBOLIC.dim, sol.nfev))
+        return sol
+
+    fresh = distance_hessian(PoleDistance(HYPERBOLIC, OFF_POLE), OFF_Q)
+    monkeypatch.setattr(geodesic, "solve_ivp", counted)
+    monkeypatch.setattr(geodesic, "_integrate_variational", settle_fails)
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    r = pd.rho(OFF_Q, hessian=True)
+    assert r.system.path is paths[-1] and len(paths) == 2   # the first shot and the last
+    assert r.work["iterations"] > 0 and r.residual < 3e-12 * (1 + np.linalg.norm(OFF_Q - OFF_POLE))
+    # both velocities land within the acceptance residual, which moves H by
+    # some 1e-11 relative
+    assert np.abs(r.system.boundary_form() - fresh.boundary_form()).max() <= \
+        1e-9 * np.abs(fresh.boundary_form()).max()
+    # three variational shots, the failed one with no right-hand side counted
+    assert r.work == pd.work and r.work["jacobi_integrations"] == 3
+    assert r.work["rhs_evaluations"] == sum(n for _, n in nfev)
+    assert r.work["jacobi_rhs_evaluations"] == sum(n for jacobi, n in nfev if jacobi)
 
 
 def test_jacobi_minimizes_index_form():
@@ -867,8 +963,9 @@ def test_rho_counts_gauss_newton_steps(monkeypatch):
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     r = pd.rho(OFF_Q)
     assert r.work["iterations"] == pd.work["iterations"] > 0
-    # one shot and two Jacobian probes, then one integration per full step
-    assert r.work["integrations"] == 1 + 2 + r.work["iterations"]
+    # one shot and one Jacobian shot, then one integration per full step
+    assert r.work["integrations"] == 1 + 1 + r.work["iterations"]
+    assert r.work["jacobi_integrations"] == 1
     warm = pd.rho(OFF_Q)
     assert (warm.work["starts"], warm.work["integrations"], warm.work["iterations"]) == (1, 1, 0)
     pole = pd.rho(pd.pole)
@@ -942,20 +1039,20 @@ def test_shooting_error_counts_starts_and_integrations(monkeypatch):
 @pytest.mark.parametrize("error", [DomainError("injected"), ShootingError("injected")])
 @pytest.mark.parametrize("m", [SZABO, NONKAHLER], ids=["szabo", "nonkahler"])
 def test_a_failed_probe_ends_its_start_not_the_query(monkeypatch, m, error):
-    # the first start's finite-difference probe fails, as an integration
-    # raising out of the domain or out of the integrator would; the query
-    # goes on to its next start and converges there
+    # the first start's Jacobian shot fails, as an integration raising out
+    # of the domain or out of the integrator would; the query goes on to its
+    # next start and converges there
     q = 0.4 * np.arange(1, m.dim + 1) / m.dim
     want = PoleDistance(m, np.zeros(m.dim)).rho(q)
-    real, probes = PoleDistance._fd_jacobian, []
+    real, probes = PoleDistance._variational_shot, []
 
-    def first_probe_fails(self, w, F0):
+    def first_probe_fails(self, w):
         probes.append(1)
         if len(probes) == 1:
             raise error
-        return real(self, w, F0)
+        return real(self, w)
 
-    monkeypatch.setattr(PoleDistance, "_fd_jacobian", first_probe_fails)
+    monkeypatch.setattr(PoleDistance, "_variational_shot", first_probe_fails)
     r = PoleDistance(m, np.zeros(m.dim)).rho(q)
     assert r.work["starts"] >= 2 and len(probes) >= 2
     assert r.value == pytest.approx(want.value, abs=1e-9)
@@ -992,27 +1089,27 @@ def test_a_failed_tight_reintegration_ends_its_start_not_the_query(monkeypatch, 
     assert work == pd.work
 
 
-def _count_fd_jacobians(monkeypatch, make=None):
-    """Record each ``_fd_jacobian`` call; ``make(real, self, w, F0)`` may
+def _count_jacobians(monkeypatch, make=None):
+    """Record each ``_jacobian`` call; ``make(real, self, w, system)`` may
     replace the Jacobian it returns."""
-    real = PoleDistance._fd_jacobian
+    real = PoleDistance._jacobian
     calls = []
 
-    def fd(self, w, F0):
+    def jacobian(self, w, system=None):
         calls.append(w.copy())
-        return make(real, self, w, F0) if make else real(self, w, F0)
+        return make(real, self, w, system) if make else real(self, w, system)
 
-    monkeypatch.setattr(PoleDistance, "_fd_jacobian", fd)
+    monkeypatch.setattr(PoleDistance, "_jacobian", jacobian)
     return calls
 
 
 def _warm_query(monkeypatch, bend):
     """A warm query whose cached Jacobian is ``bend(J)``: its distance and the
-    finite-difference Jacobians it spent."""
+    Jacobians it took."""
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     pd.rho(OFF_Q)
     pd._cache = [(q, w, bend(J)) for q, w, J in pd._cache]
-    calls = _count_fd_jacobians(monkeypatch)
+    calls = _count_jacobians(monkeypatch)
     q = np.array([0.451, -0.302])
     r = pd.rho(q)
     assert r.value == pytest.approx(ball_distance(OFF_POLE, q), abs=1e-9)
@@ -1043,7 +1140,7 @@ def test_cached_jacobian_whose_steps_never_improve_is_refreshed(monkeypatch):
 
 
 def test_singular_refreshed_jacobian_gives_up_the_start(monkeypatch):
-    calls = _count_fd_jacobians(monkeypatch, lambda real, self, w, F0: np.zeros((2, 2)))
+    calls = _count_jacobians(monkeypatch, lambda real, self, w, system: np.zeros((2, 2)))
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     with pytest.raises(ShootingError) as info:
         pd.rho(OFF_Q)
@@ -1053,13 +1150,14 @@ def test_singular_refreshed_jacobian_gives_up_the_start(monkeypatch):
 
 
 def test_refreshed_jacobian_whose_steps_never_improve_gives_up(monkeypatch):
-    calls = _count_fd_jacobians(monkeypatch, lambda real, self, w, F0: -real(self, w, F0))
+    calls = _count_jacobians(monkeypatch, lambda real, self, w, system: -real(self, w, system))
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     with pytest.raises(ShootingError) as info:
         pd.rho(OFF_Q)
-    # each start: one integration, two probes, three trial steps, no improvement
-    assert info.value.work["starts"] == len(calls) == 7
-    assert info.value.work["integrations"] == 7 * (1 + 2 + 3)
+    # each start: one integration, one Jacobian shot, three trial steps, no
+    # improvement
+    assert info.value.work["starts"] == len(calls) == info.value.work["jacobi_integrations"] == 7
+    assert info.value.work["integrations"] == 7 * (1 + 1 + 3)
 
 
 def test_failed_trial_step_is_halved(monkeypatch):
@@ -1068,13 +1166,13 @@ def test_failed_trial_step_is_halved(monkeypatch):
 
     def first_trial_fails(self, w, loose=False):
         shots.append(w.copy())
-        if len(shots) == 4:   # the shot, two Jacobian probes, then the first trial
+        if len(shots) == 2:   # the shot, then the first trial
             raise DomainError("injected")
         return endpoint(self, w)
 
     monkeypatch.setattr(PoleDistance, "_endpoint", first_trial_fails)
     r = PoleDistance(HYPERBOLIC, OFF_POLE).rho(OFF_Q)
-    assert np.allclose(shots[4] - shots[0], 0.5 * (shots[3] - shots[0]), atol=1e-15)
+    assert np.allclose(shots[2] - shots[0], 0.5 * (shots[1] - shots[0]), atol=1e-15)
     assert r.value == pytest.approx(ball_distance(OFF_POLE, OFF_Q), abs=1e-9)
 
 
@@ -1122,8 +1220,6 @@ def test_loose_shots_only_step_from_large_residuals(monkeypatch, m, queries):
         r = pd.rho(np.array(q))
         assert not shots[0][0]   # the first shot of a start is tight
         for loose, caller, res, _ in shots:
-            if caller == "_fd_jacobian":
-                assert not loose
             if loose:
                 assert caller == "_gauss_newton" and res > geodesic.LOOSE_ABOVE
         # the accepted iterate is the last shot, and a tight one
@@ -1153,7 +1249,7 @@ def test_loose_iterate_below_tol_is_integrated_again_tight(monkeypatch):
     loose, caller, res, w = shots[-1]
     assert not loose and res < 3e-12 * (1 + np.linalg.norm(q - OFF_POLE)) and np.array_equal(w, r.w)
     assert shots[-2][0] and np.array_equal(shots[-2][3], r.w)   # the same w, loose
-    assert r.work["integrations"] == 1 + 2 + r.work["iterations"] + 1
+    assert r.work["integrations"] == 1 + 1 + r.work["iterations"] + 1
     sol = _integrate_affine(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
                             atol=SHOOT_ATOL, first_step=steps[-1])
     assert np.array_equal(r.T, sol.y[2:, -1] / r.value)

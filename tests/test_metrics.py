@@ -70,6 +70,56 @@ def test_counts_are_integers_and_reals_finite(build, spec, key):
         build(spec)
 
 
+def _hermitian_spec(catalog, n=1, **params):
+    return {"family": "hermitian", "complex_dim": n, "params": {"catalog": catalog, **params}}
+
+
+ASYMMETRIC = [[2, 1], [1.00001, 2]]   # within np.allclose's default rtol of 1e-5
+
+
+@pytest.mark.parametrize("build, spec, message", [
+    (instantiate, _hermitian_spec("constant", 2, matrix=ASYMMETRIC), "must be Hermitian"),
+    (instantiate, {"family": "minkowski", "complex_dim": 2,
+                   "params": {"factors": [ASYMMETRIC]}}, "must be Hermitian"),
+    (instantiate, _hermitian_spec("constant", 2, matrix=[[1, 0], [0, -1]]),
+     "must be positive definite"),
+    (instantiate, _hermitian_spec("euclidean", scale=0.0), "scale must be positive"),
+    (instantiate, _hermitian_spec("poincare_disk", 2), "one-dimensional"),
+    (instantiate, _hermitian_spec("product_disks"), "complex_dim >= 2"),
+    (instantiate, _hermitian_spec("nonkahler"), "complex_dim >= 2"),
+    (instantiate, _hermitian_spec("hyperbolic"), "unknown hermitian catalog entry"),
+    (instantiate, {"family": "minkowski", "params": {"eps": -0.5}}, "eps must be >= 0"),
+    (instantiate, {"family": "minkowski", "complex_dim": 2,
+                   "params": {"factors": [[[1, 0], [0, -1]]]}}, "positive semidefinite"),
+    (instantiate, {"family": "szabo", "params": {"factors": [[[1]]]}}, "two matrices"),
+    (instantiate, {"family": "un_invariant", "params": {"profile": {"f": "log"}}},
+     "unknown gradient profile"),
+    (instantiate, {"family": "un_invariant", "params": {"profile": {"form": "free",
+                                                                     "expr": "s3"}}},
+     "unknown free profile"),
+    (instantiate, {"family": "un_invariant", "params": {"profile": {"form": "cubic"}}},
+     "unknown profile form"),
+    (build_map, {"map": "exp"}, "unknown holomorphic map"),
+], ids=["not_hermitian", "factor_not_hermitian", "not_positive_definite", "scale_zero",
+        "poincare_disk_n2", "product_disks_n1", "nonkahler_n1", "unknown_catalog",
+        "minkowski_eps_negative", "factor_not_psd", "szabo_one_factor", "unknown_gradient_f",
+        "unknown_free_expr", "unknown_profile_form", "unknown_map"])
+def test_the_catalogs_refuse_what_they_cannot_build(build, spec, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build(spec)
+
+
+def test_a_hermitian_matrix_is_checked_at_the_scale_of_its_entries():
+    # an asymmetry of 1e-16 relative to the largest entry, rounding's size,
+    # passes; the constant metric then reads the upper triangle
+    m = instantiate(_hermitian_spec("constant", 2, matrix=[[1e6, [300, 2]],
+                                                           [[300 + 1e-10, -2], 1]]))
+    v = np.array([1.0 + 0.5j, -0.3 + 2.0j])
+    H = np.array([[1e6, 300 + 2j], [300 - 2j, 1]])
+    assert m.value(np.zeros(2, complex), v) == pytest.approx(float((v @ H @ v.conj()).real),
+                                                             rel=1e-14)
+
+
 def test_check_metric_euclidean_levi_identity():
     m = instantiate({"family": "hermitian", "complex_dim": 2,
                      "params": {"catalog": "euclidean"}})
