@@ -408,6 +408,44 @@ def _with(spec, **params):
     return {**spec, "params": {**spec["params"], **params}}
 
 
+# the ball, the Szabo polydisk of disks, a non-Kahler Hermitian metric, the
+# n = 2 Minkowski norm and the free U(n)-invariant profile 1 + s^2, with
+# three identity pairs; the Szabo -> nonkahler pair does not meet its
+# hypotheses
+REPORT_CONFIG = {
+    "seed": 7,
+    "metrics": [GEODESIC_CONFIG["metrics"][1], _SZABO, GEODESIC_CONFIG["metrics"][3],
+                BASE_CONFIG["metrics"][1],
+                {"family": "un_invariant", "complex_dim": 2, "id": "un_s2",
+                 "params": {"profile": {"form": "free", "expr": "one_plus_s2"}}}],
+    "maps": [{"map": "identity", "params": {"n": 2}, "id": "identity"}],
+    "pairs": [{"map": "identity", "domain": "ball", "target": "ball"},
+              {"map": "identity", "domain": "szabo", "target": "nonkahler"},
+              {"map": "identity", "domain": "minkowski", "target": "ball"}],
+    "plans": {"default": {"n_points": 6, "n_dirs": 3, "radial_range": [0.1, 0.7]}},
+}
+
+
+def test_cmd_check_curvature_bounds_and_schwarz_output_is_pinned(tmp_path, capsys):
+    # every file the four commands write, each report without its
+    # generated_at, and their stdout, pinned byte for byte
+    p = write_config(tmp_path, REPORT_CONFIG)
+    out = tmp_path / "out"
+    assert [main([command, "--config", str(p), "--out", str(out)])
+            for command in ("check", "curvature", "bounds", "schwarz")] == [0, 0, 0, 0]
+    digest = hashlib.sha256()
+    for path in sorted(out.rglob("*.*")):
+        digest.update(str(path.relative_to(out)).encode())
+        if path.name == "report.json":
+            doc = json.loads(path.read_text())
+            del doc["metadata"]["generated_at"]
+            digest.update(canonical_json(doc).encode())
+        else:
+            digest.update(path.read_bytes())
+    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "85e9043471ad71af50cd32006e7dce2ae62e4eabc3c6322f3ff0c4117b45fdcc"
+
+
 @pytest.mark.parametrize("command, change, message", [
     ("check", {"outputs": {"directory": 5}}, "outputs.directory must be a string"),
     ("check", {"metrics": [{**_DISK, "id": 7}]}, "metrics[0].id must be a non-empty name"),
