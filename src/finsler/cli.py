@@ -5,9 +5,10 @@
     finsler replay --certificate FILE [--tolerance X]
 
 Each command writes, per metric or map pair, a versioned JSON report with the
-effective configuration embedded, plus CSV tables. Reports separate a
-volatile ``metadata`` block (timestamps, versions) from the deterministic
-``payload``; replay recomputes the payload from the embedded plan and
+effective configuration embedded, plus CSV tables, and prints one line
+``<command> <id>: <summary>``; it exits 1 when any item is not ok. Reports
+separate a volatile ``metadata`` block (timestamps, versions) from the
+deterministic ``payload``; replay recomputes the payload from the embedded plan and
 compares byte-for-byte, or within a tolerance when one is given.
 ``--tolerance`` is the certificate tolerance of ``schwarz`` and the
 comparison tolerance of ``replay``. A command refuses every flag it does not
@@ -52,8 +53,7 @@ def _metric_specs(config: RunConfig):
     return list(out.items())
 
 
-def _write_report(outdir: Path, command, item_id, payload, config: RunConfig,
-                  metadata=None):
+def _write_report(outdir: Path, command, item_id, payload, config: RunConfig, metadata):
     d = outdir / command / item_id
     d.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -61,7 +61,7 @@ def _write_report(outdir: Path, command, item_id, payload, config: RunConfig,
         "metadata": {
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "engine_version": __version__,
-            **(metadata or {}),
+            **metadata,
         },
         "payload": _clean({**payload, "effective_config": config.effective()}),
     }
@@ -79,176 +79,163 @@ def _write_csv(path: Path, header, rows):
             w.writerow(row)
 
 
-def _instantiate_all(config: RunConfig):
-    return [(mid, instantiate(spec)) for mid, spec in _metric_specs(config)]
-
-
-def cmd_check(config: RunConfig, outdir: Path) -> int:
-    from .kahler import classify, weakly_kahler_pde_residual
+def _report_each(config: RunConfig, outdir: Path, command, items) -> int:
+    """Write each ``(item_id, (payload, ok, summary, metadata, tables))`` of
+    ``items`` as its report and CSV tables (``tables`` maps a file name to
+    its header and rows) and print ``<command> <item_id>: <summary>``; the
+    exit status is 1 when any item is not ok. ``items`` is read one item at
+    a time, so an item is written and printed before the next is computed."""
     status = 0
-    for mid, m in _instantiate_all(config):
-        plan = config.plan()
-        rep = check_metric(m, plan)
-        kah = classify(m, plan)
-        expectation = m.spec.get("expect", {})
-        expect_class = expectation.get("kahler_class",
-                                       m.metadata.get("kahler_class"))
-        class_ok = True
-        if expect_class not in (None, "unknown"):
-            class_ok = kah.classification == expect_class
-        payload = {
-            "metric": mid,
-            "validity": rep.to_dict(),
-            "kahler": kah.to_dict(),
-            "class_matches_expectation": class_ok,
-        }
-        grids = {"validity": rep.grid, "kahler": kah.samples.grid}
-        profile = m.metadata.get("profile")
-        if profile is not None:
-            pde = weakly_kahler_pde_residual(profile)
-            payload["weakly_kahler_pde"] = pde.to_dict()
-            grids["weakly_kahler_pde"] = pde.grid
-            expect_pde = expectation.get("weakly_kahler_pde")
-            if expect_pde is not None and expect_pde != pde.passed:
-                class_ok = False
-                payload["class_matches_expectation"] = False
-        _write_report(outdir, "check", mid, payload, config, metadata={"grids": grids})
-        if not rep.passed or not class_ok:
+    for item_id, (payload, ok, summary, metadata, tables) in items:
+        d = _write_report(outdir, command, item_id, payload, config, metadata)
+        for name, (header, rows) in tables.items():
+            _write_csv(d / name, header, rows)
+        if not ok:
             status = 1
-        print(f"check {mid}: validity={'PASS' if rep.passed else 'FAIL'} "
-              f"({_samples_summary(rep.stats['samples'])}) class={kah.classification}")
+        print(f"{command} {item_id}: {summary}")
     return status
+
+
+def _per_metric(command):
+    """Make ``measure(config, m)``, the ``_report_each`` item of one metric,
+    the ``command(config, outdir)`` that reports every config metric. Every
+    metric is instantiated before the first is measured, so a spec that
+    cannot be built stops the command before it writes anything."""
+    def decorate(measure):
+        def run(config: RunConfig, outdir: Path) -> int:
+            metrics = [instantiate(spec) for _, spec in _metric_specs(config)]
+            return _report_each(config, outdir, command,
+                                ((m.family_id, measure(config, m)) for m in metrics))
+        return run
+    return decorate
 
 
 def _samples_summary(counts):
     return f"samples ok {counts['ok']}/{counts['attempted']}"
 
 
-def cmd_curvature(config: RunConfig, outdir: Path) -> int:
+@_per_metric("check")
+def cmd_check(config: RunConfig, m):
+    from .kahler import classify, weakly_kahler_pde_residual
+    plan = config.plan()
+    rep = check_metric(m, plan)
+    kah = classify(m, plan)
+    expectation = m.spec.get("expect", {})
+    expect_class = expectation.get("kahler_class", m.metadata.get("kahler_class"))
+    class_ok = expect_class in (None, "unknown") or kah.classification == expect_class
+    payload = {"metric": m.family_id, "validity": rep.to_dict(), "kahler": kah.to_dict()}
+    grids = {"validity": rep.grid, "kahler": kah.samples.grid}
+    profile = m.metadata.get("profile")
+    if profile is not None:
+        pde = weakly_kahler_pde_residual(profile)
+        payload["weakly_kahler_pde"] = pde.to_dict()
+        grids["weakly_kahler_pde"] = pde.grid
+        expect_pde = expectation.get("weakly_kahler_pde")
+        if expect_pde is not None and expect_pde != pde.passed:
+            class_ok = False
+    payload["class_matches_expectation"] = class_ok
+    summary = (f"validity={'PASS' if rep.passed else 'FAIL'} "
+               f"({_samples_summary(rep.stats['samples'])}) class={kah.classification}")
+    return payload, rep.passed and class_ok, summary, {"grids": grids}, {}
+
+
+@_per_metric("curvature")
+def cmd_curvature(config: RunConfig, m):
     from .schwarz import holomorphic_curvature_samples
-    status = 0
-    for mid, m in _instantiate_all(config):
-        samples = holomorphic_curvature_samples(m, config.plan())
-        counts = samples.counts
-        payload = {"metric": mid, "holomorphic_samples": counts,
-                   "min": None, "max": None}
-        try:
-            lo, hi = samples.extremes()
-        except NoSamplesError as exc:
-            payload["holomorphic_error"] = str(exc)
-            status = 1
-            summary = "no K_G sample evaluated"
-        else:
-            payload.update(min=lo, max=hi)
-            summary = f"K in [{lo:.6g}, {hi:.6g}]"
-        d = _write_report(outdir, "curvature", mid, payload, config,
-                          metadata={"grids": {"holomorphic": samples.grid}})
-        _write_csv(d / "holomorphic_curvature.csv",
-                   ["point_index", "dir_index", "K_G"],
-                   [[iz, iv, repr(k)] for iz, iv, k in samples.rows])
-        expect = m.metadata.get("holomorphic_curvature")
-        if expect is not None and any(abs(k - expect) > 1e-5 for _, _, k in samples.rows):
-            status = 1
-        print(f"curvature {mid}: {summary}; {_samples_summary(counts)}")
-    return status
+    samples = holomorphic_curvature_samples(m, config.plan())
+    payload = {"metric": m.family_id, "holomorphic_samples": samples.counts,
+               "min": None, "max": None}
+    try:
+        lo, hi = samples.extremes()
+    except NoSamplesError as exc:
+        payload["holomorphic_error"] = str(exc)
+        ok, summary = False, "no K_G sample evaluated"
+    else:
+        payload.update(min=lo, max=hi)
+        ok, summary = True, f"K in [{lo:.6g}, {hi:.6g}]"
+    expect = m.metadata.get("holomorphic_curvature")
+    if expect is not None and any(abs(k - expect) > 1e-5 for _, _, k in samples.rows):
+        ok = False
+    table = (["point_index", "dir_index", "K_G"],
+             [[iz, iv, repr(k)] for iz, iv, k in samples.rows])
+    return (payload, ok, f"{summary}; {_samples_summary(samples.counts)}",
+            {"grids": {"holomorphic": samples.grid}}, {"holomorphic_curvature.csv": table})
 
 
-def cmd_geodesic(config: RunConfig, outdir: Path) -> int:
+@_per_metric("geodesic")
+def cmd_geodesic(config: RunConfig, m):
     from .geodesic import integrate_geodesic
-    status = 0
-    for mid, m in _instantiate_all(config):
-        mr = realify_metric(m)
-        plan = config.plan()
-        rng = np.random.default_rng(plan.seed)
-        x0 = np.zeros(mr.dim)
-        w = rng.standard_normal(mr.dim)
-        u0 = w / math.sqrt(mr.value(x0, w))
-        length = float(plan.radial_range[1])
-        fan = integrate_geodesic(mr, x0, u0, length)
-        drift, nfev, arc = fan.energy_drift(), fan.nfev, fan.arc_lengths[0]
-        d = _write_report(outdir, "geodesic", mid, {
-            "metric": mid, "arc_length": arc, "energy_drift": drift, "steps": fan.steps,
-            "nfev": nfev, "normal": fan.normal[0], "truncated": fan.truncated[0]}, config)
-        # t, x, u and G over an even arc grid, G from one ``value`` call
-        arcs = np.linspace(0.0, arc, 65)
-        X, U = map(np.array, zip(*(fan.state_at(0, s) for s in arcs)))
-        _write_csv(d / "path.csv", ["t", *(f"{c}{i}" for c in "xu" for i in range(mr.dim)), "G"],
-                   [[repr(float(c)) for c in (s, *x, *u)] + [repr(G)]
-                    for s, x, u, G in zip(arcs, X, U, mr.value(X, U).tolist())])
-        if drift > 1e-8:
-            status = 1
-        exited = f" exit at arc {arc:.6g}" if fan.truncated[0] else ""
-        print(f"geodesic {mid}: drift={drift:.2e} steps={fan.steps} nfev={nfev}{exited}")
-    return status
+    mr = realify_metric(m)
+    plan = config.plan()
+    rng = np.random.default_rng(plan.seed)
+    x0 = np.zeros(mr.dim)
+    w = rng.standard_normal(mr.dim)
+    u0 = w / math.sqrt(mr.value(x0, w))
+    fan = integrate_geodesic(mr, x0, u0, float(plan.radial_range[1]))
+    drift, nfev, arc = fan.energy_drift(), fan.nfev, fan.arc_lengths[0]
+    payload = {"metric": m.family_id, "arc_length": arc, "energy_drift": drift,
+               "steps": fan.steps, "nfev": nfev, "normal": fan.normal[0],
+               "truncated": fan.truncated[0]}
+    # t, x, u and G over an even arc grid, G from one ``value`` call
+    arcs = np.linspace(0.0, arc, 65)
+    X, U = map(np.array, zip(*(fan.state_at(0, s) for s in arcs)))
+    path = (["t", *(f"{c}{i}" for c in "xu" for i in range(mr.dim)), "G"],
+            [[repr(float(c)) for c in (s, *x, *u)] + [repr(G)]
+             for s, x, u, G in zip(arcs, X, U, mr.value(X, U).tolist())])
+    exited = f" exit at arc {arc:.6g}" if fan.truncated[0] else ""
+    return (payload, not drift > 1e-8, f"drift={drift:.2e} steps={fan.steps} nfev={nfev}{exited}",
+            {}, {"path.csv": path})
 
 
-def cmd_distance(config: RunConfig, outdir: Path) -> int:
+@_per_metric("distance")
+def cmd_distance(config: RunConfig, m):
     from .levi import LeviField
-    status = 0
-    for mid, m in _instantiate_all(config):
-        plan = config.plan()
-        # one solver per metric: the rho column shoots with the Levi field's,
-        # so a Levi sample starts from the velocity the column converged to
-        kg = m.metadata.get("holomorphic_curvature")
-        field = LeviField(m, np.zeros(m.n, complex),
-                          curvature_K=math.sqrt(-kg) if kg is not None and kg < 0 else 0.0)
-        pd = field.pd
-        pts = sample_points(m, plan)
+    plan = config.plan()
+    # one solver per metric: the rho column shoots with the Levi field's,
+    # so a Levi sample starts from the velocity the column converged to
+    kg = m.metadata.get("holomorphic_curvature")
+    field = LeviField(m, np.zeros(m.n, complex),
+                      curvature_K=math.sqrt(-kg) if kg is not None and kg < 0 else 0.0)
+    pd = field.pd
+    pts = sample_points(m, plan)
 
-        def shoot(z, _):
-            r = pd.rho(complex_to_real_components(z))
-            return r.value, r.residual
+    def shoot(z, _):
+        r = pd.rho(complex_to_real_components(z))
+        return r.value, r.residual
 
-        shots = evaluate_samples(shoot, pts, [None])
-        rows = [[i, repr(float(rho)), repr(float(res))] for i, _, (rho, res) in shots.rows]
-        # None where nothing was checked: no samples, or no closed form
-        closed = m.metadata.get("distance_from_origin")
-        worst = 0.0 if rows and closed else None
-        if worst is not None:
-            reached = np.array([pts[i] for i, _, _ in shots.rows])
-            if closed == "norm":
-                closed_rho = np.sqrt(m.value(reached, reached)).tolist()
-            else:
-                # G = scale |v|^2 / (1 - |z|^2)^2 on the disk and along ball radii
-                closed_rho = [math.sqrt(m.metadata["hermitian_scale"])
-                              * math.atanh(float(np.linalg.norm(z))) for z in reached]
-            worst = max(abs(rho - c) for (_, _, (rho, _)), c in zip(shots.rows, closed_rho))
-        rho_errors = {i: exc for i, _, exc in shots.failures}
-        shooting = [{"point_index": i, "best_residual": exc.best_residual,
-                     **{k: exc.work[k] for k in ("starts", "integrations", "iterations")}}
-                    for i, exc in rho_errors.items() if isinstance(exc, ShootingError)]
-        payload = {"metric": mid, "n_samples": len(rows),
-                   "max_closed_form_error": worst,
-                   "rho_samples": shots.counts, "shooting_failures": shooting}
-        if shots.failures:
-            status = 1
-        levi_rows = None
-        summary = f"; rho {_samples_summary(shots.counts)}"
-        summary += "".join(f" (point {f['point_index']}: {f['starts']} starts, "
-                           f"{f['integrations']} integrations)" for f in shooting)
-        if m.kind == "complex_strongly_convex":
-            levi_rows, min_margin, counts = _levi_table(field, pts[:4], plan, rho_errors)
-            payload["levi_samples"] = counts
-            payload["levi_min_margin"] = min_margin if counts["ok"] else None
-            if not counts["ok"] or min_margin < -1e-3:
-                status = 1
-            summary += f"; levi {_samples_summary(counts)}"
-        summary += ("; shooting {starts} starts, {integrations} integrations "
-                    "({loose_integrations} loose), {iterations} iterations, {rhs_evaluations} "
-                    "right-hand sides; jacobi {jacobi_integrations} integrations, "
-                    "{jacobi_rhs_evaluations} right-hand sides").format_map(pd.work)
-        d = _write_report(outdir, "distance", mid, payload, config,
-                          metadata={"shooting": dict(pd.work)})
-        _write_csv(d / "distance.csv", ["point_index", "rho", "residual"], rows)
-        if levi_rows is not None:
-            _write_csv(d / "levi.csv",
-                       ["point_index", "levi_value", "rho", "bound", "margin"],
-                       levi_rows)
-        if worst is not None and worst > 1e-6:
-            status = 1
-        error = "n/a" if worst is None else f"{worst:.2e}"
-        print(f"distance {mid}: max closed-form error {error}{summary}")
-    return status
+    shots = evaluate_samples(shoot, pts, [None])
+    rows = [[i, repr(float(rho)), repr(float(res))] for i, _, (rho, res) in shots.rows]
+    # None where nothing was checked: no samples, or no closed form
+    closed = m.metadata.get("distance_from_origin")
+    worst = None
+    if rows and closed:
+        reached = np.array([pts[i] for i, _, _ in shots.rows])
+        worst = max(abs(rho - c) for (_, _, (rho, _)), c in zip(shots.rows, closed(m, reached)))
+    rho_errors = {i: exc for i, _, exc in shots.failures}
+    shooting = [{"point_index": i, "best_residual": exc.best_residual,
+                 **{k: exc.work[k] for k in ("starts", "integrations", "iterations")}}
+                for i, exc in rho_errors.items() if isinstance(exc, ShootingError)]
+    payload = {"metric": m.family_id, "n_samples": len(rows),
+               "max_closed_form_error": worst,
+               "rho_samples": shots.counts, "shooting_failures": shooting}
+    ok = not shots.failures and not (worst is not None and worst > 1e-6)
+    tables = {"distance.csv": (["point_index", "rho", "residual"], rows)}
+    summary = "max closed-form error " + ("n/a" if worst is None else f"{worst:.2e}")
+    summary += f"; rho {_samples_summary(shots.counts)}"
+    summary += "".join(f" (point {f['point_index']}: {f['starts']} starts, "
+                       f"{f['integrations']} integrations)" for f in shooting)
+    if m.kind == "complex_strongly_convex":
+        levi_rows, min_margin, counts = _levi_table(field, pts[:4], plan, rho_errors)
+        payload["levi_samples"] = counts
+        payload["levi_min_margin"] = min_margin if counts["ok"] else None
+        ok = ok and counts["ok"] > 0 and not min_margin < -1e-3
+        tables["levi.csv"] = (["point_index", "levi_value", "rho", "bound", "margin"], levi_rows)
+        summary += f"; levi {_samples_summary(counts)}"
+    summary += ("; shooting {starts} starts, {integrations} integrations "
+                "({loose_integrations} loose), {iterations} iterations, {rhs_evaluations} "
+                "right-hand sides; jacobi {jacobi_integrations} integrations, "
+                "{jacobi_rhs_evaluations} right-hand sides").format_map(pd.work)
+    return payload, ok, summary, {"shooting": dict(pd.work)}, tables
 
 
 def _levi_table(field, pts, plan, rho_errors):
@@ -281,45 +268,42 @@ def _levi_table(field, pts, plan, rho_errors):
     return rows, min_margin, grid.counts
 
 
-def cmd_bounds(config: RunConfig, outdir: Path) -> int:
+@_per_metric("bounds")
+def cmd_bounds(config: RunConfig, m):
     from .cartan import radial_flag_bounds
     from .schwarz import holomorphic_curvature_samples
-    status = 0
-    for mid, m in _instantiate_all(config):
-        plan = config.plan()
-        samples = holomorphic_curvature_samples(m, plan)
-        payload = {"metric": mid, "holomorphic_samples": samples.counts}
-        try:
-            dom = samples.bound("domain")
-            payload.update(holomorphic_inf=dom.raw_inf, holomorphic_sup=dom.raw_sup,
-                           K1=dom.value, clamped=dom.clamped)
-        except NoSamplesError as exc:
-            payload["holomorphic_error"] = str(exc)
-            status = 1
-        try:
-            mr = realify_metric(m)
-            rb = radial_flag_bounds(mr, np.zeros(mr.dim),
-                                    config.plan(n_points=plan.n_points // 2 or 4))
-            payload["radial_flag_samples"] = rb.n_samples
-            if rb.n_samples == 0:
-                payload["radial_flag_error"] = "every radial flag plane was degenerate"
-                status = 1
-            else:
-                payload["radial_flag_inf"] = rb.k_inf
-                payload["radial_flag_sup"] = rb.k_sup
-                payload["K_constant"] = rb.lower_bound_constant
-        except FinslerError as exc:
-            payload["radial_flag_samples"] = 0
-            payload["radial_flag_error"] = str(exc)
-            status = 1
-        _write_report(outdir, "bounds", mid, payload, config,
-                      metadata={"grids": {"holomorphic": samples.grid}})
-        print(f"bounds {mid}: K1={payload.get('K1', math.nan):.6g} "
-              f"({_samples_summary(samples.counts)}) "
-              f"radial=[{payload.get('radial_flag_inf', math.nan):.6g}, "
-              f"{payload.get('radial_flag_sup', math.nan):.6g}] "
-              f"radial_samples={payload['radial_flag_samples']}")
-    return status
+    plan = config.plan()
+    samples = holomorphic_curvature_samples(m, plan)
+    payload = {"metric": m.family_id, "holomorphic_samples": samples.counts}
+    ok = True
+    try:
+        dom = samples.bound("domain")
+        payload.update(holomorphic_inf=dom.raw_inf, holomorphic_sup=dom.raw_sup,
+                       K1=dom.value, clamped=dom.clamped)
+    except NoSamplesError as exc:
+        payload["holomorphic_error"] = str(exc)
+        ok = False
+    try:
+        mr = realify_metric(m)
+        rb = radial_flag_bounds(mr, np.zeros(mr.dim),
+                                config.plan(n_points=plan.n_points // 2 or 4))
+        payload["radial_flag_samples"] = rb.n_samples
+        if rb.n_samples == 0:
+            payload["radial_flag_error"] = "every radial flag plane was degenerate"
+            ok = False
+        else:
+            payload["radial_flag_inf"] = rb.k_inf
+            payload["radial_flag_sup"] = rb.k_sup
+            payload["K_constant"] = rb.lower_bound_constant
+    except FinslerError as exc:
+        payload["radial_flag_samples"] = 0
+        payload["radial_flag_error"] = str(exc)
+        ok = False
+    summary = (f"K1={payload.get('K1', math.nan):.6g} ({_samples_summary(samples.counts)}) "
+               f"radial=[{payload.get('radial_flag_inf', math.nan):.6g}, "
+               f"{payload.get('radial_flag_sup', math.nan):.6g}] "
+               f"radial_samples={payload['radial_flag_samples']}")
+    return payload, ok, summary, {"grids": {"holomorphic": samples.grid}}, {}
 
 
 def _analyses(config: RunConfig, ids):
@@ -363,38 +347,39 @@ def _certify(config: RunConfig, pair, maps, analyses):
     return certify_schwarz(f, domain, target, config.plan(), tolerance=config.tolerance)
 
 
+def _pair_item(config: RunConfig, pair, maps, analyses):
+    """The item of one pair: its certificate, or the engine error that
+    stopped it. A certificate whose hypotheses are not met names, after its
+    verdict, each one it fails."""
+    try:
+        cert = _certify(config, pair, maps, analyses)
+    except ConfigurationError:
+        raise
+    except FinslerError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return {"pair": pair, "error": error}, False, f"error {error}", {}, {}
+    summary = (f"ratio={cert.max_ratio:.8g} bound={cert.bound:.8g} "
+               f"{'PASS' if cert.passed else 'FAIL'}")
+    if not cert.hypotheses["met"]:
+        held = {**cert.hypotheses, "target_valid_metric": cert.target_valid_metric}
+        unmet = [k for k, v in held.items() if v is False and k != "met"]
+        summary += f"; unmet: {', '.join(unmet)}"
+    expect_pass = pair.get("expect_pass")
+    return ({"certificate": cert.to_payload()},
+            expect_pass is None or expect_pass == cert.passed, summary,
+            {"holomorphic_samples": cert.curvature_samples,
+             "target_valid_metric": cert.target_valid_metric, "grids": cert.grids}, {})
+
+
 def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
-    status = 0
     if not config.pairs:
         raise ConfigurationError("schwarz command needs a pairs list")
     maps = _maps(config)
     analyses = _analyses(config, [p[role] for p in config.pairs
                                   for role in ("domain", "target")])
-    for pair in config.pairs:
-        try:
-            cert = _certify(config, pair, maps, analyses)
-        except ConfigurationError:
-            raise
-        except FinslerError as exc:
-            pair_id = f"{pair['map']}__{pair['domain']}__{pair['target']}"
-            error = f"{type(exc).__name__}: {exc}"
-            _write_report(outdir, "schwarz", pair_id, {"pair": pair, "error": error},
-                          config)
-            status = 1
-            print(f"schwarz {pair_id}: error {error}")
-            continue
-        pair_id = f"{cert.map_id}__{cert.domain_id}__{cert.target_id}"
-        payload = {"certificate": cert.to_payload()}
-        _write_report(outdir, "schwarz", pair_id, payload, config,
-                      metadata={"holomorphic_samples": cert.curvature_samples,
-                                "target_valid_metric": cert.target_valid_metric,
-                                "grids": cert.grids})
-        expect_pass = pair.get("expect_pass")
-        if expect_pass is not None and expect_pass != cert.passed:
-            status = 1
-        print(f"schwarz {pair_id}: ratio={cert.max_ratio:.8g} "
-              f"bound={cert.bound:.8g} {'PASS' if cert.passed else 'FAIL'}")
-    return status
+    return _report_each(config, outdir, "schwarz", (
+        (f"{p['map']}__{p['domain']}__{p['target']}", _pair_item(config, p, maps, analyses))
+        for p in config.pairs))
 
 
 # certificate values a replay within a tolerance compares

@@ -101,6 +101,10 @@ def _make_hermitian(spec):
     meta = {"complete": True}
     domain = Domain()
 
+    def atanh_distance(m, Z):
+        # G = scale |v|^2 / (1 - |z|^2)^2 on the disk and along ball radii
+        return [math.sqrt(scale) * math.atanh(float(np.linalg.norm(z))) for z in Z]
+
     if catalog in ("euclidean", "constant"):
         H = (np.eye(n, dtype=complex) if catalog == "euclidean"
              else _as_matrix(params["matrix"], n, "hermitian constant"))
@@ -120,7 +124,7 @@ def _make_hermitian(spec):
 
         meta.update(holomorphic_curvature=-4.0 / scale,
                     kahler_class="strongly_kahler",
-                    distance_from_origin="atanh", complete=True)
+                    distance_from_origin=atanh_distance, complete=True)
     elif catalog == "poincare_ball":
         domain = Domain("ball", 1.0)
 
@@ -140,7 +144,7 @@ def _make_hermitian(spec):
 
         meta.update(holomorphic_curvature=-4.0 / scale,
                     kahler_class="strongly_kahler",
-                    distance_from_origin="atanh", complete=True)
+                    distance_from_origin=atanh_distance, complete=True)
     elif catalog == "product_disks":
         if n < 2:
             raise ConfigurationError("product_disks needs complex_dim >= 2")
@@ -210,7 +214,8 @@ def _make_minkowski(spec):
         return g
 
     meta = {"kahler_class": "strongly_kahler", "holomorphic_curvature": 0.0,
-            "complete": True, "distance_from_origin": "norm"}
+            "complete": True,
+            "distance_from_origin": lambda m, Z: np.sqrt(m.value(Z, Z)).tolist()}
     fam_id = spec.get("id", f"minkowski_{n}_k{k}")
     return MetricDef("complex_strongly_convex", formula, n_complex=n,
                      domain=Domain(), metadata=meta, family_id=fam_id, spec=spec)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -428,7 +429,8 @@ REPORT_CONFIG = {
 
 def test_cmd_check_curvature_bounds_and_schwarz_output_is_pinned(tmp_path, capsys):
     # every file the four commands write, each report without its
-    # generated_at, and their stdout, pinned byte for byte
+    # generated_at, and their stdout, pinned byte for byte; the suffix that
+    # names unmet hypotheses has its own test
     p = write_config(tmp_path, REPORT_CONFIG)
     out = tmp_path / "out"
     assert [main([command, "--config", str(p), "--out", str(out)])
@@ -442,7 +444,7 @@ def test_cmd_check_curvature_bounds_and_schwarz_output_is_pinned(tmp_path, capsy
             digest.update(canonical_json(doc).encode())
         else:
             digest.update(path.read_bytes())
-    digest.update(capsys.readouterr().out.encode())
+    digest.update(re.sub(r"; unmet: .*", "", capsys.readouterr().out).encode())
     assert digest.hexdigest() == "85e9043471ad71af50cd32006e7dce2ae62e4eabc3c6322f3ff0c4117b45fdcc"
 
 
@@ -735,9 +737,10 @@ def test_no_command_runs_a_formula_outside_its_recording(tmp_path, monkeypatch):
         assert main([command, "--config", str(p), "--out", str(out)]) == 0
 
 
-def test_cmd_schwarz_records_the_target_validity(tmp_path, monkeypatch):
+def test_cmd_schwarz_records_the_target_validity(tmp_path, monkeypatch, capsys):
     # a target that fails its validity check fails the certificate's
-    # hypotheses; the metadata says so, and the payload has no key for it
+    # hypotheses; the metadata and the summary line say so, and the payload
+    # has no key for it
     from finsler.errors import DegenerateMetricError
     from finsler.geometry import MetricDef
     fundamental_real = MetricDef.fundamental_real
@@ -761,6 +764,8 @@ def test_cmd_schwarz_records_the_target_validity(tmp_path, monkeypatch):
     assert bad["metadata"]["target_valid_metric"] is False
     assert good["metadata"]["grids"]["target_validity"] == {"rows": 24, "stacked": True}
     assert bad["metadata"]["grids"]["target_validity"] == {"rows": 24, "stacked": False}
+    good_line, bad_line = capsys.readouterr().out.splitlines()
+    assert good_line.endswith(" PASS") and bad_line.endswith(" PASS; unmet: target_valid_metric")
     good, bad = good["payload"]["certificate"], bad["payload"]["certificate"]
     assert good["hypotheses"]["met"] is True and bad["hypotheses"]["met"] is False
     assert sorted(bad["hypotheses"]) == sorted(good["hypotheses"])
@@ -1495,6 +1500,22 @@ def test_cmd_schwarz_fails_on_non_finite_ratios(tmp_path, monkeypatch, capsys):
     assert "certificate" not in payload
 
 
+def test_cmd_schwarz_names_the_hypotheses_a_certificate_does_not_meet(tmp_path, capsys):
+    # the Szabo polydisk is not declared complete, so its certificate passes
+    # without meeting its hypotheses; the pairs that meet theirs end their
+    # lines at the verdict
+    p = write_config(tmp_path, REPORT_CONFIG)
+    out = tmp_path / "out"
+    assert main(["schwarz", "--config", str(p), "--out", str(out)]) == 0
+    report = out / "schwarz" / "identity__szabo__nonkahler" / "report.json"
+    hypotheses = json.loads(report.read_text())["payload"]["certificate"]["hypotheses"]
+    assert {k for k, v in hypotheses.items() if v is False} == {"domain_complete", "met"}
+    assert capsys.readouterr().out.splitlines() == [
+        "schwarz identity__ball__ball: ratio=1 bound=1 PASS",
+        "schwarz identity__szabo__nonkahler: ratio=0.72793421 bound=6.4941566 PASS; "
+        "unmet: domain_complete",
+        "schwarz identity__minkowski__ball: ratio=1.6218854 bound=0 FAIL"]
+
 FRESH_PROCESS = """
 import sys
 from finsler.cli import main
@@ -1537,13 +1558,14 @@ def test_cmd_curvature_exits_1_when_a_sample_departs_from_the_declared_curvature
 
 
 def test_cmd_distance_exits_1_above_the_closed_form_error(tmp_path, monkeypatch, capsys):
-    # the disk's closed form reads sqrt(scale) atanh|z|: a wrong scale
-    # puts every rho 10% away from it
+    # the disk's closed form is sqrt(scale) atanh|z|: one 10% off puts
+    # every rho 10% away from it
     from finsler import cli
 
     def misdeclared(spec):
         m = instantiate(spec)
-        m.metadata["hermitian_scale"] = 1.21
+        closed = m.metadata["distance_from_origin"]
+        m.metadata["distance_from_origin"] = lambda m, Z: [1.1 * c for c in closed(m, Z)]
         return m
 
     monkeypatch.setattr(cli, "instantiate", misdeclared)

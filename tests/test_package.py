@@ -123,6 +123,21 @@ def test_no_module_sets_another_objects_private_attribute():
     assert _private_attributes_set(SRC) == []
 
 
+def test_one_loop_writes_every_report_and_table():
+    # cli._report_each turns an item into its report, its CSV tables, its
+    # exit status and its summary line; a command that wrote its own would
+    # fork that loop again
+    tree = ast.parse((SRC / "cli.py").read_text())
+    loop = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_report_each")
+    in_loop = {id(sub) for node in ast.walk(loop) if isinstance(node, ast.For)
+               for sub in ast.walk(node)}
+    for writer in ("_write_report", "_write_csv"):
+        calls = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == writer]
+        assert len(calls) == 1 and id(calls[0]) in in_loop, writer
+
+
 def test_only_jets_builds_a_complex_jet_space():
     # the Wirtinger layout is jets.py's: wirtinger_coeffs builds every complex
     # space, and a reader of complex jets takes its space from there
