@@ -436,7 +436,7 @@ def test_cmd_check_curvature_bounds_and_schwarz_output_is_pinned(tmp_path, capsy
     assert [main([command, "--config", str(p), "--out", str(out)])
             for command in ("check", "curvature", "bounds", "schwarz")] == [0, 0, 0, 0]
     digest = hashlib.sha256()
-    for path in sorted(out.rglob("*.*")):
+    for path in sorted(path for path in out.rglob("*") if path.is_file()):
         digest.update(str(path.relative_to(out)).encode())
         if path.name == "report.json":
             doc = json.loads(path.read_text())
@@ -1515,6 +1515,7 @@ def test_cmd_schwarz_names_the_hypotheses_a_certificate_does_not_meet(tmp_path, 
         "schwarz identity__szabo__nonkahler: ratio=0.72793421 bound=6.4941566 PASS; "
         "unmet: domain_complete",
         "schwarz identity__minkowski__ball: ratio=1.6218854 bound=0 FAIL"]
+
 
 FRESH_PROCESS = """
 import sys
