@@ -1,5 +1,6 @@
 """Geodesic flow, shooting distance, Jacobi fields, index form, distance Hessians."""
 
+import hashlib
 import json
 import math
 import sys
@@ -713,6 +714,31 @@ def test_a_failed_settling_step_returns_the_converged_iterates_system(monkeypatc
     assert r.work == pd.work and r.work["jacobi_integrations"] == 3
     assert r.work["rhs_evaluations"] == sum(n for _, n in nfev)
     assert r.work["jacobi_rhs_evaluations"] == sum(n for jacobi, n in nfev if jacobi)
+
+
+def test_queries_that_miss_are_pinned():
+    # a float.hex digest of queries whose first shot misses, so that they
+    # iterate, take the shooting Jacobian and, in a Hessian query, try a
+    # settling step (one lowers the residual, one does not, and that query
+    # shoots its converged velocity once more): a cold query, its warm
+    # repeat, a Hessian query at a nearby target and a cold Hessian query
+    # from a fresh solver, with each query's work and each Hessian query's M
+    # and W; no command's output reaches the settling step
+    digest = hashlib.sha256()
+    for m, pole, q in ((SZABO, np.zeros(4), Q4), (NONKAHLER, np.zeros(4), Q4),
+                       (HYPERBOLIC, OFF_POLE, OFF_Q)):
+        pd = PoleDistance(m, pole)
+        results = [pd.rho(q), pd.rho(q), pd.rho(q + 0.01, hessian=True),
+                   PoleDistance(m, pole).rho(q, hessian=True)]
+        assert results[0].work["iterations"] > 0 and results[1].work["iterations"] == 0
+        for r in results:
+            values = [[r.value, r.residual], r.T, r.w]
+            if r.system is not None:
+                values += [r.system.M.ravel(), r.system.W.ravel()]
+            for a in values:
+                digest.update(" ".join(map(float.hex, np.ravel(a).tolist())).encode())
+            digest.update(repr(sorted(r.work.items())).encode())
+    assert digest.hexdigest() == "5e2b8b54d917b0826dbe146ac87516ff555e203cd7e908aafb8ad01fb416bb10"
 
 
 def test_jacobi_minimizes_index_form():
