@@ -28,7 +28,6 @@ DEFAULT_PLAN = {
 
 DEFAULTS = {
     "outputs": {"directory": "finsler_out", "formats": ["json", "csv"]},
-    "plans": {"default": DEFAULT_PLAN},
     "metrics": [],
     "maps": [],
     "pairs": [],
@@ -44,15 +43,13 @@ class RunConfig:
     metrics: list
     maps: list
     pairs: list                   # (map_id, domain_id, target_id) triples for schwarz
-    plans: dict
+    plans: dict                   # {"default": the plan over DEFAULT_PLAN}
     outputs: dict
     tolerance: float
 
     def plan(self, **overrides) -> SamplePlan:
         """The default plan with ``overrides`` applied."""
-        base = dict(DEFAULT_PLAN)
-        base.update(self.plans.get("default", {}))
-        base.update(overrides)
+        base = {**self.plans["default"], **overrides}
         return SamplePlan(seed=self.seed, n_points=int(base["n_points"]),
                           n_dirs=int(base["n_dirs"]),
                           radial_range=tuple(base["radial_range"]))
@@ -63,14 +60,15 @@ class RunConfig:
             "metrics": self.metrics,
             "maps": self.maps,
             "pairs": self.pairs,
-            "plans": {"default": DEFAULT_PLAN, **self.plans},
+            "plans": self.plans,
             "outputs": self.outputs,
             "tolerance": self.tolerance,
         }
 
 
 def _merge_defaults(doc: dict) -> dict:
-    return {**DEFAULTS, **doc, "outputs": {**DEFAULTS["outputs"], **doc.get("outputs", {})}}
+    return {**DEFAULTS, **doc, "outputs": {**DEFAULTS["outputs"], **doc.get("outputs", {})},
+            "plans": {"default": {**DEFAULT_PLAN, **doc.get("plans", {}).get("default", {})}}}
 
 
 def _is_count(value, least) -> bool:
@@ -176,13 +174,12 @@ def _walk(value, shape, path="", parent=None):
 
 
 def _validate_plan(plan):
-    merged = {**DEFAULT_PLAN, **plan}
     for key in ("n_points", "n_dirs"):
-        value = merged[key]
+        value = plan[key]
         if not _is_count(value, 1):
             raise ConfigurationError(
                 f"plan 'default': {key} must be an integer >= 1, got {value!r}")
-    rr = merged["radial_range"]
+    rr = plan["radial_range"]
     if (not isinstance(rr, (list, tuple)) or len(rr) != 2
             or not all(isinstance(r, numbers.Real) and not isinstance(r, bool)
                        for r in rr)
@@ -206,7 +203,7 @@ def parse_config(doc: dict) -> RunConfig:
     _walk(doc, CONFIG_KEYS)
     doc = _merge_defaults(doc)
     tolerance = check_tolerance(doc["tolerance"])
-    _validate_plan(doc["plans"].get("default", {}))
+    _validate_plan(doc["plans"]["default"])
     return RunConfig(
         seed=doc["seed"],
         metrics=doc["metrics"],

@@ -271,13 +271,17 @@ class PoleDistance:
     iterate is integrated again at the tight tolerances before it may
     converge or end the solve.
 
-    Every Jacobian is the exact dx(1)/dw = Y_x(1) / rho of a shot of the
-    iterate that carries the Jacobi fields (``_variational_shot``), taken
-    where a first shot misses with no cached Jacobian or a line search
-    stalls. In a Hessian query (``rho(q, hessian=True)``) each start's first
-    shot is one: where it lands, its end state is the result's ``system``;
-    where it misses, it gives the Jacobian, and the accepted iterate takes
-    one more step, shot variationally (``_settle``), or is shot so again.
+    Every shot is a ``_shoot`` of one of three kinds: tight, loose, or
+    variational, which carries the Jacobi fields. Every Newton step is a
+    ``_trial``: the first w - lam J^-1 F, lam in its list, whose shot lowers
+    the residual. Every Jacobian is the exact dx(1)/dw = Y_x(1) / rho of a
+    variational shot of the iterate, taken where a first shot misses with
+    no cached Jacobian or a line search stalls. In a Hessian query
+    (``rho(q, hessian=True)``) each start's first shot is one: where it
+    lands, its end state is the result's ``system``; where it misses, it
+    gives the Jacobian, and the accepted iterate takes one more step, a
+    variational trial at lam = 1, so that the Hessian does not depend on how
+    far below tol the iteration stopped; or, where that fails, is shot so again.
 
     ``work`` is the solver's one record of its cost, a ``Counter`` over
     ``WORK`` that starts with every count at 0: ``rhs_evaluations`` sums the
@@ -306,58 +310,50 @@ class PoleDistance:
         # last shot's step times |w|, by kind: tight (False), loose (True), VARIATIONAL
         self._steps = dict.fromkeys((False, True, VARIATIONAL))
 
-    def _first_step(self, w, kind=False):
-        """The step to start a shot with velocity w at: the last shot's of the
-        same kind, scaled by |w_prev| / |w|; for a solver's first variational
-        shot the last tight shot's; None for the initial-step probe."""
+    def _shoot(self, w, kind=False):
+        """``(y, system)``: the end state y = (x, u) at t = 1 of the geodesic
+        leaving the pole with velocity w, shot at the tight (``kind`` False)
+        or the loose (True) shooting tolerances, or (``VARIATIONAL``) in
+        affine time with the Jacobi fields Y(0) = (0, rho I),
+        rho = sqrt(G(p, w)), so that Y_x(t) = M(rho t): (x, u) at the
+        shooting tolerances and Y at the Jacobi ones, each over sqrt(1 + d),
+        which bounds each block's RMS error norm by the stacked one.
+        ``system`` is the path's ``BoundaryJacobiSystem`` at speed rho where a
+        variational shot reached t = 1, else None. The shot starts at the
+        step continued from ``_steps`` (the class docstring), or at the
+        initial-step probe where there is none; it is counted in ``work``
+        before it runs, and its right-hand sides after."""
+        m, d, norm = self.m, self.m.dim, float(np.linalg.norm(w))
         step = self._steps[kind]
         if step is None and kind == VARIATIONAL:
             step = self._steps[False]
-        return None if step is None else step / float(np.linalg.norm(w))
-
-    def _endpoint(self, w, loose=False):
-        """End state (x, u) at t = 1 of the geodesic leaving the pole with
-        velocity w, integrated at the loose (True) or the tight (False)
-        shooting tolerances."""
-        self.work.update(integrations=1, loose_integrations=loose)
-        sol = _integrate_affine(self.m, self.pole, w, 1.0,
-                                rtol=LOOSE_RTOL if loose else SHOOT_RTOL,
-                                atol=LOOSE_ATOL if loose else SHOOT_ATOL,
-                                first_step=self._first_step(w, loose))
+        first_step = None if step is None else step / norm
+        system = None
+        if kind == VARIATIONAL:
+            G0 = m.value(self.pole, w)
+            rho, blocks, scale = math.sqrt(G0), (2 * d, 2 * d * d), math.sqrt(1 + d)
+            self.work.update(integrations=1, jacobi_integrations=1)
+            path, readout = _integrate_variational(
+                m, self.pole, w, G0, 1.0, np.concatenate([np.zeros((d, d)), rho * np.eye(d)]),
+                rtol=np.repeat([SHOOT_RTOL, JACOBI_RTOL], blocks) / scale,
+                atol=np.repeat([SHOOT_ATOL, JACOBI_ATOL], blocks) / scale,
+                first_step=first_step, events=_domain_events(m, self.pole[None]))
+            sol = path.segments[0][0]
+            self.work["jacobi_rhs_evaluations"] += sol.nfev
+            if not path.truncated[0]:
+                system = BoundaryJacobiSystem.at_end(path, rho, rho, *readout)
+        else:
+            self.work.update(integrations=1, loose_integrations=kind)
+            sol = _integrate_affine(m, self.pole, w, 1.0, rtol=LOOSE_RTOL if kind else SHOOT_RTOL,
+                                    atol=LOOSE_ATOL if kind else SHOOT_ATOL,
+                                    first_step=first_step)
         self.work["rhs_evaluations"] += sol.nfev
-        self._steps[loose] = sol.h_next * float(np.linalg.norm(w))
-        return sol.y[:, -1]
-
-    def _variational_shot(self, w):
-        """``(y, system)``: the end state y = (x, u) at t = 1 of the geodesic
-        leaving the pole with velocity w, integrated in affine time with the
-        Jacobi fields Y(0) = (0, rho I), rho = sqrt(G(p, w)), so that
-        Y_x(t) = M(rho t): (x, u) at the shooting tolerances and Y at the
-        Jacobi ones, each over sqrt(1 + d), which bounds each block's RMS
-        error norm by the stacked one. ``system`` is the path's
-        ``BoundaryJacobiSystem`` at speed rho where the shot reached t = 1,
-        and None where it stopped at the domain's edge."""
-        m, d = self.m, self.m.dim
-        G0 = m.value(self.pole, w)
-        rho = math.sqrt(G0)
-        blocks, scale = (2 * d, 2 * d * d), math.sqrt(1 + d)
-        self.work.update(integrations=1, jacobi_integrations=1)
-        path, readout = _integrate_variational(
-            m, self.pole, w, G0, 1.0, np.concatenate([np.zeros((d, d)), rho * np.eye(d)]),
-            rtol=np.repeat([SHOOT_RTOL, JACOBI_RTOL], blocks) / scale,
-            atol=np.repeat([SHOOT_ATOL, JACOBI_ATOL], blocks) / scale,
-            first_step=self._first_step(w, VARIATIONAL),
-            events=_domain_events(m, self.pole[None]))
-        sol = path.segments[0][0]
-        self.work.update(rhs_evaluations=sol.nfev, jacobi_rhs_evaluations=sol.nfev)
-        self._steps[VARIATIONAL] = sol.h_next * float(np.linalg.norm(w))
-        system = None if path.truncated[0] else BoundaryJacobiSystem.at_end(
-            path, rho, rho, *readout)
+        self._steps[kind] = sol.h_next * norm
         return sol.y[:2 * d, -1], system
 
     def _landed_system(self, w):
         """The ``system`` of a variational shot of w, which must reach t = 1."""
-        system = self._variational_shot(w)[1]
+        system = self._shoot(w, VARIATIONAL)[1]
         if system is None:
             raise ShootingError(f"the variational shot of {w} stopped at the domain's edge")
         return system
@@ -424,19 +420,20 @@ class PoleDistance:
         ``y`` is the end state (x, u) of the tight integration of the returned
         ``w``, so its arriving tangent needs no second integration, and the
         residual is read from it; ``system`` is a variational shot's of ``w``,
-        or None. A failed trial step is skipped; any other failed integration
-        (the first shot, a Jacobian shot that fails or stops at the edge, a
-        tight re-integration) raises, which ends the start (``rho``). A Hessian
-        query's first shot is variational, and plain where its Jacobi fields fail.
+        or None. A failed trial shot is skipped (``_trial``); any other failed
+        integration (the first shot, a Jacobian shot that fails or stops at
+        the edge, a tight re-integration) raises, which ends the start
+        (``rho``). A Hessian query's first shot is variational, and plain
+        where its Jacobi fields fail.
         """
         d = self.m.dim
         w = np.asarray(w, dtype=float).copy()
         try:
-            y, system = self._variational_shot(w) if hessian else (None, None)
+            y, system = self._shoot(w, VARIATIONAL) if hessian else (None, None)
         except SAMPLE_ERRORS:
             y = system = None
         if y is None:
-            y = self._endpoint(w)
+            y, system = self._shoot(w)
         F = y[:d] - q
         if float(np.linalg.norm(F)) < tol:
             return w, y, J, float(np.linalg.norm(F)), system
@@ -446,60 +443,55 @@ class PoleDistance:
             J = self._jacobian(w, system)
         for _ in range(MAX_ITERATIONS):
             res = float(np.linalg.norm(F))
+            if res < tol and not loose:   # a Hessian query's iterate takes one more step
+                trial = self._trial(w, F, J, q, VARIATIONAL, (1.0,)) if hessian else None
+                if trial is not None:
+                    w, y, F, system = trial
+                return w, y, J, float(np.linalg.norm(F)), system
             if res < tol:
-                if not loose:
-                    return self._settle(w, y, J, res, q) if hessian else (w, y, J, res, None)
                 # below tol a loose residual is within its own integration error
-                y, loose = self._endpoint(w), False
+                (y, _), loose = self._shoot(w), False
                 F = y[:d] - q
                 continue
-            try:
-                step = np.linalg.solve(J, F)
-            except np.linalg.LinAlgError:
-                step = None
-            # trial steps of length 1, 1/2 and 1/4 until one improves
             trial_loose = res > LOOSE_ABOVE
-            for lam in (1.0, 0.5, 0.25) if step is not None else ():
-                w_new = w - lam * step
-                try:
-                    y_new = self._endpoint(w_new, trial_loose)
-                except SAMPLE_ERRORS:
-                    continue
-                F_new = y_new[:d] - q
-                if float(np.linalg.norm(F_new)) < res:
-                    break
-            else:
+            trial = self._trial(w, F, J, q, trial_loose, (1.0, 0.5, 0.25))
+            if trial is None:
                 if refreshed:
                     break
                 J, refreshed = self._jacobian(w), True
                 continue
-            dw = w_new - w
-            dF = F_new - F
+            dw, dF = trial[0] - w, trial[2] - F
             denom = float(dw @ dw)
             if denom > 0:
                 J = J + np.outer(dF - J @ dw, dw) / denom
-            w, y, F, loose, system = w_new, y_new, F_new, trial_loose, None
-            self.work["iterations"] += 1
+            (w, y, F, system), loose = trial, trial_loose
         if loose:
-            y = self._endpoint(w)
+            y, _ = self._shoot(w)
             F = y[:d] - q
         return w, y, J, float(np.linalg.norm(F)), system
 
-    def _settle(self, w, y, J, res, q):
-        """A Hessian query's accepted iterate (w, y, J, res) after Gauss-Newton
-        steps, with one more step, shot variationally, where it lowers the
-        residual: the Hessian then does not depend on how far below tol the
-        iteration stopped. Returns ``_gauss_newton``'s tuple."""
+    def _trial(self, w, F, J, q, kind, lams):
+        """The Newton step from w, residual F = x(1) - q: ``(w_new, y, F_new,
+        system)`` for the first w_new = w - lam J^-1 F, lam in ``lams`` in
+        turn, whose shot of ``kind`` (``_shoot``) lowers |F|, counted as a
+        Gauss-Newton iteration; None where J is singular or no lam does. A
+        shot that fails is skipped."""
+        res = float(np.linalg.norm(F))
         try:
-            w_new = w - np.linalg.solve(J, y[:self.m.dim] - q)
-            y_new, system = self._variational_shot(w_new)
-        except SAMPLE_ERRORS:
-            return w, y, J, res, None
-        res_new = float(np.linalg.norm(y_new[:self.m.dim] - q))
-        if not res_new < res:
-            return w, y, J, res, None
-        self.work["iterations"] += 1
-        return w_new, y_new, J, res_new, system
+            step = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            return None
+        for lam in lams:
+            w_new = w - lam * step
+            try:
+                y, system = self._shoot(w_new, kind)
+            except SAMPLE_ERRORS:
+                continue
+            F_new = y[:self.m.dim] - q
+            if float(np.linalg.norm(F_new)) < res:
+                self.work["iterations"] += 1
+                return w_new, y, F_new, system
+        return None
 
     def _chord_start(self, q):
         """The chord start (q - p) L / F(p, q - p), whose length F(p, .) is
@@ -808,8 +800,9 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
     if float(np.linalg.norm(x - pd.pole)) < 1e-6:
         raise ConfigurationError("distance Hessian undefined at the pole")
     base = pd.rho(x)
-    system = jacobi_boundary_field(pd.m, pd.pole, base.w / base.value, base.value,
-                                   first_step=pd._first_step(base.w) * base.value)
+    system = jacobi_boundary_field(
+        pd.m, pd.pole, base.w / base.value, base.value,
+        first_step=pd._steps[False] / float(np.linalg.norm(base.w)) * base.value)
     nfev = system.path.nfev
     pd.work.update(integrations=1, rhs_evaluations=nfev, jacobi_integrations=1,
                    jacobi_rhs_evaluations=nfev)

@@ -124,7 +124,7 @@ def _make_hermitian(spec):
 
         meta.update(holomorphic_curvature=-4.0 / scale,
                     kahler_class="strongly_kahler",
-                    distance_from_origin=atanh_distance, complete=True)
+                    distance_from_origin=atanh_distance)
     elif catalog == "poincare_ball":
         domain = Domain("ball", 1.0)
 
@@ -144,7 +144,7 @@ def _make_hermitian(spec):
 
         meta.update(holomorphic_curvature=-4.0 / scale,
                     kahler_class="strongly_kahler",
-                    distance_from_origin=atanh_distance, complete=True)
+                    distance_from_origin=atanh_distance)
     elif catalog == "product_disks":
         if n < 2:
             raise ConfigurationError("product_disks needs complex_dim >= 2")
@@ -156,7 +156,7 @@ def _make_hermitian(spec):
                 mat[a][a] = (1.0 - z[a].abs2()) ** -2
             return mat
 
-        meta.update(kahler_class="strongly_kahler", complete=True)
+        meta.update(kahler_class="strongly_kahler")
     elif catalog == "nonkahler":
         if n < 2:
             raise ConfigurationError("nonkahler catalog needs complex_dim >= 2")
@@ -177,7 +177,6 @@ def _make_hermitian(spec):
         g = _hermitian_form(mat, v)
         return g * scale if scale != 1.0 else g
 
-    meta.update(hermitian_matrix=matrix_fn, hermitian_scale=scale)
     fam_id = spec.get("id", f"hermitian_{catalog}_{n}")
     return MetricDef("complex_strongly_convex", formula, n_complex=n,
                      domain=domain, metadata=meta, family_id=fam_id, spec=spec)

@@ -549,6 +549,23 @@ def riemannian_sectional_curvature(a_fn, x, u, X):
 # -- classical holomorphic sectional curvature of a Hermitian metric ----------------
 
 
+def hermitian_matrix(catalog, z, scale=1.0):
+    """The matrix h(z) of the ``hermitian`` family's catalog entry in closed
+    form, numerically, for G = scale sum_ab h_ab v_a conj(v_b): the
+    Bergman metric of the unit ball, ((1 - |z|^2) I + conj(z) z^T) /
+    (1 - |z|^2)^2, whose n = 1 case is the Poincare disk's
+    1 / (1 - |z|^2)^2, and ``nonkahler``'s diag(1, 1 + |z_0|^2, ...)."""
+    z = np.asarray(z, dtype=complex)
+    t = float(np.vdot(z, z).real)
+    if catalog in ("poincare_disk", "poincare_ball"):
+        h = ((1.0 - t) * np.eye(z.size) + np.outer(z.conj(), z)) / (1.0 - t) ** 2
+    elif catalog == "nonkahler":
+        h = np.diag([1.0] + [1.0 + abs(z[0]) ** 2] * (z.size - 1)).astype(complex)
+    else:
+        raise ValueError(f"no closed form for catalog entry {catalog!r}")
+    return scale * h
+
+
 def hermitian_holomorphic_curvature(h_fn, z, v):
     """2 R(v, vbar, v, vbar) / G(v)^2 for the Hermitian metric h_ab(z).
 

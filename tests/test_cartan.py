@@ -12,8 +12,8 @@ from finsler.metrics import instantiate
 
 from finsler.jets import Jet, JetProgram, JetSpace
 
-from oracles import (at_point, cartan_by_partials, eager_cjets, flag_curvature,
-                     horizontal_coefficients, number, riemannian_sectional_curvature,
+from oracles import (at_point, cartan_by_partials, flag_curvature, hermitian_matrix,
+                     horizontal_coefficients, riemannian_sectional_curvature,
                      spray_by_partials)
 
 EUCLID = realify_metric(instantiate(
@@ -39,14 +39,13 @@ SPRAY_SPECS = [
 
 
 def hermitian_real_matrix(mc):
-    """Realified matrix field of a Hermitian family (independent of jets)."""
+    """Realified matrix field of a Hermitian family, from its closed form
+    (independent of jets and of the family's formula)."""
+    params = mc.spec["params"]
 
     def a_fn(x):
         n = mc.n
-        z = x[:n] + 1j * x[n:]
-        H = np.asarray([[number(h) for h in row]
-                        for row in mc.metadata["hermitian_matrix"](eager_cjets(z))],
-                       dtype=complex) * mc.metadata["hermitian_scale"]
+        H = hermitian_matrix(params["catalog"], x[:n] + 1j * x[n:], params.get("scale", 1.0))
         A = H.real
         B = H.imag
         # realification of sum_ab H_ab v_a conj(v_b) with v = ux + i uy
@@ -134,6 +133,8 @@ def test_flag_curvature_hyperbolic_surface():
     {"family": "hermitian", "complex_dim": 1, "params": {"catalog": "poincare_disk"}},
     {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "nonkahler"}},
     {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "poincare_ball"}},
+    {"family": "hermitian", "complex_dim": 2,
+     "params": {"catalog": "poincare_ball", "scale": 2.0}},
 ])
 def test_flag_curvature_matches_riemannian_oracle(mc_spec):
     mc = instantiate(mc_spec)

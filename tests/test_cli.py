@@ -71,8 +71,11 @@ def test_effective_config_echo():
     cfg = parse_config(dict(BASE_CONFIG))
     eff = cfg.effective()
     assert eff["seed"] == 7
-    assert eff["plans"]["default"]["n_points"] == 10 or "default" in eff["plans"]
+    assert eff["plans"] == BASE_CONFIG["plans"]
     assert eff["tolerance"] == pytest.approx(1e-6)
+    # a partial plan is echoed merged over the defaults, as the commands run it
+    eff = parse_config({"seed": 1, "plans": {"default": {"n_points": 3}}}).effective()
+    assert eff["plans"] == {"default": {"n_points": 3, "n_dirs": 5, "radial_range": [0.1, 0.7]}}
 
 
 def test_usage_error_exit_code(tmp_path):
@@ -1170,9 +1173,8 @@ def test_cmd_check_summary_counts_samples(tmp_path, capsys):
 def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     from finsler import geodesic
     from finsler.geodesic import PoleDistance
-    rho, endpoint, integrate = PoleDistance.rho, PoleDistance._endpoint, geodesic._integrate_affine
+    rho, shoot, integrate = PoleDistance.rho, PoleDistance._shoot, geodesic._integrate_affine
     gauss_newton, integrate_jacobi = PoleDistance._gauss_newton, geodesic._integrate_variational
-    variational_shot = PoleDistance._variational_shot
     solves, shots, nfev, starts, jacobi_nfev = [], [], [], [], []
 
     def counted_rho(self, q, **kwargs):
@@ -1183,13 +1185,9 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
         starts.append(self)
         return gauss_newton(self, *args)
 
-    def counted_endpoint(self, w, loose=False):
-        shots.append((self, loose))
-        return endpoint(self, w, loose)
-
-    def counted_variational_shot(self, w):
-        shots.append((self, "variational"))
-        return variational_shot(self, w)
+    def counted_shoot(self, w, kind=False):
+        shots.append((self, kind))
+        return shoot(self, w, kind)
 
     def counted_integration(*args, **kwargs):
         sol = integrate(*args, **kwargs)
@@ -1203,8 +1201,7 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
     monkeypatch.setattr(geodesic, "_integrate_variational", counted_jacobi)
-    monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
-    monkeypatch.setattr(PoleDistance, "_variational_shot", counted_variational_shot)
+    monkeypatch.setattr(PoleDistance, "_shoot", counted_shoot)
     monkeypatch.setattr(geodesic, "_integrate_affine", counted_integration)
     monkeypatch.setattr(PoleDistance, "_gauss_newton", counted_start)
     p = _szabo_distance_config(tmp_path)
@@ -1309,8 +1306,7 @@ def test_cmd_distance_levi_points_of_a_long_plan_stay_one_integration(tmp_path, 
     # than 48 points once evicted them, and the Szabo polydisk's Levi points
     # then iterated anew (its chords are no geodesics, so no first shot lands)
     from finsler.geodesic import PoleDistance
-    rho, endpoint = PoleDistance.rho, PoleDistance._endpoint
-    variational_shot = PoleDistance._variational_shot
+    rho, shoot = PoleDistance.rho, PoleDistance._shoot
     solves, shots = [], []   # (shots, result) per rho call; one entry per shot
 
     def counted_rho(self, q, **kwargs):
@@ -1319,17 +1315,12 @@ def test_cmd_distance_levi_points_of_a_long_plan_stay_one_integration(tmp_path, 
         solves.append((len(shots) - start, result))
         return result
 
-    def counted_endpoint(self, w, loose=False):
-        shots.append(loose)
-        return endpoint(self, w, loose)
-
-    def counted_variational_shot(self, w):
-        shots.append("variational")
-        return variational_shot(self, w)
+    def counted_shoot(self, w, kind=False):
+        shots.append(kind)
+        return shoot(self, w, kind)
 
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
-    monkeypatch.setattr(PoleDistance, "_endpoint", counted_endpoint)
-    monkeypatch.setattr(PoleDistance, "_variational_shot", counted_variational_shot)
+    monkeypatch.setattr(PoleDistance, "_shoot", counted_shoot)
     cfg = json.loads(_szabo_distance_config(tmp_path).read_text())
     cfg["plans"]["default"]["n_points"] = 49
     out = tmp_path / "out"
@@ -1344,11 +1335,11 @@ def test_cmd_distance_reports_shooting_failures(tmp_path, monkeypatch, capsys):
     from finsler.errors import DomainError
     from finsler.geodesic import PoleDistance
 
-    def outside(self, w):
+    def outside(self, w, kind=False):
         self.work["integrations"] += 1
         raise DomainError("injected")
 
-    monkeypatch.setattr(PoleDistance, "_endpoint", outside)
+    monkeypatch.setattr(PoleDistance, "_shoot", outside)
     p = _disk_distance_config(tmp_path)
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
@@ -1370,12 +1361,15 @@ def test_cmd_distance_a_failed_probe_ends_its_start_not_the_query(tmp_path, monk
     # failing inside the integrator does: each start ends at its Jacobian
     # shot, the next is tried, and each query's failure reports its counts
     from finsler.errors import ShootingError
-    from finsler.geodesic import PoleDistance
+    from finsler.geodesic import VARIATIONAL, PoleDistance
+    shoot = PoleDistance._shoot
 
-    def failing_probe(self, w):
-        raise ShootingError("injected")
+    def failing_probe(self, w, kind=False):
+        if kind == VARIATIONAL:
+            raise ShootingError("injected")
+        return shoot(self, w, kind)
 
-    monkeypatch.setattr(PoleDistance, "_variational_shot", failing_probe)
+    monkeypatch.setattr(PoleDistance, "_shoot", failing_probe)
     p = _szabo_distance_config(tmp_path)
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 1
@@ -1395,11 +1389,11 @@ def test_cmd_distance_levi_skips_points_whose_rho_failed(tmp_path, monkeypatch):
     from finsler.geodesic import PoleDistance
     calls = []
 
-    def outside(self, w):
+    def outside(self, w, kind=False):
         calls.append(1)
         raise DomainError("injected")
 
-    monkeypatch.setattr(PoleDistance, "_endpoint", outside)
+    monkeypatch.setattr(PoleDistance, "_shoot", outside)
     p = _disk_distance_config(tmp_path)
     out = tmp_path / "out"
     assert main(["distance", "--config", str(p), "--out", str(out)]) == 1

@@ -16,7 +16,7 @@ from finsler.cartan import cartan, spray_coefficients
 from finsler.cli import main
 from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError,
                             DegenerateMetricError, DomainError, ShootingError)
-from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, BoundaryJacobiSystem,
+from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, VARIATIONAL, BoundaryJacobiSystem,
                               IndexFormResult, PoleDistance,
                               _integrate_affine, distance_hessian,
                               hessian_rho, index_form,
@@ -688,7 +688,7 @@ def test_a_failed_settling_step_returns_the_converged_iterates_system(monkeypatc
     integrate, solve, paths, nfev = geodesic._integrate_variational, geodesic.solve_ivp, [], []
 
     def settle_fails(*args, **kwargs):
-        if sys._getframe(2).f_code.co_name == "_settle":
+        if sys._getframe(2).f_code.co_name == "_trial":   # only the settling trial is variational
             raise ShootingError("injected")
         path, readout = integrate(*args, **kwargs)
         paths.append(path)
@@ -1023,16 +1023,16 @@ def test_shooting_propagates_programming_errors(monkeypatch):
 
 
 def test_shooting_error_on_one_start_tries_the_next(monkeypatch):
-    endpoint = PoleDistance._endpoint
+    shoot = PoleDistance._shoot
     failed = []
 
-    def first_start_fails(self, w, loose=False):
+    def first_start_fails(self, w, kind=False):
         if not failed:
             failed.append(w.copy())
             raise ShootingError("injected")
-        return endpoint(self, w)
+        return shoot(self, w, kind)
 
-    monkeypatch.setattr(PoleDistance, "_endpoint", first_start_fails)
+    monkeypatch.setattr(PoleDistance, "_shoot", first_start_fails)
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     r = pd.rho(OFF_Q)
     assert np.array_equal(failed[0], pd._chord_start(OFF_Q))   # the chord start failed
@@ -1042,11 +1042,11 @@ def test_shooting_error_on_one_start_tries_the_next(monkeypatch):
 def test_shooting_error_counts_starts_and_integrations(monkeypatch):
     from finsler.errors import DomainError
 
-    def outside(self, w):
+    def outside(self, w, kind=False):
         self.work["integrations"] += 1
         raise DomainError("injected")
 
-    monkeypatch.setattr(PoleDistance, "_endpoint", outside)
+    monkeypatch.setattr(PoleDistance, "_shoot", outside)
     q = np.array([0.45, -0.3])
     pd = PoleDistance(HYPERBOLIC, np.zeros(2))
     with pytest.raises(ShootingError) as info:
@@ -1070,15 +1070,16 @@ def test_a_failed_probe_ends_its_start_not_the_query(monkeypatch, m, error):
     # next start and converges there
     q = 0.4 * np.arange(1, m.dim + 1) / m.dim
     want = PoleDistance(m, np.zeros(m.dim)).rho(q)
-    real, probes = PoleDistance._variational_shot, []
+    real, probes = PoleDistance._shoot, []
 
-    def first_probe_fails(self, w):
-        probes.append(1)
-        if len(probes) == 1:
-            raise error
-        return real(self, w)
+    def first_probe_fails(self, w, kind=False):
+        if kind == VARIATIONAL:
+            probes.append(1)
+            if len(probes) == 1:
+                raise error
+        return real(self, w, kind)
 
-    monkeypatch.setattr(PoleDistance, "_variational_shot", first_probe_fails)
+    monkeypatch.setattr(PoleDistance, "_shoot", first_probe_fails)
     r = PoleDistance(m, np.zeros(m.dim)).rho(q)
     assert r.work["starts"] >= 2 and len(probes) >= 2
     assert r.value == pytest.approx(want.value, abs=1e-9)
@@ -1093,18 +1094,18 @@ def test_a_failed_tight_reintegration_ends_its_start_not_the_query(monkeypatch, 
     # reaches one ends there, and the query reports its whole cost in its
     # own ShootingError
     monkeypatch.setattr(geodesic, *setting)
-    real, loose_ws, failed = PoleDistance._endpoint, [], []
+    real, loose_ws, failed = PoleDistance._shoot, [], []
 
-    def endpoint(self, w, loose=False):
-        if loose:
+    def shoot(self, w, kind=False):
+        if kind is True:
             loose_ws.append(w.copy())
-        elif any(np.array_equal(w, lw) for lw in loose_ws):
+        elif kind is False and any(np.array_equal(w, lw) for lw in loose_ws):
             failed.append(1)
             self.work["integrations"] += 1
             raise DomainError("injected")
-        return real(self, w, loose)
+        return real(self, w, kind)
 
-    monkeypatch.setattr(PoleDistance, "_endpoint", endpoint)
+    monkeypatch.setattr(PoleDistance, "_shoot", shoot)
     q = 0.1 * np.arange(1, 5)
     pd = PoleDistance(NONKAHLER, np.zeros(4))
     with pytest.raises(ShootingError) as info:
@@ -1187,16 +1188,17 @@ def test_refreshed_jacobian_whose_steps_never_improve_gives_up(monkeypatch):
 
 
 def test_failed_trial_step_is_halved(monkeypatch):
-    endpoint = PoleDistance._endpoint
+    shoot = PoleDistance._shoot
     shots = []
 
-    def first_trial_fails(self, w, loose=False):
-        shots.append(w.copy())
-        if len(shots) == 2:   # the shot, then the first trial
-            raise DomainError("injected")
-        return endpoint(self, w)
+    def first_trial_fails(self, w, kind=False):
+        if kind != VARIATIONAL:
+            shots.append(w.copy())
+            if len(shots) == 2:   # the shot, then the first trial
+                raise DomainError("injected")
+        return shoot(self, w, kind)
 
-    monkeypatch.setattr(PoleDistance, "_endpoint", first_trial_fails)
+    monkeypatch.setattr(PoleDistance, "_shoot", first_trial_fails)
     r = PoleDistance(HYPERBOLIC, OFF_POLE).rho(OFF_Q)
     assert np.allclose(shots[2] - shots[0], 0.5 * (shots[1] - shots[0]), atol=1e-15)
     assert r.value == pytest.approx(ball_distance(OFF_POLE, OFF_Q), abs=1e-9)
@@ -1218,18 +1220,20 @@ def test_gauss_newton_returns_its_last_iterate_after_max_iter(monkeypatch):
 
 
 def _record_shots(monkeypatch):
-    """Record each ``_endpoint`` call as (loose, calling function, the
+    """Record each plain ``_shoot`` call as (loose, calling function, the
     caller's current residual ``res`` or None, w): inside the Gauss-Newton
-    loop ``res`` is the residual of the iterate the shot steps from."""
-    endpoint = PoleDistance._endpoint
+    loop and in a trial ``res`` is the residual of the iterate the shot
+    steps from."""
+    shoot = PoleDistance._shoot
     shots = []
 
-    def recorded(self, w, loose=False):
-        caller = sys._getframe(1)
-        shots.append((loose, caller.f_code.co_name, caller.f_locals.get("res"), w.copy()))
-        return endpoint(self, w, loose)
+    def recorded(self, w, kind=False):
+        if kind != VARIATIONAL:
+            caller = sys._getframe(1)
+            shots.append((kind, caller.f_code.co_name, caller.f_locals.get("res"), w.copy()))
+        return shoot(self, w, kind)
 
-    monkeypatch.setattr(PoleDistance, "_endpoint", recorded)
+    monkeypatch.setattr(PoleDistance, "_shoot", recorded)
     return shots
 
 
@@ -1247,7 +1251,7 @@ def test_loose_shots_only_step_from_large_residuals(monkeypatch, m, queries):
         assert not shots[0][0]   # the first shot of a start is tight
         for loose, caller, res, _ in shots:
             if loose:
-                assert caller == "_gauss_newton" and res > geodesic.LOOSE_ABOVE
+                assert caller == "_trial" and res > geodesic.LOOSE_ABOVE
         # the accepted iterate is the last shot, and a tight one
         assert not shots[-1][0] and np.array_equal(shots[-1][3], r.w)
     assert 0 < pd.work["loose_integrations"] < pd.work["integrations"]
@@ -1376,17 +1380,17 @@ def test_a_warm_flat_query_starts_at_the_settled_step(monkeypatch):
 def test_step_continuation_survives_queries_near_the_edge(monkeypatch):
     # a step settled on near the pole starts a shot that ends near the edge,
     # and the other way round; no shot may leave the domain for it
-    endpoint = PoleDistance._endpoint
+    shoot = PoleDistance._shoot
     raised = []
 
-    def recorded(self, w, loose=False):
+    def recorded(self, w, kind=False):
         try:
-            return endpoint(self, w, loose)
+            return shoot(self, w, kind)
         except Exception as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(PoleDistance, "_endpoint", recorded)
+    monkeypatch.setattr(PoleDistance, "_shoot", recorded)
     z = np.array([0.6 + 0.3j, -0.2 + 0.7j]) / math.sqrt(0.98)
     for m, direction, radii in ((HYPERBOLIC, np.array([math.cos(1.0), math.sin(1.0)]),
                                  (0.2, 0.97, 0.2)),

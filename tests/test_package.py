@@ -138,6 +138,20 @@ def test_one_loop_writes_every_report_and_table():
         assert len(calls) == 1 and id(calls[0]) in in_loop, writer
 
 
+def test_one_method_integrates_every_shot():
+    # PoleDistance._shoot integrates, counts and carries the step of every
+    # shot, tight, loose or variational; a method that integrated its own
+    # would count its work and carry its step apart
+    tree = ast.parse((SRC / "geodesic.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "PoleDistance")
+    calls = sorted((method.name, ast.unparse(node.func)) for method in cls.body
+                   if isinstance(method, ast.FunctionDef) for node in ast.walk(method)
+                   if isinstance(node, ast.Call) and ast.unparse(node.func)
+                   in ("_integrate_affine", "_integrate_variational"))
+    assert calls == [("_shoot", "_integrate_affine"), ("_shoot", "_integrate_variational")]
+
+
 def test_only_jets_builds_a_complex_jet_space():
     # the Wirtinger layout is jets.py's: wirtinger_coeffs builds every complex
     # space, and a reader of complex jets takes its space from there
