@@ -24,6 +24,7 @@ import datetime
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -286,7 +287,7 @@ def cmd_bounds(config: RunConfig, m):
     try:
         mr = realify_metric(m)
         rb = radial_flag_bounds(mr, np.zeros(mr.dim),
-                                config.plan(n_points=plan.n_points // 2 or 4))
+                                replace(plan, n_points=plan.n_points // 2 or 4))
         payload["radial_flag_samples"] = rb.n_samples
         if rb.n_samples == 0:
             payload["radial_flag_error"] = "every radial flag plane was degenerate"
@@ -360,15 +361,11 @@ def _pair_item(config: RunConfig, pair, maps, analyses):
         return {"pair": pair, "error": error}, False, f"error {error}", {}, {}
     summary = (f"ratio={cert.max_ratio:.8g} bound={cert.bound:.8g} "
                f"{'PASS' if cert.passed else 'FAIL'}")
-    if not cert.hypotheses["met"]:
-        held = {**cert.hypotheses, "target_valid_metric": cert.target_valid_metric}
-        unmet = [k for k, v in held.items() if v is False and k != "met"]
-        summary += f"; unmet: {', '.join(unmet)}"
+    if cert.unmet:
+        summary += f"; unmet: {', '.join(cert.unmet)}"
     expect_pass = pair.get("expect_pass")
     return ({"certificate": cert.to_payload()},
-            expect_pass is None or expect_pass == cert.passed, summary,
-            {"holomorphic_samples": cert.curvature_samples,
-             "target_valid_metric": cert.target_valid_metric, "grids": cert.grids}, {})
+            expect_pass is None or expect_pass == cert.passed, summary, cert.metadata, {})
 
 
 def cmd_schwarz(config: RunConfig, outdir: Path) -> int:

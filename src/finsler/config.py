@@ -47,9 +47,9 @@ class RunConfig:
     outputs: dict
     tolerance: float
 
-    def plan(self, **overrides) -> SamplePlan:
-        """The default plan with ``overrides`` applied."""
-        base = {**self.plans["default"], **overrides}
+    def plan(self) -> SamplePlan:
+        """The default plan; a command derives a sub-plan with ``dataclasses.replace``."""
+        base = self.plans["default"]
         return SamplePlan(seed=self.seed, n_points=int(base["n_points"]),
                           n_dirs=int(base["n_dirs"]),
                           radial_range=tuple(base["radial_range"]))

@@ -284,12 +284,13 @@ class PoleDistance:
     far below tol the iteration stopped; or, where that fails, is shot so again.
 
     ``work`` is the solver's one record of its cost, a ``Counter`` over
-    ``WORK`` that starts with every count at 0: ``rhs_evaluations`` sums the
-    right-hand sides (``nfev``) of the ``integrations``, whose loose share
-    is ``loose_integrations`` and whose variational share, with their
-    right-hand sides, is ``jacobi_integrations`` and
-    ``jacobi_rhs_evaluations``. A ``RhoResult`` or ``ShootingError`` holds
-    its query's share, ``work`` after the query minus before.
+    ``WORK`` of its own shots (``_shoot``) alone, every count starting at 0:
+    ``rhs_evaluations`` sums the right-hand sides (``nfev``) of the
+    ``integrations``, whose loose share is ``loose_integrations`` and whose
+    variational share, with their right-hand sides, is
+    ``jacobi_integrations`` and ``jacobi_rhs_evaluations``. A ``RhoResult``
+    or ``ShootingError`` holds its query's share, ``work`` after the query
+    minus before.
 
     Step continuation (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
     all shots leave the same pole along nearby geodesics, so each starts at
@@ -787,9 +788,9 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
     The arc-length oracle of ``distance_hessian``: a plain query, then the
     Jacobi system ``jacobi_boundary_field`` along its velocity in arc length,
     from the proposal of the solver's last tight shot scaled to the velocity
-    and times rho; its integration counts into ``pd.work``. Route one reads
-    u.H.u off its boundary form, the boundary term of the index form, which
-    needs no curvature. Route two integrates the index form, with the
+    and times rho; only the query's shots count into ``pd.work``. Route one
+    reads u.H.u off its boundary form, the boundary term of the index form,
+    which needs no curvature. Route two integrates the index form, with the
     curvature R at its nodes, by quadrature along the Jacobi field of the
     same fundamental system that reaches u at x.
     Disagreement beyond ``AGREEMENT_TOL`` is reported, not hidden; a NaN on
@@ -803,9 +804,6 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
     system = jacobi_boundary_field(
         pd.m, pd.pole, base.w / base.value, base.value,
         first_step=pd._steps[False] / float(np.linalg.norm(base.w)) * base.value)
-    nfev = system.path.nfev
-    pd.work.update(integrations=1, rhs_evaluations=nfev, jacobi_integrations=1,
-                   jacobi_rhs_evaluations=nfev)
     u = u / math.sqrt(float(u @ system.g @ u))
     value_a = float(u @ system.boundary_form() @ u)
     bvp = system.field(u)

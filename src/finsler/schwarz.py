@@ -84,7 +84,7 @@ class MetricAnalysis:
     Kaehler class on its 5 x 4 sub-plan, and one K_G grid on the plan, read
     for both the domain bound and the target bound. Each part is computed
     when first read and then kept, so certificates that share an analysis
-    evaluate each metric once.
+    evaluate each metric once. ``hypotheses`` reads the lemma's hypotheses off them.
     """
 
     def __init__(self, m: MetricDef, plan: SamplePlan):
@@ -105,6 +105,16 @@ class MetricAnalysis:
     @cached_property
     def curvature(self) -> CurvatureSamples:
         return holomorphic_curvature_samples(self.m, self.plan)
+
+    def hypotheses(self, role: str) -> dict:
+        """The lemma's hypotheses in ``role``, name to verdict, in order: a
+        domain is valid, weakly Kaehler and complete, a target valid (the
+        curvature ones are ``CurvatureSamples.bound``'s). Reads no other part."""
+        if role == "target":
+            return {"target_valid_metric": bool(self.validity.passed)}
+        return {"domain_valid_metric": bool(self.validity.passed),
+                "domain_weakly_kahler": is_at_least(self.kahler.classification, "weakly_kahler"),
+                "domain_complete": bool(self.m.metadata.get("complete", False))}
 
 
 def _analysis(m, plan: SamplePlan) -> MetricAnalysis:
@@ -132,16 +142,13 @@ class SchwarzCertificate:
     plan: dict
     tolerance: float
     schema: int = 1
-    # K_G sample counts per role, whether the target passed its validity
-    # check (a hypothesis folded into ``met``), and the rows of each stacked
-    # grid with whether one call evaluated them; kept out of the payload,
-    # which goldens pin
-    curvature_samples: dict = field(default_factory=dict)
-    target_valid_metric: bool = True
-    grids: dict = field(default_factory=dict)
+    # the names of the hypotheses not met, domain's then target's, and the
+    # report's metadata; kept out of the payload, which goldens pin
+    unmet: list = field(default_factory=list)
+    metadata: dict = field(default_factory=dict)
 
     def to_payload(self):
-        return record(self, "curvature_samples", "target_valid_metric", "grids")
+        return record(self, "unmet", "metadata")
 
 
 def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
@@ -149,14 +156,16 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
     """Certify sup H(f(z); df v) / G(z; v) <= K1/K2 over a sample grid.
 
     ``domain`` and ``target`` are metrics or their ``MetricAnalysis`` on
-    ``plan``. The hypotheses (domain validity, weakly Kaehler class,
-    completeness) and K1, the clamped K_G infimum of the domain, come from the
-    domain analysis; the target's validity and K2, the K_G supremum of the
-    target, from the target analysis. The ratio grid reads G and H over all
-    its rows in one ``value`` call each, and f(z) with df_z from one
-    ``HoloMap.evaluate``. Certifying several pairs with one analysis per
-    metric computes each metric's validity, class and K_G grid once, and a
-    pair whose domain and target are one analysis samples K_G once.
+    ``plan``. The hypotheses (``MetricAnalysis.hypotheses``) and K1, the
+    clamped K_G infimum of the domain, come from the domain analysis; the
+    target's hypotheses and K2, its K_G supremum, from the target analysis.
+    ``met`` is all of both roles' verdicts, ``unmet`` names the false ones,
+    and the payload's ``hypotheses`` holds the domain's with its Kaehler
+    class. The ratio grid reads G and H over all its rows in one ``value``
+    call each, and f(z) with df_z from one ``HoloMap.evaluate``. Certifying
+    several pairs with one analysis per metric computes each metric's
+    validity, class and K_G grid once, and a pair whose domain and target
+    are one analysis samples K_G once.
     Hypothesis failures are recorded in the certificate; the comparison is
     still executed and labeled. A NaN or infinite ratio raises
     ``NonFiniteSampleError``.
@@ -171,15 +180,11 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
     dom = _analysis(domain, plan)
     tgt = dom if target is domain else _analysis(target, plan)
     m_domain, m_target = dom.m, tgt.m
-    kah = dom.kahler
-    hyp = {"checked": True,
-           "domain_valid_metric": bool(dom.validity.passed),
-           "domain_kahler_class": kah.classification,
-           "domain_weakly_kahler": is_at_least(kah.classification, "weakly_kahler"),
-           "domain_complete": bool(m_domain.metadata.get("complete", False))}
-    target_valid = bool(tgt.validity.passed)
-    hyp["met"] = all((hyp["domain_valid_metric"], hyp["domain_weakly_kahler"],
-                      hyp["domain_complete"], target_valid))
+    held = dom.hypotheses("domain")
+    hyp = {"checked": True, "domain_kahler_class": dom.kahler.classification, **held}
+    held.update(tgt.hypotheses("target"))
+    unmet = [name for name, verdict in held.items() if not verdict]
+    hyp["met"] = not unmet
     k1 = dom.curvature.bound("domain")
     k2 = tgt.curvature.bound("target")
     bound = k1.value / k2.value + 0.0
@@ -199,16 +204,15 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
     iz, iv = divmod(b, len(dirs))
     argmax = {"point_index": iz, "dir_index": iv, "z": list(pts[iz]), "ratio": max_ratio}
     passed = max_ratio <= bound + tolerance * min(1.0, bound)
+    grids = {"domain_validity": dom.validity.grid, "domain_kahler": dom.kahler.samples.grid,
+             "domain_holomorphic": dom.curvature.grid, "target_validity": tgt.validity.grid,
+             "target_holomorphic": tgt.curvature.grid}
     return SchwarzCertificate(
         map_id=f.id, domain_id=m_domain.family_id, target_id=m_target.family_id,
         K1=k1.value, K2=k2.value, bound=bound, max_ratio=max_ratio,
         argmax=argmax, passed=bool(passed), hypotheses=hyp,
-        plan=plan.to_dict(), tolerance=tolerance,
-        curvature_samples={"domain": dom.curvature.counts,
-                           "target": tgt.curvature.counts},
-        target_valid_metric=target_valid,
-        grids={"domain_validity": dom.validity.grid, "domain_kahler": kah.samples.grid,
-               "domain_holomorphic": dom.curvature.grid,
-               "target_validity": tgt.validity.grid,
-               "target_holomorphic": tgt.curvature.grid})
+        plan=plan.to_dict(), tolerance=tolerance, unmet=unmet, metadata={
+            "holomorphic_samples": {"domain": dom.curvature.counts,
+                                    "target": tgt.curvature.counts},
+            "target_valid_metric": held["target_valid_metric"], "grids": grids})
 

@@ -2,8 +2,8 @@
 
 ``bench/tracing.py`` wraps engine functions and methods by module and
 attribute name; renaming or deleting one of them breaks the traced
-benchmark run. Loading the tracer by path, and one small traced run of the
-``levi`` and of the ``certify`` workload, keep that contract in tier-1.
+benchmark run. Loading the tracer by path, and one small traced run of each
+workload (``distance``, ``levi`` and ``certify``), keep that contract in tier-1.
 """
 
 import importlib.util
@@ -56,6 +56,12 @@ def _assert_traced_run_is_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
+
+
+def test_traced_distance_run_is_correct():
+    # one traced pass of the cold rho queries: the spray calls of the plain
+    # shots against their integrations' nfev
+    _assert_traced_run_is_correct("distance")
 
 
 def test_traced_levi_run_is_correct():

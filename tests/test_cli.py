@@ -1511,6 +1511,29 @@ def test_cmd_schwarz_names_the_hypotheses_a_certificate_does_not_meet(tmp_path, 
         "schwarz identity__minkowski__ball: ratio=1.6218854 bound=0 FAIL"]
 
 
+@pytest.mark.parametrize("name", ["domain_valid_metric", "domain_weakly_kahler",
+                                  "domain_complete", "target_valid_metric"])
+def test_each_hypothesis_forced_false_is_the_one_unmet(tmp_path, monkeypatch, capsys, name):
+    # the disk-to-disk identity meets every hypothesis; with one verdict of
+    # MetricAnalysis.hypotheses forced false, met is false, the summary names
+    # that hypothesis alone, and the payload keeps its keys
+    from finsler.schwarz import MetricAnalysis
+    hypotheses = MetricAnalysis.hypotheses
+    monkeypatch.setattr(MetricAnalysis, "hypotheses", lambda self, role: {
+        k: v and k != name for k, v in hypotheses(self, role).items()})
+    out = tmp_path / "out"
+    assert main(["schwarz", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    report = json.loads((out / "schwarz" / "identity__poincare__poincare" / "report.json")
+                        .read_text())
+    held = report["payload"]["certificate"]["hypotheses"]
+    assert held["met"] is False and held.get(name, False) is False
+    assert sorted(held) == ["checked", "domain_complete", "domain_kahler_class",
+                            "domain_valid_metric", "domain_weakly_kahler", "met"]
+    assert report["metadata"]["target_valid_metric"] is (name != "target_valid_metric")
+    assert capsys.readouterr().out.splitlines() == [
+        f"schwarz identity__poincare__poincare: ratio=1 bound=1 PASS; unmet: {name}"]
+
+
 FRESH_PROCESS = """
 import sys
 from finsler.cli import main

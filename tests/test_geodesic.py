@@ -824,6 +824,21 @@ def test_gauss_lemma_orthogonality():
         assert abs(r_plus - r_minus) / (2 * h) < 1e-6
 
 
+@pytest.mark.parametrize("m, pole, q", [
+    (HYPERBOLIC, np.zeros(2), np.array([0.45, -0.3])), (SZABO, np.zeros(4), Q4)],
+    ids=["disk", "szabo"])
+def test_hessian_rho_charges_the_solver_its_plain_query_alone(monkeypatch, m, pole, q):
+    # the oracle's arc-length Jacobi system is not a shot of the solver, so a
+    # hessian_rho call grows pd.work by exactly its plain query's work
+    pd = PoleDistance(m, pole)
+    queries, rho = [], pd.rho
+    monkeypatch.setattr(pd, "rho", lambda x, **kw: queries.append(rho(x, **kw)) or queries[-1])
+    before = pd.work.copy()
+    hessian_rho(m, pole, q, np.roll(q - pole, 1), pd=pd)
+    assert len(queries) == 1 and queries[0].work["integrations"] >= 1
+    assert pd.work - before == queries[0].work
+
+
 def test_hessian_rho_euclidean():
     pd = PoleDistance(EUCLID2, np.zeros(4))
     q = np.array([0.8, 0.0, 0.0, 0.0])

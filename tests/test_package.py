@@ -152,6 +152,26 @@ def test_one_method_integrates_every_shot():
     assert calls == [("_shoot", "_integrate_affine"), ("_shoot", "_integrate_variational")]
 
 
+def test_only_schwarz_names_the_lemmas_hypotheses():
+    # MetricAnalysis.hypotheses is the one table of the lemma's hypotheses,
+    # and certify_schwarz derives met, the payload's hypotheses and the unmet
+    # names from it; a module that named one would fold the table again
+    tree = ast.parse((SRC / "schwarz.py").read_text())
+    table = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "hypotheses")
+    names = {key.value for node in ast.walk(table) if isinstance(node, ast.Dict)
+             for key in node.keys}
+    assert names == {"domain_valid_metric", "domain_weakly_kahler", "domain_complete",
+                     "target_valid_metric"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "schwarz.py":
+            text = path.read_text()
+            assert [name for name in sorted(names) if name in text] == [], path.name
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert not [node for node in ast.walk(cli)
+                if isinstance(node, ast.Attribute) and node.attr == "hypotheses"]
+
+
 def test_only_jets_builds_a_complex_jet_space():
     # the Wirtinger layout is jets.py's: wirtinger_coeffs builds every complex
     # space, and a reader of complex jets takes its space from there

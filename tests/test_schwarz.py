@@ -178,7 +178,7 @@ def test_analysis_is_tied_to_its_plan():
     analysis = MetricAnalysis(POINCARE, plan)
     cert = certify_schwarz(IDENTITY1, analysis, analysis, plan)
     assert cert.plan == plan.to_dict()
-    assert cert.curvature_samples["domain"]["ok"] == 8
+    assert cert.metadata["holomorphic_samples"]["domain"]["ok"] == 8
     assert canonical_json(cert.to_payload()) == canonical_json(
         certify_schwarz(IDENTITY1, POINCARE, POINCARE, plan).to_payload())
     with pytest.raises(ValueError, match="another plan"):
@@ -228,9 +228,9 @@ def test_a_target_that_fails_its_validity_check_fails_the_hypotheses(monkeypatch
 
     monkeypatch.setattr(target, "fundamental_real", degenerate)
     bad = certify_schwarz(sq, POINCARE, target, plan)
-    assert good.hypotheses["met"] and good.target_valid_metric
-    assert not bad.hypotheses["met"] and not bad.target_valid_metric
-    assert bad.grids["target_validity"] == {"rows": 24, "stacked": False}
+    assert good.hypotheses["met"] and good.metadata["target_valid_metric"]
+    assert not bad.hypotheses["met"] and not bad.metadata["target_valid_metric"]
+    assert bad.metadata["grids"]["target_validity"] == {"rows": 24, "stacked": False}
     assert {**bad.hypotheses, "met": True} == good.hypotheses
     assert {**bad.to_payload(), "hypotheses": None} == {**good.to_payload(), "hypotheses": None}
     assert bad.passed and good.passed
