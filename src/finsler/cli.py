@@ -41,7 +41,7 @@ SCHEMA = 1
 
 
 def _metric_specs(config: RunConfig):
-    """``(id, spec)`` per config metric, the spec carrying its id: a metric
+    """``{id: spec}`` over the config's metrics, the spec carrying its id: a metric
     without ``id`` is named ``{family}_{index}``, and the metric it
     instantiates (so a certificate naming it) has the id the pairs use. Two
     metrics of one id would write one report over the other, so that is refused."""
@@ -51,7 +51,7 @@ def _metric_specs(config: RunConfig):
         if mid in out:
             raise ConfigurationError(f"duplicate metric id {mid!r}")
         out[mid] = {**spec, "id": mid}
-    return list(out.items())
+    return out
 
 
 def _write_report(outdir: Path, command, item_id, payload, config: RunConfig, metadata):
@@ -104,7 +104,7 @@ def _per_metric(command):
     cannot be built stops the command before it writes anything."""
     def decorate(measure):
         def run(config: RunConfig, outdir: Path) -> int:
-            metrics = [instantiate(spec) for _, spec in _metric_specs(config)]
+            metrics = [instantiate(spec) for spec in _metric_specs(config).values()]
             return _report_each(config, outdir, command,
                                 ((m.family_id, measure(config, m)) for m in metrics))
         return run
@@ -307,23 +307,12 @@ def cmd_bounds(config: RunConfig, m):
     return payload, ok, summary, {"grids": {"holomorphic": samples.grid}}, {}
 
 
-def _analyses(config: RunConfig, ids):
-    """One ``MetricAnalysis`` on the config's plan per metric id in ``ids``.
-
-    An analysis computes each part when first read, so a command that shares
-    these across its pairs evaluates every metric once.
-    """
+def _pairs(config: RunConfig, pairs):
+    """``{item_id: (pair, map, domain, target)}`` for ``pairs``, all checked
+    before one is certified. A metric gets one ``MetricAnalysis``, which
+    computes each part when first read, so pairs sharing it evaluate it once.
+    A map id or a pair twice is refused: one report would overwrite another."""
     from .schwarz import MetricAnalysis
-    specs = dict(_metric_specs(config))
-    unknown = sorted(set(ids) - set(specs), key=str)
-    if unknown:
-        raise ConfigurationError(f"unknown metric id(s) {unknown}")
-    plan = config.plan()
-    return {mid: MetricAnalysis(instantiate(specs[mid]), plan)
-            for mid in dict.fromkeys(ids)}
-
-
-def _maps(config: RunConfig):
     maps = {}
     for spec in config.maps:
         mp = build_map(spec)
@@ -331,31 +320,37 @@ def _maps(config: RunConfig):
         if mid in maps:
             raise ConfigurationError(f"duplicate map id {mid!r}")
         maps[mid] = mp
-    return maps
+    specs = _metric_specs(config)
+    ids = [pair[role] for pair in pairs for role in ("domain", "target")]
+    unknown = sorted(set(ids) - set(specs))
+    if unknown:
+        raise ConfigurationError(f"unknown metric id(s) {unknown}")
+    plan = config.plan()
+    analyses = {mid: MetricAnalysis(instantiate(specs[mid]), plan) for mid in dict.fromkeys(ids)}
+    resolved = {}
+    for pair in pairs:
+        map_id = pair["map"]
+        item_id = f"{map_id}__{pair['domain']}__{pair['target']}"
+        if map_id not in maps:
+            raise ConfigurationError(f"unknown map id {map_id!r}")
+        f, domain, target = maps[map_id], analyses[pair["domain"]], analyses[pair["target"]]
+        if (f.n_in, f.n_out) != (domain.m.n, target.m.n):
+            raise ConfigurationError(
+                f"pair {item_id}: map takes C^{f.n_in} to C^{f.n_out}, metrics live "
+                f"on C^{domain.m.n} and C^{target.m.n}")
+        if item_id in resolved:
+            raise ConfigurationError(f"duplicate pair {item_id!r}")
+        resolved[item_id] = pair, f, domain, target
+    return resolved
 
 
-def _certify(config: RunConfig, pair, maps, analyses):
+def _pair_item(config: RunConfig, pair, f, domain, target):
+    """The item of one resolved pair: its certificate, or the engine error
+    that stopped it. A certificate whose hypotheses are not met names, after
+    its verdict, each one it fails."""
     from .schwarz import certify_schwarz
-    map_id = pair["map"]
-    if map_id not in maps:
-        raise ConfigurationError(f"unknown map id {map_id!r}")
-    f, domain, target = maps[map_id], analyses[pair["domain"]], analyses[pair["target"]]
-    if (f.n_in, f.n_out) != (domain.m.n, target.m.n):
-        raise ConfigurationError(
-            f"pair {map_id}__{pair['domain']}__{pair['target']}: map takes "
-            f"C^{f.n_in} to C^{f.n_out}, metrics live on C^{domain.m.n} "
-            f"and C^{target.m.n}")
-    return certify_schwarz(f, domain, target, config.plan(), tolerance=config.tolerance)
-
-
-def _pair_item(config: RunConfig, pair, maps, analyses):
-    """The item of one pair: its certificate, or the engine error that
-    stopped it. A certificate whose hypotheses are not met names, after its
-    verdict, each one it fails."""
     try:
-        cert = _certify(config, pair, maps, analyses)
-    except ConfigurationError:
-        raise
+        cert = certify_schwarz(f, domain, target, config.plan(), tolerance=config.tolerance)
     except FinslerError as exc:
         error = f"{type(exc).__name__}: {exc}"
         return {"pair": pair, "error": error}, False, f"error {error}", {}, {}
@@ -371,23 +366,23 @@ def _pair_item(config: RunConfig, pair, maps, analyses):
 def cmd_schwarz(config: RunConfig, outdir: Path) -> int:
     if not config.pairs:
         raise ConfigurationError("schwarz command needs a pairs list")
-    maps = _maps(config)
-    analyses = _analyses(config, [p[role] for p in config.pairs
-                                  for role in ("domain", "target")])
     return _report_each(config, outdir, "schwarz", (
-        (f"{p['map']}__{p['domain']}__{p['target']}", _pair_item(config, p, maps, analyses))
-        for p in config.pairs))
+        (item_id, _pair_item(config, *resolved))
+        for item_id, resolved in _pairs(config, config.pairs).items()))
 
 
-# certificate values a replay within a tolerance compares
+# certificate ids a replay resolves its pair from, and values a replay within
+# a tolerance compares
+_REPLAY_IDS = ("map_id", "domain_id", "target_id")
 _REPLAY_VALUES = ("K1", "K2", "bound", "max_ratio")
 
 
 def _read_certificate(cert_path: Path):
     """The stored certificate and the run configuration embedded with it.
 
-    A file that cannot be read, is not JSON or lacks the fields a replay
-    needs is a configuration error.
+    A file that cannot be read, is not JSON, or lacks or mistypes the fields
+    a replay reads is a configuration error: an id is a string, and a value a
+    number (a bool is not) or the ``"nan"``, ``"inf"`` or ``"-inf"`` of ``_clean``.
     """
     try:
         doc = json.loads(cert_path.read_text())
@@ -402,12 +397,17 @@ def _read_certificate(cert_path: Path):
     if stored.get("schema") != SCHEMA:
         raise ConfigurationError(
             f"certificate schema {stored.get('schema')!r} does not match {SCHEMA}")
-    missing = [k for k in ("map_id", "domain_id", "target_id", "passed") + _REPLAY_VALUES
-               if k not in stored]
+    missing = [k for k in (*_REPLAY_IDS, "passed", *_REPLAY_VALUES) if k not in stored]
     if not isinstance(payload.get("effective_config"), dict):
         missing.append("effective_config")
     if missing:
         raise ConfigurationError(f"certificate {cert_path} lacks {', '.join(missing)}")
+    for key in (*_REPLAY_IDS, *_REPLAY_VALUES):
+        value, number = stored[key], key in _REPLAY_VALUES
+        if not ((value in ("nan", "inf", "-inf") or type(value) in (int, float)) if number
+                else isinstance(value, str)):
+            raise ConfigurationError(f"certificate {cert_path}: {key} must be "
+                                     f"{'a number' if number else 'a string'}, got {value!r}")
     # a replay writes no report, and outputs never reach the certified values, so
     # a certificate whose outputs today's checks would refuse still replays
     effective = {k: v for k, v in payload["effective_config"].items() if k != "outputs"}
@@ -415,15 +415,13 @@ def _read_certificate(cert_path: Path):
 
 
 def cmd_replay(cert_path: Path, tolerance: float | None) -> int:
+    from .schwarz import certify_schwarz
     stored, config = _read_certificate(cert_path)
-    key = (stored["map_id"], stored["domain_id"], stored["target_id"])
-    pair = {"map": key[0], "domain": key[1], "target": key[2]}
-    for p in config.pairs:
-        if (p.get("map"), p.get("domain"), p.get("target")) == key:
-            pair = p
-            break
-    analyses = _analyses(config, [pair["domain"], pair["target"]])
-    fresh = _certify(config, pair, _maps(config), analyses).to_payload()
+    pair = {"map": stored["map_id"], "domain": stored["domain_id"],
+            "target": stored["target_id"]}
+    [(_, f, domain, target)] = _pairs(config, [pair]).values()
+    fresh = certify_schwarz(f, domain, target, config.plan(),
+                            tolerance=config.tolerance).to_payload()
     if tolerance is None:
         ok = canonical_json(fresh) == canonical_json(stored)
         mode = "bitwise"

@@ -1,9 +1,12 @@
 """Run configuration: the key table, loading, defaults, and effective-config echoing.
 
 Configs are YAML documents (JSON is a YAML subset and loads unchanged), checked
-against ``CONFIG_KEYS`` before any command runs. The seed is mandatory so that
+against ``CONFIG_KEYS`` before any command runs: the table is the only check of
+a config's shape, the plan's counts and radial range included, and a refusal
+names the dotted path of the value it refuses. The seed is mandatory so that
 identical configs give byte-identical reports; all defaults are merged into the
-effective config and echoed into every report.
+effective config, which ``RunConfig`` holds field for field and echoes into
+every report.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -20,17 +23,12 @@ from .errors import ConfigurationError
 from .geometry import SamplePlan
 from .kahler import CLASS_ORDER
 
-DEFAULT_PLAN = {
-    "n_points": 10,
-    "n_dirs": 5,
-    "radial_range": [0.1, 0.7],
-}
-
 DEFAULTS = {
     "outputs": {"directory": "finsler_out", "formats": ["json", "csv"]},
     "metrics": [],
     "maps": [],
     "pairs": [],
+    "plans": {"default": {"n_points": 10, "n_dirs": 5, "radial_range": [0.1, 0.7]}},
     "tolerance": 1e-6,
 }
 
@@ -43,7 +41,7 @@ class RunConfig:
     metrics: list
     maps: list
     pairs: list                   # (map_id, domain_id, target_id) triples for schwarz
-    plans: dict                   # {"default": the plan over DEFAULT_PLAN}
+    plans: dict                   # {"default": the plan, defaulted key by key}
     outputs: dict
     tolerance: float
 
@@ -55,20 +53,14 @@ class RunConfig:
                           radial_range=tuple(base["radial_range"]))
 
     def effective(self) -> dict:
-        return {
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "maps": self.maps,
-            "pairs": self.pairs,
-            "plans": self.plans,
-            "outputs": self.outputs,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
-def _merge_defaults(doc: dict) -> dict:
-    return {**DEFAULTS, **doc, "outputs": {**DEFAULTS["outputs"], **doc.get("outputs", {})},
-            "plans": {"default": {**DEFAULT_PLAN, **doc.get("plans", {}).get("default", {})}}}
+def _merged(value, default):
+    """``value`` over ``default``, mappings merged key by key."""
+    if not isinstance(default, dict):
+        return value
+    return {**default, **{key: _merged(item, default.get(key)) for key, item in value.items()}}
 
 
 def _is_count(value, least) -> bool:
@@ -95,6 +87,11 @@ _HERMITIAN = (lambda params: params.get("catalog", "euclidean"), {
                      "nonkahler"], _CATALOG),
     "constant": {**_CATALOG, "matrix": None}})
 _FACTOR = {"complex_dim": None, "id": None, "params": _HERMITIAN}
+_COUNT = _leaf("an integer >= 1", lambda v: _is_count(v, 1))
+_RADIAL_RANGE = _leaf("two finite numbers 0 <= lo < hi", lambda v: isinstance(v, (list, tuple))
+                      and len(v) == 2 and all(isinstance(r, numbers.Real)
+                                              and not isinstance(r, bool) for r in v)
+                      and 0 <= v[0] < v[1] < math.inf)
 _CLASSES = [*CLASS_ORDER, "unknown"]
 _EXPECT = {"kahler_class": _leaf(f"one of {_CLASSES}", lambda v: v in _CLASSES)}
 
@@ -110,7 +107,8 @@ CONFIG_KEYS = {
     "outputs": {"directory": _STRING,
                 "formats": _leaf(DEFAULTS["outputs"]["formats"],
                                  lambda v: v == DEFAULTS["outputs"]["formats"])},
-    "plans": {"default": dict.fromkeys(DEFAULT_PLAN)},
+    "plans": {"default": {"n_points": _COUNT, "n_dirs": _COUNT,
+                          "radial_range": _RADIAL_RANGE}},
     "metrics": [{
         "family": None, "complex_dim": None, "id": _NAME,
         "params": ("family", {
@@ -173,26 +171,14 @@ def _walk(value, shape, path="", parent=None):
         shape(value, path)
 
 
-def _validate_plan(plan):
-    for key in ("n_points", "n_dirs"):
-        value = plan[key]
-        if not _is_count(value, 1):
-            raise ConfigurationError(
-                f"plan 'default': {key} must be an integer >= 1, got {value!r}")
-    rr = plan["radial_range"]
-    if (not isinstance(rr, (list, tuple)) or len(rr) != 2
-            or not all(isinstance(r, numbers.Real) and not isinstance(r, bool)
-                       for r in rr)
-            or not 0 <= rr[0] < rr[1] < math.inf):
-        raise ConfigurationError(
-            f"plan 'default': radial_range must be two finite numbers 0 <= lo < hi, got {rr!r}")
-
-
 def check_tolerance(value) -> float:
     """``value`` as a float; raises ``ConfigurationError`` unless it is finite and >= 0."""
     try:
         tolerance = float(value)
     except (TypeError, ValueError):
+        tolerance = None
+    # float(True) is 1.0, but a bool is no tolerance
+    if tolerance is None or isinstance(value, bool):
         raise ConfigurationError(f"tolerance must be a number, got {value!r}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ConfigurationError(f"tolerance must be finite and >= 0, got {value!r}")
@@ -201,17 +187,8 @@ def check_tolerance(value) -> float:
 
 def parse_config(doc: dict) -> RunConfig:
     _walk(doc, CONFIG_KEYS)
-    doc = _merge_defaults(doc)
-    tolerance = check_tolerance(doc["tolerance"])
-    _validate_plan(doc["plans"]["default"])
-    return RunConfig(
-        seed=doc["seed"],
-        metrics=doc["metrics"],
-        maps=doc["maps"],
-        pairs=doc["pairs"],
-        plans=doc["plans"],
-        outputs=doc["outputs"],
-        tolerance=tolerance)
+    doc = _merged(doc, DEFAULTS)
+    return RunConfig(**{**doc, "tolerance": check_tolerance(doc["tolerance"])})
 
 
 def load_config(path) -> RunConfig:

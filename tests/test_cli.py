@@ -67,6 +67,12 @@ def test_config_yaml_alternate(tmp_path):
     assert cfg.plan().n_points == 10  # defaults merged
 
 
+def test_a_tolerance_string_is_read_as_its_number():
+    # YAML loads an unquoted 1e-3 as the string "1e-3"; a bool, which float()
+    # would read as 0 or 1, is refused (test_malformed_config_...[tolerance_a_bool])
+    assert parse_config({**BASE_CONFIG, "tolerance": "1e-3"}).tolerance == 1e-3
+
+
 def test_effective_config_echo():
     cfg = parse_config(dict(BASE_CONFIG))
     eff = cfg.effective()
@@ -277,7 +283,7 @@ def test_bad_plan_is_a_configuration_error(tmp_path, capsys, plan):
     assert main(["curvature", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
-    with pytest.raises(ConfigurationError, match="plan 'default'"):
+    with pytest.raises(ConfigurationError, match=r"plans\.default\."):
         parse_config(cfg)
 
 
@@ -322,6 +328,7 @@ def test_plan_other_than_default_is_a_configuration_error(tmp_path, capsys, plan
     ("check", {"metrics": _DISK}),
     ("check", {"metrics": [{"family": "hermitian", "complex_dim": 2, "params": {
         "catalog": "constant", "matrix": [[2, 1], [1.00001, 2]]}}]}),
+    ("schwarz", {"tolerance": True}),
 ], ids=["metric_not_a_mapping", "family_not_a_name", "tolerance_not_a_number",
         "outputs_not_a_mapping", "map_not_a_mapping", "complex_dim_not_an_integer",
         "scale_not_a_number", "params_not_a_mapping", "linear_map_without_matrix",
@@ -329,7 +336,7 @@ def test_plan_other_than_default_is_a_configuration_error(tmp_path, capsys, plan
         "minkowski_complex_dim_zero", "tolerance_nan", "tolerance_negative",
         "seed_not_an_integer", "seed_a_bool", "seed_negative", "complex_dim_fractional",
         "power_m_fractional", "scale_infinite", "eps_nan", "mobius_a_nan", "metrics_not_a_list",
-        "matrix_not_hermitian"])
+        "matrix_not_hermitian", "tolerance_a_bool"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, change):
     p = write_config(tmp_path, {**BASE_CONFIG, **change})
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -1126,6 +1133,37 @@ def test_replay_bad_input_is_a_configuration_error(tmp_path, capsys, content):
     assert err.startswith("configuration error:") and "Traceback" not in err
 
 
+def _golden_with(**fields):
+    doc = json.loads((Path(__file__).parent / "golden" / "cert_identity.json").read_text())
+    doc["payload"]["certificate"].update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("flags", [[], ["--tolerance", "1e-6"]], ids=["bitwise", "tolerance"])
+@pytest.mark.parametrize("field, value", [
+    ("K1", None), ("K1", "abc"), ("bound", True), ("max_ratio", [1.0]),
+    ("domain_id", ["poincare"]), ("map_id", 1),
+])
+def test_replay_of_a_mistyped_certificate_is_a_configuration_error(
+        tmp_path, capsys, flags, field, value):
+    cert = tmp_path / "cert.json"
+    cert.write_text(_golden_with(**{field: value}))
+    assert main(["replay", "--certificate", str(cert), *flags]) == 2
+    kind = "a string" if field.endswith("_id") else "a number"
+    assert capsys.readouterr().err == (
+        f"configuration error: certificate {cert}: {field} must be {kind}, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_replay_reads_the_non_finite_values_a_report_writes(tmp_path, capsys, value):
+    # _clean writes a non-finite value as a string; such a certificate
+    # replays, and fails, as the recomputed max_ratio is finite
+    cert = tmp_path / "cert.json"
+    cert.write_text(_golden_with(max_ratio=value))
+    assert main(["replay", "--certificate", str(cert), "--tolerance", "1e-6"]) == 1
+    assert capsys.readouterr().out == f"replay {cert}: FAIL (tolerance 1e-06)\n"
+
+
 def test_cmd_distance_builds_one_hessian_per_point(tmp_path, monkeypatch):
     from finsler import geodesic
     real = geodesic._integrate_variational
@@ -1610,6 +1648,28 @@ def test_cmd_schwarz_exits_2_on_an_unknown_id_in_a_pair(tmp_path, capsys, pair, 
     p = write_config(tmp_path, {**BASE_CONFIG, "pairs": [pair]})
     assert main(["schwarz", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+_ROW_LINEAR = {"map": "linear", "id": "row_linear", "params": {"matrix": [[0.25, 0.1]]}}
+
+
+@pytest.mark.parametrize("pair, message", [
+    ({"map": "nothing", "domain": "poincare", "target": "poincare"},
+     "unknown map id 'nothing'"),
+    ({"map": "row_linear", "domain": "poincare", "target": "poincare"},
+     "pair row_linear__poincare__poincare: map takes C^2 to C^1, metrics live on C^1 and C^1"),
+    ({**BASE_CONFIG["pairs"][0], "expect_pass": False},
+     "duplicate pair 'identity__poincare__poincare'"),
+], ids=["unknown_map_id", "map_dimensions", "duplicate_pair"])
+def test_cmd_schwarz_checks_every_pair_before_it_writes(tmp_path, capsys, pair, message):
+    # the first pair is good: a bad second one stops the command before the
+    # first is certified, and a pair twice would write one report over the other
+    p = write_config(tmp_path, {**BASE_CONFIG, "maps": [*BASE_CONFIG["maps"], _ROW_LINEAR],
+                                "pairs": [*BASE_CONFIG["pairs"], pair]})
+    out = tmp_path / "o"
+    assert main(["schwarz", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+    assert not out.exists()
 
 
 def test_cmd_schwarz_exits_2_without_pairs(tmp_path, capsys):

@@ -138,6 +138,37 @@ def test_one_loop_writes_every_report_and_table():
         assert len(calls) == 1 and id(calls[0]) in in_loop, writer
 
 
+def _callers(tree, test):
+    """The top-level functions of ``tree`` holding a node that passes ``test``,
+    once per node."""
+    return sorted(fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn) if test(node))
+
+
+def test_one_table_checks_a_configs_shape():
+    # CONFIG_KEYS is walked once, before the defaults are merged; a second
+    # validator run after the merge would check a config apart from its table
+    tree = ast.parse((SRC / "config.py").read_text())
+    raised = _callers(tree, lambda node: isinstance(node, ast.Raise)
+                      and "ConfigurationError" in ast.unparse(node))
+    assert sorted(set(raised)) == ["_leaf", "_walk", "check_tolerance", "load_config"]
+    assert len(raised) == sum(isinstance(node, ast.Raise) for node in ast.walk(tree))
+
+
+def test_one_resolution_checks_every_pair():
+    # cli._pairs checks every pair of a run before the first is certified, so
+    # a bad pair stops schwarz before it writes; replay resolves its pair there too
+    tree = ast.parse((SRC / "cli.py").read_text())
+    pair_errors = ("duplicate map id", "unknown metric id", "unknown map id", "map takes",
+                   "duplicate pair")
+    raised = _callers(tree, lambda node: isinstance(node, ast.Raise)
+                      and any(error in ast.unparse(node) for error in pair_errors))
+    assert raised == ["_pairs"] * len(pair_errors)
+    certified = _callers(tree, lambda node: isinstance(node, ast.Call)
+                         and ast.unparse(node.func) == "certify_schwarz")
+    assert certified == ["_pair_item", "cmd_replay"]
+
+
 def test_one_method_integrates_every_shot():
     # PoleDistance._shoot integrates, counts and carries the step of every
     # shot, tight, loose or variational; a method that integrated its own
