@@ -11,7 +11,7 @@ from .kahler import KahlerReport, classify, weakly_kahler_pde_residual
 from .geodesic import (GeodesicFan, PoleDistance, distance_hessian, hessian_rho,
                        index_form, integrate_geodesic, jacobi_field)
 from .levi import LeviField, LeviSample
-from .schwarz import SchwarzCertificate, certify_schwarz, curvature_bounds
+from .schwarz import MetricAnalysis, SchwarzCertificate, certify_schwarz, curvature_bounds
 from .report import VerificationReport
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "GeodesicFan", "PoleDistance", "distance_hessian", "hessian_rho",
     "index_form", "integrate_geodesic", "jacobi_field",
     "LeviField", "LeviSample",
-    "SchwarzCertificate", "certify_schwarz", "curvature_bounds",
+    "MetricAnalysis", "SchwarzCertificate", "certify_schwarz", "curvature_bounds",
     "VerificationReport",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFlagError, DegenerateMetricError
+from .errors import DegenerateFlagError, DegenerateMetricError, NoSamplesError
 from .geometry import MetricDef, SamplePlan, unit_directions, well_conditioned_inverse
 from .jets import Jet
 from .report import require_finite
@@ -160,8 +160,9 @@ def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds
     the domain is sampled up to 0.999 of its own exit length. The Cartan
     data of all samples come from one stacked ``cartan`` call. Flags are
     completed with deterministic directions; a flag plane whose Gram
-    determinant is below 1e-8 g(u, u) g(X, X) is skipped. A NaN or infinite
-    flag curvature raises ``NonFiniteSampleError``.
+    determinant is below 1e-8 g(u, u) g(X, X) is skipped, and a fan whose
+    planes are all skipped raises ``NoSamplesError``. A NaN or infinite flag
+    curvature raises ``NonFiniteSampleError``.
     """
     from . import geodesic as geo
     pole = np.asarray(pole, dtype=float)
@@ -181,5 +182,6 @@ def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds
             if gu * gX - guX ** 2 < 1e-8 * gu * gX:
                 continue
             ks.append(require_finite(_flag_ratio(g, R, X, gu, gX, guX)))
-    return RadialFlagBounds(k_inf=min(ks, default=math.inf), k_sup=max(ks, default=-math.inf),
-                            n_samples=len(ks))
+    if not ks:
+        raise NoSamplesError("every radial flag plane was degenerate")
+    return RadialFlagBounds(k_inf=min(ks), k_sup=max(ks), n_samples=len(ks))

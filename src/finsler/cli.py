@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, check_tolerance, load_config, parse_config
+from .config import CONFIG_KEYS, RunConfig, check_tolerance, load_config, parse_config
 from .errors import (SAMPLE_ERRORS, ConfigurationError, FinslerError, NoSamplesError,
                      NonFiniteSampleError, ShootingError)
 from .geometry import complex_to_real_components, realify_metric, sample_points
@@ -288,14 +288,8 @@ def cmd_bounds(config: RunConfig, m):
         mr = realify_metric(m)
         rb = radial_flag_bounds(mr, np.zeros(mr.dim),
                                 replace(plan, n_points=plan.n_points // 2 or 4))
-        payload["radial_flag_samples"] = rb.n_samples
-        if rb.n_samples == 0:
-            payload["radial_flag_error"] = "every radial flag plane was degenerate"
-            ok = False
-        else:
-            payload["radial_flag_inf"] = rb.k_inf
-            payload["radial_flag_sup"] = rb.k_sup
-            payload["K_constant"] = rb.lower_bound_constant
+        payload.update(radial_flag_samples=rb.n_samples, radial_flag_inf=rb.k_inf,
+                       radial_flag_sup=rb.k_sup, K_constant=rb.lower_bound_constant)
     except FinslerError as exc:
         payload["radial_flag_samples"] = 0
         payload["radial_flag_error"] = str(exc)
@@ -350,7 +344,7 @@ def _pair_item(config: RunConfig, pair, f, domain, target):
     its verdict, each one it fails."""
     from .schwarz import certify_schwarz
     try:
-        cert = certify_schwarz(f, domain, target, config.plan(), tolerance=config.tolerance)
+        cert = certify_schwarz(f, domain, target, tolerance=config.tolerance)
     except FinslerError as exc:
         error = f"{type(exc).__name__}: {exc}"
         return {"pair": pair, "error": error}, False, f"error {error}", {}, {}
@@ -420,8 +414,7 @@ def cmd_replay(cert_path: Path, tolerance: float | None) -> int:
     pair = {"map": stored["map_id"], "domain": stored["domain_id"],
             "target": stored["target_id"]}
     [(_, f, domain, target)] = _pairs(config, [pair]).values()
-    fresh = certify_schwarz(f, domain, target, config.plan(),
-                            tolerance=config.tolerance).to_payload()
+    fresh = certify_schwarz(f, domain, target, tolerance=config.tolerance).to_payload()
     if tolerance is None:
         ok = canonical_json(fresh) == canonical_json(stored)
         mode = "bitwise"
@@ -469,6 +462,8 @@ def main(argv=None) -> int:
                 raise ConfigurationError(f"--{flag} is not read by {args.command}")
         if args.tolerance is not None:
             check_tolerance(args.tolerance)
+        if args.out is not None:
+            CONFIG_KEYS["outputs"]["directory"](args.out, "--out")
         if args.command == "replay":
             if not args.certificate:
                 parser.error("replay needs --certificate FILE")

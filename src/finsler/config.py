@@ -104,7 +104,8 @@ _EXPECT = {"kahler_class": _leaf(f"one of {_CLASSES}", lambda v: v in _CLASSES)}
 CONFIG_KEYS = {
     "seed": _leaf("an integer >= 0", lambda v: _is_count(v, 0)),
     "tolerance": None,
-    "outputs": {"directory": _STRING,
+    # an empty directory would write the report trees into the working directory
+    "outputs": {"directory": _leaf("a string, not empty", lambda v: isinstance(v, str) and v),
                 "formats": _leaf(DEFAULTS["outputs"]["formats"],
                                  lambda v: v == DEFAULTS["outputs"]["formats"])},
     "plans": {"default": {"n_points": _COUNT, "n_dirs": _COUNT,

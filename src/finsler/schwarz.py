@@ -117,14 +117,6 @@ class MetricAnalysis:
                 "domain_complete": bool(self.m.metadata.get("complete", False))}
 
 
-def _analysis(m, plan: SamplePlan) -> MetricAnalysis:
-    if not isinstance(m, MetricAnalysis):
-        return MetricAnalysis(m, plan)
-    if m.plan != plan:
-        raise ValueError(f"analysis of {m.m.family_id} was made on another plan")
-    return m
-
-
 @dataclass
 class SchwarzCertificate:
     """Replayable record of one Schwarz-quotient certification."""
@@ -151,14 +143,16 @@ class SchwarzCertificate:
         return record(self, "unmet", "metadata")
 
 
-def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
+def certify_schwarz(f: HoloMap, domain: MetricAnalysis, target: MetricAnalysis,
                     *, tolerance=1e-6) -> SchwarzCertificate:
     """Certify sup H(f(z); df v) / G(z; v) <= K1/K2 over a sample grid.
 
-    ``domain`` and ``target`` are metrics or their ``MetricAnalysis`` on
-    ``plan``. The hypotheses (``MetricAnalysis.hypotheses``) and K1, the
-    clamped K_G infimum of the domain, come from the domain analysis; the
-    target's hypotheses and K2, its K_G supremum, from the target analysis.
+    ``domain`` and ``target`` are the two metrics' ``MetricAnalysis`` on one
+    plan, which is the certificate's: its points and directions make the
+    ratio grid. A target analysed on another plan is a ``ValueError``. The
+    hypotheses (``MetricAnalysis.hypotheses``) and K1, the clamped K_G
+    infimum of the domain, come from the domain analysis; the target's
+    hypotheses and K2, its K_G supremum, from the target analysis.
     ``met`` is all of both roles' verdicts, ``unmet`` names the false ones,
     and the payload's ``hypotheses`` holds the domain's with its Kaehler
     class. The ratio grid reads G and H over all its rows in one ``value``
@@ -177,16 +171,16 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
     ``tolerance * bound`` below. A zero bound allows no slack: only a ratio
     of 0 on every sample (f*H = 0, as a constant map gives) passes.
     """
-    dom = _analysis(domain, plan)
-    tgt = dom if target is domain else _analysis(target, plan)
-    m_domain, m_target = dom.m, tgt.m
-    held = dom.hypotheses("domain")
-    hyp = {"checked": True, "domain_kahler_class": dom.kahler.classification, **held}
-    held.update(tgt.hypotheses("target"))
+    plan, m_domain, m_target = domain.plan, domain.m, target.m
+    if target.plan != plan:
+        raise ValueError(f"analysis of {m_target.family_id} was made on another plan")
+    held = domain.hypotheses("domain")
+    hyp = {"checked": True, "domain_kahler_class": domain.kahler.classification, **held}
+    held.update(target.hypotheses("target"))
     unmet = [name for name, verdict in held.items() if not verdict]
     hyp["met"] = not unmet
-    k1 = dom.curvature.bound("domain")
-    k2 = tgt.curvature.bound("target")
+    k1 = domain.curvature.bound("domain")
+    k2 = target.curvature.bound("target")
     bound = k1.value / k2.value + 0.0
 
     # the ratio grid as rows, point by point in plan order, each point's
@@ -204,15 +198,15 @@ def certify_schwarz(f: HoloMap, domain, target, plan: SamplePlan,
     iz, iv = divmod(b, len(dirs))
     argmax = {"point_index": iz, "dir_index": iv, "z": list(pts[iz]), "ratio": max_ratio}
     passed = max_ratio <= bound + tolerance * min(1.0, bound)
-    grids = {"domain_validity": dom.validity.grid, "domain_kahler": dom.kahler.samples.grid,
-             "domain_holomorphic": dom.curvature.grid, "target_validity": tgt.validity.grid,
-             "target_holomorphic": tgt.curvature.grid}
+    grids = {"domain_validity": domain.validity.grid, "domain_kahler": domain.kahler.samples.grid,
+             "domain_holomorphic": domain.curvature.grid, "target_validity": target.validity.grid,
+             "target_holomorphic": target.curvature.grid}
     return SchwarzCertificate(
         map_id=f.id, domain_id=m_domain.family_id, target_id=m_target.family_id,
         K1=k1.value, K2=k2.value, bound=bound, max_ratio=max_ratio,
         argmax=argmax, passed=bool(passed), hypotheses=hyp,
         plan=plan.to_dict(), tolerance=tolerance, unmet=unmet, metadata={
-            "holomorphic_samples": {"domain": dom.curvature.counts,
-                                    "target": tgt.curvature.counts},
+            "holomorphic_samples": {"domain": domain.curvature.counts,
+                                    "target": target.curvature.counts},
             "target_valid_metric": held["target_valid_metric"], "grids": grids})
 

@@ -21,7 +21,7 @@ from finsler.geometry import (SamplePlan, complex_to_real_components,
 from finsler.kahler import classify, is_at_least, weakly_kahler_pde_residual
 from finsler.levi import LeviField
 from finsler.metrics import build_map, build_profile, instantiate
-from finsler.schwarz import certify_schwarz
+from finsler.schwarz import MetricAnalysis, certify_schwarz
 from finsler.cli import main as cli_main
 from finsler.report import canonical_json
 
@@ -277,14 +277,15 @@ def test_criterion_07_realification_identities():
 def test_criterion_08_schwarz_certificates():
     t0 = time.time()
     plan = SamplePlan(seed=3, n_points=10, n_dirs=4, radial_range=(0.05, 0.8))
+    disk = MetricAnalysis(POINCARE, plan)
     ident = build_map({"map": "identity", "params": {"n": 1}})
-    cert_i = certify_schwarz(ident, POINCARE, POINCARE, plan)
+    cert_i = certify_schwarz(ident, disk, disk)
     assert abs(cert_i.max_ratio - 1.0) < 1e-6
     assert abs(cert_i.bound - 1.0) < 1e-6
     assert cert_i.passed
 
     mob = build_map({"map": "mobius", "params": {"a": [0.3, -0.2]}})
-    cert_m = certify_schwarz(mob, POINCARE, POINCARE, plan)
+    cert_m = certify_schwarz(mob, disk, disk)
     assert abs(cert_m.max_ratio - 1.0) < 1e-6
     assert cert_m.passed
 
@@ -295,13 +296,14 @@ def test_criterion_08_schwarz_certificates():
         ratio = POINCARE.value(fz[0], jac[0] @ v) / POINCARE.value(z, v)
         tt = abs(zeta) ** 2
         assert abs(ratio - 4 * tt / (1 + tt) ** 2) < 1e-8
-    cert_s = certify_schwarz(sq, POINCARE, POINCARE, plan)
+    cert_s = certify_schwarz(sq, disk, disk)
     assert cert_s.max_ratio < 1.0 and cert_s.passed
 
     lin = build_map({"map": "linear", "params": {"matrix": [[0.25, 0.1]]},
                      "id": "row_linear"})
-    cert_f = certify_schwarz(lin, MINKOWSKI, POINCARE,
-                             SamplePlan(seed=5, n_points=6, n_dirs=4))
+    flat_plan = SamplePlan(seed=5, n_points=6, n_dirs=4)
+    cert_f = certify_schwarz(lin, MetricAnalysis(MINKOWSKI, flat_plan),
+                             MetricAnalysis(POINCARE, flat_plan))
     assert abs(cert_f.bound) < 1e-7
     assert cert_f.max_ratio > 1e-3
     assert not cert_f.passed

@@ -1,12 +1,13 @@
 """Real connection and flag curvature against flat and Riemannian oracles."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
 from finsler.cartan import cartan, radial_flag_bounds, spray_coefficients, spray_jacobian
-from finsler.errors import DegenerateFlagError, DegenerateMetricError
+from finsler.errors import DegenerateFlagError, DegenerateMetricError, NoSamplesError
 from finsler.geometry import MetricDef, SamplePlan, realify_metric
 from finsler.metrics import instantiate
 
@@ -274,6 +275,17 @@ def test_radial_flag_bounds():
     assert bp.lower_bound_constant == pytest.approx(2.0, abs=1e-4)
     bm = radial_flag_bounds(MINKOWSKI, np.zeros(4), plan)
     assert max(abs(bm.k_inf), abs(bm.k_sup)) < 1e-6
+
+
+def test_radial_flag_bounds_refuse_an_all_degenerate_fan(monkeypatch):
+    # a fan whose one flag direction is its one radial direction spans no
+    # plane: no sample, so no K, not the K = 0 of an empty extreme (the
+    # package re-exports the function cartan under the module's name)
+    monkeypatch.setattr(sys.modules["finsler.cartan"], "unit_directions",
+                        lambda n, d, seed: np.eye(d)[:1])
+    plan = SamplePlan(seed=0, n_points=6, n_dirs=3, radial_range=(0.1, 0.6))
+    with pytest.raises(NoSamplesError, match="every radial flag plane was degenerate"):
+        radial_flag_bounds(POINCARE, np.zeros(2), plan)
 
 
 # a constant Hermitian metric whose fundamental tensor and Levi matrix have

@@ -460,6 +460,7 @@ def test_cmd_check_curvature_bounds_and_schwarz_output_is_pinned(tmp_path, capsy
 
 @pytest.mark.parametrize("command, change, message", [
     ("check", {"outputs": {"directory": 5}}, "outputs.directory must be a string"),
+    ("check", {"outputs": {"directory": ""}}, "outputs.directory must be a string, not empty"),
     ("check", {"metrics": [{**_DISK, "id": 7}]}, "metrics[0].id must be a non-empty name"),
     ("check", {"metrics": [{**_DISK, "id": ["a"]}]}, "metrics[0].id"),
     ("schwarz", {"maps": [{**_IDENTITY, "id": ["x"]}]}, "maps[0].id"),
@@ -535,9 +536,10 @@ def test_cmd_check_curvature_bounds_and_schwarz_output_is_pinned(tmp_path, capsy
     ("schwarz", {"pairs": [{"map": "identity", "domain": "poincare", "target": "poincare",
                             "expect_pass": "no"}]},
      "pairs[0].expect_pass must be true or false"),
-], ids=["directory_not_a_string", "metric_id_a_number", "metric_id_a_list", "map_id_a_list",
-        "metric_id_leaves_out", "metric_id_empty", "metric_id_parent", "map_id_leaves_out",
-        "metric_id_with_nul", "pair_map_a_list", "pair_domain_a_list", "duplicate_metric_id",
+], ids=["directory_not_a_string", "directory_empty", "metric_id_a_number", "metric_id_a_list",
+        "map_id_a_list", "metric_id_leaves_out", "metric_id_empty", "metric_id_parent",
+        "map_id_leaves_out", "metric_id_with_nul", "pair_map_a_list", "pair_domain_a_list",
+        "duplicate_metric_id",
         "metric_id_equal_to_a_generated_id", "duplicate_metric_id_geodesic",
         "duplicate_metric_id_distance", "duplicate_metric_id_bounds",
         "duplicate_metric_id_schwarz", "duplicate_map_id", "unknown_key",
@@ -562,6 +564,17 @@ def test_bad_id_or_output_directory_is_a_configuration_error(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
     assert message in err
+    assert list(tmp_path.rglob("*")) == [p]
+
+
+def test_an_empty_out_flag_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    # Path("") is the working directory: --out "" would write the report
+    # trees there, or, read as no flag, into the config's directory
+    p = write_config(tmp_path, {**BASE_CONFIG, "outputs": {"directory": "o"}})
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "--config", str(p), "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out must be a string, not empty")
     assert list(tmp_path.rglob("*")) == [p]
 
 
@@ -592,11 +605,13 @@ def test_cmd_bounds(tmp_path):
 
 
 def test_cmd_bounds_fails_without_radial_flag_samples(tmp_path, monkeypatch, capsys):
-    from finsler.cartan import RadialFlagBounds
+    from finsler.errors import NoSamplesError
+
+    def degenerate(*args, **kwargs):
+        raise NoSamplesError("every radial flag plane was degenerate")
 
     # the package re-exports the function cartan under the module's name
-    monkeypatch.setattr(sys.modules["finsler.cartan"], "radial_flag_bounds", lambda *a, **k: RadialFlagBounds(
-        k_inf=float("inf"), k_sup=float("-inf"), n_samples=0))
+    monkeypatch.setattr(sys.modules["finsler.cartan"], "radial_flag_bounds", degenerate)
     cfg = dict(BASE_CONFIG)
     cfg["metrics"] = [BASE_CONFIG["metrics"][0]]
     cfg["plans"] = {"default": {"n_points": 4, "n_dirs": 3, "radial_range": [0.1, 0.5]}}

@@ -299,7 +299,8 @@ def test_records_write_their_pinned_payload_keys():
     disk = finsler.instantiate({"family": "hermitian", "complex_dim": 1,
                                 "params": {"catalog": "poincare_disk"}})
     plan = finsler.SamplePlan(seed=1, n_points=2, n_dirs=2)
-    cert = finsler.certify_schwarz(finsler.build_map({"map": "identity"}), disk, disk, plan)
+    analysis = finsler.MetricAnalysis(disk, plan)
+    cert = finsler.certify_schwarz(finsler.build_map({"map": "identity"}), analysis, analysis)
     assert sorted(finsler.check_metric(disk, plan).to_dict()) == [
         "errors", "name", "passed", "samples", "stats", "tolerance"]
     assert sorted(finsler.classify(disk, plan).to_dict()) == [

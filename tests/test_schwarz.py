@@ -9,7 +9,6 @@ from finsler.errors import (DegenerateMetricError, HypothesisViolationError,
                             NoSamplesError, NonFiniteSampleError)
 from finsler.geometry import SamplePlan, sample_points
 from finsler.metrics import build_map, instantiate, plan_directions
-from finsler.report import canonical_json
 from finsler.schwarz import (MetricAnalysis, certify_schwarz, curvature_bounds,
                              holomorphic_curvature_samples)
 
@@ -174,22 +173,37 @@ def test_curvature_samples_propagate_programming_errors(monkeypatch):
 
 
 def test_analysis_is_tied_to_its_plan():
+    # the certificate's plan is its analyses' plan, which both must share
     plan = SamplePlan(seed=3, n_points=4, n_dirs=2, radial_range=(0.1, 0.7))
-    analysis = MetricAnalysis(POINCARE, plan)
-    cert = certify_schwarz(IDENTITY1, analysis, analysis, plan)
+    domain, target = MetricAnalysis(POINCARE, plan), MetricAnalysis(POINCARE, plan)
+    cert = certify_schwarz(IDENTITY1, domain, target)
     assert cert.plan == plan.to_dict()
     assert cert.metadata["holomorphic_samples"]["domain"]["ok"] == 8
-    assert canonical_json(cert.to_payload()) == canonical_json(
-        certify_schwarz(IDENTITY1, POINCARE, POINCARE, plan).to_payload())
-    with pytest.raises(ValueError, match="another plan"):
-        certify_schwarz(IDENTITY1, analysis, POINCARE,
-                        SamplePlan(seed=4, n_points=4, n_dirs=2))
+    other = MetricAnalysis(POINCARE, SamplePlan(seed=4, n_points=4, n_dirs=2))
+    for pair in ((domain, other), (other, target)):
+        with pytest.raises(ValueError, match="another plan"):
+            certify_schwarz(IDENTITY1, *pair)
+
+
+def test_one_analysis_certifies_as_domain_and_target(monkeypatch):
+    # no plan beside the analysis: it holds the plan, and read in both roles
+    # it samples K_G once
+    plan = SamplePlan(seed=3, n_points=4, n_dirs=2, radial_range=(0.1, 0.7))
+    analysis = MetricAnalysis(POINCARE, plan)
+    calls = []
+    sampled = holomorphic_curvature_samples
+    monkeypatch.setattr("finsler.schwarz.holomorphic_curvature_samples",
+                        lambda m, plan: calls.append(m) or sampled(m, plan))
+    cert = certify_schwarz(IDENTITY1, analysis, analysis)
+    assert calls == [POINCARE]
+    assert cert.passed and cert.hypotheses["met"] and cert.plan == plan.to_dict()
+    assert cert.bound == pytest.approx(1.0, abs=1e-9)
 
 
 def test_certificate_identity_poincare():
-    cert = certify_schwarz(IDENTITY1, POINCARE, POINCARE,
-                           SamplePlan(seed=3, n_points=8, n_dirs=4,
-                                      radial_range=(0.1, 0.7)))
+    disk = MetricAnalysis(POINCARE, SamplePlan(seed=3, n_points=8, n_dirs=4,
+                                               radial_range=(0.1, 0.7)))
+    cert = certify_schwarz(IDENTITY1, disk, disk)
     assert cert.bound == pytest.approx(1.0, abs=1e-9)
     assert cert.max_ratio == pytest.approx(1.0, abs=1e-6)
     assert cert.passed
@@ -207,9 +221,9 @@ def test_certificate_fails_on_non_finite_ratios(monkeypatch, broken):
         values = f.evaluate
         monkeypatch.setattr(f, "evaluate", lambda z: (values(z)[0],
                                                       np.full((len(z), 1, 1), np.nan, complex)))
+    plan = SamplePlan(seed=3, n_points=3, n_dirs=2, radial_range=(0.1, 0.7))
     with pytest.raises(NonFiniteSampleError):
-        certify_schwarz(f, POINCARE, target,
-                        SamplePlan(seed=3, n_points=3, n_dirs=2, radial_range=(0.1, 0.7)))
+        certify_schwarz(f, MetricAnalysis(POINCARE, plan), MetricAnalysis(target, plan))
 
 
 def test_a_target_that_fails_its_validity_check_fails_the_hypotheses(monkeypatch):
@@ -221,13 +235,14 @@ def test_a_target_that_fails_its_validity_check_fails_the_hypotheses(monkeypatch
                           "params": {"catalog": "poincare_disk"}})
     sq = build_map({"map": "power", "params": {"m": 2}})
     plan = SamplePlan(seed=3, n_points=4, n_dirs=2, radial_range=(0.1, 0.7))
-    good = certify_schwarz(sq, POINCARE, target, plan)
+    disk = MetricAnalysis(POINCARE, plan)
+    good = certify_schwarz(sq, disk, MetricAnalysis(target, plan))
 
     def degenerate(x, u):
         raise DegenerateMetricError("fundamental tensor singular")
 
     monkeypatch.setattr(target, "fundamental_real", degenerate)
-    bad = certify_schwarz(sq, POINCARE, target, plan)
+    bad = certify_schwarz(sq, disk, MetricAnalysis(target, plan))
     assert good.hypotheses["met"] and good.metadata["target_valid_metric"]
     assert not bad.hypotheses["met"] and not bad.metadata["target_valid_metric"]
     assert bad.metadata["grids"]["target_validity"] == {"rows": 24, "stacked": False}
@@ -238,18 +253,18 @@ def test_a_target_that_fails_its_validity_check_fails_the_hypotheses(monkeypatch
 
 def test_certificate_mobius_isometry():
     mob = build_map({"map": "mobius", "params": {"a": [0.4, 0.1]}})
-    cert = certify_schwarz(mob, POINCARE, POINCARE,
-                           SamplePlan(seed=4, n_points=8, n_dirs=4,
-                                      radial_range=(0.1, 0.6)))
+    disk = MetricAnalysis(POINCARE, SamplePlan(seed=4, n_points=8, n_dirs=4,
+                                               radial_range=(0.1, 0.6)))
+    cert = certify_schwarz(mob, disk, disk)
     assert cert.max_ratio == pytest.approx(1.0, abs=1e-9)
     assert cert.passed
 
 
 def test_certificate_square_map_passes_inside():
     sq = build_map({"map": "power", "params": {"m": 2}})
-    cert = certify_schwarz(sq, POINCARE, POINCARE,
-                           SamplePlan(seed=5, n_points=10, n_dirs=3,
-                                      radial_range=(0.05, 0.8)))
+    disk = MetricAnalysis(POINCARE, SamplePlan(seed=5, n_points=10, n_dirs=3,
+                                               radial_range=(0.05, 0.8)))
+    cert = certify_schwarz(sq, disk, disk)
     assert cert.max_ratio < 1.0
     assert cert.passed
 
@@ -257,8 +272,8 @@ def test_certificate_square_map_passes_inside():
 def test_certificate_minkowski_to_poincare_fails():
     lin = build_map({"map": "linear", "params": {"matrix": [[0.25, 0.1]]},
                      "id": "row_linear"})
-    cert = certify_schwarz(lin, MINKOWSKI, POINCARE,
-                           SamplePlan(seed=6, n_points=6, n_dirs=4))
+    plan = SamplePlan(seed=6, n_points=6, n_dirs=4)
+    cert = certify_schwarz(lin, MetricAnalysis(MINKOWSKI, plan), MetricAnalysis(POINCARE, plan))
     assert cert.bound == pytest.approx(0.0, abs=1e-7)
     assert cert.max_ratio > 1e-3
     assert not cert.passed
@@ -267,8 +282,8 @@ def test_certificate_minkowski_to_poincare_fails():
 def test_certificate_constant_map_from_minkowski_passes():
     # with K1 = 0 the Schwarz bound is 0: only a constant map satisfies it
     const = build_map({"map": "constant", "params": {"value": [[0.3, 0.1]], "n_in": 2}})
-    cert = certify_schwarz(const, MINKOWSKI, POINCARE,
-                           SamplePlan(seed=6, n_points=6, n_dirs=4))
+    plan = SamplePlan(seed=6, n_points=6, n_dirs=4)
+    cert = certify_schwarz(const, MetricAnalysis(MINKOWSKI, plan), MetricAnalysis(POINCARE, plan))
     assert cert.bound == 0.0
     assert cert.max_ratio == 0.0
     assert cert.passed
@@ -282,13 +297,13 @@ def test_a_zero_bound_allows_no_slack():
     plan = SamplePlan(seed=7, n_points=14, n_dirs=17, radial_range=(0.1, 0.7))
     dom, tgt = MetricAnalysis(MINKOWSKI, plan), MetricAnalysis(BALL2, plan)
     const = build_map({"map": "constant", "params": {"value": [0.1, [0.2, -0.1]], "n_in": 2}})
-    cert = certify_schwarz(const, dom, tgt, plan)
+    cert = certify_schwarz(const, dom, tgt)
     assert cert.K1 == 0.0 and cert.hypotheses["met"]
     assert cert.bound == 0.0 and math.copysign(1.0, cert.bound) == 1.0
     assert cert.max_ratio == 0.0 and cert.passed
     for c in (0.5, 1e-3):
         scaled = build_map({"map": "linear", "params": {"matrix": [[c, 0.0], [0.0, c]]}})
-        cert = certify_schwarz(scaled, dom, tgt, plan)
+        cert = certify_schwarz(scaled, dom, tgt)
         assert math.copysign(1.0, cert.bound) == 1.0 and cert.bound == 0.0
         assert 0.0 < cert.max_ratio and not cert.passed, c
     assert cert.max_ratio < cert.tolerance
