@@ -913,6 +913,40 @@ def test_hessian_rho_nan_index_form_does_not_agree(monkeypatch):
     assert not res.agreed
 
 
+def test_index_form_results_are_pinned(monkeypatch):
+    # float.hex of hessian_rho's value and discrepancy and of its index
+    # form's value and quadrature error, from the origin to 3 seeded targets
+    # on each metric, then one index form of two distinct Jacobi fields
+    forms = []
+    recorded = index_form
+
+    def recording(*args):
+        forms.append(recorded(*args))
+        return forms[-1]
+
+    monkeypatch.setattr(geodesic, "index_form", recording)
+    rng = np.random.default_rng(51)
+    digest = hashlib.sha256()
+    for m in (HYPERBOLIC, EUCLID2, BALL2, NONKAHLER, MINKOWSKI):
+        pd = PoleDistance(m, np.zeros(m.dim))
+        for _ in range(3):
+            q = rng.standard_normal(m.dim)
+            q *= rng.uniform(0.2, 0.6) / np.linalg.norm(q)
+            res = hessian_rho(m, pd.pole, q, rng.standard_normal(m.dim), pd=pd)
+            (form,) = forms
+            forms.clear()
+            assert res.agreed
+            digest.update(" ".join(float.hex(float(v)) for v in (
+                res.value, res.discrepancy, form.value, form.quadrature_error)).encode())
+    u0 = np.array([0.5, 0.2, 0.0, 0.0])
+    system = jacobi_boundary_field(BALL2, np.zeros(4), u0 / math.sqrt(BALL2.value(np.zeros(4), u0)),
+                                   0.9)
+    form = recorded(system.path, system.field(np.array([0.0, 1.0, 0.0, 0.0])),
+                    system.field(np.array([0.0, 0.3, 0.4, 0.1])))
+    digest.update(" ".join(map(float.hex, (form.value, form.quadrature_error))).encode())
+    assert digest.hexdigest() == "c16e409d02299c072e4f1f50c3ee140b5985b2031b874e47430638a0edabf0cc"
+
+
 @pytest.mark.parametrize("m, q", [(HYPERBOLIC, [0.45, -0.3]), (BALL2, [0.3, -0.2, 0.1, 0.4])])
 def test_distance_hessian_is_the_system_of_its_shot(m, q):
     q = np.array(q)
