@@ -698,45 +698,43 @@ def index_form(path: GeodesicFan, xi, eta) -> IndexFormResult:
     """Morse index form I(xi, eta) along a normal geodesic, a one-member fan.
 
     A field is a callable of the arc parameter s returning (V, dV/ds), its
-    value and coordinate derivative; a ``JacobiField`` is one. At each
-    quadrature node one ``cartan`` call gives g_T, R and N at (x, T), and
-    D_T V = dV/ds + N V. Both V and D_T V lose their component along T:
-    projecting commutes with D_T, since D_T T = 0 along a geodesic. A field
-    is read once per node when xi and eta are the same callable. Quadrature
-    is composite Gauss-Legendre over 12 panels with the error estimated from
-    one coarsening step.
+    value and coordinate derivative; a ``JacobiField`` is one. Quadrature is
+    composite Gauss-Legendre over 12 panels, its error estimated from 6. One
+    stacked ``cartan`` call gives g_T, R and N at (x, T) at the 72 nodes, the
+    fine rule's first, each row bit for bit its node's: a degenerate node is
+    named as a loop over the nodes meets it. D_T V = dV/ds + N V. Both V and
+    D_T V lose their component along T: projecting commutes with D_T, since
+    D_T T = 0 along a geodesic. A field is read once per node when xi and
+    eta are the same callable; each rule adds its terms in node order.
     """
     if not path.normal[0]:
         raise ConfigurationError("the index form is defined along normal paths")
     r = path.arc_lengths[0]
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    rule = []   # (panels, s, w * half) at each node, the fine rule's first
+    for n_panels in (12, 6):
+        edges = np.linspace(0.0, r, n_panels + 1)
+        for a, b in zip(edges, edges[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            rule += [(n_panels, mid + half * t, w * half) for t, w in zip(nodes, weights)]
+    data = cartan(path.metric, *map(np.array, zip(*(path.state_at(0, s) for _, s, _ in rule))))
 
-    def integrand(s):
-        data = cartan(path.metric, *path.state_at(0, s))
-        T, g = data.u, data.g
+    def integrand(k, s):
+        T, g = data.u[k], data.g[k]
 
         def across(f):
             V, dV = (np.asarray(a, dtype=float) for a in f(s))
             return [v - (float(v @ g @ T) / float(T @ g @ T)) * T
-                    for v in (V, dV + data.nonlinear @ V)]
+                    for v in (V, dV + data.nonlinear[k] @ V)]
 
         xv, dx = across(xi)
         ev_, de = (xv, dx) if xi is eta else across(eta)
-        return float(dx @ g @ de) - float((data.riemann @ xv) @ g @ ev_)
+        return float(dx @ g @ de) - float((data.riemann[k] @ xv) @ g @ ev_)
 
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-
-    def quad(n_panels):
-        total = 0.0
-        edges = np.linspace(0.0, r, n_panels + 1)
-        for a, b in zip(edges, edges[1:]):
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            for t, w in zip(nodes, weights):
-                total += w * half * integrand(mid + half * t)
-        return total
-
-    fine = quad(12)
-    coarse = quad(6)
+    totals = {12: 0.0, 6: 0.0}
+    for k, (n_panels, s, weight) in enumerate(rule):
+        totals[n_panels] += weight * integrand(k, s)
+    fine, coarse = totals[12], totals[6]
     return IndexFormResult(value=fine, quadrature_error=abs(fine - coarse))
 
 
@@ -790,9 +788,9 @@ def hessian_rho(m: MetricDef, pole, x, u, *,
     from the proposal of the solver's last tight shot scaled to the velocity
     and times rho; only the query's shots count into ``pd.work``. Route one
     reads u.H.u off its boundary form, the boundary term of the index form,
-    which needs no curvature. Route two integrates the index form, with the
-    curvature R at its nodes, by quadrature along the Jacobi field of the
-    same fundamental system that reaches u at x.
+    which needs no curvature. Route two integrates the index form along the
+    Jacobi field of the same fundamental system that reaches u at x, with R,
+    N and g_T at its 72 nodes from one stacked ``cartan`` call.
     Disagreement beyond ``AGREEMENT_TOL`` is reported, not hidden; a NaN on
     either route never agrees.
     """

@@ -321,6 +321,12 @@ def levi_matrix(g) -> np.ndarray:
     return levi
 
 
+def one_norm_condition(a, inv) -> np.ndarray:
+    """|a|_1 |inv|_1 of a matrix, or of each of a stack, flattened: the 1-norm
+    reduction of ``np.linalg.norm``, bit for bit, without its dispatch."""
+    return np.ravel(np.abs(a).sum(-2).max(-1) * np.abs(inv).sum(-2).max(-1))
+
+
 def well_conditioned_inverse(a, what) -> np.ndarray:
     """``np.linalg.inv`` of a symmetric or Hermitian matrix ``what``, or of each
     of a stack of them, which must be regular with |a|_1 |a^-1|_1 (>= its
@@ -330,7 +336,7 @@ def well_conditioned_inverse(a, what) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(f"{what} singular") from exc
-    cond = np.ravel(np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1)))
+    cond = one_norm_condition(a, inv)
     bad = np.flatnonzero(~(cond <= 1e10))
     if bad.size:
         raise DegenerateMetricError(f"{what} condition number {cond[bad[0]]:.2e}")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 from collections import Counter
 
@@ -864,16 +865,23 @@ def test_hessian_rho_hyperbolic():
 
 @pytest.mark.parametrize("m, q", [(HYPERBOLIC, (0.45, -0.3)), (EUCLID2, (0.3, -0.2, 0.1, 0.4))])
 def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
-    # order 3: the Jacobi system's right-hand sides and its readout at r;
-    # order 4: one cartan call per index-form node, 4 on each of 12 + 6 panels,
-    # whose N the covariant derivatives reuse
-    real_jet, orders = MetricDef.real_jet, Counter()
+    # order 3: the Jacobi system's right-hand sides and its readout at r, one
+    # real_jet each; order 4: one stacked cartan call over the index form's
+    # 72 nodes, 4 on each of 12 + 6 panels, one real_rows replay whose N the
+    # covariant derivatives reuse
+    real_jet, real_rows, orders, replays = MetricDef.real_jet, MetricDef.real_rows, Counter(), []
 
     def counted(self, x, u, basis):
         orders[basis] += 1
         return real_jet(self, x, u, basis)
 
+    def replayed(self, x, u, basis):
+        if basis is m.fibre_space(4, 2):
+            replays.append(len(x))
+        return real_rows(self, x, u, basis)
+
     monkeypatch.setattr(MetricDef, "real_jet", counted)
+    monkeypatch.setattr(MetricDef, "real_rows", replayed)
     systems = []
     jacobi_boundary_field = geodesic.jacobi_boundary_field
 
@@ -891,8 +899,9 @@ def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
     assert path.nfev == stepped + 3 * path.steps
     # each over its reader's kept basis; the readout at r is the last
     # right-hand side's, so no jet is replayed there
-    assert orders[m.fibre_space(3, 2)] == path.nfev and orders[m.fibre_space(4, 2)] == 72
-    assert sum(orders.values()) == path.nfev + 72
+    assert orders[m.fibre_space(3, 2)] == path.nfev and orders[m.fibre_space(4, 2)] == 0
+    assert sum(orders.values()) == path.nfev
+    assert replays == [72]
 
 
 def test_both_hessian_routes_refuse_the_pole():
@@ -903,6 +912,51 @@ def test_both_hessian_routes_refuse_the_pole():
     with pytest.raises(ConfigurationError, match="undefined at the pole"):
         hessian_rho(HYPERBOLIC, OFF_POLE, OFF_POLE, np.array([0.0, 1.0]), pd=pd)
     assert pd.work["integrations"] == 0
+
+
+# g = diag(1, (1 + x0)^20): the x0 axis is a unit-speed geodesic along which
+# the condition number of g passes 1e10 at x0 = 10^0.5 - 1
+STIFFENING = MetricDef("real", lambda x, u: u[0] * u[0] + u[1] * u[1] * (1.0 + x[0]) ** -20,
+                       dim_real=2, family_id="stiffening")
+
+
+def test_index_form_names_its_first_degenerate_node():
+    path = integrate_geodesic(STIFFENING, np.zeros(2), np.array([1.0, 0.0]), 3.0)
+    lin = lambda t: (t * np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+    def per_node():
+        # the loop the stacked connection replaces: a cartan call per node,
+        # the fine rule's nodes first, then the coarse rule's
+        nodes = np.polynomial.legendre.leggauss(4)[0]
+        failures = []
+        for n_panels in (12, 6):
+            edges = np.linspace(0.0, 3.0, n_panels + 1)
+            for a, b in zip(edges, edges[1:]):
+                for t in nodes:
+                    try:
+                        cartan(STIFFENING, *path.state_at(0, 0.5 * (a + b) + 0.5 * (b - a) * t))
+                    except DegenerateMetricError as exc:
+                        failures.append(str(exc))
+        return failures
+
+    failures = per_node()
+    # not every node fails, and the first failure is not the worst one
+    assert 0 < len(failures) < 72 and failures[0] != failures[-1]
+    for eta in (lin, lambda t: lin(t)):
+        with pytest.raises(DegenerateMetricError, match=re.escape(failures[0]) + "$"):
+            index_form(path, lin, eta)
+
+
+def test_index_form_takes_one_stacked_connection(monkeypatch):
+    # 72 rows in one cartan call, whether or not xi is eta
+    path = integrate_geodesic(HYPERBOLIC, DISK_X0, DISK_U0, 1.0)
+    lin = lambda t: (t * np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    calls = []
+    monkeypatch.setattr(geodesic, "cartan", lambda m, x, u: calls.append(len(x)) or cartan(m, x, u))
+    for eta in (lin, lambda t: lin(t)):
+        calls.clear()
+        index_form(path, lin, eta)
+        assert calls == [72]
 
 
 def test_hessian_rho_nan_index_form_does_not_agree(monkeypatch):

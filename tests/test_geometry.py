@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from finsler.errors import DegenerateMetricError, DomainError, SlitBundleError, StructuralError
 from finsler.geometry import (SamplePlan, _norm, apply_J, complex_to_real_components,
-                              real_to_complex_components, realify_metric,
-                              sample_points, well_conditioned_inverse)
+                              one_norm_condition, real_to_complex_components,
+                              realify_metric, sample_points, well_conditioned_inverse)
 from finsler.metrics import instantiate
 
 from oracles import at_point
@@ -230,6 +230,23 @@ def test_a_stack_reports_its_first_failing_row():
         with pytest.raises(DegenerateMetricError, match=re.escape(f"number {cond}") + "$"):
             well_conditioned_inverse(rows, "test matrix")
     assert np.array_equal(well_conditioned_inverse(stack[[0, 0]], "test matrix"), stack[[0, 0]])
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_the_condition_number_is_the_norm_product_bit_for_bit(hermitian):
+    # real and Hermitian stacks, a NaN row among them, and one matrix
+    rng = np.random.default_rng(23)
+    for n in (2, 4, 8):
+        stack = np.array([conditioned(rng, n, cond, hermitian) for cond in np.geomspace(1.0, 1e12, 7)])
+        stack[3] = np.nan
+        inv = np.linalg.inv(stack)
+        norms = np.linalg.norm(stack, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+        got = one_norm_condition(stack, inv)
+        assert got.shape == (7,) and np.isnan(got[3])
+        assert got.tobytes() == norms.tobytes()
+        for a in stack:
+            assert one_norm_condition(a, np.linalg.inv(a)).tobytes() == np.ravel(
+                np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1)).tobytes()
 
 
 def test_singular_and_non_finite_matrices_are_degenerate():

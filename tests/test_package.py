@@ -138,6 +138,35 @@ def test_one_loop_writes_every_report_and_table():
         assert len(calls) == 1 and id(calls[0]) in in_loop, writer
 
 
+def _per_point_connections(src):
+    """(module, line) of each call in a loop or a comprehension of ``src`` to
+    ``cartan`` or to a nested function that calls it, however deep."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        nested = [sub for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for sub in ast.walk(fn) if sub is not fn and isinstance(sub, ast.FunctionDef)]
+
+        def calls(node, names):
+            return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                    and ast.unparse(sub.func).split(".")[-1] in names]
+
+        names, grown = set(), {"cartan"}
+        while grown != names:
+            names, grown = grown, grown | {fn.name for fn in nested if calls(fn, grown)}
+        found |= {(path.name, call.lineno) for loop in ast.walk(tree)
+                  if isinstance(loop, loops) for call in calls(loop, names)}
+    return sorted(found)
+
+
+def test_no_loop_takes_the_connection_point_by_point():
+    # cartan takes a stack of points in one order-4 replay, each row bit for
+    # bit its point's; a loop of single-point calls replays the program once
+    # per point
+    assert _per_point_connections(SRC) == []
+
+
 def _callers(tree, test):
     """The top-level functions of ``tree`` holding a node that passes ``test``,
     once per node."""
