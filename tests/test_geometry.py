@@ -237,7 +237,8 @@ def test_the_condition_number_is_the_norm_product_bit_for_bit(hermitian):
     # real and Hermitian stacks, a NaN row among them, and one matrix
     rng = np.random.default_rng(23)
     for n in (2, 4, 8):
-        stack = np.array([conditioned(rng, n, cond, hermitian) for cond in np.geomspace(1.0, 1e12, 7)])
+        stack = np.array([conditioned(rng, n, cond, hermitian)
+                          for cond in np.geomspace(1.0, 1e12, 7)])
         stack[3] = np.nan
         inv = np.linalg.inv(stack)
         norms = np.linalg.norm(stack, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
