@@ -797,6 +797,19 @@ def spray_jets_by_objects(m, x, u, order):
     return g_rows, spray
 
 
+def spray_jacobian_by_partials(m, x, u):
+    """``(S, dS)``: the spray G^i and its d x 2d derivative in (x, u), read
+    by :meth:`Jet.partial` off the order-1 spray jets of
+    ``spray_jets_by_objects``, as ``cartan_by_partials`` builds them: the
+    reference for the implicit derivative of ``cartan.spray_jacobian``."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    spray_j = spray_jets_by_objects(m, x, u, 1)[1]
+    S = np.array([s.value for s in spray_j])
+    dS = np.array([[s.partial([a]) for a in range(2 * m.dim)] for s in spray_j])
+    return S, dS
+
+
 def cartan_by_partials(m, x, u):
     """``(gamma_h, gamma_v, riemann)`` of the Cartan connection with every jet
     derivative read by :meth:`Jet.partial` in nested loops: the reference for

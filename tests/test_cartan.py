@@ -15,7 +15,7 @@ from finsler.jets import Jet, JetProgram, JetSpace
 
 from oracles import (at_point, cartan_by_partials, flag_curvature, hermitian_matrix,
                      horizontal_coefficients, riemannian_sectional_curvature,
-                     spray_by_partials)
+                     spray_by_partials, spray_jacobian_by_partials)
 
 EUCLID = realify_metric(instantiate(
     {"family": "hermitian", "complex_dim": 2, "params": {"catalog": "euclidean"}}))
@@ -188,6 +188,27 @@ def test_cartan_rows_are_their_points_bit_for_bit(name):
         point = cartan(m, x[b], u[b])
         for field in ("u", "g", "spray", "nonlinear", "riemann"):
             assert np.array_equal(getattr(rows, field)[b], getattr(point, field)), (b, field)
+
+
+JACOBIAN_SPECS = dict(zip(("disk", "c2", "ball", "minkowski", "szabo"), SPRAY_SPECS),
+                      nonkahler=ROW_SPECS["nonkahler"])
+
+
+@pytest.mark.parametrize("name", JACOBIAN_SPECS)
+def test_spray_jacobian_matches_partial_readout(name):
+    # S and dS of an order-3 jet at a point and at 8 rows, against the
+    # order-1 partials of the spray's jets over Jet objects
+    m = realify_metric(instantiate(JACOBIAN_SPECS[name]))
+    sp = m.fibre_space(3, 2)
+    rng = np.random.default_rng(13)
+    x = 0.6 * rng.uniform(-1, 1, (8, m.dim)) / np.sqrt(m.dim)
+    u = rng.standard_normal((8, m.dim))
+    rows = spray_jacobian(Jet(sp, m.real_rows(x, u, sp)), u)
+    point = spray_jacobian(m.real_jet(x[0], u[0], sp), u[0])
+    for b, S, dS in [(b, rows[2][b], rows[3][b]) for b in range(8)] + [(0, *point[2:])]:
+        want_S, want_dS = spray_jacobian_by_partials(m, x[b], u[b])
+        for got, want in ((S, want_S), (dS, want_dS)):
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max()), b
 
 
 @pytest.mark.parametrize("mc_spec", SPRAY_SPECS)
