@@ -3,8 +3,10 @@
 All data are read from the derivative tensors of a jet of G over z = (x, u),
 each gathered once from the jet's coefficients at a point, or from the
 coefficient rows of a stack of points (one ``real_rows`` replay). The spray
-S^i = G^i solves g S = b/4, with g = (1/2) d2G/du du and
-b_l = u^k d2G/du^l dx^k - dG/dx^l; differentiating g S = b/4 in z gives
+S^i = G^i is S = g^-1 b/4, with g = (1/2) d2G/du du and
+b_l = u^k d2G/du^l dx^k - dG/dx^l, on every route from one inverse of g
+(one LAPACK call), which also serves its derivatives; differentiating
+g S = b/4 in z gives
 
     dS  = g^-1 (db/4 - dg.S)
     d2S = g^-1 (d2b/4 - d2g.S - dg.dS - (dg.dS)^T),   (dg.dS)^i_ac = d_a g_il d_c S^l,
@@ -48,17 +50,13 @@ class CartanData:
     riemann: np.ndarray        # R^i_k of the spray
 
 
-def _spray(Hu, dG, u, d) -> np.ndarray:
-    """G^i, the solution of g S = b / 4, from the u rows Hu of the Hessian and
-    the gradient dG of G over (x, u), with any leading shape: (d, 2d) and (2d)
-    for a point, (B, d, 2d) and (B, 2d) for B rows, each row as a point."""
-    # (d^2 G / du^l dx^k) u^k; a running sum adds over k in order, as a
-    # scalar loop does, where a pairwise sum would round differently
-    rhs = np.add.accumulate(Hu[..., :d] * u[..., None, :], axis=-1)[..., -1] - dG[..., :d]
-    try:
-        return 0.25 * np.linalg.solve(0.5 * Hu[..., d:], rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError("fundamental tensor singular") from exc
+def _spray(g_inv, Hu, dG, u, d) -> np.ndarray:
+    """G^i = g^-1 b / 4 from the inverse of g, the u rows Hu of the Hessian and
+    the gradient dG of G over (x, u), with any leading shape: (d, d), (d, 2d)
+    and (2d) for a point, (B, d, d), (B, d, 2d) and (B, 2d) for B rows, each
+    row as a point; b_l = (d^2 G / du^l dx^k) u^k - dG / dx^l."""
+    b = (Hu[..., :d] @ u[..., None])[..., 0] - dG[..., :d]
+    return (g_inv @ (0.25 * b)[..., None])[..., 0]
 
 
 def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
@@ -67,22 +65,27 @@ def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     order-2 ``real_rows`` replay over ``fibre_space(2, 1)`` (``spray_space``),
     row b independent of the other rows."""
     u = np.asarray(u, dtype=float)
-    sp = m.spray_space
+    sp, d = m.spray_space, m.dim
     coeffs = m.real_rows(x, u, sp)
-    return _spray(sp.gather(coeffs, 2, slice(m.dim, None)), sp.gather(coeffs, 1), u, m.dim)
+    Hu = sp.gather(coeffs, 2, slice(d, None))
+    try:
+        return _spray(np.linalg.inv(0.5 * Hu[..., d:]), Hu, sp.gather(coeffs, 1), u, d)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError("fundamental tensor singular") from exc
 
 
 def _jacobian(D1, D2, D3u, u, d):
     """(g, g^-1, S, dg, dS) from the derivative tensors of G over (x, u), the
-    third's u rows D3u, with any leading shape; dg[..., i, l, a] = d_a g_il."""
+    third's u rows D3u, with any leading shape; dg[..., i, l, a] = d_a g_il.
+    S and dS = g^-1 (db/4 - dg.S) share one inverse of g."""
     g = 0.5 * D2[..., d:, d:]
     g_inv = well_conditioned_inverse(g, "fundamental tensor")
-    spray = _spray(D2[..., d:, :], D1, u, d)
+    spray = _spray(g_inv, D2[..., d:, :], D1, u, d)
     dg = 0.5 * D3u[..., d:, :]
     # d_a b_l, where b_l = u^k d^2 G / du^l dx^k - dG / dx^l
-    db = np.einsum("...lka,...k->...la", D3u[..., :d, :], u) - D2[..., :d, :]
+    db = (u[..., None, None, :] @ D3u[..., :d, :])[..., 0, :] - D2[..., :d, :]
     db[..., d:] += D2[..., d:, :d]
-    return g, g_inv, spray, dg, g_inv @ (0.25 * db - np.einsum("...ila,...l->...ia", dg, spray))
+    return g, g_inv, spray, dg, g_inv @ (0.25 * db - (spray[..., None, None, :] @ dg)[..., 0, :])
 
 
 def spray_jacobian(jet: Jet, u):

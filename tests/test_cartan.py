@@ -230,8 +230,8 @@ def test_cartan_assembly_matches_partial_readout(mc_spec):
 
 def test_spray_values_are_pinned():
     # a float.hex digest of the sprays at points and at rows, and of S and dS
-    # from order-3 and order-4 jets, taken while the point and the row sprays
-    # were two separate readouts: one shared readout must not move a bit
+    # from order-3 and order-4 jets, all taken as S = g^-1 b / 4 from one
+    # inverse of g: a change of readout or of contraction must not move a bit
     rng = np.random.default_rng(22)
     digest = hashlib.sha256()
     for spec in SPRAY_SPECS:
@@ -246,7 +246,7 @@ def test_spray_values_are_pinned():
                     values.extend(spray_jacobian(m.real_jet(x[b], u[b], order), u[b])[2:])
             for a in values:
                 digest.update(" ".join(map(float.hex, a.ravel().tolist())).encode())
-    assert digest.hexdigest() == "5a2c4c5e60621c8688395ec24cf7b876c0d0c8dadbd87d2cbdc7b0c45f5c58fc"
+    assert digest.hexdigest() == "2c0d2f4c399c47dfacbc5cc23face2e4beb4bc9cbcb062c0ab54887cf4a7e344"
 
 
 def test_cartan_reads_no_scalar_partials(monkeypatch):
@@ -261,6 +261,23 @@ def test_cartan_reads_no_scalar_partials(monkeypatch):
         x, u = np.full(m.dim, 0.1), np.linspace(1.0, 2.0, m.dim)
         data = cartan(m, x, u)
         assert np.all(np.isfinite(data.riemann))
+
+
+def test_a_spray_takes_one_inverse_and_no_solve(monkeypatch):
+    # S and dS come from one inverse of g: one LAPACK factorization a call
+    calls = []
+    for name in ("inv", "solve"):
+        def counted(*args, _name=name, _f=getattr(np.linalg, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    x, u = np.full((3, 4), 0.1), np.linspace(1.0, 2.0, 12).reshape(3, 4)
+    for call in (lambda: spray_coefficients(MINKOWSKI, x, u),
+                 lambda: spray_jacobian(MINKOWSKI.real_jet(x[0], u[0], 3), u[0]),
+                 lambda: cartan(MINKOWSKI, x, u), lambda: cartan(MINKOWSKI, x[0], u[0])):
+        calls.clear()
+        call()
+        assert calls == ["inv"]
 
 
 def test_flag_invariance_under_pole_shift():
@@ -329,7 +346,8 @@ def test_singular_fundamental_tensor_is_degenerate_not_linalg_error():
                       (program.replay_rows(np.ones((2, 4)), 3), np.ones((2, 2)))):
         with pytest.raises(DegenerateMetricError, match="singular"):
             spray_jacobian(Jet(JetSpace.get(4, 3), coeffs), u)
-    # the spray alone solves g S = b / 4, with no inverse to check
+    # the spray alone takes g^-1 without the condition gate, and an exactly
+    # singular g is still a degenerate metric, not numpy's LinAlgError
     m = MetricDef("real", lambda x, u: 0.5 * (x[0] + x[1] + u[0] + u[1]) ** 2, dim_real=2)
     with pytest.raises(DegenerateMetricError, match="fundamental tensor singular"):
         spray_coefficients(m, np.ones((1, 2)), np.ones((1, 2)))
