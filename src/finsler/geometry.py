@@ -335,6 +335,9 @@ def well_conditioned_inverse(a, what) -> np.ndarray:
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
+        if np.ndim(a) > 2:   # a singular row stops the stack: check the rows in order
+            for row in np.reshape(a, (-1, *np.shape(a)[-2:])):
+                well_conditioned_inverse(row, what)
         raise DegenerateMetricError(f"{what} singular") from exc
     cond = one_norm_condition(a, inv)
     bad = np.flatnonzero(~(cond <= 1e10))

@@ -232,6 +232,18 @@ def test_a_stack_reports_its_first_failing_row():
     assert np.array_equal(well_conditioned_inverse(stack[[0, 0]], "test matrix"), stack[[0, 0]])
 
 
+def test_a_singular_row_does_not_hide_an_earlier_failing_one():
+    # inv of a stack with an exactly singular row raises for the whole stack;
+    # the error still names the first failing row in row order
+    ill, singular, nan = np.diag([1.0, 1e-12]), np.ones((2, 2)), np.full((2, 2), np.nan)
+    for rows, message in (([ill, singular], "condition number 1.00e+12"),
+                          ([np.eye(2), nan, singular], "condition number nan"),
+                          ([np.eye(2), singular, ill], "singular"),
+                          ([[np.eye(2), ill], [singular, np.eye(2)]], "condition number 1.00e+12")):
+        with pytest.raises(DegenerateMetricError, match=re.escape(f"test matrix {message}") + "$"):
+            well_conditioned_inverse(np.array(rows), "test matrix")
+
+
 @pytest.mark.parametrize("hermitian", [False, True])
 def test_the_condition_number_is_the_norm_product_bit_for_bit(hermitian):
     # real and Hermitian stacks, a NaN row among them, and one matrix
