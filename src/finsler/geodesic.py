@@ -404,10 +404,11 @@ class PoleDistance:
             best_res = min(best_res, resid)
             if resid < tol_accept:
                 u_end = y[self.m.dim:]
-                rho = math.sqrt(self.m.value(self.pole, w))
                 self._remember(q, w, J_fin)
                 if hessian and system is None:   # no variational shot landed at w
                     system = self._landed_system(w)
+                # a landed system's r is sqrt(G(p, w)), its shot's speed
+                rho = system.r if hessian else math.sqrt(self.m.value(self.pole, w))
                 return RhoResult(rho, u_end / rho, w, resid, self.work - before, system)
         work = self.work - before
         raise ShootingError(

@@ -1004,6 +1004,24 @@ def test_distance_hessian_is_the_system_of_its_shot(m, q):
     assert system.r == PoleDistance(m, np.zeros(m.dim)).rho(q).value
 
 
+def test_a_hessian_query_reads_rho_off_its_system(monkeypatch):
+    # rho of a Hessian query is its landed system's r, bit for bit
+    # sqrt(G(p, w)), with no value call of its own: a variational shot reads G
+    # once and a plain query once; cold and warm queries, a first shot that
+    # lands and queries that iterate
+    value, calls = MetricDef.value, []
+    monkeypatch.setattr(MetricDef, "value", lambda *args: calls.append(1) or value(*args))
+    for m, pole, q in ((HYPERBOLIC, OFF_POLE, OFF_Q), (SZABO, np.zeros(4), Q4),
+                       (NONKAHLER, np.zeros(4), Q4)):
+        pd = PoleDistance(m, pole)
+        for query, hessian in ((q, True), (q + 0.01, True), (q - 0.01, False)):
+            calls.clear()
+            r = pd.rho(query, hessian=hessian)
+            assert len(calls) == (r.work["jacobi_integrations"] if hessian else 1)
+            assert r.value == math.sqrt(value(m, pole, r.w))
+            assert r.system is None or r.value == r.system.r
+
+
 @pytest.mark.parametrize("m, q", [
     (HYPERBOLIC, [0.3, 0.4]),
     (EUCLID2, [0.3, -0.2, 0.1, 0.4]),
