@@ -3,10 +3,8 @@
 All data are read from the derivative tensors of a jet of G over z = (x, u),
 each gathered once from the jet's coefficients at a point, or from the
 coefficient rows of a stack of points (one ``real_rows`` replay). The spray
-S^i = G^i is S = g^-1 b/4, with g = (1/2) d2G/du du and
-b_l = u^k d2G/du^l dx^k - dG/dx^l, on every route from one inverse of g
-(one LAPACK call), which also serves its derivatives; differentiating
-g S = b/4 in z gives
+is S = g^-1 b/4 from one inverse of g on every route, g = (1/2) d2G/du du and
+b_l = u^k d2G/du^l dx^k - dG/dx^l; differentiating g S = b/4 in z gives
 
     dS  = g^-1 (db/4 - dg.S)
     d2S = g^-1 (d2b/4 - d2g.S - dg.dS - (dg.dS)^T),   (dg.dS)^i_ac = d_a g_il d_c S^l,
@@ -69,15 +67,15 @@ def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     coeffs = m.real_rows(x, u, sp)
     Hu = sp.gather(coeffs, 2, slice(d, None))
     try:
-        return _spray(np.linalg.inv(0.5 * Hu[..., d:]), Hu, sp.gather(coeffs, 1), u, d)
+        g_inv = np.linalg.inv(0.5 * Hu[..., d:])
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("fundamental tensor singular") from exc
+    return _spray(g_inv, Hu, sp.gather(coeffs, 1), u, d)
 
 
 def _jacobian(D1, D2, D3u, u, d):
     """(g, g^-1, S, dg, dS) from the derivative tensors of G over (x, u), the
-    third's u rows D3u, with any leading shape; dg[..., i, l, a] = d_a g_il.
-    S and dS = g^-1 (db/4 - dg.S) share one inverse of g."""
+    third's u rows D3u, with any leading shape; dg[..., i, l, a] = d_a g_il."""
     g = 0.5 * D2[..., d:, d:]
     g_inv = well_conditioned_inverse(g, "fundamental tensor")
     spray = _spray(g_inv, D2[..., d:, :], D1, u, d)

@@ -407,8 +407,7 @@ class PoleDistance:
                 self._remember(q, w, J_fin)
                 if hessian and system is None:   # no variational shot landed at w
                     system = self._landed_system(w)
-                # a landed system's r is sqrt(G(p, w)), its shot's speed
-                rho = system.r if hessian else math.sqrt(self.m.value(self.pole, w))
+                rho = system.r if hessian else math.sqrt(self.m.value(self.pole, w))  # r: that sqrt
                 return RhoResult(rho, u_end / rho, w, resid, self.work - before, system)
         work = self.work - before
         raise ShootingError(
