@@ -158,8 +158,9 @@ def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds
 
     Radial tangents are transported along the fan's geodesics, integrated as
     one stacked state (``geodesic.integrate_geodesic``); a geodesic that leaves
-    the domain is sampled up to 0.999 of its own exit length. The Cartan
-    data of all samples come from one stacked ``cartan`` call. Flags are
+    the domain is sampled up to 0.999 of its own exit length. One read of
+    the fan gives every sample, and one stacked ``cartan`` call their Cartan
+    data. Flags are
     completed with deterministic directions; a flag plane whose Gram
     determinant is below 1e-8 g(u, u) g(X, X) is skipped, and a fan whose
     planes are all skipped raises ``NoSamplesError``. A NaN or infinite flag
@@ -173,9 +174,9 @@ def radial_flag_bounds(m: MetricDef, pole, plan: SamplePlan) -> RadialFlagBounds
     ts = np.linspace(lo, hi, max(3, plan.n_points // len(dirs) + 1))
     flags = unit_directions(2 * d, d, plan.seed + 1)
     fan = geo.integrate_geodesic(m, pole, dirs / np.sqrt(m.value(pole, dirs))[:, None], hi * 1.05)
-    states = [fan.state_at(b, min(t, arc_length * 0.999))
-              for b, arc_length in enumerate(fan.arc_lengths) for t in ts]
-    data = cartan(m, *map(np.array, zip(*states)))
+    X, U = fan.state_at(np.arange(len(dirs))[:, None],   # member b's at row b
+                        np.minimum(ts, fan.arc_lengths[:, None] * 0.999))
+    data = cartan(m, X.reshape(-1, d), U.reshape(-1, d))
     ks = []
     for g, R, u in zip(data.g, data.riemann, data.u):
         for X in flags:

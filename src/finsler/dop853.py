@@ -151,28 +151,38 @@ class Solution:
         self.h_next = None
 
     def sol(self, t, i=None):
-        """The state at time t by the dense output of step i, by default the
-        step that holds t (before the span the first, after it the last). A
-        step builds its 3 dense stages when first read, counted in ``nfev``."""
+        """The state at time t, or a row of it at each time of an array t, by
+        the dense output of step i, by default the step that holds the time
+        (before the span the first, after it the last); an empty span is its
+        start. The times are grouped by step, and each step reads all of its
+        own in one Horner pass, each row bit for bit a scalar read's. A step
+        builds its 3 dense stages when first read, counted in ``nfev``."""
+        t = np.asarray(t, dtype=float)
         if not self._steps:   # an empty span
-            return self.y[:, 0].copy()
-        if i is None:
-            i = min(max(int(np.searchsorted(self.t, t)) - 1, 0), len(self._steps) - 1)
-        step = self._steps[i]
-        t_old, h, y_old, y_new, K, F = step
-        if F is None:
-            for s in (13, 14, 15):
-                K[s] = self._fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, A[s, :s]) * h)
-            self.nfev += 3
-            dy = y_new - y_old
-            F = step[5] = np.vstack([dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0]),
-                                     h * np.dot(D, K)])
-        x = (t - t_old) / h
-        y = np.zeros_like(y_old)
-        for k, f in enumerate(F[::-1]):
-            y += f
-            y *= x if k % 2 == 0 else 1 - x
-        return y + y_old
+            return np.broadcast_to(self.y[:, 0], t.shape + (len(self.y),)).copy()
+        out = np.empty(t.shape + (len(self._steps[0][2]),))
+        # the step holding a time counts the inner step boundaries before it
+        steps = np.searchsorted(self.t[1:-1], t) if i is None else None
+        groups = [i] if i is not None else sorted(set(np.ravel(steps).tolist()))
+        for i in groups:
+            step = self._steps[i]
+            t_old, h, y_old, y_new, K, F = step
+            if F is None:
+                for s in (13, 14, 15):
+                    K[s] = self._fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, A[s, :s]) * h)
+                self.nfev += 3
+                dy = y_new - y_old
+                F = step[5] = np.vstack([dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0]),
+                                         h * np.dot(D, K)])
+            rows = ... if len(groups) == 1 else steps == i
+            x = (t[rows] - t_old) / h
+            x = x[..., None] if x.ndim else x   # a scalar stays one: numpy's fast path
+            x, y = (x, 1 - x), np.zeros(x.shape[:-1] + y_old.shape)
+            for k, f in enumerate(F[::-1]):
+                y += f
+                y *= x[k % 2]
+            out[rows] = y + y_old
+        return out
 
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol, first_step=None, events=()):

@@ -144,16 +144,24 @@ class GeodesicFan:
     def dense_state(self, b, s):
         """Member ``b``'s block of the dense state at arc length ``s``, clamped
         to its path, by the last segment holding b from before it, whose last
-        step spans b's root."""
-        t = min(max(s / self.speeds[b], 0.0), self.t_ends[b])
-        sol, members = [(sol, members) for sol, members in self.segments
-                        if b in members and sol.t[0] <= t][-1]
-        n, j = len(sol.y) // len(members), members.index(b)
-        return sol.sol(t)[n * j:n * (j + 1)]
+        step spans b's root. Arrays b and s, broadcast together, read a row
+        per pair, each bit for bit its point's, with one ``sol`` call per
+        segment."""
+        b, s = np.broadcast_arrays(b, s)
+        t = np.clip(s / self.speeds[b], 0.0, self.t_ends[b])
+        first, members = self.segments[0]
+        n = len(first.y) // len(members)
+        out = np.empty(t.shape + (n,))
+        for sol, members in self.segments:   # members in increasing order
+            at = np.isin(b, members) & (t >= sol.t[0])
+            block = n * np.searchsorted(members, b[at])[:, None] + np.arange(n)
+            out[at] = np.take_along_axis(sol.sol(t[at]), block, axis=1)
+        return out
 
     def state_at(self, b, s):
-        """(x, u) of member ``b`` at arc length ``s``, clamped to its path."""
-        return np.split(self.dense_state(b, s)[:2 * self.metric.dim], 2)
+        """(x, u) of member ``b`` at arc length ``s``, clamped to its path: for
+        arrays b and s, the rows of ``dense_state``."""
+        return np.split(self.dense_state(b, s)[..., :2 * self.metric.dim], 2, axis=-1)
 
 
 def integrate_geodesic(m: MetricDef, x0, u0, length) -> GeodesicFan:
@@ -547,15 +555,17 @@ class JacobiField:
     """Dense Jacobi field J = Y_x c along a geodesic, the one-member fan
     ``path`` whose dense state is (x, u, Y_x, Y_v): the fundamental system of
     the linearized geodesic flow, with J = dx = Y_x c and dx' = Y_v c in
-    affine time. Called at arc length s, it returns (J, dJ/ds), the form
-    ``index_form`` takes, from one ``path.dense_state`` evaluation."""
+    affine time. Called at an arc length s, or an array of them, it returns
+    (J, dJ/ds), vectors or their rows, the form ``index_form`` takes, from
+    one ``path.dense_state`` read."""
 
     path: GeodesicFan
     c: np.ndarray
 
     def __call__(self, s):
         d = self.path.metric.dim
-        J, dJ = self.path.dense_state(0, s)[2 * d:].reshape(2, d, -1) @ self.c
+        Y = self.path.dense_state(0, s)[..., 2 * d:]
+        J, dJ = np.moveaxis(Y.reshape(Y.shape[:-1] + (2, d, -1)) @ self.c, -2, 0)
         return J, dJ / self.path.speeds[0]
 
 
@@ -697,15 +707,18 @@ class IndexFormResult:
 def index_form(path: GeodesicFan, xi, eta) -> IndexFormResult:
     """Morse index form I(xi, eta) along a normal geodesic, a one-member fan.
 
-    A field is a callable of the arc parameter s returning (V, dV/ds), its
-    value and coordinate derivative; a ``JacobiField`` is one. Quadrature is
-    composite Gauss-Legendre over 12 panels, its error estimated from 6. One
-    stacked ``cartan`` call gives g_T, R and N at (x, T) at the 72 nodes, the
-    fine rule's first, each row bit for bit its node's: a degenerate node is
-    named as a loop over the nodes meets it. D_T V = dV/ds + N V. Both V and
-    D_T V lose their component along T: projecting commutes with D_T, since
-    D_T T = 0 along a geodesic. A field is read once per node when xi and
-    eta are the same callable; each rule adds its terms in node order.
+    A field is a callable of an array of arc lengths s returning (V, dV/ds),
+    its values and coordinate derivatives as rows; a ``JacobiField`` is one.
+    Quadrature is composite Gauss-Legendre over 12 panels, its error
+    estimated from 6. One read of the path gives (x, T) at the 72 nodes, the
+    fine rule's first, and one stacked ``cartan`` call g_T, R and N there,
+    each row bit for bit its node's: a degenerate node is named as a loop
+    over the nodes meets it. D_T V = dV/ds + N V. Both V and D_T V lose their
+    component along T: projecting commutes with D_T, since D_T T = 0 along a
+    geodesic. Each field is read once, at all the nodes, and once in all
+    when xi and eta are the same callable. The integrand is formed at all
+    the nodes at once by stacked products, each node's bit for bit as on
+    its own; each rule adds its terms in node order.
     """
     if not path.normal[0]:
         raise ConfigurationError("the index form is defined along normal paths")
@@ -717,23 +730,24 @@ def index_form(path: GeodesicFan, xi, eta) -> IndexFormResult:
         for a, b in zip(edges, edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             rule += [(n_panels, mid + half * t, w * half) for t, w in zip(nodes, weights)]
-    data = cartan(path.metric, *map(np.array, zip(*(path.state_at(0, s) for _, s, _ in rule))))
+    S = np.array([s for _, s, _ in rule])
+    data = cartan(path.metric, *path.state_at(0, S))
+    T, g = data.u, data.g
 
-    def integrand(k, s):
-        T, g = data.u[k], data.g[k]
+    def form(a, b):   # a^T g b at each node, each row's products as at a point's
+        return (a[:, None, :] @ g @ b[:, :, None])[:, 0, 0]
 
-        def across(f):
-            V, dV = (np.asarray(a, dtype=float) for a in f(s))
-            return [v - (float(v @ g @ T) / float(T @ g @ T)) * T
-                    for v in (V, dV + data.nonlinear[k] @ V)]
+    def across(f):
+        V, dV = (np.asarray(a, dtype=float) for a in f(S))
+        return [v - (form(v, T) / form(T, T))[:, None] * T
+                for v in (V, dV + (data.nonlinear @ V[:, :, None])[..., 0])]
 
-        xv, dx = across(xi)
-        ev_, de = (xv, dx) if xi is eta else across(eta)
-        return float(dx @ g @ de) - float((data.riemann[k] @ xv) @ g @ ev_)
-
+    xv, dx = across(xi)
+    ev_, de = (xv, dx) if xi is eta else across(eta)
+    values = form(dx, de) - form((data.riemann @ xv[:, :, None])[..., 0], ev_)
     totals = {12: 0.0, 6: 0.0}
-    for k, (n_panels, s, weight) in enumerate(rule):
-        totals[n_panels] += weight * integrand(k, s)
+    for (n_panels, _, weight), value in zip(rule, values.tolist()):
+        totals[n_panels] += weight * value
     fine, coarse = totals[12], totals[6]
     return IndexFormResult(value=fine, quadrature_error=abs(fine - coarse))
 

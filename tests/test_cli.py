@@ -206,6 +206,18 @@ def test_cmd_geodesic_output_is_pinned(tmp_path):
     assert digest.hexdigest() == "bba92cb5ce227a50c2a67406260a891ac20c0607823dd20cc063e49ddc6c94f2"
 
 
+def test_cmd_geodesic_metadata_counts_the_dense_output(tmp_path):
+    # the payload's nfev is the integration's, counted before the 65 reads of
+    # path.csv build the 3 dense-output stages of every step; the metadata
+    # holds the total, 98 + 3 * 8 on the disk from the origin to arc 0.7
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {**GEODESIC_CONFIG, "metrics": [_DISK]})
+    assert main(["geodesic", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads((out / "geodesic" / _DISK["id"] / "report.json").read_text())
+    payload = doc["payload"]
+    assert (payload["nfev"], payload["steps"], doc["metadata"]["rhs_evaluations"]) == (98, 8, 122)
+
+
 def test_cmd_distance_rho_column_is_pinned(tmp_path):
     # the rho column comes from plain shots, which the Levi samples' Hessian
     # queries never move: distance.csv of the disk, the ball, a Minkowski

@@ -142,6 +142,48 @@ def test_dense_output_matches_scipys(monkeypatch):
             assert np.abs(ours.sol(t) - ref.sol(t)).max() <= 1e-15 * scale
 
 
+def _rotation():
+    """A fresh solution of a linear rotation over several steps, none of
+    whose dense output has been read."""
+    return dop853.solve_ivp(lambda t, y: np.array([y[1], -y[0], 0.5 * y[0]]), (0.0, 6.0),
+                            np.array([1.0, 0.0, 0.0]), rtol=1e-9, atol=1e-12)
+
+
+def test_an_array_read_is_its_point_reads_bit_for_bit():
+    # times inside the steps, on their boundaries, and before and after the
+    # span, read on the first and the last step, in no order and repeated
+    sol = _rotation()
+    inside = sol.t[:-1] + 0.37 * np.diff(sol.t)
+    ts = np.random.default_rng(3).permutation(np.concatenate(
+        [[-1.0, 6.5, 9.0], sol.t, inside, inside[:3]]))
+    assert len(sol.t) > 4
+    rows = sol.sol(ts)
+    assert rows.shape == (len(ts), 3)
+    assert np.array_equal(rows, [sol.sol(t) for t in ts])
+    assert np.array_equal(sol.sol(ts, 1), [sol.sol(t, 1) for t in ts])   # on step 1's output
+    assert sol.sol(ts[:0]).shape == (0, 3)
+
+
+def test_reads_in_any_order_build_each_step_once():
+    points, bulk, few = _rotation(), _rotation(), _rotation()
+    ts = np.concatenate([np.linspace(-0.5, 6.5, 40), points.t[:-1] + 0.5 * np.diff(points.t)])
+    for t in ts:
+        points.sol(t)
+    bulk.sol(ts[::-1])
+    bulk.sol(ts[::3])
+    steps = len(points.t) - 1
+    assert bulk.nfev == points.nfev == few.nfev + 3 * steps
+    few.sol(np.array([0.5 * few.t[1], 0.25 * few.t[1], few.t[-1]]))   # the first and last steps
+    assert few.nfev == points.nfev - 3 * (steps - 2)
+
+
+def test_an_empty_span_reads_its_start_at_every_time():
+    sol = dop853.solve_ivp(lambda t, y: -y, (1.0, 1.0), np.array([1.0, 2.0]), rtol=1e-10,
+                           atol=1e-12)
+    assert np.array_equal(sol.sol(np.array([0.0, 1.0, 2.0])), [[1.0, 2.0]] * 3)
+    assert np.array_equal(sol.sol(1.0), [1.0, 2.0]) and sol.nfev == 1
+
+
 @pytest.mark.parametrize("m, segments", [(SMALL_DISK, 1), (SMALL_SZABO, 2)],
                          ids=["small_disk", "small_szabo"])
 def test_exit_times_match_scipys_brentq_roots(monkeypatch, m, segments):

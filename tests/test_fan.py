@@ -114,6 +114,23 @@ def test_a_member_that_leaves_the_domain_ends_alone(name, segments, rhs):
     assert got.k_sup == pytest.approx(k_sup, rel=1e-6)
 
 
+@pytest.mark.parametrize("name, segments", [("small_disk", 1), ("small_szabo", 2)])
+def test_a_fan_read_in_bulk_is_its_point_reads_bit_for_bit(name, segments):
+    # the members are truncated, and the polydisk's restart in a second
+    # segment; arc lengths past a member's end are clamped to its own root
+    m, plan, _, _ = _integrated(name)
+    points, bulk = _fan(m, plan), _fan(m, plan)
+    members = np.arange(len(points.arc_lengths))
+    S = np.linspace(0.0, 1.2 * points.arc_lengths.max(), 41)
+    expected = np.array([[points.dense_state(b, s) for s in S] for b in members])
+    assert points.truncated.all() and len(points.segments) == segments
+    for b in members:
+        X, U = bulk.state_at(b, S[::-1])
+        assert np.array_equal(np.concatenate([X, U], axis=1), expected[b, ::-1, :2 * m.dim])
+    assert np.array_equal(bulk.dense_state(members[:, None], S), expected)   # all at once
+    assert bulk.nfev == points.nfev
+
+
 def test_the_first_ill_conditioned_sample_fails_the_fan():
     # the stacked connection names the first sample, in fan order, whose
     # fundamental tensor fails the condition gate, as a loop over the

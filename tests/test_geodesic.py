@@ -334,29 +334,32 @@ DISK_U0 = np.array([0.6, 0.8]) / math.sqrt(HYPERBOLIC.value(DISK_X0, np.array([0
 
 
 def _values(field):
-    """The value part of a field that returns (V, dV/ds), for ``fd_index_form``."""
-    return lambda t: field(t)[0]
+    """The value at one arc length of a field that returns the rows (V, dV/ds)
+    at an array of them, for ``fd_index_form``."""
+    return lambda t: field(np.array([t]))[0][0]
 
 
 def test_index_form_flat_linear_field():
     r = 2.0
     path = integrate_geodesic(EUCLID2, np.zeros(4), np.array([1.0, 0, 0, 0]), r)
     e = np.array([0.0, 1.0, 0.0, 0.0])
-    xi = lambda t: ((t / r) * e, e / r)
+    xi = lambda t: (np.outer(t / r, e), np.broadcast_to(e / r, (len(t), 4)))
     out = index_form(path, xi, xi)
     assert out.value == pytest.approx(1.0 / r, abs=1e-9)
     assert out.quadrature_error < 1e-9
     assert out.value == pytest.approx(fd_index_form(path, _values(xi), _values(xi)), abs=1e-7)
     disk = integrate_geodesic(HYPERBOLIC, DISK_X0, DISK_U0, 1.0)
-    lin = lambda t: (t * np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    lin = lambda t: (np.outer(t, [0.0, 1.0]), np.broadcast_to([0.0, 1.0], (len(t), 2)))
     assert index_form(disk, lin, lin).value == pytest.approx(
         fd_index_form(disk, _values(lin), _values(lin)), abs=1e-7)
 
 
 def test_index_form_symmetry_and_projection():
     r = 1.5
-    xi = lambda t: (np.array([0.2 * t, (t / r) ** 2]), np.array([0.2, 2 * t / r ** 2]))
-    eta = lambda t: (np.array([-0.1 * t * t, math.sin(t)]), np.array([-0.2 * t, math.cos(t)]))
+    xi = lambda t: (np.stack([0.2 * t, (t / r) ** 2], axis=1),
+                    np.stack([np.full_like(t, 0.2), 2 * t / r ** 2], axis=1))
+    eta = lambda t: (np.stack([-0.1 * t * t, np.sin(t)], axis=1),
+                     np.stack([-0.2 * t, np.cos(t)], axis=1))
     for x0, u0 in ((np.zeros(2), np.array([1.0, 0.0])), (DISK_X0, DISK_U0)):
         path = integrate_geodesic(HYPERBOLIC, x0, u0, r)
         a = index_form(path, xi, eta)
@@ -367,9 +370,8 @@ def test_index_form_symmetry_and_projection():
         # the tangential component is projected away; d/ds of f(s) u(s) is
         # f' u - 2 f G(x, u) along the unit-speed geodesic
         def tang(t, path=path):
-            x, u = path.state_at(0, t)
-            return u * (1 + 0.3 * t), 0.3 * u - 2.0 * (1 + 0.3 * t) * at_point(
-                spray_coefficients, HYPERBOLIC, x, u)
+            (x, u), f = path.state_at(0, t), (1 + 0.3 * t)[:, None]
+            return u * f, 0.3 * u - 2.0 * f * spray_coefficients(HYPERBOLIC, x, u)
 
         c = index_form(path, tang, tang)
         assert abs(c.value) < 1e-9
@@ -762,10 +764,10 @@ def test_jacobi_minimizes_index_form():
 
             def eta(t, a=a, b=b):
                 # competitor with the same endpoints as the Jacobi field
-                e = np.array([0.0, 1.0])
-                return (J_r * (t / r) ** a + math.sin(math.pi * t / r) * b * e,
+                e, t = np.array([0.0, 1.0]), t[:, None]
+                return (J_r * (t / r) ** a + np.sin(math.pi * t / r) * b * e,
                         J_r * a * (t / r) ** (a - 1) / r
-                        + math.cos(math.pi * t / r) * math.pi / r * b * e)
+                        + np.cos(math.pi * t / r) * math.pi / r * b * e)
 
             i_eta = index_form(path, eta, eta).value
             assert i_eta == pytest.approx(fd_index_form(path, _values(eta), _values(eta)),
@@ -922,7 +924,7 @@ STIFFENING = MetricDef("real", lambda x, u: u[0] * u[0] + u[1] * u[1] * (1.0 + x
 
 def test_index_form_names_its_first_degenerate_node():
     path = integrate_geodesic(STIFFENING, np.zeros(2), np.array([1.0, 0.0]), 3.0)
-    lin = lambda t: (t * np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    lin = lambda t: (np.outer(t, [0.0, 1.0]), np.broadcast_to([0.0, 1.0], (len(t), 2)))
 
     # the loop the stacked connection replaced: a cartan call per node, the
     # fine rule's nodes first, then the coarse rule's
@@ -945,7 +947,7 @@ def test_index_form_names_its_first_degenerate_node():
 def test_index_form_takes_one_stacked_connection(monkeypatch):
     # 72 rows in one cartan call, whether or not xi is eta
     path = integrate_geodesic(HYPERBOLIC, DISK_X0, DISK_U0, 1.0)
-    lin = lambda t: (t * np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    lin = lambda t: (np.outer(t, [0.0, 1.0]), np.broadcast_to([0.0, 1.0], (len(t), 2)))
     calls = []
     monkeypatch.setattr(geodesic, "cartan", lambda m, x, u: calls.append(len(x)) or cartan(m, x, u))
     for eta in (lin, lambda t: lin(t)):

@@ -167,6 +167,38 @@ def test_no_loop_takes_the_connection_point_by_point():
     assert _per_point_connections(SRC) == []
 
 
+def _point_by_point_reads(src):
+    """(module, line) of each read of a path (``state_at``, ``dense_state``,
+    ``sol``) in a loop or a comprehension of ``src`` whose time argument
+    names a target of that loop."""
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    time_argument = {"sol": 0, "state_at": 1, "dense_state": 1}
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(loop, loops):
+                continue
+            targets = [loop.target] if isinstance(loop, ast.For) else [
+                gen.target for gen in loop.generators]
+            bound = {node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)}
+            for call in ast.walk(loop):
+                if not isinstance(call, ast.Call):
+                    continue
+                k = time_argument.get(ast.unparse(call.func).split(".")[-1])
+                if k is not None and len(call.args) > k and bound & {
+                        node.id for node in ast.walk(call.args[k]) if isinstance(node, ast.Name)}:
+                    found.add((path.name, call.lineno))
+    return sorted(found)
+
+
+def test_no_loop_reads_a_path_point_by_point():
+    # a dense output reads an array of times in one call, grouped by segment
+    # and step, each row bit for bit its time's; a loop that reads one time
+    # per pass pays the call's overhead per point
+    assert _point_by_point_reads(SRC) == []
+
+
 def _callers(tree, test):
     """The top-level functions of ``tree`` holding a node that passes ``test``,
     once per node."""
