@@ -14,10 +14,11 @@ Jacobian predicts lands closer. Shooting is inexact Newton with exact
 Jacobians, Y_x(1) / rho of shots that carry the Jacobi fields: trial shots
 from an iterate far from the target integrate at loose tolerances, and
 every returned iterate, so every distance, comes from a tight integration.
-Integrations run on the package's own DOP853 (``dop853``), which
-builds dense output only for the steps a caller reads. Each shot of a solver
-starts where the solver's last shot of the same kind left off, scaled to arc
-length, in place of the initial-step probe.
+Every integration, plain or with Jacobi fields, is one call of ``_integrate``
+on the package's own DOP853 (``dop853``), which builds dense output only for
+the steps a caller reads. Each shot of a solver starts where the solver's
+last shot of the same kind left off, scaled to arc length, in place of the
+initial-step probe.
 A Hessian query (``rho(q, hessian=True)``, ``distance_hessian``) returns
 the system of the shot that landed, which carried the Jacobi fields; the
 arc-length Jacobi system along a plain shot (``hessian_rho``) checks it.
@@ -44,47 +45,58 @@ from .cartan import cartan, spray_coefficients, spray_jacobian
 from .dop853 import solve_ivp
 from .errors import SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError
 from .geometry import MetricDef, unit_directions
+from .jets import Jet
 
 
 _EXIT_MARGIN = 1e-9   # domain margin at which an integrated geodesic stops
+PATH_RTOL, PATH_ATOL = 1e-11, 1e-13   # tolerances of a plain path (``integrate_geodesic``)
 
 
-def _domain_events(m, x0):
-    """Terminal events at domain margin ``_EXIT_MARGIN``, one for the (x, u)
-    block of each row of x0 (k, d) in a stacked state; none on an unbounded
-    domain."""
-    if m.domain.kind == "all" or not math.isfinite(m.domain.margin(x0[0])):
-        return []
-    d = m.dim
-    return [lambda t, y, j=j: m.domain.margin(y[2 * d * j:2 * d * j + d]) - _EXIT_MARGIN
-            for j in range(len(x0))]
-
-
-def _integrate_affine(m, x0, u0, t_end, *, rtol=1e-11, atol=1e-13, t0=0.0, first_step=None):
-    """DOP853 solution of the geodesic flow from (x0, u0) at affine time t0
-    to t_end, stopped where the domain margin falls to ``_EXIT_MARGIN``.
-
-    Rows x0, u0 of shape (k, d) integrate k geodesics as one stacked state,
-    (x, u) block j for row j, a point (d,) being one row, with one batched
-    spray per right-hand side and one exit event per block. The tolerances
-    are then divided by sqrt(k), which bounds the stacked RMS error norm by
-    each member's. A ``first_step`` is capped at the time to integrate.
-    """
+def _integrate(m, x0, u0, t_end, *, Y0=None, rtol, atol, t0=0.0, first_step=None):
+    """``(sol, readout)``: the DOP853 solution from rows (x0, u0) of shape
+    (k, d), a point being one row, at affine time t0 to t_end, as one stacked
+    state whose block j is row j's (x, u), followed, where variations Y0 of
+    shape (k, 2d, c) are given, a row's (2d, c) being one, by its columns
+    Y = (dx, dx'): the variational equations dx'' = -2 dS (dx, dx'),
+    dS = dG/d(x, u), in the trajectory's own state (Hairer, Norsett & Wanner,
+    Solving ODEs I, sec. I.14). A plain right-hand side is one
+    ``spray_coefficients`` call; a variational one is one order-3
+    ``real_rows`` replay and one stacked ``spray_jacobian``, whose rows
+    (g, dS) at the end state are the ``readout`` (None for a plain one).
+    Each block stops at its own exit event, where its domain margin falls to
+    ``_EXIT_MARGIN``. ``rtol`` and ``atol``, scalars or arrays of the state's
+    shape, are divided by sqrt(k), which bounds the stacked RMS error norm by
+    each block's. A ``first_step`` is capped at the time to integrate."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     u0 = np.atleast_2d(np.asarray(u0, dtype=float))
     d, k = m.dim, len(x0)
+    y0 = np.concatenate([x0, u0] if Y0 is None else [x0, u0, np.reshape(Y0, (k, -1))], axis=1)
+    n, sp = y0.shape[1], m.fibre_space(3, 2)
+    last = [None]   # the state of the latest variational right-hand side, with its g and dS
 
     def rhs(t, y):
-        Y = y.reshape(k, 2 * d)
-        S = spray_coefficients(m, Y[:, :d], Y[:, d:])
-        return np.concatenate([Y[:, d:], -2.0 * S], axis=1).ravel()
+        Z = y.reshape(k, n)
+        x, u = Z[:, :d], Z[:, d:2 * d]
+        if Y0 is None:
+            return np.concatenate([u, -2.0 * spray_coefficients(m, x, u)], axis=1).ravel()
+        g, _, spray, dS = spray_jacobian(Jet(sp, m.real_rows(x, u, sp)), u)
+        last[0] = (y, g, dS)
+        Y = Z[:, 2 * d:].reshape(k, 2 * d, -1)
+        return np.concatenate([u, -2.0 * spray, Y[:, d:].reshape(k, -1),
+                               (-2.0 * dS @ Y).reshape(k, -1)], axis=1).ravel()
 
-    sol = solve_ivp(rhs, (t0, t_end), np.concatenate([x0, u0], axis=1).ravel(),
-                    rtol=rtol / math.sqrt(k), atol=atol / math.sqrt(k),
-                    first_step=first_step, events=_domain_events(m, x0))
+    bounded = m.domain.kind != "all" and math.isfinite(m.domain.margin(x0[0]))
+    events = [lambda t, y, j=j: m.domain.margin(y[n * j:n * j + d]) - _EXIT_MARGIN
+              for j in range(k) if bounded]
+    sol = solve_ivp(rhs, (t0, t_end), y0.ravel(), rtol=rtol / math.sqrt(k),
+                    atol=atol / math.sqrt(k), first_step=first_step, events=events)
     if not sol.success:
         raise ShootingError(f"geodesic integration failed: {sol.message}")
-    return sol
+    if Y0 is None:
+        return sol, None
+    if not np.array_equal(last[0][0], sol.y[:, -1]):   # an exit root, or a later dense stage
+        rhs(sol.t[-1], sol.y[:, -1])
+    return sol, last[0][1:]
 
 
 @dataclass
@@ -105,6 +117,11 @@ class GeodesicFan:
     t_ends: np.ndarray
     truncated: np.ndarray
     segments: list
+
+    @classmethod
+    def of_one(cls, m, G0, sol) -> GeodesicFan:
+        """The fan of the one member, of energy G0, that ``sol`` integrated."""
+        return cls(m, np.array([G0]), sol.t[-1:], np.array([sol.status == 1]), [(sol, [0])])
 
     @property
     def speeds(self) -> np.ndarray:
@@ -168,7 +185,7 @@ def integrate_geodesic(m: MetricDef, x0, u0, length) -> GeodesicFan:
     """Geodesics from x0 with the initial velocity u0, or with each row of a
     (B, d) array u0, a velocity (d,) being one row, forward to arc length
     ``length`` > 0 as one stacked state whose right-hand side is one batched
-    spray (``_integrate_affine``).
+    spray (``_integrate``).
 
     A member ends at its own exit root or at its own length. A segment ends
     at its earliest exit root, and every member whose exit event falls in the
@@ -190,8 +207,8 @@ def integrate_geodesic(m: MetricDef, x0, u0, length) -> GeodesicFan:
     x, u = np.broadcast_to(x0, U0.shape), U0
     t0, first_step, segments = 0.0, None, []
     while members:
-        sol = _integrate_affine(m, x, u, float(t_ends[members].max()), t0=t0,
-                                first_step=first_step)
+        sol, _ = _integrate(m, x, u, float(t_ends[members].max()), rtol=PATH_RTOL,
+                            atol=PATH_ATOL, t0=t0, first_step=first_step)
         segments.append((sol, members))
         if sol.status != 1:
             break
@@ -333,31 +350,29 @@ class PoleDistance:
         initial-step probe where there is none; it is counted in ``work``
         before it runs, and its right-hand sides after."""
         m, d, norm = self.m, self.m.dim, float(np.linalg.norm(w))
+        variational = kind == VARIATIONAL
         step = self._steps[kind]
-        if step is None and kind == VARIATIONAL:
+        if step is None and variational:
             step = self._steps[False]
         first_step = None if step is None else step / norm
-        system = None
-        if kind == VARIATIONAL:
+        if variational:
             G0 = m.value(self.pole, w)
             rho, blocks, scale = math.sqrt(G0), (2 * d, 2 * d * d), math.sqrt(1 + d)
-            self.work.update(integrations=1, jacobi_integrations=1)
-            path, readout = _integrate_variational(
-                m, self.pole, w, G0, 1.0, np.concatenate([np.zeros((d, d)), rho * np.eye(d)]),
-                rtol=np.repeat([SHOOT_RTOL, JACOBI_RTOL], blocks) / scale,
-                atol=np.repeat([SHOOT_ATOL, JACOBI_ATOL], blocks) / scale,
-                first_step=first_step, events=_domain_events(m, self.pole[None]))
-            sol = path.segments[0][0]
-            self.work["jacobi_rhs_evaluations"] += sol.nfev
-            if not path.truncated[0]:
-                system = BoundaryJacobiSystem.at_end(path, rho, rho, *readout)
+            Y0 = np.concatenate([np.zeros((d, d)), rho * np.eye(d)])
+            rtol, atol = (np.repeat(tols, blocks) / scale
+                          for tols in ((SHOOT_RTOL, JACOBI_RTOL), (SHOOT_ATOL, JACOBI_ATOL)))
         else:
-            self.work.update(integrations=1, loose_integrations=kind)
-            sol = _integrate_affine(m, self.pole, w, 1.0, rtol=LOOSE_RTOL if kind else SHOOT_RTOL,
-                                    atol=LOOSE_ATOL if kind else SHOOT_ATOL,
-                                    first_step=first_step)
-        self.work["rhs_evaluations"] += sol.nfev
+            Y0, rtol, atol = None, *((LOOSE_RTOL, LOOSE_ATOL) if kind else (SHOOT_RTOL, SHOOT_ATOL))
+        self.work.update(integrations=1, loose_integrations=kind is True,
+                         jacobi_integrations=variational)
+        sol, readout = _integrate(m, self.pole, w, 1.0, Y0=Y0, rtol=rtol, atol=atol,
+                                  first_step=first_step)
+        self.work.update(rhs_evaluations=sol.nfev,
+                         jacobi_rhs_evaluations=sol.nfev if variational else 0)
         self._steps[kind] = sol.h_next * norm
+        system = None
+        if variational and sol.status == 0:
+            system = BoundaryJacobiSystem.at_end(GeodesicFan.of_one(m, G0, sol), rho, rho, readout)
         return sol.y[:2 * d, -1], system
 
     def _landed_system(self, w):
@@ -591,11 +606,12 @@ class BoundaryJacobiSystem:
     g: np.ndarray
 
     @classmethod
-    def at_end(cls, path, r, speed, g, dS) -> BoundaryJacobiSystem:
+    def at_end(cls, path, r, speed, readout) -> BoundaryJacobiSystem:
         """The system at the end of ``path``, integrated from Y(0) = (0, speed I)
-        with (g, dS) read at its end state (``_integrate_variational``):
+        with the one-row ``readout`` (g, dS) at its end state (``_integrate``):
         M = Y_x, W = (Y_u + N M) / speed and T = u / speed, N = dS/du."""
         d = path.metric.dim
+        g, dS = (rows[0] for rows in readout)
         y = path.segments[0][0].y[:, -1]
         M, Yu = y[2 * d:].reshape(2, d, d)
         return cls(path=path, r=r, M=M, W=(Yu + dS[:, d:] @ M) / speed,
@@ -626,52 +642,20 @@ class BoundaryJacobiSystem:
         return P.T @ self.g @ self.W @ M_inv_P
 
 
-def _integrate_variational(m: MetricDef, x0, u0, G0, t_end, Y0, *, rtol, atol,
-                           first_step=None, events=()):
-    """The geodesic from (x0, u0), of energy G0, and the variations of it with
-    initial data the columns of Y0 = (dx(0), dx'(0)), a (2d, k) array,
-    integrated together to time t_end as one state (x, u, Y): the variational
-    equations in the trajectory's own state (Hairer, Norsett & Wanner,
-    Solving ODEs I, sec. I.14). Each right-hand side reads S and
-    dS = dG/d(x, u) from one order-3 jet; S moves (x, u) and
-    dx'' = -2 dS (dx, dx') moves Y. Returns the one-member fan of the DOP853
-    solution and (g, dS) at its end state, as the last right-hand side read them."""
-    d = m.dim
-    sp = m.fibre_space(3, 2)
-    last = [None]   # the state of the latest right-hand side, with its g and dS
-
-    def rhs(t, y):
-        u = y[d:2 * d]
-        g, _, spray, dS = spray_jacobian(m.real_jet(y[:d], u, sp), u)
-        last[0] = (y, g, dS)
-        Y = y[2 * d:].reshape(2 * d, -1)
-        return np.concatenate([u, -2.0 * spray, Y[d:].ravel(), (-2.0 * dS @ Y).ravel()])
-
-    sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([x0, u0, np.ravel(Y0)]), rtol=rtol,
-                    atol=atol, first_step=first_step, events=events)
-    if not sol.success:
-        raise ShootingError(f"Jacobi integration failed: {sol.message}")
-    y, g, dS = last[0]
-    if not np.array_equal(y, sol.y[:, -1]):   # an exit root, or a later dense-output stage
-        rhs(t_end, sol.y[:, -1])
-        _, g, dS = last[0]
-    path = GeodesicFan(metric=m, energies=np.array([G0]), t_ends=sol.t[-1:],
-                       truncated=np.array([sol.status == 1]), segments=[(sol, [0])])
-    return path, (g, dS)
-
-
 def _integrate_jacobi(m: MetricDef, x0, u0, r, Y0, *, first_step=None):
     """The unit-speed geodesic from (x0, u0) and its variations with initial
     data Y0 to arc length r, at the Jacobi tolerances: the one-member fan and
-    the (g, dS) at its end of ``_integrate_variational``. A ``first_step``,
-    in arc length, is capped at r."""
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
+    the (g, dS) rows at its end of ``_integrate``. A ``first_step``, in arc
+    length, is capped at r. Raises ``ShootingError`` where the geodesic
+    stops at the domain's edge before r."""
     G0 = m.value(x0, u0)
     if not abs(G0 - 1.0) < 1e-9:
         raise ConfigurationError("Jacobi fields are integrated along normal paths")
-    return _integrate_variational(m, x0, u0, G0, r, Y0, rtol=JACOBI_RTOL, atol=JACOBI_ATOL,
-                                  first_step=first_step)
+    sol, readout = _integrate(m, x0, u0, r, Y0=Y0, rtol=JACOBI_RTOL, atol=JACOBI_ATOL,
+                              first_step=first_step)
+    if sol.status == 1:
+        raise ShootingError(f"the Jacobi fields from {x0} stopped at the domain's edge before {r}")
+    return GeodesicFan.of_one(m, G0, sol), readout
 
 
 def jacobi_field(m: MetricDef, x0, u0, r, J0, dJ0) -> JacobiField:
@@ -695,7 +679,7 @@ def jacobi_boundary_field(m: MetricDef, x0, u0, r, *, first_step=None) -> Bounda
     path, readout = _integrate_jacobi(m, x0, u0, r,
                                       np.concatenate([np.zeros((d, d)), np.eye(d)]),
                                       first_step=first_step)
-    return BoundaryJacobiSystem.at_end(path, r, 1.0, *readout)
+    return BoundaryJacobiSystem.at_end(path, r, 1.0, readout)
 
 
 @dataclass

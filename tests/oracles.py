@@ -982,10 +982,10 @@ def covariant_d2_rho(m, pd, x, w, base, conn_T, power=1) -> float:
     shooting tolerance over h^2 plus the O(h^4) truncation.
     """
     from finsler.cartan import spray_coefficients
-    from finsler.geodesic import SHOOT_ATOL, SHOOT_RTOL, _integrate_affine
+    from finsler.geodesic import SHOOT_ATOL, SHOOT_RTOL, _integrate
 
     h = _stencil_step(m, x, base.value)
-    fwd = _integrate_affine(m, x, w, h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
+    fwd, _ = _integrate(m, x, w, h, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
 
     def flow(t, y):
         S = spray_coefficients(m, y[None, :m.dim], y[None, m.dim:])[0]
@@ -1023,14 +1023,14 @@ def fd_shooting_jacobian(pd, w):
     nor its step slots. Independent of the variational equations behind
     ``PoleDistance``'s Jacobians; its error is h/2 times the second
     derivative of x(1) plus twice the shooting tolerance over h."""
-    from finsler.geodesic import SHOOT_ATOL, SHOOT_RTOL, _integrate_affine
+    from finsler.geodesic import SHOOT_ATOL, SHOOT_RTOL, _integrate
 
     w = np.asarray(w, dtype=float)
     d, h = w.size, FD_SHOOTING_STEP * (1.0 + float(np.linalg.norm(w)))
 
     def x1(v):
-        return _integrate_affine(pd.m, pd.pole, v, 1.0, rtol=SHOOT_RTOL,
-                                 atol=SHOOT_ATOL).y[:d, -1]
+        return _integrate(pd.m, pd.pole, v, 1.0, rtol=SHOOT_RTOL,
+                          atol=SHOOT_ATOL)[0].y[:d, -1]
 
     x0 = x1(w)
     return np.stack([(x1(w + h * e) - x0) / h for e in np.eye(d)], axis=1)

@@ -1193,14 +1193,15 @@ def test_replay_reads_the_non_finite_values_a_report_writes(tmp_path, capsys, va
 
 def test_cmd_distance_builds_one_hessian_per_point(tmp_path, monkeypatch):
     from finsler import geodesic
-    real = geodesic._integrate_variational
+    real = geodesic._integrate
     calls = []
 
     def counted(*args, **kw):
-        calls.append(1)
+        if kw.get("Y0") is not None:
+            calls.append(1)
         return real(*args, **kw)
 
-    monkeypatch.setattr(geodesic, "_integrate_variational", counted)
+    monkeypatch.setattr(geodesic, "_integrate", counted)
     p = _disk_distance_config(tmp_path)
     assert main(["distance", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
     # two points, two directions each: one landing shot with its Jacobi fields a point
@@ -1238,8 +1239,8 @@ def test_cmd_check_summary_counts_samples(tmp_path, capsys):
 def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
     from finsler import geodesic
     from finsler.geodesic import PoleDistance
-    rho, shoot, integrate = PoleDistance.rho, PoleDistance._shoot, geodesic._integrate_affine
-    gauss_newton, integrate_jacobi = PoleDistance._gauss_newton, geodesic._integrate_variational
+    rho, shoot, integrate = PoleDistance.rho, PoleDistance._shoot, geodesic._integrate
+    gauss_newton = PoleDistance._gauss_newton
     solves, shots, nfev, starts, jacobi_nfev = [], [], [], [], []
 
     def counted_rho(self, q, **kwargs):
@@ -1255,19 +1256,13 @@ def test_cmd_distance_reports_shooting_cost(tmp_path, monkeypatch, capsys):
         return shoot(self, w, kind)
 
     def counted_integration(*args, **kwargs):
-        sol = integrate(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    def counted_jacobi(*args, **kwargs):
-        sol, readout = integrate_jacobi(*args, **kwargs)
-        jacobi_nfev.append(sol.nfev)
+        sol, readout = integrate(*args, **kwargs)
+        (nfev if readout is None else jacobi_nfev).append(sol.nfev)
         return sol, readout
 
     monkeypatch.setattr(PoleDistance, "rho", counted_rho)
-    monkeypatch.setattr(geodesic, "_integrate_variational", counted_jacobi)
     monkeypatch.setattr(PoleDistance, "_shoot", counted_shoot)
-    monkeypatch.setattr(geodesic, "_integrate_affine", counted_integration)
+    monkeypatch.setattr(geodesic, "_integrate", counted_integration)
     monkeypatch.setattr(PoleDistance, "_gauss_newton", counted_start)
     p = _szabo_distance_config(tmp_path)
     out = tmp_path / "out"

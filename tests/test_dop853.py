@@ -241,7 +241,8 @@ def test_a_nan_right_hand_side_ends_in_scipys_too_small_step(monkeypatch):
     pairs = _twins(monkeypatch)
     with pytest.raises(ShootingError, match="Required step size is less than spacing between "
                                             "numbers"):
-        geodesic._integrate_affine(DISK, np.zeros(2), np.array([1.0, 0.5]), 1.0)
+        geodesic._integrate(DISK, np.zeros(2), np.array([1.0, 0.5]), 1.0,
+                            rtol=geodesic.PATH_RTOL, atol=geodesic.PATH_ATOL)
     (ours, ref, _), = pairs
     assert ours.status == ref.status == -1 and ours.message == ref.message
     assert ours.nfev == ref.nfev
@@ -258,7 +259,8 @@ def test_a_sample_error_in_the_right_hand_side_propagates_as_it_is(monkeypatch):
 
     monkeypatch.setattr(geodesic, "spray_coefficients", failing)
     with pytest.raises(DomainError) as info:
-        geodesic._integrate_affine(DISK, np.zeros(2), np.array([1.0, 0.5]), 1.0)
+        geodesic._integrate(DISK, np.zeros(2), np.array([1.0, 0.5]), 1.0,
+                            rtol=geodesic.PATH_RTOL, atol=geodesic.PATH_ATOL)
     assert info.value is raised and len(calls) == 20
 
 

@@ -78,6 +78,41 @@ def test_fan_members_follow_their_single_geodesics(name):
             assert np.abs(x - x_ref).max() < 1e-9 and np.abs(u - u_ref).max() < 1e-9, (b, s)
 
 
+@pytest.mark.parametrize("name", ["disk", "ball", "small_disk"])
+def test_variational_members_follow_their_one_member_runs(name):
+    # three members, each with its Jacobi block Y(0) = (0, I), as one stacked
+    # state: a member that stays inside ends where its one-member run does,
+    # within 1e-9 relative, and the readout rows are spray_jacobian's at the
+    # end states, bit for bit. Each block has its own exit event, at the
+    # stride of (x, u, Y): on the small disk the fastest member, the middle
+    # one, stops the integration at its own edge, at its own run's root
+    m = _integrated(name)[0]
+    d, sp = m.dim, m.fibre_space(3, 2)
+    x0 = np.zeros((3, d))
+    dirs = unit_directions(3, d, 7)
+    u0 = dirs / np.sqrt(m.value(x0, dirs))[:, None] * np.array([[0.5], [1.0], [0.7]])
+    Y0 = np.stack([np.concatenate([np.zeros((d, d)), np.eye(d)])] * 3)
+    tols = {"rtol": geodesic.JACOBI_RTOL, "atol": geodesic.JACOBI_ATOL}
+    sol, (g, dS) = geodesic._integrate(m, x0, u0, 0.4, Y0=Y0, **tols)
+    assert [bool(roots) for roots in sol.t_events] == [False, name == "small_disk", False]
+    assert sol.t[-1] == pytest.approx(0.34 if name == "small_disk" else 0.4, abs=0.01)
+    ends = sol.y[:, -1].reshape(3, -1)
+    for b in range(3):
+        point = geodesic.spray_jacobian(m.real_jet(ends[b, :d], ends[b, d:2 * d], sp),
+                                        ends[b, d:2 * d])
+        assert g[b].tobytes() == point[0].tobytes() and dS[b].tobytes() == point[3].tobytes()
+        exits = bool(sol.t_events[b])
+        one, _ = geodesic._integrate(m, x0[b], u0[b], 0.4 if exits else sol.t[-1], Y0=Y0[b],
+                                     **tols)
+        if exits:
+            assert abs(m.domain.margin(ends[b, :d]) - 1e-9) < 1e-12
+            assert one.status == 1 and one.t[-1] == pytest.approx(sol.t[-1], rel=1e-6)
+        else:
+            assert one.status == 0
+            want = one.y[:, -1]
+            assert np.abs(ends[b] - want).max() <= 1e-9 * np.abs(want).max(), b
+
+
 @pytest.mark.parametrize("name, segments, rhs", [
     ("small_disk", [[0, 1, 2, 3]], 973), ("small_szabo", [[0, 1, 2, 3], [1, 2]], 941)],
     ids=["small_disk", "small_szabo"])

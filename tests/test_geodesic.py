@@ -19,11 +19,12 @@ from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointErr
                             DegenerateMetricError, DomainError, ShootingError)
 from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, VARIATIONAL, BoundaryJacobiSystem,
                               IndexFormResult, PoleDistance,
-                              _integrate_affine, distance_hessian,
+                              _integrate, distance_hessian,
                               hessian_rho, index_form,
                               integrate_geodesic, jacobi_field,
                               jacobi_boundary_field)
-from finsler.geometry import MetricDef, realify_metric
+from finsler.geometry import Domain, MetricDef, realify_metric
+from finsler.jets import JetSpace
 from finsler.metrics import instantiate
 
 from oracles import (at_point, ball_distance, covariant_boundary_form, covariant_d2_rho,
@@ -235,15 +236,16 @@ def test_one_shot_landing_caches_no_jacobian():
 
 
 def _record_first_steps(monkeypatch):
-    """Record the ``first_step`` of each ``_integrate_affine`` call, so a test
-    can integrate a shot again exactly as the solver did."""
+    """Record the ``first_step`` of each plain ``_integrate`` call (no
+    ``Y0``), so a test can integrate a shot again exactly as the solver did."""
     steps = []
 
     def recorded(*args, first_step=None, **kwargs):
-        steps.append(first_step)
-        return _integrate_affine(*args, first_step=first_step, **kwargs)
+        if kwargs.get("Y0") is None:
+            steps.append(first_step)
+        return _integrate(*args, first_step=first_step, **kwargs)
 
-    monkeypatch.setattr(geodesic, "_integrate_affine", recorded)
+    monkeypatch.setattr(geodesic, "_integrate", recorded)
     return steps
 
 
@@ -253,8 +255,8 @@ def test_arriving_tangent_is_the_converged_shot(monkeypatch):
     r = pd.rho(OFF_Q)
     assert r.work["integrations"] > 1   # Gauss-Newton iterated before converging
     # the accepted shot is the last integration
-    sol = _integrate_affine(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
-                            atol=SHOOT_ATOL, first_step=steps[-1])
+    sol, _ = _integrate(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
+                        atol=SHOOT_ATOL, first_step=steps[-1])
     u_end = sol.y[2:, -1]
     assert np.array_equal(r.T, u_end / r.value)
 
@@ -264,6 +266,26 @@ def test_jacobi_flat_linear():
     J = jacobi_field(EUCLID2, np.zeros(4), np.array([1.0, 0, 0, 0]), 2.0, np.zeros(4), e)
     for t in (0.5, 1.0, 2.0):
         assert np.allclose(J(t)[0], t * e, atol=1e-9)
+
+
+def test_arc_length_jacobi_fields_stop_at_the_domains_edge():
+    # the Euclidean unit ball's radius from the origin reaches the exit margin
+    # 1e-9 before arc length 1 - 5e-10, and a system read there would hold an
+    # r that is not its path's arc length; well inside, the exit event leaves
+    # the integration bit for bit as it was without one
+    ball = MetricDef("real", lambda x, u: u[0] * u[0] + u[1] * u[1], dim_real=2,
+                     domain=Domain("ball", 1.0))
+    x0, u0, e = np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    with pytest.raises(ShootingError, match="domain's edge"):
+        jacobi_boundary_field(ball, x0, u0, 0.9999999995)
+    with pytest.raises(ShootingError, match="domain's edge"):
+        jacobi_field(ball, x0, u0, 0.9999999995, np.zeros(2), e)
+    system = jacobi_boundary_field(ball, x0, u0, 0.5)
+    assert (system.path.nfev, system.path.steps, system.path.truncated[0]) == (50, 4, False)
+    half = float.fromhex("0x1.0000000000002p-1")   # 0.5 and two ulps
+    for got, want in ((system.M, half * np.eye(2)), (system.W, np.eye(2)), (system.T, u0),
+                      (system.g, np.eye(2))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_jacobi_hyperbolic_sinh():
@@ -433,13 +455,14 @@ def test_jacobi_system_starts_at_the_shots_settled_step(monkeypatch):
     # after a plain query, a solver's first variational shot starts from
     # the step of its last tight shot (which the variational state may
     # shrink), and that step stays as it was
-    integrate, first_steps = geodesic._integrate_variational, []
+    integrate, first_steps = geodesic._integrate, []
 
     def recorded(*args, first_step=None, **kwargs):
-        first_steps.append(first_step)
+        if kwargs.get("Y0") is not None:
+            first_steps.append(first_step)
         return integrate(*args, first_step=first_step, **kwargs)
 
-    monkeypatch.setattr(geodesic, "_integrate_variational", recorded)
+    monkeypatch.setattr(geodesic, "_integrate", recorded)
     pd = PoleDistance(HYPERBOLIC, np.zeros(2))
     pd.rho(np.array([0.5, -0.2]))
     step = pd._steps[False]
@@ -688,14 +711,16 @@ def test_a_failed_settling_step_returns_the_converged_iterates_system(monkeypatc
     # the settling step's variational shot fails inside its integration: the
     # Hessian query shoots its converged velocity variationally once more and
     # returns that shot's system, and its work adds up to what it integrated
-    integrate, solve, paths, nfev = geodesic._integrate_variational, geodesic.solve_ivp, [], []
+    integrate, solve, paths, nfev = geodesic._integrate, geodesic.solve_ivp, [], []
 
     def settle_fails(*args, **kwargs):
+        if kwargs.get("Y0") is None:
+            return integrate(*args, **kwargs)
         if sys._getframe(2).f_code.co_name == "_trial":   # only the settling trial is variational
             raise ShootingError("injected")
-        path, readout = integrate(*args, **kwargs)
-        paths.append(path)
-        return path, readout
+        sol, readout = integrate(*args, **kwargs)
+        paths.append(sol)
+        return sol, readout
 
     def counted(fun, t_span, y0, **kwargs):
         sol = solve(fun, t_span, y0, **kwargs)
@@ -704,10 +729,11 @@ def test_a_failed_settling_step_returns_the_converged_iterates_system(monkeypatc
 
     fresh = distance_hessian(PoleDistance(HYPERBOLIC, OFF_POLE), OFF_Q)
     monkeypatch.setattr(geodesic, "solve_ivp", counted)
-    monkeypatch.setattr(geodesic, "_integrate_variational", settle_fails)
+    monkeypatch.setattr(geodesic, "_integrate", settle_fails)
     pd = PoleDistance(HYPERBOLIC, OFF_POLE)
     r = pd.rho(OFF_Q, hessian=True)
-    assert r.system.path is paths[-1] and len(paths) == 2   # the first shot and the last
+    # the first shot and the last
+    assert r.system.path.segments[0][0] is paths[-1] and len(paths) == 2
     assert r.work["iterations"] > 0 and r.residual < 3e-12 * (1 + np.linalg.norm(OFF_Q - OFF_POLE))
     # both velocities land within the acceptance residual, which moves H by
     # some 1e-11 relative
@@ -868,21 +894,18 @@ def test_hessian_rho_hyperbolic():
 @pytest.mark.parametrize("m, q", [(HYPERBOLIC, (0.45, -0.3)), (EUCLID2, (0.3, -0.2, 0.1, 0.4))])
 def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
     # order 3: the Jacobi system's right-hand sides and its readout at r, one
-    # real_jet each; order 4: one stacked cartan call over the index form's
-    # 72 nodes, 4 on each of 12 + 6 panels, one real_rows replay whose N the
-    # covariant derivatives reuse
-    real_jet, real_rows, orders, replays = MetricDef.real_jet, MetricDef.real_rows, Counter(), []
-
-    def counted(self, x, u, basis):
-        orders[basis] += 1
-        return real_jet(self, x, u, basis)
+    # one-row real_rows replay each; order 4: one stacked cartan call over
+    # the index form's 72 nodes, 4 on each of 12 + 6 panels, one real_rows
+    # replay whose N the covariant derivatives reuse
+    real_rows, orders, replays = MetricDef.real_rows, Counter(), []
 
     def replayed(self, x, u, basis):
+        if len(x) == 1:
+            orders[basis] += 1
         if basis is m.fibre_space(4, 2):
             replays.append(len(x))
         return real_rows(self, x, u, basis)
 
-    monkeypatch.setattr(MetricDef, "real_jet", counted)
     monkeypatch.setattr(MetricDef, "real_rows", replayed)
     systems = []
     jacobi_boundary_field = geodesic.jacobi_boundary_field
@@ -900,9 +923,11 @@ def test_hessian_rho_reads_n_from_its_connection_data(monkeypatch, m, q):
     path = system.path
     assert path.nfev == stepped + 3 * path.steps
     # each over its reader's kept basis; the readout at r is the last
-    # right-hand side's, so no jet is replayed there
+    # right-hand side's, so no jet is replayed there; the plain query's
+    # one-row replays are of order 2 (its sprays) and 0 (its values)
     assert orders[m.fibre_space(3, 2)] == path.nfev and orders[m.fibre_space(4, 2)] == 0
-    assert sum(orders.values()) == path.nfev
+    assert sum(n for basis, n in orders.items()
+               if JetSpace.of(2 * m.dim, basis).order >= 3) == path.nfev
     assert replays == [72]
 
 
@@ -1118,7 +1143,7 @@ def test_rho_counts_gauss_newton_steps(monkeypatch):
     system = distance_hessian(pd, np.array([0.2, 0.4]))
     # a query whose every integration fails counts each of them: one per
     # start, the nearest cached velocity and the seven of a cold query
-    monkeypatch.setattr(geodesic, "_integrate_affine", outside)
+    monkeypatch.setattr(geodesic, "_integrate", outside)
     with pytest.raises(ShootingError) as info:
         pd.rho(np.array([-0.2, 0.3]))
     assert info.value.work == Counter(starts=8, integrations=8)
@@ -1331,8 +1356,8 @@ def test_gauss_newton_returns_its_last_iterate_after_max_iter(monkeypatch):
     assert system is None   # a plain query's
     assert res > 1e-6   # two Broyden steps do not converge
     # y is the end state of the last integration, a tight one of w
-    sol = _integrate_affine(HYPERBOLIC, np.zeros(2), w, 1.0, rtol=SHOOT_RTOL,
-                            atol=SHOOT_ATOL, first_step=steps[-1])
+    sol, _ = _integrate(HYPERBOLIC, np.zeros(2), w, 1.0, rtol=SHOOT_RTOL,
+                        atol=SHOOT_ATOL, first_step=steps[-1])
     assert np.array_equal(y, sol.y[:, -1])
     assert res == float(np.linalg.norm(y[:2] - q))
 
@@ -1398,8 +1423,8 @@ def test_loose_iterate_below_tol_is_integrated_again_tight(monkeypatch):
     assert not loose and res < 3e-12 * (1 + np.linalg.norm(q - OFF_POLE)) and np.array_equal(w, r.w)
     assert shots[-2][0] and np.array_equal(shots[-2][3], r.w)   # the same w, loose
     assert r.work["integrations"] == 1 + 1 + r.work["iterations"] + 1
-    sol = _integrate_affine(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
-                            atol=SHOOT_ATOL, first_step=steps[-1])
+    sol, _ = _integrate(HYPERBOLIC, OFF_POLE, r.w, 1.0, rtol=SHOOT_RTOL,
+                        atol=SHOOT_ATOL, first_step=steps[-1])
     assert np.array_equal(r.T, sol.y[2:, -1] / r.value)
     assert r.residual == float(np.linalg.norm(sol.y[:2, -1] - q))
 
@@ -1466,14 +1491,15 @@ def test_step_continuation_cuts_the_work_of_a_distance_batch(monkeypatch):
     work, results = _batch_work(monkeypatch)
     with monkeypatch.context() as again:
         assert _batch_work(again)[0] == work
-    integrate = geodesic._integrate_affine
+    integrate = geodesic._integrate
 
     def from_the_probe(*args, first_step=None, **kwargs):
-        return integrate(*args, **kwargs)
+        return integrate(*args, first_step=first_step if kwargs.get("Y0") is not None else None,
+                         **kwargs)
 
     with monkeypatch.context() as cold:
-        # every shot starts from the initial-step probe
-        cold.setattr(geodesic, "_integrate_affine", from_the_probe)
+        # every plain shot starts from the initial-step probe
+        cold.setattr(geodesic, "_integrate", from_the_probe)
         cold_work, cold_results = _batch_work(cold)
     assert work <= 0.85 * cold_work
     _assert_batches_agree(results, cold_results)

@@ -239,9 +239,23 @@ def test_one_method_integrates_every_shot():
                if isinstance(node, ast.ClassDef) and node.name == "PoleDistance")
     calls = sorted((method.name, ast.unparse(node.func)) for method in cls.body
                    if isinstance(method, ast.FunctionDef) for node in ast.walk(method)
-                   if isinstance(node, ast.Call) and ast.unparse(node.func)
-                   in ("_integrate_affine", "_integrate_variational"))
-    assert calls == [("_shoot", "_integrate_affine"), ("_shoot", "_integrate_variational")]
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "_integrate")
+    assert calls == [("_shoot", "_integrate")]
+
+
+def test_one_driver_calls_the_integrator():
+    # geodesic._integrate is the one DOP853 driver, plain or variational; a
+    # second call site would keep its own tolerances, events and failures
+    def integrates(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "solve_ivp"
+
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers = _callers(tree, integrates)
+        assert len(callers) == sum(map(integrates, ast.walk(tree))), path.name
+        sites += [(path.stem, name) for name in callers]
+    assert sites == [("geodesic", "_integrate")]
 
 
 def test_only_schwarz_names_the_lemmas_hypotheses():
