@@ -297,7 +297,8 @@ class PoleDistance:
     converge or end the solve.
 
     Every shot is a ``_shoot`` of one of three kinds: tight, loose, or
-    variational, which carries the Jacobi fields. Every Newton step is a
+    variational, which carries the Jacobi fields; it reaches t = 1 or raises,
+    also where it stops at the domain's edge. Every Newton step is a
     ``_trial``: the first w - lam J^-1 F, lam in its list, whose shot lowers
     the residual. Every Jacobian is the exact dx(1)/dw = Y_x(1) / rho of a
     variational shot of the iterate, taken where a first shot misses with
@@ -344,11 +345,12 @@ class PoleDistance:
         rho = sqrt(G(p, w)), so that Y_x(t) = M(rho t): (x, u) at the
         shooting tolerances and Y at the Jacobi ones, each over sqrt(1 + d),
         which bounds each block's RMS error norm by the stacked one.
-        ``system`` is the path's ``BoundaryJacobiSystem`` at speed rho where a
-        variational shot reached t = 1, else None. The shot starts at the
-        step continued from ``_steps`` (the class docstring), or at the
-        initial-step probe where there is none; it is counted in ``work``
-        before it runs, and its right-hand sides after."""
+        ``system`` is a variational shot's ``BoundaryJacobiSystem`` at speed
+        rho, else None. The shot starts at the step continued from ``_steps``
+        (the class docstring), or at the initial-step probe where there is
+        none; it is counted in ``work`` before it runs, and its right-hand
+        sides and step after. A shot of any kind that stops at its exit root
+        before t = 1 then raises ``ShootingError``."""
         m, d, norm = self.m, self.m.dim, float(np.linalg.norm(w))
         variational = kind == VARIATIONAL
         step = self._steps[kind]
@@ -370,21 +372,15 @@ class PoleDistance:
         self.work.update(rhs_evaluations=sol.nfev,
                          jacobi_rhs_evaluations=sol.nfev if variational else 0)
         self._steps[kind] = sol.h_next * norm
-        system = None
-        if variational and sol.status == 0:
-            system = BoundaryJacobiSystem.at_end(GeodesicFan.of_one(m, G0, sol), rho, rho, readout)
+        if sol.status == 1:
+            raise ShootingError(f"the shot of {w} stopped at the domain's edge")
+        system = (BoundaryJacobiSystem.at_end(GeodesicFan.of_one(m, G0, sol), rho, rho, readout)
+                  if variational else None)
         return sol.y[:2 * d, -1], system
-
-    def _landed_system(self, w):
-        """The ``system`` of a variational shot of w, which must reach t = 1."""
-        system = self._shoot(w, VARIATIONAL)[1]
-        if system is None:
-            raise ShootingError(f"the variational shot of {w} stopped at the domain's edge")
-        return system
 
     def _jacobian(self, w, system=None):
         """dx(1)/dw = Y_x(1) / rho at w, off w's ``system`` or a new shot's."""
-        system = system or self._landed_system(w)
+        system = system or self._shoot(w, VARIATIONAL)[1]
         return system.M / system.r
 
     def _nearest(self, q):
@@ -429,7 +425,7 @@ class PoleDistance:
                 u_end = y[self.m.dim:]
                 self._remember(q, w, J_fin)
                 if hessian and system is None:   # no variational shot landed at w
-                    system = self._landed_system(w)
+                    system = self._shoot(w, VARIATIONAL)[1]
                 rho = system.r if hessian else math.sqrt(self.m.value(self.pole, w))  # r: that sqrt
                 return RhoResult(rho, u_end / rho, w, resid, self.work - before, system)
         work = self.work - before
@@ -444,11 +440,11 @@ class PoleDistance:
         ``y`` is the end state (x, u) of the tight integration of the returned
         ``w``, so its arriving tangent needs no second integration, and the
         residual is read from it; ``system`` is a variational shot's of ``w``,
-        or None. A failed trial shot is skipped (``_trial``); any other failed
-        integration (the first shot, a Jacobian shot that fails or stops at
-        the edge, a tight re-integration) raises, which ends the start
-        (``rho``). A Hessian query's first shot is variational, and plain
-        where its Jacobi fields fail.
+        or None. A trial shot that fails, or stops at the domain's edge, is
+        skipped (``_trial``); any other such shot (the first shot, a Jacobian
+        shot, a tight re-integration) raises, which ends the start (``rho``).
+        A Hessian query's first shot is variational, and plain where that
+        shot fails.
         """
         d = self.m.dim
         w = np.asarray(w, dtype=float).copy()
@@ -499,7 +495,7 @@ class PoleDistance:
         system)`` for the first w_new = w - lam J^-1 F, lam in ``lams`` in
         turn, whose shot of ``kind`` (``_shoot``) lowers |F|, counted as a
         Gauss-Newton iteration; None where J is singular or no lam does. A
-        shot that fails is skipped."""
+        shot that fails or stops at the domain's edge is skipped."""
         res = float(np.linalg.norm(F))
         try:
             step = np.linalg.solve(J, F)

@@ -17,7 +17,7 @@ import numbers
 import numpy as np
 
 from finsler.errors import StructuralError
-from finsler.geometry import complex_to_real_components, levi_matrix
+from finsler.geometry import Domain, MetricDef, complex_to_real_components, levi_matrix
 from finsler.jets import (Jet, JetSpace, _compose, _exp_taylor, _power_taylor, _product,
                           _reciprocal_taylor)
 
@@ -1223,6 +1223,65 @@ def hyperbolic_hessian_tangential(rho):
 
 def exact_binomial(n, k):
     return int(math.comb(n, k))
+
+
+def mobius_distance(a, q):
+    """Distance between the complex points a and q of the curvature -4 disk:
+    atanh |(q - a) / (1 - conj(a) q)|, the modulus of the disk automorphism
+    taking a to 0, at q."""
+    return math.atanh(abs((q - a) / (1.0 - a.conjugate() * q)))
+
+
+def szabo_distance(z, eps, k):
+    """Distance from the origin to the complex point z = (z1, z2) of the Szabo
+    metric G = G1 + G2 + eps (G1^k + G2^k)^(1/k) over two curvature -4 disks:
+    N(atanh |z1|, atanh |z2|), N(a, b) = sqrt(a^2 + b^2 + eps (a^2k + b^2k)^(1/k)).
+
+    F = N(F1, F2), and N is a norm on R^2, monotone in |a| and |b|. So a curve
+    of factor lengths L1 >= rho1 and L2 >= rho2 has length int N(F1, F2) >=
+    N(L1, L2) >= N(rho1, rho2), by the triangle inequality of N under the
+    integral; the factor geodesics run at speeds in the ratio rho1 : rho2
+    attain it (Burago, Burago & Ivanov, A Course in Metric Geometry, ch. 2).
+    eps = 0 is the product of the disks."""
+    a, b = (math.atanh(abs(c)) for c in z)
+    return math.sqrt(a * a + b * b + eps * (a ** (2 * k) + b ** (2 * k)) ** (1.0 / k))
+
+
+def product_disks_distance(z):
+    """Distance from the origin to the complex point z of the product of
+    curvature -4 disks: sqrt(sum atanh^2 |z_a|), the eps = 0 case of
+    ``szabo_distance`` over len(z) factors."""
+    return math.sqrt(sum(math.atanh(abs(c)) ** 2 for c in z))
+
+
+# -- the Funk disk: a real, non-reversible Finsler metric --------------------------
+
+
+def _funk(x, u):
+    """G = F^2 of the Funk metric of the unit ball, in any dimension:
+    F(x, y) = (sqrt((1 - |x|^2)|y|^2 + <x, y>^2) + <x, y>) / (1 - |x|^2), a
+    Randers metric whose geodesics are straight lines and whose flag
+    curvature is -1/4 on every flag (Shen, Lectures on Finsler Geometry,
+    the Funk metric; Bao, Chern & Shen, GTM 200, ch. 11)."""
+    xx, yy, xy = (sum(a * b for a, b in zip(p, q)) for p, q in ((x, x), (u, u), (x, u)))
+    c = 1.0 - xx
+    F = ((c * yy + xy * xy) ** 0.5 + xy) / c
+    return F * F
+
+
+FUNK_DISK = MetricDef("real", _funk, dim_real=2, domain=Domain("ball", 1.0),
+                      family_id="funk_disk")
+
+
+def funk_distance(p, q):
+    """Forward distance from p to q of the Funk metric: log(|p - a| / |q - a|),
+    where a = p + t (q - p)/|q - p| is the point at which the ray from p
+    through q leaves the unit ball."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    length = float(np.linalg.norm(q - p))
+    pv = float(p @ (q - p)) / length
+    t = -pv + math.sqrt(pv * pv + 1.0 - float(p @ p))
+    return math.log(t / (t - length))
 
 
 # -- Jacobi fields in covariant form ---------------------------------------------

@@ -4,7 +4,8 @@
 ``radial_flag_bounds`` in one DOP853 state at tolerances divided by sqrt(B);
 each member of this k-member fan must follow its own one-member fan
 (``oracles.fan_by_paths``). A member that leaves the domain ends at its own
-exit, while the others go on.
+exit, while the others go on. A shot of a shooting solver (``PoleDistance``)
+that stops at its exit root before t = 1 fails, whatever its kind.
 """
 
 import functools
@@ -16,7 +17,9 @@ import pytest
 
 from finsler import geodesic
 from finsler.cartan import cartan, radial_flag_bounds
-from finsler.errors import ConfigurationError, DegenerateMetricError, SlitBundleError
+from finsler.errors import (ConfigurationError, DegenerateMetricError, ShootingError,
+                            SlitBundleError)
+from finsler.geodesic import VARIATIONAL, PoleDistance
 from finsler.geometry import MetricDef, SamplePlan, realify_metric, unit_directions
 from finsler.jets import JetProgram
 from finsler.metrics import instantiate
@@ -302,3 +305,50 @@ def test_a_velocity_is_a_fan_of_one_row(name, length):
     assert point.arc_lengths.tolist() == row.arc_lengths.tolist()
     assert point.truncated.tolist() == row.truncated.tolist() == [name == "small_disk"]
     assert point.energy_drift() == row.energy_drift()
+
+
+@pytest.mark.parametrize("kind", [False, True, VARIATIONAL])
+def test_a_shot_that_stops_at_the_edge_raises(kind):
+    # w = (31.7, 0) has speed 1.002 on the small disk, whose radius from the
+    # origin exits near arc length 0.339: the shot ends at its exit root,
+    # margin 1e-9, long before t = 1, and no end state passes for x(1)
+    pd = PoleDistance(realify_metric(instantiate(SMALL_DISK)), np.zeros(2))
+    with pytest.raises(ShootingError, match="stopped at the domain's edge"):
+        pd._shoot(np.array([31.7, 0.0]), kind)
+    assert pd.work["integrations"] == 1
+
+
+def test_a_trial_that_stops_at_the_edge_is_skipped():
+    # the full step from w = (2, 0) lands on (31.7, 0), which stops at the
+    # edge; its exit state, 1e-9 from the edge, lies nearer q than x(1) of w,
+    # so as an iterate it would pass the trial's test. It is skipped, and
+    # lam = 0.2 lands on (7.94, 0), whose x(1) is q
+    pd = PoleDistance(realify_metric(instantiate(SMALL_DISK)), np.zeros(2))
+    w, edge = np.array([2.0, 0.0]), np.array([31.7, 0.0])
+    q = pd._shoot(w + 0.2 * (edge - w))[0][:2]
+    F = pd._shoot(w)[0][:2] - q
+    J = np.diag([F[0] / (w - edge)[0], 1.0])   # so that J^-1 F = w - edge
+    w_new, _, F_new, _ = pd._trial(w, F, J, q, False, (1.0, 0.2))
+    assert w_new == pytest.approx([7.94, 0.0], abs=1e-12)
+    assert np.linalg.norm(F_new) < 1e-12
+    assert pd.work["integrations"] == 4 and pd.work["iterations"] == 1
+
+
+def test_queries_near_the_edge_keep_their_work():
+    # off-origin queries on the small disk whose trials come near the edge:
+    # distances and work as before a shot at the edge raised
+    pd = PoleDistance(realify_metric(instantiate(SMALL_DISK)), np.array([0.3, 0.0]))
+    expected = {
+        (0.99, 0.0): (0.07390662868085497, dict(
+            starts=1, integrations=3, iterations=1, rhs_evaluations=1120,
+            jacobi_integrations=1, jacobi_rhs_evaluations=385)),
+        (0.7, 0.69): (0.07014508772948674, dict(
+            starts=1, integrations=14, loose_integrations=10, iterations=9,
+            rhs_evaluations=3327, jacobi_integrations=1, jacobi_rhs_evaluations=385)),
+        (-0.95, 0.3): (0.1087477001208499, dict(
+            starts=3, integrations=33, loose_integrations=21, iterations=17,
+            rhs_evaluations=9777, jacobi_integrations=3, jacobi_rhs_evaluations=1191)),
+    }
+    for q, (value, work) in expected.items():
+        r = pd.rho(np.array(q))
+        assert r.value == value and dict(r.work) == work, q

@@ -609,8 +609,9 @@ def test_hessian_queries_raise_the_jacobi_fields_errors():
 
 def test_a_hessian_query_whose_variational_shots_stop_raises(monkeypatch):
     # where no variational shot reaches t = 1 the Hessian query raises, and
-    # the solver stays a plain one: its next query shoots plain, from a fresh
-    # solver's steps, and returns a fresh solver's bits
+    # the solver stays a plain one: its next query shoots plain, from the step
+    # its one plain shot carried, and returns the bits of a fresh solver's
+    # second query of q, whose distance is a fresh solver's
     solve = geodesic.solve_ivp
 
     def stopped(fun, t_span, y0, **kwargs):
@@ -624,12 +625,15 @@ def test_a_hessian_query_whose_variational_shots_stop_raises(monkeypatch):
         patch.setattr(geodesic, "solve_ivp", stopped)
         with pytest.raises(ShootingError, match="stopped at the domain's edge"):
             distance_hessian(pd, q)
-    # the chord start lands, and the converged velocity is shot once more
-    assert pd.work["jacobi_integrations"] == pd.work["integrations"] == 2
-    r, fresh = pd.rho(q), PoleDistance(HYPERBOLIC, np.zeros(2)).rho(q)
+    # the chord start's variational shot stops, so it is shot again plain and
+    # lands, and the converged velocity's variational shot stops too
+    assert pd.work["integrations"] == 3 and pd.work["jacobi_integrations"] == 2
+    r, fresh = pd.rho(q), PoleDistance(HYPERBOLIC, np.zeros(2))
     assert r.system is None and pd.work["jacobi_integrations"] == 2
-    assert r.value == fresh.value and r.residual == fresh.residual
-    assert np.array_equal(r.T, fresh.T) and np.array_equal(r.w, fresh.w)
+    assert r.value == fresh.rho(q).value
+    again = fresh.rho(q)
+    assert r.value == again.value and r.residual == again.residual
+    assert np.array_equal(r.T, again.T) and np.array_equal(r.w, again.w)
 
 
 def _record_jacobians(monkeypatch):

@@ -243,6 +243,37 @@ def test_one_method_integrates_every_shot():
     assert calls == [("_shoot", "_integrate")]
 
 
+def _definitions(tree):
+    """(qualified name, node) of each top-level function of ``tree`` and each
+    method of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_one_rule_fails_a_shot_at_the_edge():
+    # a shot either reaches its end or raises: PoleDistance._shoot fails every
+    # shooting shot that stops at its exit root, and _integrate_jacobi the
+    # arc-length Jacobi route's; elsewhere only the fans read a solution's
+    # status, since a fan member ends at its exit root by design
+    raised, read = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _definitions(ast.parse(path.read_text())):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Raise) and "ShootingError" in ast.unparse(node)
+                        and "stopped at the domain's edge" in ast.unparse(node)):
+                    raised.append(name)
+                if (isinstance(node, ast.Attribute) and node.attr == "status"
+                        and isinstance(node.ctx, ast.Load)):
+                    read.append(name)
+    assert sorted(raised) == ["PoleDistance._shoot", "_integrate_jacobi"]
+    assert sorted(set(read)) == ["GeodesicFan.of_one", "PoleDistance._shoot",
+                                 "_integrate_jacobi", "integrate_geodesic"]
+
+
 def test_one_driver_calls_the_integrator():
     # geodesic._integrate is the one DOP853 driver, plain or variational; a
     # second call site would keep its own tolerances, events and failures
