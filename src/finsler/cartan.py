@@ -23,6 +23,7 @@ invariant under X -> X + c u by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,24 +67,40 @@ def spray_coefficients(m: MetricDef, x, u) -> np.ndarray:
     sp, d = m.spray_space, m.dim
     coeffs = m.real_rows(x, u, sp)
     Hu = sp.gather(coeffs, 2, slice(d, None))
+    return _spray(_inverse(0.5 * Hu[..., d:], "fundamental tensor"), Hu, sp.gather(coeffs, 1), u, d)
+
+
+def _inverse(a, what) -> np.ndarray:
+    """Ungated ``np.linalg.inv`` of ``what``; a singular one raises ``DegenerateMetricError``."""
     try:
-        g_inv = np.linalg.inv(0.5 * Hu[..., d:])
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError("fundamental tensor singular") from exc
-    return _spray(g_inv, Hu, sp.gather(coeffs, 1), u, d)
+        raise DegenerateMetricError(f"{what} singular") from exc
 
 
-def _jacobian(D1, D2, D3u, u, d):
-    """(g, g^-1, S, dg, dS) from the derivative tensors of G over (x, u), the
-    third's u rows D3u, with any leading shape; dg[..., i, l, a] = d_a g_il."""
+@functools.cache
+def _jacobian_table(sp):
+    """``(idx, scale)`` gathering D1 and the 2d-long rows of D2 and D3's u rows over ``sp``."""
+    D1, D2, D3 = (sp.derivative_table(k) for k in (1, 2, 3))
+    return tuple(np.concatenate([D1[i][None], D2[i], D3[i][sp.nvars // 2:].reshape(-1, sp.nvars)])
+                 for i in (0, 1))
+
+
+def _jacobian(sp, coeffs, u, inverse):
+    """(g, g^-1, S, dS, D3u, dg) from coefficients over ``sp`` of jets of G over
+    (x, u) by one gather and ``inverse`` of g; dg[..., i, l, a] = d_a g_il."""
+    d = u.shape[-1]
+    idx, scale = _jacobian_table(sp)
+    D = coeffs.take(idx, axis=-1) * scale
+    D2, D3u = D[..., 1:2 * d + 1, :], D[..., 2 * d + 1:, :].reshape(*D.shape[:-2], d, 2 * d, -1)
     g = 0.5 * D2[..., d:, d:]
-    g_inv = well_conditioned_inverse(g, "fundamental tensor")
-    spray = _spray(g_inv, D2[..., d:, :], D1, u, d)
+    g_inv = inverse(g, "fundamental tensor")
+    S = _spray(g_inv, D2[..., d:, :], D[..., 0, :], u, d)
     dg = 0.5 * D3u[..., d:, :]
     # d_a b_l, where b_l = u^k d^2 G / du^l dx^k - dG / dx^l
     db = (u[..., None, None, :] @ D3u[..., :d, :])[..., 0, :] - D2[..., :d, :]
     db[..., d:] += D2[..., d:, :d]
-    return g, g_inv, spray, dg, g_inv @ (0.25 * db - (spray[..., None, None, :] @ dg)[..., 0, :])
+    return g, g_inv, S, g_inv @ (0.25 * db - (S[..., None, None, :] @ dg)[..., 0, :]), D3u, dg
 
 
 def spray_jacobian(jet: Jet, u):
@@ -91,13 +108,10 @@ def spray_jacobian(jet: Jet, u):
     keeps u-degree >= degree - 2 (``fibre_space(3, 2)`` is the least), its
     coefficients a point's, shape (n,), or B rows, shape (B, n), with u of
     shape (d,) or (B, d); dS is the d x 2d derivative of the spray in (x, u).
-    Raises ``DegenerateMetricError`` when g is singular or ill-conditioned."""
-    u = np.asarray(u, dtype=float)
-    d = u.shape[-1]
-    sp, c = jet.space, jet.coeffs
-    g, g_inv, spray, _, dS = _jacobian(sp.gather(c, 1), sp.gather(c, 2),
-                                       sp.gather(c, 3, slice(d, None)), u, d)
-    return g, g_inv, spray, dS
+    Raises ``DegenerateMetricError`` where g is singular, or ill-conditioned at
+    a point: rows, a variational integration's states, are gated at its readout."""
+    inverse = _inverse if jet.coeffs.ndim > 1 else well_conditioned_inverse
+    return _jacobian(jet.space, jet.coeffs, np.asarray(u, dtype=float), inverse)[:4]
 
 
 def cartan(m: MetricDef, x, u) -> CartanData:
@@ -108,10 +122,8 @@ def cartan(m: MetricDef, x, u) -> CartanData:
     d = m.dim
     sp, U = m.fibre_space(4, 2), slice(d, None)
     coeffs = m.real_rows(x, u, sp) if np.ndim(x) == 2 else m.real_jet(x, u, sp).coeffs
-    # D3 and D4 as far as they are read: D3's u rows, D4's u rows and columns
-    D1, D2, D3u, D4 = (sp.gather(coeffs, 1), sp.gather(coeffs, 2), sp.gather(coeffs, 3, U),
-                      sp.gather(coeffs, 4, U, slice(None), slice(None), U))
-    g, g_inv, spray, dg, dS = _jacobian(D1, D2, D3u, u, d)
+    g, g_inv, spray, dS, D3u, dg = _jacobian(sp, coeffs, u, well_conditioned_inverse)
+    D4 = sp.gather(coeffs, 4, U, slice(None), slice(None), U)   # its u rows and columns
     N = dS[..., d:]
 
     # d2b and d2S on the u columns riemann reads; D3[x, :, u] is D3u moved

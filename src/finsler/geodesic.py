@@ -44,7 +44,7 @@ import numpy as np
 from .cartan import cartan, spray_coefficients, spray_jacobian
 from .dop853 import solve_ivp
 from .errors import SAMPLE_ERRORS, ConfigurationError, ConjugatePointError, ShootingError
-from .geometry import MetricDef, unit_directions
+from .geometry import MetricDef, unit_directions, well_conditioned_inverse
 from .jets import Jet
 
 
@@ -61,8 +61,9 @@ def _integrate(m, x0, u0, t_end, *, Y0=None, rtol, atol, t0=0.0, first_step=None
     dS = dG/d(x, u), in the trajectory's own state (Hairer, Norsett & Wanner,
     Solving ODEs I, sec. I.14). A plain right-hand side is one
     ``spray_coefficients`` call; a variational one is one order-3
-    ``real_rows`` replay and one stacked ``spray_jacobian``, whose rows
-    (g, dS) at the end state are the ``readout`` (None for a plain one).
+    ``real_rows`` replay and one stacked ``spray_jacobian`` (one gather, one
+    plain inverse of g) into one output. Its rows (g, dS) at the end state
+    are the ``readout`` (None for a plain one), and only its g is gated.
     Each block stops at its own exit event, where its domain margin falls to
     ``_EXIT_MARGIN``. ``rtol`` and ``atol``, scalars or arrays of the state's
     shape, are divided by sqrt(k), which bounds the stacked RMS error norm by
@@ -81,9 +82,10 @@ def _integrate(m, x0, u0, t_end, *, Y0=None, rtol, atol, t0=0.0, first_step=None
             return np.concatenate([u, -2.0 * spray_coefficients(m, x, u)], axis=1).ravel()
         g, _, spray, dS = spray_jacobian(Jet(sp, m.real_rows(x, u, sp)), u)
         last[0] = (y, g, dS)
-        Y = Z[:, 2 * d:].reshape(k, 2 * d, -1)
-        return np.concatenate([u, -2.0 * spray, Y[:, d:].reshape(k, -1),
-                               (-2.0 * dS @ Y).reshape(k, -1)], axis=1).ravel()
+        Y, out = Z[:, 2 * d:].reshape(k, 2 * d, -1), np.empty((k, n))
+        dY = out[:, 2 * d:].reshape(Y.shape)
+        out[:, :d], out[:, d:2 * d], dY[:, :d], dY[:, d:] = u, -2.0 * spray, Y[:, d:], -2.0 * dS @ Y
+        return out.ravel()
 
     bounded = m.domain.kind != "all" and math.isfinite(m.domain.margin(x0[0]))
     events = [lambda t, y, j=j: m.domain.margin(y[n * j:n * j + d]) - _EXIT_MARGIN
@@ -96,6 +98,7 @@ def _integrate(m, x0, u0, t_end, *, Y0=None, rtol, atol, t0=0.0, first_step=None
         return sol, None
     if not np.array_equal(last[0][0], sol.y[:, -1]):   # an exit root, or a later dense stage
         rhs(sol.t[-1], sol.y[:, -1])
+    well_conditioned_inverse(last[0][1], "fundamental tensor")
     return sol, last[0][1:]
 
 

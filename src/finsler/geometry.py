@@ -33,6 +33,11 @@ def _norm(a) -> float:
     return math.sqrt(a.dot(a))
 
 
+def _row_norms(a):
+    """|a_b| of each row of a (B, k): one point's ``_norm`` in a list, else array norms."""
+    return [_norm(a)] if len(a) == 1 else np.linalg.norm(a, axis=-1)
+
+
 def apply_J(u):
     """Complex structure on real tangent components."""
     u = np.asarray(u, dtype=float)
@@ -175,14 +180,6 @@ class MetricDef:
     def is_complex(self):
         return self.kind != "real"
 
-    # -- guards -----------------------------------------------------------
-
-    def _check_slit(self, x, u):
-        nx = _norm(x)
-        if _norm(u) < EPS_SLIT * (1.0 + nx):
-            raise SlitBundleError(
-                "vector too close to the zero section; renormalize by homogeneity")
-
     # -- values -------------------------------------------------------------
 
     def value(self, point, vector):
@@ -193,22 +190,25 @@ class MetricDef:
         G is the constant coefficient of one order-0 ``real_rows`` replay of
         ``program``, a point being one row, and each row is guarded as there.
         A zero vector gives 0, and a vector the slit guard could refuse is
-        read at its unit vector and scaled back by homogeneity.
+        read at its unit vector and scaled back by homogeneity; the guards
+        read the norms the rescale test took.
         """
         dtype = complex if self.is_complex else float
         z, v = np.asarray(point, dtype=dtype), np.asarray(vector, dtype=dtype)
         x, u = np.broadcast_arrays(np.atleast_2d(z), np.atleast_2d(v))
         if self.is_complex:
             x, u = complex_to_real_components(x), complex_to_real_components(u)
-        nu = np.linalg.norm(u, axis=1)
-        small = nu <= (1.0 + 1e-9) * EPS_SLIT * (1.0 + np.linalg.norm(x, axis=1))
-        if small.any():
-            u = u.copy()
+        nx, nu = _row_norms(x), _row_norms(u)
+        small = np.less_equal(nu, (1.0 + 1e-9) * EPS_SLIT * np.add(1.0, nx))
+        rescaled = small.any()
+        if rescaled:   # by array norms, as rows take them, so a point's G is its row's
+            u, nu = u.copy(), np.linalg.norm(u, axis=1)
             for b in np.flatnonzero(small):
                 # a zero vector reads G at e_0, scaled back by 0
                 u[b] = u[b] / nu[b] if nu[b] > 0 else np.eye(self.dim)[0]
-        G = self.real_rows(x, u, 0)[:, 0]
-        G[small] *= nu[small] ** 2
+        G = self._guarded_rows(x, u, 0, nx, _row_norms(u) if rescaled else nu)[:, 0]
+        if rescaled:
+            G[small] *= nu[small] ** 2
         return float(G[0]) if z.ndim == v.ndim == 1 else G
 
     # -- jet evaluation ------------------------------------------------------
@@ -235,23 +235,27 @@ class MetricDef:
         points of x, u of shape (B, dim), from one replay of ``program``,
         recorded once, on the first use (:class:`finsler.jets.JetProgram`).
         Each row must lie in the domain (``Domain.require``) and clear the slit
-        guard (``_check_slit``): a point takes those exact checks, and of
-        several rows only those within rounding of failing them, or not finite."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
+        guard |u| >= EPS_SLIT (1 + |x|): a point takes those exact checks, and
+        of several rows only those within rounding of failing them, or not finite."""
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        return self._guarded_rows(x, u, basis, _row_norms(x), _row_norms(u))
+
+    def _guarded_rows(self, x, u, basis, nx, nu):
+        """``real_rows`` whose guards read the norms nx, nu of the rows (``_row_norms``)."""
         if x.ndim != 2 or x.shape != u.shape or x.shape[1] != self.dim:
             raise StructuralError(f"expected rows of {self.dim} real components")
-        # the array screen costs several points' exact checks (12-15 us
-        # against 1.8-2.6 us a point), so a point skips it
+        # a point skips the array screen, which costs several points' exact checks
         doubtful = range(len(x))
         if len(x) > 1:
-            nx = np.linalg.norm(x, axis=1)
             doubtful = np.flatnonzero(~((self.domain.row_margins(x) > 1e-12 * (1.0 + nx))
-                                        & (np.linalg.norm(u, axis=1)
-                                           > (1.0 + 1e-9) * EPS_SLIT * (1.0 + nx))))
+                                        & (nu > (1.0 + 1e-9) * EPS_SLIT * (1.0 + nx))))
+            if doubtful.size:   # their exact checks take their own norms
+                nx, nu = ({b: _norm(a[b]) for b in doubtful} for a in (x, u))
         for b in doubtful:
             self.domain.require(x[b])
-            self._check_slit(x[b], u[b])
+            if nu[b] < EPS_SLIT * (1.0 + nx[b]):
+                raise SlitBundleError(
+                    "vector too close to the zero section; renormalize by homogeneity")
         return self.program.replay_rows(np.concatenate([x, u], axis=1), basis)
 
     @cached_property
@@ -328,10 +332,11 @@ def one_norm_condition(a, inv) -> np.ndarray:
 
 
 def well_conditioned_inverse(a, what) -> np.ndarray:
-    """``np.linalg.inv`` of a symmetric or Hermitian matrix ``what``, or of each
-    of a stack of them, which must be regular with |a|_1 |a^-1|_1 (>= its
-    2-norm condition) <= 1e10, or raise ``DegenerateMetricError`` with the
-    condition number of the first row in row order that is not (NaN included)."""
+    """The condition gate: ``np.linalg.inv`` of a symmetric or Hermitian matrix
+    ``what``, or of each of a stack, each regular with |a|_1 |a^-1|_1 (>= its
+    2-norm condition) <= 1e10, or ``DegenerateMetricError`` with the condition
+    number of the first that is not (NaN included). A variational integration
+    gates only the g it reads out (``geodesic._integrate``), no right-hand side."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:

@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import eigh
 
 from finsler import geodesic
-from finsler.cartan import cartan, spray_coefficients
+from finsler.cartan import cartan, spray_coefficients, spray_jacobian
 from finsler.cli import main
 from finsler.errors import (SAMPLE_ERRORS, ConfigurationError, ConjugatePointError,
                             DegenerateMetricError, DomainError, ShootingError)
@@ -24,7 +24,7 @@ from finsler.geodesic import (SHOOT_ATOL, SHOOT_RTOL, VARIATIONAL, BoundaryJacob
                               integrate_geodesic, jacobi_field,
                               jacobi_boundary_field)
 from finsler.geometry import Domain, MetricDef, realify_metric
-from finsler.jets import JetSpace
+from finsler.jets import Jet, JetProgram, JetSpace
 from finsler.metrics import instantiate
 
 from oracles import (at_point, ball_distance, covariant_boundary_form, covariant_d2_rho,
@@ -605,6 +605,119 @@ def test_hessian_queries_raise_the_jacobi_fields_errors():
         hessian_rho(ILL_CONDITIONED, np.zeros(4), Q4, np.roll(Q4, 1))
     with pytest.raises(ConjugatePointError):
         hessian_rho(ROUND, np.array([0.5, 0.0]), np.array([-2.0, 0.0]), np.array([0.0, 1.0]))
+
+
+class _Captured(Exception):
+    pass
+
+
+def _variational_rhs(monkeypatch, m, x, u, Y):
+    """The right-hand side a variational ``_integrate`` from rows x, u with
+    variations Y hands its integrator, taken before any step."""
+    got = {}
+
+    def capture(fun, t_span, y0, **kwargs):
+        got["rhs"] = fun
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geodesic, "solve_ivp", capture)
+        with pytest.raises(_Captured):
+            _integrate(m, x, u, 1.0, Y0=Y, rtol=1e-10, atol=1e-12)
+    return got["rhs"]
+
+
+def test_a_variational_right_hand_side_is_its_spray_jacobian_assembly(monkeypatch):
+    # at k = 1 and k = 3 rows, the derivative is the assembly the four-piece
+    # concatenate made from spray_jacobian of the rows, bit for bit: (u, -2 S)
+    # and each row's (Y_u, -2 dS Y), and a float.hex digest of all of them
+    # is the one the concatenate gave
+    digest = hashlib.sha256()
+    for m in (EUCLID, HYPERBOLIC, BALL2, SZABO):
+        d, sp, rng = m.dim, m.fibre_space(3, 2), np.random.default_rng(57)
+        for k in (1, 3):
+            x = rng.uniform(-1, 1, (k, d))
+            x *= 0.3 / np.linalg.norm(x, axis=1)[:, None]
+            u, Y = rng.standard_normal((k, d)), rng.standard_normal((k, 2 * d, 2 * d))
+            y = np.concatenate([x, u, Y.reshape(k, -1)], axis=1)
+            got = _variational_rhs(monkeypatch, m, x, u, Y)(0.0, y.ravel())
+            _, _, S, dS = spray_jacobian(Jet(sp, m.real_rows(x, u, sp)), u)
+            want = np.concatenate([u, -2.0 * S, Y[:, d:].reshape(k, -1),
+                                   (-2.0 * dS @ Y).reshape(k, -1)], axis=1).ravel()
+            assert got.tobytes() == want.tobytes(), (m.family_id, k)
+            digest.update(" ".join(map(float.hex, got.tolist())).encode())
+    assert digest.hexdigest() == "9b981b4d3765d35a75ea844bf8c94b8e74189fd3a39b5e209475b488ab4e2f77"
+
+
+def _count_work(monkeypatch):
+    """Counters of the calls a right-hand side can make: order-3 replays,
+    ``np.linalg.inv``, the condition gate in ``cartan`` and in ``geodesic``,
+    ``spray_jacobian`` and ``spray_coefficients``."""
+    calls = Counter()
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[key(*args)] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    counted(JetProgram, "replay_rows", lambda program, values, basis: (
+        "replay", JetSpace.of(program.nvars, basis).order))
+    counted(np.linalg, "inv", lambda a: "inv")
+    # the package exports the function cartan under the module's name
+    counted(sys.modules["finsler.cartan"], "well_conditioned_inverse", lambda a, w: "cartan gate")
+    counted(geodesic, "well_conditioned_inverse", lambda a, w: "readout gate")
+    counted(geodesic, "spray_jacobian", lambda jet, u: "spray_jacobian")
+    counted(geodesic, "spray_coefficients", lambda m, x, u: "spray_coefficients")
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_right_hand_side_does_its_work_once(monkeypatch, k):
+    # a variational right-hand side is one order-3 replay and one plain
+    # inverse, and no gate: the integration gates g once, at its readout,
+    # whose inverse is the one more. A plain one is one spray_coefficients
+    # call, one order-2 replay and one inverse, and never gated
+    m, d = HYPERBOLIC, HYPERBOLIC.dim
+    x0, u0 = np.tile(DISK_X0, (k, 1)), np.tile(DISK_U0, (k, 1))
+    Y0 = np.stack([np.concatenate([np.zeros((d, d)), np.eye(d)])] * k)
+    calls = _count_work(monkeypatch)
+    sol, _ = _integrate(m, x0, u0, 1.0, Y0=Y0, rtol=1e-10, atol=1e-12)
+    rhs = calls["spray_jacobian"]
+    assert sol.nfev > 10 and rhs in (sol.nfev, sol.nfev + 1)   # the readout's state, if new
+    assert calls == Counter({("replay", 3): rhs, "inv": rhs + 1, "spray_jacobian": rhs,
+                             "readout gate": 1})
+    calls.clear()
+    sol, readout = _integrate(m, x0, u0, 1.0, rtol=1e-10, atol=1e-12)
+    assert readout is None and calls == Counter({("replay", 2): sol.nfev, "inv": sol.nfev,
+                                                 "spray_coefficients": sol.nfev})
+
+
+def test_each_variational_integration_is_gated_once(monkeypatch):
+    # a Hessian query that iterates: its shooting Jacobians and its landing
+    # shot are variational integrations, each gated once, at its readout
+    pd = PoleDistance(HYPERBOLIC, OFF_POLE)
+    calls = _count_work(monkeypatch)
+    distance_hessian(pd, OFF_Q)
+    assert pd.work["iterations"] > 0 and pd.work["jacobi_integrations"] > 1
+    assert calls["readout gate"] == pd.work["jacobi_integrations"]
+    assert calls["cartan gate"] == 0
+    assert calls["spray_jacobian"] >= pd.work["jacobi_rhs_evaluations"]
+
+
+def test_an_ill_conditioned_g_raises_at_the_readout(monkeypatch):
+    # the constant metric's g has condition 1e11 at every state, and no
+    # right-hand side refuses it: the integration runs to its end, and its
+    # readout raises the gate's error, once
+    d = ILL_CONDITIONED.dim
+    calls = _count_work(monkeypatch)
+    with pytest.raises(DegenerateMetricError, match="fundamental tensor condition number"):
+        _integrate(ILL_CONDITIONED, np.zeros(d), Q4, 1.0,
+                   Y0=np.concatenate([np.zeros((d, d)), np.eye(d)]), rtol=1e-10, atol=1e-12)
+    assert calls["spray_jacobian"] > 1 and calls["readout gate"] == 1
+    assert calls["cartan gate"] == 0
 
 
 def test_a_hessian_query_whose_variational_shots_stop_raises(monkeypatch):
